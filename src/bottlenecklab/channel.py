@@ -34,7 +34,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "KrausChannel",
-    "EvolutionTrace",
     "ChannelReport",
     "PartitionConditionReport",
     "validate_channel",
@@ -81,12 +80,6 @@ class KrausChannel:
     @property
     def dim(self):
         return 1 << self.n
-
-
-@dataclass
-class EvolutionTrace:
-    times: list
-    distances: list
 
 
 @dataclass
@@ -211,7 +204,13 @@ def check_partition_condition(C, part, tol=DEFAULT_TOL):
 
 
 def evolve_sequence(channels, rho0, rho_ref, T):
-    """Trace distance to a reference after each of T channel applications."""
+    """Iterator of trace distances to a reference after t = 0..T steps.
+
+    Step t applies channels[(t - 1) % len(channels)]. The arguments are
+    validated at the call; each step is computed only when the iterator
+    is advanced, so a caller that stops at a threshold pays for the steps
+    it read and no more.
+    """
     if not channels:
         raise DimensionMismatch("need at least one channel")
     dim = channels[0].dim
@@ -222,17 +221,18 @@ def evolve_sequence(channels, rho0, rho_ref, T):
     ref = rho_ref.mat if isinstance(rho_ref, DensityMatrix) else np.asarray(rho_ref)
     if state.shape != (dim, dim) or ref.shape != (dim, dim):
         raise DimensionMismatch("state dimensions do not match the channels")
-    times = [0]
-    distances = [trace_norm(state - ref)]
+    return _distances(channels, state, ref, T)
+
+
+def _distances(channels, state, ref, T):
+    yield trace_norm(state - ref)
     for t in range(1, T + 1):
         C = channels[(t - 1) % len(channels)]
         nxt = np.zeros_like(state)
         for K in C.kraus:
             nxt += K @ state @ K.conj().T
         state = nxt
-        times.append(t)
-        distances.append(trace_norm(state - ref))
-    return EvolutionTrace(times, distances)
+        yield trace_norm(state - ref)
 
 
 def quasi_local_mixture(local, tail, p):

@@ -669,9 +669,8 @@ def _run_mixing_compare(cfg, out, jobs):
         strong, weak = mixing_time_lower_bound(rep, rho, P_A, eps)
         start = P_A @ rho.mat @ P_A
         start = DensityMatrix(start / np.real(np.trace(start)), n)
-        trace = evolve_sequence(sched, start, rho, T=horizon)
         observed = math.inf
-        for t, dist in enumerate(trace.distances):
+        for t, dist in enumerate(evolve_sequence(sched, start, rho, T=horizon)):
             if dist / 2 <= eps:
                 observed = float(t)
                 break

@@ -37,6 +37,7 @@ __all__ = [
     "NoPositiveFixedPoint",
     "DeclarationInconsistent",
     "NotFixedPoint",
+    "NotTracePreserving",
     "LocalityInsufficient",
     "BoundViolated",
     "ParametersInadmissible",

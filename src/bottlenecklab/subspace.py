@@ -5,11 +5,18 @@ Dimension-0 subspaces are legal values: boundaries can be empty and the
 code downstream treats that case explicitly rather than by crashing.
 
 The r-neighborhood of V is span{ S|psi> : S a Pauli string of weight <= r,
-|psi> in V }. Composing neighborhoods adds radii. For V spanned by
-computational-basis states the r-neighborhood is exactly the Hamming ball
-of radius r around the underlying bit strings, which is the cheap path the
-model-level pipelines use; the generic enumeration here stays as the
-ground truth the fast paths are checked against.
+|psi> in V }. Composing neighborhoods adds radii. partition_from_radius
+builds the local-theorem split (V, first r-shell, second r-shell, rest)
+in one of two ways, chosen from V alone:
+
+- V spanned by computational-basis states (every basis column has exactly
+  one nonzero entry): a weight-<=r string maps |b> to a phase times
+  |b xor x> with |x| <= r, so the shells are Hamming-distance shells
+  around the support of V. They are read off one popcount over the
+  register per basis state of V, with no enumeration and no size cap.
+- any other V: the weight-<=r strings are enumerated and their images
+  orthonormalized. This path is exponential in r and is the oracle the
+  Hamming shells are tested against.
 """
 
 from dataclasses import dataclass, field
@@ -22,6 +29,7 @@ from .errors import (
     CenterOutsideSpace,
     EnumerationTooLarge,
     NotOrthonormal,
+    RadiusExceedsN,
 )
 from .numerics import DEFAULT_TOL, fix_phases, orthonormal_column_basis
 
@@ -158,11 +166,17 @@ def hamming_ball_subspace(n, centers, radius, label=""):
     for c in centers:
         if not 0 <= c < dim:
             raise CenterOutsideSpace(f"center {c} outside 0..{dim - 1}")
-    idx = np.arange(dim, dtype=np.uint64)
-    keep = np.zeros(dim, dtype=bool)
-    for c in centers:
-        keep |= pl.popcount(idx ^ np.uint64(c)) <= radius
+    keep = _hamming_distance(n, centers) <= radius
     return basis_state_subspace(n, np.flatnonzero(keep), label)
+
+
+def _hamming_distance(n, centers):
+    """Hamming distance of every basis index to the nearest center."""
+    idx = np.arange(1 << n, dtype=np.uint64)
+    d = np.full(idx.shape, np.iinfo(np.int64).max)
+    for c in centers:
+        d = np.minimum(d, pl.popcount(idx ^ np.uint64(c)))
+    return d
 
 
 def basis_state_subspace(n, indices, label=""):
@@ -220,13 +234,20 @@ class HilbertPartition:
 
 
 def partition_from_radius(V, r, tol=None, cap=_ENUM_CAP):
-    """Partition (A=V, B1, B2, C) from Pauli neighborhoods at radius r.
+    """Partition (A=V, B1, B2, C) from the weight-r neighborhoods of V.
 
     B1 spans the r-boundary of V, B2 what the 2r-neighborhood adds beyond
-    that, and C the rest of the space. Generic (and exponential)
-    construction; model-aware callers can supply cheaper partitions with
-    the same structural guarantees.
+    that, and C the rest of the space. When every basis column of V has
+    exactly one nonzero entry, the blocks are the Hamming shells
+    0 < d <= r, r < d <= 2r and d > 2r, where d is the distance to the
+    nearest basis state in V (meta builder "hamming"; tol and cap unused).
+    Any other V goes through the Pauli enumeration (builder "pauli"),
+    which raises EnumerationTooLarge past cap. For nonempty V both raise
+    RadiusExceedsN when r is outside [0, n].
     """
+    support = _basis_state_support(V)
+    if support is not None:
+        return _hamming_shell_partition(V, support, r)
     tol = tol or DEFAULT_TOL
     B_r = neighborhood(V, r, tol=tol, cap=cap)
     B_2r = neighborhood(B_r, r, tol=tol, cap=cap)
@@ -234,6 +255,25 @@ def partition_from_radius(V, r, tol=None, cap=_ENUM_CAP):
     B2 = _complement_within(B_2r, B_r, tol=tol)
     C = complement(B_2r)
     return HilbertPartition(V, B1, B2, C, meta={"r": r, "builder": "pauli"})
+
+
+def _basis_state_support(V):
+    """Row of each column's single nonzero, or None if some column has more."""
+    nonzero = V.basis != 0
+    if V.dim == 0 or not (nonzero.sum(axis=0) == 1).all():
+        return None
+    return np.nonzero(nonzero)[0]
+
+
+def _hamming_shell_partition(V, support, r):
+    n = V.n
+    if not 0 <= r <= n:
+        raise RadiusExceedsN(f"radius {r} outside [0, {n}]")
+    d = _hamming_distance(n, support)
+    B1 = basis_state_subspace(n, np.flatnonzero((d > 0) & (d <= r)))
+    B2 = basis_state_subspace(n, np.flatnonzero((d > r) & (d <= 2 * r)))
+    C = basis_state_subspace(n, np.flatnonzero(d > 2 * r))
+    return HilbertPartition(V, B1, B2, C, meta={"r": r, "builder": "hamming"})
 
 
 def subspace_to_text(V):

@@ -45,7 +45,6 @@ from bottlenecklab.model import (
     random_local_perturbation,
 )
 from bottlenecklab.numerics import DensityMatrix, maximally_mixed, trace_norm
-from bottlenecklab.pauli import popcount
 from bottlenecklab.sampler import (
     css_metropolis_channel,
     metropolis_site_channel,
@@ -58,9 +57,7 @@ from bottlenecklab.stability import (
     verify_block_tridiagonal,
 )
 from bottlenecklab.subspace import (
-    HilbertPartition,
     Subspace,
-    basis_state_subspace,
     hamming_ball_subspace,
     neighborhood,
     partition_from_radius,
@@ -72,25 +69,6 @@ BETAS = (0.5, 1.0, 2.0, 3.0)
 
 def _pass(k, detail):
     print(f"criterion {k}: PASS - {detail}")
-
-
-def shell_partition(n, inner, width):
-    """Hamming-distance shells around the all-zeros string.
-
-    For a ball of basis states this is the split the weight-`width` Pauli
-    neighborhoods generate, at a cost linear in the dimension instead of
-    exponential in the radius.
-    """
-    d = popcount(np.arange(1 << n, dtype=np.uint64))
-    A = basis_state_subspace(n, np.flatnonzero(d <= inner), "A")
-    B1 = basis_state_subspace(
-        n, np.flatnonzero((d > inner) & (d <= inner + width)), "B1"
-    )
-    B2 = basis_state_subspace(
-        n, np.flatnonzero((d > inner + width) & (d <= inner + 2 * width)), "B2"
-    )
-    C = basis_state_subspace(n, np.flatnonzero(d > inner + 2 * width), "C")
-    return HilbertPartition(A, B1, B2, C, meta={"r": width, "builder": "hamming"})
 
 
 def flip_metropolis_channel(n, masks, pi):
@@ -156,7 +134,7 @@ def test_criterion_01_general_theorem_suite():
                 pi = random_pi(rng, 1 << n)
                 chan = flip_metropolis_channel(n, flip_masks(n, width), pi)
                 rho = DensityMatrix(np.diag(pi), n)
-                part = shell_partition(n, 1, width)
+                part = partition_from_radius(hamming_ball_subspace(n, [0], 1), width)
                 rep = verify_bottleneck_theorem(chan, rho, part)
                 assert rep.condition_residual < 1e-9
                 assert rep.lhs <= 10.0 * rep.delta + 1e-8
@@ -176,7 +154,7 @@ def test_criterion_01_general_theorem_suite():
     for label, checks in families:
         H = build_hamiltonian(checks)
         rho, _, _ = gibbs_state(H, 1.0)
-        part = shell_partition(checks.n, 1, 1)
+        part = partition_from_radius(hamming_ball_subspace(checks.n, [0], 1), 1)
         for site in range(checks.n):
             chan = metropolis_site_channel(H, 1.0, site)
             rep = verify_bottleneck_theorem(chan, rho, part)
@@ -208,16 +186,23 @@ def test_criterion_02_local_theorem_suite():
     css_runs = 0
     worst_resid = 0.0
 
-    # the cheap Hamming shells coincide with the Pauli-neighborhood
-    # partition for a basis-state ball; checked once where both fit in
-    # memory, then reused at sizes where the Pauli enumeration does not
-    pauli_part = partition_from_radius(hamming_ball_subspace(7, [0], 1), 3)
-    shell_part7 = shell_partition(7, 1, 3)
-    for name in ("A", "B1", "B2", "C"):
-        dev = np.linalg.norm(
-            getattr(pauli_part, name).projector()
-            - getattr(shell_part7, name).projector()
-        )
+    # the Hamming shells coincide with the Pauli-neighborhood split for a
+    # basis-state ball; checked against the enumeration once where it fits
+    # in memory, then used at sizes where the enumeration does not
+    V7 = hamming_ball_subspace(7, [0], 1)
+    B_r = neighborhood(V7, 3)
+    B_2r = neighborhood(B_r, 3)
+    P_A, P_r, P_2r = V7.projector(), B_r.projector(), B_2r.projector()
+    enumerated = {
+        "A": P_A,
+        "B1": P_r - P_A,
+        "B2": P_2r - P_r,
+        "C": np.eye(1 << 7) - P_2r,
+    }
+    shell_part7 = partition_from_radius(V7, 3)
+    assert shell_part7.meta["builder"] == "hamming"
+    for name, P in enumerated.items():
+        dev = np.linalg.norm(P - getattr(shell_part7, name).projector())
         assert dev < 1e-8, name
 
     # one factory serves both ring names
@@ -226,7 +211,7 @@ def test_criterion_02_local_theorem_suite():
     for n in range(4, 11):
         H = build_hamiltonian(REGISTRY["ising_ring"](n))
         V = hamming_ball_subspace(n, [0], 1)
-        part = shell_partition(n, 1, 3)
+        part = partition_from_radius(V, 3)
         for bi, beta in enumerate(BETAS):
             rho, _, _ = gibbs_state(H, beta)
             if n == 10:
@@ -452,11 +437,11 @@ def test_criterion_06_mixing_bound_consistency():
     horizon = 500 * len(sched)
     crossings = []
     for probe in (conditioned(rho, part.A), maximally_mixed(6)):
-        trace = evolve_sequence(sched, probe, rho, T=horizon)
+        distances = evolve_sequence(sched, probe, rho, T=horizon)
         hit = next(
             (
                 t
-                for t, dist in zip(trace.times, trace.distances)
+                for t, dist in enumerate(distances)
                 if t > 0 and dist / 2 <= 0.25
             ),
             math.inf,
@@ -577,7 +562,7 @@ def test_criterion_09_product_drift_on_schedules():
     worst = -math.inf
     for n in range(4, 9):
         H = build_hamiltonian(REGISTRY["ising_ring"](n))
-        part = shell_partition(n, 1, 3)
+        part = partition_from_radius(hamming_ball_subspace(n, [0], 1), 3)
         for beta in BETAS:
             rho, _, _ = gibbs_state(H, beta)
             sigma = conditioned(rho, part.A)

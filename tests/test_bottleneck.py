@@ -299,9 +299,9 @@ def test_trapped_start_stays_far_for_the_guaranteed_window():
     rho_A = P_A @ rho.mat @ P_A
     rho_A /= np.real(np.trace(rho_A))
     T = int(strong) + 2
-    trace = evolve_sequence(sched, DensityMatrix(rho_A, 4), rho, T=T)
+    distances = list(evolve_sequence(sched, DensityMatrix(rho_A, 4), rho, T=T))
     for t in range(1, int(strong) + 1):
-        assert trace.distances[t] / 2 > 0.25
+        assert distances[t] / 2 > 0.25
 
 
 # --- product drift ---------------------------------------------------------

@@ -191,30 +191,37 @@ class TestEvolveSequence:
     def test_identity_sequence_constant(self):
         rho0 = DensityMatrix(np.diag([1.0, 0.0]), 1)
         ref = DensityMatrix(np.eye(2) / 2, 1)
-        trace = evolve_sequence([identity_channel(1)], rho0, ref, 5)
-        assert trace.times == [0, 1, 2, 3, 4, 5]
-        assert np.allclose(trace.distances, trace.distances[0])
+        distances = list(evolve_sequence([identity_channel(1)], rho0, ref, 5))
+        assert len(distances) == 6
+        assert np.allclose(distances, distances[0])
 
     def test_zero_distance_when_started_at_reference(self):
         ref = DensityMatrix(np.eye(2) / 2, 1)
-        trace = evolve_sequence([depolarizing_1q()], ref, ref, 4)
-        assert np.allclose(trace.distances, 0.0, atol=1e-12)
+        distances = list(evolve_sequence([depolarizing_1q()], ref, ref, 4))
+        assert np.allclose(distances, 0.0, atol=1e-12)
 
     def test_contractive_approach_to_fixed_point(self):
         chan = depolarizing_1q()
         rho0 = DensityMatrix(np.diag([1.0, 0.0]), 1)
         ref = DensityMatrix(np.eye(2) / 2, 1)
-        trace = evolve_sequence([chan], rho0, ref, 10)
-        diffs = np.diff(trace.distances)
+        distances = list(evolve_sequence([chan], rho0, ref, 10))
+        diffs = np.diff(distances)
         assert (diffs <= 1e-12).all()
-        assert trace.distances[-1] < 1e-6
+        assert distances[-1] < 1e-6
 
     def test_cycles_shorter_lists(self):
         chans = [bitflip_mix(1, 0), depolarizing_1q()]
         rho0 = DensityMatrix(np.diag([1.0, 0.0]), 1)
         ref = DensityMatrix(np.eye(2) / 2, 1)
-        trace = evolve_sequence(chans, rho0, ref, 5)
-        assert len(trace.distances) == 6
+        distances = list(evolve_sequence(chans, rho0, ref, 5))
+        assert len(distances) == 6
+
+    def test_bad_arguments_rejected_at_call(self):
+        ref = DensityMatrix(np.eye(2) / 2, 1)
+        with pytest.raises(DimensionMismatch):
+            evolve_sequence([], ref, ref, 3)
+        with pytest.raises(DimensionMismatch):
+            evolve_sequence([depolarizing_1q()], np.eye(4) / 4, ref, 3)
 
 
 class TestContraction:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bottlenecklab import channel, cli
 from bottlenecklab.bottleneck import REPORT_COLUMNS
 from bottlenecklab.cli import main
 from bottlenecklab.model import REGISTRY, checks_to_text
@@ -45,6 +46,19 @@ def test_verify_quantum_single_row(tmp_path):
     payload = json.loads((out / "report.json").read_text())
     assert payload[0]["model"] == "ising_ring"
     assert payload[0]["beta"] == 1.0
+
+
+def test_verify_quantum_past_the_enumeration_cap(tmp_path):
+    # a basis-state ball takes the Hamming shells; enumerating weight-3
+    # strings for the doubled neighborhood at n=9 exceeds the entry cap
+    cfg = dict(VQ_BASE, n=9, sites=[0])
+    code, out = run("verify-quantum", cfg, tmp_path)
+    assert code == 0
+    assert json.loads((out / "failures.json").read_text()) == []
+    _, rows = read_rows(out)
+    assert len(rows) == 1
+    assert rows[0][11] == "local(r=3)"
+    assert float(rows[0][3]) <= float(rows[0][4]) + 1e-8
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -189,6 +203,46 @@ def test_mixing_compare_respects_lower_bound(tmp_path):
     assert rows[0][8] == "inf"
     payload = json.loads((out / "report.json").read_text())
     assert payload[0]["tmix_observed"] == "inf"
+
+
+@pytest.mark.parametrize("horizon,mixes", [(12, False), (2000, True)])
+def test_mixing_compare_stops_at_first_crossing(tmp_path, monkeypatch, horizon, mixes):
+    # the reported step is the first crossing of the full-horizon run,
+    # and no step past it is evolved
+    seen = {}
+
+    def recording(channels, rho0, rho_ref, T):
+        full = list(channel.evolve_sequence(channels, rho0, rho_ref, T=T))
+        seen["full"] = full
+        seen["read"] = 0
+        for dist in channel.evolve_sequence(channels, rho0, rho_ref, T=T):
+            seen["read"] += 1
+            yield dist
+
+    monkeypatch.setattr(cli, "evolve_sequence", recording)
+    cfg = {
+        "model": "ising_ring",
+        "n": 4,
+        "beta": 3.0,
+        "subspace": {"centers": [0], "radius": 1},
+        "partition_radius": 1,
+        "horizon": horizon,
+    }
+    code, out = run("mixing-compare", cfg, tmp_path)
+    assert code == 0
+    eps = float(read_rows(out)[1][0][10])
+    first = next(
+        (t for t, d in enumerate(seen["full"]) if d / 2 <= eps), float("inf")
+    )
+    observed = json.loads((out / "report.json").read_text())[0]["tmix_observed"]
+    assert len(seen["full"]) == horizon + 1
+    if mixes:
+        assert observed == float(first)
+        assert seen["read"] == first + 1 < horizon
+    else:
+        assert first == float("inf")
+        assert observed == "inf"
+        assert seen["read"] == horizon + 1
 
 
 def test_model_info_summary(tmp_path):

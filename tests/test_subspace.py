@@ -8,6 +8,7 @@ from bottlenecklab.errors import (
     CenterOutsideSpace,
     EnumerationTooLarge,
     NotOrthonormal,
+    RadiusExceedsN,
 )
 
 from conftest import random_state
@@ -141,6 +142,71 @@ def test_partition_from_radius_structure():
         + sub.projector(part.C)
     )
     assert np.abs(total - np.eye(2**n)).max() < 1e-8
+
+
+def enumerated_blocks(V, r, cap):
+    """Block projectors of the (V, r) split built from Pauli neighborhoods.
+
+    The 2r-neighborhood is taken directly from V (composition law), capped
+    at radius n where it already spans everything V can reach.
+    """
+    P_A = sub.projector(V)
+    P_r = sub.projector(sub.neighborhood(V, r, cap=cap))
+    P_2r = sub.projector(sub.neighborhood(V, min(2 * r, V.n), cap=cap))
+    return {
+        "A": P_A,
+        "B1": P_r - P_A,
+        "B2": P_2r - P_r,
+        "C": np.eye(1 << V.n) - P_2r,
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_hamming_shells_match_enumeration(n):
+    # every radius whose enumeration stays under 2^20 stacked entries
+    checked = 0
+    for centers in ([1], [0, (1 << n) - 1]):
+        for radius in (0, 1):
+            V = sub.hamming_ball_subspace(n, centers, radius)
+            for r in range(n + 1):
+                try:
+                    oracle = enumerated_blocks(V, r, cap=2**20)
+                except EnumerationTooLarge:
+                    continue
+                part = sub.partition_from_radius(V, r)
+                assert part.meta == {"r": r, "builder": "hamming"}
+                for name, P in oracle.items():
+                    block = getattr(part, name)
+                    dev = np.abs(P - sub.projector(block)).max()
+                    assert dev < 1e-9, (centers, radius, r, name)
+                checked += 1
+    assert checked >= 8  # r = 0 and r = 1 fit for all four balls
+
+
+def test_partition_builder_chosen_from_input(rng):
+    n = 4
+    ball_V = ball(n, 0b0101, 1)
+    phased = sub.Subspace(n, ball_V.basis * np.exp(1j * rng.uniform(0, 6, ball_V.dim)))
+    part = sub.partition_from_radius(phased, 1)
+    assert part.meta["builder"] == "hamming"
+    assert part.A is phased
+    oracle = enumerated_blocks(phased, 1, cap=2**20)
+    for name, P in oracle.items():
+        assert np.abs(P - sub.projector(getattr(part, name))).max() < 1e-9
+    # no enumeration runs, so its cap does not apply
+    big = sub.partition_from_radius(ball(9, 0, 1), 3, cap=1)
+    assert [big.B1.dim, big.B2.dim, big.C.dim] == [36 + 84 + 126, 126 + 84 + 36, 9 + 1]
+    superposed = sub.Subspace(n, random_state(rng, 1 << n).reshape(-1, 1))
+    assert sub.partition_from_radius(superposed, 1).meta["builder"] == "pauli"
+
+
+def test_partition_radius_outside_register_rejected(rng):
+    n = 3
+    superposed = sub.Subspace(n, random_state(rng, 1 << n).reshape(-1, 1))
+    for V in (ball(n, 0, 1), superposed):
+        for r in (-1, n + 1):
+            with pytest.raises(RadiusExceedsN):
+                sub.partition_from_radius(V, r)
 
 
 def test_partition_validation_catches_overlap():
