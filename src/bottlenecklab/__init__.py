@@ -5,7 +5,7 @@ Modules:
     pauli        Pauli strings, GF(2) machinery, reduced weights
     subspace     subspaces, neighborhoods, partitions
     channel      Kraus channels, locality, steady states
-    markov       column-stochastic chains and the classical bound
+    markov       sparse column-stochastic chains and the classical bound
     model        parity-check Hamiltonians, barriers, Gibbs states
     sampler      Metropolis-type channels with engineered fixed points
     bottleneck   the bottleneck theorem verifiers and reports

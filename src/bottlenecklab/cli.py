@@ -225,6 +225,17 @@ def _barrier_field(required=True):
     )
 
 
+def _check_state(key, value, n):
+    """A basis-state index must name a state of the n-bit register."""
+    if value >= 1 << n:
+        _fail(key, value, f"a state of the {n}-bit register (< {1 << n})")
+
+
+def _check_centers(sub, n):
+    for i, c in enumerate(sub["centers"]):
+        _check_state(f"subspace.centers[{i}]", c, n)
+
+
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -376,6 +387,7 @@ def _run_verify_classical(cfg, out, jobs):
         raise ConfigInvalid("verify-classical needs a classical (Z-only) model")
     laziness = vals.get("laziness", 0.0)
     spec = vals["partition"]
+    _check_state("partition.center", spec["center"], checks.n)
     energies = classical_energies(checks)
     part = hamming_state_partition(
         checks.n, spec["center"], spec["inner"], spec["width"]
@@ -450,8 +462,9 @@ def _run_verify_quantum(cfg, out, jobs):
     vals = _validate(cfg, schema, "verify-quantum")
     checks, label = _build_checks(vals)
     n = checks.n
-    H = build_hamiltonian(checks)
     sub = vals["subspace"]
+    _check_centers(sub, n)
+    H = build_hamiltonian(checks)
     V = hamming_ball_subspace(n, sub["centers"], sub["radius"])
     r = vals["partition_radius"]
     eps = vals.get("mix_eps", DEFAULT_MIX_EPS)
@@ -649,8 +662,9 @@ def _run_mixing_compare(cfg, out, jobs):
     vals = _validate(cfg, schema, "mixing-compare")
     checks, label = _build_checks(vals)
     n = checks.n
-    H = build_hamiltonian(checks)
     sub = vals["subspace"]
+    _check_centers(sub, n)
+    H = build_hamiltonian(checks)
     V = hamming_ball_subspace(n, sub["centers"], sub["radius"])
     r = vals["partition_radius"]
     eps = vals.get("mix_eps", DEFAULT_MIX_EPS)

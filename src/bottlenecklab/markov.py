@@ -2,16 +2,23 @@
 
 Matrices are column-stochastic: entry [i, j] is the probability of moving
 j -> i, so the chain acts on column probability vectors as pi' = M @ pi.
-Total-variation distance between probability vectors is half the L1 norm.
+Every chain is held as a ``scipy.sparse.csc_array``: a single-bit-flip
+chain on 2^m states stores m + 1 entries per column, and building it and
+checking the bound allocate nothing of size 2^m x 2^m. Only the dense
+eigensolve for chains of at most 1024 states and the point-mass block of
+``classical_mixing_time`` are dense. Total-variation distance between
+probability vectors is half the L1 norm.
 
 The structural condition mirrors the quantum one: with the state space
 split into disjoint sets A, B1, B2, C, single applications of M must not
 connect A with B2 or C, nor C with A or B1. Builders place structural
-(exact) zeros, so the condition check demands exact zeros rather than
-small entries.
+(exact) zeros, so the condition check demands that every stored entry of
+the forbidden blocks is exactly zero rather than small.
+
+``scipy.sparse`` is imported inside the functions that use it, so that
+importing the package does not pay for it.
 """
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,27 +46,38 @@ __all__ = [
     "glauber_chain",
     "hamming_state_partition",
     "tv_distance",
-    "chain_to_csv",
 ]
 
 _EIG_DENSE_CUTOFF = 1024
 _MIXING_CAP = 10**7
+_GLAUBER_MAX_BITS = 16
 
 
 @dataclass
 class StochasticMatrix:
-    """Column-stochastic matrix; columns sum to 1 within 1e-12."""
+    """Column-stochastic matrix in CSC form; columns sum to 1 within 1e-12.
 
-    mat: np.ndarray
+    Dense arrays and other sparse formats are converted on construction.
+    Stored entries must be non-negative.
+    """
+
+    mat: object
 
     def __post_init__(self):
-        M = np.asarray(self.mat, dtype=np.float64)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        from scipy import sparse
+
+        M = self.mat
+        if not sparse.issparse(M):
+            M = np.asarray(M, dtype=np.float64)
+            if M.ndim != 2:
+                raise NotStochastic(f"expected square matrix, got {M.shape}")
+        M = sparse.csc_array(M, dtype=np.float64)
+        if M.shape[0] != M.shape[1]:
             raise NotStochastic(f"expected square matrix, got {M.shape}")
-        if M.min() < 0:
-            raise NotStochastic(f"negative entry {M.min():.3e}")
-        colsums = M.sum(axis=0)
-        dev = np.abs(colsums - 1.0).max()
+        M.sum_duplicates()
+        if M.nnz and M.data.min() < 0:
+            raise NotStochastic(f"negative entry {M.data.min():.3e}")
+        dev = np.abs(M.sum(axis=0) - 1.0).max()
         if dev > 1e-12:
             raise NotStochastic(f"column sums deviate from 1 by {dev:.3e}")
         self.mat = M
@@ -67,6 +85,10 @@ class StochasticMatrix:
     @property
     def dim(self):
         return self.mat.shape[0]
+
+
+def _as_chain(M):
+    return M if isinstance(M, StochasticMatrix) else StochasticMatrix(M)
 
 
 @dataclass
@@ -108,21 +130,23 @@ def tv_distance(p, q):
 def stationary_distribution(M):
     """The unique probability vector with M pi = pi.
 
-    Dense eigendecomposition up to 1024 states, ARPACK above. Uniqueness
-    of the eigenvalue-1 space is checked; reducible chains raise
-    NonUniqueStationary.
+    Dense eigendecomposition of ``M.toarray()`` up to 1024 states, ARPACK
+    on the sparse matrix above, from a fixed seeded start vector so that
+    repeated calls return the same bits. Uniqueness of the eigenvalue-1
+    space is checked; reducible chains raise NonUniqueStationary.
     """
-    mat = M.mat if isinstance(M, StochasticMatrix) else StochasticMatrix(M).mat
+    mat = _as_chain(M).mat
     dim = mat.shape[0]
     if dim <= _EIG_DENSE_CUTOFF:
-        w, V = np.linalg.eig(mat)
-        close = np.flatnonzero(np.abs(w - 1.0) < 1e-9)
+        w, V = np.linalg.eig(mat.toarray())
     else:
         from scipy.sparse.linalg import eigs
 
-        k = min(6, dim - 2)
-        w, V = eigs(mat, k=k, which="LM", tol=0)
-        close = np.flatnonzero(np.abs(w - 1.0) < 1e-9)
+        # Not the uniform vector: at beta = 0 it is already the answer, and
+        # ARPACK cannot grow a Krylov space from an exact eigenvector.
+        v0 = np.random.default_rng(0).random(dim)
+        w, V = eigs(mat, k=min(6, dim - 2), which="LM", tol=0, v0=v0)
+    close = np.flatnonzero(np.abs(w - 1.0) < 1e-9)
     if close.size != 1:
         raise NonUniqueStationary(
             f"found {close.size} eigenvalues within 1e-9 of 1"
@@ -147,23 +171,27 @@ class ClassicalConditionReport:
 
 
 def check_classical_condition(M, part):
-    """Exact-zero check of the two forbidden blocks of M."""
-    mat = M.mat if isinstance(M, StochasticMatrix) else np.asarray(M)
-    worst = 0.0
-    offending = None
-    pairs = [
-        (tuple(part.B2) + tuple(part.C), part.A),  # rows, cols of P_{B2 u C} M P_A
-        (tuple(part.A) + tuple(part.B1), part.C),
-    ]
-    for rows, cols in pairs:
-        if not rows or not cols:
-            continue
-        block = mat[np.ix_(rows, cols)]
-        j = np.unravel_index(np.argmax(np.abs(block)), block.shape)
-        if abs(block[j]) > worst:
-            worst = float(abs(block[j]))
-            offending = (rows[j[0]], cols[j[1]])
-    return ClassicalConditionReport(worst, worst == 0.0, offending)
+    """Exact-zero check of the two forbidden blocks of M.
+
+    The blocks are P_{B2 u C} M P_A and P_{A u B1} M P_C; every stored
+    entry inside them must be exactly zero. ``offending`` is the (row,
+    column) of the largest such entry.
+    """
+    sm = _as_chain(M)
+    if part.dim != sm.dim:
+        raise BadPartition(f"partition covers {part.dim} states, chain has {sm.dim}")
+    coo = sm.mat.tocoo()
+    label = np.empty(sm.dim, dtype=np.int8)
+    for k, name in enumerate(("A", "B1", "B2", "C")):
+        label[list(getattr(part, name))] = k
+    to, frm = label[coo.row], label[coo.col]
+    hits = np.flatnonzero(((frm == 0) & (to >= 2)) | ((frm == 3) & (to <= 1)))
+    vals = np.abs(coo.data[hits])
+    if not vals.any():
+        return ClassicalConditionReport(0.0, True, None)
+    j = hits[np.argmax(vals)]
+    offending = (int(coo.row[j]), int(coo.col[j]))
+    return ClassicalConditionReport(float(vals.max()), False, offending)
 
 
 @dataclass
@@ -183,9 +211,9 @@ def classical_bottleneck_report(M, part, pi=None):
     detailed-balance chain); it is validated as stationary within 1e-10
     either way. The theorem inequality is asserted with slack 1e-12; a
     violation raises BoundViolated since it would falsify the
-    implementation, not the theorem.
+    implementation, not the theorem. Both products are sparse matvecs.
     """
-    sm = M if isinstance(M, StochasticMatrix) else StochasticMatrix(M)
+    sm = _as_chain(M)
     cond = check_classical_condition(sm, part)
     if not cond.passes:
         raise ConditionViolated(
@@ -222,13 +250,14 @@ def classical_mixing_time(M, eps, cap=_MIXING_CAP):
     """Smallest t with max_j TV(M^t delta_j, pi) <= eps.
 
     Exact for finite chains because the extreme points of the simplex are
-    the delta distributions. Detects a stalled or period-2 iteration
-    (M^t repeating while still above eps) and raises NotConverged rather
-    than looping all the way to the cap.
+    the delta distributions. The point masses evolve as one dense block,
+    multiplied by the sparse chain each step. Detects a stalled or
+    period-2 iteration (M^t repeating while still above eps) and raises
+    NotConverged rather than looping all the way to the cap.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps {eps} outside (0, 1)")
-    sm = M if isinstance(M, StochasticMatrix) else StochasticMatrix(M)
+    sm = _as_chain(M)
     pi = stationary_distribution(sm)
     D_prev = None
     D = np.eye(sm.dim)
@@ -249,28 +278,38 @@ def classical_mixing_time(M, eps, cap=_MIXING_CAP):
 
 
 def glauber_chain(energies, beta, laziness=0.0):
-    """Single-bit-flip Metropolis chain over bitstring states.
+    """Single-bit-flip Metropolis chain over bitstring states, in CSC form.
 
     Proposals pick one of the m bits uniformly (scaled by 1-laziness) and
-    accept with min(1, e^{-beta dE}). Detailed balance with respect to
-    pi ~ e^{-beta E} holds exactly by construction.
+    accept with min(1, e^{-beta dE}); the rest of each column stays put.
+    Column j stores its m flips j ^ (1 << b) and the stay entry, so the
+    chain holds (m + 1) 2^m entries and m may go up to 16. Detailed
+    balance with respect to pi ~ e^{-beta E} holds exactly by
+    construction.
     """
+    from scipy import sparse
+
     E = np.asarray(energies, dtype=np.float64)
     dim = E.shape[0]
     m = int(dim).bit_length() - 1
-    if 2**m != dim or m > 12:
-        raise BadPartition(f"need 2^m energies with m <= 12, got {dim}")
+    if 2**m != dim or not 1 <= m <= _GLAUBER_MAX_BITS:
+        raise BadPartition(
+            f"need 2^m energies with 1 <= m <= {_GLAUBER_MAX_BITS}, got {dim}"
+        )
     if not 0 <= laziness < 1:
         raise ValueError(f"laziness {laziness} outside [0, 1)")
-    M = np.zeros((dim, dim))
     idx = np.arange(dim)
-    for b in range(m):
-        flip = idx ^ (1 << b)
-        accept = np.minimum(1.0, np.exp(-beta * (E[flip] - E)))
-        M[flip, idx] += (1.0 - laziness) / m * accept
-    np.fill_diagonal(M, 0.0)
-    M[idx, idx] = 1.0 - M.sum(axis=0)
-    return StochasticMatrix(M)
+    # Rows ascending down each column: the stay entry is then summed in the
+    # order of a dense column sum, and matches the dense builder bit for bit.
+    flip = np.sort(idx ^ (1 << np.arange(m))[:, None], axis=0)
+    move = (1.0 - laziness) / m * np.minimum(1.0, np.exp(-beta * (E[flip] - E)))
+    # With every flip accepted the moves sum to 1 + ulp; the stay entry is
+    # clamped at 0 and the column-sum check still applies.
+    stay = np.maximum(1.0 - move.sum(axis=0), 0.0)
+    rows = np.concatenate([flip.ravel(), idx])
+    cols = np.concatenate([np.tile(idx, m), idx])
+    data = np.concatenate([move.ravel(), stay])
+    return StochasticMatrix(sparse.csc_array((data, (rows, cols)), shape=(dim, dim)))
 
 
 def hamming_state_partition(m, center, inner, width):
@@ -287,13 +326,3 @@ def hamming_state_partition(m, center, inner, width):
     B2 = np.flatnonzero((d > inner + width) & (d <= inner + 2 * width))
     C = np.flatnonzero(d > inner + 2 * width)
     return StatePartition(tuple(A), tuple(B1), tuple(B2), tuple(C), dim)
-
-
-def chain_to_csv(M, fileobj=None):
-    """Dense CSV with a one-line convention header."""
-    sm = M if isinstance(M, StochasticMatrix) else StochasticMatrix(M)
-    out = fileobj or io.StringIO()
-    out.write("# column-stochastic: entry [i,j] = P(j -> i)\n")
-    for row in sm.mat:
-        out.write(",".join(repr(float(x)) for x in row) + "\n")
-    return out.getvalue() if fileobj is None else None

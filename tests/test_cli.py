@@ -103,6 +103,63 @@ def test_classical_rows_stay_under_bound(tmp_path):
         assert float(row[9]) == 0.0
 
 
+@pytest.mark.parametrize(
+    "model,n,betas",
+    [("ising_ring", 9, [0.0, 1.0]), ("curie_weiss", 9, [1.0]), ("ising_ring", 13, [1.0])],
+)
+def test_verify_classical_edge_chains(tmp_path, model, n, betas):
+    # n=9 has states whose every flip is accepted; n=13 is past the old
+    # 4096-state cap of the dense builder
+    cfg = {
+        "model": model,
+        "n": n,
+        "betas": betas,
+        "partition": {"center": 0, "inner": 1, "width": 1},
+    }
+    code, out = run("verify-classical", cfg, tmp_path)
+    assert code == 0
+    assert json.loads((out / "failures.json").read_text()) == []
+    _, rows = read_rows(out)
+    assert len(rows) == len(betas)
+    for row in rows:
+        assert float(row[4]) <= float(row[5]) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "subcommand,cfg",
+    [
+        (
+            "verify-classical",
+            {
+                "model": "ising_ring",
+                "n": 4,
+                "betas": [1.0],
+                "partition": {"center": 16, "inner": 1, "width": 1},
+            },
+        ),
+        ("verify-quantum", dict(VQ_BASE, subspace={"centers": [0, 16], "radius": 1})),
+        (
+            "mixing-compare",
+            {
+                "model": "ising_ring",
+                "n": 4,
+                "beta": 1.0,
+                "subspace": {"centers": [99], "radius": 1},
+                "partition_radius": 1,
+                "horizon": 10,
+            },
+        ),
+    ],
+)
+def test_center_outside_register_rejected(tmp_path, subcommand, cfg):
+    code, out = run(subcommand, cfg, tmp_path)
+    assert code == 2
+    failures = json.loads((out / "failures.json").read_text())
+    assert failures[0]["reason"] == "ConfigInvalid"
+    assert "register" in failures[0]["message"]
+    assert not (out / "report.csv").exists()
+
+
 def test_negative_beta_rejected_before_compute(tmp_path):
     cfg = dict(VQ_BASE, betas=[-1.0])
     code, out = run("verify-quantum", cfg, tmp_path)

@@ -14,7 +14,6 @@ from bottlenecklab.errors import (
 from bottlenecklab.markov import (
     StatePartition,
     StochasticMatrix,
-    chain_to_csv,
     check_classical_condition,
     classical_bottleneck_report,
     classical_mixing_time,
@@ -23,6 +22,46 @@ from bottlenecklab.markov import (
     stationary_distribution,
     tv_distance,
 )
+from bottlenecklab.model import REGISTRY, classical_energies
+
+
+def dense_glauber(E, beta, laziness=0.0):
+    """Dense Glauber builder, entry by entry (test oracle)."""
+    E = np.asarray(E, dtype=np.float64)
+    dim = E.shape[0]
+    m = dim.bit_length() - 1
+    M = np.zeros((dim, dim))
+    idx = np.arange(dim)
+    for b in range(m):
+        flip = idx ^ (1 << b)
+        accept = np.minimum(1.0, np.exp(-beta * (E[flip] - E)))
+        M[flip, idx] += (1.0 - laziness) / m * accept
+    np.fill_diagonal(M, 0.0)
+    M[idx, idx] = 1.0 - M.sum(axis=0)
+    return M
+
+
+def dense_report(M, part):
+    """Dense stationary solve and bottleneck report (test oracle)."""
+    dim = M.shape[0]
+    if dim <= 1024:
+        w, V = np.linalg.eig(M)
+    else:
+        from scipy.sparse.linalg import eigs
+
+        w, V = eigs(M, k=6, which="LM", tol=0)
+    close = np.flatnonzero(np.abs(w - 1.0) < 1e-9)
+    assert close.size == 1
+    vec = np.real(V[:, close[0]])
+    vec = np.where(np.abs(vec) < 1e-15, 0.0, vec)
+    vec = np.clip(vec if vec.sum() > 0 else -vec, 0.0, None)
+    pi = vec / vec.sum()
+    A, B, C = list(part.A), list(part.B), list(part.C)
+    pA, pB, pC = pi[A].sum(), pi[B].sum(), pi[C].sum()
+    piA = np.zeros(dim)
+    piA[A] = pi[A] / pA
+    lhs = np.abs(M @ piA - piA).sum()
+    return {"lhs": lhs, "bound": 2.0 * pB / pA, "pi_A": pA, "pi_B": pB, "pi_C": pC}
 
 
 def birth_death_metropolis(pi):
@@ -94,6 +133,11 @@ class TestStationaryDistribution:
         gibbs /= gibbs.sum()
         assert np.abs(pi - gibbs).sum() < 1e-10
 
+    def test_arpack_start_is_fixed(self, rng):
+        sm = glauber_chain(rng.uniform(0.0, 2.0, size=2048), 1.0)
+        first = stationary_distribution(sm)
+        assert np.array_equal(first, stationary_distribution(sm))
+
     def test_reducible_chain_rejected(self):
         M = np.eye(4)
         M[:2, :2] = [[0.5, 0.5], [0.5, 0.5]]
@@ -117,6 +161,32 @@ class TestClassicalCondition:
         assert not rep.passes
         assert rep.max_forbidden_entry > 0
         assert rep.offending is not None
+
+    @pytest.mark.parametrize("to,frm", [(15, 0), (3, 0), (0, 15), (1, 15)])
+    def test_tiny_forbidden_entry_in_glauber_chain_caught(self, rng, to, frm):
+        # A = {0}, B1 and B2 the weight-1 and weight-2 states, C the rest;
+        # move 1e-13 of the stay mass of `frm` across one forbidden pair
+        M = glauber_chain(rng.uniform(0.0, 1.0, size=16), 1.0).mat.toarray()
+        part = hamming_state_partition(4, 0, 0, 1)
+        assert check_classical_condition(StochasticMatrix(M), part).passes
+        M[to, frm] = 1e-13
+        M[frm, frm] -= 1e-13
+        rep = check_classical_condition(StochasticMatrix(M), part)
+        assert not rep.passes
+        assert rep.max_forbidden_entry == 1e-13
+        assert rep.offending == (to, frm)
+        with pytest.raises(ConditionViolated):
+            classical_bottleneck_report(StochasticMatrix(M), part)
+
+    def test_stored_zero_counts_as_zero(self):
+        from scipy import sparse
+
+        rows, cols = [0, 1, 2, 3, 3], [0, 1, 2, 3, 0]
+        M = sparse.coo_array(([1.0, 1.0, 1.0, 1.0, 0.0], (rows, cols)), shape=(4, 4))
+        part = StatePartition((0,), (1,), (2,), (3,))
+        rep = check_classical_condition(StochasticMatrix(M), part)
+        assert rep.passes
+        assert rep.max_forbidden_entry == 0.0
 
     def test_exact_zero_required(self):
         M = np.eye(4)
@@ -249,6 +319,50 @@ class TestGlauberChain:
         assert np.allclose(pi, 0.25, atol=1e-12)
 
 
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_every_flip_accepted_at_infinite_temperature(self, m):
+        sm = glauber_chain(np.zeros(2**m), 0.0)
+        assert sm.mat.data.min() >= 0.0
+        assert np.abs(sm.mat.sum(axis=0) - 1.0).max() <= 1e-12
+        pi = stationary_distribution(sm)
+        assert np.abs(pi - 2.0**-m).max() <= 1e-12
+
+    def test_stored_entries_per_column(self):
+        for m in (1, 5, 16):
+            sm = glauber_chain(np.arange(2**m) % 3, 1.0)
+            assert sm.mat.format == "csc"
+            assert sm.mat.nnz <= (m + 1) * 2**m
+
+    def test_size_cap(self):
+        with pytest.raises(BadPartition):
+            glauber_chain(np.zeros(2**17), 1.0)
+        with pytest.raises(BadPartition):
+            glauber_chain(np.zeros(1), 1.0)
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_entries_match_dense_oracle(self, rng, m):
+        E = rng.uniform(-1.0, 2.0, size=2**m)
+        for beta in (0.0, 0.7, 3.0):
+            for laziness in (0.0, 0.25):
+                sm = glauber_chain(E, beta, laziness)
+                gap = np.abs(sm.mat.toarray() - dense_glauber(E, beta, laziness))
+                assert gap.max() <= 1e-15
+
+    @pytest.mark.parametrize(
+        "m,rtol", [(4, 1e-12), (7, 1e-12), (10, 1e-12), (11, 1e-9), (12, 1e-9)]
+    )
+    def test_report_matches_dense_oracle(self, m, rtol):
+        # above 1024 states both sides run ARPACK, from different start vectors
+        E = classical_energies(REGISTRY["ising_ring"](m))
+        part = hamming_state_partition(m, 0, 1, 1)
+        betas = (0.5, 3.0) if m <= 10 else (3.0,)
+        for beta in betas:
+            rep = classical_bottleneck_report(glauber_chain(E, beta), part)
+            ref = dense_report(dense_glauber(E, beta), part)
+            for key, want in ref.items():
+                assert getattr(rep, key) == pytest.approx(want, rel=rtol, abs=0.0)
+
+
 class TestHammingPartition:
     def test_shell_sizes(self):
         part = hamming_state_partition(4, 0, 0, 1)
@@ -261,13 +375,3 @@ class TestHammingPartition:
         part = hamming_state_partition(3, 0b111, 0, 1)
         assert part.A == (7,)
 
-
-class TestCsvExport:
-    def test_header_and_shape(self):
-        sm = StochasticMatrix(np.full((2, 2), 0.5))
-        text = chain_to_csv(sm)
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("#")
-        assert "column-stochastic" in lines[0]
-        rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
-        assert np.allclose(rows, sm.mat)
