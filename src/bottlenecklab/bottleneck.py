@@ -9,6 +9,15 @@ neighborhoods: A = V, B1 and B2 the first and second r-shells, C the
 rest; the Kraus condition is still re-verified numerically rather than
 trusted.
 
+verify_bottleneck_theorem has two paths with the same checks and
+tolerances. The label path runs when every channel is monomial over one
+label basis W (the sampler channels of an unperturbed model), rho is
+diagonal in W and every partition block is spanned by labels; states are
+then probability vectors over the labels, as in the classical bottleneck
+setting. Anything else (perturbed states, general channels, CSS channels
+against a basis-state partition) runs the dense path, which also serves
+as the test oracle for the label path.
+
 Everything here asserts the inequalities it reports. A violation raises
 BoundViolated carrying the numbers, since it would mean a broken
 construction rather than an unlucky instance.
@@ -68,6 +77,7 @@ class BottleneckReport:
     prob_B: float = 0.0
     prob_C: float = 0.0
     steps: int = 1
+    path: str = "dense"
 
 
 @dataclass
@@ -123,12 +133,25 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
     (V, r) for the local construction A=V, B1/B2 = first/second r-shells.
     A schedule (list of channels) is composed for the drift; each entry
     must fix rho on its own and the bound scales with the step count.
+
+    The label path runs when three things are checked numerically: every
+    channel has a monomial form over one label basis W, rho is diagonal
+    in W (off-diagonal of W† rho W within 1e-10), and every block of the
+    partition is spanned by labels (each row norm of W† B within 1e-9 of
+    0 or 1). States are then label probability vectors: residuals and
+    the drift are l1 norms, Delta and the block weights are sums, and the
+    Kraus residual is the exact norm of a monomial block. Any other input
+    runs the dense path. report.path says which ran.
     """
     channels = list(C) if isinstance(C, (list, tuple)) else [C]
     mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
     state = DensityMatrix(mat, channels[0].n)
+    basis, p = _label_state(channels, mat)
     for chan in channels:
-        resid = trace_norm(apply_channel(chan, state).mat - state.mat)
+        if p is not None:
+            resid = chan.monomial.residual(p)
+        else:
+            resid = trace_norm(apply_channel(chan, state).mat - state.mat)
         if resid > 1e-9:
             raise NotFixedPoint(f"steady-state residual {resid:.3e}")
     if isinstance(spec, HilbertPartition):
@@ -144,20 +167,17 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
                 )
         part = partition_from_radius(V, r)
         mode = f"local(r={r})"
-    worst = 0.0
-    for chan in channels:
-        rep = check_partition_condition(chan, part)
-        worst = max(worst, rep.residual)
-    if worst >= 1e-9:
-        raise ConditionViolated(f"Kraus condition residual {worst:.3e}")
-    delta, numerator, denominator = bottleneck_ratio(
-        state, part.A.projector(), part.b_projector()
-    )
-    rho_A = _conditioned(mat, part.A.basis)
-    evolved = rho_A
-    for chan in channels:
-        evolved = apply_channel(chan, DensityMatrix(evolved, chan.n)).mat
-    lhs = trace_norm(evolved - rho_A)
+    member = _label_blocks(basis, part) if p is not None else None
+    if member is None:
+        path = "dense"
+        worst, delta, numerator, denominator, lhs, prob_B, prob_C = _dense_measures(
+            channels, mat, part
+        )
+    else:
+        path = "label"
+        worst, delta, numerator, denominator, lhs, prob_B, prob_C = _label_measures(
+            [chan.monomial for chan in channels], p, member
+        )
     bound = 10.0 * delta * len(channels)
     if lhs > bound + THEOREM_SLACK:
         raise BoundViolated(
@@ -166,8 +186,6 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
             bound=bound,
             delta=delta,
         )
-    prob_C = float(np.real(np.trace(part.C.projector() @ mat)))
-    prob_B = float(np.real(np.trace(part.b_projector() @ mat)))
     if delta > 0:
         tmix = (1.0 - denominator) / (5.0 * delta) - mix_eps
     else:
@@ -184,7 +202,90 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
         prob_B=prob_B,
         prob_C=prob_C,
         steps=len(channels),
+        path=path,
     )
+
+
+def _label_state(channels, mat):
+    """(W, label probabilities of rho) when every channel is monomial over
+    one basis W and rho is diagonal in it; (None, None) otherwise."""
+    forms = [chan.monomial for chan in channels]
+    if any(form is None for form in forms):
+        return None, None
+    basis = forms[0].basis
+    if not all(form.basis.same_as(basis) for form in forms[1:]):
+        return None, None
+    M = basis.compress(mat)
+    off = np.abs(M)
+    np.fill_diagonal(off, 0.0)
+    if off.max() > 1e-10:
+        return None, None
+    return basis, np.real(np.diagonal(M)).copy()
+
+
+def _label_blocks(basis, part):
+    """Block (0=A, 1=B1, 2=B2, 3=C) of every label, or None unless each
+    block is spanned by labels: row norms of W† B are 0 or 1 within 1e-9."""
+    member = np.full(basis.dim, -1)
+    for b, block in enumerate((part.A, part.B1, part.B2, part.C)):
+        if block.dim == 0:
+            continue
+        norms = np.linalg.norm(basis.adjoint_left(block.basis), axis=1)
+        inside = norms > 0.5
+        if (
+            np.abs(norms - inside).max() > 1e-9
+            or inside.sum() != block.dim
+            or (member[inside] >= 0).any()
+        ):
+            return None
+        member[inside] = b
+    return member if (member >= 0).all() else None
+
+
+def _label_measures(forms, p, member):
+    """Kraus residual, Delta pieces, drift and block weights on label vectors."""
+    in_A, in_C = member == 0, member == 3
+    in_B = (member == 1) | (member == 2)
+    worst = max(
+        max(form.forbidden_norm(in_A, member >= 2), form.forbidden_norm(in_C, member <= 1))
+        for form in forms
+    )
+    if worst >= 1e-9:
+        raise ConditionViolated(f"Kraus condition residual {worst:.3e}")
+    denominator = float(p[in_A].sum())
+    if denominator <= 1e-12:
+        raise EmptyA(f"tr(P_A rho) = {denominator:.3e}")
+    numerator = float(np.abs(p[in_B]).sum())
+    p_A = np.where(in_A, p, 0.0) / denominator
+    evolved = p_A
+    for form in forms:
+        evolved = form.step(evolved)
+    lhs = float(np.abs(evolved - p_A).sum())
+    prob_B = float(p[in_B].sum())
+    prob_C = float(p[in_C].sum())
+    return worst, numerator / denominator, numerator, denominator, lhs, prob_B, prob_C
+
+
+def _dense_measures(channels, mat, part):
+    """The same quantities from dense projectors, Kraus matrices and trace norms."""
+    worst = 0.0
+    for chan in channels:
+        rep = check_partition_condition(chan, part)
+        worst = max(worst, rep.residual)
+    if worst >= 1e-9:
+        raise ConditionViolated(f"Kraus condition residual {worst:.3e}")
+    n = channels[0].n
+    delta, numerator, denominator = bottleneck_ratio(
+        DensityMatrix(mat, n), part.A.projector(), part.b_projector()
+    )
+    rho_A = _conditioned(mat, part.A.basis)
+    evolved = rho_A
+    for chan in channels:
+        evolved = apply_channel(chan, DensityMatrix(evolved, chan.n)).mat
+    lhs = trace_norm(evolved - rho_A)
+    prob_C = float(np.real(np.trace(part.C.projector() @ mat)))
+    prob_B = float(np.real(np.trace(part.b_projector() @ mat)))
+    return worst, delta, numerator, denominator, lhs, prob_B, prob_C
 
 
 def diagonal_bound(rho, P):

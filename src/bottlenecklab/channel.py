@@ -8,6 +8,16 @@ estimate f(r) together with the r-local surrogate that achieves it;
 channels built as convex mixtures (1-p) local + p tail certify f(r) = 2p
 without any diamond-norm computation.
 
+The Metropolis samplers build their channels in monomial form instead
+(MonomialKraus): K_m = W T_m W† for a label basis W of the model, with
+one nonzero per column of T_m. A state diagonal in W is then a label
+probability vector, and one step maps it to a vector. Trace preservation
+is checked on those vectors at construction (on the dense operators when
+some T_m has two nonzeros in one row). The dense list ``kraus`` is built
+only when a dense consumer reads it: validate_channel, apply_channel,
+channel_locality, steady_state, check_partition_condition,
+evolve_sequence, quasi_local_mixture and the text format.
+
 Steady states come from the eigenvalue-1 space of the vectorized
 superoperator, which is dense and limits that path to n <= 6; larger
 channels in this package are constructed with known fixed points and
@@ -16,7 +26,8 @@ only verified against them.
 
 import ast
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +45,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "KrausChannel",
+    "MonomialKraus",
     "ChannelReport",
     "PartitionConditionReport",
     "validate_channel",
@@ -48,30 +60,44 @@ __all__ = [
 ]
 
 
-@dataclass
 class KrausChannel:
-    """Trace-preserving channel given by explicit Kraus operators."""
+    """Trace-preserving channel given by explicit Kraus operators.
 
-    n: int
-    kraus: list
-    declared_locality: int = None
-    quasi_local_certificate: dict = field(default=None, repr=False)
+    A channel may be given in monomial form over a label basis instead
+    (``monomial``, see MonomialKraus). Trace preservation is then checked
+    on its coefficient vectors, and the dense operators in ``kraus`` are
+    built on first read, by the consumers that need matrices.
+    """
 
-    def __post_init__(self):
-        if not self.kraus:
-            raise EmptyInput("channel needs at least one Kraus operator")
-        dim = 1 << self.n
-        ops = []
-        for K in self.kraus:
-            K = np.asarray(K, dtype=np.complex128)
-            if K.shape != (dim, dim):
+    def __init__(
+        self, n, kraus=None, declared_locality=None, quasi_local_certificate=None, monomial=None
+    ):
+        self.n = n
+        self.declared_locality = declared_locality
+        self.quasi_local_certificate = quasi_local_certificate
+        self.monomial = monomial
+        self._kraus = None
+        if monomial is not None:
+            if monomial.basis.n != n:
                 raise DimensionMismatch(
-                    f"Kraus shape {K.shape} does not match 2^{self.n}"
+                    f"monomial form on {monomial.basis.n} qubits, channel on {n}"
                 )
-            ops.append(K)
-        self.kraus = ops
-        total = sum(K.conj().T @ K for K in ops)
-        resid = np.abs(total - np.eye(dim)).max()
+            resid = monomial.trace_residual()
+            if resid is None:
+                resid = _trace_residual(self.kraus, self.dim)
+        else:
+            if not kraus:
+                raise EmptyInput("channel needs at least one Kraus operator")
+            ops = []
+            for K in kraus:
+                K = np.asarray(K, dtype=np.complex128)
+                if K.shape != (self.dim, self.dim):
+                    raise DimensionMismatch(
+                        f"Kraus shape {K.shape} does not match 2^{n}"
+                    )
+                ops.append(K)
+            self._kraus = ops
+            resid = _trace_residual(ops, self.dim)
         if resid > 1e-9:
             raise NotTracePreserving(
                 f"sum of K†K deviates from identity by {resid:.3e}"
@@ -80,6 +106,95 @@ class KrausChannel:
     @property
     def dim(self):
         return 1 << self.n
+
+    @property
+    def kraus(self):
+        """Dense Kraus operators, built from the monomial form on first read."""
+        if self._kraus is None:
+            self._kraus = self.monomial.dense()
+        return self._kraus
+
+
+def _trace_residual(ops, dim):
+    total = sum(K.conj().T @ K for K in ops)
+    return float(np.abs(total - np.eye(dim)).max())
+
+
+@dataclass
+class MonomialKraus:
+    """Kraus operators K_m = W T_m W† with every T_m monomial in the labels.
+
+    W is a LabelBasis. Column j of T_m holds coef[m, j] in row rows[m, j]
+    and nothing else, so K_m maps each label state to one label state.
+    A state diagonal in W, given by its label probabilities p, stays
+    diagonal: one step sends p to sum_m |coef_m|^2 p scattered to rows_m.
+    """
+
+    basis: object
+    rows: np.ndarray
+    coef: np.ndarray
+
+    def __post_init__(self):
+        self.rows = np.asarray(self.rows, dtype=np.int64)
+        self.coef = np.asarray(self.coef, dtype=np.complex128)
+        dim = self.basis.dim
+        if self.rows.ndim != 2 or self.rows.shape[1] != dim or self.coef.shape != self.rows.shape:
+            raise DimensionMismatch(
+                f"monomial rows {self.rows.shape} and coef {self.coef.shape} "
+                f"need shape (kraus, {dim})"
+            )
+        if self.rows.size and (self.rows.min() < 0 or self.rows.max() >= dim):
+            raise DimensionMismatch("monomial row outside the label range")
+        self.weights = np.abs(self.coef) ** 2
+
+    def step(self, p):
+        """Label probabilities after one application."""
+        dim = self.basis.dim
+        return np.bincount(
+            self.rows.ravel(), weights=(self.weights * p).ravel(), minlength=dim
+        )
+
+    def residual(self, p):
+        """l1 distance between p and its image: zero when p is a fixed point."""
+        return float(np.abs(self.step(p) - p).sum())
+
+    def trace_residual(self):
+        """max |sum_m |coef_m|^2 - 1|, or None when some T_m has two
+        nonzeros in one row (T_m† T_m is then not diagonal)."""
+        for rows, coef in zip(self.rows, self.coef):
+            hit = rows[coef != 0]
+            if np.unique(hit).size != hit.size:
+                return None
+        return float(np.abs(self.weights.sum(axis=0) - 1.0).max())
+
+    def forbidden_norm(self, src, dst):
+        """Largest operator norm over m of the block of T_m from src to dst.
+
+        src and dst are boolean masks over the labels. A monomial block B
+        has B B† diagonal, so its norm is the square root of the largest
+        row sum of |coef|^2 over entries with column in src and row in dst.
+        """
+        hit = src[None, :] & dst[self.rows]
+        if not hit.any():
+            return 0.0
+        dim = self.basis.dim
+        slot = np.arange(self.rows.shape[0])[:, None] * dim + self.rows
+        sums = np.bincount(slot[hit], weights=self.weights[hit])
+        return math.sqrt(float(sums.max()))
+
+    def dense(self):
+        """The Kraus operators as dense matrices in the computational basis."""
+        dim = self.basis.dim
+        cols = np.arange(dim)
+        if self.basis.identity:
+            ops = []
+            for rows, coef in zip(self.rows, self.coef):
+                K = np.zeros((dim, dim), dtype=np.complex128)
+                K[rows, cols] = coef
+                ops.append(K)
+            return ops
+        W = self.basis.dense()
+        return [(W[:, rows] * coef) @ W.conj().T for rows, coef in zip(self.rows, self.coef)]
 
 
 @dataclass
@@ -98,9 +213,7 @@ class PartitionConditionReport:
 
 def validate_channel(C, tol=DEFAULT_TOL):
     """Trace-preservation residual plus detected per-Kraus supports."""
-    dim = C.dim
-    total = sum(K.conj().T @ K for K in C.kraus)
-    resid = float(np.abs(total - np.eye(dim)).max())
+    resid = _trace_residual(C.kraus, C.dim)
     supports = [_kraus_support(K, C.n) for K in C.kraus]
     return ChannelReport(resid, supports, resid < tol.abs)
 

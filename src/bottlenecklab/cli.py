@@ -231,6 +231,12 @@ def _check_state(key, value, n):
         _fail(key, value, f"a state of the {n}-bit register (< {1 << n})")
 
 
+def _check_center(key, center, n):
+    """Both bitstrings of an [x, z] eigenstate label lie in the register."""
+    for i, part in enumerate(center):
+        _check_state(f"{key}[{i}]", part, n)
+
+
 def _check_centers(sub, n):
     for i, c in enumerate(sub["centers"]):
         _check_state(f"subspace.centers[{i}]", c, n)
@@ -388,6 +394,11 @@ def _run_verify_classical(cfg, out, jobs):
     laziness = vals.get("laziness", 0.0)
     spec = vals["partition"]
     _check_state("partition.center", spec["center"], checks.n)
+    if spec["inner"] + 2 * spec["width"] >= checks.n:
+        raise ConfigInvalid(
+            f"partition inner + 2*width = {spec['inner'] + 2 * spec['width']} "
+            f"reaches every state of the {checks.n}-bit register, so C is empty"
+        )
     energies = classical_energies(checks)
     part = hamming_state_partition(
         checks.n, spec["center"], spec["inner"], spec["width"]
@@ -438,9 +449,12 @@ def _quantum_schedule_keys():
     }
 
 
-def _schedule_for(vals, checks, H, beta):
+def _check_flavors(vals, checks):
     if not checks.is_classical and "flavors" not in vals:
         raise ConfigInvalid('models with X checks need "flavors" (e.g. ["X"])')
+
+
+def _schedule_for(vals, checks, H, beta):
     return sweep_schedule(
         H,
         beta,
@@ -464,6 +478,7 @@ def _run_verify_quantum(cfg, out, jobs):
     n = checks.n
     sub = vals["subspace"]
     _check_centers(sub, n)
+    _check_flavors(vals, checks)
     H = build_hamiltonian(checks)
     V = hamming_ball_subspace(n, sub["centers"], sub["radius"])
     r = vals["partition_radius"]
@@ -494,6 +509,7 @@ def _run_barrier_scan(cfg, out, jobs):
     }
     vals = _validate(cfg, schema, "barrier-scan")
     checks, label = _build_checks(vals)
+    _check_center("center", vals["center"], checks.n)
     H = build_hamiltonian(checks)
     center = vals["center"]
     inner = vals["inner"]
@@ -664,6 +680,7 @@ def _run_mixing_compare(cfg, out, jobs):
     n = checks.n
     sub = vals["subspace"]
     _check_centers(sub, n)
+    _check_flavors(vals, checks)
     H = build_hamiltonian(checks)
     V = hamming_ball_subspace(n, sub["centers"], sub["radius"])
     r = vals["partition_radius"]
@@ -738,6 +755,8 @@ def _run_model_info(cfg, out, jobs):
     }
     vals = _validate(cfg, schema, "model-info")
     checks, label = _build_checks(vals)
+    if "barrier" in vals:
+        _check_center("barrier.center", vals["barrier"]["center"], checks.n)
     H = build_hamiltonian(checks)
     if checks.is_classical:
         w = classical_energies(checks)

@@ -15,6 +15,7 @@ string mapping one to the other, minimized over both stabilizer actions,
 which collapses to plain Hamming distance for classical models.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,6 +28,7 @@ from .errors import (
     EmptySubspace,
     NonCommutingChecks,
     NotClassical,
+    NotCommuting,
 )
 from .numerics import DensityMatrix, hermitian_eigensystem
 from .pauli import PauliString, apply_pauli, gf2_null_space_masks, gf2_span, mask_from_indices, popcount
@@ -47,6 +49,11 @@ __all__ = [
     "perturb",
     "css_labels",
     "css_eigenstate",
+    "LabelBasis",
+    "label_basis",
+    "identity_basis",
+    "label_energies",
+    "label_energy_residual",
     "ising_ring",
     "repetition",
     "curie_weiss",
@@ -261,16 +268,19 @@ def css_labels(checks):
     x_masks = [int(m) for m in checks.x_masks()]
     gx_span = gf2_span(x_masks)
     gxp_span = gf2_span(gf2_null_space_masks(n, x_masks))
-    idx = np.arange(1 << n, dtype=np.uint64)
-    x_min = idx.copy()
-    for g in gx_span:
-        np.minimum(x_min, idx ^ np.uint64(int(g)), out=x_min)
-    x_reps = np.unique(x_min)
-    z_min = idx.copy()
-    for h in gxp_span:
-        np.minimum(z_min, idx ^ np.uint64(int(h)), out=z_min)
-    z_reps = np.unique(z_min)
+    x_reps, _ = _coset_classes(n, gx_span)
+    z_reps, _ = _coset_classes(n, gxp_span)
     return x_reps, z_reps, gx_span, gxp_span
+
+
+def _coset_classes(n, span):
+    """Smallest member of each coset of span, and the coset of every bitstring."""
+    idx = np.arange(1 << n, dtype=np.uint64)
+    rep = idx.copy()
+    for g in span:
+        np.minimum(rep, idx ^ np.uint64(int(g)), out=rep)
+    reps = np.unique(rep)
+    return reps, np.searchsorted(reps, rep)
 
 
 def _reference_state(n, gx_span):
@@ -289,6 +299,209 @@ def css_eigenstate(checks, x, z, psi0=None, gx_span=None):
     vec = apply_pauli(PauliString(n, int(x), int(z)), psi0)
     lead = vec[np.flatnonzero(np.abs(vec) > 1e-12)[0]]
     return vec * (abs(lead) / lead)
+
+
+@dataclass(frozen=True, eq=False)
+class LabelBasis:
+    """An orthonormal eigenbasis W of a commuting model, stored by blocks.
+
+    Column j is the eigenstate with labels (x[j], z[j]). Columns run
+    x-class major: the nz labels of x class c are columns c*nz .. c*nz +
+    nz - 1, so the column of any bitstring pair (x, z) is index(x, z),
+    read from the class tables of every bitstring. All labels of class c
+    live on the same k rows order[c*k : (c+1)*k] (ascending), with values
+    blocks[c] (k x nz). So W = P blockdiag(blocks) for the row
+    permutation P given by order, and products with W are one gather
+    plus one batched matmul. Classical models use the identity basis
+    (k = nz = 1). Arrays are read-only: one basis is shared by every
+    caller.
+    """
+
+    n: int
+    order: np.ndarray
+    blocks: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    x_class: np.ndarray
+    z_class: np.ndarray
+    identity: bool = False
+
+    def __post_init__(self):
+        for name in ("order", "blocks", "x", "z", "x_class", "z_class"):
+            getattr(self, name).setflags(write=False)
+
+    @property
+    def dim(self):
+        return 1 << self.n
+
+    @property
+    def rows(self):
+        """(k, dim): the rows of the nonzero entries of every column."""
+        nx, k, nz = self.blocks.shape
+        return np.repeat(self.order.reshape(nx, k).T, nz, axis=1)
+
+    @property
+    def vals(self):
+        """(k, dim): the nonzero entries of every column, matching rows."""
+        nx, k, nz = self.blocks.shape
+        return self.blocks.transpose(1, 0, 2).reshape(k, nx * nz)
+
+    def index(self, x, z):
+        """Column of the eigenstate labeled by the bitstrings (x, z)."""
+        return self.x_class[x] * self.blocks.shape[2] + self.z_class[z]
+
+    def same_as(self, other):
+        """Whether two bases have the same columns, entry for entry."""
+        return self is other or (
+            self.n == other.n
+            and np.array_equal(self.order, other.order)
+            and np.array_equal(self.blocks, other.blocks)
+        )
+
+    def dense(self):
+        """W as a dense dim x dim matrix."""
+        W = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        W[self.rows, np.arange(self.dim)[None, :]] = self.vals
+        return W
+
+    def adjoint_left(self, M):
+        """W† M for a dense M with dim rows."""
+        if self.identity:
+            return M
+        nx, k, nz = self.blocks.shape
+        A = M[self.order].reshape(nx, k, -1)
+        return np.matmul(self.blocks.conj().transpose(0, 2, 1), A).reshape(self.dim, -1)
+
+    def right(self, M):
+        """M W for a dense M with dim columns."""
+        if self.identity:
+            return M
+        nx, k, nz = self.blocks.shape
+        A = M[:, self.order].reshape(-1, nx, k).transpose(1, 0, 2)
+        return np.matmul(A, self.blocks).transpose(1, 0, 2).reshape(-1, self.dim)
+
+    def compress(self, M):
+        """W† M W for a dense square M."""
+        return self.right(self.adjoint_left(M))
+
+    def pauli_image(self, xmask, zmask):
+        """Columns and phases of X(xmask) Z(zmask) W: P w_j = phase_j w_col_j.
+
+        The image of every column is checked to be one column of W times
+        a unit phase; raises NotCommuting when the Pauli does not permute
+        the basis up to phases.
+        """
+        rows, vals = self.rows, self.vals
+        signs = 1 - 2 * (popcount(rows & int(zmask)) & 1)
+        rows = rows ^ int(xmask)
+        order = np.argsort(rows, axis=0)
+        rows = np.take_along_axis(rows, order, axis=0)
+        moved = np.take_along_axis(vals * signs, order, axis=0)
+        col = self.index(self.x ^ np.uint64(xmask), self.z ^ np.uint64(zmask))
+        same = np.array_equal(rows, self.rows[:, col])
+        phase = (vals[:, col].conj() * moved).sum(axis=0)
+        dev = float(np.abs(np.abs(phase) - 1.0).max())
+        if not same or dev > 1e-9:
+            raise NotCommuting(
+                f"Pauli (x={xmask}, z={zmask}) does not permute the label basis "
+                f"(support match {same}, phase deviation {dev:.3e})"
+            )
+        return col, phase
+
+
+@functools.lru_cache(maxsize=32)
+def identity_basis(n):
+    """The computational basis of n qubits as a LabelBasis, one per n."""
+    dim = 1 << n
+    idx = np.arange(dim, dtype=np.int64)
+    return LabelBasis(
+        n,
+        order=idx,
+        blocks=np.ones((dim, 1, 1), dtype=np.complex128),
+        x=idx.astype(np.uint64),
+        z=np.zeros(dim, dtype=np.uint64),
+        x_class=idx.copy(),
+        z_class=np.zeros(dim, dtype=np.int64),
+        identity=True,
+    )
+
+
+def label_basis(checks):
+    """The label eigenbasis of a check family, built once per family.
+
+    The computational basis for classical families. For CSS families the
+    columns are css_eigenstate(x, z) over the css_labels classes, and
+    construction checks that W is unitary and that every check acts on
+    each column as the sign of its syndrome.
+    """
+    if checks.is_classical:
+        return identity_basis(checks.n)
+    return _css_label_basis(checks)
+
+
+@functools.lru_cache(maxsize=16)
+def _css_label_basis(checks):
+    n = checks.n
+    x_masks = [int(m) for m in checks.x_masks()]
+    gx_span = gf2_span(x_masks)
+    x_reps, x_class = _coset_classes(n, gx_span)
+    z_reps, z_class = _coset_classes(n, gf2_span(gf2_null_space_masks(n, x_masks)))
+    nx, nz = x_reps.size, z_reps.size
+    # X(x) Z(z) |psi0> with x a class representative: support x ^ span,
+    # sign (-1)^{|g & z|}; the phase fix of css_eigenstate makes the entry
+    # in the lowest row positive
+    rows = np.sort(x_reps[:, None] ^ gx_span[None, :], axis=1)
+    g = rows ^ x_reps[:, None]
+    signs = 1.0 - 2.0 * (popcount(g[:, :, None] & z_reps[None, None, :]) & 1)
+    blocks = (signs * signs[:, :1, :] / math.sqrt(gx_span.size)).astype(np.complex128)
+    # W is unitary iff each class block (k x nz, square) is
+    k = gx_span.size
+    gram = np.matmul(blocks.conj().transpose(0, 2, 1), blocks)
+    dev = float(np.abs(gram - np.eye(nz)).max())
+    if k != nz or dev > 1e-10:
+        raise NonCommutingChecks(f"CSS label basis is not unitary (dev {dev:.3e})")
+    basis = LabelBasis(
+        n,
+        order=rows.ravel().astype(np.int64),
+        blocks=blocks,
+        x=np.repeat(x_reps, nz),
+        z=np.tile(z_reps, nx),
+        x_class=x_class,
+        z_class=z_class,
+    )
+    for m in checks.z_masks():
+        _check_syndrome(basis, 0, int(m), basis.x)
+    for m in checks.x_masks():
+        _check_syndrome(basis, int(m), 0, basis.z)
+    return basis
+
+
+def _check_syndrome(basis, xmask, zmask, labels):
+    col, phase = basis.pauli_image(xmask, zmask)
+    sign = 1 - 2 * _parity(labels, xmask | zmask)
+    dev = float(np.abs(phase - sign).max())
+    if not np.array_equal(col, np.arange(basis.dim)) or dev > 1e-10:
+        raise NonCommutingChecks(
+            f"check (x={xmask}, z={zmask}) is not diagonal in the label basis"
+        )
+
+
+def label_energies(checks):
+    """Energy of every column of label_basis(checks): the checks its syndrome
+    violates, Z checks read off x and X checks off z."""
+    basis = label_basis(checks)
+    E = np.zeros(basis.dim, dtype=np.int64)
+    for mask in checks.z_masks():
+        E += _parity(basis.x, int(mask))
+    for mask in checks.x_masks():
+        E += _parity(basis.z, int(mask))
+    return E.astype(np.float64)
+
+
+def label_energy_residual(H, basis, energies):
+    """max |H W - W diag(E)|: zero when H is diagonal in W with energies E."""
+    resid = basis.right(H.mat) - basis.dense() * energies[None, :]
+    return float(np.abs(resid).max())
 
 
 def _joint_reduced_distance(a, b, gx_span, gxp_span):

@@ -1,28 +1,26 @@
 """Local Gibbs samplers for commuting-projector models.
 
 Two constructions, both single-site Metropolis moves packaged as exact
-Kraus channels. The diagonal variant flips one bit with an acceptance
-amplitude read off the energy vector. The CSS variant resolves the
-energy jump of a single-Pauli flip through the syndrome projectors of
-the adjacent checks, which keeps every Kraus operator supported on the
-site and its check neighborhoods; no global diagonalization enters the
-operators. Both fix the Gibbs state of their Hamiltonian exactly, and
-construction re-verifies that before returning.
+Kraus channels in monomial form over the model's label basis (see
+channel.MonomialKraus and model.label_basis). The diagonal variant flips
+one bit of the computational basis with an acceptance amplitude read off
+the energy vector. The CSS variant flips one Pauli on the CSS eigenstates
+|x, z>: the flip moves each label to one label (with a phase), and the
+energy jump omega it causes is read off the syndromes of the adjacent
+checks, so the jump operators sqrt(q min(1, e^{-beta omega})) sigma
+P_omega are built column by column without any dense product. Before
+returning, construction checks on label vectors that the channel is
+trace preserving and fixes the Gibbs state exactly; the CSS variant
+first checks that H0 is diagonal in the label basis with the syndrome
+energies (H0 W = W diag(E)), which ties that Gibbs vector to H0.
 """
 
 import numpy as np
 
-from .channel import KrausChannel
-from .errors import (
-    EmptySchedule,
-    MixedFixedPoints,
-    NotCommuting,
-    NotDiagonal,
-    NotFixedPoint,
-)
-from .model import gibbs_state
-from .numerics import trace_norm
-from .pauli import PauliString, pauli_matrix
+from .channel import KrausChannel, MonomialKraus
+from .errors import EmptySchedule, NotCommuting, NotDiagonal, NotFixedPoint
+from .model import identity_basis, label_basis, label_energies, label_energy_residual
+from .pauli import mask_from_indices, popcount
 
 __all__ = [
     "metropolis_site_channel",
@@ -33,12 +31,9 @@ __all__ = [
 DEFAULT_ATTEMPT = 0.5
 
 
-def _gibbs_residual(chan, H, beta):
-    rho, _, _ = gibbs_state(H, beta)
-    out = np.zeros_like(rho.mat)
-    for K in chan.kraus:
-        out += K @ rho.mat @ K.conj().T
-    return trace_norm(out - rho.mat)
+def _gibbs_vector(E, beta):
+    shifted = np.exp(-beta * (E - E.min()))
+    return shifted / shifted.sum()
 
 
 def metropolis_site_channel(H, beta, site, attempt_prob=DEFAULT_ATTEMPT):
@@ -55,20 +50,16 @@ def metropolis_site_channel(H, beta, site, attempt_prob=DEFAULT_ATTEMPT):
     n = H.n
     if not 0 <= site < n:
         raise ValueError(f"site {site} outside register of {n}")
-    dim = 1 << n
     E = np.real(np.diag(H.mat))
-    idx = np.arange(dim)
+    idx = np.arange(1 << n)
     flip = idx ^ (1 << (n - 1 - site))
     accept = attempt_prob * np.minimum(1.0, np.exp(-beta * (E[flip] - E)))
-    K_flip = np.zeros((dim, dim), dtype=np.complex128)
-    K_flip[flip, idx] = np.sqrt(accept)
-    K_stay = np.diag(np.sqrt(1.0 - accept).astype(np.complex128))
-    chan = KrausChannel(n, [K_flip, K_stay])
+    form = MonomialKraus(
+        identity_basis(n), [flip, idx], [np.sqrt(accept), np.sqrt(1.0 - accept)]
+    )
+    chan = KrausChannel(n, monomial=form)
     # detailed balance makes the diagonal Gibbs vector exactly stationary
-    shifted = np.exp(-beta * (E - E.min()))
-    pi = shifted / shifted.sum()
-    evolved = accept[flip] * pi[flip] + (1.0 - accept) * pi
-    resid = float(np.abs(evolved - pi).sum())
+    resid = form.residual(_gibbs_vector(E, beta))
     if resid > 1e-10:
         raise NotFixedPoint(f"Gibbs residual {resid:.3e} on site {site}")
     return chan
@@ -77,11 +68,13 @@ def metropolis_site_channel(H, beta, site, attempt_prob=DEFAULT_ATTEMPT):
 def css_metropolis_channel(H0, beta, site, flavor, attempt_prob=DEFAULT_ATTEMPT):
     """Energy-resolved single-Pauli Metropolis move for a CSS model.
 
-    The flavor Pauli at the site anticommutes with the opposing checks
-    touching that site; their syndrome patterns split the space into
-    eigenprojectors P_omega labeled by the energy jump omega the flip
-    would cause. Each jump gets Kraus sqrt(q min(1, e^{-beta omega}))
-    sigma P_omega, and a commuting stay operator completes the channel.
+    The flavor Pauli sigma at the site anticommutes with the opposing
+    checks touching that site; their syndromes give the energy jump omega
+    the flip would cause from each label, and P_omega projects on the
+    labels with that jump. Each jump gets Kraus sqrt(q min(1,
+    e^{-beta omega})) sigma P_omega, and a commuting stay operator
+    completes the channel. Kraus order: jumps in ascending omega, then
+    the stay operator.
     """
     if H0.checks is None:
         raise NotCommuting("Hamiltonian does not carry a commuting check family")
@@ -93,41 +86,39 @@ def css_metropolis_channel(H0, beta, site, flavor, attempt_prob=DEFAULT_ATTEMPT)
     n = fam.n
     if not 0 <= site < n:
         raise ValueError(f"site {site} outside register of {n}")
-    dim = 1 << n
-    opposing = fam.z_checks if flavor == "X" else fam.x_checks
-    opposing = [s for s in opposing if site in s]
-    check_mats = []
+    W = label_basis(fam)
+    E = label_energies(fam)
+    resid = label_energy_residual(H0, W, E)
+    if resid > 1e-9:
+        raise NotDiagonal(
+            f"H0 is not diagonal in the label basis with the syndrome energies "
+            f"(residual {resid:.3e})"
+        )
+    bit = 1 << (n - 1 - site)
+    if flavor == "X":
+        col, phase = W.pauli_image(bit, 0)
+        opposing, labels = fam.z_checks, W.x
+    else:
+        col, phase = W.pauli_image(0, bit)
+        opposing, labels = fam.x_checks, W.z
+    omega = np.zeros(W.dim, dtype=np.int64)
     for supp in opposing:
-        letters = {q: ("Z" if flavor == "X" else "X") for q in supp}
-        check_mats.append(pauli_matrix(PauliString.from_letters(n, letters)))
-    sigma = pauli_matrix(PauliString.from_letters(n, {site: flavor}))
-    q = attempt_prob
-    m = len(opposing)
-    projectors = {}
-    for pattern in range(1 << m):
-        P = np.eye(dim, dtype=np.complex128)
-        omega = 0
-        for k in range(m):
-            violated = (pattern >> k) & 1
-            sign = -1.0 if violated else 1.0
-            P = P @ (0.5 * (np.eye(dim) + sign * check_mats[k]))
-            omega += -1 if violated else 1
-        if np.abs(P).max() < 1e-14:
-            continue
-        if omega in projectors:
-            projectors[omega] = projectors[omega] + P
-        else:
-            projectors[omega] = P
-    kraus = []
-    stay = np.zeros((dim, dim), dtype=np.complex128)
-    for omega in sorted(projectors):
-        P = projectors[omega]
-        a = q * min(1.0, np.exp(-beta * omega))
-        kraus.append(np.sqrt(a) * (sigma @ P))
-        stay += np.sqrt(1.0 - a) * P
-    kraus.append(stay)
-    chan = KrausChannel(n, kraus)
-    resid = _gibbs_residual(chan, H0, beta)
+        if site in supp:
+            mask = np.uint64(mask_from_indices(n, supp))
+            omega += 1 - 2 * (popcount(labels & mask) & 1)
+    rows, coef = [], []
+    stay = np.zeros(W.dim)
+    for w in np.unique(omega):
+        a = attempt_prob * min(1.0, np.exp(-beta * w))
+        jumps = omega == w
+        rows.append(col)
+        coef.append(np.where(jumps, np.sqrt(a) * phase, 0.0))
+        stay[jumps] = np.sqrt(1.0 - a)
+    rows.append(np.arange(W.dim))
+    coef.append(stay)
+    form = MonomialKraus(W, rows, coef)
+    chan = KrausChannel(n, monomial=form)
+    resid = form.residual(_gibbs_vector(E, beta))
     if resid > 1e-10:
         raise NotFixedPoint(
             f"Gibbs residual {resid:.3e} on site {site} flavor {flavor}"
@@ -139,8 +130,8 @@ def sweep_schedule(H, beta, sites, flavors=None, repetitions=1, attempt_prob=DEF
     """Ordered channel list covering the sites, cycled `repetitions` times.
 
     Classical (diagonal) models take flavors=None and get bit-flip moves;
-    CSS models get one channel per (site, flavor) pair. Every entry is
-    re-checked against the shared Gibbs state.
+    CSS models get one channel per (site, flavor) pair. Every entry was
+    checked against the Gibbs state of H at construction.
     """
     sites = list(sites)
     if not sites or repetitions < 1:
@@ -158,12 +149,4 @@ def sweep_schedule(H, beta, sites, flavors=None, repetitions=1, attempt_prob=DEF
             for s in sites
             for f in flavors
         ]
-    rho, _, _ = gibbs_state(H, beta)
-    for chan in built:
-        out = np.zeros_like(rho.mat)
-        for K in chan.kraus:
-            out += K @ rho.mat @ K.conj().T
-        resid = trace_norm(out - rho.mat)
-        if resid > 1e-9:
-            raise MixedFixedPoints(f"schedule entry residual {resid:.3e}")
     return built * repetitions

@@ -18,6 +18,7 @@ from bottlenecklab.bottleneck import (
 )
 from bottlenecklab.channel import (
     KrausChannel,
+    MonomialKraus,
     channel_locality,
     evolve_sequence,
     quasi_local_mixture,
@@ -36,9 +37,12 @@ from bottlenecklab.model import (
     build_hamiltonian,
     classical_energies,
     gibbs_state,
+    label_basis,
+    perturb,
+    random_local_perturbation,
 )
 from bottlenecklab.numerics import DensityMatrix, maximally_mixed, trace_norm
-from bottlenecklab.sampler import metropolis_site_channel, sweep_schedule
+from bottlenecklab.sampler import css_metropolis_channel, metropolis_site_channel, sweep_schedule
 from bottlenecklab.subspace import (
     HilbertPartition,
     Subspace,
@@ -452,3 +456,193 @@ def test_json_report_keys():
     assert out["mode"] == "general"
     assert out["model"] == "toric"
     assert set(out) >= {"delta", "numerator", "denominator", "lhs", "bound"}
+
+
+# --- label path against the dense oracle -----------------------------------
+
+REPORT_FIELDS = (
+    "delta",
+    "numerator",
+    "denominator",
+    "lhs",
+    "bound",
+    "prob_B",
+    "prob_C",
+    "condition_residual",
+)
+ORACLE_BETAS = (0.5, 1.0, 2.0)
+
+
+def dense_copy(chan):
+    """The same operators without a monomial form, which forces the dense path."""
+    return KrausChannel(chan.n, chan.kraus)
+
+
+def assert_label_path_matches_dense(channels, oracle, rho, spec):
+    rep = verify_bottleneck_theorem(channels, rho, spec)
+    ref = verify_bottleneck_theorem(oracle, rho, spec)
+    assert (rep.path, ref.path) == ("label", "dense")
+    assert (rep.mode, rep.steps) == (ref.mode, ref.steps)
+    for name in REPORT_FIELDS:
+        got, want = getattr(rep, name), getattr(ref, name)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, got, want)
+    return rep
+
+
+def check_schedule_against_oracle(sched, rho, spec):
+    """Every entry on its own, then the whole schedule, on both paths."""
+    oracle = [dense_copy(chan) for chan in sched]
+    for chan, dense in zip(sched, oracle):
+        assert_label_path_matches_dense(chan, dense, rho, spec)
+    assert_label_path_matches_dense(sched, oracle, rho, spec)
+
+
+def css_ball_partition(checks, H):
+    cert = barrier_subspace(checks, (0, 0), 0, 1, H)
+    return partition_from_radius(cert.V, 1)
+
+
+@pytest.mark.parametrize("label", ["steane7", "toric"])
+def test_css_label_path_matches_dense_oracle(label):
+    checks = REGISTRY[label]()
+    H = build_hamiltonian(checks)
+    part = css_ball_partition(checks, H)
+    for beta in ORACLE_BETAS:
+        rho, _, _ = gibbs_state(H, beta)
+        sched = sweep_schedule(H, beta, range(checks.n), flavors=("X", "Z"))
+        check_schedule_against_oracle(sched, rho, part)
+
+
+CLASSICAL_ORACLES = {
+    "ising_ring(8)": REGISTRY["ising_ring"](8),
+    "repetition(6)": REGISTRY["repetition"](6),
+    "curie_weiss(6)": REGISTRY["curie_weiss"](6),
+    "random_ldpc(7,5,3)": REGISTRY["random_ldpc"](7, 5, 3),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CLASSICAL_ORACLES))
+def test_classical_label_path_matches_dense_oracle(label):
+    checks = CLASSICAL_ORACLES[label]
+    H = build_hamiltonian(checks)
+    part = partition_from_radius(hamming_ball_subspace(checks.n, [0], 1), 1)
+    for beta in ORACLE_BETAS:
+        rho, _, _ = gibbs_state(H, beta)
+        check_schedule_against_oracle(sweep_schedule(H, beta, range(checks.n)), rho, part)
+
+
+def test_local_mode_runs_on_the_label_path():
+    H = build_hamiltonian(REGISTRY["ising_ring"](8))
+    V = hamming_ball_subspace(8, [0], 1)
+    rho, _, _ = gibbs_state(H, 1.0)
+    sched = sweep_schedule(H, 1.0, range(8))
+    rep = assert_label_path_matches_dense(sched, [dense_copy(c) for c in sched], rho, (V, 3))
+    assert rep.mode == "local(r=3)"
+
+
+def label_members(basis, block):
+    """Labels spanning a block, read off a dense W."""
+    if block.dim == 0:
+        return np.zeros(0, dtype=int)
+    norms = np.linalg.norm(basis.dense().conj().T @ block.basis, axis=1)
+    return np.flatnonzero(norms > 0.5)
+
+
+def forbidden_cycle_channel(basis, part, weight):
+    """Identity plus a 4-cycle of labels A -> C -> B2 -> B1 -> A.
+
+    Only the A -> C step is forbidden; a permutation fixes the maximally
+    mixed state, so the fixed-point check passes and the Kraus condition
+    is what must catch it.
+    """
+    a, c, b2, b1 = (label_members(basis, blk)[0] for blk in (part.A, part.C, part.B2, part.B1))
+    rows = np.arange(basis.dim)
+    rows[[a, c, b2, b1]] = [c, b2, b1, a]
+    form = MonomialKraus(
+        basis,
+        [np.arange(basis.dim), rows],
+        [np.full(basis.dim, np.sqrt(1.0 - weight)), np.full(basis.dim, np.sqrt(weight))],
+    )
+    return KrausChannel(basis.n, monomial=form)
+
+
+def _refuse_dense(self):
+    raise AssertionError("the label path built dense Kraus operators")
+
+
+@pytest.mark.parametrize("weight", [0.5, 1e-13])
+@pytest.mark.parametrize("label", ["toric", "ising_ring"])
+def test_forbidden_a_to_c_entry_caught_on_label_path(monkeypatch, label, weight):
+    if label == "toric":
+        checks = REGISTRY["toric"]()
+        part = css_ball_partition(checks, build_hamiltonian(checks))
+    else:
+        checks = REGISTRY["ising_ring"](6)
+        part = partition_from_radius(hamming_ball_subspace(6, [0], 1), 1)
+    chan = forbidden_cycle_channel(label_basis(checks), part, weight)
+    oracle = dense_copy(chan)
+    rho = maximally_mixed(checks.n)
+    monkeypatch.setattr(MonomialKraus, "dense", _refuse_dense)
+    with pytest.raises(ConditionViolated):
+        verify_bottleneck_theorem(chan, rho, part)
+    with pytest.raises(ConditionViolated):
+        verify_bottleneck_theorem(oracle, rho, part)
+
+
+def test_perturbed_gibbs_state_takes_the_dense_path():
+    checks = REGISTRY["toric"]()
+    H0 = build_hamiltonian(checks)
+    part = css_ball_partition(checks, H0)
+    W = label_basis(checks)
+    V = random_local_perturbation(8, [(q,) for q in range(8)], 0.05, seed=1)
+    rho, _, _ = gibbs_state(perturb(H0, V), 1.0)
+    M = W.compress(rho.mat)
+    assert np.abs(M - np.diag(np.diag(M))).max() > 1e-4
+    identity = KrausChannel(8, monomial=MonomialKraus(W, [np.arange(256)], [np.ones(256)]))
+    rep = verify_bottleneck_theorem(identity, rho, part)
+    ref = verify_bottleneck_theorem(KrausChannel(8, [np.eye(256)]), rho, part)
+    assert rep.path == ref.path == "dense"
+    for name in REPORT_FIELDS:
+        assert abs(getattr(rep, name) - getattr(ref, name)) <= 1e-12, name
+
+
+def test_label_channels_against_basis_state_blocks_take_the_dense_path():
+    # the CLI's verify-quantum on a CSS model: a Hamming ball of basis
+    # states is not a set of CSS labels
+    checks = REGISTRY["steane7"]()
+    H = build_hamiltonian(checks)
+    rho, _, _ = gibbs_state(H, 1.0)
+    part = partition_from_radius(hamming_ball_subspace(7, [0], 1), 1)
+    chan = css_metropolis_channel(H, 1.0, 2, "X")
+    rep = verify_bottleneck_theorem(chan, rho, part)
+    ref = verify_bottleneck_theorem(dense_copy(chan), rho, part)
+    assert rep.path == ref.path == "dense"
+    for name in REPORT_FIELDS:
+        assert getattr(rep, name) == getattr(ref, name), name
+
+
+def test_blocks_slightly_off_the_labels_take_the_dense_path():
+    # rotate |0> (in A) into |3> (in B1) by 1e-3: every block still has
+    # one dominant label per basis vector, but no block is spanned by labels
+    n = 6
+    part = partition_from_radius(hamming_ball_subspace(n, [0], 1), 2)
+    theta = 1e-3
+    mix = {0: np.cos(theta), 3: np.sin(theta)}
+    A = part.A.basis.copy()
+    B1 = part.B1.basis.copy()
+    a_col = int(np.flatnonzero(A[0])[0])
+    b_col = int(np.flatnonzero(B1[3])[0])
+    A[:, a_col] = 0.0
+    B1[:, b_col] = 0.0
+    A[[0, 3], a_col] = [mix[0], mix[3]]
+    B1[[0, 3], b_col] = [-mix[3], mix[0]]
+    rotated = HilbertPartition(Subspace(n, A), Subspace(n, B1), part.B2, part.C)
+    H = build_hamiltonian(REGISTRY["ising_ring"](n))
+    rho, _, _ = gibbs_state(H, 1.0)
+    chan = metropolis_site_channel(H, 1.0, 0)
+    rep = verify_bottleneck_theorem(chan, rho, rotated)
+    ref = verify_bottleneck_theorem(dense_copy(chan), rho, rotated)
+    assert rep.path == ref.path == "dense"
+    for name in REPORT_FIELDS:
+        assert getattr(rep, name) == getattr(ref, name), name
+    assert verify_bottleneck_theorem(chan, rho, part).path == "label"

@@ -1,6 +1,10 @@
 """End-to-end runs of the console entry point on desk-sized configs."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -339,3 +343,81 @@ def test_checks_file_source(tmp_path):
     assert code == 0
     _, rows = read_rows(out)
     assert rows[0][0] == "triangle"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a matrix was built for a config that should be rejected")
+
+
+def assert_config_rejected(out, word):
+    failures = json.loads((out / "failures.json").read_text())
+    assert len(failures) == 1
+    assert failures[0]["reason"] == "ConfigInvalid"
+    assert word in failures[0]["message"]
+    assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["verify-quantum", "mixing-compare"])
+def test_css_model_without_flavors_rejected_up_front(tmp_path, monkeypatch, subcommand):
+    monkeypatch.setattr(cli, "build_hamiltonian", _refuse)
+    cfg = {
+        "model": "steane7",
+        "subspace": {"centers": [0], "radius": 1},
+        "partition_radius": 1,
+    }
+    if subcommand == "verify-quantum":
+        cfg["betas"] = [1.0]
+    else:
+        cfg.update(beta=1.0, horizon=10)
+    code, out = run(subcommand, cfg, tmp_path)
+    assert code == 2
+    assert_config_rejected(out, "flavors")
+
+
+@pytest.mark.parametrize(
+    "subcommand,cfg",
+    [
+        ("barrier-scan", {"model": "ising_ring", "n": 4, "center": 99, "inner": 0, "radii": [1]}),
+        ("barrier-scan", {"model": "ising_ring", "n": 4, "center": [0, 99], "inner": 0, "radii": [1]}),
+        (
+            "model-info",
+            {"model": "ising_ring", "n": 4, "barrier": {"center": 99, "inner": 0, "boundary": 1}},
+        ),
+    ],
+)
+def test_barrier_center_outside_register_rejected(tmp_path, monkeypatch, subcommand, cfg):
+    monkeypatch.setattr(cli, "build_hamiltonian", _refuse)
+    code, out = run(subcommand, cfg, tmp_path)
+    assert code == 2
+    assert_config_rejected(out, "register")
+
+
+def test_verify_classical_empty_c_rejected(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "hamming_state_partition", _refuse)
+    monkeypatch.setattr(cli, "glauber_chain", _refuse)
+    cfg = {
+        "model": "ising_ring",
+        "n": 4,
+        "betas": [1.0],
+        "partition": {"center": 0, "inner": 1, "width": 2},
+    }
+    code, out = run("verify-classical", cfg, tmp_path)
+    assert code == 2
+    assert_config_rejected(out, "C is empty")
+
+
+def test_cli_import_loads_no_sparse_modules():
+    # the label path and the dense path both run on numpy alone; scipy
+    # sparse is imported inside the markov functions that use it
+    code = (
+        "import sys, bottlenecklab.cli; "
+        "print(sorted(m for m in ('scipy.sparse', 'scipy.sparse.linalg') if m in sys.modules))"
+    )
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

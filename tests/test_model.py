@@ -23,7 +23,11 @@ from bottlenecklab.model import (
     curie_weiss,
     expansion_scan,
     gibbs_state,
+    identity_basis,
     ising_ring,
+    label_basis,
+    label_energies,
+    label_energy_residual,
     perturb,
     random_ldpc,
     random_local_perturbation,
@@ -32,7 +36,7 @@ from bottlenecklab.model import (
     subspace_min_energy,
     toric,
 )
-from bottlenecklab.pauli import gf2_rank
+from bottlenecklab.pauli import PauliString, gf2_rank, pauli_matrix
 from bottlenecklab.subspace import Subspace, hamming_ball_subspace
 
 
@@ -328,3 +332,56 @@ class TestRandomPerturbation:
         assert H.w1 == 2
         assert H.w0 == 4  # qubit 1: two bonds + two perturbation terms
         assert np.allclose(H.mat, H0.mat + V.mat)
+
+
+class TestLabelBasis:
+    @pytest.mark.parametrize("make", [steane7, toric])
+    def test_columns_are_the_css_eigenstates(self, make):
+        fam = make()
+        W = label_basis(fam)
+        dense = W.dense()
+        for j in range(W.dim):
+            v = css_eigenstate(fam, int(W.x[j]), int(W.z[j]))
+            assert np.abs(dense[:, j] - v).max() <= 1e-15
+        assert np.abs(dense.conj().T @ dense - np.eye(W.dim)).max() < 1e-14
+        assert (np.count_nonzero(dense, axis=0) == 8).all()
+        x_reps, z_reps, _, _ = css_labels(fam)
+        pairs = set(zip(W.x.tolist(), W.z.tolist()))
+        assert pairs == {(int(x), int(z)) for x in x_reps for z in z_reps}
+
+    @pytest.mark.parametrize("make", [steane7, toric])
+    def test_syndrome_energies_diagonalize_h0(self, make):
+        fam = make()
+        H = build_hamiltonian(fam)
+        W = label_basis(fam)
+        E = label_energies(fam)
+        assert label_energy_residual(H, W, E) < 1e-14
+        dense = W.dense()
+        assert np.abs(dense.conj().T @ H.mat @ dense - np.diag(E)).max() < 1e-13
+        assert W.compress(H.mat) == pytest.approx(np.diag(E), abs=1e-13)
+
+    def test_classical_families_share_the_identity_basis(self):
+        W = label_basis(ising_ring(5))
+        assert W.identity
+        assert W is label_basis(curie_weiss(5)) is identity_basis(5)
+        assert np.array_equal(W.dense(), np.eye(32))
+        assert np.array_equal(label_energies(curie_weiss(5)), classical_energies(curie_weiss(5)))
+        assert label_basis(steane7()) is label_basis(steane7())
+
+    @pytest.mark.parametrize("flavor", ["X", "Z"])
+    def test_single_paulis_permute_labels(self, flavor):
+        fam = toric(2)
+        W = label_basis(fam)
+        dense = W.dense()
+        for site in range(fam.n):
+            P = pauli_matrix(PauliString.from_letters(fam.n, {site: flavor}))
+            bit = 1 << (fam.n - 1 - site)
+            col, phase = W.pauli_image(bit, 0) if flavor == "X" else W.pauli_image(0, bit)
+            expected = np.zeros((W.dim, W.dim), dtype=np.complex128)
+            expected[col, np.arange(W.dim)] = phase
+            assert np.abs(dense.conj().T @ P @ dense - expected).max() < 1e-14
+
+    def test_basis_arrays_are_read_only(self):
+        W = label_basis(steane7())
+        with pytest.raises(ValueError):
+            W.blocks[0, 0, 0] = 0.0

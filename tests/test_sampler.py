@@ -3,24 +3,34 @@
 import numpy as np
 import pytest
 
+from bottlenecklab import sampler
 from bottlenecklab.channel import (
+    KrausChannel,
+    MonomialKraus,
     apply_channel,
     channel_locality,
     steady_state,
     validate_channel,
 )
-from bottlenecklab.errors import EmptySchedule, NotCommuting, NotDiagonal
+from bottlenecklab.errors import EmptySchedule, NotCommuting, NotDiagonal, NotTracePreserving
 from bottlenecklab.model import (
     CheckFamily,
+    Hamiltonian,
     build_hamiltonian,
+    curie_weiss,
     gibbs_state,
     ising_ring,
+    label_basis,
+    random_ldpc,
     random_local_perturbation,
+    repetition,
     steane7,
     toric,
 )
 from bottlenecklab.numerics import trace_norm
+from bottlenecklab.pauli import PauliString, pauli_matrix
 from bottlenecklab.sampler import (
+    DEFAULT_ATTEMPT,
     css_metropolis_channel,
     metropolis_site_channel,
     sweep_schedule,
@@ -209,3 +219,139 @@ class TestSweepSchedule:
             new_dist = trace_norm(state - rho.mat)
             assert new_dist <= dist + 1e-9
             dist = new_dist
+
+
+# --- monomial forms against the dense constructions -------------------------
+
+
+def dense_site_kraus(H, beta, site, q=DEFAULT_ATTEMPT):
+    """The bit-flip Kraus pair built as dense matrices."""
+    n = H.n
+    dim = 1 << n
+    E = np.real(np.diag(H.mat))
+    idx = np.arange(dim)
+    flip = idx ^ (1 << (n - 1 - site))
+    accept = q * np.minimum(1.0, np.exp(-beta * (E[flip] - E)))
+    K_flip = np.zeros((dim, dim), dtype=np.complex128)
+    K_flip[flip, idx] = np.sqrt(accept)
+    return [K_flip, np.diag(np.sqrt(1.0 - accept).astype(np.complex128))]
+
+
+def dense_css_jumps(fam, site, flavor):
+    """sigma P_omega and P_omega per jump omega, from dense syndrome projectors."""
+    n = fam.n
+    dim = 1 << n
+    opposing = fam.z_checks if flavor == "X" else fam.x_checks
+    opposing = [s for s in opposing if site in s]
+    other = "Z" if flavor == "X" else "X"
+    check_mats = [
+        pauli_matrix(PauliString.from_letters(n, {s: other for s in supp}))
+        for supp in opposing
+    ]
+    sigma = pauli_matrix(PauliString.from_letters(n, {site: flavor}))
+    projectors = {}
+    for pattern in range(1 << len(opposing)):
+        P = np.eye(dim, dtype=np.complex128)
+        omega = 0
+        for k, C in enumerate(check_mats):
+            violated = (pattern >> k) & 1
+            P = P @ (0.5 * (np.eye(dim) + (-1.0 if violated else 1.0) * C))
+            omega += -1 if violated else 1
+        if np.abs(P).max() < 1e-14:
+            continue
+        projectors[omega] = projectors.get(omega, 0) + P
+    return [(omega, sigma @ P, P) for omega, P in sorted(projectors.items())]
+
+
+def dense_css_kraus(jumps, beta, q=DEFAULT_ATTEMPT):
+    """The CSS Kraus list: one jump per omega in ascending order, then stay."""
+    kraus = []
+    stay = 0
+    for omega, sigma_P, P in jumps:
+        a = q * min(1.0, np.exp(-beta * omega))
+        kraus.append(np.sqrt(a) * sigma_P)
+        stay = stay + np.sqrt(1.0 - a) * P
+    return kraus + [stay]
+
+
+ORACLE_BETAS = (0.5, 1.0, 2.0)
+CLASSICAL_ORACLES = {
+    "ising_ring(8)": ising_ring(8),
+    "repetition(6)": repetition(6),
+    "curie_weiss(7)": curie_weiss(7),
+    "random_ldpc(8,6,3)": random_ldpc(8, 6, 3),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CLASSICAL_ORACLES))
+def test_site_channel_densifies_to_the_dense_pair(label):
+    H = build_hamiltonian(CLASSICAL_ORACLES[label])
+    for beta in ORACLE_BETAS:
+        for site in range(H.n):
+            chan = metropolis_site_channel(H, beta, site)
+            assert chan.monomial.basis.identity
+            ref = dense_site_kraus(H, beta, site)
+            assert len(chan.kraus) == len(ref)
+            for K, R in zip(chan.kraus, ref):
+                assert np.abs(K - R).max() <= 1e-14
+
+
+@pytest.mark.parametrize("label", ["steane7", "toric(2)", "css_toy_4"])
+def test_css_channel_densifies_to_the_projector_products(label):
+    fam = {"steane7": steane7(), "toric(2)": toric(2), "css_toy_4": css_toy_4()}[label]
+    H0 = build_hamiltonian(fam)
+    for site in range(fam.n):
+        for flavor in ("X", "Z"):
+            jumps = dense_css_jumps(fam, site, flavor)
+            for beta in ORACLE_BETAS:
+                chan = css_metropolis_channel(H0, beta, site, flavor)
+                assert chan.monomial.basis.same_as(label_basis(fam))
+                ref = dense_css_kraus(jumps, beta)
+                assert len(chan.kraus) == len(ref)
+                for K, R in zip(chan.kraus, ref):
+                    assert np.abs(K - R).max() <= 1e-14
+
+
+def test_css_channel_refuses_wrong_label_energy(monkeypatch):
+    H0 = build_hamiltonian(steane7())
+    true_energies = sampler.label_energies
+
+    def one_label_off(checks):
+        E = true_energies(checks).copy()
+        E[5] += 1.0
+        return E
+
+    monkeypatch.setattr(sampler, "label_energies", one_label_off)
+    with pytest.raises(NotDiagonal):
+        css_metropolis_channel(H0, 1.0, 0, "X")
+
+
+def test_css_channel_refuses_hamiltonian_off_its_checks():
+    fam = steane7()
+    H0 = build_hamiltonian(fam)
+    V = random_local_perturbation(7, [(q,) for q in range(7)], 0.01, seed=2)
+    H = Hamiltonian(H0.mat + V.mat, 7, H0.w0, 1, checks=fam)
+    with pytest.raises(NotDiagonal):
+        css_metropolis_channel(H, 1.0, 0, "X")
+
+
+def test_monomial_trace_check_catches_lost_weight():
+    basis = label_basis(steane7())
+    dim = basis.dim
+    form = MonomialKraus(basis, [np.arange(dim)], [np.full(dim, 0.999)])
+    with pytest.raises(NotTracePreserving):
+        KrausChannel(7, monomial=form)
+
+
+def test_monomial_trace_check_with_shared_rows_goes_dense():
+    # two labels sent to one label by one operator: T†T is not diagonal,
+    # so the residual is taken from the dense operators
+    basis = label_basis(ising_ring(2))
+    half = np.sqrt(0.5)
+    rows = [[0, 0, 2, 3], [1, 1, 2, 3]]
+    coef = [[half, half, 1.0, 0.0], [half, -half, 0.0, 1.0]]
+    form = MonomialKraus(basis, rows, coef)
+    assert form.trace_residual() is None
+    chan = KrausChannel(2, monomial=form)
+    total = sum(K.conj().T @ K for K in chan.kraus)
+    assert np.abs(total - np.eye(4)).max() < 1e-15
