@@ -107,15 +107,30 @@ def _projector_of(P):
     return np.asarray(P, dtype=np.complex128)
 
 
+def _basis_of(P):
+    """An X with X X^dag = P: a Subspace's orthonormal basis, or P itself."""
+    if isinstance(P, Subspace):
+        return P.basis
+    return np.asarray(P, dtype=np.complex128)
+
+
 def bottleneck_ratio(rho, P_A, P_B):
-    """Delta = ||P_B rho||_1 / tr(P_A rho), with its two pieces."""
+    """Delta = ||P_B rho||_1 / tr(P_A rho), with its two pieces.
+
+    P_A and P_B are Subspaces or projector arrays. Both pieces are read
+    through X with X X^dag = P: the orthonormal basis of a Subspace, or
+    the projector itself (X = P). Then tr(P rho) = Re tr(X^dag rho X),
+    and ||P rho||_1 is the sum of the singular values of the k x dim
+    block X^dag rho, since an isometry preserves singular values. A
+    Subspace of dimension k thus never forms a dim x dim product.
+    """
     mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    pa = _projector_of(P_A)
-    pb = _projector_of(P_B)
-    denominator = float(np.real(np.trace(pa @ mat)))
+    xa = _basis_of(P_A)
+    xb = _basis_of(P_B)
+    denominator = float(np.real(np.sum((xa.conj().T @ mat) * xa.T)))
     if denominator <= 1e-12:
         raise EmptyA(f"tr(P_A rho) = {denominator:.3e}")
-    numerator = trace_norm(pb @ mat)
+    numerator = float(np.linalg.svd(xb.conj().T @ mat, compute_uv=False).sum())
     return numerator / denominator, numerator, denominator
 
 

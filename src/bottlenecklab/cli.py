@@ -46,6 +46,7 @@ from .markov import (
 )
 from .model import (
     REGISTRY,
+    SIZE_INDEXED,
     barrier_subspace,
     build_hamiltonian,
     checks_from_text,
@@ -634,9 +635,16 @@ def _run_stability_sweep(cfg, out, jobs):
         "seeds": (True, _int_list(lo=0)),
     }
     vals = _validate(cfg, schema, "stability-sweep")
+    name = vals["model"]
+    if name in REGISTRY and name not in SIZE_INDEXED:
+        raise ConfigInvalid(
+            f"stability-sweep builds the model at each n; {name!r} is not built "
+            f"from n alone (use one of {list(SIZE_INDEXED)})"
+        )
     bar = vals["barrier"]
+    _check_center("barrier.center", bar["center"], min(vals["ns"]))
     result = stability_sweep(
-        vals["model"],
+        name,
         (bar["center"], bar["inner"], bar["boundary"]),
         vals["betas"],
         vals["gs"],

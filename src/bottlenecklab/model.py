@@ -30,7 +30,7 @@ from .errors import (
     NotClassical,
     NotCommuting,
 )
-from .numerics import DensityMatrix, hermitian_eigensystem
+from .numerics import DensityMatrix, hermitian_eigensystem, hermitian_eigenvalues
 from .pauli import PauliString, apply_pauli, gf2_null_space_masks, gf2_span, mask_from_indices, popcount
 from .subspace import Subspace, basis_state_subspace
 
@@ -61,6 +61,7 @@ __all__ = [
     "toric",
     "random_ldpc",
     "REGISTRY",
+    "SIZE_INDEXED",
     "checks_from_text",
     "checks_to_text",
 ]
@@ -640,7 +641,12 @@ def gibbs_state(H, beta):
 
 
 def _embed_on_support(n, support, T):
-    """Spread a 2^k matrix over the full register on the given qubits."""
+    """Spread a 2^k matrix over the full register on the given qubits.
+
+    Column j couples only to the 2^k rows rest_j | s, where rest_j is j
+    with the support bits cleared and s runs over the support patterns,
+    so only those 2^k * 2^n entries are written.
+    """
     dim = 1 << n
     k = len(support)
     idx = np.arange(dim)
@@ -649,8 +655,12 @@ def _embed_on_support(n, support, T):
         bit = (idx >> (n - 1 - q)) & 1
         sub |= bit << (k - 1 - pos)
     rest = idx & ~mask_from_indices(n, support)
-    full = T[np.ix_(sub, sub)].copy()
-    full[rest[:, None] != rest[None, :]] = 0.0
+    patterns = np.arange(1 << k)
+    spread = np.zeros(1 << k, dtype=np.int64)
+    for pos, q in enumerate(support):
+        spread |= ((patterns >> (k - 1 - pos)) & 1) << (n - 1 - q)
+    full = np.zeros((dim, dim), dtype=T.dtype)
+    full[rest[None, :] | spread[:, None], idx[None, :]] = T[patterns[:, None], sub[None, :]]
     return full
 
 
@@ -668,7 +678,7 @@ def random_local_perturbation(n, term_supports, g, seed):
         T = 0.5 * (G + G.conj().T)
         V += _embed_on_support(n, supp, T)
     if g > 0 and supports:
-        norm = np.abs(np.linalg.eigvalsh(V)).max()
+        norm = np.abs(hermitian_eigenvalues(V)).max()
         if norm > 0:
             V *= (g * n) / norm
     else:
@@ -764,6 +774,9 @@ REGISTRY = {
     "toric": toric,
     "random_ldpc": random_ldpc,
 }
+
+# Registry models whose factory takes the register size n and nothing else.
+SIZE_INDEXED = ("ising_ring", "repetition", "curie_weiss")
 
 
 def checks_from_text(text):

@@ -8,6 +8,20 @@ Norm conventions: trace_norm is the Schatten 1-norm (sum of singular
 values), operator_norm the Schatten infinity-norm (largest singular
 value). For Hermitian input the singular values are the absolute
 eigenvalues and we use the cheaper symmetric eigensolver.
+
+Eigensolver route: hermitian_eigensystem and hermitian_eigenvalues first
+look for a diagonal unitary D with D^dag H D real symmetric. Classical
+Hamiltonians plus single-site complex terms have one, and so does every
+CSS Hamiltonian, whose X terms (I - X)/2 are real. The phases are set
+along a breadth-first spanning tree of the nonzero off-diagonal pattern
+(theta_j = theta_i - arg H_ij, one root per connected component), so
+tree entries come out real positive; every entry is then checked, not
+only the tree. The real solve (LAPACK dsyevd instead of zheevd: 0.22 s
+against 1.0 s at dim 1024 on a 2-core OpenBLAS machine) runs only when
+the dropped imaginary part has max row l1 sum, an upper bound on its
+operator norm, at most 1e-12 * max(1, max|H|); eigenvectors come back as
+D U_r, phase-fixed. Anything else, such as a 3-cycle with nonzero flux
+or a generic two-site complex term, takes the complex solver unchanged.
 """
 
 from dataclasses import dataclass, field
@@ -23,12 +37,14 @@ __all__ = [
     "operator_norm",
     "orthonormal_column_basis",
     "hermitian_eigensystem",
+    "hermitian_eigenvalues",
     "fix_phases",
     "maximally_mixed",
     "pure_state_density",
 ]
 
 _HERMITICITY_TOL = 1e-10
+_GAUGE_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -72,15 +88,15 @@ def _is_hermitian(M, tol=_HERMITICITY_TOL):
 def trace_norm(M):
     """Schatten 1-norm of a square matrix.
 
-    Hermitian input (within 1e-12) is routed through eigvalsh; the
-    singular values of a Hermitian matrix are the moduli of its
-    eigenvalues, so both paths agree to rounding.
+    Hermitian input (within 1e-12) is routed through
+    hermitian_eigenvalues; the singular values of a Hermitian matrix are
+    the moduli of its eigenvalues, so both paths agree to rounding.
     """
     M = _require_square(M)
     if M.shape[0] == 0:
         return 0.0
     if _is_hermitian(M, 1e-12):
-        return float(np.abs(np.linalg.eigvalsh(M)).sum())
+        return float(np.abs(hermitian_eigenvalues(M)).sum())
     return float(np.linalg.svd(M, compute_uv=False).sum())
 
 
@@ -96,16 +112,21 @@ def fix_phases(columns, tol=1e-12):
     """Rotate each column so its first significantly nonzero entry is real positive.
 
     Leaves norms untouched; used to make eigenvector and basis output
-    reproducible where the backend only fixes them up to phase.
+    reproducible where the backend only fixes them up to phase. Columns
+    with no entry above tol are returned unchanged.
     """
     out = np.array(columns, dtype=np.complex128, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = np.flatnonzero(np.abs(col) > tol)
-        if idx.size == 0:
-            continue
-        pivot = col[idx[0]]
-        out[:, j] = col * (abs(pivot) / pivot)
+    if out.size == 0:
+        return out
+    big = np.abs(out) > tol
+    has = big.any(axis=0)
+    pivot = out[big.argmax(axis=0), np.arange(out.shape[1])]
+    # Scalar division per pivot: numpy's vectorised complex division rounds
+    # differently, and these factors must match the per-column definition.
+    factor = np.array(
+        [abs(p) / p if h else 1.0 for p, h in zip(pivot, has)], dtype=np.complex128
+    )
+    np.multiply(out, factor, out=out, where=has[None, :])
     return out
 
 
@@ -142,20 +163,88 @@ def orthonormal_column_basis(vectors, tol=None):
     return fix_phases(U[:, :rank])
 
 
+def _symmetrized(H):
+    """(H + H^dag)/2 after checking max|H - H^dag| <= 1e-10 (NotHermitian)."""
+    H = _require_square(H)
+    Hd = np.ascontiguousarray(H.conj().T)
+    dev = np.abs(H - Hd).max() if H.size else 0.0
+    if dev > _HERMITICITY_TOL:
+        raise NotHermitian(f"max |H - H^dag| = {dev:.3e}")
+    Hd += H
+    Hd *= 0.5
+    return Hd
+
+
+def _gauge_phases(H):
+    """Unit phases d with d_j = d_i conj(H_ij)/|H_ij| along a BFS spanning forest.
+
+    The forest covers the nonzero off-diagonal pattern of H; each
+    component's root (and each isolated index) gets phase 1. Real input
+    gets exact signs, since conj(h)/|h| is exactly +-1 for real h.
+    """
+    dim = H.shape[0]
+    linked = H != 0
+    np.fill_diagonal(linked, False)
+    d = np.ones(dim, dtype=np.complex128)
+    seen = ~linked.any(axis=1)
+    while not seen.all():
+        frontier = np.flatnonzero(~seen)[:1]
+        seen[frontier] = True
+        while frontier.size:
+            unseen = np.flatnonzero(~seen)
+            links = linked[np.ix_(frontier, unseen)]
+            reached = links.any(axis=0)
+            child = unseen[reached]
+            parent = frontier[links[:, reached].argmax(axis=0)]
+            h = H[parent, child]
+            d[child] = d[parent] * (h.conj() / np.abs(h))
+            seen[child] = True
+            frontier = child
+    return d
+
+
+def _gauged(H):
+    """(d, D^dag H D) when a checked diagonal gauge makes H real, else (None, H).
+
+    H must already be Hermitian. The imaginary part of D^dag H D that the
+    real solve drops must have max row l1 sum (which bounds its operator
+    norm) at most 1e-12 * max(1, max|H|). A matrix with no imaginary part
+    at all is its own gauge (D = I), found without the spanning tree.
+    """
+    if H.size == 0:
+        return None, H
+    if not H.imag.any():
+        return np.ones(H.shape[0]), np.ascontiguousarray(H.real)
+    d = _gauge_phases(H)
+    G = d.conj()[:, None] * H
+    G *= d[None, :]
+    dropped = np.abs(G.imag).sum(axis=1).max()
+    if dropped > _GAUGE_REL_TOL * max(1.0, float(np.abs(H).max())):
+        return None, H
+    return d, np.ascontiguousarray(G.real)
+
+
 def hermitian_eigensystem(H, tol=None):
     """Eigenvalues (ascending) and phase-fixed eigenvectors of a Hermitian matrix.
 
     Raises NotHermitian when max|H - H^dag| exceeds 1e-10. Reconstruction
     H = V diag(w) V^dag holds within 1e-8 * operator_norm(H); eigenvectors
     with degenerate eigenvalues come back in backend order with the phase
-    of the first nonzero component fixed real positive.
+    of the first nonzero component fixed real positive. When a checked
+    diagonal gauge makes H real (see the module docstring) the real
+    symmetric solver runs and V = D U_r.
     """
-    H = _require_square(H)
-    dev = np.abs(H - H.conj().T).max() if H.size else 0.0
-    if dev > _HERMITICITY_TOL:
-        raise NotHermitian(f"max |H - H^dag| = {dev:.3e}")
-    w, V = np.linalg.eigh((H + H.conj().T) / 2.0)
+    d, M = _gauged(_symmetrized(H))
+    w, V = np.linalg.eigh(M)
+    if d is not None:
+        V = d[:, None] * V
     return w, fix_phases(V)
+
+
+def hermitian_eigenvalues(H):
+    """Ascending eigenvalues of a Hermitian matrix, by the same route as
+    hermitian_eigensystem (same NotHermitian check, same gauge test)."""
+    return np.linalg.eigvalsh(_gauged(_symmetrized(H))[1])
 
 
 @dataclass

@@ -8,6 +8,14 @@ eigenstate on the high part decays geometrically shell by shell. The
 sweep turns the resulting exponential estimates into measured bottleneck
 ratios on perturbed Gibbs states across a (beta, g, n, seed) grid.
 
+The perturbed states stay dense: each grid point diagonalises H0 + V,
+which hermitian_eigensystem does with the real symmetric solver (a
+checked diagonal gauge makes a classical H0 plus single-site terms real),
+and reads the ratio through the bases of the barrier ball V and its
+boundary shell (a 1024 x 165 block at n = 10) rather than through dense
+projectors. The sweep takes registry models that are built from n alone
+(model.SIZE_INDEXED).
+
 Shell width bookkeeping: w0 is the maximum number of checks any qubit
 touches and w1 the largest perturbation-term support, so one term can
 move the unperturbed energy by at most w0*w1. Hamiltonians built
@@ -31,6 +39,7 @@ from .errors import (
 )
 from .model import (
     REGISTRY,
+    SIZE_INDEXED,
     barrier_subspace,
     build_hamiltonian,
     gibbs_state,
@@ -348,7 +357,7 @@ def _chain_log_sq(n, beta, g, eps, kappa, lam_k):
     return float(np.logaddexp(t1, t2)) + 2 * beta * (eps + g) * n
 
 
-def _grid_point(model, n, beta, g, seed, H0, cert, P_V, P_B):
+def _grid_point(model, n, beta, g, seed, H0, cert):
     V = random_local_perturbation(n, tuple((i,) for i in range(n)), g, seed)
     H = perturb(H0, V)
     if g > 0:
@@ -361,7 +370,7 @@ def _grid_point(model, n, beta, g, seed, H0, cert, P_V, P_B):
                 floor=floor_E,
             )
     rho, _, _ = gibbs_state(H, beta)
-    delta, _, _ = bottleneck_ratio(rho, P_V, P_B)
+    delta, _, _ = bottleneck_ratio(rho, cert.V, cert.boundary)
     w0w1 = H0.w0 * max(V.w1, 1)
     lam_k = _lambda_kappa(cert.kappa, g, w0w1)
     eps = cert.E_min_V / n
@@ -394,24 +403,27 @@ def _grid_point(model, n, beta, g, seed, H0, cert, P_V, P_B):
 def stability_sweep(model, barrier, betas, gs, ns, seeds, jobs=1):
     """Measure the bottleneck ratio across a (beta, g, n, seed) grid.
 
-    barrier is (center, inner_radius, boundary_radius) handed to the
-    barrier construction per system size. Every row carries the measured
-    delta, the proof-chain value on the delta scale, the admissibility
-    tag from the two explicit (beta, g) conditions, and the decay rate.
-    Fits of log(delta) = a - b*n are computed per (beta, g) over all
-    rows; the slope assertion b > 0 fires only when at least three
-    distinct n values are admissible, otherwise the fit entry carries a
-    no-admissible-points diagnosis instead.
+    model names a registry factory that takes n alone (SIZE_INDEXED);
+    anything else raises ModelNotFound. barrier is (center, inner_radius,
+    boundary_radius) handed to the barrier construction per system size.
+    Every row carries the measured delta, the proof-chain value on the
+    delta scale, the admissibility tag from the two explicit (beta, g)
+    conditions, and the decay rate. Fits of log(delta) = a - b*n are
+    computed per (beta, g) over all rows; the slope assertion b > 0 fires
+    only when at least three distinct n values are admissible, otherwise
+    the fit entry carries a no-admissible-points diagnosis instead.
     """
     if model not in REGISTRY:
         raise ModelNotFound(f"unknown model {model!r}")
+    if model not in SIZE_INDEXED:
+        raise ModelNotFound(f"model {model!r} is not built from n alone")
     center, inner_radius, boundary_radius = barrier
     per_n = {}
     for n in ns:
         checks = REGISTRY[model](n)
         H0 = build_hamiltonian(checks)
         cert = barrier_subspace(checks, center, inner_radius, boundary_radius, H0)
-        per_n[n] = (H0, cert, cert.V.projector(), cert.boundary.projector())
+        per_n[n] = (H0, cert)
     tasks = [
         (model, n, beta, g, seed, *per_n[n])
         for n in ns

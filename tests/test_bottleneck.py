@@ -109,6 +109,41 @@ def test_ratio_matches_direct_gibbs_sums():
     assert delta == pytest.approx(num_direct / den_direct, abs=1e-9)
 
 
+def _ratio_inputs(rng):
+    dim = 16
+    cases = []
+    rho = DensityMatrix(random_density(rng, dim), 4)
+    Q, _ = np.linalg.qr(rng.normal(size=(dim, 7)) + 1j * rng.normal(size=(dim, 7)))
+    cases.append((rho, Subspace(4, Q[:, :3]), Subspace(4, Q[:, 3:])))
+    cases.append((rho, basis_state_subspace(4, [0, 5]), basis_state_subspace(4, [1, 2, 9])))
+    cases.append((rho, Subspace(4, Q), Subspace(4, np.zeros((dim, 0)))))
+    for n in (4, 6):
+        checks = REGISTRY["repetition"](n)
+        H0 = build_hamiltonian(checks)
+        H = perturb(H0, random_local_perturbation(n, [(q,) for q in range(n)], 0.05, seed=n))
+        cert = barrier_subspace(checks, (0, 0), 1, 2, H0)
+        cases.append((gibbs_state(H, 2.0)[0], cert.V, cert.boundary))
+    checks = REGISTRY["steane7"]()
+    H0 = build_hamiltonian(checks)
+    cert = barrier_subspace(checks, (0, 0), 0, 1, H0)
+    cases.append((gibbs_state(H0, 1.0)[0], cert.V, cert.boundary))
+    return cases
+
+
+def test_ratio_on_subspaces_matches_projector_arrays(rng):
+    for rho, A, B in _ratio_inputs(rng):
+        got = bottleneck_ratio(rho, A, B)
+        want = bottleneck_ratio(rho, A.projector(), B.projector())
+        for a, b in zip(got, want):
+            assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+        # the projector-array form against the plain definition
+        P_A, P_B = A.projector(), B.projector()
+        num = np.linalg.svd(P_B @ rho.mat, compute_uv=False).sum()
+        den = np.real(np.trace(P_A @ rho.mat))
+        assert want[1] == pytest.approx(num, rel=1e-12, abs=1e-12)
+        assert want[2] == pytest.approx(den, rel=1e-12, abs=1e-12)
+
+
 def test_empty_A_raises():
     rho = DensityMatrix(np.diag([0, 0, 0, 1.0]).astype(np.complex128), 2)
     P_A = basis_state_subspace(2, [0]).projector()

@@ -392,6 +392,36 @@ def test_barrier_center_outside_register_rejected(tmp_path, monkeypatch, subcomm
     assert_config_rejected(out, "register")
 
 
+SWEEP_BASE = {
+    "model": "repetition",
+    "barrier": {"center": [0, 0], "inner": 1, "boundary": 2},
+    "betas": [1.0],
+    "gs": [0.0],
+    "ns": [4],
+    "seeds": [0],
+}
+
+
+@pytest.mark.parametrize("model", ["steane7", "toric", "random_ldpc"])
+def test_stability_sweep_model_not_built_from_n_rejected(tmp_path, monkeypatch, model):
+    monkeypatch.setattr(cli, "stability_sweep", _refuse)
+    code, out = run("stability-sweep", dict(SWEEP_BASE, model=model), tmp_path)
+    assert code == 2
+    assert_config_rejected(out, "not built from n")
+
+
+@pytest.mark.parametrize(
+    "center,ns",
+    [([99, 0], [4]), ([0, 99], [4]), (16, [6, 4]), ([0, 100], [8, 6])],
+)
+def test_stability_sweep_center_outside_smallest_register_rejected(tmp_path, monkeypatch, center, ns):
+    monkeypatch.setattr(cli, "stability_sweep", _refuse)
+    cfg = dict(SWEEP_BASE, ns=ns, barrier=dict(SWEEP_BASE["barrier"], center=center))
+    code, out = run("stability-sweep", cfg, tmp_path)
+    assert code == 2
+    assert_config_rejected(out, "register")
+
+
 def test_verify_classical_empty_c_rejected(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "hamming_state_partition", _refuse)
     monkeypatch.setattr(cli, "glauber_chain", _refuse)
@@ -408,10 +438,12 @@ def test_verify_classical_empty_c_rejected(tmp_path, monkeypatch):
 
 def test_cli_import_loads_no_sparse_modules():
     # the label path and the dense path both run on numpy alone; scipy
-    # sparse is imported inside the markov functions that use it
+    # sparse is imported inside the markov functions that use it, and the
+    # eigensolvers are numpy's (scipy.linalg would add to start-up time)
     code = (
         "import sys, bottlenecklab.cli; "
-        "print(sorted(m for m in ('scipy.sparse', 'scipy.sparse.linalg') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.sparse', 'scipy.sparse.linalg', 'scipy.linalg') "
+        "if m in sys.modules))"
     )
     env = dict(os.environ)
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")

@@ -12,6 +12,7 @@ from bottlenecklab.errors import (
 )
 from bottlenecklab.model import (
     CheckFamily,
+    _embed_on_support,
     barrier_subspace,
     build_hamiltonian,
     checks_from_text,
@@ -36,7 +37,7 @@ from bottlenecklab.model import (
     subspace_min_energy,
     toric,
 )
-from bottlenecklab.pauli import PauliString, gf2_rank, pauli_matrix
+from bottlenecklab.pauli import PauliString, gf2_rank, mask_from_indices, pauli_matrix
 from bottlenecklab.subspace import Subspace, hamming_ball_subspace
 
 
@@ -304,6 +305,21 @@ class TestSubspaceMinEnergy:
             subspace_min_energy(Subspace(3, np.zeros((8, 0))), H)
 
 
+def gather_embed_on_support(n, support, T):
+    """The dense gather-and-mask builder the scatter embedding replaced."""
+    dim = 1 << n
+    k = len(support)
+    idx = np.arange(dim)
+    sub = np.zeros(dim, dtype=np.int64)
+    for pos, q in enumerate(support):
+        bit = (idx >> (n - 1 - q)) & 1
+        sub |= bit << (k - 1 - pos)
+    rest = idx & ~mask_from_indices(n, support)
+    full = T[np.ix_(sub, sub)].copy()
+    full[rest[:, None] != rest[None, :]] = 0.0
+    return full
+
+
 class TestRandomPerturbation:
     def test_zero_strength(self):
         V = random_local_perturbation(3, [(0, 1)], 0.0, seed=5)
@@ -324,6 +340,20 @@ class TestRandomPerturbation:
         # acts on qubit 1 only: blocks for qubit 0 = 0 and 1 are equal
         assert np.allclose(V.mat[:2, :2], V.mat[2:, 2:])
         assert np.abs(V.mat[:2, 2:]).max() == 0.0
+
+    @pytest.mark.parametrize(
+        "n,support",
+        [(1, (0,)), (4, (2,)), (3, (0, 2)), (4, (3, 1)), (6, (0, 1, 2)), (8, (7, 0, 3)), (10, (5,)), (3, ())],
+    )
+    def test_embedding_matches_the_gather_builder_bit_for_bit(self, n, support):
+        rng = np.random.default_rng(n + 31 * len(support))
+        m = 1 << len(support)
+        G = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        for T in (0.5 * (G + G.conj().T), G.real.copy()):
+            got = _embed_on_support(n, support, T)
+            want = gather_embed_on_support(n, support, T)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_perturb_merges_bookkeeping(self):
         H0 = build_hamiltonian(ising_ring(4))

@@ -5,6 +5,15 @@ from hypothesis import strategies as st
 
 from bottlenecklab import numerics
 from bottlenecklab.errors import EmptyInput, NonSquare, NotHermitian
+from bottlenecklab.model import (
+    build_hamiltonian,
+    ising_ring,
+    perturb,
+    random_local_perturbation,
+    repetition,
+    steane7,
+    toric,
+)
 
 from conftest import random_density, random_projector, random_unitary
 
@@ -146,3 +155,131 @@ def test_maximally_mixed_and_pure():
     psi = np.array([1, 0, 0, 1]) / np.sqrt(2)
     dm = numerics.pure_state_density(psi)
     assert numerics.trace_norm(dm.mat @ dm.mat - dm.mat) < 1e-12
+
+
+# --- phase fixing --------------------------------------------------------
+
+
+def loop_fix_phases(columns, tol=1e-12):
+    """The per-column loop fix_phases replaced, kept as its oracle."""
+    out = np.array(columns, dtype=np.complex128, copy=True)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        idx = np.flatnonzero(np.abs(col) > tol)
+        if idx.size == 0:
+            continue
+        pivot = col[idx[0]]
+        out[:, j] = col * (abs(pivot) / pivot)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(8, 3), (64, 64), (100, 7), (256, 40), (5, 0), (0, 4)])
+def test_fix_phases_matches_the_column_loop_bit_for_bit(rng, shape):
+    A = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if shape[0] >= 6 and shape[1] >= 3:
+        A[:3, ::2] = 0.0  # pivot further down
+        A[:, 1] = 0.0  # no pivot at all: column left as is
+        A[2, 1] = complex(-0.0, -0.0)
+        A[4, 1] = 1e-13  # below tol, still no pivot
+        A[5, 2] = 1e-13  # below tol, skipped as a pivot
+    for M in (A, A.real.copy()):
+        got = numerics.fix_phases(M)
+        want = loop_fix_phases(M)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+# --- real-gauge eigensolves ------------------------------------------------
+
+
+def _single_site_perturbed(make, n, g, seed):
+    H0 = build_hamiltonian(make(n))
+    V = random_local_perturbation(n, tuple((q,) for q in range(n)), g, seed)
+    return perturb(H0, V).mat
+
+
+def _block_diagonal(rng):
+    # two gauge-real blocks (a complex 4-cycle with zero flux and a real
+    # chain) plus isolated diagonal entries: three kinds of component
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
+    cycle = np.diag(rng.normal(size=4)).astype(complex)
+    for i in range(4):
+        j = (i + 1) % 4
+        cycle[i, j] = rng.uniform(0.5, 1.5) * phases[i] * np.conj(phases[j])
+        cycle[j, i] = np.conj(cycle[i, j])
+    chain = np.diag(rng.normal(size=3)) + np.diag([-0.7, 0.4], 1) + np.diag([-0.7, 0.4], -1)
+    H = np.zeros((10, 10), dtype=complex)
+    H[:4, :4] = cycle
+    H[5:8, 5:8] = chain
+    H[4, 4], H[8, 8], H[9, 9] = 2.0, -1.0, 2.0
+    return H
+
+
+GAUGE_CASES = {
+    "repetition4": lambda rng: _single_site_perturbed(repetition, 4, 0.05, 1),
+    "repetition6": lambda rng: _single_site_perturbed(repetition, 6, 0.01, 2),
+    "repetition8": lambda rng: _single_site_perturbed(repetition, 8, 0.2, 3),
+    "ising_ring5": lambda rng: _single_site_perturbed(ising_ring, 5, 0.1, 4),
+    "ising_ring8": lambda rng: _single_site_perturbed(ising_ring, 8, 0.02, 5),
+    "steane7": lambda rng: build_hamiltonian(steane7()).mat,
+    "toric2": lambda rng: build_hamiltonian(toric(2)).mat,
+    "block_diagonal": _block_diagonal,
+}
+
+
+def _assert_matches_eigh(H, w, V):
+    w_ref = np.linalg.eigh(H)[0]
+    scale = max(1.0, numerics.operator_norm(H))
+    assert np.abs(w - w_ref).max() <= 1e-12 * scale
+    assert np.abs((V * w[None, :]) @ V.conj().T - H).max() <= 1e-12 * scale
+    assert np.abs(V.conj().T @ V - np.eye(len(w))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", sorted(GAUGE_CASES))
+def test_gauge_solve_matches_complex_eigh(rng, case):
+    H = GAUGE_CASES[case](rng)
+    assert numerics._gauged(H)[0] is not None
+    w, V = numerics.hermitian_eigensystem(H)
+    _assert_matches_eigh(H, w, V)
+    assert np.abs(numerics.hermitian_eigenvalues(H) - w).max() <= 1e-12 * max(
+        1.0, numerics.operator_norm(H)
+    )
+    # output stays phase-fixed: first significant entry real positive
+    lead = V[np.argmax(np.abs(V) > 1e-12, axis=0), np.arange(V.shape[1])]
+    assert np.abs(lead.imag).max() < 1e-12 and lead.real.min() > 0
+
+
+def _flux_triangle(phi):
+    H = np.array([[0.3, 1.0, 1.0], [1.0, -0.2, np.exp(1j * phi)], [1.0, 0.0, 0.5]], dtype=complex)
+    H[2, 1] = np.conj(H[1, 2])
+    return H
+
+
+COMPLEX_CASES = {
+    "triangle_flux": lambda: _flux_triangle(0.3),
+    "triangle_small_flux": lambda: _flux_triangle(1e-9),
+    "two_site_term": lambda: random_local_perturbation(4, [(0, 1)], 0.1, seed=3).mat,
+    "two_site_perturbed_ring": lambda: perturb(
+        build_hamiltonian(ising_ring(5)), random_local_perturbation(5, [(1, 2)], 0.05, seed=7)
+    ).mat,
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPLEX_CASES))
+def test_no_gauge_takes_the_complex_path(case):
+    H = COMPLEX_CASES[case]()
+    assert numerics._gauged(H)[0] is None
+    w, V = numerics.hermitian_eigensystem(H)
+    _assert_matches_eigh(H, w, V)
+    assert np.abs(numerics.hermitian_eigenvalues(H) - w).max() <= 1e-12 * max(
+        1.0, numerics.operator_norm(H)
+    )
+
+
+def test_zero_flux_triangle_is_gauged():
+    assert numerics._gauged(_flux_triangle(0.0))[0] is not None
+
+
+def test_hermitian_eigenvalues_rejects_nonhermitian():
+    with pytest.raises(NotHermitian):
+        numerics.hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))

@@ -270,3 +270,9 @@ def test_sweep_csv_and_fit_json_are_stable():
     payload = fits_to_json(res)
     assert '"beta=2.0,g=0.0"' in payload
     assert '"status": "no-admissible-points"' in payload
+
+
+@pytest.mark.parametrize("model", ["steane7", "toric", "random_ldpc"])
+def test_sweep_refuses_models_not_built_from_n(model):
+    with pytest.raises(ModelNotFound):
+        stability_sweep(model, ((0, 0), 1, 2), [1.0], [0.0], [4], [0])
