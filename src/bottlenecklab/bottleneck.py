@@ -41,7 +41,14 @@ from .errors import (
     ZeroDelta,
 )
 from .model import gibbs_state, subspace_min_energy
-from .numerics import DensityMatrix, hermitian_eigensystem, operator_norm, trace_norm
+from .numerics import (
+    DensityMatrix,
+    hermitian_eigensystem,
+    matrix_of,
+    max_offdiagonal,
+    operator_norm,
+    trace_norm,
+)
 from .subspace import HilbertPartition, Subspace, boundary, partition_from_radius
 
 __all__ = [
@@ -55,9 +62,6 @@ __all__ = [
     "product_drift",
     "free_energy_report",
     "quasi_local_bound",
-    "REPORT_COLUMNS",
-    "report_csv_row",
-    "report_json",
 ]
 
 THEOREM_SLACK = 1e-8
@@ -124,7 +128,7 @@ def bottleneck_ratio(rho, P_A, P_B):
     block X^dag rho, since an isometry preserves singular values. A
     Subspace of dimension k thus never forms a dim x dim product.
     """
-    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    mat = matrix_of(rho)
     xa = _basis_of(P_A)
     xb = _basis_of(P_B)
     denominator = float(np.real(np.sum((xa.conj().T @ mat) * xa.T)))
@@ -159,7 +163,7 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
     runs the dense path. report.path says which ran.
     """
     channels = list(C) if isinstance(C, (list, tuple)) else [C]
-    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    mat = matrix_of(rho)
     state = DensityMatrix(mat, channels[0].n)
     basis, p = _label_state(channels, mat)
     for chan in channels:
@@ -231,9 +235,7 @@ def _label_state(channels, mat):
     if not all(form.basis.same_as(basis) for form in forms[1:]):
         return None, None
     M = basis.compress(mat)
-    off = np.abs(M)
-    np.fill_diagonal(off, 0.0)
-    if off.max() > 1e-10:
+    if max_offdiagonal(M) > 1e-10:
         return None, None
     return basis, np.real(np.diagonal(M)).copy()
 
@@ -305,7 +307,7 @@ def _dense_measures(channels, mat, part):
 
 def diagonal_bound(rho, P):
     """||rho P||_1 against sqrt(tr(rho P)); the inequality is asserted."""
-    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    mat = matrix_of(rho)
     proj = _projector_of(P)
     lhs = trace_norm(mat @ proj)
     rhs = math.sqrt(max(0.0, float(np.real(np.trace(mat @ proj)))))
@@ -325,7 +327,7 @@ def mixing_time_lower_bound(report, rho, P_A, eps):
     """
     if report.delta < 0:
         raise ZeroDelta(f"negative delta {report.delta!r}")
-    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    mat = matrix_of(rho)
     prob_A = float(np.real(np.trace(_projector_of(P_A) @ mat)))
     if report.delta == 0.0 or report.numerator == 0.0:
         return math.inf, math.inf
@@ -348,7 +350,7 @@ def product_drift(channels, sigma):
     channels = list(channels)
     if not channels:
         raise EmptyA("empty channel list")
-    mat = sigma.mat if isinstance(sigma, DensityMatrix) else np.asarray(sigma)
+    mat = matrix_of(sigma)
     n = channels[0].n
     single = [
         trace_norm(apply_channel(chan, DensityMatrix(mat, n)).mat - mat)
@@ -394,8 +396,7 @@ def free_energy_report(H, beta, V, r, rho_G=None, delta_measured=0.0):
     shell = boundary(V, 2 * r)
     if shell.dim == 0:
         raise EmptyBoundary("2r-collar of V is empty")
-    offdiag = np.abs(mat - np.diag(np.diag(mat))).max()
-    if offdiag < 1e-12:
+    if max_offdiagonal(mat) < 1e-12:
         w = np.real(np.diag(mat)).astype(np.float64)
         U = None
     else:
@@ -453,7 +454,7 @@ def quasi_local_bound(C, rho, V, mix_eps=DEFAULT_MIX_EPS):
     """
     if not C.quasi_local_certificate:
         raise LocalityInsufficient("channel carries no quasi-local certificate")
-    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    mat = matrix_of(rho)
     state = DensityMatrix(mat, C.n)
     resid = trace_norm(apply_channel(C, state).mat - state.mat)
     if resid > 1e-9:
@@ -496,54 +497,3 @@ def quasi_local_bound(C, rho, V, mix_eps=DEFAULT_MIX_EPS):
         lhs=lhs, combined_bound=combined, best_radius=best_s, terms=terms
     )
 
-
-REPORT_COLUMNS = [
-    "delta",
-    "numerator",
-    "denominator",
-    "lhs",
-    "bound",
-    "cond_residual",
-    "tmix_lower",
-    "beta",
-    "g",
-    "n",
-    "model",
-    "mode",
-    "r",
-]
-
-
-def report_csv_row(report, beta="", g="", n="", model="", r=""):
-    """One flat CSV row per instance, floats in repr form."""
-    vals = [
-        report.delta,
-        report.numerator,
-        report.denominator,
-        report.lhs,
-        report.bound,
-        report.condition_residual,
-        report.tmix_lower,
-        beta,
-        g,
-        n,
-        model,
-        report.mode,
-        r,
-    ]
-    return ",".join(repr(v) if isinstance(v, float) else str(v) for v in vals)
-
-
-def report_json(report, **meta):
-    out = {
-        "delta": report.delta,
-        "numerator": report.numerator,
-        "denominator": report.denominator,
-        "lhs": report.lhs,
-        "bound": report.bound,
-        "cond_residual": report.condition_residual,
-        "tmix_lower": report.tmix_lower,
-        "mode": report.mode,
-    }
-    out.update(meta)
-    return out

@@ -39,7 +39,7 @@ from .errors import (
     NoPositiveFixedPoint,
     NotTracePreserving,
 )
-from .numerics import DEFAULT_TOL, DensityMatrix, operator_norm, trace_norm
+from .numerics import DEFAULT_TOL, DensityMatrix, matrix_of, operator_norm, trace_norm
 
 logger = logging.getLogger(__name__)
 
@@ -220,7 +220,7 @@ def validate_channel(C, tol=DEFAULT_TOL):
 
 def apply_channel(C, rho):
     """Sum of K rho K† as a new density matrix."""
-    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    mat = matrix_of(rho)
     if mat.shape != (C.dim, C.dim):
         raise DimensionMismatch(f"state shape {mat.shape} vs channel dim {C.dim}")
     out = np.zeros_like(mat, dtype=np.complex128)
@@ -330,8 +330,8 @@ def evolve_sequence(channels, rho0, rho_ref, T):
     for C in channels:
         if C.dim != dim:
             raise DimensionMismatch("channels act on different registers")
-    state = rho0.mat if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
-    ref = rho_ref.mat if isinstance(rho_ref, DensityMatrix) else np.asarray(rho_ref)
+    state = matrix_of(rho0)
+    ref = matrix_of(rho_ref)
     if state.shape != (dim, dim) or ref.shape != (dim, dim):
         raise DimensionMismatch("state dimensions do not match the channels")
     return _distances(channels, state, ref, T)

@@ -2,13 +2,15 @@
 
 Each subcommand wires one pipeline end to end: read a JSON config, validate
 it completely before any matrix is touched, run the grid, and write the
-artifacts into the output directory. ``report.csv`` and ``report.json``
-carry one entry per grid point (``model-info`` writes JSON only),
-``fit.json`` the per-(beta, g) regression summaries of a sweep, and
-``failures.json`` one entry per refused or violated assertion with the
-exception class as its reason code. Rows are emitted in grid order, never
-completion order, so identical configs produce byte-identical files whatever
-the worker count.
+artifacts into the output directory. Every grid subcommand declares its
+report columns once and its point function returns values in that order;
+``report.csv`` and ``report.json`` are both written from those values, one
+row per entry (``model-info`` writes JSON only). ``fit.json`` holds the
+per-(beta, g) regression summaries of a sweep, and ``failures.json`` one
+entry per refused or violated assertion with the exception class as its
+reason code and, for a grid point, the point itself. Rows are emitted in
+grid order, never completion order, so identical configs produce
+byte-identical files whatever the worker count.
 
 Exit status: 0 when every asserted inequality held, 1 when any grid point
 failed (see failures.json), 2 when the config was rejected up front.
@@ -25,10 +27,7 @@ import numpy as np
 
 from .bottleneck import (
     DEFAULT_MIX_EPS,
-    REPORT_COLUMNS,
     mixing_time_lower_bound,
-    report_csv_row,
-    report_json,
     verify_bottleneck_theorem,
 )
 from .channel import evolve_sequence
@@ -49,6 +48,7 @@ from .model import (
     SIZE_INDEXED,
     barrier_subspace,
     build_hamiltonian,
+    build_model,
     checks_from_text,
     classical_energies,
     expansion_scan,
@@ -59,28 +59,41 @@ from .model import (
 from .numerics import DensityMatrix
 from .sampler import DEFAULT_ATTEMPT, sweep_schedule
 from .stability import (
+    fit_sweep,
     fits_to_json,
     plan_shell_width,
     shell_decomposition,
-    stability_sweep,
-    sweep_to_csv,
+    sweep_grid,
+    sweep_model,
+    sweep_point,
     tail_amplitudes,
     verify_block_tridiagonal,
 )
 from .subspace import hamming_ball_subspace, partition_from_radius
 
-CLASSICAL_COLUMNS = "model,n,beta,laziness,lhs,bound,pi_A,pi_B,pi_C,condition_max"
-BARRIER_COLUMNS = (
+# Report columns per grid subcommand; each point returns its values in
+# this order, and report.csv and report.json are both written from them.
+CLASSICAL_COLUMNS = tuple(
+    "model,n,beta,laziness,lhs,bound,pi_A,pi_B,pi_C,condition_max".split(",")
+)
+QUANTUM_COLUMNS = tuple(
+    "delta,numerator,denominator,lhs,bound,cond_residual,tmix_lower,"
+    "beta,g,n,model,mode,r".split(",")
+)
+BARRIER_COLUMNS = tuple(
     "model,n,center_x,center_z,inner,boundary,dim_V,dim_boundary,"
-    "E_min_V,E_min_boundary,kappa"
+    "E_min_V,E_min_boundary,kappa".split(",")
 )
-TAIL_COLUMNS = (
+TAIL_COLUMNS = tuple(
     "model,n,eps1,eps2,g,seed,delta_E,eigen_index,energy,amplitude,"
-    "lemma_bound,lambda,block_residual"
+    "lemma_bound,lambda,block_residual".split(",")
 )
-MIXING_COLUMNS = (
+SWEEP_COLUMNS = tuple(
+    "model,n,beta,g,seed,kappa,eps,delta,bound_chain,admissible,lambda".split(",")
+)
+MIXING_COLUMNS = tuple(
     "model,n,beta,r,delta,denominator,tmix_strong,tmix_weak,"
-    "tmix_observed,horizon,mix_eps"
+    "tmix_observed,horizon,mix_eps".split(",")
 )
 
 
@@ -197,33 +210,15 @@ def _model_schema():
     }
 
 
-def _subspace_field():
-    return (
-        True,
-        lambda k, v: _as_dict(
-            k,
-            v,
-            {
-                "centers": (True, _int_list(lo=0)),
-                "radius": (True, _int_field(lo=0)),
-            },
-        ),
-    )
+def _dict_field(schema, required=True):
+    return (required, lambda k, v: _as_dict(k, v, schema))
 
 
-def _barrier_field(required=True):
-    return (
-        required,
-        lambda k, v: _as_dict(
-            k,
-            v,
-            {
-                "center": (True, _as_center),
-                "inner": (True, _int_field(lo=0)),
-                "boundary": (True, _int_field(lo=1)),
-            },
-        ),
-    )
+_BARRIER_SCHEMA = {
+    "center": (True, _as_center),
+    "inner": (True, _int_field(lo=0)),
+    "boundary": (True, _int_field(lo=1)),
+}
 
 
 def _check_state(key, value, n):
@@ -238,9 +233,12 @@ def _check_center(key, center, n):
         _check_state(f"{key}[{i}]", part, n)
 
 
-def _check_centers(sub, n):
-    for i, c in enumerate(sub["centers"]):
-        _check_state(f"subspace.centers[{i}]", c, n)
+def _check_barrier(key, bar, n):
+    """The barrier center lies in the register and its shell is non-empty."""
+    _check_center(f"{key}.center", bar["center"], n)
+    total = bar["inner"] + bar["boundary"]
+    if total > n:
+        _fail(f"{key}.inner + {key}.boundary", total, f"at most the register size {n}")
 
 
 def _load_config(path):
@@ -262,35 +260,19 @@ def _build_checks(vals):
     has_file = "checks_file" in vals
     if has_model == has_file:
         raise ConfigInvalid("give exactly one of 'model' and 'checks_file'")
-    if has_file:
-        path = vals["checks_file"]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigInvalid(f"cannot read checks_file {path!r}: {exc}")
-        try:
-            fam = checks_from_text(text)
-        except BottleneckLabError as exc:
-            raise ConfigInvalid(f"checks_file {path!r} is invalid: {exc}")
-        return fam, os.path.splitext(os.path.basename(path))[0]
-    name = vals["model"]
-    if name not in REGISTRY:
-        raise ModelNotFound(f"unknown model {name!r}; registry has {sorted(REGISTRY)}")
-    if name == "steane7":
-        if vals.get("n", 7) != 7:
-            raise ConfigInvalid("steane7 is fixed at n = 7")
-        return REGISTRY[name](), name
-    if name == "toric":
-        return REGISTRY[name](vals.get("L", 2)), name
-    if name == "random_ldpc":
-        for key in ("n", "checks", "model_seed"):
-            if key not in vals:
-                raise ConfigInvalid(f"random_ldpc needs {key!r}")
-        return REGISTRY[name](vals["n"], vals["checks"], vals["model_seed"]), name
-    if "n" not in vals:
-        raise ConfigInvalid(f"model {name!r} needs 'n'")
-    return REGISTRY[name](vals["n"]), name
+    if has_model:
+        return build_model(vals["model"], vals), vals["model"]
+    path = vals["checks_file"]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot read checks_file {path!r}: {exc}")
+    try:
+        fam = checks_from_text(text)
+    except BottleneckLabError as exc:
+        raise ConfigInvalid(f"checks_file {path!r} is invalid: {exc}")
+    return fam, os.path.splitext(os.path.basename(path))[0]
 
 
 # --- output plumbing ---------------------------------------------------------
@@ -311,8 +293,10 @@ def _sanitize(obj):
     return obj
 
 
-def _csv_line(fields):
-    return ",".join(repr(f) if isinstance(f, float) else str(f) for f in fields)
+def _csv_field(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _write_text(path, text):
@@ -324,47 +308,52 @@ def _write_json(path, obj):
     _write_text(path, json.dumps(_sanitize(obj), indent=2, sort_keys=True) + "\n")
 
 
-def _emit(out, header, rows, jrows):
-    _write_text(os.path.join(out, "report.csv"), "\n".join([header] + rows) + "\n")
-    _write_json(os.path.join(out, "report.json"), jrows)
+def _emit(out, columns, rows):
+    """report.csv and report.json from the same rows of column-ordered values."""
+    lines = [",".join(columns)] + [",".join(map(_csv_field, row)) for row in rows]
+    _write_text(os.path.join(out, "report.csv"), "\n".join(lines) + "\n")
+    _write_json(os.path.join(out, "report.json"), [dict(zip(columns, row)) for row in rows])
 
 
-def _run_grid(point, tasks, jobs):
-    """Evaluate grid points in order; package errors become failure entries.
+def _failure_entry(exc, point=None):
+    """failures.json entry: exception class as reason, its data, the point."""
+    entry = {"reason": type(exc).__name__, "message": str(exc)}
+    if point is not None:
+        entry["point"] = point
+    data = getattr(exc, "data", None)
+    if data:
+        entry["data"] = _sanitize(data)
+    return entry
 
-    Every point returns (csv, json) where either side may be a list when
-    one grid point yields several report rows. Results keep task order so
-    the artifacts do not depend on the worker count.
+
+def _run_grid(out, columns, point, tasks, jobs):
+    """Evaluate grid points, emit their rows, return (rows, failures).
+
+    A point returns one row (a tuple of values in column order) or a list
+    of rows; a package error becomes a failure entry naming the task.
+    Rows keep task order, so the artifacts do not depend on the worker
+    count.
     """
 
     def guarded(task):
         try:
             return point(task), None
         except BottleneckLabError as exc:
-            entry = {
-                "reason": type(exc).__name__,
-                "message": str(exc),
-                "point": task,
-            }
-            data = getattr(exc, "data", None)
-            if data:
-                entry["data"] = _sanitize(data)
-            return None, entry
+            return None, _failure_entry(exc, task)
 
     if jobs > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(guarded, tasks))
     else:
         results = [guarded(t) for t in tasks]
-    rows, jrows, failures = [], [], []
+    rows, failures = [], []
     for good, bad in results:
         if bad is not None:
             failures.append(bad)
-            continue
-        csv_part, json_part = good
-        rows.extend(csv_part if isinstance(csv_part, list) else [csv_part])
-        jrows.extend(json_part if isinstance(json_part, list) else [json_part])
-    return rows, jrows, failures
+        else:
+            rows.extend(good if isinstance(good, list) else [good])
+    _emit(out, columns, rows)
+    return rows, failures
 
 
 # --- subcommand pipelines ----------------------------------------------------
@@ -374,17 +363,12 @@ def _run_verify_classical(cfg, out, jobs):
     schema = {
         **_model_schema(),
         "betas": (True, _num_list(lo=0.0)),
-        "partition": (
-            True,
-            lambda k, v: _as_dict(
-                k,
-                v,
-                {
-                    "center": (True, _int_field(lo=0)),
-                    "inner": (True, _int_field(lo=0)),
-                    "width": (True, _int_field(lo=1)),
-                },
-            ),
+        "partition": _dict_field(
+            {
+                "center": (True, _int_field(lo=0)),
+                "inner": (True, _int_field(lo=0)),
+                "width": (True, _int_field(lo=1)),
+            }
         ),
         "laziness": (False, _num_field(lo=0.0)),
     }
@@ -408,19 +392,7 @@ def _run_verify_classical(cfg, out, jobs):
     def point(task):
         chain = glauber_chain(energies, task["beta"], laziness)
         rep = classical_bottleneck_report(chain, part)
-        payload = {
-            "model": label,
-            "n": checks.n,
-            "beta": task["beta"],
-            "laziness": laziness,
-            "lhs": rep.lhs,
-            "bound": rep.bound,
-            "pi_A": rep.pi_A,
-            "pi_B": rep.pi_B,
-            "pi_C": rep.pi_C,
-            "condition_max": rep.condition_max,
-        }
-        fields = [
+        return (
             label,
             checks.n,
             task["beta"],
@@ -431,28 +403,38 @@ def _run_verify_classical(cfg, out, jobs):
             rep.pi_B,
             rep.pi_C,
             rep.condition_max,
-        ]
-        return _csv_line(fields), payload
+        )
 
     tasks = [{"model": label, "beta": b} for b in vals["betas"]]
-    rows, jrows, failures = _run_grid(point, tasks, jobs)
-    _emit(out, CLASSICAL_COLUMNS, rows, jrows)
-    return failures
+    return _run_grid(out, CLASSICAL_COLUMNS, point, tasks, jobs)[1]
 
 
-def _quantum_schedule_keys():
-    return {
+def _quantum_setup(cfg, keys, subcommand):
+    """Validate a sampler-schedule config (the shared keys plus ``keys``);
+    return (vals, checks, label, H, V) with V the subspace ball."""
+    schema = {
+        **_model_schema(),
         "sites": (False, _int_list(lo=0)),
         "flavors": (False, lambda k, v: _as_list(k, v, _as_str, options=("X", "Z"))),
         "repetitions": (False, _int_field(lo=1)),
         "attempt_prob": (False, lambda k, v: _as_unit(k, v)),
         "mix_eps": (False, lambda k, v: _as_unit(k, v, hi=0.5)),
+        **keys,
+        "subspace": _dict_field(
+            {"centers": (True, _int_list(lo=0)), "radius": (True, _int_field(lo=0))}
+        ),
+        "partition_radius": (True, _int_field(lo=1)),
     }
-
-
-def _check_flavors(vals, checks):
+    vals = _validate(cfg, schema, subcommand)
+    checks, label = _build_checks(vals)
+    sub = vals["subspace"]
+    for i, c in enumerate(sub["centers"]):
+        _check_state(f"subspace.centers[{i}]", c, checks.n)
     if not checks.is_classical and "flavors" not in vals:
         raise ConfigInvalid('models with X checks need "flavors" (e.g. ["X"])')
+    H = build_hamiltonian(checks)
+    V = hamming_ball_subspace(checks.n, sub["centers"], sub["radius"])
+    return vals, checks, label, H, V
 
 
 def _schedule_for(vals, checks, H, beta):
@@ -467,21 +449,9 @@ def _schedule_for(vals, checks, H, beta):
 
 
 def _run_verify_quantum(cfg, out, jobs):
-    schema = {
-        **_model_schema(),
-        **_quantum_schedule_keys(),
-        "betas": (True, _num_list(lo=0.0)),
-        "subspace": _subspace_field(),
-        "partition_radius": (True, _int_field(lo=1)),
-    }
-    vals = _validate(cfg, schema, "verify-quantum")
-    checks, label = _build_checks(vals)
+    keys = {"betas": (True, _num_list(lo=0.0))}
+    vals, checks, label, H, V = _quantum_setup(cfg, keys, "verify-quantum")
     n = checks.n
-    sub = vals["subspace"]
-    _check_centers(sub, n)
-    _check_flavors(vals, checks)
-    H = build_hamiltonian(checks)
-    V = hamming_ball_subspace(n, sub["centers"], sub["radius"])
     r = vals["partition_radius"]
     eps = vals.get("mix_eps", DEFAULT_MIX_EPS)
 
@@ -491,14 +461,34 @@ def _run_verify_quantum(cfg, out, jobs):
         sched = _schedule_for(vals, checks, H, beta)
         rep = verify_bottleneck_theorem(sched, rho, (V, r), mix_eps=eps)
         return (
-            report_csv_row(rep, beta=beta, g=0.0, n=n, model=label, r=r),
-            report_json(rep, beta=beta, n=n, model=label, r=r),
+            rep.delta,
+            rep.numerator,
+            rep.denominator,
+            rep.lhs,
+            rep.bound,
+            rep.condition_residual,
+            rep.tmix_lower,
+            beta,
+            0.0,
+            n,
+            label,
+            rep.mode,
+            r,
         )
 
     tasks = [{"model": label, "beta": b} for b in vals["betas"]]
-    rows, jrows, failures = _run_grid(point, tasks, jobs)
-    _emit(out, ",".join(REPORT_COLUMNS), rows, jrows)
-    return failures
+    return _run_grid(out, QUANTUM_COLUMNS, point, tasks, jobs)[1]
+
+
+def _certificate_values(cert):
+    """The barrier certificate's entries, in BARRIER_COLUMNS[6:] order."""
+    return (
+        cert.V.dim,
+        cert.boundary.dim,
+        cert.E_min_V,
+        cert.E_min_boundary,
+        cert.kappa,
+    )
 
 
 def _run_barrier_scan(cfg, out, jobs):
@@ -517,38 +507,18 @@ def _run_barrier_scan(cfg, out, jobs):
 
     def point(task):
         cert = barrier_subspace(checks, center, inner, task["boundary"], H)
-        payload = {
-            "model": label,
-            "n": checks.n,
-            "center_x": center[0],
-            "center_z": center[1],
-            "inner": inner,
-            "boundary": task["boundary"],
-            "dim_V": cert.V.dim,
-            "dim_boundary": cert.boundary.dim,
-            "E_min_V": cert.E_min_V,
-            "E_min_boundary": cert.E_min_boundary,
-            "kappa": cert.kappa,
-        }
-        fields = [
+        return (
             label,
             checks.n,
             center[0],
             center[1],
             inner,
             task["boundary"],
-            cert.V.dim,
-            cert.boundary.dim,
-            cert.E_min_V,
-            cert.E_min_boundary,
-            cert.kappa,
-        ]
-        return _csv_line(fields), payload
+            *_certificate_values(cert),
+        )
 
     tasks = [{"model": label, "boundary": b} for b in vals["radii"]]
-    rows, jrows, failures = _run_grid(point, tasks, jobs)
-    _emit(out, BARRIER_COLUMNS, rows, jrows)
-    return failures
+    return _run_grid(out, BARRIER_COLUMNS, point, tasks, jobs)[1]
 
 
 def _run_tail_check(cfg, out, jobs):
@@ -581,24 +551,8 @@ def _run_tail_check(cfg, out, jobs):
                 f"shell coupling residual {block.residual:.3e} "
                 f"at pair {block.worst_pair}"
             )
-        rows, jrows = [], []
-        for rec in tail_amplitudes(H, H0, eps1, eps2, g, delta_E):
-            payload = {
-                "model": label,
-                "n": n,
-                "eps1": eps1,
-                "eps2": eps2,
-                "g": g,
-                "seed": seed,
-                "delta_E": delta_E,
-                "eigen_index": rec.eigen_index,
-                "energy": rec.energy,
-                "amplitude": rec.amplitude,
-                "lemma_bound": rec.lemma_bound,
-                "lambda": rec.lambda_,
-                "block_residual": block.residual,
-            }
-            fields = [
+        return [
+            (
                 label,
                 n,
                 eps1,
@@ -612,23 +566,20 @@ def _run_tail_check(cfg, out, jobs):
                 rec.lemma_bound,
                 rec.lambda_,
                 block.residual,
-            ]
-            rows.append(_csv_line(fields))
-            jrows.append(payload)
-        return rows, jrows
+            )
+            for rec in tail_amplitudes(H, H0, eps1, eps2, g, delta_E)
+        ]
 
     tasks = [
         {"model": label, "g": g, "seed": s} for g in vals["gs"] for s in vals["seeds"]
     ]
-    rows, jrows, failures = _run_grid(point, tasks, jobs)
-    _emit(out, TAIL_COLUMNS, rows, jrows)
-    return failures
+    return _run_grid(out, TAIL_COLUMNS, point, tasks, jobs)[1]
 
 
 def _run_stability_sweep(cfg, out, jobs):
     schema = {
         "model": (True, _as_str),
-        "barrier": _barrier_field(),
+        "barrier": _dict_field(_BARRIER_SCHEMA),
         "betas": (True, _num_list(lo=0.0)),
         "gs": (True, _num_list(lo=0.0)),
         "ns": (True, _int_list(lo=1)),
@@ -642,55 +593,32 @@ def _run_stability_sweep(cfg, out, jobs):
             f"from n alone (use one of {list(SIZE_INDEXED)})"
         )
     bar = vals["barrier"]
-    _check_center("barrier.center", bar["center"], min(vals["ns"]))
-    result = stability_sweep(
-        name,
-        (bar["center"], bar["inner"], bar["boundary"]),
-        vals["betas"],
-        vals["gs"],
-        vals["ns"],
-        vals["seeds"],
-        jobs=jobs,
-    )
-    _write_text(os.path.join(out, "report.csv"), sweep_to_csv(result))
-    _write_text(os.path.join(out, "fit.json"), fits_to_json(result) + "\n")
-    jrows = [
-        {
-            "model": row.model,
-            "n": row.n,
-            "beta": row.beta,
-            "g": row.g,
-            "seed": row.seed,
-            "kappa": row.kappa,
-            "eps": row.eps,
-            "delta": row.delta,
-            "bound_chain": row.bound_chain,
-            "admissible": row.admissible,
-            "lambda": row.lambda_kappa,
-        }
-        for row in result.rows
-    ]
-    _write_json(os.path.join(out, "report.json"), jrows)
-    return []
+    _check_barrier("barrier", bar, min(vals["ns"]))
+    barrier = (bar["center"], bar["inner"], bar["boundary"])
+    per_n = {n: sweep_model(name, n, barrier) for n in vals["ns"]}
+
+    def point(task):
+        H0, cert = per_n[task["n"]]
+        return sweep_point(**task, H0=H0, cert=cert)
+
+    betas, gs = vals["betas"], vals["gs"]
+    tasks = sweep_grid(name, betas, gs, vals["ns"], vals["seeds"])
+    rows, failures = _run_grid(out, SWEEP_COLUMNS, point, tasks, jobs)
+    try:
+        fits = fit_sweep(rows, betas, gs)
+    except BoundViolated as exc:
+        return failures + [_failure_entry(exc)]
+    _write_text(os.path.join(out, "fit.json"), fits_to_json(fits) + "\n")
+    return failures
 
 
 def _run_mixing_compare(cfg, out, jobs):
-    schema = {
-        **_model_schema(),
-        **_quantum_schedule_keys(),
+    keys = {
         "beta": (True, _num_field(lo=0.0)),
-        "subspace": _subspace_field(),
-        "partition_radius": (True, _int_field(lo=1)),
         "horizon": (True, _int_field(lo=1)),
     }
-    vals = _validate(cfg, schema, "mixing-compare")
-    checks, label = _build_checks(vals)
+    vals, checks, label, H, V = _quantum_setup(cfg, keys, "mixing-compare")
     n = checks.n
-    sub = vals["subspace"]
-    _check_centers(sub, n)
-    _check_flavors(vals, checks)
-    H = build_hamiltonian(checks)
-    V = hamming_ball_subspace(n, sub["centers"], sub["radius"])
     r = vals["partition_radius"]
     eps = vals.get("mix_eps", DEFAULT_MIX_EPS)
     beta = vals["beta"]
@@ -720,20 +648,7 @@ def _run_mixing_compare(cfg, out, jobs):
                 observed=observed,
                 bound=strong,
             )
-        payload = {
-            "model": label,
-            "n": n,
-            "beta": beta,
-            "r": r,
-            "delta": rep.delta,
-            "denominator": rep.denominator,
-            "tmix_strong": strong,
-            "tmix_weak": weak,
-            "tmix_observed": observed,
-            "horizon": horizon,
-            "mix_eps": eps,
-        }
-        fields = [
+        return (
             label,
             n,
             beta,
@@ -745,13 +660,10 @@ def _run_mixing_compare(cfg, out, jobs):
             observed,
             horizon,
             eps,
-        ]
-        return _csv_line(fields), payload
+        )
 
     tasks = [{"model": label, "beta": beta}]
-    rows, jrows, failures = _run_grid(point, tasks, jobs)
-    _emit(out, MIXING_COLUMNS, rows, jrows)
-    return failures
+    return _run_grid(out, MIXING_COLUMNS, point, tasks, jobs)[1]
 
 
 def _run_model_info(cfg, out, jobs):
@@ -759,12 +671,12 @@ def _run_model_info(cfg, out, jobs):
         **_model_schema(),
         "beta": (False, _num_field(lo=0.0)),
         "expansion_delta": (False, lambda k, v: _as_unit(k, v)),
-        "barrier": _barrier_field(required=False),
+        "barrier": _dict_field(_BARRIER_SCHEMA, required=False),
     }
     vals = _validate(cfg, schema, "model-info")
     checks, label = _build_checks(vals)
     if "barrier" in vals:
-        _check_center("barrier.center", vals["barrier"]["center"], checks.n)
+        _check_barrier("barrier", vals["barrier"], checks.n)
     H = build_hamiltonian(checks)
     if checks.is_classical:
         w = classical_energies(checks)
@@ -795,13 +707,7 @@ def _run_model_info(cfg, out, jobs):
     if "barrier" in vals:
         bar = vals["barrier"]
         cert = barrier_subspace(checks, bar["center"], bar["inner"], bar["boundary"], H)
-        info["barrier"] = {
-            "dim_V": cert.V.dim,
-            "dim_boundary": cert.boundary.dim,
-            "E_min_V": cert.E_min_V,
-            "E_min_boundary": cert.E_min_boundary,
-            "kappa": cert.kappa,
-        }
+        info["barrier"] = dict(zip(BARRIER_COLUMNS[6:], _certificate_values(cert)))
     _write_json(os.path.join(out, "report.json"), info)
     return []
 
@@ -867,21 +773,11 @@ def main(argv=None):
         jobs = _resolve_jobs(args.jobs)
         cfg = _load_config(args.config)
         failures = _RUNNERS[args.subcommand](cfg, out, jobs)
-    except (ConfigInvalid, ModelNotFound) as exc:
-        _write_json(
-            os.path.join(out, "failures.json"),
-            [{"reason": type(exc).__name__, "message": str(exc)}],
-        )
-        print(f"config rejected: {exc}", file=sys.stderr)
-        return 2
     except BottleneckLabError as exc:
-        entry = {"reason": type(exc).__name__, "message": str(exc)}
-        data = getattr(exc, "data", None)
-        if data:
-            entry["data"] = _sanitize(data)
-        _write_json(os.path.join(out, "failures.json"), [entry])
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
+        rejected = isinstance(exc, (ConfigInvalid, ModelNotFound))
+        _write_json(os.path.join(out, "failures.json"), [_failure_entry(exc)])
+        print(f"{'config rejected' if rejected else 'run failed'}: {exc}", file=sys.stderr)
+        return 2 if rejected else 1
     _write_json(os.path.join(out, "failures.json"), failures)
     status = "ok" if not failures else f"{len(failures)} failures"
     print(f"{args.subcommand}: {status} -> {out}")

@@ -31,7 +31,6 @@ __all__ = [
     "BetaNegative",
     "NotDiagonal",
     "NotCommuting",
-    "MixedFixedPoints",
     "EmptySchedule",
     "MultipleSteadyStates",
     "NoPositiveFixedPoint",
@@ -141,10 +140,6 @@ class NotDiagonal(BottleneckLabError):
 
 class NotCommuting(BottleneckLabError):
     """Hamiltonian terms must commute for this construction."""
-
-
-class MixedFixedPoints(BottleneckLabError):
-    """Channels in one schedule disagree about the fixed point."""
 
 
 class EmptySchedule(BottleneckLabError):

@@ -24,13 +24,20 @@ import numpy as np
 from .errors import (
     BetaNegative,
     CenterOutsideSpace,
+    ConfigInvalid,
     EmptyBoundary,
     EmptySubspace,
+    ModelNotFound,
     NonCommutingChecks,
     NotClassical,
     NotCommuting,
 )
-from .numerics import DensityMatrix, hermitian_eigensystem, hermitian_eigenvalues
+from .numerics import (
+    DensityMatrix,
+    hermitian_eigensystem,
+    hermitian_eigenvalues,
+    max_offdiagonal,
+)
 from .pauli import PauliString, apply_pauli, gf2_null_space_masks, gf2_span, mask_from_indices, popcount
 from .subspace import Subspace, basis_state_subspace
 
@@ -62,6 +69,7 @@ __all__ = [
     "random_ldpc",
     "REGISTRY",
     "SIZE_INDEXED",
+    "build_model",
     "checks_from_text",
     "checks_to_text",
 ]
@@ -127,8 +135,7 @@ class Hamiltonian:
 
     @property
     def is_diagonal(self):
-        off = self.mat - np.diag(np.diag(self.mat))
-        return np.abs(off).max() < 1e-12 if off.size else True
+        return max_offdiagonal(self.mat) < 1e-12
 
 
 @dataclass
@@ -604,7 +611,7 @@ def subspace_min_energy(V, H):
     mat = H.mat if isinstance(H, Hamiltonian) else np.asarray(H)
     basis = V.basis
     nnz_per_col = (np.abs(basis) > 1e-14).sum(axis=0)
-    offdiag = np.abs(mat - np.diag(np.diag(mat))).max()
+    offdiag = max_offdiagonal(mat)
     if offdiag < 1e-14 and (nnz_per_col == 1).all():
         rows = np.argmax(np.abs(basis), axis=0)
         return float(np.real(np.diag(mat))[rows].min())
@@ -622,7 +629,7 @@ def gibbs_state(H, beta):
         raise BetaNegative(f"beta = {beta}")
     mat = H.mat if isinstance(H, Hamiltonian) else np.asarray(H)
     n = H.n if isinstance(H, Hamiltonian) else int(mat.shape[0]).bit_length() - 1
-    offdiag = np.abs(mat - np.diag(np.diag(mat))).max()
+    offdiag = max_offdiagonal(mat)
     if offdiag < 1e-12:
         w = np.real(np.diag(mat))
         U = None
@@ -777,6 +784,33 @@ REGISTRY = {
 
 # Registry models whose factory takes the register size n and nothing else.
 SIZE_INDEXED = ("ising_ring", "repetition", "curie_weiss")
+
+
+def build_model(name, params):
+    """CheckFamily of a registry model from its config parameters.
+
+    steane7 is fixed at n = 7, toric reads L (default 2), random_ldpc
+    needs n, checks and model_seed, and every other model needs n.
+    Other keys of params are ignored.
+    """
+    if name not in REGISTRY:
+        raise ModelNotFound(f"unknown model {name!r}; registry has {sorted(REGISTRY)}")
+    if name == "steane7":
+        if params.get("n", 7) != 7:
+            raise ConfigInvalid("steane7 is fixed at n = 7")
+        args = ()
+    elif name == "toric":
+        args = (params.get("L", 2),)
+    elif name == "random_ldpc":
+        for key in ("n", "checks", "model_seed"):
+            if key not in params:
+                raise ConfigInvalid(f"random_ldpc needs {key!r}")
+        args = (params["n"], params["checks"], params["model_seed"])
+    elif "n" not in params:
+        raise ConfigInvalid(f"model {name!r} needs 'n'")
+    else:
+        args = (params["n"],)
+    return REGISTRY[name](*args)
 
 
 def checks_from_text(text):

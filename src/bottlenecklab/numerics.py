@@ -39,6 +39,8 @@ __all__ = [
     "hermitian_eigensystem",
     "hermitian_eigenvalues",
     "fix_phases",
+    "max_offdiagonal",
+    "matrix_of",
     "maximally_mixed",
     "pure_state_density",
 ]
@@ -83,6 +85,16 @@ def _require_square(M):
 
 def _is_hermitian(M, tol=_HERMITICITY_TOL):
     return M.shape[0] == M.shape[1] and np.abs(M - M.conj().T).max() <= tol
+
+
+def max_offdiagonal(M):
+    """Largest |M_ij| over i != j; 0.0 for an empty matrix. Callers compare
+    it against their own tolerance to decide whether M is diagonal."""
+    off = np.abs(M)
+    if not off.size:
+        return 0.0
+    np.fill_diagonal(off, 0.0)
+    return off.max()
 
 
 def trace_norm(M):
@@ -288,6 +300,11 @@ class DensityMatrix:
         if lo < floor:
             raise ValueError(f"negative eigenvalue {lo:.3e} below floor {floor:.1e}")
         return lo
+
+
+def matrix_of(rho):
+    """The array behind a DensityMatrix; anything else through np.asarray."""
+    return rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
 
 
 # A handful of constructors used all over the tests and pipelines.

@@ -8,6 +8,13 @@ eigenstate on the high part decays geometrically shell by shell. The
 sweep turns the resulting exponential estimates into measured bottleneck
 ratios on perturbed Gibbs states across a (beta, g, n, seed) grid.
 
+The sweep comes in four pieces: sweep_model builds H0 and the barrier
+certificate once per n, sweep_grid lists the grid points in report order,
+sweep_point measures one of them, and fit_sweep fits log(delta) against n
+over the rows. stability_sweep composes them serially and raises on the
+first violated assertion; the CLI runs the same points through its grid
+runner, where a failing point becomes a failures.json entry.
+
 The perturbed states stay dense: each grid point diagonalises H0 + V,
 which hermitian_eigensystem does with the real symmetric solver (a
 checked diagonal gauge makes a classical H0 plus single-site terms real),
@@ -25,8 +32,8 @@ targets of at-least-single-site perturbations (w1 = 1).
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,12 +49,13 @@ from .model import (
     SIZE_INDEXED,
     barrier_subspace,
     build_hamiltonian,
+    build_model,
     gibbs_state,
     perturb,
     random_local_perturbation,
     subspace_min_energy,
 )
-from .numerics import hermitian_eigensystem, operator_norm
+from .numerics import hermitian_eigensystem, max_offdiagonal, operator_norm
 
 __all__ = [
     "ShellDecomposition",
@@ -59,11 +67,12 @@ __all__ = [
     "plan_shell_width",
     "verify_block_tridiagonal",
     "tail_amplitudes",
-    "coefficient_cascade",
+    "sweep_model",
+    "sweep_grid",
+    "sweep_point",
+    "fit_sweep",
     "stability_sweep",
-    "sweep_to_csv",
     "fits_to_json",
-    "SWEEP_CSV_HEADER",
 ]
 
 
@@ -180,8 +189,7 @@ def shell_decomposition(H0, eps1, eps2, g, delta_E):
     E1 = (eps2 + eps1) * n / 2 + 2 * g * n
     boundaries = tuple(E1 + q * delta_E for q in range(q_star + 1))
     mat = H0.mat
-    offdiag = np.abs(mat - np.diag(np.diag(mat))).max()
-    if offdiag < 1e-12:
+    if max_offdiagonal(mat) < 1e-12:
         w = np.real(np.diag(mat)).astype(np.float64)
         U = None
     else:
@@ -281,44 +289,13 @@ def tail_amplitudes(H, H0, eps1, eps2, g, delta_E):
     return records
 
 
-def coefficient_cascade(H, H0, eigenstate, shells):
-    """Shell weights of one eigenstate against the recursion envelope.
-
-    Returns (amplitudes, bounds), both ordered like shells.projectors.
-    The bound for shell q is the product of the per-step factors
-    g*n / (E(q) - 2gn - E); the top entry reuses the full product, which
-    is the quantity the decay rate exponentiates.
-    """
-    _check_perturbation(H, H0, shells.g)
-    w, U = hermitian_eigensystem(H.mat)
-    psi = U[:, eigenstate]
-    E = float(w[eigenstate])
-    amplitudes = [float(np.linalg.norm(Q @ psi)) for Q in shells.projectors]
-    gn = shells.g * shells.n
-    bounds = [1.0]
-    running = 1.0
-    for q in range(1, shells.q_star + 1):
-        denom = shells.E_boundaries[q - 1] - 2 * gn - E
-        factor = math.inf if denom <= 0 else gn / denom
-        running = running * factor
-        bounds.append(running)
-    bounds.append(running)
-    if amplitudes[-1] > bounds[-1] + 1e-9:
-        raise BoundViolated(
-            f"top-shell weight {amplitudes[-1]!r} above recursion product "
-            f"{bounds[-1]!r}",
-            amplitude=amplitudes[-1],
-            bound=bounds[-1],
-        )
-    return amplitudes, bounds
-
-
 # ---------------------------------------------------------------------------
 # Decay sweep
 
 
-@dataclass
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One grid point of a sweep, fields in report-column order."""
+
     model: str
     n: int
     beta: float
@@ -338,8 +315,6 @@ class SweepResult:
     fits: dict = field(default_factory=dict)
 
 
-SWEEP_CSV_HEADER = "model,n,beta,g,seed,kappa,eps,delta,bound_chain,admissible,lambda"
-
 _LN2 = math.log(2.0)
 
 
@@ -357,7 +332,40 @@ def _chain_log_sq(n, beta, g, eps, kappa, lam_k):
     return float(np.logaddexp(t1, t2)) + 2 * beta * (eps + g) * n
 
 
-def _grid_point(model, n, beta, g, seed, H0, cert):
+def sweep_model(model, n, barrier):
+    """(H0, barrier certificate) of a size-indexed registry model at size n.
+
+    barrier is (center, inner_radius, boundary_radius). Models not built
+    from n alone raise ModelNotFound.
+    """
+    if model in REGISTRY and model not in SIZE_INDEXED:
+        raise ModelNotFound(f"model {model!r} is not built from n alone")
+    checks = build_model(model, {"n": n})
+    H0 = build_hamiltonian(checks)
+    center, inner_radius, boundary_radius = barrier
+    return H0, barrier_subspace(checks, center, inner_radius, boundary_radius, H0)
+
+
+def sweep_grid(model, betas, gs, ns, seeds):
+    """Grid points as {model, n, beta, g, seed} dicts, sorted by
+    (n, beta, g, seed); ties keep their order in the inputs."""
+    tasks = [
+        {"model": model, "n": n, "beta": beta, "g": g, "seed": seed}
+        for n in ns
+        for beta in betas
+        for g in gs
+        for seed in seeds
+    ]
+    return sorted(tasks, key=lambda t: (t["n"], t["beta"], t["g"], t["seed"]))
+
+
+def sweep_point(model, n, beta, g, seed, H0, cert):
+    """Measured Delta of one perturbed Gibbs state, with its proof chain.
+
+    H0 and cert come from sweep_model at this n. Raises BoundViolated when
+    the perturbed boundary floor drops more than g*n, or when an
+    admissible point's delta^2 exceeds the proof-chain value.
+    """
     V = random_local_perturbation(n, tuple((i,) for i in range(n)), g, seed)
     H = perturb(H0, V)
     if g > 0:
@@ -400,43 +408,13 @@ def _grid_point(model, n, beta, g, seed, H0, cert):
     )
 
 
-def stability_sweep(model, barrier, betas, gs, ns, seeds, jobs=1):
-    """Measure the bottleneck ratio across a (beta, g, n, seed) grid.
+def fit_sweep(rows, betas, gs):
+    """Fits of log(delta) = a - b*n per (beta, g) over sweep rows.
 
-    model names a registry factory that takes n alone (SIZE_INDEXED);
-    anything else raises ModelNotFound. barrier is (center, inner_radius,
-    boundary_radius) handed to the barrier construction per system size.
-    Every row carries the measured delta, the proof-chain value on the
-    delta scale, the admissibility tag from the two explicit (beta, g)
-    conditions, and the decay rate. Fits of log(delta) = a - b*n are
-    computed per (beta, g) over all rows; the slope assertion b > 0 fires
-    only when at least three distinct n values are admissible, otherwise
-    the fit entry carries a no-admissible-points diagnosis instead.
+    The slope assertion b > 0 fires only when at least three distinct n
+    values are admissible; otherwise the fit entry carries a
+    no-admissible-points diagnosis instead.
     """
-    if model not in REGISTRY:
-        raise ModelNotFound(f"unknown model {model!r}")
-    if model not in SIZE_INDEXED:
-        raise ModelNotFound(f"model {model!r} is not built from n alone")
-    center, inner_radius, boundary_radius = barrier
-    per_n = {}
-    for n in ns:
-        checks = REGISTRY[model](n)
-        H0 = build_hamiltonian(checks)
-        cert = barrier_subspace(checks, center, inner_radius, boundary_radius, H0)
-        per_n[n] = (H0, cert)
-    tasks = [
-        (model, n, beta, g, seed, *per_n[n])
-        for n in ns
-        for beta in betas
-        for g in gs
-        for seed in seeds
-    ]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda t: _grid_point(*t), tasks))
-    else:
-        rows = [_grid_point(*t) for t in tasks]
-    rows.sort(key=lambda r: (r.model, r.n, r.beta, r.g, r.seed))
     fits = {}
     for beta in betas:
         for g in gs:
@@ -464,34 +442,30 @@ def stability_sweep(model, barrier, betas, gs, ns, seeds, jobs=1):
             else:
                 entry["status"] = "no-admissible-points"
             fits[(beta, g)] = entry
-    return SweepResult(rows=rows, fits=fits)
+    return fits
 
 
-def sweep_to_csv(result):
-    lines = [SWEEP_CSV_HEADER]
-    for r in result.rows:
-        lines.append(
-            ",".join(
-                [
-                    r.model,
-                    str(r.n),
-                    repr(float(r.beta)),
-                    repr(float(r.g)),
-                    str(r.seed),
-                    repr(r.kappa),
-                    repr(r.eps),
-                    repr(r.delta),
-                    repr(r.bound_chain),
-                    "true" if r.admissible else "false",
-                    repr(r.lambda_kappa),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+def stability_sweep(model, barrier, betas, gs, ns, seeds):
+    """Measure the bottleneck ratio across a (beta, g, n, seed) grid.
+
+    model names a registry factory that takes n alone (SIZE_INDEXED);
+    anything else raises ModelNotFound. barrier is (center, inner_radius,
+    boundary_radius) handed to the barrier construction per system size.
+    Every row carries the measured delta, the proof-chain value on the
+    delta scale, the admissibility tag from the two explicit (beta, g)
+    conditions, and the decay rate; rows come in sweep_grid order. The
+    serial composition of sweep_model, sweep_point and fit_sweep: the
+    first violated assertion raises.
+    """
+    per_n = {n: sweep_model(model, n, barrier) for n in ns}
+    rows = []
+    for task in sweep_grid(model, betas, gs, ns, seeds):
+        H0, cert = per_n[task["n"]]
+        rows.append(sweep_point(**task, H0=H0, cert=cert))
+    return SweepResult(rows=rows, fits=fit_sweep(rows, betas, gs))
 
 
-def fits_to_json(result):
-    payload = {
-        f"beta={beta!r},g={g!r}": fit for (beta, g), fit in result.fits.items()
-    }
+def fits_to_json(fits):
+    """fit_sweep's result as JSON text, keyed "beta=...,g=...", keys sorted."""
+    payload = {f"beta={beta!r},g={g!r}": fit for (beta, g), fit in fits.items()}
     return json.dumps(payload, sort_keys=True, indent=2)

@@ -1,10 +1,12 @@
 """Bottleneck ratio, drift theorem, mixing lower bounds, free-energy bounds."""
 
+import json
+
 import numpy as np
 import pytest
 
+from bottlenecklab import cli
 from bottlenecklab.bottleneck import (
-    REPORT_COLUMNS,
     BottleneckReport,
     bottleneck_ratio,
     diagonal_bound,
@@ -12,8 +14,6 @@ from bottlenecklab.bottleneck import (
     mixing_time_lower_bound,
     product_drift,
     quasi_local_bound,
-    report_csv_row,
-    report_json,
     verify_bottleneck_theorem,
 )
 from bottlenecklab.channel import (
@@ -471,26 +471,43 @@ def test_quasi_local_requires_certificate():
         quasi_local_bound(chan, maximally_mixed(3), basis_state_subspace(3, [0]))
 
 
-# --- reporting -------------------------------------------------------------
+# --- reporting: verify-quantum rows in cli's columns -----------------------
 
 
-def test_csv_row_has_stable_columns():
+def crafted_quantum_row(tmp_path, monkeypatch, cfg):
+    """report.csv fields and the report.json row of a one-beta
+    verify-quantum run whose theorem check returns a crafted report."""
     rep = craft_report(delta=0.125, numerator=0.25, denominator=2.0, prob_C=0.5)
-    row = report_csv_row(rep, beta=2.0, g=0.0, n=6, model="ising_ring", r=1)
-    fields = row.split(",")
-    assert len(fields) == len(REPORT_COLUMNS)
+    monkeypatch.setattr(cli, "verify_bottleneck_theorem", lambda *a, **k: rep)
+    base = {"betas": [2.0], "subspace": {"centers": [0], "radius": 1}, "partition_radius": 1}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**base, **cfg}))
+    out = tmp_path / "out"
+    assert cli.main(["verify-quantum", "--config", str(path), "--out", str(out)]) == 0
+    header, line = (out / "report.csv").read_text().splitlines()
+    assert header == ",".join(cli.QUANTUM_COLUMNS)
+    return line.split(","), json.loads((out / "report.json").read_text())[0]
+
+
+def test_csv_row_has_stable_columns(tmp_path, monkeypatch):
+    fields, _ = crafted_quantum_row(tmp_path, monkeypatch, {"model": "ising_ring", "n": 6})
+    columns = cli.QUANTUM_COLUMNS
+    assert len(fields) == len(columns)
     assert fields[0] == repr(0.125)
-    assert fields[REPORT_COLUMNS.index("model")] == "ising_ring"
-    assert float(fields[REPORT_COLUMNS.index("beta")]) == 2.0
+    assert fields[columns.index("model")] == "ising_ring"
+    assert float(fields[columns.index("beta")]) == 2.0
 
 
-def test_json_report_keys():
-    rep = craft_report(delta=0.125, numerator=0.25, denominator=2.0, prob_C=0.5)
-    out = report_json(rep, model="toric", n=8)
+def test_json_report_keys(tmp_path, monkeypatch):
+    _, out = crafted_quantum_row(tmp_path, monkeypatch, {"model": "toric", "flavors": ["X"]})
     assert out["delta"] == 0.125
     assert out["mode"] == "general"
     assert out["model"] == "toric"
+    assert out["n"] == 8
     assert set(out) >= {"delta", "numerator", "denominator", "lhs", "bound"}
+    # a report.json row carries exactly the report.csv columns
+    assert set(out) == set(cli.QUANTUM_COLUMNS)
+    assert out["g"] == 0.0
 
 
 # --- label path against the dense oracle -----------------------------------

@@ -9,10 +9,10 @@ import sys
 import pytest
 
 from bottlenecklab import channel, cli
-from bottlenecklab.bottleneck import REPORT_COLUMNS
-from bottlenecklab.cli import main
+from bottlenecklab.cli import QUANTUM_COLUMNS, main
+from bottlenecklab.errors import BoundViolated
 from bottlenecklab.model import REGISTRY, checks_to_text
-from bottlenecklab.stability import stability_sweep, sweep_to_csv
+from bottlenecklab.stability import stability_sweep
 
 VQ_BASE = {
     "model": "ising_ring",
@@ -42,7 +42,7 @@ def test_verify_quantum_single_row(tmp_path):
     code, out = run("verify-quantum", VQ_BASE, tmp_path)
     assert code == 0
     header, rows = read_rows(out)
-    assert header == ",".join(REPORT_COLUMNS)
+    assert header == ",".join(QUANTUM_COLUMNS)
     assert len(rows) == 1
     assert rows[0][11] == "local(r=3)"
     assert float(rows[0][3]) <= float(rows[0][4]) + 1e-8
@@ -72,22 +72,58 @@ def test_rerun_is_byte_identical(tmp_path):
     assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
 
 
-def test_worker_count_does_not_change_bytes(tmp_path, monkeypatch):
-    cfg = {
+GRID_CONFIGS = {
+    "verify-classical": {
         "model": "ising_ring",
         "n": 6,
         "betas": [0.5, 1.0, 2.0],
         "partition": {"center": 0, "inner": 1, "width": 1},
-    }
-    monkeypatch.delenv("BOTTLENECKLAB_JOBS", raising=False)
-    code1, serial = run("verify-classical", cfg, tmp_path, "serial")
-    code2, pooled = run("verify-classical", cfg, tmp_path, "pooled", jobs=3)
-    monkeypatch.setenv("BOTTLENECKLAB_JOBS", "2")
-    code3, via_env = run("verify-classical", cfg, tmp_path, "via-env", jobs=1)
-    assert code1 == code2 == code3 == 0
-    ref = (serial / "report.csv").read_bytes()
-    assert (pooled / "report.csv").read_bytes() == ref
-    assert (via_env / "report.csv").read_bytes() == ref
+    },
+    "verify-quantum": dict(VQ_BASE, betas=[0.5, 1.0, 2.0]),
+    "barrier-scan": {"model": "curie_weiss", "n": 6, "center": 0, "inner": 1, "radii": [1, 2, 3]},
+    "tail-check": {
+        "model": "repetition",
+        "n": 8,
+        "eps1": 0.2,
+        "eps2": 0.755,
+        "gs": [0.01],
+        "seeds": [7, 8],
+    },
+    "stability-sweep": {
+        "model": "curie_weiss",
+        "barrier": {"center": [0, 0], "inner": 1, "boundary": 1},
+        "betas": [1.0],
+        "gs": [1e-4],
+        "ns": [4, 6],
+        "seeds": [1, 2],
+    },
+    "mixing-compare": {
+        "model": "ising_ring",
+        "n": 4,
+        "beta": 3.0,
+        "subspace": {"centers": [0], "radius": 1},
+        "partition_radius": 1,
+        "horizon": 12,
+    },
+}
+
+
+def test_worker_count_does_not_change_bytes(tmp_path, monkeypatch):
+    # every grid subcommand; stability-sweep's grid runs on the same pool
+    for subcommand, cfg in GRID_CONFIGS.items():
+        monkeypatch.delenv("BOTTLENECKLAB_JOBS", raising=False)
+        code1, serial = run(subcommand, cfg, tmp_path, f"{subcommand}-serial")
+        code2, pooled = run(subcommand, cfg, tmp_path, f"{subcommand}-pooled", jobs=3)
+        monkeypatch.setenv("BOTTLENECKLAB_JOBS", "2")
+        code3, via_env = run(subcommand, cfg, tmp_path, f"{subcommand}-via-env", jobs=1)
+        assert code1 == code2 == code3 == 0, subcommand
+        names = ["report.csv", "report.json", "failures.json"]
+        if subcommand == "stability-sweep":
+            names.append("fit.json")
+        for name in names:
+            ref = (serial / name).read_bytes()
+            assert (pooled / name).read_bytes() == ref, (subcommand, name)
+            assert (via_env / name).read_bytes() == ref, (subcommand, name)
 
 
 def test_classical_rows_stay_under_bound(tmp_path):
@@ -228,6 +264,17 @@ def test_tail_check_diagnoses_inadmissible_points(tmp_path):
         assert float(row[9]) <= float(row[10]) + 1e-9
 
 
+def sweep_csv(rows):
+    """The documented report.csv format of sweep rows."""
+    lines = ["model,n,beta,g,seed,kappa,eps,delta,bound_chain,admissible,lambda"]
+    for r in rows:
+        fields = [r.model, str(r.n), repr(float(r.beta)), repr(float(r.g)), str(r.seed)]
+        fields += [repr(r.kappa), repr(r.eps), repr(r.delta), repr(r.bound_chain)]
+        fields += ["true" if r.admissible else "false", repr(r.lambda_kappa)]
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
 def test_stability_sweep_matches_library_output(tmp_path):
     cfg = {
         "model": "repetition",
@@ -240,7 +287,7 @@ def test_stability_sweep_matches_library_output(tmp_path):
     code, out = run("stability-sweep", cfg, tmp_path)
     assert code == 0
     direct = stability_sweep("repetition", ((0, 0), 1, 2), [2.0], [0.0], [4, 6], [0])
-    assert (out / "report.csv").read_text() == sweep_to_csv(direct)
+    assert (out / "report.csv").read_text() == sweep_csv(direct.rows)
     fits = json.loads((out / "fit.json").read_text())
     assert fits["beta=2.0,g=0.0"]["status"] == "no-admissible-points"
     payload = json.loads((out / "report.json").read_text())
@@ -404,7 +451,7 @@ SWEEP_BASE = {
 
 @pytest.mark.parametrize("model", ["steane7", "toric", "random_ldpc"])
 def test_stability_sweep_model_not_built_from_n_rejected(tmp_path, monkeypatch, model):
-    monkeypatch.setattr(cli, "stability_sweep", _refuse)
+    monkeypatch.setattr(cli, "sweep_model", _refuse)
     code, out = run("stability-sweep", dict(SWEEP_BASE, model=model), tmp_path)
     assert code == 2
     assert_config_rejected(out, "not built from n")
@@ -415,11 +462,90 @@ def test_stability_sweep_model_not_built_from_n_rejected(tmp_path, monkeypatch, 
     [([99, 0], [4]), ([0, 99], [4]), (16, [6, 4]), ([0, 100], [8, 6])],
 )
 def test_stability_sweep_center_outside_smallest_register_rejected(tmp_path, monkeypatch, center, ns):
-    monkeypatch.setattr(cli, "stability_sweep", _refuse)
+    monkeypatch.setattr(cli, "sweep_model", _refuse)
     cfg = dict(SWEEP_BASE, ns=ns, barrier=dict(SWEEP_BASE["barrier"], center=center))
     code, out = run("stability-sweep", cfg, tmp_path)
     assert code == 2
     assert_config_rejected(out, "register")
+
+
+@pytest.mark.parametrize(
+    "subcommand,cfg",
+    [
+        (
+            "stability-sweep",
+            dict(SWEEP_BASE, barrier={"center": [0, 0], "inner": 2, "boundary": 3}),
+        ),
+        (
+            "stability-sweep",
+            dict(SWEEP_BASE, ns=[8, 4], barrier={"center": [0, 0], "inner": 1, "boundary": 4}),
+        ),
+        (
+            "model-info",
+            {"model": "repetition", "n": 4, "barrier": {"center": 0, "inner": 2, "boundary": 3}},
+        ),
+    ],
+)
+def test_barrier_past_the_register_rejected(tmp_path, monkeypatch, subcommand, cfg):
+    # inner + boundary above n leaves the boundary shell empty
+    monkeypatch.setattr(cli, "build_hamiltonian", _refuse)
+    monkeypatch.setattr(cli, "sweep_model", _refuse)
+    code, out = run(subcommand, cfg, tmp_path)
+    assert code == 2
+    assert_config_rejected(out, "register")
+
+
+def test_barrier_filling_the_register_runs(tmp_path):
+    # inner + boundary = n is the largest barrier with a non-empty shell
+    cfg = {"model": "repetition", "n": 4, "barrier": {"center": 0, "inner": 1, "boundary": 3}}
+    code, out = run("model-info", cfg, tmp_path)
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["barrier"]["dim_boundary"] == 11
+    code, out = run("stability-sweep", dict(SWEEP_BASE, barrier=cfg["barrier"]), tmp_path, "sweep")
+    assert code == 0
+
+
+def test_stability_sweep_records_point_failures(tmp_path, monkeypatch):
+    cfg = dict(SWEEP_BASE, ns=[4, 6], seeds=[0, 1])
+    _, whole = run("stability-sweep", cfg, tmp_path, "whole")
+    bad = {"model": "repetition", "n": 6, "beta": 1.0, "g": 0.0, "seed": 1}
+    point = cli.sweep_point
+
+    def failing(**task):
+        if {k: task[k] for k in bad} == bad:
+            raise BoundViolated("injected", delta=1.0)
+        return point(**task)
+
+    monkeypatch.setattr(cli, "sweep_point", failing)
+    code, out = run("stability-sweep", cfg, tmp_path, "broken")
+    assert code == 1
+    failures = json.loads((out / "failures.json").read_text())
+    assert len(failures) == 1
+    assert failures[0]["reason"] == "BoundViolated"
+    assert failures[0]["point"] == bad
+    _, all_rows = read_rows(whole)
+    _, rows = read_rows(out)
+    assert len(all_rows) == 4
+    assert rows == [r for r in all_rows if (r[1], r[4]) != ("6", "1")]
+    payload = json.loads((out / "report.json").read_text())
+    assert [(row["n"], row["seed"]) for row in payload] == [(4, 0), (4, 1), (6, 0)]
+    assert (out / "fit.json").exists()
+
+
+def test_stability_sweep_slope_violation_is_a_run_failure(tmp_path, monkeypatch):
+    def violated(rows, betas, gs):
+        raise BoundViolated("decay slope -0.1 not positive", slope=-0.1)
+
+    monkeypatch.setattr(cli, "fit_sweep", violated)
+    code, out = run("stability-sweep", SWEEP_BASE, tmp_path)
+    assert code == 1
+    failures = json.loads((out / "failures.json").read_text())
+    assert len(failures) == 1
+    assert failures[0]["reason"] == "BoundViolated"
+    assert "point" not in failures[0]
+    assert failures[0]["data"] == {"slope": -0.1}
+    assert len(read_rows(out)[1]) == 1
+    assert not (out / "fit.json").exists()
 
 
 def test_verify_classical_empty_c_rejected(tmp_path, monkeypatch):

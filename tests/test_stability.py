@@ -1,9 +1,12 @@
-"""Shell decomposition, tail bounds, cascade recursion, decay sweeps."""
+"""Shell decomposition, tail bounds, the decay recursion, decay sweeps."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+
+from bottlenecklab import cli
 
 from bottlenecklab.errors import (
     BoundViolated,
@@ -19,13 +22,9 @@ from bottlenecklab.model import (
     random_local_perturbation,
 )
 from bottlenecklab.stability import (
-    SWEEP_CSV_HEADER,
-    coefficient_cascade,
-    fits_to_json,
     plan_shell_width,
     shell_decomposition,
     stability_sweep,
-    sweep_to_csv,
     tail_amplitudes,
     verify_block_tridiagonal,
 )
@@ -155,26 +154,7 @@ def test_oversized_perturbation_rejected():
         tail_amplitudes(H, H_REP8, 0.2, 0.8, 0.02, 2.08)
 
 
-# --- cascade -------------------------------------------------------------------
-
-
-def test_cascade_stays_under_recursion_product():
-    H = rep8_perturbed(0.02, 7)
-    shells = shell_decomposition(H_REP8, 0.2, 0.8, 0.02, 2.08)
-    amps, bounds = coefficient_cascade(H, H_REP8, 0, shells)
-    assert len(amps) == len(bounds) == shells.q_star + 2
-    assert amps[0] == pytest.approx(1.0, abs=1e-3)
-    assert amps[-1] <= bounds[-1] + 1e-9
-    assert all(a1 >= a2 for a1, a2 in zip(amps, amps[1:]))
-
-
-def test_cascade_home_shell_only_without_perturbation():
-    H = rep8_perturbed(0.0, 1)
-    shells = shell_decomposition(H_REP8, 0.2, 0.8, 0.02, 2.08)
-    amps, bounds = coefficient_cascade(H, H_REP8, 0, shells)
-    assert amps[0] == pytest.approx(1.0, abs=1e-12)
-    assert all(a == pytest.approx(0.0, abs=1e-12) for a in amps[1:])
-    assert all(b > 0.0 for b in bounds)
+# --- recursion -----------------------------------------------------------------
 
 
 def test_worst_case_recursion_is_geometric():
@@ -236,11 +216,14 @@ def test_sweep_ring_barrier_is_not_extensive():
     assert all(a < b for a, b in zip(means, means[1:]))
 
 
-def test_sweep_parallel_matches_serial():
-    kw = dict(betas=[1.0], gs=[1e-4], ns=[4, 6], seeds=[1, 2])
-    serial = stability_sweep("curie_weiss", ((0, 0), 1, 1), **kw)
-    parallel = stability_sweep("curie_weiss", ((0, 0), 1, 1), jobs=4, **kw)
-    assert serial.rows == parallel.rows
+def test_sweep_rows_come_in_grid_order():
+    # rows are sorted by (n, beta, g, seed) whatever order the inputs list
+    res = stability_sweep(
+        "repetition", ((0, 0), 1, 2), betas=[3.0, 1.0], gs=[0.01, 0.0], ns=[6, 4], seeds=[1, 0]
+    )
+    keys = [(r.n, r.beta, r.g, r.seed) for r in res.rows]
+    assert len(keys) == 16
+    assert keys == sorted(keys)
 
 
 def test_sweep_rejects_unknown_model():
@@ -248,26 +231,37 @@ def test_sweep_rejects_unknown_model():
         stability_sweep("kagome", ((0, 0), 1, 1), [1.0], [0.0], [4], [0])
 
 
-def test_sweep_csv_and_fit_json_are_stable():
+def test_sweep_csv_and_fit_json_are_stable(tmp_path):
+    # the library rows against the CLI's report.csv and fit.json
     res = stability_sweep(
         "repetition", ((0, 0), 1, 2), betas=[2.0], gs=[0.0], ns=[4, 6], seeds=[0]
     )
-    csv = sweep_to_csv(res)
+    cfg = {
+        "model": "repetition",
+        "barrier": {"center": [0, 0], "inner": 1, "boundary": 2},
+        "betas": [2.0],
+        "gs": [0.0],
+        "ns": [4, 6],
+        "seeds": [0],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert cli.main(["stability-sweep", "--config", str(path), "--out", str(out)]) == 0
+        runs.append(((out / "report.csv").read_text(), (out / "fit.json").read_text()))
+    csv, payload = runs[0]
     lines = csv.splitlines()
-    assert lines[0] == SWEEP_CSV_HEADER
+    assert lines[0] == ",".join(cli.SWEEP_COLUMNS)
+    assert lines[0] == "model,n,beta,g,seed,kappa,eps,delta,bound_chain,admissible,lambda"
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "repetition"
     assert int(first[1]) == 4
     assert first[9] == "false"
     assert float(first[7]) == res.rows[0].delta
-    again = sweep_to_csv(
-        stability_sweep(
-            "repetition", ((0, 0), 1, 2), betas=[2.0], gs=[0.0], ns=[4, 6], seeds=[0]
-        )
-    )
-    assert csv == again
-    payload = fits_to_json(res)
+    assert runs[1] == runs[0]
     assert '"beta=2.0,g=0.0"' in payload
     assert '"status": "no-admissible-points"' in payload
 
