@@ -2,13 +2,13 @@
 
 Modules:
     numerics     dense linear-algebra kernels and tolerances
-    pauli        Pauli strings, GF(2) machinery, reduced weights
+    pauli        Pauli strings, GF(2) machinery
     subspace     subspaces, neighborhoods, partitions
-    channel      Kraus channels, locality, steady states
+    channel      Kraus channels, locality, quasi-local mixtures
     markov       sparse column-stochastic chains and the classical bound
     model        parity-check Hamiltonians, barriers, Gibbs states
     sampler      Metropolis-type channels with engineered fixed points
-    bottleneck   the bottleneck theorem verifiers and reports
+    bottleneck   the bottleneck theorem verifiers, free-energy and quasi-local bounds
     stability    shell decompositions, tail bounds, stability sweeps
     cli          config-driven experiment runner
 """

@@ -15,33 +15,17 @@ probability vector, and one step maps it to a vector. Trace preservation
 is checked on those vectors at construction (on the dense operators when
 some T_m has two nonzeros in one row). The dense list ``kraus`` is built
 only when a dense consumer reads it: validate_channel, apply_channel,
-channel_locality, steady_state, check_partition_condition,
-evolve_sequence, quasi_local_mixture and the text format.
-
-Steady states come from the eigenvalue-1 space of the vectorized
-superoperator, which is dense and limits that path to n <= 6; larger
-channels in this package are constructed with known fixed points and
-only verified against them.
+channel_locality, check_partition_condition, evolve_sequence and
+quasi_local_mixture.
 """
 
-import ast
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DeclarationInconsistent,
-    DimensionMismatch,
-    EmptyInput,
-    MultipleSteadyStates,
-    NoPositiveFixedPoint,
-    NotTracePreserving,
-)
+from .errors import DimensionMismatch, EmptyInput, NotTracePreserving
 from .numerics import DEFAULT_TOL, DensityMatrix, matrix_of, operator_norm, trace_norm
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "KrausChannel",
@@ -51,12 +35,9 @@ __all__ = [
     "validate_channel",
     "apply_channel",
     "channel_locality",
-    "steady_state",
     "check_partition_condition",
     "evolve_sequence",
     "quasi_local_mixture",
-    "channel_to_text",
-    "channel_from_text",
 ]
 
 
@@ -69,11 +50,8 @@ class KrausChannel:
     built on first read, by the consumers that need matrices.
     """
 
-    def __init__(
-        self, n, kraus=None, declared_locality=None, quasi_local_certificate=None, monomial=None
-    ):
+    def __init__(self, n, kraus=None, quasi_local_certificate=None, monomial=None):
         self.n = n
-        self.declared_locality = declared_locality
         self.quasi_local_certificate = quasi_local_certificate
         self.monomial = monomial
         self._kraus = None
@@ -246,52 +224,8 @@ def _kraus_support(K, n):
 
 
 def channel_locality(C):
-    """Largest detected Kraus support size; trusts a consistent declaration."""
-    detected = max(len(_kraus_support(K, C.n)) for K in C.kraus)
-    if C.declared_locality is not None:
-        if C.declared_locality < detected:
-            raise DeclarationInconsistent(
-                f"declared {C.declared_locality}-local, detected {detected}"
-            )
-        return C.declared_locality
-    return detected
-
-
-def steady_state(C, tol=DEFAULT_TOL):
-    """Fixed point from the vectorized superoperator (n <= 6).
-
-    The eigenvalue-1 eigenvector is Hermitized, small negative weight
-    clipped, and the result renormalized; the fixed-point residual is
-    re-verified in trace norm before returning.
-    """
-    dim = C.dim
-    if C.n > 6:
-        raise DimensionMismatch(f"superoperator path limited to n <= 6, got {C.n}")
-    S = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    for K in C.kraus:
-        S += np.kron(K, K.conj())
-    w, V = np.linalg.eig(S)
-    order = np.argsort(-np.abs(w))
-    close = np.flatnonzero(np.abs(w - 1.0) < 1e-9)
-    if close.size != 1:
-        raise MultipleSteadyStates(f"{close.size} eigenvalues within 1e-9 of 1")
-    if order.size > 1:
-        logger.debug("superoperator gap %.3e", 1.0 - abs(w[order[1]]))
-    rho = V[:, close[0]].reshape(dim, dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    vals, vecs = np.linalg.eigh(rho)
-    if vals.min() < -1e-8 * max(1.0, vals.max()):
-        raise NoPositiveFixedPoint(
-            f"fixed point has eigenvalue {vals.min():.3e} after Hermitization"
-        )
-    vals = np.clip(vals, 0.0, None)
-    rho = (vecs * vals[None, :]) @ vecs.conj().T
-    rho /= np.real(np.trace(rho))
-    out = DensityMatrix(rho, C.n)
-    resid = trace_norm(apply_channel(C, out).mat - out.mat)
-    if resid > tol.abs * 10:
-        raise NoPositiveFixedPoint(f"fixed-point residual {resid:.3e}")
-    return out
+    """Largest detected Kraus support size."""
+    return max(len(_kraus_support(K, C.n)) for K in C.kraus)
 
 
 def check_partition_condition(C, part, tol=DEFAULT_TOL):
@@ -365,62 +299,3 @@ def quasi_local_mixture(local, tail, p):
     cert = {r: (2.0 * p, local)}
     return KrausChannel(local.n, kraus, quasi_local_certificate=cert)
 
-
-def channel_to_text(C):
-    """Plain-text serialization; 17 significant digits per component."""
-    lines = [
-        f"channel n={C.n} kraus={len(C.kraus)} locality={C.declared_locality!r}"
-    ]
-    for idx, K in enumerate(C.kraus):
-        lines.append(f"kraus {idx}")
-        for row in K:
-            lines.append(
-                " ".join("%.17g%+.17gj" % (z.real, z.imag) for z in row)
-            )
-    cert = C.quasi_local_certificate or {}
-    for r in sorted(cert):
-        f_r, surrogate = cert[r]
-        lines.append(f"begin certificate r={r} f={f_r!r}")
-        lines.append(channel_to_text(surrogate).rstrip("\n"))
-        lines.append("end certificate")
-    return "\n".join(lines) + "\n"
-
-
-def channel_from_text(text):
-    lines = text.splitlines()
-    channel, _ = _parse_channel(lines, 0)
-    return channel
-
-
-def _parse_channel(lines, pos):
-    head = lines[pos].split()
-    if head[0] != "channel":
-        raise DimensionMismatch(f"expected channel header, got {lines[pos]!r}")
-    fields = dict(part.split("=", 1) for part in head[1:])
-    n = int(fields["n"])
-    m = int(fields["kraus"])
-    declared = ast.literal_eval(fields["locality"])
-    pos += 1
-    dim = 1 << n
-    kraus = []
-    for _ in range(m):
-        pos += 1  # "kraus <idx>" marker
-        rows = [
-            [complex(tok) for tok in lines[pos + r].split()] for r in range(dim)
-        ]
-        kraus.append(np.array(rows, dtype=np.complex128))
-        pos += dim
-    cert = {}
-    while pos < len(lines) and lines[pos].startswith("begin certificate"):
-        head = lines[pos].split()
-        r = int(head[2].split("=", 1)[1])
-        f_r = ast.literal_eval(head[3].split("=", 1)[1])
-        surrogate, pos = _parse_channel(lines, pos + 1)
-        if lines[pos] != "end certificate":
-            raise DimensionMismatch("unterminated certificate block")
-        pos += 1
-        cert[r] = (f_r, surrogate)
-    return (
-        KrausChannel(n, kraus, declared, cert or None),
-        pos,
-    )

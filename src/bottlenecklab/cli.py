@@ -233,12 +233,16 @@ def _check_center(key, center, n):
         _check_state(f"{key}[{i}]", part, n)
 
 
+def _check_shell(key, total, n):
+    """A barrier shell reaching past distance n from its center is empty."""
+    if total > n:
+        _fail(key, total, f"at most the register size {n}")
+
+
 def _check_barrier(key, bar, n):
     """The barrier center lies in the register and its shell is non-empty."""
     _check_center(f"{key}.center", bar["center"], n)
-    total = bar["inner"] + bar["boundary"]
-    if total > n:
-        _fail(f"{key}.inner + {key}.boundary", total, f"at most the register size {n}")
+    _check_shell(f"{key}.inner + {key}.boundary", bar["inner"] + bar["boundary"], n)
 
 
 def _load_config(path):
@@ -500,10 +504,11 @@ def _run_barrier_scan(cfg, out, jobs):
     }
     vals = _validate(cfg, schema, "barrier-scan")
     checks, label = _build_checks(vals)
-    _check_center("center", vals["center"], checks.n)
-    H = build_hamiltonian(checks)
     center = vals["center"]
     inner = vals["inner"]
+    _check_center("center", center, checks.n)
+    _check_shell("inner + max(radii)", inner + max(vals["radii"]), checks.n)
+    H = build_hamiltonian(checks)
 
     def point(task):
         cert = barrier_subspace(checks, center, inner, task["boundary"], H)
@@ -567,7 +572,7 @@ def _run_tail_check(cfg, out, jobs):
                 rec.lambda_,
                 block.residual,
             )
-            for rec in tail_amplitudes(H, H0, eps1, eps2, g, delta_E)
+            for rec in tail_amplitudes(H, H0, shells)
         ]
 
     tasks = [

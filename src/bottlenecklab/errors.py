@@ -19,7 +19,6 @@ __all__ = [
     "BadPartition",
     "NotStochastic",
     "NonUniqueStationary",
-    "NotConverged",
     "ConditionViolated",
     "EmptyA",
     "ZeroDelta",
@@ -32,9 +31,6 @@ __all__ = [
     "NotDiagonal",
     "NotCommuting",
     "EmptySchedule",
-    "MultipleSteadyStates",
-    "NoPositiveFixedPoint",
-    "DeclarationInconsistent",
     "NotFixedPoint",
     "NotTracePreserving",
     "LocalityInsufficient",
@@ -94,10 +90,6 @@ class NonUniqueStationary(BottleneckLabError):
     """The eigenvalue-1 space of a stochastic matrix is not one-dimensional."""
 
 
-class NotConverged(BottleneckLabError):
-    """Iteration hit the step cap before reaching the target."""
-
-
 class ConditionViolated(BottleneckLabError):
     """The structural bottleneck condition does not hold."""
 
@@ -144,18 +136,6 @@ class NotCommuting(BottleneckLabError):
 
 class EmptySchedule(BottleneckLabError):
     """A schedule must contain at least one channel application."""
-
-
-class MultipleSteadyStates(BottleneckLabError):
-    """Superoperator has more than one eigenvalue-1 eigenvector."""
-
-
-class NoPositiveFixedPoint(BottleneckLabError):
-    """Fixed point has an eigenvalue below the negativity tolerance."""
-
-
-class DeclarationInconsistent(BottleneckLabError):
-    """Declared locality is smaller than the detected one."""
 
 
 class NotFixedPoint(BottleneckLabError):

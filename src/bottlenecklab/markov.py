@@ -4,10 +4,8 @@ Matrices are column-stochastic: entry [i, j] is the probability of moving
 j -> i, so the chain acts on column probability vectors as pi' = M @ pi.
 Every chain is held as a ``scipy.sparse.csc_array``: a single-bit-flip
 chain on 2^m states stores m + 1 entries per column, and building it and
-checking the bound allocate nothing of size 2^m x 2^m. Only the dense
-eigensolve for chains of at most 1024 states and the point-mass block of
-``classical_mixing_time`` are dense. Total-variation distance between
-probability vectors is half the L1 norm.
+checking the bound allocate nothing of size 2^m x 2^m. Only the
+eigensolve for chains of at most 1024 states is dense.
 
 The structural condition mirrors the quantum one: with the state space
 split into disjoint sets A, B1, B2, C, single applications of M must not
@@ -29,7 +27,6 @@ from .errors import (
     ConditionViolated,
     EmptyA,
     NonUniqueStationary,
-    NotConverged,
     NotStochastic,
 )
 from .pauli import popcount
@@ -42,14 +39,11 @@ __all__ = [
     "stationary_distribution",
     "check_classical_condition",
     "classical_bottleneck_report",
-    "classical_mixing_time",
     "glauber_chain",
     "hamming_state_partition",
-    "tv_distance",
 ]
 
 _EIG_DENSE_CUTOFF = 1024
-_MIXING_CAP = 10**7
 _GLAUBER_MAX_BITS = 16
 
 
@@ -120,11 +114,6 @@ class StatePartition:
     @property
     def B(self):
         return tuple(sorted(self.B1 + self.B2))
-
-
-def tv_distance(p, q):
-    """Total-variation distance, half the L1 difference."""
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
 def stationary_distribution(M):
@@ -244,37 +233,6 @@ def classical_bottleneck_report(M, part, pi=None):
             bound=bound,
         )
     return ClassicalBottleneckReport(lhs, bound, pA, pB, pC, cond.max_forbidden_entry)
-
-
-def classical_mixing_time(M, eps, cap=_MIXING_CAP):
-    """Smallest t with max_j TV(M^t delta_j, pi) <= eps.
-
-    Exact for finite chains because the extreme points of the simplex are
-    the delta distributions. The point masses evolve as one dense block,
-    multiplied by the sparse chain each step. Detects a stalled or
-    period-2 iteration (M^t repeating while still above eps) and raises
-    NotConverged rather than looping all the way to the cap.
-    """
-    if not 0 < eps < 1:
-        raise ValueError(f"eps {eps} outside (0, 1)")
-    sm = _as_chain(M)
-    pi = stationary_distribution(sm)
-    D_prev = None
-    D = np.eye(sm.dim)
-    worst = 0.5 * np.abs(D - pi[:, None]).sum(axis=0).max()
-    if worst <= eps:
-        return 0
-    for t in range(1, cap + 1):
-        D_next = sm.mat @ D
-        worst = 0.5 * np.abs(D_next - pi[:, None]).sum(axis=0).max()
-        if worst <= eps:
-            return t
-        if np.array_equal(D_next, D) or (
-            D_prev is not None and np.array_equal(D_next, D_prev)
-        ):
-            raise NotConverged(f"iteration repeats at TV {worst:.3e} > {eps}")
-        D_prev, D = D, D_next
-    raise NotConverged(f"no convergence within {cap} steps (TV {worst:.3e})")
 
 
 def glauber_chain(energies, beta, laziness=0.0):

@@ -71,7 +71,6 @@ __all__ = [
     "SIZE_INDEXED",
     "build_model",
     "checks_from_text",
-    "checks_to_text",
 ]
 
 
@@ -837,10 +836,3 @@ def checks_from_text(text):
             (q for supp in z_checks + x_checks for q in supp), default=-1
         )
     return CheckFamily(n, tuple(z_checks), tuple(x_checks))
-
-
-def checks_to_text(checks):
-    lines = [f"n: {checks.n}"]
-    lines += ["Z: " + " ".join(str(q) for q in s) for s in checks.z_checks]
-    lines += ["X: " + " ".join(str(q) for q in s) for s in checks.x_checks]
-    return "\n".join(lines) + "\n"

@@ -23,7 +23,6 @@ from .errors import DimensionMismatch, GroupTooLarge, RadiusExceedsN
 
 __all__ = [
     "PauliString",
-    "StabilizerGroup",
     "mask_from_indices",
     "indices_from_mask",
     "enumerate_paulis",
@@ -31,7 +30,6 @@ __all__ = [
     "apply_pauli",
     "apply_pauli_matrix",
     "pauli_matrix",
-    "reduced_weight",
     "gf2_span",
     "gf2_rank",
     "gf2_null_space_masks",
@@ -243,42 +241,3 @@ def gf2_null_space_masks(n, masks):
                 v |= 1 << c
         basis.append(v)
     return basis
-
-
-@dataclass(frozen=True)
-class StabilizerGroup:
-    """A set of independent GF(2) generators over an n-bit register.
-
-    Generators are index-space masks. Independence is validated on
-    construction; dependent input raises ValueError so that coset sizes
-    stay predictable.
-    """
-
-    n: int
-    generators: tuple
-
-    def __post_init__(self):
-        gens = tuple(int(g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-        full = (1 << self.n) - 1
-        for g in gens:
-            if g & ~full:
-                raise DimensionMismatch("generator has bits outside the register")
-        if gf2_rank(gens) != len(gens):
-            raise ValueError("generators are dependent over GF(2)")
-
-    def span(self, cap=_COSET_CAP):
-        return gf2_span(self.generators, cap=cap)
-
-
-def reduced_weight(vector_mask, group, cap=_COSET_CAP):
-    """Minimum Hamming weight over the coset vector + span(group).
-
-    group may be a StabilizerGroup or a plain list of masks (dependent
-    masks are tolerated in the list form). Brute-force over the full
-    span; groups whose span would exceed 2**20 elements raise
-    GroupTooLarge.
-    """
-    gens = group.generators if isinstance(group, StabilizerGroup) else list(group)
-    span = gf2_span(gens, cap=cap)
-    return int(popcount(span ^ np.uint64(int(vector_mask))).min())

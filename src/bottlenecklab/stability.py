@@ -254,21 +254,21 @@ def _check_perturbation(H, H0, g):
         )
 
 
-def tail_amplitudes(H, H0, eps1, eps2, g, delta_E):
+def tail_amplitudes(H, H0, shells):
     """Weight of every low-energy eigenstate of H on the high shell of H0.
 
-    Each eigenstate with energy below eps1*n gets its measured ||Q_> psi||
-    together with the geometric-decay bound e^{-lambda(g) n}; the bound is
-    asserted, not just reported.
+    shells is the shell_decomposition of H0, which fixes eps1, eps2, g and
+    delta_E. Each eigenstate with energy below eps1*n gets its measured
+    ||Q_> psi|| together with the geometric-decay bound e^{-lambda(g) n};
+    the bound is asserted, not just reported.
     """
-    _check_perturbation(H, H0, g)
-    shells = shell_decomposition(H0, eps1, eps2, g, delta_E)
+    _check_perturbation(H, H0, shells.g)
     w, U = hermitian_eigensystem(H.mat)
-    lam = _decay_rate(eps1, eps2, g, delta_E)
-    bound = math.exp(-lam * H0.n) if lam < math.inf else 0.0
+    lam = _decay_rate(shells.eps1, shells.eps2, shells.g, shells.delta_E)
+    bound = math.exp(-lam * shells.n) if lam < math.inf else 0.0
     Q_top = shells.projectors[-1]
     records = []
-    for i in np.flatnonzero(w < eps1 * H0.n):
+    for i in np.flatnonzero(w < shells.eps1 * shells.n):
         amp = float(np.linalg.norm(Q_top @ U[:, i]))
         if amp > bound + 1e-9:
             raise BoundViolated(
@@ -348,15 +348,13 @@ def sweep_model(model, n, barrier):
 
 def sweep_grid(model, betas, gs, ns, seeds):
     """Grid points as {model, n, beta, g, seed} dicts, sorted by
-    (n, beta, g, seed); ties keep their order in the inputs."""
-    tasks = [
+    (n, beta, g, seed). A value repeated in the inputs gives no second
+    point, so it is neither reported nor fitted twice."""
+    grid = {(n, beta, g, seed) for n in ns for beta in betas for g in gs for seed in seeds}
+    return [
         {"model": model, "n": n, "beta": beta, "g": g, "seed": seed}
-        for n in ns
-        for beta in betas
-        for g in gs
-        for seed in seeds
+        for n, beta, g, seed in sorted(grid)
     ]
-    return sorted(tasks, key=lambda t: (t["n"], t["beta"], t["g"], t["seed"]))
 
 
 def sweep_point(model, n, beta, g, seed, H0, cert):

@@ -43,8 +43,6 @@ __all__ = [
     "hamming_ball_subspace",
     "basis_state_subspace",
     "partition_from_radius",
-    "subspace_to_text",
-    "subspace_from_text",
 ]
 
 _ENUM_CAP = 2**28
@@ -274,38 +272,3 @@ def _hamming_shell_partition(V, support, r):
     B2 = basis_state_subspace(n, np.flatnonzero((d > r) & (d <= 2 * r)))
     C = basis_state_subspace(n, np.flatnonzero(d > 2 * r))
     return HilbertPartition(V, B1, B2, C, meta={"r": r, "builder": "hamming"})
-
-
-def subspace_to_text(V):
-    """Serialize to a line-oriented text block with 17-significant-digit reals."""
-    lines = [f"subspace n={V.n} k={V.dim} label={V.label!r}"]
-    for j in range(V.dim):
-        lines.append(f"column {j}")
-        col = V.basis[:, j]
-        for a in col:
-            lines.append(f"{a.real:.17g} {a.imag:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def subspace_from_text(text):
-    import ast
-
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split(maxsplit=3)
-    if head[0] != "subspace":
-        raise ValueError("not a subspace block")
-    fields = dict(part.split("=", 1) for part in head[1:])
-    n, k = int(fields["n"]), int(fields["k"])
-    label = ast.literal_eval(fields["label"])
-    dim = 2**n
-    basis = np.zeros((dim, k), dtype=np.complex128)
-    pos = 1
-    for j in range(k):
-        if not lines[pos].startswith("column"):
-            raise ValueError(f"expected column header at line {pos}")
-        pos += 1
-        for i in range(dim):
-            re, im = lines[pos].split()
-            basis[i, j] = float(re) + 1j * float(im)
-            pos += 1
-    return Subspace(n, basis, label)

@@ -1,9 +1,10 @@
 """End-to-end acceptance run for the package.
 
-Ten checks, one test each, covering the drift theorem in general and
+Twelve checks, one test each, covering the drift theorem in general and
 local form, its classical analogue, the supporting norm lemmas, sampler
 fixed points, the mixing-time lower bound, perturbative tail bounds,
-the stability sweep, schedule drift, and CLI determinism. Every test prints
+the stability sweep, schedule drift, CLI determinism, the free-energy
+bounds on Delta and the quasi-local channel theorem. Every test prints
 a single "criterion k: PASS" line with its headline numbers (run pytest
 with -s to see them); a failed assertion is the FAIL line.
 """
@@ -17,9 +18,12 @@ import pytest
 
 from bottlenecklab import cli
 from bottlenecklab.bottleneck import (
+    bottleneck_ratio,
     diagonal_bound,
+    free_energy_report,
     mixing_time_lower_bound,
     product_drift,
+    quasi_local_bound,
     verify_bottleneck_theorem,
 )
 from bottlenecklab.channel import (
@@ -27,6 +31,7 @@ from bottlenecklab.channel import (
     apply_channel,
     channel_locality,
     evolve_sequence,
+    quasi_local_mixture,
 )
 from bottlenecklab.markov import (
     StatePartition,
@@ -58,6 +63,8 @@ from bottlenecklab.stability import (
 )
 from bottlenecklab.subspace import (
     Subspace,
+    basis_state_subspace,
+    boundary,
     hamming_ball_subspace,
     neighborhood,
     partition_from_radius,
@@ -488,7 +495,7 @@ def test_criterion_07_tail_bound_suite():
                 block = verify_block_tridiagonal(Vp, shells)
                 assert block.passes and block.residual < 1e-9
                 H = perturb(H0, Vp)
-                recs = tail_amplitudes(H, H0, eps1, eps2, g, delta_E)
+                recs = tail_amplitudes(H, H0, shells)
                 assert recs
                 for rec in recs:
                     assert rec.energy < eps1 * 8
@@ -643,4 +650,80 @@ def test_criterion_10_deterministic_csv(tmp_path, monkeypatch):
         f"verify-quantum rerun and stability-sweep rerun (serial vs 3 "
         f"workers) byte-identical ({len(outputs[0])} and {len(outputs[2])} "
         f"CSV bytes)",
+    )
+
+
+# --- criterion 11: free-energy barrier bounds -------------------------------------
+
+
+def test_criterion_11_free_energy_bounds():
+    start = time.monotonic()
+    points = 0
+    applicable = {"a": 0, "b": 0}
+    worst_c = math.inf
+    for label, checks in (
+        ("ising_ring(6)", REGISTRY["ising_ring"](6)),
+        ("repetition(8)", REGISTRY["repetition"](8)),
+        ("curie_weiss(6)", REGISTRY["curie_weiss"](6)),
+        ("steane7", REGISTRY["steane7"]()),
+        ("toric(2)", REGISTRY["toric"]()),
+    ):
+        H = build_hamiltonian(checks)
+        V = barrier_subspace(checks, (0, 0), 0, 1, H).V
+        collar = boundary(V, 2)
+        for beta in BETAS:
+            rho, _, _ = gibbs_state(H, beta)
+            delta, _, _ = bottleneck_ratio(rho, V, collar)
+            # asserts (c) here, and (a) and (b) where they apply
+            rep = free_energy_report(H, beta, V, 1, rho_G=rho, delta_measured=delta)
+            # (b) is attained when rho commutes with the collar, so every
+            # bound is compared with Delta up to rounding
+            for value in (rep.bounds_a, rep.bounds_b, rep.bounds_c):
+                assert value >= delta * (1 - 1e-12)
+            applicable["a"] += rep.a_applicable
+            applicable["b"] += rep.b_applicable
+            worst_c = min(worst_c, rep.bounds_c - delta)
+            points += 1
+    elapsed = time.monotonic() - start
+    assert points == 20
+    _pass(
+        11,
+        f"{points} (model, beta) points, bound (c) held everywhere with worst "
+        f"margin {worst_c:.2e}, (a) applicable at {applicable['a']} and (b) at "
+        f"{applicable['b']}, {elapsed:.1f}s",
+    )
+
+
+# --- criterion 12: quasi-local channel theorem -------------------------------------
+
+
+def test_criterion_12_quasi_local_channels():
+    start = time.monotonic()
+    points = 0
+    worst = math.inf
+    for n in (5, 6, 7):
+        H = build_hamiltonian(REGISTRY["ising_ring"](n))
+        dim = 1 << n
+        # the global flip X^{(x)n}: n-local, and it fixes the Z2-symmetric Gibbs state
+        flip = np.zeros((dim, dim))
+        flip[np.arange(dim) ^ (dim - 1), np.arange(dim)] = 1.0
+        tail = KrausChannel(n, [flip])
+        assert channel_locality(tail) == n
+        V = basis_state_subspace(n, [0])
+        for beta in (1.0, 2.0, 3.0):
+            rho, _, _ = gibbs_state(H, beta)
+            local = metropolis_site_channel(H, beta, site=0)
+            for p in (0.0, 0.01, 0.1):
+                M = quasi_local_mixture(local, tail, p)
+                rep = quasi_local_bound(M, rho, V)
+                assert rep.lhs <= rep.combined_bound
+                worst = min(worst, rep.combined_bound - rep.lhs)
+                points += 1
+    elapsed = time.monotonic() - start
+    assert points == 27
+    _pass(
+        12,
+        f"{points} (n, beta, p) mixtures of a site Metropolis channel with "
+        f"the global flip, drift under 10 Delta + 2p with worst margin "
+        f"{worst:.2f}, {elapsed:.1f}s",
     )

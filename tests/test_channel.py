@@ -1,4 +1,4 @@
-"""Channel validation, locality detection, steady states, partitions."""
+"""Channel validation, locality detection, partitions, mixtures."""
 
 import numpy as np
 import pytest
@@ -6,22 +6,13 @@ import pytest
 from bottlenecklab.channel import (
     KrausChannel,
     apply_channel,
-    channel_from_text,
     channel_locality,
-    channel_to_text,
     check_partition_condition,
     evolve_sequence,
     quasi_local_mixture,
-    steady_state,
     validate_channel,
 )
-from bottlenecklab.errors import (
-    DeclarationInconsistent,
-    DimensionMismatch,
-    EmptyInput,
-    MultipleSteadyStates,
-    NotTracePreserving,
-)
+from bottlenecklab.errors import DimensionMismatch, EmptyInput, NotTracePreserving
 from bottlenecklab.numerics import DensityMatrix, pure_state_density, trace_norm
 from bottlenecklab.pauli import PauliString, pauli_matrix
 from bottlenecklab.subspace import hamming_ball_subspace, partition_from_radius
@@ -126,42 +117,6 @@ class TestChannelLocality:
         chan = KrausChannel(3, [SQ * np.eye(8), SQ * P])
         assert channel_locality(chan) == 2
 
-    def test_declaration_trusted_when_consistent(self):
-        chan = KrausChannel(
-            3, bitflip_mix(3, 0).kraus, declared_locality=2
-        )
-        assert channel_locality(chan) == 2
-
-    def test_declaration_below_detected_rejected(self):
-        P = pauli_matrix(PauliString.from_letters(3, {0: "X", 1: "X", 2: "X"}))
-        chan = KrausChannel(3, [SQ * np.eye(8), SQ * P], declared_locality=1)
-        with pytest.raises(DeclarationInconsistent):
-            channel_locality(chan)
-
-
-class TestSteadyState:
-    def test_depolarizing_gives_maximally_mixed(self):
-        rho = steady_state(depolarizing_1q())
-        assert np.allclose(rho.mat, np.eye(2) / 2, atol=1e-10)
-
-    def test_identity_channel_degenerate(self):
-        with pytest.raises(MultipleSteadyStates):
-            steady_state(identity_channel(1))
-
-    def test_amplitude_damping_pins_ground(self):
-        g = 0.3
-        K0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1 - g)]], dtype=np.complex128)
-        K1 = np.array([[0.0, np.sqrt(g)], [0.0, 0.0]], dtype=np.complex128)
-        rho = steady_state(KrausChannel(1, [K0, K1]))
-        assert np.allclose(rho.mat, np.diag([1.0, 0.0]), atol=1e-9)
-
-    def test_fixed_point_residual_small(self, rng):
-        chan = random_channel(rng, 2, 2)
-        rho = steady_state(chan)
-        resid = trace_norm(apply_channel(chan, rho).mat - rho.mat)
-        assert resid < 1e-9
-
-
 class TestPartitionCondition:
     def test_identity_passes_any_partition(self):
         ball = hamming_ball_subspace(3, [0], 0)
@@ -263,22 +218,3 @@ class TestQuasiLocalMixture:
             tail, rho
         ).mat
         assert np.allclose(apply_channel(mixed, rho).mat, direct, atol=1e-12)
-
-
-class TestSerialization:
-    def test_roundtrip_with_certificate(self):
-        mixed = quasi_local_mixture(bitflip_mix(1, 0), depolarizing_1q(), 0.25)
-        text = channel_to_text(mixed)
-        again = channel_from_text(text)
-        assert again.n == mixed.n
-        assert len(again.kraus) == len(mixed.kraus)
-        for K1, K2 in zip(mixed.kraus, again.kraus):
-            assert np.array_equal(K1, K2)
-        (r, (f_r, surrogate)), = again.quasi_local_certificate.items()
-        assert r == 1 and f_r == 0.5
-        assert len(surrogate.kraus) == 2
-
-    def test_roundtrip_is_stable(self):
-        chan = bitflip_mix(2, 1)
-        text = channel_to_text(chan)
-        assert channel_to_text(channel_from_text(text)) == text

@@ -8,11 +8,10 @@ import sys
 
 import pytest
 
-from bottlenecklab import channel, cli
+from bottlenecklab import channel, cli, stability
 from bottlenecklab.cli import QUANTUM_COLUMNS, main
 from bottlenecklab.errors import BoundViolated
-from bottlenecklab.model import REGISTRY, checks_to_text
-from bottlenecklab.stability import stability_sweep
+from bottlenecklab.stability import shell_decomposition, stability_sweep
 
 VQ_BASE = {
     "model": "ising_ring",
@@ -264,6 +263,29 @@ def test_tail_check_diagnoses_inadmissible_points(tmp_path):
         assert float(row[9]) <= float(row[10]) + 1e-9
 
 
+def test_tail_check_builds_shells_once_per_point(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return shell_decomposition(*args, **kwargs)
+
+    # both the CLI and the stability module's own name are counted
+    monkeypatch.setattr(cli, "shell_decomposition", counted)
+    monkeypatch.setattr(stability, "shell_decomposition", counted)
+    cfg = {
+        "model": "repetition",
+        "n": 8,
+        "eps1": 0.2,
+        "eps2": 0.755,
+        "gs": [0.01],
+        "seeds": [0, 1, 2],
+    }
+    code, out = run("tail-check", cfg, tmp_path)
+    assert code == 0
+    assert len(calls) == 3
+
+
 def sweep_csv(rows):
     """The documented report.csv format of sweep rows."""
     lines = ["model,n,beta,g,seed,kappa,eps,delta,bound_chain,admissible,lambda"]
@@ -380,7 +402,7 @@ def test_model_info_expansion(tmp_path):
 
 def test_checks_file_source(tmp_path):
     path = tmp_path / "triangle.txt"
-    path.write_text(checks_to_text(REGISTRY["ising_ring"](3)))
+    path.write_text("n: 3\nZ: 0 1\nZ: 1 2\nZ: 0 2\n")
     cfg = {
         "checks_file": str(path),
         "betas": [1.0],
@@ -484,6 +506,10 @@ def test_stability_sweep_center_outside_smallest_register_rejected(tmp_path, mon
             "model-info",
             {"model": "repetition", "n": 4, "barrier": {"center": 0, "inner": 2, "boundary": 3}},
         ),
+        (
+            "barrier-scan",
+            {"model": "ising_ring", "n": 4, "center": 0, "inner": 1, "radii": [1, 4]},
+        ),
     ],
 )
 def test_barrier_past_the_register_rejected(tmp_path, monkeypatch, subcommand, cfg):
@@ -503,6 +529,15 @@ def test_barrier_filling_the_register_runs(tmp_path):
     assert json.loads((out / "report.json").read_text())["barrier"]["dim_boundary"] == 11
     code, out = run("stability-sweep", dict(SWEEP_BASE, barrier=cfg["barrier"]), tmp_path, "sweep")
     assert code == 0
+
+
+def test_stability_sweep_counts_repeated_values_once(tmp_path):
+    code, out = run("stability-sweep", dict(SWEEP_BASE, ns=[4, 4]), tmp_path)
+    assert code == 0
+    _, rows = read_rows(out)
+    assert len(rows) == 1
+    fits = json.loads((out / "fit.json").read_text())
+    assert fits["beta=1.0,g=0.0"]["points"] == 1
 
 
 def test_stability_sweep_records_point_failures(tmp_path, monkeypatch):

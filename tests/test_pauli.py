@@ -145,47 +145,3 @@ def test_null_space(rng):
             for m in masks:
                 assert int(v & m).bit_count() % 2 == 0
         assert pl.gf2_rank(basis) == len(basis)
-
-
-STEANE_SUPPORTS = [(0, 2, 4, 6), (1, 2, 5, 6), (3, 4, 5, 6)]
-
-
-def test_reduced_weight_steane_single_bit():
-    # coset of e_1 under the Steane Z-stabilizers has 8 elements, all of
-    # weight >= 1 (stabilizer elements have weight 4 or 0)
-    n = 7
-    gens = [pl.mask_from_indices(n, s) for s in STEANE_SUPPORTS]
-    v = pl.mask_from_indices(n, [1])
-    assert pl.reduced_weight(v, gens) == 1
-    assert pl.gf2_span(gens).size == 8
-
-
-def test_reduced_weight_of_generator_is_zero():
-    n = 7
-    gens = [pl.mask_from_indices(n, s) for s in STEANE_SUPPORTS]
-    assert pl.reduced_weight(gens[0], gens) == 0
-    assert pl.reduced_weight(0, gens) == 0
-
-
-def test_reduced_weight_never_exceeds_weight(rng):
-    n = 8
-    gens = [int(rng.integers(1, 2**n)) for _ in range(4)]
-    for _ in range(25):
-        v = int(rng.integers(0, 2**n))
-        rw = pl.reduced_weight(v, gens)
-        assert rw <= int(v).bit_count()
-        # brute force agreement
-        span = pl.gf2_span(gens)
-        brute = min(int(int(v) ^ int(s)).bit_count() for s in span)
-        assert rw == brute
-
-
-def test_reduced_weight_identity_group():
-    assert pl.reduced_weight(0b1011, []) == 3
-
-
-def test_stabilizer_group_validates_independence():
-    with pytest.raises(ValueError):
-        pl.StabilizerGroup(3, (0b110, 0b011, 0b101))
-    g = pl.StabilizerGroup(3, (0b110, 0b011))
-    assert pl.reduced_weight(0b110, g) == 0

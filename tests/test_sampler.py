@@ -9,7 +9,6 @@ from bottlenecklab.channel import (
     MonomialKraus,
     apply_channel,
     channel_locality,
-    steady_state,
     validate_channel,
 )
 from bottlenecklab.errors import EmptySchedule, NotCommuting, NotDiagonal, NotTracePreserving

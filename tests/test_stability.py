@@ -111,13 +111,16 @@ def test_wide_support_breaks_the_ladder():
 # --- tail amplitudes ----------------------------------------------------------
 
 
+REP8_SHELLS = shell_decomposition(H_REP8, 0.2, 0.8, 0.02, 2.08)
+
+
 def rep8_perturbed(g, seed):
     V = random_local_perturbation(8, tuple((i,) for i in range(8)), g, seed)
     return perturb(H_REP8, V)
 
 
 def test_decay_rate_formula():
-    records = tail_amplitudes(rep8_perturbed(0.02, 7), H_REP8, 0.2, 0.8, 0.02, 2.08)
+    records = tail_amplitudes(rep8_perturbed(0.02, 7), H_REP8, REP8_SHELLS)
     lam = (0.8 - 0.2 - 0.08) / (2 * 2.08) * math.log((0.8 - 0.2) / 0.04)
     assert records
     for rec in records:
@@ -131,7 +134,7 @@ def test_lambda_window_example():
 
 
 def test_low_energy_states_have_tiny_tails():
-    records = tail_amplitudes(rep8_perturbed(0.02, 7), H_REP8, 0.2, 0.8, 0.02, 2.08)
+    records = tail_amplitudes(rep8_perturbed(0.02, 7), H_REP8, REP8_SHELLS)
     assert len(records) == 2
     for rec in records:
         assert rec.energy < 0.2 * 8
@@ -141,7 +144,7 @@ def test_low_energy_states_have_tiny_tails():
 
 def test_unsaturated_budget_tails_vanish():
     H = rep8_perturbed(0.0, 7)
-    records = tail_amplitudes(H, H_REP8, 0.2, 0.8, 0.02, 2.08)
+    records = tail_amplitudes(H, H_REP8, REP8_SHELLS)
     assert records
     for rec in records:
         assert rec.amplitude == pytest.approx(0.0, abs=1e-12)
@@ -151,7 +154,7 @@ def test_unsaturated_budget_tails_vanish():
 def test_oversized_perturbation_rejected():
     H = rep8_perturbed(0.05, 7)
     with pytest.raises(PerturbationTooLarge):
-        tail_amplitudes(H, H_REP8, 0.2, 0.8, 0.02, 2.08)
+        tail_amplitudes(H, H_REP8, REP8_SHELLS)
 
 
 # --- recursion -----------------------------------------------------------------
@@ -217,13 +220,20 @@ def test_sweep_ring_barrier_is_not_extensive():
 
 
 def test_sweep_rows_come_in_grid_order():
-    # rows are sorted by (n, beta, g, seed) whatever order the inputs list
+    # rows are sorted by (n, beta, g, seed) whatever order the inputs list,
+    # and a repeated value gives no second row
     res = stability_sweep(
-        "repetition", ((0, 0), 1, 2), betas=[3.0, 1.0], gs=[0.01, 0.0], ns=[6, 4], seeds=[1, 0]
+        "repetition",
+        ((0, 0), 1, 2),
+        betas=[3.0, 1.0],
+        gs=[0.01, 0.0],
+        ns=[6, 4, 6],
+        seeds=[1, 0, 1],
     )
     keys = [(r.n, r.beta, r.g, r.seed) for r in res.rows]
     assert len(keys) == 16
     assert keys == sorted(keys)
+    assert res.fits[(1.0, 0.0)]["points"] == 4
 
 
 def test_sweep_rejects_unknown_model():

@@ -234,14 +234,3 @@ def test_complement_roundtrip(rng):
     C = sub.complement(V)
     assert C.dim == 5
     assert np.abs(V.basis.conj().T @ C.basis).max() < 1e-10
-
-
-def test_serialization_roundtrip(rng):
-    n = 2
-    basis = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0]
-    V = sub.Subspace(n, basis, label="round trip")
-    text = sub.subspace_to_text(V)
-    W = sub.subspace_from_text(text)
-    assert W.label == "round trip"
-    assert np.abs(W.basis - V.basis).max() < 1e-15
-    assert sub.subspace_to_text(W) == text
