@@ -40,10 +40,9 @@ from .errors import (
     NotFixedPoint,
     ZeroDelta,
 )
-from .model import gibbs_state, subspace_min_energy
+from .model import gibbs_state, spectrum, subspace_min_energy
 from .numerics import (
     DensityMatrix,
-    hermitian_eigensystem,
     matrix_of,
     max_offdiagonal,
     operator_norm,
@@ -392,15 +391,10 @@ def free_energy_report(H, beta, V, r, rho_G=None, delta_measured=0.0):
     """
     if beta <= 0:
         raise BetaNegative(f"free energies need beta > 0, got {beta}")
-    mat = H.mat
     shell = boundary(V, 2 * r)
     if shell.dim == 0:
         raise EmptyBoundary("2r-collar of V is empty")
-    if max_offdiagonal(mat) < 1e-12:
-        w = np.real(np.diag(mat)).astype(np.float64)
-        U = None
-    else:
-        w, U = hermitian_eigensystem(mat)
+    w, U = spectrum(H)
     logZ = float(logsumexp(-beta * w))
     q_V = _log_projected_weight(w, U, V.basis)
     q_B = _log_projected_weight(w, U, shell.basis)

@@ -17,6 +17,7 @@ failed (see failures.json), 2 when the config was rejected up front.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -234,7 +235,8 @@ def _check_center(key, center, n):
 
 
 def _check_shell(key, total, n):
-    """A barrier shell reaching past distance n from its center is empty."""
+    """A radius past the register size n reaches nothing new: a barrier
+    shell out there is empty, and a partition has no such shell."""
     if total > n:
         _fail(key, total, f"at most the register size {n}")
 
@@ -381,6 +383,8 @@ def _run_verify_classical(cfg, out, jobs):
     if not checks.is_classical:
         raise ConfigInvalid("verify-classical needs a classical (Z-only) model")
     laziness = vals.get("laziness", 0.0)
+    if laziness >= 1:
+        _fail("laziness", laziness, "a number in [0, 1)")
     spec = vals["partition"]
     _check_state("partition.center", spec["center"], checks.n)
     if spec["inner"] + 2 * spec["width"] >= checks.n:
@@ -434,6 +438,10 @@ def _quantum_setup(cfg, keys, subcommand):
     sub = vals["subspace"]
     for i, c in enumerate(sub["centers"]):
         _check_state(f"subspace.centers[{i}]", c, checks.n)
+    for i, site in enumerate(vals.get("sites", ())):
+        if site >= checks.n:
+            _fail(f"sites[{i}]", site, f"a qubit of the {checks.n}-qubit register")
+    _check_shell("partition_radius", vals["partition_radius"], checks.n)
     if not checks.is_classical and "flavors" not in vals:
         raise ConfigInvalid('models with X checks need "flavors" (e.g. ["X"])')
     H = build_hamiltonian(checks)
@@ -544,12 +552,18 @@ def _run_tail_check(cfg, out, jobs):
     eps1, eps2 = vals["eps1"], vals["eps2"]
     supports = tuple((i,) for i in range(n))
 
+    # the shells depend on g alone; a failing g is not cached, so each of
+    # its points still records its own failure
+    @functools.lru_cache(maxsize=None)
+    def shells_at(g):
+        delta_E = vals.get("delta_E") or plan_shell_width(H0, eps1, eps2, g)
+        return delta_E, shell_decomposition(H0, eps1, eps2, g, delta_E)
+
     def point(task):
         g, seed = task["g"], task["seed"]
-        delta_E = vals.get("delta_E") or plan_shell_width(H0, eps1, eps2, g)
+        delta_E, shells = shells_at(g)
         V = random_local_perturbation(n, supports, g, seed)
         H = perturb(H0, V)
-        shells = shell_decomposition(H0, eps1, eps2, g, delta_E)
         block = verify_block_tridiagonal(V, shells)
         if not block.passes:
             raise ConditionViolated(

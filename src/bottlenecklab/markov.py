@@ -29,7 +29,7 @@ from .errors import (
     NonUniqueStationary,
     NotStochastic,
 )
-from .pauli import popcount
+from .pauli import hamming_distance
 
 __all__ = [
     "StochasticMatrix",
@@ -278,7 +278,7 @@ def hamming_state_partition(m, center, inner, width):
     most `width` bits.
     """
     dim = 1 << m
-    d = popcount(np.arange(dim, dtype=np.uint64) ^ np.uint64(int(center)))
+    d = hamming_distance(m, [center])
     A = np.flatnonzero(d <= inner)
     B1 = np.flatnonzero((d > inner) & (d <= inner + width))
     B2 = np.flatnonzero((d > inner + width) & (d <= inner + 2 * width))

@@ -13,6 +13,12 @@ Labels are classes: x modulo that span, z modulo its GF(2) orthogonal
 complement. Distance between eigenstates is the minimal weight of a Pauli
 string mapping one to the other, minimized over both stabilizer actions,
 which collapses to plain Hamming distance for classical models.
+
+label_basis holds every eigenstate as a column of one orthonormal basis
+and label_distance gives each column's distance from a center label, so a
+barrier ball and its boundary shell are column selections, by one path
+for classical and CSS models. spectrum is the one diagonal-or-eigensolve
+step, read by Gibbs states and by the energy shells of stability.
 """
 
 import functools
@@ -38,8 +44,8 @@ from .numerics import (
     hermitian_eigenvalues,
     max_offdiagonal,
 )
-from .pauli import PauliString, apply_pauli, gf2_null_space_masks, gf2_span, mask_from_indices, popcount
-from .subspace import Subspace, basis_state_subspace
+from .pauli import gf2_null_space_masks, gf2_span, hamming_distance, mask_from_indices, popcount
+from .subspace import Subspace
 
 __all__ = [
     "CheckFamily",
@@ -50,14 +56,14 @@ __all__ = [
     "classical_energies",
     "expansion_scan",
     "barrier_subspace",
+    "spectrum",
     "gibbs_state",
     "subspace_min_energy",
     "random_local_perturbation",
     "perturb",
-    "css_labels",
-    "css_eigenstate",
     "LabelBasis",
     "label_basis",
+    "label_distance",
     "identity_basis",
     "label_energies",
     "label_energy_residual",
@@ -264,22 +270,6 @@ def expansion_scan(checks, delta):
     return gamma, bits_from_mask(n, witness)
 
 
-def css_labels(checks):
-    """Class representatives for CSS eigenstate labels.
-
-    Returns (x_reps, z_reps, gx_span, gxp_span): x labels run modulo the
-    span of X-check supports, z labels modulo its orthogonal complement,
-    each coset represented by its smallest member.
-    """
-    n = checks.n
-    x_masks = [int(m) for m in checks.x_masks()]
-    gx_span = gf2_span(x_masks)
-    gxp_span = gf2_span(gf2_null_space_masks(n, x_masks))
-    x_reps, _ = _coset_classes(n, gx_span)
-    z_reps, _ = _coset_classes(n, gxp_span)
-    return x_reps, z_reps, gx_span, gxp_span
-
-
 def _coset_classes(n, span):
     """Smallest member of each coset of span, and the coset of every bitstring."""
     idx = np.arange(1 << n, dtype=np.uint64)
@@ -288,24 +278,6 @@ def _coset_classes(n, span):
         np.minimum(rep, idx ^ np.uint64(int(g)), out=rep)
     reps = np.unique(rep)
     return reps, np.searchsorted(reps, rep)
-
-
-def _reference_state(n, gx_span):
-    psi = np.zeros(1 << n, dtype=np.complex128)
-    psi[gx_span.astype(np.int64)] = 1.0 / math.sqrt(gx_span.size)
-    return psi
-
-
-def css_eigenstate(checks, x, z, psi0=None, gx_span=None):
-    """The eigenstate X(x) Z(z) |psi0>, phase dropped."""
-    n = checks.n
-    if gx_span is None:
-        gx_span = gf2_span([int(m) for m in checks.x_masks()])
-    if psi0 is None:
-        psi0 = _reference_state(n, gx_span)
-    vec = apply_pauli(PauliString(n, int(x), int(z)), psi0)
-    lead = vec[np.flatnonzero(np.abs(vec) > 1e-12)[0]]
-    return vec * (abs(lead) / lead)
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,11 +337,17 @@ class LabelBasis:
             and np.array_equal(self.blocks, other.blocks)
         )
 
+    def columns(self, mask):
+        """The columns of W picked by a boolean mask, as a dense (dim, count)
+        array scattered from rows and vals."""
+        sel = np.flatnonzero(mask)
+        out = np.zeros((self.dim, sel.size), dtype=np.complex128)
+        out[self.rows[:, sel], np.arange(sel.size)] = self.vals[:, sel]
+        return out
+
     def dense(self):
         """W as a dense dim x dim matrix."""
-        W = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        W[self.rows, np.arange(self.dim)[None, :]] = self.vals
-        return W
+        return self.columns(np.ones(self.dim, dtype=bool))
 
     def adjoint_left(self, M):
         """W† M for a dense M with dim rows."""
@@ -437,9 +415,10 @@ def label_basis(checks):
     """The label eigenbasis of a check family, built once per family.
 
     The computational basis for classical families. For CSS families the
-    columns are css_eigenstate(x, z) over the css_labels classes, and
-    construction checks that W is unitary and that every check acts on
-    each column as the sign of its syndrome.
+    columns are the eigenstates X(x) Z(z) |psi0> over one representative
+    (x, z) per label class, each with the phase that makes its entry in
+    the lowest row positive, and construction checks that W is unitary
+    and that every check acts on each column as the sign of its syndrome.
     """
     if checks.is_classical:
         return identity_basis(checks.n)
@@ -455,8 +434,8 @@ def _css_label_basis(checks):
     z_reps, z_class = _coset_classes(n, gf2_span(gf2_null_space_masks(n, x_masks)))
     nx, nz = x_reps.size, z_reps.size
     # X(x) Z(z) |psi0> with x a class representative: support x ^ span,
-    # sign (-1)^{|g & z|}; the phase fix of css_eigenstate makes the entry
-    # in the lowest row positive
+    # sign (-1)^{|g & z|}, divided by the sign in the lowest row so that
+    # entry is positive
     rows = np.sort(x_reps[:, None] ^ gx_span[None, :], axis=1)
     g = rows ^ x_reps[:, None]
     signs = 1.0 - 2.0 * (popcount(g[:, :, None] & z_reps[None, None, :]) & 1)
@@ -511,85 +490,59 @@ def label_energy_residual(H, basis, energies):
     return float(np.abs(resid).max())
 
 
-def _joint_reduced_distance(a, b, gx_span, gxp_span):
-    """Min weight of supp(a^g) | supp(b^h) over both stabilizer spans."""
-    ag = np.uint64(int(a)) ^ gx_span
-    bh = np.uint64(int(b)) ^ gxp_span
-    joint = np.bitwise_or.outer(ag, bh)
-    return int(popcount(joint).min())
+def label_distance(checks, center):
+    """Reduced distance from the center label (x0, z0) to every column
+    (x, z) of label_basis: min |supp(x ^ x0 ^ g) | supp(z ^ z0 ^ h)| over
+    g in the X-check span and h in its orthogonal complement, the fewest
+    qubits a Pauli string mapping one eigenstate to the other touches.
+    Classical families have every h, so it is the Hamming distance
+    |x ^ x0|. The loop runs over the smaller span, so temporaries hold
+    labels x |larger span| entries.
+    """
+    n = checks.n
+    x0 = _as_mask(n, center[0])
+    z0 = _as_mask(n, center[1])
+    if checks.is_classical:
+        return hamming_distance(n, [x0])
+    basis = label_basis(checks)
+    x_masks = [int(m) for m in checks.x_masks()]
+    (a, small), (b, large) = sorted(
+        [
+            (basis.x ^ np.uint64(x0), gf2_span(x_masks)),
+            (basis.z ^ np.uint64(z0), gf2_span(gf2_null_space_masks(n, x_masks))),
+        ],
+        key=lambda pair: pair[1].size,
+    )
+    moved = b[:, None] ^ large[None, :]
+    d = np.full(basis.dim, n, dtype=np.int64)
+    for g in small:
+        np.minimum(d, popcount((a ^ g)[:, None] | moved).min(axis=1), out=d)
+    return d
 
 
 def barrier_subspace(checks, center, inner_radius, boundary_radius, H):
     """Ball of eigenstates around a center label, with its energy gap.
 
-    V spans all eigenstates within reduced distance inner_radius of the
-    center; the boundary shell reaches boundary_radius further out. Both
-    minimum energies are measured against the supplied Hamiltonian (which
-    may carry a perturbation on top of the checks).
+    V spans the columns of label_basis(checks) within label_distance
+    inner_radius of the center; the boundary shell reaches
+    boundary_radius further out. Both minimum energies are measured
+    against the supplied Hamiltonian (which may carry a perturbation on
+    top of the checks).
     """
     n = checks.n
-    x0 = _as_mask(n, center[0])
-    z0 = _as_mask(n, center[1])
-    if inner_radius + boundary_radius > n:
+    d = label_distance(checks, center)
+    outer = inner_radius + boundary_radius
+    if outer > n:
         raise EmptyBoundary(
             f"radii {inner_radius}+{boundary_radius} exceed register size {n}"
         )
-    if checks.is_classical:
-        return _classical_barrier(checks, x0, inner_radius, boundary_radius, H)
-    x_reps, z_reps, gx_span, gxp_span = css_labels(checks)
-    inner_pairs = []
-    shell_pairs = []
-    for xr in x_reps:
-        for zr in z_reps:
-            d = _joint_reduced_distance(xr ^ np.uint64(x0), zr ^ np.uint64(z0), gx_span, gxp_span)
-            if d <= inner_radius:
-                inner_pairs.append((int(xr), int(zr)))
-            elif d <= inner_radius + boundary_radius:
-                shell_pairs.append((int(xr), int(zr)))
-    if not shell_pairs:
+    in_shell = (d > inner_radius) & (d <= outer)
+    if not in_shell.any():
         raise EmptyBoundary("no eigenstates in the boundary shell")
-    psi0 = _reference_state(n, gx_span)
-    V = Subspace(
-        n,
-        np.column_stack(
-            [css_eigenstate(checks, x, z, psi0, gx_span) for x, z in inner_pairs]
-        ),
-        label=f"ball r<={inner_radius}",
-    )
+    basis = label_basis(checks)
+    V = Subspace(n, basis.columns(d <= inner_radius), label=f"ball r<={inner_radius}")
     shell = Subspace(
-        n,
-        np.column_stack(
-            [css_eigenstate(checks, x, z, psi0, gx_span) for x, z in shell_pairs]
-        ),
-        label=f"shell {inner_radius}<d<={inner_radius + boundary_radius}",
-    )
-    e_v = subspace_min_energy(V, H)
-    e_b = subspace_min_energy(shell, H)
-    return BarrierCertificate(
-        V=V,
-        boundary_radius=boundary_radius,
-        E_min_V=e_v,
-        E_min_boundary=e_b,
-        kappa=(e_b - e_v) / n,
-        boundary=shell,
-    )
-
-
-def _classical_barrier(checks, x0, inner_radius, boundary_radius, H):
-    """Hamming fast path: eigenstates are basis states, distance is plain."""
-    n = checks.n
-    d = popcount(np.arange(1 << n, dtype=np.uint64) ^ np.uint64(x0))
-    inner_idx = np.flatnonzero(d <= inner_radius)
-    shell_idx = np.flatnonzero(
-        (d > inner_radius) & (d <= inner_radius + boundary_radius)
-    )
-    if shell_idx.size == 0:
-        raise EmptyBoundary("no eigenstates in the boundary shell")
-    V = basis_state_subspace(n, inner_idx, label=f"ball r<={inner_radius}")
-    shell = basis_state_subspace(
-        n,
-        shell_idx,
-        label=f"shell {inner_radius}<d<={inner_radius + boundary_radius}",
+        n, basis.columns(in_shell), label=f"shell {inner_radius}<d<={outer}"
     )
     e_v = subspace_min_energy(V, H)
     e_b = subspace_min_energy(shell, H)
@@ -618,6 +571,17 @@ def subspace_min_energy(V, H):
     return float(np.linalg.eigvalsh(0.5 * (block + block.conj().T))[0])
 
 
+def spectrum(H):
+    """Eigenvalues w and eigenvectors U of a Hamiltonian or Hermitian
+    matrix. A matrix with every off-diagonal entry below 1e-12 is taken
+    as diagonal: w is its real diagonal and U is None, the identity.
+    """
+    mat = H.mat if isinstance(H, Hamiltonian) else np.asarray(H)
+    if max_offdiagonal(mat) < 1e-12:
+        return np.real(np.diag(mat)).astype(np.float64), None
+    return hermitian_eigensystem(mat)
+
+
 def gibbs_state(H, beta):
     """Thermal state, log partition function, and free energy -logZ/beta.
 
@@ -628,12 +592,7 @@ def gibbs_state(H, beta):
         raise BetaNegative(f"beta = {beta}")
     mat = H.mat if isinstance(H, Hamiltonian) else np.asarray(H)
     n = H.n if isinstance(H, Hamiltonian) else int(mat.shape[0]).bit_length() - 1
-    offdiag = max_offdiagonal(mat)
-    if offdiag < 1e-12:
-        w = np.real(np.diag(mat))
-        U = None
-    else:
-        w, U = hermitian_eigensystem(mat)
+    w, U = spectrum(mat)
     shifted = np.exp(-beta * (w - w.min()))
     total = shifted.sum()
     logZ = float(np.log(total) - beta * w.min())

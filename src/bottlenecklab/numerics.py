@@ -236,7 +236,7 @@ def _gauged(H):
     return d, np.ascontiguousarray(G.real)
 
 
-def hermitian_eigensystem(H, tol=None):
+def hermitian_eigensystem(H):
     """Eigenvalues (ascending) and phase-fixed eigenvectors of a Hermitian matrix.
 
     Raises NotHermitian when max|H - H^dag| exceeds 1e-10. Reconstruction

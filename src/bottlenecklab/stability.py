@@ -4,8 +4,14 @@ The machinery follows one storyline. Split the spectrum of the
 unperturbed Hamiltonian into a low part, a ladder of width-delta_E
 shells, and a high part. A perturbation whose terms touch few checks is
 block-tridiagonal in that ladder, so the amplitude of a low-energy
-eigenstate on the high part decays geometrically shell by shell. The
-sweep turns the resulting exponential estimates into measured bottleneck
+eigenstate on the high part decays geometrically shell by shell.
+
+Each shell is a set of eigen-indices of model.spectrum(H0). The ladder
+check reads blocks of U^dag V U and a tail amplitude the top-shell
+entries of U^dag psi (U is the identity for a diagonal H0), so no
+2^n x 2^n projector is built.
+
+The sweep turns the resulting exponential estimates into measured bottleneck
 ratios on perturbed Gibbs states across a (beta, g, n, seed) grid.
 
 The sweep comes in four pieces: sweep_model builds H0 and the barrier
@@ -53,9 +59,10 @@ from .model import (
     gibbs_state,
     perturb,
     random_local_perturbation,
+    spectrum,
     subspace_min_energy,
 )
-from .numerics import hermitian_eigensystem, max_offdiagonal, operator_norm
+from .numerics import hermitian_eigensystem, operator_norm
 
 __all__ = [
     "ShellDecomposition",
@@ -78,9 +85,18 @@ __all__ = [
 
 @dataclass
 class ShellDecomposition:
-    """Projectors [Q_<, Q_1..Q_{q*}, Q_>] onto exact eigenspace windows."""
+    """Exact eigenspace windows [Q_<, Q_1..Q_{q*}, Q_>] of H0, by eigen-index.
 
-    projectors: tuple
+    indices[b] lists, ascending, the eigenvectors of H0 in window b: the
+    columns of U, or the basis states when U is None because H0 is
+    diagonal. So Q_b = U[:, indices[b]] U[:, indices[b]]^dag, and no
+    projector is ever formed. Construction checks that every eigen-index
+    lies in exactly one window, which for the orthonormal eigenbasis U is
+    sum_b Q_b = 1 with Q_a Q_b = 0 for a != b.
+    """
+
+    indices: tuple
+    U: np.ndarray
     E_boundaries: tuple
     delta_E: float
     eps1: float
@@ -90,14 +106,11 @@ class ShellDecomposition:
     q_star: int
 
     def __post_init__(self):
-        dim = self.projectors[0].shape[0]
-        total = sum(self.projectors)
-        if np.abs(total - np.eye(dim)).max() > 1e-9:
-            raise ParametersInadmissible("shell projectors do not resolve identity")
-        for i, Qi in enumerate(self.projectors):
-            for Qj in self.projectors[i + 1 :]:
-                if np.abs(Qi @ Qj).max() > 1e-9:
-                    raise ParametersInadmissible("shell projectors overlap")
+        hits = np.bincount(np.concatenate(self.indices), minlength=1 << self.n)
+        if hits.size != 1 << self.n or (hits == 0).any():
+            raise ParametersInadmissible("shell windows do not resolve identity")
+        if (hits > 1).any():
+            raise ParametersInadmissible("shell windows overlap")
 
 
 @dataclass
@@ -127,17 +140,22 @@ def _assumed_w0w1(H0):
     return H0.w0 * max(H0.w1, 1)
 
 
-def _window_checks(H0, eps1, eps2, g, delta_E):
+def _window(H0, eps1, eps2, g):
+    """(w0*w1, widest admissible shell width), once eps2 > eps1 + 4g holds."""
     if eps2 <= eps1 + 4 * g:
         raise ParametersInadmissible(
             f"need eps2 > eps1 + 4g, got eps2-eps1 = {eps2 - eps1!r} with g = {g!r}"
         )
     w0w1 = _assumed_w0w1(H0)
+    return w0w1, w0w1 * (eps2 - eps1) / (eps2 - eps1 - 4 * g)
+
+
+def _window_checks(H0, eps1, eps2, g, delta_E):
+    w0w1, top = _window(H0, eps1, eps2, g)
     if delta_E <= w0w1:
         raise ParametersInadmissible(
             f"shell width {delta_E!r} must exceed w0*w1 = {w0w1!r}"
         )
-    top = w0w1 * (eps2 - eps1) / (eps2 - eps1 - 4 * g)
     if delta_E > top + 1e-12:
         raise ParametersInadmissible(
             f"shell width {delta_E!r} above admissible maximum {top!r}"
@@ -158,11 +176,7 @@ def plan_shell_width(H0, eps1, eps2, g):
     Smaller shells mean more of them and a faster tail decay rate, so the
     planner maximizes the shell count within the admissible window.
     """
-    if eps2 <= eps1 + 4 * g:
-        raise ParametersInadmissible(
-            f"need eps2 > eps1 + 4g, got eps2-eps1 = {eps2 - eps1!r} with g = {g!r}"
-        )
-    w0w1 = _assumed_w0w1(H0)
+    w0w1, top = _window(H0, eps1, eps2, g)
     span = ((eps2 - eps1) / 2 - 2 * g) * H0.n
     q_star = math.ceil(span / w0w1 - 1e-12) - 1
     if q_star < 1:
@@ -170,7 +184,6 @@ def plan_shell_width(H0, eps1, eps2, g):
             f"window {span!r} too narrow for even one shell wider than {w0w1!r}"
         )
     delta_E = span / q_star
-    top = w0w1 * (eps2 - eps1) / (eps2 - eps1 - 4 * g)
     if delta_E > top + 1e-12:
         raise ParametersInadmissible(
             f"no integer shell count fits: delta_E = {delta_E!r} exceeds {top!r}"
@@ -182,39 +195,21 @@ def shell_decomposition(H0, eps1, eps2, g, delta_E):
     """Split the spectrum of H0 into [Q_<, Q_1..Q_{q*}, Q_>].
 
     The ladder starts at (eps2+eps1)n/2 + 2gn and ends at eps2*n, in q*
-    windows of width delta_E built from exact eigenspaces of H0.
+    windows of width delta_E built from exact eigenspaces of H0. Each
+    window is the set of eigen-indices of model.spectrum(H0) whose
+    eigenvalue falls in it.
     """
     q_star = _window_checks(H0, eps1, eps2, g, delta_E)
     n = H0.n
     E1 = (eps2 + eps1) * n / 2 + 2 * g * n
     boundaries = tuple(E1 + q * delta_E for q in range(q_star + 1))
-    mat = H0.mat
-    if max_offdiagonal(mat) < 1e-12:
-        w = np.real(np.diag(mat)).astype(np.float64)
-        U = None
-    else:
-        w, U = hermitian_eigensystem(mat)
-    dim = mat.shape[0]
-    bins = np.empty(w.size, dtype=np.int64)
-    for i, E in enumerate(w):
-        if E < boundaries[0]:
-            bins[i] = 0
-        elif E >= boundaries[-1]:
-            bins[i] = q_star + 1
-        else:
-            bins[i] = 1 + int((E - boundaries[0]) / delta_E + 1e-12)
-    projectors = []
-    for b in range(q_star + 2):
-        sel = np.flatnonzero(bins == b)
-        if U is None:
-            Q = np.zeros((dim, dim), dtype=np.complex128)
-            Q[sel, sel] = 1.0
-        else:
-            cols = U[:, sel]
-            Q = cols @ cols.conj().T
-        projectors.append(Q)
+    w, U = spectrum(H0)
+    bins = 1 + np.floor((w - boundaries[0]) / delta_E + 1e-12).astype(np.int64)
+    bins[w < boundaries[0]] = 0
+    bins[w >= boundaries[-1]] = q_star + 1
     return ShellDecomposition(
-        projectors=tuple(projectors),
+        indices=tuple(np.flatnonzero(bins == b) for b in range(q_star + 2)),
+        U=U,
         E_boundaries=boundaries,
         delta_E=delta_E,
         eps1=eps1,
@@ -226,14 +221,20 @@ def shell_decomposition(H0, eps1, eps2, g, delta_E):
 
 
 def verify_block_tridiagonal(Vpert, shells):
-    """Largest coupling Q_i V Q_j between non-adjacent shells."""
+    """Largest coupling ||Q_i V Q_j|| between non-adjacent shells.
+
+    Each is the operator norm of one block of U^dag V U (of V itself when
+    H0 is diagonal), rows and columns picked by the two index sets.
+    """
     V = Vpert.mat
+    if shells.U is not None:
+        V = shells.U.conj().T @ V @ shells.U
     worst = 0.0
     worst_pair = (0, 0)
-    m = len(shells.projectors)
+    m = len(shells.indices)
     for i in range(m):
         for j in range(i + 2, m):
-            r = operator_norm(shells.projectors[i] @ V @ shells.projectors[j])
+            r = operator_norm(V[np.ix_(shells.indices[i], shells.indices[j])])
             if r > worst:
                 worst = r
                 worst_pair = (i, j)
@@ -258,18 +259,25 @@ def tail_amplitudes(H, H0, shells):
     """Weight of every low-energy eigenstate of H on the high shell of H0.
 
     shells is the shell_decomposition of H0, which fixes eps1, eps2, g and
-    delta_E. Each eigenstate with energy below eps1*n gets its measured
-    ||Q_> psi|| together with the geometric-decay bound e^{-lambda(g) n};
-    the bound is asserted, not just reported.
+    delta_E. Each eigenstate psi with energy below eps1*n gets its
+    measured ||Q_> psi|| = ||(U^dag psi)[top]||, top the high window's
+    eigen-indices, together with the geometric-decay bound
+    e^{-lambda(g) n}; the bound is asserted, not just reported.
     """
     _check_perturbation(H, H0, shells.g)
     w, U = hermitian_eigensystem(H.mat)
     lam = _decay_rate(shells.eps1, shells.eps2, shells.g, shells.delta_E)
     bound = math.exp(-lam * shells.n) if lam < math.inf else 0.0
-    Q_top = shells.projectors[-1]
+    top = np.zeros(1 << shells.n, dtype=bool)
+    top[shells.indices[-1]] = True
+    low = np.flatnonzero(w < shells.eps1 * shells.n)
+    coeffs = U[:, low] if shells.U is None else shells.U.conj().T @ U[:, low]
+    # zero the entries off the top window rather than gather the rest, so
+    # each norm sums all dim entries in index order, rounding as Q_> psi does
+    tails = np.where(top[None, :], coeffs.T, 0)
     records = []
-    for i in np.flatnonzero(w < shells.eps1 * shells.n):
-        amp = float(np.linalg.norm(Q_top @ U[:, i]))
+    for i, tail in zip(low, tails):
+        amp = float(np.linalg.norm(tail))
         if amp > bound + 1e-9:
             raise BoundViolated(
                 f"tail amplitude {amp!r} above e^(-lambda n) = {bound!r} "

@@ -164,17 +164,8 @@ def hamming_ball_subspace(n, centers, radius, label=""):
     for c in centers:
         if not 0 <= c < dim:
             raise CenterOutsideSpace(f"center {c} outside 0..{dim - 1}")
-    keep = _hamming_distance(n, centers) <= radius
+    keep = pl.hamming_distance(n, centers) <= radius
     return basis_state_subspace(n, np.flatnonzero(keep), label)
-
-
-def _hamming_distance(n, centers):
-    """Hamming distance of every basis index to the nearest center."""
-    idx = np.arange(1 << n, dtype=np.uint64)
-    d = np.full(idx.shape, np.iinfo(np.int64).max)
-    for c in centers:
-        d = np.minimum(d, pl.popcount(idx ^ np.uint64(c)))
-    return d
 
 
 def basis_state_subspace(n, indices, label=""):
@@ -267,7 +258,7 @@ def _hamming_shell_partition(V, support, r):
     n = V.n
     if not 0 <= r <= n:
         raise RadiusExceedsN(f"radius {r} outside [0, {n}]")
-    d = _hamming_distance(n, support)
+    d = pl.hamming_distance(n, support)
     B1 = basis_state_subspace(n, np.flatnonzero((d > 0) & (d <= r)))
     B2 = basis_state_subspace(n, np.flatnonzero((d > r) & (d <= 2 * r)))
     C = basis_state_subspace(n, np.flatnonzero(d > 2 * r))

@@ -1,0 +1,156 @@
+"""Reference forms of computations that the package does by faster routes.
+
+Each oracle follows the definition rather than a data layout, one item at
+a time, and only tests call it:
+
+- css_labels and css_eigenstate build CSS eigenstates one label pair at a
+  time, by applying X(x) Z(z) to the reference state psi0, the uniform
+  superposition over the span of the X checks. They are the oracle for
+  model.label_basis.
+- barrier_by_label_pairs builds a barrier ball and its boundary shell by a
+  loop over label pairs, taking the reduced distance of each pair as a
+  minimum over both stabilizer spans. It is the oracle for
+  model.barrier_subspace.
+- shell_projectors builds the energy windows of H0 as dense projectors
+  and checks that they resolve the identity without overlapping. It is
+  the oracle for stability.shell_decomposition, whose windows are index
+  sets of the eigenbasis.
+"""
+
+import math
+
+import numpy as np
+
+from bottlenecklab.errors import EmptyBoundary, ParametersInadmissible
+from bottlenecklab.model import BarrierCertificate, subspace_min_energy
+from bottlenecklab.numerics import hermitian_eigensystem, max_offdiagonal
+from bottlenecklab.pauli import (
+    PauliString,
+    apply_pauli,
+    gf2_null_space_masks,
+    gf2_span,
+    popcount,
+)
+from bottlenecklab.subspace import Subspace
+
+
+def _coset_reps(n, span):
+    """Smallest member of each coset of span among the n-bit strings."""
+    idx = np.arange(1 << n, dtype=np.uint64)
+    return np.unique(np.bitwise_xor.outer(idx, span).min(axis=1))
+
+
+def css_labels(checks):
+    """Class representatives for CSS eigenstate labels.
+
+    Returns (x_reps, z_reps, gx_span, gxp_span): x labels run modulo the
+    span of X-check supports, z labels modulo its orthogonal complement,
+    each coset represented by its smallest member.
+    """
+    n = checks.n
+    x_masks = [int(m) for m in checks.x_masks()]
+    gx_span = gf2_span(x_masks)
+    gxp_span = gf2_span(gf2_null_space_masks(n, x_masks))
+    return _coset_reps(n, gx_span), _coset_reps(n, gxp_span), gx_span, gxp_span
+
+
+def reference_state(n, gx_span):
+    """psi0: the uniform superposition over the X-check span."""
+    psi = np.zeros(1 << n, dtype=np.complex128)
+    psi[gx_span.astype(np.int64)] = 1.0 / math.sqrt(gx_span.size)
+    return psi
+
+
+def css_eigenstate(checks, x, z, psi0=None, gx_span=None):
+    """The eigenstate X(x) Z(z) |psi0>, phase set so its first nonzero
+    entry is positive."""
+    n = checks.n
+    if gx_span is None:
+        gx_span = gf2_span([int(m) for m in checks.x_masks()])
+    if psi0 is None:
+        psi0 = reference_state(n, gx_span)
+    vec = apply_pauli(PauliString(n, int(x), int(z)), psi0)
+    lead = vec[np.flatnonzero(np.abs(vec) > 1e-12)[0]]
+    return vec * (abs(lead) / lead)
+
+
+def joint_reduced_distance(a, b, gx_span, gxp_span):
+    """Min weight of supp(a^g) | supp(b^h) over both stabilizer spans."""
+    ag = np.uint64(int(a)) ^ gx_span
+    bh = np.uint64(int(b)) ^ gxp_span
+    return int(popcount(np.bitwise_or.outer(ag, bh)).min())
+
+
+def barrier_by_label_pairs(checks, center, inner_radius, boundary_radius, H):
+    """The barrier certificate of model.barrier_subspace, one label pair at
+    a time; center is a pair of integer bitstrings."""
+    n = checks.n
+    x0, z0 = (int(c) for c in center)
+    if inner_radius + boundary_radius > n:
+        raise EmptyBoundary(f"radii {inner_radius}+{boundary_radius} exceed n={n}")
+    x_reps, z_reps, gx_span, gxp_span = css_labels(checks)
+    inner_pairs, shell_pairs = [], []
+    for xr in x_reps:
+        for zr in z_reps:
+            d = joint_reduced_distance(int(xr) ^ x0, int(zr) ^ z0, gx_span, gxp_span)
+            if d <= inner_radius:
+                inner_pairs.append((int(xr), int(zr)))
+            elif d <= inner_radius + boundary_radius:
+                shell_pairs.append((int(xr), int(zr)))
+    if not shell_pairs:
+        raise EmptyBoundary("no eigenstates in the boundary shell")
+    psi0 = reference_state(n, gx_span)
+
+    def span(pairs, label):
+        cols = [css_eigenstate(checks, x, z, psi0, gx_span) for x, z in pairs]
+        return Subspace(n, np.column_stack(cols), label=label)
+
+    V = span(inner_pairs, f"ball r<={inner_radius}")
+    shell = span(shell_pairs, f"shell {inner_radius}<d<={inner_radius + boundary_radius}")
+    e_v = subspace_min_energy(V, H)
+    e_b = subspace_min_energy(shell, H)
+    return BarrierCertificate(
+        V=V,
+        boundary_radius=boundary_radius,
+        E_min_V=e_v,
+        E_min_boundary=e_b,
+        kappa=(e_b - e_v) / n,
+        boundary=shell,
+    )
+
+
+def shell_projectors(H0, boundaries, delta_E):
+    """Dense projectors [Q_<, Q_1..Q_{q*}, Q_>] onto the eigenspaces of H0
+    with energy below boundaries[0], in each width-delta_E window, and at
+    or above boundaries[-1]."""
+    mat = H0.mat
+    dim = mat.shape[0]
+    if max_offdiagonal(mat) < 1e-12:
+        w, U = np.real(np.diag(mat)), None
+    else:
+        w, U = hermitian_eigensystem(mat)
+    q_star = len(boundaries) - 1
+    bins = np.empty(w.size, dtype=np.int64)
+    for i, E in enumerate(w):
+        if E < boundaries[0]:
+            bins[i] = 0
+        elif E >= boundaries[-1]:
+            bins[i] = q_star + 1
+        else:
+            bins[i] = 1 + int((E - boundaries[0]) / delta_E + 1e-12)
+    projectors = []
+    for b in range(q_star + 2):
+        sel = np.flatnonzero(bins == b)
+        if U is None:
+            Q = np.zeros((dim, dim), dtype=np.complex128)
+            Q[sel, sel] = 1.0
+        else:
+            Q = U[:, sel] @ U[:, sel].conj().T
+        projectors.append(Q)
+    if np.abs(sum(projectors) - np.eye(dim)).max() > 1e-9:
+        raise ParametersInadmissible("shell projectors do not resolve identity")
+    for i, Qi in enumerate(projectors):
+        for Qj in projectors[i + 1 :]:
+            if np.abs(Qi @ Qj).max() > 1e-9:
+                raise ParametersInadmissible("shell projectors overlap")
+    return projectors

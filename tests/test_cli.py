@@ -273,17 +273,25 @@ def test_tail_check_builds_shells_once_per_point(tmp_path, monkeypatch):
     # both the CLI and the stability module's own name are counted
     monkeypatch.setattr(cli, "shell_decomposition", counted)
     monkeypatch.setattr(stability, "shell_decomposition", counted)
+    # g = 0.02 leaves no admissible shell width: no shells, and one
+    # failure entry for each of its points
     cfg = {
         "model": "repetition",
         "n": 8,
         "eps1": 0.2,
         "eps2": 0.755,
-        "gs": [0.01],
+        "gs": [0.01, 0.02],
         "seeds": [0, 1, 2],
     }
     code, out = run("tail-check", cfg, tmp_path)
-    assert code == 0
-    assert len(calls) == 3
+    assert code == 1
+    assert len(calls) == 1
+    failures = json.loads((out / "failures.json").read_text())
+    assert [f["point"] for f in failures] == [
+        {"model": "repetition", "g": 0.02, "seed": s} for s in (0, 1, 2)
+    ]
+    assert {f["reason"] for f in failures} == {"ParametersInadmissible"}
+    assert sorted({row[5] for row in read_rows(out)[1]}) == ["0", "1", "2"]
 
 
 def sweep_csv(rows):
@@ -581,6 +589,41 @@ def test_stability_sweep_slope_violation_is_a_run_failure(tmp_path, monkeypatch)
     assert failures[0]["data"] == {"slope": -0.1}
     assert len(read_rows(out)[1]) == 1
     assert not (out / "fit.json").exists()
+
+
+MC_STEANE = {
+    "model": "steane7",
+    "flavors": ["X"],
+    "beta": 1.0,
+    "horizon": 10,
+    "subspace": {"centers": [0], "radius": 1},
+    "partition_radius": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "subcommand,cfg,key",
+    [
+        ("verify-quantum", dict(VQ_BASE, sites=[0, 99]), "sites[1]"),
+        ("mixing-compare", dict(MC_STEANE, sites=[7]), "sites[0]"),
+        ("verify-quantum", dict(VQ_BASE, partition_radius=7), "partition_radius"),
+    ],
+)
+def test_quantum_config_past_the_register_rejected(tmp_path, monkeypatch, subcommand, cfg, key):
+    monkeypatch.setattr(cli, "build_hamiltonian", _refuse)
+    code, out = run(subcommand, cfg, tmp_path)
+    assert code == 2
+    assert_config_rejected(out, key)
+
+
+def test_verify_classical_laziness_one_rejected(tmp_path, monkeypatch):
+    # laziness 1 never moves, so the chain has no unique stationary law
+    monkeypatch.setattr(cli, "hamming_state_partition", _refuse)
+    monkeypatch.setattr(cli, "glauber_chain", _refuse)
+    cfg = dict(GRID_CONFIGS["verify-classical"], laziness=1.0)
+    code, out = run("verify-classical", cfg, tmp_path)
+    assert code == 2
+    assert_config_rejected(out, "laziness")
 
 
 def test_verify_classical_empty_c_rejected(tmp_path, monkeypatch):

@@ -18,8 +18,6 @@ from bottlenecklab.model import (
     checks_from_text,
     classical_energies,
     classical_energy,
-    css_eigenstate,
-    css_labels,
     curie_weiss,
     expansion_scan,
     gibbs_state,
@@ -38,6 +36,7 @@ from bottlenecklab.model import (
 )
 from bottlenecklab.pauli import PauliString, gf2_rank, mask_from_indices, pauli_matrix
 from bottlenecklab.subspace import Subspace, hamming_ball_subspace
+from oracles import css_eigenstate, css_labels
 
 
 class TestCheckFamily:

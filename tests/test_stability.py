@@ -46,10 +46,10 @@ def test_shell_ranks_and_boundaries():
     sh = ring6_shells()
     assert sh.q_star == 1
     assert sh.E_boundaries == (pytest.approx(2.94), pytest.approx(5.04))
-    ranks = [int(round(np.real(np.trace(Q)))) for Q in sh.projectors]
-    assert ranks == [32, 30, 2]
-    total = sum(sh.projectors)
-    assert np.abs(total - np.eye(64)).max() < 1e-10
+    assert sh.U is None
+    assert [len(idx) for idx in sh.indices] == [32, 30, 2]
+    # the windows cover every eigen-index of the 64 once
+    assert np.array_equal(np.sort(np.concatenate(sh.indices)), np.arange(64))
 
 
 def test_shell_window_arithmetic():
