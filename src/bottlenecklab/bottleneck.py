@@ -40,7 +40,7 @@ from .errors import (
     NotFixedPoint,
     ZeroDelta,
 )
-from .model import gibbs_state, spectrum, subspace_min_energy
+from .model import ThermalState, gibbs_state, spectrum, subspace_min_energy
 from .numerics import (
     DensityMatrix,
     matrix_of,
@@ -126,14 +126,28 @@ def bottleneck_ratio(rho, P_A, P_B):
     and ||P rho||_1 is the sum of the singular values of the k x dim
     block X^dag rho, since an isometry preserves singular values. A
     Subspace of dimension k thus never forms a dim x dim product.
+
+    rho may also be a model.ThermalState, rho = U diag(p) U^dag, which is
+    never formed: X^dag rho = (X^dag U) diag(p) U^dag and U^dag is
+    unitary, so the numerator sums the singular values of (X_B^dag U)
+    diag(p) and the denominator is sum_j p_j ||X_A^dag u_j||^2, with
+    X^dag itself in place of X^dag U when U is None.
     """
-    mat = matrix_of(rho)
     xa = _basis_of(P_A)
     xb = _basis_of(P_B)
-    denominator = float(np.real(np.sum((xa.conj().T @ mat) * xa.T)))
+    if isinstance(rho, ThermalState):
+        ya, yb = xa.conj().T, xb.conj().T
+        if rho.U is not None:
+            ya, yb = ya @ rho.U, yb @ rho.U
+        denominator = float((ya.real**2 + ya.imag**2).sum(axis=0) @ rho.p)
+        block = yb * rho.p[None, :]
+    else:
+        mat = matrix_of(rho)
+        denominator = float(np.real(np.sum((xa.conj().T @ mat) * xa.T)))
+        block = xb.conj().T @ mat
     if denominator <= 1e-12:
         raise EmptyA(f"tr(P_A rho) = {denominator:.3e}")
-    numerator = float(np.linalg.svd(xb.conj().T @ mat, compute_uv=False).sum())
+    numerator = float(np.linalg.svd(block, compute_uv=False).sum())
     return numerator / denominator, numerator, denominator
 
 

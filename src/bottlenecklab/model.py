@@ -18,12 +18,16 @@ label_basis holds every eigenstate as a column of one orthonormal basis
 and label_distance gives each column's distance from a center label, so a
 barrier ball and its boundary shell are column selections, by one path
 for classical and CSS models. spectrum is the one diagonal-or-eigensolve
-step, read by Gibbs states and by the energy shells of stability.
+step, read by thermal states and by the energy shells of stability.
+thermal_state keeps a Gibbs state in that eigen-form, weights p over the
+columns of U, and gibbs_state forms the dense rho = U diag(p) U^dag from
+it for the callers that need rho itself.
 """
 
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +61,8 @@ __all__ = [
     "expansion_scan",
     "barrier_subspace",
     "spectrum",
+    "ThermalState",
+    "thermal_state",
     "gibbs_state",
     "subspace_min_energy",
     "random_local_perturbation",
@@ -557,17 +563,26 @@ def barrier_subspace(checks, center, inner_radius, boundary_radius, H):
 
 
 def subspace_min_energy(V, H):
-    """min over unit psi in V of <psi|H|psi>, via the compressed block."""
+    """min over unit psi in V of <psi|H|psi>, via the compressed block.
+
+    When every basis column has one nonzero entry (above 1e-14), column i
+    is vals[i] |rows[i]>, so the block X^dag H X is H[rows][:, rows]
+    scaled by the column values and is gathered, not multiplied out; a
+    diagonal H then needs no eigensolve at all.
+    """
     if V.dim == 0:
         raise EmptySubspace("minimum energy over an empty subspace")
     mat = H.mat if isinstance(H, Hamiltonian) else np.asarray(H)
     basis = V.basis
     nnz_per_col = (np.abs(basis) > 1e-14).sum(axis=0)
-    offdiag = max_offdiagonal(mat)
-    if offdiag < 1e-14 and (nnz_per_col == 1).all():
+    if (nnz_per_col == 1).all():
         rows = np.argmax(np.abs(basis), axis=0)
-        return float(np.real(np.diag(mat))[rows].min())
-    block = basis.conj().T @ mat @ basis
+        if max_offdiagonal(mat) < 1e-14:
+            return float(np.real(np.diag(mat))[rows].min())
+        vals = basis[rows, np.arange(V.dim)]
+        block = (vals.conj()[:, None] * mat[np.ix_(rows, rows)]) * vals[None, :]
+    else:
+        block = basis.conj().T @ mat @ basis
     return float(np.linalg.eigvalsh(0.5 * (block + block.conj().T))[0])
 
 
@@ -582,21 +597,39 @@ def spectrum(H):
     return hermitian_eigensystem(mat)
 
 
-def gibbs_state(H, beta):
-    """Thermal state, log partition function, and free energy -logZ/beta.
+class ThermalState(NamedTuple):
+    """A Gibbs state in the eigenbasis of its Hamiltonian: rho = U diag(p)
+    U^dag, with U None for the identity (a diagonal Hamiltonian)."""
 
-    Diagonal Hamiltonians skip the eigensolver. Weights are shifted by the
-    ground energy before exponentiating so large beta stays finite.
+    p: np.ndarray
+    U: np.ndarray | None
+    logZ: float
+
+
+def thermal_state(H, beta):
+    """Gibbs weights p over the eigenvectors U of spectrum(H), and logZ.
+
+    Weights are shifted by the ground energy before exponentiating so
+    large beta stays finite.
     """
     if beta < 0:
         raise BetaNegative(f"beta = {beta}")
-    mat = H.mat if isinstance(H, Hamiltonian) else np.asarray(H)
-    n = H.n if isinstance(H, Hamiltonian) else int(mat.shape[0]).bit_length() - 1
-    w, U = spectrum(mat)
+    w, U = spectrum(H)
     shifted = np.exp(-beta * (w - w.min()))
     total = shifted.sum()
     logZ = float(np.log(total) - beta * w.min())
-    probs = shifted / total
+    return ThermalState(shifted / total, U, logZ)
+
+
+def gibbs_state(H, beta):
+    """Thermal state, log partition function, and free energy -logZ/beta.
+
+    The dense rho = U diag(p) U^dag of thermal_state; diagonal
+    Hamiltonians skip the eigensolver.
+    """
+    mat = H.mat if isinstance(H, Hamiltonian) else np.asarray(H)
+    n = H.n if isinstance(H, Hamiltonian) else int(mat.shape[0]).bit_length() - 1
+    probs, U, logZ = thermal_state(mat, beta)
     if U is None:
         rho = np.diag(probs.astype(np.complex128))
     else:
@@ -605,12 +638,13 @@ def gibbs_state(H, beta):
     return DensityMatrix(rho, n), logZ, F
 
 
-def _embed_on_support(n, support, T):
-    """Spread a 2^k matrix over the full register on the given qubits.
+def _embed_on_support(n, support, T, out):
+    """Add a 2^k matrix, spread over the full register on the given qubits,
+    into the dim x dim array out.
 
     Column j couples only to the 2^k rows rest_j | s, where rest_j is j
     with the support bits cleared and s runs over the support patterns,
-    so only those 2^k * 2^n entries are written.
+    so only those 2^k * 2^n entries are touched.
     """
     dim = 1 << n
     k = len(support)
@@ -624,26 +658,39 @@ def _embed_on_support(n, support, T):
     spread = np.zeros(1 << k, dtype=np.int64)
     for pos, q in enumerate(support):
         spread |= ((patterns >> (k - 1 - pos)) & 1) << (n - 1 - q)
-    full = np.zeros((dim, dim), dtype=T.dtype)
-    full[rest[None, :] | spread[:, None], idx[None, :]] = T[patterns[:, None], sub[None, :]]
-    return full
+    out[rest[None, :] | spread[:, None], idx[None, :]] += T[patterns[:, None], sub[None, :]]
+    return out
 
 
 def random_local_perturbation(n, term_supports, g, seed):
-    """Sum of seeded Gaussian Hermitian terms, rescaled to norm g*n."""
+    """Sum of seeded Gaussian Hermitian terms, rescaled to norm g*n.
+
+    Terms on pairwise disjoint supports commute, and the spectrum of
+    their sum is every sum of one eigenvalue per term, so ||V|| is the
+    larger of |sum of smallest| and |sum of largest| term eigenvalues.
+    Overlapping supports take the eigenvalues of V itself.
+    """
     supports = tuple(tuple(sorted(int(q) for q in s)) for s in term_supports)
     dim = 1 << n
     V = np.zeros((dim, dim), dtype=np.complex128)
     rng = np.random.default_rng(seed)
+    lo = hi = 0.0
     for supp in supports:
         k = len(supp)
         G = rng.standard_normal((1 << k, 1 << k)) + 1j * rng.standard_normal(
             (1 << k, 1 << k)
         )
         T = 0.5 * (G + G.conj().T)
-        V += _embed_on_support(n, supp, T)
+        _embed_on_support(n, supp, T, V)
+        w = np.linalg.eigvalsh(T)
+        lo += w[0]
+        hi += w[-1]
     if g > 0 and supports:
-        norm = np.abs(hermitian_eigenvalues(V)).max()
+        qubits = [q for supp in supports for q in supp]
+        if len(set(qubits)) == len(qubits):
+            norm = max(abs(lo), abs(hi))
+        else:
+            norm = np.abs(hermitian_eigenvalues(V)).max()
         if norm > 0:
             V *= (g * n) / norm
     else:
@@ -747,9 +794,9 @@ SIZE_INDEXED = ("ising_ring", "repetition", "curie_weiss")
 def build_model(name, params):
     """CheckFamily of a registry model from its config parameters.
 
-    steane7 is fixed at n = 7, toric reads L (default 2), random_ldpc
-    needs n, checks and model_seed, and every other model needs n.
-    Other keys of params are ignored.
+    steane7 is fixed at n = 7, toric reads L (default 2, at least 2),
+    random_ldpc needs n (at least 3), checks and model_seed, and every
+    other model needs n. Other keys of params are ignored.
     """
     if name not in REGISTRY:
         raise ModelNotFound(f"unknown model {name!r}; registry has {sorted(REGISTRY)}")
@@ -759,10 +806,14 @@ def build_model(name, params):
         args = ()
     elif name == "toric":
         args = (params.get("L", 2),)
+        if args[0] < 2:
+            raise ConfigInvalid("toric needs L >= 2: at L = 1 a star repeats a qubit")
     elif name == "random_ldpc":
         for key in ("n", "checks", "model_seed"):
             if key not in params:
                 raise ConfigInvalid(f"random_ldpc needs {key!r}")
+        if params["n"] < 3:
+            raise ConfigInvalid("random_ldpc needs n >= 3 for its weight-3 checks")
         args = (params["n"], params["checks"], params["model_seed"])
     elif "n" not in params:
         raise ConfigInvalid(f"model {name!r} needs 'n'")

@@ -21,12 +21,13 @@ over the rows. stability_sweep composes them serially and raises on the
 first violated assertion; the CLI runs the same points through its grid
 runner, where a failing point becomes a failures.json entry.
 
-The perturbed states stay dense: each grid point diagonalises H0 + V,
-which hermitian_eigensystem does with the real symmetric solver (a
-checked diagonal gauge makes a classical H0 plus single-site terms real),
-and reads the ratio through the bases of the barrier ball V and its
-boundary shell (a 1024 x 165 block at n = 10) rather than through dense
-projectors. The sweep takes registry models that are built from n alone
+Each sweep point diagonalises H0 + V once, which hermitian_eigensystem
+does with the real symmetric solver (a checked diagonal gauge makes a
+classical H0 plus single-site terms real), and reads the ratio from that
+eigen-decomposition, model.thermal_state, so no dense rho is formed:
+bottleneck_ratio works through the bases of the barrier ball V and its
+boundary shell (a 1024 x 165 block at n = 10) and the Gibbs weights. The
+sweep takes registry models that are built from n alone
 (model.SIZE_INDEXED).
 
 Shell width bookkeeping: w0 is the maximum number of checks any qubit
@@ -56,11 +57,11 @@ from .model import (
     barrier_subspace,
     build_hamiltonian,
     build_model,
-    gibbs_state,
     perturb,
     random_local_perturbation,
     spectrum,
     subspace_min_energy,
+    thermal_state,
 )
 from .numerics import hermitian_eigensystem, operator_norm
 
@@ -383,8 +384,7 @@ def sweep_point(model, n, beta, g, seed, H0, cert):
                 shifted=shifted,
                 floor=floor_E,
             )
-    rho, _, _ = gibbs_state(H, beta)
-    delta, _, _ = bottleneck_ratio(rho, cert.V, cert.boundary)
+    delta, _, _ = bottleneck_ratio(thermal_state(H, beta), cert.V, cert.boundary)
     w0w1 = H0.w0 * max(V.w1, 1)
     lam_k = _lambda_kappa(cert.kappa, g, w0w1)
     eps = cert.E_min_V / n

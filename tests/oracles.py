@@ -15,14 +15,22 @@ a time, and only tests call it:
   and checks that they resolve the identity without overlapping. It is
   the oracle for stability.shell_decomposition, whose windows are index
   sets of the eigenbasis.
+- dense_ratio forms the Gibbs state as a dense rho and reads Delta from
+  it. It is the oracle for bottleneck_ratio on a model.ThermalState.
+- dense_min_energy multiplies out the compressed block X^dag H X. It is
+  the oracle for the gathered block of model.subspace_min_energy.
+- dense_norm is the operator norm of a perturbation from the eigenvalues
+  of its full matrix. It is the oracle for the disjoint-support norm of
+  model.random_local_perturbation.
 """
 
 import math
 
 import numpy as np
 
+from bottlenecklab.bottleneck import bottleneck_ratio
 from bottlenecklab.errors import EmptyBoundary, ParametersInadmissible
-from bottlenecklab.model import BarrierCertificate, subspace_min_energy
+from bottlenecklab.model import BarrierCertificate, gibbs_state, subspace_min_energy
 from bottlenecklab.numerics import hermitian_eigensystem, max_offdiagonal
 from bottlenecklab.pauli import (
     PauliString,
@@ -154,3 +162,21 @@ def shell_projectors(H0, boundaries, delta_E):
             if np.abs(Qi @ Qj).max() > 1e-9:
                 raise ParametersInadmissible("shell projectors overlap")
     return projectors
+
+
+def dense_ratio(H, beta, P_A, P_B):
+    """(Delta, numerator, denominator) of bottleneck_ratio on the dense rho
+    of gibbs_state(H, beta)."""
+    rho, _, _ = gibbs_state(H, beta)
+    return bottleneck_ratio(rho, P_A, P_B)
+
+
+def dense_min_energy(V, H):
+    """Smallest eigenvalue of X^dag H X for the basis X of V."""
+    block = V.basis.conj().T @ H.mat @ V.basis
+    return float(np.linalg.eigvalsh(0.5 * (block + block.conj().T))[0])
+
+
+def dense_norm(V):
+    """Largest |eigenvalue| of the full matrix of a Hermitian operator."""
+    return float(np.abs(np.linalg.eigvalsh(V.mat)).max())

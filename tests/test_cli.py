@@ -616,6 +616,22 @@ def test_quantum_config_past_the_register_rejected(tmp_path, monkeypatch, subcom
     assert_config_rejected(out, key)
 
 
+@pytest.mark.parametrize(
+    "cfg,word",
+    [
+        ({"model": "random_ldpc", "n": 2, "checks": 1, "model_seed": 0}, "n >= 3"),
+        ({"model": "toric", "L": 1}, "L >= 2"),
+    ],
+)
+def test_registry_model_below_its_smallest_size_rejected(tmp_path, monkeypatch, cfg, word):
+    # random_ldpc draws 3 distinct qubits per check, and a toric star at
+    # L = 1 names the same edge twice
+    monkeypatch.setattr(cli, "build_hamiltonian", _refuse)
+    code, out = run("model-info", cfg, tmp_path)
+    assert code == 2
+    assert_config_rejected(out, word)
+
+
 def test_verify_classical_laziness_one_rejected(tmp_path, monkeypatch):
     # laziness 1 never moves, so the chain has no unique stationary law
     monkeypatch.setattr(cli, "hamming_state_partition", _refuse)

@@ -351,7 +351,7 @@ class TestRandomPerturbation:
         m = 1 << len(support)
         G = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         for T in (0.5 * (G + G.conj().T), G.real.copy()):
-            got = _embed_on_support(n, support, T)
+            got = _embed_on_support(n, support, T, np.zeros((1 << n, 1 << n), T.dtype))
             want = gather_embed_on_support(n, support, T)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()

@@ -6,7 +6,9 @@ range stays wide next to w0. CSS families take their Z checks the same
 way (at most n - 1 of them) and draw one or two X checks as random
 combinations of pauli.gf2_null_space_masks of the Z masks, so every X
 check overlaps every Z check evenly and the two kinds commute by
-construction.
+construction. Perturbed classical families add seeded single-site terms
+on a random set of sites to a drawn classical family or to repetition
+or curie_weiss at n = 10.
 """
 
 import numpy as np
@@ -14,14 +16,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bottlenecklab.errors import EmptyBoundary
+from bottlenecklab.bottleneck import bottleneck_ratio
+from bottlenecklab.errors import EmptyA, EmptyBoundary
 from bottlenecklab.model import (
     CheckFamily,
     barrier_subspace,
     build_hamiltonian,
+    curie_weiss,
     label_energies,
     perturb,
     random_local_perturbation,
+    repetition,
+    subspace_min_energy,
+    thermal_state,
 )
 from bottlenecklab.numerics import hermitian_eigensystem, operator_norm
 from bottlenecklab.pauli import gf2_null_space_masks, indices_from_mask, mask_from_indices
@@ -31,7 +38,14 @@ from bottlenecklab.stability import (
     tail_amplitudes,
     verify_block_tridiagonal,
 )
-from oracles import barrier_by_label_pairs, shell_projectors
+from bottlenecklab.subspace import Subspace
+from oracles import (
+    barrier_by_label_pairs,
+    dense_min_energy,
+    dense_norm,
+    dense_ratio,
+    shell_projectors,
+)
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -158,3 +172,86 @@ def test_shells_match_the_dense_projectors(checks, g, f, seed):
     for rec in tail_amplitudes(H, H0, shells):
         want = np.linalg.norm(projectors[-1] @ U[:, rec.eigen_index])
         assert abs(rec.amplitude - want) <= 1e-12
+
+
+@st.composite
+def perturbed_barriers(draw):
+    """(H0 + V, barrier certificate of H0) with V on random single sites.
+    g > 0: at g = 0 H is diagonal and both forms read the same weights."""
+    checks = draw(
+        st.one_of(classical_families(), st.sampled_from([repetition(10), curie_weiss(10)]))
+    )
+    n = checks.n
+    H0 = build_hamiltonian(checks)
+    center = (draw(st.integers(0, (1 << n) - 1)), 0)
+    cert = barrier_subspace(
+        checks, center, draw(st.integers(0, 2)), draw(st.integers(1, 2)), H0
+    )
+    sites = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    g = draw(st.floats(0.001, 0.05))
+    V = random_local_perturbation(n, tuple((q,) for q in sites), g, draw(st.integers(0, 2**16)))
+    return perturb(H0, V), cert
+
+
+# each n = 10 draw runs two dense 1024 x 1024 eigensolves
+@settings(SETTINGS, max_examples=15)
+@given(
+    case=perturbed_barriers(),
+    beta=st.one_of(st.sampled_from([3.0, 10.0, 40.0]), st.floats(0.0, 40.0)),
+)
+def test_eigen_form_ratio_matches_the_dense_gibbs_state(case, beta):
+    H, cert = case
+    state = thermal_state(H, beta)
+    try:
+        want = dense_ratio(H, beta, cert.V, cert.boundary)
+    except EmptyA:
+        with pytest.raises(EmptyA):
+            bottleneck_ratio(state, cert.V, cert.boundary)
+        return
+    got = bottleneck_ratio(state, cert.V, cert.boundary)
+    for a, b in zip(got, want, strict=True):
+        assert abs(a - b) <= 1e-10 * abs(b)
+
+
+@st.composite
+def disjoint_supports(draw):
+    """(n, supports): 1 to 3 qubits each, no qubit in two supports."""
+    n = draw(st.integers(3, 8))
+    order = draw(st.permutations(range(n)))
+    supports, start = [], 0
+    for k in draw(st.lists(st.integers(1, 3), min_size=1, max_size=n)):
+        if start + k > n:
+            break
+        supports.append(tuple(order[start : start + k]))
+        start += k
+    return n, tuple(supports)
+
+
+@SETTINGS
+@given(case=disjoint_supports(), g=st.floats(0.001, 0.1), seed=st.integers(0, 2**16))
+def test_disjoint_support_norm_matches_the_full_spectrum(case, g, seed):
+    n, supports = case
+    V = random_local_perturbation(n, supports, g, seed)
+    assert abs(dense_norm(V) - g * n) <= 1e-12 * g * n
+
+
+@SETTINGS
+@given(
+    checks=families,
+    picks=st.lists(st.integers(0, 255), min_size=1, max_size=24, unique=True),
+    angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=24, max_size=24),
+    g=st.one_of(st.just(0.0), st.floats(0.001, 0.05)),
+    seed=st.integers(0, 2**16),
+)
+def test_gathered_floor_block_matches_the_dense_block(checks, picks, angles, g, seed):
+    n = checks.n
+    rows = sorted({p % (1 << n) for p in picks})
+    X = np.zeros((1 << n, len(rows)), dtype=np.complex128)
+    X[rows, np.arange(len(rows))] = np.exp(1j * np.array(angles[: len(rows)]))
+    V = Subspace(n, X)
+    # a two-site term next to the single sites, so H is not a sum of
+    # single-site terms on a diagonal H0
+    terms = tuple((q,) for q in range(n)) + ((0, n - 1),)
+    H = perturb(build_hamiltonian(checks), random_local_perturbation(n, terms, g, seed))
+    want = dense_min_energy(V, H)
+    assert abs(subspace_min_energy(V, H) - want) <= 1e-12 * max(1.0, abs(want))
