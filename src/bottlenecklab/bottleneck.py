@@ -117,6 +117,19 @@ def _basis_of(P):
     return np.asarray(P, dtype=np.complex128)
 
 
+def _adjoint_times(P, U):
+    """X^dag U for the X of _basis_of(P), or X^dag itself when U is None.
+
+    A Subspace labeled over the identity basis has unit columns on the
+    rows its mask picks, in ascending order, so X^dag U is a row gather.
+    """
+    if U is None:
+        return _basis_of(P).conj().T
+    if isinstance(P, Subspace) and P.labels is not None and P.labels[0].identity:
+        return U[P.labels[1]]
+    return _basis_of(P).conj().T @ U
+
+
 def bottleneck_ratio(rho, P_A, P_B):
     """Delta = ||P_B rho||_1 / tr(P_A rho), with its two pieces.
 
@@ -131,17 +144,16 @@ def bottleneck_ratio(rho, P_A, P_B):
     never formed: X^dag rho = (X^dag U) diag(p) U^dag and U^dag is
     unitary, so the numerator sums the singular values of (X_B^dag U)
     diag(p) and the denominator is sum_j p_j ||X_A^dag u_j||^2, with
-    X^dag itself in place of X^dag U when U is None.
+    X^dag itself in place of X^dag U when U is None. For a Subspace
+    labeled over the identity basis, X^dag U is the rows of U its labels
+    pick, gathered rather than multiplied out.
     """
-    xa = _basis_of(P_A)
-    xb = _basis_of(P_B)
     if isinstance(rho, ThermalState):
-        ya, yb = xa.conj().T, xb.conj().T
-        if rho.U is not None:
-            ya, yb = ya @ rho.U, yb @ rho.U
+        ya, yb = _adjoint_times(P_A, rho.U), _adjoint_times(P_B, rho.U)
         denominator = float((ya.real**2 + ya.imag**2).sum(axis=0) @ rho.p)
         block = yb * rho.p[None, :]
     else:
+        xa, xb = _basis_of(P_A), _basis_of(P_B)
         mat = matrix_of(rho)
         denominator = float(np.real(np.sum((xa.conj().T @ mat) * xa.T)))
         block = xb.conj().T @ mat
@@ -169,11 +181,15 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
     The label path runs when three things are checked numerically: every
     channel has a monomial form over one label basis W, rho is diagonal
     in W (off-diagonal of W† rho W within 1e-10), and every block of the
-    partition is spanned by labels (each row norm of W† B within 1e-9 of
-    0 or 1). States are then label probability vectors: residuals and
-    the drift are l1 norms, Delta and the block weights are sums, and the
-    Kraus residual is the exact norm of a monomial block. Any other input
-    runs the dense path. report.path says which ran.
+    partition is spanned by labels. Block membership comes from the
+    labels a block carries over W (every block that partition_from_radius
+    builds from a labeled V, checked against its basis when the Subspace
+    was made); any other block counts as spanned by labels when each row
+    norm of W† B is within 1e-9 of 0 or 1. States are then label
+    probability vectors: residuals and the drift are l1 norms, Delta and
+    the block weights are sums, and the Kraus residual is the exact norm
+    of a monomial block. Any other input runs the dense path. report.path
+    says which ran.
     """
     channels = list(C) if isinstance(C, (list, tuple)) else [C]
     mat = matrix_of(rho)
@@ -255,18 +271,21 @@ def _label_state(channels, mat):
 
 def _label_blocks(basis, part):
     """Block (0=A, 1=B1, 2=B2, 3=C) of every label, or None unless each
-    block is spanned by labels: row norms of W† B are 0 or 1 within 1e-9."""
+    block is spanned by labels of W. A block labeled over W (same_as)
+    gives its mask; any other block is tested by its row norms of W† B,
+    which must be 0 or 1 within 1e-9."""
     member = np.full(basis.dim, -1)
     for b, block in enumerate((part.A, part.B1, part.B2, part.C)):
         if block.dim == 0:
             continue
-        norms = np.linalg.norm(basis.adjoint_left(block.basis), axis=1)
-        inside = norms > 0.5
-        if (
-            np.abs(norms - inside).max() > 1e-9
-            or inside.sum() != block.dim
-            or (member[inside] >= 0).any()
-        ):
+        if block.labels is not None and block.labels[0].same_as(basis):
+            inside = block.labels[1]
+        else:
+            norms = np.linalg.norm(basis.adjoint_left(block.basis), axis=1)
+            inside = norms > 0.5
+            if np.abs(norms - inside).max() > 1e-9 or inside.sum() != block.dim:
+                return None
+        if (member[inside] >= 0).any():
             return None
         member[inside] = b
     return member if (member >= 0).all() else None

@@ -40,7 +40,6 @@ from .errors import (
     ModelNotFound,
     NonCommutingChecks,
     NotClassical,
-    NotCommuting,
 )
 from .numerics import (
     DensityMatrix,
@@ -49,7 +48,7 @@ from .numerics import (
     max_offdiagonal,
 )
 from .pauli import gf2_null_space_masks, gf2_span, hamming_distance, mask_from_indices, popcount
-from .subspace import Subspace
+from .subspace import LabelBasis, Subspace, identity_basis
 
 __all__ = [
     "CheckFamily",
@@ -67,10 +66,8 @@ __all__ = [
     "subspace_min_energy",
     "random_local_perturbation",
     "perturb",
-    "LabelBasis",
     "label_basis",
     "label_distance",
-    "identity_basis",
     "label_energies",
     "label_energy_residual",
     "ising_ring",
@@ -286,137 +283,6 @@ def _coset_classes(n, span):
     return reps, np.searchsorted(reps, rep)
 
 
-@dataclass(frozen=True, eq=False)
-class LabelBasis:
-    """An orthonormal eigenbasis W of a commuting model, stored by blocks.
-
-    Column j is the eigenstate with labels (x[j], z[j]). Columns run
-    x-class major: the nz labels of x class c are columns c*nz .. c*nz +
-    nz - 1, so the column of any bitstring pair (x, z) is index(x, z),
-    read from the class tables of every bitstring. All labels of class c
-    live on the same k rows order[c*k : (c+1)*k] (ascending), with values
-    blocks[c] (k x nz). So W = P blockdiag(blocks) for the row
-    permutation P given by order, and products with W are one gather
-    plus one batched matmul. Classical models use the identity basis
-    (k = nz = 1). Arrays are read-only: one basis is shared by every
-    caller.
-    """
-
-    n: int
-    order: np.ndarray
-    blocks: np.ndarray
-    x: np.ndarray
-    z: np.ndarray
-    x_class: np.ndarray
-    z_class: np.ndarray
-    identity: bool = False
-
-    def __post_init__(self):
-        for name in ("order", "blocks", "x", "z", "x_class", "z_class"):
-            getattr(self, name).setflags(write=False)
-
-    @property
-    def dim(self):
-        return 1 << self.n
-
-    @property
-    def rows(self):
-        """(k, dim): the rows of the nonzero entries of every column."""
-        nx, k, nz = self.blocks.shape
-        return np.repeat(self.order.reshape(nx, k).T, nz, axis=1)
-
-    @property
-    def vals(self):
-        """(k, dim): the nonzero entries of every column, matching rows."""
-        nx, k, nz = self.blocks.shape
-        return self.blocks.transpose(1, 0, 2).reshape(k, nx * nz)
-
-    def index(self, x, z):
-        """Column of the eigenstate labeled by the bitstrings (x, z)."""
-        return self.x_class[x] * self.blocks.shape[2] + self.z_class[z]
-
-    def same_as(self, other):
-        """Whether two bases have the same columns, entry for entry."""
-        return self is other or (
-            self.n == other.n
-            and np.array_equal(self.order, other.order)
-            and np.array_equal(self.blocks, other.blocks)
-        )
-
-    def columns(self, mask):
-        """The columns of W picked by a boolean mask, as a dense (dim, count)
-        array scattered from rows and vals."""
-        sel = np.flatnonzero(mask)
-        out = np.zeros((self.dim, sel.size), dtype=np.complex128)
-        out[self.rows[:, sel], np.arange(sel.size)] = self.vals[:, sel]
-        return out
-
-    def dense(self):
-        """W as a dense dim x dim matrix."""
-        return self.columns(np.ones(self.dim, dtype=bool))
-
-    def adjoint_left(self, M):
-        """W† M for a dense M with dim rows."""
-        if self.identity:
-            return M
-        nx, k, nz = self.blocks.shape
-        A = M[self.order].reshape(nx, k, -1)
-        return np.matmul(self.blocks.conj().transpose(0, 2, 1), A).reshape(self.dim, -1)
-
-    def right(self, M):
-        """M W for a dense M with dim columns."""
-        if self.identity:
-            return M
-        nx, k, nz = self.blocks.shape
-        A = M[:, self.order].reshape(-1, nx, k).transpose(1, 0, 2)
-        return np.matmul(A, self.blocks).transpose(1, 0, 2).reshape(-1, self.dim)
-
-    def compress(self, M):
-        """W† M W for a dense square M."""
-        return self.right(self.adjoint_left(M))
-
-    def pauli_image(self, xmask, zmask):
-        """Columns and phases of X(xmask) Z(zmask) W: P w_j = phase_j w_col_j.
-
-        The image of every column is checked to be one column of W times
-        a unit phase; raises NotCommuting when the Pauli does not permute
-        the basis up to phases.
-        """
-        rows, vals = self.rows, self.vals
-        signs = 1 - 2 * (popcount(rows & int(zmask)) & 1)
-        rows = rows ^ int(xmask)
-        order = np.argsort(rows, axis=0)
-        rows = np.take_along_axis(rows, order, axis=0)
-        moved = np.take_along_axis(vals * signs, order, axis=0)
-        col = self.index(self.x ^ np.uint64(xmask), self.z ^ np.uint64(zmask))
-        same = np.array_equal(rows, self.rows[:, col])
-        phase = (vals[:, col].conj() * moved).sum(axis=0)
-        dev = float(np.abs(np.abs(phase) - 1.0).max())
-        if not same or dev > 1e-9:
-            raise NotCommuting(
-                f"Pauli (x={xmask}, z={zmask}) does not permute the label basis "
-                f"(support match {same}, phase deviation {dev:.3e})"
-            )
-        return col, phase
-
-
-@functools.lru_cache(maxsize=32)
-def identity_basis(n):
-    """The computational basis of n qubits as a LabelBasis, one per n."""
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.int64)
-    return LabelBasis(
-        n,
-        order=idx,
-        blocks=np.ones((dim, 1, 1), dtype=np.complex128),
-        x=idx.astype(np.uint64),
-        z=np.zeros(dim, dtype=np.uint64),
-        x_class=idx.copy(),
-        z_class=np.zeros(dim, dtype=np.int64),
-        identity=True,
-    )
-
-
 def label_basis(checks):
     """The label eigenbasis of a check family, built once per family.
 
@@ -531,9 +397,10 @@ def barrier_subspace(checks, center, inner_radius, boundary_radius, H):
 
     V spans the columns of label_basis(checks) within label_distance
     inner_radius of the center; the boundary shell reaches
-    boundary_radius further out. Both minimum energies are measured
-    against the supplied Hamiltonian (which may carry a perturbation on
-    top of the checks).
+    boundary_radius further out. Both carry their labels over that
+    basis, so partitions of V are label shells. Both minimum energies
+    are measured against the supplied Hamiltonian (which may carry a
+    perturbation on top of the checks).
     """
     n = checks.n
     d = label_distance(checks, center)
@@ -546,9 +413,12 @@ def barrier_subspace(checks, center, inner_radius, boundary_radius, H):
     if not in_shell.any():
         raise EmptyBoundary("no eigenstates in the boundary shell")
     basis = label_basis(checks)
-    V = Subspace(n, basis.columns(d <= inner_radius), label=f"ball r<={inner_radius}")
+    in_ball = d <= inner_radius
+    V = Subspace(
+        n, basis.columns(in_ball), f"ball r<={inner_radius}", labels=(basis, in_ball)
+    )
     shell = Subspace(
-        n, basis.columns(in_shell), label=f"shell {inner_radius}<d<={outer}"
+        n, basis.columns(in_shell), f"shell {inner_radius}<d<={outer}", labels=(basis, in_shell)
     )
     e_v = subspace_min_energy(V, H)
     e_b = subspace_min_energy(shell, H)

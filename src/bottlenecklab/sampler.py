@@ -19,8 +19,9 @@ import numpy as np
 
 from .channel import KrausChannel, MonomialKraus
 from .errors import EmptySchedule, NotCommuting, NotDiagonal, NotFixedPoint
-from .model import identity_basis, label_basis, label_energies, label_energy_residual
+from .model import label_basis, label_energies, label_energy_residual
 from .pauli import mask_from_indices, popcount
+from .subspace import identity_basis
 
 __all__ = [
     "metropolis_site_channel",

@@ -4,21 +4,30 @@ A Subspace is an explicit orthonormal basis (dim x k complex matrix).
 Dimension-0 subspaces are legal values: boundaries can be empty and the
 code downstream treats that case explicitly rather than by crashing.
 
+A LabelBasis is an orthonormal eigenbasis W of a commuting model whose
+columns are indexed by label pairs (x, z); the computational basis is
+its identity case. A Subspace spanned by columns of W carries them as
+labels (W, mask), checked at construction to reproduce its basis.
+
 The r-neighborhood of V is span{ S|psi> : S a Pauli string of weight <= r,
 |psi> in V }. Composing neighborhoods adds radii. partition_from_radius
-builds the local-theorem split (V, first r-shell, second r-shell, rest)
-in one of two ways, chosen from V alone:
+builds the local-theorem split (V, first r-shell, second r-shell, rest),
+and boundary the r-shell alone, in one of two ways, chosen from V alone:
 
-- V spanned by computational-basis states (every basis column has exactly
-  one nonzero entry): a weight-<=r string maps |b> to a phase times
-  |b xor x> with |x| <= r, so the shells are Hamming-distance shells
-  around the support of V. They are read off one popcount over the
-  register per basis state of V, with no enumeration and no size cap.
-- any other V: the weight-<=r strings are enumerated and their images
-  orthonormalized. This path is exponential in r and is the oracle the
-  Hamming shells are tested against.
+- V spanned by labels of some W (a labeled V, or one whose every basis
+  column has exactly one nonzero entry, which gets identity labels): a
+  weight-1 Pauli X(a)Z(b) maps |x, z> to a phase times |x^a, z^b>, so a
+  weight-<=r string reaches exactly the labels at most r such moves away
+  (Gottesman, arXiv:quant-ph/9705052). The shells are read off one
+  breadth-first search over the 3n weight-1 moves from the labels of V,
+  with no enumeration and no size cap. Hamming shells are the identity
+  case.
+- any other (superposed) V: the weight-<=r strings are enumerated and
+  their images orthonormalized. This path is exponential in r and is the
+  oracle the label shells are tested against.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,12 +37,15 @@ from .errors import (
     BadPartition,
     CenterOutsideSpace,
     EnumerationTooLarge,
+    NotCommuting,
     NotOrthonormal,
     RadiusExceedsN,
 )
 from .numerics import DEFAULT_TOL, fix_phases, orthonormal_column_basis
 
 __all__ = [
+    "LabelBasis",
+    "identity_basis",
     "Subspace",
     "HilbertPartition",
     "projector",
@@ -49,13 +61,150 @@ _ENUM_CAP = 2**28
 _ORTHO_TOL = 1e-9
 
 
+@dataclass(frozen=True, eq=False)
+class LabelBasis:
+    """An orthonormal eigenbasis W of a commuting model, stored by blocks.
+
+    Column j is the eigenstate with labels (x[j], z[j]). Columns run
+    x-class major: the nz labels of x class c are columns c*nz .. c*nz +
+    nz - 1, so the column of any bitstring pair (x, z) is index(x, z),
+    read from the class tables of every bitstring. All labels of class c
+    live on the same k rows order[c*k : (c+1)*k] (ascending), with values
+    blocks[c] (k x nz). So W = P blockdiag(blocks) for the row
+    permutation P given by order, and products with W are one gather
+    plus one batched matmul. Classical models use the identity basis
+    (k = nz = 1). Arrays are read-only: one basis is shared by every
+    caller.
+    """
+
+    n: int
+    order: np.ndarray
+    blocks: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    x_class: np.ndarray
+    z_class: np.ndarray
+    identity: bool = False
+
+    def __post_init__(self):
+        for name in ("order", "blocks", "x", "z", "x_class", "z_class"):
+            getattr(self, name).setflags(write=False)
+
+    @property
+    def dim(self):
+        return 1 << self.n
+
+    @property
+    def rows(self):
+        """(k, dim): the rows of the nonzero entries of every column."""
+        nx, k, nz = self.blocks.shape
+        return np.repeat(self.order.reshape(nx, k).T, nz, axis=1)
+
+    @property
+    def vals(self):
+        """(k, dim): the nonzero entries of every column, matching rows."""
+        nx, k, nz = self.blocks.shape
+        return self.blocks.transpose(1, 0, 2).reshape(k, nx * nz)
+
+    def index(self, x, z):
+        """Column of the eigenstate labeled by the bitstrings (x, z)."""
+        return self.x_class[x] * self.blocks.shape[2] + self.z_class[z]
+
+    def same_as(self, other):
+        """Whether two bases have the same columns, entry for entry."""
+        return self is other or (
+            self.n == other.n
+            and np.array_equal(self.order, other.order)
+            and np.array_equal(self.blocks, other.blocks)
+        )
+
+    def columns(self, mask):
+        """The columns of W picked by a boolean mask, as a dense (dim, count)
+        array scattered from rows and vals."""
+        sel = np.flatnonzero(mask)
+        out = np.zeros((self.dim, sel.size), dtype=np.complex128)
+        out[self.rows[:, sel], np.arange(sel.size)] = self.vals[:, sel]
+        return out
+
+    def dense(self):
+        """W as a dense dim x dim matrix."""
+        return self.columns(np.ones(self.dim, dtype=bool))
+
+    def adjoint_left(self, M):
+        """W† M for a dense M with dim rows."""
+        if self.identity:
+            return M
+        nx, k, nz = self.blocks.shape
+        A = M[self.order].reshape(nx, k, -1)
+        return np.matmul(self.blocks.conj().transpose(0, 2, 1), A).reshape(self.dim, -1)
+
+    def right(self, M):
+        """M W for a dense M with dim columns."""
+        if self.identity:
+            return M
+        nx, k, nz = self.blocks.shape
+        A = M[:, self.order].reshape(-1, nx, k).transpose(1, 0, 2)
+        return np.matmul(A, self.blocks).transpose(1, 0, 2).reshape(-1, self.dim)
+
+    def compress(self, M):
+        """W† M W for a dense square M."""
+        return self.right(self.adjoint_left(M))
+
+    def pauli_image(self, xmask, zmask):
+        """Columns and phases of X(xmask) Z(zmask) W: P w_j = phase_j w_col_j.
+
+        The image of every column is checked to be one column of W times
+        a unit phase; raises NotCommuting when the Pauli does not permute
+        the basis up to phases.
+        """
+        rows, vals = self.rows, self.vals
+        signs = 1 - 2 * (pl.popcount(rows & int(zmask)) & 1)
+        rows = rows ^ int(xmask)
+        order = np.argsort(rows, axis=0)
+        rows = np.take_along_axis(rows, order, axis=0)
+        moved = np.take_along_axis(vals * signs, order, axis=0)
+        col = self.index(self.x ^ np.uint64(xmask), self.z ^ np.uint64(zmask))
+        same = np.array_equal(rows, self.rows[:, col])
+        phase = (vals[:, col].conj() * moved).sum(axis=0)
+        dev = float(np.abs(np.abs(phase) - 1.0).max())
+        if not same or dev > 1e-9:
+            raise NotCommuting(
+                f"Pauli (x={xmask}, z={zmask}) does not permute the label basis "
+                f"(support match {same}, phase deviation {dev:.3e})"
+            )
+        return col, phase
+
+
+@functools.lru_cache(maxsize=32)
+def identity_basis(n):
+    """The computational basis of n qubits as a LabelBasis, one per n."""
+    dim = 1 << n
+    idx = np.arange(dim, dtype=np.int64)
+    return LabelBasis(
+        n,
+        order=idx,
+        blocks=np.ones((dim, 1, 1), dtype=np.complex128),
+        x=idx.astype(np.uint64),
+        z=np.zeros(dim, dtype=np.uint64),
+        x_class=idx.copy(),
+        z_class=np.zeros(dim, dtype=np.int64),
+        identity=True,
+    )
+
+
 @dataclass
 class Subspace:
-    """An orthonormal set of columns spanning a subspace of (C^2)^n."""
+    """An orthonormal set of columns spanning a subspace of (C^2)^n.
+
+    labels, when given, is (W, mask) for a LabelBasis W and a boolean
+    mask over its columns, and the basis must equal W.columns(mask)
+    exactly; the mask is stored read-only.
+    """
 
     n: int
     basis: np.ndarray
     label: str = ""
+    labels: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=np.complex128)
@@ -71,6 +220,17 @@ class Subspace:
             if dev > _ORTHO_TOL:
                 raise NotOrthonormal(f"basis deviates from orthonormal by {dev:.3e}")
         self.basis = basis
+        if self.labels is not None:
+            W, mask = self.labels
+            mask = np.array(mask, dtype=bool)
+            if (
+                W.n != self.n
+                or mask.shape != (W.dim,)
+                or not np.array_equal(basis, W.columns(mask))
+            ):
+                raise BadPartition("basis is not the columns its labels pick")
+            mask.setflags(write=False)
+            self.labels = (W, mask)
 
     @property
     def dim(self):
@@ -128,25 +288,36 @@ def complement(V):
 
 
 def _complement_within(big, small, tol=None):
-    """Basis of (1 - P_small) restricted to big; assumes small <= big."""
+    """Basis of (1 - P_small) restricted to big; assumes small <= big.
+
+    The residual's singular values are 1 on directions of big outside
+    small and rounding noise elsewhere, so the rank cutoff is tol.rank_rel
+    against the unit norm of big's columns, not against the residual's
+    own largest singular value, which is itself noise when small = big.
+    """
     tol = tol or DEFAULT_TOL
     if big.dim == 0:
         return empty_subspace(big.n)
     resid = big.basis
     if small.dim:
         resid = resid - small.basis @ (small.basis.conj().T @ big.basis)
-    if not np.abs(resid).max() > 0:
-        return empty_subspace(big.n)
-    out = orthonormal_column_basis(resid, tol)
-    return Subspace(big.n, out)
+    U, s, _ = np.linalg.svd(resid, full_matrices=False)
+    return Subspace(big.n, fix_phases(U[:, : int(np.sum(s > tol.rank_rel))]))
 
 
 def boundary(V, r, tol=None, cap=_ENUM_CAP):
     """States reachable from V with a weight-<=r string but orthogonal to V.
 
     Equals range(P_{B_r(V)} - P_V). Empty when the neighborhood adds
-    nothing (V already invariant), which is a first-class outcome.
+    nothing (V already invariant), which is a first-class outcome. A V
+    spanned by labels gets the labels 1..r moves away (tol and cap
+    unused); any other V goes through the enumeration. For nonempty V
+    both raise RadiusExceedsN when r is outside [0, n].
     """
+    shells = _label_shells(V, r, r)
+    if shells is not None:
+        W, dist = shells
+        return _labeled(W, dist > 0)
     B = neighborhood(V, r, tol=tol, cap=cap)
     return _complement_within(B, V, tol=tol)
 
@@ -155,7 +326,8 @@ def hamming_ball_subspace(n, centers, radius, label=""):
     """Span of basis states within Hamming distance <= radius of any center.
 
     Centers are basis-state indices (qubit 0 = most significant bit).
-    Columns are identity columns in ascending index order.
+    Columns are identity columns in ascending index order, labeled over
+    identity_basis(n).
     """
     if radius < 0:
         raise CenterOutsideSpace(f"negative radius {radius}")
@@ -164,20 +336,19 @@ def hamming_ball_subspace(n, centers, radius, label=""):
     for c in centers:
         if not 0 <= c < dim:
             raise CenterOutsideSpace(f"center {c} outside 0..{dim - 1}")
-    keep = pl.hamming_distance(n, centers) <= radius
-    return basis_state_subspace(n, np.flatnonzero(keep), label)
+    return _labeled(identity_basis(n), pl.hamming_distance(n, centers) <= radius, label)
 
 
 def basis_state_subspace(n, indices, label=""):
-    """Subspace spanned by the listed computational-basis states."""
+    """Subspace spanned by the listed computational-basis states, in
+    ascending index order, labeled over identity_basis(n)."""
     dim = 1 << n
-    indices = sorted(int(i) for i in indices)
-    basis = np.zeros((dim, len(indices)), dtype=np.complex128)
-    for col, i in enumerate(indices):
-        if not 0 <= i < dim:
-            raise CenterOutsideSpace(f"index {i} outside 0..{dim - 1}")
-        basis[i, col] = 1.0
-    return Subspace(n, basis, label)
+    mask = np.zeros(dim, dtype=bool)
+    for i in indices:
+        if not 0 <= int(i) < dim:
+            raise CenterOutsideSpace(f"index {int(i)} outside 0..{dim - 1}")
+        mask[int(i)] = True
+    return _labeled(identity_basis(n), mask, label)
 
 
 @dataclass
@@ -226,17 +397,23 @@ def partition_from_radius(V, r, tol=None, cap=_ENUM_CAP):
     """Partition (A=V, B1, B2, C) from the weight-r neighborhoods of V.
 
     B1 spans the r-boundary of V, B2 what the 2r-neighborhood adds beyond
-    that, and C the rest of the space. When every basis column of V has
-    exactly one nonzero entry, the blocks are the Hamming shells
-    0 < d <= r, r < d <= 2r and d > 2r, where d is the distance to the
-    nearest basis state in V (meta builder "hamming"; tol and cap unused).
-    Any other V goes through the Pauli enumeration (builder "pauli"),
-    which raises EnumerationTooLarge past cap. For nonempty V both raise
-    RadiusExceedsN when r is outside [0, n].
+    that, and C the rest of the space. When V is spanned by labels of a
+    LabelBasis W (its own labels, or identity labels when every basis
+    column has exactly one nonzero entry), the blocks are the label
+    shells 0 < d <= r, r < d <= 2r and d > 2r, where d is the number of
+    weight-1 moves from the nearest label of V, each block labeled over W
+    (meta builder "labels"; tol and cap unused). Only a superposed V goes
+    through the Pauli enumeration (builder "pauli"), which raises
+    EnumerationTooLarge past cap. For nonempty V both raise RadiusExceedsN
+    when r is outside [0, n].
     """
-    support = _basis_state_support(V)
-    if support is not None:
-        return _hamming_shell_partition(V, support, r)
+    shells = _label_shells(V, r, 2 * r)
+    if shells is not None:
+        W, dist = shells
+        B1 = _labeled(W, (dist > 0) & (dist <= r))
+        B2 = _labeled(W, dist > r)
+        C = _labeled(W, dist < 0)
+        return HilbertPartition(V, B1, B2, C, meta={"r": r, "builder": "labels"})
     tol = tol or DEFAULT_TOL
     B_r = neighborhood(V, r, tol=tol, cap=cap)
     B_2r = neighborhood(B_r, r, tol=tol, cap=cap)
@@ -246,20 +423,42 @@ def partition_from_radius(V, r, tol=None, cap=_ENUM_CAP):
     return HilbertPartition(V, B1, B2, C, meta={"r": r, "builder": "pauli"})
 
 
-def _basis_state_support(V):
-    """Row of each column's single nonzero, or None if some column has more."""
-    nonzero = V.basis != 0
-    if V.dim == 0 or not (nonzero.sum(axis=0) == 1).all():
-        return None
-    return np.nonzero(nonzero)[0]
+def _labeled(W, mask, label=""):
+    return Subspace(W.n, W.columns(mask), label, labels=(W, mask))
 
 
-def _hamming_shell_partition(V, support, r):
+def _label_shells(V, r, reach):
+    """(W, d) for a V spanned by labels of W, or None for a superposed V.
+
+    The labels are V's own, or identity labels when every basis column
+    has exactly one nonzero entry. d is the number of weight-1 Pauli
+    moves X(a)Z(b) from the nearest label of V to every label of W, from
+    a breadth-first search of reach rounds, and -1 past reach. Raises
+    RadiusExceedsN for nonempty V when r is outside [0, n].
+    """
+    if V.labels is not None:
+        W, mask = V.labels
+    else:
+        nonzero = V.basis != 0
+        if V.dim == 0 or not (nonzero.sum(axis=0) == 1).all():
+            return None
+        W = identity_basis(V.n)
+        mask = np.zeros(W.dim, dtype=bool)
+        mask[np.nonzero(nonzero)[0]] = True
     n = V.n
-    if not 0 <= r <= n:
+    if V.dim and not 0 <= r <= n:
         raise RadiusExceedsN(f"radius {r} outside [0, {n}]")
-    d = pl.hamming_distance(n, support)
-    B1 = basis_state_subspace(n, np.flatnonzero((d > 0) & (d <= r)))
-    B2 = basis_state_subspace(n, np.flatnonzero((d > r) & (d <= 2 * r)))
-    C = basis_state_subspace(n, np.flatnonzero(d > 2 * r))
-    return HilbertPartition(V, B1, B2, C, meta={"r": r, "builder": "hamming"})
+    # the X, Z and Y moves on each qubit, as (x, z) flip masks
+    bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    zero = np.zeros(n, dtype=np.uint64)
+    a, b = np.concatenate([bits, zero, bits]), np.concatenate([zero, bits, bits])
+    dist = np.full(W.dim, -1, dtype=np.int64)
+    dist[mask] = 0
+    frontier = np.flatnonzero(mask)
+    for step in range(1, reach + 1):
+        reached = W.index(W.x[frontier, None] ^ a, W.z[frontier, None] ^ b)
+        dist[reached[dist[reached] < 0]] = step
+        frontier = np.flatnonzero(dist == step)
+        if frontier.size == 0:
+            break
+    return W, dist

@@ -22,6 +22,10 @@ a time, and only tests call it:
 - dense_norm is the operator norm of a perturbation from the eigenvalues
   of its full matrix. It is the oracle for the disjoint-support norm of
   model.random_local_perturbation.
+- enumerated_blocks builds the block projectors of the local-theorem
+  split (V, first r-shell, second r-shell, rest) from the Pauli
+  enumeration of subspace.neighborhood, composed twice. It is the oracle
+  for the label shells of subspace.partition_from_radius.
 """
 
 import math
@@ -39,7 +43,7 @@ from bottlenecklab.pauli import (
     gf2_span,
     popcount,
 )
-from bottlenecklab.subspace import Subspace
+from bottlenecklab.subspace import Subspace, neighborhood
 
 
 def _coset_reps(n, span):
@@ -180,3 +184,14 @@ def dense_min_energy(V, H):
 def dense_norm(V):
     """Largest |eigenvalue| of the full matrix of a Hermitian operator."""
     return float(np.abs(np.linalg.eigvalsh(V.mat)).max())
+
+
+def enumerated_blocks(V, r, cap=2**28):
+    """Block projectors {A, B1, B2, C} of the (V, r) split from Pauli
+    neighborhoods: P_V, P_{B_r} - P_V, P_{B_2r} - P_{B_r} and 1 - P_{B_2r},
+    with B_2r = B_r(B_r(V)) by the composition law. Raises
+    EnumerationTooLarge past cap."""
+    B_r = neighborhood(V, r, cap=cap)
+    B_2r = neighborhood(B_r, r, cap=cap)
+    P_A, P_r, P_2r = V.projector(), B_r.projector(), B_2r.projector()
+    return {"A": P_A, "B1": P_r - P_A, "B2": P_2r - P_r, "C": np.eye(1 << V.n) - P_2r}

@@ -70,6 +70,7 @@ from bottlenecklab.subspace import (
     partition_from_radius,
 )
 from conftest import random_density, random_projector, random_unitary
+from oracles import enumerated_blocks
 
 BETAS = (0.5, 1.0, 2.0, 3.0)
 
@@ -193,22 +194,13 @@ def test_criterion_02_local_theorem_suite():
     css_runs = 0
     worst_resid = 0.0
 
-    # the Hamming shells coincide with the Pauli-neighborhood split for a
+    # the label shells coincide with the Pauli-neighborhood split for a
     # basis-state ball; checked against the enumeration once where it fits
     # in memory, then used at sizes where the enumeration does not
     V7 = hamming_ball_subspace(7, [0], 1)
-    B_r = neighborhood(V7, 3)
-    B_2r = neighborhood(B_r, 3)
-    P_A, P_r, P_2r = V7.projector(), B_r.projector(), B_2r.projector()
-    enumerated = {
-        "A": P_A,
-        "B1": P_r - P_A,
-        "B2": P_2r - P_r,
-        "C": np.eye(1 << 7) - P_2r,
-    }
     shell_part7 = partition_from_radius(V7, 3)
-    assert shell_part7.meta["builder"] == "hamming"
-    for name, P in enumerated.items():
+    assert shell_part7.meta["builder"] == "labels"
+    for name, P in enumerated_blocks(V7, 3).items():
         dev = np.linalg.norm(P - getattr(shell_part7, name).projector())
         assert dev < 1e-8, name
 

@@ -21,7 +21,6 @@ from bottlenecklab.model import (
     curie_weiss,
     expansion_scan,
     gibbs_state,
-    identity_basis,
     ising_ring,
     label_basis,
     label_energies,
@@ -35,7 +34,7 @@ from bottlenecklab.model import (
     toric,
 )
 from bottlenecklab.pauli import PauliString, gf2_rank, mask_from_indices, pauli_matrix
-from bottlenecklab.subspace import Subspace, hamming_ball_subspace
+from bottlenecklab.subspace import Subspace, hamming_ball_subspace, identity_basis
 from oracles import css_eigenstate, css_labels
 
 

@@ -1,32 +1,37 @@
 """Fast paths against their reference forms in oracles.py, on drawn models.
 
-Classical families draw n to 3n supports of 1 to 3 qubits and keep each
-one that leaves every qubit in at most `degree` checks, so the energy
-range stays wide next to w0. CSS families take their Z checks the same
+Classical families draw n from 4 to 8 (or to a smaller max_n) and n to
+3n supports of 1 to 3 qubits, and keep each one that leaves every qubit
+in at most `degree` checks, so the energy range stays wide next to w0. CSS families take their Z checks the same
 way (at most n - 1 of them) and draw one or two X checks as random
 combinations of pauli.gf2_null_space_masks of the Z masks, so every X
 check overlaps every Z check evenly and the two kinds commute by
 construction. Perturbed classical families add seeded single-site terms
 on a random set of sites to a drawn classical family or to repetition
-or curie_weiss at n = 10.
+or curie_weiss at n = 10. Label balls take the labels of a drawn family
+within reduced distance 0 or 1 of a random center, at n <= 7, where the
+Pauli enumeration of their radius-2 split still runs in about 2 s.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bottlenecklab.bottleneck import bottleneck_ratio
+from bottlenecklab.bottleneck import _label_blocks, bottleneck_ratio
 from bottlenecklab.errors import EmptyA, EmptyBoundary
 from bottlenecklab.model import (
     CheckFamily,
     barrier_subspace,
     build_hamiltonian,
     curie_weiss,
+    label_basis,
+    label_distance,
     label_energies,
     perturb,
     random_local_perturbation,
     repetition,
+    steane7,
     subspace_min_energy,
     thermal_state,
 )
@@ -38,12 +43,13 @@ from bottlenecklab.stability import (
     tail_amplitudes,
     verify_block_tridiagonal,
 )
-from bottlenecklab.subspace import Subspace
+from bottlenecklab.subspace import HilbertPartition, Subspace, partition_from_radius
 from oracles import (
     barrier_by_label_pairs,
     dense_min_energy,
     dense_norm,
     dense_ratio,
+    enumerated_blocks,
     shell_projectors,
 )
 
@@ -64,14 +70,14 @@ def bounded_supports(draw, n):
 
 
 @st.composite
-def classical_families(draw):
-    n = draw(st.integers(4, 8))
+def classical_families(draw, max_n=8):
+    n = draw(st.integers(4, max_n))
     return CheckFamily(n, z_checks=draw(bounded_supports(n)))
 
 
 @st.composite
-def css_families(draw):
-    n = draw(st.integers(4, 8))
+def css_families(draw, max_n=8):
+    n = draw(st.integers(4, max_n))
     z_checks = draw(bounded_supports(n))[: n - 1]
     null = gf2_null_space_masks(n, [mask_from_indices(n, s) for s in z_checks])
     x_checks = []
@@ -109,6 +115,7 @@ def test_barrier_matches_the_label_pair_builder(checks, x0, z0, inner, boundary)
     for a, b in ((got.V, want.V), (got.boundary, want.boundary)):
         assert a.label == b.label
         assert np.array_equal(a.basis, b.basis)
+        assert a.labels[0] is label_basis(checks)
     assert got.E_min_V == want.E_min_V
     assert got.E_min_boundary == want.E_min_boundary
     assert got.kappa == want.kappa
@@ -255,3 +262,50 @@ def test_gathered_floor_block_matches_the_dense_block(checks, picks, angles, g, 
     H = perturb(build_hamiltonian(checks), random_local_perturbation(n, terms, g, seed))
     want = dense_min_energy(V, H)
     assert abs(subspace_min_energy(V, H) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def label_ball(checks, center, inner):
+    """(W, V): V spans the labels of W = label_basis(checks) within
+    reduced distance inner of the center."""
+    W = label_basis(checks)
+    mask = label_distance(checks, center) <= inner
+    return W, Subspace(checks.n, W.columns(mask), labels=(W, mask))
+
+
+@st.composite
+def label_balls(draw):
+    """label_ball of a drawn family with n <= 7, a random center and
+    inner radius 0 or 1."""
+    checks = draw(st.one_of(classical_families(max_n=7), css_families(max_n=7)))
+    n = checks.n
+    center = (draw(st.integers(0, (1 << n) - 1)), draw(st.integers(0, (1 << n) - 1)))
+    return label_ball(checks, center, draw(st.integers(0, 1)))
+
+
+# an n = 7 draw at r = 2 enumerates 211 strings on up to 128 columns; the
+# explicit Steane cases make sure one runs
+@settings(SETTINGS, max_examples=12)
+@given(ball=label_balls(), r=st.integers(1, 2))
+@example(ball=label_ball(steane7(), (0, 0), 1), r=2)
+@example(ball=label_ball(steane7(), (0, 0), 0), r=1)
+def test_label_shells_match_the_enumeration(ball, r):
+    W, V = ball
+    part = partition_from_radius(V, r)
+    assert part.meta == {"r": r, "builder": "labels"}
+    for name, P in enumerated_blocks(V, r).items():
+        block = getattr(part, name)
+        assert block.labels[0] is W
+        assert np.abs(block.projector() - P).max() <= 1e-9, name
+
+
+@SETTINGS
+@given(ball=label_balls(), r=st.integers(1, 2))
+def test_mask_membership_matches_the_row_norms(ball, r):
+    W, V = ball
+    part = partition_from_radius(V, r)
+    blocks = (part.A, part.B1, part.B2, part.C)
+    unlabeled = HilbertPartition(*(Subspace(b.n, b.basis) for b in blocks))
+    assert all(b.labels is None for b in (unlabeled.A, unlabeled.C))
+    want = _label_blocks(W, unlabeled)
+    assert want is not None
+    assert np.array_equal(_label_blocks(W, part), want)

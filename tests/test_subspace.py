@@ -10,8 +10,10 @@ from bottlenecklab.errors import (
     NotOrthonormal,
     RadiusExceedsN,
 )
+from bottlenecklab.model import barrier_subspace, build_hamiltonian, label_basis, steane7
 
 from conftest import random_state
+from oracles import enumerated_blocks
 
 
 def ball(n, center, radius, label=""):
@@ -144,23 +146,6 @@ def test_partition_from_radius_structure():
     assert np.abs(total - np.eye(2**n)).max() < 1e-8
 
 
-def enumerated_blocks(V, r, cap):
-    """Block projectors of the (V, r) split built from Pauli neighborhoods.
-
-    The 2r-neighborhood is taken directly from V (composition law), capped
-    at radius n where it already spans everything V can reach.
-    """
-    P_A = sub.projector(V)
-    P_r = sub.projector(sub.neighborhood(V, r, cap=cap))
-    P_2r = sub.projector(sub.neighborhood(V, min(2 * r, V.n), cap=cap))
-    return {
-        "A": P_A,
-        "B1": P_r - P_A,
-        "B2": P_2r - P_r,
-        "C": np.eye(1 << V.n) - P_2r,
-    }
-
-
 @pytest.mark.parametrize("n", range(1, 7))
 def test_hamming_shells_match_enumeration(n):
     # every radius whose enumeration stays under 2^20 stacked entries
@@ -174,7 +159,7 @@ def test_hamming_shells_match_enumeration(n):
                 except EnumerationTooLarge:
                     continue
                 part = sub.partition_from_radius(V, r)
-                assert part.meta == {"r": r, "builder": "hamming"}
+                assert part.meta == {"r": r, "builder": "labels"}
                 for name, P in oracle.items():
                     block = getattr(part, name)
                     dev = np.abs(P - sub.projector(block)).max()
@@ -188,7 +173,7 @@ def test_partition_builder_chosen_from_input(rng):
     ball_V = ball(n, 0b0101, 1)
     phased = sub.Subspace(n, ball_V.basis * np.exp(1j * rng.uniform(0, 6, ball_V.dim)))
     part = sub.partition_from_radius(phased, 1)
-    assert part.meta["builder"] == "hamming"
+    assert part.meta["builder"] == "labels"
     assert part.A is phased
     oracle = enumerated_blocks(phased, 1, cap=2**20)
     for name, P in oracle.items():
@@ -234,3 +219,54 @@ def test_complement_roundtrip(rng):
     C = sub.complement(V)
     assert C.dim == 5
     assert np.abs(V.basis.conj().T @ C.basis).max() < 1e-10
+
+
+def test_labels_must_reproduce_the_basis(rng):
+    n = 3
+    W = sub.identity_basis(n)
+    V = sub.basis_state_subspace(n, [5, 1])
+    assert V.labels[0] is W
+    assert np.flatnonzero(V.labels[1]).tolist() == [1, 5]
+    assert not V.labels[1].flags.writeable
+    mask = np.zeros(8, dtype=bool)
+    mask[[1, 5]] = True
+    sub.Subspace(n, W.columns(mask), labels=(W, mask))
+    phased = W.columns(mask) * np.exp(1j * rng.uniform(0, 6, 2))
+    wrong = mask.copy()
+    wrong[2] = True
+    for basis, labels in (
+        (phased, (W, mask)),
+        (W.columns(mask), (W, wrong)),
+        (W.columns(mask), (sub.identity_basis(n + 1), np.zeros(16, dtype=bool))),
+    ):
+        with pytest.raises(BadPartition):
+            sub.Subspace(n, basis, labels=labels)
+
+
+def test_labeled_css_ball_needs_no_enumeration(monkeypatch):
+    checks = steane7()
+    V = barrier_subspace(checks, (0, 0), 0, 1, build_hamiltonian(checks)).V
+    monkeypatch.setattr(pl, "enumerate_paulis", None)
+    part = sub.partition_from_radius(V, 1)
+    assert part.meta == {"r": 1, "builder": "labels"}
+    for block in (part.B1, part.B2, part.C):
+        assert block.labels[0] is label_basis(checks)
+    assert [part.A.dim, part.B1.dim, part.B2.dim, part.C.dim] == [1, 21, 98, 8]
+    assert sub.boundary(V, 1).dim == 21
+
+
+def test_complement_within_drops_rounding_noise():
+    # a Steane ball of radius 1 reaches every label within 3 moves, so its
+    # radius-2 split has empty B2 and C: the enumeration's complement of
+    # the full space in itself is pure rounding and must come out empty
+    checks = steane7()
+    V = barrier_subspace(checks, (0, 0), 1, 1, build_hamiltonian(checks)).V
+    superposed = sub.Subspace(V.n, V.basis)
+    dims = [22, 106, 0, 0]
+    for ball, builder in ((V, "labels"), (superposed, "pauli")):
+        part = sub.partition_from_radius(ball, 2)
+        assert part.meta["builder"] == builder
+        assert [part.A.dim, part.B1.dim, part.B2.dim, part.C.dim] == dims
+    full = sub.neighborhood(V, 2)
+    assert full.dim == 128
+    assert sub.boundary(full, 1).dim == 0
