@@ -117,19 +117,6 @@ def _basis_of(P):
     return np.asarray(P, dtype=np.complex128)
 
 
-def _adjoint_times(P, U):
-    """X^dag U for the X of _basis_of(P), or X^dag itself when U is None.
-
-    A Subspace labeled over the identity basis has unit columns on the
-    rows its mask picks, in ascending order, so X^dag U is a row gather.
-    """
-    if U is None:
-        return _basis_of(P).conj().T
-    if isinstance(P, Subspace) and P.labels is not None and P.labels[0].identity:
-        return U[P.labels[1]]
-    return _basis_of(P).conj().T @ U
-
-
 def bottleneck_ratio(rho, P_A, P_B):
     """Delta = ||P_B rho||_1 / tr(P_A rho), with its two pieces.
 
@@ -144,16 +131,17 @@ def bottleneck_ratio(rho, P_A, P_B):
     never formed: X^dag rho = (X^dag U) diag(p) U^dag and U^dag is
     unitary, so the numerator sums the singular values of (X_B^dag U)
     diag(p) and the denominator is sum_j p_j ||X_A^dag u_j||^2, with
-    X^dag itself in place of X^dag U when U is None. For a Subspace
-    labeled over the identity basis, X^dag U is the rows of U its labels
-    pick, gathered rather than multiplied out.
+    X^dag itself in place of X^dag U when U is None.
     """
+    xa = _basis_of(P_A)
+    xb = _basis_of(P_B)
     if isinstance(rho, ThermalState):
-        ya, yb = _adjoint_times(P_A, rho.U), _adjoint_times(P_B, rho.U)
+        ya, yb = xa.conj().T, xb.conj().T
+        if rho.U is not None:
+            ya, yb = ya @ rho.U, yb @ rho.U
         denominator = float((ya.real**2 + ya.imag**2).sum(axis=0) @ rho.p)
         block = yb * rho.p[None, :]
     else:
-        xa, xb = _basis_of(P_A), _basis_of(P_B)
         mat = matrix_of(rho)
         denominator = float(np.real(np.sum((xa.conj().T @ mat) * xa.T)))
         block = xb.conj().T @ mat
@@ -183,13 +171,13 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
     in W (off-diagonal of W† rho W within 1e-10), and every block of the
     partition is spanned by labels. Block membership comes from the
     labels a block carries over W (every block that partition_from_radius
-    builds from a labeled V, checked against its basis when the Subspace
-    was made); any other block counts as spanned by labels when each row
-    norm of W† B is within 1e-9 of 0 or 1. States are then label
-    probability vectors: residuals and the drift are l1 norms, Delta and
-    the block weights are sums, and the Kraus residual is the exact norm
-    of a monomial block. Any other input runs the dense path. report.path
-    says which ran.
+    builds from a labeled V, whose basis is built from those labels);
+    any other block counts as spanned by labels when each row norm of
+    W† B is within 1e-9 of 0 or 1. States are then label probability
+    vectors: residuals and the drift are l1 norms, Delta and the block
+    weights are sums, and the Kraus residual is the exact norm of a
+    monomial block. Any other input runs the dense path. report.path says
+    which ran.
     """
     channels = list(C) if isinstance(C, (list, tuple)) else [C]
     mat = matrix_of(rho)

@@ -414,12 +414,8 @@ def barrier_subspace(checks, center, inner_radius, boundary_radius, H):
         raise EmptyBoundary("no eigenstates in the boundary shell")
     basis = label_basis(checks)
     in_ball = d <= inner_radius
-    V = Subspace(
-        n, basis.columns(in_ball), f"ball r<={inner_radius}", labels=(basis, in_ball)
-    )
-    shell = Subspace(
-        n, basis.columns(in_shell), f"shell {inner_radius}<d<={outer}", labels=(basis, in_shell)
-    )
+    V = Subspace(n, label=f"ball r<={inner_radius}", labels=(basis, in_ball))
+    shell = Subspace(n, label=f"shell {inner_radius}<d<={outer}", labels=(basis, in_shell))
     e_v = subspace_min_energy(V, H)
     e_b = subspace_min_energy(shell, H)
     return BarrierCertificate(

@@ -7,7 +7,8 @@ code downstream treats that case explicitly rather than by crashing.
 A LabelBasis is an orthonormal eigenbasis W of a commuting model whose
 columns are indexed by label pairs (x, z); the computational basis is
 its identity case. A Subspace spanned by columns of W carries them as
-labels (W, mask), checked at construction to reproduce its basis.
+labels (W, mask); its basis is built from them, or, when one is passed
+as well, checked to equal them.
 
 The r-neighborhood of V is span{ S|psi> : S a Pauli string of weight <= r,
 |psi> in V }. Composing neighborhoods adds radii. partition_from_radius
@@ -110,6 +111,18 @@ class LabelBasis:
         """Column of the eigenstate labeled by the bitstrings (x, z)."""
         return self.x_class[x] * self.blocks.shape[2] + self.z_class[z]
 
+    @functools.cached_property
+    def moves(self):
+        """(dim, 3n): the column that each weight-1 Pauli X(a)Z(b) (X on
+        every qubit, then Z, then Y) takes every column to, computed once
+        per basis and read-only."""
+        bits = np.uint64(1) << np.arange(self.n, dtype=np.uint64)
+        zero = np.zeros(self.n, dtype=np.uint64)
+        a, b = np.concatenate([bits, zero, bits]), np.concatenate([zero, bits, bits])
+        out = self.index(self.x[:, None] ^ a, self.z[:, None] ^ b)
+        out.setflags(write=False)
+        return out
+
     def same_as(self, other):
         """Whether two bases have the same columns, entry for entry."""
         return self is other or (
@@ -197,16 +210,30 @@ class Subspace:
     """An orthonormal set of columns spanning a subspace of (C^2)^n.
 
     labels, when given, is (W, mask) for a LabelBasis W and a boolean
-    mask over its columns, and the basis must equal W.columns(mask)
-    exactly; the mask is stored read-only.
+    mask over its columns; the mask is stored read-only. With basis None
+    the basis is built as W.columns(mask); a basis passed alongside
+    labels must equal it exactly.
     """
 
     n: int
-    basis: np.ndarray
+    basis: np.ndarray = None
     label: str = ""
     labels: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.labels is not None:
+            W, mask = self.labels
+            mask = np.array(mask, dtype=bool)
+            if W.n != self.n or mask.shape != (W.dim,):
+                raise BadPartition("labels do not index a basis of this register")
+            mask.setflags(write=False)
+            self.labels = (W, mask)
+            if self.basis is None:
+                self.basis = W.columns(mask)
+            elif not np.array_equal(self.basis, W.columns(mask)):
+                raise BadPartition("basis is not the columns its labels pick")
+        elif self.basis is None:
+            raise BadPartition("a subspace needs a basis or labels")
         basis = np.asarray(self.basis, dtype=np.complex128)
         if basis.ndim != 2:
             basis = basis.reshape(2**self.n, -1)
@@ -220,17 +247,6 @@ class Subspace:
             if dev > _ORTHO_TOL:
                 raise NotOrthonormal(f"basis deviates from orthonormal by {dev:.3e}")
         self.basis = basis
-        if self.labels is not None:
-            W, mask = self.labels
-            mask = np.array(mask, dtype=bool)
-            if (
-                W.n != self.n
-                or mask.shape != (W.dim,)
-                or not np.array_equal(basis, W.columns(mask))
-            ):
-                raise BadPartition("basis is not the columns its labels pick")
-            mask.setflags(write=False)
-            self.labels = (W, mask)
 
     @property
     def dim(self):
@@ -411,7 +427,7 @@ def partition_from_radius(V, r, tol=None, cap=_ENUM_CAP):
     if shells is not None:
         W, dist = shells
         B1 = _labeled(W, (dist > 0) & (dist <= r))
-        B2 = _labeled(W, dist > r)
+        B2 = _labeled(W, (dist > r) & (dist <= 2 * r))
         C = _labeled(W, dist < 0)
         return HilbertPartition(V, B1, B2, C, meta={"r": r, "builder": "labels"})
     tol = tol or DEFAULT_TOL
@@ -424,7 +440,7 @@ def partition_from_radius(V, r, tol=None, cap=_ENUM_CAP):
 
 
 def _labeled(W, mask, label=""):
-    return Subspace(W.n, W.columns(mask), label, labels=(W, mask))
+    return Subspace(W.n, label=label, labels=(W, mask))
 
 
 def _label_shells(V, r, reach):
@@ -448,15 +464,11 @@ def _label_shells(V, r, reach):
     n = V.n
     if V.dim and not 0 <= r <= n:
         raise RadiusExceedsN(f"radius {r} outside [0, {n}]")
-    # the X, Z and Y moves on each qubit, as (x, z) flip masks
-    bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
-    zero = np.zeros(n, dtype=np.uint64)
-    a, b = np.concatenate([bits, zero, bits]), np.concatenate([zero, bits, bits])
     dist = np.full(W.dim, -1, dtype=np.int64)
     dist[mask] = 0
     frontier = np.flatnonzero(mask)
     for step in range(1, reach + 1):
-        reached = W.index(W.x[frontier, None] ^ a, W.z[frontier, None] ^ b)
+        reached = W.moves[frontier]
         dist[reached[dist[reached] < 0]] = step
         frontier = np.flatnonzero(dist == step)
         if frontier.size == 0:

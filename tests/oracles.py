@@ -24,8 +24,9 @@ a time, and only tests call it:
   model.random_local_perturbation.
 - enumerated_blocks builds the block projectors of the local-theorem
   split (V, first r-shell, second r-shell, rest) from the Pauli
-  enumeration of subspace.neighborhood, composed twice. It is the oracle
-  for the label shells of subspace.partition_from_radius.
+  enumeration of subspace.neighborhood, at radius 2r from V or r from
+  the first neighborhood, whichever is smaller. It is the oracle for the
+  label shells of subspace.partition_from_radius.
 """
 
 import math
@@ -186,12 +187,23 @@ def dense_norm(V):
     return float(np.abs(np.linalg.eigvalsh(V.mat)).max())
 
 
+def _string_count(n, r):
+    """Number of Pauli strings of weight <= r on n qubits."""
+    return sum(math.comb(n, k) * 3**k for k in range(min(r, n) + 1))
+
+
 def enumerated_blocks(V, r, cap=2**28):
     """Block projectors {A, B1, B2, C} of the (V, r) split from Pauli
-    neighborhoods: P_V, P_{B_r} - P_V, P_{B_2r} - P_{B_r} and 1 - P_{B_2r},
-    with B_2r = B_r(B_r(V)) by the composition law. Raises
+    neighborhoods: P_V, P_{B_r} - P_V, P_{B_2r} - P_{B_r} and 1 - P_{B_2r}.
+    By the composition law B_2r is both the radius-min(2r, n)
+    neighborhood of V and the radius-r neighborhood of B_r; it is
+    enumerated from whichever stacks fewer entries, so the oracle runs
+    on every case where either form fits under cap. Raises
     EnumerationTooLarge past cap."""
     B_r = neighborhood(V, r, cap=cap)
-    B_2r = neighborhood(B_r, r, cap=cap)
+    if _string_count(V.n, 2 * r) * V.dim <= _string_count(V.n, r) * B_r.dim:
+        B_2r = neighborhood(V, min(2 * r, V.n), cap=cap)
+    else:
+        B_2r = neighborhood(B_r, r, cap=cap)
     P_A, P_r, P_2r = V.projector(), B_r.projector(), B_2r.projector()
     return {"A": P_A, "B1": P_r - P_A, "B2": P_2r - P_r, "C": np.eye(1 << V.n) - P_2r}

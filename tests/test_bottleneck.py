@@ -40,7 +40,6 @@ from bottlenecklab.model import (
     label_basis,
     perturb,
     random_local_perturbation,
-    thermal_state,
 )
 from bottlenecklab.numerics import DensityMatrix, maximally_mixed, trace_norm
 from bottlenecklab.sampler import css_metropolis_channel, metropolis_site_channel, sweep_schedule
@@ -143,20 +142,6 @@ def test_ratio_on_subspaces_matches_projector_arrays(rng):
         den = np.real(np.trace(P_A @ rho.mat))
         assert want[1] == pytest.approx(num, rel=1e-12, abs=1e-12)
         assert want[2] == pytest.approx(den, rel=1e-12, abs=1e-12)
-
-
-def test_identity_labels_gather_the_eigenvectors():
-    # X^dag U read as rows of U equals the product it replaces, bit for bit
-    n = 6
-    checks = REGISTRY["repetition"](n)
-    H0 = build_hamiltonian(checks)
-    H = perturb(H0, random_local_perturbation(n, [(q,) for q in range(n)], 0.05, seed=3))
-    cert = barrier_subspace(checks, (0, 0), 1, 2, H0)
-    state = thermal_state(H, 2.0)
-    assert cert.V.labels[0].identity and cert.boundary.labels[0].identity
-    got = bottleneck_ratio(state, cert.V, cert.boundary)
-    unlabeled = (Subspace(n, P.basis) for P in (cert.V, cert.boundary))
-    assert got == bottleneck_ratio(state, *unlabeled)
 
 
 def test_empty_A_raises():

@@ -165,7 +165,9 @@ def test_hamming_shells_match_enumeration(n):
                     dev = np.abs(P - sub.projector(block)).max()
                     assert dev < 1e-9, (centers, radius, r, name)
                 checked += 1
-    assert checked >= 8  # r = 0 and r = 1 fit for all four balls
+    # all 4 (n + 1) cases fit up to n = 5; at n = 6, 20 of the 28 do,
+    # among them r >= 3 on the radius-0 balls, where B_2r is everything
+    assert checked >= (4 * (n + 1) if n <= 5 else 20)
 
 
 def test_partition_builder_chosen_from_input(rng):
@@ -192,6 +194,10 @@ def test_partition_radius_outside_register_rejected(rng):
         for r in (-1, n + 1):
             with pytest.raises(RadiusExceedsN):
                 sub.partition_from_radius(V, r)
+    # an empty V has no radius to reject: everything lands in C
+    for r in (-2, -1, n + 1):
+        part = sub.partition_from_radius(sub.basis_state_subspace(n, []), r)
+        assert [b.dim for b in (part.A, part.B1, part.B2, part.C)] == [0, 0, 0, 1 << n]
 
 
 def test_partition_validation_catches_overlap():
@@ -231,6 +237,10 @@ def test_labels_must_reproduce_the_basis(rng):
     mask = np.zeros(8, dtype=bool)
     mask[[1, 5]] = True
     sub.Subspace(n, W.columns(mask), labels=(W, mask))
+    built = sub.Subspace(n, labels=(W, mask))
+    assert np.array_equal(built.basis, W.columns(mask))
+    with pytest.raises(BadPartition):
+        sub.Subspace(n)
     phased = W.columns(mask) * np.exp(1j * rng.uniform(0, 6, 2))
     wrong = mask.copy()
     wrong[2] = True
