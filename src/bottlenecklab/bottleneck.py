@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channel import apply_channel, channel_locality, check_partition_condition
 from .errors import (
@@ -43,6 +42,7 @@ from .errors import (
 from .model import ThermalState, gibbs_state, spectrum, subspace_min_energy
 from .numerics import (
     DensityMatrix,
+    logsumexp,
     matrix_of,
     max_offdiagonal,
     operator_norm,
@@ -400,6 +400,29 @@ def _log_projected_weight(w, U, basis):
     return np.clip(q, 0.0, None)
 
 
+def _collar_weights(mat, V, shell):
+    """(tr(P_V rho), ||[rho, P_shell]||) for a dense rho.
+
+    When V and the shell are labeled over one basis W, both are read from
+    R = W^dag rho W: tr(P_V rho) is the trace of R on V's labels, and since
+    [rho, P] = P^perp rho P - P rho P^perp for Hermitian rho, the commutator
+    norm is ||P^perp rho P||, the norm of R's block from the shell's labels
+    to the rest. Otherwise both come from dense projectors.
+    """
+    if (
+        V.labels is not None
+        and shell.labels is not None
+        and shell.labels[0].same_as(V.labels[0])
+    ):
+        R = V.labels[0].compress(mat)
+        in_V, in_shell = V.labels[1], shell.labels[1]
+        prob_V = float(np.real(np.diagonal(R))[in_V].sum())
+        return prob_V, operator_norm(R[np.ix_(~in_shell, in_shell)])
+    prob_V = float(np.real(np.trace(V.projector() @ mat)))
+    P_shell = shell.projector()
+    return prob_V, operator_norm(mat @ P_shell - P_shell @ mat)
+
+
 def free_energy_report(H, beta, V, r, rho_G=None, delta_measured=0.0):
     """Free energies of V, its 2r-collar, and the whole space, with the
     three Delta upper bounds they imply.
@@ -416,20 +439,18 @@ def free_energy_report(H, beta, V, r, rho_G=None, delta_measured=0.0):
     if shell.dim == 0:
         raise EmptyBoundary("2r-collar of V is empty")
     w, U = spectrum(H)
-    logZ = float(logsumexp(-beta * w))
+    logZ = logsumexp(-beta * w)
     q_V = _log_projected_weight(w, U, V.basis)
     q_B = _log_projected_weight(w, U, shell.basis)
-    log_trV = float(logsumexp(-beta * w, b=q_V))
-    log_trB = float(logsumexp(-beta * w, b=q_B))
+    log_trV = logsumexp(-beta * w, b=q_V)
+    log_trB = logsumexp(-beta * w, b=q_B)
     F_total = -logZ / beta
     F_V = -log_trV / beta
     F_boundary = -log_trB / beta
     E_min_V = subspace_min_energy(V, H)
     if rho_G is None:
         rho_G, _, _ = gibbs_state(H, beta)
-    prob_V = float(np.real(np.trace(V.projector() @ rho_G.mat)))
-    P_shell = shell.projector()
-    comm = operator_norm(rho_G.mat @ P_shell - P_shell @ rho_G.mat)
+    prob_V, comm = _collar_weights(rho_G.mat, V, shell)
     b_applicable = comm < 1e-9
     a_applicable = logZ >= -1e-12 and prob_V > 1e-12
     bounds_a = math.exp(0.5 * log_trB) / prob_V if prob_V > 1e-12 else math.inf

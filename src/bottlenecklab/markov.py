@@ -13,8 +13,8 @@ connect A with B2 or C, nor C with A or B1. Builders place structural
 (exact) zeros, so the condition check demands that every stored entry of
 the forbidden blocks is exactly zero rather than small.
 
-``scipy.sparse`` is imported inside the functions that use it, so that
-importing the package does not pay for it.
+scipy is imported only inside the functions here that use it (the sparse
+chains and ARPACK), so that importing the package loads numpy alone.
 """
 
 from dataclasses import dataclass, field

@@ -24,6 +24,7 @@ D U_r, phase-fixed. Anything else, such as a 3-cycle with nonzero flux
 or a generic two-site complex term, takes the complex solver unchanged.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
     "hermitian_eigensystem",
     "hermitian_eigenvalues",
     "fix_phases",
+    "logsumexp",
     "max_offdiagonal",
     "matrix_of",
     "maximally_mixed",
@@ -140,6 +142,33 @@ def fix_phases(columns, tol=1e-12):
     )
     np.multiply(out, factor, out=out, where=has[None, :])
     return out
+
+
+def logsumexp(a, b=None):
+    """log sum_i b_i e^{a_i} over a flattened a, with nonnegative weights b
+    of the same size (all 1 when b is None).
+
+    Entries with zero weight are left out, so -inf comes back when every
+    weight is zero (or a is empty). The largest remaining exponent is
+    shifted out before exponentiating, so no term overflows, and the
+    terms at that maximum are summed apart from the rest: the result is
+    log1p(s / m) + log(m) + max, with m their total weight and s the
+    shifted sum of the others, which keeps full precision when the
+    maximum dominates.
+    """
+    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    b = np.ones_like(a) if b is None else np.asarray(b, dtype=np.float64).reshape(-1)
+    keep = b != 0
+    a, b = a[keep], b[keep]
+    if a.size == 0:
+        return -math.inf
+    top = a.max()
+    if not np.isfinite(top):
+        return float(top)
+    at_top = a == top
+    m = b[at_top].sum()
+    s = (b[~at_top] * np.exp(a[~at_top] - top)).sum()
+    return float(np.log1p(s / m) + np.log(m) + top)
 
 
 def orthonormal_column_basis(vectors, tol=None):

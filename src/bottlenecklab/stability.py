@@ -417,9 +417,15 @@ def sweep_point(model, n, beta, g, seed, H0, cert):
 def fit_sweep(rows, betas, gs):
     """Fits of log(delta) = a - b*n per (beta, g) over sweep rows.
 
-    The slope assertion b > 0 fires only when at least three distinct n
-    values are admissible; otherwise the fit entry carries a
-    no-admissible-points diagnosis instead.
+    The slope assertion b > 0 fires only where the proof chain implies
+    decay: at least three distinct n values are admissible, and the
+    chain value falls strictly from each admissible size to the next
+    (status "ok"). With fewer admissible sizes the entry carries the
+    status "no-admissible-points"; when the chain value does not fall,
+    as on a ring whose barrier stays the same at every n, it carries
+    "decay-not-implied" and the slope is reported without the assertion.
+    Every admissible point's own delta is checked against the chain in
+    sweep_point either way.
     """
     fits = {}
     for beta in betas:
@@ -437,7 +443,11 @@ def fit_sweep(rows, betas, gs):
                 entry.update(a=float(intercept), b=float(-slope), r2=r2)
             admissible_ns = sorted({r.n for r in group if r.admissible})
             entry["admissible_ns"] = admissible_ns
-            if len(admissible_ns) >= 3:
+            if len(admissible_ns) < 3:
+                entry["status"] = "no-admissible-points"
+            elif not _chain_falls(group):
+                entry["status"] = "decay-not-implied"
+            else:
                 entry["status"] = "ok"
                 if entry.get("b", 0.0) <= 0:
                     raise BoundViolated(
@@ -445,10 +455,21 @@ def fit_sweep(rows, betas, gs):
                         f"sizes {admissible_ns}",
                         slope=entry["b"],
                     )
-            else:
-                entry["status"] = "no-admissible-points"
             fits[(beta, g)] = entry
     return fits
+
+
+def _chain_falls(group):
+    """Whether the largest proof-chain value over seeds falls strictly from
+    each admissible size of one (beta, g) group to the next, compared on
+    the log scale so that no value underflows."""
+    chain = {}
+    for r in group:
+        if r.admissible:
+            log_sq = _chain_log_sq(r.n, r.beta, r.g, r.eps, r.kappa, r.lambda_kappa)
+            chain[r.n] = max(chain.get(r.n, -math.inf), log_sq)
+    values = [chain[n] for n in sorted(chain)]
+    return all(later < earlier for earlier, later in zip(values, values[1:]))
 
 
 def stability_sweep(model, barrier, betas, gs, ns, seeds):

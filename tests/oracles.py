@@ -22,6 +22,13 @@ a time, and only tests call it:
 - dense_norm is the operator norm of a perturbation from the eigenvalues
   of its full matrix. It is the oracle for the disjoint-support norm of
   model.random_local_perturbation.
+- dense_collar_weights reads tr(P_V rho) and the commutator norm
+  ||[rho, P_shell]|| from dense projectors and a dense commutator. It is
+  the oracle for the label form in bottleneck.free_energy_report.
+- dense_free_energy_bounds computes the three free-energy bounds with
+  scipy.special.logsumexp and dense_collar_weights, as the package did
+  before its own logsumexp and label form. It is the oracle for
+  bottleneck.free_energy_report.
 - enumerated_blocks builds the block projectors of the local-theorem
   split (V, first r-shell, second r-shell, rest) from the Pauli
   enumeration of subspace.neighborhood, at radius 2r from V or r from
@@ -35,8 +42,8 @@ import numpy as np
 
 from bottlenecklab.bottleneck import bottleneck_ratio
 from bottlenecklab.errors import EmptyBoundary, ParametersInadmissible
-from bottlenecklab.model import BarrierCertificate, gibbs_state, subspace_min_energy
-from bottlenecklab.numerics import hermitian_eigensystem, max_offdiagonal
+from bottlenecklab.model import BarrierCertificate, gibbs_state, spectrum, subspace_min_energy
+from bottlenecklab.numerics import hermitian_eigensystem, max_offdiagonal, operator_norm
 from bottlenecklab.pauli import (
     PauliString,
     apply_pauli,
@@ -44,7 +51,7 @@ from bottlenecklab.pauli import (
     gf2_span,
     popcount,
 )
-from bottlenecklab.subspace import Subspace, neighborhood
+from bottlenecklab.subspace import Subspace, boundary, neighborhood
 
 
 def _coset_reps(n, span):
@@ -185,6 +192,40 @@ def dense_min_energy(V, H):
 def dense_norm(V):
     """Largest |eigenvalue| of the full matrix of a Hermitian operator."""
     return float(np.abs(np.linalg.eigvalsh(V.mat)).max())
+
+
+def dense_collar_weights(mat, V, shell):
+    """(tr(P_V rho), ||rho P_shell - P_shell rho||) from dense projectors."""
+    prob_V = float(np.real(np.trace(V.projector() @ mat)))
+    P_shell = shell.projector()
+    return prob_V, operator_norm(mat @ P_shell - P_shell @ mat)
+
+
+def dense_free_energy_bounds(H, beta, V, r, rho):
+    """(bounds_a, bounds_b, bounds_c, a_applicable, b_applicable) of V and
+    its 2r-collar, from scipy's logsumexp and dense projectors."""
+    from scipy.special import logsumexp
+
+    shell = boundary(V, 2 * r)
+    w, U = spectrum(H)
+
+    def weight(X):
+        return (np.abs(X if U is None else U.conj().T @ X) ** 2).sum(axis=1)
+
+    logZ = float(logsumexp(-beta * w))
+    log_trV = float(logsumexp(-beta * w, b=weight(V.basis)))
+    log_trB = float(logsumexp(-beta * w, b=weight(shell.basis)))
+    prob_V, comm = dense_collar_weights(rho.mat, V, shell)
+    bounds_c = math.exp(
+        0.5 * (log_trB - log_trV) + 0.5 * (logZ + beta * subspace_min_energy(V, H))
+    )
+    return (
+        math.exp(0.5 * log_trB) / prob_V,
+        math.exp(log_trB - log_trV),
+        bounds_c,
+        logZ >= -1e-12 and prob_V > 1e-12,
+        comm < 1e-9,
+    )
 
 
 def _string_count(n, r):

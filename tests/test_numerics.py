@@ -283,3 +283,36 @@ def test_zero_flux_triangle_is_gauged():
 def test_hermitian_eigenvalues_rejects_nonhermitian():
     with pytest.raises(NotHermitian):
         numerics.hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+# --- logsumexp -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("scale", [1.0, 30.0, 1e3])
+def test_logsumexp_matches_scipy(seed, scale):
+    # scipy is the oracle only here; the package never imports it for this
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-scale, scale, size=int(rng.integers(2, 300)))
+    b = rng.uniform(0.0, 1.0, size=a.size)
+    b[rng.random(a.size) < 0.3] = 0.0
+    b[np.argmax(a)] = 0.0  # the largest exponent carries no weight
+    for got, want in (
+        (numerics.logsumexp(a), scipy_logsumexp(a)),
+        (numerics.logsumexp(a, b=b), scipy_logsumexp(a, b=b)),
+        (numerics.logsumexp(a[:1]), scipy_logsumexp(a[:1])),
+        (numerics.logsumexp(a[:1], b=b[:1] + 0.5), scipy_logsumexp(a[:1], b=b[:1] + 0.5)),
+    ):
+        assert isinstance(got, float)
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_logsumexp_zero_weights_are_left_out():
+    # a zero weight drops its entry even where the exponent would overflow
+    assert numerics.logsumexp([1e4, 0.0], b=[0.0, 2.0]) == pytest.approx(np.log(2.0), rel=1e-15)
+    assert numerics.logsumexp([3.0, -1.0], b=[0.0, 0.0]) == -np.inf
+    assert numerics.logsumexp([]) == -np.inf
+    assert numerics.logsumexp([-np.inf, -np.inf]) == -np.inf
+    assert numerics.logsumexp([1e4, 1e4]) == pytest.approx(1e4 + np.log(2.0), rel=1e-15)

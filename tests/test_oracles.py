@@ -18,13 +18,20 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bottlenecklab.bottleneck import _label_blocks, bottleneck_ratio
+from bottlenecklab.bottleneck import (
+    _collar_weights,
+    _label_blocks,
+    bottleneck_ratio,
+    free_energy_report,
+)
 from bottlenecklab.errors import EmptyA, EmptyBoundary
 from bottlenecklab.model import (
+    REGISTRY,
     CheckFamily,
     barrier_subspace,
     build_hamiltonian,
     curie_weiss,
+    gibbs_state,
     label_basis,
     label_distance,
     label_energies,
@@ -43,9 +50,11 @@ from bottlenecklab.stability import (
     tail_amplitudes,
     verify_block_tridiagonal,
 )
-from bottlenecklab.subspace import HilbertPartition, Subspace, partition_from_radius
+from bottlenecklab.subspace import HilbertPartition, Subspace, boundary, partition_from_radius
 from oracles import (
     barrier_by_label_pairs,
+    dense_collar_weights,
+    dense_free_energy_bounds,
     dense_min_energy,
     dense_norm,
     dense_ratio,
@@ -309,3 +318,46 @@ def test_mask_membership_matches_the_row_norms(ball, r):
     want = _label_blocks(W, unlabeled)
     assert want is not None
     assert np.array_equal(_label_blocks(W, part), want)
+
+
+# criterion 11's points: five models, a radius-0 barrier ball at the origin,
+# a collar of radius 2, four betas
+FREE_ENERGY_MODELS = {
+    "ising_ring(6)": ("ising_ring", 6),
+    "repetition(8)": ("repetition", 8),
+    "curie_weiss(6)": ("curie_weiss", 6),
+    "steane7": ("steane7",),
+    "toric(2)": ("toric",),
+}
+
+
+def free_energy_points(label):
+    name, *args = FREE_ENERGY_MODELS[label]
+    checks = REGISTRY[name](*args)
+    H = build_hamiltonian(checks)
+    V = barrier_subspace(checks, (0, 0), 0, 1, H).V
+    for beta in (0.5, 1.0, 2.0, 3.0):
+        yield H, V, beta, gibbs_state(H, beta)[0]
+
+
+@pytest.mark.parametrize("label", FREE_ENERGY_MODELS)
+def test_collar_weights_match_the_dense_projectors(label):
+    for H, V, beta, rho in free_energy_points(label):
+        shell = boundary(V, 2)
+        assert V.labels is not None and shell.labels[0] is V.labels[0]
+        want = dense_collar_weights(rho.mat, V, shell)
+        unlabeled = _collar_weights(rho.mat, Subspace(V.n, V.basis), Subspace(V.n, shell.basis))
+        for got in (_collar_weights(rho.mat, V, shell), unlabeled):
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
+            assert abs(got[1] - want[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("label", FREE_ENERGY_MODELS)
+def test_free_energy_bounds_match_the_scipy_dense_form(label):
+    for H, V, beta, rho in free_energy_points(label):
+        rep = free_energy_report(H, beta, V, 1, rho_G=rho)
+        a, b, c, a_applicable, b_applicable = dense_free_energy_bounds(H, beta, V, 1, rho)
+        assert rep.bounds_a == pytest.approx(a, rel=1e-12, abs=0)
+        assert rep.bounds_b == pytest.approx(b, rel=1e-12, abs=0)
+        assert rep.bounds_c == pytest.approx(c, rel=1e-12, abs=0)
+        assert (rep.a_applicable, rep.b_applicable) == (a_applicable, b_applicable)

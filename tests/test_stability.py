@@ -22,6 +22,7 @@ from bottlenecklab.model import (
     random_local_perturbation,
 )
 from bottlenecklab.stability import (
+    fit_sweep,
     plan_shell_width,
     shell_decomposition,
     stability_sweep,
@@ -217,6 +218,40 @@ def test_sweep_ring_barrier_is_not_extensive():
         by_n.setdefault(r.n, []).append(r.delta)
     means = [np.mean(by_n[n]) for n in sorted(by_n)]
     assert all(a < b for a, b in zip(means, means[1:]))
+
+
+def test_sweep_asserts_decay_where_the_chain_falls():
+    # with g = 0 the squared chain value is e^{n (log 4 - beta (kappa/2 - eps))};
+    # cond1 makes its exponent per site negative, and an extensive barrier
+    # keeps kappa from shrinking with n, so it falls across the sizes
+    res = stability_sweep(
+        "curie_weiss", ((0, 0), 1, 1), betas=[3.0], gs=[0.0], ns=[4, 5, 6, 7, 8], seeds=[0]
+    )
+    fit = res.fits[(3.0, 0.0)]
+    assert fit["status"] == "ok"
+    assert fit["admissible_ns"] == [4, 5, 6, 7, 8]
+    assert fit["b"] > 0
+    # the same admissible rows with delta rising in n trip the assertion
+    rising = [r._replace(delta=math.exp(r.n - 20.0)) for r in res.rows]
+    with pytest.raises(BoundViolated, match="decay slope"):
+        fit_sweep(rising, [3.0], [0.0])
+
+
+def test_sweep_ring_without_chain_decay_reports_the_slope():
+    # the ring's barrier is 2 at every n, so kappa = 2/n and the chain value
+    # rises over the admissible sizes 4..7: the negative slope is reported,
+    # not asserted, and every admissible point is still checked on its own
+    res = stability_sweep(
+        "repetition", ((0, 0), 1, 2), betas=[10.0], gs=[0.0], ns=list(range(4, 11)), seeds=[0]
+    )
+    fit = res.fits[(10.0, 0.0)]
+    assert fit["status"] == "decay-not-implied"
+    assert fit["admissible_ns"] == [4, 5, 6, 7]
+    assert fit["b"] < 0
+    assert set(fit) == {"points", "a", "b", "r2", "admissible_ns", "status"}
+    chain = [r.bound_chain for r in res.rows if r.admissible]
+    assert all(a < b for a, b in zip(chain, chain[1:]))
+    assert all(r.delta <= r.bound_chain for r in res.rows if r.admissible)
 
 
 def test_sweep_rows_come_in_grid_order():
