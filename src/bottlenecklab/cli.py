@@ -54,6 +54,7 @@ from .model import (
     classical_energies,
     expansion_scan,
     gibbs_state,
+    gibbs_weights,
     perturb,
     random_local_perturbation,
 )
@@ -399,7 +400,8 @@ def _run_verify_classical(cfg, out, jobs):
 
     def point(task):
         chain = glauber_chain(energies, task["beta"], laziness)
-        rep = classical_bottleneck_report(chain, part)
+        pi, _ = gibbs_weights(energies, task["beta"])
+        rep = classical_bottleneck_report(chain, part, pi)
         return (
             label,
             checks.n,

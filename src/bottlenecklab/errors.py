@@ -87,7 +87,8 @@ class NotStochastic(BottleneckLabError):
 
 
 class NonUniqueStationary(BottleneckLabError):
-    """The eigenvalue-1 space of a stochastic matrix is not one-dimensional."""
+    """A law cannot be certified as a chain's unique stationary law: the
+    chain is reducible, or the law is not a stationary probability vector."""
 
 
 class ConditionViolated(BottleneckLabError):

@@ -4,8 +4,16 @@ Matrices are column-stochastic: entry [i, j] is the probability of moving
 j -> i, so the chain acts on column probability vectors as pi' = M @ pi.
 Every chain is held as a ``scipy.sparse.csc_array``: a single-bit-flip
 chain on 2^m states stores m + 1 entries per column, and building it and
-checking the bound allocate nothing of size 2^m x 2^m. Only the
-eigensolve for chains of at most 1024 states is dense.
+checking the bound allocate nothing of size 2^m x 2^m.
+
+The stationary law is never solved for. A Metropolis chain satisfies
+detailed balance with respect to the Gibbs weights e^{-beta E}/Z
+(model.gibbs_weights), so the caller passes that law, and the bound
+certifies it with two exact checks: the graph of strictly positive
+entries is one strongly connected class, so the chain is irreducible and
+its stationary law unique, and pi is stationary within a residual of
+1e-10. Low temperatures, whose spectral gaps no eigensolver resolves,
+are covered as long as every move keeps a positive probability.
 
 The structural condition mirrors the quantum one: with the state space
 split into disjoint sets A, B1, B2, C, single applications of M must not
@@ -14,7 +22,8 @@ connect A with B2 or C, nor C with A or B1. Builders place structural
 the forbidden blocks is exactly zero rather than small.
 
 scipy is imported only inside the functions here that use it (the sparse
-chains and ARPACK), so that importing the package loads numpy alone.
+chains and the connectivity check), so that importing the package loads
+numpy alone.
 """
 
 from dataclasses import dataclass, field
@@ -36,15 +45,15 @@ __all__ = [
     "StatePartition",
     "ClassicalConditionReport",
     "ClassicalBottleneckReport",
-    "stationary_distribution",
     "check_classical_condition",
     "classical_bottleneck_report",
     "glauber_chain",
     "hamming_state_partition",
 ]
 
-_EIG_DENSE_CUTOFF = 1024
 _GLAUBER_MAX_BITS = 16
+_PROBABILITY_SUM_TOL = 1e-12
+_STATIONARY_TOL = 1e-10
 
 
 @dataclass
@@ -116,39 +125,35 @@ class StatePartition:
         return tuple(sorted(self.B1 + self.B2))
 
 
-def stationary_distribution(M):
-    """The unique probability vector with M pi = pi.
+def _certify_stationary(sm, pi):
+    """Check that pi is the unique stationary law of the chain; return it
+    as a float array.
 
-    Dense eigendecomposition of ``M.toarray()`` up to 1024 states, ARPACK
-    on the sparse matrix above, from a fixed seeded start vector so that
-    repeated calls return the same bits. Uniqueness of the eigenvalue-1
-    space is checked; reducible chains raise NonUniqueStationary.
+    pi must be a probability vector: no negative entry and a sum within
+    1e-12 of 1. Uniqueness: the graph of the chain's strictly positive
+    entries must be one strongly connected class, so the chain is
+    irreducible. Explicit stored zeros are dropped first, since the
+    graph search counts every stored entry as an edge. Stationarity:
+    ||M pi - pi||_1 <= 1e-10. Each failure raises NonUniqueStationary.
     """
-    mat = _as_chain(M).mat
-    dim = mat.shape[0]
-    if dim <= _EIG_DENSE_CUTOFF:
-        w, V = np.linalg.eig(mat.toarray())
-    else:
-        from scipy.sparse.linalg import eigs
+    from scipy.sparse.csgraph import connected_components
 
-        # Not the uniform vector: at beta = 0 it is already the answer, and
-        # ARPACK cannot grow a Krylov space from an exact eigenvector.
-        v0 = np.random.default_rng(0).random(dim)
-        w, V = eigs(mat, k=min(6, dim - 2), which="LM", tol=0, v0=v0)
-    close = np.flatnonzero(np.abs(w - 1.0) < 1e-9)
-    if close.size != 1:
+    pi = np.asarray(pi, dtype=np.float64)
+    total = float(pi.sum())
+    if pi.min() < 0 or abs(total - 1.0) > _PROBABILITY_SUM_TOL:
         raise NonUniqueStationary(
-            f"found {close.size} eigenvalues within 1e-9 of 1"
+            f"pi is not a probability vector (min {pi.min():.3e}, sum {total!r})"
         )
-    vec = np.real(V[:, close[0]])
-    vec = np.where(np.abs(vec) < 1e-15, 0.0, vec)
-    if vec.sum() < 0:
-        vec = -vec
-    vec = np.clip(vec, 0.0, None)
-    pi = vec / vec.sum()
-    resid = float(np.abs(mat @ pi - pi).sum())
-    if resid > 1e-10:
-        raise NonUniqueStationary(f"stationary residual {resid:.3e} exceeds 1e-10")
+    graph = sm.mat.copy()
+    graph.eliminate_zeros()
+    classes, _ = connected_components(graph, directed=True, connection="strong")
+    if classes != 1:
+        raise NonUniqueStationary(
+            f"chain is not irreducible: {classes} communicating classes"
+        )
+    resid = float(np.abs(sm.mat @ pi - pi).sum())
+    if resid > _STATIONARY_TOL:
+        raise NonUniqueStationary(f"pi is not stationary (residual {resid:.3e})")
     return pi
 
 
@@ -193,14 +198,15 @@ class ClassicalBottleneckReport:
     condition_max: float
 
 
-def classical_bottleneck_report(M, part, pi=None):
+def classical_bottleneck_report(M, part, pi):
     """Verify ||M pi_A - pi_A||_1 <= 2 pi(B)/pi(A) for a conditioned chain.
 
-    pi may be passed when known in closed form (e.g. Gibbs for a
-    detailed-balance chain); it is validated as stationary within 1e-10
-    either way. The theorem inequality is asserted with slack 1e-12; a
-    violation raises BoundViolated since it would falsify the
-    implementation, not the theorem. Both products are sparse matvecs.
+    pi is the chain's stationary law in closed form, such as the Gibbs
+    weights of a detailed-balance chain; _certify_stationary checks it
+    before the bound is read. The theorem inequality is asserted with
+    slack 1e-12; a violation raises BoundViolated since it would falsify
+    the implementation, not the theorem. Both products are sparse
+    matvecs.
     """
     sm = _as_chain(M)
     cond = check_classical_condition(sm, part)
@@ -208,15 +214,7 @@ def classical_bottleneck_report(M, part, pi=None):
         raise ConditionViolated(
             f"forbidden entry {cond.max_forbidden_entry:.3e} at {cond.offending}"
         )
-    if pi is None:
-        pi = stationary_distribution(sm)
-    else:
-        pi = np.asarray(pi, dtype=np.float64)
-        resid = float(np.abs(sm.mat @ pi - pi).sum())
-        if resid > 1e-10:
-            raise NonUniqueStationary(
-                f"supplied pi is not stationary (residual {resid:.3e})"
-            )
+    pi = _certify_stationary(sm, pi)
     pA = float(pi[list(part.A)].sum())
     pB = float(pi[list(part.B)].sum()) if part.B else 0.0
     pC = float(pi[list(part.C)].sum())
@@ -260,7 +258,7 @@ def glauber_chain(energies, beta, laziness=0.0):
     # Rows ascending down each column: the stay entry is then summed in the
     # order of a dense column sum, and matches the dense builder bit for bit.
     flip = np.sort(idx ^ (1 << np.arange(m))[:, None], axis=0)
-    move = (1.0 - laziness) / m * np.minimum(1.0, np.exp(-beta * (E[flip] - E)))
+    move = (1.0 - laziness) / m * np.minimum(1.0, np.exp(-beta * np.maximum(E[flip] - E, 0)))
     # With every flip accepted the moves sum to 1 + ulp; the stay entry is
     # clamped at 0 and the column-sum check still applies.
     stay = np.maximum(1.0 - move.sum(axis=0), 0.0)

@@ -19,9 +19,11 @@ and label_distance gives each column's distance from a center label, so a
 barrier ball and its boundary shell are column selections, by one path
 for classical and CSS models. spectrum is the one diagonal-or-eigensolve
 step, read by thermal states and by the energy shells of stability.
-thermal_state keeps a Gibbs state in that eigen-form, weights p over the
-columns of U, and gibbs_state forms the dense rho = U diag(p) U^dag from
-it for the callers that need rho itself.
+gibbs_weights is the one Gibbs law over an energy vector, shared by the
+thermal states, the samplers' fixed-point checks and the classical
+chains. thermal_state keeps a Gibbs state in that eigen-form, weights p
+over the columns of U, and gibbs_state forms the dense rho = U diag(p)
+U^dag from it for the callers that need rho itself.
 """
 
 import functools
@@ -61,6 +63,7 @@ __all__ = [
     "barrier_subspace",
     "spectrum",
     "ThermalState",
+    "gibbs_weights",
     "thermal_state",
     "gibbs_state",
     "subspace_min_energy",
@@ -133,6 +136,7 @@ class Hamiltonian:
     source: str = ""
     term_supports: tuple = field(default=(), repr=False)
     checks: "CheckFamily" = field(default=None, repr=False)
+    _label_residuals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         M = np.asarray(self.mat, dtype=np.complex128)
@@ -144,6 +148,16 @@ class Hamiltonian:
     @property
     def is_diagonal(self):
         return max_offdiagonal(self.mat) < 1e-12
+
+    def label_residual(self, energies):
+        """label_energy_residual of H over label_basis(checks) with these
+        energies, formed once per energy vector: a sampler schedule asks
+        for it once per channel, with the same energies every time."""
+        key = np.asarray(energies, dtype=np.float64).tobytes()
+        if key not in self._label_residuals:
+            basis = label_basis(self.checks)
+            self._label_residuals[key] = label_energy_residual(self, basis, energies)
+        return self._label_residuals[key]
 
 
 @dataclass
@@ -472,19 +486,25 @@ class ThermalState(NamedTuple):
     logZ: float
 
 
-def thermal_state(H, beta):
-    """Gibbs weights p over the eigenvectors U of spectrum(H), and logZ.
+def gibbs_weights(E, beta):
+    """Gibbs law p = e^{-beta E} / Z over the energies E, and logZ.
 
-    Weights are shifted by the ground energy before exponentiating so
+    Weights are shifted by the lowest energy before exponentiating so
     large beta stays finite.
     """
     if beta < 0:
         raise BetaNegative(f"beta = {beta}")
-    w, U = spectrum(H)
-    shifted = np.exp(-beta * (w - w.min()))
+    E = np.asarray(E, dtype=np.float64)
+    shifted = np.exp(-beta * (E - E.min()))
     total = shifted.sum()
-    logZ = float(np.log(total) - beta * w.min())
-    return ThermalState(shifted / total, U, logZ)
+    return shifted / total, float(np.log(total) - beta * E.min())
+
+
+def thermal_state(H, beta):
+    """Gibbs weights p over the eigenvectors U of spectrum(H), and logZ."""
+    w, U = spectrum(H)
+    p, logZ = gibbs_weights(w, beta)
+    return ThermalState(p, U, logZ)
 
 
 def gibbs_state(H, beta):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import KrausChannel, MonomialKraus
 from .errors import EmptySchedule, NotCommuting, NotDiagonal, NotFixedPoint
-from .model import label_basis, label_energies, label_energy_residual
+from .model import gibbs_weights, label_basis, label_energies
 from .pauli import mask_from_indices, popcount
 from .subspace import identity_basis
 
@@ -30,11 +30,6 @@ __all__ = [
 ]
 
 DEFAULT_ATTEMPT = 0.5
-
-
-def _gibbs_vector(E, beta):
-    shifted = np.exp(-beta * (E - E.min()))
-    return shifted / shifted.sum()
 
 
 def metropolis_site_channel(H, beta, site, attempt_prob=DEFAULT_ATTEMPT):
@@ -54,13 +49,13 @@ def metropolis_site_channel(H, beta, site, attempt_prob=DEFAULT_ATTEMPT):
     E = np.real(np.diag(H.mat))
     idx = np.arange(1 << n)
     flip = idx ^ (1 << (n - 1 - site))
-    accept = attempt_prob * np.minimum(1.0, np.exp(-beta * (E[flip] - E)))
+    accept = attempt_prob * np.minimum(1.0, np.exp(-beta * np.maximum(E[flip] - E, 0)))
     form = MonomialKraus(
         identity_basis(n), [flip, idx], [np.sqrt(accept), np.sqrt(1.0 - accept)]
     )
     chan = KrausChannel(n, monomial=form)
     # detailed balance makes the diagonal Gibbs vector exactly stationary
-    resid = form.residual(_gibbs_vector(E, beta))
+    resid = form.residual(gibbs_weights(E, beta)[0])
     if resid > 1e-10:
         raise NotFixedPoint(f"Gibbs residual {resid:.3e} on site {site}")
     return chan
@@ -89,7 +84,7 @@ def css_metropolis_channel(H0, beta, site, flavor, attempt_prob=DEFAULT_ATTEMPT)
         raise ValueError(f"site {site} outside register of {n}")
     W = label_basis(fam)
     E = label_energies(fam)
-    resid = label_energy_residual(H0, W, E)
+    resid = H0.label_residual(E)
     if resid > 1e-9:
         raise NotDiagonal(
             f"H0 is not diagonal in the label basis with the syndrome energies "
@@ -110,7 +105,7 @@ def css_metropolis_channel(H0, beta, site, flavor, attempt_prob=DEFAULT_ATTEMPT)
     rows, coef = [], []
     stay = np.zeros(W.dim)
     for w in np.unique(omega):
-        a = attempt_prob * min(1.0, np.exp(-beta * w))
+        a = attempt_prob * min(1.0, np.exp(-beta * max(w, 0)))
         jumps = omega == w
         rows.append(col)
         coef.append(np.where(jumps, np.sqrt(a) * phase, 0.0))
@@ -119,7 +114,7 @@ def css_metropolis_channel(H0, beta, site, flavor, attempt_prob=DEFAULT_ATTEMPT)
     coef.append(stay)
     form = MonomialKraus(W, rows, coef)
     chan = KrausChannel(n, monomial=form)
-    resid = form.residual(_gibbs_vector(E, beta))
+    resid = form.residual(gibbs_weights(E, beta)[0])
     if resid > 1e-10:
         raise NotFixedPoint(
             f"Gibbs residual {resid:.3e} on site {site} flavor {flavor}"

@@ -34,6 +34,15 @@ a time, and only tests call it:
   enumeration of subspace.neighborhood, at radius 2r from V or r from
   the first neighborhood, whichever is smaller. It is the oracle for the
   label shells of subspace.partition_from_radius.
+- stationary_distribution solves M pi = pi by a generic eigensolve: dense
+  eig up to 1024 states, ARPACK from a seeded start vector above. It is
+  the oracle for the Gibbs weights that verify-classical passes as the
+  stationary law. It fails on chains whose spectral gap is below its
+  1e-9 test, which the Gibbs route does not.
+- dense_glauber builds the Metropolis chain entry by entry. It is the
+  oracle for markov.glauber_chain.
+- dense_report reads the classical bound from a dense chain and a given
+  law. It is the oracle for markov.classical_bottleneck_report.
 """
 
 import math
@@ -41,7 +50,8 @@ import math
 import numpy as np
 
 from bottlenecklab.bottleneck import bottleneck_ratio
-from bottlenecklab.errors import EmptyBoundary, ParametersInadmissible
+from bottlenecklab.errors import EmptyBoundary, NonUniqueStationary, ParametersInadmissible
+from bottlenecklab.markov import StochasticMatrix
 from bottlenecklab.model import BarrierCertificate, gibbs_state, spectrum, subspace_min_energy
 from bottlenecklab.numerics import hermitian_eigensystem, max_offdiagonal, operator_norm
 from bottlenecklab.pauli import (
@@ -248,3 +258,72 @@ def enumerated_blocks(V, r, cap=2**28):
         B_2r = neighborhood(B_r, r, cap=cap)
     P_A, P_r, P_2r = V.projector(), B_r.projector(), B_2r.projector()
     return {"A": P_A, "B1": P_r - P_A, "B2": P_2r - P_r, "C": np.eye(1 << V.n) - P_2r}
+
+
+_EIG_DENSE_CUTOFF = 1024
+
+
+def stationary_distribution(M):
+    """The unique probability vector with M pi = pi.
+
+    Dense eigendecomposition of ``M.toarray()`` up to 1024 states, ARPACK
+    on the sparse matrix above, from a fixed seeded start vector so that
+    repeated calls return the same bits. Uniqueness of the eigenvalue-1
+    space is checked: reducible chains, and chains whose gap is below
+    1e-9, raise NonUniqueStationary.
+    """
+    from scipy import sparse
+
+    # a dense oracle chain may hold a -ulp stay entry, so it is taken as given
+    mat = M.mat if isinstance(M, StochasticMatrix) else sparse.csc_array(M)
+    dim = mat.shape[0]
+    if dim <= _EIG_DENSE_CUTOFF:
+        w, V = np.linalg.eig(mat.toarray())
+    else:
+        from scipy.sparse.linalg import eigs
+
+        # Not the uniform vector: at beta = 0 it is already the answer, and
+        # ARPACK cannot grow a Krylov space from an exact eigenvector.
+        v0 = np.random.default_rng(0).random(dim)
+        w, V = eigs(mat, k=min(6, dim - 2), which="LM", tol=0, v0=v0)
+    close = np.flatnonzero(np.abs(w - 1.0) < 1e-9)
+    if close.size != 1:
+        raise NonUniqueStationary(
+            f"found {close.size} eigenvalues within 1e-9 of 1"
+        )
+    vec = np.real(V[:, close[0]])
+    vec = np.where(np.abs(vec) < 1e-15, 0.0, vec)
+    if vec.sum() < 0:
+        vec = -vec
+    vec = np.clip(vec, 0.0, None)
+    pi = vec / vec.sum()
+    resid = float(np.abs(mat @ pi - pi).sum())
+    if resid > 1e-10:
+        raise NonUniqueStationary(f"stationary residual {resid:.3e} exceeds 1e-10")
+    return pi
+
+
+def dense_glauber(E, beta, laziness=0.0):
+    """Dense Glauber builder, entry by entry."""
+    E = np.asarray(E, dtype=np.float64)
+    dim = E.shape[0]
+    m = dim.bit_length() - 1
+    M = np.zeros((dim, dim))
+    idx = np.arange(dim)
+    for b in range(m):
+        flip = idx ^ (1 << b)
+        accept = np.minimum(1.0, np.exp(-beta * (E[flip] - E)))
+        M[flip, idx] += (1.0 - laziness) / m * accept
+    np.fill_diagonal(M, 0.0)
+    M[idx, idx] = 1.0 - M.sum(axis=0)
+    return M
+
+
+def dense_report(M, part, pi):
+    """The classical bound on a dense chain with stationary law pi."""
+    A, B, C = list(part.A), list(part.B), list(part.C)
+    pA, pB, pC = pi[A].sum(), pi[B].sum(), pi[C].sum()
+    piA = np.zeros(M.shape[0])
+    piA[A] = pi[A] / pA
+    lhs = np.abs(M @ piA - piA).sum()
+    return {"lhs": lhs, "bound": 2.0 * pB / pA, "pi_A": pA, "pi_B": pB, "pi_C": pC}

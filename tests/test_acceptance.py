@@ -45,6 +45,7 @@ from bottlenecklab.model import (
     build_hamiltonian,
     classical_energies,
     gibbs_state,
+    gibbs_weights,
     perturb,
     random_ldpc,
     random_local_perturbation,
@@ -286,8 +287,7 @@ def test_criterion_03_classical_theorem_suite():
         part = hamming_state_partition(n, 0, 1, 1)
         for beta in (0.5, 1.0, 2.0):
             chain = glauber_chain(E, beta)
-            pi = np.exp(-beta * (E - E.min()))
-            pi /= pi.sum()
+            pi, _ = gibbs_weights(E, beta)
             rep = classical_bottleneck_report(chain, part, pi=pi)
             assert rep.condition_max == 0.0
             assert rep.lhs <= rep.bound + 1e-12

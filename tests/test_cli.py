@@ -164,6 +164,56 @@ def test_verify_classical_edge_chains(tmp_path, model, n, betas):
         assert float(row[4]) <= float(row[5]) + 1e-12
 
 
+def test_verify_classical_low_temperature(tmp_path):
+    # gaps far below 1e-9, which an eigensolve for the stationary law
+    # cannot tell from a second eigenvalue 1
+    cfg = {
+        "model": "ising_ring",
+        "n": 10,
+        "betas": [10.0, 15.0, 30.0],
+        "partition": {"center": 0, "inner": 1, "width": 1},
+    }
+    code, out = run("verify-classical", cfg, tmp_path)
+    assert code == 0
+    assert json.loads((out / "failures.json").read_text()) == []
+    _, rows = read_rows(out)
+    assert [float(row[2]) for row in rows] == cfg["betas"]
+    for row in rows:
+        assert float(row[4]) <= float(row[5]) + 1e-12
+
+
+def test_verify_classical_frozen_chain_fails_its_point(tmp_path):
+    # at beta 400 every uphill move underflows to 0, the chain falls apart
+    # into classes, and its stationary law is no longer unique
+    cfg = dict(GRID_CONFIGS["verify-classical"], betas=[1.0, 400.0])
+    code, out = run("verify-classical", cfg, tmp_path)
+    assert code == 1
+    failures = json.loads((out / "failures.json").read_text())
+    assert [f["point"]["beta"] for f in failures] == [400.0]
+    assert failures[0]["reason"] == "NonUniqueStationary"
+    assert "communicating classes" in failures[0]["message"]
+    _, rows = read_rows(out)
+    assert [float(row[2]) for row in rows] == [1.0]
+
+
+def _no_eigensolve(*args, **kwargs):
+    raise AssertionError("verify-classical solved an eigenproblem")
+
+
+def test_verify_classical_runs_without_an_eigensolver(tmp_path, monkeypatch):
+    # n = 6 was a dense eig and n = 11 an ARPACK run before the Gibbs law
+    import numpy as np
+    from scipy.sparse import linalg as sparse_linalg
+
+    monkeypatch.setattr(sparse_linalg, "eigs", _no_eigensolve)
+    monkeypatch.setattr(np.linalg, "eig", _no_eigensolve)
+    for n in (6, 11):
+        cfg = dict(GRID_CONFIGS["verify-classical"], n=n)
+        code, out = run("verify-classical", cfg, tmp_path, f"n{n}")
+        assert code == 0, n
+        assert json.loads((out / "failures.json").read_text()) == []
+
+
 @pytest.mark.parametrize(
     "subcommand,cfg",
     [
@@ -679,8 +729,8 @@ def test_verify_classical_empty_c_rejected(tmp_path, monkeypatch):
 
 
 def test_cli_import_loads_no_scipy_modules():
-    # the package runs on numpy alone until a markov sparse or ARPACK
-    # function imports scipy inside its body; any scipy module on the
+    # the package runs on numpy alone until a markov function imports
+    # scipy inside its body; any scipy module on the
     # import path (scipy.special alone took most of the start-up time)
     # is paid by every CLI run
     code = (

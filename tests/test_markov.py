@@ -1,4 +1,6 @@
-"""Classical chains: stationary vectors, the structural condition, bounds."""
+"""Classical chains: stationary laws, the structural condition, bounds."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -17,48 +19,9 @@ from bottlenecklab.markov import (
     classical_bottleneck_report,
     glauber_chain,
     hamming_state_partition,
-    stationary_distribution,
 )
-from bottlenecklab.model import REGISTRY, classical_energies
-
-
-def dense_glauber(E, beta, laziness=0.0):
-    """Dense Glauber builder, entry by entry (test oracle)."""
-    E = np.asarray(E, dtype=np.float64)
-    dim = E.shape[0]
-    m = dim.bit_length() - 1
-    M = np.zeros((dim, dim))
-    idx = np.arange(dim)
-    for b in range(m):
-        flip = idx ^ (1 << b)
-        accept = np.minimum(1.0, np.exp(-beta * (E[flip] - E)))
-        M[flip, idx] += (1.0 - laziness) / m * accept
-    np.fill_diagonal(M, 0.0)
-    M[idx, idx] = 1.0 - M.sum(axis=0)
-    return M
-
-
-def dense_report(M, part):
-    """Dense stationary solve and bottleneck report (test oracle)."""
-    dim = M.shape[0]
-    if dim <= 1024:
-        w, V = np.linalg.eig(M)
-    else:
-        from scipy.sparse.linalg import eigs
-
-        w, V = eigs(M, k=6, which="LM", tol=0)
-    close = np.flatnonzero(np.abs(w - 1.0) < 1e-9)
-    assert close.size == 1
-    vec = np.real(V[:, close[0]])
-    vec = np.where(np.abs(vec) < 1e-15, 0.0, vec)
-    vec = np.clip(vec if vec.sum() > 0 else -vec, 0.0, None)
-    pi = vec / vec.sum()
-    A, B, C = list(part.A), list(part.B), list(part.C)
-    pA, pB, pC = pi[A].sum(), pi[B].sum(), pi[C].sum()
-    piA = np.zeros(dim)
-    piA[A] = pi[A] / pA
-    lhs = np.abs(M @ piA - piA).sum()
-    return {"lhs": lhs, "bound": 2.0 * pB / pA, "pi_A": pA, "pi_B": pB, "pi_C": pC}
+from bottlenecklab.model import REGISTRY, classical_energies, gibbs_weights
+from oracles import dense_glauber, dense_report, stationary_distribution
 
 
 def birth_death_metropolis(pi):
@@ -116,6 +79,8 @@ class TestStatePartition:
 
 
 class TestStationaryDistribution:
+    """The eigensolve oracle for the closed-form laws."""
+
     def test_symmetric_two_state(self):
         M = np.array([[0.7, 0.3], [0.3, 0.7]])
         pi = stationary_distribution(StochasticMatrix(M))
@@ -173,7 +138,7 @@ class TestClassicalCondition:
         assert rep.max_forbidden_entry == 1e-13
         assert rep.offending == (to, frm)
         with pytest.raises(ConditionViolated):
-            classical_bottleneck_report(StochasticMatrix(M), part)
+            classical_bottleneck_report(StochasticMatrix(M), part, np.full(16, 1 / 16))
 
     def test_stored_zero_counts_as_zero(self):
         from scipy import sparse
@@ -199,9 +164,10 @@ class TestClassicalCondition:
 class TestBottleneckReport:
     def test_pinned_example(self):
         # bound = 2 * 0.1 / 0.45
-        sm = birth_death_metropolis([0.45, 0.05, 0.05, 0.45])
+        pi = np.array([0.45, 0.05, 0.05, 0.45])
+        sm = birth_death_metropolis(pi)
         part = StatePartition((0,), (1,), (2,), (3,))
-        rep = classical_bottleneck_report(sm, part)
+        rep = classical_bottleneck_report(sm, part, pi)
         assert rep.bound == pytest.approx(0.4444444444444444, abs=1e-12)
         assert rep.lhs <= rep.bound + 1e-12
         assert rep.lhs == pytest.approx(2 * 0.5 * (0.05 / 0.45), abs=1e-12)
@@ -212,14 +178,53 @@ class TestBottleneckReport:
         good = np.array([0.45, 0.05, 0.05, 0.45])
         rep = classical_bottleneck_report(sm, part, pi=good)
         assert rep.pi_A == pytest.approx(0.45)
-        with pytest.raises(NonUniqueStationary):
+        with pytest.raises(NonUniqueStationary, match="not stationary"):
             classical_bottleneck_report(sm, part, pi=np.full(4, 0.25))
 
+    @pytest.mark.parametrize("case", ["triple", "sum off by 1e-11", "negative entry"])
+    def test_supplied_pi_must_be_a_probability_vector(self, case):
+        # the first two are stationary but sum to 3 and to 1 + 1e-11; the
+        # last sums to 1 but has a negative entry
+        E = classical_energies(REGISTRY["ising_ring"](6))
+        gibbs, _ = gibbs_weights(E, 1.0)
+        pi = {
+            "triple": 3 * gibbs,
+            "sum off by 1e-11": (1 + 1e-11) * gibbs,
+            "negative entry": np.concatenate([[gibbs[0] + 2 * gibbs[1], -gibbs[1]], gibbs[2:]]),
+        }[case]
+        part = hamming_state_partition(6, 0, 1, 1)
+        with pytest.raises(NonUniqueStationary, match="probability vector"):
+            classical_bottleneck_report(glauber_chain(E, 1.0), part, pi)
+
+    def test_reducible_chain_rejected(self):
+        # two closed classes {0, 1} and {2, 3}: uniform is stationary, and
+        # so is any mixture of the two class laws
+        M = np.eye(4)
+        M[:2, :2] = [[0.5, 0.5], [0.5, 0.5]]
+        M[2:, 2:] = [[0.5, 0.5], [0.5, 0.5]]
+        part = StatePartition((0,), (1,), (2,), (3,))
+        with pytest.raises(NonUniqueStationary, match="2 communicating classes"):
+            classical_bottleneck_report(StochasticMatrix(M), part, np.full(4, 0.25))
+
+    def test_stored_zero_moves_are_not_edges(self):
+        # the uphill moves underflow to stored zeros, so the two valleys 0
+        # and 3 never reach each other and 1, 2 are never re-entered;
+        # counting the stored zeros as edges would see one class
+        from scipy.sparse.csgraph import connected_components
+
+        E = np.array([0.0, 1000.0, 1000.0, 0.0])
+        sm = glauber_chain(E, 5.0)
+        assert connected_components(sm.mat, connection="strong")[0] == 1
+        pi, _ = gibbs_weights(E, 5.0)
+        part = StatePartition((0,), (1,), (2,), (3,))
+        with pytest.raises(NonUniqueStationary, match="4 communicating classes"):
+            classical_bottleneck_report(sm, part, pi)
+
     def test_condition_violation_raises(self):
-        sm = birth_death_metropolis([0.45, 0.05, 0.05, 0.45])
+        pi = np.array([0.45, 0.05, 0.05, 0.45])
         part = StatePartition((0,), (2,), (1,), (3,))
         with pytest.raises(ConditionViolated):
-            classical_bottleneck_report(sm, part)
+            classical_bottleneck_report(birth_death_metropolis(pi), part, pi)
 
     def test_vanishing_a_mass_raises(self):
         # Stationary law concentrated away from A within float precision.
@@ -247,10 +252,10 @@ class TestBottleneckReport:
     def test_telescoping_drift(self):
         # t steps move the conditioned state at most t * lhs in L1,
         # so its distance to pi shrinks no faster than linearly.
-        sm = birth_death_metropolis([0.45, 0.05, 0.05, 0.45])
+        pi = np.array([0.45, 0.05, 0.05, 0.45])
+        sm = birth_death_metropolis(pi)
         part = StatePartition((0,), (1,), (2,), (3,))
-        pi = stationary_distribution(sm)
-        rep = classical_bottleneck_report(sm, part)
+        rep = classical_bottleneck_report(sm, part, pi)
         piA = np.array([1.0, 0.0, 0.0, 0.0])
         start = 0.5 * np.abs(piA - pi).sum()
         state = piA
@@ -291,6 +296,17 @@ class TestGlauberChain:
         pi = stationary_distribution(sm)
         assert np.abs(pi - 2.0**-m).max() <= 1e-12
 
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_low_temperature_does_not_overflow(self, m):
+        # downhill moves have dE < 0; e^{-beta dE} alone overflows at beta 400
+        E = classical_energies(REGISTRY["ising_ring"](m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sm = glauber_chain(E, 400.0)
+        with np.errstate(over="ignore"):
+            ref = dense_glauber(E, 400.0)
+        assert np.array_equal(sm.mat.toarray(), ref)
+
     def test_stored_entries_per_column(self):
         for m in (1, 5, 16):
             sm = glauber_chain(np.arange(2**m) % 3, 1.0)
@@ -316,13 +332,17 @@ class TestGlauberChain:
         "m,rtol", [(4, 1e-12), (7, 1e-12), (10, 1e-12), (11, 1e-9), (12, 1e-9)]
     )
     def test_report_matches_dense_oracle(self, m, rtol):
-        # above 1024 states both sides run ARPACK, from different start vectors
+        # the Gibbs law against the solved one (ARPACK above 1024 states),
+        # then the sparse report against the dense arithmetic on that law
         E = classical_energies(REGISTRY["ising_ring"](m))
         part = hamming_state_partition(m, 0, 1, 1)
         betas = (0.5, 3.0) if m <= 10 else (3.0,)
         for beta in betas:
-            rep = classical_bottleneck_report(glauber_chain(E, beta), part)
-            ref = dense_report(dense_glauber(E, beta), part)
+            pi, _ = gibbs_weights(E, beta)
+            M = dense_glauber(E, beta)
+            assert np.abs(pi - stationary_distribution(M)).sum() <= 1e-10
+            rep = classical_bottleneck_report(glauber_chain(E, beta), part, pi)
+            ref = dense_report(M, part, pi)
             for key, want in ref.items():
                 assert getattr(rep, key) == pytest.approx(want, rel=rtol, abs=0.0)
 

@@ -11,6 +11,9 @@ on a random set of sites to a drawn classical family or to repetition
 or curie_weiss at n = 10. Label balls take the labels of a drawn family
 within reduced distance 0 or 1 of a random center, at n <= 7, where the
 Pauli enumeration of their radius-2 split still runs in about 2 s.
+Classical chains take a classical registry model (ising_ring,
+repetition, curie_weiss or random_ldpc) at n from 3 to 10, so the
+stationary-law oracle stays on its dense eigensolve.
 """
 
 import numpy as np
@@ -24,18 +27,22 @@ from bottlenecklab.bottleneck import (
     bottleneck_ratio,
     free_energy_report,
 )
-from bottlenecklab.errors import EmptyA, EmptyBoundary
+from bottlenecklab.errors import EmptyA, EmptyBoundary, NonUniqueStationary
+from bottlenecklab.markov import classical_bottleneck_report, glauber_chain, hamming_state_partition
 from bottlenecklab.model import (
     REGISTRY,
     CheckFamily,
     barrier_subspace,
     build_hamiltonian,
+    classical_energies,
     curie_weiss,
     gibbs_state,
+    gibbs_weights,
     label_basis,
     label_distance,
     label_energies,
     perturb,
+    random_ldpc,
     random_local_perturbation,
     repetition,
     steane7,
@@ -60,6 +67,7 @@ from oracles import (
     dense_ratio,
     enumerated_blocks,
     shell_projectors,
+    stationary_distribution,
 )
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -361,3 +369,43 @@ def test_free_energy_bounds_match_the_scipy_dense_form(label):
         assert rep.bounds_b == pytest.approx(b, rel=1e-12, abs=0)
         assert rep.bounds_c == pytest.approx(c, rel=1e-12, abs=0)
         assert (rep.a_applicable, rep.b_applicable) == (a_applicable, b_applicable)
+
+
+@st.composite
+def classical_registry_models(draw):
+    n = draw(st.integers(3, 10))
+    name = draw(st.sampled_from(("ising_ring", "repetition", "curie_weiss", "random_ldpc")))
+    if name == "random_ldpc":
+        return random_ldpc(n, draw(st.integers(1, 2 * n)), draw(st.integers(0, 2**16)))
+    return REGISTRY[name](n)
+
+
+# each n = 10 draw runs one dense 1024 x 1024 eigensolve; curie_weiss(8)
+# has a gap of 2e-6 at beta 1 and one the eigensolve cannot resolve at beta 3
+@settings(SETTINGS, max_examples=20)
+@given(
+    checks=classical_registry_models(),
+    beta=st.floats(0.0, 3.0),
+    laziness=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+)
+@example(checks=curie_weiss(8), beta=1.0, laziness=0.0)
+@example(checks=curie_weiss(8), beta=3.0, laziness=0.0)
+def test_gibbs_law_matches_the_solved_stationary_law(checks, beta, laziness):
+    E = classical_energies(checks)
+    chain = glauber_chain(E, beta, laziness)
+    pi, _ = gibbs_weights(E, beta)
+    classical_bottleneck_report(chain, hamming_state_partition(checks.n, 0, 0, 1), pi)
+    try:
+        want = stationary_distribution(chain)
+    except NonUniqueStationary as exc:
+        # a barrier of height h leaves an eigenvalue about e^{-beta h} from 1;
+        # the Gibbs law passed the exact certificate above all the same
+        assert "eigenvalues within 1e-9 of 1" in str(exc)
+        return
+    gap = np.abs(pi - want).sum()
+    if gap > 1e-10:
+        # the solved law is an eigenvector whose eigenvalue lies only sep
+        # from the next (the spectrum of a reversible chain is real); a
+        # backward-stable eigensolve leaves it off by about eps / sep
+        w = np.sort(np.linalg.eigvals(chain.mat.toarray()).real)
+        assert gap <= pi.size * np.finfo(np.float64).eps / (1.0 - w[-2])

@@ -1,9 +1,11 @@
 """Gibbs sampler channels: fixed points, locality, jump structure."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from bottlenecklab import sampler
+from bottlenecklab import model, sampler
 from bottlenecklab.channel import (
     KrausChannel,
     MonomialKraus,
@@ -309,6 +311,51 @@ def test_css_channel_densifies_to_the_projector_products(label):
                 assert len(chan.kraus) == len(ref)
                 for K, R in zip(chan.kraus, ref):
                     assert np.abs(K - R).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_site_channel_at_low_temperature_does_not_overflow(n):
+    # downhill flips have dE < 0; e^{-beta dE} alone overflows at beta 400
+    H = build_hamiltonian(ising_ring(n))
+    for site in range(n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chan = metropolis_site_channel(H, 400.0, site)
+        with np.errstate(over="ignore"):
+            ref = dense_site_kraus(H, 400.0, site)
+        for K, R in zip(chan.kraus, ref):
+            assert np.array_equal(K, R)
+
+
+def test_css_channel_at_low_temperature_does_not_overflow():
+    fam = steane7()
+    H0 = build_hamiltonian(fam)
+    for site in range(fam.n):
+        for flavor in ("X", "Z"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                chan = css_metropolis_channel(H0, 400.0, site, flavor)
+            with np.errstate(over="ignore"):
+                ref = dense_css_kraus(dense_css_jumps(fam, site, flavor), 400.0)
+            for K, R in zip(chan.kraus, ref):
+                assert np.abs(K - R).max() <= 1e-14
+
+
+def test_css_schedule_checks_the_label_energies_once(monkeypatch):
+    # the dense H0 W product is the same for every channel of a schedule
+    calls = []
+    real = model.label_energy_residual
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(model, "label_energy_residual", counted)
+    H0 = build_hamiltonian(steane7())
+    schedule = sweep_schedule(H0, 1.0, range(7), flavors=["X", "Z"], repetitions=2)
+    assert len(schedule) == 28
+    sweep_schedule(H0, 2.0, range(7), flavors=["X"])
+    assert len(calls) == 1
 
 
 def test_css_channel_refuses_wrong_label_energy(monkeypatch):
