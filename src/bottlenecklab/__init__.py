@@ -2,8 +2,8 @@
 
 Modules:
     numerics     dense linear-algebra kernels and tolerances
-    pauli        Pauli strings, GF(2) machinery
-    subspace     subspaces, neighborhoods, partitions
+    pauli        qubit bit masks, Hamming distances, GF(2) spans
+    subspace     label bases, subspaces, label-shell partitions
     channel      Kraus channels, locality, quasi-local mixtures
     markov       sparse column-stochastic chains and the classical bound
     model        parity-check Hamiltonians, barriers, Gibbs states

@@ -14,9 +14,8 @@ one nonzero per column of T_m. A state diagonal in W is then a label
 probability vector, and one step maps it to a vector. Trace preservation
 is checked on those vectors at construction (on the dense operators when
 some T_m has two nonzeros in one row). The dense list ``kraus`` is built
-only when a dense consumer reads it: validate_channel, apply_channel,
-channel_locality, check_partition_condition, evolve_sequence and
-quasi_local_mixture.
+only when a dense consumer reads it: apply_channel, channel_locality,
+check_partition_condition, evolve_sequence and quasi_local_mixture.
 """
 
 import math
@@ -30,9 +29,7 @@ from .numerics import DEFAULT_TOL, DensityMatrix, matrix_of, operator_norm, trac
 __all__ = [
     "KrausChannel",
     "MonomialKraus",
-    "ChannelReport",
     "PartitionConditionReport",
-    "validate_channel",
     "apply_channel",
     "channel_locality",
     "check_partition_condition",
@@ -176,24 +173,10 @@ class MonomialKraus:
 
 
 @dataclass
-class ChannelReport:
-    residual: float
-    supports: list
-    passes: bool
-
-
-@dataclass
 class PartitionConditionReport:
     residual: float
     passes: bool
     worst_kraus: int = None
-
-
-def validate_channel(C, tol=DEFAULT_TOL):
-    """Trace-preservation residual plus detected per-Kraus supports."""
-    resid = _trace_residual(C.kraus, C.dim)
-    supports = [_kraus_support(K, C.n) for K in C.kraus]
-    return ChannelReport(resid, supports, resid < tol.abs)
 
 
 def apply_channel(C, rho):

@@ -14,7 +14,6 @@ __all__ = [
     "RadiusExceedsN",
     "DimensionMismatch",
     "GroupTooLarge",
-    "EnumerationTooLarge",
     "NotOrthonormal",
     "BadPartition",
     "NotStochastic",
@@ -59,7 +58,7 @@ class EmptyInput(BottleneckLabError):
 
 
 class RadiusExceedsN(BottleneckLabError):
-    """Pauli enumeration radius outside [0, n]."""
+    """Pauli-weight radius outside [0, n]."""
 
 
 class DimensionMismatch(BottleneckLabError):
@@ -68,10 +67,6 @@ class DimensionMismatch(BottleneckLabError):
 
 class GroupTooLarge(BottleneckLabError):
     """Brute-force coset enumeration would exceed the hard cap."""
-
-
-class EnumerationTooLarge(BottleneckLabError):
-    """Neighborhood enumeration would exceed the memory cap."""
 
 
 class NotOrthonormal(BottleneckLabError):

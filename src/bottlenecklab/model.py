@@ -57,7 +57,6 @@ __all__ = [
     "Hamiltonian",
     "BarrierCertificate",
     "build_hamiltonian",
-    "classical_energy",
     "classical_energies",
     "expansion_scan",
     "barrier_subspace",
@@ -242,14 +241,6 @@ def _as_mask(n, x):
 
 def bits_from_mask(n, mask):
     return np.array([(mask >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.int8)
-
-
-def classical_energy(x, checks):
-    """Number of Z checks with odd parity on the bitstring x."""
-    if not checks.is_classical:
-        raise NotClassical("model has X checks")
-    mask = np.uint64(_as_mask(checks.n, x))
-    return int(sum(int(popcount(mask & np.uint64(m))) & 1 for m in checks.z_masks()))
 
 
 def classical_energies(checks):

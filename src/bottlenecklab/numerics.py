@@ -29,14 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, NonSquare, NotHermitian
+from .errors import DimensionMismatch, NonSquare, NotHermitian
 
 __all__ = [
     "Tolerance",
     "DensityMatrix",
     "trace_norm",
     "operator_norm",
-    "orthonormal_column_basis",
     "hermitian_eigensystem",
     "hermitian_eigenvalues",
     "fix_phases",
@@ -44,7 +43,6 @@ __all__ = [
     "max_offdiagonal",
     "matrix_of",
     "maximally_mixed",
-    "pure_state_density",
 ]
 
 _HERMITICITY_TOL = 1e-10
@@ -53,18 +51,15 @@ _GAUGE_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical tolerances threaded through rank and comparison decisions.
+    """Numerical tolerances threaded through comparison decisions.
 
     abs: absolute tolerance for residual comparisons.
-    rank_rel: relative singular-value cutoff for rank decisions,
-        measured against the largest singular value.
     """
 
     abs: float = 1e-10
-    rank_rel: float = 1e-8
 
     def __post_init__(self):
-        if not (self.abs > 0 and self.rank_rel > 0):
+        if not self.abs > 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -169,39 +164,6 @@ def logsumexp(a, b=None):
     m = b[at_top].sum()
     s = (b[~at_top] * np.exp(a[~at_top] - top)).sum()
     return float(np.log1p(s / m) + np.log(m) + top)
-
-
-def orthonormal_column_basis(vectors, tol=None):
-    """Orthonormal basis for the span of the given vectors.
-
-    Parameters
-    ----------
-    vectors : sequence of 1d arrays, or a (dim, m) matrix whose columns
-        are the vectors.
-    tol : Tolerance, optional. rank_rel sets the singular-value cutoff
-        relative to the largest singular value.
-
-    Returns
-    -------
-    (dim, k) array with orthonormal columns; k is the numerical rank.
-    k = 0 (an empty basis) is returned when every vector is numerically
-    zero. Deterministic for a fixed input order.
-    """
-    tol = tol or DEFAULT_TOL
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        A = vectors.astype(np.complex128, copy=False)
-    else:
-        vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
-        if not vecs:
-            raise EmptyInput("no vectors given")
-        A = np.column_stack(vecs)
-    if A.shape[1] == 0:
-        raise EmptyInput("no vectors given")
-    U, s, _ = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] <= 0:
-        return np.zeros((A.shape[0], 0), dtype=np.complex128)
-    rank = int(np.sum(s > tol.rank_rel * s[0]))
-    return fix_phases(U[:, :rank])
 
 
 def _symmetrized(H):
@@ -336,18 +298,6 @@ def matrix_of(rho):
     return rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
 
 
-# A handful of constructors used all over the tests and pipelines.
-
-
 def maximally_mixed(n):
     dim = 2**n
     return DensityMatrix(np.eye(dim, dtype=np.complex128) / dim, n)
-
-
-def pure_state_density(vec, n=None):
-    v = np.asarray(vec, dtype=np.complex128).reshape(-1)
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
-        raise EmptyInput("zero vector has no associated state")
-    v = v / nrm
-    return DensityMatrix(np.outer(v, v.conj()), n)

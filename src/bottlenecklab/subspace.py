@@ -13,19 +13,15 @@ as well, checked to equal them.
 The r-neighborhood of V is span{ S|psi> : S a Pauli string of weight <= r,
 |psi> in V }. Composing neighborhoods adds radii. partition_from_radius
 builds the local-theorem split (V, first r-shell, second r-shell, rest),
-and boundary the r-shell alone, in one of two ways, chosen from V alone:
-
-- V spanned by labels of some W (a labeled V, or one whose every basis
-  column has exactly one nonzero entry, which gets identity labels): a
-  weight-1 Pauli X(a)Z(b) maps |x, z> to a phase times |x^a, z^b>, so a
-  weight-<=r string reaches exactly the labels at most r such moves away
-  (Gottesman, arXiv:quant-ph/9705052). The shells are read off one
-  breadth-first search over the 3n weight-1 moves from the labels of V,
-  with no enumeration and no size cap. Hamming shells are the identity
-  case.
-- any other (superposed) V: the weight-<=r strings are enumerated and
-  their images orthonormalized. This path is exponential in r and is the
-  oracle the label shells are tested against.
+and boundary the r-shell alone, for a V spanned by labels of some W (a
+labeled V, or one whose every basis column has exactly one nonzero
+entry, which gets identity labels). A weight-1 Pauli X(a)Z(b) maps
+|x, z> to a phase times |x^a, z^b>, so a weight-<=r string reaches
+exactly the labels at most r such moves away (Gottesman,
+arXiv:quant-ph/9705052). The shells are read off one breadth-first
+search over the 3n weight-1 moves from the labels of V, with no
+enumeration of Pauli strings and no size cap. Hamming shells are the
+identity case. A superposed V is rejected with BadPartition.
 """
 
 import functools
@@ -34,15 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pauli as pl
-from .errors import (
-    BadPartition,
-    CenterOutsideSpace,
-    EnumerationTooLarge,
-    NotCommuting,
-    NotOrthonormal,
-    RadiusExceedsN,
-)
-from .numerics import DEFAULT_TOL, fix_phases, orthonormal_column_basis
+from .errors import BadPartition, CenterOutsideSpace, NotCommuting, NotOrthonormal, RadiusExceedsN
 
 __all__ = [
     "LabelBasis",
@@ -50,15 +38,12 @@ __all__ = [
     "Subspace",
     "HilbertPartition",
     "projector",
-    "neighborhood",
     "boundary",
-    "complement",
     "hamming_ball_subspace",
     "basis_state_subspace",
     "partition_from_radius",
 ]
 
-_ENUM_CAP = 2**28
 _ORTHO_TOL = 1e-9
 
 
@@ -264,78 +249,17 @@ def projector(V):
     return V.basis @ V.basis.conj().T
 
 
-def empty_subspace(n, label=""):
-    return Subspace(n, np.zeros((2**n, 0), dtype=np.complex128), label)
-
-
-def neighborhood(V, r, tol=None, cap=_ENUM_CAP):
-    """Span of all weight-<=r Pauli strings applied to V.
-
-    Stacks S * basis for every S in the weight-<=r enumeration (fixed
-    order) and orthonormalizes with the rank-revealing cutoff. Contains V
-    because the identity string is part of the enumeration. Raises
-    EnumerationTooLarge when the stacked matrix would exceed the entry cap.
-    """
-    tol = tol or DEFAULT_TOL
-    if V.dim == 0:
-        return empty_subspace(V.n, V.label)
-    paulis = pl.enumerate_paulis(V.n, r)
-    entries = len(paulis) * V.dim * (2**V.n)
-    if entries > cap:
-        raise EnumerationTooLarge(
-            f"{len(paulis)} strings x {V.dim} columns x {2**V.n} rows "
-            f"= {entries} entries exceeds cap {cap}"
-        )
-    blocks = [pl.apply_pauli_matrix(P, V.basis) for P in paulis]
-    stacked = np.hstack(blocks)
-    out = orthonormal_column_basis(stacked, tol)
-    return Subspace(V.n, out, V.label)
-
-
-def complement(V):
-    """Orthogonal complement of V inside the full space."""
-    d = 2**V.n
-    if V.dim == 0:
-        return Subspace(V.n, np.eye(d, dtype=np.complex128), V.label)
-    if V.dim == d:
-        return empty_subspace(V.n, V.label)
-    U, _, _ = np.linalg.svd(V.basis, full_matrices=True)
-    return Subspace(V.n, fix_phases(U[:, V.dim :]), V.label)
-
-
-def _complement_within(big, small, tol=None):
-    """Basis of (1 - P_small) restricted to big; assumes small <= big.
-
-    The residual's singular values are 1 on directions of big outside
-    small and rounding noise elsewhere, so the rank cutoff is tol.rank_rel
-    against the unit norm of big's columns, not against the residual's
-    own largest singular value, which is itself noise when small = big.
-    """
-    tol = tol or DEFAULT_TOL
-    if big.dim == 0:
-        return empty_subspace(big.n)
-    resid = big.basis
-    if small.dim:
-        resid = resid - small.basis @ (small.basis.conj().T @ big.basis)
-    U, s, _ = np.linalg.svd(resid, full_matrices=False)
-    return Subspace(big.n, fix_phases(U[:, : int(np.sum(s > tol.rank_rel))]))
-
-
-def boundary(V, r, tol=None, cap=_ENUM_CAP):
+def boundary(V, r):
     """States reachable from V with a weight-<=r string but orthogonal to V.
 
-    Equals range(P_{B_r(V)} - P_V). Empty when the neighborhood adds
-    nothing (V already invariant), which is a first-class outcome. A V
-    spanned by labels gets the labels 1..r moves away (tol and cap
-    unused); any other V goes through the enumeration. For nonempty V
-    both raise RadiusExceedsN when r is outside [0, n].
+    Equals range(P_{B_r(V)} - P_V): the labels 1..r weight-1 moves away
+    from V, labeled over the basis W that labels V. Empty when the neighborhood adds
+    nothing (V already invariant), which is a first-class outcome.
+    Raises BadPartition for a V not spanned by labels, and, for nonempty
+    V, RadiusExceedsN when r is outside [0, n].
     """
-    shells = _label_shells(V, r, r)
-    if shells is not None:
-        W, dist = shells
-        return _labeled(W, dist > 0)
-    B = neighborhood(V, r, tol=tol, cap=cap)
-    return _complement_within(B, V, tol=tol)
+    W, dist = _label_shells(V, r, r)
+    return _labeled(W, dist > 0)
 
 
 def hamming_ball_subspace(n, centers, radius, label=""):
@@ -379,7 +303,6 @@ class HilbertPartition:
     B1: Subspace
     B2: Subspace
     C: Subspace
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         blocks = [self.A, self.B1, self.B2, self.C]
@@ -409,34 +332,23 @@ class HilbertPartition:
         return projector(self.B1) + projector(self.B2)
 
 
-def partition_from_radius(V, r, tol=None, cap=_ENUM_CAP):
+def partition_from_radius(V, r):
     """Partition (A=V, B1, B2, C) from the weight-r neighborhoods of V.
 
     B1 spans the r-boundary of V, B2 what the 2r-neighborhood adds beyond
-    that, and C the rest of the space. When V is spanned by labels of a
+    that, and C the rest of the space. V must be spanned by labels of a
     LabelBasis W (its own labels, or identity labels when every basis
-    column has exactly one nonzero entry), the blocks are the label
+    column has exactly one nonzero entry). The blocks are the label
     shells 0 < d <= r, r < d <= 2r and d > 2r, where d is the number of
-    weight-1 moves from the nearest label of V, each block labeled over W
-    (meta builder "labels"; tol and cap unused). Only a superposed V goes
-    through the Pauli enumeration (builder "pauli"), which raises
-    EnumerationTooLarge past cap. For nonempty V both raise RadiusExceedsN
-    when r is outside [0, n].
+    weight-1 moves from the nearest label of V, each block labeled over
+    W. Raises BadPartition for a superposed V, and, for nonempty V,
+    RadiusExceedsN when r is outside [0, n].
     """
-    shells = _label_shells(V, r, 2 * r)
-    if shells is not None:
-        W, dist = shells
-        B1 = _labeled(W, (dist > 0) & (dist <= r))
-        B2 = _labeled(W, (dist > r) & (dist <= 2 * r))
-        C = _labeled(W, dist < 0)
-        return HilbertPartition(V, B1, B2, C, meta={"r": r, "builder": "labels"})
-    tol = tol or DEFAULT_TOL
-    B_r = neighborhood(V, r, tol=tol, cap=cap)
-    B_2r = neighborhood(B_r, r, tol=tol, cap=cap)
-    B1 = _complement_within(B_r, V, tol=tol)
-    B2 = _complement_within(B_2r, B_r, tol=tol)
-    C = complement(B_2r)
-    return HilbertPartition(V, B1, B2, C, meta={"r": r, "builder": "pauli"})
+    W, dist = _label_shells(V, r, 2 * r)
+    B1 = _labeled(W, (dist > 0) & (dist <= r))
+    B2 = _labeled(W, (dist > r) & (dist <= 2 * r))
+    C = _labeled(W, dist < 0)
+    return HilbertPartition(V, B1, B2, C)
 
 
 def _labeled(W, mask, label=""):
@@ -444,20 +356,21 @@ def _labeled(W, mask, label=""):
 
 
 def _label_shells(V, r, reach):
-    """(W, d) for a V spanned by labels of W, or None for a superposed V.
+    """(W, d) for a V spanned by labels of W.
 
     The labels are V's own, or identity labels when every basis column
-    has exactly one nonzero entry. d is the number of weight-1 Pauli
-    moves X(a)Z(b) from the nearest label of V to every label of W, from
-    a breadth-first search of reach rounds, and -1 past reach. Raises
-    RadiusExceedsN for nonempty V when r is outside [0, n].
+    has exactly one nonzero entry; any other V raises BadPartition. d is
+    the number of weight-1 Pauli moves X(a)Z(b) from the nearest label
+    of V to every label of W, from a breadth-first search of reach
+    rounds, and -1 past reach. Raises RadiusExceedsN for nonempty V when
+    r is outside [0, n].
     """
     if V.labels is not None:
         W, mask = V.labels
     else:
         nonzero = V.basis != 0
-        if V.dim == 0 or not (nonzero.sum(axis=0) == 1).all():
-            return None
+        if not (nonzero.sum(axis=0) == 1).all():
+            raise BadPartition("V is not spanned by labels of a basis")
         W = identity_basis(V.n)
         mask = np.zeros(W.dim, dtype=bool)
         mask[np.nonzero(nonzero)[0]] = True

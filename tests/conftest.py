@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from bottlenecklab.errors import EmptyInput
+from bottlenecklab.numerics import DensityMatrix
+
 
 @pytest.fixture
 def rng():
@@ -29,3 +32,12 @@ def random_unitary(rng, dim):
 def random_projector(rng, dim, k):
     U = random_unitary(rng, dim)
     return U[:, :k] @ U[:, :k].conj().T
+
+
+def pure_state_density(vec, n=None):
+    v = np.asarray(vec, dtype=np.complex128).reshape(-1)
+    nrm = np.linalg.norm(v)
+    if nrm == 0:
+        raise EmptyInput("zero vector has no associated state")
+    v = v / nrm
+    return DensityMatrix(np.outer(v, v.conj()), n)

@@ -29,11 +29,25 @@ a time, and only tests call it:
   scipy.special.logsumexp and dense_collar_weights, as the package did
   before its own logsumexp and label form. It is the oracle for
   bottleneck.free_energy_report.
-- enumerated_blocks builds the block projectors of the local-theorem
-  split (V, first r-shell, second r-shell, rest) from the Pauli
-  enumeration of subspace.neighborhood, at radius 2r from V or r from
-  the first neighborhood, whichever is smaller. It is the oracle for the
-  label shells of subspace.partition_from_radius.
+- PauliString, enumerate_paulis, apply_pauli, apply_pauli_matrix and
+  pauli_matrix enumerate Pauli strings and apply them entry by entry.
+  A string is P = i^{|x AND z|} X(x) Z(z) in the bit packing of
+  bottlenecklab.pauli, so the letter with x = z = 1 is Y = i X Z, and
+        P|b> = i^{|x AND z|} (-1)^{|b AND z|} |b XOR x>.
+  Enumeration order is weight ascending, supports in lexicographic
+  order, letters per site in (X, Y, Z) order.
+- neighborhood stacks the images of V under every string of weight at
+  most r and orthonormalizes them, and complement and
+  _complement_within take orthogonal complements. enumerated_partition
+  splits any V, superposed or not, into (V, first r-shell, second
+  r-shell, rest) from them, and enumerated_blocks builds the projectors
+  of that split at radius 2r from V or r from the first neighborhood,
+  whichever is smaller. They are the oracle for the label shells of
+  subspace.partition_from_radius and subspace.boundary.
+- classical_energy counts the violated Z checks of one bitstring. It is
+  the oracle for model.classical_energies.
+- validate_channel reads the trace-preservation residual and the support
+  of every Kraus operator from the dense operators.
 - stationary_distribution solves M pi = pi by a generic eigensolve: dense
   eig up to 1024 states, ARPACK from a seeded start vector above. It is
   the oracle for the Gibbs weights that verify-classical passes as the
@@ -45,23 +59,281 @@ a time, and only tests call it:
   law. It is the oracle for markov.classical_bottleneck_report.
 """
 
+import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from bottlenecklab.bottleneck import bottleneck_ratio
-from bottlenecklab.errors import EmptyBoundary, NonUniqueStationary, ParametersInadmissible
-from bottlenecklab.markov import StochasticMatrix
-from bottlenecklab.model import BarrierCertificate, gibbs_state, spectrum, subspace_min_energy
-from bottlenecklab.numerics import hermitian_eigensystem, max_offdiagonal, operator_norm
-from bottlenecklab.pauli import (
-    PauliString,
-    apply_pauli,
-    gf2_null_space_masks,
-    gf2_span,
-    popcount,
+from bottlenecklab.channel import _kraus_support, _trace_residual
+from bottlenecklab.errors import (
+    BottleneckLabError,
+    DimensionMismatch,
+    EmptyBoundary,
+    EmptyInput,
+    NonUniqueStationary,
+    NotClassical,
+    ParametersInadmissible,
+    RadiusExceedsN,
 )
-from bottlenecklab.subspace import Subspace, boundary, neighborhood
+from bottlenecklab.markov import StochasticMatrix
+from bottlenecklab.model import (
+    BarrierCertificate,
+    _as_mask,
+    gibbs_state,
+    spectrum,
+    subspace_min_energy,
+)
+from bottlenecklab.numerics import (
+    DEFAULT_TOL,
+    fix_phases,
+    hermitian_eigensystem,
+    max_offdiagonal,
+    operator_norm,
+)
+from bottlenecklab.pauli import gf2_null_space_masks, gf2_span, popcount
+from bottlenecklab.subspace import HilbertPartition, Subspace, boundary
+
+
+class EnumerationTooLarge(BottleneckLabError):
+    """Neighborhood enumeration would exceed the memory cap."""
+
+
+_ENUM_CAP = 2**28
+_RANK_REL = 1e-8
+
+
+def indices_from_mask(n, mask):
+    """Qubit indices whose bit is set in an index-space mask, ascending."""
+    return tuple(i for i in range(n) if mask >> (n - 1 - i) & 1)
+
+
+@dataclass(frozen=True)
+class PauliString:
+    """An n-qubit Pauli string identified by its X and Z masks.
+
+    x_bits/z_bits are index-space masks (see module docstring). The
+    overall phase convention i^{|x AND z|} is fixed by apply_pauli and
+    pauli_matrix; equality and hashing ignore nothing, two strings are
+    equal iff (n, x_bits, z_bits) coincide.
+    """
+
+    n: int
+    x_bits: int
+    z_bits: int
+
+    def __post_init__(self):
+        full = (1 << self.n) - 1
+        if self.x_bits & ~full or self.z_bits & ~full:
+            raise DimensionMismatch("mask has bits outside the register")
+
+    @classmethod
+    def from_letters(cls, n, letters):
+        """Build from {qubit: 'X'|'Y'|'Z'} (identity elsewhere)."""
+        x = z = 0
+        for i, w in letters.items():
+            bit = 1 << (n - 1 - i)
+            if w in ("X", "Y"):
+                x |= bit
+            if w in ("Z", "Y"):
+                z |= bit
+            if w not in ("X", "Y", "Z"):
+                raise ValueError(f"unknown letter {w!r}")
+        return cls(n, x, z)
+
+    def support(self):
+        """Set of qubits on which the string acts non-trivially."""
+        return set(indices_from_mask(self.n, self.x_bits | self.z_bits))
+
+    def weight(self):
+        return int(self.x_bits | self.z_bits).bit_count()
+
+    def letter(self, i):
+        bit = 1 << (self.n - 1 - i)
+        x, z = bool(self.x_bits & bit), bool(self.z_bits & bit)
+        return {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}[(x, z)]
+
+    def __str__(self):
+        return "".join(self.letter(i) for i in range(self.n))
+
+
+def pauli_count(n, r):
+    """Number of Pauli strings of weight at most r on n qubits."""
+    return sum(math.comb(n, k) * 3**k for k in range(r + 1))
+
+
+def enumerate_paulis(n, r):
+    """All Pauli strings of weight <= r in deterministic order.
+
+    Order: weight ascending, supports lexicographically, letters per
+    support position in X < Y < Z order. Raises RadiusExceedsN when r is
+    outside [0, n].
+    """
+    if not 0 <= r <= n:
+        raise RadiusExceedsN(f"radius {r} outside [0, {n}]")
+    out = [PauliString(n, 0, 0)]
+    for k in range(1, r + 1):
+        for supp in itertools.combinations(range(n), k):
+            for letters in itertools.product("XYZ", repeat=k):
+                out.append(PauliString.from_letters(n, dict(zip(supp, letters))))
+    return out
+
+
+def _phases_and_perm(P, dim):
+    idx = np.arange(dim, dtype=np.uint64)
+    signs = 1 - 2 * (popcount(idx & np.uint64(P.z_bits)) & 1)
+    phase = 1j ** (int(P.x_bits & P.z_bits).bit_count() % 4)
+    perm = (idx ^ np.uint64(P.x_bits)).astype(np.int64)
+    return phase * signs.astype(np.complex128), perm
+
+
+def apply_pauli(P, v):
+    """Apply a Pauli string to a state vector."""
+    v = np.asarray(v, dtype=np.complex128)
+    dim = 1 << P.n
+    if v.shape[0] != dim:
+        raise DimensionMismatch(f"vector has dim {v.shape[0]}, operator needs {dim}")
+    coef, perm = _phases_and_perm(P, dim)
+    out = np.zeros_like(v)
+    out[perm] = (coef * v.T).T if v.ndim > 1 else coef * v
+    return out
+
+
+def apply_pauli_matrix(P, cols):
+    """Apply a Pauli string to every column of a (dim, k) matrix at once."""
+    cols = np.asarray(cols, dtype=np.complex128)
+    dim = 1 << P.n
+    if cols.shape[0] != dim:
+        raise DimensionMismatch(f"columns have dim {cols.shape[0]}, need {dim}")
+    coef, perm = _phases_and_perm(P, dim)
+    out = np.zeros_like(cols)
+    out[perm, :] = coef[:, None] * cols
+    return out
+
+
+def pauli_matrix(P):
+    """Dense matrix of a Pauli string (dim x dim)."""
+    dim = 1 << P.n
+    coef, perm = _phases_and_perm(P, dim)
+    M = np.zeros((dim, dim), dtype=np.complex128)
+    M[perm, np.arange(dim)] = coef
+    return M
+
+
+def gf2_rank(masks):
+    """Rank over GF(2) of a list of bit masks."""
+    by_msb = {}
+    rank = 0
+    for row in masks:
+        cur = int(row)
+        while cur:
+            msb = cur.bit_length() - 1
+            if msb in by_msb:
+                cur ^= by_msb[msb]
+            else:
+                by_msb[msb] = cur
+                rank += 1
+                break
+    return rank
+
+
+def orthonormal_column_basis(vectors):
+    """Orthonormal basis for the span of the given vectors.
+
+    vectors is a sequence of 1d arrays, or a (dim, m) matrix whose
+    columns are the vectors. Returns a (dim, k) array with orthonormal
+    columns, k the numerical rank: the number of singular values above
+    1e-8 times the largest. k = 0 (an empty basis) is returned when every
+    vector is numerically zero. Deterministic for a fixed input order.
+
+    A wide stack (m > dim) is reduced first: with A^dag = Q R, A = R^dag
+    Q^dag, so A and the dim x dim matrix R^dag share their singular
+    values and left singular vectors, and the SVD runs on R^dag (the
+    R-SVD; T. F. Chan, ACM TOMS 8:72, 1982).
+    """
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        A = vectors.astype(np.complex128, copy=False)
+    else:
+        vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
+        if not vecs:
+            raise EmptyInput("no vectors given")
+        A = np.column_stack(vecs)
+    if A.shape[1] == 0:
+        raise EmptyInput("no vectors given")
+    if A.shape[1] > A.shape[0]:
+        A = np.linalg.qr(A.conj().T, mode="r").conj().T
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    if s.size == 0 or s[0] <= 0:
+        return np.zeros((A.shape[0], 0), dtype=np.complex128)
+    rank = int(np.sum(s > _RANK_REL * s[0]))
+    return fix_phases(U[:, :rank])
+
+
+def empty_subspace(n, label=""):
+    return Subspace(n, np.zeros((2**n, 0), dtype=np.complex128), label)
+
+
+def neighborhood(V, r, cap=_ENUM_CAP):
+    """Span of all weight-<=r Pauli strings applied to V.
+
+    Stacks S * basis for every S in the weight-<=r enumeration (fixed
+    order) and orthonormalizes with the rank-revealing cutoff. Contains V
+    because the identity string is part of the enumeration. Raises
+    EnumerationTooLarge when the stacked matrix would exceed the entry cap.
+    """
+    if V.dim == 0:
+        return empty_subspace(V.n, V.label)
+    paulis = enumerate_paulis(V.n, r)
+    entries = len(paulis) * V.dim * (2**V.n)
+    if entries > cap:
+        raise EnumerationTooLarge(
+            f"{len(paulis)} strings x {V.dim} columns x {2**V.n} rows "
+            f"= {entries} entries exceeds cap {cap}"
+        )
+    blocks = [apply_pauli_matrix(P, V.basis) for P in paulis]
+    stacked = np.hstack(blocks)
+    out = orthonormal_column_basis(stacked)
+    return Subspace(V.n, out, V.label)
+
+
+def complement(V):
+    """Orthogonal complement of V inside the full space."""
+    d = 2**V.n
+    if V.dim == 0:
+        return Subspace(V.n, np.eye(d, dtype=np.complex128), V.label)
+    if V.dim == d:
+        return empty_subspace(V.n, V.label)
+    U, _, _ = np.linalg.svd(V.basis, full_matrices=True)
+    return Subspace(V.n, fix_phases(U[:, V.dim :]), V.label)
+
+
+def _complement_within(big, small):
+    """Basis of (1 - P_small) restricted to big; assumes small <= big.
+
+    The residual's singular values are 1 on directions of big outside
+    small and rounding noise elsewhere, so the rank cutoff is 1e-8
+    against the unit norm of big's columns, not against the residual's
+    own largest singular value, which is itself noise when small = big.
+    """
+    if big.dim == 0:
+        return empty_subspace(big.n)
+    resid = big.basis
+    if small.dim:
+        resid = resid - small.basis @ (small.basis.conj().T @ big.basis)
+    U, s, _ = np.linalg.svd(resid, full_matrices=False)
+    return Subspace(big.n, fix_phases(U[:, : int(np.sum(s > _RANK_REL))]))
+
+
+def enumerated_partition(V, r, cap=_ENUM_CAP):
+    """The (V, r) split of subspace.partition_from_radius, for any V, from
+    the composed neighborhoods B_r = neighborhood(V, r) and B_2r =
+    neighborhood(B_r, r). Raises EnumerationTooLarge past cap."""
+    B_r = neighborhood(V, r, cap=cap)
+    B_2r = neighborhood(B_r, r, cap=cap)
+    B1 = _complement_within(B_r, V)
+    B2 = _complement_within(B_2r, B_r)
+    return HilbertPartition(V, B1, B2, complement(B_2r))
 
 
 def _coset_reps(n, span):
@@ -238,12 +510,7 @@ def dense_free_energy_bounds(H, beta, V, r, rho):
     )
 
 
-def _string_count(n, r):
-    """Number of Pauli strings of weight <= r on n qubits."""
-    return sum(math.comb(n, k) * 3**k for k in range(min(r, n) + 1))
-
-
-def enumerated_blocks(V, r, cap=2**28):
+def enumerated_blocks(V, r, cap=_ENUM_CAP):
     """Block projectors {A, B1, B2, C} of the (V, r) split from Pauli
     neighborhoods: P_V, P_{B_r} - P_V, P_{B_2r} - P_{B_r} and 1 - P_{B_2r}.
     By the composition law B_2r is both the radius-min(2r, n)
@@ -252,7 +519,7 @@ def enumerated_blocks(V, r, cap=2**28):
     on every case where either form fits under cap. Raises
     EnumerationTooLarge past cap."""
     B_r = neighborhood(V, r, cap=cap)
-    if _string_count(V.n, 2 * r) * V.dim <= _string_count(V.n, r) * B_r.dim:
+    if pauli_count(V.n, 2 * r) * V.dim <= pauli_count(V.n, r) * B_r.dim:
         B_2r = neighborhood(V, min(2 * r, V.n), cap=cap)
     else:
         B_2r = neighborhood(B_r, r, cap=cap)
@@ -327,3 +594,25 @@ def dense_report(M, part, pi):
     piA[A] = pi[A] / pA
     lhs = np.abs(M @ piA - piA).sum()
     return {"lhs": lhs, "bound": 2.0 * pB / pA, "pi_A": pA, "pi_B": pB, "pi_C": pC}
+
+
+def classical_energy(x, checks):
+    """Number of Z checks with odd parity on the bitstring x."""
+    if not checks.is_classical:
+        raise NotClassical("model has X checks")
+    mask = np.uint64(_as_mask(checks.n, x))
+    return int(sum(int(popcount(mask & np.uint64(m))) & 1 for m in checks.z_masks()))
+
+
+@dataclass
+class ChannelReport:
+    residual: float
+    supports: list
+    passes: bool
+
+
+def validate_channel(C, tol=DEFAULT_TOL):
+    """Trace-preservation residual plus detected per-Kraus supports."""
+    resid = _trace_residual(C.kraus, C.dim)
+    supports = [_kraus_support(K, C.n) for K in C.kraus]
+    return ChannelReport(resid, supports, resid < tol.abs)

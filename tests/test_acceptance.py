@@ -67,11 +67,10 @@ from bottlenecklab.subspace import (
     basis_state_subspace,
     boundary,
     hamming_ball_subspace,
-    neighborhood,
     partition_from_radius,
 )
 from conftest import random_density, random_projector, random_unitary
-from oracles import enumerated_blocks
+from oracles import enumerated_blocks, neighborhood
 
 BETAS = (0.5, 1.0, 2.0, 3.0)
 
@@ -200,7 +199,7 @@ def test_criterion_02_local_theorem_suite():
     # in memory, then used at sizes where the enumeration does not
     V7 = hamming_ball_subspace(7, [0], 1)
     shell_part7 = partition_from_radius(V7, 3)
-    assert shell_part7.meta["builder"] == "labels"
+    assert all(b.labels[0] is V7.labels[0] for b in (shell_part7.B1, shell_part7.B2))
     for name, P in enumerated_blocks(V7, 3).items():
         dev = np.linalg.norm(P - getattr(shell_part7, name).projector())
         assert dev < 1e-8, name
@@ -351,13 +350,34 @@ def test_criterion_04_norm_lemma_suites():
             worst_comp = max(worst_comp, dev)
             combos += 1
     assert combos == 7
+    # the label shells of labeled balls are the composed neighborhoods:
+    # A + B1 spans B_r(V) and A + B1 + B2 spans B_r(B_r(V))
+    steane = REGISTRY["steane7"]()
+    balls = [
+        (hamming_ball_subspace(n, [1], radius), r)
+        for n in (2, 3, 4)
+        for radius in (0, 1)
+        for r in (1, 2)
+    ]
+    balls.append((barrier_subspace(steane, (0, 0), 0, 1, build_hamiltonian(steane)).V, 1))
+    worst_shell = 0.0
+    for V, r in balls:
+        part = partition_from_radius(V, r)
+        B_r = neighborhood(V, r)
+        P_r = part.A.projector() + part.B1.projector()
+        for P, B in ((P_r, B_r), (P_r + part.B2.projector(), neighborhood(B_r, r))):
+            dev = float(np.linalg.norm(P - B.projector()))
+            assert dev < 1e-7, (V.n, V.dim, r)
+            worst_shell = max(worst_shell, dev)
+    assert len(balls) == 13
     _pass(
         4,
         f"100 random (rho,P) pairs (worst margin {worst_db:.1e}; pipeline "
         f"instances covered inside criteria 1, 2, 6), 100 projector "
         f"contraction pairs (worst margin {worst_pn:.1e}), {combos} "
         f"neighborhood compositions (worst projector deviation "
-        f"{worst_comp:.1e})",
+        f"{worst_comp:.1e}), {len(balls)} labeled balls whose label shells "
+        f"are the composed neighborhoods (worst deviation {worst_shell:.1e})",
     )
 
 

@@ -10,12 +10,13 @@ from bottlenecklab.channel import (
     check_partition_condition,
     evolve_sequence,
     quasi_local_mixture,
-    validate_channel,
 )
 from bottlenecklab.errors import DimensionMismatch, EmptyInput, NotTracePreserving
-from bottlenecklab.numerics import DensityMatrix, pure_state_density, trace_norm
-from bottlenecklab.pauli import PauliString, pauli_matrix
+from bottlenecklab.numerics import DensityMatrix, trace_norm
 from bottlenecklab.subspace import hamming_ball_subspace, partition_from_radius
+
+from conftest import pure_state_density
+from oracles import PauliString, pauli_matrix, validate_channel
 
 SQ = np.sqrt(0.5)
 

@@ -52,8 +52,9 @@ def test_verify_quantum_single_row(tmp_path):
 
 
 def test_verify_quantum_past_the_enumeration_cap(tmp_path):
-    # a basis-state ball takes the Hamming shells; enumerating weight-3
-    # strings for the doubled neighborhood at n=9 exceeds the entry cap
+    # a basis-state ball takes the Hamming shells; the test oracle's
+    # enumeration of weight-3 strings for the doubled neighborhood at n=9
+    # would exceed its entry cap
     cfg = dict(VQ_BASE, n=9, sites=[0])
     code, out = run("verify-quantum", cfg, tmp_path)
     assert code == 0

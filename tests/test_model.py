@@ -17,7 +17,6 @@ from bottlenecklab.model import (
     build_hamiltonian,
     checks_from_text,
     classical_energies,
-    classical_energy,
     curie_weiss,
     expansion_scan,
     gibbs_state,
@@ -33,9 +32,16 @@ from bottlenecklab.model import (
     subspace_min_energy,
     toric,
 )
-from bottlenecklab.pauli import PauliString, gf2_rank, mask_from_indices, pauli_matrix
+from bottlenecklab.pauli import mask_from_indices
 from bottlenecklab.subspace import Subspace, hamming_ball_subspace, identity_basis
-from oracles import css_eigenstate, css_labels
+from oracles import (
+    PauliString,
+    classical_energy,
+    css_eigenstate,
+    css_labels,
+    gf2_rank,
+    pauli_matrix,
+)
 
 
 class TestCheckFamily:

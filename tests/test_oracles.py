@@ -50,7 +50,7 @@ from bottlenecklab.model import (
     thermal_state,
 )
 from bottlenecklab.numerics import hermitian_eigensystem, operator_norm
-from bottlenecklab.pauli import gf2_null_space_masks, indices_from_mask, mask_from_indices
+from bottlenecklab.pauli import gf2_null_space_masks, mask_from_indices
 from bottlenecklab.stability import (
     plan_shell_width,
     shell_decomposition,
@@ -66,6 +66,7 @@ from oracles import (
     dense_norm,
     dense_ratio,
     enumerated_blocks,
+    indices_from_mask,
     shell_projectors,
     stationary_distribution,
 )
@@ -308,7 +309,6 @@ def label_balls(draw):
 def test_label_shells_match_the_enumeration(ball, r):
     W, V = ball
     part = partition_from_radius(V, r)
-    assert part.meta == {"r": r, "builder": "labels"}
     for name, P in enumerated_blocks(V, r).items():
         block = getattr(part, name)
         assert block.labels[0] is W

@@ -1,4 +1,5 @@
-"""Static guards over the package: exported names exist, error types are used."""
+"""Static guards over the package: exported names exist and are reached,
+error types are used."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ from bottlenecklab import errors
 
 PACKAGE_DIR = pathlib.Path(bottlenecklab.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
+ACCEPTANCE = pathlib.Path(__file__).with_name("test_acceptance.py")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -38,3 +40,42 @@ def _raised_names():
 def test_every_error_type_is_raised():
     declared = set(errors.__all__) - {"BottleneckLabError"}
     assert sorted(declared - _raised_names()) == []
+
+
+def _definition_names(node):
+    """Names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _statements(path):
+    """(names defined, names and attributes read) per module-level statement."""
+    out = []
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        read = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+        out.append((_definition_names(stmt), read))
+    return out
+
+
+def test_every_exported_name_is_reached():
+    # a public name stays in the package only if other package code or an
+    # acceptance criterion uses it; test-only code lives in tests/
+    stmts = {p.stem: _statements(p) for p in PACKAGE_DIR.glob("*.py")}
+    acceptance = set().union(*(read for _, read in _statements(ACCEPTANCE)))
+    unreached = []
+    for name in MODULES:
+        seen = acceptance.union(
+            *(read for other, body in stmts.items() if other != name for _, read in body)
+        )
+        for attr in sorted(getattr(importlib.import_module(f"bottlenecklab.{name}"), "__all__", ())):
+            own = set().union(*(read for defined, read in stmts[name] if attr not in defined))
+            if attr not in seen | own:
+                unreached.append(f"{name}.{attr}")
+    assert unreached == []

@@ -11,7 +11,6 @@ from bottlenecklab.channel import (
     MonomialKraus,
     apply_channel,
     channel_locality,
-    validate_channel,
 )
 from bottlenecklab.errors import EmptySchedule, NotCommuting, NotDiagonal, NotTracePreserving
 from bottlenecklab.model import (
@@ -29,13 +28,13 @@ from bottlenecklab.model import (
     toric,
 )
 from bottlenecklab.numerics import trace_norm
-from bottlenecklab.pauli import PauliString, pauli_matrix
 from bottlenecklab.sampler import (
     DEFAULT_ATTEMPT,
     css_metropolis_channel,
     metropolis_site_channel,
     sweep_schedule,
 )
+from oracles import PauliString, pauli_matrix, validate_channel
 
 
 def css_toy_4():

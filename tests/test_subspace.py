@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 
-from bottlenecklab import pauli as pl
 from bottlenecklab import subspace as sub
-from bottlenecklab.errors import (
-    BadPartition,
-    CenterOutsideSpace,
-    EnumerationTooLarge,
-    NotOrthonormal,
-    RadiusExceedsN,
-)
+from bottlenecklab.errors import BadPartition, CenterOutsideSpace, NotOrthonormal, RadiusExceedsN
 from bottlenecklab.model import barrier_subspace, build_hamiltonian, label_basis, steane7
 
 from conftest import random_state
-from oracles import enumerated_blocks
+from oracles import (
+    EnumerationTooLarge,
+    _complement_within,
+    complement,
+    empty_subspace,
+    enumerated_blocks,
+    enumerated_partition,
+    neighborhood,
+)
 
 
 def ball(n, center, radius, label=""):
@@ -37,7 +38,7 @@ def test_projector_idempotent(rng):
 
 
 def test_empty_subspace_is_first_class():
-    e = sub.empty_subspace(2)
+    e = empty_subspace(2)
     assert e.dim == 0
     P = sub.projector(e)
     assert P.shape == (4, 4) and np.abs(P).max() == 0
@@ -46,7 +47,7 @@ def test_empty_subspace_is_first_class():
 def test_neighborhood_contains_input(rng):
     v = random_state(rng, 8)
     V = sub.Subspace(3, v.reshape(-1, 1))
-    B = sub.neighborhood(V, 1)
+    B = neighborhood(V, 1)
     PV, PB = sub.projector(V), sub.projector(B)
     assert np.abs(PV @ PB - PV).max() < 1e-8
 
@@ -56,7 +57,7 @@ def test_neighborhood_of_basis_state_is_hamming_ball():
     n = 3
     V = ball(n, 0, 0)
     for r in (1, 2):
-        B = sub.neighborhood(V, r)
+        B = neighborhood(V, r)
         H = ball(n, 0, r)
         assert np.abs(sub.projector(B) - sub.projector(H)).max() < 1e-8
 
@@ -65,7 +66,7 @@ def test_neighborhood_fast_path_multiball(rng):
     # same for a two-center diagonal subspace
     n = 4
     V = sub.hamming_ball_subspace(n, [0b0000, 0b1111], 0)
-    B = sub.neighborhood(V, 1)
+    B = neighborhood(V, 1)
     H = sub.hamming_ball_subspace(n, [0b0000, 0b1111], 1)
     assert np.abs(sub.projector(B) - sub.projector(H)).max() < 1e-8
 
@@ -80,8 +81,8 @@ def test_composition_law(rng):
         )[0]
         V = sub.Subspace(n, basis)
         for r, s in [(1, 1), (1, 2)]:
-            lhs = sub.neighborhood(sub.neighborhood(V, s), r)
-            rhs = sub.neighborhood(V, r + s)
+            lhs = neighborhood(neighborhood(V, s), r)
+            rhs = neighborhood(V, r + s)
             dev = np.linalg.norm(sub.projector(lhs) - sub.projector(rhs))
             assert dev < 1e-7
 
@@ -90,14 +91,14 @@ def test_neighborhood_full_radius_spans_everything(rng):
     n = 2
     v = random_state(rng, 4)
     V = sub.Subspace(n, v.reshape(-1, 1))
-    B = sub.neighborhood(V, n)
+    B = neighborhood(V, n)
     assert B.dim == 4
 
 
 def test_neighborhood_cap():
     V = ball(4, 0, 1)
     with pytest.raises(EnumerationTooLarge):
-        sub.neighborhood(V, 2, cap=100)
+        neighborhood(V, 2, cap=100)
 
 
 def test_boundary_dims():
@@ -159,9 +160,9 @@ def test_hamming_shells_match_enumeration(n):
                 except EnumerationTooLarge:
                     continue
                 part = sub.partition_from_radius(V, r)
-                assert part.meta == {"r": r, "builder": "labels"}
                 for name, P in oracle.items():
                     block = getattr(part, name)
+                    assert name == "A" or block.labels[0] is sub.identity_basis(n)
                     dev = np.abs(P - sub.projector(block)).max()
                     assert dev < 1e-9, (centers, radius, r, name)
                 checked += 1
@@ -175,25 +176,36 @@ def test_partition_builder_chosen_from_input(rng):
     ball_V = ball(n, 0b0101, 1)
     phased = sub.Subspace(n, ball_V.basis * np.exp(1j * rng.uniform(0, 6, ball_V.dim)))
     part = sub.partition_from_radius(phased, 1)
-    assert part.meta["builder"] == "labels"
     assert part.A is phased
+    for block in (part.B1, part.B2, part.C):
+        assert block.labels[0] is sub.identity_basis(n)
     oracle = enumerated_blocks(phased, 1, cap=2**20)
     for name, P in oracle.items():
         assert np.abs(P - sub.projector(getattr(part, name))).max() < 1e-9
-    # no enumeration runs, so its cap does not apply
-    big = sub.partition_from_radius(ball(9, 0, 1), 3, cap=1)
+    # no enumeration runs, so no size cap applies
+    big = sub.partition_from_radius(ball(9, 0, 1), 3)
     assert [big.B1.dim, big.B2.dim, big.C.dim] == [36 + 84 + 126, 126 + 84 + 36, 9 + 1]
+
+
+def test_superposed_input_rejected(rng):
+    n = 3
     superposed = sub.Subspace(n, random_state(rng, 1 << n).reshape(-1, 1))
-    assert sub.partition_from_radius(superposed, 1).meta["builder"] == "pauli"
+    with pytest.raises(BadPartition):
+        sub.partition_from_radius(superposed, 1)
+    with pytest.raises(BadPartition):
+        sub.boundary(superposed, 1)
 
 
 def test_partition_radius_outside_register_rejected(rng):
     n = 3
     superposed = sub.Subspace(n, random_state(rng, 1 << n).reshape(-1, 1))
-    for V in (ball(n, 0, 1), superposed):
-        for r in (-1, n + 1):
-            with pytest.raises(RadiusExceedsN):
-                sub.partition_from_radius(V, r)
+    for r in (-1, n + 1):
+        with pytest.raises(RadiusExceedsN):
+            sub.partition_from_radius(ball(n, 0, 1), r)
+        with pytest.raises(RadiusExceedsN):
+            enumerated_partition(superposed, r)
+        with pytest.raises(BadPartition):
+            sub.partition_from_radius(superposed, r)
     # an empty V has no radius to reject: everything lands in C
     for r in (-2, -1, n + 1):
         part = sub.partition_from_radius(sub.basis_state_subspace(n, []), r)
@@ -216,13 +228,13 @@ def test_partition_validation_catches_missing_dims():
     B1 = sub.basis_state_subspace(n, [1])
     B2 = sub.basis_state_subspace(n, [2])
     with pytest.raises(BadPartition):
-        sub.HilbertPartition(A, B1, B2, sub.empty_subspace(n))
+        sub.HilbertPartition(A, B1, B2, empty_subspace(n))
 
 
 def test_complement_roundtrip(rng):
     n = 3
     V = sub.Subspace(n, np.linalg.qr(rng.normal(size=(8, 3)) + 0j)[0])
-    C = sub.complement(V)
+    C = complement(V)
     assert C.dim == 5
     assert np.abs(V.basis.conj().T @ C.basis).max() < 1e-10
 
@@ -253,12 +265,10 @@ def test_labels_must_reproduce_the_basis(rng):
             sub.Subspace(n, basis, labels=labels)
 
 
-def test_labeled_css_ball_needs_no_enumeration(monkeypatch):
+def test_labeled_css_ball_needs_no_enumeration():
     checks = steane7()
     V = barrier_subspace(checks, (0, 0), 0, 1, build_hamiltonian(checks)).V
-    monkeypatch.setattr(pl, "enumerate_paulis", None)
     part = sub.partition_from_radius(V, 1)
-    assert part.meta == {"r": 1, "builder": "labels"}
     for block in (part.B1, part.B2, part.C):
         assert block.labels[0] is label_basis(checks)
     assert [part.A.dim, part.B1.dim, part.B2.dim, part.C.dim] == [1, 21, 98, 8]
@@ -273,10 +283,8 @@ def test_complement_within_drops_rounding_noise():
     V = barrier_subspace(checks, (0, 0), 1, 1, build_hamiltonian(checks)).V
     superposed = sub.Subspace(V.n, V.basis)
     dims = [22, 106, 0, 0]
-    for ball, builder in ((V, "labels"), (superposed, "pauli")):
-        part = sub.partition_from_radius(ball, 2)
-        assert part.meta["builder"] == builder
+    for part in (sub.partition_from_radius(V, 2), enumerated_partition(superposed, 2)):
         assert [part.A.dim, part.B1.dim, part.B2.dim, part.C.dim] == dims
-    full = sub.neighborhood(V, 2)
+    full = neighborhood(V, 2)
     assert full.dim == 128
-    assert sub.boundary(full, 1).dim == 0
+    assert _complement_within(neighborhood(full, 1), full).dim == 0
