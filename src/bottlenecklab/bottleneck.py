@@ -163,6 +163,9 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
 
     spec is either an explicit HilbertPartition (general mode) or a pair
     (V, r) for the local construction A=V, B1/B2 = first/second r-shells.
+    In the pair, V must be spanned by labels: a labeled Subspace, or one
+    whose every basis column has exactly one nonzero entry. Any other V
+    raises BadPartition; pass a HilbertPartition for a superposed V.
     A schedule (list of channels) is composed for the drift; each entry
     must fix rho on its own and the bound scales with the step count.
 
@@ -432,6 +435,10 @@ def free_energy_report(H, beta, V, r, rho_G=None, delta_measured=0.0):
         collar projector;
     (c) the split form with E_min(V), valid unconditionally.
     Each applicable bound is asserted against the measured Delta.
+
+    V must be spanned by labels (a labeled Subspace, or one whose every
+    basis column has exactly one nonzero entry); any other V raises
+    BadPartition.
     """
     if beta <= 0:
         raise BetaNegative(f"free energies need beta > 0, got {beta}")
@@ -487,6 +494,9 @@ def quasi_local_bound(C, rho, V, mix_eps=DEFAULT_MIX_EPS):
     The full channel need not be local; each certificate entry supplies an
     s-local surrogate within f(s), and the local theorem runs against the
     surrogate's partition while the tail contributes f(s) additively.
+    V must be spanned by labels (a labeled Subspace, or one whose every
+    basis column has exactly one nonzero entry); any other V raises
+    BadPartition.
     """
     if not C.quasi_local_certificate:
         raise LocalityInsufficient("channel carries no quasi-local certificate")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, NotTracePreserving
-from .numerics import DEFAULT_TOL, DensityMatrix, matrix_of, operator_norm, trace_norm
+from .numerics import DensityMatrix, matrix_of, operator_norm, trace_norm
 
 __all__ = [
     "KrausChannel",
@@ -36,6 +36,9 @@ __all__ = [
     "evolve_sequence",
     "quasi_local_mixture",
 ]
+
+# a forbidden Kraus block below this operator norm counts as zero
+_ABS_TOL = 1e-10
 
 
 class KrausChannel:
@@ -211,7 +214,7 @@ def channel_locality(C):
     return max(len(_kraus_support(K, C.n)) for K in C.kraus)
 
 
-def check_partition_condition(C, part, tol=DEFAULT_TOL):
+def check_partition_condition(C, part):
     """Operator-norm residual of the two forbidden Kraus blocks.
 
     Norms are taken on isometry-compressed blocks: ||(P_C + P_B2) K P_A||
@@ -230,7 +233,7 @@ def check_partition_condition(C, part, tol=DEFAULT_TOL):
         r = max(r1, r2)
         if r > worst:
             worst, worst_idx = r, i
-    return PartitionConditionReport(worst, worst < tol.abs, worst_idx)
+    return PartitionConditionReport(worst, worst < _ABS_TOL, worst_idx)
 
 
 def evolve_sequence(channels, rho0, rho_ref, T):

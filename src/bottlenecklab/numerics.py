@@ -32,7 +32,6 @@ import numpy as np
 from .errors import DimensionMismatch, NonSquare, NotHermitian
 
 __all__ = [
-    "Tolerance",
     "DensityMatrix",
     "trace_norm",
     "operator_norm",
@@ -47,23 +46,6 @@ __all__ = [
 
 _HERMITICITY_TOL = 1e-10
 _GAUGE_REL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical tolerances threaded through comparison decisions.
-
-    abs: absolute tolerance for residual comparisons.
-    """
-
-    abs: float = 1e-10
-
-    def __post_init__(self):
-        if not self.abs > 0:
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_TOL = Tolerance()
 
 
 def _as_matrix(M):

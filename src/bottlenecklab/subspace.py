@@ -252,9 +252,10 @@ def projector(V):
 def boundary(V, r):
     """States reachable from V with a weight-<=r string but orthogonal to V.
 
-    Equals range(P_{B_r(V)} - P_V): the labels 1..r weight-1 moves away
-    from V, labeled over the basis W that labels V. Empty when the neighborhood adds
-    nothing (V already invariant), which is a first-class outcome.
+    Equals range(P_{B_r(V)} - P_V): the labels 1..r weight-1 moves
+    away from V, labeled over the basis W that labels V. Empty when the
+    neighborhood adds nothing (V already invariant), which is a
+    first-class outcome.
     Raises BadPartition for a V not spanned by labels, and, for nonempty
     V, RadiusExceedsN when r is outside [0, n].
     """
@@ -370,7 +371,10 @@ def _label_shells(V, r, reach):
     else:
         nonzero = V.basis != 0
         if not (nonzero.sum(axis=0) == 1).all():
-            raise BadPartition("V is not spanned by labels of a basis")
+            raise BadPartition(
+                "V is not spanned by labels: give it labels, or split a "
+                "superposed V with an explicit HilbertPartition"
+            )
         W = identity_basis(V.n)
         mask = np.zeros(W.dim, dtype=bool)
         mask[np.nonzero(nonzero)[0]] = True

@@ -86,7 +86,6 @@ from bottlenecklab.model import (
     subspace_min_energy,
 )
 from bottlenecklab.numerics import (
-    DEFAULT_TOL,
     fix_phases,
     hermitian_eigensystem,
     max_offdiagonal,
@@ -325,12 +324,12 @@ def _complement_within(big, small):
     return Subspace(big.n, fix_phases(U[:, : int(np.sum(s > _RANK_REL))]))
 
 
-def enumerated_partition(V, r, cap=_ENUM_CAP):
+def enumerated_partition(V, r):
     """The (V, r) split of subspace.partition_from_radius, for any V, from
     the composed neighborhoods B_r = neighborhood(V, r) and B_2r =
-    neighborhood(B_r, r). Raises EnumerationTooLarge past cap."""
-    B_r = neighborhood(V, r, cap=cap)
-    B_2r = neighborhood(B_r, r, cap=cap)
+    neighborhood(B_r, r)."""
+    B_r = neighborhood(V, r)
+    B_2r = neighborhood(B_r, r)
     B1 = _complement_within(B_r, V)
     B2 = _complement_within(B_2r, B_r)
     return HilbertPartition(V, B1, B2, complement(B_2r))
@@ -611,8 +610,8 @@ class ChannelReport:
     passes: bool
 
 
-def validate_channel(C, tol=DEFAULT_TOL):
+def validate_channel(C):
     """Trace-preservation residual plus detected per-Kraus supports."""
     resid = _trace_residual(C.kraus, C.dim)
     supports = [_kraus_support(K, C.n) for K in C.kraus]
-    return ChannelReport(resid, supports, resid < tol.abs)
+    return ChannelReport(resid, supports, resid < 1e-10)

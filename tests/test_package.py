@@ -50,32 +50,70 @@ def _definition_names(node):
     return {t.id for t in targets if isinstance(t, ast.Name)}
 
 
-def _statements(path):
-    """(names defined, names and attributes read) per module-level statement."""
-    out = []
-    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-        read = set()
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-        out.append((_definition_names(stmt), read))
-    return out
+def _free_reads(node, bound=frozenset()):
+    """Names read in node that no enclosing function binds locally."""
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        stores = [n for n in ast.walk(node) if isinstance(n, ast.Name)]
+        stores = {n.id for n in stores if isinstance(n.ctx, ast.Store)}
+        bound = bound | {p.arg for p in params} | stores
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+        return {node.id}
+    return set().union(*(_free_reads(child, bound) for child in ast.iter_child_nodes(node)))
+
+
+def _own_reads(path):
+    """(names defined, names read) per module-level statement of a module."""
+    body = ast.parse(path.read_text(encoding="utf-8")).body
+    return [(_definition_names(stmt), _free_reads(stmt)) for stmt in body]
+
+
+def _package_module(node):
+    """Module stem a `from ... import` names inside the package: '' for the
+    package itself, None for anything outside it."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module == "bottlenecklab":
+        return ""
+    if node.level == 0 and node.module.startswith("bottlenecklab."):
+        return node.module.split(".", 1)[1]
+    return None
+
+
+def _imported_uses(path):
+    """(module, name) pairs a file takes from the package: imported by name,
+    or read as an attribute of a name bound to a package module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, uses = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (mod := _package_module(node)) is not None:
+            for alias in node.names:
+                if mod:
+                    uses.add((mod, alias.name))
+                else:
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("bottlenecklab.") and alias.asname:
+                    modules[alias.asname] = alias.name.split(".", 1)[1]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                uses.add((modules[node.value.id], node.attr))
+    return uses
 
 
 def test_every_exported_name_is_reached():
     # a public name stays in the package only if other package code or an
     # acceptance criterion uses it; test-only code lives in tests/
-    stmts = {p.stem: _statements(p) for p in PACKAGE_DIR.glob("*.py")}
-    acceptance = set().union(*(read for _, read in _statements(ACCEPTANCE)))
+    uses = set().union(*(_imported_uses(p) for p in [*PACKAGE_DIR.glob("*.py"), ACCEPTANCE]))
     unreached = []
     for name in MODULES:
-        seen = acceptance.union(
-            *(read for other, body in stmts.items() if other != name for _, read in body)
-        )
-        for attr in sorted(getattr(importlib.import_module(f"bottlenecklab.{name}"), "__all__", ())):
-            own = set().union(*(read for defined, read in stmts[name] if attr not in defined))
-            if attr not in seen | own:
+        own = _own_reads(PACKAGE_DIR / f"{name}.py")
+        module = importlib.import_module(f"bottlenecklab.{name}")
+        for attr in sorted(getattr(module, "__all__", ())):
+            reads = set().union(*(read for defined, read in own if attr not in defined))
+            if (name, attr) not in uses and attr not in reads:
                 unreached.append(f"{name}.{attr}")
     assert unreached == []
