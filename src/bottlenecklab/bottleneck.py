@@ -127,28 +127,39 @@ def bottleneck_ratio(rho, P_A, P_B):
     block X^dag rho, since an isometry preserves singular values. A
     Subspace of dimension k thus never forms a dim x dim product.
 
-    rho may also be a model.ThermalState, rho = U diag(p) U^dag, which is
-    never formed: X^dag rho = (X^dag U) diag(p) U^dag and U^dag is
-    unitary, so the numerator sums the singular values of (X_B^dag U)
-    diag(p) and the denominator is sum_j p_j ||X_A^dag u_j||^2, with
-    X^dag itself in place of X^dag U when U is None.
+    rho may also be a model.ThermalState, rho = D U diag(p) U^dag D^dag,
+    which is never formed: X^dag rho = (X^dag D U) diag(p) (D U)^dag and
+    D U is unitary, so the numerator sums the singular values of
+    (X_B^dag D U) diag(p) and the denominator is sum_j p_j ||X_A^dag D
+    u_j||^2, with X^dag itself in place of X^dag D U when U is None. A
+    block labeled over the identity basis has X^dag D U = diag(d_rows)
+    U[rows] for its label rows, and the unitary left factor changes
+    neither piece, so the rows of U are read directly: a real gather and
+    a real SVD after a real solve.
     """
-    xa = _basis_of(P_A)
-    xb = _basis_of(P_B)
     if isinstance(rho, ThermalState):
-        ya, yb = xa.conj().T, xb.conj().T
-        if rho.U is not None:
-            ya, yb = ya @ rho.U, yb @ rho.U
-        denominator = float((ya.real**2 + ya.imag**2).sum(axis=0) @ rho.p)
+        ya, yb = _eigen_rows(P_A, rho), _eigen_rows(P_B, rho)
+        sq = ya**2 if np.isrealobj(ya) else ya.real**2 + ya.imag**2
+        denominator = float(sq.sum(axis=0) @ rho.p)
         block = yb * rho.p[None, :]
     else:
+        xa = _basis_of(P_A)
         mat = matrix_of(rho)
         denominator = float(np.real(np.sum((xa.conj().T @ mat) * xa.T)))
-        block = xb.conj().T @ mat
+        block = _basis_of(P_B).conj().T @ mat
     if denominator <= 1e-12:
         raise EmptyA(f"tr(P_A rho) = {denominator:.3e}")
     numerator = float(np.linalg.svd(block, compute_uv=False).sum())
     return numerator / denominator, numerator, denominator
+
+
+def _eigen_rows(P, state):
+    """X^dag D U of bottleneck_ratio, up to a unitary diagonal left factor."""
+    if state.U is not None and isinstance(P, Subspace) and P.labels is not None:
+        W, mask = P.labels
+        if W.identity:
+            return state.U[mask]
+    return state.rows(_basis_of(P).conj().T)
 
 
 def _conditioned(rho, basis):
@@ -180,11 +191,17 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
     vectors: residuals and the drift are l1 norms, Delta and the block
     weights are sums, and the Kraus residual is the exact norm of a
     monomial block. Any other input runs the dense path. report.path says
-    which ran.
+    which ran. A DensityMatrix on the channels' register is used as it
+    is: its construction checked it, and it cannot have changed since;
+    any other rho is checked as one here.
     """
     channels = list(C) if isinstance(C, (list, tuple)) else [C]
+    n = channels[0].n
     mat = matrix_of(rho)
-    state = DensityMatrix(mat, channels[0].n)
+    if isinstance(rho, DensityMatrix) and rho.n == n:
+        state = rho
+    else:
+        state = DensityMatrix(mat, n)
     basis, p = _label_state(channels, mat)
     for chan in channels:
         if p is not None:

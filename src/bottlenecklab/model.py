@@ -24,6 +24,14 @@ thermal states, the samplers' fixed-point checks and the classical
 chains. thermal_state keeps a Gibbs state in that eigen-form, weights p
 over the columns of U, and gibbs_state forms the dense rho = U diag(p)
 U^dag from it for the callers that need rho itself.
+
+A Hamiltonian keeps a form M and unit phases d, H = D M D^dag, and
+forms its dense matrix only when something reads it. Check Hamiltonians
+are real (d = 1), and single-site perturbations on distinct sites are
+built real with one phase per site, so a classical H0 plus such a
+perturbation is solved, reduced to blocks and turned into Gibbs states
+in real arithmetic. Eigensystem and ThermalState carry the eigenvectors
+of M with d apart; their methods give the eigenvectors of H itself.
 """
 
 import functools
@@ -44,6 +52,8 @@ from .errors import (
     NotClassical,
 )
 from .numerics import (
+    _GAUGE_REL_TOL,
+    _HERMITICITY_TOL,
     DensityMatrix,
     hermitian_eigensystem,
     hermitian_eigenvalues,
@@ -126,27 +136,88 @@ class CheckFamily:
         )
 
 
-@dataclass
 class Hamiltonian:
-    mat: np.ndarray
-    n: int
-    w0: int
-    w1: int
-    source: str = ""
-    term_supports: tuple = field(default=(), repr=False)
-    checks: "CheckFamily" = field(default=None, repr=False)
-    _label_residuals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    """A Hermitian operator on n qubits with the locality bookkeeping of
+    the terms it was built from.
 
-    def __post_init__(self):
-        M = np.asarray(self.mat, dtype=np.complex128)
+    H is kept as a form M and unit phases d (None for d = 1) with H = D M
+    D^dag, D = diag(d). A real float M is kept real: build_hamiltonian
+    gives every check Hamiltonian so, with no phases, and
+    random_local_perturbation gives single-site terms so, with one phase
+    per site. Any other M is taken as complex; a dense Hamiltonian is its
+    own form, with no phases. The unit phases change no modulus of an
+    entry and no singular value of a block, so is_diagonal, diagonal() and
+    the norms and blocks that stability reads come from M, and the dense
+    complex mat is formed only when something reads it. Construction
+    checks Hermiticity within 1e-10 on M: |D M D^dag - (D M D^dag)^dag| is
+    |M - M^dag| entry by entry. M is then made read-only, so that check
+    and the off-diagonal scan kept by offdiagonal stay true.
+    """
+
+    def __init__(
+        self, form, n, w0, w1, source="", term_supports=(), checks=None, phases=None
+    ):
+        M = np.asarray(form)
+        M = M.astype(np.complex128 if np.iscomplexobj(M) else np.float64, copy=False)
         dev = np.abs(M - M.conj().T).max() if M.size else 0.0
-        if dev > 1e-10:
+        if dev > _HERMITICITY_TOL:
             raise NonCommutingChecks(f"Hamiltonian not Hermitian (dev {dev:.3e})")
-        self.mat = M
+        M.flags.writeable = False
+        self.form = M
+        self.phases = phases
+        self._mat = M if phases is None and np.iscomplexobj(M) else None
+        self._offdiagonal = None
+        self.n = n
+        self.w0 = w0
+        self.w1 = w1
+        self.source = source
+        self.term_supports = term_supports
+        self.checks = checks
+        self._label_residuals = {}
+
+    @property
+    def mat(self):
+        """The dense complex matrix D M D^dag, formed on first read."""
+        if self._mat is None:
+            M = self.form.astype(np.complex128)
+            if self.phases is not None:
+                M *= self.phases[:, None]
+                M *= self.phases.conj()[None, :]
+            self._mat = M
+        return self._mat
+
+    @property
+    def offdiagonal(self):
+        """max_offdiagonal of H, read from M once and kept."""
+        if self._offdiagonal is None:
+            self._offdiagonal = float(max_offdiagonal(self.form))
+        return self._offdiagonal
 
     @property
     def is_diagonal(self):
-        return max_offdiagonal(self.mat) < 1e-12
+        return self.offdiagonal < 1e-12
+
+    def diagonal(self):
+        """The real diagonal of H, which is M's."""
+        return np.real(np.diagonal(self.form)).copy()
+
+    def plus_diagonal(self, e):
+        """(M + diag(e), d): H + diag(e) in the gauge of H, since D diag(e)
+        D^dag = diag(e). perturb adds a diagonal H0 to a perturbation with
+        it, and stability subtracts one from a perturbed H."""
+        M = self.form.copy()
+        M[np.diag_indices_from(M)] += e
+        return M, self.phases
+
+    def eigensystem(self):
+        """Eigensystem of M, with H's phases: one real symmetric solve
+        (np.linalg.eigh, columns not phase-fixed) for a real M, and
+        numerics.hermitian_eigensystem for a complex one."""
+        if np.isrealobj(self.form):
+            w, U = np.linalg.eigh(self.form)
+        else:
+            w, U = hermitian_eigensystem(self.form)
+        return Eigensystem(w, U, self.phases)
 
     def label_residual(self, energies):
         """label_energy_residual of H over label_basis(checks) with these
@@ -157,6 +228,24 @@ class Hamiltonian:
             basis = label_basis(self.checks)
             self._label_residuals[key] = label_energy_residual(self, basis, energies)
         return self._label_residuals[key]
+
+
+class Eigensystem(NamedTuple):
+    """H = D U diag(w) U^dag D^dag: ascending eigenvalues w, orthonormal
+    eigenvectors U of H's form (None for the identity, when H is
+    diagonal) and H's unit phases d (None for D = I)."""
+
+    w: np.ndarray
+    U: np.ndarray | None
+    phases: np.ndarray | None
+
+    def vectors(self, cols=slice(None)):
+        """The eigenvectors of H itself in columns cols, D U[:, cols]
+        (None when U is)."""
+        if self.U is None:
+            return None
+        U = self.U[:, cols]
+        return U if self.phases is None else self.phases[:, None] * U
 
 
 @dataclass
@@ -186,7 +275,8 @@ def build_hamiltonian(checks):
 
     Terms are verified mutually commuting and, when the full spectrum is
     affordable (dim <= 512), the integer-spectrum invariant is checked
-    directly; classical models check their diagonal at any size.
+    directly; classical models check their diagonal at any size. Every
+    term is real, so H0 is kept as a real form with no phases.
     """
     n = checks.n
     dim = 1 << n
@@ -194,15 +284,15 @@ def build_hamiltonian(checks):
     diag = np.zeros(dim)
     for mask in checks.z_masks():
         diag += _parity(idx, mask)
-    H = np.diag(diag.astype(np.complex128))
+    H = np.diag(diag)
     x_terms = []
     for mask in checks.x_masks():
         perm = (idx ^ np.uint64(mask)).astype(np.int64)
-        term = 0.5 * np.eye(dim, dtype=np.complex128)
+        term = 0.5 * np.eye(dim)
         term[perm, np.arange(dim)] -= 0.5
         x_terms.append(term)
         H += term
-    z_diags = [_parity(idx, m).astype(np.complex128) for m in checks.z_masks()]
+    z_diags = [_parity(idx, m).astype(np.float64) for m in checks.z_masks()]
     for xt in x_terms:
         for zd in z_diags:
             resid = np.abs(xt * zd[None, :] - zd[:, None] * xt).max()
@@ -217,7 +307,7 @@ def build_hamiltonian(checks):
             raise NonCommutingChecks("spectrum is not non-negative integers")
     supports = checks.z_checks + checks.x_checks
     return Hamiltonian(
-        mat=H,
+        H,
         n=n,
         w0=_max_per_qubit(n, supports),
         w1=0,
@@ -362,8 +452,10 @@ def label_energies(checks):
 
 
 def label_energy_residual(H, basis, energies):
-    """max |H W - W diag(E)|: zero when H is diagonal in W with energies E."""
-    resid = basis.right(H.mat) - basis.dense() * energies[None, :]
+    """max |H W - W diag(E)|: zero when H is diagonal in W with energies E.
+    A form with no phases is H itself, and is read in place of mat."""
+    mat = H.form if H.phases is None else H.mat
+    resid = basis.right(mat) - basis.dense() * energies[None, :]
     return float(np.abs(resid).max())
 
 
@@ -437,44 +529,82 @@ def subspace_min_energy(V, H):
     """min over unit psi in V of <psi|H|psi>, via the compressed block.
 
     When every basis column has one nonzero entry (above 1e-14), column i
-    is vals[i] |rows[i]>, so the block X^dag H X is H[rows][:, rows]
-    scaled by the column values and is gathered, not multiplied out; a
-    diagonal H then needs no eigensolve at all.
+    is vals[i] |rows[i]> with |vals[i]| = 1, so the block X^dag H X is
+    H[rows][:, rows] under a unitary diagonal similarity, with the same
+    spectrum, and H[rows][:, rows] is gathered, not multiplied out; a
+    diagonal H (no off-diagonal entry above 1e-14) then needs no
+    eigensolve at all. The phases of a Hamiltonian only add to that
+    similarity, so the gather reads its form M.
     """
     if V.dim == 0:
         raise EmptySubspace("minimum energy over an empty subspace")
-    mat = H.mat if isinstance(H, Hamiltonian) else np.asarray(H)
     basis = V.basis
+    if isinstance(H, Hamiltonian):
+        mat, phases = H.form, H.phases
+    else:
+        mat, phases = np.asarray(H), None
     nnz_per_col = (np.abs(basis) > 1e-14).sum(axis=0)
     if (nnz_per_col == 1).all():
         rows = np.argmax(np.abs(basis), axis=0)
-        if max_offdiagonal(mat) < 1e-14:
-            return float(np.real(np.diag(mat))[rows].min())
-        vals = basis[rows, np.arange(V.dim)]
-        block = (vals.conj()[:, None] * mat[np.ix_(rows, rows)]) * vals[None, :]
+        offdiagonal = H.offdiagonal if isinstance(H, Hamiltonian) else max_offdiagonal(mat)
+        if offdiagonal < 1e-14:
+            return float(np.real(np.diagonal(mat))[rows].min())
+        block = mat[np.ix_(rows, rows)]
     else:
+        if phases is not None:
+            basis = phases.conj()[:, None] * basis
         block = basis.conj().T @ mat @ basis
     return float(np.linalg.eigvalsh(0.5 * (block + block.conj().T))[0])
 
 
-def spectrum(H):
-    """Eigenvalues w and eigenvectors U of a Hamiltonian or Hermitian
-    matrix. A matrix with every off-diagonal entry below 1e-12 is taken
-    as diagonal: w is its real diagonal and U is None, the identity.
-    """
-    mat = H.mat if isinstance(H, Hamiltonian) else np.asarray(H)
+def _eigensystem(H):
+    """Eigensystem of a Hamiltonian or Hermitian matrix. A diagonal one
+    (no off-diagonal entry above 1e-12) gives its real diagonal as w and U
+    None; any other matrix takes numerics.hermitian_eigensystem."""
+    if isinstance(H, Hamiltonian):
+        if H.is_diagonal:
+            return Eigensystem(H.diagonal(), None, None)
+        return H.eigensystem()
+    mat = np.asarray(H)
     if max_offdiagonal(mat) < 1e-12:
-        return np.real(np.diag(mat)).astype(np.float64), None
-    return hermitian_eigensystem(mat)
+        return Eigensystem(np.real(np.diag(mat)).astype(np.float64), None, None)
+    return Eigensystem(*hermitian_eigensystem(mat), None)
+
+
+def spectrum(H):
+    """Eigenvalues w and eigenvectors U of a Hamiltonian or Hermitian matrix.
+
+    A diagonal one (no off-diagonal entry above 1e-12) gives its real
+    diagonal as w and U None, the identity. Otherwise the columns of U
+    are orthonormal eigenvectors, each fixed only up to a phase: those
+    of numerics.hermitian_eigensystem (complex, phase-fixed) for a matrix
+    or a complex form, and D U_r for a Hamiltonian with a real form,
+    U_r from np.linalg.eigh, so real when there are no phases.
+    """
+    eig = _eigensystem(H)
+    return eig.w, eig.vectors()
 
 
 class ThermalState(NamedTuple):
-    """A Gibbs state in the eigenbasis of its Hamiltonian: rho = U diag(p)
-    U^dag, with U None for the identity (a diagonal Hamiltonian)."""
+    """A Gibbs state in the eigenbasis of its Hamiltonian: rho = D U diag(p)
+    U^dag D^dag, with U None for the identity (a diagonal Hamiltonian) and
+    phases d None for D = I. U is real when the eigensolve ran on a real
+    form; its columns are not phase-fixed, since nothing read from the
+    state depends on the phase of an eigenvector."""
 
     p: np.ndarray
     U: np.ndarray | None
     logZ: float
+    phases: np.ndarray | None = None
+
+    def rows(self, Y):
+        """Y D U, the rows of Y in the eigenbasis of rho (Y itself when U
+        is None)."""
+        if self.U is None:
+            return Y
+        if self.phases is not None:
+            Y = Y * self.phases[None, :]
+        return Y @ self.U
 
 
 def gibbs_weights(E, beta):
@@ -492,25 +622,30 @@ def gibbs_weights(E, beta):
 
 
 def thermal_state(H, beta):
-    """Gibbs weights p over the eigenvectors U of spectrum(H), and logZ."""
-    w, U = spectrum(H)
+    """Gibbs weights p over the eigenvectors of H, and logZ. The state
+    keeps the eigensystem that spectrum(H) reads, with the eigenvectors
+    of H's form and its phases apart."""
+    w, U, phases = _eigensystem(H)
     p, logZ = gibbs_weights(w, beta)
-    return ThermalState(p, U, logZ)
+    return ThermalState(p, U, logZ, phases)
 
 
 def gibbs_state(H, beta):
     """Thermal state, log partition function, and free energy -logZ/beta.
 
-    The dense rho = U diag(p) U^dag of thermal_state; diagonal
-    Hamiltonians skip the eigensolver.
+    The dense rho of thermal_state; diagonal Hamiltonians skip the
+    eigensolver. After a real solve rho is the real product U diag(p) U^T,
+    scaled by the phases d as d_i rho_ij conj(d_j) when there are any.
     """
-    mat = H.mat if isinstance(H, Hamiltonian) else np.asarray(H)
-    n = H.n if isinstance(H, Hamiltonian) else int(mat.shape[0]).bit_length() - 1
-    probs, U, logZ = thermal_state(mat, beta)
+    n = H.n if isinstance(H, Hamiltonian) else int(np.shape(H)[0]).bit_length() - 1
+    probs, U, logZ, phases = thermal_state(H, beta)
     if U is None:
         rho = np.diag(probs.astype(np.complex128))
     else:
-        rho = (U * probs[None, :]) @ U.conj().T
+        rho = ((U * probs[None, :]) @ U.conj().T).astype(np.complex128, copy=False)
+        if phases is not None:
+            rho *= phases[:, None]
+            rho *= phases.conj()[None, :]
     F = -logZ / beta if beta > 0 else -math.inf
     return DensityMatrix(rho, n), logZ, F
 
@@ -546,11 +681,14 @@ def random_local_perturbation(n, term_supports, g, seed):
     their sum is every sum of one eigenvalue per term, so ||V|| is the
     larger of |sum of smallest| and |sum of largest| term eigenvalues.
     Overlapping supports take the eigenvalues of V itself.
+
+    When every term sits on its own single site, V is built in its real
+    gauge (_site_gauge); any other supports give the dense complex V.
+    Either way the draws are the same, in the same order.
     """
     supports = tuple(tuple(sorted(int(q) for q in s)) for s in term_supports)
-    dim = 1 << n
-    V = np.zeros((dim, dim), dtype=np.complex128)
     rng = np.random.default_rng(seed)
+    terms = []
     lo = hi = 0.0
     for supp in supports:
         k = len(supp)
@@ -558,40 +696,101 @@ def random_local_perturbation(n, term_supports, g, seed):
             (1 << k, 1 << k)
         )
         T = 0.5 * (G + G.conj().T)
-        _embed_on_support(n, supp, T, V)
+        terms.append(T)
         w = np.linalg.eigvalsh(T)
         lo += w[0]
         hi += w[-1]
+    qubits = [q for supp in supports for q in supp]
+    disjoint = len(set(qubits)) == len(qubits)
+    sites = disjoint and all(len(s) == 1 for s in supports)
+    V = None if sites else _embedded(n, supports, terms)
+    scale = 0.0
     if g > 0 and supports:
-        qubits = [q for supp in supports for q in supp]
-        if len(set(qubits)) == len(qubits):
-            norm = max(abs(lo), abs(hi))
-        else:
-            norm = np.abs(hermitian_eigenvalues(V)).max()
-        if norm > 0:
-            V *= (g * n) / norm
-    else:
-        V[:] = 0.0
-    return Hamiltonian(
-        mat=V,
+        norm = max(abs(lo), abs(hi)) if disjoint else np.abs(hermitian_eigenvalues(V)).max()
+        scale = (g * n) / norm if norm > 0 else 1.0
+    book = dict(
         n=n,
         w0=_max_per_qubit(n, supports),
         w1=max((len(s) for s in supports), default=0),
         source="perturbation",
         term_supports=supports,
     )
+    if sites:
+        real, phases = _site_gauge(n, qubits, terms, scale)
+        return Hamiltonian(real, phases=phases, **book)
+    if scale:
+        V *= scale
+    else:
+        V[:] = 0.0
+    return Hamiltonian(V, **book)
+
+
+def _embedded(n, supports, terms):
+    dim = 1 << n
+    V = np.zeros((dim, dim), dtype=np.complex128)
+    for supp, T in zip(supports, terms):
+        _embed_on_support(n, supp, T, V)
+    return V
+
+
+def _site_gauge(n, sites, terms, scale):
+    """(R, d): the real form and phases of scale * sum of 2x2 terms, one
+    per distinct site.
+
+    The term on site q, [[a, b], [conj(b), c]], becomes real with |b| off
+    the diagonal under diag(1, phi_q), phi_q = conj(b)/|b| (1 when b = 0);
+    so D = diag(d) with d_j the product of phi_q over the sites q whose
+    bit is set in j, the gauge that numerics._gauged's spanning tree finds
+    from root 0. The dropped imaginary parts have a max row l1 sum of at
+    most the scaled sum of their per-term row sums, and max|V| is at least
+    the largest scaled |b|, so checking that sum against _GAUGE_REL_TOL *
+    max(1, that |b|) is at least as strict as numerics._gauged on the
+    dense V. The Hermiticity check of R runs in the Hamiltonian.
+    """
+    dim = 1 << n
+    R = np.zeros((dim, dim))
+    if scale == 0.0:
+        return R, None
+    idx = np.arange(dim)
+    d = np.ones(dim, dtype=np.complex128)
+    dropped = top = 0.0
+    for q, T in zip(sites, terms):
+        b = T[0, 1]
+        phi = b.conj() / abs(b) if b != 0 else 1.0
+        D = np.array([1.0, phi])
+        G = D.conj()[:, None] * T * D[None, :]
+        dropped += np.abs(G.imag).sum(axis=1).max()
+        top = max(top, abs(b))
+        _embed_on_support(n, (q,), G.real, R)
+        d[((idx >> (n - 1 - q)) & 1) == 1] *= phi
+    R *= scale
+    if scale * dropped > _GAUGE_REL_TOL * max(1.0, scale * top):
+        raise NonCommutingChecks(
+            f"single-site gauge leaves an imaginary part {scale * dropped:.3e}"
+        )
+    return R, d
 
 
 def perturb(H0, V):
-    """H0 + V with locality bookkeeping merged."""
+    """H0 + V with locality bookkeeping merged.
+
+    A diagonal H0 is added to V's form in V's gauge (plus_diagonal), so a
+    V in its real gauge keeps H0 + V real; anything else is summed as
+    dense matrices.
+    """
+    if H0.is_diagonal:
+        form, phases = V.plus_diagonal(H0.diagonal())
+    else:
+        form, phases = H0.mat + V.mat, None
     supports = H0.term_supports + V.term_supports
     return Hamiltonian(
-        mat=H0.mat + V.mat,
+        form,
         n=H0.n,
         w0=_max_per_qubit(H0.n, supports),
         w1=max(H0.w1, V.w1),
         source=f"{H0.source}+{V.source}",
         term_supports=supports,
+        phases=phases,
     )
 
 

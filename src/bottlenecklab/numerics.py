@@ -1,27 +1,41 @@
 """Dense linear-algebra kernels shared by the rest of the package.
 
-Matrices are plain complex numpy arrays. Density matrices get a thin
-wrapper so the basic sanity checks (hermiticity, unit trace) run once at
-construction instead of being re-derived ad hoc at every call site.
+Matrices are plain complex numpy arrays; operator_norm keeps a real one
+real, for the real forms of perturbed Hamiltonians. Density matrices get
+a thin wrapper so the basic sanity checks (hermiticity, unit trace) run
+once at construction instead of being re-derived ad hoc at every call
+site; the wrapper is frozen and its array read-only, so what was checked
+stays true.
 
 Norm conventions: trace_norm is the Schatten 1-norm (sum of singular
 values), operator_norm the Schatten infinity-norm (largest singular
 value). For Hermitian input the singular values are the absolute
 eigenvalues and we use the cheaper symmetric eigensolver.
 
-Eigensolver route: hermitian_eigensystem and hermitian_eigenvalues first
-look for a diagonal unitary D with D^dag H D real symmetric. Classical
-Hamiltonians plus single-site complex terms have one, and so does every
-CSS Hamiltonian, whose X terms (I - X)/2 are real. The phases are set
-along a breadth-first spanning tree of the nonzero off-diagonal pattern
-(theta_j = theta_i - arg H_ij, one root per connected component), so
-tree entries come out real positive; every entry is then checked, not
-only the tree. The real solve (LAPACK dsyevd instead of zheevd: 0.22 s
-against 1.0 s at dim 1024 on a 2-core OpenBLAS machine) runs only when
-the dropped imaginary part has max row l1 sum, an upper bound on its
-operator norm, at most 1e-12 * max(1, max|H|); eigenvectors come back as
-D U_r, phase-fixed. Anything else, such as a 3-cycle with nonzero flux
-or a generic two-site complex term, takes the complex solver unchanged.
+Eigensolver route: a Hamiltonian that knows its real gauge at
+construction (a diagonal unitary D with D^dag H D real symmetric) is
+solved on that real form by LAPACK dsyevd, and nothing here runs on it.
+model.build_hamiltonian gives every check Hamiltonian as real with D = I
+(CSS X terms (I - X)/2 are real), and model.random_local_perturbation
+gives single-site terms on distinct sites with D the product of one
+phase per site, so a classical H0 plus such terms stays real through
+model.perturb. model.thermal_state and stability.tail_amplitudes keep
+its eigenvectors as U_r with D apart, since what they read (Delta and
+tail amplitudes) are norms that the unit phases leave unchanged;
+model.spectrum returns D U_r, not phase-fixed. Dense matrices without a
+known gauge come here: hermitian_eigensystem and hermitian_eigenvalues
+first look for D themselves. The phases are set along a breadth-first
+spanning tree of the nonzero off-diagonal pattern (theta_j = theta_i -
+arg H_ij, one root per connected component), so tree entries come out
+real positive; every entry is then checked, not only the tree. The real
+solve (dsyevd instead of zheevd: 0.22 s against 1.0 s at dim 1024 on a
+2-core OpenBLAS machine) runs only when the dropped imaginary part has
+max row l1 sum, an upper bound on its operator norm, at most 1e-12 *
+max(1, max|H|); eigenvectors come back as D U_r, phase-fixed. Anything
+else, such as a 3-cycle with nonzero flux or a generic two-site complex
+term, takes the complex solver unchanged. _gauged stays the reference
+for the construction gauge, and trace_norm reaches it on every
+Hermitian input.
 """
 
 import math
@@ -92,8 +106,11 @@ def trace_norm(M):
 
 
 def operator_norm(M):
-    """Largest singular value. Accepts rectangular input."""
-    M = _as_matrix(M)
+    """Largest singular value. Accepts rectangular input; a real float
+    matrix keeps the real SVD."""
+    M = np.asarray(M)
+    if M.dtype != np.float64 or M.ndim != 2:
+        M = _as_matrix(M)
     if M.size == 0:
         return 0.0
     return float(np.linalg.svd(M, compute_uv=False)[0])
@@ -232,7 +249,7 @@ def hermitian_eigenvalues(H):
     return np.linalg.eigvalsh(_gauged(_symmetrized(H))[1])
 
 
-@dataclass
+@dataclass(frozen=True)
 class DensityMatrix:
     """A positive unit-trace operator on n qubits.
 
@@ -241,19 +258,22 @@ class DensityMatrix:
     produces (channel outputs, Gibbs states, normalized projections);
     the eigenvalue check costs a full diagonalization, so it lives in
     validate() and in the test suite rather than on every construction.
+    The checked array is made read-only and the fields cannot be
+    reassigned, so a DensityMatrix stays what its construction checked
+    and callers may take it as checked.
     """
 
     mat: np.ndarray
     n: int = field(default=None)
 
     def __post_init__(self):
-        self.mat = _require_square(self.mat)
+        object.__setattr__(self, "mat", _require_square(self.mat))
         dim = self.mat.shape[0]
         if self.n is None:
             n = int(dim).bit_length() - 1
             if 2**n != dim:
                 raise DimensionMismatch(f"dimension {dim} is not a power of two")
-            self.n = n
+            object.__setattr__(self, "n", n)
         if 2**self.n != dim:
             raise DimensionMismatch(f"dim {dim} does not match n={self.n}")
         dev = np.abs(self.mat - self.mat.conj().T).max()
@@ -262,6 +282,7 @@ class DensityMatrix:
         tr = self.mat.trace()
         if abs(tr - 1.0) > 1e-9:
             raise ValueError(f"trace is {tr}, expected 1")
+        self.mat.flags.writeable = False
 
     @property
     def dim(self):

@@ -46,7 +46,7 @@ def metropolis_site_channel(H, beta, site, attempt_prob=DEFAULT_ATTEMPT):
     n = H.n
     if not 0 <= site < n:
         raise ValueError(f"site {site} outside register of {n}")
-    E = np.real(np.diag(H.mat))
+    E = H.diagonal()
     idx = np.arange(1 << n)
     flip = idx ^ (1 << (n - 1 - site))
     accept = attempt_prob * np.minimum(1.0, np.exp(-beta * np.maximum(E[flip] - E, 0)))

@@ -21,14 +21,19 @@ over the rows. stability_sweep composes them serially and raises on the
 first violated assertion; the CLI runs the same points through its grid
 runner, where a failing point becomes a failures.json entry.
 
-Each sweep point diagonalises H0 + V once, which hermitian_eigensystem
-does with the real symmetric solver (a checked diagonal gauge makes a
-classical H0 plus single-site terms real), and reads the ratio from that
-eigen-decomposition, model.thermal_state, so no dense rho is formed:
-bottleneck_ratio works through the bases of the barrier ball V and its
-boundary shell (a 1024 x 165 block at n = 10) and the Gibbs weights. The
-sweep takes registry models that are built from n alone
-(model.SIZE_INDEXED).
+Each sweep point builds H0 + V in its real gauge and keeps it real until
+Delta comes out. random_local_perturbation gives the single-site terms
+as a real symmetric form R and one phase per site, D = diag(d) with
+D^dag V D = R, and perturb adds the diagonal H0 to R's diagonal, so
+neither the complex V nor the complex H is formed. The boundary floor
+gathers its block from R, model.thermal_state runs the real symmetric
+solver on R and keeps U_r and d apart, and bottleneck_ratio reads Delta
+from that eigen-decomposition with no dense rho: the ball V and its
+boundary shell are labeled over the identity basis, so X^dag D U_r is
+diag(d) times rows of U_r, a real gather (165 x 1024 at n = 10) with a
+real SVD after it. tail_amplitudes, its ||H - H0|| check and
+verify_block_tridiagonal read the same real forms. The sweep takes
+registry models that are built from n alone (model.SIZE_INDEXED).
 
 Shell width bookkeeping: w0 is the maximum number of checks any qubit
 touches and w1 the largest perturbation-term support, so one term can
@@ -63,7 +68,7 @@ from .model import (
     subspace_min_energy,
     thermal_state,
 )
-from .numerics import hermitian_eigensystem, operator_norm
+from .numerics import operator_norm
 
 __all__ = [
     "ShellDecomposition",
@@ -225,11 +230,15 @@ def verify_block_tridiagonal(Vpert, shells):
     """Largest coupling ||Q_i V Q_j|| between non-adjacent shells.
 
     Each is the operator norm of one block of U^dag V U (of V itself when
-    H0 is diagonal), rows and columns picked by the two index sets.
+    H0 is diagonal), rows and columns picked by the two index sets. For a
+    diagonal H0 the blocks are read from the form M of V: a block of D M
+    D^dag is the same block of M between two unitary diagonals, with the
+    same singular values.
     """
-    V = Vpert.mat
-    if shells.U is not None:
-        V = shells.U.conj().T @ V @ shells.U
+    if shells.U is None:
+        V = Vpert.form
+    else:
+        V = shells.U.conj().T @ Vpert.mat @ shells.U
     worst = 0.0
     worst_pair = (0, 0)
     m = len(shells.indices)
@@ -249,7 +258,13 @@ def _decay_rate(eps1, eps2, g, delta_E):
 
 
 def _check_perturbation(H, H0, g):
-    dev = operator_norm(H.mat - H0.mat)
+    """||H - H0|| <= g*n. A diagonal H0 is subtracted in the gauge of H,
+    whose unit phases leave the norm unchanged."""
+    if H0.is_diagonal:
+        diff, _ = H.plus_diagonal(-H0.diagonal())
+    else:
+        diff = H.mat - H0.mat
+    dev = operator_norm(diff)
     if dev > g * H0.n + 1e-9:
         raise PerturbationTooLarge(
             f"||H - H0|| = {dev!r} exceeds g*n = {g * H0.n!r}"
@@ -266,13 +281,15 @@ def tail_amplitudes(H, H0, shells):
     e^{-lambda(g) n}; the bound is asserted, not just reported.
     """
     _check_perturbation(H, H0, shells.g)
-    w, U = hermitian_eigensystem(H.mat)
+    eig = H.eigensystem()
+    w = eig.w
     lam = _decay_rate(shells.eps1, shells.eps2, shells.g, shells.delta_E)
     bound = math.exp(-lam * shells.n) if lam < math.inf else 0.0
     top = np.zeros(1 << shells.n, dtype=bool)
     top[shells.indices[-1]] = True
     low = np.flatnonzero(w < shells.eps1 * shells.n)
-    coeffs = U[:, low] if shells.U is None else shells.U.conj().T @ U[:, low]
+    psi = eig.vectors(low)
+    coeffs = psi if shells.U is None else shells.U.conj().T @ psi
     # zero the entries off the top window rather than gather the rest, so
     # each norm sums all dim entries in index order, rounding as Q_> psi does
     tails = np.where(top[None, :], coeffs.T, 0)

@@ -15,8 +15,15 @@ a time, and only tests call it:
   and checks that they resolve the identity without overlapping. It is
   the oracle for stability.shell_decomposition, whose windows are index
   sets of the eigenbasis.
-- dense_ratio forms the Gibbs state as a dense rho and reads Delta from
-  it. It is the oracle for bottleneck_ratio on a model.ThermalState.
+- dense_perturbed builds a perturbed Hamiltonian as one dense complex
+  matrix, every term embedded as drawn, as the package did before it
+  built single-site perturbations in their real gauge. It is the oracle
+  for the real forms of model.random_local_perturbation and
+  model.perturb.
+- dense_gibbs forms the Gibbs state as a dense rho = U diag(p) U^dag from
+  the complex-route eigenpairs of a dense matrix, and dense_ratio reads
+  Delta from it. They are the oracle for model.gibbs_state after a real
+  solve and for bottleneck_ratio on a model.ThermalState.
 - dense_min_energy multiplies out the compressed block X^dag H X. It is
   the oracle for the gathered block of model.subspace_min_energy.
 - dense_norm is the operator norm of a perturbation from the eigenvalues
@@ -81,11 +88,12 @@ from bottlenecklab.markov import StochasticMatrix
 from bottlenecklab.model import (
     BarrierCertificate,
     _as_mask,
-    gibbs_state,
+    _embed_on_support,
     spectrum,
     subspace_min_energy,
 )
 from bottlenecklab.numerics import (
+    DensityMatrix,
     fix_phases,
     hermitian_eigensystem,
     max_offdiagonal,
@@ -457,11 +465,55 @@ def shell_projectors(H0, boundaries, delta_E):
     return projectors
 
 
+def dense_perturbed(H0, term_supports, g, seed):
+    """H0.mat + V for V = model.random_local_perturbation(H0.n,
+    term_supports, g, seed), as one dense complex matrix: the same draws
+    in the same order, every term embedded into a complex V, V rescaled to
+    norm g*n (from the term spectra for disjoint supports, from V's own
+    otherwise) and added to H0. No gauge is taken."""
+    n = H0.n
+    supports = tuple(tuple(sorted(int(q) for q in s)) for s in term_supports)
+    dim = 1 << n
+    V = np.zeros((dim, dim), dtype=np.complex128)
+    rng = np.random.default_rng(seed)
+    lo = hi = 0.0
+    for supp in supports:
+        k = len(supp)
+        G = rng.standard_normal((1 << k, 1 << k)) + 1j * rng.standard_normal(
+            (1 << k, 1 << k)
+        )
+        T = 0.5 * (G + G.conj().T)
+        _embed_on_support(n, supp, T, V)
+        w = np.linalg.eigvalsh(T)
+        lo += w[0]
+        hi += w[-1]
+    if g > 0 and supports:
+        qubits = [q for supp in supports for q in supp]
+        if len(set(qubits)) == len(qubits):
+            norm = max(abs(lo), abs(hi))
+        else:
+            norm = np.abs(np.linalg.eigvalsh(V)).max()
+        if norm > 0:
+            V *= (g * n) / norm
+    else:
+        V[:] = 0.0
+    return H0.mat + V
+
+
+def dense_gibbs(mat, beta):
+    """rho = U diag(p) U^dag as a DensityMatrix, from the eigenpairs that
+    numerics.hermitian_eigensystem gives for the dense mat, with p the
+    Gibbs weights of its eigenvalues."""
+    w, U = hermitian_eigensystem(mat)
+    p = np.exp(-beta * (w - w.min()))
+    p /= p.sum()
+    return DensityMatrix((U * p[None, :]) @ U.conj().T)
+
+
 def dense_ratio(H, beta, P_A, P_B):
     """(Delta, numerator, denominator) of bottleneck_ratio on the dense rho
-    of gibbs_state(H, beta)."""
-    rho, _, _ = gibbs_state(H, beta)
-    return bottleneck_ratio(rho, P_A, P_B)
+    of H.mat (dense_gibbs)."""
+    return bottleneck_ratio(dense_gibbs(H.mat, beta), P_A, P_B)
 
 
 def dense_min_energy(V, H):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,18 @@ def test_density_matrix_validation(rng):
         numerics.DensityMatrix(bad)
     with pytest.raises(ValueError):
         numerics.DensityMatrix(rho * 2.0)
+    assert bad.flags.writeable
+
+
+def test_density_matrix_cannot_change_after_its_checks(rng):
+    rho = random_density(rng, 4)
+    dm = numerics.DensityMatrix(rho)
+    with pytest.raises(ValueError):
+        dm.mat[0, 1] += 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dm.mat = rho + 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dm.n = 1
 
 
 def test_maximally_mixed_and_pure():

@@ -31,7 +31,9 @@ from bottlenecklab.errors import EmptyA, EmptyBoundary, NonUniqueStationary
 from bottlenecklab.markov import classical_bottleneck_report, glauber_chain, hamming_state_partition
 from bottlenecklab.model import (
     REGISTRY,
+    SIZE_INDEXED,
     CheckFamily,
+    Hamiltonian,
     barrier_subspace,
     build_hamiltonian,
     classical_energies,
@@ -49,7 +51,7 @@ from bottlenecklab.model import (
     subspace_min_energy,
     thermal_state,
 )
-from bottlenecklab.numerics import hermitian_eigensystem, operator_norm
+from bottlenecklab.numerics import _gauged, _symmetrized, hermitian_eigensystem, operator_norm
 from bottlenecklab.pauli import gf2_null_space_masks, mask_from_indices
 from bottlenecklab.stability import (
     plan_shell_width,
@@ -62,8 +64,10 @@ from oracles import (
     barrier_by_label_pairs,
     dense_collar_weights,
     dense_free_energy_bounds,
+    dense_gibbs,
     dense_min_energy,
     dense_norm,
+    dense_perturbed,
     dense_ratio,
     enumerated_blocks,
     indices_from_mask,
@@ -139,9 +143,10 @@ def test_barrier_matches_the_label_pair_builder(checks, x0, z0, inner, boundary)
     assert got.kappa == want.kappa
 
 
-def admissible_window(H0, g, f):
+def shell_window(H0, g, f):
     """(eps1, eps2, delta_E): one shell that plan_shell_width accepts, with
-    the top window starting below the largest energy of H0.
+    the top window starting below the largest energy of H0, or None when
+    the energy range of H0 is too narrow for one.
 
     The shell is w0 * (1 + e) wide with e < 1, so the planner picks one,
     and e is small enough for the width bound in g. The fraction f places
@@ -151,10 +156,18 @@ def admissible_window(H0, g, f):
     w0, n = H0.w0, H0.n
     ladder = 2 * w0 * (1 + min(0.4, g * n / w0)) + 4 * g * n
     top = float(label_energies(H0.checks).max()) - 0.5
-    assume(top - ladder > 0.02 * n)
+    if top - ladder <= 0.02 * n:
+        return None
     eps1 = 0.02 + f * ((top - ladder) / n - 0.02)
     eps2 = eps1 + ladder / n
     return eps1, eps2, plan_shell_width(H0, eps1, eps2, g)
+
+
+def admissible_window(H0, g, f):
+    """shell_window, with the drawn example rejected when there is none."""
+    window = shell_window(H0, g, f)
+    assume(window is not None)
+    return window
 
 
 @SETTINGS
@@ -236,6 +249,97 @@ def test_eigen_form_ratio_matches_the_dense_gibbs_state(case, beta):
     got = bottleneck_ratio(state, cert.V, cert.boundary)
     for a, b in zip(got, want, strict=True):
         assert abs(a - b) <= 1e-10 * abs(b)
+
+
+def _rel(got, want, rel, slack=0.0):
+    return abs(got - want) <= rel * abs(want) + slack
+
+
+# one dense complex route per draw at n <= 8: the perturbed Hamiltonian
+# built as before the real gauge, its complex-route eigenpairs, a dense rho.
+# The real form and the oracle's gauged matrix differ in their last bits,
+# and the ground pair of a ring or of curie_weiss is split only by the
+# perturbation (a gap of 1e-5 to 1e-4 here), which turns that pair by
+# about eps/gap. The rotation moves the numerator, a sum of Gibbs weights
+# of size at most 1, by about eps: at a numerator of 1e-6 that is up to
+# 2.5e-10 relative, whichever route is the exact one. So the numerator
+# and Delta get eps-sized absolute slack on top of 1e-10 relative.
+WEIGHT_SLACK = 1e-15
+
+
+@settings(SETTINGS, max_examples=60)
+@given(
+    name=st.sampled_from(SIZE_INDEXED),
+    n=st.integers(4, 8),
+    g=st.floats(0.001, 0.05),
+    seed=st.integers(0, 2**16),
+    beta=st.one_of(st.sampled_from([0.0, 3.0, 10.0, 40.0]), st.floats(0.0, 40.0)),
+    inner=st.integers(0, 1),
+    f=st.floats(0.0, 1.0),
+)
+# a ground gap of 7e-5 and a numerator of 9e-7: 1.4e-10 relative apart
+@example(name="curie_weiss", n=7, g=0.003, seed=0, beta=3.0, inner=1, f=0.5)
+@example(name="repetition", n=8, g=0.01, seed=3, beta=3.0, inner=1, f=0.0)
+def test_real_gauge_matches_the_dense_complex_route(name, n, g, seed, beta, inner, f):
+    checks = REGISTRY[name](n)
+    H0 = build_hamiltonian(checks)
+    sites = tuple((q,) for q in range(n))
+    V = random_local_perturbation(n, sites, g, seed)
+    H = perturb(H0, V)
+    dense = dense_perturbed(H0, sites, g, seed)
+    assert H.phases is not None and H._mat is None and not H.form.flags.writeable
+    assert np.abs(H.mat - dense).max() <= 1e-14 * np.abs(dense).max()
+
+    d, real = _gauged(_symmetrized(dense))
+    assert np.abs(H.phases - d).max() <= 1e-13
+    assert np.abs(H.form - real).max() <= 1e-14 * np.abs(real).max()
+
+    w, U = hermitian_eigensystem(dense)
+    assert np.abs(H.eigensystem().w - w).max() <= 1e-10 * np.abs(w).max()
+
+    ref = Hamiltonian(dense, n=n, w0=0, w1=0)
+    cert = barrier_subspace(checks, (0, 0), inner, 2, H0)
+    floor = subspace_min_energy(cert.boundary, H)
+    assert _rel(floor, dense_min_energy(cert.boundary, ref), 1e-10)
+    state = thermal_state(H, beta)
+    try:
+        want = dense_ratio(ref, beta, cert.V, cert.boundary)
+    except EmptyA:
+        with pytest.raises(EmptyA):
+            bottleneck_ratio(state, cert.V, cert.boundary)
+    else:
+        delta, numerator, denominator = bottleneck_ratio(state, cert.V, cert.boundary)
+        assert _rel(denominator, want[2], 1e-10)
+        assert _rel(numerator, want[1], 1e-10, WEIGHT_SLACK)
+        assert _rel(delta, want[0], 1e-10, WEIGHT_SLACK / want[2])
+
+    rho = gibbs_state(H, beta)[0].mat
+    assert np.abs(rho - dense_gibbs(dense, beta).mat).max() <= 1e-10
+
+    window = shell_window(H0, g, f)
+    if window is None:
+        return
+    shells = shell_decomposition(H0, *window[:2], g, window[2])
+    top = shell_projectors(H0, shells.E_boundaries, shells.delta_E)[-1]
+    records = tail_amplitudes(H, H0, shells)
+    assert [r.eigen_index for r in records] == list(np.flatnonzero(w < window[0] * n))
+    for rec in records:
+        want = np.linalg.norm(top @ U[:, rec.eigen_index])
+        assert _rel(rec.amplitude, want, 1e-10, WEIGHT_SLACK)
+
+
+@pytest.mark.parametrize("supports", [((0, 1),), ((0,), (1, 2)), ((1, 2), (2, 3)), ((0,), (0,))])
+def test_other_supports_keep_the_dense_complex_route(supports):
+    H0 = build_hamiltonian(repetition(5))
+    V = random_local_perturbation(5, supports, 0.05, 7)
+    H = perturb(H0, V)
+    assert np.iscomplexobj(V.form) and np.iscomplexobj(H.form)
+    want = dense_perturbed(H0, supports, 0.05, 7)
+    if len({q for s in supports for q in s}) == sum(map(len, supports)):
+        assert H.mat.tobytes() == want.tobytes()
+    else:
+        # the norm of overlapping terms comes from V's own eigenvalues
+        assert np.abs(H.mat - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @st.composite

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bottlenecklab import cli
+from bottlenecklab import cli, stability
 
 from bottlenecklab.errors import (
     BoundViolated,
@@ -26,6 +26,8 @@ from bottlenecklab.stability import (
     plan_shell_width,
     shell_decomposition,
     stability_sweep,
+    sweep_model,
+    sweep_point,
     tail_amplitudes,
     verify_block_tridiagonal,
 )
@@ -156,6 +158,40 @@ def test_oversized_perturbation_rejected():
     H = rep8_perturbed(0.05, 7)
     with pytest.raises(PerturbationTooLarge):
         tail_amplitudes(H, H_REP8, REP8_SHELLS)
+
+
+def _record_perturb(monkeypatch, module):
+    """Route module.perturb through a recorder; returns the list of (H, V)."""
+    built = []
+
+    def recorded(H0, V):
+        H = perturb(H0, V)
+        built.append((H, V))
+        return H
+
+    monkeypatch.setattr(module, "perturb", recorded)
+    return built
+
+
+def test_sweep_point_keeps_the_perturbed_hamiltonian_real(monkeypatch):
+    built = _record_perturb(monkeypatch, stability)
+    H0, cert = sweep_model("repetition", 8, ((0, 0), 1, 2))
+    sweep_point("repetition", 8, 3.0, 0.01, 5, H0, cert)
+    [(H, V)] = built
+    assert H.phases is not None and not H.is_diagonal
+    # neither the complex H nor the complex V was formed
+    assert H._mat is None and V._mat is None
+
+
+def test_tail_check_point_keeps_the_perturbed_hamiltonian_real(tmp_path, monkeypatch):
+    built = _record_perturb(monkeypatch, cli)
+    cfg = {"model": "repetition", "n": 8, "eps1": 0.2, "eps2": 0.755, "gs": [0.01], "seeds": [4]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["tail-check", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    [(H, V)] = built
+    assert H.phases is not None
+    assert H._mat is None and V._mat is None
 
 
 # --- recursion -----------------------------------------------------------------
