@@ -552,7 +552,6 @@ def _run_tail_check(cfg, out, jobs):
     H0 = build_hamiltonian(checks)
     n = checks.n
     eps1, eps2 = vals["eps1"], vals["eps2"]
-    supports = tuple((i,) for i in range(n))
 
     # the shells depend on g alone; a failing g is not cached, so each of
     # its points still records its own failure
@@ -564,7 +563,7 @@ def _run_tail_check(cfg, out, jobs):
     def point(task):
         g, seed = task["g"], task["seed"]
         delta_E, shells = shells_at(g)
-        V = random_local_perturbation(n, supports, g, seed)
+        V = random_local_perturbation(n, g, seed)
         H = perturb(H0, V)
         block = verify_block_tridiagonal(V, shells)
         if not block.passes:
@@ -754,22 +753,6 @@ _HELP = {
 }
 
 
-def _resolve_jobs(flag_value):
-    env = os.environ.get("BOTTLENECKLAB_JOBS")
-    if env is not None:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ConfigInvalid(f"BOTTLENECKLAB_JOBS must be an integer, got {env!r}")
-    elif flag_value is not None:
-        jobs = flag_value
-    else:
-        jobs = 1
-    if jobs < 1:
-        raise ConfigInvalid(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
 def main(argv=None):
     """Entry point. Returns the process exit status."""
     parser = argparse.ArgumentParser(
@@ -781,19 +764,15 @@ def main(argv=None):
         p = sub.add_parser(name, help=_HELP[name])
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=".", help="output directory, created if absent")
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            help="worker threads (the BOTTLENECKLAB_JOBS variable overrides this)",
-        )
+        p.add_argument("--jobs", type=int, default=1, help="worker threads")
     args = parser.parse_args(argv)
     out = args.out
     os.makedirs(out, exist_ok=True)
     try:
-        jobs = _resolve_jobs(args.jobs)
+        if args.jobs < 1:
+            raise ConfigInvalid(f"jobs must be >= 1, got {args.jobs}")
         cfg = _load_config(args.config)
-        failures = _RUNNERS[args.subcommand](cfg, out, jobs)
+        failures = _RUNNERS[args.subcommand](cfg, out, args.jobs)
     except BottleneckLabError as exc:
         rejected = isinstance(exc, (ConfigInvalid, ModelNotFound))
         _write_json(os.path.join(out, "failures.json"), [_failure_entry(exc)])

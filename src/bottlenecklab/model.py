@@ -25,13 +25,15 @@ chains. thermal_state keeps a Gibbs state in that eigen-form, weights p
 over the columns of U, and gibbs_state forms the dense rho = U diag(p)
 U^dag from it for the callers that need rho itself.
 
-A Hamiltonian keeps a form M and unit phases d, H = D M D^dag, and
-forms its dense matrix only when something reads it. Check Hamiltonians
-are real (d = 1), and single-site perturbations on distinct sites are
-built real with one phase per site, so a classical H0 plus such a
-perturbation is solved, reduced to blocks and turned into Gibbs states
-in real arithmetic. Eigensystem and ThermalState carry the eigenvectors
-of M with d apart; their methods give the eigenvectors of H itself.
+A Hamiltonian keeps a form M and unit phases d, H = D M D^dag, fixed
+when it is built, and forms its dense matrix only when something reads
+it. Check Hamiltonians are real (d = 1), and a perturbation has one term
+per site and is built real with one phase per site, so a classical H0
+plus a perturbation is solved, reduced to blocks and turned into Gibbs
+states in real arithmetic. Eigensystem and ThermalState carry the
+eigenvectors of M with d apart; their methods give the eigenvectors of H
+itself. Every function here that takes a Hamiltonian takes this type,
+not a raw matrix.
 """
 
 import functools
@@ -56,7 +58,6 @@ from .numerics import (
     _HERMITICITY_TOL,
     DensityMatrix,
     hermitian_eigensystem,
-    hermitian_eigenvalues,
     max_offdiagonal,
 )
 from .pauli import gf2_null_space_masks, gf2_span, hamming_distance, mask_from_indices, popcount
@@ -141,17 +142,19 @@ class Hamiltonian:
     the terms it was built from.
 
     H is kept as a form M and unit phases d (None for d = 1) with H = D M
-    D^dag, D = diag(d). A real float M is kept real: build_hamiltonian
-    gives every check Hamiltonian so, with no phases, and
-    random_local_perturbation gives single-site terms so, with one phase
-    per site. Any other M is taken as complex; a dense Hamiltonian is its
-    own form, with no phases. The unit phases change no modulus of an
-    entry and no singular value of a block, so is_diagonal, diagonal() and
-    the norms and blocks that stability reads come from M, and the dense
-    complex mat is formed only when something reads it. Construction
-    checks Hermiticity within 1e-10 on M: |D M D^dag - (D M D^dag)^dag| is
-    |M - M^dag| entry by entry. M is then made read-only, so that check
-    and the off-diagonal scan kept by offdiagonal stay true.
+    D^dag, D = diag(d), both fixed here and never searched for later. A
+    real float M is kept real: build_hamiltonian gives every check
+    Hamiltonian so, with no phases, and random_local_perturbation gives
+    its one term per site so, with one phase per site. Any other M is
+    taken as complex and is its own form, with no phases; perturb makes
+    one from a non-diagonal (CSS) H0. The unit phases change no modulus
+    of an entry and no singular value of a block, so is_diagonal,
+    diagonal() and the norms and blocks that stability reads come from M,
+    and the dense complex mat is formed only when something reads it.
+    Construction checks Hermiticity within 1e-10 on M: |D M D^dag - (D M
+    D^dag)^dag| is |M - M^dag| entry by entry. M is then made read-only,
+    so that check and the off-diagonal scan kept by offdiagonal stay
+    true.
     """
 
     def __init__(
@@ -533,53 +536,44 @@ def subspace_min_energy(V, H):
     H[rows][:, rows] under a unitary diagonal similarity, with the same
     spectrum, and H[rows][:, rows] is gathered, not multiplied out; a
     diagonal H (no off-diagonal entry above 1e-14) then needs no
-    eigensolve at all. The phases of a Hamiltonian only add to that
-    similarity, so the gather reads its form M.
+    eigensolve at all. The phases of H only add to that similarity, so
+    the gather reads its form M.
     """
     if V.dim == 0:
         raise EmptySubspace("minimum energy over an empty subspace")
     basis = V.basis
-    if isinstance(H, Hamiltonian):
-        mat, phases = H.form, H.phases
-    else:
-        mat, phases = np.asarray(H), None
+    mat = H.form
     nnz_per_col = (np.abs(basis) > 1e-14).sum(axis=0)
     if (nnz_per_col == 1).all():
         rows = np.argmax(np.abs(basis), axis=0)
-        offdiagonal = H.offdiagonal if isinstance(H, Hamiltonian) else max_offdiagonal(mat)
-        if offdiagonal < 1e-14:
+        if H.offdiagonal < 1e-14:
             return float(np.real(np.diagonal(mat))[rows].min())
         block = mat[np.ix_(rows, rows)]
     else:
-        if phases is not None:
-            basis = phases.conj()[:, None] * basis
+        if H.phases is not None:
+            basis = H.phases.conj()[:, None] * basis
         block = basis.conj().T @ mat @ basis
     return float(np.linalg.eigvalsh(0.5 * (block + block.conj().T))[0])
 
 
 def _eigensystem(H):
-    """Eigensystem of a Hamiltonian or Hermitian matrix. A diagonal one
-    (no off-diagonal entry above 1e-12) gives its real diagonal as w and U
-    None; any other matrix takes numerics.hermitian_eigensystem."""
-    if isinstance(H, Hamiltonian):
-        if H.is_diagonal:
-            return Eigensystem(H.diagonal(), None, None)
-        return H.eigensystem()
-    mat = np.asarray(H)
-    if max_offdiagonal(mat) < 1e-12:
-        return Eigensystem(np.real(np.diag(mat)).astype(np.float64), None, None)
-    return Eigensystem(*hermitian_eigensystem(mat), None)
+    """Eigensystem of a Hamiltonian: its real diagonal as w and U None when
+    it is diagonal (no off-diagonal entry above 1e-12), else
+    H.eigensystem()."""
+    if H.is_diagonal:
+        return Eigensystem(H.diagonal(), None, None)
+    return H.eigensystem()
 
 
 def spectrum(H):
-    """Eigenvalues w and eigenvectors U of a Hamiltonian or Hermitian matrix.
+    """Eigenvalues w and eigenvectors U of a Hamiltonian.
 
-    A diagonal one (no off-diagonal entry above 1e-12) gives its real
+    A diagonal H (no off-diagonal entry above 1e-12) gives its real
     diagonal as w and U None, the identity. Otherwise the columns of U
-    are orthonormal eigenvectors, each fixed only up to a phase: those
-    of numerics.hermitian_eigensystem (complex, phase-fixed) for a matrix
-    or a complex form, and D U_r for a Hamiltonian with a real form,
-    U_r from np.linalg.eigh, so real when there are no phases.
+    are orthonormal eigenvectors, each fixed only up to a phase: D U_r
+    for a real form, U_r from np.linalg.eigh, so real when there are no
+    phases, and those of numerics.hermitian_eigensystem (complex,
+    phase-fixed) for a complex form.
     """
     eig = _eigensystem(H)
     return eig.w, eig.vectors()
@@ -637,7 +631,6 @@ def gibbs_state(H, beta):
     eigensolver. After a real solve rho is the real product U diag(p) U^T,
     scaled by the phases d as d_i rho_ij conj(d_j) when there are any.
     """
-    n = H.n if isinstance(H, Hamiltonian) else int(np.shape(H)[0]).bit_length() - 1
     probs, U, logZ, phases = thermal_state(H, beta)
     if U is None:
         rho = np.diag(probs.astype(np.complex128))
@@ -647,105 +640,65 @@ def gibbs_state(H, beta):
             rho *= phases[:, None]
             rho *= phases.conj()[None, :]
     F = -logZ / beta if beta > 0 else -math.inf
-    return DensityMatrix(rho, n), logZ, F
+    return DensityMatrix(rho, H.n), logZ, F
 
 
-def _embed_on_support(n, support, T, out):
-    """Add a 2^k matrix, spread over the full register on the given qubits,
-    into the dim x dim array out.
+def random_local_perturbation(n, g, seed):
+    """One seeded Gaussian Hermitian 2x2 term on every site, rescaled to
+    norm g*n and built in its real gauge (_site_gauge).
 
-    Column j couples only to the 2^k rows rest_j | s, where rest_j is j
-    with the support bits cleared and s runs over the support patterns,
-    so only those 2^k * 2^n entries are touched.
+    Terms on distinct sites commute, and the spectrum of their sum is
+    every sum of one eigenvalue per term, so ||V|| is the larger of |sum
+    of smallest| and |sum of largest| term eigenvalues. Site q's term is
+    drawn q-th, its real part before its imaginary part.
     """
-    dim = 1 << n
-    k = len(support)
-    idx = np.arange(dim)
-    sub = np.zeros(dim, dtype=np.int64)
-    for pos, q in enumerate(support):
-        bit = (idx >> (n - 1 - q)) & 1
-        sub |= bit << (k - 1 - pos)
-    rest = idx & ~mask_from_indices(n, support)
-    patterns = np.arange(1 << k)
-    spread = np.zeros(1 << k, dtype=np.int64)
-    for pos, q in enumerate(support):
-        spread |= ((patterns >> (k - 1 - pos)) & 1) << (n - 1 - q)
-    out[rest[None, :] | spread[:, None], idx[None, :]] += T[patterns[:, None], sub[None, :]]
-    return out
-
-
-def random_local_perturbation(n, term_supports, g, seed):
-    """Sum of seeded Gaussian Hermitian terms, rescaled to norm g*n.
-
-    Terms on pairwise disjoint supports commute, and the spectrum of
-    their sum is every sum of one eigenvalue per term, so ||V|| is the
-    larger of |sum of smallest| and |sum of largest| term eigenvalues.
-    Overlapping supports take the eigenvalues of V itself.
-
-    When every term sits on its own single site, V is built in its real
-    gauge (_site_gauge); any other supports give the dense complex V.
-    Either way the draws are the same, in the same order.
-    """
-    supports = tuple(tuple(sorted(int(q) for q in s)) for s in term_supports)
     rng = np.random.default_rng(seed)
     terms = []
     lo = hi = 0.0
-    for supp in supports:
-        k = len(supp)
-        G = rng.standard_normal((1 << k, 1 << k)) + 1j * rng.standard_normal(
-            (1 << k, 1 << k)
-        )
+    for _ in range(n):
+        G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         T = 0.5 * (G + G.conj().T)
         terms.append(T)
         w = np.linalg.eigvalsh(T)
         lo += w[0]
         hi += w[-1]
-    qubits = [q for supp in supports for q in supp]
-    disjoint = len(set(qubits)) == len(qubits)
-    sites = disjoint and all(len(s) == 1 for s in supports)
-    V = None if sites else _embedded(n, supports, terms)
     scale = 0.0
-    if g > 0 and supports:
-        norm = max(abs(lo), abs(hi)) if disjoint else np.abs(hermitian_eigenvalues(V)).max()
+    if g > 0 and n:
+        norm = max(abs(lo), abs(hi))
         scale = (g * n) / norm if norm > 0 else 1.0
-    book = dict(
+    real, phases = _site_gauge(n, terms, scale)
+    return Hamiltonian(
+        real,
         n=n,
-        w0=_max_per_qubit(n, supports),
-        w1=max((len(s) for s in supports), default=0),
+        w0=min(n, 1),
+        w1=min(n, 1),
         source="perturbation",
-        term_supports=supports,
+        term_supports=tuple((q,) for q in range(n)),
+        phases=phases,
     )
-    if sites:
-        real, phases = _site_gauge(n, qubits, terms, scale)
-        return Hamiltonian(real, phases=phases, **book)
-    if scale:
-        V *= scale
-    else:
-        V[:] = 0.0
-    return Hamiltonian(V, **book)
 
 
-def _embedded(n, supports, terms):
-    dim = 1 << n
-    V = np.zeros((dim, dim), dtype=np.complex128)
-    for supp, T in zip(supports, terms):
-        _embed_on_support(n, supp, T, V)
-    return V
+def _add_site_term(n, q, T, out):
+    """Add the 2x2 matrix T, acting on qubit q of n, into the dim x dim
+    array out: column j reaches row j and row j with bit q flipped."""
+    idx = np.arange(1 << n)
+    bit = (idx >> (n - 1 - q)) & 1
+    out[idx, idx] += T[bit, bit]
+    out[idx ^ (1 << (n - 1 - q)), idx] += T[1 - bit, bit]
 
 
-def _site_gauge(n, sites, terms, scale):
-    """(R, d): the real form and phases of scale * sum of 2x2 terms, one
-    per distinct site.
+def _site_gauge(n, terms, scale):
+    """(R, d): the real form and phases of scale * sum of 2x2 terms, the
+    q-th on site q.
 
     The term on site q, [[a, b], [conj(b), c]], becomes real with |b| off
     the diagonal under diag(1, phi_q), phi_q = conj(b)/|b| (1 when b = 0);
     so D = diag(d) with d_j the product of phi_q over the sites q whose
-    bit is set in j, the gauge that numerics._gauged's spanning tree finds
-    from root 0. The dropped imaginary parts have a max row l1 sum of at
-    most the scaled sum of their per-term row sums, and max|V| is at least
-    the largest scaled |b|, so checking that sum against _GAUGE_REL_TOL *
-    max(1, that |b|) is at least as strict as numerics._gauged on the
-    dense V. The Hermiticity check of R runs in the Hamiltonian.
+    bit is set in j. The dropped imaginary parts have a max row l1 sum of
+    at most the scaled sum of their per-term row sums, and max|V| is at
+    least the largest scaled |b|, so that sum is checked against
+    _GAUGE_REL_TOL * max(1, that |b|). The Hermiticity check of R runs in
+    the Hamiltonian.
     """
     dim = 1 << n
     R = np.zeros((dim, dim))
@@ -754,14 +707,14 @@ def _site_gauge(n, sites, terms, scale):
     idx = np.arange(dim)
     d = np.ones(dim, dtype=np.complex128)
     dropped = top = 0.0
-    for q, T in zip(sites, terms):
+    for q, T in enumerate(terms):
         b = T[0, 1]
         phi = b.conj() / abs(b) if b != 0 else 1.0
         D = np.array([1.0, phi])
         G = D.conj()[:, None] * T * D[None, :]
         dropped += np.abs(G.imag).sum(axis=1).max()
         top = max(top, abs(b))
-        _embed_on_support(n, (q,), G.real, R)
+        _add_site_term(n, q, G.real, R)
         d[((idx >> (n - 1 - q)) & 1) == 1] *= phi
     R *= scale
     if scale * dropped > _GAUGE_REL_TOL * max(1.0, scale * top):
@@ -775,8 +728,8 @@ def perturb(H0, V):
     """H0 + V with locality bookkeeping merged.
 
     A diagonal H0 is added to V's form in V's gauge (plus_diagonal), so a
-    V in its real gauge keeps H0 + V real; anything else is summed as
-    dense matrices.
+    V in its real gauge keeps H0 + V real; a non-diagonal (CSS) H0 is
+    summed with V as dense complex matrices.
     """
     if H0.is_diagonal:
         form, phases = V.plus_diagonal(H0.diagonal())

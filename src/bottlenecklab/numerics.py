@@ -12,30 +12,14 @@ values), operator_norm the Schatten infinity-norm (largest singular
 value). For Hermitian input the singular values are the absolute
 eigenvalues and we use the cheaper symmetric eigensolver.
 
-Eigensolver route: a Hamiltonian that knows its real gauge at
-construction (a diagonal unitary D with D^dag H D real symmetric) is
-solved on that real form by LAPACK dsyevd, and nothing here runs on it.
-model.build_hamiltonian gives every check Hamiltonian as real with D = I
-(CSS X terms (I - X)/2 are real), and model.random_local_perturbation
-gives single-site terms on distinct sites with D the product of one
-phase per site, so a classical H0 plus such terms stays real through
-model.perturb. model.thermal_state and stability.tail_amplitudes keep
-its eigenvectors as U_r with D apart, since what they read (Delta and
-tail amplitudes) are norms that the unit phases leave unchanged;
-model.spectrum returns D U_r, not phase-fixed. Dense matrices without a
-known gauge come here: hermitian_eigensystem and hermitian_eigenvalues
-first look for D themselves. The phases are set along a breadth-first
-spanning tree of the nonzero off-diagonal pattern (theta_j = theta_i -
-arg H_ij, one root per connected component), so tree entries come out
-real positive; every entry is then checked, not only the tree. The real
-solve (dsyevd instead of zheevd: 0.22 s against 1.0 s at dim 1024 on a
-2-core OpenBLAS machine) runs only when the dropped imaginary part has
-max row l1 sum, an upper bound on its operator norm, at most 1e-12 *
-max(1, max|H|); eigenvectors come back as D U_r, phase-fixed. Anything
-else, such as a 3-cycle with nonzero flux or a generic two-site complex
-term, takes the complex solver unchanged. _gauged stays the reference
-for the construction gauge, and trace_norm reaches it on every
-Hermitian input.
+Eigensolver route: model gives a Hamiltonian its real gauge (a diagonal
+unitary D with D^dag H D real symmetric) when it builds it, and solves
+that real form with LAPACK dsyevd itself. hermitian_eigensystem and
+hermitian_eigenvalues take the rest: from model only the complex dense
+sum of a CSS H0 and a perturbation, and from trace_norm every Hermitian
+input. They symmetrize, take the real part when the imaginary part is
+exactly zero (so real input keeps dsyevd), and otherwise run the complex
+solver; no gauge is searched for at solve time.
 """
 
 import math
@@ -166,7 +150,8 @@ def logsumexp(a, b=None):
 
 
 def _symmetrized(H):
-    """(H + H^dag)/2 after checking max|H - H^dag| <= 1e-10 (NotHermitian)."""
+    """(H + H^dag)/2 after checking max|H - H^dag| <= 1e-10 (NotHermitian),
+    as a real array when its imaginary part is exactly zero."""
     H = _require_square(H)
     Hd = np.ascontiguousarray(H.conj().T)
     dev = np.abs(H - Hd).max() if H.size else 0.0
@@ -174,56 +159,7 @@ def _symmetrized(H):
         raise NotHermitian(f"max |H - H^dag| = {dev:.3e}")
     Hd += H
     Hd *= 0.5
-    return Hd
-
-
-def _gauge_phases(H):
-    """Unit phases d with d_j = d_i conj(H_ij)/|H_ij| along a BFS spanning forest.
-
-    The forest covers the nonzero off-diagonal pattern of H; each
-    component's root (and each isolated index) gets phase 1. Real input
-    gets exact signs, since conj(h)/|h| is exactly +-1 for real h.
-    """
-    dim = H.shape[0]
-    linked = H != 0
-    np.fill_diagonal(linked, False)
-    d = np.ones(dim, dtype=np.complex128)
-    seen = ~linked.any(axis=1)
-    while not seen.all():
-        frontier = np.flatnonzero(~seen)[:1]
-        seen[frontier] = True
-        while frontier.size:
-            unseen = np.flatnonzero(~seen)
-            links = linked[np.ix_(frontier, unseen)]
-            reached = links.any(axis=0)
-            child = unseen[reached]
-            parent = frontier[links[:, reached].argmax(axis=0)]
-            h = H[parent, child]
-            d[child] = d[parent] * (h.conj() / np.abs(h))
-            seen[child] = True
-            frontier = child
-    return d
-
-
-def _gauged(H):
-    """(d, D^dag H D) when a checked diagonal gauge makes H real, else (None, H).
-
-    H must already be Hermitian. The imaginary part of D^dag H D that the
-    real solve drops must have max row l1 sum (which bounds its operator
-    norm) at most 1e-12 * max(1, max|H|). A matrix with no imaginary part
-    at all is its own gauge (D = I), found without the spanning tree.
-    """
-    if H.size == 0:
-        return None, H
-    if not H.imag.any():
-        return np.ones(H.shape[0]), np.ascontiguousarray(H.real)
-    d = _gauge_phases(H)
-    G = d.conj()[:, None] * H
-    G *= d[None, :]
-    dropped = np.abs(G.imag).sum(axis=1).max()
-    if dropped > _GAUGE_REL_TOL * max(1.0, float(np.abs(H).max())):
-        return None, H
-    return d, np.ascontiguousarray(G.real)
+    return Hd if Hd.imag.any() else np.ascontiguousarray(Hd.real)
 
 
 def hermitian_eigensystem(H):
@@ -232,21 +168,17 @@ def hermitian_eigensystem(H):
     Raises NotHermitian when max|H - H^dag| exceeds 1e-10. Reconstruction
     H = V diag(w) V^dag holds within 1e-8 * operator_norm(H); eigenvectors
     with degenerate eigenvalues come back in backend order with the phase
-    of the first nonzero component fixed real positive. When a checked
-    diagonal gauge makes H real (see the module docstring) the real
-    symmetric solver runs and V = D U_r.
+    of the first nonzero component fixed real positive. H with no
+    imaginary part goes to the real symmetric solver.
     """
-    d, M = _gauged(_symmetrized(H))
-    w, V = np.linalg.eigh(M)
-    if d is not None:
-        V = d[:, None] * V
+    w, V = np.linalg.eigh(_symmetrized(H))
     return w, fix_phases(V)
 
 
 def hermitian_eigenvalues(H):
     """Ascending eigenvalues of a Hermitian matrix, by the same route as
-    hermitian_eigensystem (same NotHermitian check, same gauge test)."""
-    return np.linalg.eigvalsh(_gauged(_symmetrized(H))[1])
+    hermitian_eigensystem (same NotHermitian check, same real test)."""
+    return np.linalg.eigvalsh(_symmetrized(H))
 
 
 @dataclass(frozen=True)

@@ -22,18 +22,20 @@ first violated assertion; the CLI runs the same points through its grid
 runner, where a failing point becomes a failures.json entry.
 
 Each sweep point builds H0 + V in its real gauge and keeps it real until
-Delta comes out. random_local_perturbation gives the single-site terms
-as a real symmetric form R and one phase per site, D = diag(d) with
-D^dag V D = R, and perturb adds the diagonal H0 to R's diagonal, so
-neither the complex V nor the complex H is formed. The boundary floor
-gathers its block from R, model.thermal_state runs the real symmetric
-solver on R and keeps U_r and d apart, and bottleneck_ratio reads Delta
-from that eigen-decomposition with no dense rho: the ball V and its
-boundary shell are labeled over the identity basis, so X^dag D U_r is
-diag(d) times rows of U_r, a real gather (165 x 1024 at n = 10) with a
-real SVD after it. tail_amplitudes, its ||H - H0|| check and
-verify_block_tridiagonal read the same real forms. The sweep takes
-registry models that are built from n alone (model.SIZE_INDEXED).
+Delta comes out. random_local_perturbation(n, g, seed) draws one term
+per site and gives V as a real symmetric form R and one phase per site,
+D = diag(d) with D^dag V D = R, fixed when V is built, and perturb adds
+the diagonal H0 to R's diagonal, so neither the complex V nor the
+complex H is formed and no gauge is searched for afterwards. The
+boundary floor gathers its block from R, model.thermal_state runs the
+real symmetric solver on R and keeps U_r and d apart, and
+bottleneck_ratio reads Delta from that eigen-decomposition with no dense
+rho: the ball V and its boundary shell are labeled over the identity
+basis, so X^dag D U_r is diag(d) times rows of U_r, a real gather
+(165 x 1024 at n = 10) with a real SVD after it. tail_amplitudes, its
+||H - H0|| check and verify_block_tridiagonal read the same real forms.
+The sweep takes registry models that are built from n alone
+(model.SIZE_INDEXED).
 
 Shell width bookkeeping: w0 is the maximum number of checks any qubit
 touches and w1 the largest perturbation-term support, so one term can
@@ -390,7 +392,7 @@ def sweep_point(model, n, beta, g, seed, H0, cert):
     the perturbed boundary floor drops more than g*n, or when an
     admissible point's delta^2 exceeds the proof-chain value.
     """
-    V = random_local_perturbation(n, tuple((i,) for i in range(n)), g, seed)
+    V = random_local_perturbation(n, g, seed)
     H = perturb(H0, V)
     if g > 0:
         floor_E = cert.E_min_boundary - g * n - 1e-9

@@ -15,20 +15,31 @@ a time, and only tests call it:
   and checks that they resolve the identity without overlapping. It is
   the oracle for stability.shell_decomposition, whose windows are index
   sets of the eigenbasis.
-- dense_perturbed builds a perturbed Hamiltonian as one dense complex
-  matrix, every term embedded as drawn, as the package did before it
-  built single-site perturbations in their real gauge. It is the oracle
-  for the real forms of model.random_local_perturbation and
-  model.perturb.
+- _embed_on_support adds a term on any support into a dense matrix, and
+  gather_embed_on_support builds the same matrix by a gather and a mask.
+  They are the oracle for model._add_site_term, the single-site scatter.
+- dense_perturbation draws seeded Gaussian terms on any supports, as
+  model.random_local_perturbation draws its one term per site, and
+  embeds them into one dense complex V, rescaled to norm g*n.
+  dense_perturbed adds it to H0.mat. On one term per site they are the
+  oracle for the real forms of model.random_local_perturbation and
+  model.perturb; on wider supports they give the perturbations that
+  break the shell ladder.
+- _gauge_phases and _gauged look for a diagonal unitary D that makes a
+  dense Hermitian matrix real, along a breadth-first spanning forest of
+  its off-diagonal pattern, and check every entry afterwards.
+  gauged_eigensystem solves on that real form when one is found. They
+  are the oracle for the gauge that model._site_gauge fixes when a
+  perturbation is built.
 - dense_gibbs forms the Gibbs state as a dense rho = U diag(p) U^dag from
-  the complex-route eigenpairs of a dense matrix, and dense_ratio reads
-  Delta from it. They are the oracle for model.gibbs_state after a real
-  solve and for bottleneck_ratio on a model.ThermalState.
+  the gauged_eigensystem eigenpairs of a dense matrix, and dense_ratio
+  reads Delta from it. They are the oracle for model.gibbs_state after a
+  real solve and for bottleneck_ratio on a model.ThermalState.
 - dense_min_energy multiplies out the compressed block X^dag H X. It is
   the oracle for the gathered block of model.subspace_min_energy.
 - dense_norm is the operator norm of a perturbation from the eigenvalues
-  of its full matrix. It is the oracle for the disjoint-support norm of
-  model.random_local_perturbation.
+  of its full matrix. It is the oracle for the norm that
+  model.random_local_perturbation reads from its term spectra.
 - dense_collar_weights reads tr(P_V rho) and the commutator norm
   ||[rho, P_shell]|| from dense projectors and a dense commutator. It is
   the oracle for the label form in bottleneck.free_energy_report.
@@ -87,19 +98,21 @@ from bottlenecklab.errors import (
 from bottlenecklab.markov import StochasticMatrix
 from bottlenecklab.model import (
     BarrierCertificate,
+    Hamiltonian,
     _as_mask,
-    _embed_on_support,
+    _max_per_qubit,
     spectrum,
     subspace_min_energy,
 )
 from bottlenecklab.numerics import (
+    _GAUGE_REL_TOL,
     DensityMatrix,
+    _symmetrized,
     fix_phases,
-    hermitian_eigensystem,
     max_offdiagonal,
     operator_norm,
 )
-from bottlenecklab.pauli import gf2_null_space_masks, gf2_span, popcount
+from bottlenecklab.pauli import gf2_null_space_masks, gf2_span, mask_from_indices, popcount
 from bottlenecklab.subspace import HilbertPartition, Subspace, boundary
 
 
@@ -437,7 +450,7 @@ def shell_projectors(H0, boundaries, delta_E):
     if max_offdiagonal(mat) < 1e-12:
         w, U = np.real(np.diag(mat)), None
     else:
-        w, U = hermitian_eigensystem(mat)
+        w, U = gauged_eigensystem(mat)
     q_star = len(boundaries) - 1
     bins = np.empty(w.size, dtype=np.int64)
     for i, E in enumerate(w):
@@ -465,13 +478,54 @@ def shell_projectors(H0, boundaries, delta_E):
     return projectors
 
 
-def dense_perturbed(H0, term_supports, g, seed):
-    """H0.mat + V for V = model.random_local_perturbation(H0.n,
-    term_supports, g, seed), as one dense complex matrix: the same draws
-    in the same order, every term embedded into a complex V, V rescaled to
-    norm g*n (from the term spectra for disjoint supports, from V's own
-    otherwise) and added to H0. No gauge is taken."""
-    n = H0.n
+def _embed_on_support(n, support, T, out):
+    """Add a 2^k matrix, spread over the full register on the given qubits,
+    into the dim x dim array out.
+
+    Column j couples only to the 2^k rows rest_j | s, where rest_j is j
+    with the support bits cleared and s runs over the support patterns,
+    so only those 2^k * 2^n entries are touched.
+    """
+    dim = 1 << n
+    k = len(support)
+    idx = np.arange(dim)
+    sub = np.zeros(dim, dtype=np.int64)
+    for pos, q in enumerate(support):
+        bit = (idx >> (n - 1 - q)) & 1
+        sub |= bit << (k - 1 - pos)
+    rest = idx & ~mask_from_indices(n, support)
+    patterns = np.arange(1 << k)
+    spread = np.zeros(1 << k, dtype=np.int64)
+    for pos, q in enumerate(support):
+        spread |= ((patterns >> (k - 1 - pos)) & 1) << (n - 1 - q)
+    out[rest[None, :] | spread[:, None], idx[None, :]] += T[patterns[:, None], sub[None, :]]
+    return out
+
+
+def gather_embed_on_support(n, support, T):
+    """The term of _embed_on_support as a new matrix, by a gather of T over
+    the support bits of every (row, column) pair and a mask that zeroes
+    the pairs that differ off the support."""
+    dim = 1 << n
+    k = len(support)
+    idx = np.arange(dim)
+    sub = np.zeros(dim, dtype=np.int64)
+    for pos, q in enumerate(support):
+        bit = (idx >> (n - 1 - q)) & 1
+        sub |= bit << (k - 1 - pos)
+    rest = idx & ~mask_from_indices(n, support)
+    full = T[np.ix_(sub, sub)].copy()
+    full[rest[:, None] != rest[None, :]] = 0.0
+    return full
+
+
+def dense_perturbation(n, term_supports, g, seed):
+    """A seeded Gaussian Hermitian term on each support, in order, embedded
+    into one dense complex V and rescaled to norm g*n: from the term
+    spectra for disjoint supports, from V's own otherwise. One term per
+    site, in site order, is model.random_local_perturbation(n, g, seed)'s
+    draw. Returned as a Hamiltonian whose form is V, with the supports'
+    bookkeeping and no phases."""
     supports = tuple(tuple(sorted(int(q) for q in s)) for s in term_supports)
     dim = 1 << n
     V = np.zeros((dim, dim), dtype=np.complex128)
@@ -497,14 +551,93 @@ def dense_perturbed(H0, term_supports, g, seed):
             V *= (g * n) / norm
     else:
         V[:] = 0.0
-    return H0.mat + V
+    return Hamiltonian(
+        V,
+        n=n,
+        w0=_max_per_qubit(n, supports),
+        w1=max((len(s) for s in supports), default=0),
+        source="perturbation",
+        term_supports=supports,
+    )
+
+
+def dense_perturbed(H0, term_supports, g, seed):
+    """H0.mat + dense_perturbation(H0.n, term_supports, g, seed), one dense
+    complex matrix with no gauge taken."""
+    return H0.mat + dense_perturbation(H0.n, term_supports, g, seed).mat
+
+
+def _gauge_phases(H):
+    """Unit phases d with d_j = d_i conj(H_ij)/|H_ij| along a BFS spanning forest.
+
+    The forest covers the nonzero off-diagonal pattern of H; each
+    component's root (and each isolated index) gets phase 1. Real input
+    gets exact signs, since conj(h)/|h| is exactly +-1 for real h.
+    """
+    dim = H.shape[0]
+    linked = H != 0
+    np.fill_diagonal(linked, False)
+    d = np.ones(dim, dtype=np.complex128)
+    seen = ~linked.any(axis=1)
+    while not seen.all():
+        frontier = np.flatnonzero(~seen)[:1]
+        seen[frontier] = True
+        while frontier.size:
+            unseen = np.flatnonzero(~seen)
+            links = linked[np.ix_(frontier, unseen)]
+            reached = links.any(axis=0)
+            child = unseen[reached]
+            parent = frontier[links[:, reached].argmax(axis=0)]
+            h = H[parent, child]
+            d[child] = d[parent] * (h.conj() / np.abs(h))
+            seen[child] = True
+            frontier = child
+    return d
+
+
+def _gauged(H):
+    """(d, D^dag H D) when a checked diagonal gauge makes H real, else (None, H).
+
+    H must already be Hermitian. The phases are set along the spanning
+    forest of _gauge_phases (theta_j = theta_i - arg H_ij), so tree
+    entries come out real positive; every entry is then checked, not only
+    the tree: the imaginary part of D^dag H D that a real solve drops
+    must have max row l1 sum (which bounds its operator norm) at most
+    1e-12 * max(1, max|H|). A 3-cycle with nonzero flux or a generic
+    two-site complex term has no such gauge. A matrix with no imaginary
+    part at all is its own gauge (D = I), found without the spanning
+    tree.
+    """
+    if H.size == 0:
+        return None, H
+    if not H.imag.any():
+        return np.ones(H.shape[0]), np.ascontiguousarray(H.real)
+    d = _gauge_phases(H)
+    G = d.conj()[:, None] * H
+    G *= d[None, :]
+    dropped = np.abs(G.imag).sum(axis=1).max()
+    if dropped > _GAUGE_REL_TOL * max(1.0, float(np.abs(H).max())):
+        return None, H
+    return d, np.ascontiguousarray(G.real)
+
+
+def gauged_eigensystem(H):
+    """Ascending eigenvalues and phase-fixed eigenvectors of a Hermitian
+    matrix, solved on its real gauge (_gauged) when one is found, with
+    the eigenvectors returned as D U_r, and by the complex solver
+    otherwise."""
+    d, M = _gauged(_symmetrized(H))
+    w, V = np.linalg.eigh(M)
+    if d is not None:
+        V = d[:, None] * V
+    return w, fix_phases(V)
 
 
 def dense_gibbs(mat, beta):
     """rho = U diag(p) U^dag as a DensityMatrix, from the eigenpairs that
-    numerics.hermitian_eigensystem gives for the dense mat, with p the
-    Gibbs weights of its eigenvalues."""
-    w, U = hermitian_eigensystem(mat)
+    gauged_eigensystem gives for the dense mat, with p the Gibbs weights
+    of its eigenvalues."""
+    w, U = gauged_eigensystem(mat)
     p = np.exp(-beta * (w - w.min()))
     p /= p.sum()
     return DensityMatrix((U * p[None, :]) @ U.conj().T)

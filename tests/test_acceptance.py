@@ -483,7 +483,6 @@ def test_criterion_06_mixing_bound_consistency():
 
 def test_criterion_07_tail_bound_suite():
     start = time.monotonic()
-    sites = tuple((i,) for i in range(8))
     records = 0
     instances = 0
     worst_margin = -math.inf
@@ -503,7 +502,7 @@ def test_criterion_07_tail_bound_suite():
             if top_rank == 0:
                 vacuous.append(f"{label} g={g}")
             for vseed in (0, 1, 2):
-                Vp = random_local_perturbation(8, sites, g, vseed)
+                Vp = random_local_perturbation(8, g, vseed)
                 block = verify_block_tridiagonal(Vp, shells)
                 assert block.passes and block.residual < 1e-9
                 H = perturb(H0, Vp)
@@ -625,8 +624,7 @@ def test_criterion_09_product_drift_on_schedules():
 # --- criterion 10: deterministic CSV --------------------------------------------
 
 
-def test_criterion_10_deterministic_csv(tmp_path, monkeypatch):
-    monkeypatch.delenv("BOTTLENECKLAB_JOBS", raising=False)
+def test_criterion_10_deterministic_csv(tmp_path):
     vq = {
         "model": "ising_ring",
         "n": 4,

@@ -120,7 +120,7 @@ def _ratio_inputs(rng):
     for n in (4, 6):
         checks = REGISTRY["repetition"](n)
         H0 = build_hamiltonian(checks)
-        H = perturb(H0, random_local_perturbation(n, [(q,) for q in range(n)], 0.05, seed=n))
+        H = perturb(H0, random_local_perturbation(n, 0.05, seed=n))
         cert = barrier_subspace(checks, (0, 0), 1, 2, H0)
         cases.append((gibbs_state(H, 2.0)[0], cert.V, cert.boundary))
     checks = REGISTRY["steane7"]()
@@ -646,7 +646,7 @@ def test_perturbed_gibbs_state_takes_the_dense_path():
     H0 = build_hamiltonian(checks)
     part = css_ball_partition(checks, H0)
     W = label_basis(checks)
-    V = random_local_perturbation(8, [(q,) for q in range(8)], 0.05, seed=1)
+    V = random_local_perturbation(8, 0.05, seed=1)
     rho, _, _ = gibbs_state(perturb(H0, V), 1.0)
     M = W.compress(rho.mat)
     assert np.abs(M - np.diag(np.diag(M))).max() > 1e-4

@@ -6,9 +6,11 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from bottlenecklab import channel, cli, stability
+from bottlenecklab.bottleneck import verify_bottleneck_theorem
 from bottlenecklab.cli import QUANTUM_COLUMNS, main
 from bottlenecklab.errors import BoundViolated
 from bottlenecklab.stability import shell_decomposition, stability_sweep
@@ -108,14 +110,12 @@ GRID_CONFIGS = {
 }
 
 
-def test_worker_count_does_not_change_bytes(tmp_path, monkeypatch):
+def test_worker_count_does_not_change_bytes(tmp_path):
     # every grid subcommand; stability-sweep's grid runs on the same pool
     for subcommand, cfg in GRID_CONFIGS.items():
-        monkeypatch.delenv("BOTTLENECKLAB_JOBS", raising=False)
         code1, serial = run(subcommand, cfg, tmp_path, f"{subcommand}-serial")
         code2, pooled = run(subcommand, cfg, tmp_path, f"{subcommand}-pooled", jobs=3)
-        monkeypatch.setenv("BOTTLENECKLAB_JOBS", "2")
-        code3, via_env = run(subcommand, cfg, tmp_path, f"{subcommand}-via-env", jobs=1)
+        code3, two = run(subcommand, cfg, tmp_path, f"{subcommand}-two", jobs=2)
         assert code1 == code2 == code3 == 0, subcommand
         names = ["report.csv", "report.json", "failures.json"]
         if subcommand == "stability-sweep":
@@ -123,7 +123,7 @@ def test_worker_count_does_not_change_bytes(tmp_path, monkeypatch):
         for name in names:
             ref = (serial / name).read_bytes()
             assert (pooled / name).read_bytes() == ref, (subcommand, name)
-            assert (via_env / name).read_bytes() == ref, (subcommand, name)
+            assert (two / name).read_bytes() == ref, (subcommand, name)
 
 
 def test_classical_rows_stay_under_bound(tmp_path):
@@ -269,11 +269,12 @@ def test_unknown_model_and_unknown_key(tmp_path):
     assert "betaz" in msg
 
 
-def test_bad_jobs_env_rejected(tmp_path, monkeypatch):
-    monkeypatch.setenv("BOTTLENECKLAB_JOBS", "many")
-    code, out = run("verify-quantum", VQ_BASE, tmp_path)
+def test_jobs_below_one_rejected(tmp_path):
+    code, out = run("verify-quantum", VQ_BASE, tmp_path, jobs=0)
     assert code == 2
-    assert json.loads((out / "failures.json").read_text())[0]["reason"] == "ConfigInvalid"
+    failure = json.loads((out / "failures.json").read_text())[0]
+    assert failure["reason"] == "ConfigInvalid"
+    assert "jobs must be >= 1" in failure["message"]
 
 
 def test_missing_config_file(tmp_path):
@@ -343,6 +344,57 @@ def test_tail_check_builds_shells_once_per_point(tmp_path, monkeypatch):
     ]
     assert {f["reason"] for f in failures} == {"ParametersInadmissible"}
     assert sorted({row[5] for row in read_rows(out)[1]}) == ["0", "1", "2"]
+
+
+def test_tail_check_on_a_css_code_takes_the_dense_routes(tmp_path, monkeypatch):
+    # a CSS H0 is not diagonal, so perturb sums dense complex matrices and
+    # the eigensolve, the shell blocks and the ||H - H0|| check read them
+    forms = []
+
+    def spied(H0, V):
+        H = stability.perturb(H0, V)
+        forms.append(H.form)
+        return H
+
+    monkeypatch.setattr(cli, "perturb", spied)
+    cfg = {"model": "steane7", "eps1": 0.1, "eps2": 2.1, "gs": [0.05], "seeds": [0, 1]}
+    code, out = run("tail-check", cfg, tmp_path)
+    assert code == 0
+    assert len(forms) == 2 and all(np.iscomplexobj(M) for M in forms)
+    _, rows = read_rows(out)
+    assert sorted({row[5] for row in rows}) == ["0", "1"]
+    for row in rows:
+        assert float(row[9]) <= float(row[10]) + 1e-9
+        assert float(row[12]) < 1e-9
+
+
+def test_verify_quantum_on_a_css_code_runs_the_dense_verifier(tmp_path, monkeypatch):
+    paths = []
+
+    def spied(*args, **kwargs):
+        rep = verify_bottleneck_theorem(*args, **kwargs)
+        paths.append(rep.path)
+        return rep
+
+    monkeypatch.setattr(cli, "verify_bottleneck_theorem", spied)
+    cfg = {
+        "model": "steane7",
+        "betas": [1.0],
+        "flavors": ["X"],
+        "sites": [0],
+        "subspace": {"centers": [0], "radius": 0},
+        "partition_radius": 4,
+    }
+    code, out = run("verify-quantum", cfg, tmp_path)
+    assert code == 0
+    _, rows = read_rows(out)
+    assert len(rows) == 1 and paths == ["dense"]
+    assert float(rows[0][3]) <= float(rows[0][4])
+    # a Steane channel on site 0 reaches past a radius-3 collar
+    code, out = run("verify-quantum", dict(cfg, partition_radius=3), tmp_path, "r3")
+    assert code == 1
+    failures = json.loads((out / "failures.json").read_text())
+    assert [f["reason"] for f in failures] == ["LocalityInsufficient"]
 
 
 def sweep_csv(rows):

@@ -12,7 +12,7 @@ from bottlenecklab.errors import (
 )
 from bottlenecklab.model import (
     CheckFamily,
-    _embed_on_support,
+    _add_site_term,
     barrier_subspace,
     build_hamiltonian,
     checks_from_text,
@@ -32,13 +32,15 @@ from bottlenecklab.model import (
     subspace_min_energy,
     toric,
 )
-from bottlenecklab.pauli import mask_from_indices
 from bottlenecklab.subspace import Subspace, hamming_ball_subspace, identity_basis
 from oracles import (
     PauliString,
+    _embed_on_support,
     classical_energy,
     css_eigenstate,
     css_labels,
+    dense_perturbation,
+    gather_embed_on_support,
     gf2_rank,
     pauli_matrix,
 )
@@ -311,47 +313,42 @@ class TestSubspaceMinEnergy:
             subspace_min_energy(Subspace(3, np.zeros((8, 0))), H)
 
 
-def gather_embed_on_support(n, support, T):
-    """The dense gather-and-mask builder the scatter embedding replaced."""
-    dim = 1 << n
-    k = len(support)
-    idx = np.arange(dim)
-    sub = np.zeros(dim, dtype=np.int64)
-    for pos, q in enumerate(support):
-        bit = (idx >> (n - 1 - q)) & 1
-        sub |= bit << (k - 1 - pos)
-    rest = idx & ~mask_from_indices(n, support)
-    full = T[np.ix_(sub, sub)].copy()
-    full[rest[:, None] != rest[None, :]] = 0.0
-    return full
-
-
 class TestRandomPerturbation:
     def test_zero_strength(self):
-        V = random_local_perturbation(3, [(0, 1)], 0.0, seed=5)
+        V = random_local_perturbation(3, 0.0, seed=5)
         assert np.abs(V.mat).max() == 0.0
+        assert V.phases is None
 
     def test_norm_rescaled_exactly(self):
-        V = random_local_perturbation(3, [(0,)], 0.2, seed=5)
+        V = random_local_perturbation(3, 0.2, seed=5)
         top = np.abs(np.linalg.eigvalsh(V.mat)).max()
         assert top == pytest.approx(0.2 * 3, rel=1e-12)
+        assert V.term_supports == ((0,), (1,), (2,))
+        assert (V.w0, V.w1) == (1, 1)
 
     def test_deterministic_per_seed(self):
-        a = random_local_perturbation(4, [(0, 1), (2, 3)], 0.1, seed=9)
-        b = random_local_perturbation(4, [(0, 1), (2, 3)], 0.1, seed=9)
+        a = random_local_perturbation(4, 0.1, seed=9)
+        b = random_local_perturbation(4, 0.1, seed=9)
+        assert np.array_equal(a.form, b.form) and np.array_equal(a.phases, b.phases)
         assert np.array_equal(a.mat, b.mat)
 
     def test_single_site_factorizes(self):
-        V = random_local_perturbation(2, [(1,)], 0.3, seed=2)
-        # acts on qubit 1 only: blocks for qubit 0 = 0 and 1 are equal
-        assert np.allclose(V.mat[:2, :2], V.mat[2:, 2:])
-        assert np.abs(V.mat[:2, 2:]).max() == 0.0
+        V = random_local_perturbation(2, 0.3, seed=2)
+        # a sum of one term per site: no entry flips both qubits, and the
+        # qubit-0 term adds the same multiple of the identity to each
+        # diagonal block, so the blocks differ on their diagonal only
+        for M in (V.form, V.mat):
+            assert M[0, 3] == M[1, 2] == 0.0
+            diff = M[:2, :2] - M[2:, 2:]
+            assert np.abs(diff - diff[0, 0] * np.eye(2)).max() <= 1e-15
 
     @pytest.mark.parametrize(
         "n,support",
         [(1, (0,)), (4, (2,)), (3, (0, 2)), (4, (3, 1)), (6, (0, 1, 2)), (8, (7, 0, 3)), (10, (5,)), (3, ())],
     )
     def test_embedding_matches_the_gather_builder_bit_for_bit(self, n, support):
+        # the oracle scatter against its gather, and on one site the
+        # package's single-site scatter against both
         rng = np.random.default_rng(n + 31 * len(support))
         m = 1 << len(support)
         G = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
@@ -360,10 +357,14 @@ class TestRandomPerturbation:
             want = gather_embed_on_support(n, support, T)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+            if len(support) == 1:
+                site = np.zeros((1 << n, 1 << n), T.dtype)
+                _add_site_term(n, support[0], T, site)
+                assert site.tobytes() == want.tobytes()
 
     def test_perturb_merges_bookkeeping(self):
         H0 = build_hamiltonian(ising_ring(4))
-        V = random_local_perturbation(4, [(0, 1), (1, 2)], 0.05, seed=1)
+        V = dense_perturbation(4, [(0, 1), (1, 2)], 0.05, 1)
         H = perturb(H0, V)
         assert H.w1 == 2
         assert H.w0 == 4  # qubit 1: two bonds + two perturbation terms

@@ -17,8 +17,15 @@ from bottlenecklab.model import (
     toric,
 )
 
-from conftest import pure_state_density, random_density, random_projector, random_unitary
-from oracles import orthonormal_column_basis
+from conftest import (
+    flux_triangle,
+    gauge_block_diagonal,
+    pure_state_density,
+    random_density,
+    random_projector,
+    random_unitary,
+)
+from oracles import _gauged, dense_perturbation, orthonormal_column_basis
 
 
 def test_trace_norm_diag():
@@ -216,30 +223,16 @@ def test_fix_phases_matches_the_column_loop_bit_for_bit(rng, shape):
         assert got.tobytes() == want.tobytes()
 
 
-# --- real-gauge eigensolves ------------------------------------------------
+# --- eigensolves of gauge-real and complex matrices ------------------------
+#
+# The solver searches for no gauge: the real forms are fixed when a
+# Hamiltonian is built, and every complex matrix here takes the complex
+# solver. The gauge search itself lives in the oracles (test_oracles.py).
 
 
 def _single_site_perturbed(make, n, g, seed):
     H0 = build_hamiltonian(make(n))
-    V = random_local_perturbation(n, tuple((q,) for q in range(n)), g, seed)
-    return perturb(H0, V).mat
-
-
-def _block_diagonal(rng):
-    # two gauge-real blocks (a complex 4-cycle with zero flux and a real
-    # chain) plus isolated diagonal entries: three kinds of component
-    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
-    cycle = np.diag(rng.normal(size=4)).astype(complex)
-    for i in range(4):
-        j = (i + 1) % 4
-        cycle[i, j] = rng.uniform(0.5, 1.5) * phases[i] * np.conj(phases[j])
-        cycle[j, i] = np.conj(cycle[i, j])
-    chain = np.diag(rng.normal(size=3)) + np.diag([-0.7, 0.4], 1) + np.diag([-0.7, 0.4], -1)
-    H = np.zeros((10, 10), dtype=complex)
-    H[:4, :4] = cycle
-    H[5:8, 5:8] = chain
-    H[4, 4], H[8, 8], H[9, 9] = 2.0, -1.0, 2.0
-    return H
+    return perturb(H0, random_local_perturbation(n, g, seed)).mat
 
 
 GAUGE_CASES = {
@@ -250,7 +243,7 @@ GAUGE_CASES = {
     "ising_ring8": lambda rng: _single_site_perturbed(ising_ring, 8, 0.02, 5),
     "steane7": lambda rng: build_hamiltonian(steane7()).mat,
     "toric2": lambda rng: build_hamiltonian(toric(2)).mat,
-    "block_diagonal": _block_diagonal,
+    "block_diagonal": gauge_block_diagonal,
 }
 
 
@@ -265,7 +258,6 @@ def _assert_matches_eigh(H, w, V):
 @pytest.mark.parametrize("case", sorted(GAUGE_CASES))
 def test_gauge_solve_matches_complex_eigh(rng, case):
     H = GAUGE_CASES[case](rng)
-    assert numerics._gauged(H)[0] is not None
     w, V = numerics.hermitian_eigensystem(H)
     _assert_matches_eigh(H, w, V)
     assert np.abs(numerics.hermitian_eigenvalues(H) - w).max() <= 1e-12 * max(
@@ -276,18 +268,12 @@ def test_gauge_solve_matches_complex_eigh(rng, case):
     assert np.abs(lead.imag).max() < 1e-12 and lead.real.min() > 0
 
 
-def _flux_triangle(phi):
-    H = np.array([[0.3, 1.0, 1.0], [1.0, -0.2, np.exp(1j * phi)], [1.0, 0.0, 0.5]], dtype=complex)
-    H[2, 1] = np.conj(H[1, 2])
-    return H
-
-
 COMPLEX_CASES = {
-    "triangle_flux": lambda: _flux_triangle(0.3),
-    "triangle_small_flux": lambda: _flux_triangle(1e-9),
-    "two_site_term": lambda: random_local_perturbation(4, [(0, 1)], 0.1, seed=3).mat,
+    "triangle_flux": lambda: flux_triangle(0.3),
+    "triangle_small_flux": lambda: flux_triangle(1e-9),
+    "two_site_term": lambda: dense_perturbation(4, [(0, 1)], 0.1, 3).mat,
     "two_site_perturbed_ring": lambda: perturb(
-        build_hamiltonian(ising_ring(5)), random_local_perturbation(5, [(1, 2)], 0.05, seed=7)
+        build_hamiltonian(ising_ring(5)), dense_perturbation(5, [(1, 2)], 0.05, 7)
     ).mat,
 }
 
@@ -295,7 +281,6 @@ COMPLEX_CASES = {
 @pytest.mark.parametrize("case", sorted(COMPLEX_CASES))
 def test_no_gauge_takes_the_complex_path(case):
     H = COMPLEX_CASES[case]()
-    assert numerics._gauged(H)[0] is None
     w, V = numerics.hermitian_eigensystem(H)
     _assert_matches_eigh(H, w, V)
     assert np.abs(numerics.hermitian_eigenvalues(H) - w).max() <= 1e-12 * max(
@@ -303,8 +288,19 @@ def test_no_gauge_takes_the_complex_path(case):
     )
 
 
+def test_real_input_keeps_the_real_solver(monkeypatch):
+    # a matrix with no imaginary part reaches eigh as a real array
+    seen = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: seen.append(M.dtype) or eigh(M))
+    numerics.hermitian_eigensystem(build_hamiltonian(steane7()).mat)
+    numerics.hermitian_eigensystem(flux_triangle(0.3))
+    assert seen == [np.float64, np.complex128]
+
+
 def test_zero_flux_triangle_is_gauged():
-    assert numerics._gauged(_flux_triangle(0.0))[0] is not None
+    # the gauge search of the oracles, the reference for model._site_gauge
+    assert _gauged(flux_triangle(0.0))[0] is not None
 
 
 def test_hermitian_eigenvalues_rejects_nonhermitian():

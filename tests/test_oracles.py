@@ -6,11 +6,11 @@ in at most `degree` checks, so the energy range stays wide next to w0. CSS famil
 way (at most n - 1 of them) and draw one or two X checks as random
 combinations of pauli.gf2_null_space_masks of the Z masks, so every X
 check overlaps every Z check evenly and the two kinds commute by
-construction. Perturbed classical families add seeded single-site terms
-on a random set of sites to a drawn classical family or to repetition
-or curie_weiss at n = 10. Label balls take the labels of a drawn family
-within reduced distance 0 or 1 of a random center, at n <= 7, where the
-Pauli enumeration of their radius-2 split still runs in about 2 s.
+construction. Perturbed classical families add one seeded term per site
+to a drawn classical family or to repetition or curie_weiss at n = 10.
+Label balls take the labels of a drawn family within reduced distance 0
+or 1 of a random center, at n <= 7, where the Pauli enumeration of
+their radius-2 split still runs in about 2 s.
 Classical chains take a classical registry model (ising_ring,
 repetition, curie_weiss or random_ldpc) at n from 3 to 10, so the
 stationary-law oracle stays on its dense eigensolve.
@@ -51,7 +51,7 @@ from bottlenecklab.model import (
     subspace_min_energy,
     thermal_state,
 )
-from bottlenecklab.numerics import _gauged, _symmetrized, hermitian_eigensystem, operator_norm
+from bottlenecklab.numerics import _symmetrized, hermitian_eigensystem, operator_norm
 from bottlenecklab.pauli import gf2_null_space_masks, mask_from_indices
 from bottlenecklab.stability import (
     plan_shell_width,
@@ -60,16 +60,20 @@ from bottlenecklab.stability import (
     verify_block_tridiagonal,
 )
 from bottlenecklab.subspace import HilbertPartition, Subspace, boundary, partition_from_radius
+from conftest import flux_triangle, gauge_block_diagonal
 from oracles import (
+    _gauged,
     barrier_by_label_pairs,
     dense_collar_weights,
     dense_free_energy_bounds,
     dense_gibbs,
     dense_min_energy,
     dense_norm,
+    dense_perturbation,
     dense_perturbed,
     dense_ratio,
     enumerated_blocks,
+    gauged_eigensystem,
     indices_from_mask,
     shell_projectors,
     stationary_distribution,
@@ -197,16 +201,16 @@ def test_shells_match_the_dense_projectors(checks, g, f, seed):
         )
 
     # a two-site term may couple shells two apart; single-site terms may not
-    wide = random_local_perturbation(n, ((0, n - 1),), g, seed)
+    wide = dense_perturbation(n, ((0, n - 1),), g, seed)
     got = verify_block_tridiagonal(wide, shells).residual
     assert abs(got - dense_residual(wide)) <= 1e-12 * max(1.0, got)
 
-    V = random_local_perturbation(n, tuple((i,) for i in range(n)), g, seed)
+    V = random_local_perturbation(n, g, seed)
     block = verify_block_tridiagonal(V, shells)
     assert block.passes
     assert abs(block.residual - dense_residual(V)) <= 1e-12
     H = perturb(H0, V)
-    _, U = hermitian_eigensystem(H.mat)
+    _, U = gauged_eigensystem(H.mat)
     for rec in tail_amplitudes(H, H0, shells):
         want = np.linalg.norm(projectors[-1] @ U[:, rec.eigen_index])
         assert abs(rec.amplitude - want) <= 1e-12
@@ -214,7 +218,7 @@ def test_shells_match_the_dense_projectors(checks, g, f, seed):
 
 @st.composite
 def perturbed_barriers(draw):
-    """(H0 + V, barrier certificate of H0) with V on random single sites.
+    """(H0 + V, barrier certificate of H0) with one term of V per site.
     g > 0: at g = 0 H is diagonal and both forms read the same weights."""
     checks = draw(
         st.one_of(classical_families(), st.sampled_from([repetition(10), curie_weiss(10)]))
@@ -225,9 +229,8 @@ def perturbed_barriers(draw):
     cert = barrier_subspace(
         checks, center, draw(st.integers(0, 2)), draw(st.integers(1, 2)), H0
     )
-    sites = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
     g = draw(st.floats(0.001, 0.05))
-    V = random_local_perturbation(n, tuple((q,) for q in sites), g, draw(st.integers(0, 2**16)))
+    V = random_local_perturbation(n, g, draw(st.integers(0, 2**16)))
     return perturb(H0, V), cert
 
 
@@ -284,17 +287,18 @@ def test_real_gauge_matches_the_dense_complex_route(name, n, g, seed, beta, inne
     checks = REGISTRY[name](n)
     H0 = build_hamiltonian(checks)
     sites = tuple((q,) for q in range(n))
-    V = random_local_perturbation(n, sites, g, seed)
+    V = random_local_perturbation(n, g, seed)
     H = perturb(H0, V)
     dense = dense_perturbed(H0, sites, g, seed)
     assert H.phases is not None and H._mat is None and not H.form.flags.writeable
     assert np.abs(H.mat - dense).max() <= 1e-14 * np.abs(dense).max()
 
+    # the gauge fixed at construction is the one the oracle search finds
     d, real = _gauged(_symmetrized(dense))
     assert np.abs(H.phases - d).max() <= 1e-13
     assert np.abs(H.form - real).max() <= 1e-14 * np.abs(real).max()
 
-    w, U = hermitian_eigensystem(dense)
+    w, U = gauged_eigensystem(dense)
     assert np.abs(H.eigensystem().w - w).max() <= 1e-10 * np.abs(w).max()
 
     ref = Hamiltonian(dense, n=n, w0=0, w1=0)
@@ -328,40 +332,37 @@ def test_real_gauge_matches_the_dense_complex_route(name, n, g, seed, beta, inne
         assert _rel(rec.amplitude, want, 1e-10, WEIGHT_SLACK)
 
 
-@pytest.mark.parametrize("supports", [((0, 1),), ((0,), (1, 2)), ((1, 2), (2, 3)), ((0,), (0,))])
-def test_other_supports_keep_the_dense_complex_route(supports):
-    H0 = build_hamiltonian(repetition(5))
-    V = random_local_perturbation(5, supports, 0.05, 7)
-    H = perturb(H0, V)
-    assert np.iscomplexobj(V.form) and np.iscomplexobj(H.form)
-    want = dense_perturbed(H0, supports, 0.05, 7)
-    if len({q for s in supports for q in s}) == sum(map(len, supports)):
-        assert H.mat.tobytes() == want.tobytes()
-    else:
-        # the norm of overlapping terms comes from V's own eigenvalues
-        assert np.abs(H.mat - want).max() <= 1e-14 * np.abs(want).max()
-
-
-@st.composite
-def disjoint_supports(draw):
-    """(n, supports): 1 to 3 qubits each, no qubit in two supports."""
-    n = draw(st.integers(3, 8))
-    order = draw(st.permutations(range(n)))
-    supports, start = [], 0
-    for k in draw(st.lists(st.integers(1, 3), min_size=1, max_size=n)):
-        if start + k > n:
-            break
-        supports.append(tuple(order[start : start + k]))
-        start += k
-    return n, tuple(supports)
-
-
 @SETTINGS
-@given(case=disjoint_supports(), g=st.floats(0.001, 0.1), seed=st.integers(0, 2**16))
-def test_disjoint_support_norm_matches_the_full_spectrum(case, g, seed):
-    n, supports = case
-    V = random_local_perturbation(n, supports, g, seed)
+@given(n=st.integers(1, 8), g=st.floats(0.001, 0.1), seed=st.integers(0, 2**16))
+def test_disjoint_support_norm_matches_the_full_spectrum(n, g, seed):
+    # one term per site: the norm read from the term spectra is exact
+    V = random_local_perturbation(n, g, seed)
     assert abs(dense_norm(V) - g * n) <= 1e-12 * g * n
+
+
+@pytest.mark.parametrize("phi", [1e-9, 0.3])
+def test_gauge_search_refuses_nonzero_flux(phi):
+    H = flux_triangle(phi)
+    assert _gauged(_symmetrized(H))[0] is None
+    w, V = gauged_eigensystem(H)
+    assert np.array_equal(w, hermitian_eigensystem(H)[0])
+
+
+def test_gauge_search_finds_every_zero_flux_component(rng):
+    H = gauge_block_diagonal(rng)
+    d, real = _gauged(H)
+    assert d is not None and np.isrealobj(real)
+    assert np.abs(np.abs(d) - 1.0).max() <= 1e-15
+    assert np.abs(d[:, None] * real * d.conj()[None, :] - H).max() <= 1e-15
+    w, V = gauged_eigensystem(H)
+    assert np.abs(w - np.linalg.eigvalsh(H)).max() <= 1e-12
+    assert np.abs((V * w[None, :]) @ V.conj().T - H).max() <= 1e-12
+
+
+@pytest.mark.parametrize("supports", [((0, 1),), ((0,), (1, 2)), ((1, 2), (2, 3))])
+def test_gauge_search_refuses_two_site_terms(supports):
+    H = perturb(build_hamiltonian(repetition(5)), dense_perturbation(5, supports, 0.05, 7))
+    assert _gauged(_symmetrized(H.mat))[0] is None
 
 
 @SETTINGS
@@ -381,7 +382,7 @@ def test_gathered_floor_block_matches_the_dense_block(checks, picks, angles, g, 
     # a two-site term next to the single sites, so H is not a sum of
     # single-site terms on a diagonal H0
     terms = tuple((q,) for q in range(n)) + ((0, n - 1),)
-    H = perturb(build_hamiltonian(checks), random_local_perturbation(n, terms, g, seed))
+    H = perturb(build_hamiltonian(checks), dense_perturbation(n, terms, g, seed))
     want = dense_min_energy(V, H)
     assert abs(subspace_min_energy(V, H) - want) <= 1e-12 * max(1.0, abs(want))
 

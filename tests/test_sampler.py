@@ -157,7 +157,7 @@ class TestCssMetropolisChannel:
         assert np.allclose(rho, np.eye(16) / 16, atol=1e-9)
 
     def test_requires_check_family(self):
-        V = random_local_perturbation(3, [(0, 1)], 0.1, seed=4)
+        V = random_local_perturbation(3, 0.1, seed=4)
         with pytest.raises(NotCommuting):
             css_metropolis_channel(V, 1.0, 0, "X")
 
@@ -374,7 +374,7 @@ def test_css_channel_refuses_wrong_label_energy(monkeypatch):
 def test_css_channel_refuses_hamiltonian_off_its_checks():
     fam = steane7()
     H0 = build_hamiltonian(fam)
-    V = random_local_perturbation(7, [(q,) for q in range(7)], 0.01, seed=2)
+    V = random_local_perturbation(7, 0.01, seed=2)
     H = Hamiltonian(H0.mat + V.mat, 7, H0.w0, 1, checks=fam)
     with pytest.raises(NotDiagonal):
         css_metropolis_channel(H, 1.0, 0, "X")

@@ -31,6 +31,7 @@ from bottlenecklab.stability import (
     tail_amplitudes,
     verify_block_tridiagonal,
 )
+from oracles import dense_perturbation
 
 H_RING6 = build_hamiltonian(REGISTRY["ising_ring"](6))
 H_REP8 = build_hamiltonian(REGISTRY["repetition"](8))
@@ -91,20 +92,22 @@ def test_planner_maximizes_shell_count():
 
 
 def test_zero_perturbation_has_no_coupling():
-    V = random_local_perturbation(6, ((0,), (3,)), 0.0, 1)
+    V = random_local_perturbation(6, 0.0, 1)
     rep = verify_block_tridiagonal(V, ring6_shells())
     assert rep.residual == 0.0
     assert rep.passes
 
 
 def test_single_site_terms_respect_the_ladder():
-    V = random_local_perturbation(6, tuple((i,) for i in range(6)), 0.05, 3)
+    V = random_local_perturbation(6, 0.05, 3)
     rep = verify_block_tridiagonal(V, ring6_shells())
     assert rep.passes
 
 
 def test_wide_support_breaks_the_ladder():
-    V = random_local_perturbation(6, ((0, 2),), 0.05, 3)
+    # random_local_perturbation draws single sites only; the oracle draws
+    # a two-site term
+    V = dense_perturbation(6, ((0, 2),), 0.05, 3)
     rep = verify_block_tridiagonal(V, ring6_shells())
     assert not rep.passes
     assert rep.residual > 1e-3
@@ -118,7 +121,7 @@ REP8_SHELLS = shell_decomposition(H_REP8, 0.2, 0.8, 0.02, 2.08)
 
 
 def rep8_perturbed(g, seed):
-    V = random_local_perturbation(8, tuple((i,) for i in range(8)), g, seed)
+    V = random_local_perturbation(8, g, seed)
     return perturb(H_REP8, V)
 
 
