@@ -41,6 +41,7 @@ from .errors import (
 )
 from .model import ThermalState, gibbs_state, spectrum, subspace_min_energy
 from .numerics import (
+    _EMPTY_WEIGHT_TOL,
     DensityMatrix,
     logsumexp,
     matrix_of,
@@ -147,7 +148,7 @@ def bottleneck_ratio(rho, P_A, P_B):
         mat = matrix_of(rho)
         denominator = float(np.real(np.sum((xa.conj().T @ mat) * xa.T)))
         block = _basis_of(P_B).conj().T @ mat
-    if denominator <= 1e-12:
+    if denominator <= _EMPTY_WEIGHT_TOL:
         raise EmptyA(f"tr(P_A rho) = {denominator:.3e}")
     numerator = float(np.linalg.svd(block, compute_uv=False).sum())
     return numerator / denominator, numerator, denominator
@@ -310,7 +311,7 @@ def _label_measures(forms, p, member):
     if worst >= 1e-9:
         raise ConditionViolated(f"Kraus condition residual {worst:.3e}")
     denominator = float(p[in_A].sum())
-    if denominator <= 1e-12:
+    if denominator <= _EMPTY_WEIGHT_TOL:
         raise EmptyA(f"tr(P_A rho) = {denominator:.3e}")
     numerator = float(np.abs(p[in_B]).sum())
     p_A = np.where(in_A, p, 0.0) / denominator

@@ -40,6 +40,7 @@ from .errors import (
     ModelNotFound,
 )
 from .markov import (
+    _GLAUBER_MAX_BITS,
     classical_bottleneck_report,
     glauber_chain,
     hamming_state_partition,
@@ -392,6 +393,11 @@ def _run_verify_classical(cfg, out, jobs):
         raise ConfigInvalid(
             f"partition inner + 2*width = {spec['inner'] + 2 * spec['width']} "
             f"reaches every state of the {checks.n}-bit register, so C is empty"
+        )
+    if checks.n > _GLAUBER_MAX_BITS:
+        raise ConfigInvalid(
+            f"verify-classical builds Glauber chains on at most "
+            f"{_GLAUBER_MAX_BITS} bits, got n = {checks.n}"
         )
     energies = classical_energies(checks)
     part = hamming_state_partition(

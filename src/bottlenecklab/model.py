@@ -30,9 +30,11 @@ when it is built, and forms its dense matrix only when something reads
 it. Check Hamiltonians are real (d = 1), and a perturbation has one term
 per site and is built real with one phase per site, so a classical H0
 plus a perturbation is solved, reduced to blocks and turned into Gibbs
-states in real arithmetic. Eigensystem and ThermalState carry the
-eigenvectors of M with d apart; their methods give the eigenvectors of H
-itself. Every function here that takes a Hamiltonian takes this type,
+states in real arithmetic. A classical H0, a perturbation and their sum
+keep M as a site form, a diagonal e plus one flip weight t_q per site,
+and form the dense M only when something reads it. Eigensystem and
+ThermalState carry the eigenvectors of M with d apart; their methods
+give the eigenvectors of H itself. Every function here that takes a Hamiltonian takes this type,
 not a raw matrix.
 """
 
@@ -142,33 +144,61 @@ class Hamiltonian:
     the terms it was built from.
 
     H is kept as a form M and unit phases d (None for d = 1) with H = D M
-    D^dag, D = diag(d), both fixed here and never searched for later. A
-    real float M is kept real: build_hamiltonian gives every check
-    Hamiltonian so, with no phases, and random_local_perturbation gives
-    its one term per site so, with one phase per site. Any other M is
-    taken as complex and is its own form, with no phases; perturb makes
-    one from a non-diagonal (CSS) H0. The unit phases change no modulus
-    of an entry and no singular value of a block, so is_diagonal,
-    diagonal() and the norms and blocks that stability reads come from M,
-    and the dense complex mat is formed only when something reads it.
-    Construction checks Hermiticity within 1e-10 on M: |D M D^dag - (D M
-    D^dag)^dag| is |M - M^dag| entry by entry. M is then made read-only,
-    so that check and the off-diagonal scan kept by offdiagonal stay
-    true.
+    D^dag, D = diag(d), both fixed here and never searched for later. M is
+    either the dense array passed as form or, given flips, the site form M
+    = diag(e) + sum_q t_q X_q, with form passed as the real diagonal e,
+    flips as the n real weights t_q and X_q the flip of qubit q (bit n-1-q
+    of a basis index). build_hamiltonian gives every classical check
+    Hamiltonian as a site form with t = 0, random_local_perturbation gives
+    its one term per site as one, with one phase per site, and perturb
+    keeps a diagonal H0 plus a site form a site form. A dense real
+    float M is kept real (a CSS check Hamiltonian); any other dense M is
+    taken as complex and is its own form, with no phases (perturb makes
+    one from a CSS H0). The unit phases change no modulus of an entry and
+    no singular value of a block, so is_diagonal, diagonal() and the norms
+    and blocks that stability reads come from M. The dense form of a site
+    form and the dense complex mat are formed only when something reads
+    them. Construction checks Hermiticity: within 1e-10 on a dense M, by
+    blocks (|D M D^dag - (D M D^dag)^dag| is |M - M^dag| entry by entry),
+    and a site form is Hermitian exactly when its weights are real and
+    finite. The arrays are then made read-only, so that check and the
+    off-diagonal scan kept by offdiagonal stay true.
     """
 
     def __init__(
-        self, form, n, w0, w1, source="", term_supports=(), checks=None, phases=None
+        self,
+        form,
+        n,
+        w0,
+        w1,
+        source="",
+        term_supports=(),
+        checks=None,
+        phases=None,
+        flips=None,
     ):
         M = np.asarray(form)
-        M = M.astype(np.complex128 if np.iscomplexobj(M) else np.float64, copy=False)
-        dev = np.abs(M - M.conj().T).max() if M.size else 0.0
-        if dev > _HERMITICITY_TOL:
-            raise NonCommutingChecks(f"Hamiltonian not Hermitian (dev {dev:.3e})")
+        if flips is not None:
+            flips = np.asarray(flips)
+            for w, size in ((M, 1 << n), (flips, n)):
+                if w.shape != (size,) or w.dtype.kind not in "iuf" or not np.isfinite(w).all():
+                    raise NonCommutingChecks(
+                        "a site form needs 2^n diagonal and n flip weights, real and finite"
+                    )
+            M, flips = M.astype(np.float64), flips.astype(np.float64)
+            flips.flags.writeable = False
+            self._form = None
+        else:
+            M = M.astype(np.complex128 if np.iscomplexobj(M) else np.float64, copy=False)
+            dev = np.abs(M - M.conj().T).max() if M.size else 0.0
+            if dev > _HERMITICITY_TOL:
+                raise NonCommutingChecks(f"Hamiltonian not Hermitian (dev {dev:.3e})")
+            self._form = M
         M.flags.writeable = False
-        self.form = M
+        self._weights = M
+        self.flips = flips
         self.phases = phases
-        self._mat = M if phases is None and np.iscomplexobj(M) else None
+        self._mat = M if flips is None and phases is None and np.iscomplexobj(M) else None
         self._offdiagonal = None
         self.n = n
         self.w0 = w0
@@ -177,6 +207,18 @@ class Hamiltonian:
         self.term_supports = term_supports
         self.checks = checks
         self._label_residuals = {}
+
+    @property
+    def form(self):
+        """The dense form M, formed on first read for a site form."""
+        if self._form is None:
+            M = np.diag(self._weights)
+            idx = np.arange(M.shape[0])
+            for q, t in enumerate(self.flips):
+                M[idx ^ (1 << (self.n - 1 - q)), idx] = t
+            M.flags.writeable = False
+            self._form = M
+        return self._form
 
     @property
     def mat(self):
@@ -191,9 +233,13 @@ class Hamiltonian:
 
     @property
     def offdiagonal(self):
-        """max_offdiagonal of H, read from M once and kept."""
+        """max_offdiagonal of H, read from M once and kept: the largest
+        |t_q| of a site form on two or more basis states."""
         if self._offdiagonal is None:
-            self._offdiagonal = float(max_offdiagonal(self.form))
+            if self.flips is None:
+                self._offdiagonal = float(max_offdiagonal(self.form))
+            else:
+                self._offdiagonal = float(np.abs(self.flips).max()) if self.n else 0.0
         return self._offdiagonal
 
     @property
@@ -202,15 +248,41 @@ class Hamiltonian:
 
     def diagonal(self):
         """The real diagonal of H, which is M's."""
+        if self.flips is not None:
+            return self._weights.copy()
         return np.real(np.diagonal(self.form)).copy()
 
-    def plus_diagonal(self, e):
-        """(M + diag(e), d): H + diag(e) in the gauge of H, since D diag(e)
-        D^dag = diag(e). perturb adds a diagonal H0 to a perturbation with
-        it, and stability subtracts one from a perturbed H."""
+    def plus_diagonal(self, e, **bookkeeping):
+        """H + diag(e) in the gauge of H, since D diag(e) D^dag = diag(e):
+        M + diag(e) with H's phases, a site form again for a site form.
+        bookkeeping replaces n, w0, w1, source or term_supports of H;
+        perturb adds a diagonal H0 to a perturbation with it, and
+        stability subtracts one from a perturbed H."""
+        fields = dict(
+            n=self.n, w0=self.w0, w1=self.w1, source=self.source, term_supports=self.term_supports
+        )
+        fields.update(bookkeeping)
+        if self.flips is not None:
+            return Hamiltonian(self._weights + e, phases=self.phases, flips=self.flips, **fields)
         M = self.form.copy()
         M[np.diag_indices_from(M)] += e
-        return M, self.phases
+        return Hamiltonian(M, phases=self.phases, **fields)
+
+    def block(self, rows):
+        """M[rows][:, rows], gathered from e and t for a site form: the
+        entry (i, k) off the diagonal is t_q when rows[i] and rows[k]
+        differ in qubit q alone, and 0 otherwise."""
+        if self.flips is None:
+            return self.form[np.ix_(rows, rows)]
+        rows = np.asarray(rows, dtype=np.int64)
+        out = np.diag(self._weights[rows])
+        where = np.full(self._weights.size, -1, dtype=np.int64)
+        where[rows] = np.arange(rows.size)
+        for q, t in enumerate(self.flips):
+            partner = where[rows ^ (1 << (self.n - 1 - q))]
+            hit = partner >= 0
+            out[partner[hit], np.flatnonzero(hit)] = t
+        return out
 
     def eigensystem(self):
         """Eigensystem of M, with H's phases: one real symmetric solve
@@ -279,7 +351,8 @@ def build_hamiltonian(checks):
     Terms are verified mutually commuting and, when the full spectrum is
     affordable (dim <= 512), the integer-spectrum invariant is checked
     directly; classical models check their diagonal at any size. Every
-    term is real, so H0 is kept as a real form with no phases.
+    term is real, so H0 has no phases: a classical H0 is the site form of
+    its diagonal with no flips, a CSS H0 a dense real form.
     """
     n = checks.n
     dim = 1 << n
@@ -287,6 +360,19 @@ def build_hamiltonian(checks):
     diag = np.zeros(dim)
     for mask in checks.z_masks():
         diag += _parity(idx, mask)
+    supports = checks.z_checks + checks.x_checks
+    bookkeeping = dict(
+        n=n,
+        w0=_max_per_qubit(n, supports),
+        w1=0,
+        source="checks",
+        term_supports=supports,
+        checks=checks,
+    )
+    if checks.is_classical:
+        if np.abs(diag - np.round(diag)).max() > 1e-9:
+            raise NonCommutingChecks("non-integer classical spectrum")
+        return Hamiltonian(diag, flips=np.zeros(n), **bookkeeping)
     H = np.diag(diag)
     x_terms = []
     for mask in checks.x_masks():
@@ -301,23 +387,11 @@ def build_hamiltonian(checks):
             resid = np.abs(xt * zd[None, :] - zd[:, None] * xt).max()
             if resid > 1e-10:
                 raise NonCommutingChecks(f"term commutator residual {resid:.3e}")
-    if checks.is_classical:
-        if np.abs(diag - np.round(diag)).max() > 1e-9:
-            raise NonCommutingChecks("non-integer classical spectrum")
-    elif dim <= 512:
+    if dim <= 512:
         w = np.linalg.eigvalsh(H)
         if np.abs(w - np.round(w)).max() > 1e-9 or w.min() < -1e-9:
             raise NonCommutingChecks("spectrum is not non-negative integers")
-    supports = checks.z_checks + checks.x_checks
-    return Hamiltonian(
-        H,
-        n=n,
-        w0=_max_per_qubit(n, supports),
-        w1=0,
-        source="checks",
-        term_supports=supports,
-        checks=checks,
-    )
+    return Hamiltonian(H, **bookkeeping)
 
 
 def _as_mask(n, x):
@@ -537,22 +611,22 @@ def subspace_min_energy(V, H):
     spectrum, and H[rows][:, rows] is gathered, not multiplied out; a
     diagonal H (no off-diagonal entry above 1e-14) then needs no
     eigensolve at all. The phases of H only add to that similarity, so
-    the gather reads its form M.
+    the gather reads its form M (Hamiltonian.block, from e and t for a
+    site form).
     """
     if V.dim == 0:
         raise EmptySubspace("minimum energy over an empty subspace")
     basis = V.basis
-    mat = H.form
     nnz_per_col = (np.abs(basis) > 1e-14).sum(axis=0)
     if (nnz_per_col == 1).all():
         rows = np.argmax(np.abs(basis), axis=0)
         if H.offdiagonal < 1e-14:
-            return float(np.real(np.diagonal(mat))[rows].min())
-        block = mat[np.ix_(rows, rows)]
+            return float(H.diagonal()[rows].min())
+        block = H.block(rows)
     else:
         if H.phases is not None:
             basis = H.phases.conj()[:, None] * basis
-        block = basis.conj().T @ mat @ basis
+        block = basis.conj().T @ H.form @ basis
     return float(np.linalg.eigvalsh(0.5 * (block + block.conj().T))[0])
 
 
@@ -645,7 +719,7 @@ def gibbs_state(H, beta):
 
 def random_local_perturbation(n, g, seed):
     """One seeded Gaussian Hermitian 2x2 term on every site, rescaled to
-    norm g*n and built in its real gauge (_site_gauge).
+    norm g*n and built in its real gauge (_site_gauge) as a site form.
 
     Terms on distinct sites commute, and the spectrum of their sum is
     every sum of one eigenvalue per term, so ||V|| is the larger of |sum
@@ -666,44 +740,38 @@ def random_local_perturbation(n, g, seed):
     if g > 0 and n:
         norm = max(abs(lo), abs(hi))
         scale = (g * n) / norm if norm > 0 else 1.0
-    real, phases = _site_gauge(n, terms, scale)
+    e, t, phases = _site_gauge(n, terms, scale)
     return Hamiltonian(
-        real,
+        e,
         n=n,
         w0=min(n, 1),
         w1=min(n, 1),
         source="perturbation",
         term_supports=tuple((q,) for q in range(n)),
         phases=phases,
+        flips=t,
     )
 
 
-def _add_site_term(n, q, T, out):
-    """Add the 2x2 matrix T, acting on qubit q of n, into the dim x dim
-    array out: column j reaches row j and row j with bit q flipped."""
-    idx = np.arange(1 << n)
-    bit = (idx >> (n - 1 - q)) & 1
-    out[idx, idx] += T[bit, bit]
-    out[idx ^ (1 << (n - 1 - q)), idx] += T[1 - bit, bit]
-
-
 def _site_gauge(n, terms, scale):
-    """(R, d): the real form and phases of scale * sum of 2x2 terms, the
-    q-th on site q.
+    """(e, t, d): the site form diag(e) + sum_q t_q X_q and the phases of
+    scale * sum of 2x2 terms, the q-th on site q.
 
     The term on site q, [[a, b], [conj(b), c]], becomes real with |b| off
     the diagonal under diag(1, phi_q), phi_q = conj(b)/|b| (1 when b = 0);
     so D = diag(d) with d_j the product of phi_q over the sites q whose
-    bit is set in j. The dropped imaginary parts have a max row l1 sum of
-    at most the scaled sum of their per-term row sums, and max|V| is at
-    least the largest scaled |b|, so that sum is checked against
-    _GAUGE_REL_TOL * max(1, that |b|). The Hermiticity check of R runs in
-    the Hamiltonian.
+    bit is set in j. e_j sums a or c of each site, by the bit of j, in
+    site order, and t_q is the rotated off-diagonal entry, both scaled
+    last. The dropped imaginary parts have a max row l1 sum of at most
+    the scaled sum of their per-term row sums, and max|V| is at least the
+    largest scaled |b|, so that sum is checked against _GAUGE_REL_TOL *
+    max(1, that |b|).
     """
     dim = 1 << n
-    R = np.zeros((dim, dim))
+    e = np.zeros(dim)
+    t = np.zeros(n)
     if scale == 0.0:
-        return R, None
+        return e, t, None
     idx = np.arange(dim)
     d = np.ones(dim, dtype=np.complex128)
     dropped = top = 0.0
@@ -714,37 +782,37 @@ def _site_gauge(n, terms, scale):
         G = D.conj()[:, None] * T * D[None, :]
         dropped += np.abs(G.imag).sum(axis=1).max()
         top = max(top, abs(b))
-        _add_site_term(n, q, G.real, R)
-        d[((idx >> (n - 1 - q)) & 1) == 1] *= phi
-    R *= scale
+        bit = (idx >> (n - 1 - q)) & 1
+        e += G.real[bit, bit]
+        t[q] = G.real[1, 0]
+        d[bit == 1] *= phi
+    e *= scale
+    t *= scale
     if scale * dropped > _GAUGE_REL_TOL * max(1.0, scale * top):
         raise NonCommutingChecks(
             f"single-site gauge leaves an imaginary part {scale * dropped:.3e}"
         )
-    return R, d
+    return e, t, d
 
 
 def perturb(H0, V):
     """H0 + V with locality bookkeeping merged.
 
     A diagonal H0 is added to V's form in V's gauge (plus_diagonal), so a
-    V in its real gauge keeps H0 + V real; a non-diagonal (CSS) H0 is
-    summed with V as dense complex matrices.
+    V in its real gauge keeps H0 + V real, and a site form a site form; a
+    non-diagonal (CSS) H0 is summed with V as dense complex matrices.
     """
-    if H0.is_diagonal:
-        form, phases = V.plus_diagonal(H0.diagonal())
-    else:
-        form, phases = H0.mat + V.mat, None
     supports = H0.term_supports + V.term_supports
-    return Hamiltonian(
-        form,
+    bookkeeping = dict(
         n=H0.n,
         w0=_max_per_qubit(H0.n, supports),
         w1=max(H0.w1, V.w1),
         source=f"{H0.source}+{V.source}",
         term_supports=supports,
-        phases=phases,
     )
+    if H0.is_diagonal:
+        return V.plus_diagonal(H0.diagonal(), **bookkeeping)
+    return Hamiltonian(H0.mat + V.mat, **bookkeeping)
 
 
 # ---------------------------------------------------------------------------

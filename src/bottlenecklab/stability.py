@@ -21,19 +21,26 @@ over the rows. stability_sweep composes them serially and raises on the
 first violated assertion; the CLI runs the same points through its grid
 runner, where a failing point becomes a failures.json entry.
 
-Each sweep point builds H0 + V in its real gauge and keeps it real until
-Delta comes out. random_local_perturbation(n, g, seed) draws one term
-per site and gives V as a real symmetric form R and one phase per site,
-D = diag(d) with D^dag V D = R, fixed when V is built, and perturb adds
-the diagonal H0 to R's diagonal, so neither the complex V nor the
-complex H is formed and no gauge is searched for afterwards. The
-boundary floor gathers its block from R, model.thermal_state runs the
-real symmetric solver on R and keeps U_r and d apart, and
-bottleneck_ratio reads Delta from that eigen-decomposition with no dense
-rho: the ball V and its boundary shell are labeled over the identity
-basis, so X^dag D U_r is diag(d) times rows of U_r, a real gather
-(165 x 1024 at n = 10) with a real SVD after it. tail_amplitudes, its
-||H - H0|| check and verify_block_tridiagonal read the same real forms.
+Each sweep point builds H0 + V in its real gauge as a site form and
+keeps it there until Delta comes out. random_local_perturbation(n, g,
+seed) draws one term per site and gives V as the real site form R =
+diag(e) + sum_q t_q X_q with one phase per site, D = diag(d) with D^dag
+V D = R, fixed when V is built; the classical H0 is a site form with no
+flips, and perturb adds its diagonal to e. So no dense form of H0, V or
+H and no complex matrix is built. The boundary floor gathers its block
+from e and t. Delta needs e^{-beta H} only on the label columns of the
+ball and its boundary shell, since Z cancels and the phases change
+neither piece, and numerics.site_form_ratio applies the Chebyshev
+series of e^{-beta R} to those columns with sparse products and a
+stated bound on its error. Where that bound certifies both pieces to
+5e-10 relative, Delta is read from the columns with no eigensolve; where
+it does not (large beta, where the boundary weight is tiny next to the
+rounding bound, which a one-column probe mostly detects before the label
+columns run), the point solves R with the real symmetric solver
+(model.thermal_state) and bottleneck_ratio reads Delta from that
+eigen-decomposition, as a real gather and SVD. tail_amplitudes, its
+||H - H0|| check and verify_block_tridiagonal read the dense real forms,
+formed on first read.
 The sweep takes registry models that are built from n alone
 (model.SIZE_INDEXED).
 
@@ -70,7 +77,7 @@ from .model import (
     subspace_min_energy,
     thermal_state,
 )
-from .numerics import operator_norm
+from .numerics import operator_norm, site_form_ratio
 
 __all__ = [
     "ShellDecomposition",
@@ -263,7 +270,7 @@ def _check_perturbation(H, H0, g):
     """||H - H0|| <= g*n. A diagonal H0 is subtracted in the gauge of H,
     whose unit phases leave the norm unchanged."""
     if H0.is_diagonal:
-        diff, _ = H.plus_diagonal(-H0.diagonal())
+        diff = H.plus_diagonal(-H0.diagonal()).form
     else:
         diff = H.mat - H0.mat
     dev = operator_norm(diff)
@@ -403,7 +410,9 @@ def sweep_point(model, n, beta, g, seed, H0, cert):
                 shifted=shifted,
                 floor=floor_E,
             )
-    delta, _, _ = bottleneck_ratio(thermal_state(H, beta), cert.V, cert.boundary)
+    delta = _site_form_delta(H, beta, cert)
+    if delta is None:
+        delta, _, _ = bottleneck_ratio(thermal_state(H, beta), cert.V, cert.boundary)
     w0w1 = H0.w0 * max(V.w1, 1)
     lam_k = _lambda_kappa(cert.kappa, g, w0w1)
     eps = cert.E_min_V / n
@@ -431,6 +440,17 @@ def sweep_point(model, n, beta, g, seed, H0, cert):
         admissible=admissible,
         lambda_kappa=lam_k,
     )
+
+
+def _site_form_delta(H, beta, cert):
+    """Delta of the Gibbs state of the site form H from the label columns
+    of the ball and its shell (numerics.site_form_ratio), which sweep_model
+    labels over the identity basis; None where that does not certify, and
+    for a diagonal H, whose thermal state needs no eigensolve."""
+    if H.is_diagonal:
+        return None
+    rows = [np.flatnonzero(block.labels[1]) for block in (cert.V, cert.boundary)]
+    return site_form_ratio(H.diagonal(), H.flips, beta, *rows)
 
 
 def fit_sweep(rows, betas, gs):

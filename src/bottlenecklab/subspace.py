@@ -324,10 +324,6 @@ class HilbertPartition:
                             f"blocks {names[i]} and {names[j]} overlap by {dev:.3e}"
                         )
 
-    @property
-    def n(self):
-        return self.A.n
-
     def b_projector(self):
         """Projector on the combined buffer B1 + B2."""
         return projector(self.B1) + projector(self.B2)

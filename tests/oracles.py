@@ -17,7 +17,8 @@ a time, and only tests call it:
   sets of the eigenbasis.
 - _embed_on_support adds a term on any support into a dense matrix, and
   gather_embed_on_support builds the same matrix by a gather and a mask.
-  They are the oracle for model._add_site_term, the single-site scatter.
+  On one site they are the oracle for the dense form of a
+  model.Hamiltonian site form.
 - dense_perturbation draws seeded Gaussian terms on any supports, as
   model.random_local_perturbation draws its one term per site, and
   embeds them into one dense complex V, rescaled to norm g*n.
@@ -35,6 +36,11 @@ a time, and only tests call it:
   the gauged_eigensystem eigenpairs of a dense matrix, and dense_ratio
   reads Delta from it. They are the oracle for model.gibbs_state after a
   real solve and for bottleneck_ratio on a model.ThermalState.
+- eigen_ratio reads Delta of a perturbed sweep point by the eigensolve
+  route (thermal_state, then bottleneck_ratio), and eigen_columns forms
+  columns of e^{-beta (M - lo)} from the eigenpairs of the real form M.
+  They are the oracle for the certified Chebyshev route of
+  stability.sweep_point and for the columns of numerics._site_form_series.
 - dense_min_energy multiplies out the compressed block X^dag H X. It is
   the oracle for the gathered block of model.subspace_min_energy.
 - dense_norm is the operator norm of a perturbation from the eigenvalues
@@ -103,6 +109,7 @@ from bottlenecklab.model import (
     _max_per_qubit,
     spectrum,
     subspace_min_energy,
+    thermal_state,
 )
 from bottlenecklab.numerics import (
     _GAUGE_REL_TOL,
@@ -647,6 +654,21 @@ def dense_ratio(H, beta, P_A, P_B):
     """(Delta, numerator, denominator) of bottleneck_ratio on the dense rho
     of H.mat (dense_gibbs)."""
     return bottleneck_ratio(dense_gibbs(H.mat, beta), P_A, P_B)
+
+
+def eigen_ratio(H, beta, cert):
+    """Delta of the Gibbs state of H on a barrier certificate by the
+    eigensolve route: thermal_state, then bottleneck_ratio on its
+    eigen-form. It is the oracle for the certified Chebyshev route of
+    stability.sweep_point, which falls back to it."""
+    return bottleneck_ratio(thermal_state(H, beta), cert.V, cert.boundary)[0]
+
+
+def eigen_columns(H, beta, cols, lo):
+    """Columns cols of e^{-beta (M - lo)}, M the real form of H, from its
+    eigensolve: U diag(e^{-beta (w - lo)}) U^T[:, cols]."""
+    w, U = np.linalg.eigh(H.form)
+    return (U * np.exp(-beta * (w - lo))[None, :]) @ U[cols].T
 
 
 def dense_min_energy(V, H):

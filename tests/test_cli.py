@@ -781,6 +781,22 @@ def test_verify_classical_empty_c_rejected(tmp_path, monkeypatch):
     assert_config_rejected(out, "C is empty")
 
 
+def test_verify_classical_past_the_glauber_cap_rejected(tmp_path, monkeypatch):
+    # 17 bits is one more than glauber_chain builds: the run is refused
+    # before the energies are built, not failed inside its grid point
+    monkeypatch.setattr(cli, "classical_energies", _refuse)
+    monkeypatch.setattr(cli, "glauber_chain", _refuse)
+    cfg = {
+        "model": "ising_ring",
+        "n": 17,
+        "betas": [1.0],
+        "partition": {"center": 0, "inner": 1, "width": 1},
+    }
+    code, out = run("verify-classical", cfg, tmp_path)
+    assert code == 2
+    assert_config_rejected(out, "at most 16 bits")
+
+
 def test_cli_import_loads_no_scipy_modules():
     # the package runs on numpy alone until a markov function imports
     # scipy inside its body; any scipy module on the

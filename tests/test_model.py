@@ -12,7 +12,7 @@ from bottlenecklab.errors import (
 )
 from bottlenecklab.model import (
     CheckFamily,
-    _add_site_term,
+    Hamiltonian,
     barrier_subspace,
     build_hamiltonian,
     checks_from_text,
@@ -32,6 +32,7 @@ from bottlenecklab.model import (
     subspace_min_energy,
     toric,
 )
+from bottlenecklab.numerics import max_offdiagonal
 from bottlenecklab.subspace import Subspace, hamming_ball_subspace, identity_basis
 from oracles import (
     PauliString,
@@ -348,7 +349,7 @@ class TestRandomPerturbation:
     )
     def test_embedding_matches_the_gather_builder_bit_for_bit(self, n, support):
         # the oracle scatter against its gather, and on one site the
-        # package's single-site scatter against both
+        # dense form of a site form against the gather
         rng = np.random.default_rng(n + 31 * len(support))
         m = 1 << len(support)
         G = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
@@ -357,10 +358,34 @@ class TestRandomPerturbation:
             want = gather_embed_on_support(n, support, T)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-            if len(support) == 1:
-                site = np.zeros((1 << n, 1 << n), T.dtype)
-                _add_site_term(n, support[0], T, site)
-                assert site.tobytes() == want.tobytes()
+        if len(support) == 1:
+            # a real symmetric term as a site form, densified on first read
+            S = 0.5 * (G.real + G.real.T)
+            bit = (np.arange(1 << n) >> (n - 1 - support[0])) & 1
+            flips = np.zeros(n)
+            flips[support[0]] = S[0, 1]
+            H = Hamiltonian(S[bit, bit], n=n, w0=1, w1=1, flips=flips)
+            assert H.form.tobytes() == gather_embed_on_support(n, support, S).tobytes()
+
+    @pytest.mark.parametrize(
+        "e,t", [([0.0, np.nan], [1.0]), ([0.0, 1.0], [1j]), ([0.0, 1.0, 2.0], [1.0])]
+    )
+    def test_site_form_weights_must_be_real_and_finite(self, e, t):
+        with pytest.raises(NonCommutingChecks, match="real and finite"):
+            Hamiltonian(np.array(e), n=1, w0=1, w1=1, flips=np.array(t))
+
+    def test_site_form_reads_match_its_dense_form(self):
+        # blocks, the diagonal and the off-diagonal scan come from e and t,
+        # and agree with the densified form bit for bit
+        H = perturb(build_hamiltonian(ising_ring(6)), random_local_perturbation(6, 0.05, 4))
+        assert H._form is None and H.flips.shape == (6,)
+        rows = np.array([0, 1, 2, 3, 8, 40, 63, 33])
+        got, diag, off = H.block(rows), H.diagonal(), H.offdiagonal
+        assert H._form is None
+        assert got.tobytes() == H.form[np.ix_(rows, rows)].tobytes()
+        assert diag.tobytes() == np.diagonal(H.form).tobytes()
+        assert off == max_offdiagonal(H.form)
+        assert not H.form.flags.writeable
 
     def test_perturb_merges_bookkeeping(self):
         H0 = build_hamiltonian(ising_ring(4))

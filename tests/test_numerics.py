@@ -1,5 +1,7 @@
 import dataclasses
+import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -339,3 +341,73 @@ def test_logsumexp_zero_weights_are_left_out():
     assert numerics.logsumexp([]) == -np.inf
     assert numerics.logsumexp([-np.inf, -np.inf]) == -np.inf
     assert numerics.logsumexp([1e4, 1e4]) == pytest.approx(1e4 + np.log(2.0), rel=1e-15)
+
+
+def _sweep_point_arguments():
+    # the Bessel arguments z = beta h of the Chebyshev route at the sweep
+    # points of the differential tests, where the cost rule lets it run
+    from bottlenecklab import stability
+
+    seen = []
+    order = numerics._chebyshev_order
+
+    def spied(z, cap):
+        found = order(z, cap)
+        if found is not None:
+            seen.append(z)
+        return found
+
+    numerics._chebyshev_order = spied
+    try:
+        for name in ("repetition", "curie_weiss"):
+            for n in (8, 10):
+                H0, cert = stability.sweep_model(name, n, ((0, 0), 1, 2))
+                width = sum(int(b.labels[1].sum()) for b in (cert.V, cert.boundary)) + 1
+                for g in (1e-4, 0.01, 0.1):
+                    H = perturb(H0, random_local_perturbation(n, g, 3))
+                    for beta in (0.5, 3.0, 10.0, 30.0):
+                        numerics._site_form_series(H.diagonal(), H.flips, beta, width)
+    finally:
+        numerics._chebyshev_order = order
+    return seen
+
+
+def test_ive_stays_within_its_stated_total_error():
+    # the Chebyshev kernel's coefficient term rests on this: over orders
+    # 0..K of one argument, scipy's ive is off by at most _IVE_SUM_ERR in
+    # total, on fixed arguments and on those of the sweep points
+    from scipy.special import ive
+
+    with mpmath.workdps(30):
+        for z in (0.01, 0.5, 2.5, 15.0, 61.0, 100.0, 183.0, 400.0, *_sweep_point_arguments()):
+            K, tail = numerics._chebyshev_order(z, math.inf)
+            got = ive(np.arange(K + 1), z)
+            want = [mpmath.besseli(k, z) * mpmath.exp(-z) for k in range(K + 1)]
+            off = sum(abs(float(mpmath.mpf(float(a)) - b)) for a, b in zip(got, want))
+            assert off <= numerics._IVE_SUM_ERR
+            # the series tail past K is below its bound
+            rest = 2 * sum(mpmath.besseli(k, z) * mpmath.exp(-z) for k in range(K + 1, K + 60))
+            assert float(rest) <= tail
+
+
+def test_site_form_columns_of_a_product_match_the_site_exponentials(rng):
+    # with no diagonal beyond the sites' own, e^{-beta R} is the tensor
+    # product of the 2x2 exponentials, each exact to rounding
+    n, beta = 6, 4.0
+    terms = [rng.standard_normal((2, 2)) for _ in range(n)]
+    terms = [0.5 * (T + T.T) for T in terms]
+    idx = np.arange(1 << n)
+    e = np.zeros(1 << n)
+    for q, T in enumerate(terms):
+        bit = (idx >> (n - 1 - q)) & 1
+        e += T[bit, bit]
+    t = np.array([T[0, 1] for T in terms])
+    cols = np.array([0, 5, 17, 63])
+    S2, coef, err, lo = numerics._site_form_series(e, t, beta, cols.size)
+    Y = numerics._chebyshev_series(S2, coef, np.eye(1 << n)[:, cols])
+    full = np.ones((1, 1))
+    for T in terms:
+        w, U = np.linalg.eigh(T)
+        full = np.kron(full, (U * np.exp(-beta * (w - lo / n))) @ U.T)
+    assert 0 < err < 1e-13
+    assert np.linalg.norm(Y - full[:, cols], axis=0).max() <= err + 1e-14

@@ -1,8 +1,9 @@
 """Fast paths against their reference forms in oracles.py, on drawn models.
 
-Classical families draw n from 4 to 8 (or to a smaller max_n) and n to
-3n supports of 1 to 3 qubits, and keep each one that leaves every qubit
-in at most `degree` checks, so the energy range stays wide next to w0. CSS families take their Z checks the same
+Classical families draw n from 4 (or a larger min_n) to 8 (or a smaller
+max_n) and n to 3n supports of 1 to 3 qubits, and keep each one that
+leaves every qubit in at most `degree` checks, so the energy range stays
+wide next to w0. CSS families take their Z checks the same
 way (at most n - 1 of them) and draw one or two X checks as random
 combinations of pauli.gf2_null_space_masks of the Z masks, so every X
 check overlaps every Z check evenly and the two kinds commute by
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bottlenecklab import numerics, stability
 from bottlenecklab.bottleneck import (
     _collar_weights,
     _label_blocks,
@@ -34,6 +36,7 @@ from bottlenecklab.model import (
     SIZE_INDEXED,
     CheckFamily,
     Hamiltonian,
+    ThermalState,
     barrier_subspace,
     build_hamiltonian,
     classical_energies,
@@ -51,7 +54,11 @@ from bottlenecklab.model import (
     subspace_min_energy,
     thermal_state,
 )
-from bottlenecklab.numerics import _symmetrized, hermitian_eigensystem, operator_norm
+from bottlenecklab.numerics import (
+    _symmetrized,
+    hermitian_eigensystem,
+    operator_norm,
+)
 from bottlenecklab.pauli import gf2_null_space_masks, mask_from_indices
 from bottlenecklab.stability import (
     plan_shell_width,
@@ -72,6 +79,8 @@ from oracles import (
     dense_perturbation,
     dense_perturbed,
     dense_ratio,
+    eigen_columns,
+    eigen_ratio,
     enumerated_blocks,
     gauged_eigensystem,
     indices_from_mask,
@@ -96,8 +105,8 @@ def bounded_supports(draw, n):
 
 
 @st.composite
-def classical_families(draw, max_n=8):
-    n = draw(st.integers(4, max_n))
+def classical_families(draw, max_n=8, min_n=4):
+    n = draw(st.integers(min_n, max_n))
     return CheckFamily(n, z_checks=draw(bounded_supports(n)))
 
 
@@ -514,3 +523,123 @@ def test_gibbs_law_matches_the_solved_stationary_law(checks, beta, laziness):
         # backward-stable eigensolve leaves it off by about eps / sep
         w = np.sort(np.linalg.eigvals(chain.mat.toarray()).real)
         assert gap <= pi.size * np.finfo(np.float64).eps / (1.0 - w[-2])
+
+
+# --- the certified Chebyshev route of perturbed sweep points ----------------
+
+
+@settings(SETTINGS, max_examples=15)
+@given(
+    checks=classical_families(min_n=7),
+    g=st.floats(0.001, 0.1),
+    seed=st.integers(0, 2**16),
+    beta=st.one_of(st.sampled_from([0.0, 3.0, 10.0]), st.floats(0.0, 10.0)),
+    picks=st.lists(st.integers(0, 255), min_size=1, max_size=12, unique=True),
+)
+def test_site_form_columns_stay_within_their_bound(checks, g, seed, beta, picks):
+    # the eigensolve's own columns are off by about dim u, which the
+    # comparison allows on top of the kernel's bound; a draw whose series
+    # would cost more than the dense solve has no columns to compare
+    n = checks.n
+    H = perturb(build_hamiltonian(checks), random_local_perturbation(n, g, seed))
+    cols = np.array(sorted({p % (1 << n) for p in picks}))
+    series = numerics._site_form_series(H.diagonal(), H.flips, beta, cols.size)
+    assume(series is not None)
+    S2, coef, err, lo = series
+    Y = numerics._chebyshev_series(S2, coef, np.eye(1 << n)[:, cols])
+    want = eigen_columns(H, beta, cols, lo)
+    assert err < 1e-12
+    assert np.linalg.norm(Y - want, axis=0).max() <= err + (1 << n) * np.finfo(float).eps
+
+
+
+@settings(SETTINGS, max_examples=15)
+@given(
+    checks=classical_families(min_n=5),
+    g=st.floats(0.001, 0.1),
+    seed=st.integers(0, 2**16),
+    beta=st.one_of(st.sampled_from([0.5, 3.0, 10.0, 30.0]), st.floats(0.0, 30.0)),
+    signs=st.lists(st.booleans(), min_size=12, max_size=12),
+    picks=st.lists(st.integers(0, 4095), min_size=1, max_size=40, unique=True),
+)
+def test_numerator_reach_bounds_the_boundary_weight(checks, g, seed, beta, signs, picks):
+    # the probe's bound holds for any signs of the flip weights, and is
+    # what lets a sweep point skip the label columns
+    n = checks.n
+    H = perturb(build_hamiltonian(checks), random_local_perturbation(n, g, seed))
+    t = np.where(signs[:n], -1.0, 1.0) * H.flips
+    H = Hamiltonian(H.diagonal(), n=n, w0=H.w0, w1=H.w1, flips=t)
+    rows_b = np.array(sorted({p % (1 << n) for p in picks}))
+    S2, coef, err, lo = numerics._site_form_series(H.diagonal(), t, beta, 1)
+    reach = numerics._numerator_reach(S2, coef, err, t, rows_b)
+    num = np.linalg.svd(eigen_columns(H, beta, rows_b, lo), compute_uv=False).sum()
+    assert num <= reach * (1 + 1e-12) + (1 << n) * np.finfo(float).eps
+
+
+SWEEP_ROUTE_CASES = {"repetition": 10, "curie_weiss": 8}
+
+
+# the betas whose points certify, per (model, g): the boundary weights at
+# beta 10 and 30, and on curie_weiss (boundary energies 12 and 15) already
+# at beta 3, are too small next to the rounding bound
+CERTIFIED_BETAS = {
+    ("repetition", 1e-4): {0.5, 3.0},
+    ("repetition", 0.01): {0.5, 3.0},
+    ("repetition", 0.1): {0.5},
+    ("curie_weiss", 1e-4): {0.5},
+    ("curie_weiss", 0.01): {0.5},
+    ("curie_weiss", 0.1): {0.5},
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_ROUTE_CASES)
+@pytest.mark.parametrize("g", [1e-4, 0.01, 0.1])
+def test_certified_delta_matches_the_eigensolve(name, g):
+    # wherever the Chebyshev route certifies, it agrees with the eigensolve
+    # within 1e-9 relative; elsewhere the sweep point takes the eigensolve
+    n = SWEEP_ROUTE_CASES[name]
+    H0, cert = stability.sweep_model(name, n, ((0, 0), 1, 2))
+    H = perturb(H0, random_local_perturbation(n, g, 3))
+    eig = H.eigensystem()
+    certified = set()
+    for beta in (0.5, 3.0, 10.0, 30.0):
+        got = stability._site_form_delta(H, beta, cert)
+        if got is None:
+            continue
+        certified.add(beta)
+        p, logZ = gibbs_weights(eig.w, beta)
+        want = bottleneck_ratio(ThermalState(p, eig.U, logZ, eig.phases), cert.V, cert.boundary)[0]
+        assert abs(got - want) <= 1e-9 * want
+    assert certified == CERTIFIED_BETAS[name, g]
+
+
+@pytest.mark.parametrize(
+    "n,beta,g,widths",
+    [(10, 10.0, 0.01, [1]), (10, 3.0, 0.1, [1, 176]), (8, 30.0, 0.01, [])],
+)
+def test_uncertified_point_takes_the_eigensolve_route(monkeypatch, n, beta, g, widths):
+    # at n = 10, beta 10 the probe's bound on the boundary weight is far
+    # below what the rounding bound lets certify, and the label columns
+    # do not run; at beta 3, g 0.1 they run and their bound fails; at
+    # n = 8, beta 30 the K products would cost more than the dense solve
+    # and nothing runs. Each time the point runs thermal_state +
+    # bottleneck_ratio and reads the oracle's value
+    H0, cert = stability.sweep_model("repetition", n, ((0, 0), 1, 2))
+    H = perturb(H0, random_local_perturbation(n, g, 5))
+    calls, ran = [], []
+    real_ratio, real_series = stability.site_form_ratio, numerics._chebyshev_series
+
+    def spied(*args):
+        calls.append(real_ratio(*args))
+        return calls[-1]
+
+    def series(S2, coef, X):
+        ran.append(X.shape[1])
+        return real_series(S2, coef, X)
+
+    monkeypatch.setattr(stability, "site_form_ratio", spied)
+    monkeypatch.setattr(numerics, "_chebyshev_series", series)
+    row = stability.sweep_point("repetition", n, beta, g, 5, H0, cert)
+    assert calls == [None]
+    assert ran == widths
+    assert row.delta == eigen_ratio(H, beta, cert)

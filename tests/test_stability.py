@@ -178,12 +178,20 @@ def _record_perturb(monkeypatch, module):
 
 def test_sweep_point_keeps_the_perturbed_hamiltonian_real(monkeypatch):
     built = _record_perturb(monkeypatch, stability)
-    H0, cert = sweep_model("repetition", 8, ((0, 0), 1, 2))
-    sweep_point("repetition", 8, 3.0, 0.01, 5, H0, cert)
-    [(H, V)] = built
-    assert H.phases is not None and not H.is_diagonal
-    # neither the complex H nor the complex V was formed
-    assert H._mat is None and V._mat is None
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("a certified sweep point ran an eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for n in (8, 10):
+        H0, cert = sweep_model("repetition", n, ((0, 0), 1, 2))
+        sweep_point("repetition", n, 3.0, 0.01, 5, H0, cert)
+        H, V = built.pop()
+        assert H.phases is not None and not H.is_diagonal
+        # neither the complex H nor the complex V was formed, and the point
+        # certified on the site forms alone: no dense form of H0, V or H
+        assert H._mat is None and V._mat is None
+        assert H0._form is None and V._form is None and H._form is None
 
 
 def test_tail_check_point_keeps_the_perturbed_hamiltonian_real(tmp_path, monkeypatch):
