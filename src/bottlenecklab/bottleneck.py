@@ -14,9 +14,11 @@ tolerances. The label path runs when every channel is monomial over one
 label basis W (the sampler channels of an unperturbed model), rho is
 diagonal in W and every partition block is spanned by labels; states are
 then probability vectors over the labels, as in the classical bottleneck
-setting. Anything else (perturbed states, general channels, CSS channels
-against a basis-state partition) runs the dense path, which also serves
-as the test oracle for the label path.
+setting. The Gibbs state of an unperturbed model carries its label
+probabilities (model.gibbs_state), and they are read as they are.
+Anything else (perturbed states, general channels, CSS channels against
+a basis-state partition) runs the dense path, which also serves as the
+test oracle for the label path.
 
 Everything here asserts the inequalities it reports. A violation raises
 BoundViolated carrying the numbers, since it would mean a broken
@@ -181,12 +183,15 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
     A schedule (list of channels) is composed for the drift; each entry
     must fix rho on its own and the bound scales with the step count.
 
-    The label path runs when three things are checked numerically: every
-    channel has a monomial form over one label basis W, rho is diagonal
-    in W (off-diagonal of W† rho W within 1e-10), and every block of the
-    partition is spanned by labels. Block membership comes from the
-    labels a block carries over W (every block that partition_from_radius
-    builds from a labeled V, whose basis is built from those labels);
+    The label path runs when three things hold: every channel has a
+    monomial form over one label basis W, rho is diagonal in W, and
+    every block of the partition is spanned by labels. rho is diagonal
+    in W when it carries labels over W (a DensityMatrix.from_labels, as
+    gibbs_state builds for a check Hamiltonian), whose p is then read as
+    it is; any other rho is checked numerically, by the off-diagonal of
+    W† rho W within 1e-10. Block membership comes from the labels a
+    block carries over W (every block that partition_from_radius builds
+    from a labeled V, whose basis is built from those labels);
     any other block counts as spanned by labels when each row norm of
     W† B is within 1e-9 of 0 or 1. States are then label probability
     vectors: residuals and the drift are l1 norms, Delta and the block
@@ -203,7 +208,7 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
         state = rho
     else:
         state = DensityMatrix(mat, n)
-    basis, p = _label_state(channels, mat)
+    basis, p = _label_state(channels, state)
     for chan in channels:
         if p is not None:
             resid = chan.monomial.residual(p)
@@ -263,16 +268,24 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
     )
 
 
-def _label_state(channels, mat):
+def _label_state(channels, rho):
     """(W, label probabilities of rho) when every channel is monomial over
-    one basis W and rho is diagonal in it; (None, None) otherwise."""
+    one basis W and rho is diagonal in it; (None, None) otherwise.
+
+    A DensityMatrix that carries labels over W (from_labels) is diagonal
+    in W by construction, and its p is returned as it is. Any other rho
+    is compressed to W^dag rho W, whose off-diagonal must be within
+    1e-10, and p is its real diagonal.
+    """
     forms = [chan.monomial for chan in channels]
     if any(form is None for form in forms):
         return None, None
     basis = forms[0].basis
     if not all(form.basis.same_as(basis) for form in forms[1:]):
         return None, None
-    M = basis.compress(mat)
+    if rho.labels is not None and rho.labels[0].same_as(basis):
+        return basis, rho.labels[1]
+    M = basis.compress(rho.mat)
     if max_offdiagonal(M) > 1e-10:
         return None, None
     return basis, np.real(np.diagonal(M)).copy()
@@ -421,22 +434,31 @@ def _log_projected_weight(w, U, basis):
     return np.clip(q, 0.0, None)
 
 
-def _collar_weights(mat, V, shell):
-    """(tr(P_V rho), ||[rho, P_shell]||) for a dense rho.
+def _collar_weights(rho, V, shell):
+    """(tr(P_V rho), ||[rho, P_shell]||) for a DensityMatrix or dense rho.
 
-    When V and the shell are labeled over one basis W, both are read from
-    R = W^dag rho W: tr(P_V rho) is the trace of R on V's labels, and since
-    [rho, P] = P^perp rho P - P rho P^perp for Hermitian rho, the commutator
-    norm is ||P^perp rho P||, the norm of R's block from the shell's labels
-    to the rest. Otherwise both come from dense projectors.
+    When V and the shell are labeled over one basis W and rho carries
+    labels (W, p) over it, tr(P_V rho) is the sum of p on V's labels and
+    the commutator is exactly 0: rho = W diag(p) W^dag and P_shell = W
+    diag(mask) W^dag are both diagonal in W. Without labels on rho, both
+    are read from R = W^dag rho W: tr(P_V rho) is the trace of R on V's
+    labels, and since [rho, P] = P^perp rho P - P rho P^perp for
+    Hermitian rho, the commutator norm is ||P^perp rho P||, the norm of
+    R's block from the shell's labels to the rest. Otherwise both come
+    from dense projectors.
     """
+    mat = matrix_of(rho)
     if (
         V.labels is not None
         and shell.labels is not None
         and shell.labels[0].same_as(V.labels[0])
     ):
-        R = V.labels[0].compress(mat)
-        in_V, in_shell = V.labels[1], shell.labels[1]
+        W, in_V = V.labels
+        labels = rho.labels if isinstance(rho, DensityMatrix) else None
+        if labels is not None and labels[0].same_as(W):
+            return float(labels[1][in_V].sum()), 0.0
+        R = W.compress(mat)
+        in_shell = shell.labels[1]
         prob_V = float(np.real(np.diagonal(R))[in_V].sum())
         return prob_V, operator_norm(R[np.ix_(~in_shell, in_shell)])
     prob_V = float(np.real(np.trace(V.projector() @ mat)))
@@ -475,7 +497,7 @@ def free_energy_report(H, beta, V, r, rho_G=None, delta_measured=0.0):
     E_min_V = subspace_min_energy(V, H)
     if rho_G is None:
         rho_G, _, _ = gibbs_state(H, beta)
-    prob_V, comm = _collar_weights(rho_G.mat, V, shell)
+    prob_V, comm = _collar_weights(rho_G, V, shell)
     b_applicable = comm < 1e-9
     a_applicable = logZ >= -1e-12 and prob_V > 1e-12
     bounds_a = math.exp(0.5 * log_trB) / prob_V if prob_V > 1e-12 else math.inf

@@ -22,8 +22,10 @@ step, read by thermal states and by the energy shells of stability.
 gibbs_weights is the one Gibbs law over an energy vector, shared by the
 thermal states, the samplers' fixed-point checks and the classical
 chains. thermal_state keeps a Gibbs state in that eigen-form, weights p
-over the columns of U, and gibbs_state forms the dense rho = U diag(p)
-U^dag from it for the callers that need rho itself.
+over the columns of U, and gibbs_state forms the dense rho for the
+callers that need rho itself. For a check Hamiltonian, diagonal in its
+label basis W, gibbs_state forms rho = W diag(p) W^dag straight from the
+syndrome energies, with no eigensolve, and the state carries (W, p).
 
 A Hamiltonian keeps a form M and unit phases d, H = D M D^dag, fixed
 when it is built, and forms its dense matrix only when something reads
@@ -518,14 +520,22 @@ def _check_syndrome(basis, xmask, zmask, labels):
 
 def label_energies(checks):
     """Energy of every column of label_basis(checks): the checks its syndrome
-    violates, Z checks read off x and X checks off z."""
+    violates, Z checks read off x and X checks off z. Computed once per
+    family and returned read-only."""
+    return _label_energies(checks)
+
+
+@functools.lru_cache(maxsize=16)
+def _label_energies(checks):
     basis = label_basis(checks)
     E = np.zeros(basis.dim, dtype=np.int64)
     for mask in checks.z_masks():
         E += _parity(basis.x, int(mask))
     for mask in checks.x_masks():
         E += _parity(basis.z, int(mask))
-    return E.astype(np.float64)
+    E = E.astype(np.float64)
+    E.flags.writeable = False
+    return E
 
 
 def label_energy_residual(H, basis, energies):
@@ -701,20 +711,37 @@ def thermal_state(H, beta):
 def gibbs_state(H, beta):
     """Thermal state, log partition function, and free energy -logZ/beta.
 
-    The dense rho of thermal_state; diagonal Hamiltonians skip the
-    eigensolver. After a real solve rho is the real product U diag(p) U^T,
-    scaled by the phases d as d_i rho_ij conj(d_j) when there are any.
+    The state is dense, and carries its label form (W, p) when H is
+    diagonal in a label basis W by construction:
+    - a Hamiltonian of a non-classical check family whose H W = W diag(E)
+      holds for the syndrome energies E (within 1e-9, the check
+      css_metropolis_channel makes, kept per H) gets p = e^{-beta E}/Z
+      over label_basis(checks), with no eigensolve;
+    - a diagonal H gets rho = diag(p) over the identity basis, p the
+      Gibbs weights of its diagonal;
+    - any other H (a perturbed one, whose checks perturb drops) is the
+      dense rho of thermal_state, with no labels. After a real solve rho
+      is the real product U diag(p) U^T, scaled by the phases d as d_i
+      rho_ij conj(d_j) when there are any.
     """
-    probs, U, logZ, phases = thermal_state(H, beta)
-    if U is None:
-        rho = np.diag(probs.astype(np.complex128))
-    else:
-        rho = ((U * probs[None, :]) @ U.conj().T).astype(np.complex128, copy=False)
-        if phases is not None:
-            rho *= phases[:, None]
-            rho *= phases.conj()[None, :]
+    checks, rho = H.checks, None
+    if checks is not None and not checks.is_classical:
+        E = label_energies(checks)
+        if H.label_residual(E) <= 1e-9:
+            p, logZ = gibbs_weights(E, beta)
+            rho = DensityMatrix.from_labels(label_basis(checks), p)
+    if rho is None:
+        probs, U, logZ, phases = thermal_state(H, beta)
+        if U is None:
+            rho = DensityMatrix.from_labels(identity_basis(H.n), probs)
+        else:
+            mat = ((U * probs[None, :]) @ U.conj().T).astype(np.complex128, copy=False)
+            if phases is not None:
+                mat *= phases[:, None]
+                mat *= phases.conj()[None, :]
+            rho = DensityMatrix(mat, H.n)
     F = -logZ / beta if beta > 0 else -math.inf
-    return DensityMatrix(rho, H.n), logZ, F
+    return rho, logZ, F
 
 
 def random_local_perturbation(n, g, seed):

@@ -5,7 +5,9 @@ real, for the real forms of perturbed Hamiltonians. Density matrices get
 a thin wrapper so the basic sanity checks (hermiticity, unit trace) run
 once at construction instead of being re-derived ad hoc at every call
 site; the wrapper is frozen and its array read-only, so what was checked
-stays true.
+stays true. A state formed from label weights over an eigenbasis
+(DensityMatrix.from_labels) keeps those weights, so a reader that needs
+them takes them as they are instead of compressing the matrix again.
 
 Norm conventions: trace_norm is the Schatten 1-norm (sum of singular
 values), operator_norm the Schatten infinity-norm (largest singular
@@ -51,6 +53,7 @@ __all__ = [
 ]
 
 _HERMITICITY_TOL = 1e-10
+_TRACE_TOL = 1e-9
 _GAUGE_REL_TOL = 1e-12
 
 
@@ -452,7 +455,7 @@ def hermitian_eigenvalues(H):
 class DensityMatrix:
     """A positive unit-trace operator on n qubits.
 
-    Construction checks hermiticity (1e-10) and unit trace (1e-10).
+    Construction checks hermiticity (1e-10) and unit trace (1e-9).
     Positivity is a mathematical invariant of everything this package
     produces (channel outputs, Gibbs states, normalized projections);
     the eigenvalue check costs a full diagonalization, so it lives in
@@ -460,10 +463,16 @@ class DensityMatrix:
     The checked array is made read-only and the fields cannot be
     reassigned, so a DensityMatrix stays what its construction checked
     and callers may take it as checked.
+
+    labels is (W, p) for a state built by from_labels, rho = W diag(p)
+    W^dag over a LabelBasis W, and None for one built from a matrix: it
+    is not a constructor argument, so a state carries labels only when
+    its matrix was formed from them.
     """
 
     mat: np.ndarray
     n: int = field(default=None)
+    labels: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mat", _require_square(self.mat))
@@ -479,9 +488,38 @@ class DensityMatrix:
         if dev > _HERMITICITY_TOL:
             raise NotHermitian(f"density matrix deviates from Hermitian by {dev:.3e}")
         tr = self.mat.trace()
-        if abs(tr - 1.0) > 1e-9:
+        if abs(tr - 1.0) > _TRACE_TOL:
             raise ValueError(f"trace is {tr}, expected 1")
         self.mat.flags.writeable = False
+
+    @classmethod
+    def from_labels(cls, W, p):
+        """rho = W diag(p) W^dag on W.n qubits, carrying labels (W, p).
+
+        p must be a real probability vector over the columns of W: no
+        entry below -1e-9 and a sum within 1e-9 of 1, the trace check's
+        tolerance (ValueError otherwise). W is block-diagonal over its x
+        classes, so rho is B_c diag(p_c) B_c^dag on the rows of class c
+        and zero elsewhere: one batched matmul over W.blocks, scattered
+        through W.order. For the identity basis that is diag(p) exactly.
+        p is copied and stored read-only.
+        """
+        p = np.array(p, dtype=np.float64)
+        if p.shape != (W.dim,) or not np.isfinite(p).all():
+            raise DimensionMismatch(f"label weights of shape {p.shape} for {W.dim} labels")
+        if p.min() < -_TRACE_TOL:
+            raise ValueError(f"label weight {p.min()!r} is negative")
+        if abs(p.sum() - 1.0) > _TRACE_TOL:
+            raise ValueError(f"label weights sum to {p.sum()!r}, expected 1")
+        nx, k, nz = W.blocks.shape
+        block = np.matmul(W.blocks * p.reshape(nx, 1, nz), W.blocks.conj().transpose(0, 2, 1))
+        rows = W.order.reshape(nx, k)
+        mat = np.zeros((W.dim, W.dim), dtype=np.complex128)
+        mat[rows[:, :, None], rows[:, None, :]] = block
+        rho = cls(mat, W.n)
+        p.flags.writeable = False
+        object.__setattr__(rho, "labels", (W, p))
+        return rho
 
     def validate(self, floor=-1e-10):
         """Check positivity: smallest eigenvalue must be >= floor."""

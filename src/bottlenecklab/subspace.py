@@ -6,9 +6,11 @@ code downstream treats that case explicitly rather than by crashing.
 
 A LabelBasis is an orthonormal eigenbasis W of a commuting model whose
 columns are indexed by label pairs (x, z); the computational basis is
-its identity case. A Subspace spanned by columns of W carries them as
-labels (W, mask); its basis is built from them, or, when one is passed
-as well, checked to equal them.
+its identity case. What a basis derives from its columns alone (the
+weight-1 move table, the image of a Pauli) is computed once and kept.
+A Subspace spanned by columns of W carries them as labels (W, mask);
+its basis is built from them, or, when one is passed as well, checked
+to equal them.
 
 The r-neighborhood of V is span{ S|psi> : S a Pauli string of weight <= r,
 |psi> in V }. Composing neighborhoods adds radii. partition_from_radius
@@ -148,13 +150,29 @@ class LabelBasis:
         """W† M W for a dense square M."""
         return self.right(self.adjoint_left(M))
 
+    @functools.cached_property
+    def _pauli_images(self):
+        return {}
+
     def pauli_image(self, xmask, zmask):
         """Columns and phases of X(xmask) Z(zmask) W: P w_j = phase_j w_col_j.
 
         The image of every column is checked to be one column of W times
         a unit phase; raises NotCommuting when the Pauli does not permute
-        the basis up to phases.
+        the basis up to phases. A checked image is kept per mask pair on
+        the basis, with read-only arrays, as moves is; a failed one is not
+        kept, so it raises on every call.
         """
+        key = (int(xmask), int(zmask))
+        image = self._pauli_images.get(key)
+        if image is None:
+            image = self._pauli_image(*key)
+            for a in image:
+                a.setflags(write=False)
+            self._pauli_images[key] = image
+        return image
+
+    def _pauli_image(self, xmask, zmask):
         rows, vals = self.rows, self.vals
         signs = 1 - 2 * (pl.popcount(rows & int(zmask)) & 1)
         rows = rows ^ int(xmask)

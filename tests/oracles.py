@@ -33,9 +33,11 @@ a time, and only tests call it:
   are the oracle for the gauge that model._site_gauge fixes when a
   perturbation is built.
 - dense_gibbs forms the Gibbs state as a dense rho = U diag(p) U^dag from
-  the gauged_eigensystem eigenpairs of a dense matrix, and dense_ratio
-  reads Delta from it. They are the oracle for model.gibbs_state after a
-  real solve and for bottleneck_ratio on a model.ThermalState.
+  the gauged_eigensystem eigenpairs of a dense matrix, dense_log_partition
+  takes log Z from the same eigenvalues, and dense_ratio reads Delta from
+  the state. They are the oracle for model.gibbs_state, after a real
+  solve and on its label route, and for bottleneck_ratio on a
+  model.ThermalState.
 - eigen_ratio reads Delta of a perturbed sweep point by the eigensolve
   route (thermal_state, then bottleneck_ratio), and eigen_columns forms
   columns of e^{-beta (M - lo)} from the eigenpairs of the real form M.
@@ -648,6 +650,13 @@ def dense_gibbs(mat, beta):
     p = np.exp(-beta * (w - w.min()))
     p /= p.sum()
     return DensityMatrix((U * p[None, :]) @ U.conj().T)
+
+
+def dense_log_partition(mat, beta):
+    """log tr e^{-beta H} from the gauged_eigensystem eigenvalues of the
+    dense mat, shifted by the lowest one."""
+    w, _ = gauged_eigensystem(mat)
+    return float(np.log(np.exp(-beta * (w - w.min())).sum()) - beta * w.min())
 
 
 def dense_ratio(H, beta, P_A, P_B):

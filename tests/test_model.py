@@ -9,6 +9,7 @@ from bottlenecklab.errors import (
     EmptySubspace,
     NonCommutingChecks,
     NotClassical,
+    NotCommuting,
 )
 from bottlenecklab.model import (
     CheckFamily,
@@ -33,7 +34,7 @@ from bottlenecklab.model import (
     toric,
 )
 from bottlenecklab.numerics import max_offdiagonal
-from bottlenecklab.subspace import Subspace, hamming_ball_subspace, identity_basis
+from bottlenecklab.subspace import LabelBasis, Subspace, hamming_ball_subspace, identity_basis
 from oracles import (
     PauliString,
     _embed_on_support,
@@ -447,3 +448,34 @@ class TestLabelBasis:
         W = label_basis(steane7())
         with pytest.raises(ValueError):
             W.blocks[0, 0, 0] = 0.0
+
+    def test_label_energies_are_kept_read_only_per_family(self):
+        E = label_energies(toric(2))
+        assert label_energies(toric(2)) is E
+        with pytest.raises(ValueError):
+            E[0] = 1.0
+
+    def test_pauli_images_are_kept_read_only_per_mask_pair(self):
+        W = label_basis(steane7())
+        col, phase = W.pauli_image(1, 2)
+        again = W.pauli_image(np.uint64(1), 2)
+        assert again[0] is col and again[1] is phase
+        for a in (col, phase):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_a_failed_pauli_image_raises_every_time(self):
+        # one qubit, basis rotated off the Z axis: X does not permute it
+        c, s = np.cos(0.3), np.sin(0.3)
+        W = LabelBasis(
+            1,
+            order=np.arange(2),
+            blocks=np.array([[[c, -s], [s, c]]], dtype=np.complex128),
+            x=np.zeros(2, dtype=np.uint64),
+            z=np.arange(2, dtype=np.uint64),
+            x_class=np.zeros(2, dtype=np.int64),
+            z_class=np.arange(2, dtype=np.int64),
+        )
+        for _ in range(2):
+            with pytest.raises(NotCommuting):
+                W.pauli_image(1, 0)

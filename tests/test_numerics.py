@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bottlenecklab import numerics
-from bottlenecklab.errors import EmptyInput, NonSquare, NotHermitian
+from bottlenecklab.errors import DimensionMismatch, EmptyInput, NonSquare, NotHermitian
 from bottlenecklab.model import (
     build_hamiltonian,
     ising_ring,
+    label_basis,
     perturb,
     random_local_perturbation,
     repetition,
@@ -183,6 +184,34 @@ def test_density_matrix_cannot_change_after_its_checks(rng):
         dm.mat = rho + 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         dm.n = 1
+
+
+def test_density_matrix_from_labels_checks_its_weights(rng):
+    W = label_basis(steane7())
+    p = rng.random(W.dim)
+    p /= p.sum()
+    rho = numerics.DensityMatrix.from_labels(W, p)
+    dense = W.dense()
+    assert np.abs(rho.mat - (dense * p[None, :]) @ dense.conj().T).max() < 1e-15
+    assert rho.labels[0] is W and np.array_equal(rho.labels[1], p)
+    assert not rho.labels[1].flags.writeable
+    negative = p.copy()
+    negative[0], negative[1] = -0.1, negative[1] + negative[0] + 0.1
+    for bad in (negative, p * 1.01):
+        with pytest.raises(ValueError):
+            numerics.DensityMatrix.from_labels(W, bad)
+    with pytest.raises(DimensionMismatch):
+        numerics.DensityMatrix.from_labels(W, p[:-1])
+
+
+def test_only_from_labels_attaches_labels():
+    W = label_basis(toric(2))
+    rho = numerics.DensityMatrix.from_labels(W, np.full(W.dim, 1.0 / W.dim))
+    assert numerics.DensityMatrix(rho.mat, rho.n).labels is None
+    with pytest.raises(TypeError):
+        numerics.DensityMatrix(rho.mat, rho.n, labels=rho.labels)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rho.labels = None
 
 
 def test_maximally_mixed_and_pure():

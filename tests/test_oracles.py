@@ -28,6 +28,7 @@ from bottlenecklab.bottleneck import (
     _label_blocks,
     bottleneck_ratio,
     free_energy_report,
+    verify_bottleneck_theorem,
 )
 from bottlenecklab.errors import EmptyA, EmptyBoundary, NonUniqueStationary
 from bottlenecklab.markov import classical_bottleneck_report, glauber_chain, hamming_state_partition
@@ -43,6 +44,7 @@ from bottlenecklab.model import (
     curie_weiss,
     gibbs_state,
     gibbs_weights,
+    ising_ring,
     label_basis,
     label_distance,
     label_energies,
@@ -53,8 +55,10 @@ from bottlenecklab.model import (
     steane7,
     subspace_min_energy,
     thermal_state,
+    toric,
 )
 from bottlenecklab.numerics import (
+    DensityMatrix,
     _symmetrized,
     hermitian_eigensystem,
     operator_norm,
@@ -66,7 +70,15 @@ from bottlenecklab.stability import (
     tail_amplitudes,
     verify_block_tridiagonal,
 )
-from bottlenecklab.subspace import HilbertPartition, Subspace, boundary, partition_from_radius
+from bottlenecklab.sampler import css_metropolis_channel
+from bottlenecklab.subspace import (
+    HilbertPartition,
+    LabelBasis,
+    Subspace,
+    boundary,
+    identity_basis,
+    partition_from_radius,
+)
 from conftest import flux_triangle, gauge_block_diagonal
 from oracles import (
     _gauged,
@@ -74,6 +86,7 @@ from oracles import (
     dense_collar_weights,
     dense_free_energy_bounds,
     dense_gibbs,
+    dense_log_partition,
     dense_min_energy,
     dense_norm,
     dense_perturbation,
@@ -469,7 +482,11 @@ def test_collar_weights_match_the_dense_projectors(label):
         assert V.labels is not None and shell.labels[0] is V.labels[0]
         want = dense_collar_weights(rho.mat, V, shell)
         unlabeled = _collar_weights(rho.mat, Subspace(V.n, V.basis), Subspace(V.n, shell.basis))
-        for got in (_collar_weights(rho.mat, V, shell), unlabeled):
+        # rho carries labels over V's basis: its weights, and a commutator of 0
+        assert rho.labels[0] is V.labels[0]
+        labeled = _collar_weights(rho, V, shell)
+        assert labeled[1] == 0.0
+        for got in (labeled, _collar_weights(rho.mat, V, shell), unlabeled):
             assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
             assert abs(got[1] - want[1]) <= 1e-12
 
@@ -643,3 +660,93 @@ def test_uncertified_point_takes_the_eigensolve_route(monkeypatch, n, beta, g, w
     assert calls == [None]
     assert ran == widths
     assert row.delta == eigen_ratio(H, beta, cert)
+
+
+# --- Gibbs states built from their labels ---------------------------------
+
+LABEL_GIBBS_CODES = {"steane7": steane7, "toric(2)": toric}
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call; returns the
+    record."""
+    calls = []
+    real = getattr(owner, name)
+
+    def spied(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spied)
+    return calls
+
+
+@pytest.mark.parametrize("label", LABEL_GIBBS_CODES)
+def test_label_gibbs_state_matches_the_dense_gibbs_state(monkeypatch, label):
+    checks = LABEL_GIBBS_CODES[label]()
+    H = build_hamiltonian(checks)
+    eighs = count_calls(monkeypatch, np.linalg, "eigh")
+    states = {beta: gibbs_state(H, beta) for beta in (0.0, 1.0, 2.0, 5.0)}
+    assert eighs == []
+    monkeypatch.undo()
+    for beta, (rho, logZ, _) in states.items():
+        W, p = rho.labels
+        assert W is label_basis(checks)
+        assert np.array_equal(p, gibbs_weights(label_energies(checks), beta)[0])
+        assert np.abs(rho.mat - dense_gibbs(H.mat, beta).mat).max() <= 1e-12
+        assert abs(logZ - dense_log_partition(H.mat, beta)) <= 1e-12
+
+
+def test_perturbed_css_gibbs_state_keeps_the_eigensolve_route():
+    H = perturb(build_hamiltonian(steane7()), random_local_perturbation(7, 0.05, 2))
+    assert H.checks is None
+    rho, logZ, _ = gibbs_state(H, 1.0)
+    assert rho.labels is None
+    assert np.abs(rho.mat - dense_gibbs(H.mat, 1.0).mat).max() <= 1e-12
+    assert abs(logZ - dense_log_partition(H.mat, 1.0)) <= 1e-12
+
+
+def test_classical_gibbs_state_keeps_its_diagonal_without_reading_the_form(monkeypatch):
+    checks = ising_ring(6)
+    H = build_hamiltonian(checks)
+    reads = []
+    form = Hamiltonian.form
+    spied = property(lambda self: reads.append(1) or form.fget(self))
+    monkeypatch.setattr(Hamiltonian, "form", spied)
+    rho, logZ, _ = gibbs_state(H, 1.3)
+    assert reads == []
+    p, want_logZ = gibbs_weights(H.diagonal(), 1.3)
+    assert np.array_equal(rho.mat, np.diag(p.astype(np.complex128)))
+    assert logZ == want_logZ
+    W, q = rho.labels
+    assert W is identity_basis(6) and np.array_equal(q, p)
+
+
+def label_theorem_points(label):
+    """Every (beta, site, flavor) channel of the css-codes pipeline on one
+    code: the radius-1 split of the radius-0 barrier ball at the origin,
+    betas 1 and 2."""
+    checks = LABEL_GIBBS_CODES[label]()
+    H = build_hamiltonian(checks)
+    part = partition_from_radius(barrier_subspace(checks, (0, 0), 0, 1, H).V, 1)
+    for beta in (1.0, 2.0):
+        rho = gibbs_state(H, beta)[0]
+        for site in range(checks.n):
+            for flavor in ("X", "Z"):
+                yield css_metropolis_channel(H, beta, site, flavor), rho, part
+
+
+@pytest.mark.parametrize("label", LABEL_GIBBS_CODES)
+def test_label_weights_match_the_compressed_state(monkeypatch, label):
+    compressed = count_calls(monkeypatch, LabelBasis, "compress")
+    points = list(label_theorem_points(label))
+    reports = [verify_bottleneck_theorem(chan, rho, part) for chan, rho, part in points]
+    # the label-carrying rho never compresses W^dag rho W; the same matrix
+    # without its labels compresses once per call
+    assert compressed == []
+    for (chan, rho, part), got in zip(points, reports):
+        want = verify_bottleneck_theorem(chan, DensityMatrix(rho.mat, rho.n), part)
+        assert got.path == want.path == "label"
+        for name in ("delta", "numerator", "denominator", "lhs"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0)
+    assert len(compressed) == len(points)
