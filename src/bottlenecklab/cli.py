@@ -52,10 +52,10 @@ from .model import (
     build_hamiltonian,
     build_model,
     checks_from_text,
-    classical_energies,
     expansion_scan,
     gibbs_state,
     gibbs_weights,
+    label_energies,
     perturb,
     random_local_perturbation,
 )
@@ -399,7 +399,7 @@ def _run_verify_classical(cfg, out, jobs):
             f"verify-classical builds Glauber chains on at most "
             f"{_GLAUBER_MAX_BITS} bits, got n = {checks.n}"
         )
-    energies = classical_energies(checks)
+    energies = label_energies(checks)
     part = hamming_state_partition(
         checks.n, spec["center"], spec["inner"], spec["width"]
     )
@@ -704,10 +704,7 @@ def _run_model_info(cfg, out, jobs):
     if "barrier" in vals:
         _check_barrier("barrier", vals["barrier"], checks.n)
     H = build_hamiltonian(checks)
-    if checks.is_classical:
-        w = classical_energies(checks)
-    else:
-        w = np.linalg.eigvalsh(H.mat)
+    w = label_energies(checks)
     info = {
         "model": label,
         "n": checks.n,

@@ -17,27 +17,32 @@ which collapses to plain Hamming distance for classical models.
 label_basis holds every eigenstate as a column of one orthonormal basis
 and label_distance gives each column's distance from a center label, so a
 barrier ball and its boundary shell are column selections, by one path
-for classical and CSS models. spectrum is the one diagonal-or-eigensolve
-step, read by thermal states and by the energy shells of stability.
-gibbs_weights is the one Gibbs law over an energy vector, shared by the
-thermal states, the samplers' fixed-point checks and the classical
-chains. thermal_state keeps a Gibbs state in that eigen-form, weights p
-over the columns of U, and gibbs_state forms the dense rho for the
-callers that need rho itself. For a check Hamiltonian, diagonal in its
-label basis W, gibbs_state forms rho = W diag(p) W^dag straight from the
-syndrome energies, with no eigensolve, and the state carries (W, p).
+for classical and CSS models. label_energies gives each column's energy,
+the checks its syndrome violates.
+
+A check Hamiltonian is its labels: build_hamiltonian holds H0 as (W, E),
+W = label_basis(checks) and E = label_energies(checks), for every family,
+with no eigensolve and no dense matrix. label_basis certifies H0 W = W
+diag(E) once, when it builds W. Readers take the labels: spectrum gives
+(E, W), gibbs_state forms rho = W diag(p) W^dag from p = e^{-beta E}/Z
+and the state carries (W, p), and subspace_min_energy reads the least E
+of a ball or shell labeled over W. gibbs_weights is the one Gibbs law
+over an energy vector, shared by the thermal states, the samplers'
+fixed-point checks and the classical chains.
 
 A Hamiltonian keeps a form M and unit phases d, H = D M D^dag, fixed
 when it is built, and forms its dense matrix only when something reads
-it. Check Hamiltonians are real (d = 1), and a perturbation has one term
-per site and is built real with one phase per site, so a classical H0
-plus a perturbation is solved, reduced to blocks and turned into Gibbs
-states in real arithmetic. A classical H0, a perturbation and their sum
-keep M as a site form, a diagonal e plus one flip weight t_q per site,
-and form the dense M only when something reads it. Eigensystem and
-ThermalState carry the eigenvectors of M with d apart; their methods
-give the eigenvectors of H itself. Every function here that takes a Hamiltonian takes this type,
-not a raw matrix.
+it. Check Hamiltonians are real (d = 1): a classical H0 keeps M as a
+site form, a diagonal e with no flips, and a CSS H0 forms the dense real
+M = W diag(E) W^dag on first read. A perturbation has one term per site
+and is built real, as a site form, a diagonal e plus one flip weight
+t_q per site, with one phase per site, so a classical H0 plus a
+perturbation is solved, reduced to blocks and turned into Gibbs states
+in real arithmetic. A perturbed H carries no labels, and spectrum,
+thermal_state and gibbs_state solve it. Eigensystem and ThermalState
+carry the eigenvectors of M with d apart; their methods give the
+eigenvectors of H itself. Every function here that takes a Hamiltonian
+takes this type, not a raw matrix.
 """
 
 import functools
@@ -48,6 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    BadPartition,
     BetaNegative,
     CenterOutsideSpace,
     ConfigInvalid,
@@ -72,7 +78,6 @@ __all__ = [
     "Hamiltonian",
     "BarrierCertificate",
     "build_hamiltonian",
-    "classical_energies",
     "expansion_scan",
     "barrier_subspace",
     "spectrum",
@@ -86,7 +91,6 @@ __all__ = [
     "label_basis",
     "label_distance",
     "label_energies",
-    "label_energy_residual",
     "ising_ring",
     "repetition",
     "curie_weiss",
@@ -147,24 +151,33 @@ class Hamiltonian:
 
     H is kept as a form M and unit phases d (None for d = 1) with H = D M
     D^dag, D = diag(d), both fixed here and never searched for later. M is
-    either the dense array passed as form or, given flips, the site form M
-    = diag(e) + sum_q t_q X_q, with form passed as the real diagonal e,
-    flips as the n real weights t_q and X_q the flip of qubit q (bit n-1-q
-    of a basis index). build_hamiltonian gives every classical check
-    Hamiltonian as a site form with t = 0, random_local_perturbation gives
-    its one term per site as one, with one phase per site, and perturb
-    keeps a diagonal H0 plus a site form a site form. A dense real
-    float M is kept real (a CSS check Hamiltonian); any other dense M is
-    taken as complex and is its own form, with no phases (perturb makes
-    one from a CSS H0). The unit phases change no modulus of an entry and
-    no singular value of a block, so is_diagonal, diagonal() and the norms
-    and blocks that stability reads come from M. The dense form of a site
-    form and the dense complex mat are formed only when something reads
-    them. Construction checks Hermiticity: within 1e-10 on a dense M, by
-    blocks (|D M D^dag - (D M D^dag)^dag| is |M - M^dag| entry by entry),
-    and a site form is Hermitian exactly when its weights are real and
-    finite. The arrays are then made read-only, so that check and the
-    off-diagonal scan kept by offdiagonal stay true.
+    one of three things:
+    - given flips, the site form M = diag(e) + sum_q t_q X_q, with form
+      passed as the real diagonal e, flips as the n real weights t_q and
+      X_q the flip of qubit q (bit n-1-q of a basis index);
+      random_local_perturbation gives its one term per site as one, with
+      one phase per site, and perturb keeps a diagonal H0 plus a site
+      form a site form;
+    - for a check Hamiltonian (build_hamiltonian), W diag(E) W^dag over
+      its labels (W, E): the label basis of its checks and the checks
+      each column violates. Over the identity basis (a classical family)
+      that is the site form of E with no flips; over a CSS basis M is
+      real and formed from the labels the first time it is read;
+    - otherwise the dense array passed as form, taken as complex and as
+      its own form, with no phases (perturb makes one from a CSS H0).
+    The unit phases change no modulus of an entry and no singular value
+    of a block, so is_diagonal, diagonal() and the norms and blocks that
+    stability reads come from M. The dense form of a site form and the
+    dense complex mat are formed only when something reads them.
+    Construction checks Hermiticity: a dense M within 1e-10, and a site
+    form is Hermitian exactly when its weights are real and finite. The
+    arrays are then made read-only, so that check and the off-diagonal
+    scan kept by offdiagonal stay true.
+
+    labels is (W, E) for a check Hamiltonian and None otherwise. It is
+    not a constructor argument: only build_hamiltonian sets it, after
+    label_basis has checked that every check acts on every column of W as
+    its syndrome sign, so H W = W diag(E) holds by construction.
     """
 
     def __init__(
@@ -179,9 +192,9 @@ class Hamiltonian:
         phases=None,
         flips=None,
     ):
-        M = np.asarray(form)
+        M, self._form = form, None
         if flips is not None:
-            flips = np.asarray(flips)
+            M, flips = np.asarray(M), np.asarray(flips)
             for w, size in ((M, 1 << n), (flips, n)):
                 if w.shape != (size,) or w.dtype.kind not in "iuf" or not np.isfinite(w).all():
                     raise NonCommutingChecks(
@@ -189,35 +202,57 @@ class Hamiltonian:
                     )
             M, flips = M.astype(np.float64), flips.astype(np.float64)
             flips.flags.writeable = False
-            self._form = None
-        else:
-            M = M.astype(np.complex128 if np.iscomplexobj(M) else np.float64, copy=False)
+        elif M is not None:
+            M = np.asarray(M).astype(np.complex128, copy=False)
             dev = np.abs(M - M.conj().T).max() if M.size else 0.0
             if dev > _HERMITICITY_TOL:
                 raise NonCommutingChecks(f"Hamiltonian not Hermitian (dev {dev:.3e})")
             self._form = M
-        M.flags.writeable = False
+        if M is not None:
+            M.flags.writeable = False
         self._weights = M
         self.flips = flips
         self.phases = phases
-        self._mat = M if flips is None and phases is None and np.iscomplexobj(M) else None
+        self._mat = self._form if phases is None else None
         self._offdiagonal = None
+        self._labels = None
         self.n = n
         self.w0 = w0
         self.w1 = w1
         self.source = source
         self.term_supports = term_supports
         self.checks = checks
-        self._label_residuals = {}
+
+    @classmethod
+    def _from_labels(cls, W, E, **bookkeeping):
+        """W diag(E) W^dag carrying labels (W, E): the site form of E with
+        no flips over the identity basis, and no form until one is read
+        over any other basis."""
+        site = W.identity
+        H = cls(E if site else None, flips=np.zeros(W.n) if site else None, **bookkeeping)
+        H._labels = (W, E)
+        return H
+
+    @property
+    def labels(self):
+        """(W, E) with H = W diag(E) W^dag, for a check Hamiltonian; None
+        for any other."""
+        return self._labels
 
     @property
     def form(self):
-        """The dense form M, formed on first read for a site form."""
+        """The dense form M, formed on first read for a site form or from
+        labels."""
         if self._form is None:
-            M = np.diag(self._weights)
-            idx = np.arange(M.shape[0])
-            for q, t in enumerate(self.flips):
-                M[idx ^ (1 << (self.n - 1 - q)), idx] = t
+            if self.flips is None:
+                # the label blocks of a check family are real
+                W, E = self._labels
+                M = np.ascontiguousarray(W.outer(E).real)
+            else:
+                M = np.diag(self._weights)
+                idx = np.arange(M.shape[0])
+                for q, t in enumerate(self.flips):
+                    M[idx ^ (1 << (self.n - 1 - q)), idx] = t
             M.flags.writeable = False
             self._form = M
         return self._form
@@ -255,20 +290,18 @@ class Hamiltonian:
         return np.real(np.diagonal(self.form)).copy()
 
     def plus_diagonal(self, e, **bookkeeping):
-        """H + diag(e) in the gauge of H, since D diag(e) D^dag = diag(e):
-        M + diag(e) with H's phases, a site form again for a site form.
-        bookkeeping replaces n, w0, w1, source or term_supports of H;
-        perturb adds a diagonal H0 to a perturbation with it, and
-        stability subtracts one from a perturbed H."""
+        """H + diag(e) for a site form H, in its gauge, since D diag(e)
+        D^dag = diag(e): the site form with diagonal e added and H's flips
+        and phases. bookkeeping replaces n, w0, w1, source or
+        term_supports of H; perturb adds a diagonal H0 to a perturbation
+        with it, and stability subtracts one from a perturbed H."""
+        if self.flips is None:
+            raise ValueError("plus_diagonal takes a site form")
         fields = dict(
             n=self.n, w0=self.w0, w1=self.w1, source=self.source, term_supports=self.term_supports
         )
         fields.update(bookkeeping)
-        if self.flips is not None:
-            return Hamiltonian(self._weights + e, phases=self.phases, flips=self.flips, **fields)
-        M = self.form.copy()
-        M[np.diag_indices_from(M)] += e
-        return Hamiltonian(M, phases=self.phases, **fields)
+        return Hamiltonian(self._weights + e, phases=self.phases, flips=self.flips, **fields)
 
     def block(self, rows):
         """M[rows][:, rows], gathered from e and t for a site form: the
@@ -296,21 +329,12 @@ class Hamiltonian:
             w, U = hermitian_eigensystem(self.form)
         return Eigensystem(w, U, self.phases)
 
-    def label_residual(self, energies):
-        """label_energy_residual of H over label_basis(checks) with these
-        energies, formed once per energy vector: a sampler schedule asks
-        for it once per channel, with the same energies every time."""
-        key = np.asarray(energies, dtype=np.float64).tobytes()
-        if key not in self._label_residuals:
-            basis = label_basis(self.checks)
-            self._label_residuals[key] = label_energy_residual(self, basis, energies)
-        return self._label_residuals[key]
-
 
 class Eigensystem(NamedTuple):
-    """H = D U diag(w) U^dag D^dag: ascending eigenvalues w, orthonormal
-    eigenvectors U of H's form (None for the identity, when H is
-    diagonal) and H's unit phases d (None for D = I)."""
+    """H = D U diag(w) U^dag D^dag: eigenvalues w (ascending from a solve,
+    in label order from labels), orthonormal eigenvectors U of H's form
+    (None for the identity, when H is diagonal) and H's unit phases d
+    (None for D = I)."""
 
     w: np.ndarray
     U: np.ndarray | None
@@ -348,22 +372,20 @@ def _parity(indices, mask):
 
 
 def build_hamiltonian(checks):
-    """H0 = sum of violated-check projectors; spectrum counts violations.
-
-    Terms are verified mutually commuting and, when the full spectrum is
-    affordable (dim <= 512), the integer-spectrum invariant is checked
-    directly; classical models check their diagonal at any size. Every
-    term is real, so H0 has no phases: a classical H0 is the site form of
-    its diagonal with no flips, a CSS H0 a dense real form.
+    """H0 = sum of violated-check projectors, held as its labels (W, E):
+    W = label_basis(checks) and E = label_energies(checks), the checks
+    each column of W violates. label_basis checks, when it builds W, that
+    W is unitary and that every check acts on each column as the sign of
+    its syndrome, which makes H0 W = W diag(E); nothing here solves or
+    forms a matrix. Every term is real, so H0 has no phases: a classical
+    H0 is the site form of E with no flips over the identity basis, and a
+    CSS H0 forms its dense real M the first time something reads it.
     """
     n = checks.n
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.uint64)
-    diag = np.zeros(dim)
-    for mask in checks.z_masks():
-        diag += _parity(idx, mask)
     supports = checks.z_checks + checks.x_checks
-    bookkeeping = dict(
+    return Hamiltonian._from_labels(
+        label_basis(checks),
+        label_energies(checks),
         n=n,
         w0=_max_per_qubit(n, supports),
         w1=0,
@@ -371,29 +393,6 @@ def build_hamiltonian(checks):
         term_supports=supports,
         checks=checks,
     )
-    if checks.is_classical:
-        if np.abs(diag - np.round(diag)).max() > 1e-9:
-            raise NonCommutingChecks("non-integer classical spectrum")
-        return Hamiltonian(diag, flips=np.zeros(n), **bookkeeping)
-    H = np.diag(diag)
-    x_terms = []
-    for mask in checks.x_masks():
-        perm = (idx ^ np.uint64(mask)).astype(np.int64)
-        term = 0.5 * np.eye(dim)
-        term[perm, np.arange(dim)] -= 0.5
-        x_terms.append(term)
-        H += term
-    z_diags = [_parity(idx, m).astype(np.float64) for m in checks.z_masks()]
-    for xt in x_terms:
-        for zd in z_diags:
-            resid = np.abs(xt * zd[None, :] - zd[:, None] * xt).max()
-            if resid > 1e-10:
-                raise NonCommutingChecks(f"term commutator residual {resid:.3e}")
-    if dim <= 512:
-        w = np.linalg.eigvalsh(H)
-        if np.abs(w - np.round(w)).max() > 1e-9 or w.min() < -1e-9:
-            raise NonCommutingChecks("spectrum is not non-negative integers")
-    return Hamiltonian(H, **bookkeeping)
 
 
 def _as_mask(n, x):
@@ -412,17 +411,6 @@ def bits_from_mask(n, mask):
     return np.array([(mask >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.int8)
 
 
-def classical_energies(checks):
-    """Energy of every bitstring, vectorized over the full register."""
-    if not checks.is_classical:
-        raise NotClassical("model has X checks")
-    idx = np.arange(1 << checks.n, dtype=np.uint64)
-    E = np.zeros(idx.size, dtype=np.int64)
-    for mask in checks.z_masks():
-        E += _parity(idx, mask)
-    return E
-
-
 def expansion_scan(checks, delta):
     """Worst energy-per-weight ratio over words of weight up to delta*n.
 
@@ -435,7 +423,7 @@ def expansion_scan(checks, delta):
     n = checks.n
     if n > 20:
         raise NotClassical(f"scan over 2^{n} states refused (n > 20)")
-    E = classical_energies(checks)
+    E = label_energies(checks)
     w = popcount(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
     sel = (w > 0) & (w <= delta * n)
     if not sel.any():
@@ -465,6 +453,8 @@ def label_basis(checks):
     (x, z) per label class, each with the phase that makes its entry in
     the lowest row positive, and construction checks that W is unitary
     and that every check acts on each column as the sign of its syndrome.
+    That check is what certifies H0 W = W diag(label_energies) for the
+    labels build_hamiltonian gives H0.
     """
     if checks.is_classical:
         return identity_basis(checks.n)
@@ -538,14 +528,6 @@ def _label_energies(checks):
     return E
 
 
-def label_energy_residual(H, basis, energies):
-    """max |H W - W diag(E)|: zero when H is diagonal in W with energies E.
-    A form with no phases is H itself, and is read in place of mat."""
-    mat = H.form if H.phases is None else H.mat
-    resid = basis.right(mat) - basis.dense() * energies[None, :]
-    return float(np.abs(resid).max())
-
-
 def label_distance(checks, center):
     """Reduced distance from the center label (x0, z0) to every column
     (x, z) of label_basis: min |supp(x ^ x0 ^ g) | supp(z ^ z0 ^ h)| over
@@ -613,37 +595,39 @@ def barrier_subspace(checks, center, inner_radius, boundary_radius, H):
 
 
 def subspace_min_energy(V, H):
-    """min over unit psi in V of <psi|H|psi>, via the compressed block.
+    """min over unit psi in V of <psi|H|psi>.
 
-    When every basis column has one nonzero entry (above 1e-14), column i
-    is vals[i] |rows[i]> with |vals[i]| = 1, so the block X^dag H X is
-    H[rows][:, rows] under a unitary diagonal similarity, with the same
-    spectrum, and H[rows][:, rows] is gathered, not multiplied out; a
-    diagonal H (no off-diagonal entry above 1e-14) then needs no
-    eigensolve at all. The phases of H only add to that similarity, so
-    the gather reads its form M (Hamiltonian.block, from e and t for a
-    site form).
+    A V labeled over the basis W of H's labels (W, E) is spanned by
+    eigenvectors of H, so the minimum is the least E on V's mask, with no
+    block formed. Otherwise every basis column must have one nonzero
+    entry (above 1e-14): column i is vals[i] |rows[i]> with |vals[i]| =
+    1, so the block X^dag H X is H[rows][:, rows] under a unitary
+    diagonal similarity, with the same spectrum, and H[rows][:, rows] is
+    gathered, not multiplied out, then solved. The phases of H only add
+    to that similarity, so the gather reads its form M (Hamiltonian.block,
+    from e and t for a site form). Any other V raises BadPartition.
     """
     if V.dim == 0:
         raise EmptySubspace("minimum energy over an empty subspace")
-    basis = V.basis
-    nnz_per_col = (np.abs(basis) > 1e-14).sum(axis=0)
-    if (nnz_per_col == 1).all():
-        rows = np.argmax(np.abs(basis), axis=0)
-        if H.offdiagonal < 1e-14:
-            return float(H.diagonal()[rows].min())
-        block = H.block(rows)
-    else:
-        if H.phases is not None:
-            basis = H.phases.conj()[:, None] * basis
-        block = basis.conj().T @ H.form @ basis
+    if V.labels is not None and H.labels is not None and V.labels[0].same_as(H.labels[0]):
+        return float(H.labels[1][V.labels[1]].min())
+    nonzero = np.abs(V.basis) > 1e-14
+    if not (nonzero.sum(axis=0) == 1).all():
+        raise BadPartition(
+            "V is neither labeled over the eigenbasis of H nor spanned by basis states"
+        )
+    block = H.block(np.argmax(nonzero, axis=0))
     return float(np.linalg.eigvalsh(0.5 * (block + block.conj().T))[0])
 
 
 def _eigensystem(H):
-    """Eigensystem of a Hamiltonian: its real diagonal as w and U None when
-    it is diagonal (no off-diagonal entry above 1e-12), else
-    H.eigensystem()."""
+    """Eigensystem of a Hamiltonian, solved only when nothing gives it:
+    E and W of H's labels (W, E), with U None for the identity basis;
+    else the real diagonal as w and U None when H is diagonal (no
+    off-diagonal entry above 1e-12); else H.eigensystem()."""
+    if H.labels is not None:
+        W, E = H.labels
+        return Eigensystem(E, None if W.identity else W.dense(), None)
     if H.is_diagonal:
         return Eigensystem(H.diagonal(), None, None)
     return H.eigensystem()
@@ -652,9 +636,11 @@ def _eigensystem(H):
 def spectrum(H):
     """Eigenvalues w and eigenvectors U of a Hamiltonian.
 
-    A diagonal H (no off-diagonal entry above 1e-12) gives its real
-    diagonal as w and U None, the identity. Otherwise the columns of U
-    are orthonormal eigenvectors, each fixed only up to a phase: D U_r
+    A check Hamiltonian gives its labels: w = E in label order and U the
+    dense label basis W, or None for the identity basis. Any other
+    diagonal H (no off-diagonal entry above 1e-12) gives its real
+    diagonal as w and U None. Otherwise w is ascending and the columns of
+    U are orthonormal eigenvectors, each fixed only up to a phase: D U_r
     for a real form, U_r from np.linalg.eigh, so real when there are no
     phases, and those of numerics.hermitian_eigensystem (complex,
     phase-fixed) for a complex form.
@@ -712,25 +698,20 @@ def gibbs_state(H, beta):
     """Thermal state, log partition function, and free energy -logZ/beta.
 
     The state is dense, and carries its label form (W, p) when H is
-    diagonal in a label basis W by construction:
-    - a Hamiltonian of a non-classical check family whose H W = W diag(E)
-      holds for the syndrome energies E (within 1e-9, the check
-      css_metropolis_channel makes, kept per H) gets p = e^{-beta E}/Z
-      over label_basis(checks), with no eigensolve;
-    - a diagonal H gets rho = diag(p) over the identity basis, p the
-      Gibbs weights of its diagonal;
-    - any other H (a perturbed one, whose checks perturb drops) is the
-      dense rho of thermal_state, with no labels. After a real solve rho
-      is the real product U diag(p) U^T, scaled by the phases d as d_i
-      rho_ij conj(d_j) when there are any.
+    diagonal in a label basis W. Two routes:
+    - a check Hamiltonian, with labels (W, E), gets p = e^{-beta E}/Z over
+      W, with no eigensolve;
+    - any other H (a perturbed one, whose labels perturb drops) takes
+      thermal_state. A diagonal H gets rho = diag(p) over the identity
+      basis, p the Gibbs weights of its diagonal; otherwise rho is dense,
+      with no labels: after a real solve the real product U diag(p) U^T,
+      scaled by the phases d as d_i rho_ij conj(d_j) when there are any.
     """
-    checks, rho = H.checks, None
-    if checks is not None and not checks.is_classical:
-        E = label_energies(checks)
-        if H.label_residual(E) <= 1e-9:
-            p, logZ = gibbs_weights(E, beta)
-            rho = DensityMatrix.from_labels(label_basis(checks), p)
-    if rho is None:
+    if H.labels is not None:
+        W, E = H.labels
+        p, logZ = gibbs_weights(E, beta)
+        rho = DensityMatrix.from_labels(W, p)
+    else:
         probs, U, logZ, phases = thermal_state(H, beta)
         if U is None:
             rho = DensityMatrix.from_labels(identity_basis(H.n), probs)
@@ -825,9 +806,10 @@ def _site_gauge(n, terms, scale):
 def perturb(H0, V):
     """H0 + V with locality bookkeeping merged.
 
-    A diagonal H0 is added to V's form in V's gauge (plus_diagonal), so a
-    V in its real gauge keeps H0 + V real, and a site form a site form; a
-    non-diagonal (CSS) H0 is summed with V as dense complex matrices.
+    A diagonal H0 is added to a site form V in V's gauge (plus_diagonal),
+    so H0 + V stays a real site form; a non-diagonal (CSS) H0, or a V
+    given as a dense matrix, is summed with V as dense complex matrices.
+    The sum carries no labels.
     """
     supports = H0.term_supports + V.term_supports
     bookkeeping = dict(
@@ -837,7 +819,7 @@ def perturb(H0, V):
         source=f"{H0.source}+{V.source}",
         term_supports=supports,
     )
-    if H0.is_diagonal:
+    if V.flips is not None and H0.is_diagonal:
         return V.plus_diagonal(H0.diagonal(), **bookkeeping)
     return Hamiltonian(H0.mat + V.mat, **bookkeeping)
 

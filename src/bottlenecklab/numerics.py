@@ -459,7 +459,7 @@ class DensityMatrix:
     Positivity is a mathematical invariant of everything this package
     produces (channel outputs, Gibbs states, normalized projections);
     the eigenvalue check costs a full diagonalization, so it lives in
-    validate() and in the test suite rather than on every construction.
+    the test suite rather than on every construction.
     The checked array is made read-only and the fields cannot be
     reassigned, so a DensityMatrix stays what its construction checked
     and callers may take it as checked.
@@ -498,11 +498,9 @@ class DensityMatrix:
 
         p must be a real probability vector over the columns of W: no
         entry below -1e-9 and a sum within 1e-9 of 1, the trace check's
-        tolerance (ValueError otherwise). W is block-diagonal over its x
-        classes, so rho is B_c diag(p_c) B_c^dag on the rows of class c
-        and zero elsewhere: one batched matmul over W.blocks, scattered
-        through W.order. For the identity basis that is diag(p) exactly.
-        p is copied and stored read-only.
+        tolerance (ValueError otherwise). The matrix is W.outer(p), one
+        batched matmul over the blocks of W; for the identity basis that
+        is diag(p) exactly. p is copied and stored read-only.
         """
         p = np.array(p, dtype=np.float64)
         if p.shape != (W.dim,) or not np.isfinite(p).all():
@@ -511,22 +509,10 @@ class DensityMatrix:
             raise ValueError(f"label weight {p.min()!r} is negative")
         if abs(p.sum() - 1.0) > _TRACE_TOL:
             raise ValueError(f"label weights sum to {p.sum()!r}, expected 1")
-        nx, k, nz = W.blocks.shape
-        block = np.matmul(W.blocks * p.reshape(nx, 1, nz), W.blocks.conj().transpose(0, 2, 1))
-        rows = W.order.reshape(nx, k)
-        mat = np.zeros((W.dim, W.dim), dtype=np.complex128)
-        mat[rows[:, :, None], rows[:, None, :]] = block
-        rho = cls(mat, W.n)
+        rho = cls(W.outer(p), W.n)
         p.flags.writeable = False
         object.__setattr__(rho, "labels", (W, p))
         return rho
-
-    def validate(self, floor=-1e-10):
-        """Check positivity: smallest eigenvalue must be >= floor."""
-        lo = float(np.linalg.eigvalsh(self.mat)[0])
-        if lo < floor:
-            raise ValueError(f"negative eigenvalue {lo:.3e} below floor {floor:.1e}")
-        return lo
 
 
 def matrix_of(rho):

@@ -10,16 +10,18 @@ energy jump omega it causes is read off the syndromes of the adjacent
 checks, so the jump operators sqrt(q min(1, e^{-beta omega})) sigma
 P_omega are built column by column without any dense product. Before
 returning, construction checks on label vectors that the channel is
-trace preserving and fixes the Gibbs state exactly; the CSS variant
-first checks that H0 is diagonal in the label basis with the syndrome
-energies (H0 W = W diag(E)), which ties that Gibbs vector to H0.
+trace preserving and fixes the Gibbs state exactly. The CSS variant
+reads E from the labels (W, E) of H0, which build_hamiltonian sets over
+label_basis of the checks, so H0 W = W diag(E) ties that Gibbs vector
+to H0; an H0 without labels over that basis (a perturbed one) is
+refused.
 """
 
 import numpy as np
 
 from .channel import KrausChannel, MonomialKraus
 from .errors import EmptySchedule, NotCommuting, NotDiagonal, NotFixedPoint
-from .model import gibbs_weights, label_basis, label_energies
+from .model import gibbs_weights, label_basis
 from .pauli import mask_from_indices, popcount
 from .subspace import identity_basis
 
@@ -83,13 +85,9 @@ def css_metropolis_channel(H0, beta, site, flavor, attempt_prob=DEFAULT_ATTEMPT)
     if not 0 <= site < n:
         raise ValueError(f"site {site} outside register of {n}")
     W = label_basis(fam)
-    E = label_energies(fam)
-    resid = H0.label_residual(E)
-    if resid > 1e-9:
-        raise NotDiagonal(
-            f"H0 is not diagonal in the label basis with the syndrome energies "
-            f"(residual {resid:.3e})"
-        )
+    if H0.labels is None or not H0.labels[0].same_as(W):
+        raise NotDiagonal("H0 carries no syndrome energies over the label basis of its checks")
+    E = H0.labels[1]
     bit = 1 << (n - 1 - site)
     if flavor == "X":
         col, phase = W.pauli_image(bit, 0)

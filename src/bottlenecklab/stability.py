@@ -6,10 +6,11 @@ shells, and a high part. A perturbation whose terms touch few checks is
 block-tridiagonal in that ladder, so the amplitude of a low-energy
 eigenstate on the high part decays geometrically shell by shell.
 
-Each shell is a set of eigen-indices of model.spectrum(H0). The ladder
-check reads blocks of U^dag V U and a tail amplitude the top-shell
-entries of U^dag psi (U is the identity for a diagonal H0), so no
-2^n x 2^n projector is built.
+Each shell is a set of eigen-indices of model.spectrum(H0), which for a
+check Hamiltonian are the columns of its label basis U, with no
+eigensolve. The ladder check reads blocks of U^dag V U and a tail
+amplitude the top-shell entries of U^dag psi (U is the identity for a
+classical H0), so no 2^n x 2^n projector is built.
 
 The sweep turns the resulting exponential estimates into measured bottleneck
 ratios on perturbed Gibbs states across a (beta, g, n, seed) grid.
@@ -267,9 +268,9 @@ def _decay_rate(eps1, eps2, g, delta_E):
 
 
 def _check_perturbation(H, H0, g):
-    """||H - H0|| <= g*n. A diagonal H0 is subtracted in the gauge of H,
-    whose unit phases leave the norm unchanged."""
-    if H0.is_diagonal:
+    """||H - H0|| <= g*n. A diagonal H0 is subtracted from a site form H
+    in the gauge of H, whose unit phases leave the norm unchanged."""
+    if H.flips is not None and H0.is_diagonal:
         diff = H.plus_diagonal(-H0.diagonal()).form
     else:
         diff = H.mat - H0.mat

@@ -130,6 +130,19 @@ class LabelBasis:
         """W as a dense dim x dim matrix."""
         return self.columns(np.ones(self.dim, dtype=bool))
 
+    def outer(self, p):
+        """W diag(p) W^dag as a dense dim x dim matrix, for real weights p
+        over the columns. W is block-diagonal over its x classes, so the
+        product is B_c diag(p_c) B_c^dag on the rows of class c and zero
+        elsewhere: one batched matmul over blocks, scattered through
+        order. For the identity basis that is diag(p) exactly."""
+        nx, k, nz = self.blocks.shape
+        block = np.matmul(self.blocks * p.reshape(nx, 1, nz), self.blocks.conj().transpose(0, 2, 1))
+        rows = self.order.reshape(nx, k)
+        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        out[rows[:, :, None], rows[:, None, :]] = block
+        return out
+
     def adjoint_left(self, M):
         """W† M for a dense M with dim rows."""
         if self.identity:

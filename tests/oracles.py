@@ -9,7 +9,8 @@ a time, and only tests call it:
   model.label_basis.
 - barrier_by_label_pairs builds a barrier ball and its boundary shell by a
   loop over label pairs, taking the reduced distance of each pair as a
-  minimum over both stabilizer spans. It is the oracle for
+  minimum over both stabilizer spans, and each pair's energy as its
+  syndrome count (pair_energy). It is the oracle for
   model.barrier_subspace.
 - shell_projectors builds the energy windows of H0 as dense projectors
   and checks that they resolve the identity without overlapping. It is
@@ -44,7 +45,14 @@ a time, and only tests call it:
   They are the oracle for the certified Chebyshev route of
   stability.sweep_point and for the columns of numerics._site_form_series.
 - dense_min_energy multiplies out the compressed block X^dag H X. It is
-  the oracle for the gathered block of model.subspace_min_energy.
+  the oracle for the gathered block and the label route of
+  model.subspace_min_energy.
+- dense_check_hamiltonian sums the check projectors of a family into one
+  dense real matrix, checks that every X term commutes with every Z term
+  and that the spectrum is non-negative integers, as model did before a
+  check Hamiltonian was held as its labels. It is the oracle for the
+  labels (W, E) of model.build_hamiltonian, and label_energy_residual
+  reads max |H W - W diag(E)| of a dense H over a label basis.
 - dense_norm is the operator norm of a perturbation from the eigenvalues
   of its full matrix. It is the oracle for the norm that
   model.random_local_perturbation reads from its term spectra.
@@ -71,9 +79,20 @@ a time, and only tests call it:
   whichever is smaller. They are the oracle for the label shells of
   subspace.partition_from_radius and subspace.boundary.
 - classical_energy counts the violated Z checks of one bitstring. It is
-  the oracle for model.classical_energies.
+  the oracle for model.label_energies of a classical family.
+- validate_density checks positivity of a DensityMatrix by its smallest
+  eigenvalue.
 - validate_channel reads the trace-preservation residual and the support
-  of every Kraus operator from the dense operators.
+  of every Kraus operator from the dense operators. dense_copy keeps the
+  operators of a channel without its monomial form, which sends it down
+  the dense path of bottleneck.verify_bottleneck_theorem.
+- dense_site_kraus builds the bit-flip Kraus pair of a diagonal
+  Hamiltonian as dense matrices, and dense_css_jumps and dense_css_kraus
+  build the CSS Kraus list from dense syndrome projectors. They are the
+  oracle for the monomial forms of sampler.metropolis_site_channel and
+  sampler.css_metropolis_channel.
+- loop_fix_phases rotates one column at a time. It is the oracle for
+  numerics.fix_phases.
 - stationary_distribution solves M pi = pi by a generic eigensolve: dense
   eig up to 1024 states, ARPACK from a seeded start vector above. It is
   the oracle for the Gibbs weights that verify-classical passes as the
@@ -92,12 +111,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from bottlenecklab.bottleneck import bottleneck_ratio
-from bottlenecklab.channel import _kraus_support, _trace_residual
+from bottlenecklab.channel import KrausChannel, _kraus_support, _trace_residual
 from bottlenecklab.errors import (
     BottleneckLabError,
     DimensionMismatch,
     EmptyBoundary,
     EmptyInput,
+    NonCommutingChecks,
     NonUniqueStationary,
     NotClassical,
     ParametersInadmissible,
@@ -122,6 +142,7 @@ from bottlenecklab.numerics import (
     operator_norm,
 )
 from bottlenecklab.pauli import gf2_null_space_masks, gf2_span, mask_from_indices, popcount
+from bottlenecklab.sampler import DEFAULT_ATTEMPT
 from bottlenecklab.subspace import HilbertPartition, Subspace, boundary
 
 
@@ -412,9 +433,18 @@ def joint_reduced_distance(a, b, gx_span, gxp_span):
     return int(popcount(np.bitwise_or.outer(ag, bh)).min())
 
 
-def barrier_by_label_pairs(checks, center, inner_radius, boundary_radius, H):
-    """The barrier certificate of model.barrier_subspace, one label pair at
-    a time; center is a pair of integer bitstrings."""
+def pair_energy(checks, x, z):
+    """Energy of the eigenstate |x, z>: the Z checks of odd overlap with x
+    and the X checks of odd overlap with z."""
+    violated = [int(popcount(np.uint64(int(m) & x))) & 1 for m in checks.z_masks()]
+    violated += [int(popcount(np.uint64(int(m) & z))) & 1 for m in checks.x_masks()]
+    return sum(violated)
+
+
+def barrier_by_label_pairs(checks, center, inner_radius, boundary_radius):
+    """The barrier certificate of model.barrier_subspace for H0 of checks,
+    one label pair at a time; center is a pair of integer bitstrings, and
+    each minimum energy is the least pair_energy of the pairs."""
     n = checks.n
     x0, z0 = (int(c) for c in center)
     if inner_radius + boundary_radius > n:
@@ -438,8 +468,8 @@ def barrier_by_label_pairs(checks, center, inner_radius, boundary_radius, H):
 
     V = span(inner_pairs, f"ball r<={inner_radius}")
     shell = span(shell_pairs, f"shell {inner_radius}<d<={inner_radius + boundary_radius}")
-    e_v = subspace_min_energy(V, H)
-    e_b = subspace_min_energy(shell, H)
+    e_v = float(min(pair_energy(checks, x, z) for x, z in inner_pairs))
+    e_b = float(min(pair_energy(checks, x, z) for x, z in shell_pairs))
     return BarrierCertificate(
         V=V,
         boundary_radius=boundary_radius,
@@ -686,6 +716,47 @@ def dense_min_energy(V, H):
     return float(np.linalg.eigvalsh(0.5 * (block + block.conj().T))[0])
 
 
+def _parity(indices, mask):
+    return (popcount(indices & np.uint64(mask)) & 1).astype(np.int64)
+
+
+def dense_check_hamiltonian(checks):
+    """H0 as a dense real matrix: the violated Z checks on the diagonal,
+    plus (1 - X(m))/2 for every X check m.
+
+    Every X term is checked to commute with every Z term (within 1e-10)
+    and the spectrum, by eigvalsh, to be non-negative integers (within
+    1e-9); NonCommutingChecks otherwise.
+    """
+    n = checks.n
+    dim = 1 << n
+    idx = np.arange(dim, dtype=np.uint64)
+    diag = np.zeros(dim)
+    for mask in checks.z_masks():
+        diag += _parity(idx, mask)
+    H = np.diag(diag)
+    z_diags = [_parity(idx, m).astype(np.float64) for m in checks.z_masks()]
+    for mask in checks.x_masks():
+        term = 0.5 * np.eye(dim)
+        term[(idx ^ np.uint64(mask)).astype(np.int64), np.arange(dim)] -= 0.5
+        for zd in z_diags:
+            resid = np.abs(term * zd[None, :] - zd[:, None] * term).max()
+            if resid > 1e-10:
+                raise NonCommutingChecks(f"term commutator residual {resid:.3e}")
+        H += term
+    w = np.linalg.eigvalsh(H)
+    if np.abs(w - np.round(w)).max() > 1e-9 or w.min() < -1e-9:
+        raise NonCommutingChecks("spectrum is not non-negative integers")
+    return H
+
+
+def label_energy_residual(mat, basis, energies):
+    """max |H W - W diag(E)| for a dense H: zero when H is diagonal in W
+    with energies E."""
+    resid = basis.right(mat) - basis.dense() * energies[None, :]
+    return float(np.abs(resid).max())
+
+
 def dense_norm(V):
     """Largest |eigenvalue| of the full matrix of a Hermitian operator."""
     return float(np.abs(np.linalg.eigvalsh(V.mat)).max())
@@ -819,6 +890,28 @@ def classical_energy(x, checks):
     return int(sum(int(popcount(mask & np.uint64(m))) & 1 for m in checks.z_masks()))
 
 
+def validate_density(rho, floor=-1e-10):
+    """Smallest eigenvalue of a DensityMatrix, checked to be >= floor."""
+    lo = float(np.linalg.eigvalsh(rho.mat)[0])
+    if lo < floor:
+        raise ValueError(f"negative eigenvalue {lo:.3e} below floor {floor:.1e}")
+    return lo
+
+
+def loop_fix_phases(columns, tol=1e-12):
+    """Each column rotated so its first entry above tol is real positive,
+    one column at a time."""
+    out = np.array(columns, dtype=np.complex128, copy=True)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        idx = np.flatnonzero(np.abs(col) > tol)
+        if idx.size == 0:
+            continue
+        pivot = col[idx[0]]
+        out[:, j] = col * (abs(pivot) / pivot)
+    return out
+
+
 @dataclass
 class ChannelReport:
     residual: float
@@ -831,3 +924,58 @@ def validate_channel(C):
     resid = _trace_residual(C.kraus, C.dim)
     supports = [_kraus_support(K, C.n) for K in C.kraus]
     return ChannelReport(resid, supports, resid < 1e-10)
+
+
+def dense_copy(chan):
+    """The same operators without a monomial form, which forces the dense path."""
+    return KrausChannel(chan.n, chan.kraus)
+
+
+def dense_site_kraus(H, beta, site, q=DEFAULT_ATTEMPT):
+    """The bit-flip Kraus pair built as dense matrices."""
+    n = H.n
+    dim = 1 << n
+    E = np.real(np.diag(H.mat))
+    idx = np.arange(dim)
+    flip = idx ^ (1 << (n - 1 - site))
+    accept = q * np.minimum(1.0, np.exp(-beta * (E[flip] - E)))
+    K_flip = np.zeros((dim, dim), dtype=np.complex128)
+    K_flip[flip, idx] = np.sqrt(accept)
+    return [K_flip, np.diag(np.sqrt(1.0 - accept).astype(np.complex128))]
+
+
+def dense_css_jumps(fam, site, flavor):
+    """sigma P_omega and P_omega per jump omega, from dense syndrome projectors."""
+    n = fam.n
+    dim = 1 << n
+    opposing = fam.z_checks if flavor == "X" else fam.x_checks
+    opposing = [s for s in opposing if site in s]
+    other = "Z" if flavor == "X" else "X"
+    check_mats = [
+        pauli_matrix(PauliString.from_letters(n, {s: other for s in supp}))
+        for supp in opposing
+    ]
+    sigma = pauli_matrix(PauliString.from_letters(n, {site: flavor}))
+    projectors = {}
+    for pattern in range(1 << len(opposing)):
+        P = np.eye(dim, dtype=np.complex128)
+        omega = 0
+        for k, C in enumerate(check_mats):
+            violated = (pattern >> k) & 1
+            P = P @ (0.5 * (np.eye(dim) + (-1.0 if violated else 1.0) * C))
+            omega += -1 if violated else 1
+        if np.abs(P).max() < 1e-14:
+            continue
+        projectors[omega] = projectors.get(omega, 0) + P
+    return [(omega, sigma @ P, P) for omega, P in sorted(projectors.items())]
+
+
+def dense_css_kraus(jumps, beta, q=DEFAULT_ATTEMPT):
+    """The CSS Kraus list: one jump per omega in ascending order, then stay."""
+    kraus = []
+    stay = 0
+    for omega, sigma_P, P in jumps:
+        a = q * min(1.0, np.exp(-beta * omega))
+        kraus.append(np.sqrt(a) * sigma_P)
+        stay = stay + np.sqrt(1.0 - a) * P
+    return kraus + [stay]

@@ -43,9 +43,9 @@ from bottlenecklab.model import (
     REGISTRY,
     barrier_subspace,
     build_hamiltonian,
-    classical_energies,
     gibbs_state,
     gibbs_weights,
+    label_energies,
     perturb,
     random_ldpc,
     random_local_perturbation,
@@ -282,7 +282,7 @@ def test_criterion_03_classical_theorem_suite():
     checked = 0
     worst_gap = -math.inf
     for n in (6, 8, 10, 12):
-        E = classical_energies(REGISTRY["ising_ring"](n))
+        E = label_energies(REGISTRY["ising_ring"](n))
         part = hamming_state_partition(n, 0, 1, 1)
         for beta in (0.5, 1.0, 2.0):
             chain = glauber_chain(E, beta)

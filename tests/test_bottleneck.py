@@ -35,7 +35,6 @@ from bottlenecklab.model import (
     REGISTRY,
     barrier_subspace,
     build_hamiltonian,
-    classical_energies,
     gibbs_state,
     label_basis,
     perturb,
@@ -53,6 +52,7 @@ from bottlenecklab.subspace import (
 )
 
 from conftest import random_density, random_projector, random_state
+from oracles import dense_copy
 
 RINGS = {n: build_hamiltonian(REGISTRY["ising_ring"](n)) for n in (4, 6, 7)}
 
@@ -523,11 +523,6 @@ REPORT_FIELDS = (
     "condition_residual",
 )
 ORACLE_BETAS = (0.5, 1.0, 2.0)
-
-
-def dense_copy(chan):
-    """The same operators without a monomial form, which forces the dense path."""
-    return KrausChannel(chan.n, chan.kraus)
 
 
 def assert_label_path_matches_dense(channels, oracle, rho, spec):

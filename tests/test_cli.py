@@ -520,8 +520,15 @@ def test_model_info_summary(tmp_path):
     assert info["n"] == 7
     assert not info["classical"]
     assert info["ground_degeneracy"] == 2
+    # the syndrome energies are exact: no eigensolve rounds them
+    assert (info["ground_energy"], info["max_energy"]) == (0.0, 6.0)
     assert info["barrier"]["kappa"] == pytest.approx(1 / 7)
     assert info["log_Z"] == pytest.approx(-info["free_energy"])
+    code, out = run("model-info", {"model": "toric", "L": 2}, tmp_path, out_name="toric")
+    assert code == 0
+    info = json.loads((out / "report.json").read_text())
+    assert (info["n"], info["ground_degeneracy"]) == (8, 4)
+    assert (info["ground_energy"], info["max_energy"]) == (0.0, 8.0)
 
 
 def test_model_info_expansion(tmp_path):
@@ -784,7 +791,7 @@ def test_verify_classical_empty_c_rejected(tmp_path, monkeypatch):
 def test_verify_classical_past_the_glauber_cap_rejected(tmp_path, monkeypatch):
     # 17 bits is one more than glauber_chain builds: the run is refused
     # before the energies are built, not failed inside its grid point
-    monkeypatch.setattr(cli, "classical_energies", _refuse)
+    monkeypatch.setattr(cli, "label_energies", _refuse)
     monkeypatch.setattr(cli, "glauber_chain", _refuse)
     cfg = {
         "model": "ising_ring",

@@ -20,7 +20,7 @@ from bottlenecklab.markov import (
     glauber_chain,
     hamming_state_partition,
 )
-from bottlenecklab.model import REGISTRY, classical_energies, gibbs_weights
+from bottlenecklab.model import REGISTRY, gibbs_weights, label_energies
 from oracles import dense_glauber, dense_report, stationary_distribution
 
 
@@ -185,7 +185,7 @@ class TestBottleneckReport:
     def test_supplied_pi_must_be_a_probability_vector(self, case):
         # the first two are stationary but sum to 3 and to 1 + 1e-11; the
         # last sums to 1 but has a negative entry
-        E = classical_energies(REGISTRY["ising_ring"](6))
+        E = label_energies(REGISTRY["ising_ring"](6))
         gibbs, _ = gibbs_weights(E, 1.0)
         pi = {
             "triple": 3 * gibbs,
@@ -299,7 +299,7 @@ class TestGlauberChain:
     @pytest.mark.parametrize("m", [4, 6])
     def test_low_temperature_does_not_overflow(self, m):
         # downhill moves have dE < 0; e^{-beta dE} alone overflows at beta 400
-        E = classical_energies(REGISTRY["ising_ring"](m))
+        E = label_energies(REGISTRY["ising_ring"](m))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sm = glauber_chain(E, 400.0)
@@ -334,7 +334,7 @@ class TestGlauberChain:
     def test_report_matches_dense_oracle(self, m, rtol):
         # the Gibbs law against the solved one (ARPACK above 1024 states),
         # then the sparse report against the dense arithmetic on that law
-        E = classical_energies(REGISTRY["ising_ring"](m))
+        E = label_energies(REGISTRY["ising_ring"](m))
         part = hamming_state_partition(m, 0, 1, 1)
         betas = (0.5, 3.0) if m <= 10 else (3.0,)
         for beta in betas:

@@ -28,7 +28,13 @@ from conftest import (
     random_projector,
     random_unitary,
 )
-from oracles import _gauged, dense_perturbation, orthonormal_column_basis
+from oracles import (
+    _gauged,
+    dense_perturbation,
+    loop_fix_phases,
+    orthonormal_column_basis,
+    validate_density,
+)
 
 
 def test_trace_norm_diag():
@@ -165,7 +171,7 @@ def test_density_matrix_validation(rng):
     rho = random_density(rng, 8)
     dm = numerics.DensityMatrix(rho)
     assert dm.n == 3
-    assert dm.validate() >= -1e-10
+    assert validate_density(dm) >= -1e-10
     with pytest.raises(NotHermitian):
         bad = rho.copy()
         bad[0, 1] += 1e-3
@@ -223,19 +229,6 @@ def test_maximally_mixed_and_pure():
 
 
 # --- phase fixing --------------------------------------------------------
-
-
-def loop_fix_phases(columns, tol=1e-12):
-    """The per-column loop fix_phases replaced, kept as its oracle."""
-    out = np.array(columns, dtype=np.complex128, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = np.flatnonzero(np.abs(col) > tol)
-        if idx.size == 0:
-            continue
-        pivot = col[idx[0]]
-        out[:, j] = col * (abs(pivot) / pivot)
-    return out
 
 
 @pytest.mark.parametrize("shape", [(8, 3), (64, 64), (100, 7), (256, 40), (5, 0), (0, 4)])

@@ -40,7 +40,6 @@ from bottlenecklab.model import (
     ThermalState,
     barrier_subspace,
     build_hamiltonian,
-    classical_energies,
     curie_weiss,
     gibbs_state,
     gibbs_weights,
@@ -52,6 +51,7 @@ from bottlenecklab.model import (
     random_ldpc,
     random_local_perturbation,
     repetition,
+    spectrum,
     steane7,
     subspace_min_energy,
     thermal_state,
@@ -83,6 +83,7 @@ from conftest import flux_triangle, gauge_block_diagonal
 from oracles import (
     _gauged,
     barrier_by_label_pairs,
+    dense_check_hamiltonian,
     dense_collar_weights,
     dense_free_energy_bounds,
     dense_gibbs,
@@ -154,7 +155,7 @@ def test_barrier_matches_the_label_pair_builder(checks, x0, z0, inner, boundary)
     center = (x0 % (1 << n), z0 % (1 << n))
     H = build_hamiltonian(checks)
     try:
-        want = barrier_by_label_pairs(checks, center, inner, boundary, H)
+        want = barrier_by_label_pairs(checks, center, inner, boundary)
     except EmptyBoundary:
         with pytest.raises(EmptyBoundary):
             barrier_subspace(checks, center, inner, boundary, H)
@@ -167,6 +168,46 @@ def test_barrier_matches_the_label_pair_builder(checks, x0, z0, inner, boundary)
     assert got.E_min_V == want.E_min_V
     assert got.E_min_boundary == want.E_min_boundary
     assert got.kappa == want.kappa
+
+
+# every registry family at n <= 10
+CHECK_FAMILIES = (
+    ising_ring(10),
+    repetition(8),
+    curie_weiss(8),
+    random_ldpc(10, 8, 5),
+    steane7(),
+    toric(2),
+)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    checks=st.one_of(st.sampled_from(CHECK_FAMILIES), css_families()),
+    x0=st.integers(0, 1023),
+    z0=st.integers(0, 1023),
+    inner=st.integers(0, 1),
+)
+@example(checks=CHECK_FAMILIES[0], x0=0, z0=0, inner=1)
+@example(checks=CHECK_FAMILIES[1], x0=5, z0=0, inner=0)
+@example(checks=CHECK_FAMILIES[2], x0=0, z0=0, inner=1)
+@example(checks=CHECK_FAMILIES[3], x0=9, z0=0, inner=1)
+@example(checks=CHECK_FAMILIES[4], x0=0, z0=0, inner=1)
+@example(checks=CHECK_FAMILIES[5], x0=3, z0=17, inner=0)
+def test_check_hamiltonian_matches_the_dense_term_sum(checks, x0, z0, inner):
+    # H0 held as its labels against the dense sum of its check projectors:
+    # the form, the spectrum, and the least energy of a ball and its shell
+    n = checks.n
+    H = build_hamiltonian(checks)
+    dense = dense_check_hamiltonian(checks)
+    assert np.abs(H.form - dense).max() <= 1e-12
+    w, _ = spectrum(H)
+    assert np.abs(np.sort(w) - np.linalg.eigvalsh(dense)).max() <= 1e-12
+    ref = Hamiltonian(dense, n=n, w0=H.w0, w1=0)
+    cert = barrier_subspace(checks, (x0 % (1 << n), z0 % (1 << n)), inner, 1, H)
+    for V, got in ((cert.V, cert.E_min_V), (cert.boundary, cert.E_min_boundary)):
+        assert abs(got - dense_min_energy(V, ref)) <= 1e-12
+        assert got == subspace_min_energy(V, H)
 
 
 def shell_window(H0, g, f):
@@ -522,7 +563,7 @@ def classical_registry_models(draw):
 @example(checks=curie_weiss(8), beta=1.0, laziness=0.0)
 @example(checks=curie_weiss(8), beta=3.0, laziness=0.0)
 def test_gibbs_law_matches_the_solved_stationary_law(checks, beta, laziness):
-    E = classical_energies(checks)
+    E = label_energies(checks)
     chain = glauber_chain(E, beta, laziness)
     pi, _ = gibbs_weights(E, beta)
     classical_bottleneck_report(chain, hamming_state_partition(checks.n, 0, 0, 1), pi)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bottlenecklab import model, sampler
+from bottlenecklab.bottleneck import verify_bottleneck_theorem
 from bottlenecklab.channel import (
     KrausChannel,
     MonomialKraus,
@@ -16,6 +16,7 @@ from bottlenecklab.errors import EmptySchedule, NotCommuting, NotDiagonal, NotTr
 from bottlenecklab.model import (
     CheckFamily,
     Hamiltonian,
+    barrier_subspace,
     build_hamiltonian,
     curie_weiss,
     gibbs_state,
@@ -29,12 +30,12 @@ from bottlenecklab.model import (
 )
 from bottlenecklab.numerics import trace_norm
 from bottlenecklab.sampler import (
-    DEFAULT_ATTEMPT,
     css_metropolis_channel,
     metropolis_site_channel,
     sweep_schedule,
 )
-from oracles import PauliString, pauli_matrix, validate_channel
+from bottlenecklab.subspace import partition_from_radius
+from oracles import dense_css_jumps, dense_css_kraus, dense_site_kraus, validate_channel
 
 
 def css_toy_4():
@@ -224,56 +225,6 @@ class TestSweepSchedule:
 # --- monomial forms against the dense constructions -------------------------
 
 
-def dense_site_kraus(H, beta, site, q=DEFAULT_ATTEMPT):
-    """The bit-flip Kraus pair built as dense matrices."""
-    n = H.n
-    dim = 1 << n
-    E = np.real(np.diag(H.mat))
-    idx = np.arange(dim)
-    flip = idx ^ (1 << (n - 1 - site))
-    accept = q * np.minimum(1.0, np.exp(-beta * (E[flip] - E)))
-    K_flip = np.zeros((dim, dim), dtype=np.complex128)
-    K_flip[flip, idx] = np.sqrt(accept)
-    return [K_flip, np.diag(np.sqrt(1.0 - accept).astype(np.complex128))]
-
-
-def dense_css_jumps(fam, site, flavor):
-    """sigma P_omega and P_omega per jump omega, from dense syndrome projectors."""
-    n = fam.n
-    dim = 1 << n
-    opposing = fam.z_checks if flavor == "X" else fam.x_checks
-    opposing = [s for s in opposing if site in s]
-    other = "Z" if flavor == "X" else "X"
-    check_mats = [
-        pauli_matrix(PauliString.from_letters(n, {s: other for s in supp}))
-        for supp in opposing
-    ]
-    sigma = pauli_matrix(PauliString.from_letters(n, {site: flavor}))
-    projectors = {}
-    for pattern in range(1 << len(opposing)):
-        P = np.eye(dim, dtype=np.complex128)
-        omega = 0
-        for k, C in enumerate(check_mats):
-            violated = (pattern >> k) & 1
-            P = P @ (0.5 * (np.eye(dim) + (-1.0 if violated else 1.0) * C))
-            omega += -1 if violated else 1
-        if np.abs(P).max() < 1e-14:
-            continue
-        projectors[omega] = projectors.get(omega, 0) + P
-    return [(omega, sigma @ P, P) for omega, P in sorted(projectors.items())]
-
-
-def dense_css_kraus(jumps, beta, q=DEFAULT_ATTEMPT):
-    """The CSS Kraus list: one jump per omega in ascending order, then stay."""
-    kraus = []
-    stay = 0
-    for omega, sigma_P, P in jumps:
-        a = q * min(1.0, np.exp(-beta * omega))
-        kraus.append(np.sqrt(a) * sigma_P)
-        stay = stay + np.sqrt(1.0 - a) * P
-    return kraus + [stay]
-
-
 ORACLE_BETAS = (0.5, 1.0, 2.0)
 CLASSICAL_ORACLES = {
     "ising_ring(8)": ising_ring(8),
@@ -340,35 +291,43 @@ def test_css_channel_at_low_temperature_does_not_overflow():
                 assert np.abs(K - R).max() <= 1e-14
 
 
-def test_css_schedule_checks_the_label_energies_once(monkeypatch):
-    # the dense H0 W product is the same for every channel of a schedule
-    calls = []
-    real = model.label_energy_residual
+@pytest.mark.parametrize("make", [steane7, toric], ids=["steane7", "toric(2)"])
+def test_css_pipeline_forms_no_dense_hamiltonian_and_solves_nothing(monkeypatch, make):
+    # one pass of the css-codes pipeline: H0 is its labels, so no step
+    # forms it densely and no step diagonalizes anything
+    counts = dict.fromkeys(["form", "mat", "eigh", "eigvalsh"], 0)
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(model, "label_energy_residual", counted)
-    H0 = build_hamiltonian(steane7())
-    schedule = sweep_schedule(H0, 1.0, range(7), flavors=["X", "Z"], repetitions=2)
-    assert len(schedule) == 28
-    sweep_schedule(H0, 2.0, range(7), flavors=["X"])
-    assert len(calls) == 1
+        return counted
+
+    for name in ("form", "mat"):
+        monkeypatch.setattr(Hamiltonian, name, property(spy(name, getattr(Hamiltonian, name).fget)))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    fam = make()
+    H = build_hamiltonian(fam)
+    cert = barrier_subspace(fam, (0, 0), 0, 1, H)
+    part = partition_from_radius(cert.V, 1)
+    for beta in (1.0, 2.0):
+        rho, _, _ = gibbs_state(H, beta)
+        for site in range(fam.n):
+            for flavor in ("X", "Z"):
+                chan = css_metropolis_channel(H, beta, site, flavor)
+                assert verify_bottleneck_theorem(chan, rho, part).path == "label"
+    assert counts == dict.fromkeys(["form", "mat", "eigh", "eigvalsh"], 0)
 
 
-def test_css_channel_refuses_wrong_label_energy(monkeypatch):
-    H0 = build_hamiltonian(steane7())
-    true_energies = sampler.label_energies
-
-    def one_label_off(checks):
-        E = true_energies(checks).copy()
-        E[5] += 1.0
-        return E
-
-    monkeypatch.setattr(sampler, "label_energies", one_label_off)
+def test_css_channel_refuses_wrong_label_energy():
+    # labels over another basis, with other energies: those of a ring on
+    # the same register, under the Steane checks
+    H = build_hamiltonian(ising_ring(7))
+    H.checks = steane7()
     with pytest.raises(NotDiagonal):
-        css_metropolis_channel(H0, 1.0, 0, "X")
+        css_metropolis_channel(H, 1.0, 0, "X")
 
 
 def test_css_channel_refuses_hamiltonian_off_its_checks():

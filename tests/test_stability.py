@@ -17,7 +17,7 @@ from bottlenecklab.errors import (
 from bottlenecklab.model import (
     REGISTRY,
     build_hamiltonian,
-    classical_energies,
+    label_energies,
     perturb,
     random_local_perturbation,
 )
@@ -224,7 +224,7 @@ def test_sweep_zero_g_matches_gibbs_ratio():
     res = stability_sweep(
         "repetition", ((0, 0), 1, 2), betas=[1.0, 2.0, 3.0], gs=[0.0], ns=[6], seeds=[0]
     )
-    E = classical_energies(REGISTRY["repetition"](6))
+    E = label_energies(REGISTRY["repetition"](6))
     wt = np.array([bin(i).count("1") for i in range(64)])
     deltas = []
     for row in res.rows:
