@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import apply_channel, channel_locality, check_partition_condition
+from .channel import _monomial_forms, apply_channel, channel_locality, check_partition_condition
 from .errors import (
     BetaNegative,
     BoundViolated,
@@ -45,6 +45,7 @@ from .model import ThermalState, gibbs_state, spectrum, subspace_min_energy
 from .numerics import (
     _EMPTY_WEIGHT_TOL,
     DensityMatrix,
+    label_weights,
     logsumexp,
     matrix_of,
     max_offdiagonal,
@@ -199,15 +200,15 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
     monomial block. Any other input runs the dense path. report.path says
     which ran. A DensityMatrix on the channels' register is used as it
     is: its construction checked it, and it cannot have changed since;
-    any other rho is checked as one here.
+    any other rho is checked as one here. The label path never reads the
+    dense matrix of a state that carries labels.
     """
     channels = list(C) if isinstance(C, (list, tuple)) else [C]
     n = channels[0].n
-    mat = matrix_of(rho)
     if isinstance(rho, DensityMatrix) and rho.n == n:
         state = rho
     else:
-        state = DensityMatrix(mat, n)
+        state = DensityMatrix(matrix_of(rho), n)
     basis, p = _label_state(channels, state)
     for chan in channels:
         if p is not None:
@@ -233,7 +234,7 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
     if member is None:
         path = "dense"
         worst, delta, numerator, denominator, lhs, prob_B, prob_C = _dense_measures(
-            channels, mat, part
+            channels, state.mat, part
         )
     else:
         path = "label"
@@ -277,14 +278,13 @@ def _label_state(channels, rho):
     is compressed to W^dag rho W, whose off-diagonal must be within
     1e-10, and p is its real diagonal.
     """
-    forms = [chan.monomial for chan in channels]
-    if any(form is None for form in forms):
+    forms = _monomial_forms(channels)
+    if forms is None:
         return None, None
     basis = forms[0].basis
-    if not all(form.basis.same_as(basis) for form in forms[1:]):
-        return None, None
-    if rho.labels is not None and rho.labels[0].same_as(basis):
-        return basis, rho.labels[1]
+    p = label_weights(rho, basis)
+    if p is not None:
+        return basis, p
     M = basis.compress(rho.mat)
     if max_offdiagonal(M) > 1e-10:
         return None, None
@@ -378,11 +378,20 @@ def mixing_time_lower_bound(report, rho, P_A, eps):
     Returns (bound, weaker): the main form (1 - tr(P_A rho))/(5 Delta) - eps
     and the probability-only variant tr(P_A rho) tr(P_C rho)/(5 ||P_B rho||_1)
     - eps. Zero Delta means the state never leaves: both are +inf.
+    P_A is a Subspace or a projector array. When P_A is labeled over a
+    basis W and rho carries labels (W, p) over it, tr(P_A rho) is the sum
+    of p over A's labels, as the label path of verify_bottleneck_theorem
+    sums its denominator; otherwise it is traced densely.
     """
     if report.delta < 0:
         raise ZeroDelta(f"negative delta {report.delta!r}")
-    mat = matrix_of(rho)
-    prob_A = float(np.real(np.trace(_projector_of(P_A) @ mat)))
+    p = None
+    if isinstance(P_A, Subspace) and P_A.labels is not None:
+        p = label_weights(rho, P_A.labels[0])
+    if p is not None:
+        prob_A = float(p[P_A.labels[1]].sum())
+    else:
+        prob_A = float(np.real(np.trace(_projector_of(P_A) @ matrix_of(rho))))
     if report.delta == 0.0 or report.numerator == 0.0:
         return math.inf, math.inf
     strong = (1.0 - prob_A) / (5.0 * report.delta) - eps
@@ -447,20 +456,20 @@ def _collar_weights(rho, V, shell):
     R's block from the shell's labels to the rest. Otherwise both come
     from dense projectors.
     """
-    mat = matrix_of(rho)
     if (
         V.labels is not None
         and shell.labels is not None
         and shell.labels[0].same_as(V.labels[0])
     ):
         W, in_V = V.labels
-        labels = rho.labels if isinstance(rho, DensityMatrix) else None
-        if labels is not None and labels[0].same_as(W):
-            return float(labels[1][in_V].sum()), 0.0
-        R = W.compress(mat)
+        p = label_weights(rho, W)
+        if p is not None:
+            return float(p[in_V].sum()), 0.0
+        R = W.compress(matrix_of(rho))
         in_shell = shell.labels[1]
         prob_V = float(np.real(np.diagonal(R))[in_V].sum())
         return prob_V, operator_norm(R[np.ix_(~in_shell, in_shell)])
+    mat = matrix_of(rho)
     prob_V = float(np.real(np.trace(V.projector() @ mat)))
     P_shell = shell.projector()
     return prob_V, operator_norm(mat @ P_shell - P_shell @ mat)

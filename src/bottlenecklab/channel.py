@@ -14,8 +14,13 @@ one nonzero per column of T_m. A state diagonal in W is then a label
 probability vector, and one step maps it to a vector. Trace preservation
 is checked on those vectors at construction (on the dense operators when
 some T_m has two nonzeros in one row). The dense list ``kraus`` is built
-only when a dense consumer reads it: apply_channel, channel_locality,
-check_partition_condition, evolve_sequence and quasi_local_mixture.
+only when a dense consumer reads it: apply_channel,
+check_partition_condition and quasi_local_mixture, channel_locality for
+a form over a basis other than the identity, and evolve_sequence for
+states without labels over the forms' basis. channel_locality reads a
+form over the identity basis from its rows and coefficients, and
+evolve_sequence steps label probability vectors when both states carry
+labels over that basis.
 """
 
 import math
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, NotTracePreserving
-from .numerics import DensityMatrix, matrix_of, operator_norm, trace_norm
+from .numerics import DensityMatrix, label_weights, matrix_of, operator_norm, trace_norm
 
 __all__ = [
     "KrausChannel",
@@ -139,9 +144,9 @@ class MonomialKraus:
     def trace_residual(self):
         """max |sum_m |coef_m|^2 - 1|, or None when some T_m has two
         nonzeros in one row (T_m† T_m is then not diagonal)."""
+        dim = self.basis.dim
         for rows, coef in zip(self.rows, self.coef):
-            hit = rows[coef != 0]
-            if np.unique(hit).size != hit.size:
+            if np.bincount(rows[coef != 0], minlength=dim).max(initial=0) > 1:
                 return None
         return float(np.abs(self.weights.sum(axis=0) - 1.0).max())
 
@@ -209,8 +214,63 @@ def _kraus_support(K, n):
     return tuple(support)
 
 
+def _monomial_support(rows, coef, n):
+    """_kraus_support of K = sum_j coef[j] |rows[j]><j|, read from the
+    form in O(n dim) with the same rule and tolerance, no matrix formed.
+
+    For qubit q with bit b, the dense rule compares the entries of K
+    inside the blocks that keep bit q against their partners with bit q
+    flipped on both sides, and asks the entries that change bit q to
+    vanish. Column j has one entry, so this is: coef[j] wherever rows[j]
+    changes bit q of j; and, with e[j] the entry of column j kept when
+    rows[j] keeps bit q (0 otherwise), |e[j] - e[j^b]| when
+    rows[j^b] = rows[j]^b, else both |e[j]| and |e[j^b]|, since each then
+    faces a zero. The pairs j, j^b are the two halves of a (2^q, 2, b)
+    view, so no partner is gathered; when rows[j] = j ^ c for one c,
+    every pair is paired. A form with no imaginary part is read real,
+    which leaves every modulus and difference unchanged.
+    """
+    if not coef.imag.any():
+        coef = coef.real
+    changed = rows ^ np.arange(rows.size)
+    # the bits changed by some entry above the tolerance, and by any entry
+    off = int(np.bitwise_or.reduce(changed[np.abs(coef) > 1e-9], initial=0))
+    moved = int(np.bitwise_or.reduce(changed, initial=0))
+    shifted = bool((changed == changed[0]).all())
+    support = []
+    for q in range(n):
+        b = 1 << (n - 1 - q)
+        if off & b:
+            support.append(q)
+            continue
+        shape = (1 << q, 2, b)
+        e = np.where((changed & b) == 0, coef, 0.0) if moved & b else coef
+        e = e.reshape(shape)
+        lo, hi = e[:, 0], e[:, 1]
+        if shifted:
+            dev = np.abs(lo - hi)
+        else:
+            rows2 = rows.reshape(shape)
+            paired = rows2[:, 1] == rows2[:, 0] ^ b
+            dev = np.where(paired, np.abs(lo - hi), np.maximum(np.abs(lo), np.abs(hi)))
+        if dev.max() > 1e-9:
+            support.append(q)
+    return tuple(support)
+
+
 def channel_locality(C):
-    """Largest detected Kraus support size."""
+    """Largest detected Kraus support size.
+
+    A monomial form over the identity basis is read from its rows and
+    coefficients (_monomial_support); any other channel from its dense
+    Kraus operators (_kraus_support), with the same rule.
+    """
+    form = C.monomial
+    if form is not None and form.basis.identity:
+        return max(
+            len(_monomial_support(rows, coef, C.n))
+            for rows, coef in zip(form.rows, form.coef)
+        )
     return max(len(_kraus_support(K, C.n)) for K in C.kraus)
 
 
@@ -243,6 +303,12 @@ def evolve_sequence(channels, rho0, rho_ref, T):
     validated at the call; each step is computed only when the iterator
     is advanced, so a caller that stops at a threshold pays for the steps
     it read and no more.
+
+    When every channel is monomial over one label basis W and both
+    states carry labels over W (DensityMatrix.from_labels), every state
+    stays W diag(p_t) W^dag: p_t = step(p_{t-1}), and the trace distance
+    to W diag(q) W^dag is ||p_t - q||_1. Any other input evolves dense
+    matrices.
     """
     if not channels:
         raise DimensionMismatch("need at least one channel")
@@ -250,11 +316,35 @@ def evolve_sequence(channels, rho0, rho_ref, T):
     for C in channels:
         if C.dim != dim:
             raise DimensionMismatch("channels act on different registers")
+    forms = _monomial_forms(channels)
+    if forms is not None:
+        p = label_weights(rho0, forms[0].basis)
+        q = label_weights(rho_ref, forms[0].basis)
+        if p is not None and q is not None:
+            return _label_distances(forms, p, q, T)
     state = matrix_of(rho0)
     ref = matrix_of(rho_ref)
     if state.shape != (dim, dim) or ref.shape != (dim, dim):
         raise DimensionMismatch("state dimensions do not match the channels")
     return _distances(channels, state, ref, T)
+
+
+def _monomial_forms(channels):
+    """The monomial forms of the channels when every channel has one and
+    all share one basis W (same_as); None otherwise."""
+    forms = [C.monomial for C in channels]
+    if any(form is None for form in forms):
+        return None
+    if not all(form.basis.same_as(forms[0].basis) for form in forms[1:]):
+        return None
+    return forms
+
+
+def _label_distances(forms, p, q, T):
+    yield float(np.abs(p - q).sum())
+    for t in range(1, T + 1):
+        p = forms[(t - 1) % len(forms)].step(p)
+        yield float(np.abs(p - q).sum())
 
 
 def _distances(channels, state, ref, T):

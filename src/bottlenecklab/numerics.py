@@ -32,7 +32,7 @@ bound on each column's error before any product runs.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
@@ -47,6 +47,7 @@ __all__ = [
     "fix_phases",
     "logsumexp",
     "max_offdiagonal",
+    "label_weights",
     "matrix_of",
     "maximally_mixed",
     "site_form_ratio",
@@ -451,46 +452,56 @@ def hermitian_eigenvalues(H):
     return np.linalg.eigvalsh(_symmetrized(H))
 
 
-@dataclass(frozen=True)
 class DensityMatrix:
     """A positive unit-trace operator on n qubits.
 
-    Construction checks hermiticity (1e-10) and unit trace (1e-9).
-    Positivity is a mathematical invariant of everything this package
-    produces (channel outputs, Gibbs states, normalized projections);
-    the eigenvalue check costs a full diagonalization, so it lives in
-    the test suite rather than on every construction.
-    The checked array is made read-only and the fields cannot be
-    reassigned, so a DensityMatrix stays what its construction checked
-    and callers may take it as checked.
+    Construction from a matrix checks hermiticity (1e-10) and unit trace
+    (1e-9). Positivity is a mathematical invariant of everything this
+    package produces (channel outputs, Gibbs states, normalized
+    projections); the eigenvalue check costs a full diagonalization, so
+    it lives in the test suite rather than on every construction.
+    The checked array is made read-only and no attribute can be
+    reassigned (FrozenInstanceError), so a DensityMatrix stays what its
+    construction checked and callers may take it as checked.
 
     labels is (W, p) for a state built by from_labels, rho = W diag(p)
     W^dag over a LabelBasis W, and None for one built from a matrix: it
     is not a constructor argument, so a state carries labels only when
-    its matrix was formed from them.
+    its matrix was formed from them. Such a state forms mat the first
+    time something reads it, and runs the same checks on it then; a
+    reader of the labels alone never pays for the dim x dim matrix.
     """
 
-    mat: np.ndarray
-    n: int = field(default=None)
-    labels: tuple = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "mat", _require_square(self.mat))
-        dim = self.mat.shape[0]
-        if self.n is None:
+    def __init__(self, mat, n=None):
+        mat = _require_square(mat)
+        dim = mat.shape[0]
+        if n is None:
             n = int(dim).bit_length() - 1
             if 2**n != dim:
                 raise DimensionMismatch(f"dimension {dim} is not a power of two")
-            object.__setattr__(self, "n", n)
-        if 2**self.n != dim:
-            raise DimensionMismatch(f"dim {dim} does not match n={self.n}")
-        dev = np.abs(self.mat - self.mat.conj().T).max()
-        if dev > _HERMITICITY_TOL:
-            raise NotHermitian(f"density matrix deviates from Hermitian by {dev:.3e}")
-        tr = self.mat.trace()
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise ValueError(f"trace is {tr}, expected 1")
-        self.mat.flags.writeable = False
+        if 2**n != dim:
+            raise DimensionMismatch(f"dim {dim} does not match n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "labels", None)
+        object.__setattr__(self, "_mat", _checked_density(mat))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        form = "labels" if self._mat is None else "matrix"
+        return f"DensityMatrix(n={self.n}, {form})"
+
+    @property
+    def mat(self):
+        """The dense matrix, formed from the labels on first read."""
+        if self._mat is None:
+            W, p = self.labels
+            object.__setattr__(self, "_mat", _checked_density(W.outer(p)))
+        return self._mat
 
     @classmethod
     def from_labels(cls, W, p):
@@ -498,9 +509,10 @@ class DensityMatrix:
 
         p must be a real probability vector over the columns of W: no
         entry below -1e-9 and a sum within 1e-9 of 1, the trace check's
-        tolerance (ValueError otherwise). The matrix is W.outer(p), one
-        batched matmul over the blocks of W; for the identity basis that
-        is diag(p) exactly. p is copied and stored read-only.
+        tolerance (ValueError otherwise). No matrix is formed here: mat
+        is W.outer(p) on first read, one batched matmul over the blocks
+        of W, and for the identity basis diag(p) exactly. p is copied
+        and stored read-only.
         """
         p = np.array(p, dtype=np.float64)
         if p.shape != (W.dim,) or not np.isfinite(p).all():
@@ -509,10 +521,33 @@ class DensityMatrix:
             raise ValueError(f"label weight {p.min()!r} is negative")
         if abs(p.sum() - 1.0) > _TRACE_TOL:
             raise ValueError(f"label weights sum to {p.sum()!r}, expected 1")
-        rho = cls(W.outer(p), W.n)
         p.flags.writeable = False
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "n", W.n)
         object.__setattr__(rho, "labels", (W, p))
+        object.__setattr__(rho, "_mat", None)
         return rho
+
+
+def _checked_density(mat):
+    """mat made read-only after the hermiticity and unit-trace checks."""
+    dev = np.abs(mat - mat.conj().T).max()
+    if dev > _HERMITICITY_TOL:
+        raise NotHermitian(f"density matrix deviates from Hermitian by {dev:.3e}")
+    tr = mat.trace()
+    if abs(tr - 1.0) > _TRACE_TOL:
+        raise ValueError(f"trace is {tr}, expected 1")
+    mat.flags.writeable = False
+    return mat
+
+
+def label_weights(rho, W):
+    """The label probabilities p of rho = W diag(p) W^dag when rho is a
+    DensityMatrix that carries labels over W (same_as); None otherwise.
+    Nothing is computed: a state without labels is not compressed."""
+    if isinstance(rho, DensityMatrix) and rho.labels is not None and rho.labels[0].same_as(W):
+        return rho.labels[1]
+    return None
 
 
 def matrix_of(rho):

@@ -1,6 +1,6 @@
 """Subspaces of the n-qubit Hilbert space and operator-spread neighborhoods.
 
-A Subspace is an explicit orthonormal basis (dim x k complex matrix).
+A Subspace is an orthonormal basis (dim x k complex matrix).
 Dimension-0 subspaces are legal values: boundaries can be empty and the
 code downstream treats that case explicitly rather than by crashing.
 
@@ -9,8 +9,9 @@ columns are indexed by label pairs (x, z); the computational basis is
 its identity case. What a basis derives from its columns alone (the
 weight-1 move table, the image of a Pauli) is computed once and kept.
 A Subspace spanned by columns of W carries them as labels (W, mask);
-its basis is built from them, or, when one is passed as well, checked
-to equal them.
+its basis is built from them the first time something reads it, or,
+when one is passed as well, checked to equal them. A partition whose
+four blocks are labeled over one W is checked on the masks alone.
 
 The r-neighborhood of V is span{ S|psi> : S a Pauli string of weight <= r,
 |psi> in V }. Composing neighborhoods adds radii. partition_from_radius
@@ -27,7 +28,7 @@ identity case. A superposed V is rejected with BadPartition.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -221,52 +222,64 @@ def identity_basis(n):
     )
 
 
-@dataclass
 class Subspace:
     """An orthonormal set of columns spanning a subspace of (C^2)^n.
 
     labels, when given, is (W, mask) for a LabelBasis W and a boolean
     mask over its columns; the mask is stored read-only. With basis None
-    the basis is built as W.columns(mask); a basis passed alongside
-    labels must equal it exactly.
+    nothing dense is built at construction: basis is W.columns(mask) the
+    first time something reads it, orthonormal because W is, and dim is
+    the mask's count. A basis passed alongside labels must equal
+    W.columns(mask) exactly; a basis passed alone is checked orthonormal
+    within 1e-9.
     """
 
-    n: int
-    basis: np.ndarray = None
-    label: str = ""
-    labels: tuple = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.labels is not None:
-            W, mask = self.labels
+    def __init__(self, n, basis=None, label="", labels=None):
+        self.n = n
+        self.label = label
+        self.labels = None
+        if labels is not None:
+            W, mask = labels
             mask = np.array(mask, dtype=bool)
-            if W.n != self.n or mask.shape != (W.dim,):
+            if W.n != n or mask.shape != (W.dim,):
                 raise BadPartition("labels do not index a basis of this register")
             mask.setflags(write=False)
             self.labels = (W, mask)
-            if self.basis is None:
-                self.basis = W.columns(mask)
-            elif not np.array_equal(self.basis, W.columns(mask)):
+            self._dim = int(np.count_nonzero(mask))
+            if basis is None:
+                self._basis = None
+                return
+            if not np.array_equal(basis, W.columns(mask)):
                 raise BadPartition("basis is not the columns its labels pick")
-        elif self.basis is None:
+        elif basis is None:
             raise BadPartition("a subspace needs a basis or labels")
-        basis = np.asarray(self.basis, dtype=np.complex128)
+        basis = np.asarray(basis, dtype=np.complex128)
         if basis.ndim != 2:
-            basis = basis.reshape(2**self.n, -1)
-        if basis.shape[0] != 2**self.n:
-            raise BadPartition(
-                f"basis rows {basis.shape[0]} do not match dim 2^{self.n}"
-            )
+            basis = basis.reshape(2**n, -1)
+        if basis.shape[0] != 2**n:
+            raise BadPartition(f"basis rows {basis.shape[0]} do not match dim 2^{n}")
         if basis.shape[1]:
             gram = basis.conj().T @ basis
             dev = np.abs(gram - np.eye(basis.shape[1])).max()
             if dev > _ORTHO_TOL:
                 raise NotOrthonormal(f"basis deviates from orthonormal by {dev:.3e}")
-        self.basis = basis
+        self._basis = basis
+        self._dim = basis.shape[1]
+
+    def __repr__(self):
+        return f"Subspace(n={self.n}, dim={self.dim}, label={self.label!r})"
+
+    @property
+    def basis(self):
+        """The dim x k column basis, built from the labels on first read."""
+        if self._basis is None:
+            W, mask = self.labels
+            self._basis = W.columns(mask)
+        return self._basis
 
     @property
     def dim(self):
-        return self.basis.shape[1]
+        return self._dim
 
     def projector(self):
         return projector(self)
@@ -327,8 +340,12 @@ def basis_state_subspace(n, indices, label=""):
 class HilbertPartition:
     """Orthogonal decomposition H = A + B1 + B2 + C (any block may be empty).
 
-    Pairwise orthogonality within 1e-9 and completeness of the dimension
-    count are validated at construction.
+    Completeness of the dimension count and pairwise orthogonality are
+    validated at construction. When all four blocks carry labels over
+    one basis W, orthogonality is that no two masks share a label, so
+    with the count the masks cover each label exactly once, and no block
+    basis is formed. Otherwise the overlaps of the dense block bases are
+    checked within 1e-9.
     """
 
     A: Subspace
@@ -344,11 +361,19 @@ class HilbertPartition:
         total = sum(b.dim for b in blocks)
         if total != 2**n:
             raise BadPartition(f"block dims sum to {total}, expected {2**n}")
+        labels = [b.labels for b in blocks]
+        labeled = all(lab is not None and lab[0].same_as(labels[0][0]) for lab in labels)
         names = ["A", "B1", "B2", "C"]
         for i in range(4):
             for j in range(i + 1, 4):
                 bi, bj = blocks[i], blocks[j]
-                if bi.dim and bj.dim:
+                if labeled:
+                    shared = int(np.count_nonzero(labels[i][1] & labels[j][1]))
+                    if shared:
+                        raise BadPartition(
+                            f"blocks {names[i]} and {names[j]} share {shared} labels"
+                        )
+                elif bi.dim and bj.dim:
                     dev = np.abs(bi.basis.conj().T @ bj.basis).max()
                     if dev > _ORTHO_TOL:
                         raise BadPartition(

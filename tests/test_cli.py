@@ -9,10 +9,13 @@ import sys
 import numpy as np
 import pytest
 
-from bottlenecklab import channel, cli, stability
+import bottlenecklab
+from bottlenecklab import channel, cli, numerics, stability, subspace
+from bottlenecklab.channel import MonomialKraus
 from bottlenecklab.bottleneck import verify_bottleneck_theorem
 from bottlenecklab.cli import QUANTUM_COLUMNS, main
 from bottlenecklab.errors import BoundViolated
+from bottlenecklab.numerics import DensityMatrix
 from bottlenecklab.stability import shell_decomposition, stability_sweep
 
 VQ_BASE = {
@@ -508,6 +511,63 @@ def test_mixing_compare_stops_at_first_crossing(tmp_path, monkeypatch, horizon, 
         assert seen["read"] == horizon + 1
 
 
+def test_mixing_compare_at_low_temperature_meets_its_lower_bound(tmp_path):
+    # a slow ring: the strong lower bound is above one step, and the first
+    # crossing, thousands of steps later, is checked against it
+    cfg = {
+        "model": "ising_ring",
+        "n": 8,
+        "beta": 4.0,
+        "subspace": {"centers": [0], "radius": 1},
+        "partition_radius": 3,
+        "horizon": 10**4,
+    }
+    code, out = run("mixing-compare", cfg, tmp_path)
+    assert code == 0
+    row = json.loads((out / "report.json").read_text())[0]
+    assert round(row["tmix_strong"], 2) == 6.01
+    assert row["tmix_strong"] >= 1.0
+    assert row["tmix_observed"] == 6204.0
+    assert row["tmix_observed"] >= row["tmix_strong"]
+
+
+def test_ring_runs_stay_on_labels(tmp_path, monkeypatch):
+    # verify-quantum and mixing-compare on a classical ring: the channels,
+    # the Gibbs state and the partition blocks are all labels over the
+    # identity basis, so no step forms a dense operator, state or block
+    # basis, and none takes a trace norm, an eigensolve or an SVD
+    names = ["dense", "projector", "trace_norm", "eigvalsh", "svd", "mat", "basis"]
+    counts = dict.fromkeys(names, 0)
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(MonomialKraus, "dense", spy("dense", MonomialKraus.dense))
+    monkeypatch.setattr(subspace.Subspace, "projector", spy("projector", subspace.Subspace.projector))
+    monkeypatch.setattr(subspace, "projector", spy("projector", subspace.projector))
+    for module in vars(bottlenecklab).values():
+        if getattr(module, "trace_norm", None) is numerics.trace_norm:
+            monkeypatch.setattr(module, "trace_norm", spy("trace_norm", numerics.trace_norm))
+    for name in ("eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(DensityMatrix, "mat", property(spy("mat", DensityMatrix.mat.fget)))
+    monkeypatch.setattr(
+        subspace.Subspace, "basis", property(spy("basis", subspace.Subspace.basis.fget))
+    )
+    base = {"model": "ising_ring", "n": 6, "subspace": {"centers": [0], "radius": 1}}
+    vq = dict(base, betas=[0.5, 1.0, 2.0, 3.0], partition_radius=3)
+    mc = dict(base, beta=2.0, partition_radius=1, horizon=3000)
+    assert run("verify-quantum", vq, tmp_path, "vq")[0] == 0
+    code, out = run("mixing-compare", mc, tmp_path, "mc")
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())[0]["tmix_observed"] != "inf"
+    assert counts == dict.fromkeys(names, 0)
+
+
 def test_model_info_summary(tmp_path):
     cfg = {
         "model": "steane7",
@@ -802,6 +862,21 @@ def test_verify_classical_past_the_glauber_cap_rejected(tmp_path, monkeypatch):
     code, out = run("verify-classical", cfg, tmp_path)
     assert code == 2
     assert_config_rejected(out, "at most 16 bits")
+
+
+def test_parser_is_built_once_and_keeps_its_exits(tmp_path, capsys):
+    parser = cli._parser()
+    assert run("verify-quantum", VQ_BASE, tmp_path)[0] == 0
+    assert cli._parser() is parser
+    with pytest.raises(SystemExit) as help_exit:
+        main(["--help"])
+    assert help_exit.value.code == 0
+    usage = capsys.readouterr().out
+    assert all(name in usage for name in cli._RUNNERS)
+    for argv in (["no-such-subcommand"], [], ["mixing-compare"]):
+        with pytest.raises(SystemExit) as bad:
+            main(argv)
+        assert bad.value.code == 2
 
 
 def test_cli_import_loads_no_scipy_modules():

@@ -30,7 +30,14 @@ from bottlenecklab.bottleneck import (
     free_energy_report,
     verify_bottleneck_theorem,
 )
-from bottlenecklab.errors import EmptyA, EmptyBoundary, NonUniqueStationary
+from bottlenecklab.channel import (
+    _distances,
+    _kraus_support,
+    _monomial_support,
+    channel_locality,
+    evolve_sequence,
+)
+from bottlenecklab.errors import BadPartition, EmptyA, EmptyBoundary, NonUniqueStationary
 from bottlenecklab.markov import classical_bottleneck_report, glauber_chain, hamming_state_partition
 from bottlenecklab.model import (
     REGISTRY,
@@ -70,7 +77,7 @@ from bottlenecklab.stability import (
     tail_amplitudes,
     verify_block_tridiagonal,
 )
-from bottlenecklab.sampler import css_metropolis_channel
+from bottlenecklab.sampler import css_metropolis_channel, metropolis_site_channel, sweep_schedule
 from bottlenecklab.subspace import (
     HilbertPartition,
     LabelBasis,
@@ -791,3 +798,127 @@ def test_label_weights_match_the_compressed_state(monkeypatch, label):
         for name in ("delta", "numerator", "denominator", "lhs"):
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0)
     assert len(compressed) == len(points)
+
+
+# --- label chains: monomial locality, label evolution, partition masks
+
+
+@pytest.mark.parametrize("make", [ising_ring, repetition, curie_weiss])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 2.0])
+def test_monomial_locality_matches_the_dense_support(make, beta):
+    fam = make(6)
+    H = build_hamiltonian(fam)
+    for site in range(fam.n):
+        chan = metropolis_site_channel(H, beta, site)
+        form = chan.monomial
+        supports = [_kraus_support(K, fam.n) for K in form.dense()]
+        for rows, coef, want in zip(form.rows, form.coef, supports):
+            assert _monomial_support(rows, coef, fam.n) == want
+        assert channel_locality(chan) == max(len(s) for s in supports)
+
+
+# coefficients at zero and on either side of the support rule's 1e-9
+_NEAR_TOL = [0.0, 5e-10, 2e-9]
+
+
+@st.composite
+def monomial_operators(draw):
+    """(n, rows, coef) of one monomial operator on n <= 5 qubits: rows
+    j ^ c for a drawn c, and coefficients that depend on a drawn subset
+    of the bits of j, so that some qubits lie outside the support; then
+    a few coefficients moved by 0, 5e-10 or 2e-9 and a few columns sent
+    to arbitrary rows with coefficients 0, 5e-10, 2e-9 or 1."""
+    n = draw(st.integers(1, 5))
+    dim = 1 << n
+    idx = np.arange(dim, dtype=np.int64)
+    rows = idx ^ draw(st.integers(0, dim - 1))
+    values = st.sampled_from([0.0, 1.0, -0.5, 0.5j, 0.6 + 0.8j])
+    table = np.array(draw(st.lists(values, min_size=dim, max_size=dim)), dtype=np.complex128)
+    coef = table[idx & draw(st.integers(0, dim - 1))]
+    moves = st.tuples(
+        st.integers(0, dim - 1), st.sampled_from(_NEAR_TOL), st.sampled_from([1.0, -1.0, 1j])
+    )
+    for j, tiny, phase in draw(st.lists(moves, max_size=4)):
+        coef[j] += tiny * phase
+    reroutes = st.tuples(
+        st.integers(0, dim - 1), st.integers(0, dim - 1), st.sampled_from(_NEAR_TOL + [1.0])
+    )
+    for j, row, value in draw(st.lists(reroutes, max_size=2)):
+        rows[j], coef[j] = row, value
+    return n, rows, coef
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(op=monomial_operators())
+def test_monomial_support_matches_the_dense_rule(op):
+    n, rows, coef = op
+    K = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    K[rows, np.arange(1 << n)] = coef
+    assert _monomial_support(rows, coef, n) == _kraus_support(K, n)
+
+
+def _first_crossing(dists, eps):
+    return next((t for t, d in enumerate(dists) if d / 2 <= eps), None)
+
+
+@pytest.mark.parametrize(
+    "fam,beta,flavors",
+    [(ising_ring(6), 2.0, None), (curie_weiss(6), 0.7, None), (steane7(), 0.7, ["X", "Z"])],
+    ids=["ising_ring(6)", "curie_weiss(6)", "steane7"],
+)
+def test_label_distances_match_the_dense_evolution(fam, beta, flavors):
+    # mixing-compare's start state, rho conditioned on a radius-0 or -1
+    # label ball, evolved for 200 steps on labels and densely
+    H = build_hamiltonian(fam)
+    rho, _, _ = gibbs_state(H, beta)
+    W, p = rho.labels
+    in_A = label_distance(fam, (0, 0)) <= (1 if flavors is None else 0)
+    start = DensityMatrix.from_labels(W, np.where(in_A, p, 0.0) / p[in_A].sum())
+    sched = sweep_schedule(H, beta, range(fam.n), flavors=flavors)
+    steps = evolve_sequence(sched, start, rho, T=200)
+    assert steps.__name__ == "_label_distances"
+    label = list(steps)
+    dense = list(_distances(sched, start.mat, rho.mat, 200))
+    assert len(label) == len(dense) == 201
+    assert np.abs(np.array(label) - np.array(dense)).max() <= 1e-12
+    crossing = _first_crossing(dense, 0.25)
+    assert crossing is not None
+    assert _first_crossing(label, 0.25) == crossing
+
+
+@st.composite
+def four_masks(draw):
+    """(W, masks): a label basis of a drawn family with n <= 6 and four
+    masks over its labels, each label in one drawn block; then a few
+    labels added to a second block (an overlap), each edit taking
+    another label from its own block (a gap) or not. An edit that does
+    both keeps the dimension count at 2^n."""
+    checks = draw(st.one_of(classical_families(max_n=6), css_families(max_n=6)))
+    W = label_basis(checks)
+    owner = np.array(draw(st.lists(st.integers(0, 3), min_size=W.dim, max_size=W.dim)))
+    masks = [owner == b for b in range(4)]
+    label = st.integers(0, W.dim - 1)
+    edits = st.tuples(label, st.integers(0, 3), st.one_of(st.none(), label))
+    for j, b, k in draw(st.lists(edits, max_size=2)):
+        masks[b][j] = True
+        if k is not None:
+            masks[owner[k]][k] = False
+    return W, masks
+
+
+def _partition_outcome(blocks):
+    try:
+        HilbertPartition(*blocks)
+    except BadPartition:
+        return "BadPartition"
+    return "ok"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drawn=four_masks())
+def test_partition_mask_check_matches_the_dense_overlaps(drawn):
+    W, masks = drawn
+    labeled = [Subspace(W.n, labels=(W, m)) for m in masks]
+    dense = [Subspace(W.n, W.columns(m)) for m in masks]
+    assert all(b.labels is None for b in dense)
+    assert _partition_outcome(labeled) == _partition_outcome(dense)
