@@ -2,31 +2,47 @@
 
 Matrices are column-stochastic: entry [i, j] is the probability of moving
 j -> i, so the chain acts on column probability vectors as pi' = M @ pi.
-Every chain is held as a ``scipy.sparse.csc_array``: a single-bit-flip
-chain on 2^m states stores m + 1 entries per column, and building it and
-checking the bound allocate nothing of size 2^m x 2^m.
+Every chain is held in its column form: two (dim, k) arrays, rows and
+weights, where row j lists the entries of column j with their rows
+ascending (the order of a CSC matrix), short columns padded with zero
+weights on a repeat of their last row. A single-bit-flip chain on 2^m
+states holds k = m + 1 entries per column, and its rows, which depend
+on m alone, are shared by every chain of that size. A step p -> M p is
+one bincount over the flattened form, which adds every output in the
+column order of a CSC matvec, so it gives the same bits. Nothing of
+size 2^m x 2^m is formed.
 
 The stationary law is never solved for. A Metropolis chain satisfies
 detailed balance with respect to the Gibbs weights e^{-beta E}/Z
 (model.gibbs_weights), so the caller passes that law, and the bound
-certifies it with two exact checks: the graph of strictly positive
-entries is one strongly connected class, so the chain is irreducible and
-its stationary law unique, and pi is stationary within a residual of
-1e-10. Low temperatures, whose spectral gaps no eigensolver resolves,
+certifies it with two exact checks: the chain is irreducible, so its
+stationary law is unique, and pi is stationary within a residual of
+1e-10. A chain whose every column moves with positive weight to each of
+its m single-bit flips holds every edge of the m-cube in both
+directions, so it is irreducible by construction (the hypercube walk,
+Levin-Peres-Wilmer, Markov Chains and Mixing Times, 2nd ed.). Any other
+chain, such as one whose uphill moves underflow to 0 or a birth-death
+chain, gets a strong-connectivity search over its strictly positive
+entries. Low temperatures, whose spectral gaps no eigensolver resolves,
 are covered as long as every move keeps a positive probability.
 
 The structural condition mirrors the quantum one: with the state space
 split into disjoint sets A, B1, B2, C, single applications of M must not
 connect A with B2 or C, nor C with A or B1. Builders place structural
 (exact) zeros, so the condition check demands that every stored entry of
-the forbidden blocks is exactly zero rather than small.
+the forbidden blocks is exactly zero rather than small. A StatePartition
+keeps one block label per state, and every check reads the blocks
+through it.
 
-scipy is imported only inside the functions here that use it (the sparse
-chains and the connectivity check), so that importing the package loads
-numpy alone.
+scipy is imported only where it is used: converting a sparse input,
+forming ``StochasticMatrix.mat`` on first read, and the connectivity
+search for a chain without the single-flip certificate. Importing the
+package, and a verify-classical run whose chains carry the certificate,
+load numpy alone.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,78 +67,234 @@ __all__ = [
     "hamming_state_partition",
 ]
 
-_GLAUBER_MAX_BITS = 16
+# The largest n at which a whole verify-classical run (ising_ring, four
+# betas, --jobs 1) stays within 10 s and 1 GB on a 2-core machine: n=20
+# takes 5.5-6.7 s and 792 MB, n=21 10.8 s and 1.6 GB.
+_GLAUBER_MAX_BITS = 20
+_COLUMN_SUM_TOL = 1e-12
 _PROBABILITY_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
+_EMPTY_A_TOL = 1e-14
+_BOUND_SLACK = 1e-12
+_FOLD_BLOCK = 1 << 13
 
 
-@dataclass
 class StochasticMatrix:
-    """Column-stochastic matrix in CSC form; columns sum to 1 within 1e-12.
+    """Column-stochastic matrix in column form; columns sum to 1 within
+    1e-12 and every weight is non-negative (NotStochastic otherwise).
 
-    Dense arrays and other sparse formats are converted on construction.
-    Stored entries must be non-negative.
+    A dense array or a scipy sparse matrix is converted on construction;
+    ``from_columns`` takes the form itself. ``rows`` and ``weights`` are
+    stored read-only. ``mat`` is the matrix as a scipy CSC array, formed
+    on first read; stored zeros of the input stay stored, padding does
+    not.
     """
 
-    mat: object
+    def __init__(self, mat):
+        rows, weights = _columns_of(mat)
+        self._set(rows, weights)
 
-    def __post_init__(self):
-        from scipy import sparse
+    @classmethod
+    def from_columns(cls, rows, weights):
+        """The chain whose column j has weights[j] on rows[j], rows
+        ascending, short columns padded with zero weights on a repeat of
+        their last row. The arrays are kept, not copied, and made
+        read-only."""
+        self = cls.__new__(cls)
+        self._set(np.asarray(rows), np.asarray(weights, dtype=np.float64))
+        return self
 
-        M = self.mat
-        if not sparse.issparse(M):
-            M = np.asarray(M, dtype=np.float64)
-            if M.ndim != 2:
-                raise NotStochastic(f"expected square matrix, got {M.shape}")
-        M = sparse.csc_array(M, dtype=np.float64)
-        if M.shape[0] != M.shape[1]:
-            raise NotStochastic(f"expected square matrix, got {M.shape}")
-        M.sum_duplicates()
-        if M.nnz and M.data.min() < 0:
-            raise NotStochastic(f"negative entry {M.data.min():.3e}")
-        dev = np.abs(M.sum(axis=0) - 1.0).max()
-        if dev > 1e-12:
+    def _set(self, rows, weights):
+        if rows.ndim != 2 or rows.shape != weights.shape or rows.shape[1] == 0:
+            raise NotStochastic(f"column form of shapes {rows.shape} and {weights.shape}")
+        dim = rows.shape[0]
+        if rows.min() < 0 or rows.max() >= dim:
+            raise NotStochastic(f"rows outside 0..{dim - 1}")
+        low = weights.min()
+        if not low >= 0:
+            raise NotStochastic(f"negative entry {low:.3e}")
+        dev = np.abs(_fold(np.add, weights) - 1.0).max()
+        if not dev <= _COLUMN_SUM_TOL:
             raise NotStochastic(f"column sums deviate from 1 by {dev:.3e}")
-        self.mat = M
+        rows.setflags(write=False)
+        weights.setflags(write=False)
+        self.rows, self.weights = rows, weights
+        self._mat = None
 
     @property
     def dim(self):
-        return self.mat.shape[0]
+        return self.rows.shape[0]
+
+    @property
+    def mat(self):
+        """The chain as a scipy CSC array, formed on first read."""
+        if self._mat is None:
+            from scipy import sparse
+
+            keep = np.ones(self.rows.shape, dtype=bool)
+            keep[:, 1:] = self.rows[:, 1:] != self.rows[:, :-1]
+            indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+            self._mat = sparse.csc_array(
+                (self.weights[keep], self.rows[keep], indptr), shape=(self.dim, self.dim)
+            )
+        return self._mat
+
+    def step(self, p):
+        """M @ p, summed in the column order of a CSC matvec. Columns where
+        p is 0 add exact zeros, so only the support of p is read."""
+        rows, weights = self.rows, self.weights
+        support = np.flatnonzero(p)
+        if support.size < self.dim:
+            rows, weights, p = rows[support], weights[support], p[support]
+        return np.bincount(rows.ravel(), weights=(weights * p[:, None]).ravel(), minlength=self.dim)
+
+    def single_flip_certified(self):
+        """Whether the chain is a single-bit-flip chain with every flip
+        positive: dim is 2^m, column j holds exactly its m flips
+        j ^ (1 << b) and j itself, and every flip has positive weight.
+        The chain then holds every edge of the m-cube both ways and is
+        irreducible."""
+        dim, k = self.rows.shape
+        m = k - 1
+        if dim != 1 << m:
+            return False
+        rows, stay = _flip_form(m)
+        if not np.array_equal(self.rows, rows):
+            return False
+        positive = self.weights > 0
+        flips = np.count_nonzero(positive) - np.count_nonzero(positive[np.arange(dim), stay])
+        return flips == m * dim
+
+    def communicating_classes(self):
+        """Strongly connected classes of the graph of strictly positive
+        entries, by scipy's graph search on ``mat``. Stored zeros are
+        dropped first, since the search counts every stored entry as an
+        edge."""
+        from scipy.sparse.csgraph import connected_components
+
+        graph = self.mat.copy()
+        graph.eliminate_zeros()
+        return connected_components(graph, directed=True, connection="strong")[0]
+
+
+def _fold(ufunc, a):
+    """ufunc folded over the entries of each column of a column form,
+    one position after another: for np.add, the order of a dense column
+    sum. Runs over blocks of _FOLD_BLOCK columns, so that the strided
+    reads of each position stay in cache."""
+    out = np.empty(a.shape[0], dtype=a.dtype)
+    for start in range(0, a.shape[0], _FOLD_BLOCK):
+        block, acc = a[start : start + _FOLD_BLOCK], out[start : start + _FOLD_BLOCK]
+        acc[...] = block[:, 0]
+        for k in range(1, a.shape[1]):
+            ufunc(acc, block[:, k], out=acc)
+    return out
+
+
+def _columns_of(M):
+    """(rows, weights) of a dense or scipy sparse square matrix: the
+    stored (sparse) or nonzero (dense) entries of each column, rows
+    ascending, padded to the longest column."""
+    if hasattr(M, "tocsc"):
+        csc = M.tocsc()
+        csc.sum_duplicates()
+        dim = csc.shape[0]
+        if csc.shape != (dim, dim):
+            raise NotStochastic(f"expected square matrix, got {csc.shape}")
+        counts = np.diff(csc.indptr)
+        flat_rows, flat_weights = csc.indices, np.asarray(csc.data, dtype=np.float64)
+    else:
+        A = np.asarray(M, dtype=np.float64)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise NotStochastic(f"expected square matrix, got {A.shape}")
+        dim = A.shape[0]
+        nonzero = A.T != 0
+        counts = nonzero.sum(axis=1)
+        flat_rows = np.nonzero(nonzero)[1]
+        flat_weights = A.T[nonzero]
+    if counts.min(initial=1) == 0:
+        raise NotStochastic(f"column {int(np.argmin(counts))} has no entries")
+    k = int(counts.max(initial=1))
+    pos = np.arange(k)
+    src = (np.cumsum(counts) - counts)[:, None] + np.minimum(pos, counts[:, None] - 1)
+    rows = flat_rows[src]
+    weights = np.where(pos < counts[:, None], flat_weights[src], 0.0)
+    return rows, weights
 
 
 def _as_chain(M):
     return M if isinstance(M, StochasticMatrix) else StochasticMatrix(M)
 
 
-@dataclass
 class StatePartition:
-    """Disjoint index sets A, B1, B2, C covering {0..dim-1}; A, C non-empty."""
+    """Disjoint index sets A, B1, B2, C covering {0..dim-1}; A, C non-empty.
 
-    A: tuple
-    B1: tuple
-    B2: tuple
-    C: tuple
-    dim: int = field(default=None)
+    Kept as one int8 block label per state (0 for A, 1 for B1, 2 for B2,
+    3 for C), stored read-only; the blocks are read back from it as
+    sorted tuples. Raises BadPartition on overlapping blocks, on blocks
+    that miss a state of 0..dim-1, and on an empty A or C. dim defaults
+    to the number of indices given.
+    """
 
-    def __post_init__(self):
-        blocks = []
-        for name in ("A", "B1", "B2", "C"):
-            idx = tuple(sorted(int(i) for i in getattr(self, name)))
-            setattr(self, name, idx)
-            blocks.append(idx)
-        allidx = [i for blk in blocks for i in blk]
-        if len(set(allidx)) != len(allidx):
+    def __init__(self, A, B1, B2, C, dim=None):
+        blocks = [np.asarray([int(i) for i in blk], dtype=np.int64) for blk in (A, B1, B2, C)]
+        every = np.concatenate(blocks)
+        if np.unique(every).size != every.size:
             raise BadPartition("blocks overlap")
-        if self.dim is None:
-            self.dim = len(allidx)
-        if sorted(allidx) != list(range(self.dim)):
+        if dim is None:
+            dim = every.size
+        if every.size != dim or not ((every >= 0) & (every < dim)).all():
             raise BadPartition("blocks do not cover 0..dim-1")
-        if not self.A or not self.C:
+        label = np.empty(dim, dtype=np.int8)
+        for k, blk in enumerate(blocks):
+            label[blk] = k
+        self._set(label)
+
+    @classmethod
+    def from_labels(cls, label):
+        """The partition whose state i lies in block label[i] (0..3)."""
+        self = cls.__new__(cls)
+        self._set(np.asarray(label))
+        return self
+
+    def _set(self, label):
+        if label.ndim != 1:
+            raise BadPartition(f"block labels of shape {label.shape}, expected one per state")
+        if not (label == 0).any() or not (label == 3).any():
             raise BadPartition("A and C must be non-empty")
+        if label.min() < 0 or label.max() > 3:
+            raise BadPartition("block labels must be 0..3")
+        label = label.astype(np.int8, copy=False)
+        label.setflags(write=False)
+        self.label = label
+
+    @property
+    def dim(self):
+        return self.label.size
+
+    def _block(self, mask):
+        return tuple(np.flatnonzero(mask).tolist())
+
+    @property
+    def A(self):
+        return self._block(self.label == 0)
+
+    @property
+    def B1(self):
+        return self._block(self.label == 1)
+
+    @property
+    def B2(self):
+        return self._block(self.label == 2)
+
+    @property
+    def C(self):
+        return self._block(self.label == 3)
 
     @property
     def B(self):
-        return tuple(sorted(self.B1 + self.B2))
+        return self._block((self.label == 1) | (self.label == 2))
+
 
 
 def _certify_stationary(sm, pi):
@@ -130,28 +302,25 @@ def _certify_stationary(sm, pi):
     as a float array.
 
     pi must be a probability vector: no negative entry and a sum within
-    1e-12 of 1. Uniqueness: the graph of the chain's strictly positive
-    entries must be one strongly connected class, so the chain is
-    irreducible. Explicit stored zeros are dropped first, since the
-    graph search counts every stored entry as an edge. Stationarity:
+    1e-12 of 1. Uniqueness: the chain must be irreducible, certified
+    structurally for a single-bit-flip chain with every flip positive
+    and otherwise by a graph search over the strictly positive entries,
+    which must form one strongly connected class. Stationarity:
     ||M pi - pi||_1 <= 1e-10. Each failure raises NonUniqueStationary.
     """
-    from scipy.sparse.csgraph import connected_components
-
     pi = np.asarray(pi, dtype=np.float64)
     total = float(pi.sum())
     if pi.min() < 0 or abs(total - 1.0) > _PROBABILITY_SUM_TOL:
         raise NonUniqueStationary(
             f"pi is not a probability vector (min {pi.min():.3e}, sum {total!r})"
         )
-    graph = sm.mat.copy()
-    graph.eliminate_zeros()
-    classes, _ = connected_components(graph, directed=True, connection="strong")
-    if classes != 1:
-        raise NonUniqueStationary(
-            f"chain is not irreducible: {classes} communicating classes"
-        )
-    resid = float(np.abs(sm.mat @ pi - pi).sum())
+    if not sm.single_flip_certified():
+        classes = sm.communicating_classes()
+        if classes != 1:
+            raise NonUniqueStationary(
+                f"chain is not irreducible: {classes} communicating classes"
+            )
+    resid = float(np.abs(sm.step(pi) - pi).sum())
     if resid > _STATIONARY_TOL:
         raise NonUniqueStationary(f"pi is not stationary (residual {resid:.3e})")
     return pi
@@ -169,23 +338,23 @@ def check_classical_condition(M, part):
 
     The blocks are P_{B2 u C} M P_A and P_{A u B1} M P_C; every stored
     entry inside them must be exactly zero. ``offending`` is the (row,
-    column) of the largest such entry.
+    column) of the largest such entry, the first in column order on a
+    tie.
     """
     sm = _as_chain(M)
     if part.dim != sm.dim:
         raise BadPartition(f"partition covers {part.dim} states, chain has {sm.dim}")
-    coo = sm.mat.tocoo()
-    label = np.empty(sm.dim, dtype=np.int8)
-    for k, name in enumerate(("A", "B1", "B2", "C")):
-        label[list(getattr(part, name))] = k
-    to, frm = label[coo.row], label[coo.col]
-    hits = np.flatnonzero(((frm == 0) & (to >= 2)) | ((frm == 3) & (to <= 1)))
-    vals = np.abs(coo.data[hits])
-    if not vals.any():
+    to, frm = part.label[sm.rows], part.label[:, None]
+    forbidden = ((frm == 0) & (to >= 2)) | ((frm == 3) & (to <= 1))
+    if not forbidden.any():
         return ClassicalConditionReport(0.0, True, None)
-    j = hits[np.argmax(vals)]
-    offending = (int(coo.row[j]), int(coo.col[j]))
-    return ClassicalConditionReport(float(vals.max()), False, offending)
+    vals = np.where(forbidden, sm.weights, 0.0)
+    j = int(np.argmax(vals))
+    top = float(vals.flat[j])
+    if top == 0.0:
+        return ClassicalConditionReport(0.0, True, None)
+    col, pos = divmod(j, sm.rows.shape[1])
+    return ClassicalConditionReport(top, False, (int(sm.rows[col, pos]), col))
 
 
 @dataclass
@@ -203,10 +372,10 @@ def classical_bottleneck_report(M, part, pi):
 
     pi is the chain's stationary law in closed form, such as the Gibbs
     weights of a detailed-balance chain; _certify_stationary checks it
-    before the bound is read. The theorem inequality is asserted with
-    slack 1e-12; a violation raises BoundViolated since it would falsify
-    the implementation, not the theorem. Both products are sparse
-    matvecs.
+    before the bound is read. pi(A) below 1e-14 raises EmptyA. The
+    theorem inequality is asserted with slack 1e-12; a violation raises
+    BoundViolated since it would falsify the implementation, not the
+    theorem. Both products are steps on the column form.
     """
     sm = _as_chain(M)
     cond = check_classical_condition(sm, part)
@@ -215,16 +384,17 @@ def classical_bottleneck_report(M, part, pi):
             f"forbidden entry {cond.max_forbidden_entry:.3e} at {cond.offending}"
         )
     pi = _certify_stationary(sm, pi)
-    pA = float(pi[list(part.A)].sum())
-    pB = float(pi[list(part.B)].sum()) if part.B else 0.0
-    pC = float(pi[list(part.C)].sum())
-    if pA < 1e-14:
+    in_A = part.label == 0
+    pA = float(pi[in_A].sum())
+    pB = float(pi[(part.label == 1) | (part.label == 2)].sum())
+    pC = float(pi[part.label == 3].sum())
+    if pA < _EMPTY_A_TOL:
         raise EmptyA(f"pi(A) = {pA:.3e}")
     piA = np.zeros_like(pi)
-    piA[list(part.A)] = pi[list(part.A)] / pA
-    lhs = float(np.abs(sm.mat @ piA - piA).sum())
+    piA[in_A] = pi[in_A] / pA
+    lhs = float(np.abs(sm.step(piA) - piA).sum())
     bound = 2.0 * pB / pA
-    if lhs > bound + 1e-12:
+    if lhs > bound + _BOUND_SLACK:
         raise BoundViolated(
             f"classical bottleneck bound violated: {lhs!r} > {bound!r}",
             lhs=lhs,
@@ -233,18 +403,29 @@ def classical_bottleneck_report(M, part, pi):
     return ClassicalBottleneckReport(lhs, bound, pA, pB, pC, cond.max_forbidden_entry)
 
 
+@functools.lru_cache(maxsize=1)
+def _flip_form(m):
+    """Rows of the single-bit-flip form on 2^m states, shared read-only
+    by every chain of that size: column j holds j ^ (1 << b) for each
+    bit b and j itself, ascending. Also the position of j in its column,
+    popcount(j), since each flip below j clears one of its set bits."""
+    idx = np.arange(1 << m)
+    rows = np.sort(idx[:, None] ^ np.concatenate([[0], 1 << np.arange(m)]), axis=1)
+    rows.setflags(write=False)
+    return rows, np.bitwise_count(idx)
+
+
 def glauber_chain(energies, beta, laziness=0.0):
-    """Single-bit-flip Metropolis chain over bitstring states, in CSC form.
+    """Single-bit-flip Metropolis chain over bitstring states, in column
+    form.
 
     Proposals pick one of the m bits uniformly (scaled by 1-laziness) and
     accept with min(1, e^{-beta dE}); the rest of each column stays put.
-    Column j stores its m flips j ^ (1 << b) and the stay entry, so the
-    chain holds (m + 1) 2^m entries and m may go up to 16. Detailed
-    balance with respect to pi ~ e^{-beta E} holds exactly by
-    construction.
+    Column j holds its m flips j ^ (1 << b) and the stay entry, rows
+    ascending, so the chain holds (m + 1) 2^m entries and m may go up to
+    _GLAUBER_MAX_BITS. Detailed balance with respect to pi ~ e^{-beta E}
+    holds exactly by construction.
     """
-    from scipy import sparse
-
     E = np.asarray(energies, dtype=np.float64)
     dim = E.shape[0]
     m = int(dim).bit_length() - 1
@@ -254,18 +435,22 @@ def glauber_chain(energies, beta, laziness=0.0):
         )
     if not 0 <= laziness < 1:
         raise ValueError(f"laziness {laziness} outside [0, 1)")
-    idx = np.arange(dim)
-    # Rows ascending down each column: the stay entry is then summed in the
-    # order of a dense column sum, and matches the dense builder bit for bit.
-    flip = np.sort(idx ^ (1 << np.arange(m))[:, None], axis=0)
-    move = (1.0 - laziness) / m * np.minimum(1.0, np.exp(-beta * np.maximum(E[flip] - E, 0)))
-    # With every flip accepted the moves sum to 1 + ulp; the stay entry is
+    rows, stay = _flip_form(m)
+    weights = E[rows]
+    weights -= E[:, None]
+    np.maximum(weights, 0, out=weights)
+    weights *= -beta
+    np.exp(weights, out=weights)
+    np.minimum(weights, 1.0, out=weights)
+    weights *= (1.0 - laziness) / m
+    columns = np.arange(dim)
+    weights[columns, stay] = 0.0
+    # The moves are added in ascending row order, the order of a dense
+    # column sum, so the stay entry matches the dense builder bit for bit.
+    # With every flip accepted they sum to 1 + ulp; the stay entry is
     # clamped at 0 and the column-sum check still applies.
-    stay = np.maximum(1.0 - move.sum(axis=0), 0.0)
-    rows = np.concatenate([flip.ravel(), idx])
-    cols = np.concatenate([np.tile(idx, m), idx])
-    data = np.concatenate([move.ravel(), stay])
-    return StochasticMatrix(sparse.csc_array((data, (rows, cols)), shape=(dim, dim)))
+    weights[columns, stay] = np.maximum(1.0 - _fold(np.add, weights), 0.0)
+    return StochasticMatrix.from_columns(rows, weights)
 
 
 def hamming_state_partition(m, center, inner, width):
@@ -275,10 +460,10 @@ def hamming_state_partition(m, center, inner, width):
     width, C everything beyond. Suits chains whose single update moves at
     most `width` bits.
     """
-    dim = 1 << m
     d = hamming_distance(m, [center])
-    A = np.flatnonzero(d <= inner)
-    B1 = np.flatnonzero((d > inner) & (d <= inner + width))
-    B2 = np.flatnonzero((d > inner + width) & (d <= inner + 2 * width))
-    C = np.flatnonzero(d > inner + 2 * width)
-    return StatePartition(tuple(A), tuple(B1), tuple(B2), tuple(C), dim)
+    label = (
+        (d > inner).astype(np.int8)
+        + (d > inner + width)
+        + (d > inner + 2 * width)
+    )
+    return StatePartition.from_labels(label)

@@ -107,7 +107,11 @@ class LabelBasis:
         bits = np.uint64(1) << np.arange(self.n, dtype=np.uint64)
         zero = np.zeros(self.n, dtype=np.uint64)
         a, b = np.concatenate([bits, zero, bits]), np.concatenate([zero, bits, bits])
-        out = self.index(self.x[:, None] ^ a, self.z[:, None] ^ b)
+        # one move at a time into the table, so that no (dim, 3n)
+        # temporary of the labels is ever formed
+        out = np.empty((self.dim, a.size), dtype=np.int64)
+        for c in range(a.size):
+            out[:, c] = self.index(self.x ^ a[c], self.z ^ b[c])
         out.setflags(write=False)
         return out
 

@@ -29,6 +29,12 @@ def random_unitary(rng, dim):
     return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
+def random_pi(rng, dim):
+    pi = rng.dirichlet(np.ones(dim))
+    pi = np.maximum(pi, 1e-9)
+    return pi / pi.sum()
+
+
 def random_projector(rng, dim, k):
     U = random_unitary(rng, dim)
     return U[:, :k] @ U[:, :k].conj().T

@@ -102,6 +102,11 @@ a time, and only tests call it:
   oracle for markov.glauber_chain.
 - dense_report reads the classical bound from a dense chain and a given
   law. It is the oracle for markov.classical_bottleneck_report.
+- communicating_classes runs scipy's strong-connectivity search on a
+  chain's CSC matrix with its stored zeros dropped. It is the oracle for
+  StochasticMatrix.single_flip_certified and communicating_classes.
+- birth_death_chain builds the nearest-neighbour Metropolis walk on a
+  path, entry by entry, as a dense matrix.
 """
 
 import itertools
@@ -880,6 +885,28 @@ def dense_report(M, part, pi):
     piA[A] = pi[A] / pA
     lhs = np.abs(M @ piA - piA).sum()
     return {"lhs": lhs, "bound": 2.0 * pB / pA, "pi_A": pA, "pi_B": pB, "pi_C": pC}
+
+
+def communicating_classes(M):
+    """Number of strongly connected classes of the graph of a chain's
+    strictly positive entries, read from its CSC matrix."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
+    graph = sparse.csc_array(M.mat if isinstance(M, StochasticMatrix) else M, copy=True)
+    graph.eliminate_zeros()
+    return connected_components(graph, directed=True, connection="strong")[0]
+
+
+def birth_death_chain(m, pi):
+    """Nearest-neighbour Metropolis walk on {0..m-1} with stationary pi."""
+    M = np.zeros((m, m))
+    for x in range(m):
+        for y in (x - 1, x + 1):
+            if 0 <= y < m:
+                M[y, x] = 0.5 * min(1.0, pi[y] / pi[x])
+        M[x, x] = 1.0 - M[:, x].sum()
+    return M
 
 
 def classical_energy(x, checks):

@@ -69,8 +69,8 @@ from bottlenecklab.subspace import (
     hamming_ball_subspace,
     partition_from_radius,
 )
-from conftest import random_density, random_projector, random_unitary
-from oracles import enumerated_blocks, neighborhood
+from conftest import random_density, random_pi, random_projector, random_unitary
+from oracles import birth_death_chain, enumerated_blocks, neighborhood
 
 BETAS = (0.5, 1.0, 2.0, 3.0)
 
@@ -103,27 +103,10 @@ def flip_masks(n, width):
     return [(1 << i) | (1 << ((i + 1) % n)) for i in range(n)]
 
 
-def random_pi(rng, dim):
-    pi = rng.dirichlet(np.ones(dim))
-    pi = np.maximum(pi, 1e-9)
-    return pi / pi.sum()
-
-
 def conditioned(rho, sub):
     P = sub.projector()
     blk = P @ rho.mat @ P
     return DensityMatrix(blk / float(np.real(np.trace(blk))), sub.n)
-
-
-def birth_death_chain(m, pi):
-    """Nearest-neighbour Metropolis walk on {0..m-1} with stationary pi."""
-    M = np.zeros((m, m))
-    for x in range(m):
-        for y in (x - 1, x + 1):
-            if 0 <= y < m:
-                M[y, x] = 0.5 * min(1.0, pi[y] / pi[x])
-        M[x, x] = 1.0 - M[:, x].sum()
-    return M
 
 
 # --- criterion 1: general theorem suite ------------------------------------

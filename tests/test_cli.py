@@ -849,19 +849,19 @@ def test_verify_classical_empty_c_rejected(tmp_path, monkeypatch):
 
 
 def test_verify_classical_past_the_glauber_cap_rejected(tmp_path, monkeypatch):
-    # 17 bits is one more than glauber_chain builds: the run is refused
+    # 21 bits is one more than glauber_chain builds: the run is refused
     # before the energies are built, not failed inside its grid point
     monkeypatch.setattr(cli, "label_energies", _refuse)
     monkeypatch.setattr(cli, "glauber_chain", _refuse)
     cfg = {
         "model": "ising_ring",
-        "n": 17,
+        "n": 21,
         "betas": [1.0],
         "partition": {"center": 0, "inner": 1, "width": 1},
     }
     code, out = run("verify-classical", cfg, tmp_path)
     assert code == 2
-    assert_config_rejected(out, "at most 16 bits")
+    assert_config_rejected(out, "at most 20 bits")
 
 
 def test_parser_is_built_once_and_keeps_its_exits(tmp_path, capsys):
@@ -896,3 +896,34 @@ def test_cli_import_loads_no_scipy_modules():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_verify_classical_loads_no_scipy_and_reads_no_matrix(tmp_path):
+    # every chain of an ising_ring run carries the single-flip certificate,
+    # so no connectivity search runs, and every check reads the column
+    # form: a verify-classical process loads numpy alone
+    code = (
+        "import json, sys\n"
+        "from bottlenecklab import cli, markov\n"
+        "reads = []\n"
+        "markov.StochasticMatrix.mat = property(lambda self: reads.append(1))\n"
+        "status = cli.main(sys.argv[1:])\n"
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps({'status': status, 'reads': len(reads), 'scipy': scipy}))\n"
+    )
+    cfg = dict(GRID_CONFIGS["verify-classical"], n=12, betas=[0.5, 1.0, 2.0, 3.0])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    argv = ["verify-classical", "--config", str(cfg_path), "--out", str(out), "--jobs", "1"]
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    spy = json.loads(done.stdout.strip().splitlines()[-1])
+    assert spy == {"status": 0, "reads": 0, "scipy": []}
+    assert json.loads((out / "failures.json").read_text()) == []
+    assert len(read_rows(out)[1]) == 4

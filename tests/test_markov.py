@@ -21,20 +21,13 @@ from bottlenecklab.markov import (
     hamming_state_partition,
 )
 from bottlenecklab.model import REGISTRY, gibbs_weights, label_energies
-from oracles import dense_glauber, dense_report, stationary_distribution
+from oracles import birth_death_chain, dense_glauber, dense_report, stationary_distribution
 
 
 def birth_death_metropolis(pi):
     """Tridiagonal Metropolis chain on a path with the given stationary law."""
     pi = np.asarray(pi, dtype=np.float64)
-    dim = pi.size
-    M = np.zeros((dim, dim))
-    for x in range(dim):
-        for y in (x - 1, x + 1):
-            if 0 <= y < dim:
-                M[y, x] = 0.5 * min(1.0, pi[y] / pi[x])
-    M[np.arange(dim), np.arange(dim)] = 1.0 - M.sum(axis=0)
-    return StochasticMatrix(M)
+    return StochasticMatrix(birth_death_chain(pi.size, pi))
 
 
 class TestStochasticMatrix:
@@ -57,6 +50,37 @@ class TestStochasticMatrix:
         with pytest.raises(NotStochastic):
             StochasticMatrix(np.ones((2, 3)) / 2)
 
+    def test_column_form_of_a_dense_chain(self, rng):
+        # columns of 1 to 5 entries: the form pads the short ones with zero
+        # weights on their last row, mat drops the padding, and a step adds
+        # in the order of the CSC matvec
+        dim = 7
+        M = np.zeros((dim, dim))
+        for j in range(dim):
+            rows = np.sort(rng.choice(dim, size=1 + j % 5, replace=False))
+            M[rows, j] = rng.dirichlet(np.ones(rows.size))
+        sm = StochasticMatrix(M)
+        assert sm.rows.shape == (dim, 5)
+        assert (np.diff(sm.rows, axis=1) >= 0).all()
+        assert np.array_equal(np.count_nonzero(sm.weights, axis=1), np.count_nonzero(M, axis=0))
+        assert np.array_equal(sm.mat.toarray(), M)
+        assert sm.mat.nnz == np.count_nonzero(M)
+        p = rng.dirichlet(np.ones(dim))
+        assert np.array_equal(sm.step(p), sm.mat @ p)
+        assert not sm.rows.flags.writeable and not sm.weights.flags.writeable
+
+    def test_rejects_an_empty_column(self):
+        M = np.eye(3)
+        M[2, 2] = 0.0
+        with pytest.raises(NotStochastic, match="column 2 has no entries"):
+            StochasticMatrix(M)
+
+    def test_rejects_rows_outside_the_chain(self):
+        with pytest.raises(NotStochastic, match="rows outside"):
+            StochasticMatrix.from_columns(np.array([[0], [2]]), np.ones((2, 1)))
+        with pytest.raises(NotStochastic, match="shapes"):
+            StochasticMatrix.from_columns(np.zeros((2, 1), dtype=int), np.ones((2, 2)))
+
 
 class TestStatePartition:
     def test_blocks_must_cover(self):
@@ -76,6 +100,16 @@ class TestStatePartition:
     def test_b_union(self):
         part = StatePartition((0,), (2,), (1,), (3,), dim=4)
         assert part.B == (1, 2)
+
+    def test_block_labels(self):
+        part = StatePartition((3,), (0, 2), (), (1,))
+        assert part.label.tolist() == [1, 3, 1, 0]
+        assert (part.A, part.B1, part.B2, part.C) == ((3,), (0, 2), (), (1,))
+        assert StatePartition.from_labels(part.label).B1 == (0, 2)
+        with pytest.raises(BadPartition):
+            StatePartition.from_labels([0, 4, 3])
+        with pytest.raises(BadPartition):
+            StatePartition.from_labels([1, 2, 3])
 
 
 class TestStationaryDistribution:
@@ -315,7 +349,7 @@ class TestGlauberChain:
 
     def test_size_cap(self):
         with pytest.raises(BadPartition):
-            glauber_chain(np.zeros(2**17), 1.0)
+            glauber_chain(np.zeros(2**21), 1.0)
         with pytest.raises(BadPartition):
             glauber_chain(np.zeros(1), 1.0)
 

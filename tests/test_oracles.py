@@ -38,7 +38,14 @@ from bottlenecklab.channel import (
     evolve_sequence,
 )
 from bottlenecklab.errors import BadPartition, EmptyA, EmptyBoundary, NonUniqueStationary
-from bottlenecklab.markov import classical_bottleneck_report, glauber_chain, hamming_state_partition
+from bottlenecklab.markov import (
+    StatePartition,
+    StochasticMatrix,
+    _certify_stationary,
+    classical_bottleneck_report,
+    glauber_chain,
+    hamming_state_partition,
+)
 from bottlenecklab.model import (
     REGISTRY,
     SIZE_INDEXED,
@@ -86,20 +93,24 @@ from bottlenecklab.subspace import (
     identity_basis,
     partition_from_radius,
 )
-from conftest import flux_triangle, gauge_block_diagonal
+from conftest import flux_triangle, gauge_block_diagonal, random_pi
 from oracles import (
     _gauged,
     barrier_by_label_pairs,
+    birth_death_chain,
+    communicating_classes,
     dense_check_hamiltonian,
     dense_collar_weights,
     dense_free_energy_bounds,
     dense_gibbs,
+    dense_glauber,
     dense_log_partition,
     dense_min_energy,
     dense_norm,
     dense_perturbation,
     dense_perturbed,
     dense_ratio,
+    dense_report,
     eigen_columns,
     eigen_ratio,
     enumerated_blocks,
@@ -588,6 +599,93 @@ def test_gibbs_law_matches_the_solved_stationary_law(checks, beta, laziness):
         # backward-stable eigensolve leaves it off by about eps / sep
         w = np.sort(np.linalg.eigvals(chain.mat.toarray()).real)
         assert gap <= pi.size * np.finfo(np.float64).eps / (1.0 - w[-2])
+
+
+# --- the single-flip certificate of irreducibility ---------------------------
+
+
+def _all_flips_positive(M):
+    """Whether every column j of a dense chain on 2^m states moves with
+    positive weight to each of its flips j ^ (1 << b)."""
+    idx = np.arange(M.shape[0])
+    m = M.shape[0].bit_length() - 1
+    return all((M[idx ^ (1 << b), idx] > 0).all() for b in range(m))
+
+
+@pytest.mark.parametrize("family", ["ising_ring", "repetition", "curie_weiss", "random_ldpc"])
+def test_single_flip_certificate_agrees_with_the_search(family):
+    # uphill moves underflow to 0 at beta 400, where the certificate must
+    # decline and the search decide
+    declined = 0
+    for n in range(3, 11):
+        checks = random_ldpc(n, n, n) if family == "random_ldpc" else REGISTRY[family](n)
+        E = label_energies(checks)
+        for beta in (0.0, 1.0, 3.0, 30.0, 400.0):
+            for laziness in (0.0, 0.25):
+                chain = glauber_chain(E, beta, laziness)
+                with np.errstate(over="ignore"):
+                    positive = _all_flips_positive(dense_glauber(E, beta, laziness))
+                certified = chain.single_flip_certified()
+                assert certified == positive, (n, beta, laziness)
+                classes = communicating_classes(chain)
+                if certified:
+                    assert classes == 1, (n, beta, laziness)
+                else:
+                    declined += 1
+                    assert chain.communicating_classes() == classes, (n, beta, laziness)
+    assert declined > 0
+
+
+@SETTINGS
+@given(
+    m=st.integers(1, 8),
+    beta=st.floats(0.0, 3.0),
+    laziness=st.sampled_from([0.0, 0.25]),
+    seed=st.integers(0, 2**16),
+)
+def test_certificate_declines_a_chain_with_one_flip_removed(m, beta, laziness, seed):
+    # one flip's weight moved onto its column's stay entry: the chain is
+    # no longer certified, and the search decides. Past one bit the cube
+    # stays strongly connected through the other flips; at one bit the
+    # removed flip was the only way out of its state
+    rng = np.random.default_rng(seed)
+    E = rng.uniform(-1.0, 2.0, size=2**m)
+    full = glauber_chain(E, beta, laziness)
+    assert full.single_flip_certified()
+    j, b = int(rng.integers(2**m)), int(rng.integers(m))
+    weights = full.weights.copy()
+    flip = np.flatnonzero(full.rows[j] == j ^ (1 << b))[0]
+    stay = np.flatnonzero(full.rows[j] == j)[0]
+    weights[j, stay] += weights[j, flip]
+    weights[j, flip] = 0.0
+    chain = StochasticMatrix.from_columns(full.rows, weights)
+    assert not chain.single_flip_certified()
+    classes = communicating_classes(chain)
+    assert chain.communicating_classes() == classes
+    assert (classes == 1) == (m > 1)
+    if classes > 1:
+        pi, _ = gibbs_weights(E, beta)
+        with pytest.raises(NonUniqueStationary, match=f"{classes} communicating classes"):
+            _certify_stationary(chain, pi)
+
+
+def test_birth_death_chains_in_column_form_match_the_dense_report():
+    # criterion 3's chains and laws: converted once to the column form,
+    # certified by the search (a path is no cube), read like the dense chain
+    for m in (8, 16):
+        for seed in range(9):
+            rng = np.random.default_rng(7000 + 10 * m + seed)
+            pi = random_pi(rng, m)
+            M = birth_death_chain(m, pi)
+            chain = StochasticMatrix(M)
+            assert np.array_equal(chain.mat.toarray(), M)
+            assert not chain.single_flip_certified()
+            part = StatePartition(A=(0, 1), B1=(2,), B2=(3,), C=tuple(range(4, m)))
+            rep = classical_bottleneck_report(chain, part, pi)
+            ref = dense_report(M, part, pi)
+            for key, want in ref.items():
+                assert getattr(rep, key) == pytest.approx(want, rel=1e-12, abs=1e-15), (m, seed, key)
+            assert rep.condition_max == 0.0
 
 
 # --- the certified Chebyshev route of perturbed sweep points ----------------
