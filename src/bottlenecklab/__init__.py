@@ -5,7 +5,7 @@ Modules:
     pauli        qubit bit masks, Hamming distances, GF(2) spans
     subspace     label bases, subspaces, label-shell partitions
     channel      Kraus channels, locality, quasi-local mixtures
-    markov       column-stochastic chains in column form and the classical bound
+    markov       stochastic chains held op-major (the one label-chain kernel), the classical bound
     model        parity-check Hamiltonians, barriers, Gibbs states
     sampler      Metropolis-type channels with engineered fixed points
     bottleneck   the bottleneck theorem verifiers, free-energy and quasi-local bounds

@@ -9,16 +9,17 @@ neighborhoods: A = V, B1 and B2 the first and second r-shells, C the
 rest; the Kraus condition is still re-verified numerically rather than
 trusted.
 
-verify_bottleneck_theorem has two paths with the same checks and
-tolerances. The label path runs when every channel is monomial over one
-label basis W (the sampler channels of an unperturbed model), rho is
-diagonal in W and every partition block is spanned by labels; states are
-then probability vectors over the labels, as in the classical bottleneck
-setting. The Gibbs state of an unperturbed model carries its label
-probabilities (model.gibbs_state), and they are read as they are.
-Anything else (perturbed states, general channels, CSS channels against
-a basis-state partition) runs the dense path, which also serves as the
-test oracle for the label path.
+verify_bottleneck_theorem has two paths. The label path runs when
+every channel is monomial over one label basis W (the sampler channels
+of an unperturbed model), rho carries labels over W (the Gibbs state of
+an unperturbed model, model.gibbs_state) and every partition block is
+labeled over W. A monomial channel acting on a diagonal state is then a
+classical chain over the labels (MonomialKraus.chain), and the theorem's
+measures are markov's: the exact-zero condition check and
+conditioned_drift, run on the block label of every label. Anything
+without labels (perturbed states, general channels, CSS channels
+against a basis-state partition) runs the dense path, which computes
+the same quantities and serves as the test oracle for the label path.
 
 Everything here asserts the inequalities it reports. A violation raises
 BoundViolated carrying the numbers, since it would mean a broken
@@ -41,6 +42,7 @@ from .errors import (
     NotFixedPoint,
     ZeroDelta,
 )
+from .markov import conditioned_drift, forbidden_entry
 from .model import ThermalState, gibbs_state, spectrum, subspace_min_energy
 from .numerics import (
     _EMPTY_WEIGHT_TOL,
@@ -48,7 +50,6 @@ from .numerics import (
     label_weights,
     logsumexp,
     matrix_of,
-    max_offdiagonal,
     operator_norm,
     trace_norm,
 )
@@ -185,23 +186,19 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
     must fix rho on its own and the bound scales with the step count.
 
     The label path runs when three things hold: every channel has a
-    monomial form over one label basis W, rho is diagonal in W, and
-    every block of the partition is spanned by labels. rho is diagonal
-    in W when it carries labels over W (a DensityMatrix.from_labels, as
-    gibbs_state builds for a check Hamiltonian), whose p is then read as
-    it is; any other rho is checked numerically, by the off-diagonal of
-    W† rho W within 1e-10. Block membership comes from the labels a
-    block carries over W (every block that partition_from_radius builds
-    from a labeled V, whose basis is built from those labels);
-    any other block counts as spanned by labels when each row norm of
-    W† B is within 1e-9 of 0 or 1. States are then label probability
-    vectors: residuals and the drift are l1 norms, Delta and the block
-    weights are sums, and the Kraus residual is the exact norm of a
-    monomial block. Any other input runs the dense path. report.path says
-    which ran. A DensityMatrix on the channels' register is used as it
-    is: its construction checked it, and it cannot have changed since;
-    any other rho is checked as one here. The label path never reads the
-    dense matrix of a state that carries labels.
+    monomial form over one label basis W, rho carries labels (W, p) over
+    W (a DensityMatrix.from_labels, as gibbs_state builds for a check
+    Hamiltonian), and every nonempty block of the partition carries
+    labels over W (as every block that partition_from_radius builds from
+    a labeled V does). States are then label probability vectors, and
+    each channel acts as its chain: residuals and the drift are l1
+    norms, Delta and the block weights are sums, and the Kraus condition
+    demands that every forbidden chain entry is exactly zero (the dense
+    path accepts a block norm below 1e-9). Any other input runs the
+    dense path. report.path says which ran. A DensityMatrix on the
+    channels' register is used as it is: its construction checked it,
+    and it cannot have changed since; any other rho is checked as one
+    here. The label path never reads the dense matrix of a state.
     """
     channels = list(C) if isinstance(C, (list, tuple)) else [C]
     n = channels[0].n
@@ -212,7 +209,7 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
     basis, p = _label_state(channels, state)
     for chan in channels:
         if p is not None:
-            resid = chan.monomial.residual(p)
+            resid = chan.monomial.chain.residual(p)
         else:
             resid = trace_norm(apply_channel(chan, state).mat - state.mat)
         if resid > 1e-9:
@@ -239,7 +236,7 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
     else:
         path = "label"
         worst, delta, numerator, denominator, lhs, prob_B, prob_C = _label_measures(
-            [chan.monomial for chan in channels], p, member
+            [chan.monomial.chain for chan in channels], p, member
         )
     bound = 10.0 * delta * len(channels)
     if lhs > bound + THEOREM_SLACK:
@@ -271,70 +268,41 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
 
 def _label_state(channels, rho):
     """(W, label probabilities of rho) when every channel is monomial over
-    one basis W and rho is diagonal in it; (None, None) otherwise.
-
-    A DensityMatrix that carries labels over W (from_labels) is diagonal
-    in W by construction, and its p is returned as it is. Any other rho
-    is compressed to W^dag rho W, whose off-diagonal must be within
-    1e-10, and p is its real diagonal.
-    """
+    one basis W and rho carries labels over it; (None, None) otherwise."""
     forms = _monomial_forms(channels)
     if forms is None:
         return None, None
-    basis = forms[0].basis
-    p = label_weights(rho, basis)
-    if p is not None:
-        return basis, p
-    M = basis.compress(rho.mat)
-    if max_offdiagonal(M) > 1e-10:
-        return None, None
-    return basis, np.real(np.diagonal(M)).copy()
+    p = label_weights(rho, forms[0].basis)
+    return (None, None) if p is None else (forms[0].basis, p)
 
 
 def _label_blocks(basis, part):
-    """Block (0=A, 1=B1, 2=B2, 3=C) of every label, or None unless each
-    block is spanned by labels of W. A block labeled over W (same_as)
-    gives its mask; any other block is tested by its row norms of W† B,
-    which must be 0 or 1 within 1e-9."""
-    member = np.full(basis.dim, -1)
+    """Block (0=A, 1=B1, 2=B2, 3=C) of every label of W, or None unless
+    every nonempty block carries labels over W (same_as). The partition's
+    construction checked that the blocks are disjoint and cover W."""
+    member = np.full(basis.dim, -1, dtype=np.int8)
     for b, block in enumerate((part.A, part.B1, part.B2, part.C)):
         if block.dim == 0:
             continue
-        if block.labels is not None and block.labels[0].same_as(basis):
-            inside = block.labels[1]
-        else:
-            norms = np.linalg.norm(basis.adjoint_left(block.basis), axis=1)
-            inside = norms > 0.5
-            if np.abs(norms - inside).max() > 1e-9 or inside.sum() != block.dim:
-                return None
-        if (member[inside] >= 0).any():
+        if block.labels is None or not block.labels[0].same_as(basis):
             return None
-        member[inside] = b
-    return member if (member >= 0).all() else None
+        member[block.labels[1]] = b
+    return member
 
 
-def _label_measures(forms, p, member):
-    """Kraus residual, Delta pieces, drift and block weights on label vectors."""
-    in_A, in_C = member == 0, member == 3
-    in_B = (member == 1) | (member == 2)
-    worst = max(
-        max(form.forbidden_norm(in_A, member >= 2), form.forbidden_norm(in_C, member <= 1))
-        for form in forms
+def _label_measures(chains, p, member):
+    """Kraus condition, Delta pieces, drift and block weights of the
+    label chains, from markov's exact-zero check and conditioned_drift."""
+    for sm in chains:
+        top, offending = forbidden_entry(sm, member)
+        if offending is not None:
+            raise ConditionViolated(
+                f"Kraus condition: forbidden weight {top:.3e} at {offending}"
+            )
+    denominator, prob_B, prob_C, lhs = conditioned_drift(
+        chains, member, p, empty_tol=_EMPTY_WEIGHT_TOL
     )
-    if worst >= 1e-9:
-        raise ConditionViolated(f"Kraus condition residual {worst:.3e}")
-    denominator = float(p[in_A].sum())
-    if denominator <= _EMPTY_WEIGHT_TOL:
-        raise EmptyA(f"tr(P_A rho) = {denominator:.3e}")
-    numerator = float(np.abs(p[in_B]).sum())
-    p_A = np.where(in_A, p, 0.0) / denominator
-    evolved = p_A
-    for form in forms:
-        evolved = form.step(evolved)
-    lhs = float(np.abs(evolved - p_A).sum())
-    prob_B = float(p[in_B].sum())
-    prob_C = float(p[in_C].sum())
-    return worst, numerator / denominator, numerator, denominator, lhs, prob_B, prob_C
+    return 0.0, prob_B / denominator, prob_B, denominator, lhs, prob_B, prob_C
 
 
 def _dense_measures(channels, mat, part):
@@ -449,26 +417,14 @@ def _collar_weights(rho, V, shell):
     When V and the shell are labeled over one basis W and rho carries
     labels (W, p) over it, tr(P_V rho) is the sum of p on V's labels and
     the commutator is exactly 0: rho = W diag(p) W^dag and P_shell = W
-    diag(mask) W^dag are both diagonal in W. Without labels on rho, both
-    are read from R = W^dag rho W: tr(P_V rho) is the trace of R on V's
-    labels, and since [rho, P] = P^perp rho P - P rho P^perp for
-    Hermitian rho, the commutator norm is ||P^perp rho P||, the norm of
-    R's block from the shell's labels to the rest. Otherwise both come
-    from dense projectors.
+    diag(mask) W^dag are both diagonal in W. Otherwise both come from
+    dense projectors.
     """
-    if (
-        V.labels is not None
-        and shell.labels is not None
-        and shell.labels[0].same_as(V.labels[0])
-    ):
-        W, in_V = V.labels
+    W = V.labels[0] if V.labels is not None else None
+    if W is not None and shell.labels is not None and shell.labels[0].same_as(W):
         p = label_weights(rho, W)
         if p is not None:
-            return float(p[in_V].sum()), 0.0
-        R = W.compress(matrix_of(rho))
-        in_shell = shell.labels[1]
-        prob_V = float(np.real(np.diagonal(R))[in_V].sum())
-        return prob_V, operator_norm(R[np.ix_(~in_shell, in_shell)])
+            return float(p[V.labels[1]].sum()), 0.0
     mat = matrix_of(rho)
     prob_V = float(np.real(np.trace(V.projector() @ mat)))
     P_shell = shell.projector()

@@ -11,24 +11,25 @@ without any diamond-norm computation.
 The Metropolis samplers build their channels in monomial form instead
 (MonomialKraus): K_m = W T_m W† for a label basis W of the model, with
 one nonzero per column of T_m. A state diagonal in W is then a label
-probability vector, and one step maps it to a vector. Trace preservation
-is checked on those vectors at construction (on the dense operators when
-some T_m has two nonzeros in one row). The dense list ``kraus`` is built
-only when a dense consumer reads it: apply_channel,
-check_partition_condition and quasi_local_mixture, channel_locality for
-a form over a basis other than the identity, and evolve_sequence for
-states without labels over the forms' basis. channel_locality reads a
-form over the identity basis from its rows and coefficients, and
-evolve_sequence steps label probability vectors when both states carry
-labels over that basis.
+probability vector, and the channel acts on it as a classical chain:
+``MonomialKraus.chain`` is the markov.StochasticMatrix whose entry m of
+column j moves |coef[m, j]|^2 to rows[m, j], the forms' own arrays.
+Every label step, fixed-point residual and drift runs through it. Trace
+preservation is checked on the chain's column sums at construction (on
+the dense operators when some T_m has two nonzeros in one row). The
+dense list ``kraus`` is built only when a dense consumer reads it:
+apply_channel, check_partition_condition and quasi_local_mixture,
+channel_locality for a form over a basis other than the identity, and
+evolve_sequence for states without labels over the forms' basis.
 """
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, NotTracePreserving
+from .markov import StochasticMatrix
 from .numerics import DensityMatrix, label_weights, matrix_of, operator_norm, trace_norm
 
 __all__ = [
@@ -110,7 +111,8 @@ class MonomialKraus:
     W is a LabelBasis. Column j of T_m holds coef[m, j] in row rows[m, j]
     and nothing else, so K_m maps each label state to one label state.
     A state diagonal in W, given by its label probabilities p, stays
-    diagonal: one step sends p to sum_m |coef_m|^2 p scattered to rows_m.
+    diagonal: one step sends p to sum_m |coef_m|^2 p scattered to rows_m,
+    which is ``chain.step(p)``.
     """
 
     basis: object
@@ -130,16 +132,13 @@ class MonomialKraus:
             raise DimensionMismatch("monomial row outside the label range")
         self.weights = np.abs(self.coef) ** 2
 
-    def step(self, p):
-        """Label probabilities after one application."""
-        dim = self.basis.dim
-        return np.bincount(
-            self.rows.ravel(), weights=(self.weights * p).ravel(), minlength=dim
-        )
-
-    def residual(self, p):
-        """l1 distance between p and its image: zero when p is a fixed point."""
-        return float(np.abs(self.step(p) - p).sum())
+    @functools.cached_property
+    def chain(self):
+        """The channel on label probabilities, as a StochasticMatrix over
+        the form's own rows and weights. Its checks are the form's: rows
+        in range, weights |coef|^2, and column sums, which are the
+        diagonal of sum_m T_m† T_m that KrausChannel checks."""
+        return StochasticMatrix._trusted(self.rows, self.weights)
 
     def trace_residual(self):
         """max |sum_m |coef_m|^2 - 1|, or None when some T_m has two
@@ -149,21 +148,6 @@ class MonomialKraus:
             if np.bincount(rows[coef != 0], minlength=dim).max(initial=0) > 1:
                 return None
         return float(np.abs(self.weights.sum(axis=0) - 1.0).max())
-
-    def forbidden_norm(self, src, dst):
-        """Largest operator norm over m of the block of T_m from src to dst.
-
-        src and dst are boolean masks over the labels. A monomial block B
-        has B B† diagonal, so its norm is the square root of the largest
-        row sum of |coef|^2 over entries with column in src and row in dst.
-        """
-        hit = src[None, :] & dst[self.rows]
-        if not hit.any():
-            return 0.0
-        dim = self.basis.dim
-        slot = np.arange(self.rows.shape[0])[:, None] * dim + self.rows
-        sums = np.bincount(slot[hit], weights=self.weights[hit])
-        return math.sqrt(float(sums.max()))
 
     def dense(self):
         """The Kraus operators as dense matrices in the computational basis."""
@@ -306,9 +290,9 @@ def evolve_sequence(channels, rho0, rho_ref, T):
 
     When every channel is monomial over one label basis W and both
     states carry labels over W (DensityMatrix.from_labels), every state
-    stays W diag(p_t) W^dag: p_t = step(p_{t-1}), and the trace distance
-    to W diag(q) W^dag is ||p_t - q||_1. Any other input evolves dense
-    matrices.
+    stays W diag(p_t) W^dag, p_t the step of p_{t-1} by the channel's
+    chain, and the trace distance to W diag(q) W^dag is ||p_t - q||_1.
+    Any other input evolves dense matrices.
     """
     if not channels:
         raise DimensionMismatch("need at least one channel")
@@ -341,9 +325,10 @@ def _monomial_forms(channels):
 
 
 def _label_distances(forms, p, q, T):
+    chains = [form.chain for form in forms]
     yield float(np.abs(p - q).sum())
     for t in range(1, T + 1):
-        p = forms[(t - 1) % len(forms)].step(p)
+        p = chains[(t - 1) % len(chains)].step(p)
         yield float(np.abs(p - q).sum())
 
 

@@ -2,15 +2,19 @@
 
 Matrices are column-stochastic: entry [i, j] is the probability of moving
 j -> i, so the chain acts on column probability vectors as pi' = M @ pi.
-Every chain is held in its column form: two (dim, k) arrays, rows and
-weights, where row j lists the entries of column j with their rows
-ascending (the order of a CSC matrix), short columns padded with zero
-weights on a repeat of their last row. A single-bit-flip chain on 2^m
-states holds k = m + 1 entries per column, and its rows, which depend
-on m alone, are shared by every chain of that size. A step p -> M p is
-one bincount over the flattened form, which adds every output in the
-column order of a CSC matvec, so it gives the same bits. Nothing of
-size 2^m x 2^m is formed.
+Every chain is held in one layout, op-major: two (k, dim) arrays, rows
+and weights, where entry k of column j moves weight weights[k, j] to row
+rows[k, j]. A row may repeat inside a column, and the weights of a
+repeated row add; short columns are padded with zero weights. This is
+the layout of a monomial Kraus form (channel.MonomialKraus), whose chain
+on label probabilities is the same two arrays with weights |coef|^2, so
+the quantum label path and the classical path step, check and drift
+through one kernel. A step p -> M p is one bincount over the flattened
+form, and a column sum adds the entries of each column in k order.
+A single-bit-flip chain on 2^m states holds k = m + 1 entries per column
+with the rows of each column ascending; its rows, which depend on m
+alone, are shared by every chain of that size. Nothing of size
+2^m x 2^m is formed.
 
 The stationary law is never solved for. A Metropolis chain satisfies
 detailed balance with respect to the Gibbs weights e^{-beta E}/Z
@@ -30,9 +34,11 @@ The structural condition mirrors the quantum one: with the state space
 split into disjoint sets A, B1, B2, C, single applications of M must not
 connect A with B2 or C, nor C with A or B1. Builders place structural
 (exact) zeros, so the condition check demands that every stored entry of
-the forbidden blocks is exactly zero rather than small. A StatePartition
-keeps one block label per state, and every check reads the blocks
-through it.
+the forbidden blocks is exactly zero rather than small. The split is one
+block label per state (0 for A, 1 for B1, 2 for B2, 3 for C), kept by a
+StatePartition; the check and conditioned_drift, which reads pi(A),
+pi(B), pi(C) and the drift of pi conditioned on A, take the label array
+itself, so the quantum label path, whose C may be empty, runs them too.
 
 scipy is imported only where it is used: converting a sparse input,
 forming ``StochasticMatrix.mat`` on first read, and the connectivity
@@ -63,6 +69,8 @@ __all__ = [
     "ClassicalBottleneckReport",
     "check_classical_condition",
     "classical_bottleneck_report",
+    "conditioned_drift",
+    "forbidden_entry",
     "glauber_chain",
     "hamming_state_partition",
 ]
@@ -76,54 +84,62 @@ _PROBABILITY_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
 _EMPTY_A_TOL = 1e-14
 _BOUND_SLACK = 1e-12
-_FOLD_BLOCK = 1 << 13
 
 
 class StochasticMatrix:
-    """Column-stochastic matrix in column form; columns sum to 1 within
+    """Column-stochastic matrix in op-major form; columns sum to 1 within
     1e-12 and every weight is non-negative (NotStochastic otherwise).
 
     A dense array or a scipy sparse matrix is converted on construction;
     ``from_columns`` takes the form itself. ``rows`` and ``weights`` are
     stored read-only. ``mat`` is the matrix as a scipy CSC array, formed
-    on first read; stored zeros of the input stay stored, padding does
-    not.
+    on first read; stored zeros of the input stay stored, and the
+    weights of a repeated row are added.
     """
 
     def __init__(self, mat):
-        rows, weights = _columns_of(mat)
-        self._set(rows, weights)
+        self._set(*_columns_of(mat))
+        self._check()
 
     @classmethod
     def from_columns(cls, rows, weights):
-        """The chain whose column j has weights[j] on rows[j], rows
-        ascending, short columns padded with zero weights on a repeat of
-        their last row. The arrays are kept, not copied, and made
-        read-only."""
+        """The chain whose column j moves weights[k, j] to rows[k, j] for
+        every k. The arrays are kept, not copied, and made read-only."""
+        self = cls._trusted(rows, weights)
+        self._check()
+        return self
+
+    @classmethod
+    def _trusted(cls, rows, weights):
+        """from_columns without its checks, for a caller that has made
+        them: a monomial Kraus form checks its rows, its weights are
+        |coef|^2, and its column sums are the trace check of its channel."""
         self = cls.__new__(cls)
         self._set(np.asarray(rows), np.asarray(weights, dtype=np.float64))
         return self
 
     def _set(self, rows, weights):
-        if rows.ndim != 2 or rows.shape != weights.shape or rows.shape[1] == 0:
+        if rows.ndim != 2 or rows.shape != weights.shape or rows.shape[0] == 0:
             raise NotStochastic(f"column form of shapes {rows.shape} and {weights.shape}")
-        dim = rows.shape[0]
-        if rows.min() < 0 or rows.max() >= dim:
-            raise NotStochastic(f"rows outside 0..{dim - 1}")
-        low = weights.min()
-        if not low >= 0:
-            raise NotStochastic(f"negative entry {low:.3e}")
-        dev = np.abs(_fold(np.add, weights) - 1.0).max()
-        if not dev <= _COLUMN_SUM_TOL:
-            raise NotStochastic(f"column sums deviate from 1 by {dev:.3e}")
         rows.setflags(write=False)
         weights.setflags(write=False)
         self.rows, self.weights = rows, weights
         self._mat = None
 
+    def _check(self):
+        rows, weights, dim = self.rows, self.weights, self.dim
+        if rows.min() < 0 or rows.max() >= dim:
+            raise NotStochastic(f"rows outside 0..{dim - 1}")
+        low = weights.min()
+        if not low >= 0:
+            raise NotStochastic(f"negative entry {low:.3e}")
+        dev = np.abs(weights.sum(axis=0) - 1.0).max()
+        if not dev <= _COLUMN_SUM_TOL:
+            raise NotStochastic(f"column sums deviate from 1 by {dev:.3e}")
+
     @property
     def dim(self):
-        return self.rows.shape[0]
+        return self.rows.shape[1]
 
     @property
     def mat(self):
@@ -131,22 +147,27 @@ class StochasticMatrix:
         if self._mat is None:
             from scipy import sparse
 
-            keep = np.ones(self.rows.shape, dtype=bool)
-            keep[:, 1:] = self.rows[:, 1:] != self.rows[:, :-1]
-            indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-            self._mat = sparse.csc_array(
-                (self.weights[keep], self.rows[keep], indptr), shape=(self.dim, self.dim)
+            cols = np.broadcast_to(np.arange(self.dim), self.rows.shape)
+            coo = sparse.coo_array(
+                (self.weights.ravel(), (self.rows.ravel(), cols.ravel())),
+                shape=(self.dim, self.dim),
             )
+            coo.sum_duplicates()
+            self._mat = coo.tocsc()
         return self._mat
 
-    def step(self, p):
-        """M @ p, summed in the column order of a CSC matvec. Columns where
-        p is 0 add exact zeros, so only the support of p is read."""
+    def step(self, p, cols=None):
+        """M @ p. When cols is given, p is zero outside those columns and
+        only they are read, which gives the same bits: the others add
+        exact zeros."""
         rows, weights = self.rows, self.weights
-        support = np.flatnonzero(p)
-        if support.size < self.dim:
-            rows, weights, p = rows[support], weights[support], p[support]
-        return np.bincount(rows.ravel(), weights=(weights * p[:, None]).ravel(), minlength=self.dim)
+        if cols is not None:
+            rows, weights, p = rows[:, cols], weights[:, cols], p[cols]
+        return np.bincount(rows.ravel(), weights=(weights * p).ravel(), minlength=self.dim)
+
+    def residual(self, p):
+        """||M p - p||_1: zero when p is a fixed point."""
+        return float(np.abs(self.step(p) - p).sum())
 
     def single_flip_certified(self):
         """Whether the chain is a single-bit-flip chain with every flip
@@ -154,7 +175,7 @@ class StochasticMatrix:
         j ^ (1 << b) and j itself, and every flip has positive weight.
         The chain then holds every edge of the m-cube both ways and is
         irreducible."""
-        dim, k = self.rows.shape
+        k, dim = self.rows.shape
         m = k - 1
         if dim != 1 << m:
             return False
@@ -162,7 +183,7 @@ class StochasticMatrix:
         if not np.array_equal(self.rows, rows):
             return False
         positive = self.weights > 0
-        flips = np.count_nonzero(positive) - np.count_nonzero(positive[np.arange(dim), stay])
+        flips = np.count_nonzero(positive) - np.count_nonzero(positive[stay, np.arange(dim)])
         return flips == m * dim
 
     def communicating_classes(self):
@@ -175,20 +196,6 @@ class StochasticMatrix:
         graph = self.mat.copy()
         graph.eliminate_zeros()
         return connected_components(graph, directed=True, connection="strong")[0]
-
-
-def _fold(ufunc, a):
-    """ufunc folded over the entries of each column of a column form,
-    one position after another: for np.add, the order of a dense column
-    sum. Runs over blocks of _FOLD_BLOCK columns, so that the strided
-    reads of each position stay in cache."""
-    out = np.empty(a.shape[0], dtype=a.dtype)
-    for start in range(0, a.shape[0], _FOLD_BLOCK):
-        block, acc = a[start : start + _FOLD_BLOCK], out[start : start + _FOLD_BLOCK]
-        acc[...] = block[:, 0]
-        for k in range(1, a.shape[1]):
-            ufunc(acc, block[:, k], out=acc)
-    return out
 
 
 def _columns_of(M):
@@ -207,19 +214,15 @@ def _columns_of(M):
         A = np.asarray(M, dtype=np.float64)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise NotStochastic(f"expected square matrix, got {A.shape}")
-        dim = A.shape[0]
         nonzero = A.T != 0
         counts = nonzero.sum(axis=1)
         flat_rows = np.nonzero(nonzero)[1]
         flat_weights = A.T[nonzero]
     if counts.min(initial=1) == 0:
         raise NotStochastic(f"column {int(np.argmin(counts))} has no entries")
-    k = int(counts.max(initial=1))
-    pos = np.arange(k)
-    src = (np.cumsum(counts) - counts)[:, None] + np.minimum(pos, counts[:, None] - 1)
-    rows = flat_rows[src]
-    weights = np.where(pos < counts[:, None], flat_weights[src], 0.0)
-    return rows, weights
+    pos = np.arange(int(counts.max(initial=1)))[:, None]
+    src = (np.cumsum(counts) - counts) + np.minimum(pos, counts - 1)
+    return flat_rows[src], np.where(pos < counts, flat_weights[src], 0.0)
 
 
 def _as_chain(M):
@@ -230,10 +233,9 @@ class StatePartition:
     """Disjoint index sets A, B1, B2, C covering {0..dim-1}; A, C non-empty.
 
     Kept as one int8 block label per state (0 for A, 1 for B1, 2 for B2,
-    3 for C), stored read-only; the blocks are read back from it as
-    sorted tuples. Raises BadPartition on overlapping blocks, on blocks
-    that miss a state of 0..dim-1, and on an empty A or C. dim defaults
-    to the number of indices given.
+    3 for C), stored read-only. Raises BadPartition on overlapping
+    blocks, on blocks that miss a state of 0..dim-1, and on an empty A
+    or C. dim defaults to the number of indices given.
     """
 
     def __init__(self, A, B1, B2, C, dim=None):
@@ -272,30 +274,6 @@ class StatePartition:
     def dim(self):
         return self.label.size
 
-    def _block(self, mask):
-        return tuple(np.flatnonzero(mask).tolist())
-
-    @property
-    def A(self):
-        return self._block(self.label == 0)
-
-    @property
-    def B1(self):
-        return self._block(self.label == 1)
-
-    @property
-    def B2(self):
-        return self._block(self.label == 2)
-
-    @property
-    def C(self):
-        return self._block(self.label == 3)
-
-    @property
-    def B(self):
-        return self._block((self.label == 1) | (self.label == 2))
-
-
 
 def _certify_stationary(sm, pi):
     """Check that pi is the unique stationary law of the chain; return it
@@ -320,7 +298,7 @@ def _certify_stationary(sm, pi):
             raise NonUniqueStationary(
                 f"chain is not irreducible: {classes} communicating classes"
             )
-    resid = float(np.abs(sm.step(pi) - pi).sum())
+    resid = sm.residual(pi)
     if resid > _STATIONARY_TOL:
         raise NonUniqueStationary(f"pi is not stationary (residual {resid:.3e})")
     return pi
@@ -344,17 +322,44 @@ def check_classical_condition(M, part):
     sm = _as_chain(M)
     if part.dim != sm.dim:
         raise BadPartition(f"partition covers {part.dim} states, chain has {sm.dim}")
-    to, frm = part.label[sm.rows], part.label[:, None]
-    forbidden = ((frm == 0) & (to >= 2)) | ((frm == 3) & (to <= 1))
+    top, offending = forbidden_entry(sm, part.label)
+    return ClassicalConditionReport(top, offending is None, offending)
+
+
+def forbidden_entry(sm, label):
+    """(largest weight, (row, column)) over the entries of a chain that
+    move a state of block 0 (A) to block 2 or 3 (B2, C), or of block 3
+    to block 0 or 1, for one block label per state; (0.0, None) when
+    every such entry is exactly zero. Any block may be empty."""
+    to = label[sm.rows]
+    forbidden = ((label == 0) & (to >= 2)) | ((label == 3) & (to <= 1))
     if not forbidden.any():
-        return ClassicalConditionReport(0.0, True, None)
+        return 0.0, None
     vals = np.where(forbidden, sm.weights, 0.0)
-    j = int(np.argmax(vals))
-    top = float(vals.flat[j])
+    # the transposed view runs column by column, so a tie goes to the first column
+    col, pos = divmod(int(np.argmax(vals.T)), vals.shape[0])
+    top = float(vals[pos, col])
     if top == 0.0:
-        return ClassicalConditionReport(0.0, True, None)
-    col, pos = divmod(j, sm.rows.shape[1])
-    return ClassicalConditionReport(top, False, (int(sm.rows[col, pos]), col))
+        return 0.0, None
+    return top, (int(sm.rows[pos, col]), col)
+
+
+def conditioned_drift(chains, label, pi, empty_tol=_EMPTY_A_TOL):
+    """(pi(A), pi(B), pi(C), ||M_t ... M_1 pi_A - pi_A||_1) for one block
+    label per state (0 for A, 1 and 2 for B, 3 for C) and pi_A the law pi
+    conditioned on A, carried through the chains in order. pi(A) at or
+    below empty_tol raises EmptyA. The first step reads A's columns only."""
+    in_A = label == 0
+    pA = float(pi[in_A].sum())
+    pB = float(pi[(label == 1) | (label == 2)].sum())
+    pC = float(pi[label == 3].sum())
+    if pA <= empty_tol:
+        raise EmptyA(f"pi(A) = {pA:.3e}")
+    piA = np.where(in_A, pi, 0.0) / pA
+    evolved = chains[0].step(piA, np.flatnonzero(in_A))
+    for sm in chains[1:]:
+        evolved = sm.step(evolved)
+    return pA, pB, pC, float(np.abs(evolved - piA).sum())
 
 
 @dataclass
@@ -372,10 +377,10 @@ def classical_bottleneck_report(M, part, pi):
 
     pi is the chain's stationary law in closed form, such as the Gibbs
     weights of a detailed-balance chain; _certify_stationary checks it
-    before the bound is read. pi(A) below 1e-14 raises EmptyA. The
+    before the bound is read. pi(A) at or below 1e-14 raises EmptyA. The
     theorem inequality is asserted with slack 1e-12; a violation raises
     BoundViolated since it would falsify the implementation, not the
-    theorem. Both products are steps on the column form.
+    theorem.
     """
     sm = _as_chain(M)
     cond = check_classical_condition(sm, part)
@@ -384,15 +389,7 @@ def classical_bottleneck_report(M, part, pi):
             f"forbidden entry {cond.max_forbidden_entry:.3e} at {cond.offending}"
         )
     pi = _certify_stationary(sm, pi)
-    in_A = part.label == 0
-    pA = float(pi[in_A].sum())
-    pB = float(pi[(part.label == 1) | (part.label == 2)].sum())
-    pC = float(pi[part.label == 3].sum())
-    if pA < _EMPTY_A_TOL:
-        raise EmptyA(f"pi(A) = {pA:.3e}")
-    piA = np.zeros_like(pi)
-    piA[in_A] = pi[in_A] / pA
-    lhs = float(np.abs(sm.step(piA) - piA).sum())
+    pA, pB, pC, lhs = conditioned_drift([sm], part.label, pi)
     bound = 2.0 * pB / pA
     if lhs > bound + _BOUND_SLACK:
         raise BoundViolated(
@@ -405,18 +402,19 @@ def classical_bottleneck_report(M, part, pi):
 
 @functools.lru_cache(maxsize=1)
 def _flip_form(m):
-    """Rows of the single-bit-flip form on 2^m states, shared read-only
-    by every chain of that size: column j holds j ^ (1 << b) for each
-    bit b and j itself, ascending. Also the position of j in its column,
-    popcount(j), since each flip below j clears one of its set bits."""
+    """Rows of the single-bit-flip form on 2^m states, (m + 1, 2^m) and
+    shared read-only by every chain of that size: column j holds
+    j ^ (1 << b) for each bit b and j itself, ascending. Also the
+    position of j in its column, popcount(j), since each flip below j
+    clears one of its set bits."""
     idx = np.arange(1 << m)
-    rows = np.sort(idx[:, None] ^ np.concatenate([[0], 1 << np.arange(m)]), axis=1)
+    rows = np.sort(idx ^ np.concatenate([[0], 1 << np.arange(m)])[:, None], axis=0)
     rows.setflags(write=False)
     return rows, np.bitwise_count(idx)
 
 
 def glauber_chain(energies, beta, laziness=0.0):
-    """Single-bit-flip Metropolis chain over bitstring states, in column
+    """Single-bit-flip Metropolis chain over bitstring states, in op-major
     form.
 
     Proposals pick one of the m bits uniformly (scaled by 1-laziness) and
@@ -437,19 +435,19 @@ def glauber_chain(energies, beta, laziness=0.0):
         raise ValueError(f"laziness {laziness} outside [0, 1)")
     rows, stay = _flip_form(m)
     weights = E[rows]
-    weights -= E[:, None]
+    weights -= E
     np.maximum(weights, 0, out=weights)
     weights *= -beta
     np.exp(weights, out=weights)
     np.minimum(weights, 1.0, out=weights)
     weights *= (1.0 - laziness) / m
     columns = np.arange(dim)
-    weights[columns, stay] = 0.0
+    weights[stay, columns] = 0.0
     # The moves are added in ascending row order, the order of a dense
     # column sum, so the stay entry matches the dense builder bit for bit.
     # With every flip accepted they sum to 1 + ulp; the stay entry is
     # clamped at 0 and the column-sum check still applies.
-    weights[columns, stay] = np.maximum(1.0 - _fold(np.add, weights), 0.0)
+    weights[stay, columns] = np.maximum(1.0 - weights.sum(axis=0), 0.0)
     return StochasticMatrix.from_columns(rows, weights)
 
 

@@ -57,7 +57,7 @@ def metropolis_site_channel(H, beta, site, attempt_prob=DEFAULT_ATTEMPT):
     )
     chan = KrausChannel(n, monomial=form)
     # detailed balance makes the diagonal Gibbs vector exactly stationary
-    resid = form.residual(gibbs_weights(E, beta)[0])
+    resid = form.chain.residual(gibbs_weights(E, beta)[0])
     if resid > 1e-10:
         raise NotFixedPoint(f"Gibbs residual {resid:.3e} on site {site}")
     return chan
@@ -112,7 +112,7 @@ def css_metropolis_channel(H0, beta, site, flavor, attempt_prob=DEFAULT_ATTEMPT)
     coef.append(stay)
     form = MonomialKraus(W, rows, coef)
     chan = KrausChannel(n, monomial=form)
-    resid = form.residual(gibbs_weights(E, beta)[0])
+    resid = form.chain.residual(gibbs_weights(E, beta)[0])
     if resid > 1e-10:
         raise NotFixedPoint(
             f"Gibbs residual {resid:.3e} on site {site} flavor {flavor}"

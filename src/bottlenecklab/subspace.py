@@ -148,26 +148,6 @@ class LabelBasis:
         out[rows[:, :, None], rows[:, None, :]] = block
         return out
 
-    def adjoint_left(self, M):
-        """W† M for a dense M with dim rows."""
-        if self.identity:
-            return M
-        nx, k, nz = self.blocks.shape
-        A = M[self.order].reshape(nx, k, -1)
-        return np.matmul(self.blocks.conj().transpose(0, 2, 1), A).reshape(self.dim, -1)
-
-    def right(self, M):
-        """M W for a dense M with dim columns."""
-        if self.identity:
-            return M
-        nx, k, nz = self.blocks.shape
-        A = M[:, self.order].reshape(-1, nx, k).transpose(1, 0, 2)
-        return np.matmul(A, self.blocks).transpose(1, 0, 2).reshape(-1, self.dim)
-
-    def compress(self, M):
-        """W† M W for a dense square M."""
-        return self.right(self.adjoint_left(M))
-
     @functools.cached_property
     def _pauli_images(self):
         return {}

@@ -53,6 +53,10 @@ a time, and only tests call it:
   check Hamiltonian was held as its labels. It is the oracle for the
   labels (W, E) of model.build_hamiltonian, and label_energy_residual
   reads max |H W - W diag(E)| of a dense H over a label basis.
+- row_norm_blocks reads the block of every label from the row norms of
+  W^dag B for dense block bases B, as bottleneck._label_blocks did for
+  blocks without labels. It is the oracle for the label masks that
+  _label_blocks reads.
 - dense_norm is the operator norm of a perturbation from the eigenvalues
   of its full matrix. It is the oracle for the norm that
   model.random_local_perturbation reads from its term spectra.
@@ -107,6 +111,10 @@ a time, and only tests call it:
   StochasticMatrix.single_flip_certified and communicating_classes.
 - birth_death_chain builds the nearest-neighbour Metropolis walk on a
   path, entry by entry, as a dense matrix.
+- ring_cut_ratio reads pi(B)/pi(A) of a Hamming cut of the Ising ring
+  from e^{-beta E} and np.bitwise_count distances, with numpy alone and
+  nothing from the package. It is the independent third party in the
+  cross-check of the label path's Delta against markov's pi(B)/pi(A).
 """
 
 import itertools
@@ -758,8 +766,28 @@ def dense_check_hamiltonian(checks):
 def label_energy_residual(mat, basis, energies):
     """max |H W - W diag(E)| for a dense H: zero when H is diagonal in W
     with energies E."""
-    resid = basis.right(mat) - basis.dense() * energies[None, :]
+    W = basis.dense()
+    resid = mat @ W - W * energies[None, :]
     return float(np.abs(resid).max())
+
+
+def row_norm_blocks(W, part):
+    """Block (0=A, 1=B1, 2=B2, 3=C) of every label of W, read from the row
+    norms of W^dag B for each dense block basis B, or None unless each
+    norm is 0 or 1 within 1e-9 and every label lies in exactly one block."""
+    member = np.full(W.dim, -1)
+    Wd = W.dense()
+    for b, block in enumerate((part.A, part.B1, part.B2, part.C)):
+        if block.dim == 0:
+            continue
+        norms = np.linalg.norm(Wd.conj().T @ block.basis, axis=1)
+        inside = norms > 0.5
+        if np.abs(norms - inside).max() > 1e-9 or inside.sum() != block.dim:
+            return None
+        if (member[inside] >= 0).any():
+            return None
+        member[inside] = b
+    return member if (member >= 0).all() else None
 
 
 def dense_norm(V):
@@ -879,7 +907,7 @@ def dense_glauber(E, beta, laziness=0.0):
 
 def dense_report(M, part, pi):
     """The classical bound on a dense chain with stationary law pi."""
-    A, B, C = list(part.A), list(part.B), list(part.C)
+    A, B, C = (np.flatnonzero(np.isin(part.label, blk)) for blk in ((0,), (1, 2), (3,)))
     pA, pB, pC = pi[A].sum(), pi[B].sum(), pi[C].sum()
     piA = np.zeros(M.shape[0])
     piA[A] = pi[A] / pA
@@ -896,6 +924,18 @@ def communicating_classes(M):
     graph = sparse.csc_array(M.mat if isinstance(M, StochasticMatrix) else M, copy=True)
     graph.eliminate_zeros()
     return connected_components(graph, directed=True, connection="strong")[0]
+
+
+def ring_cut_ratio(n, beta, center, inner, width):
+    """pi(B)/pi(A) for the Gibbs law of the n-site Ising ring, E(x) the
+    number of neighbouring bits that differ (site n-1 next to site 0),
+    with A the states within Hamming distance inner of center and B the
+    next 2 * width shells."""
+    x = np.arange(1 << n)
+    E = np.bitwise_count(x ^ ((x >> 1) | ((x & 1) << (n - 1))))
+    w = np.exp(-beta * (E - E.min()))
+    d = np.bitwise_count(x ^ center)
+    return w[(d > inner) & (d <= inner + 2 * width)].sum() / w[d <= inner].sum()
 
 
 def birth_death_chain(m, pi):

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from bottlenecklab import cli
+from bottlenecklab import bottleneck, cli
 from bottlenecklab.bottleneck import (
+    THEOREM_SLACK,
     BottleneckReport,
     bottleneck_ratio,
     diagonal_bound,
@@ -25,6 +26,7 @@ from bottlenecklab.channel import (
 )
 from bottlenecklab.errors import (
     BetaNegative,
+    BoundViolated,
     ConditionViolated,
     EmptyA,
     EmptyBoundary,
@@ -587,6 +589,35 @@ def test_local_mode_runs_on_the_label_path():
     assert rep.mode == "local(r=3)"
 
 
+@pytest.mark.parametrize("path", ["label", "dense"])
+def test_drift_past_the_bound_raises_with_its_numbers(monkeypatch, path):
+    # measures whose drift exceeds 10 Delta per step: the theorem's own
+    # assertion must fire, and its data must carry lhs, bound and delta
+    H = RINGS[6]
+    V = hamming_ball_subspace(6, [0], 1)
+    rho, _, _ = gibbs_state(H, 1.0)
+    sched = sweep_schedule(H, 1.0, range(2))
+    channels = sched if path == "label" else [dense_copy(c) for c in sched]
+    want = verify_bottleneck_theorem(channels, rho, (V, 3))
+    assert want.path == path
+    name = f"_{path}_measures"
+    measures = getattr(bottleneck, name)
+
+    def inflated(*args):
+        worst, delta, numerator, denominator, lhs, prob_B, prob_C = measures(*args)
+        lhs = 10.0 * delta * len(sched) + 1e-6
+        return worst, delta, numerator, denominator, lhs, prob_B, prob_C
+
+    monkeypatch.setattr(bottleneck, name, inflated)
+    with pytest.raises(BoundViolated, match="exceeds 10\\*Delta bound") as info:
+        verify_bottleneck_theorem(channels, rho, (V, 3))
+    data = info.value.data
+    assert set(data) == {"lhs", "bound", "delta"}
+    assert data["delta"] == want.delta > 0
+    assert data["bound"] == 10.0 * data["delta"] * 2
+    assert data["lhs"] > data["bound"] + THEOREM_SLACK
+
+
 def label_members(basis, block):
     """Labels spanning a block, read off a dense W."""
     if block.dim == 0:
@@ -617,23 +648,30 @@ def _refuse_dense(self):
     raise AssertionError("the label path built dense Kraus operators")
 
 
-@pytest.mark.parametrize("weight", [0.5, 1e-13])
+@pytest.mark.parametrize("weight", [0.5, 1e-13, 1e-20])
 @pytest.mark.parametrize("label", ["toric", "ising_ring"])
 def test_forbidden_a_to_c_entry_caught_on_label_path(monkeypatch, label, weight):
+    # the label path demands an exact zero; the dense path accepts a block
+    # norm below 1e-9, and weight 1e-20 has norm 1e-10
     if label == "toric":
         checks = REGISTRY["toric"]()
         part = css_ball_partition(checks, build_hamiltonian(checks))
     else:
         checks = REGISTRY["ising_ring"](6)
         part = partition_from_radius(hamming_ball_subspace(6, [0], 1), 1)
-    chan = forbidden_cycle_channel(label_basis(checks), part, weight)
+    W = label_basis(checks)
+    chan = forbidden_cycle_channel(W, part, weight)
     oracle = dense_copy(chan)
-    rho = maximally_mixed(checks.n)
+    rho = DensityMatrix.from_labels(W, np.full(W.dim, 1.0 / W.dim))
     monkeypatch.setattr(MonomialKraus, "dense", _refuse_dense)
-    with pytest.raises(ConditionViolated):
+    with pytest.raises(ConditionViolated, match="forbidden weight"):
         verify_bottleneck_theorem(chan, rho, part)
-    with pytest.raises(ConditionViolated):
-        verify_bottleneck_theorem(oracle, rho, part)
+    if weight > 1e-18:
+        with pytest.raises(ConditionViolated):
+            verify_bottleneck_theorem(oracle, maximally_mixed(checks.n), part)
+    else:
+        rep = verify_bottleneck_theorem(oracle, maximally_mixed(checks.n), part)
+        assert 0.0 < rep.condition_residual < 1e-9
 
 
 def test_perturbed_gibbs_state_takes_the_dense_path():
@@ -643,7 +681,8 @@ def test_perturbed_gibbs_state_takes_the_dense_path():
     W = label_basis(checks)
     V = random_local_perturbation(8, 0.05, seed=1)
     rho, _, _ = gibbs_state(perturb(H0, V), 1.0)
-    M = W.compress(rho.mat)
+    dense = W.dense()
+    M = dense.conj().T @ rho.mat @ dense
     assert np.abs(M - np.diag(np.diag(M))).max() > 1e-4
     identity = KrausChannel(8, monomial=MonomialKraus(W, [np.arange(256)], [np.ones(256)]))
     rep = verify_bottleneck_theorem(identity, rho, part)

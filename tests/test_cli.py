@@ -824,6 +824,90 @@ def test_registry_model_below_its_smallest_size_rejected(tmp_path, monkeypatch, 
     assert_config_rejected(out, word)
 
 
+MODEL_INFO_CFG = {
+    "model": "steane7",
+    "beta": 1.0,
+    "barrier": {"center": [0, 0], "inner": 1, "boundary": 1},
+}
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+# one key of each subcommand's valid config, broken four ways: a wrong
+# type, a value out of range, a required key missing, an unknown key. An
+# object-valued key is broken inside the object; any other key is given
+# the first two values, dropped, and renamed to the fourth.
+BROKEN_KEYS = {
+    "verify-classical": (GRID_CONFIGS["verify-classical"], "partition"),
+    "verify-quantum": (GRID_CONFIGS["verify-quantum"], "betas", [True], [-0.5], "beta"),
+    "barrier-scan": (GRID_CONFIGS["barrier-scan"], "inner", "1", -1, "outer"),
+    "tail-check": (GRID_CONFIGS["tail-check"], "seeds", 7, [-1], "seed"),
+    "stability-sweep": (GRID_CONFIGS["stability-sweep"], "barrier"),
+    "mixing-compare": (MC_STEANE, "flavors", [5], ["Y"], "flavor"),
+    "model-info": (MODEL_INFO_CFG, "barrier"),
+}
+BROKEN_OBJECTS = {
+    "partition": ("width", 0, "inner", "radius"),
+    "barrier": ("boundary", 0, "center", "width"),
+}
+CASES = ("type", "range", "missing", "unknown")
+
+
+def _broken(subcommand, case):
+    """(config with one key broken, a word its rejection must name)."""
+    cfg, key, *values = BROKEN_KEYS[subcommand]
+    if not values:
+        inner, low, required, unknown = BROKEN_OBJECTS[key]
+        obj = cfg[key]
+        value = {
+            "type": [],
+            "range": dict(obj, **{inner: low}),
+            "missing": _without(obj, required),
+            "unknown": dict(obj, **{unknown: 1}),
+        }[case]
+        return dict(cfg, **{key: value}), key
+    if case == "missing":
+        return _without(cfg, key), key
+    if case == "unknown":
+        return dict(cfg, **{values[2]: cfg[key]}), values[2]
+    return dict(cfg, **{key: values[CASES.index(case)]}), key
+
+
+def _spy_on_builds(monkeypatch, through):
+    """Record every Hamiltonian, Glauber chain and sweep model the CLI
+    builds; with through, build them as well."""
+    built = []
+    for name in ("build_hamiltonian", "glauber_chain", "sweep_model"):
+        real = getattr(cli, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            built.append(_name)
+            return _real(*args, **kwargs) if through else None
+
+        monkeypatch.setattr(cli, name, spy)
+    return built
+
+
+@pytest.mark.parametrize("subcommand", sorted(BROKEN_KEYS))
+def test_broken_key_configs_are_valid_before_the_break(tmp_path, monkeypatch, subcommand):
+    built = _spy_on_builds(monkeypatch, through=True)
+    assert run(subcommand, BROKEN_KEYS[subcommand][0], tmp_path)[0] == 0
+    assert built
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("subcommand", sorted(BROKEN_KEYS))
+def test_broken_key_rejected_before_any_build(tmp_path, monkeypatch, subcommand, case):
+    built = _spy_on_builds(monkeypatch, through=False)
+    cfg, word = _broken(subcommand, case)
+    code, out = run(subcommand, cfg, tmp_path)
+    assert code == 2
+    assert_config_rejected(out, word)
+    assert built == []
+
+
 def test_verify_classical_laziness_one_rejected(tmp_path, monkeypatch):
     # laziness 1 never moves, so the chain has no unique stationary law
     monkeypatch.setattr(cli, "hamming_state_partition", _refuse)

@@ -51,23 +51,38 @@ class TestStochasticMatrix:
             StochasticMatrix(np.ones((2, 3)) / 2)
 
     def test_column_form_of_a_dense_chain(self, rng):
-        # columns of 1 to 5 entries: the form pads the short ones with zero
-        # weights on their last row, mat drops the padding, and a step adds
-        # in the order of the CSC matvec
+        # columns of 1 to 5 entries, held op-major: entry k of column j is
+        # rows[k, j], rows ascending down a column, the short columns
+        # padded with zero weights on their last row; mat adds the padding
+        # into that row's entry, so only the nonzeros stay stored
         dim = 7
         M = np.zeros((dim, dim))
         for j in range(dim):
             rows = np.sort(rng.choice(dim, size=1 + j % 5, replace=False))
             M[rows, j] = rng.dirichlet(np.ones(rows.size))
         sm = StochasticMatrix(M)
-        assert sm.rows.shape == (dim, 5)
-        assert (np.diff(sm.rows, axis=1) >= 0).all()
-        assert np.array_equal(np.count_nonzero(sm.weights, axis=1), np.count_nonzero(M, axis=0))
+        assert sm.rows.shape == (5, dim)
+        assert (np.diff(sm.rows, axis=0) >= 0).all()
+        assert np.array_equal(np.count_nonzero(sm.weights, axis=0), np.count_nonzero(M, axis=0))
         assert np.array_equal(sm.mat.toarray(), M)
         assert sm.mat.nnz == np.count_nonzero(M)
         p = rng.dirichlet(np.ones(dim))
-        assert np.array_equal(sm.step(p), sm.mat @ p)
+        assert np.abs(sm.step(p) - M @ p).max() <= 1e-15
+        support = np.array([1, 4])
+        sparse_p = np.where(np.isin(np.arange(dim), support), p, 0.0)
+        assert np.array_equal(sm.step(sparse_p, support), sm.step(sparse_p))
         assert not sm.rows.flags.writeable and not sm.weights.flags.writeable
+
+    def test_repeated_rows_add(self):
+        # a Kraus form may send two operators' entries of one column to the
+        # same row: the chain adds their weights, and so does mat
+        rows = np.array([[1, 0, 2], [1, 1, 2]])
+        weights = np.array([[0.25, 0.5, 1.0], [0.75, 0.5, 0.0]])
+        sm = StochasticMatrix.from_columns(rows, weights)
+        want = np.array([[0.0, 0.5, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, 1.0]])
+        assert np.array_equal(sm.mat.toarray(), want)
+        p = np.array([0.2, 0.3, 0.5])
+        assert np.array_equal(sm.step(p), want @ p)
 
     def test_rejects_an_empty_column(self):
         M = np.eye(3)
@@ -97,15 +112,11 @@ class TestStatePartition:
         with pytest.raises(BadPartition):
             StatePartition((0,), (1, 2), (3,), (), dim=4)
 
-    def test_b_union(self):
-        part = StatePartition((0,), (2,), (1,), (3,), dim=4)
-        assert part.B == (1, 2)
-
     def test_block_labels(self):
         part = StatePartition((3,), (0, 2), (), (1,))
         assert part.label.tolist() == [1, 3, 1, 0]
-        assert (part.A, part.B1, part.B2, part.C) == ((3,), (0, 2), (), (1,))
-        assert StatePartition.from_labels(part.label).B1 == (0, 2)
+        assert not part.label.flags.writeable
+        assert StatePartition.from_labels(part.label).label.tolist() == [1, 3, 1, 0]
         with pytest.raises(BadPartition):
             StatePartition.from_labels([0, 4, 3])
         with pytest.raises(BadPartition):
@@ -384,12 +395,9 @@ class TestGlauberChain:
 class TestHammingPartition:
     def test_shell_sizes(self):
         part = hamming_state_partition(4, 0, 0, 1)
-        assert len(part.A) == 1
-        assert len(part.B1) == 4
-        assert len(part.B2) == 6
-        assert len(part.C) == 5
+        assert np.bincount(part.label).tolist() == [1, 4, 6, 5]
 
     def test_offset_center(self):
         part = hamming_state_partition(3, 0b111, 0, 1)
-        assert part.A == (7,)
+        assert np.flatnonzero(part.label == 0).tolist() == [7]
 

@@ -421,7 +421,6 @@ class TestLabelBasis:
         assert label_energy_residual(dense_check_hamiltonian(fam), W, E) < 1e-14
         dense = W.dense()
         assert np.abs(dense.conj().T @ H.mat @ dense - np.diag(E)).max() < 1e-13
-        assert W.compress(H.mat) == pytest.approx(np.diag(E), abs=1e-13)
 
     def test_classical_families_share_the_identity_basis(self):
         W = label_basis(ising_ring(5))

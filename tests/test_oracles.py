@@ -87,9 +87,9 @@ from bottlenecklab.stability import (
 from bottlenecklab.sampler import css_metropolis_channel, metropolis_site_channel, sweep_schedule
 from bottlenecklab.subspace import (
     HilbertPartition,
-    LabelBasis,
     Subspace,
     boundary,
+    hamming_ball_subspace,
     identity_basis,
     partition_from_radius,
 )
@@ -116,6 +116,8 @@ from oracles import (
     enumerated_blocks,
     gauged_eigensystem,
     indices_from_mask,
+    ring_cut_ratio,
+    row_norm_blocks,
     shell_projectors,
     stationary_distribution,
 )
@@ -509,9 +511,11 @@ def test_mask_membership_matches_the_row_norms(ball, r):
     blocks = (part.A, part.B1, part.B2, part.C)
     unlabeled = HilbertPartition(*(Subspace(b.n, b.basis) for b in blocks))
     assert all(b.labels is None for b in (unlabeled.A, unlabeled.C))
-    want = _label_blocks(W, unlabeled)
+    want = row_norm_blocks(W, unlabeled)
     assert want is not None
     assert np.array_equal(_label_blocks(W, part), want)
+    # the label path takes only labels: the same blocks without them go dense
+    assert _label_blocks(W, unlabeled) is None
 
 
 # criterion 11's points: five models, a radius-0 barrier ball at the origin,
@@ -654,10 +658,10 @@ def test_certificate_declines_a_chain_with_one_flip_removed(m, beta, laziness, s
     assert full.single_flip_certified()
     j, b = int(rng.integers(2**m)), int(rng.integers(m))
     weights = full.weights.copy()
-    flip = np.flatnonzero(full.rows[j] == j ^ (1 << b))[0]
-    stay = np.flatnonzero(full.rows[j] == j)[0]
-    weights[j, stay] += weights[j, flip]
-    weights[j, flip] = 0.0
+    flip = np.flatnonzero(full.rows[:, j] == j ^ (1 << b))[0]
+    stay = np.flatnonzero(full.rows[:, j] == j)[0]
+    weights[stay, j] += weights[flip, j]
+    weights[flip, j] = 0.0
     chain = StochasticMatrix.from_columns(full.rows, weights)
     assert not chain.single_flip_certified()
     classes = communicating_classes(chain)
@@ -670,7 +674,7 @@ def test_certificate_declines_a_chain_with_one_flip_removed(m, beta, laziness, s
 
 
 def test_birth_death_chains_in_column_form_match_the_dense_report():
-    # criterion 3's chains and laws: converted once to the column form,
+    # criterion 3's chains and laws: converted once to the op-major form,
     # certified by the search (a path is no cube), read like the dense chain
     for m in (8, 16):
         for seed in range(9):
@@ -686,6 +690,34 @@ def test_birth_death_chains_in_column_form_match_the_dense_report():
             for key, want in ref.items():
                 assert getattr(rep, key) == pytest.approx(want, rel=1e-12, abs=1e-15), (m, seed, key)
             assert rep.condition_max == 0.0
+
+
+# --- the label path's Delta against markov's pi(B)/pi(A) ---------------------
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_label_delta_matches_the_classical_ratio(n):
+    # one cut three ways: a radius-rho ball with r shells on the label path
+    # of verify_bottleneck_theorem, (inner rho, width r) in markov, and a
+    # numpy oracle that shares no code with either. Delta depends only on
+    # the Gibbs law and the blocks, not on the chain, so all three agree
+    checks = ising_ring(n)
+    H = build_hamiltonian(checks)
+    E = label_energies(checks)
+    for beta in (0.5, 1.0, 2.0):
+        rho = gibbs_state(H, beta)[0]
+        sched = sweep_schedule(H, beta, range(n))
+        pi, _ = gibbs_weights(E, beta)
+        chain = glauber_chain(E, beta)
+        for center, inner, width in [(0, 0, 1), (0, 1, 2), (5, 1, 1), (5, 2, 2)]:
+            part = partition_from_radius(hamming_ball_subspace(n, [center], inner), width)
+            label = verify_bottleneck_theorem(sched, rho, part)
+            assert label.path == "label"
+            cut = hamming_state_partition(n, center, inner, width)
+            classical = classical_bottleneck_report(chain, cut, pi)
+            want = ring_cut_ratio(n, beta, center, inner, width)
+            for got in (label.delta, classical.pi_B / classical.pi_A):
+                assert got == pytest.approx(want, rel=1e-12, abs=0), (beta, center, inner, width)
 
 
 # --- the certified Chebyshev route of perturbed sweep points ----------------
@@ -883,19 +915,15 @@ def label_theorem_points(label):
 
 
 @pytest.mark.parametrize("label", LABEL_GIBBS_CODES)
-def test_label_weights_match_the_compressed_state(monkeypatch, label):
-    compressed = count_calls(monkeypatch, LabelBasis, "compress")
-    points = list(label_theorem_points(label))
-    reports = [verify_bottleneck_theorem(chan, rho, part) for chan, rho, part in points]
-    # the label-carrying rho never compresses W^dag rho W; the same matrix
-    # without its labels compresses once per call
-    assert compressed == []
-    for (chan, rho, part), got in zip(points, reports):
+def test_label_weights_match_the_dense_state(label):
+    # the label-carrying rho runs the label path; the same matrix without
+    # its labels runs the dense path, which computes the same quantities
+    for chan, rho, part in label_theorem_points(label):
+        got = verify_bottleneck_theorem(chan, rho, part)
         want = verify_bottleneck_theorem(chan, DensityMatrix(rho.mat, rho.n), part)
-        assert got.path == want.path == "label"
+        assert (got.path, want.path) == ("label", "dense")
         for name in ("delta", "numerator", "denominator", "lhs"):
-            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0)
-    assert len(compressed) == len(points)
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=1e-15)
 
 
 # --- label chains: monomial locality, label evolution, partition masks
