@@ -277,17 +277,9 @@ def _label_state(channels, rho):
 
 
 def _label_blocks(basis, part):
-    """Block (0=A, 1=B1, 2=B2, 3=C) of every label of W, or None unless
-    every nonempty block carries labels over W (same_as). The partition's
-    construction checked that the blocks are disjoint and cover W."""
-    member = np.full(basis.dim, -1, dtype=np.int8)
-    for b, block in enumerate((part.A, part.B1, part.B2, part.C)):
-        if block.dim == 0:
-            continue
-        if block.labels is None or not block.labels[0].same_as(basis):
-            return None
-        member[block.labels[1]] = b
-    return member
+    """Block (0=A, 1=B1, 2=B2, 3=C) of every label of W, as the partition
+    keeps it, or None unless its nonempty blocks carry labels over W."""
+    return part.labels[1] if part.labels is not None and part.labels[0].same_as(basis) else None
 
 
 def _label_measures(chains, p, member):

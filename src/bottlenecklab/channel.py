@@ -45,6 +45,8 @@ __all__ = [
 
 # a forbidden Kraus block below this operator norm counts as zero
 _ABS_TOL = 1e-10
+# largest entry of sum_m K_m^dag K_m - 1 that a channel may carry
+_TRACE_TOL = 1e-9
 
 
 class KrausChannel:
@@ -82,7 +84,7 @@ class KrausChannel:
                 ops.append(K)
             self._kraus = ops
             resid = _trace_residual(ops, self.dim)
-        if resid > 1e-9:
+        if resid > _TRACE_TOL:
             raise NotTracePreserving(
                 f"sum of K†K deviates from identity by {resid:.3e}"
             )
@@ -142,11 +144,12 @@ class MonomialKraus:
 
     def trace_residual(self):
         """max |sum_m |coef_m|^2 - 1|, or None when some T_m has two
-        nonzeros in one row (T_m† T_m is then not diagonal)."""
-        dim = self.basis.dim
-        for rows, coef in zip(self.rows, self.coef):
-            if np.bincount(rows[coef != 0], minlength=dim).max(initial=0) > 1:
-                return None
+        nonzeros in one row (T_m† T_m is then not diagonal): one count of
+        the nonzero rows of every T_m, T_m's in slots m*dim + row."""
+        k, dim = self.rows.shape
+        slots = (self.rows + dim * np.arange(k)[:, None])[self.coef != 0]
+        if np.bincount(slots, minlength=k * dim).max(initial=0) > 1:
+            return None
         return float(np.abs(self.weights.sum(axis=0) - 1.0).max())
 
     def dense(self):

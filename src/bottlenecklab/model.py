@@ -27,8 +27,8 @@ diag(E) once, when it builds W. Readers take the labels: spectrum gives
 (E, W), gibbs_state forms rho = W diag(p) W^dag from p = e^{-beta E}/Z
 and the state carries (W, p), and subspace_min_energy reads the least E
 of a ball or shell labeled over W. gibbs_weights is the one Gibbs law
-over an energy vector, shared by the thermal states, the samplers'
-fixed-point checks and the classical chains.
+over an energy vector; Hamiltonian.gibbs keeps it per beta for
+gibbs_state and the samplers' fixed-point checks to share.
 
 A Hamiltonian keeps a form M and unit phases d, H = D M D^dag, fixed
 when it is built, and forms its dense matrix only when something reads
@@ -62,6 +62,7 @@ from .errors import (
     ModelNotFound,
     NonCommutingChecks,
     NotClassical,
+    NotDiagonal,
 )
 from .numerics import (
     _GAUGE_REL_TOL,
@@ -216,6 +217,7 @@ class Hamiltonian:
         self._mat = self._form if phases is None else None
         self._offdiagonal = None
         self._labels = None
+        self._gibbs = {}
         self.n = n
         self.w0 = w0
         self.w1 = w1
@@ -288,6 +290,21 @@ class Hamiltonian:
         if self.flips is not None:
             return self._weights.copy()
         return np.real(np.diagonal(self.form)).copy()
+
+    def gibbs(self, beta):
+        """gibbs_weights over E of H's labels, or over the diagonal of a
+        diagonal H without them, kept per beta with p read-only: the one
+        vector of gibbs_state and the samplers' fixed-point checks. Any
+        other H raises NotDiagonal: its diagonal is not its Gibbs law."""
+        kept = self._gibbs.get(beta)
+        if kept is None:
+            if self._labels is None and not self.is_diagonal:
+                raise NotDiagonal("Gibbs weights over the diagonal need a diagonal H or its labels")
+            E = self.diagonal() if self._labels is None else self._labels[1]
+            kept = gibbs_weights(E, beta)
+            kept[0].flags.writeable = False
+            self._gibbs[beta] = kept
+        return kept
 
     def plus_diagonal(self, e, **bookkeeping):
         """H + diag(e) for a site form H, in its gauge, since D diag(e)
@@ -700,28 +717,25 @@ def gibbs_state(H, beta):
     The state carries its label form (W, p) when H is diagonal in a
     label basis W, and then forms its dense matrix only when something
     reads it (DensityMatrix.from_labels). Two routes:
-    - a check Hamiltonian, with labels (W, E), gets p = e^{-beta E}/Z over
-      W, with no eigensolve;
+    - a check Hamiltonian, with labels (W, E), and any other diagonal H,
+      over the identity basis with E its diagonal, get p = e^{-beta E}/Z
+      from H.gibbs, with no eigensolve;
     - any other H (a perturbed one, whose labels perturb drops) takes
-      thermal_state. A diagonal H gets rho = diag(p) over the identity
-      basis, p the Gibbs weights of its diagonal; otherwise rho is dense,
-      with no labels: after a real solve the real product U diag(p) U^T,
-      scaled by the phases d as d_i rho_ij conj(d_j) when there are any.
+      thermal_state, and rho is dense, with no labels: after a real solve
+      the real product U diag(p) U^T, scaled by the phases d as d_i
+      rho_ij conj(d_j) when there are any.
     """
-    if H.labels is not None:
-        W, E = H.labels
-        p, logZ = gibbs_weights(E, beta)
+    if H.labels is not None or H.is_diagonal:
+        p, logZ = H.gibbs(beta)
+        W = identity_basis(H.n) if H.labels is None else H.labels[0]
         rho = DensityMatrix.from_labels(W, p)
     else:
         probs, U, logZ, phases = thermal_state(H, beta)
-        if U is None:
-            rho = DensityMatrix.from_labels(identity_basis(H.n), probs)
-        else:
-            mat = ((U * probs[None, :]) @ U.conj().T).astype(np.complex128, copy=False)
-            if phases is not None:
-                mat *= phases[:, None]
-                mat *= phases.conj()[None, :]
-            rho = DensityMatrix(mat, H.n)
+        mat = ((U * probs[None, :]) @ U.conj().T).astype(np.complex128, copy=False)
+        if phases is not None:
+            mat *= phases[:, None]
+            mat *= phases.conj()[None, :]
+        rho = DensityMatrix(mat, H.n)
     F = -logZ / beta if beta > 0 else -math.inf
     return rho, logZ, F
 

@@ -7,21 +7,23 @@ one bit of the computational basis with an acceptance amplitude read off
 the energy vector. The CSS variant flips one Pauli on the CSS eigenstates
 |x, z>: the flip moves each label to one label (with a phase), and the
 energy jump omega it causes is read off the syndromes of the adjacent
-checks, so the jump operators sqrt(q min(1, e^{-beta omega})) sigma
-P_omega are built column by column without any dense product. Before
+checks. None of that depends on beta, so it is one move table per
+family, site and flavor, kept on the label basis; a beta only adds the
+amplitudes of the jump operators sqrt(q min(1, e^{-beta omega})) sigma
+P_omega, filled column by column without any dense product. Before
 returning, construction checks on label vectors that the channel is
-trace preserving and fixes the Gibbs state exactly. The CSS variant
-reads E from the labels (W, E) of H0, which build_hamiltonian sets over
-label_basis of the checks, so H0 W = W diag(E) ties that Gibbs vector
-to H0; an H0 without labels over that basis (a perturbed one) is
-refused.
+trace preserving and fixes exactly the Gibbs vector H.gibbs keeps for
+beta. The CSS variant reads E from the labels (W, E) of H0, which
+build_hamiltonian sets over label_basis of the checks, so H0 W = W
+diag(E) ties that Gibbs vector to H0; an H0 without labels over that
+basis (a perturbed one) is refused.
 """
 
 import numpy as np
 
 from .channel import KrausChannel, MonomialKraus
 from .errors import EmptySchedule, NotCommuting, NotDiagonal, NotFixedPoint
-from .model import gibbs_weights, label_basis
+from .model import label_basis
 from .pauli import mask_from_indices, popcount
 from .subspace import identity_basis
 
@@ -32,6 +34,8 @@ __all__ = [
 ]
 
 DEFAULT_ATTEMPT = 0.5
+# l1 residual of the Gibbs vector under one channel step, checked at construction
+_FIXED_POINT_TOL = 1e-10
 
 
 def metropolis_site_channel(H, beta, site, attempt_prob=DEFAULT_ATTEMPT):
@@ -52,13 +56,11 @@ def metropolis_site_channel(H, beta, site, attempt_prob=DEFAULT_ATTEMPT):
     idx = np.arange(1 << n)
     flip = idx ^ (1 << (n - 1 - site))
     accept = attempt_prob * np.minimum(1.0, np.exp(-beta * np.maximum(E[flip] - E, 0)))
-    form = MonomialKraus(
-        identity_basis(n), [flip, idx], [np.sqrt(accept), np.sqrt(1.0 - accept)]
-    )
+    form = MonomialKraus(identity_basis(n), [flip, idx], [np.sqrt(accept), np.sqrt(1.0 - accept)])
     chan = KrausChannel(n, monomial=form)
     # detailed balance makes the diagonal Gibbs vector exactly stationary
-    resid = form.chain.residual(gibbs_weights(E, beta)[0])
-    if resid > 1e-10:
+    resid = form.chain.residual(H.gibbs(beta)[0])
+    if resid > _FIXED_POINT_TOL:
         raise NotFixedPoint(f"Gibbs residual {resid:.3e} on site {site}")
     return chan
 
@@ -87,7 +89,26 @@ def css_metropolis_channel(H0, beta, site, flavor, attempt_prob=DEFAULT_ATTEMPT)
     W = label_basis(fam)
     if H0.labels is None or not H0.labels[0].same_as(W):
         raise NotDiagonal("H0 carries no syndrome energies over the label basis of its checks")
-    E = H0.labels[1]
+    rows, phase, omega, cls = W.kept(_move_table, fam, site, flavor)
+    accept = attempt_prob * np.minimum(1.0, np.exp(-beta * np.maximum(omega, 0)))
+    coef = np.zeros(rows.shape, dtype=np.complex128)
+    coef[cls, np.arange(W.dim)] = np.sqrt(accept)[cls] * phase
+    coef[-1] = np.sqrt(1.0 - accept)[cls]
+    form = MonomialKraus(W, rows, coef)
+    chan = KrausChannel(n, monomial=form)
+    resid = form.chain.residual(H0.gibbs(beta)[0])
+    if resid > _FIXED_POINT_TOL:
+        raise NotFixedPoint(f"Gibbs residual {resid:.3e} on site {site} flavor {flavor}")
+    return chan
+
+
+def _move_table(W, fam, site, flavor):
+    """The move table of a CSS flip, which the family fixes at every beta:
+    the Kraus rows (the image col of sigma once per distinct jump, then
+    the stay operator's arange), the image's phases, the distinct jumps
+    omega ascending, and the class in omega of every label. Kept on W per
+    family, site and flavor (LabelBasis.kept)."""
+    n = fam.n
     bit = 1 << (n - 1 - site)
     if flavor == "X":
         col, phase = W.pauli_image(bit, 0)
@@ -95,29 +116,14 @@ def css_metropolis_channel(H0, beta, site, flavor, attempt_prob=DEFAULT_ATTEMPT)
     else:
         col, phase = W.pauli_image(0, bit)
         opposing, labels = fam.x_checks, W.z
-    omega = np.zeros(W.dim, dtype=np.int64)
+    jump = np.zeros(W.dim, dtype=np.int64)
     for supp in opposing:
         if site in supp:
             mask = np.uint64(mask_from_indices(n, supp))
-            omega += 1 - 2 * (popcount(labels & mask) & 1)
-    rows, coef = [], []
-    stay = np.zeros(W.dim)
-    for w in np.unique(omega):
-        a = attempt_prob * min(1.0, np.exp(-beta * max(w, 0)))
-        jumps = omega == w
-        rows.append(col)
-        coef.append(np.where(jumps, np.sqrt(a) * phase, 0.0))
-        stay[jumps] = np.sqrt(1.0 - a)
-    rows.append(np.arange(W.dim))
-    coef.append(stay)
-    form = MonomialKraus(W, rows, coef)
-    chan = KrausChannel(n, monomial=form)
-    resid = form.chain.residual(gibbs_weights(E, beta)[0])
-    if resid > 1e-10:
-        raise NotFixedPoint(
-            f"Gibbs residual {resid:.3e} on site {site} flavor {flavor}"
-        )
-    return chan
+            jump += 1 - 2 * (popcount(labels & mask) & 1)
+    omega, cls = np.unique(jump, return_inverse=True)
+    rows = np.vstack([np.tile(col, (omega.size, 1)), np.arange(W.dim)])
+    return rows, phase, omega, cls
 
 
 def sweep_schedule(H, beta, sites, flavors=None, repetitions=1, attempt_prob=DEFAULT_ATTEMPT):

@@ -274,7 +274,8 @@ def _check_perturbation(H, H0, g):
         diff = H.plus_diagonal(-H0.diagonal()).form
     else:
         diff = H.mat - H0.mat
-    dev = operator_norm(diff)
+    # the difference is Hermitian, so its norm is its largest |eigenvalue|
+    dev = float(np.abs(np.linalg.eigvalsh(diff)).max())
     if dev > g * H0.n + 1e-9:
         raise PerturbationTooLarge(
             f"||H - H0|| = {dev!r} exceeds g*n = {g * H0.n!r}"

@@ -11,7 +11,8 @@ weight-1 move table, the image of a Pauli) is computed once and kept.
 A Subspace spanned by columns of W carries them as labels (W, mask);
 its basis is built from them the first time something reads it, or,
 when one is passed as well, checked to equal them. A partition whose
-four blocks are labeled over one W is checked on the masks alone.
+nonempty blocks are labeled over one W keeps the block of every label
+in one array, checked and read in place of the block bases.
 
 The r-neighborhood of V is span{ S|psi> : S a Pauli string of weight <= r,
 |psi> in V }. Composing neighborhoods adds radii. partition_from_radius
@@ -28,6 +29,7 @@ identity case. A superposed V is rejected with BadPartition.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,26 +151,30 @@ class LabelBasis:
         return out
 
     @functools.cached_property
-    def _pauli_images(self):
+    def _kept(self):
         return {}
+
+    def kept(self, build, *args):
+        """build(self, *args), computed on the first call per (build, args)
+        and kept on the basis with every array read-only, as moves is. A
+        build that raises keeps nothing, so it raises on every call."""
+        key = (build,) + args
+        value = self._kept.get(key)
+        if value is None:
+            value = build(self, *args)
+            for a in value:
+                a.setflags(write=False)
+            self._kept[key] = value
+        return value
 
     def pauli_image(self, xmask, zmask):
         """Columns and phases of X(xmask) Z(zmask) W: P w_j = phase_j w_col_j.
 
         The image of every column is checked to be one column of W times
         a unit phase; raises NotCommuting when the Pauli does not permute
-        the basis up to phases. A checked image is kept per mask pair on
-        the basis, with read-only arrays, as moves is; a failed one is not
-        kept, so it raises on every call.
+        the basis up to phases. A checked image is kept per mask pair.
         """
-        key = (int(xmask), int(zmask))
-        image = self._pauli_images.get(key)
-        if image is None:
-            image = self._pauli_image(*key)
-            for a in image:
-                a.setflags(write=False)
-            self._pauli_images[key] = image
-        return image
+        return self.kept(LabelBasis._pauli_image, int(xmask), int(zmask))
 
     def _pauli_image(self, xmask, zmask):
         rows, vals = self.rows, self.vals
@@ -325,11 +331,13 @@ class HilbertPartition:
     """Orthogonal decomposition H = A + B1 + B2 + C (any block may be empty).
 
     Completeness of the dimension count and pairwise orthogonality are
-    validated at construction. When all four blocks carry labels over
-    one basis W, orthogonality is that no two masks share a label, so
-    with the count the masks cover each label exactly once, and no block
-    basis is formed. Otherwise the overlaps of the dense block bases are
-    checked within 1e-9.
+    validated at construction. When every nonempty block carries labels
+    over one basis W, labels is (W, block), the read-only int8 block of
+    every label (0 for A, 1 for B1, 2 for B2, 3 for C); with the count,
+    no label is claimed twice exactly when none is left unclaimed. No
+    block basis is formed. Otherwise labels is None and the overlaps of
+    the dense block bases are checked within 1e-9. An overlap raises
+    BadPartition naming the first two blocks that share a label.
     """
 
     A: Subspace
@@ -345,24 +353,27 @@ class HilbertPartition:
         total = sum(b.dim for b in blocks)
         if total != 2**n:
             raise BadPartition(f"block dims sum to {total}, expected {2**n}")
-        labels = [b.labels for b in blocks]
-        labeled = all(lab is not None and lab[0].same_as(labels[0][0]) for lab in labels)
+        held = [(k, b) for k, b in enumerate(blocks) if b.dim]
+        W = held[0][1].labels[0] if held[0][1].labels is not None else None
+        labeled = all(b.labels is not None and b.labels[0].same_as(W) for _, b in held)
+        self.labels = None
+        if labeled:
+            block = np.full(2**n, -1, dtype=np.int8)
+            for k, b in held:
+                block[b.labels[1]] = k
+            if block.min() >= 0:
+                block.setflags(write=False)
+                self.labels = (W, block)
+                return
         names = ["A", "B1", "B2", "C"]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                bi, bj = blocks[i], blocks[j]
-                if labeled:
-                    shared = int(np.count_nonzero(labels[i][1] & labels[j][1]))
-                    if shared:
-                        raise BadPartition(
-                            f"blocks {names[i]} and {names[j]} share {shared} labels"
-                        )
-                elif bi.dim and bj.dim:
-                    dev = np.abs(bi.basis.conj().T @ bj.basis).max()
-                    if dev > _ORTHO_TOL:
-                        raise BadPartition(
-                            f"blocks {names[i]} and {names[j]} overlap by {dev:.3e}"
-                        )
+        for (i, bi), (j, bj) in itertools.combinations(held, 2):
+            if labeled:
+                dev = int(np.count_nonzero(bi.labels[1] & bj.labels[1]))
+            else:
+                dev = np.abs(bi.basis.conj().T @ bj.basis).max()
+            if dev > _ORTHO_TOL:
+                what = f"share {dev} labels" if labeled else f"overlap by {dev:.3e}"
+                raise BadPartition(f"blocks {names[i]} and {names[j]} {what}")
 
     def b_projector(self):
         """Projector on the combined buffer B1 + B2."""

@@ -57,6 +57,9 @@ a time, and only tests call it:
   W^dag B for dense block bases B, as bottleneck._label_blocks did for
   blocks without labels. It is the oracle for the label masks that
   _label_blocks reads.
+- per_block_labels fills the block of every label from the block masks,
+  as bottleneck._label_blocks did on every call. It is the oracle for the
+  array that HilbertPartition builds once.
 - dense_norm is the operator norm of a perturbation from the eigenvalues
   of its full matrix. It is the oracle for the norm that
   model.random_local_perturbation reads from its term spectra.
@@ -95,6 +98,12 @@ a time, and only tests call it:
   build the CSS Kraus list from dense syndrome projectors. They are the
   oracle for the monomial forms of sampler.metropolis_site_channel and
   sampler.css_metropolis_channel.
+- per_call_css_form builds the CSS move's rows and coefficients from
+  scratch with one scalar amplitude per jump, as the sampler did before
+  its move tables, and per_operator_trace_residual counts rows one Kraus
+  operator at a time. They are the bit-for-bit oracles for the per-beta
+  step over a kept move table and for the one-pass
+  MonomialKraus.trace_residual.
 - loop_fix_phases rotates one column at a time. It is the oracle for
   numerics.fix_phases.
 - stationary_distribution solves M pi = pi by a generic eigensolve: dense
@@ -1046,3 +1055,64 @@ def dense_css_kraus(jumps, beta, q=DEFAULT_ATTEMPT):
         kraus.append(np.sqrt(a) * sigma_P)
         stay = stay + np.sqrt(1.0 - a) * P
     return kraus + [stay]
+
+
+def per_call_css_form(H0, beta, site, flavor, q=DEFAULT_ATTEMPT):
+    """(rows, coef) of the CSS Metropolis move built from scratch on every
+    call, as sampler.css_metropolis_channel did before its move tables:
+    the image and the jumps omega are worked out again, and every
+    distinct omega, ascending, gets its own scalar amplitude, then the
+    stay operator. The oracle, bit for bit, for the per-beta step over a
+    kept move table."""
+    fam = H0.checks
+    n = fam.n
+    W = H0.labels[0]
+    bit = 1 << (n - 1 - site)
+    if flavor == "X":
+        col, phase = W.pauli_image(bit, 0)
+        opposing, labels = fam.z_checks, W.x
+    else:
+        col, phase = W.pauli_image(0, bit)
+        opposing, labels = fam.x_checks, W.z
+    omega = np.zeros(W.dim, dtype=np.int64)
+    for supp in opposing:
+        if site in supp:
+            mask = np.uint64(mask_from_indices(n, supp))
+            omega += 1 - 2 * (popcount(labels & mask) & 1)
+    rows, coef = [], []
+    stay = np.zeros(W.dim)
+    for w in np.unique(omega):
+        a = q * min(1.0, np.exp(-beta * max(w, 0)))
+        jumps = omega == w
+        rows.append(col)
+        coef.append(np.where(jumps, np.sqrt(a) * phase, 0.0))
+        stay[jumps] = np.sqrt(1.0 - a)
+    rows.append(np.arange(W.dim))
+    coef.append(stay)
+    return np.asarray(rows, dtype=np.int64), np.asarray(coef, dtype=np.complex128)
+
+
+def per_operator_trace_residual(form):
+    """MonomialKraus.trace_residual with one row count per Kraus operator,
+    as it was before the one-pass count: None when some operator has two
+    nonzeros in one row, else max |sum_m |coef_m|^2 - 1|."""
+    dim = form.basis.dim
+    for rows, coef in zip(form.rows, form.coef):
+        if np.bincount(rows[coef != 0], minlength=dim).max(initial=0) > 1:
+            return None
+    return float(np.abs(form.weights.sum(axis=0) - 1.0).max())
+
+
+def per_block_labels(basis, part):
+    """Block (0=A, 1=B1, 2=B2, 3=C) of every label of W, filled block by
+    block from the masks, or None unless every nonempty block carries
+    labels over W, as bottleneck._label_blocks built it on every call. The
+    oracle for the array HilbertPartition keeps."""
+    member = np.full(basis.dim, -1, dtype=np.int8)
+    for b, block in enumerate((part.A, part.B1, part.B2, part.C)):
+        if block.dim == 0:
+            continue
+        if block.labels is None or not block.labels[0].same_as(basis):
+            return None
+        member[block.labels[1]] = b
+    return member

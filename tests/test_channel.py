@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bottlenecklab.channel import (
     KrausChannel,
+    MonomialKraus,
     apply_channel,
     channel_locality,
     check_partition_condition,
@@ -13,10 +16,10 @@ from bottlenecklab.channel import (
 )
 from bottlenecklab.errors import DimensionMismatch, EmptyInput, NotTracePreserving
 from bottlenecklab.numerics import DensityMatrix, trace_norm
-from bottlenecklab.subspace import hamming_ball_subspace, partition_from_radius
+from bottlenecklab.subspace import hamming_ball_subspace, identity_basis, partition_from_radius
 
 from conftest import pure_state_density
-from oracles import PauliString, pauli_matrix, validate_channel
+from oracles import PauliString, pauli_matrix, per_operator_trace_residual, validate_channel
 
 SQ = np.sqrt(0.5)
 
@@ -219,3 +222,32 @@ class TestQuasiLocalMixture:
             tail, rho
         ).mat
         assert np.allclose(apply_channel(mixed, rho).mat, direct, atol=1e-12)
+
+
+@st.composite
+def monomial_forms(draw):
+    """Monomial forms over the identity basis of 1 to 3 qubits: random rows
+    and coefficients, some zero or tiny, then a few entries overwritten
+    to force two columns of one operator onto one row."""
+    n = draw(st.integers(1, 3))
+    dim = 1 << n
+    k = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    rows = np.array([rng.permutation(dim) for _ in range(k)])
+    scale = rng.choice([0.0, 1e-200, 1.0], size=(k, dim), p=[0.2, 0.1, 0.7])
+    coef = scale * (rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))) / np.sqrt(k)
+    for _ in range(draw(st.integers(0, 3))):
+        m, i, j = rng.integers(k), rng.integers(dim), rng.integers(dim)
+        rows[m, i] = rows[m, j]
+    return MonomialKraus(identity_basis(n), rows, coef)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(form=monomial_forms())
+def test_one_pass_trace_residual_matches_the_per_operator_count(form):
+    got = form.trace_residual()
+    want = per_operator_trace_residual(form)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got == want

@@ -13,6 +13,7 @@ from bottlenecklab.channel import (
     channel_locality,
 )
 from bottlenecklab.errors import EmptySchedule, NotCommuting, NotDiagonal, NotTracePreserving
+from bottlenecklab import model
 from bottlenecklab.model import (
     CheckFamily,
     Hamiltonian,
@@ -22,6 +23,7 @@ from bottlenecklab.model import (
     gibbs_state,
     ising_ring,
     label_basis,
+    perturb,
     random_ldpc,
     random_local_perturbation,
     repetition,
@@ -35,7 +37,13 @@ from bottlenecklab.sampler import (
     sweep_schedule,
 )
 from bottlenecklab.subspace import partition_from_radius
-from oracles import dense_css_jumps, dense_css_kraus, dense_site_kraus, validate_channel
+from oracles import (
+    dense_css_jumps,
+    dense_css_kraus,
+    dense_site_kraus,
+    per_call_css_form,
+    validate_channel,
+)
 
 
 def css_toy_4():
@@ -359,3 +367,82 @@ def test_monomial_trace_check_with_shared_rows_goes_dense():
     chan = KrausChannel(2, monomial=form)
     total = sum(K.conj().T @ K for K in chan.kraus)
     assert np.abs(total - np.eye(4)).max() < 1e-15
+
+
+@pytest.mark.parametrize("make", [steane7, lambda: toric(2)], ids=["steane7", "toric"])
+def test_css_move_tables_match_the_per_call_construction(make):
+    # the per-beta step over a kept table gives the rows, the coefficients
+    # (bit for bit) and the Kraus order of a construction from scratch
+    fam = make()
+    H = build_hamiltonian(fam)
+    for beta in (0, 0.5, 1, 2, 400):
+        for q in (0.5, 1):
+            for site in range(fam.n):
+                for flavor in ("X", "Z"):
+                    form = css_metropolis_channel(H, beta, site, flavor, q).monomial
+                    rows, coef = per_call_css_form(H, beta, site, flavor, q)
+                    assert np.array_equal(form.rows, rows)
+                    assert form.coef.tobytes() == coef.tobytes()
+
+
+def test_move_tables_are_kept_per_family_and_read_only():
+    # ising_ring(6) and curie_weiss(6) share the identity basis of n = 6,
+    # and a relabeled Steane code is another family on 7 qubits
+    shared = [ising_ring(6), curie_weiss(6)]
+    perm = [6, 5, 4, 3, 2, 1, 0]
+    relabeled = CheckFamily(
+        7,
+        z_checks=tuple(tuple(perm[q] for q in s) for s in steane7().z_checks[1:] + steane7().z_checks[:1]),
+        x_checks=tuple(tuple(perm[q] for q in s) for s in steane7().x_checks),
+    )
+    for fams in (shared, [steane7(), relabeled]):
+        assert fams[0] != fams[1] and fams[0].n == fams[1].n
+        tables = []
+        for fam in fams:
+            H = build_hamiltonian(fam)
+            css_metropolis_channel(H, 1.0, 0, "X")
+            W = label_basis(fam)
+            kept = [v for key, v in W._kept.items() if key[1:] == (fam, 0, "X")]
+            assert len(kept) == 1
+            tables.append(kept[0])
+            for values in W._kept.values():
+                assert not any(a.flags.writeable for a in values)
+        # the Pauli image may be shared; the table is each family's own
+        assert tables[0] is not tables[1]
+        for fam, table in zip(fams, tables):
+            H = build_hamiltonian(fam)
+            rows, coef = per_call_css_form(H, 1.0, 0, "X")
+            assert np.array_equal(table[0], rows)
+
+
+def test_gibbs_vector_is_computed_once_per_hamiltonian_and_beta(monkeypatch):
+    calls = []
+    real = model.gibbs_weights
+
+    def counted(E, beta):
+        calls.append(beta)
+        return real(E, beta)
+
+    monkeypatch.setattr(model, "gibbs_weights", counted)
+    fam = toric(2)
+    H = build_hamiltonian(fam)
+    for beta in (1.0, 2.0):
+        rho, _, _ = gibbs_state(H, beta)
+        for site in range(fam.n):
+            for flavor in ("X", "Z"):
+                css_metropolis_channel(H, beta, site, flavor)
+    ring = build_hamiltonian(ising_ring(5))
+    gibbs_state(ring, 1.0)
+    for site in range(5):
+        metropolis_site_channel(ring, 1.0, site)
+    assert calls == [1.0, 2.0, 1.0]
+    p, logZ = H.gibbs(1.0)
+    assert not p.flags.writeable
+    want_p, want_logZ = real(model.label_energies(fam), 1.0)
+    assert p.tobytes() == want_p.tobytes() and logZ == want_logZ
+
+
+def test_gibbs_vector_of_a_perturbed_hamiltonian_raises():
+    H = perturb(build_hamiltonian(ising_ring(5)), random_local_perturbation(5, 0.05, 3))
+    with pytest.raises(NotDiagonal):
+        H.gibbs(1.0)

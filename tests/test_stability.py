@@ -163,6 +163,21 @@ def test_oversized_perturbation_rejected():
         tail_amplitudes(H, H_REP8, REP8_SHELLS)
 
 
+@pytest.mark.parametrize("make", ["repetition", "steane7"])
+def test_perturbation_norm_is_the_largest_eigenvalue_modulus(make):
+    # ||H - H0|| from eigvalsh is the largest singular value of the
+    # difference, so the check passes and fails at the SVD's norm
+    H0 = build_hamiltonian(REGISTRY[make](8) if make == "repetition" else REGISTRY[make]())
+    for seed in range(3):
+        H = perturb(H0, random_local_perturbation(H0.n, 0.01, seed))
+        diff = H.mat - H0.mat
+        norm = float(np.linalg.svd(diff, compute_uv=False)[0])
+        assert abs(norm - 0.01 * H0.n) <= 1e-12
+        stability._check_perturbation(H, H0, 0.01)
+        with pytest.raises(PerturbationTooLarge):
+            stability._check_perturbation(H, H0, (norm - 1e-8) / H0.n)
+
+
 def _record_perturb(monkeypatch, module):
     """Route module.perturb through a recorder; returns the list of (H, V)."""
     built = []

@@ -14,6 +14,7 @@ from oracles import (
     enumerated_blocks,
     enumerated_partition,
     neighborhood,
+    per_block_labels,
 )
 
 
@@ -288,3 +289,42 @@ def test_complement_within_drops_rounding_noise():
     full = neighborhood(V, 2)
     assert full.dim == 128
     assert _complement_within(neighborhood(full, 1), full).dim == 0
+
+
+@pytest.mark.parametrize("pair", [("A", "B1"), ("B1", "C"), ("B2", "C"), ("A", "C")])
+def test_overlapping_labeled_blocks_are_named(pair):
+    n = 3
+    W = sub.identity_basis(n)
+    names = ["A", "B1", "B2", "C"]
+    owner = np.array([0, 0, 1, 1, 2, 2, 3, 3])
+    masks = [owner == b for b in range(4)]
+    # one label claimed by both blocks of the pair, one label by neither
+    i, j = (names.index(x) for x in pair)
+    moved = np.flatnonzero(masks[i])[0]
+    masks[j][moved] = True
+    masks[j][np.flatnonzero(masks[j] & ~masks[i])[0]] = False
+    blocks = [sub.Subspace(n, labels=(W, m)) for m in masks]
+    with pytest.raises(BadPartition, match=f"blocks {pair[0]} and {pair[1]} share 1 labels"):
+        sub.HilbertPartition(*blocks)
+
+
+def test_partition_keeps_the_block_of_every_label():
+    fam = steane7()
+    H = build_hamiltonian(fam)
+    W = label_basis(fam)
+    cert = barrier_subspace(fam, (0, 0), 0, 1, H)
+    for r in (0, 1, 2):
+        part = sub.partition_from_radius(cert.V, r)
+        W_part, block = part.labels
+        assert W_part is W and not block.flags.writeable
+        assert np.array_equal(block, per_block_labels(W, part))
+    # blocks given as dense bases keep no labels
+    dense = sub.HilbertPartition(*(sub.Subspace(b.n, b.basis) for b in (part.A, part.B1, part.B2, part.C)))
+    assert dense.labels is None and per_block_labels(W, dense) is None
+    # an empty block need not carry labels
+    n = 2
+    part = sub.HilbertPartition(
+        ball(n, 0, 0), sub.basis_state_subspace(n, [1, 2]), empty_subspace(n), sub.basis_state_subspace(n, [3])
+    )
+    assert np.array_equal(part.labels[1], [0, 1, 1, 3])
+    assert np.array_equal(part.labels[1], per_block_labels(sub.identity_basis(n), part))
