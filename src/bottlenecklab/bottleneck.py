@@ -69,6 +69,8 @@ __all__ = [
 ]
 
 THEOREM_SLACK = 1e-8
+# largest residual of rho under one channel step for rho to count as fixed
+_FIXED_POINT_TOL = 1e-9
 DEFAULT_MIX_EPS = 0.25
 
 
@@ -183,7 +185,9 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
     whose every basis column has exactly one nonzero entry. Any other V
     raises BadPartition; pass a HilbertPartition for a superposed V.
     A schedule (list of channels) is composed for the drift; each entry
-    must fix rho on its own and the bound scales with the step count.
+    must fix rho on its own (a channel whose ``fixes`` is the read-only
+    label vector of rho itself is not stepped again), and the bound
+    scales with the step count.
 
     The label path runs when three things hold: every channel has a
     monomial form over one label basis W, rho carries labels (W, p) over
@@ -206,25 +210,26 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
         state = rho
     else:
         state = DensityMatrix(matrix_of(rho), n)
-    basis, p = _label_state(channels, state)
+    forms = _monomial_forms(channels)
+    basis = None if forms is None else forms[0].basis
+    p = None if basis is None else label_weights(state, basis)
     for chan in channels:
+        if p is not None and chan.fixes is p and not p.flags.writeable:
+            continue
         if p is not None:
             resid = chan.monomial.chain.residual(p)
         else:
             resid = trace_norm(apply_channel(chan, state).mat - state.mat)
-        if resid > 1e-9:
+        if resid > _FIXED_POINT_TOL:
             raise NotFixedPoint(f"steady-state residual {resid:.3e}")
     if isinstance(spec, HilbertPartition):
         part = spec
         mode = "general"
     else:
         V, r = spec
-        for chan in channels:
-            loc = channel_locality(chan)
-            if r < loc:
-                raise LocalityInsufficient(
-                    f"partition radius {r} below channel locality {loc}"
-                )
+        loc = channel_locality(channels)
+        if r < loc:
+            raise LocalityInsufficient(f"partition radius {r} below channel locality {loc}")
         part = partition_from_radius(V, r)
         mode = f"local(r={r})"
     member = _label_blocks(basis, part) if p is not None else None
@@ -264,16 +269,6 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
         steps=len(channels),
         path=path,
     )
-
-
-def _label_state(channels, rho):
-    """(W, label probabilities of rho) when every channel is monomial over
-    one basis W and rho carries labels over it; (None, None) otherwise."""
-    forms = _monomial_forms(channels)
-    if forms is None:
-        return None, None
-    p = label_weights(rho, forms[0].basis)
-    return (None, None) if p is None else (forms[0].basis, p)
 
 
 def _label_blocks(basis, part):
@@ -500,7 +495,7 @@ def quasi_local_bound(C, rho, V, mix_eps=DEFAULT_MIX_EPS):
     mat = matrix_of(rho)
     state = DensityMatrix(mat, C.n)
     resid = trace_norm(apply_channel(C, state).mat - state.mat)
-    if resid > 1e-9:
+    if resid > _FIXED_POINT_TOL:
         raise NotFixedPoint(f"steady-state residual {resid:.3e}")
     rho_A = None
     terms = {}
@@ -509,18 +504,12 @@ def quasi_local_bound(C, rho, V, mix_eps=DEFAULT_MIX_EPS):
         f_s, surrogate = C.quasi_local_certificate[s]
         loc = channel_locality(surrogate)
         if loc > s:
-            raise LocalityInsufficient(
-                f"surrogate for radius {s} detected as {loc}-local"
-            )
+            raise LocalityInsufficient(f"surrogate for radius {s} detected as {loc}-local")
         part = partition_from_radius(V, s)
         rep = check_partition_condition(surrogate, part)
         if rep.residual >= 1e-9:
-            raise ConditionViolated(
-                f"surrogate Kraus condition residual {rep.residual:.3e}"
-            )
-        delta, _, _ = bottleneck_ratio(
-            state, part.A.projector(), part.b_projector()
-        )
+            raise ConditionViolated(f"surrogate Kraus condition residual {rep.residual:.3e}")
+        delta, _, _ = bottleneck_ratio(state, part.A.projector(), part.b_projector())
         if rho_A is None:
             rho_A = _conditioned(mat, V.basis)
         total = 10.0 * delta + f_s
@@ -536,7 +525,5 @@ def quasi_local_bound(C, rho, V, mix_eps=DEFAULT_MIX_EPS):
             lhs=lhs,
             bound=combined,
         )
-    return QuasiLocalReport(
-        lhs=lhs, combined_bound=combined, best_radius=best_s, terms=terms
-    )
+    return QuasiLocalReport(lhs=lhs, combined_bound=combined, best_radius=best_s, terms=terms)
 

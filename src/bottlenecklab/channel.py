@@ -47,6 +47,10 @@ __all__ = [
 _ABS_TOL = 1e-10
 # largest entry of sum_m K_m^dag K_m - 1 that a channel may carry
 _TRACE_TOL = 1e-9
+# a qubit is in a Kraus operator's support past this entry deviation
+_SUPPORT_TOL = 1e-9
+# most entries of stacked monomial forms that one batched pass holds
+_STACK_ENTRIES = 1 << 16
 
 
 class KrausChannel:
@@ -56,18 +60,19 @@ class KrausChannel:
     (``monomial``, see MonomialKraus). Trace preservation is then checked
     on its coefficient vectors, and the dense operators in ``kraus`` are
     built on first read, by the consumers that need matrices.
+    ``fixes`` is None, or the read-only label vector that the sampler
+    which built the channel checked it to fix, set after construction.
     """
 
     def __init__(self, n, kraus=None, quasi_local_certificate=None, monomial=None):
         self.n = n
         self.quasi_local_certificate = quasi_local_certificate
         self.monomial = monomial
-        self._kraus = None
+        self._kraus = self.fixes = None
         if monomial is not None:
             if monomial.basis.n != n:
-                raise DimensionMismatch(
-                    f"monomial form on {monomial.basis.n} qubits, channel on {n}"
-                )
+                got = monomial.basis.n
+                raise DimensionMismatch(f"monomial form on {got} qubits, channel on {n}")
             resid = monomial.trace_residual()
             if resid is None:
                 resid = _trace_residual(self.kraus, self.dim)
@@ -78,16 +83,12 @@ class KrausChannel:
             for K in kraus:
                 K = np.asarray(K, dtype=np.complex128)
                 if K.shape != (self.dim, self.dim):
-                    raise DimensionMismatch(
-                        f"Kraus shape {K.shape} does not match 2^{n}"
-                    )
+                    raise DimensionMismatch(f"Kraus shape {K.shape} does not match 2^{n}")
                 ops.append(K)
             self._kraus = ops
             resid = _trace_residual(ops, self.dim)
         if resid > _TRACE_TOL:
-            raise NotTracePreserving(
-                f"sum of K†K deviates from identity by {resid:.3e}"
-            )
+            raise NotTracePreserving(f"sum of K†K deviates from identity by {resid:.3e}")
 
     @property
     def dim(self):
@@ -101,6 +102,17 @@ class KrausChannel:
         return self._kraus
 
 
+def _trusted_channel(basis, rows, coef, weights):
+    """KrausChannel of the form (rows, coef, weights = |coef|^2) over basis
+    with no checks, for a caller that made them on a stack of forms."""
+    form = object.__new__(MonomialKraus)
+    form.basis, form.rows, form.coef, form.weights = basis, rows, coef, weights
+    chan = object.__new__(KrausChannel)
+    chan.n, chan.monomial, chan.quasi_local_certificate = basis.n, form, None
+    chan._kraus = chan.fixes = None
+    return chan
+
+
 def _trace_residual(ops, dim):
     total = sum(K.conj().T @ K for K in ops)
     return float(np.abs(total - np.eye(dim)).max())
@@ -111,7 +123,8 @@ class MonomialKraus:
     """Kraus operators K_m = W T_m W† with every T_m monomial in the labels.
 
     W is a LabelBasis. Column j of T_m holds coef[m, j] in row rows[m, j]
-    and nothing else, so K_m maps each label state to one label state.
+    and nothing else, so K_m maps each label state to one label state
+    (coef is complex, or real in the forms of sampler._site_channels).
     A state diagonal in W, given by its label probabilities p, stays
     diagonal: one step sends p to sum_m |coef_m|^2 p scattered to rows_m,
     which is ``chain.step(p)``.
@@ -193,17 +206,16 @@ def _kraus_support(K, n):
         right = 1 << (n - 1 - q)
         blk = K.reshape(left, 2, right, left, 2, right)
         diag_dev = np.abs(blk[:, 0, :, :, 0, :] - blk[:, 1, :, :, 1, :]).max()
-        off_dev = max(
-            np.abs(blk[:, 0, :, :, 1, :]).max(), np.abs(blk[:, 1, :, :, 0, :]).max()
-        )
-        if max(diag_dev, off_dev) > 1e-9:
+        off_dev = max(np.abs(blk[:, 0, :, :, 1, :]).max(), np.abs(blk[:, 1, :, :, 0, :]).max())
+        if max(diag_dev, off_dev) > _SUPPORT_TOL:
             support.append(q)
     return tuple(support)
 
 
-def _monomial_support(rows, coef, n):
-    """_kraus_support of K = sum_j coef[j] |rows[j]><j|, read from the
-    form in O(n dim) with the same rule and tolerance, no matrix formed.
+def _monomial_supports(rows, coef, n):
+    """(k, n) bool: the _kraus_support of every K = sum_j coef[j]
+    |rows[j]><j| of a (k, dim) stack, in one pass per qubit with the
+    same rule and tolerance, no matrix formed.
 
     For qubit q with bit b, the dense rule compares the entries of K
     inside the blocks that keep bit q against their partners with bit q
@@ -213,52 +225,53 @@ def _monomial_support(rows, coef, n):
     rows[j] keeps bit q (0 otherwise), |e[j] - e[j^b]| when
     rows[j^b] = rows[j]^b, else both |e[j]| and |e[j^b]|, since each then
     faces a zero. The pairs j, j^b are the two halves of a (2^q, 2, b)
-    view, so no partner is gathered; when rows[j] = j ^ c for one c,
-    every pair is paired. A form with no imaginary part is read real,
-    which leaves every modulus and difference unchanged.
+    view, compared for every form of the stack at once; a bit changed by
+    an entry above the tolerance is in the support whatever they give.
     """
-    if not coef.imag.any():
-        coef = coef.real
-    changed = rows ^ np.arange(rows.size)
+    k, dim = rows.shape
+    changed = rows ^ np.arange(dim)
+    bits = 1 << np.arange(n - 1, -1, -1)
     # the bits changed by some entry above the tolerance, and by any entry
-    off = int(np.bitwise_or.reduce(changed[np.abs(coef) > 1e-9], initial=0))
-    moved = int(np.bitwise_or.reduce(changed, initial=0))
-    shifted = bool((changed == changed[0]).all())
-    support = []
-    for q in range(n):
-        b = 1 << (n - 1 - q)
-        if off & b:
-            support.append(q)
+    off = np.bitwise_or.reduce(changed, axis=1, where=np.abs(coef) > _SUPPORT_TOL)
+    moved = np.bitwise_or.reduce(changed, axis=1)
+    support = (off[:, None] & bits) != 0
+    # forms with rows j ^ c, c free of b, keep every entry and pair every
+    # pair: a block of only those (or of forms with b in support) needs no
+    # mask and no partner compare, and no compare at all for equal halves
+    shifted = (changed == changed[:, :1]).all(axis=1, keepdims=True)
+    plain = (support | shifted & ((moved[:, None] & bits) == 0)).all(axis=0)
+    for q, b, only_plain in zip(range(n), bits.tolist(), plain.tolist()):
+        moves = changed.reshape(k, 1 << q, 2, b)
+        e = coef.reshape(moves.shape)
+        if not only_plain:
+            e = np.where((moves & b) == 0, e, 0.0)
+        lo, hi = e[:, :, 0], e[:, :, 1]
+        if only_plain and (lo == hi).all():
             continue
-        shape = (1 << q, 2, b)
-        e = np.where((changed & b) == 0, coef, 0.0) if moved & b else coef
-        e = e.reshape(shape)
-        lo, hi = e[:, 0], e[:, 1]
-        if shifted:
-            dev = np.abs(lo - hi)
-        else:
-            rows2 = rows.reshape(shape)
-            paired = rows2[:, 1] == rows2[:, 0] ^ b
-            dev = np.where(paired, np.abs(lo - hi), np.maximum(np.abs(lo), np.abs(hi)))
-        if dev.max() > 1e-9:
-            support.append(q)
-    return tuple(support)
+        dev = np.abs(lo - hi)
+        if not only_plain:
+            paired = moves[:, :, 1] == moves[:, :, 0]
+            dev = np.where(paired, dev, np.maximum(np.abs(lo), np.abs(hi)))
+        support[:, q] |= dev.reshape(k, -1).max(axis=1) > _SUPPORT_TOL
+    return support
 
 
 def channel_locality(C):
-    """Largest detected Kraus support size.
-
-    A monomial form over the identity basis is read from its rows and
-    coefficients (_monomial_support); any other channel from its dense
-    Kraus operators (_kraus_support), with the same rule.
-    """
-    form = C.monomial
-    if form is not None and form.basis.identity:
-        return max(
-            len(_monomial_support(rows, coef, C.n))
-            for rows, coef in zip(form.rows, form.coef)
-        )
-    return max(len(_kraus_support(K, C.n)) for K in C.kraus)
+    """Largest detected Kraus support size of a channel, or of a list:
+    forms over the identity basis stacked per _STACK_ENTRIES entries
+    (real if no form has an imaginary part) for _monomial_supports, any
+    other channel from its dense operators by _kraus_support."""
+    channels = {id(c): c for c in (C if isinstance(C, (list, tuple)) else [C])}.values()
+    dense = [c for c in channels if c.monomial is None or not c.monomial.basis.identity]
+    forms = [c.monomial for c in channels if c not in dense]
+    sizes = [len(_kraus_support(K, c.n)) for c in dense for K in c.kraus]
+    real = not any(np.iscomplexobj(f.coef) and f.coef.imag.any() for f in forms)
+    block = max(1, _STACK_ENTRIES // forms[0].rows.size) if forms else 1
+    for lo in range(0, len(forms), block):
+        rows = np.concatenate([f.rows for f in forms[lo : lo + block]])
+        coef = np.concatenate([f.coef.real if real else f.coef for f in forms[lo : lo + block]])
+        sizes.append(int(_monomial_supports(rows, coef, forms[0].basis.n).sum(axis=1).max()))
+    return max(sizes)
 
 
 def check_partition_condition(C, part):

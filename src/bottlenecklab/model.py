@@ -217,7 +217,7 @@ class Hamiltonian:
         self._mat = self._form if phases is None else None
         self._offdiagonal = None
         self._labels = None
-        self._gibbs = {}
+        self._gibbs, self._kept = {}, {}
         self.n = n
         self.w0 = w0
         self.w1 = w1
@@ -305,6 +305,9 @@ class Hamiltonian:
             kept[0].flags.writeable = False
             self._gibbs[beta] = kept
         return kept
+
+    # build(H, *args) kept per (build, args) on H as on a basis: site move tables
+    kept = LabelBasis.kept
 
     def plus_diagonal(self, e, **bookkeeping):
         """H + diag(e) for a site form H, in its gauge, since D diag(e)

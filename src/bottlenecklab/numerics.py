@@ -511,10 +511,11 @@ class DensityMatrix:
         entry below -1e-9 and a sum within 1e-9 of 1, the trace check's
         tolerance (ValueError otherwise). No matrix is formed here: mat
         is W.outer(p) on first read, one batched matmul over the blocks
-        of W, and for the identity basis diag(p) exactly. p is copied
-        and stored read-only.
+        of W, and for the identity basis diag(p) exactly. p is stored
+        read-only, as it is if it owns its data (Hamiltonian.gibbs's).
         """
-        p = np.array(p, dtype=np.float64)
+        kept = isinstance(p, np.ndarray) and p.dtype == np.float64 and not p.flags.writeable
+        p = p if kept and p.flags.owndata else np.array(p, dtype=np.float64)
         if p.shape != (W.dim,) or not np.isfinite(p).all():
             raise DimensionMismatch(f"label weights of shape {p.shape} for {W.dim} labels")
         if p.min() < -_TRACE_TOL:

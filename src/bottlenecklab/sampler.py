@@ -8,21 +8,21 @@ the energy vector. The CSS variant flips one Pauli on the CSS eigenstates
 |x, z>: the flip moves each label to one label (with a phase), and the
 energy jump omega it causes is read off the syndromes of the adjacent
 checks. None of that depends on beta, so it is one move table per
-family, site and flavor, kept on the label basis; a beta only adds the
-amplitudes of the jump operators sqrt(q min(1, e^{-beta omega})) sigma
-P_omega, filled column by column without any dense product. Before
-returning, construction checks on label vectors that the channel is
-trace preserving and fixes exactly the Gibbs vector H.gibbs keeps for
-beta. The CSS variant reads E from the labels (W, E) of H0, which
-build_hamiltonian sets over label_basis of the checks, so H0 W = W
-diag(E) ties that Gibbs vector to H0; an H0 without labels over that
-basis (a perturbed one) is refused.
+family, site and flavor, kept on the label basis (flips: per site list,
+on H); a beta only adds the amplitudes sqrt(q min(1, e^{-beta omega}))
+of the jump operators sigma P_omega, filled column by column without any
+dense product. Before returning, construction checks on label vectors
+that the channel is trace preserving and fixes exactly the Gibbs vector
+H.gibbs keeps for beta, which it then carries (KrausChannel.fixes). The
+CSS variant reads E from the labels (W, E) of H0, which build_hamiltonian
+sets over label_basis of the checks, so H0 W = W diag(E) ties that Gibbs
+vector to H0; an H0 without labels over that basis is refused.
 """
 
 import numpy as np
 
-from .channel import KrausChannel, MonomialKraus
-from .errors import EmptySchedule, NotCommuting, NotDiagonal, NotFixedPoint
+from .channel import _STACK_ENTRIES, _TRACE_TOL, KrausChannel, MonomialKraus, _trusted_channel
+from .errors import EmptySchedule, NotCommuting, NotDiagonal, NotFixedPoint, NotTracePreserving
 from .model import label_basis
 from .pauli import mask_from_indices, popcount
 from .subspace import identity_basis
@@ -43,26 +43,56 @@ def metropolis_site_channel(H, beta, site, attempt_prob=DEFAULT_ATTEMPT):
 
     Kraus pair {K_flip, K_stay}: the flip carries amplitude
     sqrt(q * min(1, e^{-beta dE})) into the flipped basis state and the
-    stay operator completes trace preservation on the diagonal.
-    """
+    stay operator completes trace preservation on the diagonal; the
+    one-site case of _site_channels."""
+    return _site_channels(H, beta, [site], attempt_prob)[0]
+
+
+def _site_channels(H, beta, sites, attempt_prob):
+    """metropolis_site_channel at every site, from one table kept on H
+    (_site_moves): one amplitude pass, then per _STACK_ENTRIES entries one
+    trace check and one bincount of the Gibbs vector through the chains,
+    rows offset by dim per chain. Forms are views of the stacks, bit for
+    bit the one-site build's (coef held real); each carries p (fixes)."""
     if not H.is_diagonal:
         raise NotDiagonal("site Metropolis needs a diagonal Hamiltonian")
     if not 0 < attempt_prob <= 1:
         raise ValueError(f"attempt_prob {attempt_prob} outside (0, 1]")
-    n = H.n
-    if not 0 <= site < n:
-        raise ValueError(f"site {site} outside register of {n}")
-    E = H.diagonal()
-    idx = np.arange(1 << n)
-    flip = idx ^ (1 << (n - 1 - site))
-    accept = attempt_prob * np.minimum(1.0, np.exp(-beta * np.maximum(E[flip] - E, 0)))
-    form = MonomialKraus(identity_basis(n), [flip, idx], [np.sqrt(accept), np.sqrt(1.0 - accept)])
-    chan = KrausChannel(n, monomial=form)
+    for site in sites:
+        if not 0 <= site < H.n:
+            raise ValueError(f"site {site} outside register of {H.n}")
+    rows, jump = H.kept(_site_moves, tuple(sites))
+    coef = attempt_prob * np.minimum(1.0, np.exp(-beta * jump))  # the acceptance
+    coef = np.stack([coef, 1.0 - coef], axis=1)
+    np.sqrt(coef, out=coef)
+    weights = coef**2
     # detailed balance makes the diagonal Gibbs vector exactly stationary
-    resid = form.chain.residual(H.gibbs(beta)[0])
-    if resid > _FIXED_POINT_TOL:
-        raise NotFixedPoint(f"Gibbs residual {resid:.3e} on site {site}")
-    return chan
+    p = H.gibbs(beta)[0]
+    S, _, dim = rows.shape
+    block = max(1, _STACK_ENTRIES // rows[0].size)
+    for lo in range(0, S, block):
+        r, w = rows[lo : lo + block], weights[lo : lo + block]
+        # rows are permutations, so each T_m^dag T_m is diagonal: column sums
+        resid = float(np.abs(w[:, 0] + w[:, 1] - 1.0).max())
+        if resid > _TRACE_TOL:
+            raise NotTracePreserving(f"sum of K†K deviates from identity by {resid:.3e}")
+        slots = (r + dim * np.arange(len(r))[:, None, None]).ravel()
+        stepped = np.bincount(slots, (w * p).ravel(), len(r) * dim).reshape(len(r), dim)
+        for s, resid in enumerate(np.abs(stepped - p).sum(axis=1), lo):
+            if resid > _FIXED_POINT_TOL:
+                raise NotFixedPoint(f"Gibbs residual {resid:.3e} on site {sites[s]}")
+    chans = [_trusted_channel(identity_basis(H.n), *form) for form in zip(rows, coef, weights)]
+    for chan in chans:
+        chan.fixes = p
+    return chans
+
+
+def _site_moves(H, sites):
+    """(S, 2, dim) Kraus rows (j ^ bit, then j) and (S, dim) uphill jumps
+    max(E[flip] - E, 0) of the sites: H fixes them at every beta."""
+    E, idx = H.diagonal(), np.arange(1 << H.n)
+    flip = idx ^ (1 << (H.n - 1 - np.array(sites, dtype=np.int64)))[:, None]
+    return np.stack([flip, np.broadcast_to(idx, flip.shape)], axis=1), np.maximum(E[flip] - E, 0)
 
 
 def css_metropolis_channel(H0, beta, site, flavor, attempt_prob=DEFAULT_ATTEMPT):
@@ -96,9 +126,11 @@ def css_metropolis_channel(H0, beta, site, flavor, attempt_prob=DEFAULT_ATTEMPT)
     coef[-1] = np.sqrt(1.0 - accept)[cls]
     form = MonomialKraus(W, rows, coef)
     chan = KrausChannel(n, monomial=form)
-    resid = form.chain.residual(H0.gibbs(beta)[0])
+    p = H0.gibbs(beta)[0]
+    resid = form.chain.residual(p)
     if resid > _FIXED_POINT_TOL:
         raise NotFixedPoint(f"Gibbs residual {resid:.3e} on site {site} flavor {flavor}")
+    chan.fixes = p
     return chan
 
 
@@ -137,9 +169,7 @@ def sweep_schedule(H, beta, sites, flavors=None, repetitions=1, attempt_prob=DEF
     if not sites or repetitions < 1:
         raise EmptySchedule(f"{len(sites)} sites, {repetitions} repetitions")
     if flavors is None:
-        built = [
-            metropolis_site_channel(H, beta, s, attempt_prob) for s in sites
-        ]
+        built = _site_channels(H, beta, sites, attempt_prob)
     else:
         flavors = list(flavors)
         if not flavors:

@@ -110,10 +110,10 @@ class LabelBasis:
         zero = np.zeros(self.n, dtype=np.uint64)
         a, b = np.concatenate([bits, zero, bits]), np.concatenate([zero, bits, bits])
         # one move at a time into the table, so that no (dim, 3n)
-        # temporary of the labels is ever formed
+        # temporary of the labels is ever formed; index(x, z) is x when W = 1
         out = np.empty((self.dim, a.size), dtype=np.int64)
         for c in range(a.size):
-            out[:, c] = self.index(self.x ^ a[c], self.z ^ b[c])
+            out[:, c] = self.x ^ a[c] if self.identity else self.index(self.x ^ a[c], self.z ^ b[c])
         out.setflags(write=False)
         return out
 
@@ -228,6 +228,7 @@ class Subspace:
         self.n = n
         self.label = label
         self.labels = None
+        self._partitions = {}
         if labels is not None:
             W, mask = labels
             mask = np.array(mask, dtype=bool)
@@ -390,13 +391,18 @@ def partition_from_radius(V, r):
     shells 0 < d <= r, r < d <= 2r and d > 2r, where d is the number of
     weight-1 moves from the nearest label of V, each block labeled over
     W. Raises BadPartition for a superposed V, and, for nonempty V,
-    RadiusExceedsN when r is outside [0, n].
+    RadiusExceedsN when r is outside [0, n]. The partition of a labeled V
+    is kept on V per r: its labels and their read-only mask fix it.
     """
+    if r in V._partitions:
+        return V._partitions[r]
     W, dist = _label_shells(V, r, 2 * r)
     B1 = _labeled(W, (dist > 0) & (dist <= r))
     B2 = _labeled(W, (dist > r) & (dist <= 2 * r))
-    C = _labeled(W, dist < 0)
-    return HilbertPartition(V, B1, B2, C)
+    part = HilbertPartition(V, B1, B2, _labeled(W, dist < 0))
+    if V.labels is not None:
+        V._partitions[r] = part
+    return part
 
 
 def _labeled(W, mask, label=""):

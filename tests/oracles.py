@@ -104,6 +104,15 @@ a time, and only tests call it:
   operator at a time. They are the bit-for-bit oracles for the per-beta
   step over a kept move table and for the one-pass
   MonomialKraus.trace_residual.
+- per_call_site_form builds one bit-flip Metropolis form from the energy
+  diagonal on every call, with its own trace and fixed-point checks, as
+  sampler.metropolis_site_channel did before the site move tables. It is
+  the bit-for-bit oracle for sampler._site_channels, which builds every
+  site of a list from one table kept on H.
+- per_form_support reads the support of one monomial operator, one form
+  at a time, as channel._monomial_support did before the stacked pass.
+  It is the oracle for channel._monomial_supports and for
+  channel_locality of a schedule.
 - loop_fix_phases rotates one column at a time. It is the oracle for
   numerics.fix_phases.
 - stationary_distribution solves M pi = pi by a generic eigensolve: dense
@@ -133,7 +142,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bottlenecklab.bottleneck import bottleneck_ratio
-from bottlenecklab.channel import KrausChannel, _kraus_support, _trace_residual
+from bottlenecklab.channel import KrausChannel, MonomialKraus, _kraus_support, _trace_residual
 from bottlenecklab.errors import (
     BottleneckLabError,
     DimensionMismatch,
@@ -142,6 +151,8 @@ from bottlenecklab.errors import (
     NonCommutingChecks,
     NonUniqueStationary,
     NotClassical,
+    NotDiagonal,
+    NotFixedPoint,
     ParametersInadmissible,
     RadiusExceedsN,
 )
@@ -165,7 +176,7 @@ from bottlenecklab.numerics import (
 )
 from bottlenecklab.pauli import gf2_null_space_masks, gf2_span, mask_from_indices, popcount
 from bottlenecklab.sampler import DEFAULT_ATTEMPT
-from bottlenecklab.subspace import HilbertPartition, Subspace, boundary
+from bottlenecklab.subspace import HilbertPartition, Subspace, boundary, identity_basis
 
 
 class EnumerationTooLarge(BottleneckLabError):
@@ -1116,3 +1127,59 @@ def per_block_labels(basis, part):
             return None
         member[block.labels[1]] = b
     return member
+
+
+def per_call_site_form(H, beta, site, q=DEFAULT_ATTEMPT):
+    """The MonomialKraus form of the bit-flip Metropolis move at one site,
+    built from scratch with its checks, as sampler.metropolis_site_channel
+    did before the site move tables: Kraus pair {K_flip, K_stay}, the
+    flip with amplitude sqrt(q min(1, e^{-beta dE})) and the stay
+    operator completing the diagonal."""
+    if not H.is_diagonal:
+        raise NotDiagonal("site Metropolis needs a diagonal Hamiltonian")
+    n = H.n
+    E = H.diagonal()
+    idx = np.arange(1 << n)
+    flip = idx ^ (1 << (n - 1 - site))
+    accept = q * np.minimum(1.0, np.exp(-beta * np.maximum(E[flip] - E, 0)))
+    form = MonomialKraus(identity_basis(n), [flip, idx], [np.sqrt(accept), np.sqrt(1.0 - accept)])
+    KrausChannel(n, monomial=form)
+    resid = form.chain.residual(H.gibbs(beta)[0])
+    if resid > 1e-10:
+        raise NotFixedPoint(f"Gibbs residual {resid:.3e} on site {site}")
+    return form
+
+
+def per_form_support(rows, coef, n):
+    """_kraus_support of K = sum_j coef[j] |rows[j]><j|, read from one form
+    in O(n dim), as channel._monomial_support did: coef[j] wherever
+    rows[j] changes bit q of j, else |e[j] - e[j^b]| for paired columns
+    and both |e[j]| and |e[j^b]| for unpaired ones, e the entries that
+    keep bit q. A form changing bit q with an entry above 1e-9 has q in
+    its support with no comparison, and a form whose rows are all j ^ c
+    compares its halves without pairing."""
+    if not coef.imag.any():
+        coef = coef.real
+    changed = rows ^ np.arange(rows.size)
+    off = int(np.bitwise_or.reduce(changed[np.abs(coef) > 1e-9], initial=0))
+    moved = int(np.bitwise_or.reduce(changed, initial=0))
+    shifted = bool((changed == changed[0]).all())
+    support = []
+    for q in range(n):
+        b = 1 << (n - 1 - q)
+        if off & b:
+            support.append(q)
+            continue
+        shape = (1 << q, 2, b)
+        e = np.where((changed & b) == 0, coef, 0.0) if moved & b else coef
+        e = e.reshape(shape)
+        lo, hi = e[:, 0], e[:, 1]
+        if shifted:
+            dev = np.abs(lo - hi)
+        else:
+            rows2 = rows.reshape(shape)
+            paired = rows2[:, 1] == rows2[:, 0] ^ b
+            dev = np.where(paired, np.abs(lo - hi), np.maximum(np.abs(lo), np.abs(hi)))
+        if dev.max() > 1e-9:
+            support.append(q)
+    return tuple(support)

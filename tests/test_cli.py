@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bottlenecklab
-from bottlenecklab import channel, cli, numerics, stability, subspace
+from bottlenecklab import bottleneck, channel, cli, numerics, sampler, stability, subspace
 from bottlenecklab.channel import MonomialKraus
 from bottlenecklab.bottleneck import verify_bottleneck_theorem
 from bottlenecklab.cli import QUANTUM_COLUMNS, main
@@ -566,6 +566,51 @@ def test_ring_runs_stay_on_labels(tmp_path, monkeypatch):
     assert code == 0
     assert json.loads((out / "report.json").read_text())[0]["tmix_observed"] != "inf"
     assert counts == dict.fromkeys(names, 0)
+
+
+def test_ring_verify_quantum_builds_its_tables_once_per_run(tmp_path, monkeypatch):
+    # four betas of one run share the partition of the ball and the move
+    # table of every site, and read the schedule's locality once per beta
+    calls = {"shells": [], "tables": [], "locality": []}
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls[name].append(args)
+            return real(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(subspace, "_label_shells", spy("shells", subspace._label_shells))
+    monkeypatch.setattr(sampler, "_site_moves", spy("tables", sampler._site_moves))
+    monkeypatch.setattr(bottleneck, "channel_locality", spy("locality", bottleneck.channel_locality))
+    cfg = dict(VQ_BASE, n=6, betas=[0.5, 1.0, 2.0, 3.0])
+    assert run("verify-quantum", cfg, tmp_path)[0] == 0
+    assert len(calls["shells"]) == 1
+    assert sorted(site for _, sites in calls["tables"] for site in sites) == list(range(6))
+    assert len(calls["locality"]) == 4
+    assert all(len(sched) == 6 for (sched,) in calls["locality"])
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_quantum_delta_matches_the_classical_ratio_past_the_dense_oracle(tmp_path, n):
+    # one cut through two pipelines that share no code for the ratio: a
+    # radius-1 ball with 3-shells on the quantum label path and (inner 1,
+    # width 3) on the classical chain; Delta depends only on the Gibbs
+    # law and the blocks
+    betas = [1.0, 3.0]
+    vq = {"model": "ising_ring", "n": n, "betas": betas, "partition_radius": 3}
+    vq["subspace"] = {"centers": [0], "radius": 1}
+    vc = {"model": "ising_ring", "n": n, "betas": betas}
+    vc["partition"] = {"center": 0, "inner": 1, "width": 3}
+    code, out_q = run("verify-quantum", vq, tmp_path, "vq")
+    assert code == 0
+    code, out_c = run("verify-classical", vc, tmp_path, "vc")
+    assert code == 0
+    quantum = json.loads((out_q / "report.json").read_text())
+    classical = json.loads((out_c / "report.json").read_text())
+    assert [r["beta"] for r in quantum] == [r["beta"] for r in classical] == betas
+    for q, c in zip(quantum, classical):
+        assert q["delta"] == pytest.approx(c["pi_B"] / c["pi_A"], rel=1e-12, abs=0)
 
 
 def test_model_info_summary(tmp_path):

@@ -33,7 +33,7 @@ from bottlenecklab.bottleneck import (
 from bottlenecklab.channel import (
     _distances,
     _kraus_support,
-    _monomial_support,
+    _monomial_supports,
     channel_locality,
     evolve_sequence,
 )
@@ -116,6 +116,7 @@ from oracles import (
     enumerated_blocks,
     gauged_eigensystem,
     indices_from_mask,
+    per_form_support,
     ring_cut_ratio,
     row_norm_blocks,
     shell_projectors,
@@ -938,8 +939,10 @@ def test_monomial_locality_matches_the_dense_support(make, beta):
         chan = metropolis_site_channel(H, beta, site)
         form = chan.monomial
         supports = [_kraus_support(K, fam.n) for K in form.dense()]
-        for rows, coef, want in zip(form.rows, form.coef, supports):
-            assert _monomial_support(rows, coef, fam.n) == want
+        stacked = _monomial_supports(form.rows, form.coef, fam.n)
+        for rows, coef, got, want in zip(form.rows, form.coef, stacked, supports):
+            assert per_form_support(rows, coef, fam.n) == want
+            assert tuple(np.flatnonzero(got)) == want
         assert channel_locality(chan) == max(len(s) for s in supports)
 
 
@@ -955,6 +958,18 @@ def monomial_operators(draw):
     a few coefficients moved by 0, 5e-10 or 2e-9 and a few columns sent
     to arbitrary rows with coefficients 0, 5e-10, 2e-9 or 1."""
     n = draw(st.integers(1, 5))
+    return (n, *_monomial_operator(draw, n))
+
+
+@st.composite
+def monomial_stacks(draw):
+    """(n, rows, coef) of one to five monomial_operators on one n, stacked."""
+    n = draw(st.integers(1, 5))
+    ops = [_monomial_operator(draw, n) for _ in range(draw(st.integers(1, 5)))]
+    return n, np.stack([rows for rows, _ in ops]), np.stack([coef for _, coef in ops])
+
+
+def _monomial_operator(draw, n):
     dim = 1 << n
     idx = np.arange(dim, dtype=np.int64)
     rows = idx ^ draw(st.integers(0, dim - 1))
@@ -971,7 +986,7 @@ def monomial_operators(draw):
     )
     for j, row, value in draw(st.lists(reroutes, max_size=2)):
         rows[j], coef[j] = row, value
-    return n, rows, coef
+    return rows, coef
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -980,7 +995,24 @@ def test_monomial_support_matches_the_dense_rule(op):
     n, rows, coef = op
     K = np.zeros((1 << n, 1 << n), dtype=np.complex128)
     K[rows, np.arange(1 << n)] = coef
-    assert _monomial_support(rows, coef, n) == _kraus_support(K, n)
+    want = _kraus_support(K, n)
+    assert per_form_support(rows, coef, n) == want
+    assert tuple(np.flatnonzero(_monomial_supports(rows[None], coef[None], n)[0])) == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stack=monomial_stacks())
+def test_stacked_supports_match_the_dense_rule(stack):
+    # forms of every kind side by side: shifted and rerouted rows, real
+    # and complex entries, so a block that masks and pairs its forms also
+    # holds forms that would need neither
+    n, rows, coef = stack
+    K = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    got = _monomial_supports(rows, coef, n)
+    for k in range(rows.shape[0]):
+        K[:] = 0
+        K[rows[k], np.arange(1 << n)] = coef[k]
+        assert tuple(np.flatnonzero(got[k])) == _kraus_support(K, n)
 
 
 def _first_crossing(dists, eps):

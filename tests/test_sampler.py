@@ -1,18 +1,29 @@
 """Gibbs sampler channels: fixed points, locality, jump structure."""
 
+import inspect
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bottlenecklab.bottleneck import verify_bottleneck_theorem
 from bottlenecklab.channel import (
     KrausChannel,
     MonomialKraus,
+    _kraus_support,
     apply_channel,
     channel_locality,
 )
-from bottlenecklab.errors import EmptySchedule, NotCommuting, NotDiagonal, NotTracePreserving
+from bottlenecklab.errors import (
+    EmptySchedule,
+    NotCommuting,
+    NotDiagonal,
+    NotFixedPoint,
+    NotTracePreserving,
+)
+from bottlenecklab.markov import StochasticMatrix
 from bottlenecklab import model
 from bottlenecklab.model import (
     CheckFamily,
@@ -30,18 +41,20 @@ from bottlenecklab.model import (
     steane7,
     toric,
 )
-from bottlenecklab.numerics import trace_norm
+from bottlenecklab.numerics import DensityMatrix, trace_norm
 from bottlenecklab.sampler import (
     css_metropolis_channel,
     metropolis_site_channel,
     sweep_schedule,
 )
-from bottlenecklab.subspace import partition_from_radius
+from bottlenecklab.subspace import hamming_ball_subspace, partition_from_radius
 from oracles import (
     dense_css_jumps,
     dense_css_kraus,
     dense_site_kraus,
     per_call_css_form,
+    per_call_site_form,
+    per_form_support,
     validate_channel,
 )
 
@@ -446,3 +459,104 @@ def test_gibbs_vector_of_a_perturbed_hamiltonian_raises():
     H = perturb(build_hamiltonian(ising_ring(5)), random_local_perturbation(5, 0.05, 3))
     with pytest.raises(NotDiagonal):
         H.gibbs(1.0)
+
+
+@st.composite
+def site_schedules(draw):
+    """(family, sites, beta, attempt_prob): an ising_ring or curie_weiss
+    family on 3 to 8 bits and a site list that may repeat sites."""
+    make = draw(st.sampled_from([ising_ring, curie_weiss]))
+    n = draw(st.integers(3, 8))
+    sites = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    beta = draw(st.sampled_from([0.0, 0.5, 2.0, 400.0]))
+    return make(n), sites, beta, draw(st.sampled_from([0.5, 1.0]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=site_schedules())
+# beta 0: every flip is accepted with probability q, so the flip's support
+# shrinks to its own site and the stay operator is a multiple of 1
+@example(case=(ising_ring(5), [0, 3, 3, 4], 0.0, 0.5))
+@example(case=(curie_weiss(4), [1, 1], 0.0, 1.0))
+def test_site_tables_match_the_per_call_construction(case):
+    # a schedule built from one move table per site list gives the rows,
+    # coefficients, weights, Kraus order and chain sums of a per-call
+    # build, bit for bit; its one-pass locality is the largest per-form
+    # support and the largest support of the dense operators
+    fam, sites, beta, q = case
+    H = build_hamiltonian(fam)
+    sched = sweep_schedule(H, beta, sites, attempt_prob=q)
+    p = H.gibbs(beta)[0]
+    assert len(sched) == len(sites)
+    for site, chan in zip(sites, sched):
+        got, want = chan.monomial, per_call_site_form(H, beta, site, q)
+        assert got.rows.tobytes() == want.rows.tobytes()
+        # the per-call form is complex with exact-zero imaginary parts
+        assert not want.coef.imag.any()
+        assert got.coef.tobytes() == want.coef.real.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.chain.step(p).tobytes() == want.chain.step(p).tobytes()
+        assert chan.fixes is p
+    per_form = max(
+        len(per_form_support(rows, coef, fam.n))
+        for chan in sched
+        for rows, coef in zip(chan.monomial.rows, chan.monomial.coef)
+    )
+    dense = max(len(_kraus_support(K, fam.n)) for chan in sched for K in chan.kraus)
+    assert channel_locality(sched) == per_form == dense
+    if beta == 0:
+        assert channel_locality(sched) == 1
+
+
+def test_a_certified_channel_is_stepped_for_any_other_vector(monkeypatch):
+    # a channel built at beta 1 skips its fixed-point step only for the
+    # very read-only Gibbs vector its sampler checked
+    H = build_hamiltonian(ising_ring(6))
+    chan = metropolis_site_channel(H, 1.0, 2)
+    assert "fixes" not in inspect.signature(KrausChannel).parameters
+    V = hamming_ball_subspace(6, [0], 1)
+    own = gibbs_state(H, 1.0)[0]
+    assert chan.fixes is own.labels[1]
+    stepped = []
+    real = StochasticMatrix.residual
+
+    def spied(self, p):
+        stepped.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(StochasticMatrix, "residual", spied)
+    verify_bottleneck_theorem(chan, own, (V, 3))
+    assert stepped == []
+    # an equal-valued copy of its own Gibbs vector is stepped, and fixed
+    copy = DensityMatrix.from_labels(own.labels[0], own.labels[1].copy())
+    verify_bottleneck_theorem(chan, copy, (V, 3))
+    assert len(stepped) == 1 and stepped[0] is copy.labels[1]
+    # the beta-2 Gibbs state is stepped, and it is not fixed
+    with pytest.raises(NotFixedPoint):
+        verify_bottleneck_theorem(chan, gibbs_state(H, 2.0)[0], (V, 3))
+    assert len(stepped) == 2
+    # its own vector, once writable, is stepped again
+    own.labels[1].flags.writeable = True
+    try:
+        verify_bottleneck_theorem(chan, own, (V, 3))
+    finally:
+        own.labels[1].flags.writeable = False
+    assert len(stepped) == 3 and stepped[2] is own.labels[1]
+
+
+def test_a_certified_css_channel_is_stepped_only_for_another_vector(monkeypatch):
+    H = build_hamiltonian(steane7())
+    chan = css_metropolis_channel(H, 1.0, 0, "X")
+    cert = barrier_subspace(steane7(), (0, 0), 0, 1, H)
+    part = partition_from_radius(cert.V, 1)
+    stepped = []
+    real = StochasticMatrix.residual
+    monkeypatch.setattr(
+        StochasticMatrix, "residual", lambda self, p: stepped.append(p) or real(self, p)
+    )
+    own = gibbs_state(H, 1.0)[0]
+    verify_bottleneck_theorem(chan, own, part)
+    assert stepped == []
+    with pytest.raises(NotFixedPoint):
+        verify_bottleneck_theorem(chan, gibbs_state(H, 2.0)[0], part)
+    assert len(stepped) == 1
