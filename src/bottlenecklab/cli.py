@@ -39,12 +39,7 @@ from .errors import (
     ConfigInvalid,
     ModelNotFound,
 )
-from .markov import (
-    _GLAUBER_MAX_BITS,
-    classical_bottleneck_report,
-    glauber_chain,
-    hamming_state_partition,
-)
+from .markov import _GLAUBER_MAX_BITS, GlauberTable, hamming_state_partition
 from .model import (
     REGISTRY,
     SIZE_INDEXED,
@@ -403,11 +398,12 @@ def _run_verify_classical(cfg, out, jobs):
     part = hamming_state_partition(
         checks.n, spec["center"], spec["inner"], spec["width"]
     )
+    # the moves, uphill jumps and forbidden positions of every beta's chain
+    table = GlauberTable(energies, part)
 
     def point(task):
-        chain = glauber_chain(energies, task["beta"], laziness)
         pi, _ = gibbs_weights(energies, task["beta"])
-        rep = classical_bottleneck_report(chain, part, pi)
+        rep = table.report(task["beta"], laziness, pi)
         return (
             label,
             checks.n,

@@ -14,17 +14,22 @@ form, and a column sum adds the entries of each column in k order.
 A single-bit-flip chain on 2^m states holds k = m + 1 entries per column
 with the rows of each column ascending; its rows, which depend on m
 alone, are shared by every chain of that size. Nothing of size
-2^m x 2^m is formed.
+2^m x 2^m is formed. A GlauberTable keeps what the chains of one energy
+vector share at every beta (the rows, the uphill jumps and a
+partition's forbidden positions), so each beta costs one acceptance
+pass and the checks of its weights.
 
 The stationary law is never solved for. A Metropolis chain satisfies
 detailed balance with respect to the Gibbs weights e^{-beta E}/Z
 (model.gibbs_weights), so the caller passes that law, and the bound
 certifies it with two exact checks: the chain is irreducible, so its
 stationary law is unique, and pi is stationary within a residual of
-1e-10. A chain whose every column moves with positive weight to each of
-its m single-bit flips holds every edge of the m-cube in both
-directions, so it is irreducible by construction (the hypercube walk,
-Levin-Peres-Wilmer, Markov Chains and Mixing Times, 2nd ed.). Any other
+1e-10; the residual of a large form is summed in chunks, so it makes
+no temporary of the form's size. A chain whose every column
+moves with positive weight to each of its m single-bit flips holds
+every edge of the m-cube in both directions, so it is irreducible by
+construction (the hypercube walk, Levin-Peres-Wilmer, Markov Chains
+and Mixing Times, 2nd ed.). Any other
 chain, such as one whose uphill moves underflow to 0 or a birth-death
 chain, gets a strong-connectivity search over its strictly positive
 entries. Low temperatures, whose spectral gaps no eigensolver resolves,
@@ -71,19 +76,26 @@ __all__ = [
     "classical_bottleneck_report",
     "conditioned_drift",
     "forbidden_entry",
+    "GlauberTable",
     "glauber_chain",
     "hamming_state_partition",
 ]
 
 # The largest n at which a whole verify-classical run (ising_ring, four
 # betas, --jobs 1) stays within 10 s and 1 GB on a 2-core machine: n=20
-# takes 5.5-6.7 s and 792 MB, n=21 10.8 s and 1.6 GB.
+# takes 2.5-2.9 s and 636 MB, n=21 5.6-6.6 s and 1.28 GB, over the
+# memory bound (its rows, uphill jumps and one beta's weights are 369 MB
+# each).
 _GLAUBER_MAX_BITS = 20
 _COLUMN_SUM_TOL = 1e-12
 _PROBABILITY_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
 _EMPTY_A_TOL = 1e-14
 _BOUND_SLACK = 1e-12
+# Entries of a form that StochasticMatrix.residual sums at a time: 64 KiB
+# of float64, below glibc's default 128 KiB mmap threshold, so the chunk
+# temporaries reuse heap pages instead of faulting in fresh ones.
+_RESIDUAL_CHUNK = 1 << 13
 
 
 class StochasticMatrix:
@@ -127,9 +139,11 @@ class StochasticMatrix:
         self._mat = None
 
     def _check(self):
-        rows, weights, dim = self.rows, self.weights, self.dim
-        if rows.min() < 0 or rows.max() >= dim:
-            raise NotStochastic(f"rows outside 0..{dim - 1}")
+        _check_rows(self.rows)
+        self._check_weights()
+
+    def _check_weights(self):
+        weights = self.weights
         low = weights.min()
         if not low >= 0:
             raise NotStochastic(f"negative entry {low:.3e}")
@@ -166,8 +180,21 @@ class StochasticMatrix:
         return np.bincount(rows.ravel(), weights=(weights * p).ravel(), minlength=self.dim)
 
     def residual(self, p):
-        """||M p - p||_1: zero when p is a fixed point."""
-        return float(np.abs(self.step(p) - p).sum())
+        """||M p - p||_1: zero when p is a fixed point. A form of more
+        than _RESIDUAL_CHUNK entries is summed in chunks of at most that
+        many columns of one entry row, entry row by entry row, into one
+        output: the order of step's flat bincount, so the bits are the
+        same, and no temporary of the form's size is made."""
+        k, dim = self.rows.shape
+        if k * dim <= _RESIDUAL_CHUNK:
+            return float(np.abs(self.step(p) - p).sum())
+        out = np.zeros(dim)
+        for rows, weights in zip(self.rows, self.weights):
+            for lo in range(0, dim, _RESIDUAL_CHUNK):
+                cols = slice(lo, lo + _RESIDUAL_CHUNK)
+                np.add.at(out, rows[cols], weights[cols] * p[cols])
+        out -= p
+        return float(np.abs(out, out=out).sum())
 
     def single_flip_certified(self):
         """Whether the chain is a single-bit-flip chain with every flip
@@ -180,7 +207,7 @@ class StochasticMatrix:
         if dim != 1 << m:
             return False
         rows, stay = _flip_form(m)
-        if not np.array_equal(self.rows, rows):
+        if self.rows is not rows and not np.array_equal(self.rows, rows):
             return False
         positive = self.weights > 0
         flips = np.count_nonzero(positive) - np.count_nonzero(positive[stay, np.arange(dim)])
@@ -196,6 +223,12 @@ class StochasticMatrix:
         graph = self.mat.copy()
         graph.eliminate_zeros()
         return connected_components(graph, directed=True, connection="strong")[0]
+
+
+def _check_rows(rows):
+    dim = rows.shape[1]
+    if rows.min() < 0 or rows.max() >= dim:
+        raise NotStochastic(f"rows outside 0..{dim - 1}")
 
 
 def _columns_of(M):
@@ -320,10 +353,14 @@ def check_classical_condition(M, part):
     tie.
     """
     sm = _as_chain(M)
-    if part.dim != sm.dim:
-        raise BadPartition(f"partition covers {part.dim} states, chain has {sm.dim}")
+    _check_partition(part, sm.dim)
     top, offending = forbidden_entry(sm, part.label)
     return ClassicalConditionReport(top, offending is None, offending)
+
+
+def _check_partition(part, dim):
+    if part.dim != dim:
+        raise BadPartition(f"partition covers {part.dim} states, chain has {dim}")
 
 
 def forbidden_entry(sm, label):
@@ -331,17 +368,34 @@ def forbidden_entry(sm, label):
     move a state of block 0 (A) to block 2 or 3 (B2, C), or of block 3
     to block 0 or 1, for one block label per state; (0.0, None) when
     every such entry is exactly zero. Any block may be empty."""
-    to = label[sm.rows]
+    return _forbidden_top(sm, _forbidden_positions(sm.rows, label))
+
+
+_NO_POSITIONS = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
+
+
+def _forbidden_positions(rows, label):
+    """(columns, positions) of the forbidden entries of a form with these
+    rows, in column order; they depend on the rows and the blocks alone."""
+    to = label[rows]
     forbidden = ((label == 0) & (to >= 2)) | ((label == 3) & (to <= 1))
     if not forbidden.any():
-        return 0.0, None
-    vals = np.where(forbidden, sm.weights, 0.0)
+        return _NO_POSITIONS
     # the transposed view runs column by column, so a tie goes to the first column
-    col, pos = divmod(int(np.argmax(vals.T)), vals.shape[0])
-    top = float(vals[pos, col])
+    return np.nonzero(forbidden.T)
+
+
+def _forbidden_top(sm, forbidden):
+    """forbidden_entry of a chain from its forbidden positions."""
+    cols, pos = forbidden
+    if cols.size == 0:
+        return 0.0, None
+    vals = sm.weights[pos, cols]
+    at = int(np.argmax(vals))
+    top = float(vals[at])
     if top == 0.0:
         return 0.0, None
-    return top, (int(sm.rows[pos, col]), col)
+    return top, (int(sm.rows[pos[at], cols[at]]), int(cols[at]))
 
 
 def conditioned_drift(chains, label, pi, empty_tol=_EMPTY_A_TOL):
@@ -383,13 +437,18 @@ def classical_bottleneck_report(M, part, pi):
     theorem.
     """
     sm = _as_chain(M)
-    cond = check_classical_condition(sm, part)
+    return _bottleneck_report(sm, part.label, check_classical_condition(sm, part), pi)
+
+
+def _bottleneck_report(sm, label, cond, pi):
+    """classical_bottleneck_report of a chain whose condition report on
+    the block labels is given."""
     if not cond.passes:
         raise ConditionViolated(
             f"forbidden entry {cond.max_forbidden_entry:.3e} at {cond.offending}"
         )
     pi = _certify_stationary(sm, pi)
-    pA, pB, pC, lhs = conditioned_drift([sm], part.label, pi)
+    pA, pB, pC, lhs = conditioned_drift([sm], label, pi)
     bound = 2.0 * pB / pA
     if lhs > bound + _BOUND_SLACK:
         raise BoundViolated(
@@ -413,42 +472,98 @@ def _flip_form(m):
     return rows, np.bitwise_count(idx)
 
 
+class GlauberTable:
+    """What the single-bit-flip Metropolis chains of one energy vector
+    share at every beta: the rows of the flip form, shared read-only by
+    every chain of that size, the position of each stay entry, and the
+    uphill jumps max(E[rows] - E, 0), kept read-only for the next table
+    on equal energies. Given a partition, the table also keeps the
+    positions of its forbidden entries.
+
+    The checks on the rows (in range) and the forbidden positions run
+    once, here; ``chain`` then costs one acceptance pass per beta and
+    checks only the weights, and ``report`` runs the classical bound on
+    that chain with the kept positions. Raises BadPartition unless there
+    are 2^m energies with 1 <= m <= _GLAUBER_MAX_BITS, or when the
+    partition does not cover the 2^m states.
+    """
+
+    def __init__(self, energies, part=None):
+        E = np.asarray(energies, dtype=np.float64)
+        dim = E.shape[0]
+        m = int(dim).bit_length() - 1
+        if 2**m != dim or not 1 <= m <= _GLAUBER_MAX_BITS:
+            raise BadPartition(
+                f"need 2^m energies with 1 <= m <= {_GLAUBER_MAX_BITS}, got {dim}"
+            )
+        self.m = m
+        self.rows, self.stay = _flip_form(m)
+        _check_rows(self.rows)
+        self.uphill = _uphill(E.tobytes())
+        self.part = part
+        self.forbidden = None
+        if part is not None:
+            _check_partition(part, dim)
+            self.forbidden = _forbidden_positions(self.rows, part.label)
+
+    def chain(self, beta, laziness=0.0):
+        """The chain at beta: proposals pick one of the m bits uniformly
+        (scaled by 1-laziness) and accept with min(1, e^{-beta dE}); the
+        rest of each column stays put."""
+        if not 0 <= laziness < 1:
+            raise ValueError(f"laziness {laziness} outside [0, 1)")
+        weights = self.uphill * -beta
+        np.exp(weights, out=weights)
+        np.minimum(weights, 1.0, out=weights)
+        weights *= (1.0 - laziness) / self.m
+        columns = np.arange(weights.shape[1])
+        weights[self.stay, columns] = 0.0
+        # The moves are added in ascending row order, the order of a dense
+        # column sum, so the stay entry matches the dense builder bit for
+        # bit. With every flip accepted they sum to 1 + ulp; the stay entry
+        # is clamped at 0 and the column-sum check still applies.
+        weights[self.stay, columns] = np.maximum(1.0 - weights.sum(axis=0), 0.0)
+        sm = StochasticMatrix._trusted(self.rows, weights)
+        sm._check_weights()
+        return sm
+
+    def report(self, beta, laziness, pi):
+        """classical_bottleneck_report of ``chain(beta, laziness)`` on the
+        table's partition, with pi its Gibbs law."""
+        if self.part is None:
+            raise BadPartition("the table was built without a partition")
+        sm = self.chain(beta, laziness)
+        top, offending = _forbidden_top(sm, self.forbidden)
+        cond = ClassicalConditionReport(top, offending is None, offending)
+        return _bottleneck_report(sm, self.part.label, cond, pi)
+
+
+@functools.lru_cache(maxsize=1)
+def _uphill(energies):
+    """max(E[rows] - E, 0) over the flip form, read-only, for the bytes
+    of a float64 energy vector E. Keyed by those bytes, the last vector's
+    jumps are kept for the next table built on equal energies, so the
+    runs of one model compute them once and no change to a vector can
+    leave its jumps stale."""
+    E = np.frombuffer(energies)
+    rows, _ = _flip_form(E.size.bit_length() - 1)
+    uphill = E[rows]
+    uphill -= E
+    np.maximum(uphill, 0, out=uphill)
+    uphill.setflags(write=False)
+    return uphill
+
+
 def glauber_chain(energies, beta, laziness=0.0):
     """Single-bit-flip Metropolis chain over bitstring states, in op-major
-    form.
+    form: ``GlauberTable(energies).chain(beta, laziness)``.
 
-    Proposals pick one of the m bits uniformly (scaled by 1-laziness) and
-    accept with min(1, e^{-beta dE}); the rest of each column stays put.
     Column j holds its m flips j ^ (1 << b) and the stay entry, rows
     ascending, so the chain holds (m + 1) 2^m entries and m may go up to
     _GLAUBER_MAX_BITS. Detailed balance with respect to pi ~ e^{-beta E}
     holds exactly by construction.
     """
-    E = np.asarray(energies, dtype=np.float64)
-    dim = E.shape[0]
-    m = int(dim).bit_length() - 1
-    if 2**m != dim or not 1 <= m <= _GLAUBER_MAX_BITS:
-        raise BadPartition(
-            f"need 2^m energies with 1 <= m <= {_GLAUBER_MAX_BITS}, got {dim}"
-        )
-    if not 0 <= laziness < 1:
-        raise ValueError(f"laziness {laziness} outside [0, 1)")
-    rows, stay = _flip_form(m)
-    weights = E[rows]
-    weights -= E
-    np.maximum(weights, 0, out=weights)
-    weights *= -beta
-    np.exp(weights, out=weights)
-    np.minimum(weights, 1.0, out=weights)
-    weights *= (1.0 - laziness) / m
-    columns = np.arange(dim)
-    weights[stay, columns] = 0.0
-    # The moves are added in ascending row order, the order of a dense
-    # column sum, so the stay entry matches the dense builder bit for bit.
-    # With every flip accepted they sum to 1 + ulp; the stay entry is
-    # clamped at 0 and the column-sum check still applies.
-    weights[stay, columns] = np.maximum(1.0 - weights.sum(axis=0), 0.0)
-    return StochasticMatrix.from_columns(rows, weights)
+    return GlauberTable(energies).chain(beta, laziness)
 
 
 def hamming_state_partition(m, center, inner, width):

@@ -122,6 +122,10 @@ a time, and only tests call it:
   1e-9 test, which the Gibbs route does not.
 - dense_glauber builds the Metropolis chain entry by entry. It is the
   oracle for markov.glauber_chain.
+- per_beta_glauber builds one Glauber chain's rows and weights from the
+  energies on every call, as markov.glauber_chain did before its
+  GlauberTable. It is the bit-for-bit oracle for GlauberTable.chain,
+  which reads the uphill jumps that the table keeps for every beta.
 - dense_report reads the classical bound from a dense chain and a given
   law. It is the oracle for markov.classical_bottleneck_report.
 - communicating_classes runs scipy's strong-connectivity search on a
@@ -923,6 +927,28 @@ def dense_glauber(E, beta, laziness=0.0):
     np.fill_diagonal(M, 0.0)
     M[idx, idx] = 1.0 - M.sum(axis=0)
     return M
+
+
+def per_beta_glauber(E, beta, laziness=0.0):
+    """(rows, weights) of the Glauber chain, built from the energies as
+    one call: gather E over the flip form, take the uphill jumps, accept,
+    scale, and fill the stay entries in ascending row order."""
+    E = np.asarray(E, dtype=np.float64)
+    dim = E.shape[0]
+    m = dim.bit_length() - 1
+    idx = np.arange(dim)
+    rows = np.sort(idx ^ np.concatenate([[0], 1 << np.arange(m)])[:, None], axis=0)
+    stay = np.bitwise_count(idx)
+    weights = E[rows]
+    weights -= E
+    np.maximum(weights, 0, out=weights)
+    weights *= -beta
+    np.exp(weights, out=weights)
+    np.minimum(weights, 1.0, out=weights)
+    weights *= (1.0 - laziness) / m
+    weights[stay, idx] = 0.0
+    weights[stay, idx] = np.maximum(1.0 - weights.sum(axis=0), 0.0)
+    return rows, weights
 
 
 def dense_report(M, part, pi):

@@ -15,8 +15,21 @@ from bottlenecklab.channel import MonomialKraus
 from bottlenecklab.bottleneck import verify_bottleneck_theorem
 from bottlenecklab.cli import QUANTUM_COLUMNS, main
 from bottlenecklab.errors import BoundViolated
+from bottlenecklab.markov import (
+    StochasticMatrix,
+    classical_bottleneck_report,
+    hamming_state_partition,
+)
+from bottlenecklab.model import (
+    REGISTRY,
+    build_hamiltonian,
+    gibbs_state,
+    gibbs_weights,
+    label_energies,
+)
 from bottlenecklab.numerics import DensityMatrix
 from bottlenecklab.stability import shell_decomposition, stability_sweep
+from oracles import per_beta_glauber
 
 VQ_BASE = {
     "model": "ising_ring",
@@ -924,7 +937,7 @@ def _spy_on_builds(monkeypatch, through):
     """Record every Hamiltonian, Glauber chain and sweep model the CLI
     builds; with through, build them as well."""
     built = []
-    for name in ("build_hamiltonian", "glauber_chain", "sweep_model"):
+    for name in ("build_hamiltonian", "GlauberTable", "sweep_model"):
         real = getattr(cli, name)
 
         def spy(*args, _name=name, _real=real, **kwargs):
@@ -956,7 +969,7 @@ def test_broken_key_rejected_before_any_build(tmp_path, monkeypatch, subcommand,
 def test_verify_classical_laziness_one_rejected(tmp_path, monkeypatch):
     # laziness 1 never moves, so the chain has no unique stationary law
     monkeypatch.setattr(cli, "hamming_state_partition", _refuse)
-    monkeypatch.setattr(cli, "glauber_chain", _refuse)
+    monkeypatch.setattr(cli, "GlauberTable", _refuse)
     cfg = dict(GRID_CONFIGS["verify-classical"], laziness=1.0)
     code, out = run("verify-classical", cfg, tmp_path)
     assert code == 2
@@ -965,7 +978,7 @@ def test_verify_classical_laziness_one_rejected(tmp_path, monkeypatch):
 
 def test_verify_classical_empty_c_rejected(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "hamming_state_partition", _refuse)
-    monkeypatch.setattr(cli, "glauber_chain", _refuse)
+    monkeypatch.setattr(cli, "GlauberTable", _refuse)
     cfg = {
         "model": "ising_ring",
         "n": 4,
@@ -981,7 +994,7 @@ def test_verify_classical_past_the_glauber_cap_rejected(tmp_path, monkeypatch):
     # 21 bits is one more than glauber_chain builds: the run is refused
     # before the energies are built, not failed inside its grid point
     monkeypatch.setattr(cli, "label_energies", _refuse)
-    monkeypatch.setattr(cli, "glauber_chain", _refuse)
+    monkeypatch.setattr(cli, "GlauberTable", _refuse)
     cfg = {
         "model": "ising_ring",
         "n": 21,
@@ -1056,3 +1069,56 @@ def test_verify_classical_loads_no_scipy_and_reads_no_matrix(tmp_path):
     assert spy == {"status": 0, "reads": 0, "scipy": []}
     assert json.loads((out / "failures.json").read_text()) == []
     assert len(read_rows(out)[1]) == 4
+
+
+def test_verify_classical_runs_in_one_process_share_no_table(tmp_path):
+    # two models on the same 8 bits with two partitions, run in turn in
+    # one process: every row equals the report of a chain built anew
+    # by the per-beta oracle, on that run's energies and blocks
+    configs = [
+        {
+            "model": "ising_ring",
+            "n": 8,
+            "betas": [0.5, 2.0],
+            "partition": {"center": 0, "inner": 1, "width": 1},
+        },
+        {
+            "model": "curie_weiss",
+            "n": 8,
+            "betas": [0.5, 1.0],
+            "partition": {"center": 5, "inner": 0, "width": 2},
+        },
+    ]
+    fields = ("lhs", "bound", "pi_A", "pi_B", "pi_C", "condition_max")
+    for i, cfg in enumerate(configs + configs):
+        code, out = run("verify-classical", cfg, tmp_path, f"run{i}")
+        assert code == 0
+        E = label_energies(REGISTRY[cfg["model"]](cfg["n"]))
+        spec = cfg["partition"]
+        part = hamming_state_partition(cfg["n"], spec["center"], spec["inner"], spec["width"])
+        rows = json.loads((out / "report.json").read_text())
+        assert [row["beta"] for row in rows] == cfg["betas"]
+        for row, beta in zip(rows, cfg["betas"]):
+            pi, _ = gibbs_weights(E, beta)
+            sm = StochasticMatrix.from_columns(*per_beta_glauber(E, beta))
+            rep = classical_bottleneck_report(sm, part, pi)
+            assert [row[f] for f in fields] == [getattr(rep, f) for f in fields]
+
+
+@pytest.mark.parametrize("without_labels", ["A", "rho"])
+def test_conditioned_start_dense_fallback_matches_the_label_route(without_labels):
+    # mixing-compare's config: the ring at n=4, beta 3, the radius-1 ball
+    # about 0 at partition radius 1. Dropping the labels of A, or of rho,
+    # sends _conditioned_start down P_A rho P_A / tr(P_A rho)
+    rho, _, _ = gibbs_state(build_hamiltonian(REGISTRY["ising_ring"](4)), 3.0)
+    part = subspace.partition_from_radius(subspace.hamming_ball_subspace(4, [0], 1), 1)
+    by_labels = cli._conditioned_start(rho, part.A)
+    assert by_labels.labels is not None
+    if without_labels == "A":
+        A, state = subspace.Subspace(4, basis=part.A.basis), rho
+    else:
+        A, state = part.A, DensityMatrix(rho.mat, 4)
+    dense = cli._conditioned_start(state, A)
+    assert dense.labels is None
+    assert np.abs(dense.mat - by_labels.mat).max() <= 1e-12
+    assert abs(np.trace(dense.mat) - 1.0) <= 1e-12

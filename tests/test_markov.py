@@ -13,15 +13,24 @@ from bottlenecklab.errors import (
     NotStochastic,
 )
 from bottlenecklab.markov import (
+    _RESIDUAL_CHUNK,
+    GlauberTable,
     StatePartition,
     StochasticMatrix,
+    _flip_form,
     check_classical_condition,
     classical_bottleneck_report,
     glauber_chain,
     hamming_state_partition,
 )
 from bottlenecklab.model import REGISTRY, gibbs_weights, label_energies
-from oracles import birth_death_chain, dense_glauber, dense_report, stationary_distribution
+from oracles import (
+    birth_death_chain,
+    dense_glauber,
+    dense_report,
+    per_beta_glauber,
+    stationary_distribution,
+)
 
 
 def birth_death_metropolis(pi):
@@ -390,6 +399,109 @@ class TestGlauberChain:
             ref = dense_report(M, part, pi)
             for key, want in ref.items():
                 assert getattr(rep, key) == pytest.approx(want, rel=rtol, abs=0.0)
+
+
+class TestGlauberTable:
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_chains_match_the_per_beta_build_bit_for_bit(self, rng, m):
+        # the table's chains, and the wrapper's, carry the bits of the
+        # per-beta build, rows and weights, at every beta and laziness
+        E = rng.uniform(-1.0, 2.0, size=2**m).round(3)
+        for energies in (E, list(E)):
+            table = GlauberTable(energies)
+            for beta in (0.0, 0.5, 3.0, 30.0, 800.0):
+                for laziness in (0.0, 0.3):
+                    rows, weights = per_beta_glauber(E, beta, laziness)
+                    sm = table.chain(beta, laziness)
+                    assert sm.rows is _flip_form(m)[0]
+                    assert np.array_equal(sm.rows, rows)
+                    assert np.array_equal(sm.weights, weights)
+                    assert np.array_equal(glauber_chain(energies, beta, laziness).weights, weights)
+
+    def test_kept_jumps_follow_the_energy_values(self):
+        # the jumps are kept for equal energies, whatever array holds
+        # them, and a vector changed in place gets jumps of its new values
+        E = label_energies(REGISTRY["ising_ring"](6))
+        live = np.array(E)
+        assert GlauberTable(E).uphill is GlauberTable(live).uphill
+        before = GlauberTable(live).chain(1.0).weights
+        live[0] = 5.0
+        after = GlauberTable(live).chain(1.0).weights
+        assert np.array_equal(after, per_beta_glauber(live, 1.0)[1])
+        assert not np.array_equal(before, after)
+        assert np.array_equal(GlauberTable(E).chain(1.0).weights, before)
+
+    def test_forbidden_positions_belong_to_their_partition(self):
+        # one energy vector, two partitions of its 16 states: one puts a
+        # neighbour of A in C, the other is the Hamming split; each table
+        # checks the chain against its own blocks, whatever was built before
+        E = label_energies(REGISTRY["ising_ring"](4))
+        pi, _ = gibbs_weights(E, 1.0)
+        clean = hamming_state_partition(4, 0, 0, 1)
+        label = clean.label.copy()
+        label[1] = 3  # 0 -> 1 is a single flip from A straight into C
+        broken = StatePartition.from_labels(label)
+        sm = StochasticMatrix.from_columns(*per_beta_glauber(E, 1.0))
+        assert check_classical_condition(sm, broken).offending == (0, 1)
+        for order in ((clean, broken), (broken, clean)):
+            for part in order:
+                table = GlauberTable(E, part)
+                if part is broken:
+                    with pytest.raises(ConditionViolated, match=r"2.500e-01 at \(0, 1\)"):
+                        table.report(1.0, 0.0, pi)
+                else:
+                    assert table.report(1.0, 0.0, pi) == classical_bottleneck_report(sm, clean, pi)
+
+    def test_partition_must_cover_the_table(self):
+        with pytest.raises(BadPartition, match="covers 16 states"):
+            GlauberTable(np.zeros(8), hamming_state_partition(4, 0, 0, 1))
+        with pytest.raises(BadPartition, match="without a partition"):
+            GlauberTable(np.zeros(8)).report(1.0, 0.0, np.full(8, 1 / 8))
+
+
+class TestResidual:
+    @pytest.mark.parametrize("m", [12, 14, 16])
+    def test_chunked_sum_matches_the_full_step(self, rng, m):
+        # several chunks run, entry row by entry row in the full step's
+        # flat order, so the sum is the full step's to the last bit (well
+        # within the k * dim units of rounding that another order allows)
+        E = label_energies(REGISTRY["ising_ring"](m))
+        sm = glauber_chain(E, 1.0, 0.3)
+        k, dim = sm.rows.shape
+        assert k * dim > 4 * _RESIDUAL_CHUNK
+        pi, _ = gibbs_weights(E, 1.0)
+        for p in (rng.dirichlet(np.ones(dim)), pi):
+            assert sm.residual(p) == float(np.abs(sm.step(p) - p).sum())
+        assert sm.residual(pi) <= 1e-12
+
+    def test_law_moved_at_one_state_is_not_stationary(self):
+        # 1e-9 more at the ground state, renormalized, at n=16: the
+        # chunked residual still sees it
+        E = label_energies(REGISTRY["ising_ring"](16))
+        pi, _ = gibbs_weights(E, 0.5)
+        moved = pi.copy()
+        moved[0] += 1e-9
+        moved /= moved.sum()
+        part = hamming_state_partition(16, 0, 1, 1)
+        table = GlauberTable(E, part)
+        rep = table.report(0.5, 0.0, pi)
+        assert rep.lhs <= rep.bound
+        with pytest.raises(NonUniqueStationary, match="not stationary"):
+            table.report(0.5, 0.0, moved)
+
+    def test_frozen_ring_falls_through_to_the_graph_search(self):
+        # at beta 400 every uphill move of the n=10 ring underflows to 0,
+        # so the single-flip certificate fails, the search runs and finds
+        # the chain fallen apart
+        E = label_energies(REGISTRY["ising_ring"](10))
+        pi, _ = gibbs_weights(E, 400.0)
+        part = hamming_state_partition(10, 0, 1, 1)
+        table = GlauberTable(E, part)
+        assert not table.chain(400.0).single_flip_certified()
+        with pytest.raises(NonUniqueStationary, match="communicating classes"):
+            table.report(400.0, 0.0, pi)
+        with pytest.raises(NonUniqueStationary, match="communicating classes"):
+            classical_bottleneck_report(glauber_chain(E, 400.0), part, pi)
 
 
 class TestHammingPartition:
