@@ -83,7 +83,7 @@ __all__ = [
 
 # The largest n at which a whole verify-classical run (ising_ring, four
 # betas, --jobs 1) stays within 10 s and 1 GB on a 2-core machine: n=20
-# takes 2.5-2.9 s and 636 MB, n=21 5.6-6.6 s and 1.28 GB, over the
+# takes 2.8-3.6 s and 628 MB, n=21 6.9-7.3 s and 1.27 GB, over the
 # memory bound (its rows, uphill jumps and one beta's weights are 369 MB
 # each).
 _GLAUBER_MAX_BITS = 20
@@ -476,9 +476,8 @@ class GlauberTable:
     """What the single-bit-flip Metropolis chains of one energy vector
     share at every beta: the rows of the flip form, shared read-only by
     every chain of that size, the position of each stay entry, and the
-    uphill jumps max(E[rows] - E, 0), kept read-only for the next table
-    on equal energies. Given a partition, the table also keeps the
-    positions of its forbidden entries.
+    uphill jumps max(E[rows] - E, 0), read-only. Given a partition, the
+    table also keeps the positions of its forbidden entries.
 
     The checks on the rows (in range) and the forbidden positions run
     once, here; ``chain`` then costs one acceptance pass per beta and
@@ -499,7 +498,11 @@ class GlauberTable:
         self.m = m
         self.rows, self.stay = _flip_form(m)
         _check_rows(self.rows)
-        self.uphill = _uphill(E.tobytes())
+        uphill = E[self.rows]
+        uphill -= E
+        np.maximum(uphill, 0, out=uphill)
+        uphill.setflags(write=False)
+        self.uphill = uphill
         self.part = part
         self.forbidden = None
         if part is not None:
@@ -536,22 +539,6 @@ class GlauberTable:
         top, offending = _forbidden_top(sm, self.forbidden)
         cond = ClassicalConditionReport(top, offending is None, offending)
         return _bottleneck_report(sm, self.part.label, cond, pi)
-
-
-@functools.lru_cache(maxsize=1)
-def _uphill(energies):
-    """max(E[rows] - E, 0) over the flip form, read-only, for the bytes
-    of a float64 energy vector E. Keyed by those bytes, the last vector's
-    jumps are kept for the next table built on equal energies, so the
-    runs of one model compute them once and no change to a vector can
-    leave its jumps stale."""
-    E = np.frombuffer(energies)
-    rows, _ = _flip_form(E.size.bit_length() - 1)
-    uphill = E[rows]
-    uphill -= E
-    np.maximum(uphill, 0, out=uphill)
-    uphill.setflags(write=False)
-    return uphill
 
 
 def glauber_chain(energies, beta, laziness=0.0):
