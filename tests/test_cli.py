@@ -1021,6 +1021,19 @@ def test_parser_is_built_once_and_keeps_its_exits(tmp_path, capsys):
         assert bad.value.code == 2
 
 
+def run_python(code, *argv):
+    """Run code in a fresh interpreter on this checkout's src/ with argv;
+    returns its stdout after checking that it exited 0."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_cli_import_loads_no_scipy_modules():
     # the package runs on numpy alone until a markov function imports
     # scipy inside its body; any scipy module on the
@@ -1030,45 +1043,66 @@ def test_cli_import_loads_no_scipy_modules():
         "import sys, bottlenecklab, bottlenecklab.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    env = dict(os.environ)
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert run_python(code).strip() == "[]"
+
+
+# runs the CLI on sys.argv[1:] and prints the exit status, the number of
+# reads of a StochasticMatrix's scipy matrix and the scipy modules loaded
+SPY = (
+    "import json, sys\n"
+    "from bottlenecklab import cli, markov\n"
+    "reads = []\n"
+    "markov.StochasticMatrix.mat = property(lambda self: reads.append(1))\n"
+    "status = cli.main(sys.argv[1:])\n"
+    "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+    "print(json.dumps({'status': status, 'reads': len(reads), 'scipy': scipy}))\n"
+)
+
+
+def spy_run(subcommand, cfg, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    argv = [subcommand, "--config", str(cfg_path), "--out", str(out), "--jobs", "1"]
+    return json.loads(run_python(SPY, *argv).strip().splitlines()[-1]), out
 
 
 def test_verify_classical_loads_no_scipy_and_reads_no_matrix(tmp_path):
     # every chain of an ising_ring run carries the single-flip certificate,
     # so no connectivity search runs, and every check reads the column
     # form: a verify-classical process loads numpy alone
-    code = (
-        "import json, sys\n"
-        "from bottlenecklab import cli, markov\n"
-        "reads = []\n"
-        "markov.StochasticMatrix.mat = property(lambda self: reads.append(1))\n"
-        "status = cli.main(sys.argv[1:])\n"
-        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(json.dumps({'status': status, 'reads': len(reads), 'scipy': scipy}))\n"
-    )
     cfg = dict(GRID_CONFIGS["verify-classical"], n=12, betas=[0.5, 1.0, 2.0, 3.0])
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    argv = ["verify-classical", "--config", str(cfg_path), "--out", str(out), "--jobs", "1"]
-    env = dict(os.environ)
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    spy = json.loads(done.stdout.strip().splitlines()[-1])
+    spy, out = spy_run("verify-classical", cfg, tmp_path)
     assert spy == {"status": 0, "reads": 0, "scipy": []}
     assert json.loads((out / "failures.json").read_text()) == []
     assert len(read_rows(out)[1]) == 4
+
+
+def test_tail_check_loads_no_scipy(tmp_path):
+    # the tail bounds run dense eigensolves through numpy alone
+    spy, out = spy_run("tail-check", GRID_CONFIGS["tail-check"], tmp_path)
+    assert spy == {"status": 0, "reads": 0, "scipy": []}
+    assert json.loads((out / "failures.json").read_text()) == []
+
+
+def test_stability_sweep_loads_no_scipy_special(tmp_path):
+    # the n = 8 and 10 points at beta 3 take the certified series, whose
+    # products load scipy.sparse; its coefficients come from the package's
+    # own recurrence, so scipy.special stays unloaded
+    cfg = {
+        "model": "repetition",
+        "barrier": {"center": [0, 0], "inner": 1, "boundary": 2},
+        "betas": [3.0],
+        "gs": [0.01],
+        "ns": [8, 10],
+        "seeds": [1],
+    }
+    spy, out = spy_run("stability-sweep", cfg, tmp_path)
+    assert spy["status"] == 0
+    assert "scipy.sparse" in spy["scipy"]
+    assert not [m for m in spy["scipy"] if m.startswith("scipy.special")]
+    assert json.loads((out / "failures.json").read_text()) == []
+    assert len(read_rows(out)[1]) == 2
 
 
 def test_verify_classical_runs_in_one_process_share_no_table(tmp_path):

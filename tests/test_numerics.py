@@ -396,20 +396,61 @@ def _sweep_point_arguments():
 
 def test_ive_stays_within_its_stated_total_error():
     # the Chebyshev kernel's coefficient term rests on this: over orders
-    # 0..K of one argument, scipy's ive is off by at most _IVE_SUM_ERR in
-    # total, on fixed arguments and on those of the sweep points
-    from scipy.special import ive
-
+    # 0..K of one argument, _scaled_bessel is off by at most _IVE_SUM_ERR
+    # in total, on fixed arguments and on those of the sweep points
     with mpmath.workdps(30):
         for z in (0.01, 0.5, 2.5, 15.0, 61.0, 100.0, 183.0, 400.0, *_sweep_point_arguments()):
             K, tail = numerics._chebyshev_order(z, math.inf)
-            got = ive(np.arange(K + 1), z)
+            got = numerics._scaled_bessel(K, z)
             want = [mpmath.besseli(k, z) * mpmath.exp(-z) for k in range(K + 1)]
             off = sum(abs(float(mpmath.mpf(float(a)) - b)) for a, b in zip(got, want))
             assert off <= numerics._IVE_SUM_ERR
             # the series tail past K is below its bound
             rest = 2 * sum(mpmath.besseli(k, z) * mpmath.exp(-z) for k in range(K + 1, K + 60))
             assert float(rest) <= tail
+
+
+def test_scaled_bessel_near_zero():
+    # z = 0 gives exactly ive(0, 0) = 1; below 2^-100, where 2k/z could
+    # overflow the recurrence, the power series; just above it the
+    # recurrence runs with a rescale at almost every step
+    assert numerics._scaled_bessel(0, 0.0).tolist() == [1.0]
+    assert numerics._scaled_bessel(3, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0]
+    with mpmath.workdps(60):
+        for z in (1e-300, 2.0**-101, 2.0**-99, 1e-20, 1e-9):
+            got = numerics._scaled_bessel(6, z)
+            want = [mpmath.besseli(k, z) * mpmath.exp(-z) for k in range(7)]
+            off = [abs(mpmath.mpf(float(a)) - b) for a, b in zip(got, want)]
+            assert float(sum(off)) <= 4 * numerics._UNIT_ROUNDOFF
+            assert off[1] <= 4 * numerics._UNIT_ROUNDOFF * want[1]
+
+
+def test_unit_series_is_the_series_on_unit_columns(rng):
+    # the blocks of A and of B start apart from their own unit columns,
+    # yet every entry kept is bit for bit that of the series on X
+    n = 8
+    dim = 1 << n
+    e = rng.uniform(0.0, 8.0, dim)
+    t = rng.uniform(-0.3, 0.3, n)
+    rows = rng.permutation(dim)[:110]
+    rows_a, rows_b = rows[:41], rows[41:]
+    S2, coef, err, lo = numerics._site_form_series(e, t, 2.0, rows.size)
+    diag, YB = numerics._unit_series(S2, coef, rows_a, rows_b)
+    Y = numerics._chebyshev_series(S2, coef, np.eye(dim)[:, rows])
+    assert np.array_equal(diag, Y[rows_a, np.arange(rows_a.size)])
+    assert np.array_equal(YB, Y[:, rows_a.size :])
+
+
+def test_site_form_ratio_at_beta_zero_is_the_block_size_ratio():
+    # at beta 0 the series is the identity (coefficients exactly [1.0]),
+    # so Delta = |B| / |A| = 165 / 11 exactly
+    from bottlenecklab import stability
+
+    H0, cert = stability.sweep_model("repetition", 10, ((0, 0), 1, 2))
+    H = perturb(H0, random_local_perturbation(10, 0.01, 3))
+    rows = [np.flatnonzero(block.labels[1]) for block in (cert.V, cert.boundary)]
+    assert [r.size for r in rows] == [11, 165]
+    assert numerics.site_form_ratio(H.diagonal(), H.flips, 0.0, *rows) == 15.0
 
 
 def test_site_form_columns_of_a_product_match_the_site_exponentials(rng):

@@ -823,7 +823,8 @@ def test_uncertified_point_takes_the_eigensolve_route(monkeypatch, n, beta, g, w
     H0, cert = stability.sweep_model("repetition", n, ((0, 0), 1, 2))
     H = perturb(H0, random_local_perturbation(n, g, 5))
     calls, ran = [], []
-    real_ratio, real_series = stability.site_form_ratio, numerics._chebyshev_series
+    real_ratio = stability.site_form_ratio
+    real_series, real_units = numerics._chebyshev_series, numerics._unit_series
 
     def spied(*args):
         calls.append(real_ratio(*args))
@@ -833,8 +834,13 @@ def test_uncertified_point_takes_the_eigensolve_route(monkeypatch, n, beta, g, w
         ran.append(X.shape[1])
         return real_series(S2, coef, X)
 
+    def units(S2, coef, rows_a, rows_b):
+        ran.append(rows_a.size + rows_b.size)
+        return real_units(S2, coef, rows_a, rows_b)
+
     monkeypatch.setattr(stability, "site_form_ratio", spied)
     monkeypatch.setattr(numerics, "_chebyshev_series", series)
+    monkeypatch.setattr(numerics, "_unit_series", units)
     row = stability.sweep_point("repetition", n, beta, g, 5, H0, cert)
     assert calls == [None]
     assert ran == widths
