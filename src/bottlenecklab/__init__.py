@@ -1,7 +1,7 @@
 """Numerical bottleneck bounds for quantum channels and classical chains.
 
 Modules:
-    numerics     dense linear-algebra kernels
+    numerics     dense linear-algebra kernels, the tolerance table
     pauli        qubit bit masks, Hamming distances, GF(2) spans
     subspace     label bases, subspaces, label-shell partitions
     channel      Kraus channels, locality, quasi-local mixtures

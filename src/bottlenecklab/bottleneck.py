@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics as tol
 from .channel import _monomial_forms, apply_channel, channel_locality, check_partition_condition
 from .errors import (
     BetaNegative,
@@ -45,7 +46,7 @@ from .errors import (
 from .markov import conditioned_drift, forbidden_entry
 from .model import ThermalState, gibbs_state, spectrum, subspace_min_energy
 from .numerics import (
-    _EMPTY_WEIGHT_TOL,
+    THEOREM_SLACK,  # by name, so that bottleneck.THEOREM_SLACK resolves for callers
     DensityMatrix,
     label_weights,
     logsumexp,
@@ -68,9 +69,6 @@ __all__ = [
     "quasi_local_bound",
 ]
 
-THEOREM_SLACK = 1e-8
-# largest residual of rho under one channel step for rho to count as fixed
-_FIXED_POINT_TOL = 1e-9
 DEFAULT_MIX_EPS = 0.25
 
 
@@ -154,7 +152,7 @@ def bottleneck_ratio(rho, P_A, P_B):
         mat = matrix_of(rho)
         denominator = float(np.real(np.sum((xa.conj().T @ mat) * xa.T)))
         block = _basis_of(P_B).conj().T @ mat
-    if denominator <= _EMPTY_WEIGHT_TOL:
+    if denominator <= tol.EMPTY_WEIGHT_TOL:
         raise EmptyA(f"tr(P_A rho) = {denominator:.3e}")
     numerator = float(np.linalg.svd(block, compute_uv=False).sum())
     return numerator / denominator, numerator, denominator
@@ -198,8 +196,8 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
     each channel acts as its chain: residuals and the drift are l1
     norms, Delta and the block weights are sums, and the Kraus condition
     demands that every forbidden chain entry is exactly zero (the dense
-    path accepts a block norm below 1e-9). Any other input runs the
-    dense path. report.path says which ran. A DensityMatrix on the
+    path accepts a block norm below DENSE_CONDITION_TOL). Any other input
+    runs the dense path. report.path says which ran. A DensityMatrix on the
     channels' register is used as it is: its construction checked it,
     and it cannot have changed since; any other rho is checked as one
     here. The label path never reads the dense matrix of a state.
@@ -220,7 +218,7 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
             resid = chan.monomial.chain.residual(p)
         else:
             resid = trace_norm(apply_channel(chan, state).mat - state.mat)
-        if resid > _FIXED_POINT_TOL:
+        if resid > tol.CHANNEL_FIXED_POINT_TOL:
             raise NotFixedPoint(f"steady-state residual {resid:.3e}")
     if isinstance(spec, HilbertPartition):
         part = spec
@@ -287,7 +285,7 @@ def _label_measures(chains, p, member):
                 f"Kraus condition: forbidden weight {top:.3e} at {offending}"
             )
     denominator, prob_B, prob_C, lhs = conditioned_drift(
-        chains, member, p, empty_tol=_EMPTY_WEIGHT_TOL
+        chains, member, p, empty_tol=tol.EMPTY_WEIGHT_TOL
     )
     return 0.0, prob_B / denominator, prob_B, denominator, lhs, prob_B, prob_C
 
@@ -298,7 +296,7 @@ def _dense_measures(channels, mat, part):
     for chan in channels:
         rep = check_partition_condition(chan, part)
         worst = max(worst, rep.residual)
-    if worst >= 1e-9:
+    if worst >= tol.DENSE_CONDITION_TOL:
         raise ConditionViolated(f"Kraus condition residual {worst:.3e}")
     n = channels[0].n
     delta, numerator, denominator = bottleneck_ratio(
@@ -320,7 +318,7 @@ def diagonal_bound(rho, P):
     proj = _projector_of(P)
     lhs = trace_norm(mat @ proj)
     rhs = math.sqrt(max(0.0, float(np.real(np.trace(mat @ proj)))))
-    if lhs > rhs + 1e-10:
+    if lhs > rhs + tol.DIAGONAL_BOUND_SLACK:
         raise BoundViolated(
             f"||rho P||_1 = {lhs!r} exceeds sqrt(tr) = {rhs!r}", lhs=lhs, rhs=rhs
         )
@@ -379,7 +377,7 @@ def product_drift(channels, sigma):
         state = apply_channel(chan, DensityMatrix(state, n)).mat
     delta_t = trace_norm(state - mat)
     step_sum = float(sum(single))
-    if delta_t > step_sum + 1e-9:
+    if delta_t > step_sum + tol.PRODUCT_DRIFT_SLACK:
         raise BoundViolated(
             f"composed drift {delta_t!r} exceeds summed step drifts {step_sum!r}",
             delta_t=delta_t,
@@ -430,7 +428,7 @@ def free_energy_report(H, beta, V, r, rho_G=None, delta_measured=0.0):
 
     V must be spanned by labels (a labeled Subspace, or one whose every
     basis column has exactly one nonzero entry); any other V raises
-    BadPartition.
+    BadPartition. rho_G None is gibbs_state(H, beta), for a diagonal H.
     """
     if beta <= 0:
         raise BetaNegative(f"free energies need beta > 0, got {beta}")
@@ -450,9 +448,9 @@ def free_energy_report(H, beta, V, r, rho_G=None, delta_measured=0.0):
     if rho_G is None:
         rho_G, _, _ = gibbs_state(H, beta)
     prob_V, comm = _collar_weights(rho_G, V, shell)
-    b_applicable = comm < 1e-9
-    a_applicable = logZ >= -1e-12 and prob_V > 1e-12
-    bounds_a = math.exp(0.5 * log_trB) / prob_V if prob_V > 1e-12 else math.inf
+    b_applicable = comm < tol.COLLAR_COMMUTATOR_TOL
+    a_applicable = logZ >= -tol.LOG_Z_SLACK and prob_V > tol.EMPTY_WEIGHT_TOL
+    bounds_a = math.exp(0.5 * log_trB) / prob_V if prob_V > tol.EMPTY_WEIGHT_TOL else math.inf
     bounds_b = math.exp(log_trB - log_trV)
     bounds_c = math.exp(
         0.5 * (log_trB - log_trV) + 0.5 * (logZ + beta * E_min_V)
@@ -495,7 +493,7 @@ def quasi_local_bound(C, rho, V, mix_eps=DEFAULT_MIX_EPS):
     mat = matrix_of(rho)
     state = DensityMatrix(mat, C.n)
     resid = trace_norm(apply_channel(C, state).mat - state.mat)
-    if resid > _FIXED_POINT_TOL:
+    if resid > tol.CHANNEL_FIXED_POINT_TOL:
         raise NotFixedPoint(f"steady-state residual {resid:.3e}")
     rho_A = None
     terms = {}
@@ -507,7 +505,7 @@ def quasi_local_bound(C, rho, V, mix_eps=DEFAULT_MIX_EPS):
             raise LocalityInsufficient(f"surrogate for radius {s} detected as {loc}-local")
         part = partition_from_radius(V, s)
         rep = check_partition_condition(surrogate, part)
-        if rep.residual >= 1e-9:
+        if rep.residual >= tol.DENSE_CONDITION_TOL:
             raise ConditionViolated(f"surrogate Kraus condition residual {rep.residual:.3e}")
         delta, _, _ = bottleneck_ratio(state, part.A.projector(), part.b_projector())
         if rho_A is None:

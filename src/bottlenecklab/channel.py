@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics as tol
 from .errors import DimensionMismatch, EmptyInput, NotTracePreserving
 from .markov import StochasticMatrix
 from .numerics import DensityMatrix, label_weights, matrix_of, operator_norm, trace_norm
@@ -43,12 +44,6 @@ __all__ = [
     "quasi_local_mixture",
 ]
 
-# a forbidden Kraus block below this operator norm counts as zero
-_ABS_TOL = 1e-10
-# largest entry of sum_m K_m^dag K_m - 1 that a channel may carry
-_TRACE_TOL = 1e-9
-# a qubit is in a Kraus operator's support past this entry deviation
-_SUPPORT_TOL = 1e-9
 # most entries of stacked monomial forms that one batched pass holds
 _STACK_ENTRIES = 1 << 16
 
@@ -87,7 +82,7 @@ class KrausChannel:
                 ops.append(K)
             self._kraus = ops
             resid = _trace_residual(ops, self.dim)
-        if resid > _TRACE_TOL:
+        if resid > tol.KRAUS_TRACE_TOL:
             raise NotTracePreserving(f"sum of K†K deviates from identity by {resid:.3e}")
 
     @property
@@ -207,7 +202,7 @@ def _kraus_support(K, n):
         blk = K.reshape(left, 2, right, left, 2, right)
         diag_dev = np.abs(blk[:, 0, :, :, 0, :] - blk[:, 1, :, :, 1, :]).max()
         off_dev = max(np.abs(blk[:, 0, :, :, 1, :]).max(), np.abs(blk[:, 1, :, :, 0, :]).max())
-        if max(diag_dev, off_dev) > _SUPPORT_TOL:
+        if max(diag_dev, off_dev) > tol.SUPPORT_TOL:
             support.append(q)
     return tuple(support)
 
@@ -232,7 +227,7 @@ def _monomial_supports(rows, coef, n):
     changed = rows ^ np.arange(dim)
     bits = 1 << np.arange(n - 1, -1, -1)
     # the bits changed by some entry above the tolerance, and by any entry
-    off = np.bitwise_or.reduce(changed, axis=1, where=np.abs(coef) > _SUPPORT_TOL)
+    off = np.bitwise_or.reduce(changed, axis=1, where=np.abs(coef) > tol.SUPPORT_TOL)
     moved = np.bitwise_or.reduce(changed, axis=1)
     support = (off[:, None] & bits) != 0
     # forms with rows j ^ c, c free of b, keep every entry and pair every
@@ -252,7 +247,7 @@ def _monomial_supports(rows, coef, n):
         if not only_plain:
             paired = moves[:, :, 1] == moves[:, :, 0]
             dev = np.where(paired, dev, np.maximum(np.abs(lo), np.abs(hi)))
-        support[:, q] |= dev.reshape(k, -1).max(axis=1) > _SUPPORT_TOL
+        support[:, q] |= dev.reshape(k, -1).max(axis=1) > tol.SUPPORT_TOL
     return support
 
 
@@ -293,7 +288,7 @@ def check_partition_condition(C, part):
         r = max(r1, r2)
         if r > worst:
             worst, worst_idx = r, i
-    return PartitionConditionReport(worst, worst < _ABS_TOL, worst_idx)
+    return PartitionConditionReport(worst, worst < tol.KRAUS_CONDITION_TOL, worst_idx)
 
 
 def evolve_sequence(channels, rho0, rho_ref, T):

@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import numerics as tol
 from .bottleneck import (
     DEFAULT_MIX_EPS,
     mixing_time_lower_bound,
@@ -661,7 +662,7 @@ def _run_mixing_compare(cfg, out, jobs):
             if dist / 2 <= eps:
                 observed = float(t)
                 break
-        if observed < strong - 1e-9:
+        if observed < strong - tol.MIXING_BOUND_SLACK:
             raise BoundViolated(
                 f"observed mixing at step {observed!r} beats the lower "
                 f"bound {strong!r}",
@@ -724,7 +725,7 @@ def _run_model_info(cfg, out, jobs):
         "dim": 1 << checks.n,
         "ground_energy": float(w.min()),
         "max_energy": float(w.max()),
-        "ground_degeneracy": int(np.count_nonzero(w < w.min() + 1e-9)),
+        "ground_degeneracy": int(np.count_nonzero(w < w.min() + tol.DEGENERACY_TOL)),
     }
     if "beta" in vals:
         _, logZ, F = gibbs_state(H, vals["beta"])

@@ -24,8 +24,8 @@ detailed balance with respect to the Gibbs weights e^{-beta E}/Z
 (model.gibbs_weights), so the caller passes that law, and the bound
 certifies it with two exact checks: the chain is irreducible, so its
 stationary law is unique, and pi is stationary within a residual of
-1e-10; the residual of a large form is summed in chunks, so it makes
-no temporary of the form's size. A chain whose every column
+STATIONARY_TOL; the residual of a large form is summed in chunks, so
+it makes no temporary of the form's size. A chain whose every column
 moves with positive weight to each of its m single-bit flips holds
 every edge of the m-cube in both directions, so it is irreducible by
 construction (the hypercube walk, Levin-Peres-Wilmer, Markov Chains
@@ -57,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics as tol
 from .errors import (
     BadPartition,
     BoundViolated,
@@ -87,11 +88,6 @@ __all__ = [
 # memory bound (its rows, uphill jumps and one beta's weights are 369 MB
 # each).
 _GLAUBER_MAX_BITS = 20
-_COLUMN_SUM_TOL = 1e-12
-_PROBABILITY_SUM_TOL = 1e-12
-_STATIONARY_TOL = 1e-10
-_EMPTY_A_TOL = 1e-14
-_BOUND_SLACK = 1e-12
 # Entries of a form that StochasticMatrix.residual sums at a time: 64 KiB
 # of float64, below glibc's default 128 KiB mmap threshold, so the chunk
 # temporaries reuse heap pages instead of faulting in fresh ones.
@@ -100,7 +96,8 @@ _RESIDUAL_CHUNK = 1 << 13
 
 class StochasticMatrix:
     """Column-stochastic matrix in op-major form; columns sum to 1 within
-    1e-12 and every weight is non-negative (NotStochastic otherwise).
+    COLUMN_SUM_TOL and every weight is non-negative (NotStochastic
+    otherwise).
 
     A dense array or a scipy sparse matrix is converted on construction;
     ``from_columns`` takes the form itself. ``rows`` and ``weights`` are
@@ -148,7 +145,7 @@ class StochasticMatrix:
         if not low >= 0:
             raise NotStochastic(f"negative entry {low:.3e}")
         dev = np.abs(weights.sum(axis=0) - 1.0).max()
-        if not dev <= _COLUMN_SUM_TOL:
+        if not dev <= tol.COLUMN_SUM_TOL:
             raise NotStochastic(f"column sums deviate from 1 by {dev:.3e}")
 
     @property
@@ -313,15 +310,16 @@ def _certify_stationary(sm, pi):
     as a float array.
 
     pi must be a probability vector: no negative entry and a sum within
-    1e-12 of 1. Uniqueness: the chain must be irreducible, certified
-    structurally for a single-bit-flip chain with every flip positive
-    and otherwise by a graph search over the strictly positive entries,
-    which must form one strongly connected class. Stationarity:
-    ||M pi - pi||_1 <= 1e-10. Each failure raises NonUniqueStationary.
+    PROBABILITY_SUM_TOL of 1. Uniqueness: the chain must be irreducible,
+    certified structurally for a single-bit-flip chain with every flip
+    positive and otherwise by a graph search over the strictly positive
+    entries, which must form one strongly connected class. Stationarity:
+    ||M pi - pi||_1 <= STATIONARY_TOL. Each failure raises
+    NonUniqueStationary.
     """
     pi = np.asarray(pi, dtype=np.float64)
     total = float(pi.sum())
-    if pi.min() < 0 or abs(total - 1.0) > _PROBABILITY_SUM_TOL:
+    if pi.min() < 0 or abs(total - 1.0) > tol.PROBABILITY_SUM_TOL:
         raise NonUniqueStationary(
             f"pi is not a probability vector (min {pi.min():.3e}, sum {total!r})"
         )
@@ -332,7 +330,7 @@ def _certify_stationary(sm, pi):
                 f"chain is not irreducible: {classes} communicating classes"
             )
     resid = sm.residual(pi)
-    if resid > _STATIONARY_TOL:
+    if resid > tol.STATIONARY_TOL:
         raise NonUniqueStationary(f"pi is not stationary (residual {resid:.3e})")
     return pi
 
@@ -398,7 +396,7 @@ def _forbidden_top(sm, forbidden):
     return top, (int(sm.rows[pos[at], cols[at]]), int(cols[at]))
 
 
-def conditioned_drift(chains, label, pi, empty_tol=_EMPTY_A_TOL):
+def conditioned_drift(chains, label, pi, empty_tol=tol.CLASSICAL_EMPTY_A_TOL):
     """(pi(A), pi(B), pi(C), ||M_t ... M_1 pi_A - pi_A||_1) for one block
     label per state (0 for A, 1 and 2 for B, 3 for C) and pi_A the law pi
     conditioned on A, carried through the chains in order. pi(A) at or
@@ -431,10 +429,10 @@ def classical_bottleneck_report(M, part, pi):
 
     pi is the chain's stationary law in closed form, such as the Gibbs
     weights of a detailed-balance chain; _certify_stationary checks it
-    before the bound is read. pi(A) at or below 1e-14 raises EmptyA. The
-    theorem inequality is asserted with slack 1e-12; a violation raises
-    BoundViolated since it would falsify the implementation, not the
-    theorem.
+    before the bound is read. pi(A) at or below CLASSICAL_EMPTY_A_TOL
+    raises EmptyA. The theorem inequality is asserted with slack
+    CLASSICAL_BOUND_SLACK; a violation raises BoundViolated since it
+    would falsify the implementation, not the theorem.
     """
     sm = _as_chain(M)
     return _bottleneck_report(sm, part.label, check_classical_condition(sm, part), pi)
@@ -450,7 +448,7 @@ def _bottleneck_report(sm, label, cond, pi):
     pi = _certify_stationary(sm, pi)
     pA, pB, pC, lhs = conditioned_drift([sm], label, pi)
     bound = 2.0 * pB / pA
-    if lhs > bound + _BOUND_SLACK:
+    if lhs > bound + tol.CLASSICAL_BOUND_SLACK:
         raise BoundViolated(
             f"classical bottleneck bound violated: {lhs!r} > {bound!r}",
             lhs=lhs,

@@ -38,10 +38,10 @@ M = W diag(E) W^dag on first read. A perturbation has one term per site
 and is built real, as a site form, a diagonal e plus one flip weight
 t_q per site, with one phase per site, so a classical H0 plus a
 perturbation is solved, reduced to blocks and turned into Gibbs states
-in real arithmetic. A perturbed H carries no labels, and spectrum,
-thermal_state and gibbs_state solve it. Eigensystem and ThermalState
-carry the eigenvectors of M with d apart; their methods give the
-eigenvectors of H itself. Every function here that takes a Hamiltonian
+in real arithmetic. A perturbed H carries no labels, and spectrum and
+thermal_state solve it. Eigensystem and ThermalState carry the
+eigenvectors of M with d apart; their methods give the eigenvectors of
+H itself. Every function here that takes a Hamiltonian
 takes this type, not a raw matrix.
 """
 
@@ -52,6 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import numerics as tol
 from .errors import (
     BadPartition,
     BetaNegative,
@@ -64,13 +65,7 @@ from .errors import (
     NotClassical,
     NotDiagonal,
 )
-from .numerics import (
-    _GAUGE_REL_TOL,
-    _HERMITICITY_TOL,
-    DensityMatrix,
-    hermitian_eigensystem,
-    max_offdiagonal,
-)
+from .numerics import DensityMatrix, hermitian_eigensystem, max_offdiagonal
 from .pauli import gf2_null_space_masks, gf2_span, hamming_distance, mask_from_indices, popcount
 from .subspace import LabelBasis, Subspace, identity_basis
 
@@ -170,10 +165,10 @@ class Hamiltonian:
     of a block, so is_diagonal, diagonal() and the norms and blocks that
     stability reads come from M. The dense form of a site form and the
     dense complex mat are formed only when something reads them.
-    Construction checks Hermiticity: a dense M within 1e-10, and a site
-    form is Hermitian exactly when its weights are real and finite. The
-    arrays are then made read-only, so that check and the off-diagonal
-    scan kept by offdiagonal stay true.
+    Construction checks Hermiticity: a dense M within HERMITICITY_TOL,
+    and a site form is Hermitian exactly when its weights are real and
+    finite. The arrays are then made read-only, so that check and the
+    off-diagonal scan kept by offdiagonal stay true.
 
     labels is (W, E) for a check Hamiltonian and None otherwise. It is
     not a constructor argument: only build_hamiltonian sets it, after
@@ -206,7 +201,7 @@ class Hamiltonian:
         elif M is not None:
             M = np.asarray(M).astype(np.complex128, copy=False)
             dev = np.abs(M - M.conj().T).max() if M.size else 0.0
-            if dev > _HERMITICITY_TOL:
+            if dev > tol.HERMITICITY_TOL:
                 raise NonCommutingChecks(f"Hamiltonian not Hermitian (dev {dev:.3e})")
             self._form = M
         if M is not None:
@@ -283,7 +278,7 @@ class Hamiltonian:
 
     @property
     def is_diagonal(self):
-        return self.offdiagonal < 1e-12
+        return self.offdiagonal < tol.DIAGONAL_TOL
 
     def diagonal(self):
         """The real diagonal of H, which is M's."""
@@ -500,7 +495,7 @@ def _css_label_basis(checks):
     k = gx_span.size
     gram = np.matmul(blocks.conj().transpose(0, 2, 1), blocks)
     dev = float(np.abs(gram - np.eye(nz)).max())
-    if k != nz or dev > 1e-10:
+    if k != nz or dev > tol.CSS_BASIS_TOL:
         raise NonCommutingChecks(f"CSS label basis is not unitary (dev {dev:.3e})")
     basis = LabelBasis(
         n,
@@ -522,7 +517,7 @@ def _check_syndrome(basis, xmask, zmask, labels):
     col, phase = basis.pauli_image(xmask, zmask)
     sign = 1 - 2 * _parity(labels, xmask | zmask)
     dev = float(np.abs(phase - sign).max())
-    if not np.array_equal(col, np.arange(basis.dim)) or dev > 1e-10:
+    if not np.array_equal(col, np.arange(basis.dim)) or dev > tol.CSS_BASIS_TOL:
         raise NonCommutingChecks(
             f"check (x={xmask}, z={zmask}) is not diagonal in the label basis"
         )
@@ -620,8 +615,8 @@ def subspace_min_energy(V, H):
     A V labeled over the basis W of H's labels (W, E) is spanned by
     eigenvectors of H, so the minimum is the least E on V's mask, with no
     block formed. Otherwise every basis column must have one nonzero
-    entry (above 1e-14): column i is vals[i] |rows[i]> with |vals[i]| =
-    1, so the block X^dag H X is H[rows][:, rows] under a unitary
+    entry (above BASIS_ENTRY_TOL): column i is vals[i] |rows[i]> with
+    |vals[i]| = 1, so the block X^dag H X is H[rows][:, rows] under a unitary
     diagonal similarity, with the same spectrum, and H[rows][:, rows] is
     gathered, not multiplied out, then solved. The phases of H only add
     to that similarity, so the gather reads its form M (Hamiltonian.block,
@@ -631,7 +626,7 @@ def subspace_min_energy(V, H):
         raise EmptySubspace("minimum energy over an empty subspace")
     if V.labels is not None and H.labels is not None and V.labels[0].same_as(H.labels[0]):
         return float(H.labels[1][V.labels[1]].min())
-    nonzero = np.abs(V.basis) > 1e-14
+    nonzero = np.abs(V.basis) > tol.BASIS_ENTRY_TOL
     if not (nonzero.sum(axis=0) == 1).all():
         raise BadPartition(
             "V is neither labeled over the eigenbasis of H nor spanned by basis states"
@@ -644,7 +639,7 @@ def _eigensystem(H):
     """Eigensystem of a Hamiltonian, solved only when nothing gives it:
     E and W of H's labels (W, E), with U None for the identity basis;
     else the real diagonal as w and U None when H is diagonal (no
-    off-diagonal entry above 1e-12); else H.eigensystem()."""
+    off-diagonal entry above DIAGONAL_TOL); else H.eigensystem()."""
     if H.labels is not None:
         W, E = H.labels
         return Eigensystem(E, None if W.identity else W.dense(), None)
@@ -658,7 +653,7 @@ def spectrum(H):
 
     A check Hamiltonian gives its labels: w = E in label order and U the
     dense label basis W, or None for the identity basis. Any other
-    diagonal H (no off-diagonal entry above 1e-12) gives its real
+    diagonal H (no off-diagonal entry above DIAGONAL_TOL) gives its real
     diagonal as w and U None. Otherwise w is ascending and the columns of
     U are orthonormal eigenvectors, each fixed only up to a phase: D U_r
     for a real form, U_r from np.linalg.eigh, so real when there are no
@@ -717,30 +712,16 @@ def thermal_state(H, beta):
 def gibbs_state(H, beta):
     """Thermal state, log partition function, and free energy -logZ/beta.
 
-    The state carries its label form (W, p) when H is diagonal in a
-    label basis W, and then forms its dense matrix only when something
-    reads it (DensityMatrix.from_labels). Two routes:
-    - a check Hamiltonian, with labels (W, E), and any other diagonal H,
-      over the identity basis with E its diagonal, get p = e^{-beta E}/Z
-      from H.gibbs, with no eigensolve;
-    - any other H (a perturbed one, whose labels perturb drops) takes
-      thermal_state, and rho is dense, with no labels: after a real solve
-      the real product U diag(p) U^T, scaled by the phases d as d_i
-      rho_ij conj(d_j) when there are any.
+    H must be diagonal in a label basis W: a check Hamiltonian with labels
+    (W, E), or a diagonal H over the identity basis, E its diagonal. p =
+    e^{-beta E}/Z comes from H.gibbs, with no eigensolve, and rho carries
+    (W, p), forming its dense matrix only when read (from_labels). Any
+    other H, a perturbed one say, raises NotDiagonal (see thermal_state).
     """
-    if H.labels is not None or H.is_diagonal:
-        p, logZ = H.gibbs(beta)
-        W = identity_basis(H.n) if H.labels is None else H.labels[0]
-        rho = DensityMatrix.from_labels(W, p)
-    else:
-        probs, U, logZ, phases = thermal_state(H, beta)
-        mat = ((U * probs[None, :]) @ U.conj().T).astype(np.complex128, copy=False)
-        if phases is not None:
-            mat *= phases[:, None]
-            mat *= phases.conj()[None, :]
-        rho = DensityMatrix(mat, H.n)
+    p, logZ = H.gibbs(beta)
+    W = identity_basis(H.n) if H.labels is None else H.labels[0]
     F = -logZ / beta if beta > 0 else -math.inf
-    return rho, logZ, F
+    return DensityMatrix.from_labels(W, p), logZ, F
 
 
 def random_local_perturbation(n, g, seed):
@@ -790,7 +771,7 @@ def _site_gauge(n, terms, scale):
     site order, and t_q is the rotated off-diagonal entry, both scaled
     last. The dropped imaginary parts have a max row l1 sum of at most
     the scaled sum of their per-term row sums, and max|V| is at least the
-    largest scaled |b|, so that sum is checked against _GAUGE_REL_TOL *
+    largest scaled |b|, so that sum is checked against GAUGE_REL_TOL *
     max(1, that |b|).
     """
     dim = 1 << n
@@ -814,7 +795,7 @@ def _site_gauge(n, terms, scale):
         d[bit == 1] *= phi
     e *= scale
     t *= scale
-    if scale * dropped > _GAUGE_REL_TOL * max(1.0, scale * top):
+    if scale * dropped > tol.GAUGE_REL_TOL * max(1.0, scale * top):
         raise NonCommutingChecks(
             f"single-site gauge leaves an imaginary part {scale * dropped:.3e}"
         )

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels shared by the rest of the package.
+"""Dense linear-algebra kernels and the tolerance table of the package.
 
 Matrices are plain complex numpy arrays; operator_norm keeps a real one
 real, for the real forms of perturbed Hamiltonians. Density matrices get
@@ -53,9 +53,52 @@ __all__ = [
     "site_form_ratio",
 ]
 
-_HERMITICITY_TOL = 1e-10
-_TRACE_TOL = 1e-9
-_GAUGE_REL_TOL = 1e-12
+# Tolerance table, read elsewhere as tol.NAME: "abs" in the check's units, "rel" times a scale.
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2  # u, the unit of the rounding bounds below
+HERMITICITY_TOL = 1e-10  # abs: max |M - M^dag| of a state, a Hamiltonian or a solver's input
+TRACE_NORM_HERMITIAN_TOL = 1e-12  # abs: max |M - M^dag| at which trace_norm takes eigenvalues
+TRACE_TOL = 1e-9  # abs: |tr rho - 1|, and |sum p - 1| and -min p of a state's label weights
+PHASE_PIVOT_TOL = 1e-12  # abs: |entry| past which fix_phases takes it as its column's pivot
+GAUGE_REL_TOL = 1e-12  # rel to max(1, max |V|): imaginary part a single-site gauge may drop
+DIAGONAL_TOL = 1e-12  # abs: largest off-diagonal |H_ij| of a Hamiltonian that is diagonal
+BASIS_ENTRY_TOL = 1e-14  # abs: |entry| of a basis column past which subspace_min_energy counts it
+CSS_BASIS_TOL = 1e-10  # abs: unitarity and syndrome-phase deviation of a CSS label basis
+ORTHONORMALITY_TOL = 1e-9  # abs: max |X^dag X - 1| of a Subspace basis
+PAULI_PHASE_TOL = 1e-9  # abs: ||phase| - 1| of a Pauli image over a label basis
+KRAUS_TRACE_TOL = 1e-9  # abs: largest entry of sum_m K_m^dag K_m - 1 a channel may carry
+SUPPORT_TOL = 1e-9  # abs: entry deviation past which a qubit is in a Kraus operator's support
+KRAUS_CONDITION_TOL = 1e-10  # abs: forbidden Kraus block norm below which the condition passes
+DENSE_CONDITION_TOL = 1e-9  # abs: Kraus-condition residual at which a dense theorem check raises
+GIBBS_FIXED_POINT_TOL = 1e-10  # abs: l1 residual of the Gibbs vector under one sampler step
+CHANNEL_FIXED_POINT_TOL = 1e-9  # abs: residual of rho under one channel step in the theorem checks
+COLUMN_SUM_TOL = 1e-12  # abs: |column sum - 1| of a stochastic matrix
+PROBABILITY_SUM_TOL = 1e-12  # abs: |sum pi - 1| of a claimed stationary law
+STATIONARY_TOL = 1e-10  # abs: ||M pi - pi||_1 of a claimed stationary law
+CLASSICAL_EMPTY_A_TOL = 1e-14  # abs: pi(A) at or below which a classical A block is empty
+EMPTY_WEIGHT_TOL = 1e-12  # abs: tr(P_A rho) at or below which a quantum A block is empty
+CLASSICAL_BOUND_SLACK = 1e-12  # abs: classical theorem, lhs <= 2 pi(B)/pi(A) + slack
+THEOREM_SLACK = 1e-8  # abs: lhs <= 10 Delta steps, quasi-local and free-energy bounds + slack
+DIAGONAL_BOUND_SLACK = 1e-10  # abs: ||rho P||_1 <= sqrt(tr(rho P)) + slack
+PRODUCT_DRIFT_SLACK = 1e-9  # abs: composed drift <= sum of the single-step drifts + slack
+MIXING_BOUND_SLACK = 1e-9  # abs: observed mixing step >= its lower bound - slack
+COLLAR_COMMUTATOR_TOL = 1e-9  # abs: ||[rho, P]|| below which free-energy bound (b) applies
+LOG_Z_SLACK = 1e-12  # abs: log Z >= -slack for free-energy bound (a) to apply
+DEGENERACY_TOL = 1e-9  # abs: energy above the minimum still counted as ground degeneracy
+AMPLITUDE_SLACK = 1e-12  # abs: a tail amplitude lies in [-slack, 1 + slack]
+SHELL_WIDTH_SLACK = 1e-12  # abs: shell width delta_E <= its admissible maximum + slack
+SHELL_COUNT_REL_TOL = 1e-9  # rel to max(1, q): distance of a shell count q from an integer
+SHELL_INDEX_SLACK = 1e-12  # abs: rounding margin of a shell index's floor and a count's ceil
+BLOCK_TRIDIAGONAL_TOL = 1e-9  # abs: block norm of V past the shell tridiagonal that passes
+PERTURBATION_SLACK = 1e-9  # abs: ||H - H0|| <= g n + slack
+TAIL_BOUND_SLACK = 1e-9  # abs: tail amplitude <= e^{-lambda n} + slack
+BOUNDARY_FLOOR_SLACK = 1e-9  # abs: perturbed boundary floor >= E_min - g n - slack
+PROOF_CHAIN_SLACK = 1e-8  # abs: delta^2 <= the proof-chain value + slack
+FIT_SS_FLOOR = 1e-30  # abs: total sum of squares of a decay fit above which its r2 is computed
+CHEBYSHEV_TAIL = 1e-18  # abs per unit column: truncation target of the Chebyshev series
+IVE_SUM_ERR = 64 * UNIT_ROUNDOFF  # abs: sum of _scaled_bessel's errors at orders 0..K (1.3 u seen)
+RATIO_REL_TOL = 5e-10  # rel: error certified on each piece of a ratio, so Delta within 1e-9
+BESSEL_SERIES_Z = 2.0**-100  # abs: z below which _scaled_bessel takes the power series
+BESSEL_RESCALE = 1e250  # abs: value past which the Bessel recurrence scales all by its inverse
 
 
 def _as_matrix(M):
@@ -72,13 +115,8 @@ def _require_square(M):
     return M
 
 
-def _is_hermitian(M, tol=_HERMITICITY_TOL):
-    return M.shape[0] == M.shape[1] and np.abs(M - M.conj().T).max() <= tol
-
-
 def max_offdiagonal(M):
-    """Largest |M_ij| over i != j; 0.0 for an empty matrix. Callers compare
-    it against their own tolerance to decide whether M is diagonal."""
+    """Largest |M_ij| over i != j (0.0 for an empty matrix); diagonal below DIAGONAL_TOL."""
     off = np.abs(M)
     if not off.size:
         return 0.0
@@ -89,14 +127,14 @@ def max_offdiagonal(M):
 def trace_norm(M):
     """Schatten 1-norm of a square matrix.
 
-    Hermitian input (within 1e-12) is routed through
+    Hermitian input (within TRACE_NORM_HERMITIAN_TOL) is routed through
     hermitian_eigenvalues; the singular values of a Hermitian matrix are
     the moduli of its eigenvalues, so both paths agree to rounding.
     """
     M = _require_square(M)
     if M.shape[0] == 0:
         return 0.0
-    if _is_hermitian(M, 1e-12):
+    if np.abs(M - M.conj().T).max() <= TRACE_NORM_HERMITIAN_TOL:
         return float(np.abs(hermitian_eigenvalues(M)).sum())
     return float(np.linalg.svd(M, compute_uv=False).sum())
 
@@ -112,17 +150,17 @@ def operator_norm(M):
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
-def fix_phases(columns, tol=1e-12):
+def fix_phases(columns):
     """Rotate each column so its first significantly nonzero entry is real positive.
 
     Leaves norms untouched; used to make eigenvector and basis output
     reproducible where the backend only fixes them up to phase. Columns
-    with no entry above tol are returned unchanged.
+    with no entry above PHASE_PIVOT_TOL are returned unchanged.
     """
     out = np.array(columns, dtype=np.complex128, copy=True)
     if out.size == 0:
         return out
-    big = np.abs(out) > tol
+    big = np.abs(out) > PHASE_PIVOT_TOL
     has = big.any(axis=0)
     pivot = out[big.argmax(axis=0), np.arange(out.shape[1])]
     # Scalar division per pivot: numpy's vectorised complex division rounds
@@ -161,34 +199,23 @@ def logsumexp(a, b=None):
     return float(np.log1p(s / m) + np.log(m) + top)
 
 
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-# total error taken for _scaled_bessel over the orders 0..K of one
-# argument, sum_k |ive~(k, z) - ive(k, z)| (checked against mpmath in
-# tests/, where the worst seen over z = 0.01 to 400 is about 1.3 u)
-_IVE_SUM_ERR = 64 * _UNIT_ROUNDOFF
-# truncation target of the Chebyshev series, per unit column
-_CHEBYSHEV_TAIL = 1e-18
 # columns run through the recurrence together, so that the few arrays of
 # one block stay in cache: on repetition, beta 3, the series took a median
 # 51 ms in 32-column blocks against 61 ms in one block at n = 10 (176
 # columns, K = 39), and 529 ms against 782 ms at n = 12 (299 columns)
 _CHEBYSHEV_BLOCK = 32
-# relative error certified on each piece of a ratio, so Delta is within 1e-9
-_RATIO_REL_TOL = 5e-10
-# tr(P_A rho) at or below this is an empty A block
-_EMPTY_WEIGHT_TOL = 1e-12
 
 
 def _gamma(k):
     """gamma_k = k u / (1 - k u): k roundings, each of relative size at
     most u, compound to a relative error of at most gamma_k."""
-    ku = k * _UNIT_ROUNDOFF
+    ku = k * UNIT_ROUNDOFF
     return ku / (1.0 - ku)
 
 
 def _chebyshev_order(z, cap):
     """(K, tail): the smallest K >= z/2 whose series tail 2 sum_{k>K}
-    ive(k, z) is at most _CHEBYSHEV_TAIL, and that tail's bound; None
+    ive(k, z) is at most CHEBYSHEV_TAIL, and that tail's bound; None
     when that K is above cap.
 
     The power series of I_k gives I_k(z) <= (z/2)^k / k! e^{z^2/(4(k+1))}
@@ -203,13 +230,13 @@ def _chebyshev_order(z, cap):
     while K <= cap:
         rho = z / (2 * (K + 2))
         log_tail = (
-            (K + 1) * math.log(z / 2)
+            (K + 1) * (math.log(z) - math.log(2))
             - math.lgamma(K + 2)
             + z * z / (4 * (K + 2))
             - z
             + math.log(2 / (1 - rho))
         )
-        if log_tail <= math.log(_CHEBYSHEV_TAIL):
+        if log_tail <= math.log(CHEBYSHEV_TAIL):
             return K, math.exp(log_tail)
         K += 1
     return None
@@ -223,27 +250,27 @@ def _scaled_bessel(K, z):
     N = 2K + 30 + ceil(sqrt(40 max(z, 1))), far enough past K and past
     the bulk of the I_k(z) (which falls off as e^{-k^2/(2z)}) that the
     error of the arbitrary start falls below rounding. Every value so
-    far is scaled by 1e-250 whenever one passes 1e250, and the values
-    are divided by the sum rule I_0 + 2 sum_{k>0} I_k = e^z. Below z =
-    2^-100 the ratio 2k/z could overflow, and the power series gives [1,
+    far is scaled by 1/BESSEL_RESCALE whenever one passes it, and they
+    are divided by the sum rule I_0 + 2 sum_{k>0} I_k = e^z. Below
+    BESSEL_SERIES_Z, where 2k/z could overflow, the power series gives [1,
     z/2, 0, ...] to rounding (so exactly [1.0] at z = 0).
     """
     out = np.zeros(K + 1)
-    if z < 2.0**-100:
+    if z < BESSEL_SERIES_Z:
         out[0] = 1.0
         if K:
             out[1] = 0.5 * z
         return out
     N = 2 * K + 30 + math.ceil(math.sqrt(40 * max(z, 1.0)))
-    up, cur, total = 0.0, 1.0, 0.0
+    up, cur, total, shrink = 0.0, 1.0, 0.0, 1 / BESSEL_RESCALE
     for k in range(N, 0, -1):
         if k <= K:
             out[k] = cur
         total += cur
         up, cur = cur, 2 * k / z * cur + up
-        if cur > 1e250:
-            up, cur, total = up * 1e-250, cur * 1e-250, total * 1e-250
-            out *= 1e-250
+        if cur > BESSEL_RESCALE:
+            up, cur, total = up * shrink, cur * shrink, total * shrink
+            out *= shrink
     out[0] = cur
     return out / (2 * total + cur)
 
@@ -335,8 +362,8 @@ def _site_form_series(e, t, beta, width):
     - truncation: the tail of _chebyshev_order, since |T_k| <= 1 on
       [-1, 1];
     - coefficients: the ive values for one z are taken to be off by at
-      most _IVE_SUM_ERR in total, so sum_k |c~_k - c_k| ||T_k(S) x|| <= 2
-      _IVE_SUM_ERR; since c_0 + sum_{k>0} |c_k| = sum over all integer k
+      most IVE_SUM_ERR in total, so sum_k |c~_k - c_k| ||T_k(S) x|| <= 2
+      IVE_SUM_ERR; since c_0 + sum_{k>0} |c_k| = sum over all integer k
       of ive(k, z) = 1, a sum of |c~_k| that misses 1 by more than the
       tail, that error and the rounding of the sum voids the bound (err
       is then inf);
@@ -361,7 +388,7 @@ def _site_form_series(e, t, beta, width):
     """
     from scipy import sparse
 
-    n, dim, u = t.size, e.size, _UNIT_ROUNDOFF
+    n, dim, u = t.size, e.size, UNIT_ROUNDOFF
     r = float(np.abs(t).sum())
     a, b = float(e.min()) - r, float(e.max()) + r
     c = 0.5 * (a + b)
@@ -383,11 +410,11 @@ def _site_form_series(e, t, beta, width):
     weighted = np.cumsum((size * np.arange(K + 1))[::-1])[::-1][1:]
     w = weighted - np.arange(K) * after
     total = size.sum()
-    if q >= 0.5 or abs(total - 1.0) > tail + 2 * _IVE_SUM_ERR + _gamma(K + 1) * total:
+    if q >= 0.5 or abs(total - 1.0) > tail + 2 * IVE_SUM_ERR + _gamma(K + 1) * total:
         err = math.inf
     else:
         growth = 1.0 + q / (1.0 - q)
-        err = tail + 2 * _IVE_SUM_ERR + kappa * growth * w.sum() + _gamma(K + 1) * growth * total
+        err = tail + 2 * IVE_SUM_ERR + kappa * growth * w.sum() + _gamma(K + 1) * growth * total
     idx = np.arange(dim)
     flips = idx[:, None] ^ (1 << (n - 1 - np.arange(n)))[None, :]
     data = np.empty((dim, n + 1))
@@ -432,12 +459,12 @@ def site_form_ratio(e, t, beta, rows_a, rows_b):
     """Delta = ||P_B e^{-beta R}||_1 / tr(P_A e^{-beta R}) for the real form
     R of _site_form_series and blocks A, B spanned by the basis
     states rows_a, rows_b; None when the bound does not certify each
-    piece to _RATIO_REL_TOL relative, or when the series costs more than
+    piece to RATIO_REL_TOL relative, or when the series costs more than
     a dense solve (counting the probe below as one more column).
 
     Before the label columns run, _numerator_reach bounds the numerator
     from one series column; when |B| err, the least error the numerator
-    can carry, is above _RATIO_REL_TOL times that bound, no run of the
+    can carry, is above RATIO_REL_TOL times that bound, no run of the
     label columns could certify it, and none is made.
 
     With Y the columns of e^{-beta (R - lo)} on rows_a then rows_b, of
@@ -465,31 +492,31 @@ def site_form_ratio(e, t, beta, rows_a, rows_b):
     if series is None:
         return None
     S2, coef, err, _ = series
-    if nb * err > _RATIO_REL_TOL * _numerator_reach(S2, coef, err, t, rows_b):
+    if nb * err > RATIO_REL_TOL * _numerator_reach(S2, coef, err, t, rows_b):
         return None
     diag, YB = _unit_series(S2, coef, rows_a, rows_b)
     den = float(diag.sum())
     den_err = na * err + _gamma(na) * float(np.abs(diag).sum())
     sv = np.linalg.svd(YB, compute_uv=False)
     num = float(sv.sum())
-    p_u = max(dim, nb) * _UNIT_ROUNDOFF
+    p_u = max(dim, nb) * UNIT_ROUNDOFF
     top = float(sv[0]) / (1 - p_u) if sv.size else 0.0
     num_err = nb * err + nb * p_u * top + _gamma(nb) * num
     low_den, low_num = den - den_err, num - num_err
-    if low_den <= dim * _EMPTY_WEIGHT_TOL or low_num <= 0.0:
+    if low_den <= dim * EMPTY_WEIGHT_TOL or low_num <= 0.0:
         return None
-    if den_err > _RATIO_REL_TOL * low_den or num_err > _RATIO_REL_TOL * low_num:
+    if den_err > RATIO_REL_TOL * low_den or num_err > RATIO_REL_TOL * low_num:
         return None
     return num / den
 
 
 def _symmetrized(H):
-    """(H + H^dag)/2 after checking max|H - H^dag| <= 1e-10 (NotHermitian),
+    """(H + H^dag)/2 after checking max|H - H^dag| <= HERMITICITY_TOL (NotHermitian),
     as a real array when its imaginary part is exactly zero."""
     H = _require_square(H)
     Hd = np.ascontiguousarray(H.conj().T)
     dev = np.abs(H - Hd).max() if H.size else 0.0
-    if dev > _HERMITICITY_TOL:
+    if dev > HERMITICITY_TOL:
         raise NotHermitian(f"max |H - H^dag| = {dev:.3e}")
     Hd += H
     Hd *= 0.5
@@ -499,7 +526,7 @@ def _symmetrized(H):
 def hermitian_eigensystem(H):
     """Eigenvalues (ascending) and phase-fixed eigenvectors of a Hermitian matrix.
 
-    Raises NotHermitian when max|H - H^dag| exceeds 1e-10. Reconstruction
+    Raises NotHermitian when max|H - H^dag| exceeds HERMITICITY_TOL. Reconstruction
     H = V diag(w) V^dag holds within 1e-8 * operator_norm(H); eigenvectors
     with degenerate eigenvalues come back in backend order with the phase
     of the first nonzero component fixed real positive. H with no
@@ -518,8 +545,8 @@ def hermitian_eigenvalues(H):
 class DensityMatrix:
     """A positive unit-trace operator on n qubits.
 
-    Construction from a matrix checks hermiticity (1e-10) and unit trace
-    (1e-9). Positivity is a mathematical invariant of everything this
+    Construction from a matrix checks hermiticity (HERMITICITY_TOL) and unit
+    trace (TRACE_TOL). Positivity is a mathematical invariant of everything this
     package produces (channel outputs, Gibbs states, normalized
     projections); the eigenvalue check costs a full diagonalization, so
     it lives in the test suite rather than on every construction.
@@ -571,19 +598,19 @@ class DensityMatrix:
         """rho = W diag(p) W^dag on W.n qubits, carrying labels (W, p).
 
         p must be a real probability vector over the columns of W: no
-        entry below -1e-9 and a sum within 1e-9 of 1, the trace check's
-        tolerance (ValueError otherwise). No matrix is formed here: mat
-        is W.outer(p) on first read, one batched matmul over the blocks
-        of W, and for the identity basis diag(p) exactly. p is stored
-        read-only, as it is if it owns its data (Hamiltonian.gibbs's).
+        entry below -TRACE_TOL and a sum within TRACE_TOL of 1 (ValueError
+        otherwise). No matrix is formed here: mat is W.outer(p) on first
+        read, one batched matmul over the blocks of W, and for the
+        identity basis diag(p) exactly. p is stored read-only, as it is if
+        it owns its data (Hamiltonian.gibbs's).
         """
         kept = isinstance(p, np.ndarray) and p.dtype == np.float64 and not p.flags.writeable
         p = p if kept and p.flags.owndata else np.array(p, dtype=np.float64)
         if p.shape != (W.dim,) or not np.isfinite(p).all():
             raise DimensionMismatch(f"label weights of shape {p.shape} for {W.dim} labels")
-        if p.min() < -_TRACE_TOL:
+        if p.min() < -TRACE_TOL:
             raise ValueError(f"label weight {p.min()!r} is negative")
-        if abs(p.sum() - 1.0) > _TRACE_TOL:
+        if abs(p.sum() - 1.0) > TRACE_TOL:
             raise ValueError(f"label weights sum to {p.sum()!r}, expected 1")
         p.flags.writeable = False
         rho = object.__new__(cls)
@@ -596,10 +623,10 @@ class DensityMatrix:
 def _checked_density(mat):
     """mat made read-only after the hermiticity and unit-trace checks."""
     dev = np.abs(mat - mat.conj().T).max()
-    if dev > _HERMITICITY_TOL:
+    if dev > HERMITICITY_TOL:
         raise NotHermitian(f"density matrix deviates from Hermitian by {dev:.3e}")
     tr = mat.trace()
-    if abs(tr - 1.0) > _TRACE_TOL:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace is {tr}, expected 1")
     mat.flags.writeable = False
     return mat

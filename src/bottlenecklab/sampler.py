@@ -21,7 +21,8 @@ vector to H0; an H0 without labels over that basis is refused.
 
 import numpy as np
 
-from .channel import _STACK_ENTRIES, _TRACE_TOL, KrausChannel, MonomialKraus, _trusted_channel
+from . import numerics as tol
+from .channel import _STACK_ENTRIES, KrausChannel, MonomialKraus, _trusted_channel
 from .errors import EmptySchedule, NotCommuting, NotDiagonal, NotFixedPoint, NotTracePreserving
 from .model import label_basis
 from .pauli import mask_from_indices, popcount
@@ -34,8 +35,6 @@ __all__ = [
 ]
 
 DEFAULT_ATTEMPT = 0.5
-# l1 residual of the Gibbs vector under one channel step, checked at construction
-_FIXED_POINT_TOL = 1e-10
 
 
 def metropolis_site_channel(H, beta, site, attempt_prob=DEFAULT_ATTEMPT):
@@ -74,12 +73,12 @@ def _site_channels(H, beta, sites, attempt_prob):
         r, w = rows[lo : lo + block], weights[lo : lo + block]
         # rows are permutations, so each T_m^dag T_m is diagonal: column sums
         resid = float(np.abs(w[:, 0] + w[:, 1] - 1.0).max())
-        if resid > _TRACE_TOL:
+        if resid > tol.KRAUS_TRACE_TOL:
             raise NotTracePreserving(f"sum of K†K deviates from identity by {resid:.3e}")
         slots = (r + dim * np.arange(len(r))[:, None, None]).ravel()
         stepped = np.bincount(slots, (w * p).ravel(), len(r) * dim).reshape(len(r), dim)
         for s, resid in enumerate(np.abs(stepped - p).sum(axis=1), lo):
-            if resid > _FIXED_POINT_TOL:
+            if resid > tol.GIBBS_FIXED_POINT_TOL:
                 raise NotFixedPoint(f"Gibbs residual {resid:.3e} on site {sites[s]}")
     chans = [_trusted_channel(identity_basis(H.n), *form) for form in zip(rows, coef, weights)]
     for chan in chans:
@@ -128,7 +127,7 @@ def css_metropolis_channel(H0, beta, site, flavor, attempt_prob=DEFAULT_ATTEMPT)
     chan = KrausChannel(n, monomial=form)
     p = H0.gibbs(beta)[0]
     resid = form.chain.residual(p)
-    if resid > _FIXED_POINT_TOL:
+    if resid > tol.GIBBS_FIXED_POINT_TOL:
         raise NotFixedPoint(f"Gibbs residual {resid:.3e} on site {site} flavor {flavor}")
     chan.fixes = p
     return chan

@@ -59,6 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import numerics as tol
 from .bottleneck import bottleneck_ratio
 from .errors import (
     BoundViolated,
@@ -138,7 +139,7 @@ class TailRecord:
     lambda_: float
 
     def __post_init__(self):
-        if not -1e-12 <= self.amplitude <= 1 + 1e-12:
+        if not -tol.AMPLITUDE_SLACK <= self.amplitude <= 1 + tol.AMPLITUDE_SLACK:
             raise BoundViolated(
                 f"amplitude {self.amplitude!r} outside [0, 1]",
                 amplitude=self.amplitude,
@@ -172,13 +173,13 @@ def _window_checks(H0, eps1, eps2, g, delta_E):
         raise ParametersInadmissible(
             f"shell width {delta_E!r} must exceed w0*w1 = {w0w1!r}"
         )
-    if delta_E > top + 1e-12:
+    if delta_E > top + tol.SHELL_WIDTH_SLACK:
         raise ParametersInadmissible(
             f"shell width {delta_E!r} above admissible maximum {top!r}"
         )
     q_exact = ((eps2 - eps1) / 2 - 2 * g) * H0.n / delta_E
     q_star = round(q_exact)
-    if q_star < 1 or abs(q_exact - q_star) > 1e-9 * max(1.0, abs(q_exact)):
+    if q_star < 1 or abs(q_exact - q_star) > tol.SHELL_COUNT_REL_TOL * max(1.0, abs(q_exact)):
         raise ParametersInadmissible(
             f"shell count {q_exact!r} is not a positive integer; "
             "pick delta_E so the barrier window tiles exactly"
@@ -194,13 +195,13 @@ def plan_shell_width(H0, eps1, eps2, g):
     """
     w0w1, top = _window(H0, eps1, eps2, g)
     span = ((eps2 - eps1) / 2 - 2 * g) * H0.n
-    q_star = math.ceil(span / w0w1 - 1e-12) - 1
+    q_star = math.ceil(span / w0w1 - tol.SHELL_INDEX_SLACK) - 1
     if q_star < 1:
         raise ParametersInadmissible(
             f"window {span!r} too narrow for even one shell wider than {w0w1!r}"
         )
     delta_E = span / q_star
-    if delta_E > top + 1e-12:
+    if delta_E > top + tol.SHELL_WIDTH_SLACK:
         raise ParametersInadmissible(
             f"no integer shell count fits: delta_E = {delta_E!r} exceeds {top!r}"
         )
@@ -220,7 +221,7 @@ def shell_decomposition(H0, eps1, eps2, g, delta_E):
     E1 = (eps2 + eps1) * n / 2 + 2 * g * n
     boundaries = tuple(E1 + q * delta_E for q in range(q_star + 1))
     w, U = spectrum(H0)
-    bins = 1 + np.floor((w - boundaries[0]) / delta_E + 1e-12).astype(np.int64)
+    bins = 1 + np.floor((w - boundaries[0]) / delta_E + tol.SHELL_INDEX_SLACK).astype(np.int64)
     bins[w < boundaries[0]] = 0
     bins[w >= boundaries[-1]] = q_star + 1
     return ShellDecomposition(
@@ -258,7 +259,7 @@ def verify_block_tridiagonal(Vpert, shells):
             if r > worst:
                 worst = r
                 worst_pair = (i, j)
-    return BlockTridiagonalReport(residual=worst, passes=worst < 1e-9, worst_pair=worst_pair)
+    return BlockTridiagonalReport(worst, worst < tol.BLOCK_TRIDIAGONAL_TOL, worst_pair)
 
 
 def _decay_rate(eps1, eps2, g, delta_E):
@@ -276,7 +277,7 @@ def _check_perturbation(H, H0, g):
         diff = H.mat - H0.mat
     # the difference is Hermitian, so its norm is its largest |eigenvalue|
     dev = float(np.abs(np.linalg.eigvalsh(diff)).max())
-    if dev > g * H0.n + 1e-9:
+    if dev > g * H0.n + tol.PERTURBATION_SLACK:
         raise PerturbationTooLarge(
             f"||H - H0|| = {dev!r} exceeds g*n = {g * H0.n!r}"
         )
@@ -307,7 +308,7 @@ def tail_amplitudes(H, H0, shells):
     records = []
     for i, tail in zip(low, tails):
         amp = float(np.linalg.norm(tail))
-        if amp > bound + 1e-9:
+        if amp > bound + tol.TAIL_BOUND_SLACK:
             raise BoundViolated(
                 f"tail amplitude {amp!r} above e^(-lambda n) = {bound!r} "
                 f"for eigenstate {int(i)}",
@@ -404,7 +405,7 @@ def sweep_point(model, n, beta, g, seed, H0, cert):
     V = random_local_perturbation(n, g, seed)
     H = perturb(H0, V)
     if g > 0:
-        floor_E = cert.E_min_boundary - g * n - 1e-9
+        floor_E = cert.E_min_boundary - g * n - tol.BOUNDARY_FLOOR_SLACK
         shifted = subspace_min_energy(cert.boundary, H)
         if shifted < floor_E:
             raise BoundViolated(
@@ -422,7 +423,7 @@ def sweep_point(model, n, beta, g, seed, H0, cert):
     cond2 = lam_k - 2 * beta * (eps + g) > 3 * _LN2
     admissible = bool(cond1 and cond2)
     log_sq = _chain_log_sq(n, beta, g, eps, cert.kappa, lam_k)
-    if admissible and delta**2 > math.exp(min(log_sq, 1400.0)) + 1e-8:
+    if admissible and delta**2 > math.exp(min(log_sq, 1400.0)) + tol.PROOF_CHAIN_SLACK:
         raise BoundViolated(
             f"delta^2 = {delta**2!r} above the proof chain e^{log_sq!r}",
             delta=delta,
@@ -480,7 +481,7 @@ def fit_sweep(rows, betas, gs):
                 slope, intercept = np.polyfit(xs, ys, 1)
                 resid = ys - (slope * xs + intercept)
                 ss_tot = float(((ys - ys.mean()) ** 2).sum())
-                r2 = 1.0 - float((resid**2).sum()) / ss_tot if ss_tot > 1e-30 else 1.0
+                r2 = 1.0 - float((resid**2).sum()) / ss_tot if ss_tot > tol.FIT_SS_FLOOR else 1.0
                 entry.update(a=float(intercept), b=float(-slope), r2=r2)
             admissible_ns = sorted({r.n for r in group if r.admissible})
             entry["admissible_ns"] = admissible_ns

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics as tol
 from . import pauli as pl
 from .errors import BadPartition, CenterOutsideSpace, NotCommuting, NotOrthonormal, RadiusExceedsN
 
@@ -48,8 +49,6 @@ __all__ = [
     "basis_state_subspace",
     "partition_from_radius",
 ]
-
-_ORTHO_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +186,7 @@ class LabelBasis:
         same = np.array_equal(rows, self.rows[:, col])
         phase = (vals[:, col].conj() * moved).sum(axis=0)
         dev = float(np.abs(np.abs(phase) - 1.0).max())
-        if not same or dev > 1e-9:
+        if not same or dev > tol.PAULI_PHASE_TOL:
             raise NotCommuting(
                 f"Pauli (x={xmask}, z={zmask}) does not permute the label basis "
                 f"(support match {same}, phase deviation {dev:.3e})"
@@ -221,7 +220,7 @@ class Subspace:
     first time something reads it, orthonormal because W is, and dim is
     the mask's count. A basis passed alongside labels must equal
     W.columns(mask) exactly; a basis passed alone is checked orthonormal
-    within 1e-9.
+    within ORTHONORMALITY_TOL.
     """
 
     def __init__(self, n, basis=None, label="", labels=None):
@@ -252,7 +251,7 @@ class Subspace:
         if basis.shape[1]:
             gram = basis.conj().T @ basis
             dev = np.abs(gram - np.eye(basis.shape[1])).max()
-            if dev > _ORTHO_TOL:
+            if dev > tol.ORTHONORMALITY_TOL:
                 raise NotOrthonormal(f"basis deviates from orthonormal by {dev:.3e}")
         self._basis = basis
         self._dim = basis.shape[1]
@@ -337,8 +336,9 @@ class HilbertPartition:
     every label (0 for A, 1 for B1, 2 for B2, 3 for C); with the count,
     no label is claimed twice exactly when none is left unclaimed. No
     block basis is formed. Otherwise labels is None and the overlaps of
-    the dense block bases are checked within 1e-9. An overlap raises
-    BadPartition naming the first two blocks that share a label.
+    the dense block bases are checked within ORTHONORMALITY_TOL. An
+    overlap raises BadPartition naming the first two blocks that share a
+    label.
     """
 
     A: Subspace
@@ -372,7 +372,7 @@ class HilbertPartition:
                 dev = int(np.count_nonzero(bi.labels[1] & bj.labels[1]))
             else:
                 dev = np.abs(bi.basis.conj().T @ bj.basis).max()
-            if dev > _ORTHO_TOL:
+            if dev > tol.ORTHONORMALITY_TOL:
                 what = f"share {dev} labels" if labeled else f"overlap by {dev:.3e}"
                 raise BadPartition(f"blocks {names[i]} and {names[j]} {what}")
 

@@ -36,9 +36,13 @@ a time, and only tests call it:
 - dense_gibbs forms the Gibbs state as a dense rho = U diag(p) U^dag from
   the gauged_eigensystem eigenpairs of a dense matrix, dense_log_partition
   takes log Z from the same eigenvalues, and dense_ratio reads Delta from
-  the state. They are the oracle for model.gibbs_state, after a real
-  solve and on its label route, and for bottleneck_ratio on a
-  model.ThermalState.
+  the state. They are the oracle for model.gibbs_state on its label
+  route, for thermal_gibbs_state after a real solve, and for
+  bottleneck_ratio on a model.ThermalState.
+- thermal_gibbs_state forms the dense Gibbs state of any Hamiltonian from
+  its thermal_state eigensystem, U diag(p) U^dag scaled by the phases d
+  as d_i rho_ij conj(d_j), as model.gibbs_state did for a Hamiltonian
+  without labels. It is the dense state of a perturbed H for the tests.
 - eigen_ratio reads Delta of a perturbed sweep point by the eigensolve
   route (thermal_state, then bottleneck_ratio), and eigen_columns forms
   columns of e^{-beta (M - lo)} from the eigenpairs of the real form M.
@@ -171,7 +175,7 @@ from bottlenecklab.model import (
     thermal_state,
 )
 from bottlenecklab.numerics import (
-    _GAUGE_REL_TOL,
+    GAUGE_REL_TOL,
     DensityMatrix,
     _symmetrized,
     fix_phases,
@@ -692,7 +696,7 @@ def _gauged(H):
     G = d.conj()[:, None] * H
     G *= d[None, :]
     dropped = np.abs(G.imag).sum(axis=1).max()
-    if dropped > _GAUGE_REL_TOL * max(1.0, float(np.abs(H).max())):
+    if dropped > GAUGE_REL_TOL * max(1.0, float(np.abs(H).max())):
         return None, H
     return d, np.ascontiguousarray(G.real)
 
@@ -717,6 +721,18 @@ def dense_gibbs(mat, beta):
     p = np.exp(-beta * (w - w.min()))
     p /= p.sum()
     return DensityMatrix((U * p[None, :]) @ U.conj().T)
+
+
+def thermal_gibbs_state(H, beta):
+    """(rho, logZ, F) as gibbs_state returns them, with rho dense and
+    without labels, from thermal_state(H, beta)."""
+    probs, U, logZ, phases = thermal_state(H, beta)
+    mat = ((U * probs[None, :]) @ U.conj().T).astype(np.complex128, copy=False)
+    if phases is not None:
+        mat *= phases[:, None]
+        mat *= phases.conj()[None, :]
+    F = -logZ / beta if beta > 0 else -math.inf
+    return DensityMatrix(mat, H.n), logZ, F
 
 
 def dense_log_partition(mat, beta):

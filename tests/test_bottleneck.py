@@ -41,6 +41,7 @@ from bottlenecklab.model import (
     label_basis,
     perturb,
     random_local_perturbation,
+    thermal_state,
 )
 from bottlenecklab.numerics import DensityMatrix, maximally_mixed, trace_norm
 from bottlenecklab.sampler import css_metropolis_channel, metropolis_site_channel, sweep_schedule
@@ -54,7 +55,7 @@ from bottlenecklab.subspace import (
 )
 
 from conftest import random_density, random_projector, random_state
-from oracles import dense_copy
+from oracles import dense_copy, dense_ratio, thermal_gibbs_state
 
 RINGS = {n: build_hamiltonian(REGISTRY["ising_ring"](n)) for n in (4, 6, 7)}
 
@@ -124,7 +125,7 @@ def _ratio_inputs(rng):
         H0 = build_hamiltonian(checks)
         H = perturb(H0, random_local_perturbation(n, 0.05, seed=n))
         cert = barrier_subspace(checks, (0, 0), 1, 2, H0)
-        cases.append((gibbs_state(H, 2.0)[0], cert.V, cert.boundary))
+        cases.append((thermal_gibbs_state(H, 2.0)[0], cert.V, cert.boundary))
     checks = REGISTRY["steane7"]()
     H0 = build_hamiltonian(checks)
     cert = barrier_subspace(checks, (0, 0), 0, 1, H0)
@@ -144,6 +145,31 @@ def test_ratio_on_subspaces_matches_projector_arrays(rng):
         den = np.real(np.trace(P_A @ rho.mat))
         assert want[1] == pytest.approx(num, rel=1e-12, abs=1e-12)
         assert want[2] == pytest.approx(den, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("name, n", [("repetition", 4), ("repetition", 6), ("ising_ring", 5)])
+def test_phased_thermal_state_on_projector_arrays_matches_the_dense_state(rng, name, n):
+    # a projector array is not labeled, so the ratio reads the rows of
+    # P D U through ThermalState.rows, phases included; the phases change
+    # neither piece for diagonal projectors, so superposed blocks check them
+    checks = REGISTRY[name](n)
+    H0 = build_hamiltonian(checks)
+    H = perturb(H0, random_local_perturbation(n, 0.05, seed=n))
+    cert = barrier_subspace(checks, (0, 0), 1, 2, H0)
+    dim = 1 << n
+    Q, _ = np.linalg.qr(rng.normal(size=(dim, 6)) + 1j * rng.normal(size=(dim, 6)))
+    blocks = [
+        (cert.V.projector(), cert.boundary.projector()),
+        (Q[:, :3] @ Q[:, :3].conj().T, Q[:, 3:] @ Q[:, 3:].conj().T),
+    ]
+    for beta in (0.5, 2.0):
+        state = thermal_state(H, beta)
+        assert state.phases is not None and state.U is not None
+        for P_A, P_B in blocks:
+            got = bottleneck_ratio(state, P_A, P_B)
+            want = dense_ratio(H, beta, P_A, P_B)
+            for a, b in zip(got, want):
+                assert a == pytest.approx(b, rel=1e-10, abs=1e-14)
 
 
 def test_empty_A_raises():
@@ -680,7 +706,7 @@ def test_perturbed_gibbs_state_takes_the_dense_path():
     part = css_ball_partition(checks, H0)
     W = label_basis(checks)
     V = random_local_perturbation(8, 0.05, seed=1)
-    rho, _, _ = gibbs_state(perturb(H0, V), 1.0)
+    rho, _, _ = thermal_gibbs_state(perturb(H0, V), 1.0)
     dense = W.dense()
     M = dense.conj().T @ rho.mat @ dense
     assert np.abs(M - np.diag(np.diag(M))).max() > 1e-4

@@ -396,7 +396,7 @@ def _sweep_point_arguments():
 
 def test_ive_stays_within_its_stated_total_error():
     # the Chebyshev kernel's coefficient term rests on this: over orders
-    # 0..K of one argument, _scaled_bessel is off by at most _IVE_SUM_ERR
+    # 0..K of one argument, _scaled_bessel is off by at most IVE_SUM_ERR
     # in total, on fixed arguments and on those of the sweep points
     with mpmath.workdps(30):
         for z in (0.01, 0.5, 2.5, 15.0, 61.0, 100.0, 183.0, 400.0, *_sweep_point_arguments()):
@@ -404,7 +404,7 @@ def test_ive_stays_within_its_stated_total_error():
             got = numerics._scaled_bessel(K, z)
             want = [mpmath.besseli(k, z) * mpmath.exp(-z) for k in range(K + 1)]
             off = sum(abs(float(mpmath.mpf(float(a)) - b)) for a, b in zip(got, want))
-            assert off <= numerics._IVE_SUM_ERR
+            assert off <= numerics.IVE_SUM_ERR
             # the series tail past K is below its bound
             rest = 2 * sum(mpmath.besseli(k, z) * mpmath.exp(-z) for k in range(K + 1, K + 60))
             assert float(rest) <= tail
@@ -421,8 +421,18 @@ def test_scaled_bessel_near_zero():
             got = numerics._scaled_bessel(6, z)
             want = [mpmath.besseli(k, z) * mpmath.exp(-z) for k in range(7)]
             off = [abs(mpmath.mpf(float(a)) - b) for a, b in zip(got, want)]
-            assert float(sum(off)) <= 4 * numerics._UNIT_ROUNDOFF
-            assert off[1] <= 4 * numerics._UNIT_ROUNDOFF * want[1]
+            assert float(sum(off)) <= 4 * numerics.UNIT_ROUNDOFF
+            assert off[1] <= 4 * numerics.UNIT_ROUNDOFF * want[1]
+
+
+@pytest.mark.parametrize("z", [5e-324, np.finfo(np.float64).tiny])
+def test_chebyshev_order_at_the_smallest_arguments(z):
+    # log z - log 2 is finite where log(z / 2) met z / 2 rounded to 0
+    K, tail = numerics._chebyshev_order(z, 10)
+    assert K == 1 and 0.0 <= tail <= numerics.CHEBYSHEV_TAIL
+    # through the public route: a ratio or the dense route's None, no exception
+    got = numerics.site_form_ratio([0.0, 1.0, 1.0, 2.0], [1e-300] * 2, z, [0], [1])
+    assert got is None or math.isfinite(got)
 
 
 def test_unit_series_is_the_series_on_unit_columns(rng):

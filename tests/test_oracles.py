@@ -37,7 +37,7 @@ from bottlenecklab.channel import (
     channel_locality,
     evolve_sequence,
 )
-from bottlenecklab.errors import BadPartition, EmptyA, EmptyBoundary, NonUniqueStationary
+from bottlenecklab.errors import BadPartition, EmptyA, EmptyBoundary, NonUniqueStationary, NotDiagonal
 from bottlenecklab.markov import (
     StatePartition,
     StochasticMatrix,
@@ -121,6 +121,7 @@ from oracles import (
     row_norm_blocks,
     shell_projectors,
     stationary_distribution,
+    thermal_gibbs_state,
 )
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -401,7 +402,7 @@ def test_real_gauge_matches_the_dense_complex_route(name, n, g, seed, beta, inne
         assert _rel(numerator, want[1], 1e-10, WEIGHT_SLACK)
         assert _rel(delta, want[0], 1e-10, WEIGHT_SLACK / want[2])
 
-    rho = gibbs_state(H, beta)[0].mat
+    rho = thermal_gibbs_state(H, beta)[0].mat
     assert np.abs(rho - dense_gibbs(dense, beta).mat).max() <= 1e-10
 
     window = shell_window(H0, g, f)
@@ -882,10 +883,14 @@ def test_label_gibbs_state_matches_the_dense_gibbs_state(monkeypatch, label):
         assert abs(logZ - dense_log_partition(H.mat, beta)) <= 1e-12
 
 
-def test_perturbed_css_gibbs_state_keeps_the_eigensolve_route():
+def test_perturbed_css_gibbs_state_raises_not_diagonal():
+    # gibbs_state has no eigensolve route: a perturbed H has no labels and
+    # is not diagonal, and its dense Gibbs state is the oracle's
     H = perturb(build_hamiltonian(steane7()), random_local_perturbation(7, 0.05, 2))
     assert H.checks is None
-    rho, logZ, _ = gibbs_state(H, 1.0)
+    with pytest.raises(NotDiagonal):
+        gibbs_state(H, 1.0)
+    rho, logZ, _ = thermal_gibbs_state(H, 1.0)
     assert rho.labels is None
     assert np.abs(rho.mat - dense_gibbs(H.mat, 1.0).mat).max() <= 1e-12
     assert abs(logZ - dense_log_partition(H.mat, 1.0)) <= 1e-12

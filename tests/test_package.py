@@ -4,15 +4,17 @@ error types are used."""
 import ast
 import importlib
 import pathlib
+import re
 
 import pytest
 
 import bottlenecklab
-from bottlenecklab import errors
+from bottlenecklab import errors, numerics
 
 PACKAGE_DIR = pathlib.Path(bottlenecklab.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
 ACCEPTANCE = pathlib.Path(__file__).with_name("test_acceptance.py")
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -117,3 +119,51 @@ def test_every_exported_name_is_reached():
             if (name, attr) not in uses and attr not in reads:
                 unreached.append(f"{name}.{attr}")
     assert unreached == []
+
+
+def _table_nodes(tree):
+    """ids of every node inside a module-level assignment: the tolerance
+    table and the other constants of numerics."""
+    return {id(n) for stmt in tree.body if isinstance(stmt, ast.Assign) for n in ast.walk(stmt)}
+
+
+def test_small_float_literals_live_in_the_numerics_table():
+    # every tolerance and slack is one constant of the numerics table; a
+    # float literal of size up to 1e-6 anywhere else is a threshold that
+    # was defined in place (docstrings are strings, not float literals)
+    stray = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = _table_nodes(tree) if path.stem == "numerics" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and type(node.value) is float:
+                if 0 < abs(node.value) <= 1e-6 and id(node) not in allowed:
+                    stray.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert stray == []
+
+
+def test_every_package_name_the_benchmark_reads_resolves():
+    # Tier-1 does not run the benchmark, so a rename that would break its
+    # workloads is caught here
+    uses = _imported_uses(REPO / "perfbench" / "workloads.py")
+    expected = {
+        ("bottleneck", "THEOREM_SLACK"),
+        ("cli", "main"),
+        ("model", "gibbs_state"),
+        ("sampler", "css_metropolis_channel"),
+    }
+    assert expected <= uses
+    missing = []
+    for module, attr in sorted(uses):
+        if not hasattr(importlib.import_module(f"bottlenecklab.{module}"), attr):
+            missing.append(f"{module}.{attr}")
+    assert missing == []
+
+
+def test_readme_tolerances_name_their_table_entry():
+    # a value the README quotes as "1e-10 (`STATIONARY_TOL`)" is the entry
+    # of that name in the numerics table
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    quoted = re.findall(r"([0-9.]+e-[0-9]+) \(`([A-Z_]+)`\)", readme)
+    assert len(quoted) >= 3
+    assert [(v, n) for v, n in quoted if float(v) != getattr(numerics, n, None)] == []
