@@ -179,9 +179,8 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
 
     spec is either an explicit HilbertPartition (general mode) or a pair
     (V, r) for the local construction A=V, B1/B2 = first/second r-shells.
-    In the pair, V must be spanned by labels: a labeled Subspace, or one
-    whose every basis column has exactly one nonzero entry. Any other V
-    raises BadPartition; pass a HilbertPartition for a superposed V.
+    In the pair, V must be a labeled Subspace; any other V raises
+    BadPartition, so pass a HilbertPartition for a V without labels.
     A schedule (list of channels) is composed for the drift; each entry
     must fix rho on its own (a channel whose ``fixes`` is the read-only
     label vector of rho itself is not stepped again), and the bound
@@ -284,9 +283,7 @@ def _label_measures(chains, p, member):
             raise ConditionViolated(
                 f"Kraus condition: forbidden weight {top:.3e} at {offending}"
             )
-    denominator, prob_B, prob_C, lhs = conditioned_drift(
-        chains, member, p, empty_tol=tol.EMPTY_WEIGHT_TOL
-    )
+    denominator, prob_B, prob_C, lhs = conditioned_drift(chains, member, p)
     return 0.0, prob_B / denominator, prob_B, denominator, lhs, prob_B, prob_C
 
 
@@ -325,30 +322,21 @@ def diagonal_bound(rho, P):
     return lhs, rhs
 
 
-def mixing_time_lower_bound(report, rho, P_A, eps):
+def mixing_time_lower_bound(report, eps):
     """Steps needed before the conditioned state can be eps-mixed.
 
-    Returns (bound, weaker): the main form (1 - tr(P_A rho))/(5 Delta) - eps
-    and the probability-only variant tr(P_A rho) tr(P_C rho)/(5 ||P_B rho||_1)
-    - eps. Zero Delta means the state never leaves: both are +inf.
-    P_A is a Subspace or a projector array. When P_A is labeled over a
-    basis W and rho carries labels (W, p) over it, tr(P_A rho) is the sum
-    of p over A's labels, as the label path of verify_bottleneck_theorem
-    sums its denominator; otherwise it is traced densely.
+    Returns (bound, weaker) from a verify_bottleneck_theorem report: the
+    main form (1 - tr(P_A rho))/(5 Delta) - eps and the probability-only
+    variant tr(P_A rho) tr(P_C rho)/(5 ||P_B rho||_1) - eps, where
+    tr(P_A rho) is the report's denominator. Zero Delta means the state
+    never leaves: both are +inf.
     """
     if report.delta < 0:
         raise ZeroDelta(f"negative delta {report.delta!r}")
-    p = None
-    if isinstance(P_A, Subspace) and P_A.labels is not None:
-        p = label_weights(rho, P_A.labels[0])
-    if p is not None:
-        prob_A = float(p[P_A.labels[1]].sum())
-    else:
-        prob_A = float(np.real(np.trace(_projector_of(P_A) @ matrix_of(rho))))
     if report.delta == 0.0 or report.numerator == 0.0:
         return math.inf, math.inf
-    strong = (1.0 - prob_A) / (5.0 * report.delta) - eps
-    weak = prob_A * report.prob_C / (5.0 * report.numerator) - eps
+    strong = (1.0 - report.denominator) / (5.0 * report.delta) - eps
+    weak = report.denominator * report.prob_C / (5.0 * report.numerator) - eps
     return strong, weak
 
 
@@ -426,9 +414,8 @@ def free_energy_report(H, beta, V, r, rho_G=None, delta_measured=0.0):
     (c) the split form with E_min(V), valid unconditionally.
     Each applicable bound is asserted against the measured Delta.
 
-    V must be spanned by labels (a labeled Subspace, or one whose every
-    basis column has exactly one nonzero entry); any other V raises
-    BadPartition. rho_G None is gibbs_state(H, beta), for a diagonal H.
+    V must be a labeled Subspace; any other V raises BadPartition. rho_G
+    None is gibbs_state(H, beta), for a diagonal H.
     """
     if beta <= 0:
         raise BetaNegative(f"free energies need beta > 0, got {beta}")
@@ -484,9 +471,7 @@ def quasi_local_bound(C, rho, V, mix_eps=DEFAULT_MIX_EPS):
     The full channel need not be local; each certificate entry supplies an
     s-local surrogate within f(s), and the local theorem runs against the
     surrogate's partition while the tail contributes f(s) additively.
-    V must be spanned by labels (a labeled Subspace, or one whose every
-    basis column has exactly one nonzero entry); any other V raises
-    BadPartition.
+    V must be a labeled Subspace; any other V raises BadPartition.
     """
     if not C.quasi_local_certificate:
         raise LocalityInsufficient("channel carries no quasi-local certificate")

@@ -178,7 +178,6 @@ class MonomialKraus:
 @dataclass
 class PartitionConditionReport:
     residual: float
-    passes: bool
     worst_kraus: int = None
 
 
@@ -274,7 +273,8 @@ def check_partition_condition(C, part):
 
     Norms are taken on isometry-compressed blocks: ||(P_C + P_B2) K P_A||
     equals the norm of basis†_{B2,C} K basis_A, which keeps the
-    computation at subspace size.
+    computation at subspace size. The theorem checks raise on a residual
+    of DENSE_CONDITION_TOL or more.
     """
     if part.A.basis.shape[0] != C.dim:
         raise DimensionMismatch("partition register differs from channel register")
@@ -288,7 +288,7 @@ def check_partition_condition(C, part):
         r = max(r1, r2)
         if r > worst:
             worst, worst_idx = r, i
-    return PartitionConditionReport(worst, worst < tol.KRAUS_CONDITION_TOL, worst_idx)
+    return PartitionConditionReport(worst, worst_idx)
 
 
 def evolve_sequence(channels, rho0, rho_ref, T):

@@ -152,19 +152,25 @@ def _as_center(key, value):
     _fail(key, value, "an integer or an [x, z] pair")
 
 
-def _as_dict(key, value, schema):
+def _as_dict(key, value, schema, top=False):
+    """An object checked against its schema {name: (required, conv)}:
+    unknown entries and missing required ones are refused, then each
+    entry is converted under its key path. With top, the object is the
+    whole config of the subcommand named key, and each entry's path is
+    its own name."""
     if not isinstance(value, dict):
         _fail(key, value, "an object")
     unknown = sorted(set(value) - set(schema))
     if unknown:
-        raise ConfigInvalid(f"key {key!r}: unknown entries {unknown}")
+        where = f"unknown keys for {key}:" if top else f"key {key!r}: unknown entries"
+        raise ConfigInvalid(f"{where} {unknown}")
     out = {}
     for name, (required, conv) in schema.items():
-        if name not in value:
-            if required:
-                raise ConfigInvalid(f"key {key!r} is missing {name!r}")
-            continue
-        out[name] = conv(f"{key}.{name}", value[name])
+        if name in value:
+            out[name] = conv(name if top else f"{key}.{name}", value[name])
+        elif required:
+            owner = f"{key} config" if top else f"key {key!r}"
+            raise ConfigInvalid(f"{owner} is missing {name!r}")
     return out
 
 
@@ -182,20 +188,6 @@ def _num_list(lo=None, strict=False):
 
 def _int_list(lo=None):
     return lambda k, v: _as_list(k, v, _as_int, lo=lo)
-
-
-def _validate(cfg, schema, subcommand):
-    unknown = sorted(set(cfg) - set(schema))
-    if unknown:
-        raise ConfigInvalid(f"unknown keys for {subcommand}: {unknown}")
-    out = {}
-    for key, (required, conv) in schema.items():
-        if key not in cfg:
-            if required:
-                raise ConfigInvalid(f"{subcommand} config is missing {key!r}")
-            continue
-        out[key] = conv(key, cfg[key])
-    return out
 
 
 def _model_schema():
@@ -376,7 +368,7 @@ def _run_verify_classical(cfg, out, jobs):
         ),
         "laziness": (False, _num_field(lo=0.0)),
     }
-    vals = _validate(cfg, schema, "verify-classical")
+    vals = _as_dict("verify-classical", cfg, schema, top=True)
     checks, label = _build_checks(vals)
     if not checks.is_classical:
         raise ConfigInvalid("verify-classical needs a classical (Z-only) model")
@@ -438,7 +430,7 @@ def _quantum_setup(cfg, keys, subcommand):
         ),
         "partition_radius": (True, _int_field(lo=1)),
     }
-    vals = _validate(cfg, schema, subcommand)
+    vals = _as_dict(subcommand, cfg, schema, top=True)
     checks, label = _build_checks(vals)
     sub = vals["subspace"]
     for i, c in enumerate(sub["centers"]):
@@ -515,7 +507,7 @@ def _run_barrier_scan(cfg, out, jobs):
         "inner": (True, _int_field(lo=0)),
         "radii": (True, _int_list(lo=1)),
     }
-    vals = _validate(cfg, schema, "barrier-scan")
+    vals = _as_dict("barrier-scan", cfg, schema, top=True)
     checks, label = _build_checks(vals)
     center = vals["center"]
     inner = vals["inner"]
@@ -548,7 +540,7 @@ def _run_tail_check(cfg, out, jobs):
         "seeds": (True, _int_list(lo=0)),
         "delta_E": (False, _num_field(lo=0.0, strict=True)),
     }
-    vals = _validate(cfg, schema, "tail-check")
+    vals = _as_dict("tail-check", cfg, schema, top=True)
     if vals["eps2"] <= vals["eps1"]:
         raise ConfigInvalid("need eps2 > eps1")
     checks, label = _build_checks(vals)
@@ -608,7 +600,7 @@ def _run_stability_sweep(cfg, out, jobs):
         "ns": (True, _int_list(lo=1)),
         "seeds": (True, _int_list(lo=0)),
     }
-    vals = _validate(cfg, schema, "stability-sweep")
+    vals = _as_dict("stability-sweep", cfg, schema, top=True)
     name = vals["model"]
     if name in REGISTRY and name not in SIZE_INDEXED:
         raise ConfigInvalid(
@@ -655,7 +647,7 @@ def _run_mixing_compare(cfg, out, jobs):
         # moves genuinely cannot jump the buffer.
         part = partition_from_radius(V, r)
         rep = verify_bottleneck_theorem(sched, rho, part, mix_eps=eps)
-        strong, weak = mixing_time_lower_bound(rep, rho, part.A, eps)
+        strong, weak = mixing_time_lower_bound(rep, eps)
         start = _conditioned_start(rho, part.A)
         observed = math.inf
         for t, dist in enumerate(evolve_sequence(sched, start, rho, T=horizon)):
@@ -708,7 +700,7 @@ def _run_model_info(cfg, out, jobs):
         "expansion_delta": (False, lambda k, v: _as_unit(k, v)),
         "barrier": _dict_field(_BARRIER_SCHEMA, required=False),
     }
-    vals = _validate(cfg, schema, "model-info")
+    vals = _as_dict("model-info", cfg, schema, top=True)
     checks, label = _build_checks(vals)
     if "barrier" in vals:
         _check_barrier("barrier", vals["barrier"], checks.n)

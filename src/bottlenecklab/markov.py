@@ -45,9 +45,9 @@ StatePartition; the check and conditioned_drift, which reads pi(A),
 pi(B), pi(C) and the drift of pi conditioned on A, take the label array
 itself, so the quantum label path, whose C may be empty, runs them too.
 
-scipy is imported only where it is used: converting a sparse input,
-forming ``StochasticMatrix.mat`` on first read, and the connectivity
-search for a chain without the single-flip certificate. Importing the
+scipy is imported only where it is used: forming
+``StochasticMatrix.mat`` on first read, and the connectivity search for
+a chain without the single-flip certificate. Importing the
 package, and a verify-classical run whose chains carry the certificate,
 load numpy alone.
 """
@@ -78,7 +78,6 @@ __all__ = [
     "conditioned_drift",
     "forbidden_entry",
     "GlauberTable",
-    "glauber_chain",
     "hamming_state_partition",
 ]
 
@@ -99,16 +98,11 @@ class StochasticMatrix:
     COLUMN_SUM_TOL and every weight is non-negative (NotStochastic
     otherwise).
 
-    A dense array or a scipy sparse matrix is converted on construction;
-    ``from_columns`` takes the form itself. ``rows`` and ``weights`` are
-    stored read-only. ``mat`` is the matrix as a scipy CSC array, formed
-    on first read; stored zeros of the input stay stored, and the
-    weights of a repeated row are added.
+    Built from the form itself by ``from_columns``; ``rows`` and
+    ``weights`` are stored read-only. ``mat`` is the matrix as a scipy
+    CSC array, formed on first read; stored zeros of the form stay
+    stored, and the weights of a repeated row are added.
     """
-
-    def __init__(self, mat):
-        self._set(*_columns_of(mat))
-        self._check()
 
     @classmethod
     def from_columns(cls, rows, weights):
@@ -228,37 +222,6 @@ def _check_rows(rows):
         raise NotStochastic(f"rows outside 0..{dim - 1}")
 
 
-def _columns_of(M):
-    """(rows, weights) of a dense or scipy sparse square matrix: the
-    stored (sparse) or nonzero (dense) entries of each column, rows
-    ascending, padded to the longest column."""
-    if hasattr(M, "tocsc"):
-        csc = M.tocsc()
-        csc.sum_duplicates()
-        dim = csc.shape[0]
-        if csc.shape != (dim, dim):
-            raise NotStochastic(f"expected square matrix, got {csc.shape}")
-        counts = np.diff(csc.indptr)
-        flat_rows, flat_weights = csc.indices, np.asarray(csc.data, dtype=np.float64)
-    else:
-        A = np.asarray(M, dtype=np.float64)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise NotStochastic(f"expected square matrix, got {A.shape}")
-        nonzero = A.T != 0
-        counts = nonzero.sum(axis=1)
-        flat_rows = np.nonzero(nonzero)[1]
-        flat_weights = A.T[nonzero]
-    if counts.min(initial=1) == 0:
-        raise NotStochastic(f"column {int(np.argmin(counts))} has no entries")
-    pos = np.arange(int(counts.max(initial=1)))[:, None]
-    src = (np.cumsum(counts) - counts) + np.minimum(pos, counts - 1)
-    return flat_rows[src], np.where(pos < counts, flat_weights[src], 0.0)
-
-
-def _as_chain(M):
-    return M if isinstance(M, StochasticMatrix) else StochasticMatrix(M)
-
-
 class StatePartition:
     """Disjoint index sets A, B1, B2, C covering {0..dim-1}; A, C non-empty.
 
@@ -342,15 +305,14 @@ class ClassicalConditionReport:
     offending: tuple = None
 
 
-def check_classical_condition(M, part):
-    """Exact-zero check of the two forbidden blocks of M.
+def check_classical_condition(sm, part):
+    """Exact-zero check of the two forbidden blocks of a StochasticMatrix M.
 
     The blocks are P_{B2 u C} M P_A and P_{A u B1} M P_C; every stored
     entry inside them must be exactly zero. ``offending`` is the (row,
     column) of the largest such entry, the first in column order on a
     tie.
     """
-    sm = _as_chain(M)
     _check_partition(part, sm.dim)
     top, offending = forbidden_entry(sm, part.label)
     return ClassicalConditionReport(top, offending is None, offending)
@@ -396,16 +358,17 @@ def _forbidden_top(sm, forbidden):
     return top, (int(sm.rows[pos[at], cols[at]]), int(cols[at]))
 
 
-def conditioned_drift(chains, label, pi, empty_tol=tol.CLASSICAL_EMPTY_A_TOL):
+def conditioned_drift(chains, label, pi):
     """(pi(A), pi(B), pi(C), ||M_t ... M_1 pi_A - pi_A||_1) for one block
     label per state (0 for A, 1 and 2 for B, 3 for C) and pi_A the law pi
     conditioned on A, carried through the chains in order. pi(A) at or
-    below empty_tol raises EmptyA. The first step reads A's columns only."""
+    below EMPTY_WEIGHT_TOL raises EmptyA, as an empty quantum A block
+    does. The first step reads A's columns only."""
     in_A = label == 0
     pA = float(pi[in_A].sum())
     pB = float(pi[(label == 1) | (label == 2)].sum())
     pC = float(pi[label == 3].sum())
-    if pA <= empty_tol:
+    if pA <= tol.EMPTY_WEIGHT_TOL:
         raise EmptyA(f"pi(A) = {pA:.3e}")
     piA = np.where(in_A, pi, 0.0) / pA
     evolved = chains[0].step(piA, np.flatnonzero(in_A))
@@ -424,17 +387,17 @@ class ClassicalBottleneckReport:
     condition_max: float
 
 
-def classical_bottleneck_report(M, part, pi):
-    """Verify ||M pi_A - pi_A||_1 <= 2 pi(B)/pi(A) for a conditioned chain.
+def classical_bottleneck_report(sm, part, pi):
+    """Verify ||M pi_A - pi_A||_1 <= 2 pi(B)/pi(A) for a conditioned chain
+    M, a StochasticMatrix.
 
     pi is the chain's stationary law in closed form, such as the Gibbs
     weights of a detailed-balance chain; _certify_stationary checks it
-    before the bound is read. pi(A) at or below CLASSICAL_EMPTY_A_TOL
-    raises EmptyA. The theorem inequality is asserted with slack
+    before the bound is read. pi(A) at or below EMPTY_WEIGHT_TOL raises
+    EmptyA. The theorem inequality is asserted with slack
     CLASSICAL_BOUND_SLACK; a violation raises BoundViolated since it
     would falsify the implementation, not the theorem.
     """
-    sm = _as_chain(M)
     return _bottleneck_report(sm, part.label, check_classical_condition(sm, part), pi)
 
 
@@ -537,18 +500,6 @@ class GlauberTable:
         top, offending = _forbidden_top(sm, self.forbidden)
         cond = ClassicalConditionReport(top, offending is None, offending)
         return _bottleneck_report(sm, self.part.label, cond, pi)
-
-
-def glauber_chain(energies, beta, laziness=0.0):
-    """Single-bit-flip Metropolis chain over bitstring states, in op-major
-    form: ``GlauberTable(energies).chain(beta, laziness)``.
-
-    Column j holds its m flips j ^ (1 << b) and the stay entry, rows
-    ascending, so the chain holds (m + 1) 2^m entries and m may go up to
-    _GLAUBER_MAX_BITS. Detailed balance with respect to pi ~ e^{-beta E}
-    holds exactly by construction.
-    """
-    return GlauberTable(energies).chain(beta, laziness)
 
 
 def hamming_state_partition(m, center, inner, width):

@@ -67,15 +67,13 @@ ORTHONORMALITY_TOL = 1e-9  # abs: max |X^dag X - 1| of a Subspace basis
 PAULI_PHASE_TOL = 1e-9  # abs: ||phase| - 1| of a Pauli image over a label basis
 KRAUS_TRACE_TOL = 1e-9  # abs: largest entry of sum_m K_m^dag K_m - 1 a channel may carry
 SUPPORT_TOL = 1e-9  # abs: entry deviation past which a qubit is in a Kraus operator's support
-KRAUS_CONDITION_TOL = 1e-10  # abs: forbidden Kraus block norm below which the condition passes
 DENSE_CONDITION_TOL = 1e-9  # abs: Kraus-condition residual at which a dense theorem check raises
 GIBBS_FIXED_POINT_TOL = 1e-10  # abs: l1 residual of the Gibbs vector under one sampler step
 CHANNEL_FIXED_POINT_TOL = 1e-9  # abs: residual of rho under one channel step in the theorem checks
 COLUMN_SUM_TOL = 1e-12  # abs: |column sum - 1| of a stochastic matrix
 PROBABILITY_SUM_TOL = 1e-12  # abs: |sum pi - 1| of a claimed stationary law
 STATIONARY_TOL = 1e-10  # abs: ||M pi - pi||_1 of a claimed stationary law
-CLASSICAL_EMPTY_A_TOL = 1e-14  # abs: pi(A) at or below which a classical A block is empty
-EMPTY_WEIGHT_TOL = 1e-12  # abs: tr(P_A rho) at or below which a quantum A block is empty
+EMPTY_WEIGHT_TOL = 1e-12  # abs: tr(P_A rho), or pi(A), at or below which an A block is empty
 CLASSICAL_BOUND_SLACK = 1e-12  # abs: classical theorem, lhs <= 2 pi(B)/pi(A) + slack
 THEOREM_SLACK = 1e-8  # abs: lhs <= 10 Delta steps, quasi-local and free-energy bounds + slack
 DIAGONAL_BOUND_SLACK = 1e-10  # abs: ||rho P||_1 <= sqrt(tr(rho P)) + slack

@@ -18,9 +18,9 @@ ratios on perturbed Gibbs states across a (beta, g, n, seed) grid.
 The sweep comes in four pieces: sweep_model builds H0 and the barrier
 certificate once per n, sweep_grid lists the grid points in report order,
 sweep_point measures one of them, and fit_sweep fits log(delta) against n
-over the rows. stability_sweep composes them serially and raises on the
-first violated assertion; the CLI runs the same points through its grid
-runner, where a failing point becomes a failures.json entry.
+over the rows. The CLI's stability-sweep composes them, running the
+points through its grid runner, where a failing point becomes a
+failures.json entry.
 
 Each sweep point builds H0 + V in its real gauge as a site form and
 keeps it there until Delta comes out. random_local_perturbation(n, g,
@@ -54,7 +54,7 @@ targets of at-least-single-site perturbations (w1 = 1).
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -86,7 +86,6 @@ __all__ = [
     "TailRecord",
     "BlockTridiagonalReport",
     "SweepRow",
-    "SweepResult",
     "shell_decomposition",
     "plan_shell_width",
     "verify_block_tridiagonal",
@@ -95,7 +94,6 @@ __all__ = [
     "sweep_grid",
     "sweep_point",
     "fit_sweep",
-    "stability_sweep",
     "fits_to_json",
 ]
 
@@ -347,12 +345,6 @@ class SweepRow(NamedTuple):
     lambda_kappa: float
 
 
-@dataclass
-class SweepResult:
-    rows: list
-    fits: dict = field(default_factory=dict)
-
-
 _LN2 = math.log(2.0)
 
 
@@ -512,26 +504,6 @@ def _chain_falls(group):
             chain[r.n] = max(chain.get(r.n, -math.inf), log_sq)
     values = [chain[n] for n in sorted(chain)]
     return all(later < earlier for earlier, later in zip(values, values[1:]))
-
-
-def stability_sweep(model, barrier, betas, gs, ns, seeds):
-    """Measure the bottleneck ratio across a (beta, g, n, seed) grid.
-
-    model names a registry factory that takes n alone (SIZE_INDEXED);
-    anything else raises ModelNotFound. barrier is (center, inner_radius,
-    boundary_radius) handed to the barrier construction per system size.
-    Every row carries the measured delta, the proof-chain value on the
-    delta scale, the admissibility tag from the two explicit (beta, g)
-    conditions, and the decay rate; rows come in sweep_grid order. The
-    serial composition of sweep_model, sweep_point and fit_sweep: the
-    first violated assertion raises.
-    """
-    per_n = {n: sweep_model(model, n, barrier) for n in ns}
-    rows = []
-    for task in sweep_grid(model, betas, gs, ns, seeds):
-        H0, cert = per_n[task["n"]]
-        rows.append(sweep_point(**task, H0=H0, cert=cert))
-    return SweepResult(rows=rows, fits=fit_sweep(rows, betas, gs))
 
 
 def fits_to_json(fits):

@@ -17,15 +17,13 @@ in one array, checked and read in place of the block bases.
 The r-neighborhood of V is span{ S|psi> : S a Pauli string of weight <= r,
 |psi> in V }. Composing neighborhoods adds radii. partition_from_radius
 builds the local-theorem split (V, first r-shell, second r-shell, rest),
-and boundary the r-shell alone, for a V spanned by labels of some W (a
-labeled V, or one whose every basis column has exactly one nonzero
-entry, which gets identity labels). A weight-1 Pauli X(a)Z(b) maps
-|x, z> to a phase times |x^a, z^b>, so a weight-<=r string reaches
-exactly the labels at most r such moves away (Gottesman,
-arXiv:quant-ph/9705052). The shells are read off one breadth-first
+and boundary the r-shell alone, for a V labeled over some W. A weight-1
+Pauli X(a)Z(b) maps |x, z> to a phase times |x^a, z^b>, so a
+weight-<=r string reaches exactly the labels at most r such moves away
+(Gottesman, arXiv:quant-ph/9705052). The shells are read off one breadth-first
 search over the 3n weight-1 moves from the labels of V, with no
 enumeration of Pauli strings and no size cap. Hamming shells are the
-identity case. A superposed V is rejected with BadPartition.
+identity case. A V without labels is rejected with BadPartition.
 """
 
 import functools
@@ -290,8 +288,8 @@ def boundary(V, r):
     away from V, labeled over the basis W that labels V. Empty when the
     neighborhood adds nothing (V already invariant), which is a
     first-class outcome.
-    Raises BadPartition for a V not spanned by labels, and, for nonempty
-    V, RadiusExceedsN when r is outside [0, n].
+    Raises BadPartition for a V without labels, and, for nonempty V,
+    RadiusExceedsN when r is outside [0, n].
     """
     W, dist = _label_shells(V, r, r)
     return _labeled(W, dist > 0)
@@ -385,14 +383,13 @@ def partition_from_radius(V, r):
     """Partition (A=V, B1, B2, C) from the weight-r neighborhoods of V.
 
     B1 spans the r-boundary of V, B2 what the 2r-neighborhood adds beyond
-    that, and C the rest of the space. V must be spanned by labels of a
-    LabelBasis W (its own labels, or identity labels when every basis
-    column has exactly one nonzero entry). The blocks are the label
-    shells 0 < d <= r, r < d <= 2r and d > 2r, where d is the number of
-    weight-1 moves from the nearest label of V, each block labeled over
-    W. Raises BadPartition for a superposed V, and, for nonempty V,
-    RadiusExceedsN when r is outside [0, n]. The partition of a labeled V
-    is kept on V per r: its labels and their read-only mask fix it.
+    that, and C the rest of the space. V must carry labels over a
+    LabelBasis W. The blocks are the label shells 0 < d <= r, r < d <= 2r
+    and d > 2r, where d is the number of weight-1 moves from the nearest
+    label of V, each block labeled over W. Raises BadPartition for a V
+    without labels, and, for nonempty V, RadiusExceedsN when r is outside
+    [0, n]. The partition is kept on V per r: its labels and their
+    read-only mask fix it.
     """
     if r in V._partitions:
         return V._partitions[r]
@@ -400,8 +397,7 @@ def partition_from_radius(V, r):
     B1 = _labeled(W, (dist > 0) & (dist <= r))
     B2 = _labeled(W, (dist > r) & (dist <= 2 * r))
     part = HilbertPartition(V, B1, B2, _labeled(W, dist < 0))
-    if V.labels is not None:
-        V._partitions[r] = part
+    V._partitions[r] = part
     return part
 
 
@@ -410,27 +406,18 @@ def _labeled(W, mask, label=""):
 
 
 def _label_shells(V, r, reach):
-    """(W, d) for a V spanned by labels of W.
-
-    The labels are V's own, or identity labels when every basis column
-    has exactly one nonzero entry; any other V raises BadPartition. d is
-    the number of weight-1 Pauli moves X(a)Z(b) from the nearest label
-    of V to every label of W, from a breadth-first search of reach
-    rounds, and -1 past reach. Raises RadiusExceedsN for nonempty V when
-    r is outside [0, n].
+    """(W, d) for a V labeled over W; a V without labels raises
+    BadPartition. d is the number of weight-1 Pauli moves X(a)Z(b) from
+    the nearest label of V to every label of W, from a breadth-first
+    search of reach rounds, and -1 past reach. Raises RadiusExceedsN for
+    nonempty V when r is outside [0, n].
     """
-    if V.labels is not None:
-        W, mask = V.labels
-    else:
-        nonzero = V.basis != 0
-        if not (nonzero.sum(axis=0) == 1).all():
-            raise BadPartition(
-                "V is not spanned by labels: give it labels, or split a "
-                "superposed V with an explicit HilbertPartition"
-            )
-        W = identity_basis(V.n)
-        mask = np.zeros(W.dim, dtype=bool)
-        mask[np.nonzero(nonzero)[0]] = True
+    if V.labels is None:
+        raise BadPartition(
+            "V carries no labels: build it labeled, or split it with an "
+            "explicit HilbertPartition"
+        )
+    W, mask = V.labels
     n = V.n
     if V.dim and not 0 <= r <= n:
         raise RadiusExceedsN(f"radius {r} outside [0, {n}]")

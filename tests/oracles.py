@@ -125,10 +125,9 @@ a time, and only tests call it:
   stationary law. It fails on chains whose spectral gap is below its
   1e-9 test, which the Gibbs route does not.
 - dense_glauber builds the Metropolis chain entry by entry. It is the
-  oracle for markov.glauber_chain.
+  oracle for markov.GlauberTable.chain.
 - per_beta_glauber builds one Glauber chain's rows and weights from the
-  energies on every call, as markov.glauber_chain did before its
-  GlauberTable. It is the bit-for-bit oracle for GlauberTable.chain,
+  energies on every call, as markov did before its GlauberTable. It is the bit-for-bit oracle for GlauberTable.chain,
   which reads the uphill jumps that the table keeps for every beta.
 - dense_report reads the classical bound from a dense chain and a given
   law. It is the oracle for markov.classical_bottleneck_report.
@@ -136,7 +135,9 @@ a time, and only tests call it:
   chain's CSC matrix with its stored zeros dropped. It is the oracle for
   StochasticMatrix.single_flip_certified and communicating_classes.
 - birth_death_chain builds the nearest-neighbour Metropolis walk on a
-  path, entry by entry, as a dense matrix.
+  path, entry by entry, as a dense matrix, and column_chain converts a
+  dense chain to markov's column form, as StochasticMatrix did on
+  construction before it took only that form.
 - ring_cut_ratio reads pi(B)/pi(A) of a Hamming cut of the Ising ring
   from e^{-beta E} and np.bitwise_count distances, with numpy alone and
   nothing from the package. It is the independent third party in the
@@ -1009,6 +1010,19 @@ def birth_death_chain(m, pi):
                 M[y, x] = 0.5 * min(1.0, pi[y] / pi[x])
         M[x, x] = 1.0 - M[:, x].sum()
     return M
+
+
+def column_chain(M):
+    """The StochasticMatrix of a dense chain: the nonzero entries of each
+    column, rows ascending, short columns padded with zero weights on
+    their last row."""
+    A = np.asarray(M, dtype=np.float64)
+    nonzero = A.T != 0
+    counts = nonzero.sum(axis=1)
+    pos = np.arange(int(counts.max()))[:, None]
+    src = (np.cumsum(counts) - counts) + np.minimum(pos, counts - 1)
+    rows = np.nonzero(nonzero)[1][src]
+    return StochasticMatrix.from_columns(rows, np.where(pos < counts, A.T[nonzero][src], 0.0))
 
 
 def classical_energy(x, checks):

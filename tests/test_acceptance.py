@@ -34,9 +34,9 @@ from bottlenecklab.channel import (
     quasi_local_mixture,
 )
 from bottlenecklab.markov import (
+    GlauberTable,
     StatePartition,
     classical_bottleneck_report,
-    glauber_chain,
     hamming_state_partition,
 )
 from bottlenecklab.model import (
@@ -58,7 +58,6 @@ from bottlenecklab.sampler import (
 )
 from bottlenecklab.stability import (
     shell_decomposition,
-    stability_sweep,
     tail_amplitudes,
     verify_block_tridiagonal,
 )
@@ -70,7 +69,7 @@ from bottlenecklab.subspace import (
     partition_from_radius,
 )
 from conftest import random_density, random_pi, random_projector, random_unitary
-from oracles import birth_death_chain, enumerated_blocks, neighborhood
+from oracles import birth_death_chain, column_chain, enumerated_blocks, neighborhood
 
 BETAS = (0.5, 1.0, 2.0, 3.0)
 
@@ -267,8 +266,9 @@ def test_criterion_03_classical_theorem_suite():
     for n in (6, 8, 10, 12):
         E = label_energies(REGISTRY["ising_ring"](n))
         part = hamming_state_partition(n, 0, 1, 1)
+        table = GlauberTable(E)
         for beta in (0.5, 1.0, 2.0):
-            chain = glauber_chain(E, beta)
+            chain = table.chain(beta)
             pi, _ = gibbs_weights(E, beta)
             rep = classical_bottleneck_report(chain, part, pi=pi)
             assert rep.condition_max == 0.0
@@ -279,7 +279,7 @@ def test_criterion_03_classical_theorem_suite():
         for seed in range(9):
             rng = np.random.default_rng(7000 + 10 * m + seed)
             pi = random_pi(rng, m)
-            M = birth_death_chain(m, pi)
+            M = column_chain(birth_death_chain(m, pi))
             part = StatePartition(A=(0, 1), B1=(2,), B2=(3,), C=tuple(range(4, m)))
             rep = classical_bottleneck_report(M, part, pi=pi)
             assert rep.lhs <= rep.bound + 1e-12
@@ -431,7 +431,7 @@ def test_criterion_06_mixing_bound_consistency():
     sched = sweep_schedule(H, 2.0, range(6))
     rep = verify_bottleneck_theorem(sched, rho, part)
     P_A = part.A.projector()
-    strong, weak = mixing_time_lower_bound(rep, rho, P_A, eps=0.25)
+    strong, weak = mixing_time_lower_bound(rep, eps=0.25)
     p_A = float(np.real(np.trace(P_A @ rho.mat)))
     assert strong == pytest.approx((1.0 - p_A) / (5.0 * rep.delta) - 0.25, rel=1e-12)
     product_drift(sched, conditioned(rho, part.A))
@@ -512,35 +512,44 @@ def test_criterion_07_tail_bound_suite():
 # --- criterion 8: stability trend ----------------------------------------------
 
 
-def test_criterion_08_stability_trend():
+def _cli_sweep(tmp_path, name, **cfg):
+    """report.json rows and the one fit.json entry of a stability-sweep
+    run of the CLI on cfg, which must exit 0."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / name
+    assert cli.main(["stability-sweep", "--config", str(path), "--out", str(out)]) == 0
+    (fit,) = json.loads((out / "fit.json").read_text()).values()
+    return json.loads((out / "report.json").read_text()), fit
+
+
+def test_criterion_08_stability_trend(tmp_path):
     start = time.monotonic()
-    res = stability_sweep(
-        "repetition", ((0, 0), 1, 2), [3.0], [0.01], [4, 6, 8, 10], [0, 1, 2]
-    )
-    fit = res.fits[(3.0, 0.01)]
-    assert len(res.rows) == 12
-    for row in res.rows:
-        if row.admissible:
-            assert row.delta <= row.bound_chain
+    barrier = {"center": [0, 0], "inner": 1, "boundary": 2}
+    grid = {"betas": [3.0], "gs": [0.01], "ns": [4, 6, 8, 10], "seeds": [0, 1, 2]}
+    rows, fit = _cli_sweep(tmp_path, "ring", model="repetition", barrier=barrier, **grid)
+    assert len(rows) == 12
+    for row in rows:
+        if row["admissible"]:
+            assert row["delta"] <= row["bound_chain"]
     # the ring grid sits outside the admissible window at these sizes
     # (its barrier constant shrinks as 1/n), so every point must carry
     # the diagnosis and the fit must refuse to assert a trend
-    assert all(not row.admissible for row in res.rows)
+    assert all(not row["admissible"] for row in rows)
     assert fit["status"] == "no-admissible-points"
     assert fit["admissible_ns"] == []
     assert fit["points"] == 12
 
     # the decay property itself, demonstrated where the barrier grows
     # with system size
-    res2 = stability_sweep(
-        "curie_weiss", ((0, 0), 1, 1), [1.0], [1e-4], [4, 6, 8], [1, 2]
-    )
-    fit2 = res2.fits[(1.0, 1e-4)]
+    barrier = {"center": [0, 0], "inner": 1, "boundary": 1}
+    grid = {"betas": [1.0], "gs": [1e-4], "ns": [4, 6, 8], "seeds": [1, 2]}
+    rows2, fit2 = _cli_sweep(tmp_path, "curie", model="curie_weiss", barrier=barrier, **grid)
     assert fit2["b"] > 0
     assert fit2["r2"] > 0.9
     means = []
     for n in (4, 6, 8):
-        sel = [r.delta for r in res2.rows if r.n == n]
+        sel = [r["delta"] for r in rows2 if r["n"] == n]
         means.append(sum(sel) / len(sel))
     assert means[0] > means[1] > means[2]
     elapsed = time.monotonic() - start

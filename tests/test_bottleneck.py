@@ -33,17 +33,30 @@ from bottlenecklab.errors import (
     LocalityInsufficient,
     NotFixedPoint,
 )
+from bottlenecklab.markov import (
+    GlauberTable,
+    classical_bottleneck_report,
+    hamming_state_partition,
+)
 from bottlenecklab.model import (
     REGISTRY,
     barrier_subspace,
     build_hamiltonian,
     gibbs_state,
+    gibbs_weights,
     label_basis,
+    label_energies,
     perturb,
     random_local_perturbation,
     thermal_state,
 )
-from bottlenecklab.numerics import DensityMatrix, maximally_mixed, trace_norm
+from bottlenecklab.numerics import (
+    EMPTY_WEIGHT_TOL,
+    DensityMatrix,
+    label_weights,
+    maximally_mixed,
+    trace_norm,
+)
 from bottlenecklab.sampler import css_metropolis_channel, metropolis_site_channel, sweep_schedule
 from bottlenecklab.subspace import (
     HilbertPartition,
@@ -177,6 +190,25 @@ def test_empty_A_raises():
     P_A = basis_state_subspace(2, [0]).projector()
     with pytest.raises(EmptyA):
         bottleneck_ratio(rho, P_A, np.eye(4) - P_A)
+
+
+def test_empty_A_threshold_is_shared_by_the_classical_and_label_paths():
+    # the ring's Neel state 0101 as A at beta 7: pi(A) is about 3e-13,
+    # between 1e-14 and EMPTY_WEIGHT_TOL, and both paths refuse the cut
+    beta = 7.0
+    H = RINGS[4]
+    E = label_energies(REGISTRY["ising_ring"](4))
+    pi, _ = gibbs_weights(E, beta)
+    part = hamming_state_partition(4, 0b0101, 0, 1)
+    assert 1e-14 < pi[part.label == 0].sum() <= EMPTY_WEIGHT_TOL
+    with pytest.raises(EmptyA, match="pi\\(A\\)"):
+        classical_bottleneck_report(GlauberTable(E).chain(beta), part, pi)
+    rho, _, _ = gibbs_state(H, beta)
+    sched = sweep_schedule(H, beta, range(4))
+    quantum = partition_from_radius(hamming_ball_subspace(4, [0b0101], 0), 1)
+    assert label_weights(rho, quantum.labels[0])[quantum.A.labels[1]].sum() == pi[5]
+    with pytest.raises(EmptyA, match="pi\\(A\\)"):
+        verify_bottleneck_theorem(sched, rho, quantum)
 
 
 # --- theorem ---------------------------------------------------------------
@@ -332,22 +364,18 @@ def craft_report(delta, numerator, denominator, prob_C):
 
 
 def test_mixing_lower_bound_formulas():
-    rho = DensityMatrix(np.diag([0.2, 0.3, 0.1, 0.4]).astype(np.complex128), 2)
-    P_A = np.diag([1.0, 0, 0, 0]).astype(np.complex128)
     rep = craft_report(delta=0.1, numerator=0.02, denominator=0.2, prob_C=0.5)
-    strong, weak = mixing_time_lower_bound(rep, rho, P_A, 0.25)
+    strong, weak = mixing_time_lower_bound(rep, 0.25)
     assert strong == pytest.approx((1 - 0.2) / 0.5 - 0.25, abs=1e-12)
     assert weak == pytest.approx(0.2 * 0.5 / 0.1 - 0.25, abs=1e-12)
     halved = craft_report(delta=0.05, numerator=0.02, denominator=0.2, prob_C=0.5)
-    strong2, _ = mixing_time_lower_bound(halved, rho, P_A, 0.25)
+    strong2, _ = mixing_time_lower_bound(halved, 0.25)
     assert strong2 + 0.25 == pytest.approx(2 * (strong + 0.25), abs=1e-12)
 
 
 def test_zero_delta_reports_infinite_mixing_time():
-    rho = maximally_mixed(2)
-    P_A = np.eye(4, dtype=np.complex128)
     rep = craft_report(delta=0.0, numerator=0.0, denominator=1.0, prob_C=0.0)
-    strong, weak = mixing_time_lower_bound(rep, rho, P_A, 0.25)
+    strong, weak = mixing_time_lower_bound(rep, 0.25)
     assert strong == np.inf
     assert weak == np.inf
 
@@ -360,7 +388,8 @@ def test_trapped_start_stays_far_for_the_guaranteed_window():
     part = partition_from_radius(hamming_ball_subspace(4, [0], 1), 1)
     rep = verify_bottleneck_theorem(sched, rho, part)
     P_A = part.A.projector()
-    strong, weak = mixing_time_lower_bound(rep, rho, P_A, 0.25)
+    strong, weak = mixing_time_lower_bound(rep, 0.25)
+    assert strong == rep.tmix_lower
     assert strong > 4
     assert weak > 4
     rho_A = P_A @ rho.mat @ P_A

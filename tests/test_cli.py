@@ -28,7 +28,7 @@ from bottlenecklab.model import (
     label_energies,
 )
 from bottlenecklab.numerics import DensityMatrix
-from bottlenecklab.stability import shell_decomposition, stability_sweep
+from bottlenecklab.stability import shell_decomposition
 from oracles import per_beta_glauber
 
 VQ_BASE = {
@@ -411,36 +411,6 @@ def test_verify_quantum_on_a_css_code_runs_the_dense_verifier(tmp_path, monkeypa
     assert code == 1
     failures = json.loads((out / "failures.json").read_text())
     assert [f["reason"] for f in failures] == ["LocalityInsufficient"]
-
-
-def sweep_csv(rows):
-    """The documented report.csv format of sweep rows."""
-    lines = ["model,n,beta,g,seed,kappa,eps,delta,bound_chain,admissible,lambda"]
-    for r in rows:
-        fields = [r.model, str(r.n), repr(float(r.beta)), repr(float(r.g)), str(r.seed)]
-        fields += [repr(r.kappa), repr(r.eps), repr(r.delta), repr(r.bound_chain)]
-        fields += ["true" if r.admissible else "false", repr(r.lambda_kappa)]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
-
-
-def test_stability_sweep_matches_library_output(tmp_path):
-    cfg = {
-        "model": "repetition",
-        "barrier": {"center": 0, "inner": 1, "boundary": 2},
-        "betas": [2.0],
-        "gs": [0.0],
-        "ns": [4, 6],
-        "seeds": [0],
-    }
-    code, out = run("stability-sweep", cfg, tmp_path)
-    assert code == 0
-    direct = stability_sweep("repetition", ((0, 0), 1, 2), [2.0], [0.0], [4, 6], [0])
-    assert (out / "report.csv").read_text() == sweep_csv(direct.rows)
-    fits = json.loads((out / "fit.json").read_text())
-    assert fits["beta=2.0,g=0.0"]["status"] == "no-admissible-points"
-    payload = json.loads((out / "report.json").read_text())
-    assert payload[0]["lambda"] == "inf"
 
 
 def test_stability_sweep_ring_without_chain_decay_exits_zero(tmp_path):
@@ -966,6 +936,49 @@ def test_broken_key_rejected_before_any_build(tmp_path, monkeypatch, subcommand,
     assert built == []
 
 
+VC_FILE = {"betas": [1.0], "partition": {"center": 0, "inner": 0, "width": 1}}
+
+
+# configs that no other test refuses, each naming a word of its message;
+# a string is written as the config file's text, and checks_file names
+# a file in the test's directory
+@pytest.mark.parametrize(
+    "subcommand,cfg,word",
+    [
+        ("model-info", '{"model": ', "not valid JSON"),
+        ("model-info", "[1, 2]", "must be a JSON object"),
+        (
+            "verify-classical",
+            dict(VC_FILE, model="ising_ring", n=3, checks_file="triangle.txt"),
+            "exactly one",
+        ),
+        ("verify-classical", VC_FILE, "exactly one"),
+        ("verify-classical", dict(VC_FILE, checks_file="absent.txt"), "cannot read checks_file"),
+        ("verify-classical", dict(VC_FILE, checks_file="garbage.txt"), "is invalid"),
+        ("verify-classical", dict(VC_FILE, model="steane7"), "Z-only"),
+        ("tail-check", dict(GRID_CONFIGS["tail-check"], eps2=0.2), "eps2 > eps1"),
+        ("verify-quantum", dict(VQ_BASE, attempt_prob=1.5), "attempt_prob"),
+        ("mixing-compare", dict(GRID_CONFIGS["mixing-compare"], mix_eps=0.6), "(0, 0.5]"),
+        ("barrier-scan", dict(GRID_CONFIGS["barrier-scan"], center=[1, 2, 3]), "[x, z] pair"),
+    ],
+)
+def test_config_rejected_through_main(tmp_path, monkeypatch, subcommand, cfg, word):
+    (tmp_path / "triangle.txt").write_text("n: 3\nZ: 0 1\nZ: 1 2\nZ: 0 2\n")
+    (tmp_path / "garbage.txt").write_text("Y: 0 1\n")
+    built = _spy_on_builds(monkeypatch, through=False)
+    path = tmp_path / "cfg.json"
+    if isinstance(cfg, str):
+        path.write_text(cfg)
+    else:
+        if "checks_file" in cfg:
+            cfg = dict(cfg, checks_file=str(tmp_path / cfg["checks_file"]))
+        path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(path), "--out", str(out)]) == 2
+    assert_config_rejected(out, word)
+    assert built == []
+
+
 def test_verify_classical_laziness_one_rejected(tmp_path, monkeypatch):
     # laziness 1 never moves, so the chain has no unique stationary law
     monkeypatch.setattr(cli, "hamming_state_partition", _refuse)
@@ -991,7 +1004,7 @@ def test_verify_classical_empty_c_rejected(tmp_path, monkeypatch):
 
 
 def test_verify_classical_past_the_glauber_cap_rejected(tmp_path, monkeypatch):
-    # 21 bits is one more than glauber_chain builds: the run is refused
+    # 21 bits is one more than a GlauberTable holds: the run is refused
     # before the energies are built, not failed inside its grid point
     monkeypatch.setattr(cli, "label_energies", _refuse)
     monkeypatch.setattr(cli, "GlauberTable", _refuse)

@@ -20,12 +20,12 @@ from bottlenecklab.markov import (
     _flip_form,
     check_classical_condition,
     classical_bottleneck_report,
-    glauber_chain,
     hamming_state_partition,
 )
 from bottlenecklab.model import REGISTRY, gibbs_weights, label_energies
 from oracles import (
     birth_death_chain,
+    column_chain,
     dense_glauber,
     dense_report,
     per_beta_glauber,
@@ -36,28 +36,29 @@ from oracles import (
 def birth_death_metropolis(pi):
     """Tridiagonal Metropolis chain on a path with the given stationary law."""
     pi = np.asarray(pi, dtype=np.float64)
-    return StochasticMatrix(birth_death_chain(pi.size, pi))
+    return column_chain(birth_death_chain(pi.size, pi))
 
 
 class TestStochasticMatrix:
     def test_accepts_doubly_stochastic(self):
-        sm = StochasticMatrix(np.full((3, 3), 1 / 3))
+        sm = column_chain(np.full((3, 3), 1 / 3))
         assert sm.dim == 3
 
     def test_rejects_bad_column_sum(self):
         M = np.eye(2)
         M[0, 0] = 0.9
         with pytest.raises(NotStochastic):
-            StochasticMatrix(M)
+            column_chain(M)
 
     def test_rejects_negative_entry(self):
         M = np.array([[1.1, 0.0], [-0.1, 1.0]])
         with pytest.raises(NotStochastic):
-            StochasticMatrix(M)
+            column_chain(M)
 
     def test_rejects_rectangular(self):
-        with pytest.raises(NotStochastic):
-            StochasticMatrix(np.ones((2, 3)) / 2)
+        # a chain on 2 states cannot move weight to a third
+        with pytest.raises(NotStochastic, match="rows outside"):
+            StochasticMatrix.from_columns(np.array([[0, 1], [2, 2]]), np.full((2, 2), 0.5))
 
     def test_column_form_of_a_dense_chain(self, rng):
         # columns of 1 to 5 entries, held op-major: entry k of column j is
@@ -69,7 +70,7 @@ class TestStochasticMatrix:
         for j in range(dim):
             rows = np.sort(rng.choice(dim, size=1 + j % 5, replace=False))
             M[rows, j] = rng.dirichlet(np.ones(rows.size))
-        sm = StochasticMatrix(M)
+        sm = column_chain(M)
         assert sm.rows.shape == (5, dim)
         assert (np.diff(sm.rows, axis=0) >= 0).all()
         assert np.array_equal(np.count_nonzero(sm.weights, axis=0), np.count_nonzero(M, axis=0))
@@ -94,10 +95,9 @@ class TestStochasticMatrix:
         assert np.array_equal(sm.step(p), want @ p)
 
     def test_rejects_an_empty_column(self):
-        M = np.eye(3)
-        M[2, 2] = 0.0
-        with pytest.raises(NotStochastic, match="column 2 has no entries"):
-            StochasticMatrix(M)
+        rows = np.array([[0, 1, 2]])
+        with pytest.raises(NotStochastic, match="column sums deviate from 1 by 1.000e"):
+            StochasticMatrix.from_columns(rows, np.array([[1.0, 1.0, 0.0]]))
 
     def test_rejects_rows_outside_the_chain(self):
         with pytest.raises(NotStochastic, match="rows outside"):
@@ -137,20 +137,20 @@ class TestStationaryDistribution:
 
     def test_symmetric_two_state(self):
         M = np.array([[0.7, 0.3], [0.3, 0.7]])
-        pi = stationary_distribution(StochasticMatrix(M))
+        pi = stationary_distribution(column_chain(M))
         assert np.allclose(pi, [0.5, 0.5], atol=1e-12)
 
     def test_metropolis_matches_gibbs(self, rng):
         E = rng.uniform(0.0, 2.0, size=16)
         beta = 1.3
-        sm = glauber_chain(E, beta)
+        sm = GlauberTable(E).chain(beta)
         pi = stationary_distribution(sm)
         gibbs = np.exp(-beta * E)
         gibbs /= gibbs.sum()
         assert np.abs(pi - gibbs).sum() < 1e-10
 
     def test_arpack_start_is_fixed(self, rng):
-        sm = glauber_chain(rng.uniform(0.0, 2.0, size=2048), 1.0)
+        sm = GlauberTable(rng.uniform(0.0, 2.0, size=2048)).chain(1.0)
         first = stationary_distribution(sm)
         assert np.array_equal(first, stationary_distribution(sm))
 
@@ -159,7 +159,7 @@ class TestStationaryDistribution:
         M[:2, :2] = [[0.5, 0.5], [0.5, 0.5]]
         M[2:, 2:] = [[0.5, 0.5], [0.5, 0.5]]
         with pytest.raises(NonUniqueStationary):
-            stationary_distribution(StochasticMatrix(M))
+            stationary_distribution(column_chain(M))
 
 
 class TestClassicalCondition:
@@ -182,25 +182,24 @@ class TestClassicalCondition:
     def test_tiny_forbidden_entry_in_glauber_chain_caught(self, rng, to, frm):
         # A = {0}, B1 and B2 the weight-1 and weight-2 states, C the rest;
         # move 1e-13 of the stay mass of `frm` across one forbidden pair
-        M = glauber_chain(rng.uniform(0.0, 1.0, size=16), 1.0).mat.toarray()
+        M = GlauberTable(rng.uniform(0.0, 1.0, size=16)).chain(1.0).mat.toarray()
         part = hamming_state_partition(4, 0, 0, 1)
-        assert check_classical_condition(StochasticMatrix(M), part).passes
+        assert check_classical_condition(column_chain(M), part).passes
         M[to, frm] = 1e-13
         M[frm, frm] -= 1e-13
-        rep = check_classical_condition(StochasticMatrix(M), part)
+        rep = check_classical_condition(column_chain(M), part)
         assert not rep.passes
         assert rep.max_forbidden_entry == 1e-13
         assert rep.offending == (to, frm)
         with pytest.raises(ConditionViolated):
-            classical_bottleneck_report(StochasticMatrix(M), part, np.full(16, 1 / 16))
+            classical_bottleneck_report(column_chain(M), part, np.full(16, 1 / 16))
 
     def test_stored_zero_counts_as_zero(self):
-        from scipy import sparse
-
-        rows, cols = [0, 1, 2, 3, 3], [0, 1, 2, 3, 0]
-        M = sparse.coo_array(([1.0, 1.0, 1.0, 1.0, 0.0], (rows, cols)), shape=(4, 4))
+        # column 0 stores an exact zero at row 3, the forbidden move A -> C
+        rows = np.array([[0, 1, 2, 3], [3, 1, 2, 3]])
+        weights = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
         part = StatePartition((0,), (1,), (2,), (3,))
-        rep = check_classical_condition(StochasticMatrix(M), part)
+        rep = check_classical_condition(StochasticMatrix.from_columns(rows, weights), part)
         assert rep.passes
         assert rep.max_forbidden_entry == 0.0
 
@@ -211,7 +210,7 @@ class TestClassicalCondition:
         M[3, 3] = 1 - 1e-13
         M[0, 3] = 1e-13
         part = StatePartition((0,), (1,), (2,), (3,))
-        rep = check_classical_condition(StochasticMatrix(M), part)
+        rep = check_classical_condition(column_chain(M), part)
         assert not rep.passes
 
 
@@ -248,7 +247,7 @@ class TestBottleneckReport:
         }[case]
         part = hamming_state_partition(6, 0, 1, 1)
         with pytest.raises(NonUniqueStationary, match="probability vector"):
-            classical_bottleneck_report(glauber_chain(E, 1.0), part, pi)
+            classical_bottleneck_report(GlauberTable(E).chain(1.0), part, pi)
 
     def test_reducible_chain_rejected(self):
         # two closed classes {0, 1} and {2, 3}: uniform is stationary, and
@@ -258,7 +257,7 @@ class TestBottleneckReport:
         M[2:, 2:] = [[0.5, 0.5], [0.5, 0.5]]
         part = StatePartition((0,), (1,), (2,), (3,))
         with pytest.raises(NonUniqueStationary, match="2 communicating classes"):
-            classical_bottleneck_report(StochasticMatrix(M), part, np.full(4, 0.25))
+            classical_bottleneck_report(column_chain(M), part, np.full(4, 0.25))
 
     def test_stored_zero_moves_are_not_edges(self):
         # the uphill moves underflow to stored zeros, so the two valleys 0
@@ -267,7 +266,7 @@ class TestBottleneckReport:
         from scipy.sparse.csgraph import connected_components
 
         E = np.array([0.0, 1000.0, 1000.0, 0.0])
-        sm = glauber_chain(E, 5.0)
+        sm = GlauberTable(E).chain(5.0)
         assert connected_components(sm.mat, connection="strong")[0] == 1
         pi, _ = gibbs_weights(E, 5.0)
         part = StatePartition((0,), (1,), (2,), (3,))
@@ -295,7 +294,7 @@ class TestBottleneckReport:
         E = rng.uniform(0.0, 1.5, size=2**m)
         E[0] = -1.0
         beta = 2.0
-        sm = glauber_chain(E, beta)
+        sm = GlauberTable(E).chain(beta)
         part = hamming_state_partition(m, 0, 0, 1)
         gibbs = np.exp(-beta * E)
         gibbs /= gibbs.sum()
@@ -322,7 +321,7 @@ class TestGlauberChain:
     def test_detailed_balance_residual(self, rng):
         E = rng.uniform(0.0, 3.0, size=32)
         beta = 0.8
-        sm = glauber_chain(E, beta, laziness=0.2)
+        sm = GlauberTable(E).chain(beta, laziness=0.2)
         pi = np.exp(-beta * E)
         pi /= pi.sum()
         F = sm.mat * pi[None, :]
@@ -330,21 +329,21 @@ class TestGlauberChain:
 
     def test_laziness_bounds(self):
         with pytest.raises(ValueError):
-            glauber_chain(np.zeros(4), 1.0, laziness=1.0)
+            GlauberTable(np.zeros(4)).chain(1.0, laziness=1.0)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(BadPartition):
-            glauber_chain(np.zeros(6), 1.0)
+            GlauberTable(np.zeros(6))
 
     def test_infinite_temperature_is_uniform_walk(self):
-        sm = glauber_chain(np.array([0.0, 5.0, 1.0, 2.0]), 0.0)
+        sm = GlauberTable(np.array([0.0, 5.0, 1.0, 2.0])).chain(0.0)
         pi = stationary_distribution(sm)
         assert np.allclose(pi, 0.25, atol=1e-12)
 
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_every_flip_accepted_at_infinite_temperature(self, m):
-        sm = glauber_chain(np.zeros(2**m), 0.0)
+        sm = GlauberTable(np.zeros(2**m)).chain(0.0)
         assert sm.mat.data.min() >= 0.0
         assert np.abs(sm.mat.sum(axis=0) - 1.0).max() <= 1e-12
         pi = stationary_distribution(sm)
@@ -356,29 +355,29 @@ class TestGlauberChain:
         E = label_energies(REGISTRY["ising_ring"](m))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sm = glauber_chain(E, 400.0)
+            sm = GlauberTable(E).chain(400.0)
         with np.errstate(over="ignore"):
             ref = dense_glauber(E, 400.0)
         assert np.array_equal(sm.mat.toarray(), ref)
 
     def test_stored_entries_per_column(self):
         for m in (1, 5, 16):
-            sm = glauber_chain(np.arange(2**m) % 3, 1.0)
+            sm = GlauberTable(np.arange(2**m) % 3).chain(1.0)
             assert sm.mat.format == "csc"
             assert sm.mat.nnz <= (m + 1) * 2**m
 
     def test_size_cap(self):
         with pytest.raises(BadPartition):
-            glauber_chain(np.zeros(2**21), 1.0)
+            GlauberTable(np.zeros(2**21))
         with pytest.raises(BadPartition):
-            glauber_chain(np.zeros(1), 1.0)
+            GlauberTable(np.zeros(1))
 
     @pytest.mark.parametrize("m", range(1, 11))
     def test_entries_match_dense_oracle(self, rng, m):
         E = rng.uniform(-1.0, 2.0, size=2**m)
         for beta in (0.0, 0.7, 3.0):
             for laziness in (0.0, 0.25):
-                sm = glauber_chain(E, beta, laziness)
+                sm = GlauberTable(E).chain(beta, laziness)
                 gap = np.abs(sm.mat.toarray() - dense_glauber(E, beta, laziness))
                 assert gap.max() <= 1e-15
 
@@ -395,7 +394,7 @@ class TestGlauberChain:
             pi, _ = gibbs_weights(E, beta)
             M = dense_glauber(E, beta)
             assert np.abs(pi - stationary_distribution(M)).sum() <= 1e-10
-            rep = classical_bottleneck_report(glauber_chain(E, beta), part, pi)
+            rep = classical_bottleneck_report(GlauberTable(E).chain(beta), part, pi)
             ref = dense_report(M, part, pi)
             for key, want in ref.items():
                 assert getattr(rep, key) == pytest.approx(want, rel=rtol, abs=0.0)
@@ -404,8 +403,9 @@ class TestGlauberChain:
 class TestGlauberTable:
     @pytest.mark.parametrize("m", range(1, 13))
     def test_chains_match_the_per_beta_build_bit_for_bit(self, rng, m):
-        # the table's chains, and the wrapper's, carry the bits of the
-        # per-beta build, rows and weights, at every beta and laziness
+        # the chains of one table, and of a table built anew per chain,
+        # carry the bits of the per-beta build, rows and weights, at every
+        # beta and laziness
         E = rng.uniform(-1.0, 2.0, size=2**m).round(3)
         for energies in (E, list(E)):
             table = GlauberTable(energies)
@@ -416,7 +416,7 @@ class TestGlauberTable:
                     assert sm.rows is _flip_form(m)[0]
                     assert np.array_equal(sm.rows, rows)
                     assert np.array_equal(sm.weights, weights)
-                    assert np.array_equal(glauber_chain(energies, beta, laziness).weights, weights)
+                    assert np.array_equal(GlauberTable(energies).chain(beta, laziness).weights, weights)
 
     def test_forbidden_positions_belong_to_their_partition(self):
         # one energy vector, two partitions of its 16 states: one puts a
@@ -453,7 +453,7 @@ class TestResidual:
         # flat order, so the sum is the full step's to the last bit (well
         # within the k * dim units of rounding that another order allows)
         E = label_energies(REGISTRY["ising_ring"](m))
-        sm = glauber_chain(E, 1.0, 0.3)
+        sm = GlauberTable(E).chain(1.0, 0.3)
         k, dim = sm.rows.shape
         assert k * dim > 4 * _RESIDUAL_CHUNK
         pi, _ = gibbs_weights(E, 1.0)
@@ -488,7 +488,7 @@ class TestResidual:
         with pytest.raises(NonUniqueStationary, match="communicating classes"):
             table.report(400.0, 0.0, pi)
         with pytest.raises(NonUniqueStationary, match="communicating classes"):
-            classical_bottleneck_report(glauber_chain(E, 400.0), part, pi)
+            classical_bottleneck_report(GlauberTable(E).chain(400.0), part, pi)
 
 
 class TestHammingPartition:

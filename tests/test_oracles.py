@@ -39,11 +39,11 @@ from bottlenecklab.channel import (
 )
 from bottlenecklab.errors import BadPartition, EmptyA, EmptyBoundary, NonUniqueStationary, NotDiagonal
 from bottlenecklab.markov import (
+    GlauberTable,
     StatePartition,
     StochasticMatrix,
     _certify_stationary,
     classical_bottleneck_report,
-    glauber_chain,
     hamming_state_partition,
 )
 from bottlenecklab.model import (
@@ -98,6 +98,7 @@ from oracles import (
     _gauged,
     barrier_by_label_pairs,
     birth_death_chain,
+    column_chain,
     communicating_classes,
     dense_check_hamiltonian,
     dense_collar_weights,
@@ -588,7 +589,7 @@ def classical_registry_models(draw):
 @example(checks=curie_weiss(8), beta=3.0, laziness=0.0)
 def test_gibbs_law_matches_the_solved_stationary_law(checks, beta, laziness):
     E = label_energies(checks)
-    chain = glauber_chain(E, beta, laziness)
+    chain = GlauberTable(E).chain(beta, laziness)
     pi, _ = gibbs_weights(E, beta)
     classical_bottleneck_report(chain, hamming_state_partition(checks.n, 0, 0, 1), pi)
     try:
@@ -628,7 +629,7 @@ def test_single_flip_certificate_agrees_with_the_search(family):
         E = label_energies(checks)
         for beta in (0.0, 1.0, 3.0, 30.0, 400.0):
             for laziness in (0.0, 0.25):
-                chain = glauber_chain(E, beta, laziness)
+                chain = GlauberTable(E).chain(beta, laziness)
                 with np.errstate(over="ignore"):
                     positive = _all_flips_positive(dense_glauber(E, beta, laziness))
                 certified = chain.single_flip_certified()
@@ -656,7 +657,7 @@ def test_certificate_declines_a_chain_with_one_flip_removed(m, beta, laziness, s
     # removed flip was the only way out of its state
     rng = np.random.default_rng(seed)
     E = rng.uniform(-1.0, 2.0, size=2**m)
-    full = glauber_chain(E, beta, laziness)
+    full = GlauberTable(E).chain(beta, laziness)
     assert full.single_flip_certified()
     j, b = int(rng.integers(2**m)), int(rng.integers(m))
     weights = full.weights.copy()
@@ -676,14 +677,15 @@ def test_certificate_declines_a_chain_with_one_flip_removed(m, beta, laziness, s
 
 
 def test_birth_death_chains_in_column_form_match_the_dense_report():
-    # criterion 3's chains and laws: converted once to the op-major form,
-    # certified by the search (a path is no cube), read like the dense chain
+    # criterion 3's chains and laws: converted once to the op-major form
+    # by column_chain, certified by the search (a path is no cube), read
+    # like the dense chain
     for m in (8, 16):
         for seed in range(9):
             rng = np.random.default_rng(7000 + 10 * m + seed)
             pi = random_pi(rng, m)
             M = birth_death_chain(m, pi)
-            chain = StochasticMatrix(M)
+            chain = column_chain(M)
             assert np.array_equal(chain.mat.toarray(), M)
             assert not chain.single_flip_certified()
             part = StatePartition(A=(0, 1), B1=(2,), B2=(3,), C=tuple(range(4, m)))
@@ -710,7 +712,7 @@ def test_label_delta_matches_the_classical_ratio(n):
         rho = gibbs_state(H, beta)[0]
         sched = sweep_schedule(H, beta, range(n))
         pi, _ = gibbs_weights(E, beta)
-        chain = glauber_chain(E, beta)
+        chain = GlauberTable(E).chain(beta)
         for center, inner, width in [(0, 0, 1), (0, 1, 2), (5, 1, 1), (5, 2, 2)]:
             part = partition_from_radius(hamming_ball_subspace(n, [center], inner), width)
             label = verify_bottleneck_theorem(sched, rho, part)

@@ -25,7 +25,7 @@ from bottlenecklab.stability import (
     fit_sweep,
     plan_shell_width,
     shell_decomposition,
-    stability_sweep,
+    sweep_grid,
     sweep_model,
     sweep_point,
     tail_amplitudes,
@@ -235,14 +235,25 @@ def test_worst_case_recursion_is_geometric():
 # --- sweep ---------------------------------------------------------------------
 
 
+def sweep(model, barrier, betas, gs, ns, seeds):
+    """(rows, fits) of a sweep, its four pieces composed as the CLI's
+    stability-sweep composes them, serially; the first violation raises."""
+    per_n = {n: sweep_model(model, n, barrier) for n in ns}
+    rows = [
+        sweep_point(**task, H0=per_n[task["n"]][0], cert=per_n[task["n"]][1])
+        for task in sweep_grid(model, betas, gs, ns, seeds)
+    ]
+    return rows, fit_sweep(rows, betas, gs)
+
+
 def test_sweep_zero_g_matches_gibbs_ratio():
-    res = stability_sweep(
+    rows, fits = sweep(
         "repetition", ((0, 0), 1, 2), betas=[1.0, 2.0, 3.0], gs=[0.0], ns=[6], seeds=[0]
     )
     E = label_energies(REGISTRY["repetition"](6))
     wt = np.array([bin(i).count("1") for i in range(64)])
     deltas = []
-    for row in res.rows:
+    for row in rows:
         p = np.exp(-row.beta * E)
         direct = p[(wt >= 2) & (wt <= 3)].sum() / p[wt <= 1].sum()
         assert row.delta == pytest.approx(direct, abs=1e-10)
@@ -252,10 +263,10 @@ def test_sweep_zero_g_matches_gibbs_ratio():
 
 
 def test_sweep_extensive_barrier_decays():
-    res = stability_sweep(
+    rows, fits = sweep(
         "curie_weiss", ((0, 0), 1, 1), betas=[1.0], gs=[1e-4], ns=[4, 6, 8], seeds=[1, 2]
     )
-    fit = res.fits[(1.0, 1e-4)]
+    fit = fits[(1.0, 1e-4)]
     assert fit["b"] > 0
     assert fit["r2"] > 0.9
     assert fit["status"] == "no-admissible-points"
@@ -263,7 +274,7 @@ def test_sweep_extensive_barrier_decays():
 
 
 def test_sweep_ring_barrier_is_not_extensive():
-    res = stability_sweep(
+    rows, fits = sweep(
         "repetition",
         ((0, 0), 1, 2),
         betas=[3.0],
@@ -271,12 +282,12 @@ def test_sweep_ring_barrier_is_not_extensive():
         ns=[4, 6, 8, 10],
         seeds=[7, 8, 9],
     )
-    fit = res.fits[(3.0, 0.01)]
+    fit = fits[(3.0, 0.01)]
     assert fit["b"] < 0
     assert fit["status"] == "no-admissible-points"
-    assert all(not r.admissible for r in res.rows)
+    assert all(not r.admissible for r in rows)
     by_n = {}
-    for r in res.rows:
+    for r in rows:
         by_n.setdefault(r.n, []).append(r.delta)
     means = [np.mean(by_n[n]) for n in sorted(by_n)]
     assert all(a < b for a, b in zip(means, means[1:]))
@@ -286,15 +297,15 @@ def test_sweep_asserts_decay_where_the_chain_falls():
     # with g = 0 the squared chain value is e^{n (log 4 - beta (kappa/2 - eps))};
     # cond1 makes its exponent per site negative, and an extensive barrier
     # keeps kappa from shrinking with n, so it falls across the sizes
-    res = stability_sweep(
+    rows, fits = sweep(
         "curie_weiss", ((0, 0), 1, 1), betas=[3.0], gs=[0.0], ns=[4, 5, 6, 7, 8], seeds=[0]
     )
-    fit = res.fits[(3.0, 0.0)]
+    fit = fits[(3.0, 0.0)]
     assert fit["status"] == "ok"
     assert fit["admissible_ns"] == [4, 5, 6, 7, 8]
     assert fit["b"] > 0
     # the same admissible rows with delta rising in n trip the assertion
-    rising = [r._replace(delta=math.exp(r.n - 20.0)) for r in res.rows]
+    rising = [r._replace(delta=math.exp(r.n - 20.0)) for r in rows]
     with pytest.raises(BoundViolated, match="decay slope"):
         fit_sweep(rising, [3.0], [0.0])
 
@@ -303,23 +314,23 @@ def test_sweep_ring_without_chain_decay_reports_the_slope():
     # the ring's barrier is 2 at every n, so kappa = 2/n and the chain value
     # rises over the admissible sizes 4..7: the negative slope is reported,
     # not asserted, and every admissible point is still checked on its own
-    res = stability_sweep(
+    rows, fits = sweep(
         "repetition", ((0, 0), 1, 2), betas=[10.0], gs=[0.0], ns=list(range(4, 11)), seeds=[0]
     )
-    fit = res.fits[(10.0, 0.0)]
+    fit = fits[(10.0, 0.0)]
     assert fit["status"] == "decay-not-implied"
     assert fit["admissible_ns"] == [4, 5, 6, 7]
     assert fit["b"] < 0
     assert set(fit) == {"points", "a", "b", "r2", "admissible_ns", "status"}
-    chain = [r.bound_chain for r in res.rows if r.admissible]
+    chain = [r.bound_chain for r in rows if r.admissible]
     assert all(a < b for a, b in zip(chain, chain[1:]))
-    assert all(r.delta <= r.bound_chain for r in res.rows if r.admissible)
+    assert all(r.delta <= r.bound_chain for r in rows if r.admissible)
 
 
 def test_sweep_rows_come_in_grid_order():
     # rows are sorted by (n, beta, g, seed) whatever order the inputs list,
     # and a repeated value gives no second row
-    res = stability_sweep(
+    rows, fits = sweep(
         "repetition",
         ((0, 0), 1, 2),
         betas=[3.0, 1.0],
@@ -327,20 +338,20 @@ def test_sweep_rows_come_in_grid_order():
         ns=[6, 4, 6],
         seeds=[1, 0, 1],
     )
-    keys = [(r.n, r.beta, r.g, r.seed) for r in res.rows]
+    keys = [(r.n, r.beta, r.g, r.seed) for r in rows]
     assert len(keys) == 16
     assert keys == sorted(keys)
-    assert res.fits[(1.0, 0.0)]["points"] == 4
+    assert fits[(1.0, 0.0)]["points"] == 4
 
 
 def test_sweep_rejects_unknown_model():
     with pytest.raises(ModelNotFound):
-        stability_sweep("kagome", ((0, 0), 1, 1), [1.0], [0.0], [4], [0])
+        sweep_model("kagome", 4, ((0, 0), 1, 1))
 
 
 def test_sweep_csv_and_fit_json_are_stable(tmp_path):
     # the library rows against the CLI's report.csv and fit.json
-    res = stability_sweep(
+    rows, fits = sweep(
         "repetition", ((0, 0), 1, 2), betas=[2.0], gs=[0.0], ns=[4, 6], seeds=[0]
     )
     cfg = {
@@ -367,13 +378,15 @@ def test_sweep_csv_and_fit_json_are_stable(tmp_path):
     assert first[0] == "repetition"
     assert int(first[1]) == 4
     assert first[9] == "false"
-    assert float(first[7]) == res.rows[0].delta
+    assert float(first[7]) == rows[0].delta
     assert runs[1] == runs[0]
     assert '"beta=2.0,g=0.0"' in payload
     assert '"status": "no-admissible-points"' in payload
+    # g = 0 gives an infinite decay rate, which report.json writes as a string
+    assert json.loads((tmp_path / "a" / "report.json").read_text())[0]["lambda"] == "inf"
 
 
 @pytest.mark.parametrize("model", ["steane7", "toric", "random_ldpc"])
 def test_sweep_refuses_models_not_built_from_n(model):
     with pytest.raises(ModelNotFound):
-        stability_sweep(model, ((0, 0), 1, 2), [1.0], [0.0], [4], [0])
+        sweep_model(model, 4, ((0, 0), 1, 2))

@@ -115,7 +115,7 @@ def test_boundary_dims():
 def test_boundary_empty_for_invariant_subspace():
     # the full space has empty boundary at any radius
     n = 2
-    V = sub.Subspace(n, np.eye(4, dtype=complex))
+    V = ball(n, 0, n)
     B = sub.boundary(V, 1)
     assert B.dim == 0
 
@@ -173,16 +173,22 @@ def test_hamming_shells_match_enumeration(n):
 
 
 def test_partition_builder_chosen_from_input(rng):
+    # a labeled V takes the label shells; the same span without labels,
+    # even one phased basis state per column, is refused
     n = 4
     ball_V = ball(n, 0b0101, 1)
-    phased = sub.Subspace(n, ball_V.basis * np.exp(1j * rng.uniform(0, 6, ball_V.dim)))
-    part = sub.partition_from_radius(phased, 1)
-    assert part.A is phased
+    part = sub.partition_from_radius(ball_V, 1)
+    assert part.A is ball_V
     for block in (part.B1, part.B2, part.C):
         assert block.labels[0] is sub.identity_basis(n)
-    oracle = enumerated_blocks(phased, 1, cap=2**20)
+    oracle = enumerated_blocks(ball_V, 1, cap=2**20)
     for name, P in oracle.items():
         assert np.abs(P - sub.projector(getattr(part, name))).max() < 1e-9
+    phased = sub.Subspace(n, ball_V.basis * np.exp(1j * rng.uniform(0, 6, ball_V.dim)))
+    with pytest.raises(BadPartition, match="no labels"):
+        sub.partition_from_radius(phased, 1)
+    with pytest.raises(BadPartition, match="no labels"):
+        sub.boundary(phased, 1)
     # no enumeration runs, so no size cap applies
     big = sub.partition_from_radius(ball(9, 0, 1), 3)
     assert [big.B1.dim, big.B2.dim, big.C.dim] == [36 + 84 + 126, 126 + 84 + 36, 9 + 1]
