@@ -40,7 +40,7 @@ from .errors import (
     ConfigInvalid,
     ModelNotFound,
 )
-from .markov import _GLAUBER_MAX_BITS, GlauberTable, hamming_state_partition
+from .markov import _GLAUBER_MAX_BITS, GlauberTable
 from .model import (
     REGISTRY,
     SIZE_INDEXED,
@@ -388,11 +388,10 @@ def _run_verify_classical(cfg, out, jobs):
             f"{_GLAUBER_MAX_BITS} bits, got n = {checks.n}"
         )
     energies = label_energies(checks)
-    part = hamming_state_partition(
-        checks.n, spec["center"], spec["inner"], spec["width"]
-    )
+    ball = hamming_ball_subspace(checks.n, [spec["center"]], spec["inner"])
+    part = partition_from_radius(ball, spec["width"])
     # the moves, uphill jumps and forbidden positions of every beta's chain
-    table = GlauberTable(energies, part)
+    table = GlauberTable(energies, part.labels[1])
 
     def point(task):
         pi, _ = gibbs_weights(energies, task["beta"])

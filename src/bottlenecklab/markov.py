@@ -40,10 +40,13 @@ split into disjoint sets A, B1, B2, C, single applications of M must not
 connect A with B2 or C, nor C with A or B1. Builders place structural
 (exact) zeros, so the condition check demands that every stored entry of
 the forbidden blocks is exactly zero rather than small. The split is one
-block label per state (0 for A, 1 for B1, 2 for B2, 3 for C), kept by a
-StatePartition; the check and conditioned_drift, which reads pi(A),
-pi(B), pi(C) and the drift of pi conditioned on A, take the label array
-itself, so the quantum label path, whose C may be empty, runs them too.
+block label per state (0 for A, 1 for B1, 2 for B2, 3 for C), the array
+that a subspace.HilbertPartition over the identity basis keeps
+(part.labels[1]). The check, the bound and a GlauberTable take that
+array and refuse it unless it has one label 0..3 per state and A and C
+are non-empty; forbidden_entry and conditioned_drift, which reads pi(A),
+pi(B), pi(C) and the drift of pi conditioned on A, take it as it is, so
+the quantum label path, whose C may be empty, runs them too.
 
 scipy is imported only where it is used: forming
 ``StochasticMatrix.mat`` on first read, and the connectivity search for
@@ -66,11 +69,9 @@ from .errors import (
     NonUniqueStationary,
     NotStochastic,
 )
-from .pauli import hamming_distance
 
 __all__ = [
     "StochasticMatrix",
-    "StatePartition",
     "ClassicalConditionReport",
     "ClassicalBottleneckReport",
     "check_classical_condition",
@@ -78,12 +79,11 @@ __all__ = [
     "conditioned_drift",
     "forbidden_entry",
     "GlauberTable",
-    "hamming_state_partition",
 ]
 
 # The largest n at which a whole verify-classical run (ising_ring, four
 # betas, --jobs 1) stays within 10 s and 1 GB on a 2-core machine: n=20
-# takes 2.8-3.6 s and 628 MB, n=21 6.9-7.3 s and 1.27 GB, over the
+# takes 2.3-2.5 s and 630 MB, n=21 6.9-7.3 s and 1.27 GB, over the
 # memory bound (its rows, uphill jumps and one beta's weights are 369 MB
 # each).
 _GLAUBER_MAX_BITS = 20
@@ -222,50 +222,18 @@ def _check_rows(rows):
         raise NotStochastic(f"rows outside 0..{dim - 1}")
 
 
-class StatePartition:
-    """Disjoint index sets A, B1, B2, C covering {0..dim-1}; A, C non-empty.
-
-    Kept as one int8 block label per state (0 for A, 1 for B1, 2 for B2,
-    3 for C), stored read-only. Raises BadPartition on overlapping
-    blocks, on blocks that miss a state of 0..dim-1, and on an empty A
-    or C. dim defaults to the number of indices given.
-    """
-
-    def __init__(self, A, B1, B2, C, dim=None):
-        blocks = [np.asarray([int(i) for i in blk], dtype=np.int64) for blk in (A, B1, B2, C)]
-        every = np.concatenate(blocks)
-        if np.unique(every).size != every.size:
-            raise BadPartition("blocks overlap")
-        if dim is None:
-            dim = every.size
-        if every.size != dim or not ((every >= 0) & (every < dim)).all():
-            raise BadPartition("blocks do not cover 0..dim-1")
-        label = np.empty(dim, dtype=np.int8)
-        for k, blk in enumerate(blocks):
-            label[blk] = k
-        self._set(label)
-
-    @classmethod
-    def from_labels(cls, label):
-        """The partition whose state i lies in block label[i] (0..3)."""
-        self = cls.__new__(cls)
-        self._set(np.asarray(label))
-        return self
-
-    def _set(self, label):
-        if label.ndim != 1:
-            raise BadPartition(f"block labels of shape {label.shape}, expected one per state")
-        if not (label == 0).any() or not (label == 3).any():
-            raise BadPartition("A and C must be non-empty")
-        if label.min() < 0 or label.max() > 3:
-            raise BadPartition("block labels must be 0..3")
-        label = label.astype(np.int8, copy=False)
-        label.setflags(write=False)
-        self.label = label
-
-    @property
-    def dim(self):
-        return self.label.size
+def _block_labels(label, dim):
+    """One block label per state of a chain on dim states, as int8:
+    BadPartition unless label has shape (dim,), every label is 0..3, and
+    A (0) and C (3) are non-empty."""
+    label = np.asarray(label)
+    if label.shape != (dim,):
+        raise BadPartition(f"block labels of shape {label.shape}, the chain has {dim} states")
+    if label.min() < 0 or label.max() > 3:
+        raise BadPartition("block labels must be 0..3")
+    if not (label == 0).any() or not (label == 3).any():
+        raise BadPartition("A and C must be non-empty")
+    return label.astype(np.int8, copy=False)
 
 
 def _certify_stationary(sm, pi):
@@ -305,22 +273,17 @@ class ClassicalConditionReport:
     offending: tuple = None
 
 
-def check_classical_condition(sm, part):
-    """Exact-zero check of the two forbidden blocks of a StochasticMatrix M.
+def check_classical_condition(sm, label):
+    """Exact-zero check of the two forbidden blocks of a StochasticMatrix M
+    for one block label per state (_block_labels).
 
     The blocks are P_{B2 u C} M P_A and P_{A u B1} M P_C; every stored
     entry inside them must be exactly zero. ``offending`` is the (row,
     column) of the largest such entry, the first in column order on a
     tie.
     """
-    _check_partition(part, sm.dim)
-    top, offending = forbidden_entry(sm, part.label)
+    top, offending = forbidden_entry(sm, _block_labels(label, sm.dim))
     return ClassicalConditionReport(top, offending is None, offending)
-
-
-def _check_partition(part, dim):
-    if part.dim != dim:
-        raise BadPartition(f"partition covers {part.dim} states, chain has {dim}")
 
 
 def forbidden_entry(sm, label):
@@ -387,9 +350,9 @@ class ClassicalBottleneckReport:
     condition_max: float
 
 
-def classical_bottleneck_report(sm, part, pi):
+def classical_bottleneck_report(sm, label, pi):
     """Verify ||M pi_A - pi_A||_1 <= 2 pi(B)/pi(A) for a conditioned chain
-    M, a StochasticMatrix.
+    M, a StochasticMatrix, and one block label per state (_block_labels).
 
     pi is the chain's stationary law in closed form, such as the Gibbs
     weights of a detailed-balance chain; _certify_stationary checks it
@@ -398,7 +361,7 @@ def classical_bottleneck_report(sm, part, pi):
     CLASSICAL_BOUND_SLACK; a violation raises BoundViolated since it
     would falsify the implementation, not the theorem.
     """
-    return _bottleneck_report(sm, part.label, check_classical_condition(sm, part), pi)
+    return _bottleneck_report(sm, label, check_classical_condition(sm, label), pi)
 
 
 def _bottleneck_report(sm, label, cond, pi):
@@ -437,18 +400,19 @@ class GlauberTable:
     """What the single-bit-flip Metropolis chains of one energy vector
     share at every beta: the rows of the flip form, shared read-only by
     every chain of that size, the position of each stay entry, and the
-    uphill jumps max(E[rows] - E, 0), read-only. Given a partition, the
-    table also keeps the positions of its forbidden entries.
+    uphill jumps max(E[rows] - E, 0), read-only. Given one block label
+    per state, the table also keeps the positions of its forbidden
+    entries.
 
     The checks on the rows (in range) and the forbidden positions run
     once, here; ``chain`` then costs one acceptance pass per beta and
     checks only the weights, and ``report`` runs the classical bound on
     that chain with the kept positions. Raises BadPartition unless there
-    are 2^m energies with 1 <= m <= _GLAUBER_MAX_BITS, or when the
-    partition does not cover the 2^m states.
+    are 2^m energies with 1 <= m <= _GLAUBER_MAX_BITS, or when the block
+    labels are not one per state of _block_labels.
     """
 
-    def __init__(self, energies, part=None):
+    def __init__(self, energies, label=None):
         E = np.asarray(energies, dtype=np.float64)
         dim = E.shape[0]
         m = int(dim).bit_length() - 1
@@ -464,11 +428,10 @@ class GlauberTable:
         np.maximum(uphill, 0, out=uphill)
         uphill.setflags(write=False)
         self.uphill = uphill
-        self.part = part
-        self.forbidden = None
-        if part is not None:
-            _check_partition(part, dim)
-            self.forbidden = _forbidden_positions(self.rows, part.label)
+        self.label = self.forbidden = None
+        if label is not None:
+            self.label = _block_labels(label, dim)
+            self.forbidden = _forbidden_positions(self.rows, self.label)
 
     def chain(self, beta, laziness=0.0):
         """The chain at beta: proposals pick one of the m bits uniformly
@@ -493,26 +456,10 @@ class GlauberTable:
 
     def report(self, beta, laziness, pi):
         """classical_bottleneck_report of ``chain(beta, laziness)`` on the
-        table's partition, with pi its Gibbs law."""
-        if self.part is None:
-            raise BadPartition("the table was built without a partition")
+        table's block labels, with pi its Gibbs law."""
+        if self.label is None:
+            raise BadPartition("the table was built without block labels")
         sm = self.chain(beta, laziness)
         top, offending = _forbidden_top(sm, self.forbidden)
         cond = ClassicalConditionReport(top, offending is None, offending)
-        return _bottleneck_report(sm, self.part.label, cond, pi)
-
-
-def hamming_state_partition(m, center, inner, width):
-    """Shells by Hamming distance from a center bitstring.
-
-    A is the ball of radius inner, B1/B2 the next two shells of the given
-    width, C everything beyond. Suits chains whose single update moves at
-    most `width` bits.
-    """
-    d = hamming_distance(m, [center])
-    label = (
-        (d > inner).astype(np.int8)
-        + (d > inner + width)
-        + (d > inner + 2 * width)
-    )
-    return StatePartition.from_labels(label)
+        return _bottleneck_report(sm, self.label, cond, pi)

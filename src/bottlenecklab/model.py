@@ -14,11 +14,12 @@ complement. Distance between eigenstates is the minimal weight of a Pauli
 string mapping one to the other, minimized over both stabilizer actions,
 which collapses to plain Hamming distance for classical models.
 
-label_basis holds every eigenstate as a column of one orthonormal basis
-and label_distance gives each column's distance from a center label, so a
-barrier ball and its boundary shell are column selections, by one path
-for classical and CSS models. label_energies gives each column's energy,
-the checks its syndrome violates.
+label_basis holds every eigenstate as a column of one orthonormal basis,
+so a barrier ball and its boundary shell are column selections: the
+labels within some weight-1 moves of the center label, from the one
+breadth-first search of subspace, for classical and CSS models alike.
+label_energies gives each column's energy, the checks its syndrome
+violates.
 
 A check Hamiltonian is its labels: build_hamiltonian holds H0 as (W, E),
 W = label_basis(checks) and E = label_energies(checks), for every family,
@@ -66,8 +67,8 @@ from .errors import (
     NotDiagonal,
 )
 from .numerics import DensityMatrix, hermitian_eigensystem, max_offdiagonal
-from .pauli import gf2_null_space_masks, gf2_span, hamming_distance, mask_from_indices, popcount
-from .subspace import LabelBasis, Subspace, identity_basis
+from .pauli import gf2_null_space_masks, gf2_span, mask_from_indices, popcount
+from .subspace import LabelBasis, Subspace, ball, boundary, identity_basis
 
 __all__ = [
     "CheckFamily",
@@ -85,7 +86,6 @@ __all__ = [
     "random_local_perturbation",
     "perturb",
     "label_basis",
-    "label_distance",
     "label_energies",
     "ising_ring",
     "repetition",
@@ -182,7 +182,6 @@ class Hamiltonian:
         n,
         w0,
         w1,
-        source="",
         term_supports=(),
         checks=None,
         phases=None,
@@ -216,7 +215,6 @@ class Hamiltonian:
         self.n = n
         self.w0 = w0
         self.w1 = w1
-        self.source = source
         self.term_supports = term_supports
         self.checks = checks
 
@@ -307,14 +305,12 @@ class Hamiltonian:
     def plus_diagonal(self, e, **bookkeeping):
         """H + diag(e) for a site form H, in its gauge, since D diag(e)
         D^dag = diag(e): the site form with diagonal e added and H's flips
-        and phases. bookkeeping replaces n, w0, w1, source or
-        term_supports of H; perturb adds a diagonal H0 to a perturbation
-        with it, and stability subtracts one from a perturbed H."""
+        and phases. bookkeeping replaces n, w0, w1 or term_supports of H;
+        perturb adds a diagonal H0 to a perturbation with it, and
+        stability subtracts one from a perturbed H."""
         if self.flips is None:
             raise ValueError("plus_diagonal takes a site form")
-        fields = dict(
-            n=self.n, w0=self.w0, w1=self.w1, source=self.source, term_supports=self.term_supports
-        )
+        fields = dict(n=self.n, w0=self.w0, w1=self.w1, term_supports=self.term_supports)
         fields.update(bookkeeping)
         return Hamiltonian(self._weights + e, phases=self.phases, flips=self.flips, **fields)
 
@@ -404,22 +400,9 @@ def build_hamiltonian(checks):
         n=n,
         w0=_max_per_qubit(n, supports),
         w1=0,
-        source="checks",
         term_supports=supports,
         checks=checks,
     )
-
-
-def _as_mask(n, x):
-    if np.isscalar(x) or isinstance(x, (int, np.integer)):
-        val = int(x)
-        if not 0 <= val < (1 << n):
-            raise CenterOutsideSpace(f"bitstring {val} outside n={n} register")
-        return val
-    bits = np.asarray(x, dtype=np.int64)
-    if bits.size != n:
-        raise CenterOutsideSpace(f"expected {n} bits, got {bits.size}")
-    return mask_from_indices(n, np.flatnonzero(bits))
 
 
 def bits_from_mask(n, mask):
@@ -543,60 +526,33 @@ def _label_energies(checks):
     return E
 
 
-def label_distance(checks, center):
-    """Reduced distance from the center label (x0, z0) to every column
-    (x, z) of label_basis: min |supp(x ^ x0 ^ g) | supp(z ^ z0 ^ h)| over
-    g in the X-check span and h in its orthogonal complement, the fewest
-    qubits a Pauli string mapping one eigenstate to the other touches.
-    Classical families have every h, so it is the Hamming distance
-    |x ^ x0|. The loop runs over the smaller span, so temporaries hold
-    labels x |larger span| entries.
-    """
-    n = checks.n
-    x0 = _as_mask(n, center[0])
-    z0 = _as_mask(n, center[1])
-    if checks.is_classical:
-        return hamming_distance(n, [x0])
-    basis = label_basis(checks)
-    x_masks = [int(m) for m in checks.x_masks()]
-    (a, small), (b, large) = sorted(
-        [
-            (basis.x ^ np.uint64(x0), gf2_span(x_masks)),
-            (basis.z ^ np.uint64(z0), gf2_span(gf2_null_space_masks(n, x_masks))),
-        ],
-        key=lambda pair: pair[1].size,
-    )
-    moved = b[:, None] ^ large[None, :]
-    d = np.full(basis.dim, n, dtype=np.int64)
-    for g in small:
-        np.minimum(d, popcount((a ^ g)[:, None] | moved).min(axis=1), out=d)
-    return d
-
-
 def barrier_subspace(checks, center, inner_radius, boundary_radius, H):
     """Ball of eigenstates around a center label, with its energy gap.
 
-    V spans the columns of label_basis(checks) within label_distance
-    inner_radius of the center; the boundary shell reaches
-    boundary_radius further out. Both carry their labels over that
+    V spans the columns of label_basis(checks) within inner_radius
+    weight-1 moves of the column of the center (x0, z0), a pair of
+    integer bitstrings (subspace.ball); the boundary shell is
+    boundary(V, boundary_radius). Both carry their labels over that
     basis, so partitions of V are label shells. Both minimum energies
     are measured against the supplied Hamiltonian (which may carry a
-    perturbation on top of the checks).
+    perturbation on top of the checks). Raises CenterOutsideSpace for a
+    bitstring outside the register, and EmptyBoundary when the radii
+    exceed n or the shell is empty.
     """
     n = checks.n
-    d = label_distance(checks, center)
-    outer = inner_radius + boundary_radius
-    if outer > n:
+    x0, z0 = (int(bits) for bits in center)
+    for bits in (x0, z0):
+        if not 0 <= bits < 1 << n:
+            raise CenterOutsideSpace(f"bitstring {bits} outside n={n} register")
+    if inner_radius + boundary_radius > n:
         raise EmptyBoundary(
             f"radii {inner_radius}+{boundary_radius} exceed register size {n}"
         )
-    in_shell = (d > inner_radius) & (d <= outer)
-    if not in_shell.any():
+    W = label_basis(checks)
+    V = ball(W, [W.index(x0, z0)], inner_radius, f"ball r<={inner_radius}")
+    if boundary_radius < 1 or not (shell := boundary(V, boundary_radius)).dim:
         raise EmptyBoundary("no eigenstates in the boundary shell")
-    basis = label_basis(checks)
-    in_ball = d <= inner_radius
-    V = Subspace(n, label=f"ball r<={inner_radius}", labels=(basis, in_ball))
-    shell = Subspace(n, label=f"shell {inner_radius}<d<={outer}", labels=(basis, in_shell))
+    shell.label = f"shell {inner_radius}<d<={inner_radius + boundary_radius}"
     e_v = subspace_min_energy(V, H)
     e_b = subspace_min_energy(shell, H)
     return BarrierCertificate(
@@ -753,7 +709,6 @@ def random_local_perturbation(n, g, seed):
         n=n,
         w0=min(n, 1),
         w1=min(n, 1),
-        source="perturbation",
         term_supports=tuple((q,) for q in range(n)),
         phases=phases,
         flips=t,
@@ -815,7 +770,6 @@ def perturb(H0, V):
         n=H0.n,
         w0=_max_per_qubit(H0.n, supports),
         w1=max(H0.w1, V.w1),
-        source=f"{H0.source}+{V.source}",
         term_supports=supports,
     )
     if V.flips is not None and H0.is_diagonal:
@@ -928,7 +882,9 @@ def build_model(name, params):
 
 
 def checks_from_text(text):
-    """Parse `Z: 0 1` / `X: 2 3 4` lines; optional `n: 7` header."""
+    """Parse `Z: 0 1` / `X: 2 3 4` lines; optional `n: 7` header. A line
+    of another tag, or with an entry that is not an integer, raises
+    NonCommutingChecks."""
     n = None
     z_checks = []
     x_checks = []
@@ -938,14 +894,16 @@ def checks_from_text(text):
             continue
         tag, _, rest = line.partition(":")
         tag = tag.strip().lower()
-        if tag == "n":
-            n = int(rest)
-        elif tag == "z":
-            z_checks.append(tuple(int(q) for q in rest.split()))
-        elif tag == "x":
-            x_checks.append(tuple(int(q) for q in rest.split()))
-        else:
-            raise NonCommutingChecks(f"unrecognized check line {line!r}")
+        try:
+            if tag == "n":
+                n = int(rest)
+            elif tag in ("z", "x"):
+                checks = z_checks if tag == "z" else x_checks
+                checks.append(tuple(int(q) for q in rest.split()))
+            else:
+                raise NonCommutingChecks(f"unrecognized check line {line!r}")
+        except ValueError:
+            raise NonCommutingChecks(f"non-integer entry in check line {line!r}") from None
     if n is None:
         n = 1 + max(
             (q for supp in z_checks + x_checks for q in supp), default=-1

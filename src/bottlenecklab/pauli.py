@@ -16,7 +16,6 @@ __all__ = [
     "gf2_span",
     "gf2_null_space_masks",
     "popcount",
-    "hamming_distance",
 ]
 
 _COSET_CAP = 2**20
@@ -35,15 +34,6 @@ def mask_from_indices(n, indices):
 def popcount(arr):
     """Elementwise set-bit count for an integer array."""
     return np.bitwise_count(np.asarray(arr, dtype=np.uint64)).astype(np.int64)
-
-
-def hamming_distance(n, centers):
-    """Hamming distance of every n-bit basis index to the nearest center."""
-    idx = np.arange(1 << n, dtype=np.uint64)
-    d = np.full(idx.shape, np.iinfo(np.int64).max)
-    for c in centers:
-        np.minimum(d, popcount(idx ^ np.uint64(int(c))), out=d)
-    return d
 
 
 def gf2_span(masks, cap=_COSET_CAP):

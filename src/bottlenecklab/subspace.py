@@ -7,23 +7,26 @@ code downstream treats that case explicitly rather than by crashing.
 A LabelBasis is an orthonormal eigenbasis W of a commuting model whose
 columns are indexed by label pairs (x, z); the computational basis is
 its identity case. What a basis derives from its columns alone (the
-weight-1 move table, the image of a Pauli) is computed once and kept.
-A Subspace spanned by columns of W carries them as labels (W, mask);
-its basis is built from them the first time something reads it, or,
-when one is passed as well, checked to equal them. A partition whose
-nonempty blocks are labeled over one W keeps the block of every label
-in one array, checked and read in place of the block bases.
+image of a Pauli) is computed once and kept. A Subspace spanned by
+columns of W carries them as labels (W, mask); its basis is built from
+them the first time something reads it, or, when one is passed as well,
+checked to equal them. A partition whose nonempty blocks are labeled
+over one W keeps the block of every label in one array, checked and
+read in place of the block bases.
 
 The r-neighborhood of V is span{ S|psi> : S a Pauli string of weight <= r,
-|psi> in V }. Composing neighborhoods adds radii. partition_from_radius
+|psi> in V }. Composing neighborhoods adds radii. A weight-1 Pauli
+X(a)Z(b) maps |x, z> to a phase times |x^a, z^b>, so a weight-<=r string
+reaches exactly the labels at most r such moves away, and that move count
+is the minimal Pauli weight between two eigenstates (Gottesman,
+arXiv:quant-ph/9705052). It comes from one breadth-first search from a
+set of labels, whose every round moves its frontier by the 3n weight-1
+moves at once, with no table kept and no Pauli string enumerated. ball
+gives the labels within r moves of some seed labels (a Hamming ball over
+the identity basis, a barrier ball over a CSS basis); partition_from_radius
 builds the local-theorem split (V, first r-shell, second r-shell, rest),
-and boundary the r-shell alone, for a V labeled over some W. A weight-1
-Pauli X(a)Z(b) maps |x, z> to a phase times |x^a, z^b>, so a
-weight-<=r string reaches exactly the labels at most r such moves away
-(Gottesman, arXiv:quant-ph/9705052). The shells are read off one breadth-first
-search over the 3n weight-1 moves from the labels of V, with no
-enumeration of Pauli strings and no size cap. Hamming shells are the
-identity case. A V without labels is rejected with BadPartition.
+and boundary the r-shell alone, for a V labeled over some W. A V without
+labels is rejected with BadPartition.
 """
 
 import functools
@@ -43,6 +46,7 @@ __all__ = [
     "HilbertPartition",
     "projector",
     "boundary",
+    "ball",
     "hamming_ball_subspace",
     "basis_state_subspace",
     "partition_from_radius",
@@ -98,22 +102,6 @@ class LabelBasis:
         """Column of the eigenstate labeled by the bitstrings (x, z)."""
         return self.x_class[x] * self.blocks.shape[2] + self.z_class[z]
 
-    @functools.cached_property
-    def moves(self):
-        """(dim, 3n): the column that each weight-1 Pauli X(a)Z(b) (X on
-        every qubit, then Z, then Y) takes every column to, computed once
-        per basis and read-only."""
-        bits = np.uint64(1) << np.arange(self.n, dtype=np.uint64)
-        zero = np.zeros(self.n, dtype=np.uint64)
-        a, b = np.concatenate([bits, zero, bits]), np.concatenate([zero, bits, bits])
-        # one move at a time into the table, so that no (dim, 3n)
-        # temporary of the labels is ever formed; index(x, z) is x when W = 1
-        out = np.empty((self.dim, a.size), dtype=np.int64)
-        for c in range(a.size):
-            out[:, c] = self.x ^ a[c] if self.identity else self.index(self.x ^ a[c], self.z ^ b[c])
-        out.setflags(write=False)
-        return out
-
     def same_as(self, other):
         """Whether two bases have the same columns, entry for entry."""
         return self is other or (
@@ -153,8 +141,8 @@ class LabelBasis:
 
     def kept(self, build, *args):
         """build(self, *args), computed on the first call per (build, args)
-        and kept on the basis with every array read-only, as moves is. A
-        build that raises keeps nothing, so it raises on every call."""
+        and kept on the basis with every array read-only. A build that
+        raises keeps nothing, so it raises on every call."""
         key = (build,) + args
         value = self._kept.get(key)
         if value is None:
@@ -295,33 +283,35 @@ def boundary(V, r):
     return _labeled(W, dist > 0)
 
 
+def ball(W, seeds, radius, label=""):
+    """The labels of W within radius weight-1 moves of the seed columns,
+    as a Subspace labeled over W. A radius past n reaches every label.
+    Raises CenterOutsideSpace for a negative radius or a seed outside
+    0..dim-1."""
+    if radius < 0:
+        raise CenterOutsideSpace(f"negative radius {radius}")
+    mask = np.zeros(W.dim, dtype=bool)
+    for c in seeds:
+        if not 0 <= int(c) < W.dim:
+            raise CenterOutsideSpace(f"center {int(c)} outside 0..{W.dim - 1}")
+        mask[int(c)] = True
+    return _labeled(W, _shells(W, mask, radius) >= 0, label)
+
+
 def hamming_ball_subspace(n, centers, radius, label=""):
     """Span of basis states within Hamming distance <= radius of any center.
 
     Centers are basis-state indices (qubit 0 = most significant bit).
     Columns are identity columns in ascending index order, labeled over
-    identity_basis(n).
+    identity_basis(n): the ball of the identity basis.
     """
-    if radius < 0:
-        raise CenterOutsideSpace(f"negative radius {radius}")
-    dim = 1 << n
-    centers = [int(c) for c in centers]
-    for c in centers:
-        if not 0 <= c < dim:
-            raise CenterOutsideSpace(f"center {c} outside 0..{dim - 1}")
-    return _labeled(identity_basis(n), pl.hamming_distance(n, centers) <= radius, label)
+    return ball(identity_basis(n), centers, radius, label)
 
 
 def basis_state_subspace(n, indices, label=""):
     """Subspace spanned by the listed computational-basis states, in
     ascending index order, labeled over identity_basis(n)."""
-    dim = 1 << n
-    mask = np.zeros(dim, dtype=bool)
-    for i in indices:
-        if not 0 <= int(i) < dim:
-            raise CenterOutsideSpace(f"index {int(i)} outside 0..{dim - 1}")
-        mask[int(i)] = True
-    return _labeled(identity_basis(n), mask, label)
+    return ball(identity_basis(n), indices, 0, label)
 
 
 @dataclass
@@ -406,11 +396,9 @@ def _labeled(W, mask, label=""):
 
 
 def _label_shells(V, r, reach):
-    """(W, d) for a V labeled over W; a V without labels raises
-    BadPartition. d is the number of weight-1 Pauli moves X(a)Z(b) from
-    the nearest label of V to every label of W, from a breadth-first
-    search of reach rounds, and -1 past reach. Raises RadiusExceedsN for
-    nonempty V when r is outside [0, n].
+    """(W, _shells(W, mask, reach)) for a V labeled (W, mask); a V without
+    labels raises BadPartition, and a nonempty V raises RadiusExceedsN
+    when r is outside [0, n].
     """
     if V.labels is None:
         raise BadPartition(
@@ -418,16 +406,27 @@ def _label_shells(V, r, reach):
             "explicit HilbertPartition"
         )
     W, mask = V.labels
-    n = V.n
-    if V.dim and not 0 <= r <= n:
-        raise RadiusExceedsN(f"radius {r} outside [0, {n}]")
+    if V.dim and not 0 <= r <= V.n:
+        raise RadiusExceedsN(f"radius {r} outside [0, {V.n}]")
+    return W, _shells(W, mask, reach)
+
+
+def _shells(W, seed, reach):
+    """The number of weight-1 Pauli moves X(a)Z(b) from the nearest label
+    of a seed mask to every label of W, from a breadth-first search of
+    reach rounds, and -1 past reach. Each round takes every frontier
+    label f by the 3n moves (X on every qubit, then Z, then Y) at once,
+    index(x[f] ^ a, z[f] ^ b); index(x, z) is x over the identity basis."""
+    bits = np.uint64(1) << np.arange(W.n, dtype=np.uint64)
+    zero = np.zeros(W.n, dtype=np.uint64)
+    a, b = np.concatenate([bits, zero, bits]), np.concatenate([zero, bits, bits])
     dist = np.full(W.dim, -1, dtype=np.int64)
-    dist[mask] = 0
-    frontier = np.flatnonzero(mask)
+    dist[seed] = 0
+    frontier = np.flatnonzero(seed)
     for step in range(1, reach + 1):
-        reached = W.moves[frontier]
+        reached = W.index(W.x[frontier, None] ^ a, W.z[frontier, None] ^ b)
         dist[reached[dist[reached] < 0]] = step
         frontier = np.flatnonzero(dist == step)
         if frontier.size == 0:
             break
-    return W, dist
+    return dist

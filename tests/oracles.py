@@ -11,7 +11,9 @@ a time, and only tests call it:
   loop over label pairs, taking the reduced distance of each pair as a
   minimum over both stabilizer spans, and each pair's energy as its
   syndrome count (pair_energy). It is the oracle for
-  model.barrier_subspace.
+  model.barrier_subspace. span_distance takes that minimum for every
+  column of a label basis, as model.label_distance did; it is the oracle
+  for the breadth-first search of subspace.
 - shell_projectors builds the energy windows of H0 as dense projectors
   and checks that they resolve the identity without overlapping. It is
   the oracle for stability.shell_decomposition, whose windows are index
@@ -138,6 +140,12 @@ a time, and only tests call it:
   path, entry by entry, as a dense matrix, and column_chain converts a
   dense chain to markov's column form, as StochasticMatrix did on
   construction before it took only that form.
+- hamming_shell_labels gives the block labels of the Hamming shells
+  about a center from np.bitwise_count distances, as
+  markov.hamming_state_partition did. It is the oracle for the split that
+  verify-classical builds with subspace.partition_from_radius.
+  block_labels writes block labels from index lists, for the chains of
+  the markov tests.
 - ring_cut_ratio reads pi(B)/pi(A) of a Hamming cut of the Ising ring
   from e^{-beta E} and np.bitwise_count distances, with numpy alone and
   nothing from the package. It is the independent third party in the
@@ -169,8 +177,8 @@ from bottlenecklab.markov import StochasticMatrix
 from bottlenecklab.model import (
     BarrierCertificate,
     Hamiltonian,
-    _as_mask,
     _max_per_qubit,
+    label_basis,
     spectrum,
     subspace_min_energy,
     thermal_state,
@@ -475,6 +483,22 @@ def joint_reduced_distance(a, b, gx_span, gxp_span):
     return int(popcount(np.bitwise_or.outer(ag, bh)).min())
 
 
+def span_distance(checks, center):
+    """The reduced distance from the center label (x0, z0) to every column
+    (x, z) of label_basis(checks), one column at a time: the least
+    joint_reduced_distance of (x ^ x0, z ^ z0) over the X-check span and
+    its orthogonal complement, the fewest qubits a Pauli string mapping
+    one eigenstate to the other touches. For a classical family the
+    complement is every z, so it is the Hamming distance |x ^ x0|."""
+    x_masks = [int(m) for m in checks.x_masks()]
+    spans = gf2_span(x_masks), gf2_span(gf2_null_space_masks(checks.n, x_masks))
+    W = label_basis(checks)
+    x0, z0 = (int(c) for c in center)
+    return np.array(
+        [joint_reduced_distance(x ^ x0, z ^ z0, *spans) for x, z in zip(W.x.tolist(), W.z.tolist())]
+    )
+
+
 def pair_energy(checks, x, z):
     """Energy of the eigenstate |x, z>: the Z checks of odd overlap with x
     and the X checks of odd overlap with z."""
@@ -637,7 +661,6 @@ def dense_perturbation(n, term_supports, g, seed):
         n=n,
         w0=_max_per_qubit(n, supports),
         w1=max((len(s) for s in supports), default=0),
-        source="perturbation",
         term_supports=supports,
     )
 
@@ -968,9 +991,10 @@ def per_beta_glauber(E, beta, laziness=0.0):
     return rows, weights
 
 
-def dense_report(M, part, pi):
-    """The classical bound on a dense chain with stationary law pi."""
-    A, B, C = (np.flatnonzero(np.isin(part.label, blk)) for blk in ((0,), (1, 2), (3,)))
+def dense_report(M, label, pi):
+    """The classical bound on a dense chain with stationary law pi, for
+    one block label per state."""
+    A, B, C = (np.flatnonzero(np.isin(label, blk)) for blk in ((0,), (1, 2), (3,)))
     pA, pB, pC = pi[A].sum(), pi[B].sum(), pi[C].sum()
     piA = np.zeros(M.shape[0])
     piA[A] = pi[A] / pA
@@ -987,6 +1011,24 @@ def communicating_classes(M):
     graph = sparse.csc_array(M.mat if isinstance(M, StochasticMatrix) else M, copy=True)
     graph.eliminate_zeros()
     return connected_components(graph, directed=True, connection="strong")[0]
+
+
+def hamming_shell_labels(n, center, inner, width):
+    """Block labels of the Hamming shells about a center bitstring: A the
+    ball of radius inner, B1 and B2 the next two shells of the given
+    width, C the rest."""
+    d = np.bitwise_count(np.arange(1 << n) ^ center)
+    return (d > inner).astype(np.int8) + (d > inner + width) + (d > inner + 2 * width)
+
+
+def block_labels(A, B1, B2, C):
+    """One block label per state (0 for A, 1 for B1, 2 for B2, 3 for C)
+    from the index lists of the four blocks; a state that no list names
+    keeps -1."""
+    label = np.full(sum(len(b) for b in (A, B1, B2, C)), -1, dtype=np.int8)
+    for k, block in enumerate((A, B1, B2, C)):
+        label[list(block)] = k
+    return label
 
 
 def ring_cut_ratio(n, beta, center, inner, width):
@@ -1029,7 +1071,8 @@ def classical_energy(x, checks):
     """Number of Z checks with odd parity on the bitstring x."""
     if not checks.is_classical:
         raise NotClassical("model has X checks")
-    mask = np.uint64(_as_mask(checks.n, x))
+    bits = np.asarray(x)
+    mask = np.uint64(int(x) if bits.ndim == 0 else mask_from_indices(checks.n, np.flatnonzero(bits)))
     return int(sum(int(popcount(mask & np.uint64(m))) & 1 for m in checks.z_masks()))
 
 

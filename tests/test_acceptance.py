@@ -35,9 +35,7 @@ from bottlenecklab.channel import (
 )
 from bottlenecklab.markov import (
     GlauberTable,
-    StatePartition,
     classical_bottleneck_report,
-    hamming_state_partition,
 )
 from bottlenecklab.model import (
     REGISTRY,
@@ -69,7 +67,7 @@ from bottlenecklab.subspace import (
     partition_from_radius,
 )
 from conftest import random_density, random_pi, random_projector, random_unitary
-from oracles import birth_death_chain, column_chain, enumerated_blocks, neighborhood
+from oracles import birth_death_chain, block_labels, column_chain, enumerated_blocks, neighborhood
 
 BETAS = (0.5, 1.0, 2.0, 3.0)
 
@@ -265,7 +263,7 @@ def test_criterion_03_classical_theorem_suite():
     worst_gap = -math.inf
     for n in (6, 8, 10, 12):
         E = label_energies(REGISTRY["ising_ring"](n))
-        part = hamming_state_partition(n, 0, 1, 1)
+        part = partition_from_radius(hamming_ball_subspace(n, [0], 1), 1).labels[1]
         table = GlauberTable(E)
         for beta in (0.5, 1.0, 2.0):
             chain = table.chain(beta)
@@ -280,7 +278,7 @@ def test_criterion_03_classical_theorem_suite():
             rng = np.random.default_rng(7000 + 10 * m + seed)
             pi = random_pi(rng, m)
             M = column_chain(birth_death_chain(m, pi))
-            part = StatePartition(A=(0, 1), B1=(2,), B2=(3,), C=tuple(range(4, m)))
+            part = block_labels((0, 1), (2,), (3,), range(4, m))
             rep = classical_bottleneck_report(M, part, pi=pi)
             assert rep.lhs <= rep.bound + 1e-12
             worst_gap = max(worst_gap, rep.lhs - rep.bound)

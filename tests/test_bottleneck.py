@@ -36,7 +36,6 @@ from bottlenecklab.errors import (
 from bottlenecklab.markov import (
     GlauberTable,
     classical_bottleneck_report,
-    hamming_state_partition,
 )
 from bottlenecklab.model import (
     REGISTRY,
@@ -199,13 +198,13 @@ def test_empty_A_threshold_is_shared_by_the_classical_and_label_paths():
     H = RINGS[4]
     E = label_energies(REGISTRY["ising_ring"](4))
     pi, _ = gibbs_weights(E, beta)
-    part = hamming_state_partition(4, 0b0101, 0, 1)
-    assert 1e-14 < pi[part.label == 0].sum() <= EMPTY_WEIGHT_TOL
+    quantum = partition_from_radius(hamming_ball_subspace(4, [0b0101], 0), 1)
+    label = quantum.labels[1]
+    assert 1e-14 < pi[label == 0].sum() <= EMPTY_WEIGHT_TOL
     with pytest.raises(EmptyA, match="pi\\(A\\)"):
-        classical_bottleneck_report(GlauberTable(E).chain(beta), part, pi)
+        classical_bottleneck_report(GlauberTable(E).chain(beta), label, pi)
     rho, _, _ = gibbs_state(H, beta)
     sched = sweep_schedule(H, beta, range(4))
-    quantum = partition_from_radius(hamming_ball_subspace(4, [0b0101], 0), 1)
     assert label_weights(rho, quantum.labels[0])[quantum.A.labels[1]].sum() == pi[5]
     with pytest.raises(EmptyA, match="pi\\(A\\)"):
         verify_bottleneck_theorem(sched, rho, quantum)

@@ -18,7 +18,6 @@ from bottlenecklab.errors import BoundViolated
 from bottlenecklab.markov import (
     StochasticMatrix,
     classical_bottleneck_report,
-    hamming_state_partition,
 )
 from bottlenecklab.model import (
     REGISTRY,
@@ -29,7 +28,7 @@ from bottlenecklab.model import (
 )
 from bottlenecklab.numerics import DensityMatrix
 from bottlenecklab.stability import shell_decomposition
-from oracles import per_beta_glauber
+from oracles import hamming_shell_labels, per_beta_glauber
 
 VQ_BASE = {
     "model": "ising_ring",
@@ -960,11 +959,15 @@ VC_FILE = {"betas": [1.0], "partition": {"center": 0, "inner": 0, "width": 1}}
         ("verify-quantum", dict(VQ_BASE, attempt_prob=1.5), "attempt_prob"),
         ("mixing-compare", dict(GRID_CONFIGS["mixing-compare"], mix_eps=0.6), "(0, 0.5]"),
         ("barrier-scan", dict(GRID_CONFIGS["barrier-scan"], center=[1, 2, 3]), "[x, z] pair"),
+        ("verify-classical", dict(VC_FILE, checks_file="bad_n.txt"), "non-integer"),
+        ("verify-classical", dict(VC_FILE, checks_file="bad_qubit.txt"), "non-integer"),
     ],
 )
 def test_config_rejected_through_main(tmp_path, monkeypatch, subcommand, cfg, word):
     (tmp_path / "triangle.txt").write_text("n: 3\nZ: 0 1\nZ: 1 2\nZ: 0 2\n")
     (tmp_path / "garbage.txt").write_text("Y: 0 1\n")
+    (tmp_path / "bad_n.txt").write_text("n: x\nZ: 0 1\n")
+    (tmp_path / "bad_qubit.txt").write_text("Z: 0 a\n")
     built = _spy_on_builds(monkeypatch, through=False)
     path = tmp_path / "cfg.json"
     if isinstance(cfg, str):
@@ -981,7 +984,8 @@ def test_config_rejected_through_main(tmp_path, monkeypatch, subcommand, cfg, wo
 
 def test_verify_classical_laziness_one_rejected(tmp_path, monkeypatch):
     # laziness 1 never moves, so the chain has no unique stationary law
-    monkeypatch.setattr(cli, "hamming_state_partition", _refuse)
+    monkeypatch.setattr(cli, "hamming_ball_subspace", _refuse)
+    monkeypatch.setattr(cli, "partition_from_radius", _refuse)
     monkeypatch.setattr(cli, "GlauberTable", _refuse)
     cfg = dict(GRID_CONFIGS["verify-classical"], laziness=1.0)
     code, out = run("verify-classical", cfg, tmp_path)
@@ -990,7 +994,8 @@ def test_verify_classical_laziness_one_rejected(tmp_path, monkeypatch):
 
 
 def test_verify_classical_empty_c_rejected(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "hamming_state_partition", _refuse)
+    monkeypatch.setattr(cli, "hamming_ball_subspace", _refuse)
+    monkeypatch.setattr(cli, "partition_from_radius", _refuse)
     monkeypatch.setattr(cli, "GlauberTable", _refuse)
     cfg = {
         "model": "ising_ring",
@@ -1142,7 +1147,7 @@ def test_verify_classical_runs_in_one_process_share_no_table(tmp_path):
         assert code == 0
         E = label_energies(REGISTRY[cfg["model"]](cfg["n"]))
         spec = cfg["partition"]
-        part = hamming_state_partition(cfg["n"], spec["center"], spec["inner"], spec["width"])
+        part = hamming_shell_labels(cfg["n"], spec["center"], spec["inner"], spec["width"])
         rows = json.loads((out / "report.json").read_text())
         assert [row["beta"] for row in rows] == cfg["betas"]
         for row, beta in zip(rows, cfg["betas"]):

@@ -15,19 +15,20 @@ from bottlenecklab.errors import (
 from bottlenecklab.markov import (
     _RESIDUAL_CHUNK,
     GlauberTable,
-    StatePartition,
     StochasticMatrix,
     _flip_form,
     check_classical_condition,
     classical_bottleneck_report,
-    hamming_state_partition,
 )
 from bottlenecklab.model import REGISTRY, gibbs_weights, label_energies
+from bottlenecklab.subspace import hamming_ball_subspace, partition_from_radius
 from oracles import (
     birth_death_chain,
+    block_labels,
     column_chain,
     dense_glauber,
     dense_report,
+    hamming_shell_labels,
     per_beta_glauber,
     stationary_distribution,
 )
@@ -106,30 +107,34 @@ class TestStochasticMatrix:
             StochasticMatrix.from_columns(np.zeros((2, 1), dtype=int), np.ones((2, 2)))
 
 
-class TestStatePartition:
-    def test_blocks_must_cover(self):
-        with pytest.raises(BadPartition):
-            StatePartition((0,), (1,), (), (2,), dim=4)
-
-    def test_blocks_must_be_disjoint(self):
-        with pytest.raises(BadPartition):
-            StatePartition((0, 1), (1,), (2,), (3,), dim=4)
-
-    def test_a_and_c_required(self):
-        with pytest.raises(BadPartition):
-            StatePartition((), (0, 1), (2,), (3,), dim=4)
-        with pytest.raises(BadPartition):
-            StatePartition((0,), (1, 2), (3,), (), dim=4)
+class TestBlockLabels:
+    @pytest.mark.parametrize(
+        "label,word",
+        [
+            ([0, 1, 3], "the chain has 4 states"),
+            ([[0, 1], [2, 3]], "the chain has 4 states"),
+            ([0, 4, 2, 3], "0..3"),
+            ([0, -1, 2, 3], "0..3"),
+            (block_labels((), (0, 1), (2,), (3,)), "non-empty"),
+            (block_labels((0,), (1, 2), (3,), ()), "non-empty"),
+        ],
+        ids=["short", "2-d", "label 4", "no block", "empty A", "empty C"],
+    )
+    def test_refused(self, label, word):
+        # every entry point that reads the labels refuses them the same way
+        sm = column_chain(np.eye(4))
+        for call in (
+            lambda: check_classical_condition(sm, label),
+            lambda: classical_bottleneck_report(sm, label, np.full(4, 0.25)),
+            lambda: GlauberTable(np.zeros(4), label),
+        ):
+            with pytest.raises(BadPartition, match=word):
+                call()
 
     def test_block_labels(self):
-        part = StatePartition((3,), (0, 2), (), (1,))
-        assert part.label.tolist() == [1, 3, 1, 0]
-        assert not part.label.flags.writeable
-        assert StatePartition.from_labels(part.label).label.tolist() == [1, 3, 1, 0]
-        with pytest.raises(BadPartition):
-            StatePartition.from_labels([0, 4, 3])
-        with pytest.raises(BadPartition):
-            StatePartition.from_labels([1, 2, 3])
+        label = block_labels((3,), (0, 2), (), (1,))
+        assert label.tolist() == [1, 3, 1, 0]
+        assert check_classical_condition(column_chain(np.eye(4)), label).passes
 
 
 class TestStationaryDistribution:
@@ -165,14 +170,14 @@ class TestStationaryDistribution:
 class TestClassicalCondition:
     def test_birth_death_passes(self):
         sm = birth_death_metropolis([0.45, 0.05, 0.05, 0.45])
-        part = StatePartition((0,), (1,), (2,), (3,))
+        part = block_labels((0,), (1,), (2,), (3,))
         rep = check_classical_condition(sm, part)
         assert rep.passes
         assert rep.max_forbidden_entry == 0.0
 
     def test_swapped_shells_fail(self):
         sm = birth_death_metropolis([0.45, 0.05, 0.05, 0.45])
-        part = StatePartition((0,), (2,), (1,), (3,))
+        part = block_labels((0,), (2,), (1,), (3,))
         rep = check_classical_condition(sm, part)
         assert not rep.passes
         assert rep.max_forbidden_entry > 0
@@ -183,7 +188,7 @@ class TestClassicalCondition:
         # A = {0}, B1 and B2 the weight-1 and weight-2 states, C the rest;
         # move 1e-13 of the stay mass of `frm` across one forbidden pair
         M = GlauberTable(rng.uniform(0.0, 1.0, size=16)).chain(1.0).mat.toarray()
-        part = hamming_state_partition(4, 0, 0, 1)
+        part = hamming_shell_labels(4, 0, 0, 1)
         assert check_classical_condition(column_chain(M), part).passes
         M[to, frm] = 1e-13
         M[frm, frm] -= 1e-13
@@ -198,7 +203,7 @@ class TestClassicalCondition:
         # column 0 stores an exact zero at row 3, the forbidden move A -> C
         rows = np.array([[0, 1, 2, 3], [3, 1, 2, 3]])
         weights = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
-        part = StatePartition((0,), (1,), (2,), (3,))
+        part = block_labels((0,), (1,), (2,), (3,))
         rep = check_classical_condition(StochasticMatrix.from_columns(rows, weights), part)
         assert rep.passes
         assert rep.max_forbidden_entry == 0.0
@@ -209,7 +214,7 @@ class TestClassicalCondition:
         M[3, 0] = 1e-13
         M[3, 3] = 1 - 1e-13
         M[0, 3] = 1e-13
-        part = StatePartition((0,), (1,), (2,), (3,))
+        part = block_labels((0,), (1,), (2,), (3,))
         rep = check_classical_condition(column_chain(M), part)
         assert not rep.passes
 
@@ -219,7 +224,7 @@ class TestBottleneckReport:
         # bound = 2 * 0.1 / 0.45
         pi = np.array([0.45, 0.05, 0.05, 0.45])
         sm = birth_death_metropolis(pi)
-        part = StatePartition((0,), (1,), (2,), (3,))
+        part = block_labels((0,), (1,), (2,), (3,))
         rep = classical_bottleneck_report(sm, part, pi)
         assert rep.bound == pytest.approx(0.4444444444444444, abs=1e-12)
         assert rep.lhs <= rep.bound + 1e-12
@@ -227,7 +232,7 @@ class TestBottleneckReport:
 
     def test_supplied_pi_is_validated(self):
         sm = birth_death_metropolis([0.45, 0.05, 0.05, 0.45])
-        part = StatePartition((0,), (1,), (2,), (3,))
+        part = block_labels((0,), (1,), (2,), (3,))
         good = np.array([0.45, 0.05, 0.05, 0.45])
         rep = classical_bottleneck_report(sm, part, pi=good)
         assert rep.pi_A == pytest.approx(0.45)
@@ -245,7 +250,7 @@ class TestBottleneckReport:
             "sum off by 1e-11": (1 + 1e-11) * gibbs,
             "negative entry": np.concatenate([[gibbs[0] + 2 * gibbs[1], -gibbs[1]], gibbs[2:]]),
         }[case]
-        part = hamming_state_partition(6, 0, 1, 1)
+        part = hamming_shell_labels(6, 0, 1, 1)
         with pytest.raises(NonUniqueStationary, match="probability vector"):
             classical_bottleneck_report(GlauberTable(E).chain(1.0), part, pi)
 
@@ -255,7 +260,7 @@ class TestBottleneckReport:
         M = np.eye(4)
         M[:2, :2] = [[0.5, 0.5], [0.5, 0.5]]
         M[2:, 2:] = [[0.5, 0.5], [0.5, 0.5]]
-        part = StatePartition((0,), (1,), (2,), (3,))
+        part = block_labels((0,), (1,), (2,), (3,))
         with pytest.raises(NonUniqueStationary, match="2 communicating classes"):
             classical_bottleneck_report(column_chain(M), part, np.full(4, 0.25))
 
@@ -269,13 +274,13 @@ class TestBottleneckReport:
         sm = GlauberTable(E).chain(5.0)
         assert connected_components(sm.mat, connection="strong")[0] == 1
         pi, _ = gibbs_weights(E, 5.0)
-        part = StatePartition((0,), (1,), (2,), (3,))
+        part = block_labels((0,), (1,), (2,), (3,))
         with pytest.raises(NonUniqueStationary, match="4 communicating classes"):
             classical_bottleneck_report(sm, part, pi)
 
     def test_condition_violation_raises(self):
         pi = np.array([0.45, 0.05, 0.05, 0.45])
-        part = StatePartition((0,), (2,), (1,), (3,))
+        part = block_labels((0,), (2,), (1,), (3,))
         with pytest.raises(ConditionViolated):
             classical_bottleneck_report(birth_death_metropolis(pi), part, pi)
 
@@ -283,7 +288,7 @@ class TestBottleneckReport:
         # Stationary law concentrated away from A within float precision.
         E = np.array([80.0, 40.0, 40.0, 0.0])
         sm = birth_death_metropolis(np.exp(-E) / np.exp(-E).sum())
-        part = StatePartition((0,), (1,), (2,), (3,))
+        part = block_labels((0,), (1,), (2,), (3,))
         pi = np.exp(-E)
         pi /= pi.sum()
         with pytest.raises(EmptyA):
@@ -295,7 +300,7 @@ class TestBottleneckReport:
         E[0] = -1.0
         beta = 2.0
         sm = GlauberTable(E).chain(beta)
-        part = hamming_state_partition(m, 0, 0, 1)
+        part = hamming_shell_labels(m, 0, 0, 1)
         gibbs = np.exp(-beta * E)
         gibbs /= gibbs.sum()
         rep = classical_bottleneck_report(sm, part, pi=gibbs)
@@ -307,7 +312,7 @@ class TestBottleneckReport:
         # so its distance to pi shrinks no faster than linearly.
         pi = np.array([0.45, 0.05, 0.05, 0.45])
         sm = birth_death_metropolis(pi)
-        part = StatePartition((0,), (1,), (2,), (3,))
+        part = block_labels((0,), (1,), (2,), (3,))
         rep = classical_bottleneck_report(sm, part, pi)
         piA = np.array([1.0, 0.0, 0.0, 0.0])
         start = 0.5 * np.abs(piA - pi).sum()
@@ -388,7 +393,7 @@ class TestGlauberChain:
         # the Gibbs law against the solved one (ARPACK above 1024 states),
         # then the sparse report against the dense arithmetic on that law
         E = label_energies(REGISTRY["ising_ring"](m))
-        part = hamming_state_partition(m, 0, 1, 1)
+        part = hamming_shell_labels(m, 0, 1, 1)
         betas = (0.5, 3.0) if m <= 10 else (3.0,)
         for beta in betas:
             pi, _ = gibbs_weights(E, beta)
@@ -424,10 +429,9 @@ class TestGlauberTable:
         # checks the chain against its own blocks, whatever was built before
         E = label_energies(REGISTRY["ising_ring"](4))
         pi, _ = gibbs_weights(E, 1.0)
-        clean = hamming_state_partition(4, 0, 0, 1)
-        label = clean.label.copy()
-        label[1] = 3  # 0 -> 1 is a single flip from A straight into C
-        broken = StatePartition.from_labels(label)
+        clean = hamming_shell_labels(4, 0, 0, 1)
+        broken = clean.copy()
+        broken[1] = 3  # 0 -> 1 is a single flip from A straight into C
         sm = StochasticMatrix.from_columns(*per_beta_glauber(E, 1.0))
         assert check_classical_condition(sm, broken).offending == (0, 1)
         for order in ((clean, broken), (broken, clean)):
@@ -440,9 +444,9 @@ class TestGlauberTable:
                     assert table.report(1.0, 0.0, pi) == classical_bottleneck_report(sm, clean, pi)
 
     def test_partition_must_cover_the_table(self):
-        with pytest.raises(BadPartition, match="covers 16 states"):
-            GlauberTable(np.zeros(8), hamming_state_partition(4, 0, 0, 1))
-        with pytest.raises(BadPartition, match="without a partition"):
+        with pytest.raises(BadPartition, match="the chain has 8 states"):
+            GlauberTable(np.zeros(8), hamming_shell_labels(4, 0, 0, 1))
+        with pytest.raises(BadPartition, match="without block labels"):
             GlauberTable(np.zeros(8)).report(1.0, 0.0, np.full(8, 1 / 8))
 
 
@@ -469,7 +473,7 @@ class TestResidual:
         moved = pi.copy()
         moved[0] += 1e-9
         moved /= moved.sum()
-        part = hamming_state_partition(16, 0, 1, 1)
+        part = hamming_shell_labels(16, 0, 1, 1)
         table = GlauberTable(E, part)
         rep = table.report(0.5, 0.0, pi)
         assert rep.lhs <= rep.bound
@@ -482,7 +486,7 @@ class TestResidual:
         # the chain fallen apart
         E = label_energies(REGISTRY["ising_ring"](10))
         pi, _ = gibbs_weights(E, 400.0)
-        part = hamming_state_partition(10, 0, 1, 1)
+        part = hamming_shell_labels(10, 0, 1, 1)
         table = GlauberTable(E, part)
         assert not table.chain(400.0).single_flip_certified()
         with pytest.raises(NonUniqueStationary, match="communicating classes"):
@@ -492,11 +496,11 @@ class TestResidual:
 
 
 class TestHammingPartition:
+    # the split of verify-classical: the label shells of a Hamming ball
     def test_shell_sizes(self):
-        part = hamming_state_partition(4, 0, 0, 1)
-        assert np.bincount(part.label).tolist() == [1, 4, 6, 5]
+        part = partition_from_radius(hamming_ball_subspace(4, [0], 0), 1)
+        assert np.bincount(part.labels[1]).tolist() == [1, 4, 6, 5]
 
     def test_offset_center(self):
-        part = hamming_state_partition(3, 0b111, 0, 1)
-        assert np.flatnonzero(part.label == 0).tolist() == [7]
-
+        part = partition_from_radius(hamming_ball_subspace(3, [0b111], 0), 1)
+        assert np.flatnonzero(part.labels[1] == 0).tolist() == [7]

@@ -40,11 +40,9 @@ from bottlenecklab.channel import (
 from bottlenecklab.errors import BadPartition, EmptyA, EmptyBoundary, NonUniqueStationary, NotDiagonal
 from bottlenecklab.markov import (
     GlauberTable,
-    StatePartition,
     StochasticMatrix,
     _certify_stationary,
     classical_bottleneck_report,
-    hamming_state_partition,
 )
 from bottlenecklab.model import (
     REGISTRY,
@@ -59,7 +57,6 @@ from bottlenecklab.model import (
     gibbs_weights,
     ising_ring,
     label_basis,
-    label_distance,
     label_energies,
     perturb,
     random_ldpc,
@@ -88,6 +85,8 @@ from bottlenecklab.sampler import css_metropolis_channel, metropolis_site_channe
 from bottlenecklab.subspace import (
     HilbertPartition,
     Subspace,
+    _shells,
+    ball,
     boundary,
     hamming_ball_subspace,
     identity_basis,
@@ -98,6 +97,7 @@ from oracles import (
     _gauged,
     barrier_by_label_pairs,
     birth_death_chain,
+    block_labels,
     column_chain,
     communicating_classes,
     dense_check_hamiltonian,
@@ -116,11 +116,13 @@ from oracles import (
     eigen_ratio,
     enumerated_blocks,
     gauged_eigensystem,
+    hamming_shell_labels,
     indices_from_mask,
     per_form_support,
     ring_cut_ratio,
     row_norm_blocks,
     shell_projectors,
+    span_distance,
     stationary_distribution,
     thermal_gibbs_state,
 )
@@ -477,7 +479,7 @@ def label_ball(checks, center, inner):
     """(W, V): V spans the labels of W = label_basis(checks) within
     reduced distance inner of the center."""
     W = label_basis(checks)
-    mask = label_distance(checks, center) <= inner
+    mask = span_distance(checks, center) <= inner
     return W, Subspace(checks.n, W.columns(mask), labels=(W, mask))
 
 
@@ -591,7 +593,7 @@ def test_gibbs_law_matches_the_solved_stationary_law(checks, beta, laziness):
     E = label_energies(checks)
     chain = GlauberTable(E).chain(beta, laziness)
     pi, _ = gibbs_weights(E, beta)
-    classical_bottleneck_report(chain, hamming_state_partition(checks.n, 0, 0, 1), pi)
+    classical_bottleneck_report(chain, hamming_shell_labels(checks.n, 0, 0, 1), pi)
     try:
         want = stationary_distribution(chain)
     except NonUniqueStationary as exc:
@@ -688,12 +690,72 @@ def test_birth_death_chains_in_column_form_match_the_dense_report():
             chain = column_chain(M)
             assert np.array_equal(chain.mat.toarray(), M)
             assert not chain.single_flip_certified()
-            part = StatePartition(A=(0, 1), B1=(2,), B2=(3,), C=tuple(range(4, m)))
+            part = block_labels((0, 1), (2,), (3,), range(4, m))
             rep = classical_bottleneck_report(chain, part, pi)
             ref = dense_report(M, part, pi)
             for key, want in ref.items():
                 assert getattr(rep, key) == pytest.approx(want, rel=1e-12, abs=1e-15), (m, seed, key)
             assert rep.condition_max == 0.0
+
+
+# --- one distance search: balls and shells against the closed forms --------
+
+
+def _search_matches_the_span_minimum(checks, centers, radius):
+    """The breadth-first distances from the columns of some center labels
+    equal the least span_distance of those centers, and the ball of
+    radius holds the labels within it."""
+    W = label_basis(checks)
+    seeds = [W.index(x, z) for x, z in centers]
+    want = np.min([span_distance(checks, c) for c in centers], axis=0)
+    seed = np.zeros(W.dim, dtype=bool)
+    seed[seeds] = True
+    assert np.array_equal(_shells(W, seed, checks.n), want)
+    got = ball(W, seeds, radius)
+    assert got.labels[0] is W
+    assert np.array_equal(got.labels[1], want <= radius)
+    if checks.is_classical:
+        hamming = hamming_ball_subspace(checks.n, [x for x, _ in centers], radius)
+        assert np.array_equal(hamming.labels[1], want <= radius)
+
+
+def _registry_families():
+    for n in range(3, 11):
+        for name in SIZE_INDEXED:
+            yield pytest.param(REGISTRY[name](n), id=f"{name}({n})")
+        yield pytest.param(random_ldpc(n, n, n), id=f"random_ldpc({n},{n},{n})")
+    yield pytest.param(steane7(), id="steane7")
+    yield pytest.param(toric(2), id="toric(2)")
+
+
+@pytest.mark.parametrize("checks", _registry_families())
+def test_distance_search_matches_the_span_minimum_on_the_registry(checks):
+    rng = np.random.default_rng(checks.n)
+    for count in (1, 1, 2, 3):
+        centers = [tuple(int(c) for c in rng.integers(0, 1 << checks.n, 2)) for _ in range(count)]
+        _search_matches_the_span_minimum(checks, centers, int(rng.integers(0, checks.n + 2)))
+
+
+@SETTINGS
+@given(checks=css_families(), data=st.data())
+def test_distance_search_matches_the_span_minimum_on_css_families(checks, data):
+    label = st.tuples(st.integers(0, (1 << checks.n) - 1), st.integers(0, (1 << checks.n) - 1))
+    centers = data.draw(st.lists(label, min_size=1, max_size=3))
+    _search_matches_the_span_minimum(checks, centers, data.draw(st.integers(0, checks.n)))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_classical_split_matches_the_hamming_shells(n):
+    # verify-classical's split, the label shells of a Hamming ball, at
+    # every (inner, width) whose C is non-empty; every center up to n = 8,
+    # 16 seeded ones past it
+    centers = range(1 << n) if n <= 8 else np.random.default_rng(n).integers(0, 1 << n, 16)
+    for width in range(1, n):
+        for inner in range(n - 2 * width):
+            for center in centers:
+                part = partition_from_radius(hamming_ball_subspace(n, [center], inner), width)
+                want = hamming_shell_labels(n, int(center), inner, width)
+                assert np.array_equal(part.labels[1], want), (center, inner, width)
 
 
 # --- the label path's Delta against markov's pi(B)/pi(A) ---------------------
@@ -717,7 +779,7 @@ def test_label_delta_matches_the_classical_ratio(n):
             part = partition_from_radius(hamming_ball_subspace(n, [center], inner), width)
             label = verify_bottleneck_theorem(sched, rho, part)
             assert label.path == "label"
-            cut = hamming_state_partition(n, center, inner, width)
+            cut = hamming_shell_labels(n, center, inner, width)
             classical = classical_bottleneck_report(chain, cut, pi)
             want = ring_cut_ratio(n, beta, center, inner, width)
             for got in (label.delta, classical.pi_B / classical.pi_A):
@@ -1043,7 +1105,7 @@ def test_label_distances_match_the_dense_evolution(fam, beta, flavors):
     H = build_hamiltonian(fam)
     rho, _, _ = gibbs_state(H, beta)
     W, p = rho.labels
-    in_A = label_distance(fam, (0, 0)) <= (1 if flavors is None else 0)
+    in_A = span_distance(fam, (0, 0)) <= (1 if flavors is None else 0)
     start = DensityMatrix.from_labels(W, np.where(in_A, p, 0.0) / p[in_A].sum())
     sched = sweep_schedule(H, beta, range(fam.n), flavors=flavors)
     steps = evolve_sequence(sched, start, rho, T=200)
