@@ -430,7 +430,9 @@ class GlauberTable:
         self.uphill = uphill
         self.label = self.forbidden = None
         if label is not None:
-            self.label = _block_labels(label, dim)
+            # a read-only copy, so the kept positions always match it
+            self.label = np.array(_block_labels(label, dim))
+            self.label.setflags(write=False)
             self.forbidden = _forbidden_positions(self.rows, self.label)
 
     def chain(self, beta, laziness=0.0):

@@ -60,7 +60,9 @@ class LabelBasis:
     Column j is the eigenstate with labels (x[j], z[j]). Columns run
     x-class major: the nz labels of x class c are columns c*nz .. c*nz +
     nz - 1, so the column of any bitstring pair (x, z) is index(x, z),
-    read from the class tables of every bitstring. All labels of class c
+    read from the class tables of every bitstring: x_class numbers the
+    cosets of one linear span of bitstrings, z_class those of another
+    (for the identity basis, {0} and every bitstring). All labels of class c
     live on the same k rows order[c*k : (c+1)*k] (ascending), with values
     blocks[c] (k x nz). So W = P blockdiag(blocks) for the row
     permutation P given by order, and products with W are one gather
@@ -411,22 +413,40 @@ def _label_shells(V, r, reach):
     return W, _shells(W, mask, reach)
 
 
+_SHELL_CHUNK = 1 << 15
+
+
 def _shells(W, seed, reach):
     """The number of weight-1 Pauli moves X(a)Z(b) from the nearest label
     of a seed mask to every label of W, from a breadth-first search of
-    reach rounds, and -1 past reach. Each round takes every frontier
-    label f by the 3n moves (X on every qubit, then Z, then Y) at once,
-    index(x[f] ^ a, z[f] ^ b); index(x, z) is x over the identity basis."""
-    bits = np.uint64(1) << np.arange(W.n, dtype=np.uint64)
-    zero = np.zeros(W.n, dtype=np.uint64)
-    a, b = np.concatenate([bits, zero, bits]), np.concatenate([zero, bits, bits])
-    dist = np.full(W.dim, -1, dtype=np.int64)
+    reach rounds, and -1 past reach, as int8 (a distance is at most n).
+    Each round takes every frontier label f by the distinct moves at
+    once, index(x[f] ^ a, z[f] ^ b), _SHELL_CHUNK frontier labels at a
+    time so that the temporaries stay bounded; index(x, z) is x over the
+    identity basis."""
+    a, b = _moves(W)
+    dist = np.full(W.dim, -1, dtype=np.int8)
     dist[seed] = 0
     frontier = np.flatnonzero(seed)
     for step in range(1, reach + 1):
-        reached = W.index(W.x[frontier, None] ^ a, W.z[frontier, None] ^ b)
-        dist[reached[dist[reached] < 0]] = step
+        for start in range(0, frontier.size, _SHELL_CHUNK):
+            f = frontier[start : start + _SHELL_CHUNK, None]
+            reached = W.index(W.x[f] ^ a, W.z[f] ^ b)
+            dist[reached[dist[reached] < 0]] = step
         frontier = np.flatnonzero(dist == step)
         if frontier.size == 0:
             break
     return dist
+
+
+def _moves(W):
+    """The weight-1 moves (a, b) of W that change a label, one per image.
+    The label classes are cosets of linear spans, so the image of (x, z)
+    under a move depends on the move only through index(a, b): moves of
+    one index land on one label, and moves of index(0, 0) keep it. Over
+    the identity basis that leaves the n single-bit X moves."""
+    bits = np.uint64(1) << np.arange(W.n, dtype=np.uint64)
+    a, b = np.concatenate([bits, 0 * bits, bits]), np.concatenate([0 * bits, bits, bits])
+    key, first = np.unique(W.index(a, b), return_index=True)
+    keep = np.sort(first[key != W.index(np.uint64(0), np.uint64(0))])
+    return a[keep], b[keep]

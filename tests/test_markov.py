@@ -443,6 +443,20 @@ class TestGlauberTable:
                 else:
                     assert table.report(1.0, 0.0, pi) == classical_bottleneck_report(sm, clean, pi)
 
+    def test_kept_labels_are_a_read_only_copy(self):
+        # a caller that changes its array afterwards leaves the table's
+        # labels, and so its forbidden positions, as they were
+        E = label_energies(REGISTRY["ising_ring"](4))
+        pi, _ = gibbs_weights(E, 1.0)
+        label = hamming_shell_labels(4, 0, 0, 1)
+        table = GlauberTable(E, label)
+        before = table.report(1.0, 0.0, pi)
+        label[1] = 3
+        assert table.label[1] == 1
+        with pytest.raises(ValueError):
+            table.label[1] = 3
+        assert table.report(1.0, 0.0, pi) == before
+
     def test_partition_must_cover_the_table(self):
         with pytest.raises(BadPartition, match="the chain has 8 states"):
             GlauberTable(np.zeros(8), hamming_shell_labels(4, 0, 0, 1))

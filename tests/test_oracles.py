@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bottlenecklab import numerics, stability
+from bottlenecklab import numerics, stability, subspace
 from bottlenecklab.bottleneck import (
     _collar_weights,
     _label_blocks,
@@ -742,6 +742,34 @@ def test_distance_search_matches_the_span_minimum_on_css_families(checks, data):
     label = st.tuples(st.integers(0, (1 << checks.n) - 1), st.integers(0, (1 << checks.n) - 1))
     centers = data.draw(st.lists(label, min_size=1, max_size=3))
     _search_matches_the_span_minimum(checks, centers, data.draw(st.integers(0, checks.n)))
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_distance_search_is_the_same_in_frontier_chunks(monkeypatch, chunk):
+    # the search takes its frontier a chunk of labels at a time; with
+    # chunks of one and three labels every round runs many of them
+    monkeypatch.setattr(subspace, "_SHELL_CHUNK", chunk)
+    for checks in (ising_ring(7), steane7(), toric(2)):
+        _search_matches_the_span_minimum(checks, [(0, 0), (5, 3)], 2)
+
+
+@pytest.mark.parametrize("checks", [ising_ring(6), steane7(), toric(2)], ids=["ring6", "steane7", "toric2"])
+def test_search_moves_are_distinct_and_move_every_label(checks):
+    # each kept move lands every label on a label of its own, none keeps
+    # one, and every weight-1 move lands where some kept move does
+    W = label_basis(checks)
+    a, b = subspace._moves(W)
+    cols = np.arange(W.dim)
+    images = [W.index(W.x ^ ai, W.z ^ bi) for ai, bi in zip(a, b)]
+    assert all(np.all(img != cols) for img in images)
+    assert len({img.tobytes() for img in images}) == len(images)
+    for q in range(checks.n):
+        for mx, mz in ((1, 0), (0, 1), (1, 1)):
+            img = W.index(W.x ^ np.uint64(mx << q), W.z ^ np.uint64(mz << q))
+            assert np.array_equal(img, cols) or any(np.array_equal(img, i) for i in images)
+    if checks.is_classical:
+        assert np.array_equal(a, np.uint64(1) << np.arange(checks.n, dtype=np.uint64))
+        assert not b.any()
 
 
 @pytest.mark.parametrize("n", range(3, 11))
