@@ -20,13 +20,13 @@ X(a)Z(b) maps |x, z> to a phase times |x^a, z^b>, so a weight-<=r string
 reaches exactly the labels at most r such moves away, and that move count
 is the minimal Pauli weight between two eigenstates (Gottesman,
 arXiv:quant-ph/9705052). It comes from one breadth-first search from a
-set of labels, whose every round moves its frontier by the 3n weight-1
-moves at once, with no table kept and no Pauli string enumerated. ball
-gives the labels within r moves of some seed labels (a Hamming ball over
-the identity basis, a barrier ball over a CSS basis); partition_from_radius
-builds the local-theorem split (V, first r-shell, second r-shell, rest),
-and boundary the r-shell alone, for a V labeled over some W. A V without
-labels is rejected with BadPartition.
+set of labels, whose every round moves its frontier by the distinct
+weight-1 moves at once, with no table kept and no Pauli string
+enumerated. ball gives the labels within r moves of some seed labels (a
+Hamming ball over the identity basis, a barrier ball over a CSS basis);
+partition_from_radius builds the local-theorem split (V, first r-shell,
+second r-shell, rest), and boundary the r-shell alone, for a V labeled
+over some W. A V without labels is rejected with BadPartition.
 """
 
 import functools
