@@ -9,17 +9,19 @@ neighborhoods: A = V, B1 and B2 the first and second r-shells, C the
 rest; the Kraus condition is still re-verified numerically rather than
 trusted.
 
-verify_bottleneck_theorem has two paths. The label path runs when
-every channel is monomial over one label basis W (the sampler channels
-of an unperturbed model), rho carries labels over W (the Gibbs state of
-an unperturbed model, model.gibbs_state) and every partition block is
-labeled over W. A monomial channel acting on a diagonal state is then a
-classical chain over the labels (MonomialKraus.chain), and the theorem's
-measures are markov's: the exact-zero condition check and
-conditioned_drift, run on the block label of every label. Anything
-without labels (perturbed states, general channels, CSS channels
-against a basis-state partition) runs the dense path, which computes
-the same quantities and serves as the test oracle for the label path.
+Every partition is a set of block labels over one label basis
+(subspace.HilbertPartition). verify_bottleneck_theorem has two paths.
+The label path runs when every channel is monomial over one label basis
+W (the sampler channels of an unperturbed model), rho carries labels
+over W (the Gibbs state of an unperturbed model, model.gibbs_state) and
+the partition is labeled over W. A monomial channel acting on a
+diagonal state is then a classical chain over the labels
+(MonomialKraus.chain), and the theorem's measures are markov's: the
+exact-zero condition check and conditioned_drift, run on the block
+label of every label. Anything else (perturbed states, general
+channels, CSS channels against a partition over the identity basis)
+runs the dense path on the blocks' dense bases, which computes the same
+quantities and serves as the test oracle for the label path.
 
 Everything here asserts the inequalities it reports. A violation raises
 BoundViolated carrying the numbers, since it would mean a broken
@@ -34,6 +36,7 @@ import numpy as np
 from . import numerics as tol
 from .channel import _monomial_forms, apply_channel, channel_locality, check_partition_condition
 from .errors import (
+    BadPartition,
     BetaNegative,
     BoundViolated,
     ConditionViolated,
@@ -140,7 +143,8 @@ def bottleneck_ratio(rho, P_A, P_B):
     block labeled over the identity basis has X^dag D U = diag(d_rows)
     U[rows] for its label rows, and the unitary left factor changes
     neither piece, so the rows of U are read directly: a real gather and
-    a real SVD after a real solve.
+    a real SVD after a real solve. A ThermalState with eigenvectors takes
+    no other P: BadPartition.
     """
     if isinstance(rho, ThermalState):
         ya, yb = _eigen_rows(P_A, rho), _eigen_rows(P_B, rho)
@@ -159,12 +163,13 @@ def bottleneck_ratio(rho, P_A, P_B):
 
 
 def _eigen_rows(P, state):
-    """X^dag D U of bottleneck_ratio, up to a unitary diagonal left factor."""
-    if state.U is not None and isinstance(P, Subspace) and P.labels is not None:
-        W, mask = P.labels
-        if W.identity:
-            return state.U[mask]
-    return state.rows(_basis_of(P).conj().T)
+    """X^dag D U of bottleneck_ratio, up to a unitary diagonal left factor:
+    X^dag when U is None, and U[mask] for a block over the identity basis."""
+    if state.U is None:
+        return _basis_of(P).conj().T
+    if not (isinstance(P, Subspace) and P.labels[0].identity):
+        raise BadPartition("a thermal state with eigenvectors takes blocks over the identity basis")
+    return state.U[P.labels[1]]
 
 
 def _conditioned(rho, basis):
@@ -178,9 +183,8 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
     """Check hypotheses, measure the drift of rho_A, assert lhs <= 10 Delta.
 
     spec is either an explicit HilbertPartition (general mode) or a pair
-    (V, r) for the local construction A=V, B1/B2 = first/second r-shells.
-    In the pair, V must be a labeled Subspace; any other V raises
-    BadPartition, so pass a HilbertPartition for a V without labels.
+    (V, r) for the local construction A=V, B1/B2 = first/second r-shells
+    (partition_from_radius).
     A schedule (list of channels) is composed for the drift; each entry
     must fix rho on its own (a channel whose ``fixes`` is the read-only
     label vector of rho itself is not stepped again), and the bound
@@ -189,11 +193,10 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
     The label path runs when three things hold: every channel has a
     monomial form over one label basis W, rho carries labels (W, p) over
     W (a DensityMatrix.from_labels, as gibbs_state builds for a check
-    Hamiltonian), and every nonempty block of the partition carries
-    labels over W (as every block that partition_from_radius builds from
-    a labeled V does). States are then label probability vectors, and
-    each channel acts as its chain: residuals and the drift are l1
-    norms, Delta and the block weights are sums, and the Kraus condition
+    Hamiltonian), and the partition's block labels are over W. States
+    are then label probability vectors, and each channel acts as its
+    chain: residuals and the drift are l1 norms, Delta and the block
+    weights are sums, and the Kraus condition
     demands that every forbidden chain entry is exactly zero (the dense
     path accepts a block norm below DENSE_CONDITION_TOL). Any other input
     runs the dense path. report.path says which ran. A DensityMatrix on the
@@ -270,8 +273,9 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
 
 def _label_blocks(basis, part):
     """Block (0=A, 1=B1, 2=B2, 3=C) of every label of W, as the partition
-    keeps it, or None unless its nonempty blocks carry labels over W."""
-    return part.labels[1] if part.labels is not None and part.labels[0].same_as(basis) else None
+    keeps it, or None unless the partition is labeled over W."""
+    W, block = part.labels
+    return block if W.same_as(basis) else None
 
 
 def _label_measures(chains, p, member):
@@ -385,37 +389,35 @@ def _log_projected_weight(w, U, basis):
 
 
 def _collar_weights(rho, V, shell):
-    """(tr(P_V rho), ||[rho, P_shell]||) for a DensityMatrix or dense rho.
+    """(tr(P_V rho), ||[rho, P_shell]||) for a DensityMatrix or dense rho,
+    with the shell labeled over the basis W of V (boundary keeps it).
 
-    When V and the shell are labeled over one basis W and rho carries
-    labels (W, p) over it, tr(P_V rho) is the sum of p on V's labels and
-    the commutator is exactly 0: rho = W diag(p) W^dag and P_shell = W
-    diag(mask) W^dag are both diagonal in W. Otherwise both come from
-    dense projectors.
+    When rho carries labels (W, p) over W, tr(P_V rho) is the sum of p on
+    V's labels and the commutator is exactly 0: rho = W diag(p) W^dag and
+    P_shell = W diag(mask) W^dag are both diagonal in W. Otherwise both
+    come from dense projectors.
     """
-    W = V.labels[0] if V.labels is not None else None
-    if W is not None and shell.labels is not None and shell.labels[0].same_as(W):
-        p = label_weights(rho, W)
-        if p is not None:
-            return float(p[V.labels[1]].sum()), 0.0
+    W, mask = V.labels
+    p = label_weights(rho, W)
+    if p is not None:
+        return float(p[mask].sum()), 0.0
     mat = matrix_of(rho)
     prob_V = float(np.real(np.trace(V.projector() @ mat)))
     P_shell = shell.projector()
     return prob_V, operator_norm(mat @ P_shell - P_shell @ mat)
 
 
-def free_energy_report(H, beta, V, r, rho_G=None, delta_measured=0.0):
+def free_energy_report(H, beta, V, r, delta_measured=0.0):
     """Free energies of V, its 2r-collar, and the whole space, with the
     three Delta upper bounds they imply.
 
-    (a) exp(-beta F(dV)/2) / tr(P_V rho_G), valid once log Z >= 0;
-    (b) exp(-beta (F(dV) - F(V))), valid when rho_G commutes with the
+    (a) exp(-beta F(dV)/2) / tr(P_V rho), valid once log Z >= 0;
+    (b) exp(-beta (F(dV) - F(V))), valid when rho commutes with the
         collar projector;
     (c) the split form with E_min(V), valid unconditionally.
-    Each applicable bound is asserted against the measured Delta.
-
-    V must be a labeled Subspace; any other V raises BadPartition. rho_G
-    None is gibbs_state(H, beta), for a diagonal H.
+    Each applicable bound is asserted against the measured Delta. rho is
+    the Gibbs state gibbs_state(H, beta), so H must be diagonal in a
+    label basis.
     """
     if beta <= 0:
         raise BetaNegative(f"free energies need beta > 0, got {beta}")
@@ -432,9 +434,8 @@ def free_energy_report(H, beta, V, r, rho_G=None, delta_measured=0.0):
     F_V = -log_trV / beta
     F_boundary = -log_trB / beta
     E_min_V = subspace_min_energy(V, H)
-    if rho_G is None:
-        rho_G, _, _ = gibbs_state(H, beta)
-    prob_V, comm = _collar_weights(rho_G, V, shell)
+    rho, _, _ = gibbs_state(H, beta)
+    prob_V, comm = _collar_weights(rho, V, shell)
     b_applicable = comm < tol.COLLAR_COMMUTATOR_TOL
     a_applicable = logZ >= -tol.LOG_Z_SLACK and prob_V > tol.EMPTY_WEIGHT_TOL
     bounds_a = math.exp(0.5 * log_trB) / prob_V if prob_V > tol.EMPTY_WEIGHT_TOL else math.inf
@@ -471,7 +472,6 @@ def quasi_local_bound(C, rho, V, mix_eps=DEFAULT_MIX_EPS):
     The full channel need not be local; each certificate entry supplies an
     s-local surrogate within f(s), and the local theorem runs against the
     surrogate's partition while the tail contributes f(s) additively.
-    V must be a labeled Subspace; any other V raises BadPartition.
     """
     if not C.quasi_local_certificate:
         raise LocalityInsufficient("channel carries no quasi-local certificate")

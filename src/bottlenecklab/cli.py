@@ -114,6 +114,8 @@ def _as_int(key, value, lo=None):
 def _as_num(key, value, lo=None, strict=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(key, value, "a number")
+    if not abs(value) <= sys.float_info.max:
+        _fail(key, value, "a finite number")
     if lo is not None and (value <= lo if strict else value < lo):
         _fail(key, value, f"a number {'>' if strict else '>='} {lo}")
     return float(value)
@@ -243,6 +245,8 @@ def _load_config(path):
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config {path!r}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"config {path!r} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config {path!r} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
@@ -264,6 +268,8 @@ def _build_checks(vals):
             text = fh.read()
     except OSError as exc:
         raise ConfigInvalid(f"cannot read checks_file {path!r}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"checks_file {path!r} is not UTF-8 text: {exc}")
     try:
         fam = checks_from_text(text)
     except BottleneckLabError as exc:
@@ -679,14 +685,14 @@ def _run_mixing_compare(cfg, out, jobs):
 
 
 def _conditioned_start(rho, A):
-    """rho conditioned on A, P_A rho P_A / tr(P_A rho). When rho and A
-    carry labels over one basis W, that is the label state p 1_A / sum,
-    with no matrix formed; otherwise it is the dense product."""
-    if A.labels is not None:
-        W, in_A = A.labels
-        p = label_weights(rho, W)
-        if p is not None:
-            return DensityMatrix.from_labels(W, np.where(in_A, p, 0.0) / p[in_A].sum())
+    """rho conditioned on A, P_A rho P_A / tr(P_A rho). When rho carries
+    labels over the basis W of A, that is the label state p 1_A / sum,
+    with no matrix formed; otherwise (a CSS state against a Hamming ball)
+    it is the dense product."""
+    W, in_A = A.labels
+    p = label_weights(rho, W)
+    if p is not None:
+        return DensityMatrix.from_labels(W, np.where(in_A, p, 0.0) / p[in_A].sum())
     P_A = A.projector()
     start = P_A @ rho.mat @ P_A
     return DensityMatrix(start / np.real(np.trace(start)), rho.n)

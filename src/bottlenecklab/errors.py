@@ -14,7 +14,6 @@ __all__ = [
     "RadiusExceedsN",
     "DimensionMismatch",
     "GroupTooLarge",
-    "NotOrthonormal",
     "BadPartition",
     "NotStochastic",
     "NonUniqueStationary",
@@ -69,12 +68,9 @@ class GroupTooLarge(BottleneckLabError):
     """Brute-force coset enumeration would exceed the hard cap."""
 
 
-class NotOrthonormal(BottleneckLabError):
-    """Subspace basis columns fail the orthonormality check."""
-
-
 class BadPartition(BottleneckLabError):
-    """Partition blocks are not orthogonal/disjoint or do not cover the space."""
+    """A block-label array or subspace mask is malformed, or a subspace is
+    not labeled over the basis an operation needs."""
 
 
 class NotStochastic(BottleneckLabError):

@@ -40,10 +40,10 @@ and is built real, as a site form, a diagonal e plus one flip weight
 t_q per site, with one phase per site, so a classical H0 plus a
 perturbation is solved, reduced to blocks and turned into Gibbs states
 in real arithmetic. A perturbed H carries no labels, and spectrum and
-thermal_state solve it. Eigensystem and ThermalState carry the
-eigenvectors of M with d apart; their methods give the eigenvectors of
-H itself. Every function here that takes a Hamiltonian
-takes this type, not a raw matrix.
+thermal_state solve it. Eigensystem carries the eigenvectors of M with
+d apart, and its vectors method gives those of H itself; ThermalState
+keeps the eigenvectors of M alone. Every function here that takes a
+Hamiltonian takes this type, not a raw matrix.
 """
 
 import functools
@@ -549,10 +549,9 @@ def barrier_subspace(checks, center, inner_radius, boundary_radius, H):
             f"radii {inner_radius}+{boundary_radius} exceed register size {n}"
         )
     W = label_basis(checks)
-    V = ball(W, [W.index(x0, z0)], inner_radius, f"ball r<={inner_radius}")
+    V = ball(W, [W.index(x0, z0)], inner_radius)
     if boundary_radius < 1 or not (shell := boundary(V, boundary_radius)).dim:
         raise EmptyBoundary("no eigenstates in the boundary shell")
-    shell.label = f"shell {inner_radius}<d<={inner_radius + boundary_radius}"
     e_v = subspace_min_energy(V, H)
     e_b = subspace_min_energy(shell, H)
     return BarrierCertificate(
@@ -568,26 +567,23 @@ def barrier_subspace(checks, center, inner_radius, boundary_radius, H):
 def subspace_min_energy(V, H):
     """min over unit psi in V of <psi|H|psi>.
 
-    A V labeled over the basis W of H's labels (W, E) is spanned by
-    eigenvectors of H, so the minimum is the least E on V's mask, with no
-    block formed. Otherwise every basis column must have one nonzero
-    entry (above BASIS_ENTRY_TOL): column i is vals[i] |rows[i]> with
-    |vals[i]| = 1, so the block X^dag H X is H[rows][:, rows] under a unitary
-    diagonal similarity, with the same spectrum, and H[rows][:, rows] is
-    gathered, not multiplied out, then solved. The phases of H only add
-    to that similarity, so the gather reads its form M (Hamiltonian.block,
-    from e and t for a site form). Any other V raises BadPartition.
+    A V over the basis W of H's labels (W, E) is spanned by eigenvectors
+    of H, so the minimum is the least E on V's mask, with no block
+    formed. A V over the identity basis spans the basis states of its
+    mask, so its block X^dag H X is H[rows][:, rows] for the mask's rows
+    in ascending order, gathered, not multiplied out, then solved. The
+    phases of H only add a unitary diagonal similarity, which keeps the
+    spectrum, so the gather reads its form M (Hamiltonian.block, from e
+    and t for a site form). Any other V raises BadPartition.
     """
     if V.dim == 0:
         raise EmptySubspace("minimum energy over an empty subspace")
-    if V.labels is not None and H.labels is not None and V.labels[0].same_as(H.labels[0]):
-        return float(H.labels[1][V.labels[1]].min())
-    nonzero = np.abs(V.basis) > tol.BASIS_ENTRY_TOL
-    if not (nonzero.sum(axis=0) == 1).all():
-        raise BadPartition(
-            "V is neither labeled over the eigenbasis of H nor spanned by basis states"
-        )
-    block = H.block(np.argmax(nonzero, axis=0))
+    W, mask = V.labels
+    if H.labels is not None and W.same_as(H.labels[0]):
+        return float(H.labels[1][mask].min())
+    if not W.identity:
+        raise BadPartition("V is labeled over neither the eigenbasis of H nor the identity basis")
+    block = H.block(np.flatnonzero(mask))
     return float(np.linalg.eigvalsh(0.5 * (block + block.conj().T))[0])
 
 
@@ -621,25 +617,18 @@ def spectrum(H):
 
 
 class ThermalState(NamedTuple):
-    """A Gibbs state in the eigenbasis of its Hamiltonian: rho = D U diag(p)
-    U^dag D^dag, with U None for the identity (a diagonal Hamiltonian) and
-    phases d None for D = I. U is real when the eigensolve ran on a real
+    """A Gibbs state in the eigenbasis of its Hamiltonian's form: rho = D U
+    diag(p) U^dag D^dag, with U None for the identity (a diagonal
+    Hamiltonian). The unit phases D of H are not kept: on the rows of a
+    block labeled over the identity basis they are a unitary diagonal
+    left factor, which changes no singular value or row norm that
+    bottleneck_ratio reads. U is real when the eigensolve ran on a real
     form; its columns are not phase-fixed, since nothing read from the
     state depends on the phase of an eigenvector."""
 
     p: np.ndarray
     U: np.ndarray | None
     logZ: float
-    phases: np.ndarray | None = None
-
-    def rows(self, Y):
-        """Y D U, the rows of Y in the eigenbasis of rho (Y itself when U
-        is None)."""
-        if self.U is None:
-            return Y
-        if self.phases is not None:
-            Y = Y * self.phases[None, :]
-        return Y @ self.U
 
 
 def gibbs_weights(E, beta):
@@ -659,10 +648,10 @@ def gibbs_weights(E, beta):
 def thermal_state(H, beta):
     """Gibbs weights p over the eigenvectors of H, and logZ. The state
     keeps the eigensystem that spectrum(H) reads, with the eigenvectors
-    of H's form and its phases apart."""
-    w, U, phases = _eigensystem(H)
+    of H's form and without its phases."""
+    w, U, _ = _eigensystem(H)
     p, logZ = gibbs_weights(w, beta)
-    return ThermalState(p, U, logZ, phases)
+    return ThermalState(p, U, logZ)
 
 
 def gibbs_state(H, beta):

@@ -61,9 +61,7 @@ TRACE_TOL = 1e-9  # abs: |tr rho - 1|, and |sum p - 1| and -min p of a state's l
 PHASE_PIVOT_TOL = 1e-12  # abs: |entry| past which fix_phases takes it as its column's pivot
 GAUGE_REL_TOL = 1e-12  # rel to max(1, max |V|): imaginary part a single-site gauge may drop
 DIAGONAL_TOL = 1e-12  # abs: largest off-diagonal |H_ij| of a Hamiltonian that is diagonal
-BASIS_ENTRY_TOL = 1e-14  # abs: |entry| of a basis column past which subspace_min_energy counts it
 CSS_BASIS_TOL = 1e-10  # abs: unitarity and syndrome-phase deviation of a CSS label basis
-ORTHONORMALITY_TOL = 1e-9  # abs: max |X^dag X - 1| of a Subspace basis
 PAULI_PHASE_TOL = 1e-9  # abs: ||phase| - 1| of a Pauli image over a label basis
 KRAUS_TRACE_TOL = 1e-9  # abs: largest entry of sum_m K_m^dag K_m - 1 a channel may carry
 SUPPORT_TOL = 1e-9  # abs: entry deviation past which a qubit is in a Kraus operator's support

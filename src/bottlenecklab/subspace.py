@@ -1,18 +1,14 @@
-"""Subspaces of the n-qubit Hilbert space and operator-spread neighborhoods.
-
-A Subspace is an orthonormal basis (dim x k complex matrix).
-Dimension-0 subspaces are legal values: boundaries can be empty and the
-code downstream treats that case explicitly rather than by crashing.
+"""Subspaces of the n-qubit Hilbert space as sets of eigenstate labels,
+and operator-spread neighborhoods.
 
 A LabelBasis is an orthonormal eigenbasis W of a commuting model whose
 columns are indexed by label pairs (x, z); the computational basis is
 its identity case. What a basis derives from its columns alone (the
-image of a Pauli) is computed once and kept. A Subspace spanned by
-columns of W carries them as labels (W, mask); its basis is built from
-them the first time something reads it, or, when one is passed as well,
-checked to equal them. A partition whose nonempty blocks are labeled
-over one W keeps the block of every label in one array, checked and
-read in place of the block bases.
+image of a Pauli) is computed once and kept. A Subspace is the set of
+columns of one W that a boolean mask picks; its dense basis is formed
+from them the first time something reads it. A HilbertPartition is one
+read-only array of block labels over one W, and its four blocks are the
+Subspaces of that array's masks.
 
 The r-neighborhood of V is span{ S|psi> : S a Pauli string of weight <= r,
 |psi> in V }. Composing neighborhoods adds radii. A weight-1 Pauli
@@ -25,26 +21,23 @@ weight-1 moves at once, with no table kept and no Pauli string
 enumerated. ball gives the labels within r moves of some seed labels (a
 Hamming ball over the identity basis, a barrier ball over a CSS basis);
 partition_from_radius builds the local-theorem split (V, first r-shell,
-second r-shell, rest), and boundary the r-shell alone, for a V labeled
-over some W. A V without labels is rejected with BadPartition.
+second r-shell, rest), and boundary the r-shell alone.
 """
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as tol
 from . import pauli as pl
-from .errors import BadPartition, CenterOutsideSpace, NotCommuting, NotOrthonormal, RadiusExceedsN
+from .errors import BadPartition, CenterOutsideSpace, NotCommuting, RadiusExceedsN
 
 __all__ = [
     "LabelBasis",
     "identity_basis",
     "Subspace",
     "HilbertPartition",
-    "projector",
     "boundary",
     "ball",
     "hamming_ball_subspace",
@@ -200,75 +193,38 @@ def identity_basis(n):
 
 
 class Subspace:
-    """An orthonormal set of columns spanning a subspace of (C^2)^n.
+    """The columns of one LabelBasis W that a boolean mask picks.
 
-    labels, when given, is (W, mask) for a LabelBasis W and a boolean
-    mask over its columns; the mask is stored read-only. With basis None
-    nothing dense is built at construction: basis is W.columns(mask) the
-    first time something reads it, orthonormal because W is, and dim is
-    the mask's count. A basis passed alongside labels must equal
-    W.columns(mask) exactly; a basis passed alone is checked orthonormal
-    within ORTHONORMALITY_TOL.
+    labels is (W, mask), with the mask copied and stored read-only, and
+    dim is its count. basis is W.columns(mask), a (2^n, dim) array with
+    orthonormal columns because W is unitary, formed on first read. An
+    empty mask is a legal value: its basis is (2^n, 0) and its projector
+    the zero matrix. A mask that is not boolean, or not of shape
+    (W.dim,), raises BadPartition.
     """
 
-    def __init__(self, n, basis=None, label="", labels=None):
-        self.n = n
-        self.label = label
-        self.labels = None
+    def __init__(self, W, mask):
+        mask = np.array(mask)
+        if mask.dtype != bool or mask.shape != (W.dim,):
+            raise BadPartition(f"{mask.dtype} mask of shape {mask.shape} over a basis of {W.dim} columns")
+        mask.setflags(write=False)
+        self.labels = (W, mask)
+        self.n = W.n
+        self.dim = int(np.count_nonzero(mask))
         self._partitions = {}
-        if labels is not None:
-            W, mask = labels
-            mask = np.array(mask, dtype=bool)
-            if W.n != n or mask.shape != (W.dim,):
-                raise BadPartition("labels do not index a basis of this register")
-            mask.setflags(write=False)
-            self.labels = (W, mask)
-            self._dim = int(np.count_nonzero(mask))
-            if basis is None:
-                self._basis = None
-                return
-            if not np.array_equal(basis, W.columns(mask)):
-                raise BadPartition("basis is not the columns its labels pick")
-        elif basis is None:
-            raise BadPartition("a subspace needs a basis or labels")
-        basis = np.asarray(basis, dtype=np.complex128)
-        if basis.ndim != 2:
-            basis = basis.reshape(2**n, -1)
-        if basis.shape[0] != 2**n:
-            raise BadPartition(f"basis rows {basis.shape[0]} do not match dim 2^{n}")
-        if basis.shape[1]:
-            gram = basis.conj().T @ basis
-            dev = np.abs(gram - np.eye(basis.shape[1])).max()
-            if dev > tol.ORTHONORMALITY_TOL:
-                raise NotOrthonormal(f"basis deviates from orthonormal by {dev:.3e}")
-        self._basis = basis
-        self._dim = basis.shape[1]
 
     def __repr__(self):
-        return f"Subspace(n={self.n}, dim={self.dim}, label={self.label!r})"
+        return f"Subspace(n={self.n}, dim={self.dim})"
 
-    @property
+    @functools.cached_property
     def basis(self):
-        """The dim x k column basis, built from the labels on first read."""
-        if self._basis is None:
-            W, mask = self.labels
-            self._basis = W.columns(mask)
-        return self._basis
-
-    @property
-    def dim(self):
-        return self._dim
+        """The (2^n, dim) column basis W.columns(mask), formed on first read."""
+        W, mask = self.labels
+        return W.columns(mask)
 
     def projector(self):
-        return projector(self)
-
-
-def projector(V):
-    """Dense projector onto the subspace."""
-    if V.dim == 0:
-        d = 2**V.n
-        return np.zeros((d, d), dtype=np.complex128)
-    return V.basis @ V.basis.conj().T
+        """Dense projector basis basis^dag onto the subspace."""
+        return self.basis @ self.basis.conj().T
 
 
 def boundary(V, r):
@@ -277,18 +233,17 @@ def boundary(V, r):
     Equals range(P_{B_r(V)} - P_V): the labels 1..r weight-1 moves
     away from V, labeled over the basis W that labels V. Empty when the
     neighborhood adds nothing (V already invariant), which is a
-    first-class outcome.
-    Raises BadPartition for a V without labels, and, for nonempty V,
-    RadiusExceedsN when r is outside [0, n].
+    first-class outcome. Raises RadiusExceedsN, for nonempty V, when r
+    is outside [0, n].
     """
     W, dist = _label_shells(V, r, r)
-    return _labeled(W, dist > 0)
+    return Subspace(W, dist > 0)
 
 
-def ball(W, seeds, radius, label=""):
+def ball(W, seeds, radius):
     """The labels of W within radius weight-1 moves of the seed columns,
-    as a Subspace labeled over W. A radius past n reaches every label.
-    Raises CenterOutsideSpace for a negative radius or a seed outside
+    as a Subspace of W. A radius past n reaches every label. Raises
+    CenterOutsideSpace for a negative radius or a seed outside
     0..dim-1."""
     if radius < 0:
         raise CenterOutsideSpace(f"negative radius {radius}")
@@ -297,116 +252,83 @@ def ball(W, seeds, radius, label=""):
         if not 0 <= int(c) < W.dim:
             raise CenterOutsideSpace(f"center {int(c)} outside 0..{W.dim - 1}")
         mask[int(c)] = True
-    return _labeled(W, _shells(W, mask, radius) >= 0, label)
+    return Subspace(W, _shells(W, mask, radius) >= 0)
 
 
-def hamming_ball_subspace(n, centers, radius, label=""):
+def hamming_ball_subspace(n, centers, radius):
     """Span of basis states within Hamming distance <= radius of any center.
 
     Centers are basis-state indices (qubit 0 = most significant bit).
     Columns are identity columns in ascending index order, labeled over
     identity_basis(n): the ball of the identity basis.
     """
-    return ball(identity_basis(n), centers, radius, label)
+    return ball(identity_basis(n), centers, radius)
 
 
-def basis_state_subspace(n, indices, label=""):
+def basis_state_subspace(n, indices):
     """Subspace spanned by the listed computational-basis states, in
     ascending index order, labeled over identity_basis(n)."""
-    return ball(identity_basis(n), indices, 0, label)
+    return ball(identity_basis(n), indices, 0)
 
 
-@dataclass
+def _block_subspace(k):
+    """The Subspace of block k of a HilbertPartition, built on first read."""
+    return functools.cached_property(lambda part: Subspace(part.labels[0], part.labels[1] == k))
+
+
 class HilbertPartition:
-    """Orthogonal decomposition H = A + B1 + B2 + C (any block may be empty).
+    """Orthogonal decomposition H = A + B1 + B2 + C over one LabelBasis W.
 
-    Completeness of the dimension count and pairwise orthogonality are
-    validated at construction. When every nonempty block carries labels
-    over one basis W, labels is (W, block), the read-only int8 block of
-    every label (0 for A, 1 for B1, 2 for B2, 3 for C); with the count,
-    no label is claimed twice exactly when none is left unclaimed. No
-    block basis is formed. Otherwise labels is None and the overlaps of
-    the dense block bases are checked within ORTHONORMALITY_TOL. An
-    overlap raises BadPartition naming the first two blocks that share a
-    label.
+    labels is (W, block), with block a read-only int8 copy of the block of
+    every column of W: 0 for A, 1 for B1, 2 for B2, 3 for C. Every label
+    thus lies in exactly one block, and any block may be empty. A, B1,
+    B2 and C are the Subspaces of the four masks of block, built on first
+    read. A block array of any other shape than (W.dim,), or with a
+    value outside 0..3, raises BadPartition.
     """
 
-    A: Subspace
-    B1: Subspace
-    B2: Subspace
-    C: Subspace
+    def __init__(self, W, block):
+        block = np.asarray(block)
+        if block.shape != (W.dim,):
+            raise BadPartition(f"block labels of shape {block.shape} over a basis of {W.dim} columns")
+        if not np.isin(block, range(4)).all():
+            raise BadPartition("block labels must be 0..3")
+        block = block.astype(np.int8)
+        block.setflags(write=False)
+        self.labels = (W, block)
 
-    def __post_init__(self):
-        blocks = [self.A, self.B1, self.B2, self.C]
-        n = blocks[0].n
-        if any(b.n != n for b in blocks):
-            raise BadPartition("blocks live on different registers")
-        total = sum(b.dim for b in blocks)
-        if total != 2**n:
-            raise BadPartition(f"block dims sum to {total}, expected {2**n}")
-        held = [(k, b) for k, b in enumerate(blocks) if b.dim]
-        W = held[0][1].labels[0] if held[0][1].labels is not None else None
-        labeled = all(b.labels is not None and b.labels[0].same_as(W) for _, b in held)
-        self.labels = None
-        if labeled:
-            block = np.full(2**n, -1, dtype=np.int8)
-            for k, b in held:
-                block[b.labels[1]] = k
-            if block.min() >= 0:
-                block.setflags(write=False)
-                self.labels = (W, block)
-                return
-        names = ["A", "B1", "B2", "C"]
-        for (i, bi), (j, bj) in itertools.combinations(held, 2):
-            if labeled:
-                dev = int(np.count_nonzero(bi.labels[1] & bj.labels[1]))
-            else:
-                dev = np.abs(bi.basis.conj().T @ bj.basis).max()
-            if dev > tol.ORTHONORMALITY_TOL:
-                what = f"share {dev} labels" if labeled else f"overlap by {dev:.3e}"
-                raise BadPartition(f"blocks {names[i]} and {names[j]} {what}")
+    A, B1, B2, C = map(_block_subspace, range(4))
 
     def b_projector(self):
         """Projector on the combined buffer B1 + B2."""
-        return projector(self.B1) + projector(self.B2)
+        return self.B1.projector() + self.B2.projector()
 
 
 def partition_from_radius(V, r):
     """Partition (A=V, B1, B2, C) from the weight-r neighborhoods of V.
 
     B1 spans the r-boundary of V, B2 what the 2r-neighborhood adds beyond
-    that, and C the rest of the space. V must carry labels over a
-    LabelBasis W. The blocks are the label shells 0 < d <= r, r < d <= 2r
-    and d > 2r, where d is the number of weight-1 moves from the nearest
-    label of V, each block labeled over W. Raises BadPartition for a V
-    without labels, and, for nonempty V, RadiusExceedsN when r is outside
+    that, and C the rest of the space. The blocks are the label shells
+    0 < d <= r, r < d <= 2r and d > 2r of the basis W that labels V,
+    where d is the number of weight-1 moves from the nearest label of V,
+    written as the block of every label straight from the distance
+    search. Raises RadiusExceedsN, for nonempty V, when r is outside
     [0, n]. The partition is kept on V per r: its labels and their
     read-only mask fix it.
     """
     if r in V._partitions:
         return V._partitions[r]
     W, dist = _label_shells(V, r, 2 * r)
-    B1 = _labeled(W, (dist > 0) & (dist <= r))
-    B2 = _labeled(W, (dist > r) & (dist <= 2 * r))
-    part = HilbertPartition(V, B1, B2, _labeled(W, dist < 0))
+    block = np.select([dist < 0, dist > r, dist > 0], [3, 2, 1], 0)
+    part = HilbertPartition(W, block)
     V._partitions[r] = part
     return part
 
 
-def _labeled(W, mask, label=""):
-    return Subspace(W.n, label=label, labels=(W, mask))
-
-
 def _label_shells(V, r, reach):
-    """(W, _shells(W, mask, reach)) for a V labeled (W, mask); a V without
-    labels raises BadPartition, and a nonempty V raises RadiusExceedsN
-    when r is outside [0, n].
+    """(W, _shells(W, mask, reach)) for V = (W, mask); a nonempty V raises
+    RadiusExceedsN when r is outside [0, n].
     """
-    if V.labels is None:
-        raise BadPartition(
-            "V carries no labels: build it labeled, or split it with an "
-            "explicit HilbertPartition"
-        )
     W, mask = V.labels
     if V.dim and not 0 <= r <= V.n:
         raise RadiusExceedsN(f"radius {r} outside [0, {V.n}]")

@@ -72,30 +72,3 @@ def gauge_block_diagonal(rng):
     H[5:8, 5:8] = chain
     H[4, 4], H[8, 8], H[9, 9] = 2.0, -1.0, 2.0
     return H
-
-
-@pytest.fixture(autouse=True)
-def _partitions_keep_the_oracle_block_labels(request, monkeypatch):
-    """In the acceptance and CLI tests, every HilbertPartition built in the
-    test process checks the block-label array it keeps against
-    oracles.per_block_labels over the basis of its first nonempty block."""
-    if request.module.__name__ not in ("test_acceptance", "test_cli"):
-        yield
-        return
-    from bottlenecklab.subspace import HilbertPartition
-    from oracles import per_block_labels
-
-    built = HilbertPartition.__post_init__
-
-    def checked(self):
-        built(self)
-        first = next(b for b in (self.A, self.B1, self.B2, self.C) if b.dim)
-        want = None if first.labels is None else per_block_labels(first.labels[0], self)
-        if want is None:
-            assert self.labels is None
-        else:
-            assert self.labels[0] is first.labels[0]
-            assert np.array_equal(self.labels[1], want)
-
-    monkeypatch.setattr(HilbertPartition, "__post_init__", checked)
-    yield

@@ -41,18 +41,19 @@ a time, and only tests call it:
   the state. They are the oracle for model.gibbs_state on its label
   route, for thermal_gibbs_state after a real solve, and for
   bottleneck_ratio on a model.ThermalState.
-- thermal_gibbs_state forms the dense Gibbs state of any Hamiltonian from
-  its thermal_state eigensystem, U diag(p) U^dag scaled by the phases d
-  as d_i rho_ij conj(d_j), as model.gibbs_state did for a Hamiltonian
-  without labels. It is the dense state of a perturbed H for the tests.
+- thermal_gibbs_state forms the dense Gibbs state of a Hamiltonian that
+  is not diagonal from its eigensystem, U diag(p) U^dag scaled by the
+  phases d as d_i rho_ij conj(d_j), as model.gibbs_state did for a
+  Hamiltonian without labels. It is the dense state of a perturbed H for
+  the tests.
 - eigen_ratio reads Delta of a perturbed sweep point by the eigensolve
   route (thermal_state, then bottleneck_ratio), and eigen_columns forms
   columns of e^{-beta (M - lo)} from the eigenpairs of the real form M.
   They are the oracle for the certified Chebyshev route of
   stability.sweep_point and for the columns of numerics._site_form_series.
-- dense_min_energy multiplies out the compressed block X^dag H X. It is
-  the oracle for the gathered block and the label route of
-  model.subspace_min_energy.
+- dense_min_energy multiplies out the compressed block X^dag H X of any
+  orthonormal array X. It is the oracle for the gathered block and the
+  label route of model.subspace_min_energy.
 - dense_check_hamiltonian sums the check projectors of a family into one
   dense real matrix, checks that every X term commutes with every Z term
   and that the spectrum is non-negative integers, as model did before a
@@ -60,12 +61,9 @@ a time, and only tests call it:
   labels (W, E) of model.build_hamiltonian, and label_energy_residual
   reads max |H W - W diag(E)| of a dense H over a label basis.
 - row_norm_blocks reads the block of every label from the row norms of
-  W^dag B for dense block bases B, as bottleneck._label_blocks did for
-  blocks without labels. It is the oracle for the label masks that
-  _label_blocks reads.
-- per_block_labels fills the block of every label from the block masks,
-  as bottleneck._label_blocks did on every call. It is the oracle for the
-  array that HilbertPartition builds once.
+  W^dag B for four dense block bases B, as bottleneck._label_blocks did
+  for blocks without labels. It is the oracle for the block-label array
+  of subspace.partition_from_radius.
 - dense_norm is the operator norm of a perturbation from the eigenvalues
   of its full matrix. It is the oracle for the norm that
   model.random_local_perturbation reads from its term spectra.
@@ -83,14 +81,16 @@ a time, and only tests call it:
         P|b> = i^{|x AND z|} (-1)^{|b AND z|} |b XOR x>.
   Enumeration order is weight ascending, supports in lexicographic
   order, letters per site in (X, Y, Z) order.
-- neighborhood stacks the images of V under every string of weight at
-  most r and orthonormalizes them, and complement and
-  _complement_within take orthogonal complements. enumerated_partition
-  splits any V, superposed or not, into (V, first r-shell, second
-  r-shell, rest) from them, and enumerated_blocks builds the projectors
-  of that split at radius 2r from V or r from the first neighborhood,
-  whichever is smaller. They are the oracle for the label shells of
-  subspace.partition_from_radius and subspace.boundary.
+- Dense spans are plain orthonormal (2^n, k) arrays here, and
+  span_projector gives their projectors. neighborhood stacks the images
+  of a span under every string of weight at most r and orthonormalizes
+  them, and complement and _complement_within take orthogonal
+  complements. enumerated_partition splits any span, superposed or not,
+  into (V, first r-shell, second r-shell, rest) from them, and
+  enumerated_blocks builds the projectors of that split at radius 2r
+  from V or r from the first neighborhood, whichever is smaller. They
+  are the oracle for the label shells of subspace.partition_from_radius
+  and subspace.boundary.
 - classical_energy counts the violated Z checks of one bitstring. It is
   the oracle for model.label_energies of a classical family.
 - validate_density checks positivity of a DensityMatrix by its smallest
@@ -179,6 +179,7 @@ from bottlenecklab.model import (
     Hamiltonian,
     _max_per_qubit,
     label_basis,
+    gibbs_weights,
     spectrum,
     subspace_min_energy,
     thermal_state,
@@ -193,7 +194,7 @@ from bottlenecklab.numerics import (
 )
 from bottlenecklab.pauli import gf2_null_space_masks, gf2_span, mask_from_indices, popcount
 from bottlenecklab.sampler import DEFAULT_ATTEMPT
-from bottlenecklab.subspace import HilbertPartition, Subspace, boundary, identity_basis
+from bottlenecklab.subspace import boundary, identity_basis
 
 
 class EnumerationTooLarge(BottleneckLabError):
@@ -370,42 +371,42 @@ def orthonormal_column_basis(vectors):
     return fix_phases(U[:, :rank])
 
 
-def empty_subspace(n, label=""):
-    return Subspace(n, np.zeros((2**n, 0), dtype=np.complex128), label)
+def span_projector(X):
+    """Dense projector X X^dag onto the span of the orthonormal columns of X."""
+    return X @ X.conj().T
 
 
-def neighborhood(V, r, cap=_ENUM_CAP):
-    """Span of all weight-<=r Pauli strings applied to V.
+def neighborhood(X, r, cap=_ENUM_CAP):
+    """Span of all weight-<=r Pauli strings applied to the orthonormal
+    columns of X, a (2^n, k) array, as an orthonormal array.
 
-    Stacks S * basis for every S in the weight-<=r enumeration (fixed
-    order) and orthonormalizes with the rank-revealing cutoff. Contains V
-    because the identity string is part of the enumeration. Raises
+    Stacks S X for every S in the weight-<=r enumeration (fixed order) and
+    orthonormalizes with the rank-revealing cutoff. Contains the span of
+    X because the identity string is part of the enumeration. Raises
     EnumerationTooLarge when the stacked matrix would exceed the entry cap.
     """
-    if V.dim == 0:
-        return empty_subspace(V.n, V.label)
-    paulis = enumerate_paulis(V.n, r)
-    entries = len(paulis) * V.dim * (2**V.n)
+    dim, k = X.shape
+    if k == 0:
+        return X
+    paulis = enumerate_paulis(dim.bit_length() - 1, r)
+    entries = len(paulis) * k * dim
     if entries > cap:
         raise EnumerationTooLarge(
-            f"{len(paulis)} strings x {V.dim} columns x {2**V.n} rows "
+            f"{len(paulis)} strings x {k} columns x {dim} rows "
             f"= {entries} entries exceeds cap {cap}"
         )
-    blocks = [apply_pauli_matrix(P, V.basis) for P in paulis]
-    stacked = np.hstack(blocks)
-    out = orthonormal_column_basis(stacked)
-    return Subspace(V.n, out, V.label)
+    return orthonormal_column_basis(np.hstack([apply_pauli_matrix(P, X) for P in paulis]))
 
 
-def complement(V):
-    """Orthogonal complement of V inside the full space."""
-    d = 2**V.n
-    if V.dim == 0:
-        return Subspace(V.n, np.eye(d, dtype=np.complex128), V.label)
-    if V.dim == d:
-        return empty_subspace(V.n, V.label)
-    U, _, _ = np.linalg.svd(V.basis, full_matrices=True)
-    return Subspace(V.n, fix_phases(U[:, V.dim :]), V.label)
+def complement(X):
+    """Orthonormal basis of the orthogonal complement of the span of X."""
+    dim, k = X.shape
+    if k == 0:
+        return np.eye(dim, dtype=np.complex128)
+    if k == dim:
+        return np.zeros((dim, 0), dtype=np.complex128)
+    U, _, _ = np.linalg.svd(X, full_matrices=True)
+    return fix_phases(U[:, k:])
 
 
 def _complement_within(big, small):
@@ -416,24 +417,21 @@ def _complement_within(big, small):
     against the unit norm of big's columns, not against the residual's
     own largest singular value, which is itself noise when small = big.
     """
-    if big.dim == 0:
-        return empty_subspace(big.n)
-    resid = big.basis
-    if small.dim:
-        resid = resid - small.basis @ (small.basis.conj().T @ big.basis)
+    if big.shape[1] == 0:
+        return big
+    resid = big - small @ (small.conj().T @ big)
     U, s, _ = np.linalg.svd(resid, full_matrices=False)
-    return Subspace(big.n, fix_phases(U[:, : int(np.sum(s > _RANK_REL))]))
+    return fix_phases(U[:, : int(np.sum(s > _RANK_REL))])
 
 
-def enumerated_partition(V, r):
-    """The (V, r) split of subspace.partition_from_radius, for any V, from
-    the composed neighborhoods B_r = neighborhood(V, r) and B_2r =
-    neighborhood(B_r, r)."""
-    B_r = neighborhood(V, r)
+def enumerated_partition(X, r):
+    """The (V, r) split of subspace.partition_from_radius, for the span V
+    of any orthonormal X, superposed or not, as four orthonormal arrays
+    (A, B1, B2, C), from the composed neighborhoods B_r = neighborhood(X,
+    r) and B_2r = neighborhood(B_r, r)."""
+    B_r = neighborhood(X, r)
     B_2r = neighborhood(B_r, r)
-    B1 = _complement_within(B_r, V)
-    B2 = _complement_within(B_2r, B_r)
-    return HilbertPartition(V, B1, B2, complement(B_2r))
+    return X, _complement_within(B_r, X), _complement_within(B_2r, B_r), complement(B_2r)
 
 
 def _coset_reps(n, span):
@@ -509,7 +507,8 @@ def pair_energy(checks, x, z):
 
 def barrier_by_label_pairs(checks, center, inner_radius, boundary_radius):
     """The barrier certificate of model.barrier_subspace for H0 of checks,
-    one label pair at a time; center is a pair of integer bitstrings, and
+    one label pair at a time, with V and boundary the dense arrays of
+    their eigenstate columns; center is a pair of integer bitstrings, and
     each minimum energy is the least pair_energy of the pairs."""
     n = checks.n
     x0, z0 = (int(c) for c in center)
@@ -528,12 +527,10 @@ def barrier_by_label_pairs(checks, center, inner_radius, boundary_radius):
         raise EmptyBoundary("no eigenstates in the boundary shell")
     psi0 = reference_state(n, gx_span)
 
-    def span(pairs, label):
-        cols = [css_eigenstate(checks, x, z, psi0, gx_span) for x, z in pairs]
-        return Subspace(n, np.column_stack(cols), label=label)
+    def span(pairs):
+        return np.column_stack([css_eigenstate(checks, x, z, psi0, gx_span) for x, z in pairs])
 
-    V = span(inner_pairs, f"ball r<={inner_radius}")
-    shell = span(shell_pairs, f"shell {inner_radius}<d<={inner_radius + boundary_radius}")
+    V, shell = span(inner_pairs), span(shell_pairs)
     e_v = float(min(pair_energy(checks, x, z) for x, z in inner_pairs))
     e_b = float(min(pair_energy(checks, x, z) for x, z in shell_pairs))
     return BarrierCertificate(
@@ -749,8 +746,10 @@ def dense_gibbs(mat, beta):
 
 def thermal_gibbs_state(H, beta):
     """(rho, logZ, F) as gibbs_state returns them, with rho dense and
-    without labels, from thermal_state(H, beta)."""
-    probs, U, logZ, phases = thermal_state(H, beta)
+    without labels, from the eigensystem H.eigensystem() of a H that is
+    not diagonal, as thermal_state solves it, with H's phases."""
+    w, U, phases = H.eigensystem()
+    probs, logZ = gibbs_weights(w, beta)
     mat = ((U * probs[None, :]) @ U.conj().T).astype(np.complex128, copy=False)
     if phases is not None:
         mat *= phases[:, None]
@@ -787,9 +786,9 @@ def eigen_columns(H, beta, cols, lo):
     return (U * np.exp(-beta * (w - lo))[None, :]) @ U[cols].T
 
 
-def dense_min_energy(V, H):
-    """Smallest eigenvalue of X^dag H X for the basis X of V."""
-    block = V.basis.conj().T @ H.mat @ V.basis
+def dense_min_energy(X, H):
+    """Smallest eigenvalue of X^dag H X for orthonormal columns X."""
+    block = X.conj().T @ H.mat @ X
     return float(np.linalg.eigvalsh(0.5 * (block + block.conj().T))[0])
 
 
@@ -835,18 +834,18 @@ def label_energy_residual(mat, basis, energies):
     return float(np.abs(resid).max())
 
 
-def row_norm_blocks(W, part):
+def row_norm_blocks(W, blocks):
     """Block (0=A, 1=B1, 2=B2, 3=C) of every label of W, read from the row
-    norms of W^dag B for each dense block basis B, or None unless each
+    norms of W^dag B for the four dense block bases B, or None unless each
     norm is 0 or 1 within 1e-9 and every label lies in exactly one block."""
     member = np.full(W.dim, -1)
     Wd = W.dense()
-    for b, block in enumerate((part.A, part.B1, part.B2, part.C)):
-        if block.dim == 0:
+    for b, block in enumerate(blocks):
+        if block.shape[1] == 0:
             continue
-        norms = np.linalg.norm(Wd.conj().T @ block.basis, axis=1)
+        norms = np.linalg.norm(Wd.conj().T @ block, axis=1)
         inside = norms > 0.5
-        if np.abs(norms - inside).max() > 1e-9 or inside.sum() != block.dim:
+        if np.abs(norms - inside).max() > 1e-9 or inside.sum() != block.shape[1]:
             return None
         if (member[inside] >= 0).any():
             return None
@@ -893,21 +892,23 @@ def dense_free_energy_bounds(H, beta, V, r, rho):
     )
 
 
-def enumerated_blocks(V, r, cap=_ENUM_CAP):
+def enumerated_blocks(X, r, cap=_ENUM_CAP):
     """Block projectors {A, B1, B2, C} of the (V, r) split from Pauli
-    neighborhoods: P_V, P_{B_r} - P_V, P_{B_2r} - P_{B_r} and 1 - P_{B_2r}.
-    By the composition law B_2r is both the radius-min(2r, n)
-    neighborhood of V and the radius-r neighborhood of B_r; it is
-    enumerated from whichever stacks fewer entries, so the oracle runs
-    on every case where either form fits under cap. Raises
-    EnumerationTooLarge past cap."""
-    B_r = neighborhood(V, r, cap=cap)
-    if pauli_count(V.n, 2 * r) * V.dim <= pauli_count(V.n, r) * B_r.dim:
-        B_2r = neighborhood(V, min(2 * r, V.n), cap=cap)
+    neighborhoods of the span V of the orthonormal X: P_V, P_{B_r} - P_V,
+    P_{B_2r} - P_{B_r} and 1 - P_{B_2r}. By the composition law B_2r is
+    both the radius-min(2r, n) neighborhood of V and the radius-r
+    neighborhood of B_r; it is enumerated from whichever stacks fewer
+    entries, so the oracle runs on every case where either form fits
+    under cap. Raises EnumerationTooLarge past cap."""
+    dim, k = X.shape
+    n = dim.bit_length() - 1
+    B_r = neighborhood(X, r, cap=cap)
+    if pauli_count(n, 2 * r) * k <= pauli_count(n, r) * B_r.shape[1]:
+        B_2r = neighborhood(X, min(2 * r, n), cap=cap)
     else:
         B_2r = neighborhood(B_r, r, cap=cap)
-    P_A, P_r, P_2r = V.projector(), B_r.projector(), B_2r.projector()
-    return {"A": P_A, "B1": P_r - P_A, "B2": P_2r - P_r, "C": np.eye(1 << V.n) - P_2r}
+    P_A, P_r, P_2r = span_projector(X), span_projector(B_r), span_projector(B_2r)
+    return {"A": P_A, "B1": P_r - P_A, "B2": P_2r - P_r, "C": np.eye(dim) - P_2r}
 
 
 _EIG_DENSE_CUTOFF = 1024
@@ -1211,21 +1212,6 @@ def per_operator_trace_residual(form):
         if np.bincount(rows[coef != 0], minlength=dim).max(initial=0) > 1:
             return None
     return float(np.abs(form.weights.sum(axis=0) - 1.0).max())
-
-
-def per_block_labels(basis, part):
-    """Block (0=A, 1=B1, 2=B2, 3=C) of every label of W, filled block by
-    block from the masks, or None unless every nonempty block carries
-    labels over W, as bottleneck._label_blocks built it on every call. The
-    oracle for the array HilbertPartition keeps."""
-    member = np.full(basis.dim, -1, dtype=np.int8)
-    for b, block in enumerate((part.A, part.B1, part.B2, part.C)):
-        if block.dim == 0:
-            continue
-        if block.labels is None or not block.labels[0].same_as(basis):
-            return None
-        member[block.labels[1]] = b
-    return member
 
 
 def per_call_site_form(H, beta, site, q=DEFAULT_ATTEMPT):

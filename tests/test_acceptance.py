@@ -60,14 +60,20 @@ from bottlenecklab.stability import (
     verify_block_tridiagonal,
 )
 from bottlenecklab.subspace import (
-    Subspace,
     basis_state_subspace,
     boundary,
     hamming_ball_subspace,
     partition_from_radius,
 )
 from conftest import random_density, random_pi, random_projector, random_unitary
-from oracles import birth_death_chain, block_labels, column_chain, enumerated_blocks, neighborhood
+from oracles import (
+    birth_death_chain,
+    block_labels,
+    column_chain,
+    enumerated_blocks,
+    neighborhood,
+    span_projector,
+)
 
 BETAS = (0.5, 1.0, 2.0, 3.0)
 
@@ -180,7 +186,7 @@ def test_criterion_02_local_theorem_suite():
     V7 = hamming_ball_subspace(7, [0], 1)
     shell_part7 = partition_from_radius(V7, 3)
     assert all(b.labels[0] is V7.labels[0] for b in (shell_part7.B1, shell_part7.B2))
-    for name, P in enumerated_blocks(V7, 3).items():
+    for name, P in enumerated_blocks(V7.basis, 3).items():
         dev = np.linalg.norm(P - getattr(shell_part7, name).projector())
         assert dev < 1e-8, name
 
@@ -323,10 +329,10 @@ def test_criterion_04_norm_lemma_suites():
                 continue  # no Pauli strings of weight beyond n
             rng2 = np.random.default_rng(100 * n + 10 * r + s)
             U = random_unitary(rng2, 1 << n)
-            V = Subspace(n, U[:, : int(rng2.integers(1, 3))])
-            left = neighborhood(neighborhood(V, r), s)
-            right = neighborhood(V, r + s)
-            dev = float(np.linalg.norm(left.projector() - right.projector()))
+            X = U[:, : int(rng2.integers(1, 3))]
+            left = neighborhood(neighborhood(X, r), s)
+            right = neighborhood(X, r + s)
+            dev = float(np.linalg.norm(span_projector(left) - span_projector(right)))
             assert dev < 1e-7, (n, r, s)
             worst_comp = max(worst_comp, dev)
             combos += 1
@@ -344,10 +350,10 @@ def test_criterion_04_norm_lemma_suites():
     worst_shell = 0.0
     for V, r in balls:
         part = partition_from_radius(V, r)
-        B_r = neighborhood(V, r)
+        B_r = neighborhood(V.basis, r)
         P_r = part.A.projector() + part.B1.projector()
         for P, B in ((P_r, B_r), (P_r + part.B2.projector(), neighborhood(B_r, r))):
-            dev = float(np.linalg.norm(P - B.projector()))
+            dev = float(np.linalg.norm(P - span_projector(B)))
             assert dev < 1e-7, (V.n, V.dim, r)
             worst_shell = max(worst_shell, dev)
     assert len(balls) == 13
@@ -675,7 +681,7 @@ def test_criterion_11_free_energy_bounds():
             rho, _, _ = gibbs_state(H, beta)
             delta, _, _ = bottleneck_ratio(rho, V, collar)
             # asserts (c) here, and (a) and (b) where they apply
-            rep = free_energy_report(H, beta, V, 1, rho_G=rho, delta_measured=delta)
+            rep = free_energy_report(H, beta, V, 1, delta_measured=delta)
             # (b) is attained when rho commutes with the collar, so every
             # bound is compared with Delta up to rounding
             for value in (rep.bounds_a, rep.bounds_b, rep.bounds_c):

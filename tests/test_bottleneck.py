@@ -25,6 +25,7 @@ from bottlenecklab.channel import (
     quasi_local_mixture,
 )
 from bottlenecklab.errors import (
+    BadPartition,
     BetaNegative,
     BoundViolated,
     ConditionViolated,
@@ -39,6 +40,7 @@ from bottlenecklab.markov import (
 )
 from bottlenecklab.model import (
     REGISTRY,
+    CheckFamily,
     barrier_subspace,
     build_hamiltonian,
     gibbs_state,
@@ -63,6 +65,7 @@ from bottlenecklab.subspace import (
     basis_state_subspace,
     boundary,
     hamming_ball_subspace,
+    identity_basis,
     partition_from_radius,
 )
 
@@ -70,6 +73,8 @@ from conftest import random_density, random_projector, random_state
 from oracles import dense_copy, dense_ratio, thermal_gibbs_state
 
 RINGS = {n: build_hamiltonian(REGISTRY["ising_ring"](n)) for n in (4, 6, 7)}
+# the [[4, 2, 2]] code: its label columns are superpositions of basis states
+CODE_422 = label_basis(CheckFamily(4, z_checks=((0, 1, 2, 3),), x_checks=((0, 1, 2, 3),)))
 
 
 def popcount_indices(n):
@@ -128,10 +133,10 @@ def _ratio_inputs(rng):
     dim = 16
     cases = []
     rho = DensityMatrix(random_density(rng, dim), 4)
-    Q, _ = np.linalg.qr(rng.normal(size=(dim, 7)) + 1j * rng.normal(size=(dim, 7)))
-    cases.append((rho, Subspace(4, Q[:, :3]), Subspace(4, Q[:, 3:])))
+    owner = rng.integers(0, 3, dim)
+    cases.append((rho, Subspace(CODE_422, owner == 0), Subspace(CODE_422, owner == 1)))
     cases.append((rho, basis_state_subspace(4, [0, 5]), basis_state_subspace(4, [1, 2, 9])))
-    cases.append((rho, Subspace(4, Q), Subspace(4, np.zeros((dim, 0)))))
+    cases.append((rho, Subspace(CODE_422, owner < 2), Subspace(CODE_422, np.zeros(dim, dtype=bool))))
     for n in (4, 6):
         checks = REGISTRY["repetition"](n)
         H0 = build_hamiltonian(checks)
@@ -159,29 +164,30 @@ def test_ratio_on_subspaces_matches_projector_arrays(rng):
         assert want[2] == pytest.approx(den, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("name, n", [("repetition", 4), ("repetition", 6), ("ising_ring", 5)])
-def test_phased_thermal_state_on_projector_arrays_matches_the_dense_state(rng, name, n):
-    # a projector array is not labeled, so the ratio reads the rows of
-    # P D U through ThermalState.rows, phases included; the phases change
-    # neither piece for diagonal projectors, so superposed blocks check them
-    checks = REGISTRY[name](n)
+def test_thermal_state_with_eigenvectors_takes_identity_blocks_only(rng):
+    # the rows of U on a block over the identity basis are X^dag D U up to
+    # the unit phases of those rows; a projector array or a block over
+    # another basis has no such rows. With U None, projector arrays work
+    n = 4
+    checks = REGISTRY["repetition"](n)
     H0 = build_hamiltonian(checks)
     H = perturb(H0, random_local_perturbation(n, 0.05, seed=n))
     cert = barrier_subspace(checks, (0, 0), 1, 2, H0)
-    dim = 1 << n
-    Q, _ = np.linalg.qr(rng.normal(size=(dim, 6)) + 1j * rng.normal(size=(dim, 6)))
-    blocks = [
-        (cert.V.projector(), cert.boundary.projector()),
-        (Q[:, :3] @ Q[:, :3].conj().T, Q[:, 3:] @ Q[:, 3:].conj().T),
-    ]
-    for beta in (0.5, 2.0):
-        state = thermal_state(H, beta)
-        assert state.phases is not None and state.U is not None
-        for P_A, P_B in blocks:
-            got = bottleneck_ratio(state, P_A, P_B)
-            want = dense_ratio(H, beta, P_A, P_B)
-            for a, b in zip(got, want):
-                assert a == pytest.approx(b, rel=1e-10, abs=1e-14)
+    state = thermal_state(H, 2.0)
+    assert state.U is not None
+    got = bottleneck_ratio(state, cert.V, cert.boundary)
+    want = dense_ratio(H, 2.0, cert.V.projector(), cert.boundary.projector())
+    for a, b in zip(got, want):
+        assert a == pytest.approx(b, rel=1e-10, abs=1e-14)
+    for P_A in (cert.V.projector(), Subspace(CODE_422, rng.random(1 << n) < 0.5)):
+        with pytest.raises(BadPartition):
+            bottleneck_ratio(state, P_A, cert.boundary)
+    diagonal = thermal_state(H0, 2.0)
+    assert diagonal.U is None
+    got = bottleneck_ratio(diagonal, cert.V.projector(), cert.boundary.projector())
+    want = bottleneck_ratio(gibbs_state(H0, 2.0)[0], cert.V, cert.boundary)
+    for a, b in zip(got, want):
+        assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
 
 
 def test_empty_A_raises():
@@ -264,12 +270,7 @@ def test_condition_violation_detected_in_general_mode():
         X_high[i ^ 2, i] = 1.0
     half = np.sqrt(0.5)
     chan = KrausChannel(2, [half * np.eye(dim, dtype=np.complex128), half * X_high])
-    part = HilbertPartition(
-        A=basis_state_subspace(2, [0]),
-        B1=basis_state_subspace(2, [1]),
-        B2=basis_state_subspace(2, [2]),
-        C=basis_state_subspace(2, [3]),
-    )
+    part = HilbertPartition(identity_basis(2), [0, 1, 2, 3])
     with pytest.raises(ConditionViolated):
         verify_bottleneck_theorem(chan, maximally_mixed(2), part)
 
@@ -449,7 +450,7 @@ def test_free_energy_commuting_bound_is_probability_ratio():
     V = hamming_ball_subspace(6, [0], 1)
     shell = boundary(V, 2)
     delta, num, den = bottleneck_ratio(rho, V.projector(), shell.projector())
-    rep = free_energy_report(H, beta, V, 1, rho_G=rho, delta_measured=delta)
+    rep = free_energy_report(H, beta, V, 1, delta_measured=delta)
     assert rep.b_applicable
     p_shell = float(np.real(np.trace(shell.projector() @ rho.mat)))
     p_V = float(np.real(np.trace(V.projector() @ rho.mat)))
@@ -464,7 +465,7 @@ def test_free_energy_bounds_dominate_measured_delta():
     V = hamming_ball_subspace(6, [0], 1)
     shell = boundary(V, 2)
     delta, _, _ = bottleneck_ratio(rho, V.projector(), shell.projector())
-    rep = free_energy_report(H, beta, V, 1, rho_G=rho, delta_measured=delta)
+    rep = free_energy_report(H, beta, V, 1, delta_measured=delta)
     assert logZ > 0
     assert rep.a_applicable
     assert rep.bounds_a >= delta - 1e-8
@@ -481,7 +482,7 @@ def test_free_energy_quantum_code():
     rho, logZ, _ = gibbs_state(H, beta)
     shell = boundary(cert.V, 2)
     delta, _, _ = bottleneck_ratio(rho, cert.V.projector(), shell.projector())
-    rep = free_energy_report(H, beta, cert.V, 1, rho_G=rho, delta_measured=delta)
+    rep = free_energy_report(H, beta, cert.V, 1, delta_measured=delta)
     assert rep.b_applicable
     assert rep.bounds_b == pytest.approx(delta, abs=1e-10)
     assert rep.F_total == pytest.approx(-logZ / beta, abs=1e-12)
@@ -759,30 +760,3 @@ def test_label_channels_against_basis_state_blocks_take_the_dense_path():
     assert rep.path == ref.path == "dense"
     for name in REPORT_FIELDS:
         assert getattr(rep, name) == getattr(ref, name), name
-
-
-def test_blocks_slightly_off_the_labels_take_the_dense_path():
-    # rotate |0> (in A) into |3> (in B1) by 1e-3: every block still has
-    # one dominant label per basis vector, but no block is spanned by labels
-    n = 6
-    part = partition_from_radius(hamming_ball_subspace(n, [0], 1), 2)
-    theta = 1e-3
-    mix = {0: np.cos(theta), 3: np.sin(theta)}
-    A = part.A.basis.copy()
-    B1 = part.B1.basis.copy()
-    a_col = int(np.flatnonzero(A[0])[0])
-    b_col = int(np.flatnonzero(B1[3])[0])
-    A[:, a_col] = 0.0
-    B1[:, b_col] = 0.0
-    A[[0, 3], a_col] = [mix[0], mix[3]]
-    B1[[0, 3], b_col] = [-mix[3], mix[0]]
-    rotated = HilbertPartition(Subspace(n, A), Subspace(n, B1), part.B2, part.C)
-    H = build_hamiltonian(REGISTRY["ising_ring"](n))
-    rho, _, _ = gibbs_state(H, 1.0)
-    chan = metropolis_site_channel(H, 1.0, 0)
-    rep = verify_bottleneck_theorem(chan, rho, rotated)
-    ref = verify_bottleneck_theorem(dense_copy(chan), rho, rotated)
-    assert rep.path == ref.path == "dense"
-    for name in REPORT_FIELDS:
-        assert getattr(rep, name) == getattr(ref, name), name
-    assert verify_bottleneck_theorem(chan, rho, part).path == "label"

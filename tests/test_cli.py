@@ -1,6 +1,7 @@
 """End-to-end runs of the console entry point on desk-sized configs."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -27,6 +28,7 @@ from bottlenecklab.model import (
     label_energies,
 )
 from bottlenecklab.numerics import DensityMatrix
+from bottlenecklab.sampler import sweep_schedule
 from bottlenecklab.stability import shell_decomposition
 from oracles import hamming_shell_labels, per_beta_glauber
 
@@ -530,7 +532,6 @@ def test_ring_runs_stay_on_labels(tmp_path, monkeypatch):
 
     monkeypatch.setattr(MonomialKraus, "dense", spy("dense", MonomialKraus.dense))
     monkeypatch.setattr(subspace.Subspace, "projector", spy("projector", subspace.Subspace.projector))
-    monkeypatch.setattr(subspace, "projector", spy("projector", subspace.projector))
     for module in vars(bottlenecklab).values():
         if getattr(module, "trace_norm", None) is numerics.trace_norm:
             monkeypatch.setattr(module, "trace_norm", spy("trace_norm", numerics.trace_norm))
@@ -538,7 +539,7 @@ def test_ring_runs_stay_on_labels(tmp_path, monkeypatch):
         monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
     monkeypatch.setattr(DensityMatrix, "mat", property(spy("mat", DensityMatrix.mat.fget)))
     monkeypatch.setattr(
-        subspace.Subspace, "basis", property(spy("basis", subspace.Subspace.basis.fget))
+        subspace.Subspace, "basis", property(spy("basis", subspace.Subspace.basis.func))
     )
     base = {"model": "ising_ring", "n": 6, "subspace": {"centers": [0], "radius": 1}}
     vq = dict(base, betas=[0.5, 1.0, 2.0, 3.0], partition_radius=3)
@@ -961,6 +962,10 @@ VC_FILE = {"betas": [1.0], "partition": {"center": 0, "inner": 0, "width": 1}}
         ("barrier-scan", dict(GRID_CONFIGS["barrier-scan"], center=[1, 2, 3]), "[x, z] pair"),
         ("verify-classical", dict(VC_FILE, checks_file="bad_n.txt"), "non-integer"),
         ("verify-classical", dict(VC_FILE, checks_file="bad_qubit.txt"), "non-integer"),
+        ("verify-classical", dict(GRID_CONFIGS["verify-classical"], betas=[math.nan]), "finite"),
+        ("verify-quantum", dict(VQ_BASE, betas=[1.0, math.inf]), "finite"),
+        ("model-info", b'{"model": "steane7", "beta": 1.0\xff}', "UTF-8"),
+        ("verify-classical", dict(VC_FILE, checks_file="latin1.txt"), "UTF-8"),
     ],
 )
 def test_config_rejected_through_main(tmp_path, monkeypatch, subcommand, cfg, word):
@@ -968,9 +973,12 @@ def test_config_rejected_through_main(tmp_path, monkeypatch, subcommand, cfg, wo
     (tmp_path / "garbage.txt").write_text("Y: 0 1\n")
     (tmp_path / "bad_n.txt").write_text("n: x\nZ: 0 1\n")
     (tmp_path / "bad_qubit.txt").write_text("Z: 0 a\n")
+    (tmp_path / "latin1.txt").write_bytes("n: 3\nZ: 0 1 # \u00e9\n".encode("latin-1"))
     built = _spy_on_builds(monkeypatch, through=False)
     path = tmp_path / "cfg.json"
-    if isinstance(cfg, str):
+    if isinstance(cfg, bytes):
+        path.write_bytes(cfg)
+    elif isinstance(cfg, str):
         path.write_text(cfg)
     else:
         if "checks_file" in cfg:
@@ -1157,20 +1165,41 @@ def test_verify_classical_runs_in_one_process_share_no_table(tmp_path):
             assert [row[f] for f in fields] == [getattr(rep, f) for f in fields]
 
 
-@pytest.mark.parametrize("without_labels", ["A", "rho"])
+@pytest.mark.parametrize("without_labels", ["rho"])
 def test_conditioned_start_dense_fallback_matches_the_label_route(without_labels):
     # mixing-compare's config: the ring at n=4, beta 3, the radius-1 ball
-    # about 0 at partition radius 1. Dropping the labels of A, or of rho,
-    # sends _conditioned_start down P_A rho P_A / tr(P_A rho)
+    # about 0 at partition radius 1. Dropping the labels of rho sends
+    # _conditioned_start down P_A rho P_A / tr(P_A rho)
     rho, _, _ = gibbs_state(build_hamiltonian(REGISTRY["ising_ring"](4)), 3.0)
     part = subspace.partition_from_radius(subspace.hamming_ball_subspace(4, [0], 1), 1)
     by_labels = cli._conditioned_start(rho, part.A)
     assert by_labels.labels is not None
-    if without_labels == "A":
-        A, state = subspace.Subspace(4, basis=part.A.basis), rho
-    else:
-        A, state = part.A, DensityMatrix(rho.mat, 4)
-    dense = cli._conditioned_start(state, A)
+    dense = cli._conditioned_start(DensityMatrix(rho.mat, 4), part.A)
     assert dense.labels is None
     assert np.abs(dense.mat - by_labels.mat).max() <= 1e-12
     assert abs(np.trace(dense.mat) - 1.0) <= 1e-12
+
+
+def test_css_mixing_compare_starts_dense_and_matches_the_library(tmp_path, monkeypatch):
+    # steane7 against a Hamming ball: rho carries labels over the CSS basis
+    # and A over the identity basis, so the start state is formed densely,
+    # and the row's Delta and tr(P_A rho) are the library's on that split
+    starts = []
+    real = cli._conditioned_start
+
+    def spy(rho, A):
+        starts.append(real(rho, A))
+        return starts[-1]
+
+    monkeypatch.setattr(cli, "_conditioned_start", spy)
+    code, out = run("mixing-compare", MC_STEANE, tmp_path)
+    assert code == 0
+    assert len(starts) == 1 and starts[0].labels is None
+    (row,) = json.loads((out / "report.json").read_text())
+    H = build_hamiltonian(REGISTRY["steane7"]())
+    rho, _, _ = gibbs_state(H, 1.0)
+    part = subspace.partition_from_radius(subspace.hamming_ball_subspace(7, [0], 1), 1)
+    rep = verify_bottleneck_theorem(sweep_schedule(H, 1.0, range(7), flavors=["X"]), rho, part)
+    assert rep.path == "dense"
+    assert (row["delta"], row["denominator"]) == (rep.delta, rep.denominator)
+    assert (rep.delta, rep.denominator) == (7.7083079942462716, 0.06249999999999997)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bottlenecklab.errors import (
+    BadPartition,
     BetaNegative,
     EmptyBoundary,
     EmptySubspace,
@@ -32,7 +33,7 @@ from bottlenecklab.model import (
     toric,
 )
 from bottlenecklab.numerics import max_offdiagonal
-from bottlenecklab.subspace import LabelBasis, Subspace, hamming_ball_subspace, identity_basis
+from bottlenecklab.subspace import LabelBasis, basis_state_subspace, hamming_ball_subspace, identity_basis
 from oracles import (
     PauliString,
     _embed_on_support,
@@ -295,14 +296,12 @@ class TestGibbsState:
 class TestSubspaceMinEnergy:
     def test_full_space_gives_ground_energy(self):
         H = build_hamiltonian(ising_ring(3))
-        eye = Subspace(3, np.eye(8, dtype=np.complex128))
-        assert subspace_min_energy(eye, H) == pytest.approx(0.0, abs=1e-12)
+        full = hamming_ball_subspace(3, [0], 3)
+        assert subspace_min_energy(full, H) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_eigenvector(self):
         H = build_hamiltonian(CheckFamily(2, z_checks=((0,), (1,))))
-        v = np.zeros(4, dtype=np.complex128)
-        v[3] = 1.0
-        assert subspace_min_energy(Subspace(2, v.reshape(4, 1)), H) == 2.0
+        assert subspace_min_energy(basis_state_subspace(2, [3]), H) == 2.0
 
     def test_hamming_ball_contains_ground(self):
         H = build_hamiltonian(ising_ring(5))
@@ -312,7 +311,18 @@ class TestSubspaceMinEnergy:
     def test_empty_subspace_rejected(self):
         H = build_hamiltonian(ising_ring(3))
         with pytest.raises(EmptySubspace):
-            subspace_min_energy(Subspace(3, np.zeros((8, 0))), H)
+            subspace_min_energy(basis_state_subspace(3, []), H)
+
+    def test_other_bases_rejected(self):
+        # a ball over the Steane basis is spanned by eigenvectors of the
+        # Steane H0 alone: a perturbed H has no labels to read it by
+        checks = steane7()
+        H0 = build_hamiltonian(checks)
+        V = barrier_subspace(checks, (0, 0), 0, 1, H0).V
+        H = perturb(H0, random_local_perturbation(7, 0.01, seed=1))
+        assert subspace_min_energy(V, H0) == 0.0
+        with pytest.raises(BadPartition, match="identity basis"):
+            subspace_min_energy(V, H)
 
 
 class TestRandomPerturbation:

@@ -37,7 +37,7 @@ from bottlenecklab.channel import (
     channel_locality,
     evolve_sequence,
 )
-from bottlenecklab.errors import BadPartition, EmptyA, EmptyBoundary, NonUniqueStationary, NotDiagonal
+from bottlenecklab.errors import EmptyA, EmptyBoundary, NonUniqueStationary, NotDiagonal
 from bottlenecklab.markov import (
     GlauberTable,
     StochasticMatrix,
@@ -83,7 +83,6 @@ from bottlenecklab.stability import (
 )
 from bottlenecklab.sampler import css_metropolis_channel, metropolis_site_channel, sweep_schedule
 from bottlenecklab.subspace import (
-    HilbertPartition,
     Subspace,
     _shells,
     ball,
@@ -187,8 +186,7 @@ def test_barrier_matches_the_label_pair_builder(checks, x0, z0, inner, boundary)
         return
     got = barrier_subspace(checks, center, inner, boundary, H)
     for a, b in ((got.V, want.V), (got.boundary, want.boundary)):
-        assert a.label == b.label
-        assert np.array_equal(a.basis, b.basis)
+        assert np.array_equal(a.basis, b)
         assert a.labels[0] is label_basis(checks)
     assert got.E_min_V == want.E_min_V
     assert got.E_min_boundary == want.E_min_boundary
@@ -231,7 +229,7 @@ def test_check_hamiltonian_matches_the_dense_term_sum(checks, x0, z0, inner):
     ref = Hamiltonian(dense, n=n, w0=H.w0, w1=0)
     cert = barrier_subspace(checks, (x0 % (1 << n), z0 % (1 << n)), inner, 1, H)
     for V, got in ((cert.V, cert.E_min_V), (cert.boundary, cert.E_min_boundary)):
-        assert abs(got - dense_min_energy(V, ref)) <= 1e-12
+        assert abs(got - dense_min_energy(V.basis, ref)) <= 1e-12
         assert got == subspace_min_energy(V, H)
 
 
@@ -392,7 +390,7 @@ def test_real_gauge_matches_the_dense_complex_route(name, n, g, seed, beta, inne
     ref = Hamiltonian(dense, n=n, w0=0, w1=0)
     cert = barrier_subspace(checks, (0, 0), inner, 2, H0)
     floor = subspace_min_energy(cert.boundary, H)
-    assert _rel(floor, dense_min_energy(cert.boundary, ref), 1e-10)
+    assert _rel(floor, dense_min_energy(cert.boundary.basis, ref), 1e-10)
     state = thermal_state(H, beta)
     try:
         want = dense_ratio(ref, beta, cert.V, cert.boundary)
@@ -462,16 +460,18 @@ def test_gauge_search_refuses_two_site_terms(supports):
     seed=st.integers(0, 2**16),
 )
 def test_gathered_floor_block_matches_the_dense_block(checks, picks, angles, g, seed):
+    # the gather over a mask of the identity basis against the dense block
+    # of the same basis states with unit phases, which change no eigenvalue
     n = checks.n
     rows = sorted({p % (1 << n) for p in picks})
     X = np.zeros((1 << n, len(rows)), dtype=np.complex128)
     X[rows, np.arange(len(rows))] = np.exp(1j * np.array(angles[: len(rows)]))
-    V = Subspace(n, X)
+    V = Subspace(identity_basis(n), np.isin(np.arange(1 << n), rows))
     # a two-site term next to the single sites, so H is not a sum of
     # single-site terms on a diagonal H0
     terms = tuple((q,) for q in range(n)) + ((0, n - 1),)
     H = perturb(build_hamiltonian(checks), dense_perturbation(n, terms, g, seed))
-    want = dense_min_energy(V, H)
+    want = dense_min_energy(X, H)
     assert abs(subspace_min_energy(V, H) - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -479,8 +479,7 @@ def label_ball(checks, center, inner):
     """(W, V): V spans the labels of W = label_basis(checks) within
     reduced distance inner of the center."""
     W = label_basis(checks)
-    mask = span_distance(checks, center) <= inner
-    return W, Subspace(checks.n, W.columns(mask), labels=(W, mask))
+    return W, Subspace(W, span_distance(checks, center) <= inner)
 
 
 @st.composite
@@ -502,7 +501,7 @@ def label_balls(draw):
 def test_label_shells_match_the_enumeration(ball, r):
     W, V = ball
     part = partition_from_radius(V, r)
-    for name, P in enumerated_blocks(V, r).items():
+    for name, P in enumerated_blocks(V.basis, r).items():
         block = getattr(part, name)
         assert block.labels[0] is W
         assert np.abs(block.projector() - P).max() <= 1e-9, name
@@ -513,14 +512,11 @@ def test_label_shells_match_the_enumeration(ball, r):
 def test_mask_membership_matches_the_row_norms(ball, r):
     W, V = ball
     part = partition_from_radius(V, r)
-    blocks = (part.A, part.B1, part.B2, part.C)
-    unlabeled = HilbertPartition(*(Subspace(b.n, b.basis) for b in blocks))
-    assert all(b.labels is None for b in (unlabeled.A, unlabeled.C))
-    want = row_norm_blocks(W, unlabeled)
+    want = row_norm_blocks(W, [b.basis for b in (part.A, part.B1, part.B2, part.C)])
     assert want is not None
     assert np.array_equal(_label_blocks(W, part), want)
-    # the label path takes only labels: the same blocks without them go dense
-    assert _label_blocks(W, unlabeled) is None
+    # the label path takes only the partition's own basis
+    assert _label_blocks(identity_basis(W.n + 1), part) is None
 
 
 # criterion 11's points: five models, a radius-0 barrier ball at the origin,
@@ -549,12 +545,11 @@ def test_collar_weights_match_the_dense_projectors(label):
         shell = boundary(V, 2)
         assert V.labels is not None and shell.labels[0] is V.labels[0]
         want = dense_collar_weights(rho.mat, V, shell)
-        unlabeled = _collar_weights(rho.mat, Subspace(V.n, V.basis), Subspace(V.n, shell.basis))
         # rho carries labels over V's basis: its weights, and a commutator of 0
         assert rho.labels[0] is V.labels[0]
         labeled = _collar_weights(rho, V, shell)
         assert labeled[1] == 0.0
-        for got in (labeled, _collar_weights(rho.mat, V, shell), unlabeled):
+        for got in (labeled, _collar_weights(rho.mat, V, shell)):
             assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
             assert abs(got[1] - want[1]) <= 1e-12
 
@@ -562,7 +557,7 @@ def test_collar_weights_match_the_dense_projectors(label):
 @pytest.mark.parametrize("label", FREE_ENERGY_MODELS)
 def test_free_energy_bounds_match_the_scipy_dense_form(label):
     for H, V, beta, rho in free_energy_points(label):
-        rep = free_energy_report(H, beta, V, 1, rho_G=rho)
+        rep = free_energy_report(H, beta, V, 1)
         a, b, c, a_applicable, b_applicable = dense_free_energy_bounds(H, beta, V, 1, rho)
         assert rep.bounds_a == pytest.approx(a, rel=1e-12, abs=0)
         assert rep.bounds_b == pytest.approx(b, rel=1e-12, abs=0)
@@ -897,7 +892,7 @@ def test_certified_delta_matches_the_eigensolve(name, g):
             continue
         certified.add(beta)
         p, logZ = gibbs_weights(eig.w, beta)
-        want = bottleneck_ratio(ThermalState(p, eig.U, logZ, eig.phases), cert.V, cert.boundary)[0]
+        want = bottleneck_ratio(ThermalState(p, eig.U, logZ), cert.V, cert.boundary)[0]
         assert abs(got - want) <= 1e-9 * want
     assert certified == CERTIFIED_BETAS[name, g]
 
@@ -1145,41 +1140,3 @@ def test_label_distances_match_the_dense_evolution(fam, beta, flavors):
     crossing = _first_crossing(dense, 0.25)
     assert crossing is not None
     assert _first_crossing(label, 0.25) == crossing
-
-
-@st.composite
-def four_masks(draw):
-    """(W, masks): a label basis of a drawn family with n <= 6 and four
-    masks over its labels, each label in one drawn block; then a few
-    labels added to a second block (an overlap), each edit taking
-    another label from its own block (a gap) or not. An edit that does
-    both keeps the dimension count at 2^n."""
-    checks = draw(st.one_of(classical_families(max_n=6), css_families(max_n=6)))
-    W = label_basis(checks)
-    owner = np.array(draw(st.lists(st.integers(0, 3), min_size=W.dim, max_size=W.dim)))
-    masks = [owner == b for b in range(4)]
-    label = st.integers(0, W.dim - 1)
-    edits = st.tuples(label, st.integers(0, 3), st.one_of(st.none(), label))
-    for j, b, k in draw(st.lists(edits, max_size=2)):
-        masks[b][j] = True
-        if k is not None:
-            masks[owner[k]][k] = False
-    return W, masks
-
-
-def _partition_outcome(blocks):
-    try:
-        HilbertPartition(*blocks)
-    except BadPartition:
-        return "BadPartition"
-    return "ok"
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(drawn=four_masks())
-def test_partition_mask_check_matches_the_dense_overlaps(drawn):
-    W, masks = drawn
-    labeled = [Subspace(W.n, labels=(W, m)) for m in masks]
-    dense = [Subspace(W.n, W.columns(m)) for m in masks]
-    assert all(b.labels is None for b in dense)
-    assert _partition_outcome(labeled) == _partition_outcome(dense)
