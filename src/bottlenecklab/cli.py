@@ -1,8 +1,10 @@
 """Config-driven experiment runner behind the ``bottlenecklab`` entry point.
 
-Each subcommand wires one pipeline end to end: read a JSON config, validate
-it completely before any matrix is touched, run the grid, and write the
-artifacts into the output directory. Every grid subcommand declares its
+SUBCOMMANDS holds each subcommand's help line, config schema and runner.
+main validates the JSON config completely against the schema, every
+size-bearing key against its upper bound too, before any matrix is
+touched; the runner takes the validated values, builds the model, runs
+the grid and writes the artifacts into the output directory. Every grid subcommand declares its
 report columns once and its point function returns values in that order;
 ``report.csv`` and ``report.json`` are both written from those values, one
 row per entry (``model-info`` writes JSON only). ``fit.json`` holds the
@@ -13,7 +15,8 @@ grid order, never completion order, so identical configs produce
 byte-identical files whatever the worker count.
 
 Exit status: 0 when every asserted inequality held, 1 when any grid point
-failed (see failures.json), 2 when the config was rejected up front.
+failed or an allocation did (see failures.json), 2 when the config was
+rejected up front.
 """
 
 import argparse
@@ -103,11 +106,13 @@ def _fail(key, value, want):
     raise ConfigInvalid(f"key {key!r}: expected {want}, got {value!r}")
 
 
-def _as_int(key, value, lo=None):
+def _as_int(key, value, lo=None, hi=None):
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(key, value, "an integer")
     if lo is not None and value < lo:
         _fail(key, value, f"an integer >= {lo}")
+    if hi is not None and value > hi:
+        _fail(key, value, f"an integer <= {hi}")
     return value
 
 
@@ -176,35 +181,38 @@ def _as_dict(key, value, schema, top=False):
     return out
 
 
-def _int_field(lo=None):
-    return lambda k, v: _as_int(k, v, lo=lo)
+# converters are partials, so each field's bounds are data
+def _int_field(lo=None, hi=None):
+    return functools.partial(_as_int, lo=lo, hi=hi)
 
 
 def _num_field(lo=None, strict=False):
-    return lambda k, v: _as_num(k, v, lo=lo, strict=strict)
+    return functools.partial(_as_num, lo=lo, strict=strict)
 
 
 def _num_list(lo=None, strict=False):
-    return lambda k, v: _as_list(k, v, _as_num, lo=lo, strict=strict)
+    return functools.partial(_as_list, item=_as_num, lo=lo, strict=strict)
 
 
-def _int_list(lo=None):
-    return lambda k, v: _as_list(k, v, _as_int, lo=lo)
-
-
-def _model_schema():
-    return {
-        "model": (False, _as_str),
-        "checks_file": (False, _as_str),
-        "n": (False, _int_field(lo=1)),
-        "L": (False, _int_field(lo=1)),
-        "checks": (False, _int_field(lo=1)),
-        "model_seed": (False, _int_field(lo=0)),
-    }
+def _int_list(lo=None, hi=None):
+    return functools.partial(_as_list, item=_as_int, lo=lo, hi=hi)
 
 
 def _dict_field(schema, required=True):
-    return (required, lambda k, v: _as_dict(k, v, schema))
+    return (required, functools.partial(_as_dict, schema=schema))
+
+
+# the keys of model.MODEL_KEYS, each bounded: a register holds at most the
+# bits of the largest Glauber chain, and toric's labels do not fit at L = 3
+_MODEL_PARAMS = {
+    "n": (False, _int_field(1, _GLAUBER_MAX_BITS)),
+    "L": (False, _int_field(1, 2)),
+    "checks": (False, _int_field(1, 4096)),
+    "model_seed": (False, _int_field(0, (1 << 32) - 1)),
+}
+_MODEL_SCHEMA = {"model": (False, _as_str), "checks_file": (False, _as_str), **_MODEL_PARAMS}
+# the most sweeps of a schedule, and steps of a mixing-compare run
+_MAX_STEPS = 1 << 20
 
 
 _BARRIER_SCHEMA = {
@@ -247,7 +255,7 @@ def _load_config(path):
         raise ConfigInvalid(f"cannot read config {path!r}: {exc}")
     except UnicodeDecodeError as exc:
         raise ConfigInvalid(f"config {path!r} is not UTF-8 text: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigInvalid(f"config {path!r} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigInvalid("config top level must be a JSON object")
@@ -255,13 +263,18 @@ def _load_config(path):
 
 
 def _build_checks(vals):
-    """CheckFamily plus the short label used in report rows."""
+    """CheckFamily plus the short label used in report rows. A model takes
+    its keys of MODEL_KEYS; a checks_file takes none of them, and its n is
+    bounded like a model's before anything is built from it."""
     has_model = "model" in vals
     has_file = "checks_file" in vals
     if has_model == has_file:
         raise ConfigInvalid("give exactly one of 'model' and 'checks_file'")
+    params = {k: vals[k] for k in _MODEL_PARAMS if k in vals}
     if has_model:
-        return build_model(vals["model"], vals), vals["model"]
+        return build_model(vals["model"], params), vals["model"]
+    if params:
+        raise ConfigInvalid(f"a checks_file config takes none of the model keys {list(params)}")
     path = vals["checks_file"]
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -274,6 +287,8 @@ def _build_checks(vals):
         fam = checks_from_text(text)
     except BottleneckLabError as exc:
         raise ConfigInvalid(f"checks_file {path!r} is invalid: {exc}")
+    if fam.n > _GLAUBER_MAX_BITS:
+        raise ConfigInvalid(f"checks_file {path!r} has n = {fam.n} > {_GLAUBER_MAX_BITS}")
     return fam, os.path.splitext(os.path.basename(path))[0]
 
 
@@ -332,7 +347,8 @@ def _run_grid(out, columns, point, tasks, jobs):
     """Evaluate grid points, emit their rows, return (rows, failures).
 
     A point returns one row (a tuple of values in column order) or a list
-    of rows; a package error becomes a failure entry naming the task.
+    of rows; a package error or an allocation that fails becomes a
+    failure entry naming the task.
     Rows keep task order, so the artifacts do not depend on the worker
     count.
     """
@@ -340,7 +356,7 @@ def _run_grid(out, columns, point, tasks, jobs):
     def guarded(task):
         try:
             return point(task), None
-        except BottleneckLabError as exc:
+        except (BottleneckLabError, MemoryError) as exc:
             return None, _failure_entry(exc, task)
 
     if jobs > 1 and len(tasks) > 1:
@@ -361,20 +377,7 @@ def _run_grid(out, columns, point, tasks, jobs):
 # --- subcommand pipelines ----------------------------------------------------
 
 
-def _run_verify_classical(cfg, out, jobs):
-    schema = {
-        **_model_schema(),
-        "betas": (True, _num_list(lo=0.0)),
-        "partition": _dict_field(
-            {
-                "center": (True, _int_field(lo=0)),
-                "inner": (True, _int_field(lo=0)),
-                "width": (True, _int_field(lo=1)),
-            }
-        ),
-        "laziness": (False, _num_field(lo=0.0)),
-    }
-    vals = _as_dict("verify-classical", cfg, schema, top=True)
+def _run_verify_classical(vals, out, jobs):
     checks, label = _build_checks(vals)
     if not checks.is_classical:
         raise ConfigInvalid("verify-classical needs a classical (Z-only) model")
@@ -387,11 +390,6 @@ def _run_verify_classical(cfg, out, jobs):
         raise ConfigInvalid(
             f"partition inner + 2*width = {spec['inner'] + 2 * spec['width']} "
             f"reaches every state of the {checks.n}-bit register, so C is empty"
-        )
-    if checks.n > _GLAUBER_MAX_BITS:
-        raise ConfigInvalid(
-            f"verify-classical builds Glauber chains on at most "
-            f"{_GLAUBER_MAX_BITS} bits, got n = {checks.n}"
         )
     energies = label_energies(checks)
     ball = hamming_ball_subspace(checks.n, [spec["center"]], spec["inner"])
@@ -419,23 +417,24 @@ def _run_verify_classical(cfg, out, jobs):
     return _run_grid(out, CLASSICAL_COLUMNS, point, tasks, jobs)[1]
 
 
-def _quantum_setup(cfg, keys, subcommand):
-    """Validate a sampler-schedule config (the shared keys plus ``keys``);
-    return (vals, checks, label, H, V) with V the subspace ball."""
-    schema = {
-        **_model_schema(),
-        "sites": (False, _int_list(lo=0)),
-        "flavors": (False, lambda k, v: _as_list(k, v, _as_str, options=("X", "Z"))),
-        "repetitions": (False, _int_field(lo=1)),
-        "attempt_prob": (False, lambda k, v: _as_unit(k, v)),
-        "mix_eps": (False, lambda k, v: _as_unit(k, v, hi=0.5)),
-        **keys,
-        "subspace": _dict_field(
-            {"centers": (True, _int_list(lo=0)), "radius": (True, _int_field(lo=0))}
-        ),
-        "partition_radius": (True, _int_field(lo=1)),
-    }
-    vals = _as_dict(subcommand, cfg, schema, top=True)
+# the keys verify-quantum and mixing-compare share: a model, a sampler
+# schedule, the subspace ball and the partition radius
+_QUANTUM_SCHEMA = {
+    **_MODEL_SCHEMA,
+    "sites": (False, _int_list(lo=0)),
+    "flavors": (False, functools.partial(_as_list, item=_as_str, options=("X", "Z"))),
+    "repetitions": (False, _int_field(1, _MAX_STEPS)),
+    "attempt_prob": (False, functools.partial(_as_unit, hi=1.0)),
+    "mix_eps": (False, functools.partial(_as_unit, hi=0.5)),
+    "subspace": _dict_field(
+        {"centers": (True, _int_list(lo=0)), "radius": (True, _int_field(lo=0))}
+    ),
+    "partition_radius": (True, _int_field(lo=1)),
+}
+
+
+def _quantum_setup(vals):
+    """(checks, label, H, V) of validated values, V the subspace ball."""
     checks, label = _build_checks(vals)
     sub = vals["subspace"]
     for i, c in enumerate(sub["centers"]):
@@ -448,7 +447,7 @@ def _quantum_setup(cfg, keys, subcommand):
         raise ConfigInvalid('models with X checks need "flavors" (e.g. ["X"])')
     H = build_hamiltonian(checks)
     V = hamming_ball_subspace(checks.n, sub["centers"], sub["radius"])
-    return vals, checks, label, H, V
+    return checks, label, H, V
 
 
 def _schedule_for(vals, checks, H, beta):
@@ -462,9 +461,8 @@ def _schedule_for(vals, checks, H, beta):
     )
 
 
-def _run_verify_quantum(cfg, out, jobs):
-    keys = {"betas": (True, _num_list(lo=0.0))}
-    vals, checks, label, H, V = _quantum_setup(cfg, keys, "verify-quantum")
+def _run_verify_quantum(vals, out, jobs):
+    checks, label, H, V = _quantum_setup(vals)
     n = checks.n
     r = vals["partition_radius"]
     eps = vals.get("mix_eps", DEFAULT_MIX_EPS)
@@ -505,14 +503,7 @@ def _certificate_values(cert):
     )
 
 
-def _run_barrier_scan(cfg, out, jobs):
-    schema = {
-        **_model_schema(),
-        "center": (True, _as_center),
-        "inner": (True, _int_field(lo=0)),
-        "radii": (True, _int_list(lo=1)),
-    }
-    vals = _as_dict("barrier-scan", cfg, schema, top=True)
+def _run_barrier_scan(vals, out, jobs):
     checks, label = _build_checks(vals)
     center = vals["center"]
     inner = vals["inner"]
@@ -536,16 +527,7 @@ def _run_barrier_scan(cfg, out, jobs):
     return _run_grid(out, BARRIER_COLUMNS, point, tasks, jobs)[1]
 
 
-def _run_tail_check(cfg, out, jobs):
-    schema = {
-        **_model_schema(),
-        "eps1": (True, _num_field(lo=0.0, strict=True)),
-        "eps2": (True, _num_field(lo=0.0, strict=True)),
-        "gs": (True, _num_list(lo=0.0, strict=True)),
-        "seeds": (True, _int_list(lo=0)),
-        "delta_E": (False, _num_field(lo=0.0, strict=True)),
-    }
-    vals = _as_dict("tail-check", cfg, schema, top=True)
+def _run_tail_check(vals, out, jobs):
     if vals["eps2"] <= vals["eps1"]:
         raise ConfigInvalid("need eps2 > eps1")
     checks, label = _build_checks(vals)
@@ -596,16 +578,7 @@ def _run_tail_check(cfg, out, jobs):
     return _run_grid(out, TAIL_COLUMNS, point, tasks, jobs)[1]
 
 
-def _run_stability_sweep(cfg, out, jobs):
-    schema = {
-        "model": (True, _as_str),
-        "barrier": _dict_field(_BARRIER_SCHEMA),
-        "betas": (True, _num_list(lo=0.0)),
-        "gs": (True, _num_list(lo=0.0)),
-        "ns": (True, _int_list(lo=1)),
-        "seeds": (True, _int_list(lo=0)),
-    }
-    vals = _as_dict("stability-sweep", cfg, schema, top=True)
+def _run_stability_sweep(vals, out, jobs):
     name = vals["model"]
     if name in REGISTRY and name not in SIZE_INDEXED:
         raise ConfigInvalid(
@@ -632,12 +605,8 @@ def _run_stability_sweep(cfg, out, jobs):
     return failures
 
 
-def _run_mixing_compare(cfg, out, jobs):
-    keys = {
-        "beta": (True, _num_field(lo=0.0)),
-        "horizon": (True, _int_field(lo=1)),
-    }
-    vals, checks, label, H, V = _quantum_setup(cfg, keys, "mixing-compare")
+def _run_mixing_compare(vals, out, jobs):
+    checks, label, H, V = _quantum_setup(vals)
     n = checks.n
     r = vals["partition_radius"]
     eps = vals.get("mix_eps", DEFAULT_MIX_EPS)
@@ -698,14 +667,7 @@ def _conditioned_start(rho, A):
     return DensityMatrix(start / np.real(np.trace(start)), rho.n)
 
 
-def _run_model_info(cfg, out, jobs):
-    schema = {
-        **_model_schema(),
-        "beta": (False, _num_field(lo=0.0)),
-        "expansion_delta": (False, lambda k, v: _as_unit(k, v)),
-        "barrier": _dict_field(_BARRIER_SCHEMA, required=False),
-    }
-    vals = _as_dict("model-info", cfg, schema, top=True)
+def _run_model_info(vals, out, jobs):
     checks, label = _build_checks(vals)
     if "barrier" in vals:
         _check_barrier("barrier", vals["barrier"], checks.n)
@@ -741,24 +703,82 @@ def _run_model_info(cfg, out, jobs):
     return []
 
 
-_RUNNERS = {
-    "verify-classical": _run_verify_classical,
-    "verify-quantum": _run_verify_quantum,
-    "barrier-scan": _run_barrier_scan,
-    "tail-check": _run_tail_check,
-    "stability-sweep": _run_stability_sweep,
-    "mixing-compare": _run_mixing_compare,
-    "model-info": _run_model_info,
-}
-
-_HELP = {
-    "verify-classical": "classical bottleneck bound for Glauber chains",
-    "verify-quantum": "quantum bottleneck bound for Gibbs sampler schedules",
-    "barrier-scan": "energy barrier certificates over boundary radii",
-    "tail-check": "eigenstate tail amplitudes against the shell decay bound",
-    "stability-sweep": "bottleneck ratio across a (beta, g, n, seed) grid",
-    "mixing-compare": "observed mixing step against the theorem lower bounds",
-    "model-info": "spectrum, check counts and optional barrier summary",
+# name: (help line, config schema, runner taking the validated values)
+SUBCOMMANDS = {
+    "verify-classical": (
+        "classical bottleneck bound for Glauber chains",
+        {
+            **_MODEL_SCHEMA,
+            "betas": (True, _num_list(lo=0.0)),
+            "partition": _dict_field(
+                {
+                    "center": (True, _int_field(lo=0)),
+                    "inner": (True, _int_field(lo=0)),
+                    "width": (True, _int_field(lo=1)),
+                }
+            ),
+            "laziness": (False, _num_field(lo=0.0)),
+        },
+        _run_verify_classical,
+    ),
+    "verify-quantum": (
+        "quantum bottleneck bound for Gibbs sampler schedules",
+        {**_QUANTUM_SCHEMA, "betas": (True, _num_list(lo=0.0))},
+        _run_verify_quantum,
+    ),
+    "barrier-scan": (
+        "energy barrier certificates over boundary radii",
+        {
+            **_MODEL_SCHEMA,
+            "center": (True, _as_center),
+            "inner": (True, _int_field(lo=0)),
+            "radii": (True, _int_list(lo=1)),
+        },
+        _run_barrier_scan,
+    ),
+    "tail-check": (
+        "eigenstate tail amplitudes against the shell decay bound",
+        {
+            **_MODEL_SCHEMA,
+            "eps1": (True, _num_field(lo=0.0, strict=True)),
+            "eps2": (True, _num_field(lo=0.0, strict=True)),
+            "gs": (True, _num_list(lo=0.0, strict=True)),
+            "seeds": (True, _int_list(lo=0)),
+            "delta_E": (False, _num_field(lo=0.0, strict=True)),
+        },
+        _run_tail_check,
+    ),
+    "stability-sweep": (
+        "bottleneck ratio across a (beta, g, n, seed) grid",
+        {
+            "model": (True, _as_str),
+            "barrier": _dict_field(_BARRIER_SCHEMA),
+            "betas": (True, _num_list(lo=0.0)),
+            "gs": (True, _num_list(lo=0.0)),
+            "ns": (True, _int_list(1, _GLAUBER_MAX_BITS)),
+            "seeds": (True, _int_list(lo=0)),
+        },
+        _run_stability_sweep,
+    ),
+    "mixing-compare": (
+        "observed mixing step against the theorem lower bounds",
+        {
+            **_QUANTUM_SCHEMA,
+            "beta": (True, _num_field(lo=0.0)),
+            "horizon": (True, _int_field(1, _MAX_STEPS)),
+        },
+        _run_mixing_compare,
+    ),
+    "model-info": (
+        "spectrum, check counts and optional barrier summary",
+        {
+            **_MODEL_SCHEMA,
+            "beta": (False, _num_field(lo=0.0)),
+            "expansion_delta": (False, functools.partial(_as_unit, hi=1.0)),
+            "barrier": _dict_field(_BARRIER_SCHEMA, required=False),
+        },
+        _run_model_info,
+    ),
 }
 
 
@@ -771,8 +791,8 @@ def _parser():
         description="Bottleneck-ratio experiment pipelines with asserted bounds.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-    for name in _RUNNERS:
-        p = sub.add_parser(name, help=_HELP[name])
+    for name, (help_line, _, _) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=".", help="output directory, created if absent")
         p.add_argument("--jobs", type=int, default=1, help="worker threads")
@@ -787,9 +807,10 @@ def main(argv=None):
     try:
         if args.jobs < 1:
             raise ConfigInvalid(f"jobs must be >= 1, got {args.jobs}")
-        cfg = _load_config(args.config)
-        failures = _RUNNERS[args.subcommand](cfg, out, args.jobs)
-    except BottleneckLabError as exc:
+        _, schema, runner = SUBCOMMANDS[args.subcommand]
+        vals = _as_dict(args.subcommand, _load_config(args.config), schema, top=True)
+        failures = runner(vals, out, args.jobs)
+    except (BottleneckLabError, MemoryError) as exc:
         rejected = isinstance(exc, (ConfigInvalid, ModelNotFound))
         _write_json(os.path.join(out, "failures.json"), [_failure_entry(exc)])
         print(f"{'config rejected' if rejected else 'run failed'}: {exc}", file=sys.stderr)

@@ -94,6 +94,7 @@ __all__ = [
     "toric",
     "random_ldpc",
     "REGISTRY",
+    "MODEL_KEYS",
     "SIZE_INDEXED",
     "build_model",
     "checks_from_text",
@@ -835,39 +836,37 @@ REGISTRY = {
     "random_ldpc": random_ldpc,
 }
 
+# Each registry model's config keys with their least values, in its factory's
+# order: a toric star at L = 1 names one edge twice, a random_ldpc check 3 bits.
+MODEL_KEYS = {
+    "ising_ring": {"n": 1},
+    "repetition": {"n": 1},
+    "curie_weiss": {"n": 1},
+    "steane7": {},
+    "toric": {"L": 2},
+    "random_ldpc": {"n": 3, "checks": 1, "model_seed": 0},
+}
+
 # Registry models whose factory takes the register size n and nothing else.
-SIZE_INDEXED = ("ising_ring", "repetition", "curie_weiss")
+SIZE_INDEXED = tuple(name for name, keys in MODEL_KEYS.items() if list(keys) == ["n"])
 
 
 def build_model(name, params):
-    """CheckFamily of a registry model from its config parameters.
-
-    steane7 is fixed at n = 7, toric reads L (default 2, at least 2),
-    random_ldpc needs n (at least 3), checks and model_seed, and every
-    other model needs n. Other keys of params are ignored.
-    """
+    """CheckFamily of a registry model from exactly its MODEL_KEYS params: a
+    key it does not take, a missing key or a value below the least raises
+    ConfigInvalid."""
     if name not in REGISTRY:
         raise ModelNotFound(f"unknown model {name!r}; registry has {sorted(REGISTRY)}")
-    if name == "steane7":
-        if params.get("n", 7) != 7:
-            raise ConfigInvalid("steane7 is fixed at n = 7")
-        args = ()
-    elif name == "toric":
-        args = (params.get("L", 2),)
-        if args[0] < 2:
-            raise ConfigInvalid("toric needs L >= 2: at L = 1 a star repeats a qubit")
-    elif name == "random_ldpc":
-        for key in ("n", "checks", "model_seed"):
-            if key not in params:
-                raise ConfigInvalid(f"random_ldpc needs {key!r}")
-        if params["n"] < 3:
-            raise ConfigInvalid("random_ldpc needs n >= 3 for its weight-3 checks")
-        args = (params["n"], params["checks"], params["model_seed"])
-    elif "n" not in params:
-        raise ConfigInvalid(f"model {name!r} needs 'n'")
-    else:
-        args = (params["n"],)
-    return REGISTRY[name](*args)
+    keys = MODEL_KEYS[name]
+    extra = sorted(set(params) - set(keys))
+    if extra:
+        raise ConfigInvalid(f"model {name!r} does not take {extra}; its keys are {list(keys)}")
+    for key, least in keys.items():
+        if key not in params:
+            raise ConfigInvalid(f"model {name!r} needs {key!r}")
+        if params[key] < least:
+            raise ConfigInvalid(f"model {name!r} needs {key} >= {least}, got {params[key]}")
+    return REGISTRY[name](*(params[key] for key in keys))
 
 
 def checks_from_text(text):

@@ -63,13 +63,10 @@ from . import numerics as tol
 from .bottleneck import bottleneck_ratio
 from .errors import (
     BoundViolated,
-    ModelNotFound,
     ParametersInadmissible,
     PerturbationTooLarge,
 )
 from .model import (
-    REGISTRY,
-    SIZE_INDEXED,
     barrier_subspace,
     build_hamiltonian,
     build_model,
@@ -365,11 +362,11 @@ def _chain_log_sq(n, beta, g, eps, kappa, lam_k):
 def sweep_model(model, n, barrier):
     """(H0, barrier certificate) of a size-indexed registry model at size n.
 
-    barrier is (center, inner_radius, boundary_radius). Models not built
-    from n alone raise ModelNotFound.
+    barrier is (center, inner_radius, boundary_radius). The model is
+    built by model.build_model from {"n": n} alone, so a model with other
+    keys (not in model.SIZE_INDEXED) raises its ConfigInvalid, and an
+    unknown name ModelNotFound.
     """
-    if model in REGISTRY and model not in SIZE_INDEXED:
-        raise ModelNotFound(f"model {model!r} is not built from n alone")
     checks = build_model(model, {"n": n})
     H0 = build_hamiltonian(checks)
     center, inner_radius, boundary_radius = barrier

@@ -556,7 +556,8 @@ def test_csv_row_has_stable_columns(tmp_path, monkeypatch):
 
 
 def test_json_report_keys(tmp_path, monkeypatch):
-    _, out = crafted_quantum_row(tmp_path, monkeypatch, {"model": "toric", "flavors": ["X"]})
+    cfg = {"model": "toric", "L": 2, "flavors": ["X"]}
+    _, out = crafted_quantum_row(tmp_path, monkeypatch, cfg)
     assert out["delta"] == 0.125
     assert out["mode"] == "general"
     assert out["model"] == "toric"

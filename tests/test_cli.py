@@ -859,80 +859,98 @@ MODEL_INFO_CFG = {
 }
 
 
-def _without(d, key):
-    return {k: v for k, v in d.items() if k != key}
-
-
-# one key of each subcommand's valid config, broken four ways: a wrong
-# type, a value out of range, a required key missing, an unknown key. An
-# object-valued key is broken inside the object; any other key is given
-# the first two values, dropped, and renamed to the fourth.
-BROKEN_KEYS = {
-    "verify-classical": (GRID_CONFIGS["verify-classical"], "partition"),
-    "verify-quantum": (GRID_CONFIGS["verify-quantum"], "betas", [True], [-0.5], "beta"),
-    "barrier-scan": (GRID_CONFIGS["barrier-scan"], "inner", "1", -1, "outer"),
-    "tail-check": (GRID_CONFIGS["tail-check"], "seeds", 7, [-1], "seed"),
-    "stability-sweep": (GRID_CONFIGS["stability-sweep"], "barrier"),
-    "mixing-compare": (MC_STEANE, "flavors", [5], ["Y"], "flavor"),
-    "model-info": (MODEL_INFO_CFG, "barrier"),
-}
-BROKEN_OBJECTS = {
-    "partition": ("width", 0, "inner", "radius"),
-    "barrier": ("boundary", 0, "center", "width"),
-}
+# a valid config of each subcommand; every key of its schema is broken
+# against it
+VALID_CONFIGS = {**GRID_CONFIGS, "mixing-compare": MC_STEANE, "model-info": MODEL_INFO_CFG}
 CASES = ("type", "range", "missing", "unknown")
 
 
-def _broken(subcommand, case):
-    """(config with one key broken, a word its rejection must name)."""
-    cfg, key, *values = BROKEN_KEYS[subcommand]
-    if not values:
-        inner, low, required, unknown = BROKEN_OBJECTS[key]
-        obj = cfg[key]
-        value = {
-            "type": [],
-            "range": dict(obj, **{inner: low}),
-            "missing": _without(obj, required),
-            "unknown": dict(obj, **{unknown: 1}),
+def _fields(schema, path=()):
+    """(key path, required, converter) of every field of a schema, the
+    fields of its object-valued fields included."""
+    for name, (required, conv) in schema.items():
+        yield path + (name,), required, conv
+        inner = getattr(conv, "keywords", {}).get("schema")
+        if inner is not None:
+            yield from _fields(inner, path + (name,))
+
+
+def _out_of_range(conv):
+    """Values the converter refuses for their size: one below its least,
+    one past its bound, a string outside its options; a list converter
+    gets each inside a list."""
+    kw = getattr(conv, "keywords", {})
+    values = [kw["lo"] - 1] if kw.get("lo") is not None else []
+    values += [kw["hi"] + 1] if kw.get("hi") is not None else []
+    values += ["?"] if kw.get("options") else []
+    return [[v] for v in values] if "item" in kw else values
+
+
+def _broken_configs(subcommand, case):
+    """(config, word its rejection must name) for every field of the
+    subcommand's schema broken the given way: a null value, a value out
+    of range, a required key dropped, or the key renamed to an unknown one."""
+    for path, required, conv in _fields(cli.SUBCOMMANDS[subcommand][1]):
+        *parents, name = path
+        values = {
+            "type": [None],
+            "range": _out_of_range(conv),
+            "missing": [name] if required else [],
+            "unknown": [name],
         }[case]
-        return dict(cfg, **{key: value}), key
-    if case == "missing":
-        return _without(cfg, key), key
-    if case == "unknown":
-        return dict(cfg, **{values[2]: cfg[key]}), values[2]
-    return dict(cfg, **{key: values[CASES.index(case)]}), key
+        for value in values:
+            cfg = json.loads(json.dumps(VALID_CONFIGS[subcommand]))
+            obj = cfg
+            for parent in parents:
+                obj = obj[parent]
+            if case in ("missing", "unknown"):
+                old = obj.pop(name, 1)
+                if case == "unknown":
+                    obj[name + "_"] = old
+                yield cfg, "'" + name + ("_" if case == "unknown" else "")
+            else:
+                obj[name] = value
+                yield cfg, "'" + ".".join(path)
 
 
 def _spy_on_builds(monkeypatch, through):
-    """Record every Hamiltonian, Glauber chain and sweep model the CLI
-    builds; with through, build them as well."""
+    """Record every check family build_model makes and every set of label
+    energies, Hamiltonian, Glauber chain and sweep model the CLI builds;
+    with through, build them as well. A check family is always built: the
+    CLI reads it, and its size is bounded before it is built."""
     built = []
-    for name in ("build_hamiltonian", "GlauberTable", "sweep_model"):
-        real = getattr(cli, name)
 
-        def spy(*args, _name=name, _real=real, **kwargs):
-            built.append(_name)
-            return _real(*args, **kwargs) if through else None
+    def spy_on(real, label, build):
+        def spy(*args, **kwargs):
+            built.append(label)
+            return real(*args, **kwargs) if build else None
 
-        monkeypatch.setattr(cli, name, spy)
+        return spy
+
+    for name in ("build_hamiltonian", "label_energies", "GlauberTable", "sweep_model"):
+        monkeypatch.setattr(cli, name, spy_on(getattr(cli, name), name, through))
+    for name, factory in REGISTRY.items():
+        monkeypatch.setitem(REGISTRY, name, spy_on(factory, "build_model", True))
     return built
 
 
-@pytest.mark.parametrize("subcommand", sorted(BROKEN_KEYS))
+@pytest.mark.parametrize("subcommand", sorted(cli.SUBCOMMANDS))
 def test_broken_key_configs_are_valid_before_the_break(tmp_path, monkeypatch, subcommand):
     built = _spy_on_builds(monkeypatch, through=True)
-    assert run(subcommand, BROKEN_KEYS[subcommand][0], tmp_path)[0] == 0
+    assert run(subcommand, VALID_CONFIGS[subcommand], tmp_path)[0] == 0
     assert built
 
 
 @pytest.mark.parametrize("case", CASES)
-@pytest.mark.parametrize("subcommand", sorted(BROKEN_KEYS))
+@pytest.mark.parametrize("subcommand", sorted(cli.SUBCOMMANDS))
 def test_broken_key_rejected_before_any_build(tmp_path, monkeypatch, subcommand, case):
     built = _spy_on_builds(monkeypatch, through=False)
-    cfg, word = _broken(subcommand, case)
-    code, out = run(subcommand, cfg, tmp_path)
-    assert code == 2
-    assert_config_rejected(out, word)
+    broken = list(_broken_configs(subcommand, case))
+    assert broken
+    for i, (cfg, word) in enumerate(broken):
+        code, out = run(subcommand, cfg, tmp_path, out_name=f"case{i}")
+        assert code == 2, (cfg, word)
+        assert_config_rejected(out, word)
     assert built == []
 
 
@@ -966,6 +984,28 @@ VC_FILE = {"betas": [1.0], "partition": {"center": 0, "inner": 0, "width": 1}}
         ("verify-quantum", dict(VQ_BASE, betas=[1.0, math.inf]), "finite"),
         ("model-info", b'{"model": "steane7", "beta": 1.0\xff}', "UTF-8"),
         ("verify-classical", dict(VC_FILE, checks_file="latin1.txt"), "UTF-8"),
+        # sizes past their bounds, refused before anything is built
+        ("verify-quantum", dict(VQ_BASE, n=40), "'n': expected an integer <= 20"),
+        ("verify-quantum", dict(VQ_BASE, n=10**29), "'n': expected an integer <= 20"),
+        ("stability-sweep", dict(SWEEP_BASE, ns=[4, 40]), "'ns[1]'"),
+        ("model-info", {"model": "toric", "L": 3}, "'L': expected an integer <= 2"),
+        (
+            "model-info",
+            {"model": "random_ldpc", "n": 6, "checks": 10**11, "model_seed": 0},
+            "'checks': expected an integer <= 4096",
+        ),
+        ("verify-quantum", dict(VQ_BASE, repetitions=10**20), "<= 1048576"),
+        ("mixing-compare", dict(GRID_CONFIGS["mixing-compare"], horizon=2**20 + 1), "<= 1048576"),
+        ("verify-classical", dict(VC_FILE, checks_file="n40.txt"), "n = 40 > 20"),
+        # keys a model does not take, and a key it needs
+        ("model-info", {"model": "ising_ring", "n": 6, "L": 2}, "does not take ['L']"),
+        ("model-info", {"model": "steane7", "n": 7}, "does not take ['n']"),
+        ("model-info", {"model": "toric"}, "needs 'L'"),
+        (
+            "verify-classical",
+            dict(VC_FILE, checks_file="triangle.txt", n=9),
+            "none of the model keys",
+        ),
     ],
 )
 def test_config_rejected_through_main(tmp_path, monkeypatch, subcommand, cfg, word):
@@ -974,6 +1014,7 @@ def test_config_rejected_through_main(tmp_path, monkeypatch, subcommand, cfg, wo
     (tmp_path / "bad_n.txt").write_text("n: x\nZ: 0 1\n")
     (tmp_path / "bad_qubit.txt").write_text("Z: 0 a\n")
     (tmp_path / "latin1.txt").write_bytes("n: 3\nZ: 0 1 # \u00e9\n".encode("latin-1"))
+    (tmp_path / "n40.txt").write_text("n: 40\nZ: 0 1\n")
     built = _spy_on_builds(monkeypatch, through=False)
     path = tmp_path / "cfg.json"
     if isinstance(cfg, bytes):
@@ -987,7 +1028,40 @@ def test_config_rejected_through_main(tmp_path, monkeypatch, subcommand, cfg, wo
     out = tmp_path / "out"
     assert main([subcommand, "--config", str(path), "--out", str(out)]) == 2
     assert_config_rejected(out, word)
-    assert built == []
+    # only a CSS model handed to verify-classical is refused from its family
+    assert built == (["build_model"] if word == "Z-only" else [])
+
+
+def test_integer_past_the_json_reader_limit_rejected(tmp_path):
+    # Python's int parser refuses more than 4300 digits with a ValueError
+    path = tmp_path / "cfg.json"
+    path.write_text('{"model": "ising_ring", "n": 1' + "0" * 5000 + "}")
+    out = tmp_path / "out"
+    assert main(["model-info", "--config", str(path), "--out", str(out)]) == 2
+    assert_config_rejected(out, "not valid JSON")
+
+
+def test_allocation_failure_is_reported_not_crashed(tmp_path, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("cannot allocate")
+
+    # inside a grid point: each point fails on its own
+    monkeypatch.setattr(cli, "gibbs_state", no_memory)
+    code, out = run("verify-quantum", GRID_CONFIGS["verify-quantum"], tmp_path, "point")
+    assert code == 1
+    failures = json.loads((out / "failures.json").read_text())
+    assert [f["point"] for f in failures] == [
+        {"model": "ising_ring", "beta": b} for b in (0.5, 1.0, 2.0)
+    ]
+    assert {f["reason"] for f in failures} == {"MemoryError"}
+    assert read_rows(out)[1] == []
+    # outside any point: the run fails as a whole
+    monkeypatch.setattr(cli, "build_hamiltonian", no_memory)
+    code, out = run("verify-quantum", VQ_BASE, tmp_path, "setup")
+    assert code == 1
+    assert json.loads((out / "failures.json").read_text()) == [
+        {"reason": "MemoryError", "message": "cannot allocate"}
+    ]
 
 
 def test_verify_classical_laziness_one_rejected(tmp_path, monkeypatch):
@@ -1029,7 +1103,7 @@ def test_verify_classical_past_the_glauber_cap_rejected(tmp_path, monkeypatch):
     }
     code, out = run("verify-classical", cfg, tmp_path)
     assert code == 2
-    assert_config_rejected(out, "at most 20 bits")
+    assert_config_rejected(out, "<= 20")
 
 
 def test_parser_is_built_once_and_keeps_its_exits(tmp_path, capsys):
@@ -1040,7 +1114,7 @@ def test_parser_is_built_once_and_keeps_its_exits(tmp_path, capsys):
         main(["--help"])
     assert help_exit.value.code == 0
     usage = capsys.readouterr().out
-    assert all(name in usage for name in cli._RUNNERS)
+    assert all(name in usage for name in cli.SUBCOMMANDS)
     for argv in (["no-such-subcommand"], [], ["mixing-compare"]):
         with pytest.raises(SystemExit) as bad:
             main(argv)

@@ -9,7 +9,7 @@ import re
 import pytest
 
 import bottlenecklab
-from bottlenecklab import errors, numerics
+from bottlenecklab import cli, errors, model, numerics
 
 PACKAGE_DIR = pathlib.Path(bottlenecklab.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
@@ -167,3 +167,12 @@ def test_readme_tolerances_name_their_table_entry():
     quoted = re.findall(r"([0-9.]+e-[0-9]+) \(`([A-Z_]+)`\)", readme)
     assert len(quoted) >= 3
     assert [(v, n) for v, n in quoted if float(v) != getattr(numerics, n, None)] == []
+
+
+def test_every_model_key_is_bounded_before_any_build():
+    # a new model or model key cannot skip the CLI's size bounds
+    assert list(model.MODEL_KEYS) == list(model.REGISTRY)
+    for name, keys in model.MODEL_KEYS.items():
+        for key in keys:
+            required, conv = cli._MODEL_SCHEMA[key]
+            assert not required and conv.keywords["hi"] is not None, (name, key)

@@ -10,6 +10,7 @@ from bottlenecklab import cli, stability
 
 from bottlenecklab.errors import (
     BoundViolated,
+    ConfigInvalid,
     ModelNotFound,
     ParametersInadmissible,
     PerturbationTooLarge,
@@ -388,5 +389,6 @@ def test_sweep_csv_and_fit_json_are_stable(tmp_path):
 
 @pytest.mark.parametrize("model", ["steane7", "toric", "random_ldpc"])
 def test_sweep_refuses_models_not_built_from_n(model):
-    with pytest.raises(ModelNotFound):
+    # build_model refuses n for steane7 and toric, and random_ldpc without checks
+    with pytest.raises(ConfigInvalid):
         sweep_model(model, 4, ((0, 0), 1, 2))
