@@ -1,22 +1,22 @@
 """Config-driven experiment runner behind the ``bottlenecklab`` entry point.
 
 SUBCOMMANDS holds each subcommand's help line, config schema and runner.
-main validates the JSON config completely against the schema, every
-size-bearing key against its upper bound too, before any matrix is
-touched; the runner takes the validated values, builds the model, runs
-the grid and writes the artifacts into the output directory. Every grid subcommand declares its
-report columns once and its point function returns values in that order;
-``report.csv`` and ``report.json`` are both written from those values, one
-row per entry (``model-info`` writes JSON only). ``fit.json`` holds the
-per-(beta, g) regression summaries of a sweep, and ``failures.json`` one
-entry per refused or violated assertion with the exception class as its
-reason code and, for a grid point, the point itself. Rows are emitted in
-grid order, never completion order, so identical configs produce
-byte-identical files whatever the worker count.
+main validates the JSON config against the schema, and the runner holds the
+model to its key bounds and the register to its route's bound before any
+matrix is touched, then runs the grid and writes the artifacts into the
+output directory. Every grid subcommand declares its report columns once and
+its point function returns values in that order; ``report.csv`` and
+``report.json`` are both written from those values, one row per entry
+(``model-info`` writes JSON only). ``fit.json`` holds the per-(beta, g)
+regression summaries of a sweep, and ``failures.json`` one entry per refused
+or violated assertion with the exception class as its reason code and, for a
+grid point, the point itself. Rows are emitted in grid order, never
+completion order, so identical configs produce byte-identical files whatever
+the worker count.
 
-Exit status: 0 when every asserted inequality held, 1 when any grid point
-failed or an allocation did (see failures.json), 2 when the config was
-rejected up front.
+Exit status: 0 when every asserted inequality held, 1 when any grid point or
+an allocation failed (see failures.json), 2 when the config was rejected up
+front.
 """
 
 import argparse
@@ -45,6 +45,8 @@ from .errors import (
 )
 from .markov import _GLAUBER_MAX_BITS, GlauberTable
 from .model import (
+    _LABEL_MAX_BITS,
+    MODEL_KEYS,
     REGISTRY,
     SIZE_INDEXED,
     barrier_subspace,
@@ -202,17 +204,17 @@ def _dict_field(schema, required=True):
     return (required, functools.partial(_as_dict, schema=schema))
 
 
-# the keys of model.MODEL_KEYS, each bounded: a register holds at most the
-# bits of the largest Glauber chain, and toric's labels do not fit at L = 3
-_MODEL_PARAMS = {
-    "n": (False, _int_field(1, _GLAUBER_MAX_BITS)),
-    "L": (False, _int_field(1, 2)),
-    "checks": (False, _int_field(1, 4096)),
-    "model_seed": (False, _int_field(0, (1 << 32) - 1)),
-}
+# the keys of model.MODEL_KEYS, whose bounds build_model checks before any factory
+_MODEL_PARAMS = {key: (False, _as_int) for keys in MODEL_KEYS.values() for key in keys}
 _MODEL_SCHEMA = {"model": (False, _as_str), "checks_file": (False, _as_str), **_MODEL_PARAMS}
 # the most sweeps of a schedule, and steps of a mixing-compare run
 _MAX_STEPS = 1 << 20
+# The largest register a route completes in 2.5 GB (see the README): the site
+# moves of verify-quantum and mixing-compare, the dense eigensystem of
+# tail-check, and a certified stability-sweep point (a dense one fits to 12)
+_SITE_MAX_BITS = 20
+_TAIL_MAX_BITS = 12
+_SWEEP_MAX_BITS = 13
 
 
 _BARRIER_SCHEMA = {
@@ -262,34 +264,33 @@ def _load_config(path):
     return cfg
 
 
-def _build_checks(vals):
-    """CheckFamily plus the short label used in report rows. A model takes
-    its keys of MODEL_KEYS; a checks_file takes none of them, and its n is
-    bounded like a model's before anything is built from it."""
+def _build_checks(vals, max_bits):
+    """CheckFamily plus the short label used in report rows, its n held to
+    the route's bound max_bits; a checks_file takes no model key."""
     has_model = "model" in vals
     has_file = "checks_file" in vals
     if has_model == has_file:
         raise ConfigInvalid("give exactly one of 'model' and 'checks_file'")
     params = {k: vals[k] for k in _MODEL_PARAMS if k in vals}
     if has_model:
-        return build_model(vals["model"], params), vals["model"]
-    if params:
+        fam, label = build_model(vals["model"], params), vals["model"]
+    elif params:
         raise ConfigInvalid(f"a checks_file config takes none of the model keys {list(params)}")
-    path = vals["checks_file"]
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigInvalid(f"cannot read checks_file {path!r}: {exc}")
-    except UnicodeDecodeError as exc:
-        raise ConfigInvalid(f"checks_file {path!r} is not UTF-8 text: {exc}")
-    try:
-        fam = checks_from_text(text)
-    except BottleneckLabError as exc:
-        raise ConfigInvalid(f"checks_file {path!r} is invalid: {exc}")
-    if fam.n > _GLAUBER_MAX_BITS:
-        raise ConfigInvalid(f"checks_file {path!r} has n = {fam.n} > {_GLAUBER_MAX_BITS}")
-    return fam, os.path.splitext(os.path.basename(path))[0]
+    else:
+        path = vals["checks_file"]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                fam = checks_from_text(fh.read())
+        except OSError as exc:
+            raise ConfigInvalid(f"cannot read checks_file {path!r}: {exc}")
+        except UnicodeDecodeError as exc:
+            raise ConfigInvalid(f"checks_file {path!r} is not UTF-8 text: {exc}")
+        except BottleneckLabError as exc:
+            raise ConfigInvalid(f"checks_file {path!r} is invalid: {exc}")
+        label = os.path.splitext(os.path.basename(path))[0]
+    if fam.n > max_bits:
+        raise ConfigInvalid(f"this subcommand holds at most {max_bits} bits, got n = {fam.n}")
+    return fam, label
 
 
 # --- output plumbing ---------------------------------------------------------
@@ -378,7 +379,7 @@ def _run_grid(out, columns, point, tasks, jobs):
 
 
 def _run_verify_classical(vals, out, jobs):
-    checks, label = _build_checks(vals)
+    checks, label = _build_checks(vals, _GLAUBER_MAX_BITS)
     if not checks.is_classical:
         raise ConfigInvalid("verify-classical needs a classical (Z-only) model")
     laziness = vals.get("laziness", 0.0)
@@ -435,7 +436,7 @@ _QUANTUM_SCHEMA = {
 
 def _quantum_setup(vals):
     """(checks, label, H, V) of validated values, V the subspace ball."""
-    checks, label = _build_checks(vals)
+    checks, label = _build_checks(vals, _SITE_MAX_BITS)
     sub = vals["subspace"]
     for i, c in enumerate(sub["centers"]):
         _check_state(f"subspace.centers[{i}]", c, checks.n)
@@ -504,7 +505,7 @@ def _certificate_values(cert):
 
 
 def _run_barrier_scan(vals, out, jobs):
-    checks, label = _build_checks(vals)
+    checks, label = _build_checks(vals, _LABEL_MAX_BITS)
     center = vals["center"]
     inner = vals["inner"]
     _check_center("center", center, checks.n)
@@ -530,7 +531,7 @@ def _run_barrier_scan(vals, out, jobs):
 def _run_tail_check(vals, out, jobs):
     if vals["eps2"] <= vals["eps1"]:
         raise ConfigInvalid("need eps2 > eps1")
-    checks, label = _build_checks(vals)
+    checks, label = _build_checks(vals, _TAIL_MAX_BITS)
     H0 = build_hamiltonian(checks)
     n = checks.n
     eps1, eps2 = vals["eps1"], vals["eps2"]
@@ -668,7 +669,7 @@ def _conditioned_start(rho, A):
 
 
 def _run_model_info(vals, out, jobs):
-    checks, label = _build_checks(vals)
+    checks, label = _build_checks(vals, _LABEL_MAX_BITS)
     if "barrier" in vals:
         _check_barrier("barrier", vals["barrier"], checks.n)
     H = build_hamiltonian(checks)
@@ -755,7 +756,7 @@ SUBCOMMANDS = {
             "barrier": _dict_field(_BARRIER_SCHEMA),
             "betas": (True, _num_list(lo=0.0)),
             "gs": (True, _num_list(lo=0.0)),
-            "ns": (True, _int_list(1, _GLAUBER_MAX_BITS)),
+            "ns": (True, _int_list(1, _SWEEP_MAX_BITS)),
             "seeds": (True, _int_list(lo=0)),
         },
         _run_stability_sweep,

@@ -836,15 +836,24 @@ REGISTRY = {
     "random_ldpc": random_ldpc,
 }
 
-# Each registry model's config keys with their least values, in its factory's
-# order: a toric star at L = 1 names one edge twice, a random_ldpc check 3 bits.
+# Each registry model's config keys in its factory's order, as (least, most,
+# default): most None is unbounded (a seed is not a size), and a key with a
+# default may be left out. n reaches _LABEL_MAX_BITS, the largest register any
+# route holds in 2.5 GB (the label arrays of model-info and barrier-scan); a
+# toric star at L = 1 names one edge twice, and at L = 3 its label basis alone
+# needs 1.07 GB; a random_ldpc check has weight 3.
+_LABEL_MAX_BITS = 24
 MODEL_KEYS = {
-    "ising_ring": {"n": 1},
-    "repetition": {"n": 1},
-    "curie_weiss": {"n": 1},
+    "ising_ring": {"n": (1, _LABEL_MAX_BITS, None)},
+    "repetition": {"n": (1, _LABEL_MAX_BITS, None)},
+    "curie_weiss": {"n": (1, _LABEL_MAX_BITS, None)},
     "steane7": {},
-    "toric": {"L": 2},
-    "random_ldpc": {"n": 3, "checks": 1, "model_seed": 0},
+    "toric": {"L": (2, 2, 2)},
+    "random_ldpc": {
+        "n": (3, _LABEL_MAX_BITS, None),
+        "checks": (1, 4096, None),
+        "model_seed": (0, None, None),
+    },
 }
 
 # Registry models whose factory takes the register size n and nothing else.
@@ -852,21 +861,26 @@ SIZE_INDEXED = tuple(name for name, keys in MODEL_KEYS.items() if list(keys) == 
 
 
 def build_model(name, params):
-    """CheckFamily of a registry model from exactly its MODEL_KEYS params: a
-    key it does not take, a missing key or a value below the least raises
-    ConfigInvalid."""
+    """CheckFamily of a registry model from its MODEL_KEYS params, checked
+    before the factory runs: a key the model does not take, a missing key
+    without a default or a value outside its bounds raises ConfigInvalid."""
     if name not in REGISTRY:
         raise ModelNotFound(f"unknown model {name!r}; registry has {sorted(REGISTRY)}")
     keys = MODEL_KEYS[name]
     extra = sorted(set(params) - set(keys))
     if extra:
         raise ConfigInvalid(f"model {name!r} does not take {extra}; its keys are {list(keys)}")
-    for key, least in keys.items():
-        if key not in params:
+    args = []
+    for key, (least, most, default) in keys.items():
+        value = params.get(key, default)
+        if value is None:
             raise ConfigInvalid(f"model {name!r} needs {key!r}")
-        if params[key] < least:
-            raise ConfigInvalid(f"model {name!r} needs {key} >= {least}, got {params[key]}")
-    return REGISTRY[name](*(params[key] for key in keys))
+        if value < least:
+            raise ConfigInvalid(f"model {name!r} needs {key} >= {least}, got {value}")
+        if most is not None and value > most:
+            raise ConfigInvalid(f"model {name!r} needs {key} <= {most}, got {value}")
+        args.append(value)
+    return REGISTRY[name](*args)
 
 
 def checks_from_text(text):

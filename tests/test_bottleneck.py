@@ -556,8 +556,7 @@ def test_csv_row_has_stable_columns(tmp_path, monkeypatch):
 
 
 def test_json_report_keys(tmp_path, monkeypatch):
-    cfg = {"model": "toric", "L": 2, "flavors": ["X"]}
-    _, out = crafted_quantum_row(tmp_path, monkeypatch, cfg)
+    _, out = crafted_quantum_row(tmp_path, monkeypatch, {"model": "toric", "flavors": ["X"]})
     assert out["delta"] == 0.125
     assert out["mode"] == "general"
     assert out["model"] == "toric"

@@ -21,6 +21,7 @@ from bottlenecklab.markov import (
     classical_bottleneck_report,
 )
 from bottlenecklab.model import (
+    MODEL_KEYS,
     REGISTRY,
     build_hamiltonian,
     gibbs_state,
@@ -888,12 +889,16 @@ def _out_of_range(conv):
 
 def _broken_configs(subcommand, case):
     """(config, word its rejection must name) for every field of the
-    subcommand's schema broken the given way: a null value, a value out
-    of range, a required key dropped, or the key renamed to an unknown one."""
+    subcommand's schema broken the given way: a null or a boolean value
+    (inside a list too, for a list field), a value out of range, a
+    required key dropped, or the key renamed to an unknown one."""
     for path, required, conv in _fields(cli.SUBCOMMANDS[subcommand][1]):
         *parents, name = path
+        wrong = [None, True]
+        if "item" in getattr(conv, "keywords", {}):
+            wrong += [[None], [True]]
         values = {
-            "type": [None],
+            "type": wrong,
             "range": _out_of_range(conv),
             "missing": [name] if required else [],
             "unknown": [name],
@@ -954,6 +959,47 @@ def test_broken_key_rejected_before_any_build(tmp_path, monkeypatch, subcommand,
     assert built == []
 
 
+def _model_keys_past_their_bounds():
+    """(model, params, word) with one key of a registry model one below its
+    least or one past its most, its other keys at their least."""
+    for name, keys in MODEL_KEYS.items():
+        least = {key: lo for key, (lo, _, _) in keys.items()}
+        for key, (lo, hi, _) in keys.items():
+            yield name, dict(least, **{key: lo - 1}), f"needs {key} >= {lo}, got {lo - 1}"
+            if hi is not None:
+                yield name, dict(least, **{key: hi + 1}), f"needs {key} <= {hi}, got {hi + 1}"
+
+
+@pytest.mark.parametrize("model,params,word", list(_model_keys_past_their_bounds()))
+def test_model_key_past_its_bounds_rejected(tmp_path, monkeypatch, model, params, word):
+    built = _spy_on_builds(monkeypatch, through=False)
+    code, out = run("model-info", dict(params, model=model), tmp_path)
+    assert code == 2
+    assert_config_rejected(out, word)
+    assert built == []
+
+
+# one bit past each route's register bound: at most the check family is
+# built, which the bound is read from
+@pytest.mark.parametrize(
+    "subcommand,cfg,word",
+    [
+        ("verify-quantum", dict(VQ_BASE, n=21), "at most 20 bits, got n = 21"),
+        ("mixing-compare", dict(GRID_CONFIGS["mixing-compare"], n=21), "at most 20 bits"),
+        ("tail-check", dict(GRID_CONFIGS["tail-check"], n=13), "at most 12 bits, got n = 13"),
+        ("stability-sweep", dict(SWEEP_BASE, ns=[4, 14]), "'ns[1]': expected an integer <= 13"),
+        ("barrier-scan", dict(GRID_CONFIGS["barrier-scan"], n=25), "needs n <= 24, got 25"),
+        ("model-info", {"model": "curie_weiss", "n": 25}, "needs n <= 24, got 25"),
+    ],
+)
+def test_register_past_its_route_bound_rejected(tmp_path, monkeypatch, subcommand, cfg, word):
+    built = _spy_on_builds(monkeypatch, through=False)
+    code, out = run(subcommand, cfg, tmp_path)
+    assert code == 2
+    assert_config_rejected(out, word)
+    assert set(built) <= {"build_model"}
+
+
 VC_FILE = {"betas": [1.0], "partition": {"center": 0, "inner": 0, "width": 1}}
 
 
@@ -985,22 +1031,21 @@ VC_FILE = {"betas": [1.0], "partition": {"center": 0, "inner": 0, "width": 1}}
         ("model-info", b'{"model": "steane7", "beta": 1.0\xff}', "UTF-8"),
         ("verify-classical", dict(VC_FILE, checks_file="latin1.txt"), "UTF-8"),
         # sizes past their bounds, refused before anything is built
-        ("verify-quantum", dict(VQ_BASE, n=40), "'n': expected an integer <= 20"),
-        ("verify-quantum", dict(VQ_BASE, n=10**29), "'n': expected an integer <= 20"),
+        ("verify-quantum", dict(VQ_BASE, n=40), "needs n <= 24, got 40"),
+        ("verify-quantum", dict(VQ_BASE, n=10**29), "needs n <= 24"),
         ("stability-sweep", dict(SWEEP_BASE, ns=[4, 40]), "'ns[1]'"),
-        ("model-info", {"model": "toric", "L": 3}, "'L': expected an integer <= 2"),
+        ("model-info", {"model": "toric", "L": 3}, "needs L <= 2, got 3"),
         (
             "model-info",
             {"model": "random_ldpc", "n": 6, "checks": 10**11, "model_seed": 0},
-            "'checks': expected an integer <= 4096",
+            "needs checks <= 4096",
         ),
         ("verify-quantum", dict(VQ_BASE, repetitions=10**20), "<= 1048576"),
         ("mixing-compare", dict(GRID_CONFIGS["mixing-compare"], horizon=2**20 + 1), "<= 1048576"),
-        ("verify-classical", dict(VC_FILE, checks_file="n40.txt"), "n = 40 > 20"),
+        ("verify-classical", dict(VC_FILE, checks_file="n40.txt"), "at most 20 bits, got n = 40"),
         # keys a model does not take, and a key it needs
         ("model-info", {"model": "ising_ring", "n": 6, "L": 2}, "does not take ['L']"),
         ("model-info", {"model": "steane7", "n": 7}, "does not take ['n']"),
-        ("model-info", {"model": "toric"}, "needs 'L'"),
         (
             "verify-classical",
             dict(VC_FILE, checks_file="triangle.txt", n=9),
@@ -1103,7 +1148,7 @@ def test_verify_classical_past_the_glauber_cap_rejected(tmp_path, monkeypatch):
     }
     code, out = run("verify-classical", cfg, tmp_path)
     assert code == 2
-    assert_config_rejected(out, "<= 20")
+    assert_config_rejected(out, "at most 20 bits")
 
 
 def test_parser_is_built_once_and_keeps_its_exits(tmp_path, capsys):

@@ -9,7 +9,7 @@ import re
 import pytest
 
 import bottlenecklab
-from bottlenecklab import cli, errors, model, numerics
+from bottlenecklab import errors, model, numerics
 
 PACKAGE_DIR = pathlib.Path(bottlenecklab.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
@@ -169,10 +169,9 @@ def test_readme_tolerances_name_their_table_entry():
     assert [(v, n) for v, n in quoted if float(v) != getattr(numerics, n, None)] == []
 
 
-def test_every_model_key_is_bounded_before_any_build():
-    # a new model or model key cannot skip the CLI's size bounds
+def test_every_size_bearing_model_key_is_bounded():
+    # a new model or model key cannot skip the size bounds; a seed is not a size
     assert list(model.MODEL_KEYS) == list(model.REGISTRY)
     for name, keys in model.MODEL_KEYS.items():
-        for key in keys:
-            required, conv = cli._MODEL_SCHEMA[key]
-            assert not required and conv.keywords["hi"] is not None, (name, key)
+        for key, (_, most, _) in keys.items():
+            assert key == "model_seed" or most is not None, (name, key)
