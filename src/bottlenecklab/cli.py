@@ -73,7 +73,7 @@ from .stability import (
     tail_amplitudes,
     verify_block_tridiagonal,
 )
-from .subspace import hamming_ball_subspace, partition_from_radius
+from .subspace import basis_state_subspace, hamming_ball_subspace, partition_from_radius
 
 # Report columns per grid subcommand; each point returns its values in
 # this order, and report.csv and report.json are both written from them.
@@ -393,8 +393,8 @@ def _run_verify_classical(vals, out, jobs):
             f"reaches every state of the {checks.n}-bit register, so C is empty"
         )
     energies = label_energies(checks)
-    ball = hamming_ball_subspace(checks.n, [spec["center"]], spec["inner"])
-    part = partition_from_radius(ball, spec["width"])
+    center = basis_state_subspace(checks.n, [spec["center"]])
+    part = partition_from_radius(center, spec["width"], spec["inner"])
     # the moves, uphill jumps and forbidden positions of every beta's chain
     table = GlauberTable(energies, part.labels[1])
 

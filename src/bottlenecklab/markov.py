@@ -9,8 +9,9 @@ repeated row add; short columns are padded with zero weights. This is
 the layout of a monomial Kraus form (channel.MonomialKraus), whose chain
 on label probabilities is the same two arrays with weights |coef|^2, so
 the quantum label path and the classical path step, check and drift
-through one kernel. A step p -> M p is one bincount over the flattened
-form, and a column sum adds the entries of each column in k order.
+through one kernel. A step p -> M p adds in the order of one bincount
+over the flattened form, and a column sum adds the entries of each
+column in k order.
 A single-bit-flip chain on 2^m states holds k = m + 1 entries per column
 with the rows of each column ascending; its rows, which depend on m
 alone, are shared by every chain of that size. Nothing of size
@@ -24,8 +25,8 @@ detailed balance with respect to the Gibbs weights e^{-beta E}/Z
 (model.gibbs_weights), so the caller passes that law, and the bound
 certifies it with two exact checks: the chain is irreducible, so its
 stationary law is unique, and pi is stationary within a residual of
-STATIONARY_TOL; the residual of a large form is summed in chunks, so
-it makes no temporary of the form's size. A chain whose every column
+STATIONARY_TOL; the residual is one step, so it makes no temporary of
+the form's size. A chain whose every column
 moves with positive weight to each of its m single-bit flips holds
 every edge of the m-cube in both directions, so it is irreducible by
 construction (the hypercube walk, Levin-Peres-Wilmer, Markov Chains
@@ -87,9 +88,9 @@ __all__ = [
 # memory bound (its rows, uphill jumps and one beta's weights are 369 MB
 # each).
 _GLAUBER_MAX_BITS = 20
-# Entries of a form that StochasticMatrix.residual sums at a time: 64 KiB
-# of float64, below glibc's default 128 KiB mmap threshold, so the chunk
-# temporaries reuse heap pages instead of faulting in fresh ones.
+# The most entries of a form that StochasticMatrix.step gathers at once:
+# 64 KiB of float64, below glibc's default 128 KiB mmap threshold, so the
+# chunk temporaries reuse heap pages instead of faulting in fresh ones.
 _RESIDUAL_CHUNK = 1 << 13
 
 
@@ -109,7 +110,8 @@ class StochasticMatrix:
         """The chain whose column j moves weights[k, j] to rows[k, j] for
         every k. The arrays are kept, not copied, and made read-only."""
         self = cls._trusted(rows, weights)
-        self._check()
+        _check_rows(self.rows)
+        self._check_weights()
         return self
 
     @classmethod
@@ -117,21 +119,14 @@ class StochasticMatrix:
         """from_columns without its checks, for a caller that has made
         them: a monomial Kraus form checks its rows, its weights are
         |coef|^2, and its column sums are the trace check of its channel."""
-        self = cls.__new__(cls)
-        self._set(np.asarray(rows), np.asarray(weights, dtype=np.float64))
-        return self
-
-    def _set(self, rows, weights):
+        rows, weights = np.asarray(rows), np.asarray(weights, dtype=np.float64)
         if rows.ndim != 2 or rows.shape != weights.shape or rows.shape[0] == 0:
             raise NotStochastic(f"column form of shapes {rows.shape} and {weights.shape}")
         rows.setflags(write=False)
         weights.setflags(write=False)
-        self.rows, self.weights = rows, weights
-        self._mat = None
-
-    def _check(self):
-        _check_rows(self.rows)
-        self._check_weights()
+        self = cls.__new__(cls)
+        self.rows, self.weights, self._mat = rows, weights, None
+        return self
 
     def _check_weights(self):
         weights = self.weights
@@ -164,28 +159,28 @@ class StochasticMatrix:
     def step(self, p, cols=None):
         """M @ p. When cols is given, p is zero outside those columns and
         only they are read, which gives the same bits: the others add
-        exact zeros."""
+        exact zeros. Past _RESIDUAL_CHUNK entries read, the sum runs entry
+        row by entry row over that many columns at a time: the order of
+        one flat bincount, so the bits are the same."""
         rows, weights = self.rows, self.weights
+        k, dim = rows.shape
+        n = dim if cols is None else len(cols)
+        if k * n <= _RESIDUAL_CHUNK:
+            if cols is not None:
+                rows, weights, p = rows[:, cols], weights[:, cols], p[cols]
+            return np.bincount(rows.ravel(), weights=(weights * p).ravel(), minlength=dim)
+        chunks = [slice(lo, lo + _RESIDUAL_CHUNK) for lo in range(0, n, _RESIDUAL_CHUNK)]
         if cols is not None:
-            rows, weights, p = rows[:, cols], weights[:, cols], p[cols]
-        return np.bincount(rows.ravel(), weights=(weights * p).ravel(), minlength=self.dim)
+            chunks = [cols[at] for at in chunks]
+        out = np.zeros(dim)
+        for r, w in zip(rows, weights):
+            for at in chunks:
+                np.add.at(out, r[at], w[at] * p[at])
+        return out
 
     def residual(self, p):
-        """||M p - p||_1: zero when p is a fixed point. A form of more
-        than _RESIDUAL_CHUNK entries is summed in chunks of at most that
-        many columns of one entry row, entry row by entry row, into one
-        output: the order of step's flat bincount, so the bits are the
-        same, and no temporary of the form's size is made."""
-        k, dim = self.rows.shape
-        if k * dim <= _RESIDUAL_CHUNK:
-            return float(np.abs(self.step(p) - p).sum())
-        out = np.zeros(dim)
-        for rows, weights in zip(self.rows, self.weights):
-            for lo in range(0, dim, _RESIDUAL_CHUNK):
-                cols = slice(lo, lo + _RESIDUAL_CHUNK)
-                np.add.at(out, rows[cols], weights[cols] * p[cols])
-        out -= p
-        return float(np.abs(out, out=out).sum())
+        """||M p - p||_1: zero when p is a fixed point."""
+        return float(np.abs(self.step(p) - p).sum())
 
     def single_flip_certified(self):
         """Whether the chain is a single-bit-flip chain with every flip

@@ -20,8 +20,8 @@ set of labels, whose every round moves its frontier by the distinct
 weight-1 moves at once, with no table kept and no Pauli string
 enumerated. ball gives the labels within r moves of some seed labels (a
 Hamming ball over the identity basis, a barrier ball over a CSS basis);
-partition_from_radius builds the local-theorem split (V, first r-shell,
-second r-shell, rest), and boundary the r-shell alone.
+partition_from_radius builds the local-theorem split (A, first r-shell,
+second r-shell, rest) of V or a ball around it, and boundary the r-shell.
 """
 
 import functools
@@ -304,24 +304,28 @@ class HilbertPartition:
         return self.B1.projector() + self.B2.projector()
 
 
-def partition_from_radius(V, r):
-    """Partition (A=V, B1, B2, C) from the weight-r neighborhoods of V.
+def partition_from_radius(V, r, inner=0):
+    """Partition (A, B1, B2, C) from the weight-r neighborhoods of A, the
+    labels within inner moves of V (A = V at inner 0).
 
-    B1 spans the r-boundary of V, B2 what the 2r-neighborhood adds beyond
+    B1 spans the r-boundary of A, B2 what the 2r-neighborhood adds beyond
     that, and C the rest of the space. The blocks are the label shells
     0 < d <= r, r < d <= 2r and d > 2r of the basis W that labels V,
-    where d is the number of weight-1 moves from the nearest label of V,
-    written as the block of every label straight from the distance
-    search. Raises RadiusExceedsN, for nonempty V, when r is outside
-    [0, n]. The partition is kept on V per r: its labels and their
-    read-only mask fix it.
+    where d is the number of weight-1 moves from the nearest label of A:
+    moves are symmetric, so d is the distance to V less inner, and the
+    block of every label comes from one distance search. Raises
+    RadiusExceedsN, for nonempty V, when r or inner is outside [0, n].
+    The partition is kept on V per (r, inner): its read-only labels fix it.
     """
-    if r in V._partitions:
-        return V._partitions[r]
-    W, dist = _label_shells(V, r, 2 * r)
+    if (r, inner) in V._partitions:
+        return V._partitions[r, inner]
+    if V.dim and not 0 <= inner <= V.n:
+        raise RadiusExceedsN(f"inner radius {inner} outside [0, {V.n}]")
+    W, dist = _label_shells(V, r, inner + 2 * r)
+    dist = np.where(dist < 0, dist, np.maximum(dist - inner, 0))
     block = np.select([dist < 0, dist > r, dist > 0], [3, 2, 1], 0)
     part = HilbertPartition(W, block)
-    V._partitions[r] = part
+    V._partitions[r, inner] = part
     return part
 
 

@@ -1,5 +1,6 @@
 """Classical chains: stationary laws, the structural condition, bounds."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from bottlenecklab.markov import (
     _flip_form,
     check_classical_condition,
     classical_bottleneck_report,
+    conditioned_drift,
 )
 from bottlenecklab.model import REGISTRY, gibbs_weights, label_energies
 from bottlenecklab.subspace import hamming_ball_subspace, partition_from_radius
@@ -478,6 +480,56 @@ class TestResidual:
         for p in (rng.dirichlet(np.ones(dim)), pi):
             assert sm.residual(p) == float(np.abs(sm.step(p) - p).sum())
         assert sm.residual(pi) <= 1e-12
+
+    def test_chunked_step_matches_the_flat_bincount(self, rng):
+        # a form past _RESIDUAL_CHUNK, read whole or through cols, is
+        # summed in chunks in the order of one flat bincount over the
+        # gathered form, so the bits are that bincount's; the random form
+        # repeats rows across entry rows, where another order would differ
+        E = label_energies(REGISTRY["ising_ring"](14))
+        k, dim = 9, 1 << 13
+        forms = [
+            GlauberTable(E).chain(1.0, 0.3),
+            StochasticMatrix.from_columns(
+                rng.integers(0, dim, (k, dim)), rng.dirichlet(np.ones(k), size=dim).T
+            ),
+        ]
+        for sm in forms:
+            k, dim = sm.rows.shape
+            p = rng.dirichlet(np.ones(dim))
+            for cols in (None, np.flatnonzero(rng.random(dim) < 0.5), rng.permutation(dim)[:5000]):
+                at = slice(None) if cols is None else cols
+                assert k * sm.rows[:, at].shape[1] > _RESIDUAL_CHUNK
+                want = np.bincount(
+                    sm.rows[:, at].ravel(), weights=(sm.weights[:, at] * p[at]).ravel(), minlength=dim
+                )
+                q = p if cols is None else np.where(np.isin(np.arange(dim), cols), p, 0.0)
+                assert sm.step(q, cols).tobytes() == want.tobytes()
+
+    def test_drift_of_a_large_A_gathers_no_form(self):
+        # ising_ring n=16, inner 7, width 1: the drift's first step reads
+        # the 26333 columns of A, k = 17 entries each, without gathering
+        # them, so its traced peak stays under six vectors of the chain
+        # and lhs is the flat bincount's to the last bit
+        n = 16
+        E = label_energies(REGISTRY["ising_ring"](n))
+        label = hamming_shell_labels(n, 0, 7, 1)
+        sm = GlauberTable(E, label).chain(1.0)
+        pi, _ = gibbs_weights(E, 1.0)
+        cols = np.flatnonzero(label == 0)
+        assert (cols.size, sm.rows.shape[0]) == (26333, 17)
+        tracemalloc.start()
+        try:
+            pA, _, _, lhs = conditioned_drift([sm], label, pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * sm.dim * 8
+        piA = np.where(label == 0, pi, 0.0) / pA
+        stepped = np.bincount(
+            sm.rows[:, cols].ravel(), weights=(sm.weights[:, cols] * piA[cols]).ravel(), minlength=sm.dim
+        )
+        assert lhs == float(np.abs(stepped - piA).sum())
 
     def test_law_moved_at_one_state_is_not_stationary(self):
         # 1e-9 more at the ground state, renormalized, at n=16: the

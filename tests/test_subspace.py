@@ -3,7 +3,7 @@ import pytest
 
 from bottlenecklab import subspace as sub
 from bottlenecklab.errors import BadPartition, CenterOutsideSpace, RadiusExceedsN
-from bottlenecklab.model import barrier_subspace, build_hamiltonian, label_basis, steane7
+from bottlenecklab.model import barrier_subspace, build_hamiltonian, ising_ring, label_basis, steane7, toric
 
 from conftest import random_state
 from oracles import (
@@ -173,6 +173,36 @@ def test_partition_builder_chosen_from_input():
     checks = steane7()
     V = barrier_subspace(checks, (0, 0), 0, 1, build_hamiltonian(checks)).V
     assert sub.partition_from_radius(V, 1).labels[0] is label_basis(checks)
+
+
+def test_partition_of_a_ball_matches_the_two_searches():
+    # one search from V to inner + 2r gives the blocks of the radius-inner
+    # ball's own search followed by a partition of that ball: on the
+    # identity basis of ising_ring, where verify-classical runs it, at
+    # every (inner, width) with C empty or not, and on two CSS bases from
+    # one seed, two seeds and a random set of labels
+    rng = np.random.default_rng(7)
+    cases = []
+    for n in (3, 6, 9, 12):
+        W = label_basis(ising_ring(n))
+        for center in rng.integers(0, 1 << n, 3):
+            cases += [(W, [center], inner, r) for inner in range(n + 1) for r in range(n + 1)]
+    for checks in (steane7(), toric(2)):
+        W = label_basis(checks)
+        for seeds in ([0], [0, W.dim - 1], np.flatnonzero(rng.random(W.dim) < 0.05)):
+            cases += [(W, seeds, inner, r) for inner in range(4) for r in range(1, 4)]
+    for W, seeds, inner, r in cases:
+        want = sub.partition_from_radius(sub.ball(W, seeds, inner), r)
+        got = sub.partition_from_radius(sub.ball(W, seeds, 0), r, inner)
+        assert got.labels[0] is W
+        assert np.array_equal(got.labels[1], want.labels[1]), (W.n, seeds, inner, r)
+    # an inner radius outside the register is refused as r is, for a
+    # nonempty V; an empty V puts everything in C
+    for inner in (-1, 4):
+        with pytest.raises(RadiusExceedsN):
+            sub.partition_from_radius(ball(3, 0, 0), 1, inner)
+    empty = sub.partition_from_radius(sub.basis_state_subspace(3, []), 1, 5)
+    assert (empty.labels[1] == 3).all()
 
 
 def test_superposed_input_rejected(rng):
