@@ -83,10 +83,11 @@ __all__ = [
 ]
 
 # The largest n at which a whole verify-classical run (ising_ring, four
-# betas, --jobs 1) stays within 10 s and 1 GB on a 2-core machine: n=20
-# takes 2.3-2.5 s and 630 MB, n=21 6.9-7.3 s and 1.27 GB, over the
-# memory bound (its rows, uphill jumps and one beta's weights are 369 MB
-# each).
+# betas, width 1, --jobs 1) stays within 10 s and 1 GB on a 2-core
+# machine: n=20 takes 2.6-2.8 s and 630 MB at inner 1, 3.1-3.4 s and 633
+# MB at inner 9, 4.3 s and 638 MB at inner 17; n=21 6.9-7.3 s and 1.27
+# GB at inner 1, over the memory bound (its rows, uphill jumps and one
+# beta's weights are 369 MB each).
 _GLAUBER_MAX_BITS = 20
 # The most entries of a form that StochasticMatrix.step gathers at once:
 # 64 KiB of float64, below glibc's default 128 KiB mmap threshold, so the

@@ -86,6 +86,7 @@ from bottlenecklab.subspace import (
     Subspace,
     _shells,
     ball,
+    basis_state_subspace,
     boundary,
     hamming_ball_subspace,
     identity_basis,
@@ -769,14 +770,14 @@ def test_search_moves_are_distinct_and_move_every_label(checks):
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_classical_split_matches_the_hamming_shells(n):
-    # verify-classical's split, the label shells of a Hamming ball, at
-    # every (inner, width) whose C is non-empty; every center up to n = 8,
-    # 16 seeded ones past it
+    # verify-classical's split, the label shells of a Hamming ball from
+    # one search from its center, at every (inner, width) whose C is
+    # non-empty; every center up to n = 8, 16 seeded ones past it
     centers = range(1 << n) if n <= 8 else np.random.default_rng(n).integers(0, 1 << n, 16)
     for width in range(1, n):
         for inner in range(n - 2 * width):
             for center in centers:
-                part = partition_from_radius(hamming_ball_subspace(n, [center], inner), width)
+                part = partition_from_radius(basis_state_subspace(n, [center]), width, inner)
                 want = hamming_shell_labels(n, int(center), inner, width)
                 assert np.array_equal(part.labels[1], want), (center, inner, width)
 
