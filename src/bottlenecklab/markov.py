@@ -26,15 +26,14 @@ detailed balance with respect to the Gibbs weights e^{-beta E}/Z
 certifies it with two exact checks: the chain is irreducible, so its
 stationary law is unique, and pi is stationary within a residual of
 STATIONARY_TOL; the residual is one step, so it makes no temporary of
-the form's size. A chain whose every column
-moves with positive weight to each of its m single-bit flips holds
-every edge of the m-cube in both directions, so it is irreducible by
-construction (the hypercube walk, Levin-Peres-Wilmer, Markov Chains
-and Mixing Times, 2nd ed.). Any other
-chain, such as one whose uphill moves underflow to 0 or a birth-death
-chain, gets a strong-connectivity search over its strictly positive
-entries. Low temperatures, whose spectral gaps no eigensolver resolves,
-are covered as long as every move keeps a positive probability.
+the form's size. A chain whose every column moves with positive weight
+to each of its m single-bit flips holds every edge of the m-cube in
+both directions, so it is irreducible by construction (the hypercube
+walk, Levin-Peres-Wilmer, Markov Chains and Mixing Times, 2nd ed.).
+Any other chain, such as one whose uphill moves underflow to 0 or a
+birth-death chain, gets a strong-connectivity search over its strictly
+positive entries. Low temperatures, whose spectral gaps no eigensolver
+resolves, are covered as long as every move keeps a positive probability.
 
 The structural condition mirrors the quantum one: with the state space
 split into disjoint sets A, B1, B2, C, single applications of M must not
@@ -84,15 +83,15 @@ __all__ = [
 
 # The largest n at which a whole verify-classical run (ising_ring, four
 # betas, width 1, --jobs 1) stays within 10 s and 1 GB on a 2-core
-# machine: n=20 takes 2.6-2.8 s and 630 MB at inner 1, 3.1-3.4 s and 633
-# MB at inner 9, 4.3 s and 638 MB at inner 17; n=21 6.9-7.3 s and 1.27
-# GB at inner 1, over the memory bound (its rows, uphill jumps and one
-# beta's weights are 369 MB each).
+# machine: n=20 takes 2.5-2.6 s and 630 MB at inner 1, 3.0-3.3 s and 633
+# MB at inner 9, 3.6-4.1 s and 638 MB at inner 17; n=21 6.9-7.3 s and
+# 1.27 GB at inner 1, over the memory bound (its rows, uphill jumps and
+# one beta's weights are 369 MB each).
 _GLAUBER_MAX_BITS = 20
-# The most entries of a form that StochasticMatrix.step gathers at once:
+# The most entries of a form that StochasticMatrix.step reads at once:
 # 64 KiB of float64, below glibc's default 128 KiB mmap threshold, so the
 # chunk temporaries reuse heap pages instead of faulting in fresh ones.
-_RESIDUAL_CHUNK = 1 << 13
+_STEP_CHUNK = 1 << 13
 
 
 class StochasticMatrix:
@@ -159,20 +158,19 @@ class StochasticMatrix:
 
     def step(self, p, cols=None):
         """M @ p. When cols is given, p is zero outside those columns and
-        only they are read, which gives the same bits: the others add
-        exact zeros. Past _RESIDUAL_CHUNK entries read, the sum runs entry
-        row by entry row over that many columns at a time: the order of
-        one flat bincount, so the bits are the same."""
+        only they are read; ascending cols give a whole step's bits, as
+        the others add exact zeros. Past _STEP_CHUNK entries read, the sum
+        runs entry row by entry row over that many columns at a time: the
+        order of one flat bincount, so the bits are the same."""
         rows, weights = self.rows, self.weights
         k, dim = rows.shape
         n = dim if cols is None else len(cols)
-        if k * n <= _RESIDUAL_CHUNK:
+        if k * n <= _STEP_CHUNK:
             if cols is not None:
                 rows, weights, p = rows[:, cols], weights[:, cols], p[cols]
             return np.bincount(rows.ravel(), weights=(weights * p).ravel(), minlength=dim)
-        chunks = [slice(lo, lo + _RESIDUAL_CHUNK) for lo in range(0, n, _RESIDUAL_CHUNK)]
-        if cols is not None:
-            chunks = [cols[at] for at in chunks]
+        chunks = [slice(lo, lo + _STEP_CHUNK) for lo in range(0, n, _STEP_CHUNK)]
+        chunks = chunks if cols is None else [cols[at] for at in chunks]
         out = np.zeros(dim)
         for r, w in zip(rows, weights):
             for at in chunks:
@@ -322,7 +320,8 @@ def conditioned_drift(chains, label, pi):
     label per state (0 for A, 1 and 2 for B, 3 for C) and pi_A the law pi
     conditioned on A, carried through the chains in order. pi(A) at or
     below EMPTY_WEIGHT_TOL raises EmptyA, as an empty quantum A block
-    does. The first step reads A's columns only."""
+    does. The first step reads A's columns only, or the whole chain when
+    they are more than half of it: cheaper, and the same bits."""
     in_A = label == 0
     pA = float(pi[in_A].sum())
     pB = float(pi[(label == 1) | (label == 2)].sum())
@@ -330,7 +329,8 @@ def conditioned_drift(chains, label, pi):
     if pA <= tol.EMPTY_WEIGHT_TOL:
         raise EmptyA(f"pi(A) = {pA:.3e}")
     piA = np.where(in_A, pi, 0.0) / pA
-    evolved = chains[0].step(piA, np.flatnonzero(in_A))
+    cols = np.flatnonzero(in_A)
+    evolved = chains[0].step(piA, cols if 2 * cols.size <= len(pi) else None)
     for sm in chains[1:]:
         evolved = sm.step(evolved)
     return pA, pB, pC, float(np.abs(evolved - piA).sum())

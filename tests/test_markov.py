@@ -14,7 +14,7 @@ from bottlenecklab.errors import (
     NotStochastic,
 )
 from bottlenecklab.markov import (
-    _RESIDUAL_CHUNK,
+    _STEP_CHUNK,
     GlauberTable,
     StochasticMatrix,
     _flip_form,
@@ -475,14 +475,14 @@ class TestResidual:
         E = label_energies(REGISTRY["ising_ring"](m))
         sm = GlauberTable(E).chain(1.0, 0.3)
         k, dim = sm.rows.shape
-        assert k * dim > 4 * _RESIDUAL_CHUNK
+        assert k * dim > 4 * _STEP_CHUNK
         pi, _ = gibbs_weights(E, 1.0)
         for p in (rng.dirichlet(np.ones(dim)), pi):
             assert sm.residual(p) == float(np.abs(sm.step(p) - p).sum())
         assert sm.residual(pi) <= 1e-12
 
     def test_chunked_step_matches_the_flat_bincount(self, rng):
-        # a form past _RESIDUAL_CHUNK, read whole or through cols, is
+        # a form past _STEP_CHUNK, read whole or through cols, is
         # summed in chunks in the order of one flat bincount over the
         # gathered form, so the bits are that bincount's; the random form
         # repeats rows across entry rows, where another order would differ
@@ -499,25 +499,27 @@ class TestResidual:
             p = rng.dirichlet(np.ones(dim))
             for cols in (None, np.flatnonzero(rng.random(dim) < 0.5), rng.permutation(dim)[:5000]):
                 at = slice(None) if cols is None else cols
-                assert k * sm.rows[:, at].shape[1] > _RESIDUAL_CHUNK
+                assert k * sm.rows[:, at].shape[1] > _STEP_CHUNK
                 want = np.bincount(
                     sm.rows[:, at].ravel(), weights=(sm.weights[:, at] * p[at]).ravel(), minlength=dim
                 )
                 q = p if cols is None else np.where(np.isin(np.arange(dim), cols), p, 0.0)
                 assert sm.step(q, cols).tobytes() == want.tobytes()
 
-    def test_drift_of_a_large_A_gathers_no_form(self):
-        # ising_ring n=16, inner 7, width 1: the drift's first step reads
-        # the 26333 columns of A, k = 17 entries each, without gathering
-        # them, so its traced peak stays under six vectors of the chain
-        # and lhs is the flat bincount's to the last bit
+    @pytest.mark.parametrize("inner, size", [(7, 26333), (9, 50643)])
+    def test_drift_of_a_large_A_gathers_no_form(self, inner, size):
+        # ising_ring n=16, width 1: the drift's first step reads the
+        # columns of A, k = 17 entries each, without gathering them (at
+        # inner 9, past half the chain, it steps the whole chain), so its
+        # traced peak stays under six vectors of the chain and lhs is the
+        # bincount over A's columns to the last bit
         n = 16
         E = label_energies(REGISTRY["ising_ring"](n))
-        label = hamming_shell_labels(n, 0, 7, 1)
+        label = hamming_shell_labels(n, 0, inner, 1)
         sm = GlauberTable(E, label).chain(1.0)
         pi, _ = gibbs_weights(E, 1.0)
         cols = np.flatnonzero(label == 0)
-        assert (cols.size, sm.rows.shape[0]) == (26333, 17)
+        assert (cols.size, sm.rows.shape[0]) == (size, 17)
         tracemalloc.start()
         try:
             pA, _, _, lhs = conditioned_drift([sm], label, pi)
