@@ -13,7 +13,8 @@ The Metropolis samplers build their channels in monomial form instead
 one nonzero per column of T_m. A state diagonal in W is then a label
 probability vector, and the channel acts on it as a classical chain:
 ``MonomialKraus.chain`` is the markov.StochasticMatrix whose entry m of
-column j moves |coef[m, j]|^2 to rows[m, j], the forms' own arrays.
+column j moves |coef[m, j]|^2 to j ^ moves[m, j], the forms' own arrays
+in markov's layout ((k, 1) masks for site channels, (k, dim) CSS moves).
 Every label step, fixed-point residual and drift runs through it. Trace
 preservation is checked on the chain's column sums at construction (on
 the dense operators when some T_m has two nonzeros in one row). The
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import numerics as tol
 from .errors import DimensionMismatch, EmptyInput, NotTracePreserving
-from .markov import StochasticMatrix
+from .markov import StochasticMatrix, _index
 from .numerics import DensityMatrix, label_weights, matrix_of, operator_norm, trace_norm
 
 __all__ = [
@@ -97,11 +98,11 @@ class KrausChannel:
         return self._kraus
 
 
-def _trusted_channel(basis, rows, coef, weights):
-    """KrausChannel of the form (rows, coef, weights = |coef|^2) over basis
-    with no checks, for a caller that made them on a stack of forms."""
+def _trusted_channel(basis, moves, coef, weights):
+    """KrausChannel of the form (moves, coef, weights = |coef|^2) over
+    basis with no checks, for a caller that made them on a stack of forms."""
     form = object.__new__(MonomialKraus)
-    form.basis, form.rows, form.coef, form.weights = basis, rows, coef, weights
+    form.basis, form.moves, form.coef, form.weights = basis, moves, coef, weights
     chan = object.__new__(KrausChannel)
     chan.n, chan.monomial, chan.quasi_local_certificate = basis.n, form, None
     chan._kraus = chan.fixes = None
@@ -117,45 +118,45 @@ def _trace_residual(ops, dim):
 class MonomialKraus:
     """Kraus operators K_m = W T_m W† with every T_m monomial in the labels.
 
-    W is a LabelBasis. Column j of T_m holds coef[m, j] in row rows[m, j]
-    and nothing else, so K_m maps each label state to one label state
-    (coef is complex, or real in the forms of sampler._site_channels).
-    A state diagonal in W, given by its label probabilities p, stays
-    diagonal: one step sends p to sum_m |coef_m|^2 p scattered to rows_m,
-    which is ``chain.step(p)``.
+    W is a LabelBasis. Column j of T_m holds coef[m, j] in row
+    j ^ moves[m, j] (moves (k, 1) or (k, dim)) and nothing else, so K_m
+    maps each label state to one label state (coef is complex, or real in
+    the forms of sampler._site_channels). A state diagonal in W, given by
+    its label probabilities p, stays diagonal: one step sends p to
+    sum_m |coef_m|^2 p scattered to j ^ moves_m, which is ``chain.step(p)``.
     """
 
     basis: object
-    rows: np.ndarray
+    moves: np.ndarray
     coef: np.ndarray
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
+        self.moves = np.asarray(self.moves, dtype=np.int64)
         self.coef = np.asarray(self.coef, dtype=np.complex128)
-        dim = self.basis.dim
-        if self.rows.ndim != 2 or self.rows.shape[1] != dim or self.coef.shape != self.rows.shape:
+        k, dim = (self.coef.shape[0] if self.coef.ndim else 0), self.basis.dim
+        if self.coef.shape != (k, dim) or self.moves.shape not in ((k, 1), (k, dim)):
             raise DimensionMismatch(
-                f"monomial rows {self.rows.shape} and coef {self.coef.shape} "
-                f"need shape (kraus, {dim})"
+                f"monomial moves {self.moves.shape} and coef {self.coef.shape} need (kraus, 1 or {dim})"
             )
-        if self.rows.size and (self.rows.min() < 0 or self.rows.max() >= dim):
-            raise DimensionMismatch("monomial row outside the label range")
+        # dim is 2^n, so j ^ c stays a label exactly when 0 <= c < dim
+        if self.moves.size and (self.moves.min() < 0 or self.moves.max() >= dim):
+            raise DimensionMismatch("monomial move outside the label range")
         self.weights = np.abs(self.coef) ** 2
 
     @functools.cached_property
     def chain(self):
         """The channel on label probabilities, as a StochasticMatrix over
-        the form's own rows and weights. Its checks are the form's: rows
+        the form's own moves and weights. Its checks are the form's: moves
         in range, weights |coef|^2, and column sums, which are the
         diagonal of sum_m T_m† T_m that KrausChannel checks."""
-        return StochasticMatrix._trusted(self.rows, self.weights)
+        return StochasticMatrix._trusted(self.moves, self.weights)
 
     def trace_residual(self):
         """max |sum_m |coef_m|^2 - 1|, or None when some T_m has two
         nonzeros in one row (T_m† T_m is then not diagonal): one count of
         the nonzero rows of every T_m, T_m's in slots m*dim + row."""
-        k, dim = self.rows.shape
-        slots = (self.rows + dim * np.arange(k)[:, None])[self.coef != 0]
+        k, dim = self.coef.shape
+        slots = ((_index(dim) ^ self.moves) + dim * np.arange(k)[:, None])[self.coef != 0]
         if np.bincount(slots, minlength=k * dim).max(initial=0) > 1:
             return None
         return float(np.abs(self.weights.sum(axis=0) - 1.0).max())
@@ -166,13 +167,13 @@ class MonomialKraus:
         cols = np.arange(dim)
         if self.basis.identity:
             ops = []
-            for rows, coef in zip(self.rows, self.coef):
+            for move, coef in zip(self.moves, self.coef):
                 K = np.zeros((dim, dim), dtype=np.complex128)
-                K[rows, cols] = coef
+                K[cols ^ move, cols] = coef
                 ops.append(K)
             return ops
         W = self.basis.dense()
-        return [(W[:, rows] * coef) @ W.conj().T for rows, coef in zip(self.rows, self.coef)]
+        return [(W[:, cols ^ move] * coef) @ W.conj().T for move, coef in zip(self.moves, self.coef)]
 
 
 @dataclass
@@ -206,45 +207,45 @@ def _kraus_support(K, n):
     return tuple(support)
 
 
-def _monomial_supports(rows, coef, n):
+def _monomial_supports(moves, coef, n):
     """(k, n) bool: the _kraus_support of every K = sum_j coef[j]
-    |rows[j]><j| of a (k, dim) stack, in one pass per qubit with the
-    same rule and tolerance, no matrix formed.
+    |j ^ moves[j]><j| of a stack of k forms, in one pass per qubit with
+    the same rule and tolerance, no matrix formed.
 
     For qubit q with bit b, the dense rule compares the entries of K
     inside the blocks that keep bit q against their partners with bit q
     flipped on both sides, and asks the entries that change bit q to
-    vanish. Column j has one entry, so this is: coef[j] wherever rows[j]
-    changes bit q of j; and, with e[j] the entry of column j kept when
-    rows[j] keeps bit q (0 otherwise), |e[j] - e[j^b]| when
-    rows[j^b] = rows[j]^b, else both |e[j]| and |e[j^b]|, since each then
+    vanish. Column j has one entry, so this is: coef[j] wherever moves[j]
+    holds bit q; and, with e[j] the entry of column j kept when moves[j]
+    lacks bit q (0 otherwise), |e[j] - e[j^b]| when
+    moves[j^b] = moves[j], else both |e[j]| and |e[j^b]|, since each then
     faces a zero. The pairs j, j^b are the two halves of a (2^q, 2, b)
     view, compared for every form of the stack at once; a bit changed by
     an entry above the tolerance is in the support whatever they give.
     """
-    k, dim = rows.shape
-    changed = rows ^ np.arange(dim)
+    k, dim = coef.shape
+    changed = np.broadcast_to(moves, coef.shape)
     bits = 1 << np.arange(n - 1, -1, -1)
     # the bits changed by some entry above the tolerance, and by any entry
     off = np.bitwise_or.reduce(changed, axis=1, where=np.abs(coef) > tol.SUPPORT_TOL)
     moved = np.bitwise_or.reduce(changed, axis=1)
     support = (off[:, None] & bits) != 0
-    # forms with rows j ^ c, c free of b, keep every entry and pair every
+    # forms with moves c, c free of b, keep every entry and pair every
     # pair: a block of only those (or of forms with b in support) needs no
     # mask and no partner compare, and no compare at all for equal halves
     shifted = (changed == changed[:, :1]).all(axis=1, keepdims=True)
     plain = (support | shifted & ((moved[:, None] & bits) == 0)).all(axis=0)
     for q, b, only_plain in zip(range(n), bits.tolist(), plain.tolist()):
-        moves = changed.reshape(k, 1 << q, 2, b)
-        e = coef.reshape(moves.shape)
+        halves = changed.reshape(k, 1 << q, 2, b)
+        e = coef.reshape(halves.shape)
         if not only_plain:
-            e = np.where((moves & b) == 0, e, 0.0)
+            e = np.where((halves & b) == 0, e, 0.0)
         lo, hi = e[:, :, 0], e[:, :, 1]
         if only_plain and (lo == hi).all():
             continue
         dev = np.abs(lo - hi)
         if not only_plain:
-            paired = moves[:, :, 1] == moves[:, :, 0]
+            paired = halves[:, :, 1] == halves[:, :, 0]
             dev = np.where(paired, dev, np.maximum(np.abs(lo), np.abs(hi)))
         support[:, q] |= dev.reshape(k, -1).max(axis=1) > tol.SUPPORT_TOL
     return support
@@ -260,11 +261,11 @@ def channel_locality(C):
     forms = [c.monomial for c in channels if c not in dense]
     sizes = [len(_kraus_support(K, c.n)) for c in dense for K in c.kraus]
     real = not any(np.iscomplexobj(f.coef) and f.coef.imag.any() for f in forms)
-    block = max(1, _STACK_ENTRIES // forms[0].rows.size) if forms else 1
+    block = max(1, _STACK_ENTRIES // forms[0].coef.size) if forms else 1
     for lo in range(0, len(forms), block):
-        rows = np.concatenate([f.rows for f in forms[lo : lo + block]])
+        moves = np.concatenate([np.broadcast_to(f.moves, f.coef.shape) for f in forms[lo : lo + block]])
         coef = np.concatenate([f.coef.real if real else f.coef for f in forms[lo : lo + block]])
-        sizes.append(int(_monomial_supports(rows, coef, forms[0].basis.n).sum(axis=1).max()))
+        sizes.append(int(_monomial_supports(moves, coef, forms[0].basis.n).sum(axis=1).max()))
     return max(sizes)
 
 

@@ -211,7 +211,9 @@ _MODEL_SCHEMA = {"model": (False, _as_str), "checks_file": (False, _as_str), **_
 _MAX_STEPS = 1 << 20
 # The largest register a route completes in 2.5 GB (see the README): the site
 # moves of verify-quantum and mixing-compare, the dense eigensystem of
-# tail-check, and a certified stability-sweep point (a dense one fits to 12)
+# tail-check, and a certified stability-sweep point (a dense one fits to 12).
+# Ring verify-quantum, one beta, --jobs 1: n=20 takes 3.4-3.8 s and 963 MiB
+# peak RSS, n=21 9.7 s and 1957 MiB, over 1 GB.
 _SITE_MAX_BITS = 20
 _TAIL_MAX_BITS = 12
 _SWEEP_MAX_BITS = 13

@@ -2,21 +2,20 @@
 
 Matrices are column-stochastic: entry [i, j] is the probability of moving
 j -> i, so the chain acts on column probability vectors as pi' = M @ pi.
-Every chain is held in one layout, op-major: two (k, dim) arrays, rows
-and weights, where entry k of column j moves weight weights[k, j] to row
-rows[k, j]. A row may repeat inside a column, and the weights of a
-repeated row add; short columns are padded with zero weights. This is
-the layout of a monomial Kraus form (channel.MonomialKraus), whose chain
-on label probabilities is the same two arrays with weights |coef|^2, so
-the quantum label path and the classical path step, check and drift
-through one kernel. A step p -> M p adds in the order of one bincount
-over the flattened form, and a column sum adds the entries of each
-column in k order.
-A single-bit-flip chain on 2^m states holds k = m + 1 entries per column
-with the rows of each column ascending; its rows, which depend on m
-alone, are shared by every chain of that size. Nothing of size
-2^m x 2^m is formed. A GlauberTable keeps what the chains of one energy
-vector share at every beta (the rows, the uphill jumps and a
+Every chain is held in one op-major layout: (k, dim) weights and integer
+moves broadcastable against them, entry k of column j moving weights[k, j]
+to j ^ moves[k, j]: a (k, 1) column of masks for a single-bit-flip chain
+(1 << b, and 0 to stay), else (k, dim) moves, rows ^ j for explicit rows
+(``from_columns``). A target may repeat inside a column, and the weights
+of a repeated target add; short columns are padded with zero weights. This is the layout of a
+monomial Kraus form (channel.MonomialKraus), whose chain on label
+probabilities is the same two arrays with weights |coef|^2, so the
+quantum label path and the classical path step, check and drift through
+one kernel, which reads either shape of moves by broadcasting. A step
+p -> M p adds in the order of one bincount over the flattened form, and
+a column sum adds the entries of each column in k order. Nothing of
+size 2^m x 2^m is formed. A GlauberTable keeps what the chains of one
+energy vector share at every beta (the masks, the uphill jumps and a
 partition's forbidden positions), so each beta costs one acceptance
 pass and the checks of its weights.
 
@@ -29,7 +28,8 @@ STATIONARY_TOL; the residual is one step, so it makes no temporary of
 the form's size. A chain whose every column moves with positive weight
 to each of its m single-bit flips holds every edge of the m-cube in
 both directions, so it is irreducible by construction (the hypercube
-walk, Levin-Peres-Wilmer, Markov Chains and Mixing Times, 2nd ed.).
+walk, Levin-Peres-Wilmer, Markov Chains and Mixing Times, 2nd ed.), read
+from its masks and the signs of its flips' weights.
 Any other chain, such as one whose uphill moves underflow to 0 or a
 birth-death chain, gets a strong-connectivity search over its strictly
 positive entries. Low temperatures, whose spectral gaps no eigensolver
@@ -83,11 +83,10 @@ __all__ = [
 
 # The largest n at which a whole verify-classical run (ising_ring, four
 # betas, width 1, --jobs 1) stays within 10 s and 1 GB on a 2-core
-# machine: n=20 takes 2.5-2.6 s and 630 MB at inner 1, 3.0-3.3 s and 633
-# MB at inner 9, 3.6-4.1 s and 638 MB at inner 17; n=21 6.9-7.3 s and
-# 1.27 GB at inner 1, over the memory bound (its rows, uphill jumps and
-# one beta's weights are 369 MB each).
-_GLAUBER_MAX_BITS = 20
+# machine, peak RSS in MiB at inner 1, 9 and 17: n=20 takes 2.1-3.8 s and
+# 461-469, n=21 5.0-7.4 s and 917-937 (its uphill jumps and one beta's
+# weights are 336 and 352 MiB).
+_GLAUBER_MAX_BITS = 21
 # The most entries of a form that StochasticMatrix.step reads at once:
 # 64 KiB of float64, below glibc's default 128 KiB mmap threshold, so the
 # chunk temporaries reuse heap pages instead of faulting in fresh ones.
@@ -95,37 +94,43 @@ _STEP_CHUNK = 1 << 13
 
 
 class StochasticMatrix:
-    """Column-stochastic matrix in op-major form; columns sum to 1 within
-    COLUMN_SUM_TOL and every weight is non-negative (NotStochastic
+    """Column-stochastic matrix in op-major XOR form; columns sum to 1
+    within COLUMN_SUM_TOL and every weight is non-negative (NotStochastic
     otherwise).
 
-    Built from the form itself by ``from_columns``; ``rows`` and
-    ``weights`` are stored read-only. ``mat`` is the matrix as a scipy
-    CSC array, formed on first read; stored zeros of the form stay
-    stored, and the weights of a repeated row are added.
+    Built from explicit rows by ``from_columns``; ``moves``, (k, 1) or
+    (k, dim), and ``weights`` are stored read-only. ``mat`` is the matrix
+    as a scipy CSC array, formed on first read; stored zeros of the form
+    stay stored, and the weights of a repeated target are added.
     """
 
     @classmethod
     def from_columns(cls, rows, weights):
         """The chain whose column j moves weights[k, j] to rows[k, j] for
-        every k. The arrays are kept, not copied, and made read-only."""
-        self = cls._trusted(rows, weights)
-        _check_rows(self.rows)
+        every k, held as the (k, dim) moves rows ^ j. The weights are
+        kept, not copied, and made read-only."""
+        rows, weights = np.asarray(rows), np.asarray(weights, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape != weights.shape or rows.shape[0] == 0:
+            raise NotStochastic(f"column form of shapes {rows.shape} and {weights.shape}")
+        if rows.min() < 0 or rows.max() >= rows.shape[1]:
+            raise NotStochastic(f"rows outside 0..{rows.shape[1] - 1}")
+        self = cls._trusted(rows ^ np.arange(rows.shape[1]), weights)
         self._check_weights()
         return self
 
     @classmethod
-    def _trusted(cls, rows, weights):
-        """from_columns without its checks, for a caller that has made
-        them: a monomial Kraus form checks its rows, its weights are
-        |coef|^2, and its column sums are the trace check of its channel."""
-        rows, weights = np.asarray(rows), np.asarray(weights, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape != weights.shape or rows.shape[0] == 0:
-            raise NotStochastic(f"column form of shapes {rows.shape} and {weights.shape}")
-        rows.setflags(write=False)
+    def _trusted(cls, moves, weights):
+        """from_columns on moves, without its checks, for a caller that has
+        made them: masks below a power-of-two dim stay in range, and a
+        monomial Kraus form checks its moves and its column sums."""
+        moves, weights = np.asarray(moves), np.asarray(weights, dtype=np.float64)
+        k = weights.shape[0] if weights.ndim == 2 else 0
+        if k == 0 or moves.shape not in ((k, 1), weights.shape):
+            raise NotStochastic(f"form of moves {moves.shape} and weights {weights.shape}")
+        moves.setflags(write=False)
         weights.setflags(write=False)
         self = cls.__new__(cls)
-        self.rows, self.weights, self._mat = rows, weights, None
+        self.moves, self.weights, self._mat = moves, weights, None
         return self
 
     def _check_weights(self):
@@ -139,7 +144,7 @@ class StochasticMatrix:
 
     @property
     def dim(self):
-        return self.rows.shape[1]
+        return self.weights.shape[1]
 
     @property
     def mat(self):
@@ -147,9 +152,9 @@ class StochasticMatrix:
         if self._mat is None:
             from scipy import sparse
 
-            cols = np.broadcast_to(np.arange(self.dim), self.rows.shape)
+            cols = np.broadcast_to(np.arange(self.dim), self.weights.shape)
             coo = sparse.coo_array(
-                (self.weights.ravel(), (self.rows.ravel(), cols.ravel())),
+                (self.weights.ravel(), ((cols ^ self.moves).ravel(), cols.ravel())),
                 shape=(self.dim, self.dim),
             )
             coo.sum_duplicates()
@@ -159,22 +164,24 @@ class StochasticMatrix:
     def step(self, p, cols=None):
         """M @ p. When cols is given, p is zero outside those columns and
         only they are read; ascending cols give a whole step's bits, as
-        the others add exact zeros. Past _STEP_CHUNK entries read, the sum
-        runs entry row by entry row over that many columns at a time: the
-        order of one flat bincount, so the bits are the same."""
-        rows, weights = self.rows, self.weights
-        k, dim = rows.shape
+        the others add exact zeros. One flat bincount over the targets
+        j ^ moves up to _STEP_CHUNK entries read; past it, entry row by entry
+        row over that many columns at a time, in that order: the same bits."""
+        k, dim = self.weights.shape
         n = dim if cols is None else len(cols)
         if k * n <= _STEP_CHUNK:
-            if cols is not None:
-                rows, weights, p = rows[:, cols], weights[:, cols], p[cols]
-            return np.bincount(rows.ravel(), weights=(weights * p).ravel(), minlength=dim)
+            if cols is None:
+                targets, scaled = _index(dim) ^ self.moves, self.weights * p
+            else:  # wrap mode reads a (k, 1) column's one mask for every j
+                targets = cols ^ np.take(self.moves, cols, axis=1, mode="wrap")
+                scaled = self.weights[:, cols] * p[cols]
+            return np.bincount(targets.ravel(), scaled.ravel(), minlength=dim)
         chunks = [slice(lo, lo + _STEP_CHUNK) for lo in range(0, n, _STEP_CHUNK)]
         chunks = chunks if cols is None else [cols[at] for at in chunks]
-        out = np.zeros(dim)
-        for r, w in zip(rows, weights):
+        idx, out = _index(dim), np.zeros(dim)
+        for c, w in zip(np.broadcast_to(self.moves, self.weights.shape), self.weights):
             for at in chunks:
-                np.add.at(out, r[at], w[at] * p[at])
+                np.add.at(out, idx[at] ^ c[at], w[at] * p[at])
         return out
 
     def residual(self, p):
@@ -183,20 +190,18 @@ class StochasticMatrix:
 
     def single_flip_certified(self):
         """Whether the chain is a single-bit-flip chain with every flip
-        positive: dim is 2^m, column j holds exactly its m flips
-        j ^ (1 << b) and j itself, and every flip has positive weight.
-        The chain then holds every edge of the m-cube both ways and is
-        irreducible."""
-        k, dim = self.rows.shape
-        m = k - 1
-        if dim != 1 << m:
-            return False
-        rows, stay = _flip_form(m)
-        if self.rows is not rows and not np.array_equal(self.rows, rows):
-            return False
-        positive = self.weights > 0
-        flips = np.count_nonzero(positive) - np.count_nonzero(positive[stay, np.arange(dim)])
-        return flips == m * dim
+        positive, read from the masks: dim is 2^m, each of the m + 1 entry
+        rows moves every column by one mask, the masks are 0 and each
+        1 << b exactly once, and every flip has positive weight. The chain
+        then holds every edge of the m-cube both ways and is irreducible."""
+        k, dim = self.weights.shape
+        masks = self.moves[:, 0]
+        return bool(
+            dim == 1 << (k - 1)
+            and (self.moves == masks[:, None]).all()
+            and np.array_equal(np.sort(masks), np.append(0, 1 << np.arange(k - 1)))
+            and (self.weights.min(axis=1) > 0)[masks != 0].all()
+        )
 
     def communicating_classes(self):
         """Strongly connected classes of the graph of strictly positive
@@ -210,10 +215,12 @@ class StochasticMatrix:
         return connected_components(graph, directed=True, connection="strong")[0]
 
 
-def _check_rows(rows):
-    dim = rows.shape[1]
-    if rows.min() < 0 or rows.max() >= dim:
-        raise NotStochastic(f"rows outside 0..{dim - 1}")
+@functools.lru_cache(maxsize=4)
+def _index(dim):
+    """arange(dim), read-only and kept: a step reads it at every call."""
+    idx = np.arange(dim)
+    idx.setflags(write=False)
+    return idx
 
 
 def _block_labels(label, dim):
@@ -285,16 +292,16 @@ def forbidden_entry(sm, label):
     move a state of block 0 (A) to block 2 or 3 (B2, C), or of block 3
     to block 0 or 1, for one block label per state; (0.0, None) when
     every such entry is exactly zero. Any block may be empty."""
-    return _forbidden_top(sm, _forbidden_positions(sm.rows, label))
+    return _forbidden_top(sm, _forbidden_positions(sm.moves, label))
 
 
 _NO_POSITIONS = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
 
 
-def _forbidden_positions(rows, label):
+def _forbidden_positions(moves, label):
     """(columns, positions) of the forbidden entries of a form with these
-    rows, in column order; they depend on the rows and the blocks alone."""
-    to = label[rows]
+    moves, in column order; they depend on the moves and the blocks alone."""
+    to = label[_index(label.size) ^ moves]
     forbidden = ((label == 0) & (to >= 2)) | ((label == 3) & (to <= 1))
     if not forbidden.any():
         return _NO_POSITIONS
@@ -312,7 +319,7 @@ def _forbidden_top(sm, forbidden):
     top = float(vals[at])
     if top == 0.0:
         return 0.0, None
-    return top, (int(sm.rows[pos[at], cols[at]]), int(cols[at]))
+    return top, (int(cols[at] ^ np.take(sm.moves[pos[at]], cols[at], mode="wrap")), int(cols[at]))
 
 
 def conditioned_drift(chains, label, pi):
@@ -321,7 +328,7 @@ def conditioned_drift(chains, label, pi):
     conditioned on A, carried through the chains in order. pi(A) at or
     below EMPTY_WEIGHT_TOL raises EmptyA, as an empty quantum A block
     does. The first step reads A's columns only, or the whole chain when
-    they are more than half of it: cheaper, and the same bits."""
+    they are more than a third of it: cheaper, and the same bits."""
     in_A = label == 0
     pA = float(pi[in_A].sum())
     pB = float(pi[(label == 1) | (label == 2)].sum())
@@ -330,7 +337,7 @@ def conditioned_drift(chains, label, pi):
         raise EmptyA(f"pi(A) = {pA:.3e}")
     piA = np.where(in_A, pi, 0.0) / pA
     cols = np.flatnonzero(in_A)
-    evolved = chains[0].step(piA, cols if 2 * cols.size <= len(pi) else None)
+    evolved = chains[0].step(piA, cols if 3 * cols.size <= len(pi) else None)
     for sm in chains[1:]:
         evolved = sm.step(evolved)
     return pA, pB, pC, float(np.abs(evolved - piA).sum())
@@ -379,33 +386,19 @@ def _bottleneck_report(sm, label, cond, pi):
     return ClassicalBottleneckReport(lhs, bound, pA, pB, pC, cond.max_forbidden_entry)
 
 
-@functools.lru_cache(maxsize=1)
-def _flip_form(m):
-    """Rows of the single-bit-flip form on 2^m states, (m + 1, 2^m) and
-    shared read-only by every chain of that size: column j holds
-    j ^ (1 << b) for each bit b and j itself, ascending. Also the
-    position of j in its column, popcount(j), since each flip below j
-    clears one of its set bits."""
-    idx = np.arange(1 << m)
-    rows = np.sort(idx ^ np.concatenate([[0], 1 << np.arange(m)])[:, None], axis=0)
-    rows.setflags(write=False)
-    return rows, np.bitwise_count(idx)
-
-
 class GlauberTable:
     """What the single-bit-flip Metropolis chains of one energy vector
-    share at every beta: the rows of the flip form, shared read-only by
-    every chain of that size, the position of each stay entry, and the
-    uphill jumps max(E[rows] - E, 0), read-only. Given one block label
-    per state, the table also keeps the positions of its forbidden
-    entries.
+    share at every beta: the (m + 1, 1) masks, 1 << b for b ascending and
+    0 for the stay entry, and the (m, 2^m) uphill jumps
+    max(E[j ^ (1 << b)] - E[j], 0), read-only. Given one block label per
+    state, the table also keeps the positions of its forbidden entries.
 
-    The checks on the rows (in range) and the forbidden positions run
-    once, here; ``chain`` then costs one acceptance pass per beta and
-    checks only the weights, and ``report`` runs the classical bound on
-    that chain with the kept positions. Raises BadPartition unless there
-    are 2^m energies with 1 <= m <= _GLAUBER_MAX_BITS, or when the block
-    labels are not one per state of _block_labels.
+    The forbidden positions are found once, here; ``chain`` then costs
+    one acceptance pass per beta and checks only the weights, and
+    ``report`` runs the classical bound on that chain with the kept
+    positions. Raises BadPartition unless there are 2^m energies with
+    1 <= m <= _GLAUBER_MAX_BITS, or when the block labels are not one per
+    state of _block_labels.
     """
 
     def __init__(self, energies, label=None):
@@ -417,19 +410,19 @@ class GlauberTable:
                 f"need 2^m energies with 1 <= m <= {_GLAUBER_MAX_BITS}, got {dim}"
             )
         self.m = m
-        self.rows, self.stay = _flip_form(m)
-        _check_rows(self.rows)
-        uphill = E[self.rows]
-        uphill -= E
-        np.maximum(uphill, 0, out=uphill)
-        uphill.setflags(write=False)
-        self.uphill = uphill
+        self.moves = np.append(1 << np.arange(m), 0)[:, None]
+        self.moves.setflags(write=False)
         self.label = self.forbidden = None
         if label is not None:
             # a read-only copy, so the kept positions always match it
             self.label = np.array(_block_labels(label, dim))
             self.label.setflags(write=False)
-            self.forbidden = _forbidden_positions(self.rows, self.label)
+            self.forbidden = _forbidden_positions(self.moves, self.label)
+        uphill = E[np.arange(dim) ^ self.moves[:m]]
+        uphill -= E
+        np.maximum(uphill, 0, out=uphill)
+        uphill.setflags(write=False)
+        self.uphill = uphill
 
     def chain(self, beta, laziness=0.0):
         """The chain at beta: proposals pick one of the m bits uniformly
@@ -437,18 +430,16 @@ class GlauberTable:
         rest of each column stays put."""
         if not 0 <= laziness < 1:
             raise ValueError(f"laziness {laziness} outside [0, 1)")
-        weights = self.uphill * -beta
-        np.exp(weights, out=weights)
-        np.minimum(weights, 1.0, out=weights)
-        weights *= (1.0 - laziness) / self.m
-        columns = np.arange(weights.shape[1])
-        weights[self.stay, columns] = 0.0
-        # The moves are added in ascending row order, the order of a dense
-        # column sum, so the stay entry matches the dense builder bit for
-        # bit. With every flip accepted they sum to 1 + ulp; the stay entry
-        # is clamped at 0 and the column-sum check still applies.
-        weights[self.stay, columns] = np.maximum(1.0 - weights.sum(axis=0), 0.0)
-        sm = StochasticMatrix._trusted(self.rows, weights)
+        weights = np.empty((self.m + 1, self.uphill.shape[1]))
+        flips = weights[: self.m]
+        np.multiply(self.uphill, -beta, out=flips)
+        np.exp(flips, out=flips)
+        np.minimum(flips, 1.0, out=flips)
+        flips *= (1.0 - laziness) / self.m
+        # flips add in ascending bit order; all accepted, they sum to 1 + ulp,
+        # so the stay entry is clamped at 0 (the column-sum check applies)
+        np.maximum(1.0 - flips.sum(axis=0), 0.0, out=weights[self.m])
+        sm = StochasticMatrix._trusted(self.moves, weights)
         sm._check_weights()
         return sm
 

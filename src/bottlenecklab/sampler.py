@@ -11,8 +11,10 @@ checks. None of that depends on beta, so it is one move table per
 family, site and flavor, kept on the label basis (flips: per site list,
 on H); a beta only adds the amplitudes sqrt(q min(1, e^{-beta omega}))
 of the jump operators sigma P_omega, filled column by column without any
-dense product. Before returning, construction checks on label vectors
-that the channel is trace preserving and fixes exactly the Gibbs vector
+dense product. In markov's XOR layout a flip keeps (2, 1) masks (its
+bit, then 0 to stay) and a CSS move (k, dim) moves. Before returning,
+construction checks on label vectors that the channel is trace
+preserving and fixes exactly the Gibbs vector
 H.gibbs keeps for beta, which it then carries (KrausChannel.fixes). The
 CSS variant reads E from the labels (W, E) of H0, which build_hamiltonian
 sets over label_basis of the checks, so H0 W = W diag(E) ties that Gibbs
@@ -51,8 +53,8 @@ def _site_channels(H, beta, sites, attempt_prob):
     """metropolis_site_channel at every site, from one table kept on H
     (_site_moves): one amplitude pass, then per _STACK_ENTRIES entries one
     trace check and one bincount of the Gibbs vector through the chains,
-    rows offset by dim per chain. Forms are views of the stacks, bit for
-    bit the one-site build's (coef held real); each carries p (fixes)."""
+    targets offset by dim per chain. Forms are views of the stacks, bit
+    for bit the one-site build's (coef held real); each carries p (fixes)."""
     if not H.is_diagonal:
         raise NotDiagonal("site Metropolis needs a diagonal Hamiltonian")
     if not 0 < attempt_prob <= 1:
@@ -60,38 +62,41 @@ def _site_channels(H, beta, sites, attempt_prob):
     for site in sites:
         if not 0 <= site < H.n:
             raise ValueError(f"site {site} outside register of {H.n}")
-    rows, jump = H.kept(_site_moves, tuple(sites))
+    moves, jump = H.kept(_site_moves, tuple(sites))
     coef = attempt_prob * np.minimum(1.0, np.exp(-beta * jump))  # the acceptance
     coef = np.stack([coef, 1.0 - coef], axis=1)
     np.sqrt(coef, out=coef)
     weights = coef**2
     # detailed balance makes the diagonal Gibbs vector exactly stationary
     p = H.gibbs(beta)[0]
-    S, _, dim = rows.shape
-    block = max(1, _STACK_ENTRIES // rows[0].size)
+    S, _, dim = coef.shape
+    block = max(1, _STACK_ENTRIES // coef[0].size)
     for lo in range(0, S, block):
-        r, w = rows[lo : lo + block], weights[lo : lo + block]
-        # rows are permutations, so each T_m^dag T_m is diagonal: column sums
+        c, w = moves[lo : lo + block], weights[lo : lo + block]
+        # masks are permutations, so each T_m^dag T_m is diagonal: column sums
         resid = float(np.abs(w[:, 0] + w[:, 1] - 1.0).max())
         if resid > tol.KRAUS_TRACE_TOL:
             raise NotTracePreserving(f"sum of K†K deviates from identity by {resid:.3e}")
-        slots = (r + dim * np.arange(len(r))[:, None, None]).ravel()
-        stepped = np.bincount(slots, (w * p).ravel(), len(r) * dim).reshape(len(r), dim)
+        # masks are below dim = 2^n, so j ^ (c + dim s) = (j ^ c) + dim s
+        slots = (np.arange(dim) ^ (c + dim * np.arange(len(c))[:, None, None])).ravel()
+        stepped = np.bincount(slots, (w * p).ravel(), len(c) * dim).reshape(len(c), dim)
         for s, resid in enumerate(np.abs(stepped - p).sum(axis=1), lo):
             if resid > tol.GIBBS_FIXED_POINT_TOL:
                 raise NotFixedPoint(f"Gibbs residual {resid:.3e} on site {sites[s]}")
-    chans = [_trusted_channel(identity_basis(H.n), *form) for form in zip(rows, coef, weights)]
+    chans = [_trusted_channel(identity_basis(H.n), *form) for form in zip(moves, coef, weights)]
     for chan in chans:
         chan.fixes = p
     return chans
 
 
 def _site_moves(H, sites):
-    """(S, 2, dim) Kraus rows (j ^ bit, then j) and (S, dim) uphill jumps
-    max(E[flip] - E, 0) of the sites: H fixes them at every beta."""
-    E, idx = H.diagonal(), np.arange(1 << H.n)
-    flip = idx ^ (1 << (H.n - 1 - np.array(sites, dtype=np.int64)))[:, None]
-    return np.stack([flip, np.broadcast_to(idx, flip.shape)], axis=1), np.maximum(E[flip] - E, 0)
+    """(S, 2, 1) Kraus masks (the site's bit, then 0 to stay) and (S, dim)
+    uphill jumps max(E[j ^ bit] - E[j], 0) of the sites: fixed by H."""
+    E, bits = H.diagonal(), 1 << (H.n - 1 - np.array(sites, dtype=np.int64))
+    jump = E[np.arange(1 << H.n) ^ bits[:, None]]
+    jump -= E
+    np.maximum(jump, 0, out=jump)
+    return np.stack([bits, np.zeros_like(bits)], axis=1)[:, :, None], jump
 
 
 def css_metropolis_channel(H0, beta, site, flavor, attempt_prob=DEFAULT_ATTEMPT):
@@ -118,12 +123,12 @@ def css_metropolis_channel(H0, beta, site, flavor, attempt_prob=DEFAULT_ATTEMPT)
     W = label_basis(fam)
     if H0.labels is None or not H0.labels[0].same_as(W):
         raise NotDiagonal("H0 carries no syndrome energies over the label basis of its checks")
-    rows, phase, omega, cls = W.kept(_move_table, fam, site, flavor)
+    moves, phase, omega, cls = W.kept(_move_table, fam, site, flavor)
     accept = attempt_prob * np.minimum(1.0, np.exp(-beta * np.maximum(omega, 0)))
-    coef = np.zeros(rows.shape, dtype=np.complex128)
+    coef = np.zeros(moves.shape, dtype=np.complex128)
     coef[cls, np.arange(W.dim)] = np.sqrt(accept)[cls] * phase
     coef[-1] = np.sqrt(1.0 - accept)[cls]
-    form = MonomialKraus(W, rows, coef)
+    form = MonomialKraus(W, moves, coef)
     chan = KrausChannel(n, monomial=form)
     p = H0.gibbs(beta)[0]
     resid = form.chain.residual(p)
@@ -135,10 +140,10 @@ def css_metropolis_channel(H0, beta, site, flavor, attempt_prob=DEFAULT_ATTEMPT)
 
 def _move_table(W, fam, site, flavor):
     """The move table of a CSS flip, which the family fixes at every beta:
-    the Kraus rows (the image col of sigma once per distinct jump, then
-    the stay operator's arange), the image's phases, the distinct jumps
-    omega ascending, and the class in omega of every label. Kept on W per
-    family, site and flavor (LabelBasis.kept)."""
+    the (k, dim) Kraus moves (col ^ j for the image col of sigma once per
+    distinct jump, then 0 for the stay operator), the image's phases, the
+    distinct jumps omega ascending, and the class in omega of every
+    label. Kept on W per family, site and flavor (LabelBasis.kept)."""
     n = fam.n
     bit = 1 << (n - 1 - site)
     if flavor == "X":
@@ -153,8 +158,8 @@ def _move_table(W, fam, site, flavor):
             mask = np.uint64(mask_from_indices(n, supp))
             jump += 1 - 2 * (popcount(labels & mask) & 1)
     omega, cls = np.unique(jump, return_inverse=True)
-    rows = np.vstack([np.tile(col, (omega.size, 1)), np.arange(W.dim)])
-    return rows, phase, omega, cls
+    moves = np.vstack([np.tile(col ^ np.arange(W.dim), (omega.size, 1)), np.zeros(W.dim, dtype=np.int64)])
+    return moves, phase, omega, cls
 
 
 def sweep_schedule(H, beta, sites, flavors=None, repetitions=1, attempt_prob=DEFAULT_ATTEMPT):

@@ -106,15 +106,17 @@ a time, and only tests call it:
   sampler.css_metropolis_channel.
 - per_call_css_form builds the CSS move's rows and coefficients from
   scratch with one scalar amplitude per jump, as the sampler did before
-  its move tables, and per_operator_trace_residual counts rows one Kraus
-  operator at a time. They are the bit-for-bit oracles for the per-beta
-  step over a kept move table and for the one-pass
+  its move tables, and per_operator_trace_residual counts the rows
+  j ^ moves[m, j] one Kraus operator at a time. They are the bit-for-bit
+  oracles for the per-beta step over a kept move table (whose moves are
+  the rows ^ j, explicit_rows inverting them) and for the one-pass
   MonomialKraus.trace_residual.
 - per_call_site_form builds one bit-flip Metropolis form from the energy
   diagonal on every call, with its own trace and fixed-point checks, as
-  sampler.metropolis_site_channel did before the site move tables. It is
-  the bit-for-bit oracle for sampler._site_channels, which builds every
-  site of a list from one table kept on H.
+  sampler.metropolis_site_channel did before the site move tables: the
+  (2, 1) masks of the flip and then the stay operator, in the XOR layout
+  of markov. It is the bit-for-bit oracle for sampler._site_channels,
+  which builds every site of a list from one table kept on H.
 - per_form_support reads the support of one monomial operator, one form
   at a time, as channel._monomial_support did before the stacked pass.
   It is the oracle for channel._monomial_supports and for
@@ -128,9 +130,13 @@ a time, and only tests call it:
   1e-9 test, which the Gibbs route does not.
 - dense_glauber builds the Metropolis chain entry by entry. It is the
   oracle for markov.GlauberTable.chain.
-- per_beta_glauber builds one Glauber chain's rows and weights from the
-  energies on every call, as markov did before its GlauberTable. It is the bit-for-bit oracle for GlauberTable.chain,
-  which reads the uphill jumps that the table keeps for every beta.
+- per_beta_glauber builds one Glauber chain's masks and weights from the
+  energies on every call, as markov did before its GlauberTable, in the
+  entry order of the XOR layout (flips in ascending bit, then the stay
+  entry). It is the bit-for-bit oracle for GlauberTable.chain, which
+  reads the uphill jumps that the table keeps for every beta.
+  explicit_rows gives the (k, dim) rows j ^ moves[k, j] of any form in
+  that layout, for the same chain built by StochasticMatrix.from_columns.
 - dense_report reads the classical bound from a dense chain and a given
   law. It is the oracle for markov.classical_bottleneck_report.
 - communicating_classes runs scipy's strong-connectivity search on a
@@ -971,25 +977,30 @@ def dense_glauber(E, beta, laziness=0.0):
 
 
 def per_beta_glauber(E, beta, laziness=0.0):
-    """(rows, weights) of the Glauber chain, built from the energies as
-    one call: gather E over the flip form, take the uphill jumps, accept,
-    scale, and fill the stay entries in ascending row order."""
+    """((m + 1, 1) masks, weights) of the Glauber chain, built from the
+    energies as one call: gather E over the flips j ^ (1 << b) in
+    ascending b, take the uphill jumps, accept, scale, and fill the stay
+    entry, mask 0 in the last row, from the flips added in that order."""
     E = np.asarray(E, dtype=np.float64)
     dim = E.shape[0]
     m = dim.bit_length() - 1
-    idx = np.arange(dim)
-    rows = np.sort(idx ^ np.concatenate([[0], 1 << np.arange(m)])[:, None], axis=0)
-    stay = np.bitwise_count(idx)
-    weights = E[rows]
+    masks = np.concatenate([1 << np.arange(m), [0]])[:, None]
+    weights = E[np.arange(dim) ^ masks]
     weights -= E
     np.maximum(weights, 0, out=weights)
     weights *= -beta
     np.exp(weights, out=weights)
     np.minimum(weights, 1.0, out=weights)
     weights *= (1.0 - laziness) / m
-    weights[stay, idx] = 0.0
-    weights[stay, idx] = np.maximum(1.0 - weights.sum(axis=0), 0.0)
-    return rows, weights
+    weights[m] = 0.0
+    weights[m] = np.maximum(1.0 - weights.sum(axis=0), 0.0)
+    return masks, weights
+
+
+def explicit_rows(moves, dim):
+    """The (k, dim) rows j ^ moves[k, j] of a form in markov's XOR layout,
+    moves of shape (k, 1) or (k, dim)."""
+    return np.arange(dim) ^ np.asarray(moves)
 
 
 def dense_report(M, label, pi):
@@ -1208,7 +1219,7 @@ def per_operator_trace_residual(form):
     as it was before the one-pass count: None when some operator has two
     nonzeros in one row, else max |sum_m |coef_m|^2 - 1|."""
     dim = form.basis.dim
-    for rows, coef in zip(form.rows, form.coef):
+    for rows, coef in zip(explicit_rows(form.moves, dim), form.coef):
         if np.bincount(rows[coef != 0], minlength=dim).max(initial=0) > 1:
             return None
     return float(np.abs(form.weights.sum(axis=0) - 1.0).max())
@@ -1225,9 +1236,9 @@ def per_call_site_form(H, beta, site, q=DEFAULT_ATTEMPT):
     n = H.n
     E = H.diagonal()
     idx = np.arange(1 << n)
-    flip = idx ^ (1 << (n - 1 - site))
-    accept = q * np.minimum(1.0, np.exp(-beta * np.maximum(E[flip] - E, 0)))
-    form = MonomialKraus(identity_basis(n), [flip, idx], [np.sqrt(accept), np.sqrt(1.0 - accept)])
+    bit = 1 << (n - 1 - site)
+    accept = q * np.minimum(1.0, np.exp(-beta * np.maximum(E[idx ^ bit] - E, 0)))
+    form = MonomialKraus(identity_basis(n), [[bit], [0]], [np.sqrt(accept), np.sqrt(1.0 - accept)])
     KrausChannel(n, monomial=form)
     resid = form.chain.residual(H.gibbs(beta)[0])
     if resid > 1e-10:

@@ -693,7 +693,7 @@ def forbidden_cycle_channel(basis, part, weight):
     rows[[a, c, b2, b1]] = [c, b2, b1, a]
     form = MonomialKraus(
         basis,
-        [np.arange(basis.dim), rows],
+        [np.zeros(basis.dim, dtype=int), rows ^ np.arange(basis.dim)],
         [np.full(basis.dim, np.sqrt(1.0 - weight)), np.full(basis.dim, np.sqrt(weight))],
     )
     return KrausChannel(basis.n, monomial=form)
@@ -739,7 +739,7 @@ def test_perturbed_gibbs_state_takes_the_dense_path():
     dense = W.dense()
     M = dense.conj().T @ rho.mat @ dense
     assert np.abs(M - np.diag(np.diag(M))).max() > 1e-4
-    identity = KrausChannel(8, monomial=MonomialKraus(W, [np.arange(256)], [np.ones(256)]))
+    identity = KrausChannel(8, monomial=MonomialKraus(W, [[0]], [np.ones(256)]))
     rep = verify_bottleneck_theorem(identity, rho, part)
     ref = verify_bottleneck_theorem(KrausChannel(8, [np.eye(256)]), rho, part)
     assert rep.path == ref.path == "dense"

@@ -239,7 +239,7 @@ def monomial_forms(draw):
     for _ in range(draw(st.integers(0, 3))):
         m, i, j = rng.integers(k), rng.integers(dim), rng.integers(dim)
         rows[m, i] = rows[m, j]
-    return MonomialKraus(identity_basis(n), rows, coef)
+    return MonomialKraus(identity_basis(n), rows ^ np.arange(dim), coef)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -31,7 +31,7 @@ from bottlenecklab.model import (
 from bottlenecklab.numerics import DensityMatrix
 from bottlenecklab.sampler import sweep_schedule
 from bottlenecklab.stability import shell_decomposition
-from oracles import hamming_shell_labels, per_beta_glauber
+from oracles import explicit_rows, hamming_shell_labels, per_beta_glauber
 
 VQ_BASE = {
     "model": "ising_ring",
@@ -1042,7 +1042,7 @@ VC_FILE = {"betas": [1.0], "partition": {"center": 0, "inner": 0, "width": 1}}
         ),
         ("verify-quantum", dict(VQ_BASE, repetitions=10**20), "<= 1048576"),
         ("mixing-compare", dict(GRID_CONFIGS["mixing-compare"], horizon=2**20 + 1), "<= 1048576"),
-        ("verify-classical", dict(VC_FILE, checks_file="n40.txt"), "at most 20 bits, got n = 40"),
+        ("verify-classical", dict(VC_FILE, checks_file="n40.txt"), "at most 21 bits, got n = 40"),
         # keys a model does not take, and a key it needs
         ("model-info", {"model": "ising_ring", "n": 6, "L": 2}, "does not take ['L']"),
         ("model-info", {"model": "steane7", "n": 7}, "does not take ['n']"),
@@ -1136,19 +1136,19 @@ def test_verify_classical_empty_c_rejected(tmp_path, monkeypatch):
 
 
 def test_verify_classical_past_the_glauber_cap_rejected(tmp_path, monkeypatch):
-    # 21 bits is one more than a GlauberTable holds: the run is refused
+    # 22 bits is one more than a GlauberTable holds: the run is refused
     # before the energies are built, not failed inside its grid point
     monkeypatch.setattr(cli, "label_energies", _refuse)
     monkeypatch.setattr(cli, "GlauberTable", _refuse)
     cfg = {
         "model": "ising_ring",
-        "n": 21,
+        "n": 22,
         "betas": [1.0],
         "partition": {"center": 0, "inner": 1, "width": 1},
     }
     code, out = run("verify-classical", cfg, tmp_path)
     assert code == 2
-    assert_config_rejected(out, "at most 20 bits")
+    assert_config_rejected(out, "at most 21 bits")
 
 
 def test_parser_is_built_once_and_keeps_its_exits(tmp_path, capsys):
@@ -1279,7 +1279,8 @@ def test_verify_classical_runs_in_one_process_share_no_table(tmp_path):
         assert [row["beta"] for row in rows] == cfg["betas"]
         for row, beta in zip(rows, cfg["betas"]):
             pi, _ = gibbs_weights(E, beta)
-            sm = StochasticMatrix.from_columns(*per_beta_glauber(E, beta))
+            masks, weights = per_beta_glauber(E, beta)
+            sm = StochasticMatrix.from_columns(explicit_rows(masks, E.size), weights)
             rep = classical_bottleneck_report(sm, part, pi)
             assert [row[f] for f in fields] == [getattr(rep, f) for f in fields]
 

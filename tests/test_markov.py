@@ -17,12 +17,13 @@ from bottlenecklab.markov import (
     _STEP_CHUNK,
     GlauberTable,
     StochasticMatrix,
-    _flip_form,
     check_classical_condition,
     classical_bottleneck_report,
     conditioned_drift,
+    forbidden_entry,
 )
-from bottlenecklab.model import REGISTRY, gibbs_weights, label_energies
+from bottlenecklab.model import REGISTRY, build_hamiltonian, gibbs_weights, label_energies
+from bottlenecklab.sampler import css_metropolis_channel, metropolis_site_channel
 from bottlenecklab.subspace import hamming_ball_subspace, partition_from_radius
 from oracles import (
     birth_death_chain,
@@ -30,6 +31,7 @@ from oracles import (
     column_chain,
     dense_glauber,
     dense_report,
+    explicit_rows,
     hamming_shell_labels,
     per_beta_glauber,
     stationary_distribution,
@@ -64,18 +66,19 @@ class TestStochasticMatrix:
             StochasticMatrix.from_columns(np.array([[0, 1], [2, 2]]), np.full((2, 2), 0.5))
 
     def test_column_form_of_a_dense_chain(self, rng):
-        # columns of 1 to 5 entries, held op-major: entry k of column j is
-        # rows[k, j], rows ascending down a column, the short columns
-        # padded with zero weights on their last row; mat adds the padding
-        # into that row's entry, so only the nonzeros stay stored
+        # columns of 1 to 5 entries, held op-major: entry k of column j
+        # moves to rows[k, j] = j ^ moves[k, j], rows ascending down a
+        # column, the short columns padded with zero weights on their last
+        # row; mat adds the padding into that row's entry, so only the
+        # nonzeros stay stored
         dim = 7
         M = np.zeros((dim, dim))
         for j in range(dim):
             rows = np.sort(rng.choice(dim, size=1 + j % 5, replace=False))
             M[rows, j] = rng.dirichlet(np.ones(rows.size))
         sm = column_chain(M)
-        assert sm.rows.shape == (5, dim)
-        assert (np.diff(sm.rows, axis=0) >= 0).all()
+        assert sm.moves.shape == (5, dim)
+        assert (np.diff(explicit_rows(sm.moves, dim), axis=0) >= 0).all()
         assert np.array_equal(np.count_nonzero(sm.weights, axis=0), np.count_nonzero(M, axis=0))
         assert np.array_equal(sm.mat.toarray(), M)
         assert sm.mat.nnz == np.count_nonzero(M)
@@ -84,7 +87,36 @@ class TestStochasticMatrix:
         support = np.array([1, 4])
         sparse_p = np.where(np.isin(np.arange(dim), support), p, 0.0)
         assert np.array_equal(sm.step(sparse_p, support), sm.step(sparse_p))
-        assert not sm.rows.flags.writeable and not sm.weights.flags.writeable
+        assert not sm.moves.flags.writeable and not sm.weights.flags.writeable
+
+    @pytest.mark.parametrize("case", ["glauber", "site", "birth-death", "steane7"])
+    def test_mask_chain_matches_its_explicit_rows(self, rng, case):
+        # a chain as its builder holds it ((k, 1) masks for the Glauber and
+        # site chains, (k, dim) moves for the others) and the same chain
+        # given to from_columns as explicit rows: the same matrix, step
+        # bits (flat and per entry row, whole and through cols), forbidden
+        # entry and single-flip certificate
+        if case == "glauber":
+            sm = GlauberTable(label_energies(REGISTRY["ising_ring"](8))).chain(1.0, 0.3)
+        elif case == "site":
+            H = build_hamiltonian(REGISTRY["ising_ring"](10))
+            sm = metropolis_site_channel(H, 1.0, 3).monomial.chain
+        elif case == "birth-death":
+            sm = birth_death_metropolis(rng.dirichlet(np.ones(9)))
+        else:
+            H = build_hamiltonian(REGISTRY["steane7"]())
+            sm = css_metropolis_channel(H, 1.0, 2, "X").monomial.chain
+        dim = sm.dim
+        rows = StochasticMatrix.from_columns(explicit_rows(sm.moves, dim), sm.weights)
+        assert rows.moves.shape == sm.weights.shape
+        assert sm.moves.shape == ((sm.weights.shape[0], 1) if case in ("glauber", "site") else sm.weights.shape)
+        assert (sm.mat != rows.mat).nnz == 0 and sm.mat.nnz == rows.mat.nnz
+        p = rng.dirichlet(np.ones(dim))
+        for cols in (None, np.flatnonzero(rng.random(dim) < 0.3), rng.permutation(dim)[: dim // 2]):
+            assert sm.step(p, cols).tobytes() == rows.step(p, cols).tobytes()
+        for label in (rng.integers(0, 4, dim), np.minimum(np.arange(dim) * 4 // dim, 3)):
+            assert forbidden_entry(sm, label) == forbidden_entry(rows, label)
+        assert sm.single_flip_certified() == rows.single_flip_certified() == (case == "glauber")
 
     def test_repeated_rows_add(self):
         # a Kraus form may send two operators' entries of one column to the
@@ -375,7 +407,7 @@ class TestGlauberChain:
 
     def test_size_cap(self):
         with pytest.raises(BadPartition):
-            GlauberTable(np.zeros(2**21))
+            GlauberTable(np.zeros(2**22))
         with pytest.raises(BadPartition):
             GlauberTable(np.zeros(1))
 
@@ -411,17 +443,17 @@ class TestGlauberTable:
     @pytest.mark.parametrize("m", range(1, 13))
     def test_chains_match_the_per_beta_build_bit_for_bit(self, rng, m):
         # the chains of one table, and of a table built anew per chain,
-        # carry the bits of the per-beta build, rows and weights, at every
-        # beta and laziness
+        # carry the bits of the per-beta build, masks and weights, at every
+        # beta and laziness; every chain of the table shares its masks
         E = rng.uniform(-1.0, 2.0, size=2**m).round(3)
         for energies in (E, list(E)):
             table = GlauberTable(energies)
             for beta in (0.0, 0.5, 3.0, 30.0, 800.0):
                 for laziness in (0.0, 0.3):
-                    rows, weights = per_beta_glauber(E, beta, laziness)
+                    masks, weights = per_beta_glauber(E, beta, laziness)
                     sm = table.chain(beta, laziness)
-                    assert sm.rows is _flip_form(m)[0]
-                    assert np.array_equal(sm.rows, rows)
+                    assert sm.moves is table.moves and sm.moves.shape == (m + 1, 1)
+                    assert np.array_equal(sm.moves, masks)
                     assert np.array_equal(sm.weights, weights)
                     assert np.array_equal(GlauberTable(energies).chain(beta, laziness).weights, weights)
 
@@ -434,7 +466,8 @@ class TestGlauberTable:
         clean = hamming_shell_labels(4, 0, 0, 1)
         broken = clean.copy()
         broken[1] = 3  # 0 -> 1 is a single flip from A straight into C
-        sm = StochasticMatrix.from_columns(*per_beta_glauber(E, 1.0))
+        masks, weights = per_beta_glauber(E, 1.0)
+        sm = StochasticMatrix.from_columns(explicit_rows(masks, 16), weights)
         assert check_classical_condition(sm, broken).offending == (0, 1)
         for order in ((clean, broken), (broken, clean)):
             for part in order:
@@ -459,6 +492,27 @@ class TestGlauberTable:
             table.label[1] = 3
         assert table.report(1.0, 0.0, pi) == before
 
+    def test_a_chain_holds_masks_not_a_row_table(self):
+        # ising_ring n=16: the table keeps (17, 1) masks and the (16, 2^16)
+        # uphill jumps, and a chain adds its (17, 2^16) weights, so the
+        # traced peak of a table and one chain stays below those plus half
+        # of the int64 (17, 2^16) row table that explicit rows would hold
+        # (a table of another size comes first, so none is held from before)
+        n = 16
+        E = label_energies(REGISTRY["ising_ring"](n))
+        label = hamming_shell_labels(n, 0, 1, 1)
+        GlauberTable(np.zeros(4)).chain(1.0)
+        tracemalloc.start()
+        try:
+            table = GlauberTable(E, label)
+            sm = table.chain(1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row_table = (n + 1) * (1 << n) * 8
+        assert peak < table.uphill.nbytes + sm.weights.nbytes + row_table // 2
+        assert sm.moves.shape == (n + 1, 1)
+
     def test_partition_must_cover_the_table(self):
         with pytest.raises(BadPartition, match="the chain has 8 states"):
             GlauberTable(np.zeros(8), hamming_shell_labels(4, 0, 0, 1))
@@ -469,12 +523,12 @@ class TestGlauberTable:
 class TestResidual:
     @pytest.mark.parametrize("m", [12, 14, 16])
     def test_chunked_sum_matches_the_full_step(self, rng, m):
-        # several chunks run, entry row by entry row in the full step's
-        # flat order, so the sum is the full step's to the last bit (well
+        # past _STEP_CHUNK the step scatters entry row by entry row in the
+        # flat order, so the residual is the step's to the last bit (well
         # within the k * dim units of rounding that another order allows)
         E = label_energies(REGISTRY["ising_ring"](m))
         sm = GlauberTable(E).chain(1.0, 0.3)
-        k, dim = sm.rows.shape
+        k, dim = sm.weights.shape
         assert k * dim > 4 * _STEP_CHUNK
         pi, _ = gibbs_weights(E, 1.0)
         for p in (rng.dirichlet(np.ones(dim)), pi):
@@ -482,10 +536,11 @@ class TestResidual:
         assert sm.residual(pi) <= 1e-12
 
     def test_chunked_step_matches_the_flat_bincount(self, rng):
-        # a form past _STEP_CHUNK, read whole or through cols, is
-        # summed in chunks in the order of one flat bincount over the
-        # gathered form, so the bits are that bincount's; the random form
-        # repeats rows across entry rows, where another order would differ
+        # a form past _STEP_CHUNK, read whole or through cols, is summed
+        # by one scatter per entry row in the order of one flat bincount
+        # over the gathered form, so the bits are that bincount's; the
+        # random form repeats rows within and across entry rows, where
+        # another order would differ
         E = label_energies(REGISTRY["ising_ring"](14))
         k, dim = 9, 1 << 13
         forms = [
@@ -495,31 +550,32 @@ class TestResidual:
             ),
         ]
         for sm in forms:
-            k, dim = sm.rows.shape
+            k, dim = sm.weights.shape
+            rows = explicit_rows(sm.moves, dim)
             p = rng.dirichlet(np.ones(dim))
             for cols in (None, np.flatnonzero(rng.random(dim) < 0.5), rng.permutation(dim)[:5000]):
                 at = slice(None) if cols is None else cols
-                assert k * sm.rows[:, at].shape[1] > _STEP_CHUNK
+                assert k * rows[:, at].shape[1] > _STEP_CHUNK
                 want = np.bincount(
-                    sm.rows[:, at].ravel(), weights=(sm.weights[:, at] * p[at]).ravel(), minlength=dim
+                    rows[:, at].ravel(), weights=(sm.weights[:, at] * p[at]).ravel(), minlength=dim
                 )
                 q = p if cols is None else np.where(np.isin(np.arange(dim), cols), p, 0.0)
                 assert sm.step(q, cols).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("inner, size", [(7, 26333), (9, 50643)])
+    @pytest.mark.parametrize("inner, size", [(6, 14893), (7, 26333), (9, 50643)])
     def test_drift_of_a_large_A_gathers_no_form(self, inner, size):
         # ising_ring n=16, width 1: the drift's first step reads the
         # columns of A, k = 17 entries each, without gathering them (at
-        # inner 9, past half the chain, it steps the whole chain), so its
-        # traced peak stays under six vectors of the chain and lhs is the
-        # bincount over A's columns to the last bit
+        # inner 7 and 9, past a third of the chain, it steps the whole
+        # chain), so its traced peak stays under six vectors of the chain
+        # and lhs is the bincount over A's columns to the last bit
         n = 16
         E = label_energies(REGISTRY["ising_ring"](n))
         label = hamming_shell_labels(n, 0, inner, 1)
         sm = GlauberTable(E, label).chain(1.0)
         pi, _ = gibbs_weights(E, 1.0)
         cols = np.flatnonzero(label == 0)
-        assert (cols.size, sm.rows.shape[0]) == (size, 17)
+        assert (cols.size, sm.weights.shape[0]) == (size, 17)
         tracemalloc.start()
         try:
             pA, _, _, lhs = conditioned_drift([sm], label, pi)
@@ -528,9 +584,8 @@ class TestResidual:
             tracemalloc.stop()
         assert peak < 6 * sm.dim * 8
         piA = np.where(label == 0, pi, 0.0) / pA
-        stepped = np.bincount(
-            sm.rows[:, cols].ravel(), weights=(sm.weights[:, cols] * piA[cols]).ravel(), minlength=sm.dim
-        )
+        rows = explicit_rows(sm.moves, sm.dim)[:, cols]
+        stepped = np.bincount(rows.ravel(), weights=(sm.weights[:, cols] * piA[cols]).ravel(), minlength=sm.dim)
         assert lhs == float(np.abs(stepped - piA).sum())
 
     def test_law_moved_at_one_state_is_not_stationary(self):

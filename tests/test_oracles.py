@@ -113,6 +113,7 @@ from oracles import (
     dense_ratio,
     dense_report,
     eigen_columns,
+    explicit_rows,
     eigen_ratio,
     enumerated_blocks,
     gauged_eigensystem,
@@ -659,11 +660,11 @@ def test_certificate_declines_a_chain_with_one_flip_removed(m, beta, laziness, s
     assert full.single_flip_certified()
     j, b = int(rng.integers(2**m)), int(rng.integers(m))
     weights = full.weights.copy()
-    flip = np.flatnonzero(full.rows[:, j] == j ^ (1 << b))[0]
-    stay = np.flatnonzero(full.rows[:, j] == j)[0]
+    flip = np.flatnonzero(full.moves[:, 0] == 1 << b)[0]
+    stay = np.flatnonzero(full.moves[:, 0] == 0)[0]
     weights[stay, j] += weights[flip, j]
     weights[flip, j] = 0.0
-    chain = StochasticMatrix.from_columns(full.rows, weights)
+    chain = StochasticMatrix.from_columns(explicit_rows(full.moves, 2**m), weights)
     assert not chain.single_flip_certified()
     classes = communicating_classes(chain)
     assert chain.communicating_classes() == classes
@@ -1038,8 +1039,9 @@ def test_monomial_locality_matches_the_dense_support(make, beta):
         chan = metropolis_site_channel(H, beta, site)
         form = chan.monomial
         supports = [_kraus_support(K, fam.n) for K in form.dense()]
-        stacked = _monomial_supports(form.rows, form.coef, fam.n)
-        for rows, coef, got, want in zip(form.rows, form.coef, stacked, supports):
+        stacked = _monomial_supports(form.moves, form.coef, fam.n)
+        rows = explicit_rows(form.moves, form.basis.dim)
+        for rows, coef, got, want in zip(rows, form.coef, stacked, supports):
             assert per_form_support(rows, coef, fam.n) == want
             assert tuple(np.flatnonzero(got)) == want
         assert channel_locality(chan) == max(len(s) for s in supports)
@@ -1096,7 +1098,8 @@ def test_monomial_support_matches_the_dense_rule(op):
     K[rows, np.arange(1 << n)] = coef
     want = _kraus_support(K, n)
     assert per_form_support(rows, coef, n) == want
-    assert tuple(np.flatnonzero(_monomial_supports(rows[None], coef[None], n)[0])) == want
+    moves = rows ^ np.arange(1 << n)
+    assert tuple(np.flatnonzero(_monomial_supports(moves[None], coef[None], n)[0])) == want
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -1107,7 +1110,7 @@ def test_stacked_supports_match_the_dense_rule(stack):
     # holds forms that would need neither
     n, rows, coef = stack
     K = np.zeros((1 << n, 1 << n), dtype=np.complex128)
-    got = _monomial_supports(rows, coef, n)
+    got = _monomial_supports(rows ^ np.arange(1 << n), coef, n)
     for k in range(rows.shape[0]):
         K[:] = 0
         K[rows[k], np.arange(1 << n)] = coef[k]

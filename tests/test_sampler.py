@@ -1,6 +1,7 @@
 """Gibbs sampler channels: fixed points, locality, jump structure."""
 
 import inspect
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -52,6 +53,7 @@ from oracles import (
     dense_css_jumps,
     dense_css_kraus,
     dense_site_kraus,
+    explicit_rows,
     per_call_css_form,
     per_call_site_form,
     per_form_support,
@@ -373,9 +375,9 @@ def test_monomial_trace_check_with_shared_rows_goes_dense():
     # so the residual is taken from the dense operators
     basis = label_basis(ising_ring(2))
     half = np.sqrt(0.5)
-    rows = [[0, 0, 2, 3], [1, 1, 2, 3]]
+    rows = np.array([[0, 0, 2, 3], [1, 1, 2, 3]])
     coef = [[half, half, 1.0, 0.0], [half, -half, 0.0, 1.0]]
-    form = MonomialKraus(basis, rows, coef)
+    form = MonomialKraus(basis, rows ^ np.arange(4), coef)
     assert form.trace_residual() is None
     chan = KrausChannel(2, monomial=form)
     total = sum(K.conj().T @ K for K in chan.kraus)
@@ -384,8 +386,9 @@ def test_monomial_trace_check_with_shared_rows_goes_dense():
 
 @pytest.mark.parametrize("make", [steane7, lambda: toric(2)], ids=["steane7", "toric"])
 def test_css_move_tables_match_the_per_call_construction(make):
-    # the per-beta step over a kept table gives the rows, the coefficients
-    # (bit for bit) and the Kraus order of a construction from scratch
+    # the per-beta step over a kept table gives the rows (as moves
+    # rows ^ j), the coefficients (bit for bit) and the Kraus order of a
+    # construction from scratch
     fam = make()
     H = build_hamiltonian(fam)
     for beta in (0, 0.5, 1, 2, 400):
@@ -394,7 +397,7 @@ def test_css_move_tables_match_the_per_call_construction(make):
                 for flavor in ("X", "Z"):
                     form = css_metropolis_channel(H, beta, site, flavor, q).monomial
                     rows, coef = per_call_css_form(H, beta, site, flavor, q)
-                    assert np.array_equal(form.rows, rows)
+                    assert np.array_equal(explicit_rows(form.moves, form.basis.dim), rows)
                     assert form.coef.tobytes() == coef.tobytes()
 
 
@@ -425,7 +428,7 @@ def test_move_tables_are_kept_per_family_and_read_only():
         for fam, table in zip(fams, tables):
             H = build_hamiltonian(fam)
             rows, coef = per_call_css_form(H, 1.0, 0, "X")
-            assert np.array_equal(table[0], rows)
+            assert np.array_equal(explicit_rows(table[0], W.dim), rows)
 
 
 def test_gibbs_vector_is_computed_once_per_hamiltonian_and_beta(monkeypatch):
@@ -479,7 +482,7 @@ def site_schedules(draw):
 @example(case=(ising_ring(5), [0, 3, 3, 4], 0.0, 0.5))
 @example(case=(curie_weiss(4), [1, 1], 0.0, 1.0))
 def test_site_tables_match_the_per_call_construction(case):
-    # a schedule built from one move table per site list gives the rows,
+    # a schedule built from one move table per site list gives the masks,
     # coefficients, weights, Kraus order and chain sums of a per-call
     # build, bit for bit; its one-pass locality is the largest per-form
     # support and the largest support of the dense operators
@@ -490,7 +493,8 @@ def test_site_tables_match_the_per_call_construction(case):
     assert len(sched) == len(sites)
     for site, chan in zip(sites, sched):
         got, want = chan.monomial, per_call_site_form(H, beta, site, q)
-        assert got.rows.tobytes() == want.rows.tobytes()
+        assert got.moves.shape == (2, 1)
+        assert got.moves.tobytes() == want.moves.tobytes()
         # the per-call form is complex with exact-zero imaginary parts
         assert not want.coef.imag.any()
         assert got.coef.tobytes() == want.coef.real.tobytes()
@@ -500,12 +504,32 @@ def test_site_tables_match_the_per_call_construction(case):
     per_form = max(
         len(per_form_support(rows, coef, fam.n))
         for chan in sched
-        for rows, coef in zip(chan.monomial.rows, chan.monomial.coef)
+        for rows, coef in zip(explicit_rows(chan.monomial.moves, 1 << fam.n), chan.monomial.coef)
     )
     dense = max(len(_kraus_support(K, fam.n)) for chan in sched for K in chan.kraus)
     assert channel_locality(sched) == per_form == dense
     if beta == 0:
         assert channel_locality(sched) == 1
+
+
+def test_a_sweep_holds_masks_not_a_row_stack():
+    # ising_ring n=16, all 16 sites: the schedule keeps the (16, 2^16)
+    # uphill jumps and its (16, 2, 2^16) coefficients and weights, so the
+    # traced peak stays below those plus half of the int64 (16, 2, 2^16)
+    # row stack that explicit rows would hold; each form keeps its (2, 1)
+    # masks
+    n = 16
+    H = build_hamiltonian(ising_ring(n))
+    floats = n * (1 << n) * 8 * (1 + 2 + 2)
+    row_stack = n * 2 * (1 << n) * 8
+    tracemalloc.start()
+    try:
+        sched = sweep_schedule(H, 1.0, range(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < floats + row_stack // 2
+    assert all(chan.monomial.moves.shape == (2, 1) for chan in sched)
 
 
 def test_a_certified_channel_is_stepped_for_any_other_vector(monkeypatch):
