@@ -94,12 +94,13 @@ class TestStochasticMatrix:
         # a chain as its builder holds it ((k, 1) masks for the Glauber and
         # site chains, (k, dim) moves for the others) and the same chain
         # given to from_columns as explicit rows: the same matrix, step
-        # bits (flat and per entry row, whole and through cols), forbidden
+        # bits (whole and through cols; the Glauber and site chains are
+        # past _STEP_CHUNK whole and below it through cols), forbidden
         # entry and single-flip certificate
         if case == "glauber":
-            sm = GlauberTable(label_energies(REGISTRY["ising_ring"](8))).chain(1.0, 0.3)
+            sm = GlauberTable(label_energies(REGISTRY["ising_ring"](10))).chain(1.0, 0.3)
         elif case == "site":
-            H = build_hamiltonian(REGISTRY["ising_ring"](10))
+            H = build_hamiltonian(REGISTRY["ising_ring"](13))
             sm = metropolis_site_channel(H, 1.0, 3).monomial.chain
         elif case == "birth-death":
             sm = birth_death_metropolis(rng.dirichlet(np.ones(9)))
@@ -109,7 +110,9 @@ class TestStochasticMatrix:
         dim = sm.dim
         rows = StochasticMatrix.from_columns(explicit_rows(sm.moves, dim), sm.weights)
         assert rows.moves.shape == sm.weights.shape
-        assert sm.moves.shape == ((sm.weights.shape[0], 1) if case in ("glauber", "site") else sm.weights.shape)
+        masks = case in ("glauber", "site")
+        assert sm.moves.shape == ((sm.weights.shape[0], 1) if masks else sm.weights.shape)
+        assert sm.weights.size > _STEP_CHUNK or not masks
         assert (sm.mat != rows.mat).nnz == 0 and sm.mat.nnz == rows.mat.nnz
         p = rng.dirichlet(np.ones(dim))
         for cols in (None, np.flatnonzero(rng.random(dim) < 0.3), rng.permutation(dim)[: dim // 2]):
