@@ -46,7 +46,7 @@ from .errors import (
     NotFixedPoint,
     ZeroDelta,
 )
-from .markov import conditioned_drift, forbidden_entry
+from .markov import _block_sets, _forbidden_positions, _forbidden_top, conditioned_drift
 from .model import ThermalState, gibbs_state, spectrum, subspace_min_energy
 from .numerics import (
     THEOREM_SLACK,  # by name, so that bottleneck.THEOREM_SLACK resolves for callers
@@ -232,8 +232,7 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
             raise LocalityInsufficient(f"partition radius {r} below channel locality {loc}")
         part = partition_from_radius(V, r)
         mode = f"local(r={r})"
-    member = _label_blocks(basis, part) if p is not None else None
-    if member is None:
+    if p is None or _label_blocks(basis, part) is None:
         path = "dense"
         worst, delta, numerator, denominator, lhs, prob_B, prob_C = _dense_measures(
             channels, state.mat, part
@@ -241,7 +240,7 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
     else:
         path = "label"
         worst, delta, numerator, denominator, lhs, prob_B, prob_C = _label_measures(
-            [chan.monomial.chain for chan in channels], p, member
+            [chan.monomial.chain for chan in channels], p, part
         )
     bound = 10.0 * delta * len(channels)
     if lhs > bound + THEOREM_SLACK:
@@ -278,17 +277,23 @@ def _label_blocks(basis, part):
     return block if W.same_as(basis) else None
 
 
-def _label_measures(chains, p, member):
-    """Kraus condition, Delta pieces, drift and block weights of the
-    label chains, from markov's exact-zero check and conditioned_drift."""
+def _label_measures(chains, p, part):
+    """Kraus condition, Delta pieces, drift and block weights of the label
+    chains, from markov's exact-zero check and conditioned_drift (part.kept)."""
     for sm in chains:
-        top, offending = forbidden_entry(sm, member)
+        top, offending = _forbidden_top(sm, part.kept(_kept_positions, sm.moves.shape, sm.moves.tobytes()))
         if offending is not None:
-            raise ConditionViolated(
-                f"Kraus condition: forbidden weight {top:.3e} at {offending}"
-            )
-    denominator, prob_B, prob_C, lhs = conditioned_drift(chains, member, p)
+            raise ConditionViolated(f"Kraus condition: forbidden weight {top:.3e} at {offending}")
+    denominator, prob_B, prob_C, lhs = conditioned_drift(chains, None, p, part.kept(_kept_sets))
     return 0.0, prob_B / denominator, prob_B, denominator, lhs, prob_B, prob_C
+
+
+def _kept_positions(part, shape, raw):  # of int64 moves held as bytes
+    return _forbidden_positions(np.frombuffer(raw, dtype=np.int64).reshape(shape), part.labels[1])
+
+
+def _kept_sets(part):
+    return _block_sets(part.labels[1])
 
 
 def _dense_measures(channels, mat, part):

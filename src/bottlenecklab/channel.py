@@ -14,7 +14,7 @@ one nonzero per column of T_m. A state diagonal in W is then a label
 probability vector, and the channel acts on it as a classical chain:
 ``MonomialKraus.chain`` is the markov.StochasticMatrix whose entry m of
 column j moves |coef[m, j]|^2 to j ^ moves[m, j], the forms' own arrays
-in markov's layout ((k, 1) masks for site channels, (k, dim) CSS moves).
+in markov's layout, (k, 1) masks for the sampler's site and CSS channels.
 Every label step, fixed-point residual and drift runs through it. Trace
 preservation is checked on the chain's column sums at construction (on
 the dense operators when some T_m has two nonzeros in one row). The
@@ -60,11 +60,12 @@ class KrausChannel:
     which built the channel checked it to fix, set after construction.
     """
 
+    fixes = None
+
     def __init__(self, n, kraus=None, quasi_local_certificate=None, monomial=None):
         self.n = n
         self.quasi_local_certificate = quasi_local_certificate
         self.monomial = monomial
-        self._kraus = self.fixes = None
         if monomial is not None:
             if monomial.basis.n != n:
                 got = monomial.basis.n
@@ -81,7 +82,7 @@ class KrausChannel:
                 if K.shape != (self.dim, self.dim):
                     raise DimensionMismatch(f"Kraus shape {K.shape} does not match 2^{n}")
                 ops.append(K)
-            self._kraus = ops
+            self.kraus = ops
             resid = _trace_residual(ops, self.dim)
         if resid > tol.KRAUS_TRACE_TOL:
             raise NotTracePreserving(f"sum of K†K deviates from identity by {resid:.3e}")
@@ -90,22 +91,19 @@ class KrausChannel:
     def dim(self):
         return 1 << self.n
 
-    @property
+    @functools.cached_property
     def kraus(self):
         """Dense Kraus operators, built from the monomial form on first read."""
-        if self._kraus is None:
-            self._kraus = self.monomial.dense()
-        return self._kraus
+        return self.monomial.dense()
 
 
 def _trusted_channel(basis, moves, coef, weights):
     """KrausChannel of the form (moves, coef, weights = |coef|^2) over
-    basis with no checks, for a caller that made them on a stack of forms."""
+    basis with no checks, for a sampler that makes them on its own forms."""
     form = object.__new__(MonomialKraus)
     form.basis, form.moves, form.coef, form.weights = basis, moves, coef, weights
     chan = object.__new__(KrausChannel)
     chan.n, chan.monomial, chan.quasi_local_certificate = basis.n, form, None
-    chan._kraus = chan.fixes = None
     return chan
 
 
@@ -154,11 +152,12 @@ class MonomialKraus:
     def trace_residual(self):
         """max |sum_m |coef_m|^2 - 1|, or None when some T_m has two
         nonzeros in one row (T_m† T_m is then not diagonal): one count of
-        the nonzero rows of every T_m, T_m's in slots m*dim + row."""
+        the nonzero rows of every T_m in slots m*dim + row; masks need none."""
         k, dim = self.coef.shape
-        slots = ((_index(dim) ^ self.moves) + dim * np.arange(k)[:, None])[self.coef != 0]
-        if np.bincount(slots, minlength=k * dim).max(initial=0) > 1:
-            return None
+        if self.moves.shape[1] > 1:
+            slots = ((_index(dim) ^ self.moves) + dim * np.arange(k)[:, None])[self.coef != 0]
+            if np.bincount(slots, minlength=k * dim).max(initial=0) > 1:
+                return None
         return float(np.abs(self.weights.sum(axis=0) - 1.0).max())
 
     def dense(self):
@@ -263,8 +262,10 @@ def channel_locality(C):
     real = not any(np.iscomplexobj(f.coef) and f.coef.imag.any() for f in forms)
     block = max(1, _STACK_ENTRIES // forms[0].coef.size) if forms else 1
     for lo in range(0, len(forms), block):
-        moves = np.concatenate([np.broadcast_to(f.moves, f.coef.shape) for f in forms[lo : lo + block]])
-        coef = np.concatenate([f.coef.real if real else f.coef for f in forms[lo : lo + block]])
+        stack = forms[lo : lo + block]
+        wide = any(f.moves.shape[1] > 1 for f in stack)  # else (K, 1) masks
+        moves = np.concatenate([np.broadcast_to(f.moves, f.coef.shape) if wide else f.moves for f in stack])
+        coef = np.concatenate([f.coef.real if real else f.coef for f in stack])
         sizes.append(int(_monomial_supports(moves, coef, forms[0].basis.n).sum(axis=1).max()))
     return max(sizes)
 

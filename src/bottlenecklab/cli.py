@@ -217,6 +217,9 @@ _MAX_STEPS = 1 << 20
 _SITE_MAX_BITS = 20
 _TAIL_MAX_BITS = 12
 _SWEEP_MAX_BITS = 13
+# The most channel applications of a CSS point, which runs dense, up to n=8;
+# 8-fold fewer per qubit past it (at the bound: 7.2-7.6 s on toric, n=8).
+_DENSE_MAX_APPLICATIONS = 256
 
 
 _BARRIER_SCHEMA = {
@@ -446,8 +449,13 @@ def _quantum_setup(vals):
         if site >= checks.n:
             _fail(f"sites[{i}]", site, f"a qubit of the {checks.n}-qubit register")
     _check_shell("partition_radius", vals["partition_radius"], checks.n)
-    if not checks.is_classical and "flavors" not in vals:
-        raise ConfigInvalid('models with X checks need "flavors" (e.g. ["X"])')
+    if not checks.is_classical:
+        if "flavors" not in vals:
+            raise ConfigInvalid('models with X checks need "flavors" (e.g. ["X"])')
+        most = _DENSE_MAX_APPLICATIONS >> 3 * max(checks.n - 8, 0)
+        sweep = len(vals.get("sites", range(checks.n))) * len(vals["flavors"])
+        if (got := vals.get("repetitions", 1) * sweep + vals.get("horizon", 0)) > most:
+            _fail("repetitions x sites x flavors + horizon", got, f"at most {most} at n = {checks.n} (dense CSS)")
     H = build_hamiltonian(checks)
     V = hamming_ball_subspace(checks.n, sub["centers"], sub["radius"])
     return checks, label, H, V

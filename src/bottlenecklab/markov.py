@@ -4,9 +4,9 @@ Matrices are column-stochastic: entry [i, j] is the probability of moving
 j -> i, so the chain acts on column probability vectors as pi' = M @ pi.
 Every chain is held in one op-major layout: (k, dim) weights and integer
 moves broadcastable against them, entry k of column j moving weights[k, j]
-to j ^ moves[k, j]: a (k, 1) column of masks for a single-bit-flip chain
-(1 << b, and 0 to stay), else (k, dim) moves, rows ^ j for explicit rows
-(``from_columns``). A target may repeat inside a column, and the weights
+to j ^ moves[k, j]: a (k, 1) column of masks for the Glauber, site and CSS
+chains (one shift per entry row, 0 to stay), else (k, dim) moves, rows ^ j
+for explicit rows (``from_columns``). A target may repeat inside a column, and the weights
 of a repeated target add; short columns are padded with zero weights. This is the layout of a
 monomial Kraus form (channel.MonomialKraus), whose chain on label
 probabilities is the same two arrays with weights |coef|^2, so the
@@ -87,9 +87,8 @@ __all__ = [
 # 461-469, n=21 5.0-7.4 s and 917-937 (its uphill jumps and one beta's
 # weights are 336 and 352 MiB).
 _GLAUBER_MAX_BITS = 21
-# The most entries of a form that StochasticMatrix.step reads at once:
-# 64 KiB of float64, below glibc's default 128 KiB mmap threshold, so the
-# chunk temporaries reuse heap pages instead of faulting in fresh ones.
+# The most entries StochasticMatrix.step reads by one flat bincount; past it (k, 1) masks
+# gather row by row (ising_ring Glauber steps, n=6: 3.8 us flat, 15.7 gathered; n=11: 73, 65).
 _STEP_CHUNK = 1 << 13
 
 
@@ -130,7 +129,7 @@ class StochasticMatrix:
         moves.setflags(write=False)
         weights.setflags(write=False)
         self = cls.__new__(cls)
-        self.moves, self.weights, self._mat = moves, weights, None
+        self.moves, self.weights = moves, weights
         return self
 
     def _check_weights(self):
@@ -146,43 +145,47 @@ class StochasticMatrix:
     def dim(self):
         return self.weights.shape[1]
 
-    @property
+    @functools.cached_property
     def mat(self):
         """The chain as a scipy CSC array, formed on first read."""
-        if self._mat is None:
-            from scipy import sparse
+        from scipy import sparse
 
-            cols = np.broadcast_to(np.arange(self.dim), self.weights.shape)
-            coo = sparse.coo_array(
-                (self.weights.ravel(), ((cols ^ self.moves).ravel(), cols.ravel())),
-                shape=(self.dim, self.dim),
-            )
-            coo.sum_duplicates()
-            self._mat = coo.tocsc()
-        return self._mat
+        cols = np.broadcast_to(np.arange(self.dim), self.weights.shape)
+        coo = sparse.coo_array(
+            (self.weights.ravel(), ((cols ^ self.moves).ravel(), cols.ravel())),
+            shape=(self.dim, self.dim),
+        )
+        coo.sum_duplicates()
+        return coo.tocsc()
 
     def step(self, p, cols=None):
         """M @ p. When cols is given, p is zero outside those columns and
         only they are read; ascending cols give a whole step's bits, as
         the others add exact zeros. One flat bincount over the targets
-        j ^ moves up to _STEP_CHUNK entries read; past it, entry row by entry
-        row over that many columns at a time, in that order: the same bits."""
+        j ^ moves up to _STEP_CHUNK entries read, and for (k, dim) moves;
+        past it (k, 1) masks gather row by row, out[j] += (w p)[j ^ c] through
+        _xor_views, cols or not: each target adds in k order, the same bits."""
         k, dim = self.weights.shape
-        n = dim if cols is None else len(cols)
-        if k * n <= _STEP_CHUNK:
-            if cols is None:
-                targets, scaled = _index(dim) ^ self.moves, self.weights * p
-            else:  # wrap mode reads a (k, 1) column's one mask for every j
-                targets = cols ^ np.take(self.moves, cols, axis=1, mode="wrap")
-                scaled = self.weights[:, cols] * p[cols]
-            return np.bincount(targets.ravel(), scaled.ravel(), minlength=dim)
-        chunks = [slice(lo, lo + _STEP_CHUNK) for lo in range(0, n, _STEP_CHUNK)]
-        chunks = chunks if cols is None else [cols[at] for at in chunks]
-        idx, out = _index(dim), np.zeros(dim)
-        for c, w in zip(np.broadcast_to(self.moves, self.weights.shape), self.weights):
-            for at in chunks:
-                np.add.at(out, idx[at] ^ c[at], w[at] * p[at])
-        return out
+        if k * (dim if cols is None else len(cols)) > _STEP_CHUNK and self.moves.shape[1] == 1:
+            out = np.zeros(dim)
+            for w, (shape, flip) in zip(self.weights, self._xor_views):
+                at = out.reshape(shape)
+                at += (w * p).reshape(shape)[flip]
+            return out
+        if cols is None:
+            targets, scaled = _index(dim) ^ self.moves, self.weights * p
+        else:  # wrap mode reads a (k, 1) column's one mask for every j
+            targets = cols ^ np.take(self.moves, cols, axis=1, mode="wrap")
+            scaled = self.weights[:, cols] * p[cols]
+        return np.bincount(targets.ravel(), scaled.ravel(), minlength=dim)
+
+    @functools.cached_property
+    def _xor_views(self):
+        """(shape, flip) per mask c, so that v.reshape(shape)[flip] is v[j ^ c]:
+        one axis per bit, the top one first, reversed where c has the bit."""
+        n, flips = self.dim.bit_length() - 1, (slice(None), slice(None, None, -1))
+        masks = self.moves[:, 0].tolist()
+        return [((2,) * n, tuple(flips[c >> b & 1] for b in range(n - 1, -1, -1))) for c in masks]
 
     def residual(self, p):
         """||M p - p||_1: zero when p is a fixed point."""
@@ -295,52 +298,48 @@ def forbidden_entry(sm, label):
     return _forbidden_top(sm, _forbidden_positions(sm.moves, label))
 
 
-_NO_POSITIONS = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
-
-
 def _forbidden_positions(moves, label):
     """(columns, positions) of the forbidden entries of a form with these
     moves, in column order; they depend on the moves and the blocks alone."""
     to = label[_index(label.size) ^ moves]
     forbidden = ((label == 0) & (to >= 2)) | ((label == 3) & (to <= 1))
-    if not forbidden.any():
-        return _NO_POSITIONS
-    # the transposed view runs column by column, so a tie goes to the first column
-    return np.nonzero(forbidden.T)
+    # transposed: column by column, a tie to the first; none when empty (strided nonzero is slow)
+    return np.nonzero(forbidden.T if forbidden.any() else forbidden[:0])
 
 
 def _forbidden_top(sm, forbidden):
     """forbidden_entry of a chain from its forbidden positions."""
     cols, pos = forbidden
-    if cols.size == 0:
-        return 0.0, None
     vals = sm.weights[pos, cols]
-    at = int(np.argmax(vals))
-    top = float(vals[at])
+    top = float(vals.max(initial=0.0))
     if top == 0.0:
         return 0.0, None
+    at = int(np.argmax(vals))
     return top, (int(cols[at] ^ np.take(sm.moves[pos[at]], cols[at], mode="wrap")), int(cols[at]))
 
 
-def conditioned_drift(chains, label, pi):
+def conditioned_drift(chains, label, pi, sets=None):
     """(pi(A), pi(B), pi(C), ||M_t ... M_1 pi_A - pi_A||_1) for one block
-    label per state (0 for A, 1 and 2 for B, 3 for C) and pi_A the law pi
-    conditioned on A, carried through the chains in order. pi(A) at or
-    below EMPTY_WEIGHT_TOL raises EmptyA, as an empty quantum A block
-    does. The first step reads A's columns only, or the whole chain when
-    they are more than a third of it: cheaper, and the same bits."""
-    in_A = label == 0
-    pA = float(pi[in_A].sum())
-    pB = float(pi[(label == 1) | (label == 2)].sum())
-    pC = float(pi[label == 3].sum())
+    label per state (0 for A, 1 and 2 for B, 3 for C), or sets, its kept
+    _block_sets, and pi_A the law pi conditioned on A, carried through the
+    chains in order. pi(A) at or below EMPTY_WEIGHT_TOL raises EmptyA, as
+    an empty quantum A block does. The first step reads A's columns only,
+    or the whole chain past a third of it: cheaper, and the same bits."""
+    in_A, in_B, in_C, cols = _block_sets(label) if sets is None else sets
+    pA, pB, pC = (float(pi[s].sum()) for s in (in_A, in_B, in_C))
     if pA <= tol.EMPTY_WEIGHT_TOL:
         raise EmptyA(f"pi(A) = {pA:.3e}")
     piA = np.where(in_A, pi, 0.0) / pA
-    cols = np.flatnonzero(in_A)
     evolved = chains[0].step(piA, cols if 3 * cols.size <= len(pi) else None)
     for sm in chains[1:]:
         evolved = sm.step(evolved)
     return pA, pB, pC, float(np.abs(evolved - piA).sum())
+
+
+def _block_sets(label):
+    """The masks of A, B (B1 and B2) and C, and A's columns: the drift's."""
+    in_A = label == 0
+    return in_A, (label == 1) | (label == 2), label == 3, np.flatnonzero(in_A)
 
 
 @dataclass

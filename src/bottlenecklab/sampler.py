@@ -11,8 +11,8 @@ checks. None of that depends on beta, so it is one move table per
 family, site and flavor, kept on the label basis (flips: per site list,
 on H); a beta only adds the amplitudes sqrt(q min(1, e^{-beta omega}))
 of the jump operators sigma P_omega, filled column by column without any
-dense product. In markov's XOR layout a flip keeps (2, 1) masks (its
-bit, then 0 to stay) and a CSS move (k, dim) moves. Before returning,
+dense product. In markov's XOR layout both keep (k, 1) masks: a flip's
+bit, or a CSS move's label shift per jump, then 0 to stay. Before returning,
 construction checks on label vectors that the channel is trace
 preserving and fixes exactly the Gibbs vector
 H.gibbs keeps for beta, which it then carries (KrausChannel.fixes). The
@@ -24,7 +24,7 @@ vector to H0; an H0 without labels over that basis is refused.
 import numpy as np
 
 from . import numerics as tol
-from .channel import _STACK_ENTRIES, KrausChannel, MonomialKraus, _trusted_channel
+from .channel import _STACK_ENTRIES, _trusted_channel
 from .errors import EmptySchedule, NotCommuting, NotDiagonal, NotFixedPoint, NotTracePreserving
 from .model import label_basis
 from .pauli import mask_from_indices, popcount
@@ -125,13 +125,16 @@ def css_metropolis_channel(H0, beta, site, flavor, attempt_prob=DEFAULT_ATTEMPT)
         raise NotDiagonal("H0 carries no syndrome energies over the label basis of its checks")
     moves, phase, omega, cls = W.kept(_move_table, fam, site, flavor)
     accept = attempt_prob * np.minimum(1.0, np.exp(-beta * np.maximum(omega, 0)))
-    coef = np.zeros(moves.shape, dtype=np.complex128)
+    coef = np.zeros((len(moves), W.dim), dtype=np.complex128)
     coef[cls, np.arange(W.dim)] = np.sqrt(accept)[cls] * phase
     coef[-1] = np.sqrt(1.0 - accept)[cls]
-    form = MonomialKraus(W, moves, coef)
-    chan = KrausChannel(n, monomial=form)
+    # the table's masks are in range and make sum_m T_m^dag T_m the column sums
+    chan = _trusted_channel(W, moves, coef, np.abs(coef) ** 2)
+    resid = chan.monomial.trace_residual()
+    if resid > tol.KRAUS_TRACE_TOL:
+        raise NotTracePreserving(f"sum of K†K deviates from identity by {resid:.3e}")
     p = H0.gibbs(beta)[0]
-    resid = form.chain.residual(p)
+    resid = chan.monomial.chain.residual(p)
     if resid > tol.GIBBS_FIXED_POINT_TOL:
         raise NotFixedPoint(f"Gibbs residual {resid:.3e} on site {site} flavor {flavor}")
     chan.fixes = p
@@ -139,11 +142,11 @@ def css_metropolis_channel(H0, beta, site, flavor, attempt_prob=DEFAULT_ATTEMPT)
 
 
 def _move_table(W, fam, site, flavor):
-    """The move table of a CSS flip, which the family fixes at every beta:
-    the (k, dim) Kraus moves (col ^ j for the image col of sigma once per
-    distinct jump, then 0 for the stay operator), the image's phases, the
-    distinct jumps omega ascending, and the class in omega of every
-    label. Kept on W per family, site and flavor (LabelBasis.kept)."""
+    """The move table of a CSS flip, fixed by the family at every beta: the
+    (k, 1) Kraus masks (sigma's label shift once per distinct jump, then 0
+    to stay; W.index is linear in the bits, so one shift moves every label,
+    else NotCommuting), the image's phases, the distinct jumps omega
+    ascending, and every label's class in omega. Kept on W (LabelBasis.kept)."""
     n = fam.n
     bit = 1 << (n - 1 - site)
     if flavor == "X":
@@ -152,13 +155,16 @@ def _move_table(W, fam, site, flavor):
     else:
         col, phase = W.pauli_image(0, bit)
         opposing, labels = fam.x_checks, W.z
+    shift = col ^ np.arange(W.dim)
+    if (shift != shift[0]).any():
+        raise NotCommuting(f"the {flavor} flip at site {site} moves the labels by no one XOR mask")
     jump = np.zeros(W.dim, dtype=np.int64)
     for supp in opposing:
         if site in supp:
             mask = np.uint64(mask_from_indices(n, supp))
             jump += 1 - 2 * (popcount(labels & mask) & 1)
     omega, cls = np.unique(jump, return_inverse=True)
-    moves = np.vstack([np.tile(col ^ np.arange(W.dim), (omega.size, 1)), np.zeros(W.dim, dtype=np.int64)])
+    moves = np.append(np.full(omega.size, shift[0]), 0)[:, None]
     return moves, phase, omega, cls
 
 

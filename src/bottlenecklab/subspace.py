@@ -295,9 +295,10 @@ class HilbertPartition:
             raise BadPartition("block labels must be 0..3")
         block = block.astype(np.int8)
         block.setflags(write=False)
-        self.labels = (W, block)
+        self.labels, self._kept = (W, block), {}
 
     A, B1, B2, C = map(_block_subspace, range(4))
+    kept = LabelBasis.kept  # what the label path reads of the blocks alone
 
     def b_projector(self):
         """Projector on the combined buffer B1 + B2."""

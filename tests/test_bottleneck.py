@@ -1,6 +1,7 @@
 """Bottleneck ratio, drift theorem, mixing lower bounds, free-energy bounds."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -36,7 +37,10 @@ from bottlenecklab.errors import (
 )
 from bottlenecklab.markov import (
     GlauberTable,
+    _block_sets,
+    _forbidden_positions,
     classical_bottleneck_report,
+    forbidden_entry,
 )
 from bottlenecklab.model import (
     REGISTRY,
@@ -633,6 +637,42 @@ def test_classical_label_path_matches_dense_oracle(label):
     for beta in ORACLE_BETAS:
         rho, _, _ = gibbs_state(H, beta)
         check_schedule_against_oracle(sweep_schedule(H, beta, range(checks.n)), rho, part)
+
+
+@pytest.mark.parametrize("label", ["steane7", "toric"])
+def test_positions_kept_on_a_partition_match_a_fresh_search(rng, label):
+    # the label path keeps the forbidden positions of each distinct moves
+    # array, and the drift's block sets, on the partition: both betas of a
+    # (site, flavor) share one entry, and every entry is the fresh search's;
+    # on random block labels the positions are not empty, and each chain's
+    # condition is the fresh check's
+    checks = REGISTRY[label]()
+    H = build_hamiltonian(checks)
+    W = label_basis(checks)
+    ball = css_ball_partition(checks, H)
+    scrambled = HilbertPartition(W, rng.integers(0, 4, W.dim))
+    chains = {}
+    for beta in (1.0, 2.0):
+        rho, _, _ = gibbs_state(H, beta)
+        for site in range(checks.n):
+            for flavor in ("X", "Z"):
+                chan = css_metropolis_channel(H, beta, site, flavor)
+                verify_bottleneck_theorem(chan, rho, ball)
+                sm = chains[beta, site, flavor] = chan.monomial.chain
+                top, offending = forbidden_entry(sm, scrambled.labels[1])
+                with pytest.raises(ConditionViolated, match=re.escape(f"{top:.3e} at {offending}")):
+                    bottleneck._label_measures([sm], label_weights(rho, W), scrambled)
+                assert sm.moves is chains[1.0, site, flavor].moves
+    for part in (ball, scrambled):
+        kept = {key[2]: v for key, v in part._kept.items() if key[0] is bottleneck._kept_positions}
+        assert set(kept) == {sm.moves.tobytes() for sm in chains.values()}
+        assert len(kept) <= 2 * checks.n
+        for sm in chains.values():
+            for got, want in zip(kept[sm.moves.tobytes()], _forbidden_positions(sm.moves, part.labels[1])):
+                assert np.array_equal(got, want) and not got.flags.writeable
+        assert any(cols.size for cols, _ in kept.values()) == (part is scrambled)
+    for got, want in zip(ball.kept(bottleneck._kept_sets), _block_sets(ball.labels[1])):
+        assert np.array_equal(got, want)
 
 
 def test_local_mode_runs_on_the_label_path():

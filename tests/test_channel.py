@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bottlenecklab import channel
 from bottlenecklab.channel import (
     KrausChannel,
     MonomialKraus,
@@ -227,7 +228,8 @@ class TestQuasiLocalMixture:
 def monomial_forms(draw):
     """Monomial forms over the identity basis of 1 to 3 qubits: random rows
     and coefficients, some zero or tiny, then a few entries overwritten
-    to force two columns of one operator onto one row."""
+    to force two columns of one operator onto one row; or random (k, 1)
+    masks with such coefficients."""
     n = draw(st.integers(1, 3))
     dim = 1 << n
     k = draw(st.integers(1, 4))
@@ -236,6 +238,8 @@ def monomial_forms(draw):
     rows = np.array([rng.permutation(dim) for _ in range(k)])
     scale = rng.choice([0.0, 1e-200, 1.0], size=(k, dim), p=[0.2, 0.1, 0.7])
     coef = scale * (rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))) / np.sqrt(k)
+    if draw(st.booleans()):
+        return MonomialKraus(identity_basis(n), rng.integers(0, dim, (k, 1)), coef)
     for _ in range(draw(st.integers(0, 3))):
         m, i, j = rng.integers(k), rng.integers(dim), rng.integers(dim)
         rows[m, i] = rows[m, j]
@@ -250,3 +254,23 @@ def test_one_pass_trace_residual_matches_the_per_operator_count(form):
     assert (got is None) == (want is None)
     if want is not None:
         assert got == want
+
+
+def test_a_block_of_mask_forms_is_stacked_as_masks(monkeypatch):
+    # channel_locality hands a block whose forms all hold (k, 1) masks to
+    # the support pass as (K, 1) masks, not widened to (K, 2^n); a block
+    # with a (k, dim) form is widened, and each gives its largest support
+    seen = []
+    real = channel._monomial_supports
+
+    def spied(moves, coef, n):
+        seen.append(moves.shape)
+        return real(moves, coef, n)
+
+    monkeypatch.setattr(channel, "_monomial_supports", spied)
+    basis, half = identity_basis(3), np.full(8, SQ)
+    masks = [KrausChannel(3, monomial=MonomialKraus(basis, [[c], [0]], [half, half])) for c in (0b100, 0b011)]
+    assert channel_locality(masks) == 2 and seen == [(4, 1)]
+    cycle = (np.arange(8) + 1) % 8
+    wide = KrausChannel(3, monomial=MonomialKraus(basis, [cycle ^ np.arange(8)], [np.ones(8)]))
+    assert channel_locality(masks + [wide]) == 3 and seen[1:] == [(5, 8)]

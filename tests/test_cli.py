@@ -837,6 +837,39 @@ def test_quantum_config_past_the_register_rejected(tmp_path, monkeypatch, subcom
     assert_config_rejected(out, key)
 
 
+SHOR9 = "n: 9\nZ: 0 1\nZ: 1 2\nZ: 3 4\nZ: 4 5\nZ: 6 7\nZ: 7 8\nX: 0 1 2 3 4 5\nX: 3 4 5 6 7 8\n"
+VQ_STEANE = {key: MC_STEANE[key] for key in ("model", "flavors", "subspace", "partition_radius")}
+
+
+@pytest.mark.parametrize(
+    "subcommand,cfg,word",
+    [
+        # the FOUND case: 256 sweeps of steane7's 7 sites took 10.1 s
+        ("mixing-compare", dict(MC_STEANE, repetitions=256), "at most 256 at n = 7 (dense CSS), got 1802"),
+        ("mixing-compare", dict(MC_STEANE, horizon=250), "at most 256 at n = 7 (dense CSS), got 257"),
+        ("mixing-compare", dict(MC_STEANE, horizon=2**20), "got 1048583"),
+        ("verify-quantum", dict(VQ_STEANE, betas=[1.0], flavors=["X", "Z"], repetitions=19), "got 266"),
+        ("verify-quantum", dict(VQ_STEANE, model="toric", betas=[1.0], repetitions=33), "at most 256 at n = 8 (dense CSS), got 264"),
+        ("verify-quantum", dict(VQ_STEANE, checks_file="shor9.txt", betas=[1.0], repetitions=4), "at most 32 at n = 9 (dense CSS), got 36"),
+    ],
+)
+def test_css_schedule_past_its_run_time_bound_rejected(tmp_path, monkeypatch, subcommand, cfg, word):
+    # a CSS point runs dense, so its channel applications are bounded by
+    # what finishes in 10 s, before anything is built; at the bound the
+    # build starts
+    (tmp_path / "shor9.txt").write_text(SHOR9)
+    if "checks_file" in cfg:
+        cfg = {k: v for k, v in cfg.items() if k != "model"}
+        cfg["checks_file"] = str(tmp_path / cfg["checks_file"])
+    monkeypatch.setattr(cli, "build_hamiltonian", _refuse)
+    code, out = run(subcommand, cfg, tmp_path)
+    assert code == 2
+    assert_config_rejected(out, word)
+    at_bound = dict(cfg, repetitions=1, horizon=249) if subcommand == "mixing-compare" else dict(cfg, repetitions=1)
+    with pytest.raises(AssertionError, match="a matrix was built"):
+        run(subcommand, at_bound, tmp_path, "at_bound")
+
+
 @pytest.mark.parametrize(
     "cfg,word",
     [

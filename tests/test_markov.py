@@ -89,19 +89,24 @@ class TestStochasticMatrix:
         assert np.array_equal(sm.step(sparse_p, support), sm.step(sparse_p))
         assert not sm.moves.flags.writeable and not sm.weights.flags.writeable
 
-    @pytest.mark.parametrize("case", ["glauber", "site", "birth-death", "steane7"])
+    @pytest.mark.parametrize("case", ["glauber", "site", "masks", "birth-death", "steane7"])
     def test_mask_chain_matches_its_explicit_rows(self, rng, case):
-        # a chain as its builder holds it ((k, 1) masks for the Glauber and
-        # site chains, (k, dim) moves for the others) and the same chain
-        # given to from_columns as explicit rows: the same matrix, step
-        # bits (whole and through cols; the Glauber and site chains are
-        # past _STEP_CHUNK whole and below it through cols), forbidden
-        # entry and single-flip certificate
+        # a chain as its builder holds it ((k, 1) masks for the Glauber,
+        # site and CSS chains and random many-bit masks, (k, dim) moves for
+        # the birth-death chain) and the same chain given to from_columns as
+        # explicit rows: the same matrix, step bits (whole and through cols;
+        # the Glauber, site and random-mask chains gather through XOR views
+        # past _STEP_CHUNK, whole and through all but three columns, and
+        # take the flat bincount below it through the other cols),
+        # forbidden entry and single-flip certificate
         if case == "glauber":
             sm = GlauberTable(label_energies(REGISTRY["ising_ring"](10))).chain(1.0, 0.3)
         elif case == "site":
             H = build_hamiltonian(REGISTRY["ising_ring"](13))
             sm = metropolis_site_channel(H, 1.0, 3).monomial.chain
+        elif case == "masks":
+            masks, weights = rng.integers(0, 1 << 12, (5, 1)), rng.dirichlet(np.ones(5), 1 << 12).T
+            sm = StochasticMatrix._trusted(masks, weights)
         elif case == "birth-death":
             sm = birth_death_metropolis(rng.dirichlet(np.ones(9)))
         else:
@@ -110,13 +115,16 @@ class TestStochasticMatrix:
         dim = sm.dim
         rows = StochasticMatrix.from_columns(explicit_rows(sm.moves, dim), sm.weights)
         assert rows.moves.shape == sm.weights.shape
-        masks = case in ("glauber", "site")
-        assert sm.moves.shape == ((sm.weights.shape[0], 1) if masks else sm.weights.shape)
-        assert sm.weights.size > _STEP_CHUNK or not masks
+        k = sm.weights.shape[0]
+        assert sm.moves.shape == (sm.weights.shape if case == "birth-death" else (k, 1))
+        past = case in ("glauber", "site", "masks")
+        assert k * (dim - 3) > _STEP_CHUNK or not past
         assert (sm.mat != rows.mat).nnz == 0 and sm.mat.nnz == rows.mat.nnz
         p = rng.dirichlet(np.ones(dim))
-        for cols in (None, np.flatnonzero(rng.random(dim) < 0.3), rng.permutation(dim)[: dim // 2]):
-            assert sm.step(p, cols).tobytes() == rows.step(p, cols).tobytes()
+        some, most = np.flatnonzero(rng.random(dim) < 0.3), np.flatnonzero(rng.permutation(dim) >= 3)
+        for cols in (None, some, rng.permutation(dim)[: dim // 2], most):
+            q = p if cols is None else np.where(np.isin(np.arange(dim), cols), p, 0.0)
+            assert sm.step(q, cols).tobytes() == rows.step(q, cols).tobytes()
         for label in (rng.integers(0, 4, dim), np.minimum(np.arange(dim) * 4 // dim, 3)):
             assert forbidden_entry(sm, label) == forbidden_entry(rows, label)
         assert sm.single_flip_certified() == rows.single_flip_certified() == (case == "glauber")
@@ -526,7 +534,7 @@ class TestGlauberTable:
 class TestResidual:
     @pytest.mark.parametrize("m", [12, 14, 16])
     def test_chunked_sum_matches_the_full_step(self, rng, m):
-        # past _STEP_CHUNK the step scatters entry row by entry row in the
+        # past _STEP_CHUNK the step gathers entry row by entry row in the
         # flat order, so the residual is the step's to the last bit (well
         # within the k * dim units of rounding that another order allows)
         E = label_energies(REGISTRY["ising_ring"](m))
@@ -540,10 +548,10 @@ class TestResidual:
 
     def test_chunked_step_matches_the_flat_bincount(self, rng):
         # a form past _STEP_CHUNK, read whole or through cols, is summed
-        # by one scatter per entry row in the order of one flat bincount
-        # over the gathered form, so the bits are that bincount's; the
-        # random form repeats rows within and across entry rows, where
-        # another order would differ
+        # in the order of one flat bincount over the gathered form (the
+        # Glauber masks by one XOR-view gather per entry row), so the bits
+        # are that bincount's; the random form repeats rows within and
+        # across entry rows, where another order would differ
         E = label_energies(REGISTRY["ising_ring"](14))
         k, dim = 9, 1 << 13
         forms = [
@@ -593,7 +601,7 @@ class TestResidual:
 
     def test_law_moved_at_one_state_is_not_stationary(self):
         # 1e-9 more at the ground state, renormalized, at n=16: the
-        # chunked residual still sees it
+        # gathered residual still sees it
         E = label_energies(REGISTRY["ising_ring"](16))
         pi, _ = gibbs_weights(E, 0.5)
         moved = pi.copy()

@@ -25,7 +25,7 @@ from bottlenecklab.errors import (
     NotTracePreserving,
 )
 from bottlenecklab.markov import StochasticMatrix
-from bottlenecklab import model
+from bottlenecklab import model, sampler
 from bottlenecklab.model import (
     CheckFamily,
     Hamiltonian,
@@ -48,7 +48,7 @@ from bottlenecklab.sampler import (
     metropolis_site_channel,
     sweep_schedule,
 )
-from bottlenecklab.subspace import hamming_ball_subspace, partition_from_radius
+from bottlenecklab.subspace import LabelBasis, hamming_ball_subspace, partition_from_radius
 from oracles import (
     dense_css_jumps,
     dense_css_kraus,
@@ -57,6 +57,7 @@ from oracles import (
     per_call_css_form,
     per_call_site_form,
     per_form_support,
+    per_operator_trace_residual,
     validate_channel,
 )
 
@@ -281,9 +282,66 @@ def test_css_channel_densifies_to_the_projector_products(label):
                 chan = css_metropolis_channel(H0, beta, site, flavor)
                 assert chan.monomial.basis.same_as(label_basis(fam))
                 ref = dense_css_kraus(jumps, beta)
-                assert len(chan.kraus) == len(ref)
+                assert len(chan.kraus) == len(ref) and chan.monomial.moves.shape == (len(ref), 1)
                 for K, R in zip(chan.kraus, ref):
                     assert np.abs(K - R).max() <= 1e-14
+
+
+@pytest.mark.parametrize("make", [steane7, toric], ids=["steane7", "toric(2)"])
+def test_css_mask_forms_step_labels_as_the_dense_kraus_list(rng, make):
+    # every CSS move is a (k, 1) column of masks, one label shift for each
+    # jump row and 0 to stay; at two betas, the label chain steps
+    # W diag(p) W^dag as the dense Kraus list does, and the trace residual
+    # read without a row count is the per-operator count's
+    fam = make()
+    H0 = build_hamiltonian(fam)
+    W = label_basis(fam)
+    p = rng.dirichlet(np.ones(W.dim))
+    rho = W.outer(p)
+    for site in range(fam.n):
+        for flavor in ("X", "Z"):
+            jumps = dense_css_jumps(fam, site, flavor)
+            for beta in (1.0, 2.0):
+                form = css_metropolis_channel(H0, beta, site, flavor).monomial
+                k = len(form.coef)
+                assert form.moves.shape == (k, 1) and k == len(jumps) + 1
+                assert (form.moves[:-1] == form.moves[0]).all() and form.moves[-1, 0] == 0
+                stepped = sum(K @ rho @ K.conj().T for K in dense_css_kraus(jumps, beta))
+                assert np.abs(stepped - W.outer(form.chain.step(p))).max() <= 1e-12
+                assert form.trace_residual() == per_operator_trace_residual(form)
+
+
+def test_a_flip_that_moves_labels_by_no_one_mask_raises(monkeypatch):
+    # a Pauli moves the CSS labels by one XOR mask, and the move table
+    # asserts it: an image with two columns swapped is refused
+    fam = steane7()
+    real = LabelBasis.pauli_image
+
+    def doctored(self, xmask, zmask):
+        col, phase = real(self, xmask, zmask)
+        col = col.copy()
+        col[[0, 2]] = col[[2, 0]]
+        return col, phase
+
+    W = label_basis(fam)
+    moves = sampler._move_table(W, fam, 0, "X")[0]
+    monkeypatch.setattr(LabelBasis, "pauli_image", doctored)
+    with pytest.raises(NotCommuting, match="no one XOR mask"):
+        sampler._move_table(W, fam, 0, "X")
+    assert moves.shape[1] == 1
+
+
+def test_css_channel_checks_the_column_sums_of_its_unchecked_form(monkeypatch):
+    # the form is built from the kept move table without MonomialKraus's
+    # checks, so the channel checks its column sums itself: a kept table
+    # whose phases are doubled gives columns of weight 1 + 3 accept and is
+    # refused (monkeypatch puts the true table back afterwards)
+    fam = steane7()
+    W = label_basis(fam)
+    moves, phase, omega, cls = sampler._move_table(W, fam, 0, "X")
+    monkeypatch.setitem(W._kept, (sampler._move_table, fam, 0, "X"), (moves, 2 * phase, omega, cls))
+    with pytest.raises(NotTracePreserving, match="deviates from identity"):
+        css_metropolis_channel(build_hamiltonian(fam), 1.0, 0, "X")
 
 
 @pytest.mark.parametrize("n", [4, 6])
