@@ -9,16 +9,15 @@ channels built as convex mixtures (1-p) local + p tail certify f(r) = 2p
 without any diamond-norm computation.
 
 The Metropolis samplers build their channels in monomial form instead
-(MonomialKraus): K_m = W T_m W† for a label basis W of the model, with
-one nonzero per column of T_m. A state diagonal in W is then a label
+(MonomialKraus): K_m = W T_m W† for a label basis W of the model, where
+T_m moves every label j to j ^ moves[m] with amplitude coef[m, j], one
+XOR mask per Kraus operator. A state diagonal in W is then a label
 probability vector, and the channel acts on it as a classical chain:
-``MonomialKraus.chain`` is the markov.StochasticMatrix whose entry m of
-column j moves |coef[m, j]|^2 to j ^ moves[m, j], the forms' own arrays
-in markov's layout, (k, 1) masks for the sampler's site and CSS channels.
-Every label step, fixed-point residual and drift runs through it. Trace
-preservation is checked on the chain's column sums at construction (on
-the dense operators when some T_m has two nonzeros in one row). The
-dense list ``kraus`` is built only when a dense consumer reads it:
+``MonomialKraus.chain`` is the markov.StochasticMatrix of the form's own
+(k, 1) masks and weights |coef|^2. Every label step, fixed-point
+residual and drift runs through it. Every T_m permutes the labels, so
+trace preservation is the chain's column sums, checked at construction.
+The dense list ``kraus`` is built only when a dense consumer reads it:
 apply_channel, check_partition_condition and quasi_local_mixture,
 channel_locality for a form over a basis other than the identity, and
 evolve_sequence for states without labels over the forms' basis.
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import numerics as tol
 from .errors import DimensionMismatch, EmptyInput, NotTracePreserving
-from .markov import StochasticMatrix, _index
+from .markov import StochasticMatrix
 from .numerics import DensityMatrix, label_weights, matrix_of, operator_norm, trace_norm
 
 __all__ = [
@@ -71,8 +70,6 @@ class KrausChannel:
                 got = monomial.basis.n
                 raise DimensionMismatch(f"monomial form on {got} qubits, channel on {n}")
             resid = monomial.trace_residual()
-            if resid is None:
-                resid = _trace_residual(self.kraus, self.dim)
         else:
             if not kraus:
                 raise EmptyInput("channel needs at least one Kraus operator")
@@ -84,7 +81,8 @@ class KrausChannel:
                 ops.append(K)
             self.kraus = ops
             resid = _trace_residual(ops, self.dim)
-        if resid > tol.KRAUS_TRACE_TOL:
+        # NaN fails the comparison too
+        if not resid <= tol.KRAUS_TRACE_TOL:
             raise NotTracePreserving(f"sum of K†K deviates from identity by {resid:.3e}")
 
     @property
@@ -117,11 +115,12 @@ class MonomialKraus:
     """Kraus operators K_m = W T_m W† with every T_m monomial in the labels.
 
     W is a LabelBasis. Column j of T_m holds coef[m, j] in row
-    j ^ moves[m, j] (moves (k, 1) or (k, dim)) and nothing else, so K_m
-    maps each label state to one label state (coef is complex, or real in
-    the forms of sampler._site_channels). A state diagonal in W, given by
-    its label probabilities p, stays diagonal: one step sends p to
-    sum_m |coef_m|^2 p scattered to j ^ moves_m, which is ``chain.step(p)``.
+    j ^ moves[m, 0] and nothing else: moves is a (k, 1) column of XOR
+    masks, one per Kraus operator, so T_m permutes the labels (coef is
+    complex, or real in the forms of sampler._site_channels). A state
+    diagonal in W, given by its label probabilities p, stays diagonal:
+    one step sends p to sum_m |coef_m|^2 p scattered to j ^ moves_m,
+    which is ``chain.step(p)``.
     """
 
     basis: object
@@ -132,9 +131,9 @@ class MonomialKraus:
         self.moves = np.asarray(self.moves, dtype=np.int64)
         self.coef = np.asarray(self.coef, dtype=np.complex128)
         k, dim = (self.coef.shape[0] if self.coef.ndim else 0), self.basis.dim
-        if self.coef.shape != (k, dim) or self.moves.shape not in ((k, 1), (k, dim)):
+        if self.coef.shape != (k, dim) or self.moves.shape != (k, 1):
             raise DimensionMismatch(
-                f"monomial moves {self.moves.shape} and coef {self.coef.shape} need (kraus, 1 or {dim})"
+                f"monomial moves {self.moves.shape} and coef {self.coef.shape} need (kraus, 1) and (kraus, {dim})"
             )
         # dim is 2^n, so j ^ c stays a label exactly when 0 <= c < dim
         if self.moves.size and (self.moves.min() < 0 or self.moves.max() >= dim):
@@ -144,20 +143,14 @@ class MonomialKraus:
     @functools.cached_property
     def chain(self):
         """The channel on label probabilities, as a StochasticMatrix over
-        the form's own moves and weights. Its checks are the form's: moves
+        the form's own masks and weights. Its checks are the form's: masks
         in range, weights |coef|^2, and column sums, which are the
         diagonal of sum_m T_m† T_m that KrausChannel checks."""
         return StochasticMatrix._trusted(self.moves, self.weights)
 
     def trace_residual(self):
-        """max |sum_m |coef_m|^2 - 1|, or None when some T_m has two
-        nonzeros in one row (T_m† T_m is then not diagonal): one count of
-        the nonzero rows of every T_m in slots m*dim + row; masks need none."""
-        k, dim = self.coef.shape
-        if self.moves.shape[1] > 1:
-            slots = ((_index(dim) ^ self.moves) + dim * np.arange(k)[:, None])[self.coef != 0]
-            if np.bincount(slots, minlength=k * dim).max(initial=0) > 1:
-                return None
+        """max |sum_m |coef_m|^2 - 1|: every T_m permutes the labels, so
+        sum_m T_m† T_m is the diagonal of the column sums."""
         return float(np.abs(self.weights.sum(axis=0) - 1.0).max())
 
     def dense(self):
@@ -206,47 +199,30 @@ def _kraus_support(K, n):
     return tuple(support)
 
 
-def _monomial_supports(moves, coef, n):
+def _monomial_supports(masks, coef, n):
     """(k, n) bool: the _kraus_support of every K = sum_j coef[j]
-    |j ^ moves[j]><j| of a stack of k forms, in one pass per qubit with
-    the same rule and tolerance, no matrix formed.
+    |j ^ mask><j| of a stack of k forms, (k, 1) masks, in one pass per
+    qubit with the same rule and tolerance, no matrix formed.
 
-    For qubit q with bit b, the dense rule compares the entries of K
-    inside the blocks that keep bit q against their partners with bit q
-    flipped on both sides, and asks the entries that change bit q to
-    vanish. Column j has one entry, so this is: coef[j] wherever moves[j]
-    holds bit q; and, with e[j] the entry of column j kept when moves[j]
-    lacks bit q (0 otherwise), |e[j] - e[j^b]| when
-    moves[j^b] = moves[j], else both |e[j]| and |e[j^b]|, since each then
-    faces a zero. The pairs j, j^b are the two halves of a (2^q, 2, b)
-    view, compared for every form of the stack at once; a bit changed by
-    an entry above the tolerance is in the support whatever they give.
+    For qubit q with bit b, the dense rule asks the entries that change
+    bit q to vanish and compares the entries that keep it against their
+    partners with bit q flipped on both sides. A form's entries all
+    change bit q when its mask holds b, and none does otherwise. So q is
+    in its support, in the first case, when some entry passes the
+    tolerance; in the second, when coef[j] and coef[j ^ b], the two halves
+    of a (2^q, 2, b) view, differ by more than it.
     """
-    k, dim = coef.shape
-    changed = np.broadcast_to(moves, coef.shape)
+    k = len(coef)
     bits = 1 << np.arange(n - 1, -1, -1)
-    # the bits changed by some entry above the tolerance, and by any entry
-    off = np.bitwise_or.reduce(changed, axis=1, where=np.abs(coef) > tol.SUPPORT_TOL)
-    moved = np.bitwise_or.reduce(changed, axis=1)
-    support = (off[:, None] & bits) != 0
-    # forms with moves c, c free of b, keep every entry and pair every
-    # pair: a block of only those (or of forms with b in support) needs no
-    # mask and no partner compare, and no compare at all for equal halves
-    shifted = (changed == changed[:, :1]).all(axis=1, keepdims=True)
-    plain = (support | shifted & ((moved[:, None] & bits) == 0)).all(axis=0)
-    for q, b, only_plain in zip(range(n), bits.tolist(), plain.tolist()):
-        halves = changed.reshape(k, 1 << q, 2, b)
-        e = coef.reshape(halves.shape)
-        if not only_plain:
-            e = np.where((halves & b) == 0, e, 0.0)
-        lo, hi = e[:, :, 0], e[:, :, 1]
-        if only_plain and (lo == hi).all():
+    moved = (masks & bits) != 0
+    support = moved & (np.abs(coef) > tol.SUPPORT_TOL).any(axis=1, keepdims=True)
+    for q, b in enumerate(bits.tolist()):
+        halves = coef.reshape(k, 1 << q, 2, b)
+        lo, hi = halves[:, :, 0], halves[:, :, 1]
+        if (lo == hi).all():
             continue
-        dev = np.abs(lo - hi)
-        if not only_plain:
-            paired = halves[:, :, 1] == halves[:, :, 0]
-            dev = np.where(paired, dev, np.maximum(np.abs(lo), np.abs(hi)))
-        support[:, q] |= dev.reshape(k, -1).max(axis=1) > tol.SUPPORT_TOL
+        dev = np.abs(lo - hi).reshape(k, -1).max(axis=1)
+        support[:, q] |= ~moved[:, q] & (dev > tol.SUPPORT_TOL)
     return support
 
 
@@ -263,10 +239,9 @@ def channel_locality(C):
     block = max(1, _STACK_ENTRIES // forms[0].coef.size) if forms else 1
     for lo in range(0, len(forms), block):
         stack = forms[lo : lo + block]
-        wide = any(f.moves.shape[1] > 1 for f in stack)  # else (K, 1) masks
-        moves = np.concatenate([np.broadcast_to(f.moves, f.coef.shape) if wide else f.moves for f in stack])
+        masks = np.concatenate([f.moves for f in stack])
         coef = np.concatenate([f.coef.real if real else f.coef for f in stack])
-        sizes.append(int(_monomial_supports(moves, coef, forms[0].basis.n).sum(axis=1).max()))
+        sizes.append(int(_monomial_supports(masks, coef, forms[0].basis.n).sum(axis=1).max()))
     return max(sizes)
 
 

@@ -6,18 +6,20 @@ Every chain is held in one op-major layout: (k, dim) weights and integer
 moves broadcastable against them, entry k of column j moving weights[k, j]
 to j ^ moves[k, j]: a (k, 1) column of masks for the Glauber, site and CSS
 chains (one shift per entry row, 0 to stay), else (k, dim) moves, rows ^ j
-for explicit rows (``from_columns``). A target may repeat inside a column, and the weights
-of a repeated target add; short columns are padded with zero weights. This is the layout of a
-monomial Kraus form (channel.MonomialKraus), whose chain on label
-probabilities is the same two arrays with weights |coef|^2, so the
-quantum label path and the classical path step, check and drift through
-one kernel, which reads either shape of moves by broadcasting. A step
-p -> M p adds in the order of one bincount over the flattened form, and
-a column sum adds the entries of each column in k order. Nothing of
-size 2^m x 2^m is formed. A GlauberTable keeps what the chains of one
-energy vector share at every beta (the masks, the uphill jumps and a
-partition's forbidden positions), so each beta costs one acceptance
-pass and the checks of its weights.
+for explicit rows (``from_columns``, the birth-death chains). A target may
+repeat inside a column, and the weights of a repeated target add; short
+columns are padded with zero weights. A monomial Kraus form
+(channel.MonomialKraus) holds (k, 1) masks only, and its chain on label
+probabilities is its masks with weights |coef|^2, so the quantum label
+path and the classical path step, check and drift through one kernel,
+which reads either shape of moves by broadcasting. A step p -> M p adds
+each target's entries in k order, by one bincount over the flattened
+form or, for masks past _STEP_CHUNK entries, by a gather through XOR
+views, and a column sum adds the entries of each column in k order.
+Nothing of size 2^m x 2^m is formed. A GlauberTable keeps what the
+chains of one energy vector share at every beta (the masks, the uphill
+jumps and a partition's forbidden positions), so each beta costs one
+acceptance pass and the checks of its weights.
 
 The stationary law is never solved for. A Metropolis chain satisfies
 detailed balance with respect to the Gibbs weights e^{-beta E}/Z

@@ -75,7 +75,7 @@ def _site_channels(H, beta, sites, attempt_prob):
         c, w = moves[lo : lo + block], weights[lo : lo + block]
         # masks are permutations, so each T_m^dag T_m is diagonal: column sums
         resid = float(np.abs(w[:, 0] + w[:, 1] - 1.0).max())
-        if resid > tol.KRAUS_TRACE_TOL:
+        if not resid <= tol.KRAUS_TRACE_TOL:
             raise NotTracePreserving(f"sum of K†K deviates from identity by {resid:.3e}")
         # masks are below dim = 2^n, so j ^ (c + dim s) = (j ^ c) + dim s
         slots = (np.arange(dim) ^ (c + dim * np.arange(len(c))[:, None, None])).ravel()
@@ -131,7 +131,7 @@ def css_metropolis_channel(H0, beta, site, flavor, attempt_prob=DEFAULT_ATTEMPT)
     # the table's masks are in range and make sum_m T_m^dag T_m the column sums
     chan = _trusted_channel(W, moves, coef, np.abs(coef) ** 2)
     resid = chan.monomial.trace_residual()
-    if resid > tol.KRAUS_TRACE_TOL:
+    if not resid <= tol.KRAUS_TRACE_TOL:
         raise NotTracePreserving(f"sum of K†K deviates from identity by {resid:.3e}")
     p = H0.gibbs(beta)[0]
     resid = chan.monomial.chain.residual(p)

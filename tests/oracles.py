@@ -106,19 +106,18 @@ a time, and only tests call it:
   sampler.css_metropolis_channel.
 - per_call_css_form builds the CSS move's rows and coefficients from
   scratch with one scalar amplitude per jump, as the sampler did before
-  its move tables, and per_operator_trace_residual counts the rows
-  j ^ moves[m, j] one Kraus operator at a time. They are the bit-for-bit
-  oracles for the per-beta step over a kept move table (whose moves are
-  the rows ^ j, explicit_rows inverting them) and for the one-pass
-  MonomialKraus.trace_residual.
+  its move tables. It is the bit-for-bit oracle for the per-beta step
+  over a kept move table (whose masks are the rows ^ j, explicit_rows
+  inverting them).
 - per_call_site_form builds one bit-flip Metropolis form from the energy
   diagonal on every call, with its own trace and fixed-point checks, as
   sampler.metropolis_site_channel did before the site move tables: the
   (2, 1) masks of the flip and then the stay operator, in the XOR layout
   of markov. It is the bit-for-bit oracle for sampler._site_channels,
   which builds every site of a list from one table kept on H.
-- per_form_support reads the support of one monomial operator, one form
-  at a time, as channel._monomial_support did before the stacked pass.
+- per_form_support reads the support of one monomial operator, one
+  mask form at a time, as channel._monomial_support did before the
+  stacked pass.
   It is the oracle for channel._monomial_supports and for
   channel_locality of a schedule.
 - loop_fix_phases rotates one column at a time. It is the oracle for
@@ -1214,17 +1213,6 @@ def per_call_css_form(H0, beta, site, flavor, q=DEFAULT_ATTEMPT):
     return np.asarray(rows, dtype=np.int64), np.asarray(coef, dtype=np.complex128)
 
 
-def per_operator_trace_residual(form):
-    """MonomialKraus.trace_residual with one row count per Kraus operator,
-    as it was before the one-pass count: None when some operator has two
-    nonzeros in one row, else max |sum_m |coef_m|^2 - 1|."""
-    dim = form.basis.dim
-    for rows, coef in zip(explicit_rows(form.moves, dim), form.coef):
-        if np.bincount(rows[coef != 0], minlength=dim).max(initial=0) > 1:
-            return None
-    return float(np.abs(form.weights.sum(axis=0) - 1.0).max())
-
-
 def per_call_site_form(H, beta, site, q=DEFAULT_ATTEMPT):
     """The MonomialKraus form of the bit-flip Metropolis move at one site,
     built from scratch with its checks, as sampler.metropolis_site_channel
@@ -1247,35 +1235,20 @@ def per_call_site_form(H, beta, site, q=DEFAULT_ATTEMPT):
 
 
 def per_form_support(rows, coef, n):
-    """_kraus_support of K = sum_j coef[j] |rows[j]><j|, read from one form
-    in O(n dim), as channel._monomial_support did: coef[j] wherever
-    rows[j] changes bit q of j, else |e[j] - e[j^b]| for paired columns
-    and both |e[j]| and |e[j^b]| for unpaired ones, e the entries that
-    keep bit q. A form changing bit q with an entry above 1e-9 has q in
-    its support with no comparison, and a form whose rows are all j ^ c
-    compares its halves without pairing."""
+    """_kraus_support of K = sum_j coef[j] |rows[j]><j|, rows j ^ c for
+    one mask c, read from one form in O(n dim), as
+    channel._monomial_support did: q is in the support when c holds its
+    bit b and some entry passes 1e-9, or when c lacks it and some
+    |coef[j] - coef[j ^ b]| does."""
     if not coef.imag.any():
         coef = coef.real
-    changed = rows ^ np.arange(rows.size)
-    off = int(np.bitwise_or.reduce(changed[np.abs(coef) > 1e-9], initial=0))
-    moved = int(np.bitwise_or.reduce(changed, initial=0))
-    shifted = bool((changed == changed[0]).all())
+    (mask,) = np.unique(rows ^ np.arange(rows.size))
+    big = bool((np.abs(coef) > 1e-9).any())
     support = []
     for q in range(n):
         b = 1 << (n - 1 - q)
-        if off & b:
-            support.append(q)
-            continue
-        shape = (1 << q, 2, b)
-        e = np.where((changed & b) == 0, coef, 0.0) if moved & b else coef
-        e = e.reshape(shape)
-        lo, hi = e[:, 0], e[:, 1]
-        if shifted:
-            dev = np.abs(lo - hi)
-        else:
-            rows2 = rows.reshape(shape)
-            paired = rows2[:, 1] == rows2[:, 0] ^ b
-            dev = np.where(paired, np.abs(lo - hi), np.maximum(np.abs(lo), np.abs(hi)))
-        if dev.max() > 1e-9:
+        e = coef.reshape(1 << q, 2, b)
+        hit = big if mask & b else np.abs(e[:, 0] - e[:, 1]).max() > 1e-9
+        if hit:
             support.append(q)
     return tuple(support)

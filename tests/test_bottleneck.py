@@ -721,19 +721,17 @@ def label_members(basis, block):
     return np.flatnonzero(norms > 0.5)
 
 
-def forbidden_cycle_channel(basis, part, weight):
-    """Identity plus a 4-cycle of labels A -> C -> B2 -> B1 -> A.
+def forbidden_mask_channel(basis, part, weight):
+    """Identity plus one XOR mask that sends an A label into C.
 
-    Only the A -> C step is forbidden; a permutation fixes the maximally
-    mixed state, so the fixed-point check passes and the Kraus condition
-    is what must catch it.
+    The mask permutes the labels, so it fixes the maximally mixed state,
+    the fixed-point check passes, and the Kraus condition is what must
+    catch the A -> C step.
     """
-    a, c, b2, b1 = (label_members(basis, blk)[0] for blk in (part.A, part.C, part.B2, part.B1))
-    rows = np.arange(basis.dim)
-    rows[[a, c, b2, b1]] = [c, b2, b1, a]
+    a, c = (label_members(basis, blk)[0] for blk in (part.A, part.C))
     form = MonomialKraus(
         basis,
-        [np.zeros(basis.dim, dtype=int), rows ^ np.arange(basis.dim)],
+        [[0], [a ^ c]],
         [np.full(basis.dim, np.sqrt(1.0 - weight)), np.full(basis.dim, np.sqrt(weight))],
     )
     return KrausChannel(basis.n, monomial=form)
@@ -755,7 +753,7 @@ def test_forbidden_a_to_c_entry_caught_on_label_path(monkeypatch, label, weight)
         checks = REGISTRY["ising_ring"](6)
         part = partition_from_radius(hamming_ball_subspace(6, [0], 1), 1)
     W = label_basis(checks)
-    chan = forbidden_cycle_channel(W, part, weight)
+    chan = forbidden_mask_channel(W, part, weight)
     oracle = dense_copy(chan)
     rho = DensityMatrix.from_labels(W, np.full(W.dim, 1.0 / W.dim))
     monkeypatch.setattr(MonomialKraus, "dense", _refuse_dense)

@@ -20,7 +20,7 @@ from bottlenecklab.numerics import DENSE_CONDITION_TOL, DensityMatrix, trace_nor
 from bottlenecklab.subspace import hamming_ball_subspace, identity_basis, partition_from_radius
 
 from conftest import pure_state_density
-from oracles import PauliString, pauli_matrix, per_operator_trace_residual, validate_channel
+from oracles import PauliString, pauli_matrix, validate_channel
 
 SQ = np.sqrt(0.5)
 
@@ -226,40 +226,47 @@ class TestQuasiLocalMixture:
 
 @st.composite
 def monomial_forms(draw):
-    """Monomial forms over the identity basis of 1 to 3 qubits: random rows
-    and coefficients, some zero or tiny, then a few entries overwritten
-    to force two columns of one operator onto one row; or random (k, 1)
-    masks with such coefficients."""
+    """Monomial forms over the identity basis of 1 to 3 qubits: random
+    (k, 1) masks and complex coefficients, some zero or tiny."""
     n = draw(st.integers(1, 3))
     dim = 1 << n
     k = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    rows = np.array([rng.permutation(dim) for _ in range(k)])
     scale = rng.choice([0.0, 1e-200, 1.0], size=(k, dim), p=[0.2, 0.1, 0.7])
     coef = scale * (rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))) / np.sqrt(k)
-    if draw(st.booleans()):
-        return MonomialKraus(identity_basis(n), rng.integers(0, dim, (k, 1)), coef)
-    for _ in range(draw(st.integers(0, 3))):
-        m, i, j = rng.integers(k), rng.integers(dim), rng.integers(dim)
-        rows[m, i] = rows[m, j]
-    return MonomialKraus(identity_basis(n), rows ^ np.arange(dim), coef)
+    return MonomialKraus(identity_basis(n), rng.integers(0, dim, (k, 1)), coef)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(form=monomial_forms())
-def test_one_pass_trace_residual_matches_the_per_operator_count(form):
-    got = form.trace_residual()
-    want = per_operator_trace_residual(form)
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert got == want
+def test_column_sum_trace_residual_matches_the_dense_residual(form):
+    total = sum(K.conj().T @ K for K in form.dense())
+    want = np.abs(total - np.eye(form.basis.dim)).max()
+    assert abs(form.trace_residual() - want) <= 1e-12
+
+
+def test_monomial_form_refuses_moves_other_than_one_mask_per_operator():
+    basis = identity_basis(2)
+    with pytest.raises(DimensionMismatch, match="need"):
+        MonomialKraus(basis, [np.arange(4) ^ 1], [np.ones(4)])
+    with pytest.raises(DimensionMismatch, match="label range"):
+        MonomialKraus(basis, [[4]], [np.ones(4)])
+
+
+def test_nan_coefficients_fail_the_trace_check():
+    # a NaN residual fails the comparison on the monomial and dense paths
+    nan = float("nan")
+    form = MonomialKraus(identity_basis(2), [[1], [0]], [[nan] * 4, [1.0] * 4])
+    with pytest.raises(NotTracePreserving):
+        KrausChannel(2, monomial=form)
+    with pytest.raises(NotTracePreserving):
+        KrausChannel(1, [[[nan, 0], [0, 1]]])
 
 
 def test_a_block_of_mask_forms_is_stacked_as_masks(monkeypatch):
-    # channel_locality hands a block whose forms all hold (k, 1) masks to
-    # the support pass as (K, 1) masks, not widened to (K, 2^n); a block
-    # with a (k, dim) form is widened, and each gives its largest support
+    # channel_locality hands a block of forms to the support pass as their
+    # (K, 1) masks and gives the block's largest support
     seen = []
     real = channel._monomial_supports
 
@@ -271,6 +278,3 @@ def test_a_block_of_mask_forms_is_stacked_as_masks(monkeypatch):
     basis, half = identity_basis(3), np.full(8, SQ)
     masks = [KrausChannel(3, monomial=MonomialKraus(basis, [[c], [0]], [half, half])) for c in (0b100, 0b011)]
     assert channel_locality(masks) == 2 and seen == [(4, 1)]
-    cycle = (np.arange(8) + 1) % 8
-    wide = KrausChannel(3, monomial=MonomialKraus(basis, [cycle ^ np.arange(8)], [np.ones(8)]))
-    assert channel_locality(masks + [wide]) == 3 and seen[1:] == [(5, 8)]

@@ -69,6 +69,7 @@ from bottlenecklab.model import (
     toric,
 )
 from bottlenecklab.numerics import (
+    SUPPORT_TOL,
     DensityMatrix,
     _symmetrized,
     hermitian_eigensystem,
@@ -1053,27 +1054,27 @@ _NEAR_TOL = [0.0, 5e-10, 2e-9]
 
 @st.composite
 def monomial_operators(draw):
-    """(n, rows, coef) of one monomial operator on n <= 5 qubits: rows
-    j ^ c for a drawn c, and coefficients that depend on a drawn subset
-    of the bits of j, so that some qubits lie outside the support; then
-    a few coefficients moved by 0, 5e-10 or 2e-9 and a few columns sent
-    to arbitrary rows with coefficients 0, 5e-10, 2e-9 or 1."""
+    """(n, mask, coef) of one monomial operator on n <= 5 qubits: a drawn
+    mask c, and coefficients that depend on a drawn subset of the bits of
+    j, so that some qubits lie outside the support; then a few
+    coefficients moved by 0, 5e-10 or 2e-9."""
     n = draw(st.integers(1, 5))
     return (n, *_monomial_operator(draw, n))
 
 
 @st.composite
 def monomial_stacks(draw):
-    """(n, rows, coef) of one to five monomial_operators on one n, stacked."""
+    """(n, masks, coef) of one to five monomial_operators on one n,
+    stacked as (k, 1) masks and (k, 2^n) coefficients."""
     n = draw(st.integers(1, 5))
     ops = [_monomial_operator(draw, n) for _ in range(draw(st.integers(1, 5)))]
-    return n, np.stack([rows for rows, _ in ops]), np.stack([coef for _, coef in ops])
+    return n, np.array([[mask] for mask, _ in ops]), np.stack([coef for _, coef in ops])
 
 
 def _monomial_operator(draw, n):
     dim = 1 << n
     idx = np.arange(dim, dtype=np.int64)
-    rows = idx ^ draw(st.integers(0, dim - 1))
+    mask = draw(st.integers(0, dim - 1))
     values = st.sampled_from([0.0, 1.0, -0.5, 0.5j, 0.6 + 0.8j])
     table = np.array(draw(st.lists(values, min_size=dim, max_size=dim)), dtype=np.complex128)
     coef = table[idx & draw(st.integers(0, dim - 1))]
@@ -1082,39 +1083,47 @@ def _monomial_operator(draw, n):
     )
     for j, tiny, phase in draw(st.lists(moves, max_size=4)):
         coef[j] += tiny * phase
-    reroutes = st.tuples(
-        st.integers(0, dim - 1), st.integers(0, dim - 1), st.sampled_from(_NEAR_TOL + [1.0])
-    )
-    for j, row, value in draw(st.lists(reroutes, max_size=2)):
-        rows[j], coef[j] = row, value
-    return rows, coef
+    return mask, coef
+
+
+def _dense_monomial(mask, coef, n):
+    idx = np.arange(1 << n)
+    K = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    K[idx ^ mask, idx] = coef
+    return K
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(op=monomial_operators())
 def test_monomial_support_matches_the_dense_rule(op):
-    n, rows, coef = op
-    K = np.zeros((1 << n, 1 << n), dtype=np.complex128)
-    K[rows, np.arange(1 << n)] = coef
-    want = _kraus_support(K, n)
-    assert per_form_support(rows, coef, n) == want
-    moves = rows ^ np.arange(1 << n)
-    assert tuple(np.flatnonzero(_monomial_supports(moves[None], coef[None], n)[0])) == want
+    n, mask, coef = op
+    want = _kraus_support(_dense_monomial(mask, coef, n), n)
+    assert per_form_support(np.arange(1 << n) ^ mask, coef, n) == want
+    assert tuple(np.flatnonzero(_monomial_supports(np.array([[mask]]), coef[None], n)[0])) == want
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(stack=monomial_stacks())
 def test_stacked_supports_match_the_dense_rule(stack):
-    # forms of every kind side by side: shifted and rerouted rows, real
-    # and complex entries, so a block that masks and pairs its forms also
-    # holds forms that would need neither
-    n, rows, coef = stack
-    K = np.zeros((1 << n, 1 << n), dtype=np.complex128)
-    got = _monomial_supports(rows ^ np.arange(1 << n), coef, n)
-    for k in range(rows.shape[0]):
-        K[:] = 0
-        K[rows[k], np.arange(1 << n)] = coef[k]
-        assert tuple(np.flatnonzero(got[k])) == _kraus_support(K, n)
+    # forms of every kind side by side: masks with and without each bit,
+    # real and complex entries, entries on either side of the tolerance
+    n, masks, coef = stack
+    got = _monomial_supports(masks, coef, n)
+    for k in range(len(masks)):
+        assert tuple(np.flatnonzero(got[k])) == _kraus_support(_dense_monomial(masks[k, 0], coef[k], n), n)
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_a_moved_bit_with_entries_below_the_tolerance_is_outside_the_support(q):
+    # the mask flips qubit q and the entries alternate +-0.9 SUPPORT_TOL
+    # across it: every entry that changes bit q is below the tolerance, so
+    # q is not in the support, though the two halves differ by 1.8 of it
+    n, b = 3, 1 << (3 - 1 - q)
+    sign = np.where(np.arange(8) & b, -1.0, 1.0)
+    coef = 0.9 * SUPPORT_TOL * sign
+    assert _kraus_support(_dense_monomial(b, coef, n), n) == ()
+    assert not _monomial_supports(np.array([[b]]), coef[None], n).any()
+    assert not _monomial_supports(np.array([[b]]), coef[None] + 0j, n).any()
 
 
 def _first_crossing(dists, eps):
