@@ -1,22 +1,23 @@
 """Config-driven experiment runner behind the ``bottlenecklab`` entry point.
 
-SUBCOMMANDS holds each subcommand's help line, config schema and runner.
-main validates the JSON config against the schema, and the runner holds the
-model to its key bounds and the register to its route's bound before any
-matrix is touched, then runs the grid and writes the artifacts into the
-output directory. Every grid subcommand declares its report columns once and
-its point function returns values in that order; ``report.csv`` and
-``report.json`` are both written from those values, one row per entry
-(``model-info`` writes JSON only). ``fit.json`` holds the per-(beta, g)
-regression summaries of a sweep, and ``failures.json`` one entry per refused
-or violated assertion with the exception class as its reason code and, for a
-grid point, the point itself. Rows are emitted in grid order, never
-completion order, so identical configs produce byte-identical files whatever
-the worker count.
+SUBCOMMANDS holds each subcommand's help line, config schema, register
+bound, report columns and plan, and main runs one chain for all seven:
+the JSON config against the schema, the checks that need no register
+size, the check family under the route's bound (a model's keys before its
+factory runs), then the plan's own checks and builds, before any matrix
+is touched. The plan's points run as one grid and return rows keyed by
+column name; ``report.csv`` and ``report.json`` are both written from
+them in the order of the subcommand's columns (``model-info`` writes its
+one summary to ``report.json`` only). ``fit.json`` holds the per-(beta, g)
+regression summaries of a sweep, and ``failures.json`` one entry per
+refused or violated assertion with the exception class as its reason code
+and, for a grid point, the point itself. Rows are emitted in grid order,
+never completion order, so identical configs produce byte-identical files
+whatever the worker count.
 
 Exit status: 0 when every asserted inequality held, 1 when any grid point or
-an allocation failed (see failures.json), 2 when the config was rejected up
-front.
+an allocation failed (see failures.json), 2 when the config or the output
+directory was rejected up front.
 """
 
 import argparse
@@ -45,6 +46,7 @@ from .errors import (
 )
 from .markov import _GLAUBER_MAX_BITS, GlauberTable
 from .model import (
+    _EXPANSION_MAX_BITS,
     _LABEL_MAX_BITS,
     MODEL_KEYS,
     REGISTRY,
@@ -61,8 +63,10 @@ from .model import (
     random_local_perturbation,
 )
 from .numerics import DensityMatrix, label_weights
+from .pauli import gf2_null_space_masks
 from .sampler import DEFAULT_ATTEMPT, sweep_schedule
 from .stability import (
+    SweepRow,
     fit_sweep,
     fits_to_json,
     plan_shell_width,
@@ -75,8 +79,9 @@ from .stability import (
 )
 from .subspace import basis_state_subspace, hamming_ball_subspace, partition_from_radius
 
-# Report columns per grid subcommand; each point returns its values in
-# this order, and report.csv and report.json are both written from them.
+# Report columns per grid subcommand, in report order: each point returns
+# rows keyed by column name, and report.csv and report.json are both written
+# from them in this order.
 CLASSICAL_COLUMNS = tuple(
     "model,n,beta,laziness,lhs,bound,pi_A,pi_B,pi_C,condition_max".split(",")
 )
@@ -220,6 +225,10 @@ _SWEEP_MAX_BITS = 13
 # The most channel applications of a CSS point, which runs dense, up to n=8;
 # 8-fold fewer per qubit past it (at the bound: 7.2-7.6 s on toric, n=8).
 _DENSE_MAX_APPLICATIONS = 256
+# log2 of the most entries of a CSS family's label basis, 2^n x 2^rank with
+# rank that of its X checks: model-info on 2^24 (n = 17, 7 X checks) took 21 s
+# and 2126 MiB peak RSS under a 2.5 GB address-space cap; 2^25 did not fit.
+_CSS_BASIS_MAX_LOG2 = 24
 
 
 _BARRIER_SCHEMA = {
@@ -236,7 +245,8 @@ def _check_state(key, value, n):
 
 
 def _check_center(key, center, n):
-    """Both bitstrings of an [x, z] eigenstate label lie in the register."""
+    """Each bitstring of a center, such as the two of an [x, z] eigenstate
+    label, lies in the register."""
     for i, part in enumerate(center):
         _check_state(f"{key}[{i}]", part, n)
 
@@ -278,7 +288,7 @@ def _build_checks(vals, max_bits):
         raise ConfigInvalid("give exactly one of 'model' and 'checks_file'")
     params = {k: vals[k] for k in _MODEL_PARAMS if k in vals}
     if has_model:
-        fam, label = build_model(vals["model"], params), vals["model"]
+        fam, label = build_model(vals["model"], params, max_bits), vals["model"]
     elif params:
         raise ConfigInvalid(f"a checks_file config takes none of the model keys {list(params)}")
     else:
@@ -295,6 +305,12 @@ def _build_checks(vals, max_bits):
         label = os.path.splitext(os.path.basename(path))[0]
     if fam.n > max_bits:
         raise ConfigInvalid(f"this subcommand holds at most {max_bits} bits, got n = {fam.n}")
+    if not fam.is_classical:
+        rank = fam.n - len(gf2_null_space_masks(fam.n, fam.x_masks()))
+        if fam.n + rank > _CSS_BASIS_MAX_LOG2:
+            raise ConfigInvalid(
+                f"a CSS label basis of 2^{fam.n} x 2^{rank} entries is past 2^{_CSS_BASIS_MAX_LOG2}"
+            )
     return fam, label
 
 
@@ -331,13 +347,6 @@ def _write_json(path, obj):
     _write_text(path, json.dumps(_sanitize(obj), indent=2, sort_keys=True) + "\n")
 
 
-def _emit(out, columns, rows):
-    """report.csv and report.json from the same rows of column-ordered values."""
-    lines = [",".join(columns)] + [",".join(map(_csv_field, row)) for row in rows]
-    _write_text(os.path.join(out, "report.csv"), "\n".join(lines) + "\n")
-    _write_json(os.path.join(out, "report.json"), [dict(zip(columns, row)) for row in rows])
-
-
 def _failure_entry(exc, point=None):
     """failures.json entry: exception class as reason, its data, the point."""
     entry = {"reason": type(exc).__name__, "message": str(exc)}
@@ -349,12 +358,13 @@ def _failure_entry(exc, point=None):
     return entry
 
 
-def _run_grid(out, columns, point, tasks, jobs):
+def _run_grid(out, columns, tasks, point, jobs):
     """Evaluate grid points, emit their rows, return (rows, failures).
 
-    A point returns one row (a tuple of values in column order) or a list
-    of rows; a package error or an allocation that fails becomes a
-    failure entry naming the task.
+    A point returns one row (a dict keyed by column name) or a list of
+    rows; a package error or an allocation that fails becomes a failure
+    entry naming the task. report.csv and report.json are written from
+    the same rows, each in the order of columns, other entries left out.
     Rows keep task order, so the artifacts do not depend on the worker
     count.
     """
@@ -376,20 +386,20 @@ def _run_grid(out, columns, point, tasks, jobs):
             failures.append(bad)
         else:
             rows.extend(good if isinstance(good, list) else [good])
-    _emit(out, columns, rows)
+    table = [{c: row[c] for c in columns} for row in rows]
+    lines = [",".join(columns)] + [",".join(map(_csv_field, row.values())) for row in table]
+    _write_text(os.path.join(out, "report.csv"), "\n".join(lines) + "\n")
+    _write_json(os.path.join(out, "report.json"), table)
     return rows, failures
 
 
-# --- subcommand pipelines ----------------------------------------------------
+# --- subcommand plans --------------------------------------------------------
 
 
-def _run_verify_classical(vals, out, jobs):
-    checks, label = _build_checks(vals, _GLAUBER_MAX_BITS)
+def _plan_verify_classical(vals, checks, label):
     if not checks.is_classical:
         raise ConfigInvalid("verify-classical needs a classical (Z-only) model")
     laziness = vals.get("laziness", 0.0)
-    if laziness >= 1:
-        _fail("laziness", laziness, "a number in [0, 1)")
     spec = vals["partition"]
     _check_state("partition.center", spec["center"], checks.n)
     if spec["inner"] + 2 * spec["width"] >= checks.n:
@@ -406,21 +416,9 @@ def _run_verify_classical(vals, out, jobs):
     def point(task):
         pi, _ = gibbs_weights(energies, task["beta"])
         rep = table.report(task["beta"], laziness, pi)
-        return (
-            label,
-            checks.n,
-            task["beta"],
-            laziness,
-            rep.lhs,
-            rep.bound,
-            rep.pi_A,
-            rep.pi_B,
-            rep.pi_C,
-            rep.condition_max,
-        )
+        return dict(vars(rep), **task, n=checks.n, laziness=laziness)
 
-    tasks = [{"model": label, "beta": b} for b in vals["betas"]]
-    return _run_grid(out, CLASSICAL_COLUMNS, point, tasks, jobs)[1]
+    return [{"model": label, "beta": b} for b in vals["betas"]], point
 
 
 # the keys verify-quantum and mixing-compare share: a model, a sampler
@@ -439,109 +437,98 @@ _QUANTUM_SCHEMA = {
 }
 
 
-def _quantum_setup(vals):
-    """(checks, label, H, V) of validated values, V the subspace ball."""
-    checks, label = _build_checks(vals, _SITE_MAX_BITS)
+def _plan_quantum(vals, checks, label):
+    """verify-quantum's theorem at each beta or, given a horizon,
+    mixing-compare's observed mixing step at its one beta against the
+    theorem's lower bounds; both over the same ball, radius and schedule."""
+    n = checks.n
     sub = vals["subspace"]
-    for i, c in enumerate(sub["centers"]):
-        _check_state(f"subspace.centers[{i}]", c, checks.n)
-    for i, site in enumerate(vals.get("sites", ())):
-        if site >= checks.n:
-            _fail(f"sites[{i}]", site, f"a qubit of the {checks.n}-qubit register")
-    _check_shell("partition_radius", vals["partition_radius"], checks.n)
+    _check_center("subspace.centers", sub["centers"], n)
+    sites = vals.get("sites", list(range(n)))
+    for i, site in enumerate(sites):
+        if site >= n:
+            _fail(f"sites[{i}]", site, f"a qubit of the {n}-qubit register")
+    _check_shell("partition_radius", vals["partition_radius"], n)
+    horizon = vals.get("horizon")
     if not checks.is_classical:
         if "flavors" not in vals:
             raise ConfigInvalid('models with X checks need "flavors" (e.g. ["X"])')
-        most = _DENSE_MAX_APPLICATIONS >> 3 * max(checks.n - 8, 0)
-        sweep = len(vals.get("sites", range(checks.n))) * len(vals["flavors"])
-        if (got := vals.get("repetitions", 1) * sweep + vals.get("horizon", 0)) > most:
-            _fail("repetitions x sites x flavors + horizon", got, f"at most {most} at n = {checks.n} (dense CSS)")
+        most = _DENSE_MAX_APPLICATIONS >> 3 * max(n - 8, 0)
+        sweep = len(sites) * len(vals["flavors"])
+        if (got := vals.get("repetitions", 1) * sweep + (horizon or 0)) > most:
+            _fail("repetitions x sites x flavors + horizon", got, f"at most {most} at n = {n} (dense CSS)")
     H = build_hamiltonian(checks)
-    V = hamming_ball_subspace(checks.n, sub["centers"], sub["radius"])
-    return checks, label, H, V
-
-
-def _schedule_for(vals, checks, H, beta):
-    return sweep_schedule(
-        H,
-        beta,
-        vals.get("sites", list(range(checks.n))),
-        flavors=vals.get("flavors"),
-        repetitions=vals.get("repetitions", 1),
-        attempt_prob=vals.get("attempt_prob", DEFAULT_ATTEMPT),
-    )
-
-
-def _run_verify_quantum(vals, out, jobs):
-    checks, label, H, V = _quantum_setup(vals)
-    n = checks.n
+    V = hamming_ball_subspace(n, sub["centers"], sub["radius"])
     r = vals["partition_radius"]
     eps = vals.get("mix_eps", DEFAULT_MIX_EPS)
+    fixed = {"n": n, "r": r, "g": 0.0, "mix_eps": eps, "horizon": horizon}
 
     def point(task):
         beta = task["beta"]
         rho, _, _ = gibbs_state(H, beta)
-        sched = _schedule_for(vals, checks, H, beta)
-        rep = verify_bottleneck_theorem(sched, rho, (V, r), mix_eps=eps)
-        return (
-            rep.delta,
-            rep.numerator,
-            rep.denominator,
-            rep.lhs,
-            rep.bound,
-            rep.condition_residual,
-            rep.tmix_lower,
+        sched = sweep_schedule(
+            H,
             beta,
-            0.0,
-            n,
-            label,
-            rep.mode,
-            r,
+            sites,
+            flavors=vals.get("flavors"),
+            repetitions=vals.get("repetitions", 1),
+            attempt_prob=vals.get("attempt_prob", DEFAULT_ATTEMPT),
         )
+        # mixing-compare's partition is explicit: the Kraus condition is
+        # verified numerically, so the radius may sit below the crude
+        # locality bound when the moves genuinely cannot jump the buffer
+        part = (V, r) if horizon is None else partition_from_radius(V, r)
+        rep = verify_bottleneck_theorem(sched, rho, part, mix_eps=eps)
+        row = dict(vars(rep), **task, **fixed, cond_residual=rep.condition_residual)
+        if horizon is None:
+            return row
+        strong, weak = mixing_time_lower_bound(rep, eps)
+        start = _conditioned_start(rho, part.A)
+        observed = math.inf
+        for t, dist in enumerate(evolve_sequence(sched, start, rho, T=horizon)):
+            if dist / 2 <= eps:
+                observed = float(t)
+                break
+        if observed < strong - tol.MIXING_BOUND_SLACK:
+            raise BoundViolated(
+                f"observed mixing at step {observed!r} beats the lower "
+                f"bound {strong!r}",
+                observed=observed,
+                bound=strong,
+            )
+        return dict(row, tmix_strong=strong, tmix_weak=weak, tmix_observed=observed)
 
-    tasks = [{"model": label, "beta": b} for b in vals["betas"]]
-    return _run_grid(out, QUANTUM_COLUMNS, point, tasks, jobs)[1]
+    betas = vals["betas"] if horizon is None else [vals["beta"]]
+    return [{"model": label, "beta": b} for b in betas], point
 
 
-def _certificate_values(cert):
-    """The barrier certificate's entries, in BARRIER_COLUMNS[6:] order."""
-    return (
-        cert.V.dim,
-        cert.boundary.dim,
-        cert.E_min_V,
-        cert.E_min_boundary,
-        cert.kappa,
-    )
+def _certificate(cert):
+    """A barrier certificate's report entries, keyed by column name."""
+    return {
+        "dim_V": cert.V.dim,
+        "dim_boundary": cert.boundary.dim,
+        "E_min_V": cert.E_min_V,
+        "E_min_boundary": cert.E_min_boundary,
+        "kappa": cert.kappa,
+    }
 
 
-def _run_barrier_scan(vals, out, jobs):
-    checks, label = _build_checks(vals, _LABEL_MAX_BITS)
+def _plan_barrier_scan(vals, checks, label):
     center = vals["center"]
     inner = vals["inner"]
     _check_center("center", center, checks.n)
     _check_shell("inner + max(radii)", inner + max(vals["radii"]), checks.n)
     H = build_hamiltonian(checks)
+    fixed = {"n": checks.n, "center_x": center[0], "center_z": center[1], "inner": inner}
 
     def point(task):
         cert = barrier_subspace(checks, center, inner, task["boundary"], H)
-        return (
-            label,
-            checks.n,
-            center[0],
-            center[1],
-            inner,
-            task["boundary"],
-            *_certificate_values(cert),
-        )
+        return {**_certificate(cert), **task, **fixed}
 
-    tasks = [{"model": label, "boundary": b} for b in vals["radii"]]
-    return _run_grid(out, BARRIER_COLUMNS, point, tasks, jobs)[1]
+    return [{"model": label, "boundary": b} for b in vals["radii"]], point
 
 
-def _run_tail_check(vals, out, jobs):
-    if vals["eps2"] <= vals["eps1"]:
-        raise ConfigInvalid("need eps2 > eps1")
-    checks, label = _build_checks(vals, _TAIL_MAX_BITS)
+def _plan_tail_check(vals, checks, label):
     H0 = build_hamiltonian(checks)
     n = checks.n
     eps1, eps2 = vals["eps1"], vals["eps2"]
@@ -564,32 +551,17 @@ def _run_tail_check(vals, out, jobs):
                 f"shell coupling residual {block.residual:.3e} "
                 f"at pair {block.worst_pair}"
             )
-        return [
-            (
-                label,
-                n,
-                eps1,
-                eps2,
-                g,
-                seed,
-                delta_E,
-                rec.eigen_index,
-                rec.energy,
-                rec.amplitude,
-                rec.lemma_bound,
-                rec.lambda_,
-                block.residual,
-            )
-            for rec in tail_amplitudes(H, H0, shells)
-        ]
+        row = dict(task, n=n, eps1=eps1, eps2=eps2, delta_E=delta_E, block_residual=block.residual)
+        records = tail_amplitudes(H, H0, shells)
+        return [{**vars(rec), **row, "lambda": rec.lambda_} for rec in records]
 
     tasks = [
         {"model": label, "g": g, "seed": s} for g in vals["gs"] for s in vals["seeds"]
     ]
-    return _run_grid(out, TAIL_COLUMNS, point, tasks, jobs)[1]
+    return tasks, point
 
 
-def _run_stability_sweep(vals, out, jobs):
+def _plan_stability_sweep(vals):
     name = vals["model"]
     if name in REGISTRY and name not in SIZE_INDEXED:
         raise ConfigInvalid(
@@ -603,65 +575,10 @@ def _run_stability_sweep(vals, out, jobs):
 
     def point(task):
         H0, cert = per_n[task["n"]]
-        return sweep_point(**task, H0=H0, cert=cert)
+        row = sweep_point(**task, H0=H0, cert=cert)
+        return {**row._asdict(), "lambda": row.lambda_kappa}
 
-    betas, gs = vals["betas"], vals["gs"]
-    tasks = sweep_grid(name, betas, gs, vals["ns"], vals["seeds"])
-    rows, failures = _run_grid(out, SWEEP_COLUMNS, point, tasks, jobs)
-    try:
-        fits = fit_sweep(rows, betas, gs)
-    except BoundViolated as exc:
-        return failures + [_failure_entry(exc)]
-    _write_text(os.path.join(out, "fit.json"), fits_to_json(fits) + "\n")
-    return failures
-
-
-def _run_mixing_compare(vals, out, jobs):
-    checks, label, H, V = _quantum_setup(vals)
-    n = checks.n
-    r = vals["partition_radius"]
-    eps = vals.get("mix_eps", DEFAULT_MIX_EPS)
-    beta = vals["beta"]
-    horizon = vals["horizon"]
-
-    def point(task):
-        rho, _, _ = gibbs_state(H, beta)
-        sched = _schedule_for(vals, checks, H, beta)
-        # Explicit partition: the Kraus condition is verified numerically,
-        # so the radius may sit below the crude locality bound when the
-        # moves genuinely cannot jump the buffer.
-        part = partition_from_radius(V, r)
-        rep = verify_bottleneck_theorem(sched, rho, part, mix_eps=eps)
-        strong, weak = mixing_time_lower_bound(rep, eps)
-        start = _conditioned_start(rho, part.A)
-        observed = math.inf
-        for t, dist in enumerate(evolve_sequence(sched, start, rho, T=horizon)):
-            if dist / 2 <= eps:
-                observed = float(t)
-                break
-        if observed < strong - tol.MIXING_BOUND_SLACK:
-            raise BoundViolated(
-                f"observed mixing at step {observed!r} beats the lower "
-                f"bound {strong!r}",
-                observed=observed,
-                bound=strong,
-            )
-        return (
-            label,
-            n,
-            beta,
-            r,
-            rep.delta,
-            rep.denominator,
-            strong,
-            weak,
-            observed,
-            horizon,
-            eps,
-        )
-
-    tasks = [{"model": label, "beta": beta}]
-    return _run_grid(out, MIXING_COLUMNS, point, tasks, jobs)[1]
+    return sweep_grid(name, vals["betas"], vals["gs"], vals["ns"], vals["seeds"]), point
 
 
 def _conditioned_start(rho, A):
@@ -678,8 +595,9 @@ def _conditioned_start(rho, A):
     return DensityMatrix(start / np.real(np.trace(start)), rho.n)
 
 
-def _run_model_info(vals, out, jobs):
-    checks, label = _build_checks(vals, _LABEL_MAX_BITS)
+def _plan_model_info(vals, checks, label):
+    if "expansion_delta" in vals and not checks.is_classical:
+        raise ConfigInvalid("expansion_delta needs a classical (Z-only) model")
     if "barrier" in vals:
         _check_barrier("barrier", vals["barrier"], checks.n)
     H = build_hamiltonian(checks)
@@ -699,22 +617,19 @@ def _run_model_info(vals, out, jobs):
     }
     if "beta" in vals:
         _, logZ, F = gibbs_state(H, vals["beta"])
-        info["beta"] = vals["beta"]
-        info["log_Z"] = logZ
-        info["free_energy"] = F
+        info.update(beta=vals["beta"], log_Z=logZ, free_energy=F)
     if "expansion_delta" in vals:
         gamma, witness = expansion_scan(checks, vals["expansion_delta"])
-        info["expansion_gamma"] = gamma
-        info["expansion_witness"] = witness
+        info.update(expansion_gamma=gamma, expansion_witness=witness)
     if "barrier" in vals:
         bar = vals["barrier"]
         cert = barrier_subspace(checks, bar["center"], bar["inner"], bar["boundary"], H)
-        info["barrier"] = dict(zip(BARRIER_COLUMNS[6:], _certificate_values(cert)))
-    _write_json(os.path.join(out, "report.json"), info)
-    return []
+        info["barrier"] = _certificate(cert)
+    return info
 
 
-# name: (help line, config schema, runner taking the validated values)
+# name: (help line, config schema, register bound of the family build (None:
+# the plan builds its own), report columns (None: one summary), plan)
 SUBCOMMANDS = {
     "verify-classical": (
         "classical bottleneck bound for Glauber chains",
@@ -730,12 +645,16 @@ SUBCOMMANDS = {
             ),
             "laziness": (False, _num_field(lo=0.0)),
         },
-        _run_verify_classical,
+        _GLAUBER_MAX_BITS,
+        CLASSICAL_COLUMNS,
+        _plan_verify_classical,
     ),
     "verify-quantum": (
         "quantum bottleneck bound for Gibbs sampler schedules",
         {**_QUANTUM_SCHEMA, "betas": (True, _num_list(lo=0.0))},
-        _run_verify_quantum,
+        _SITE_MAX_BITS,
+        QUANTUM_COLUMNS,
+        _plan_quantum,
     ),
     "barrier-scan": (
         "energy barrier certificates over boundary radii",
@@ -745,7 +664,9 @@ SUBCOMMANDS = {
             "inner": (True, _int_field(lo=0)),
             "radii": (True, _int_list(lo=1)),
         },
-        _run_barrier_scan,
+        _LABEL_MAX_BITS,
+        BARRIER_COLUMNS,
+        _plan_barrier_scan,
     ),
     "tail-check": (
         "eigenstate tail amplitudes against the shell decay bound",
@@ -757,7 +678,9 @@ SUBCOMMANDS = {
             "seeds": (True, _int_list(lo=0)),
             "delta_E": (False, _num_field(lo=0.0, strict=True)),
         },
-        _run_tail_check,
+        _TAIL_MAX_BITS,
+        TAIL_COLUMNS,
+        _plan_tail_check,
     ),
     "stability-sweep": (
         "bottleneck ratio across a (beta, g, n, seed) grid",
@@ -769,7 +692,9 @@ SUBCOMMANDS = {
             "ns": (True, _int_list(1, _SWEEP_MAX_BITS)),
             "seeds": (True, _int_list(lo=0)),
         },
-        _run_stability_sweep,
+        None,
+        SWEEP_COLUMNS,
+        _plan_stability_sweep,
     ),
     "mixing-compare": (
         "observed mixing step against the theorem lower bounds",
@@ -778,7 +703,9 @@ SUBCOMMANDS = {
             "beta": (True, _num_field(lo=0.0)),
             "horizon": (True, _int_field(1, _MAX_STEPS)),
         },
-        _run_mixing_compare,
+        _SITE_MAX_BITS,
+        MIXING_COLUMNS,
+        _plan_quantum,
     ),
     "model-info": (
         "spectrum, check counts and optional barrier summary",
@@ -788,7 +715,9 @@ SUBCOMMANDS = {
             "expansion_delta": (False, functools.partial(_as_unit, hi=1.0)),
             "barrier": _dict_field(_BARRIER_SCHEMA, required=False),
         },
-        _run_model_info,
+        _LABEL_MAX_BITS,
+        None,
+        _plan_model_info,
     ),
 }
 
@@ -802,7 +731,7 @@ def _parser():
         description="Bottleneck-ratio experiment pipelines with asserted bounds.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-    for name, (help_line, _, _) in SUBCOMMANDS.items():
+    for name, (help_line, *_) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=".", help="output directory, created if absent")
@@ -810,17 +739,51 @@ def _parser():
     return parser
 
 
+def _run(subcommand, cfg, out, jobs):
+    """The chain every subcommand runs on its config: the schema, the
+    checks that need no register size, the check family under the route's
+    register bound, the plan, the grid and its report, fit.json for a
+    sweep. Returns the failures. A plan takes the values and, unless it
+    builds its own (stability-sweep, one per n), the family and its label;
+    it makes the subcommand's cross-field checks and shared builds and
+    returns its tasks and point function, or model-info's one summary."""
+    _, schema, max_bits, columns, plan = SUBCOMMANDS[subcommand]
+    vals = _as_dict(subcommand, cfg, schema, top=True)
+    if vals.get("laziness", 0.0) >= 1:
+        _fail("laziness", vals["laziness"], "a number in [0, 1)")
+    if "eps2" in vals and vals["eps2"] <= vals["eps1"]:
+        raise ConfigInvalid("need eps2 > eps1")
+    if "expansion_delta" in vals:
+        max_bits = _EXPANSION_MAX_BITS
+    planned = plan(vals, *_build_checks(vals, max_bits)) if max_bits else plan(vals)
+    if columns is None:
+        _write_json(os.path.join(out, "report.json"), planned)
+        return []
+    rows, failures = _run_grid(out, columns, *planned, jobs)
+    if subcommand != "stability-sweep":
+        return failures
+    try:
+        sweep = [SweepRow._make(r[f] for f in SweepRow._fields) for r in rows]
+        fits = fit_sweep(sweep, vals["betas"], vals["gs"])
+    except BoundViolated as exc:
+        return failures + [_failure_entry(exc)]
+    _write_text(os.path.join(out, "fit.json"), fits_to_json(fits) + "\n")
+    return failures
+
+
 def main(argv=None):
     """Entry point. Returns the process exit status."""
     args = _parser().parse_args(argv)
     out = args.out
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # with no directory, failures.json is not written
+        print(f"config rejected: cannot make output directory {out!r}: {exc}", file=sys.stderr)
+        return 2
     try:
         if args.jobs < 1:
             raise ConfigInvalid(f"jobs must be >= 1, got {args.jobs}")
-        _, schema, runner = SUBCOMMANDS[args.subcommand]
-        vals = _as_dict(args.subcommand, _load_config(args.config), schema, top=True)
-        failures = runner(vals, out, args.jobs)
+        failures = _run(args.subcommand, _load_config(args.config), out, args.jobs)
     except (BottleneckLabError, MemoryError) as exc:
         rejected = isinstance(exc, (ConfigInvalid, ModelNotFound))
         _write_json(os.path.join(out, "failures.json"), [_failure_entry(exc)])

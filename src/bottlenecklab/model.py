@@ -410,6 +410,10 @@ def bits_from_mask(n, mask):
     return np.array([(mask >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.int8)
 
 
+# the largest register expansion_scan enumerates
+_EXPANSION_MAX_BITS = 20
+
+
 def expansion_scan(checks, delta):
     """Worst energy-per-weight ratio over words of weight up to delta*n.
 
@@ -420,8 +424,8 @@ def expansion_scan(checks, delta):
     if not checks.is_classical:
         raise NotClassical("model has X checks")
     n = checks.n
-    if n > 20:
-        raise NotClassical(f"scan over 2^{n} states refused (n > 20)")
+    if n > _EXPANSION_MAX_BITS:
+        raise NotClassical(f"scan over 2^{n} states refused (n > {_EXPANSION_MAX_BITS})")
     E = label_energies(checks)
     w = popcount(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
     sel = (w > 0) & (w <= delta * n)
@@ -860,10 +864,11 @@ MODEL_KEYS = {
 SIZE_INDEXED = tuple(name for name, keys in MODEL_KEYS.items() if list(keys) == ["n"])
 
 
-def build_model(name, params):
+def build_model(name, params, max_bits=_LABEL_MAX_BITS):
     """CheckFamily of a registry model from its MODEL_KEYS params, checked
     before the factory runs: a key the model does not take, a missing key
-    without a default or a value outside its bounds raises ConfigInvalid."""
+    without a default, a value outside its bounds or a register n past
+    max_bits, the bound of the route that asks, raises ConfigInvalid."""
     if name not in REGISTRY:
         raise ModelNotFound(f"unknown model {name!r}; registry has {sorted(REGISTRY)}")
     keys = MODEL_KEYS[name]
@@ -879,6 +884,8 @@ def build_model(name, params):
             raise ConfigInvalid(f"model {name!r} needs {key} >= {least}, got {value}")
         if most is not None and value > most:
             raise ConfigInvalid(f"model {name!r} needs {key} <= {most}, got {value}")
+        if key == "n" and value > max_bits:
+            raise ConfigInvalid(f"this subcommand holds at most {max_bits} bits, got n = {value}")
         args.append(value)
     return REGISTRY[name](*args)
 

@@ -39,14 +39,17 @@ def popcount(arr):
 def gf2_span(masks, cap=_COSET_CAP):
     """All XOR combinations of the given masks, as a sorted numpy array.
 
-    Dependent generators are fine; duplicates are removed. Raises
-    GroupTooLarge when 2**len(masks) would exceed the cap.
+    A mask already in the span of the masks before it adds nothing, so
+    dependent generators and duplicates are fine. Raises GroupTooLarge
+    when the span would hold more than cap elements.
     """
-    if 2 ** len(masks) > cap:
-        raise GroupTooLarge(f"2^{len(masks)} coset elements exceed cap {cap}")
     span = np.zeros(1, dtype=np.uint64)
-    for m in masks:
-        span = np.concatenate([span, span ^ np.uint64(m)])
+    for m in map(np.uint64, masks):
+        if m in span:
+            continue
+        if 2 * span.size > cap:
+            raise GroupTooLarge(f"2^{span.size.bit_length()} coset elements exceed cap {cap}")
+        span = np.concatenate([span, span ^ m])
     return np.unique(span)
 
 

@@ -128,13 +128,30 @@ GRID_CONFIGS = {
 }
 
 
+GRID_COLUMNS = {
+    "verify-classical": cli.CLASSICAL_COLUMNS,
+    "verify-quantum": cli.QUANTUM_COLUMNS,
+    "barrier-scan": cli.BARRIER_COLUMNS,
+    "tail-check": cli.TAIL_COLUMNS,
+    "stability-sweep": cli.SWEEP_COLUMNS,
+    "mixing-compare": cli.MIXING_COLUMNS,
+}
+
+
 def test_worker_count_does_not_change_bytes(tmp_path):
     # every grid subcommand; stability-sweep's grid runs on the same pool
+    assert set(GRID_COLUMNS) == set(GRID_CONFIGS)
     for subcommand, cfg in GRID_CONFIGS.items():
         code1, serial = run(subcommand, cfg, tmp_path, f"{subcommand}-serial")
         code2, pooled = run(subcommand, cfg, tmp_path, f"{subcommand}-pooled", jobs=3)
         code3, two = run(subcommand, cfg, tmp_path, f"{subcommand}-two", jobs=2)
         assert code1 == code2 == code3 == 0, subcommand
+        # both reports carry exactly the declared columns, the CSV in order
+        columns = GRID_COLUMNS[subcommand]
+        assert read_rows(serial)[0] == ",".join(columns), subcommand
+        payload = json.loads((serial / "report.json").read_text())
+        assert payload
+        assert all(set(row) == set(columns) for row in payload), subcommand
         names = ["report.csv", "report.json", "failures.json"]
         if subcommand == "stability-sweep":
             names.append("fit.json")
@@ -629,6 +646,31 @@ def test_model_info_expansion(tmp_path):
     assert sum(info["expansion_witness"]) == 3
 
 
+def test_dependent_x_checks_count_once_against_the_span_cap(tmp_path):
+    # 21 copies of one X check span two elements, not 2^21
+    path = tmp_path / "copies.txt"
+    path.write_text("n: 4\n" + "X: 0 1\n" * 21 + "Z: 0 1\n")
+    code, out = run("model-info", {"checks_file": str(path)}, tmp_path)
+    assert code == 0
+    info = json.loads((out / "report.json").read_text())
+    assert (info["x_checks"], info["z_checks"], info["dim"]) == (21, 1, 16)
+    assert json.loads((out / "failures.json").read_text()) == []
+
+
+def test_out_naming_a_file_rejected(tmp_path, monkeypatch, capsys):
+    built = _spy_on_builds(monkeypatch, through=False)
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(MODEL_INFO_CFG))
+    assert main(["model-info", "--config", str(cfg), "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config rejected: cannot make output directory")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert target.read_text() == "not a directory\n"
+    assert built == []
+
+
 def test_checks_file_source(tmp_path):
     path = tmp_path / "triangle.txt"
     path.write_text("n: 3\nZ: 0 1\nZ: 1 2\nZ: 0 2\n")
@@ -1084,6 +1126,15 @@ VC_FILE = {"betas": [1.0], "partition": {"center": 0, "inner": 0, "width": 1}}
             dict(VC_FILE, checks_file="triangle.txt", n=9),
             "none of the model keys",
         ),
+        # an expansion scan enumerates the 2^n states of a classical family
+        ("model-info", {"model": "steane7", "expansion_delta": 0.2}, "Z-only"),
+        (
+            "model-info",
+            {"model": "ising_ring", "n": 21, "expansion_delta": 0.1},
+            "at most 20 bits, got n = 21",
+        ),
+        # toric at L = 3: a label basis of 2^18 x 2^8 entries
+        ("model-info", {"checks_file": "toric3.txt"}, "2^18 x 2^8 entries is past 2^24"),
     ],
 )
 def test_config_rejected_through_main(tmp_path, monkeypatch, subcommand, cfg, word):
@@ -1093,6 +1144,10 @@ def test_config_rejected_through_main(tmp_path, monkeypatch, subcommand, cfg, wo
     (tmp_path / "bad_qubit.txt").write_text("Z: 0 a\n")
     (tmp_path / "latin1.txt").write_bytes("n: 3\nZ: 0 1 # \u00e9\n".encode("latin-1"))
     (tmp_path / "n40.txt").write_text("n: 40\nZ: 0 1\n")
+    toric3 = REGISTRY["toric"](3)
+    checks = [("Z", c) for c in toric3.z_checks] + [("X", c) for c in toric3.x_checks]
+    text = "".join(f"{tag}: {' '.join(map(str, c))}\n" for tag, c in checks)
+    (tmp_path / "toric3.txt").write_text(f"n: {toric3.n}\n" + text)
     built = _spy_on_builds(monkeypatch, through=False)
     path = tmp_path / "cfg.json"
     if isinstance(cfg, bytes):

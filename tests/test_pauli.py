@@ -140,8 +140,17 @@ def test_gf2_span():
 
 
 def test_gf2_span_cap():
-    with pytest.raises(GroupTooLarge):
-        pl.gf2_span(list(range(1, 22)), cap=2**20)
+    with pytest.raises(GroupTooLarge, match="2\\^21 coset elements"):
+        pl.gf2_span([1 << i for i in range(21)], cap=2**20)
+
+
+def test_gf2_span_cap_counts_the_span_not_the_masks():
+    # 21 masks spanning two elements: the cap reads the span's size, so
+    # dependent masks and repeats cost nothing against it
+    assert pl.gf2_span([0b11] * 21, cap=2**20).tolist() == [0b00, 0b11]
+    assert pl.gf2_span(list(range(1, 22)), cap=32).size == 32
+    with pytest.raises(GroupTooLarge, match="2\\^6 coset elements"):
+        pl.gf2_span(list(range(1, 34)), cap=32)
 
 
 def test_null_space(rng):
