@@ -20,7 +20,8 @@ trace preservation is the chain's column sums, checked at construction.
 The dense list ``kraus`` is built only when a dense consumer reads it:
 apply_channel, check_partition_condition and quasi_local_mixture,
 channel_locality for a form over a basis other than the identity, and
-evolve_sequence for states without labels over the forms' basis.
+evolve_sequence for states without labels over the forms' basis. The
+CLI reaches only channel_locality of these, on a CSS family's forms.
 """
 
 import functools

@@ -77,7 +77,7 @@ from .stability import (
     tail_amplitudes,
     verify_block_tridiagonal,
 )
-from .subspace import basis_state_subspace, hamming_ball_subspace, partition_from_radius
+from .subspace import ball, basis_state_subspace, partition_from_radius
 
 # Report columns per grid subcommand, in report order: each point returns
 # rows keyed by column name, and report.csv and report.json are both written
@@ -222,9 +222,10 @@ _MAX_STEPS = 1 << 20
 _SITE_MAX_BITS = 20
 _TAIL_MAX_BITS = 12
 _SWEEP_MAX_BITS = 13
-# The most channel applications of a CSS point, which runs dense, up to n=8;
-# 8-fold fewer per qubit past it (at the bound: 7.2-7.6 s on toric, n=8).
-_DENSE_MAX_APPLICATIONS = 256
+# The most label steps, repetitions x sites x flavors + horizon, of a
+# verify-quantum or mixing-compare point to n = 10 (a step's cost is about
+# flat there), half as many per qubit past it: under 10 s at the bound (README).
+_MAX_LABEL_STEPS = 1 << 18
 # log2 of the most entries of a CSS family's label basis, 2^n x 2^rank with
 # rank that of its X checks: model-info on 2^24 (n = 17, 7 X checks) took 21 s
 # and 2126 MiB peak RSS under a 2.5 GB address-space cap; 2^25 did not fit.
@@ -440,7 +441,8 @@ _QUANTUM_SCHEMA = {
 def _plan_quantum(vals, checks, label):
     """verify-quantum's theorem at each beta or, given a horizon,
     mixing-compare's observed mixing step at its one beta against the
-    theorem's lower bounds; both over the same ball, radius and schedule."""
+    theorem's lower bounds; both over one schedule, radius and ball of
+    H's labels, a center c being the label (c, 0)."""
     n = checks.n
     sub = vals["subspace"]
     _check_center("subspace.centers", sub["centers"], n)
@@ -450,15 +452,15 @@ def _plan_quantum(vals, checks, label):
             _fail(f"sites[{i}]", site, f"a qubit of the {n}-qubit register")
     _check_shell("partition_radius", vals["partition_radius"], n)
     horizon = vals.get("horizon")
-    if not checks.is_classical:
-        if "flavors" not in vals:
-            raise ConfigInvalid('models with X checks need "flavors" (e.g. ["X"])')
-        most = _DENSE_MAX_APPLICATIONS >> 3 * max(n - 8, 0)
-        sweep = len(sites) * len(vals["flavors"])
-        if (got := vals.get("repetitions", 1) * sweep + (horizon or 0)) > most:
-            _fail("repetitions x sites x flavors + horizon", got, f"at most {most} at n = {n} (dense CSS)")
+    if not checks.is_classical and "flavors" not in vals:
+        raise ConfigInvalid('models with X checks need "flavors" (e.g. ["X"])')
+    most = _MAX_LABEL_STEPS >> max(n - 10, 0)
+    sweep = len(sites) * len(vals.get("flavors", ["X"]))
+    if (got := vals.get("repetitions", 1) * sweep + (horizon or 0)) > most:
+        _fail("repetitions x sites x flavors + horizon", got, f"at most {most} at n = {n}")
     H = build_hamiltonian(checks)
-    V = hamming_ball_subspace(n, sub["centers"], sub["radius"])
+    W = H.labels[0]
+    V = ball(W, [W.index(c, 0) for c in sub["centers"]], sub["radius"])
     r = vals["partition_radius"]
     eps = vals.get("mix_eps", DEFAULT_MIX_EPS)
     fixed = {"n": n, "r": r, "g": 0.0, "mix_eps": eps, "horizon": horizon}
@@ -582,17 +584,12 @@ def _plan_stability_sweep(vals):
 
 
 def _conditioned_start(rho, A):
-    """rho conditioned on A, P_A rho P_A / tr(P_A rho). When rho carries
-    labels over the basis W of A, that is the label state p 1_A / sum,
-    with no matrix formed; otherwise (a CSS state against a Hamming ball)
-    it is the dense product."""
+    """rho conditioned on A, P_A rho P_A / tr(P_A rho): rho carries labels
+    p over the basis W of A, so that is the label state p 1_A / sum, with
+    no matrix formed."""
     W, in_A = A.labels
     p = label_weights(rho, W)
-    if p is not None:
-        return DensityMatrix.from_labels(W, np.where(in_A, p, 0.0) / p[in_A].sum())
-    P_A = A.projector()
-    start = P_A @ rho.mat @ P_A
-    return DensityMatrix(start / np.real(np.trace(start)), rho.n)
+    return DensityMatrix.from_labels(W, np.where(in_A, p, 0.0) / p[in_A].sum())
 
 
 def _plan_model_info(vals, checks, label):

@@ -786,8 +786,8 @@ def test_perturbed_gibbs_state_takes_the_dense_path():
 
 
 def test_label_channels_against_basis_state_blocks_take_the_dense_path():
-    # the CLI's verify-quantum on a CSS model: a Hamming ball of basis
-    # states is not a set of CSS labels
+    # a Hamming ball of basis states is not a set of CSS labels, so the
+    # label path does not apply (the CLI balls its labels instead)
     checks = REGISTRY["steane7"]()
     H = build_hamiltonian(checks)
     rho, _, _ = gibbs_state(H, 1.0)
