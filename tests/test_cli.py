@@ -899,6 +899,7 @@ VQ_STEANE = {key: MC_STEANE[key] for key in ("model", "flavors", "subspace", "pa
     [
         ("verify-quantum", dict(VQ_BASE, n=6), "repetitions", 43690, "at most 262144 at n = 6, got 262146"),
         ("mixing-compare", MC_STEANE, "horizon", 262137, "at most 262144 at n = 7, got 262145"),
+        ("mixing-compare", MC_STEANE, "repetitions", 37447, "at most 262144 at n = 7, got 262146"),
         (
             "verify-quantum",
             dict(VQ_STEANE, betas=[1.0], flavors=["X", "Z"]),
@@ -922,7 +923,7 @@ VQ_STEANE = {key: MC_STEANE[key] for key in ("model", "flavors", "subspace", "pa
         ),
         ("mixing-compare", dict(GRID_CONFIGS["mixing-compare"], n=16), "horizon", 4080, "at most 4096 at n = 16, got 4097"),
     ],
-    ids=["ring6", "steane7", "steane7-XZ", "toric", "shor9", "ring16"],
+    ids=["ring6", "steane7", "steane7-repetitions", "steane7-XZ", "toric", "shor9", "ring16"],
 )
 def test_schedule_past_its_run_time_bound_rejected(tmp_path, monkeypatch, subcommand, cfg, key, at, word):
     # every family's label steps, repetitions x sites x flavors + horizon,
@@ -938,6 +939,15 @@ def test_schedule_past_its_run_time_bound_rejected(tmp_path, monkeypatch, subcom
     assert_config_rejected(out, word)
     with pytest.raises(AssertionError, match="a matrix was built"):
         run(subcommand, dict(cfg, **{key: at}), tmp_path, "at_bound")
+
+
+def test_horizon_far_past_the_run_time_bound_rejected(tmp_path, monkeypatch):
+    # a horizon of 2^20 is refused from the count alone, before anything
+    # is built: 2^20 + 7 sites
+    monkeypatch.setattr(cli, "build_hamiltonian", _refuse)
+    code, out = run("mixing-compare", dict(MC_STEANE, horizon=2**20), tmp_path)
+    assert code == 2
+    assert_config_rejected(out, "got 1048583")
 
 
 @pytest.mark.parametrize(
