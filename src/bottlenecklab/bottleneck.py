@@ -112,12 +112,6 @@ class QuasiLocalReport:
     terms: dict
 
 
-def _projector_of(P):
-    if isinstance(P, Subspace):
-        return P.projector()
-    return np.asarray(P, dtype=np.complex128)
-
-
 def _basis_of(P):
     """An X with X X^dag = P: a Subspace's orthonormal basis, or P itself."""
     if isinstance(P, Subspace):
@@ -319,9 +313,10 @@ def _dense_measures(channels, mat, part):
 
 
 def diagonal_bound(rho, P):
-    """||rho P||_1 against sqrt(tr(rho P)); the inequality is asserted."""
+    """||rho P||_1 against sqrt(tr(rho P)) for a projector array P; the
+    inequality is asserted."""
     mat = matrix_of(rho)
-    proj = _projector_of(P)
+    proj = np.asarray(P, dtype=np.complex128)
     lhs = trace_norm(mat @ proj)
     rhs = math.sqrt(max(0.0, float(np.real(np.trace(mat @ proj)))))
     if lhs > rhs + tol.DIAGONAL_BOUND_SLACK:
@@ -471,7 +466,7 @@ def free_energy_report(H, beta, V, r, delta_measured=0.0):
     )
 
 
-def quasi_local_bound(C, rho, V, mix_eps=DEFAULT_MIX_EPS):
+def quasi_local_bound(C, rho, V):
     """Combined drift bound min over certified radii of 10 Delta(s) + f(s).
 
     The full channel need not be local; each certificate entry supplies an

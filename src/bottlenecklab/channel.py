@@ -9,14 +9,16 @@ channels built as convex mixtures (1-p) local + p tail certify f(r) = 2p
 without any diamond-norm computation.
 
 The Metropolis samplers build their channels in monomial form instead
-(MonomialKraus): K_m = W T_m W† for a label basis W of the model, where
+(MonomialKraus, made by _trusted_channel alone): K_m = W T_m W† for a
+label basis W of the model, where
 T_m moves every label j to j ^ moves[m] with amplitude coef[m, j], one
 XOR mask per Kraus operator. A state diagonal in W is then a label
 probability vector, and the channel acts on it as a classical chain:
 ``MonomialKraus.chain`` is the markov.StochasticMatrix of the form's own
 (k, 1) masks and weights |coef|^2. Every label step, fixed-point
 residual and drift runs through it. Every T_m permutes the labels, so
-trace preservation is the chain's column sums, checked at construction.
+trace preservation is the chain's column sums; the sampler that builds
+a form checks them, and its Gibbs residual, through that chain.
 The dense list ``kraus`` is built only when a dense consumer reads it:
 apply_channel, check_partition_condition and quasi_local_mixture,
 channel_locality for a form over a basis other than the identity, and
@@ -52,36 +54,29 @@ _STACK_ENTRIES = 1 << 16
 class KrausChannel:
     """Trace-preserving channel given by explicit Kraus operators.
 
-    A channel may be given in monomial form over a label basis instead
-    (``monomial``, see MonomialKraus). Trace preservation is then checked
-    on its coefficient vectors, and the dense operators in ``kraus`` are
-    built on first read, by the consumers that need matrices.
-    ``fixes`` is None, or the read-only label vector that the sampler
-    which built the channel checked it to fix, set after construction.
+    A channel in monomial form over a label basis (see MonomialKraus) is
+    built by _trusted_channel instead, and the dense operators in
+    ``kraus`` are then built on first read, by the consumers that need
+    matrices. ``fixes`` is None, or the read-only label vector that the
+    sampler which built the channel checked it to fix.
     """
 
     fixes = None
+    monomial = None
 
-    def __init__(self, n, kraus=None, quasi_local_certificate=None, monomial=None):
+    def __init__(self, n, kraus, quasi_local_certificate=None):
         self.n = n
         self.quasi_local_certificate = quasi_local_certificate
-        self.monomial = monomial
-        if monomial is not None:
-            if monomial.basis.n != n:
-                got = monomial.basis.n
-                raise DimensionMismatch(f"monomial form on {got} qubits, channel on {n}")
-            resid = monomial.trace_residual()
-        else:
-            if not kraus:
-                raise EmptyInput("channel needs at least one Kraus operator")
-            ops = []
-            for K in kraus:
-                K = np.asarray(K, dtype=np.complex128)
-                if K.shape != (self.dim, self.dim):
-                    raise DimensionMismatch(f"Kraus shape {K.shape} does not match 2^{n}")
-                ops.append(K)
-            self.kraus = ops
-            resid = _trace_residual(ops, self.dim)
+        if not kraus:
+            raise EmptyInput("channel needs at least one Kraus operator")
+        ops = []
+        for K in kraus:
+            K = np.asarray(K, dtype=np.complex128)
+            if K.shape != (self.dim, self.dim):
+                raise DimensionMismatch(f"Kraus shape {K.shape} does not match 2^{n}")
+            ops.append(K)
+        self.kraus = ops
+        resid = _trace_residual(ops, self.dim)
         # NaN fails the comparison too
         if not resid <= tol.KRAUS_TRACE_TOL:
             raise NotTracePreserving(f"sum of K†K deviates from identity by {resid:.3e}")
@@ -98,11 +93,11 @@ class KrausChannel:
 
 def _trusted_channel(basis, moves, coef, weights):
     """KrausChannel of the form (moves, coef, weights = |coef|^2) over
-    basis with no checks, for a sampler that makes them on its own forms."""
-    form = object.__new__(MonomialKraus)
-    form.basis, form.moves, form.coef, form.weights = basis, moves, coef, weights
+    basis, the one builder of monomial channels. It checks nothing: each
+    sampler checks the channels it builds (sampler._checked)."""
     chan = object.__new__(KrausChannel)
-    chan.n, chan.monomial, chan.quasi_local_certificate = basis.n, form, None
+    chan.n, chan.quasi_local_certificate = basis.n, None
+    chan.monomial = MonomialKraus(basis, moves, coef, weights)
     return chan
 
 
@@ -127,26 +122,15 @@ class MonomialKraus:
     basis: object
     moves: np.ndarray
     coef: np.ndarray
-
-    def __post_init__(self):
-        self.moves = np.asarray(self.moves, dtype=np.int64)
-        self.coef = np.asarray(self.coef, dtype=np.complex128)
-        k, dim = (self.coef.shape[0] if self.coef.ndim else 0), self.basis.dim
-        if self.coef.shape != (k, dim) or self.moves.shape != (k, 1):
-            raise DimensionMismatch(
-                f"monomial moves {self.moves.shape} and coef {self.coef.shape} need (kraus, 1) and (kraus, {dim})"
-            )
-        # dim is 2^n, so j ^ c stays a label exactly when 0 <= c < dim
-        if self.moves.size and (self.moves.min() < 0 or self.moves.max() >= dim):
-            raise DimensionMismatch("monomial move outside the label range")
-        self.weights = np.abs(self.coef) ** 2
+    weights: np.ndarray
 
     @functools.cached_property
     def chain(self):
         """The channel on label probabilities, as a StochasticMatrix over
-        the form's own masks and weights. Its checks are the form's: masks
-        in range, weights |coef|^2, and column sums, which are the
-        diagonal of sum_m T_m† T_m that KrausChannel checks."""
+        the form's own masks and weights. The sampler that builds the form
+        stands for its checks: masks in range, weights |coef|^2, and
+        column sums, the diagonal of sum_m T_m† T_m (trace_residual),
+        which sampler._checked reads."""
         return StochasticMatrix._trusted(self.moves, self.weights)
 
     def trace_residual(self):

@@ -12,7 +12,8 @@ columns are padded with zero weights. A monomial Kraus form
 (channel.MonomialKraus) holds (k, 1) masks only, and its chain on label
 probabilities is its masks with weights |coef|^2, so the quantum label
 path and the classical path step, check and drift through one kernel,
-which reads either shape of moves by broadcasting. A step p -> M p adds
+which reads either shape of moves by broadcasting; the samplers' Gibbs
+check of every channel they build is one such step. A step p -> M p adds
 each target's entries in k order, by one bincount over the flattened
 form or, for masks past _STEP_CHUNK entries, by a gather through XOR
 views, and a column sum adds the entries of each column in k order.
@@ -122,8 +123,8 @@ class StochasticMatrix:
     @classmethod
     def _trusted(cls, moves, weights):
         """from_columns on moves, without its checks, for a caller that has
-        made them: masks below a power-of-two dim stay in range, and a
-        monomial Kraus form checks its moves and its column sums."""
+        made them: masks below a power-of-two dim stay in range, and the
+        sampler that builds a monomial Kraus form checks its column sums."""
         moves, weights = np.asarray(moves), np.asarray(weights, dtype=np.float64)
         k = weights.shape[0] if weights.ndim == 2 else 0
         if k == 0 or moves.shape not in ((k, 1), weights.shape):

@@ -201,7 +201,7 @@ class Hamiltonian:
         elif M is not None:
             M = np.asarray(M).astype(np.complex128, copy=False)
             dev = np.abs(M - M.conj().T).max() if M.size else 0.0
-            if dev > tol.HERMITICITY_TOL:
+            if not dev <= tol.HERMITICITY_TOL:  # NaN fails the comparison too
                 raise NonCommutingChecks(f"Hamiltonian not Hermitian (dev {dev:.3e})")
             self._form = M
         if M is not None:

@@ -512,7 +512,7 @@ def _symmetrized(H):
     H = _require_square(H)
     Hd = np.ascontiguousarray(H.conj().T)
     dev = np.abs(H - Hd).max() if H.size else 0.0
-    if dev > HERMITICITY_TOL:
+    if not dev <= HERMITICITY_TOL:  # NaN fails the comparison too
         raise NotHermitian(f"max |H - H^dag| = {dev:.3e}")
     Hd += H
     Hd *= 0.5
@@ -619,10 +619,10 @@ class DensityMatrix:
 def _checked_density(mat):
     """mat made read-only after the hermiticity and unit-trace checks."""
     dev = np.abs(mat - mat.conj().T).max()
-    if dev > HERMITICITY_TOL:
+    if not dev <= HERMITICITY_TOL:  # NaN fails the comparison too
         raise NotHermitian(f"density matrix deviates from Hermitian by {dev:.3e}")
     tr = mat.trace()
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"trace is {tr}, expected 1")
     mat.flags.writeable = False
     return mat

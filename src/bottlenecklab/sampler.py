@@ -12,10 +12,12 @@ family, site and flavor, kept on the label basis (flips: per site list,
 on H); a beta only adds the amplitudes sqrt(q min(1, e^{-beta omega}))
 of the jump operators sigma P_omega, filled column by column without any
 dense product. In markov's XOR layout both keep (k, 1) masks: a flip's
-bit, or a CSS move's label shift per jump, then 0 to stay. Before returning,
-construction checks on label vectors that the channel is trace
-preserving and fixes exactly the Gibbs vector
-H.gibbs keeps for beta, which it then carries (KrausChannel.fixes). The
+bit, or a CSS move's label shift per jump, then 0 to stay. Both build
+through channel._trusted_channel, and one check (_checked) passes every
+channel before it is returned: its column sums are 1, so it is trace
+preserving, and one step of its chain (markov.StochasticMatrix.step,
+the one product kernel) fixes the Gibbs vector H.gibbs keeps for beta,
+which the channel then carries (KrausChannel.fixes). The
 CSS variant reads E from the labels (W, E) of H0, which build_hamiltonian
 sets over label_basis of the checks, so H0 W = W diag(E) ties that Gibbs
 vector to H0; an H0 without labels over that basis is refused.
@@ -24,7 +26,7 @@ vector to H0; an H0 without labels over that basis is refused.
 import numpy as np
 
 from . import numerics as tol
-from .channel import _STACK_ENTRIES, _trusted_channel
+from .channel import _trusted_channel
 from .errors import EmptySchedule, NotCommuting, NotDiagonal, NotFixedPoint, NotTracePreserving
 from .model import label_basis
 from .pauli import mask_from_indices, popcount
@@ -51,10 +53,9 @@ def metropolis_site_channel(H, beta, site, attempt_prob=DEFAULT_ATTEMPT):
 
 def _site_channels(H, beta, sites, attempt_prob):
     """metropolis_site_channel at every site, from one table kept on H
-    (_site_moves): one amplitude pass, then per _STACK_ENTRIES entries one
-    trace check and one bincount of the Gibbs vector through the chains,
-    targets offset by dim per chain. Forms are views of the stacks, bit
-    for bit the one-site build's (coef held real); each carries p (fixes)."""
+    (_site_moves) and one amplitude pass. Forms are views of the stacks,
+    bit for bit the one-site build's (coef held real); each is _checked
+    against the Gibbs vector p and carries it (fixes)."""
     if not H.is_diagonal:
         raise NotDiagonal("site Metropolis needs a diagonal Hamiltonian")
     if not 0 < attempt_prob <= 1:
@@ -66,27 +67,28 @@ def _site_channels(H, beta, sites, attempt_prob):
     coef = attempt_prob * np.minimum(1.0, np.exp(-beta * jump))  # the acceptance
     coef = np.stack([coef, 1.0 - coef], axis=1)
     np.sqrt(coef, out=coef)
-    weights = coef**2
     # detailed balance makes the diagonal Gibbs vector exactly stationary
-    p = H.gibbs(beta)[0]
-    S, _, dim = coef.shape
-    block = max(1, _STACK_ENTRIES // coef[0].size)
-    for lo in range(0, S, block):
-        c, w = moves[lo : lo + block], weights[lo : lo + block]
-        # masks are permutations, so each T_m^dag T_m is diagonal: column sums
-        resid = float(np.abs(w[:, 0] + w[:, 1] - 1.0).max())
-        if not resid <= tol.KRAUS_TRACE_TOL:
-            raise NotTracePreserving(f"sum of K†K deviates from identity by {resid:.3e}")
-        # masks are below dim = 2^n, so j ^ (c + dim s) = (j ^ c) + dim s
-        slots = (np.arange(dim) ^ (c + dim * np.arange(len(c))[:, None, None])).ravel()
-        stepped = np.bincount(slots, (w * p).ravel(), len(c) * dim).reshape(len(c), dim)
-        for s, resid in enumerate(np.abs(stepped - p).sum(axis=1), lo):
-            if resid > tol.GIBBS_FIXED_POINT_TOL:
-                raise NotFixedPoint(f"Gibbs residual {resid:.3e} on site {sites[s]}")
-    chans = [_trusted_channel(identity_basis(H.n), *form) for form in zip(moves, coef, weights)]
-    for chan in chans:
-        chan.fixes = p
-    return chans
+    p, basis = H.gibbs(beta)[0], identity_basis(H.n)
+    return [
+        _checked(_trusted_channel(basis, c, a, w), p, f"site {site}")
+        for site, c, a, w in zip(sites, moves, coef, coef**2)
+    ]
+
+
+def _checked(chan, p, where):
+    """chan, after the two checks every sampled channel passes: trace
+    preservation, the column sums of its monomial form (masks permute the
+    labels, so each T_m^dag T_m is diagonal), within KRAUS_TRACE_TOL, and
+    the Gibbs residual ||M p - p||_1 of its chain within
+    GIBBS_FIXED_POINT_TOL (a NaN fails both). chan then carries p (fixes)."""
+    resid = chan.monomial.trace_residual()
+    if not resid <= tol.KRAUS_TRACE_TOL:
+        raise NotTracePreserving(f"sum of K†K deviates from identity by {resid:.3e}")
+    resid = chan.monomial.chain.residual(p)
+    if not resid <= tol.GIBBS_FIXED_POINT_TOL:
+        raise NotFixedPoint(f"Gibbs residual {resid:.3e} on {where}")
+    chan.fixes = p
+    return chan
 
 
 def _site_moves(H, sites):
@@ -130,15 +132,7 @@ def css_metropolis_channel(H0, beta, site, flavor, attempt_prob=DEFAULT_ATTEMPT)
     coef[-1] = np.sqrt(1.0 - accept)[cls]
     # the table's masks are in range and make sum_m T_m^dag T_m the column sums
     chan = _trusted_channel(W, moves, coef, np.abs(coef) ** 2)
-    resid = chan.monomial.trace_residual()
-    if not resid <= tol.KRAUS_TRACE_TOL:
-        raise NotTracePreserving(f"sum of K†K deviates from identity by {resid:.3e}")
-    p = H0.gibbs(beta)[0]
-    resid = chan.monomial.chain.residual(p)
-    if resid > tol.GIBBS_FIXED_POINT_TOL:
-        raise NotFixedPoint(f"Gibbs residual {resid:.3e} on site {site} flavor {flavor}")
-    chan.fixes = p
-    return chan
+    return _checked(chan, H0.gibbs(beta)[0], f"site {site} flavor {flavor}")
 
 
 def _move_table(W, fam, site, flavor):

@@ -110,10 +110,10 @@ a time, and only tests call it:
   over a kept move table (whose masks are the rows ^ j, explicit_rows
   inverting them).
 - per_call_site_form builds one bit-flip Metropolis form from the energy
-  diagonal on every call, with its own trace and fixed-point checks, as
-  sampler.metropolis_site_channel did before the site move tables: the
-  (2, 1) masks of the flip and then the stay operator, in the XOR layout
-  of markov. It is the bit-for-bit oracle for sampler._site_channels,
+  diagonal on every call, through the samplers' one trace and
+  fixed-point check, as sampler.metropolis_site_channel did before the
+  site move tables: the (2, 1) masks of the flip and then the stay
+  operator, in the XOR layout of markov. It is the bit-for-bit oracle for sampler._site_channels,
   which builds every site of a list from one table kept on H.
 - per_form_support reads the support of one monomial operator, one
   mask form at a time, as channel._monomial_support did before the
@@ -164,7 +164,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bottlenecklab.bottleneck import bottleneck_ratio
-from bottlenecklab.channel import KrausChannel, MonomialKraus, _kraus_support, _trace_residual
+from bottlenecklab.channel import KrausChannel, _kraus_support, _trace_residual, _trusted_channel
 from bottlenecklab.errors import (
     BottleneckLabError,
     DimensionMismatch,
@@ -174,7 +174,6 @@ from bottlenecklab.errors import (
     NonUniqueStationary,
     NotClassical,
     NotDiagonal,
-    NotFixedPoint,
     ParametersInadmissible,
     RadiusExceedsN,
 )
@@ -198,7 +197,7 @@ from bottlenecklab.numerics import (
     operator_norm,
 )
 from bottlenecklab.pauli import gf2_null_space_masks, gf2_span, mask_from_indices, popcount
-from bottlenecklab.sampler import DEFAULT_ATTEMPT
+from bottlenecklab.sampler import DEFAULT_ATTEMPT, _checked
 from bottlenecklab.subspace import boundary, identity_basis
 
 
@@ -1215,10 +1214,11 @@ def per_call_css_form(H0, beta, site, flavor, q=DEFAULT_ATTEMPT):
 
 def per_call_site_form(H, beta, site, q=DEFAULT_ATTEMPT):
     """The MonomialKraus form of the bit-flip Metropolis move at one site,
-    built from scratch with its checks, as sampler.metropolis_site_channel
-    did before the site move tables: Kraus pair {K_flip, K_stay}, the
-    flip with amplitude sqrt(q min(1, e^{-beta dE})) and the stay
-    operator completing the diagonal."""
+    built from scratch, as sampler.metropolis_site_channel did before the
+    site move tables, with complex coefficients and checked by the
+    samplers' one check: Kraus pair {K_flip, K_stay}, the flip with
+    amplitude sqrt(q min(1, e^{-beta dE})) and the stay operator
+    completing the diagonal."""
     if not H.is_diagonal:
         raise NotDiagonal("site Metropolis needs a diagonal Hamiltonian")
     n = H.n
@@ -1226,12 +1226,9 @@ def per_call_site_form(H, beta, site, q=DEFAULT_ATTEMPT):
     idx = np.arange(1 << n)
     bit = 1 << (n - 1 - site)
     accept = q * np.minimum(1.0, np.exp(-beta * np.maximum(E[idx ^ bit] - E, 0)))
-    form = MonomialKraus(identity_basis(n), [[bit], [0]], [np.sqrt(accept), np.sqrt(1.0 - accept)])
-    KrausChannel(n, monomial=form)
-    resid = form.chain.residual(H.gibbs(beta)[0])
-    if resid > 1e-10:
-        raise NotFixedPoint(f"Gibbs residual {resid:.3e} on site {site}")
-    return form
+    coef = np.array([np.sqrt(accept), np.sqrt(1.0 - accept)], dtype=np.complex128)
+    chan = _trusted_channel(identity_basis(n), np.array([[bit], [0]]), coef, np.abs(coef) ** 2)
+    return _checked(chan, H.gibbs(beta)[0], f"site {site}").monomial
 
 
 def per_form_support(rows, coef, n):

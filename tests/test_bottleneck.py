@@ -21,6 +21,7 @@ from bottlenecklab.bottleneck import (
 from bottlenecklab.channel import (
     KrausChannel,
     MonomialKraus,
+    _trusted_channel,
     channel_locality,
     evolve_sequence,
     quasi_local_mixture,
@@ -729,12 +730,8 @@ def forbidden_mask_channel(basis, part, weight):
     catch the A -> C step.
     """
     a, c = (label_members(basis, blk)[0] for blk in (part.A, part.C))
-    form = MonomialKraus(
-        basis,
-        [[0], [a ^ c]],
-        [np.full(basis.dim, np.sqrt(1.0 - weight)), np.full(basis.dim, np.sqrt(weight))],
-    )
-    return KrausChannel(basis.n, monomial=form)
+    coef = np.sqrt(np.array([[1.0 - weight], [weight]])) * np.ones(basis.dim)
+    return _trusted_channel(basis, np.array([[0], [a ^ c]]), coef, coef**2)
 
 
 def _refuse_dense(self):
@@ -777,7 +774,8 @@ def test_perturbed_gibbs_state_takes_the_dense_path():
     dense = W.dense()
     M = dense.conj().T @ rho.mat @ dense
     assert np.abs(M - np.diag(np.diag(M))).max() > 1e-4
-    identity = KrausChannel(8, monomial=MonomialKraus(W, [[0]], [np.ones(256)]))
+    one = np.ones((1, 256))
+    identity = _trusted_channel(W, np.zeros((1, 1), dtype=np.int64), one, one)
     rep = verify_bottleneck_theorem(identity, rho, part)
     ref = verify_bottleneck_theorem(KrausChannel(8, [np.eye(256)]), rho, part)
     assert rep.path == ref.path == "dense"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bottlenecklab import channel
 from bottlenecklab.channel import (
     KrausChannel,
-    MonomialKraus,
+    _trusted_channel,
     apply_channel,
     channel_locality,
     check_partition_condition,
@@ -17,6 +17,7 @@ from bottlenecklab.channel import (
 )
 from bottlenecklab.errors import DimensionMismatch, EmptyInput, NotTracePreserving
 from bottlenecklab.numerics import DENSE_CONDITION_TOL, DensityMatrix, trace_norm
+from bottlenecklab.sampler import _checked
 from bottlenecklab.subspace import hamming_ball_subspace, identity_basis, partition_from_radius
 
 from conftest import pure_state_density
@@ -226,8 +227,9 @@ class TestQuasiLocalMixture:
 
 @st.composite
 def monomial_forms(draw):
-    """Monomial forms over the identity basis of 1 to 3 qubits: random
-    (k, 1) masks and complex coefficients, some zero or tiny."""
+    """Monomial forms over the identity basis of 1 to 3 qubits, from the
+    one builder: random (k, 1) masks and complex coefficients, some zero
+    or tiny."""
     n = draw(st.integers(1, 3))
     dim = 1 << n
     k = draw(st.integers(1, 4))
@@ -235,7 +237,8 @@ def monomial_forms(draw):
     rng = np.random.default_rng(seed)
     scale = rng.choice([0.0, 1e-200, 1.0], size=(k, dim), p=[0.2, 0.1, 0.7])
     coef = scale * (rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))) / np.sqrt(k)
-    return MonomialKraus(identity_basis(n), rng.integers(0, dim, (k, 1)), coef)
+    moves = rng.integers(0, dim, (k, 1))
+    return _trusted_channel(identity_basis(n), moves, coef, np.abs(coef) ** 2).monomial
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -246,22 +249,16 @@ def test_column_sum_trace_residual_matches_the_dense_residual(form):
     assert abs(form.trace_residual() - want) <= 1e-12
 
 
-def test_monomial_form_refuses_moves_other_than_one_mask_per_operator():
-    basis = identity_basis(2)
-    with pytest.raises(DimensionMismatch, match="need"):
-        MonomialKraus(basis, [np.arange(4) ^ 1], [np.ones(4)])
-    with pytest.raises(DimensionMismatch, match="label range"):
-        MonomialKraus(basis, [[4]], [np.ones(4)])
-
-
 def test_nan_coefficients_fail_the_trace_check():
-    # a NaN residual fails the comparison on the monomial and dense paths
-    nan = float("nan")
-    form = MonomialKraus(identity_basis(2), [[1], [0]], [[nan] * 4, [1.0] * 4])
+    # a NaN residual fails the comparison in the samplers' one check of a
+    # monomial channel and in the dense constructor
+    coef = np.array([[np.nan] * 4, [1.0] * 4])
+    chan = _trusted_channel(identity_basis(2), np.array([[1], [0]]), coef, coef**2)
+    with pytest.raises(NotTracePreserving, match="nan"):
+        _checked(chan, np.full(4, 0.25), "site 0")
+    assert chan.fixes is None
     with pytest.raises(NotTracePreserving):
-        KrausChannel(2, monomial=form)
-    with pytest.raises(NotTracePreserving):
-        KrausChannel(1, [[[nan, 0], [0, 1]]])
+        KrausChannel(1, [[[np.nan, 0], [0, 1]]])
 
 
 def test_a_block_of_mask_forms_is_stacked_as_masks(monkeypatch):
@@ -275,6 +272,6 @@ def test_a_block_of_mask_forms_is_stacked_as_masks(monkeypatch):
         return real(moves, coef, n)
 
     monkeypatch.setattr(channel, "_monomial_supports", spied)
-    basis, half = identity_basis(3), np.full(8, SQ)
-    masks = [KrausChannel(3, monomial=MonomialKraus(basis, [[c], [0]], [half, half])) for c in (0b100, 0b011)]
+    basis, half = identity_basis(3), np.full((2, 8), SQ)
+    masks = [_trusted_channel(basis, np.array([[c], [0]]), half, half**2) for c in (0b100, 0b011)]
     assert channel_locality(masks) == 2 and seen == [(4, 1)]

@@ -531,8 +531,13 @@ class TestGlauberTable:
             GlauberTable(np.zeros(8)).report(1.0, 0.0, np.full(8, 1 / 8))
 
 
+# the least m whose Glauber chain, m + 1 entry rows of 2^m, holds more
+# than 4 * _STEP_CHUNK entries
+GATHERED_BITS = next(m for m in range(1, 64) if (m + 1) << m > 4 * _STEP_CHUNK)
+
+
 class TestResidual:
-    @pytest.mark.parametrize("m", [12, 14, 16])
+    @pytest.mark.parametrize("m", [GATHERED_BITS, GATHERED_BITS + 2, GATHERED_BITS + 4])
     def test_chunked_sum_matches_the_full_step(self, rng, m):
         # past _STEP_CHUNK the step gathers entry row by entry row in the
         # flat order, so the residual is the step's to the last bit (well

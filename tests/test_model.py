@@ -385,6 +385,11 @@ class TestRandomPerturbation:
         with pytest.raises(NonCommutingChecks, match="real and finite"):
             Hamiltonian(np.array(e), n=1, w0=1, w1=1, flips=np.array(t))
 
+    def test_dense_form_with_a_nan_entry_is_refused(self):
+        # a NaN makes max |H - H^dag| NaN, which fails the hermiticity check
+        with pytest.raises(NonCommutingChecks, match="not Hermitian"):
+            Hamiltonian(np.diag([np.nan, 0.0, 0.0, 1.0]), n=2, w0=1, w1=1)
+
     def test_site_form_reads_match_its_dense_form(self):
         # blocks, the diagonal and the off-diagonal scan come from e and t,
         # and agree with the densified form bit for bit

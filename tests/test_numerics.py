@@ -181,6 +181,13 @@ def test_density_matrix_validation(rng):
     assert bad.flags.writeable
 
 
+def test_density_matrix_refuses_a_nan_entry():
+    # a NaN diagonal entry makes both the hermiticity deviation and the
+    # trace NaN; the first check refuses it
+    with pytest.raises(NotHermitian, match="nan"):
+        numerics.DensityMatrix(np.diag([np.nan, 0.5, 0.25, 0.25]))
+
+
 def test_density_matrix_cannot_change_after_its_checks(rng):
     rho = random_density(rng, 4)
     dm = numerics.DensityMatrix(rho)
@@ -330,6 +337,14 @@ def test_zero_flux_triangle_is_gauged():
 def test_hermitian_eigenvalues_rejects_nonhermitian():
     with pytest.raises(NotHermitian):
         numerics.hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_hermitian_solvers_refuse_a_nan_entry():
+    # max |H - H^dag| is NaN, which fails the check instead of passing it
+    H = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    for solve in (numerics.hermitian_eigenvalues, numerics.hermitian_eigensystem):
+        with pytest.raises(NotHermitian, match="nan"):
+            solve(H)
 
 
 # --- logsumexp -------------------------------------------------------------

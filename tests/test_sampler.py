@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from bottlenecklab.bottleneck import verify_bottleneck_theorem
 from bottlenecklab.channel import (
     KrausChannel,
-    MonomialKraus,
+    _trusted_channel,
     _kraus_support,
     apply_channel,
     channel_locality,
@@ -24,7 +24,7 @@ from bottlenecklab.errors import (
     NotFixedPoint,
     NotTracePreserving,
 )
-from bottlenecklab.markov import StochasticMatrix
+from bottlenecklab.markov import _STEP_CHUNK, StochasticMatrix
 from bottlenecklab import model, sampler
 from bottlenecklab.model import (
     CheckFamily,
@@ -333,8 +333,8 @@ def test_a_flip_that_moves_labels_by_no_one_mask_raises(monkeypatch):
 
 
 def test_css_channel_checks_the_column_sums_of_its_unchecked_form(monkeypatch):
-    # the form is built from the kept move table without MonomialKraus's
-    # checks, so the channel checks its column sums itself: a kept table
+    # the form is built from the kept move table by the unchecked builder,
+    # so the samplers' one check reads its column sums: a kept table
     # whose phases are doubled gives columns of weight 1 + 3 accept and is
     # refused (monkeypatch puts the true table back afterwards)
     fam = steane7()
@@ -422,11 +422,12 @@ def test_css_channel_refuses_hamiltonian_off_its_checks():
 
 
 def test_monomial_trace_check_catches_lost_weight():
+    # the samplers' one check refuses a form whose columns lose weight
     basis = label_basis(steane7())
-    dim = basis.dim
-    form = MonomialKraus(basis, [[0]], [np.full(dim, 0.999)])
+    coef = np.full((1, basis.dim), 0.999)
+    chan = _trusted_channel(basis, np.zeros((1, 1), dtype=np.int64), coef, coef**2)
     with pytest.raises(NotTracePreserving):
-        KrausChannel(7, monomial=form)
+        sampler._checked(chan, np.full(basis.dim, 1.0 / basis.dim), "site 0")
 
 
 def test_samplers_refuse_the_nan_acceptances_of_an_infinite_beta():
@@ -438,6 +439,27 @@ def test_samplers_refuse_the_nan_acceptances_of_an_infinite_beta():
             css_metropolis_channel(H0, np.inf, 0, "X")
         with pytest.raises(NotTracePreserving, match="nan"):
             metropolis_site_channel(build_hamiltonian(ising_ring(4)), np.inf, 0)
+
+
+# a site chain holds 2 * 2^n entries: one flat bincount steps it up to
+# _STEP_CHUNK entries, the XOR gather past it
+FLAT_SITE_BITS = _STEP_CHUNK.bit_length() - 2
+
+
+@pytest.mark.parametrize("n", [FLAT_SITE_BITS, FLAT_SITE_BITS + 1])
+def test_the_one_check_refuses_a_vector_the_site_chains_do_not_fix(monkeypatch, n):
+    # on either step kernel, a site schedule checked against the Gibbs
+    # vector of another beta raises NotFixedPoint naming its first site,
+    # and the true Gibbs vector passes and is carried by every channel
+    assert (2 << n > _STEP_CHUNK) == (n > FLAT_SITE_BITS)
+    H = build_hamiltonian(ising_ring(n))
+    true = H.gibbs(1.0)
+    for site in (0, n - 1):
+        monkeypatch.setitem(H._gibbs, 1.0, H.gibbs(2.0))
+        with pytest.raises(NotFixedPoint, match=f"on site {site}$"):
+            sweep_schedule(H, 1.0, [site, 1])
+    monkeypatch.setitem(H._gibbs, 1.0, true)
+    assert all(chan.fixes is true[0] for chan in sweep_schedule(H, 1.0, range(n)))
 
 
 @pytest.mark.parametrize("make", [steane7, lambda: toric(2)], ids=["steane7", "toric"])
