@@ -67,14 +67,13 @@ class KrausChannel:
     def __init__(self, n, kraus, quasi_local_certificate=None):
         self.n = n
         self.quasi_local_certificate = quasi_local_certificate
-        if not kraus:
+        # a list of operators or one stacked array of them
+        ops = [np.asarray(K, dtype=np.complex128) for K in kraus]
+        if not ops:
             raise EmptyInput("channel needs at least one Kraus operator")
-        ops = []
-        for K in kraus:
-            K = np.asarray(K, dtype=np.complex128)
+        for K in ops:
             if K.shape != (self.dim, self.dim):
                 raise DimensionMismatch(f"Kraus shape {K.shape} does not match 2^{n}")
-            ops.append(K)
         self.kraus = ops
         resid = _trace_residual(ops, self.dim)
         # NaN fails the comparison too
@@ -299,10 +298,16 @@ def _monomial_forms(channels):
 
 def _label_distances(forms, p, q, T):
     chains = [form.chain for form in forms]
-    yield float(np.abs(p - q).sum())
+    diff = np.empty_like(q)  # |p - q|, one buffer for every step
+
+    def distance(p):
+        np.subtract(p, q, out=diff)
+        return float(np.abs(diff, out=diff).sum())
+
+    yield distance(p)
     for t in range(1, T + 1):
         p = chains[(t - 1) % len(chains)].step(p)
-        yield float(np.abs(p - q).sum())
+        yield distance(p)
 
 
 def _distances(channels, state, ref, T):

@@ -44,7 +44,7 @@ from .errors import (
     ConfigInvalid,
     ModelNotFound,
 )
-from .markov import _GLAUBER_MAX_BITS, GlauberTable
+from .markov import _GLAUBER_MAX_BITS, GlauberFlow
 from .model import (
     _EXPANSION_MAX_BITS,
     _LABEL_MAX_BITS,
@@ -398,6 +398,18 @@ def _run_grid(out, columns, tasks, point, jobs):
 
 
 def _plan_verify_classical(vals, checks, label):
+    """The classical bound at each beta from A's out-edges (markov.GlauberFlow):
+    per beta, the acceptances of the flips that leave A, the flow
+    2 Q(A, A^c)/pi(A) and the bound from the Gibbs law, with no chain over
+    the register. A is the Hamming ball of radius inner about the center,
+    B1 and B2 the next two shells of the given width: one flip moves the
+    distance to the center by exactly one, so A's flips reach at most B1
+    and C's at least B2, and the condition has no forbidden position.
+    Irreducibility rests on the acceptance of the largest uphill jump, at
+    most the most checks on one bit, being positive; where it may
+    underflow the point builds the chain (markov.GlauberTable) and its
+    class search. Stationarity rests on detailed balance, checked on every
+    edge the flow reads."""
     if not checks.is_classical:
         raise ConfigInvalid("verify-classical needs a classical (Z-only) model")
     laziness = vals.get("laziness", 0.0)
@@ -411,12 +423,13 @@ def _plan_verify_classical(vals, checks, label):
     energies = label_energies(checks)
     center = basis_state_subspace(checks.n, [spec["center"]])
     part = partition_from_radius(center, spec["width"], spec["inner"])
-    # the moves, uphill jumps and forbidden positions of every beta's chain
-    table = GlauberTable(energies, part.labels[1])
+    # one flip toggles only the checks on its bit
+    most = max(sum(q in check for check in checks.z_checks) for q in range(checks.n))
+    flow = GlauberFlow(energies, part.labels[1], most)
 
     def point(task):
         pi, _ = gibbs_weights(energies, task["beta"])
-        rep = table.report(task["beta"], laziness, pi)
+        rep = flow.report(task["beta"], laziness, pi)
         return dict(vars(rep), **task, n=checks.n, laziness=laziness)
 
     return [{"model": label, "beta": b} for b in vals["betas"]], point

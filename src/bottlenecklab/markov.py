@@ -15,28 +15,39 @@ path and the classical path step, check and drift through one kernel,
 which reads either shape of moves by broadcasting; the samplers' Gibbs
 check of every channel they build is one such step. A step p -> M p adds
 each target's entries in k order, by one bincount over the flattened
-form or, for masks past _STEP_CHUNK entries, by a gather through XOR
-views, and a column sum adds the entries of each column in k order.
-Nothing of size 2^m x 2^m is formed. A GlauberTable keeps what the
-chains of one energy vector share at every beta (the masks, the uphill
-jumps and a partition's forbidden positions), so each beta costs one
-acceptance pass and the checks of its weights.
+form or, for masks on rows past _STEP_CHUNK columns, by a gather
+through XOR views, and a column sum adds the entries of each column in k order.
+Nothing of size 2^m x 2^m is formed.
+
+The classical bound's lhs is one formula, the boundary flow. For a chain
+M with stationary law pi, the one-step drift of pi conditioned on A is
+||M pi_A - pi_A||_1 = 2 Q(A, A^c)/pi(A), Q(A, A^c) = sum over x in A and
+y outside A of pi(x) M(y|x) (Levin-Peres-Wilmer, Markov Chains and
+Mixing Times, 2nd ed., section 7.2): a sum of nonnegative terms over A's
+out-entries, which loses nothing to cancellation however small the flow
+is next to pi_A (_flow_lhs). classical_bottleneck_report and
+GlauberTable.report read it from their chain's A columns; a GlauberFlow
+reads it from the acceptances of A's out-edges alone and builds no chain.
+conditioned_drift steps pi_A through a schedule, for the quantum label
+path.
 
 The stationary law is never solved for. A Metropolis chain satisfies
 detailed balance with respect to the Gibbs weights e^{-beta E}/Z
 (model.gibbs_weights), so the caller passes that law, and the bound
-certifies it with two exact checks: the chain is irreducible, so its
-stationary law is unique, and pi is stationary within a residual of
-STATIONARY_TOL; the residual is one step, so it makes no temporary of
-the form's size. A chain whose every column moves with positive weight
-to each of its m single-bit flips holds every edge of the m-cube in
-both directions, so it is irreducible by construction (the hypercube
-walk, Levin-Peres-Wilmer, Markov Chains and Mixing Times, 2nd ed.), read
-from its masks and the signs of its flips' weights.
-Any other chain, such as one whose uphill moves underflow to 0 or a
-birth-death chain, gets a strong-connectivity search over its strictly
-positive entries. Low temperatures, whose spectral gaps no eigensolver
-resolves, are covered as long as every move keeps a positive probability.
+certifies it. On a chain: the chain is irreducible, so its stationary
+law is unique, and pi is stationary within a residual of STATIONARY_TOL;
+the residual is one step, so it makes no temporary of the form's size. A
+chain whose every column moves with positive weight to each of its m
+single-bit flips holds every edge of the m-cube in both directions, so
+it is irreducible by construction (the hypercube walk), read from its
+masks and the signs of its flips' weights. Any other chain, such as one
+whose uphill moves underflow to 0 or a birth-death chain, gets a
+strong-connectivity search over its strictly positive entries. A
+GlauberFlow certifies the same two facts without the chain: every flip
+is positive when the acceptance of the largest uphill jump is, and
+detailed balance is checked on every edge the flow reads. Low
+temperatures, whose spectral gaps no eigensolver resolves, are covered
+as long as every move keeps a positive probability.
 
 The structural condition mirrors the quantum one: with the state space
 split into disjoint sets A, B1, B2, C, single applications of M must not
@@ -45,16 +56,16 @@ connect A with B2 or C, nor C with A or B1. Builders place structural
 the forbidden blocks is exactly zero rather than small. The split is one
 block label per state (0 for A, 1 for B1, 2 for B2, 3 for C), the array
 that a subspace.HilbertPartition over the identity basis keeps
-(part.labels[1]). The check, the bound and a GlauberTable take that
-array and refuse it unless it has one label 0..3 per state and A and C
-are non-empty; forbidden_entry and conditioned_drift, which reads pi(A),
-pi(B), pi(C) and the drift of pi conditioned on A, take it as it is, so
-the quantum label path, whose C may be empty, runs them too.
+(part.labels[1]). The check, the bound, a GlauberTable and a GlauberFlow
+take that array and refuse it unless it has one label 0..3 per state and
+A and C are non-empty; forbidden_entry and conditioned_drift, which reads
+pi(A), pi(B), pi(C) and the drift of pi conditioned on A, take it as it
+is, so the quantum label path, whose C may be empty, runs them too.
 
 scipy is imported only where it is used: forming
 ``StochasticMatrix.mat`` on first read, and the connectivity search for
 a chain without the single-flip certificate. Importing the
-package, and a verify-classical run whose chains carry the certificate,
+package, and a verify-classical run whose acceptances are all positive,
 load numpy alone.
 """
 
@@ -82,17 +93,29 @@ __all__ = [
     "conditioned_drift",
     "forbidden_entry",
     "GlauberTable",
+    "GlauberFlow",
 ]
 
 # The largest n at which a whole verify-classical run (ising_ring, four
 # betas, width 1, --jobs 1) stays within 10 s and 1 GB on a 2-core
-# machine, peak RSS in MiB at inner 1, 9 and 17: n=20 takes 2.1-3.8 s and
-# 461-469, n=21 5.0-7.4 s and 917-937 (its uphill jumps and one beta's
-# weights are 336 and 352 MiB).
-_GLAUBER_MAX_BITS = 21
-# The most entries StochasticMatrix.step reads by one flat bincount; past it (k, 1) masks
-# gather row by row (ising_ring Glauber steps, n=6: 3.8 us flat, 15.7 gathered; n=11: 73, 65).
-_STEP_CHUNK = 1 << 13
+# machine, on the GlauberFlow route, peak RSS in MiB: n=22 takes 1.5-1.9 s
+# and 341 at inner 1, 4.4-4.9 s and 414-449 at inner 10 and 11 (the most
+# flips leave A there); n=23 took 9.4-9.9 s and 816 at inner 11, too close
+# to 10 s. What is left is register-wide: the energies, the distance
+# search and the Gibbs weights.
+_GLAUBER_MAX_BITS = 22
+# The most bits a GlauberTable holds: a whole verify-classical run that
+# builds its chain at every beta took 4.8-7.4 s and 917-937 MiB at n=21
+# (its uphill jumps and one beta's weights are 336 and 352 MiB), so a
+# GlauberFlow past it refuses a point whose acceptances may underflow.
+_CHAIN_MAX_BITS = 21
+# The longest entry row StochasticMatrix.step reads by one flat bincount; past it (k, 1)
+# masks gather row by row. Best of 7 x 200 steps, in process, 2-core Intel Xeon, flat and
+# gathered: ising_ring Glauber chains (k = n + 1) n=10 38 and 53 us, n=11 154 and 75; two-entry
+# site chains n=10 7.5 and 8.0 us, n=11 12.1 and 10.3.
+_STEP_CHUNK = 1 << 10
+# The states a GlauberFlow searches for edges at once, and about the edges it reads at once.
+_EDGE_CHUNK = 1 << 16
 
 
 class StochasticMatrix:
@@ -165,11 +188,12 @@ class StochasticMatrix:
         """M @ p. When cols is given, p is zero outside those columns and
         only they are read; ascending cols give a whole step's bits, as
         the others add exact zeros. One flat bincount over the targets
-        j ^ moves up to _STEP_CHUNK entries read, and for (k, dim) moves;
-        past it (k, 1) masks gather row by row, out[j] += (w p)[j ^ c] through
-        _xor_views, cols or not: each target adds in k order, the same bits."""
-        k, dim = self.weights.shape
-        if k * (dim if cols is None else len(cols)) > _STEP_CHUNK and self.moves.shape[1] == 1:
+        j ^ moves for rows of up to _STEP_CHUNK columns read, and for (k,
+        dim) moves; past it (k, 1) masks gather row by row, out[j] += (w
+        p)[j ^ c] through _xor_views, cols or not: each target adds in k
+        order, the same bits."""
+        dim = self.dim
+        if (dim if cols is None else len(cols)) > _STEP_CHUNK and self.moves.shape[1] == 1:
             out = np.zeros(dim)
             for w, (shape, flip) in zip(self.weights, self._xor_views):
                 at = out.reshape(shape)
@@ -243,24 +267,31 @@ def _block_labels(label, dim):
     return label.astype(np.int8, copy=False)
 
 
+def _probability(pi):
+    """pi as a float array; NonUniqueStationary unless it is a probability
+    vector: no negative entry and a sum within PROBABILITY_SUM_TOL of 1."""
+    pi = np.asarray(pi, dtype=np.float64)
+    total = float(pi.sum())
+    # NaN fails the comparisons too
+    if not (pi.min() >= 0 and abs(total - 1.0) <= tol.PROBABILITY_SUM_TOL):
+        raise NonUniqueStationary(
+            f"pi is not a probability vector (min {pi.min():.3e}, sum {total!r})"
+        )
+    return pi
+
+
 def _certify_stationary(sm, pi):
     """Check that pi is the unique stationary law of the chain; return it
     as a float array.
 
-    pi must be a probability vector: no negative entry and a sum within
-    PROBABILITY_SUM_TOL of 1. Uniqueness: the chain must be irreducible,
-    certified structurally for a single-bit-flip chain with every flip
-    positive and otherwise by a graph search over the strictly positive
-    entries, which must form one strongly connected class. Stationarity:
-    ||M pi - pi||_1 <= STATIONARY_TOL. Each failure raises
-    NonUniqueStationary.
+    pi must be a probability vector (_probability). Uniqueness: the chain
+    must be irreducible, certified structurally for a single-bit-flip
+    chain with every flip positive and otherwise by a graph search over
+    the strictly positive entries, which must form one strongly connected
+    class. Stationarity: ||M pi - pi||_1 <= STATIONARY_TOL. Each failure
+    raises NonUniqueStationary.
     """
-    pi = np.asarray(pi, dtype=np.float64)
-    total = float(pi.sum())
-    if pi.min() < 0 or abs(total - 1.0) > tol.PROBABILITY_SUM_TOL:
-        raise NonUniqueStationary(
-            f"pi is not a probability vector (min {pi.min():.3e}, sum {total!r})"
-        )
+    pi = _probability(pi)
     if not sm.single_flip_certified():
         classes = sm.communicating_classes()
         if classes != 1:
@@ -361,10 +392,16 @@ def classical_bottleneck_report(sm, label, pi):
 
     pi is the chain's stationary law in closed form, such as the Gibbs
     weights of a detailed-balance chain; _certify_stationary checks it
-    before the bound is read. pi(A) at or below EMPTY_WEIGHT_TOL raises
-    EmptyA. The theorem inequality is asserted with slack
-    CLASSICAL_BOUND_SLACK; a violation raises BoundViolated since it
-    would falsify the implementation, not the theorem.
+    before the bound is read. The lhs is the boundary flow 2 Q(A, A^c)/pi(A)
+    read from the chain's A columns (_flow_lhs). It equals the stepped
+    ||M pi_A - pi_A||_1 when pi is stationary, and for any pi the two lie
+    within 2 ||M pi - pi||_1 / pi(A) of each other: inside A the stepped
+    deviation is minus the flow into each state plus the residual there,
+    and the flows into and out of A differ by the residual's sum over A.
+    pi(A) at or below EMPTY_WEIGHT_TOL raises EmptyA. The theorem
+    inequality is asserted with slack _bound_slack; a violation raises
+    BoundViolated since it would falsify the implementation, not the
+    theorem.
     """
     return _bottleneck_report(sm, label, check_classical_condition(sm, label), pi)
 
@@ -377,15 +414,58 @@ def _bottleneck_report(sm, label, cond, pi):
             f"forbidden entry {cond.max_forbidden_entry:.3e} at {cond.offending}"
         )
     pi = _certify_stationary(sm, pi)
-    pA, pB, pC, lhs = conditioned_drift([sm], label, pi)
+    sets = _block_sets(label)
+    cols = sets[3]
+    # A's out-entries, column by column and in k order within a column
+    targets = cols ^ np.take(sm.moves, cols, axis=1, mode="wrap")
+    at, k = np.nonzero((label[targets] != 0).T)
+    out = np.bincount(at, sm.weights[k, cols[at]], minlength=cols.size)
+    return _flow_report(pi, sets, out, at.size, cond.max_forbidden_entry)
+
+
+def _flow_report(pi, sets, out, entries, condition_max):
+    """The report of a chain with stationary law pi whose entries leaving
+    A's states cols carry the out-weights out, each the sum of its state's
+    entries in k order; entries counts them."""
+    in_A, in_B, in_C, cols = sets
+    pA, pB, pC = (float(pi[s].sum()) for s in (in_A, in_B, in_C))
+    if pA <= tol.EMPTY_WEIGHT_TOL:
+        raise EmptyA(f"pi(A) = {pA:.3e}")
+    lhs = _flow_lhs(pi[cols], pA, out)
     bound = 2.0 * pB / pA
-    if lhs > bound + tol.CLASSICAL_BOUND_SLACK:
+    terms = entries + 2 * cols.size + np.count_nonzero(in_B)
+    if not lhs <= bound * (1.0 + _bound_slack(terms)):
         raise BoundViolated(
             f"classical bottleneck bound violated: {lhs!r} > {bound!r}",
             lhs=lhs,
             bound=bound,
         )
-    return ClassicalBottleneckReport(lhs, bound, pA, pB, pC, cond.max_forbidden_entry)
+    return ClassicalBottleneckReport(lhs, bound, pA, pB, pC, condition_max)
+
+
+def _flow_lhs(pi_A, pA, out):
+    """2 Q(A, A^c)/pi(A), from pi on A's states and their out-weights (the
+    sum of each state's entries that leave A, in entry order, by one
+    bincount): Q is the sum of pi(x) times it over A's states, in their
+    order."""
+    return 2.0 * float((pi_A * out).sum()) / pA
+
+
+def _bound_slack(terms):
+    """The classical theorem's slack, relative to its bound: the table's
+    relative part plus the rounding of a sum of this many nonnegative
+    terms, each of which rounds by at most one unit per addition."""
+    return tol.CLASSICAL_BOUND_REL_SLACK + terms * tol.UNIT_ROUNDOFF
+
+
+def _accept(uphill, beta, scale):
+    """min(1, e^{-beta uphill}) * scale, by the operations of
+    GlauberTable.chain in their order, so each weight keeps its bits."""
+    w = np.multiply(uphill, -beta)
+    np.exp(w, out=w)
+    np.minimum(w, 1.0, out=w)
+    w *= scale
+    return w
 
 
 class GlauberTable:
@@ -399,7 +479,7 @@ class GlauberTable:
     one acceptance pass per beta and checks only the weights, and
     ``report`` runs the classical bound on that chain with the kept
     positions. Raises BadPartition unless there are 2^m energies with
-    1 <= m <= _GLAUBER_MAX_BITS, or when the block labels are not one per
+    1 <= m <= _CHAIN_MAX_BITS, or when the block labels are not one per
     state of _block_labels.
     """
 
@@ -407,9 +487,9 @@ class GlauberTable:
         E = np.asarray(energies, dtype=np.float64)
         dim = E.shape[0]
         m = int(dim).bit_length() - 1
-        if 2**m != dim or not 1 <= m <= _GLAUBER_MAX_BITS:
+        if 2**m != dim or not 1 <= m <= _CHAIN_MAX_BITS:
             raise BadPartition(
-                f"need 2^m energies with 1 <= m <= {_GLAUBER_MAX_BITS}, got {dim}"
+                f"need 2^m energies with 1 <= m <= {_CHAIN_MAX_BITS}, got {dim}"
             )
         self.m = m
         self.moves = np.append(1 << np.arange(m), 0)[:, None]
@@ -447,10 +527,173 @@ class GlauberTable:
 
     def report(self, beta, laziness, pi):
         """classical_bottleneck_report of ``chain(beta, laziness)`` on the
-        table's block labels, with pi its Gibbs law."""
+        table's block labels, with pi its Gibbs law: the stepped residual
+        certifies pi, and the lhs is the flow from the chain's A columns."""
         if self.label is None:
             raise BadPartition("the table was built without block labels")
         sm = self.chain(beta, laziness)
         top, offending = _forbidden_top(sm, self.forbidden)
         cond = ClassicalConditionReport(top, offending is None, offending)
         return _bottleneck_report(sm, self.label, cond, pi)
+
+
+class GlauberFlow:
+    """The classical bound of the single-bit-flip Metropolis chains of one
+    energy vector on one block split, from the edges of A's states alone:
+    no chain over the register is built.
+
+    Per beta, report forms the acceptance of every flip x -> x ^ (1 << b)
+    that leaves A, min(1, e^{-beta max(dE, 0)}) (1 - laziness)/m by the
+    operations of GlauberTable.chain, so each weight has the bits of that
+    chain's entry, and reads the lhs 2 Q(A, A^c)/pi(A) from them by
+    _flow_lhs, as classical_bottleneck_report reads it from the chain's A
+    columns: the same bits. pi(A), pi(B), pi(C) and the bound come from pi
+    as there.
+
+    Certificates, per beta, with no chain:
+    - Irreducibility. max_jump bounds every uphill jump E[x ^ (1 << b)] -
+      E[x] of the register, such as the most checks on one bit for
+      energies that count violated checks (one flip toggles only the
+      checks on its bit). When the acceptance of max_jump is positive,
+      so is every flip's (each operation is monotone), and the chain
+      holds every edge of the m-cube both ways. Otherwise an acceptance
+      may underflow, and the point runs GlauberTable.report, the chain
+      with its single-flip certificate or class search and its stepped
+      residual; past _CHAIN_MAX_BITS that chain does not fit, and the
+      point raises NonUniqueStationary saying so.
+    - Stationarity. Metropolis acceptances satisfy detailed balance,
+      pi(x) M(y|x) = pi(y) M(x|y), with respect to the Gibbs law, so a
+      chain that holds it on every edge fixes pi. It is checked on every
+      edge the flow reads, within DETAILED_BALANCE_ULPS units of the
+      larger side plus 2 beta (E - E_min) units for the exps, E the
+      highest energy of those edges (e^{-a} carries the rounding of a
+      times a). The stepped residual of the whole register is the
+      oracle's (tests/test_oracles.py).
+    - The condition. The forbidden positions are the flips from A into B2
+      or C and from C into A or B1. Flips are symmetric, so they are found
+      from the states of A and B1 once, here, and each beta reads their
+      acceptances. On Hamming shells of width >= 1 about a center
+      (subspace.partition_from_radius of one basis state) there are none:
+      one flip moves the distance to the center by exactly one, so A's
+      flips reach at most B1, and C's at least B2.
+
+    Raises BadPartition unless there are 2^m energies with m >= 1 and the
+    block labels are one per state of _block_labels.
+    """
+
+    def __init__(self, energies, label, max_jump):
+        E = np.asarray(energies, dtype=np.float64)
+        dim = E.shape[0]
+        m = int(dim).bit_length() - 1
+        if 2**m != dim or m < 1:
+            raise BadPartition(f"need 2^m energies with m >= 1, got {dim}")
+        self.E, self.m, self.max_jump = E, m, max_jump
+        self.flips = 1 << np.arange(m)
+        self.label = np.array(_block_labels(label, dim))
+        self.label.setflags(write=False)
+        self.sets = _block_sets(self.label)
+        self.lowest = float(E.min())
+        cols = self.sets[3]
+        # A's flips that leave A, by state and then bit, ascending, read
+        # in spans of whole states of about _EDGE_CHUNK flips each
+        self.at, self.bit = self._edges(cols, self.label != 0)
+        starts = np.searchsorted(self.at, self.at[::_EDGE_CHUNK])
+        bounds = np.unique(np.append(starts, self.at.size))
+        self.spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        # per span: the highest energy of an edge the flow reads, and the
+        # forbidden positions (source, bit), A into B2 or C and C into A or
+        # B1; a flip and its reverse pair up, so C's are A's flips into C
+        # reversed and B1's flips into C
+        top, src, bit = self.lowest, [], []
+        for x, y, b in self._spans_of(cols):
+            top = max(top, float(np.maximum(self.E[x], self.E[y]).max()))
+            to = self.label[y]
+            src += [x[to >= 2], y[to == 3]]
+            bit += [b[to >= 2], b[to == 3]]
+        self.span = top - self.lowest
+        b1 = np.flatnonzero(self.label == 1)
+        c_at, c_bit = self._edges(b1, self.label == 3)
+        src, bit = np.concatenate(src + [b1[c_at] ^ self.flips[c_bit]]), np.concatenate(bit + [c_bit])
+        order = np.lexsort((bit, src))  # column order, then entry order, as _forbidden_top
+        self.forbidden = (src[order], bit[order])
+
+    def _spans_of(self, cols):
+        """(x, y, bit) of the flips x -> y = x ^ (1 << bit) that leave A, one
+        span of whole states at a time."""
+        for lo, hi in self.spans:
+            x = cols[self.at[lo:hi]]
+            yield x, x ^ self.flips[self.bit[lo:hi]], self.bit[lo:hi]
+
+    def _edges(self, states, reached):
+        """(at, bit) of every flip states[at] -> states[at] ^ (1 << bit)
+        that lands where reached holds, by state and then bit, ascending;
+        _EDGE_CHUNK states at a time, so the temporaries stay bounded."""
+        at, bit = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.int8)]
+        for lo in range(0, states.size, _EDGE_CHUNK):
+            i, b = np.nonzero(reached[states[lo : lo + _EDGE_CHUNK, None] ^ self.flips])
+            at.append(i + lo)
+            bit.append(b.astype(np.int8))
+        return np.concatenate(at), np.concatenate(bit)
+
+    def _uphill(self, x, y):
+        """The uphill jumps max(E[y] - E[x], 0) of the flips x -> y, and of
+        their reverses, as GlauberTable takes them."""
+        dE = self.E[y] - self.E[x]
+        return np.maximum(dE, 0), np.maximum(-dE, 0)
+
+    @functools.cached_property
+    def _table(self):
+        return GlauberTable(self.E, self.label)
+
+    def report(self, beta, laziness, pi):
+        """ClassicalBottleneckReport at beta, with pi the Gibbs law of the
+        energies (model.gibbs_weights); see the class for its checks."""
+        if not 0 <= laziness < 1:
+            raise ValueError(f"laziness {laziness} outside [0, 1)")
+        scale = (1.0 - laziness) / self.m
+        if not _accept(np.array([float(self.max_jump)]), beta, scale)[0] > 0:
+            if self.m > _CHAIN_MAX_BITS:
+                raise NonUniqueStationary(
+                    f"an uphill flip of up to {self.max_jump} may underflow at beta {beta!r}, "
+                    f"and the class search that would decide irreducibility runs on chains "
+                    f"of at most {_CHAIN_MAX_BITS} bits, not {self.m}"
+                )
+            return self._table.report(beta, laziness, pi)
+        src, bit = self.forbidden
+        vals = _accept(self._uphill(src, src ^ self.flips[bit])[0], beta, scale)
+        if vals.size and (top := float(vals.max())) > 0.0:
+            at = int(np.argmax(vals))
+            raise ConditionViolated(
+                f"forbidden entry {top:.3e} at {(int(src[at] ^ self.flips[bit[at]]), int(src[at]))}"
+            )
+        pi = _probability(pi)
+        cols = self.sets[3]
+        out = np.zeros(cols.size)
+        for (lo, hi), (x, y, _) in zip(self.spans, self._spans_of(cols)):
+            at = self.at[lo:hi]
+            up, down = self._uphill(x, y)
+            w = _accept(up, beta, scale)
+            self._check_balance(pi, x, y, w, _accept(down, beta, scale), beta)
+            # a span holds whole states, so each sum runs as in one bincount
+            out[at[0] : at[-1] + 1] = np.bincount(at - at[0], w)
+        return _flow_report(pi, self.sets, out, self.at.size, 0.0)
+
+    def _check_balance(self, pi, x, y, w, back, beta):
+        """Detailed balance on the flips x -> y, of weights w forward and
+        back in reverse, within its rounding bound at the highest energy
+        of any edge the flow reads."""
+        fwd, rev = pi[x] * w, pi[y] * back
+        room = (tol.DETAILED_BALANCE_ULPS + 2.0 * beta * self.span) * tol.UNIT_ROUNDOFF
+        gap = np.abs(fwd - rev)
+        gap -= room * np.maximum(fwd, rev)
+        if not (worst := float(gap.max())) <= _TINY:
+            at = int(np.argmax(gap))
+            raise NonUniqueStationary(
+                f"pi is not stationary: detailed balance fails on the flip "
+                f"{int(x[at])} -> {int(y[at])} by {worst:.3e}"
+            )
+
+
+# an absolute floor for the detailed-balance check: a few of the least
+# subnormal, which a product of weights that underflow can be off by
+_TINY = 8 * np.finfo(np.float64).smallest_subnormal

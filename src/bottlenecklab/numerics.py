@@ -72,7 +72,10 @@ COLUMN_SUM_TOL = 1e-12  # abs: |column sum - 1| of a stochastic matrix
 PROBABILITY_SUM_TOL = 1e-12  # abs: |sum pi - 1| of a claimed stationary law
 STATIONARY_TOL = 1e-10  # abs: ||M pi - pi||_1 of a claimed stationary law
 EMPTY_WEIGHT_TOL = 1e-12  # abs: tr(P_A rho), or pi(A), at or below which an A block is empty
-CLASSICAL_BOUND_SLACK = 1e-12  # abs: classical theorem, lhs <= 2 pi(B)/pi(A) + slack
+CLASSICAL_BOUND_REL_SLACK = 1e-12  # rel to the bound: lhs <= 2 pi(B)/pi(A) (1 + slack + N u),
+# N the summands of the flow, pi(A) and pi(B) (markov._bound_slack)
+DETAILED_BALANCE_ULPS = 32  # u, rel to the larger side: |pi(x) M(y|x) - pi(y) M(x|y)|, plus
+# 2 beta (E - E_min) u for the exps, E the highest energy of the edges (markov.GlauberFlow)
 THEOREM_SLACK = 1e-8  # abs: lhs <= 10 Delta steps, quasi-local and free-energy bounds + slack
 DIAGONAL_BOUND_SLACK = 1e-10  # abs: ||rho P||_1 <= sqrt(tr(rho P)) + slack
 PRODUCT_DRIFT_SLACK = 1e-9  # abs: composed drift <= sum of the single-step drifts + slack

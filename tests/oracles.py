@@ -138,6 +138,15 @@ a time, and only tests call it:
   that layout, for the same chain built by StochasticMatrix.from_columns.
 - dense_report reads the classical bound from a dense chain and a given
   law. It is the oracle for markov.classical_bottleneck_report.
+- glauber_flow reads the lhs 2 Q(A, A^c)/pi(A) of a Glauber chain one
+  state of A at a time, from the per_beta_glauber weights of the flips
+  that leave A. It is the bit-for-bit oracle for the flow of
+  markov.GlauberFlow and of classical_bottleneck_report on a Glauber
+  chain.
+- exact_glauber_drift takes the one-step drift ||M pi_A - pi_A||_1 of a
+  classical family's Glauber chain by its definition, in fractions, at a
+  rational e^{-beta}. It is the exact oracle for the classical lhs at
+  low temperature, where the stepped form loses the flow to rounding.
 - communicating_classes runs scipy's strong-connectivity search on a
   chain's CSC matrix with its stored zeros dropped. It is the oracle for
   StochasticMatrix.single_flip_certified and communicating_classes.
@@ -157,9 +166,11 @@ a time, and only tests call it:
   cross-check of the label path's Delta against markov's pi(B)/pi(A).
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -1010,6 +1021,52 @@ def dense_report(M, label, pi):
     piA[A] = pi[A] / pA
     lhs = np.abs(M @ piA - piA).sum()
     return {"lhs": lhs, "bound": 2.0 * pB / pA, "pi_A": pA, "pi_B": pB, "pi_C": pC}
+
+
+def glauber_flow(E, beta, laziness, label, pi):
+    """2 Q(A, A^c)/pi(A) of the Glauber chain at beta, one state x of A at
+    a time in ascending order: the per_beta_glauber weights of x's flips
+    that leave A, added in bit order, then numpy's sum of pi(x) times
+    them over A's states, over pi(A) summed as the package sums it."""
+    masks, weights = per_beta_glauber(E, beta, laziness)
+    A = np.flatnonzero(label == 0)
+    out = np.zeros(A.size)
+    for i, x in enumerate(A.tolist()):
+        for b, mask in enumerate(masks[:-1, 0].tolist()):
+            if label[x ^ mask] != 0:
+                out[i] += weights[b, x]
+    return 2.0 * float((pi[A] * out).sum()) / float(pi[label == 0].sum())
+
+
+def exact_glauber_drift(checks, center, inner, q, laziness=0):
+    """||M pi_A - pi_A||_1 of one Metropolis step of the single-flip chain
+    of a classical check family at e^{-beta} = 1/q, A the states within
+    Hamming distance inner of center, in exact rationals. pi_A is z^E
+    over A's sum, so Z cancels, and a step from A reaches distance
+    inner + 1 at most, so the states up to there carry the whole drift."""
+    n, masks = checks.n, [int(m) for m in checks.z_masks()]
+    z, lazy = Fraction(1, q), Fraction(laziness)
+    energy = functools.lru_cache(maxsize=None)(
+        lambda x: sum(bin(x & mask).count("1") & 1 for mask in masks)
+    )
+
+    def move(x, y):  # propose one of n bits, accept with min(1, z^(E(y) - E(x)))
+        return (1 - lazy) / n * z ** max(energy(y) - energy(x), 0)
+
+    states = [
+        center ^ sum(1 << b for b in bits)
+        for w in range(inner + 2)
+        for bits in itertools.combinations(range(n), w)
+    ]
+    weight = {x: z ** energy(x) if bin(x ^ center).count("1") <= inner else Fraction(0) for x in states}
+    total = sum(weight.values())
+    pi_A = {x: w / total for x, w in weight.items()}
+    lhs = Fraction(0)
+    for y in states:
+        stay = 1 - sum(move(y, y ^ (1 << b)) for b in range(n))
+        into = sum(move(y ^ (1 << b), y) * pi_A.get(y ^ (1 << b), 0) for b in range(n))
+        lhs += abs(stay * pi_A[y] + into - pi_A[y])
+    return lhs
 
 
 def communicating_classes(M):

@@ -66,6 +66,19 @@ class TestKrausChannel:
         with pytest.raises(DimensionMismatch):
             KrausChannel(2, [np.eye(2)])
 
+    def test_a_stacked_array_builds_the_channel_of_its_list(self):
+        ops = [SQ * np.eye(2), SQ * np.array([[0, 1], [1, 0]])]
+        stacked = KrausChannel(1, np.array(ops))
+        listed = KrausChannel(1, ops)
+        assert len(stacked.kraus) == 2
+        for a, b in zip(stacked.kraus, listed.kraus):
+            assert a.tobytes() == b.tobytes()
+        assert len(KrausChannel(1, np.array([np.eye(2)])).kraus) == 1
+
+    def test_an_empty_stacked_array_is_refused(self):
+        with pytest.raises(EmptyInput):
+            KrausChannel(1, np.zeros((0, 2, 2)))
+
 
 class TestValidateChannel:
     def test_identity_residual_zero(self):

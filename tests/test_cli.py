@@ -1,6 +1,5 @@
 """End-to-end runs of the console entry point on desk-sized configs."""
 
-import itertools
 import json
 import math
 import os
@@ -13,12 +12,14 @@ import numpy as np
 import pytest
 
 import bottlenecklab
-from bottlenecklab import bottleneck, channel, cli, numerics, sampler, stability, subspace
+from bottlenecklab import bottleneck, channel, cli, markov, numerics, sampler, stability, subspace
 from bottlenecklab.channel import MonomialKraus
 from bottlenecklab.bottleneck import verify_bottleneck_theorem
 from bottlenecklab.cli import QUANTUM_COLUMNS, main
 from bottlenecklab.errors import BoundViolated
 from bottlenecklab.markov import (
+    _CHAIN_MAX_BITS,
+    _GLAUBER_MAX_BITS,
     StochasticMatrix,
     classical_bottleneck_report,
 )
@@ -34,7 +35,13 @@ from bottlenecklab.model import (
 from bottlenecklab.numerics import DensityMatrix
 from bottlenecklab.sampler import sweep_schedule
 from bottlenecklab.stability import shell_decomposition
-from oracles import explicit_rows, hamming_shell_labels, per_beta_glauber
+from oracles import (
+    exact_glauber_drift,
+    explicit_rows,
+    glauber_flow,
+    hamming_shell_labels,
+    per_beta_glauber,
+)
 
 VQ_BASE = {
     "model": "ising_ring",
@@ -1033,7 +1040,7 @@ def _broken_configs(subcommand, case):
 
 def _spy_on_builds(monkeypatch, through):
     """Record every check family build_model makes and every set of label
-    energies, Hamiltonian, Glauber chain and sweep model the CLI builds;
+    energies, Hamiltonian, Glauber flow and sweep model the CLI builds;
     with through, build them as well. A check family is always built: the
     CLI reads it, and its size is bounded before it is built."""
     built = []
@@ -1045,7 +1052,7 @@ def _spy_on_builds(monkeypatch, through):
 
         return spy
 
-    for name in ("build_hamiltonian", "label_energies", "GlauberTable", "sweep_model"):
+    for name in ("build_hamiltonian", "label_energies", "GlauberFlow", "sweep_model"):
         monkeypatch.setattr(cli, name, spy_on(getattr(cli, name), name, through))
     for name, factory in REGISTRY.items():
         monkeypatch.setitem(REGISTRY, name, spy_on(factory, "build_model", True))
@@ -1155,7 +1162,7 @@ VC_FILE = {"betas": [1.0], "partition": {"center": 0, "inner": 0, "width": 1}}
         ),
         ("verify-quantum", dict(VQ_BASE, repetitions=10**20), "<= 1048576"),
         ("mixing-compare", dict(GRID_CONFIGS["mixing-compare"], horizon=2**20 + 1), "<= 1048576"),
-        ("verify-classical", dict(VC_FILE, checks_file="n40.txt"), "at most 21 bits, got n = 40"),
+        ("verify-classical", dict(VC_FILE, checks_file="n40.txt"), f"at most {_GLAUBER_MAX_BITS} bits, got n = 40"),
         # keys a model does not take, and a key it needs
         ("model-info", {"model": "ising_ring", "n": 6, "L": 2}, "does not take ['L']"),
         ("model-info", {"model": "steane7", "n": 7}, "does not take ['n']"),
@@ -1239,7 +1246,7 @@ def test_verify_classical_laziness_one_rejected(tmp_path, monkeypatch):
     # laziness 1 never moves, so the chain has no unique stationary law
     monkeypatch.setattr(cli, "basis_state_subspace", _refuse)
     monkeypatch.setattr(cli, "partition_from_radius", _refuse)
-    monkeypatch.setattr(cli, "GlauberTable", _refuse)
+    monkeypatch.setattr(cli, "GlauberFlow", _refuse)
     cfg = dict(GRID_CONFIGS["verify-classical"], laziness=1.0)
     code, out = run("verify-classical", cfg, tmp_path)
     assert code == 2
@@ -1249,7 +1256,7 @@ def test_verify_classical_laziness_one_rejected(tmp_path, monkeypatch):
 def test_verify_classical_empty_c_rejected(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "basis_state_subspace", _refuse)
     monkeypatch.setattr(cli, "partition_from_radius", _refuse)
-    monkeypatch.setattr(cli, "GlauberTable", _refuse)
+    monkeypatch.setattr(cli, "GlauberFlow", _refuse)
     cfg = {
         "model": "ising_ring",
         "n": 4,
@@ -1262,19 +1269,40 @@ def test_verify_classical_empty_c_rejected(tmp_path, monkeypatch):
 
 
 def test_verify_classical_past_the_glauber_cap_rejected(tmp_path, monkeypatch):
-    # 22 bits is one more than a GlauberTable holds: the run is refused
+    # one bit more than the route's register bound: the run is refused
     # before the energies are built, not failed inside its grid point
     monkeypatch.setattr(cli, "label_energies", _refuse)
-    monkeypatch.setattr(cli, "GlauberTable", _refuse)
+    monkeypatch.setattr(cli, "GlauberFlow", _refuse)
+    n = _GLAUBER_MAX_BITS + 1
     cfg = {
         "model": "ising_ring",
-        "n": 22,
+        "n": n,
         "betas": [1.0],
         "partition": {"center": 0, "inner": 1, "width": 1},
     }
     code, out = run("verify-classical", cfg, tmp_path)
     assert code == 2
-    assert_config_rejected(out, "at most 21 bits")
+    assert_config_rejected(out, f"at most {_GLAUBER_MAX_BITS} bits, got n = {n}")
+
+
+def test_verify_classical_underflow_past_the_chain_cap_fails_its_point(tmp_path, monkeypatch):
+    # past the bits a GlauberTable holds, a beta at which an uphill flip
+    # may underflow fails its point, saying why, and builds no chain;
+    # the other betas run on the flow
+    assert _CHAIN_MAX_BITS < _GLAUBER_MAX_BITS
+    monkeypatch.setattr(markov, "GlauberTable", _refuse)
+    cfg = {
+        "model": "ising_ring",
+        "n": _CHAIN_MAX_BITS + 1,
+        "betas": [1.0, 400.0],
+        "partition": {"center": 0, "inner": 1, "width": 1},
+    }
+    code, out = run("verify-classical", cfg, tmp_path)
+    assert code == 1
+    failures = json.loads((out / "failures.json").read_text())
+    assert [(f["point"]["beta"], f["reason"]) for f in failures] == [(400.0, "NonUniqueStationary")]
+    assert f"at most {_CHAIN_MAX_BITS} bits, not {_CHAIN_MAX_BITS + 1}" in failures[0]["message"]
+    assert [float(row[2]) for row in read_rows(out)[1]] == [1.0]
 
 
 def test_parser_is_built_once_and_keeps_its_exits(tmp_path, capsys):
@@ -1378,8 +1406,9 @@ def test_stability_sweep_loads_no_scipy_special(tmp_path):
 
 def test_verify_classical_runs_in_one_process_share_no_table(tmp_path):
     # two models on the same 8 bits with two partitions, run in turn in
-    # one process: every row equals the report of a chain built anew
-    # by the per-beta oracle, on that run's energies and blocks
+    # one process: every row's lhs has the bits of the flow read one state
+    # at a time, and its other fields equal the report of a chain built
+    # anew by the per-beta oracle, on that run's energies and blocks
     configs = [
         {
             "model": "ising_ring",
@@ -1394,7 +1423,7 @@ def test_verify_classical_runs_in_one_process_share_no_table(tmp_path):
             "partition": {"center": 5, "inner": 0, "width": 2},
         },
     ]
-    fields = ("lhs", "bound", "pi_A", "pi_B", "pi_C", "condition_max")
+    fields = ("bound", "pi_A", "pi_B", "pi_C", "condition_max")
     for i, cfg in enumerate(configs + configs):
         code, out = run("verify-classical", cfg, tmp_path, f"run{i}")
         assert code == 0
@@ -1405,6 +1434,7 @@ def test_verify_classical_runs_in_one_process_share_no_table(tmp_path):
         assert [row["beta"] for row in rows] == cfg["betas"]
         for row, beta in zip(rows, cfg["betas"]):
             pi, _ = gibbs_weights(E, beta)
+            assert row["lhs"] == glauber_flow(E, beta, 0.0, part, pi)
             masks, weights = per_beta_glauber(E, beta)
             sm = StochasticMatrix.from_columns(explicit_rows(masks, E.size), weights)
             rep = classical_bottleneck_report(sm, part, pi)
@@ -1508,45 +1538,11 @@ def curie_weiss_rows(tmp_path_factory):
     return json.loads((out / "report.json").read_text())
 
 
-def _exact_curie_weiss_drift(n, q):
-    """||M pi_A - pi_A||_1 of one Metropolis step of curie_weiss(n) at
-    e^{-beta} = 1/q, A the states of weight <= 2, in exact rationals.
-    pi_A is z^E(x) over A's sum, so Z cancels, and the step from A reaches
-    weight 3 at most, so the states of weight <= 3 carry the whole drift."""
-    pairs = [sum(1 << (n - 1 - i) for i in check) for check in REGISTRY["curie_weiss"](n).z_checks]
-
-    def energy(x):
-        return sum(bin(x & mask).count("1") & 1 for mask in pairs)
-
-    z = Fraction(1, q)
-
-    def move(x, y):  # propose one of n bits, accept with min(1, z^(E(y) - E(x)))
-        return Fraction(1, n) * z ** max(energy(y) - energy(x), 0)
-
-    states = [sum(1 << b for b in bits) for w in range(4) for bits in itertools.combinations(range(n), w)]
-    weight = {x: z ** energy(x) if bin(x).count("1") <= 2 else Fraction(0) for x in states}
-    pi_A = {x: w / sum(weight.values()) for x, w in weight.items()}
-    lhs = Fraction(0)
-    for y in states:
-        stay = 1 - sum(move(y, y ^ (1 << b)) for b in range(n))
-        into = sum(move(y ^ (1 << b), y) * pi_A.get(y ^ (1 << b), 0) for b in range(n))
-        lhs += abs(stay * pi_A[y] + into - pi_A[y])
-    return lhs
-
-
-_ITEM_20 = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 20: the stepped drift loses the boundary flow below one ulp of pi_A",
-)
-
-
-@pytest.mark.parametrize(
-    "q", [2, pytest.param(1000, marks=_ITEM_20), pytest.param(10**6, marks=_ITEM_20)]
-)
+@pytest.mark.parametrize("q", CURIE_WEISS_QS)
 def test_curie_weiss_drift_matches_the_exact_rational_drift(curie_weiss_rows, q):
     # the exact lhs lies within the bound (a quarter of it at low
     # temperature); the printed one must lie within 1e-12 of it
     (row,) = [r for r in curie_weiss_rows if r["beta"] == math.log(q)]
-    exact = _exact_curie_weiss_drift(12, q)
+    exact = exact_glauber_drift(REGISTRY["curie_weiss"](12), 0, 2, q)
     assert exact <= Fraction(row["bound"])
     assert abs(row["lhs"] - float(exact)) <= 1e-12 * float(exact)

@@ -13,8 +13,10 @@ from bottlenecklab.errors import (
     NonUniqueStationary,
     NotStochastic,
 )
+from bottlenecklab import markov
 from bottlenecklab.markov import (
     _STEP_CHUNK,
+    GlauberFlow,
     GlauberTable,
     StochasticMatrix,
     check_classical_condition,
@@ -100,7 +102,7 @@ class TestStochasticMatrix:
         # take the flat bincount below it through the other cols),
         # forbidden entry and single-flip certificate
         if case == "glauber":
-            sm = GlauberTable(label_energies(REGISTRY["ising_ring"](10))).chain(1.0, 0.3)
+            sm = GlauberTable(label_energies(REGISTRY["ising_ring"](11))).chain(1.0, 0.3)
         elif case == "site":
             H = build_hamiltonian(REGISTRY["ising_ring"](13))
             sm = metropolis_site_channel(H, 1.0, 3).monomial.chain
@@ -118,7 +120,7 @@ class TestStochasticMatrix:
         k = sm.weights.shape[0]
         assert sm.moves.shape == (sm.weights.shape if case == "birth-death" else (k, 1))
         past = case in ("glauber", "site", "masks")
-        assert k * (dim - 3) > _STEP_CHUNK or not past
+        assert dim - 3 > _STEP_CHUNK or not past
         assert (sm.mat != rows.mat).nnz == 0 and sm.mat.nnz == rows.mat.nnz
         p = rng.dirichlet(np.ones(dim))
         some, most = np.flatnonzero(rng.random(dim) < 0.3), np.flatnonzero(rng.permutation(dim) >= 3)
@@ -531,9 +533,76 @@ class TestGlauberTable:
             GlauberTable(np.zeros(8)).report(1.0, 0.0, np.full(8, 1 / 8))
 
 
-# the least m whose Glauber chain, m + 1 entry rows of 2^m, holds more
-# than 4 * _STEP_CHUNK entries
-GATHERED_BITS = next(m for m in range(1, 64) if (m + 1) << m > 4 * _STEP_CHUNK)
+class TestGlauberFlow:
+    # the route of verify-classical: the bound from A's out-edges alone
+
+    def test_a_flow_holds_no_chain_over_the_register(self, monkeypatch):
+        # ising_ring n=16, inner 1: a flow and one report trace less than
+        # five float vectors of the register (pi(C) is summed from a copy),
+        # against the 33 of a table's uphill jumps and its chain's weights,
+        # and no table is built
+        n = 16
+        E = label_energies(REGISTRY["ising_ring"](n))
+        label = hamming_shell_labels(n, 0, 1, 1)
+        pi, _ = gibbs_weights(E, 1.0)
+        want = GlauberTable(E, label).report(1.0, 0.0, pi)
+        monkeypatch.setattr(markov, "GlauberTable", None)
+        tracemalloc.start()
+        try:
+            rep = GlauberFlow(E, label, 2).report(1.0, 0.0, pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * E.nbytes
+        assert rep == want
+
+    def test_forbidden_flips_raise_as_the_table_does(self):
+        # state 1 put in C next to A = {0}: the largest forbidden entry is
+        # C's downhill flip into A, named (row, column) as the table names it
+        E = label_energies(REGISTRY["ising_ring"](4))
+        pi, _ = gibbs_weights(E, 1.0)
+        broken = hamming_shell_labels(4, 0, 0, 1)
+        broken[1] = 3
+        for route in (GlauberTable(E, broken), GlauberFlow(E, broken, 2)):
+            with pytest.raises(ConditionViolated, match=r"2.500e-01 at \(0, 1\)"):
+                route.report(1.0, 0.0, pi)
+
+    def test_a_law_of_another_beta_fails_detailed_balance(self):
+        E = label_energies(REGISTRY["ising_ring"](8))
+        label = hamming_shell_labels(8, 0, 1, 1)
+        other, _ = gibbs_weights(E, 2.0)
+        flow = GlauberFlow(E, label, 2)
+        with pytest.raises(NonUniqueStationary, match="detailed balance fails on the flip"):
+            flow.report(1.0, 0.0, other)
+        with pytest.raises(NonUniqueStationary, match="probability vector"):
+            flow.report(1.0, 0.0, 3 * gibbs_weights(E, 1.0)[0])
+
+    def test_an_acceptance_that_may_underflow_runs_the_table(self):
+        # at beta 400 the largest jump's acceptance underflows: the point
+        # runs today's chain, whose class search finds it fallen apart; a
+        # jump bound too loose for beta 30 runs the table too, with its bits
+        E = label_energies(REGISTRY["ising_ring"](10))
+        label = hamming_shell_labels(10, 0, 1, 1)
+        pi, _ = gibbs_weights(E, 400.0)
+        with pytest.raises(NonUniqueStationary, match="communicating classes"):
+            GlauberFlow(E, label, 2).report(400.0, 0.0, pi)
+        pi, _ = gibbs_weights(E, 30.0)
+        loose = GlauberFlow(E, label, 40).report(30.0, 0.0, pi)
+        assert loose == GlauberFlow(E, label, 2).report(30.0, 0.0, pi)
+        assert loose == GlauberTable(E, label).report(30.0, 0.0, pi)
+
+    def test_energies_and_labels_are_checked(self):
+        with pytest.raises(BadPartition):
+            GlauberFlow(np.zeros(6), np.zeros(6), 1)
+        with pytest.raises(BadPartition, match="the chain has 8 states"):
+            GlauberFlow(np.zeros(8), hamming_shell_labels(4, 0, 0, 1), 1)
+        with pytest.raises(ValueError, match="laziness"):
+            GlauberFlow(np.zeros(16), hamming_shell_labels(4, 0, 0, 1), 0).report(1.0, 1.0, np.full(16, 1 / 16))
+
+
+# the least m whose Glauber chain's entry rows of 2^m are longer than
+# 2 * _STEP_CHUNK
+GATHERED_BITS = next(m for m in range(1, 64) if 1 << m > 2 * _STEP_CHUNK)
 
 
 class TestResidual:
@@ -545,7 +614,7 @@ class TestResidual:
         E = label_energies(REGISTRY["ising_ring"](m))
         sm = GlauberTable(E).chain(1.0, 0.3)
         k, dim = sm.weights.shape
-        assert k * dim > 4 * _STEP_CHUNK
+        assert dim > 2 * _STEP_CHUNK
         pi, _ = gibbs_weights(E, 1.0)
         for p in (rng.dirichlet(np.ones(dim)), pi):
             assert sm.residual(p) == float(np.abs(sm.step(p) - p).sum())
@@ -571,7 +640,7 @@ class TestResidual:
             p = rng.dirichlet(np.ones(dim))
             for cols in (None, np.flatnonzero(rng.random(dim) < 0.5), rng.permutation(dim)[:5000]):
                 at = slice(None) if cols is None else cols
-                assert k * rows[:, at].shape[1] > _STEP_CHUNK
+                assert rows[:, at].shape[1] > _STEP_CHUNK
                 want = np.bincount(
                     rows[:, at].ravel(), weights=(sm.weights[:, at] * p[at]).ravel(), minlength=dim
                 )

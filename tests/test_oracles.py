@@ -17,6 +17,9 @@ repetition, curie_weiss or random_ldpc) at n from 3 to 10, so the
 stationary-law oracle stays on its dense eigensolve.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -39,10 +42,12 @@ from bottlenecklab.channel import (
 )
 from bottlenecklab.errors import EmptyA, EmptyBoundary, NonUniqueStationary, NotDiagonal
 from bottlenecklab.markov import (
+    GlauberFlow,
     GlauberTable,
     StochasticMatrix,
     _certify_stationary,
     classical_bottleneck_report,
+    conditioned_drift,
 )
 from bottlenecklab.model import (
     REGISTRY,
@@ -117,7 +122,9 @@ from oracles import (
     explicit_rows,
     eigen_ratio,
     enumerated_blocks,
+    exact_glauber_drift,
     gauged_eigensystem,
+    glauber_flow,
     hamming_shell_labels,
     indices_from_mask,
     per_form_support,
@@ -694,6 +701,81 @@ def test_birth_death_chains_in_column_form_match_the_dense_report():
             for key, want in ref.items():
                 assert getattr(rep, key) == pytest.approx(want, rel=1e-12, abs=1e-15), (m, seed, key)
             assert rep.condition_max == 0.0
+
+
+# --- the classical flow route against the stepped chain -------------------
+
+
+def _most_checks_on_one_bit(checks):
+    return max(sum(q in check for check in checks.z_checks) for q in range(checks.n))
+
+
+def _classical_family(family, n):
+    return random_ldpc(n, n, n) if family == "random_ldpc" else REGISTRY[family](n)
+
+
+@pytest.mark.parametrize("family", ["ising_ring", "curie_weiss", "random_ldpc", "repetition"])
+def test_flow_route_matches_the_stepped_chain(family):
+    # at every n <= 12, on a split about 0 and one about the middle state,
+    # at betas 0 to 30 and laziness 0 and 0.3: the stepped chain fixes the
+    # Gibbs law, the flow route's pi columns and bound have the stepped
+    # drift's bytes, its lhs has the bits of the flow read one state at a
+    # time and of the table's report, and it lies within the stepped
+    # form's rounding bound wherever that bound is below the drift
+    u = numerics.UNIT_ROUNDOFF
+    compared = 0
+    for n in range(3, 13):
+        checks = _classical_family(family, n)
+        E = label_energies(checks)
+        most = _most_checks_on_one_bit(checks)
+        assert most >= GlauberTable(E).uphill.max()
+        for center, inner in ((0, 0), (n // 2, n // 3)):
+            if inner + 2 >= n:
+                continue
+            label = hamming_shell_labels(n, center, inner, 1)
+            flow, table = GlauberFlow(E, label, most), GlauberTable(E, label)
+            for beta in (0.0, 0.5, 1.0, 3.0, 10.0, 30.0):
+                pi, _ = gibbs_weights(E, beta)
+                for laziness in (0.0, 0.3):
+                    # every flip's acceptance is positive: the flow route runs
+                    assert np.exp(-beta * most) * (1.0 - laziness) / n > 0
+                    rep = flow.report(beta, laziness, pi)
+                    chain = table.chain(beta, laziness)
+                    resid = chain.residual(pi)
+                    assert resid <= numerics.STATIONARY_TOL
+                    pA, pB, pC, stepped = conditioned_drift([chain], label, pi)
+                    assert (rep.pi_A, rep.pi_B, rep.pi_C, rep.bound) == (pA, pB, pC, 2.0 * pB / pA)
+                    assert rep.condition_max == 0.0
+                    assert rep.lhs == glauber_flow(E, beta, laziness, label, pi)
+                    assert rep.lhs == table.report(beta, laziness, pi).lhs
+                    # the stepped lhs: m + 1 terms per target, one difference
+                    # and the sums, each within a few units of the scale 1 of
+                    # pi_A; and the flow it stands for within 2 resid / pi(A)
+                    rounding = 2.0 * resid / pA + 4 * (n + 3) * u
+                    if rounding < rep.lhs:
+                        compared += 1
+                        assert abs(stepped - rep.lhs) <= rounding, (n, center, beta, laziness)
+    assert compared > 0
+
+
+@pytest.mark.parametrize(
+    "checks, inner",
+    [(ising_ring(10), 1), (random_ldpc(10, 8, 5), 2)],
+    ids=["ising_ring", "random_ldpc"],
+)
+def test_flow_route_matches_the_exact_rational_drift_at_low_temperature(checks, inner):
+    # at e^{-beta} = 1/1000 the flow lies within 1e-12 relative of the
+    # exact drift, and within the bound, where the stepped drift has lost
+    # the flow to rounding
+    q = 1000
+    beta = math.log(q)
+    E = label_energies(checks)
+    label = hamming_shell_labels(checks.n, 0, inner, 1)
+    pi, _ = gibbs_weights(E, beta)
+    rep = GlauberFlow(E, label, _most_checks_on_one_bit(checks)).report(beta, 0.0, pi)
+    exact = exact_glauber_drift(checks, 0, inner, q)
+    assert exact <= Fraction(rep.bound)
+    assert abs(rep.lhs - float(exact)) <= 1e-12 * float(exact)
 
 
 # --- one distance search: balls and shells against the closed forms --------

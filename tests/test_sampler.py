@@ -441,9 +441,9 @@ def test_samplers_refuse_the_nan_acceptances_of_an_infinite_beta():
             metropolis_site_channel(build_hamiltonian(ising_ring(4)), np.inf, 0)
 
 
-# a site chain holds 2 * 2^n entries: one flat bincount steps it up to
-# _STEP_CHUNK entries, the XOR gather past it
-FLAT_SITE_BITS = _STEP_CHUNK.bit_length() - 2
+# a site chain holds two entry rows of 2^n: one flat bincount steps it up
+# to rows of _STEP_CHUNK, the XOR gather past it
+FLAT_SITE_BITS = _STEP_CHUNK.bit_length() - 1
 
 
 @pytest.mark.parametrize("n", [FLAT_SITE_BITS, FLAT_SITE_BITS + 1])
@@ -451,7 +451,7 @@ def test_the_one_check_refuses_a_vector_the_site_chains_do_not_fix(monkeypatch, 
     # on either step kernel, a site schedule checked against the Gibbs
     # vector of another beta raises NotFixedPoint naming its first site,
     # and the true Gibbs vector passes and is carried by every channel
-    assert (2 << n > _STEP_CHUNK) == (n > FLAT_SITE_BITS)
+    assert (1 << n > _STEP_CHUNK) == (n > FLAT_SITE_BITS)
     H = build_hamiltonian(ising_ring(n))
     true = H.gibbs(1.0)
     for site in (0, n - 1):
