@@ -27,8 +27,11 @@ Spectrum-free route: site_form_ratio reads a bottleneck ratio from a few
 basis columns of e^{-beta R}, for a real site form R = diag(e) + sum_q
 t_q X_q (model's form of a classical H0 plus one term per site), or
 None when the bound does not certify it. _site_form_series sets up the
-Chebyshev series of e^{-beta R} with sparse products and derives the
-bound on each column's error before any product runs.
+Chebyshev series of e^{-beta R}, with 2 S held as a diagonal plus a
+Kronecker sum of one-bit flips (_SiteOperator) whose products are numpy
+GEMMs, and derives the bound on each column's error before any product
+runs; _clenshaw sums the series on start columns by Clenshaw's
+recurrence.
 """
 
 import math
@@ -198,10 +201,12 @@ def logsumexp(a, b=None):
     return float(np.log1p(s / m) + np.log(m) + top)
 
 
-# columns run through the recurrence together, so that the few arrays of
-# one block stay in cache: on repetition, beta 3, the series took a median
-# 51 ms in 32-column blocks against 61 ms in one block at n = 10 (176
-# columns, K = 39), and 529 ms against 782 ms at n = 12 (299 columns)
+# columns run through the recurrence together, which bounds the four block
+# buffers of _clenshaw at 4 x 32 dim doubles (1 MB at n = 10); the width
+# moves the time little: on repetition, beta 3 (2-core Intel Xeon, medians
+# of three rounds), the series took 31-38 ms in 32-column blocks against
+# 33-36 ms in one block at n = 10 (176 columns, K = 39), and 347-389 ms
+# against 272-340 ms at n = 12 (299 columns, 39 MB of buffers in one block)
 _CHEBYSHEV_BLOCK = 32
 
 
@@ -274,70 +279,105 @@ def _scaled_bessel(K, z):
     return out / (2 * total + cur)
 
 
-def _chebyshev_block(S2, coef, prev):
-    """sum_k coef[k] T_k(S) X for one C-ordered block X = prev of start
-    columns, S2 = 2 S: the forward three-term recurrence, v_{k+1} = (2 S)
-    v_k - v_{k-1}. Each column runs alone, so the width of the block
-    changes no bit."""
-    acc = coef[0] * prev
-    if coef.size > 1:
-        cur = S2 @ prev
-        cur *= 0.5
-        term = np.empty_like(cur)
-        for k in range(1, coef.size):
-            if k > 1:
-                nxt = S2 @ cur
-                nxt -= prev
-                prev, cur = cur, nxt
-            np.multiply(cur, coef[k], out=term)
-            acc += term
-    return acc
+class _SiteOperator:
+    """2 S = 2 (R - c)/h for a site form R = diag(e) + sum_q t_q X_q on n
+    qubits, X_q the flip of bit n-1-q, as a diagonal plus a Kronecker sum.
+
+    With k = n // 2 low bits, a basis index is (top, low), top its n - k
+    high bits, and
+
+        2 S = F_top (x) 1 + sum_top |top><top| (x) (F_low + diag(d_top)),
+
+    F_top the 2^{n-k}-square matrix of the top qubits' flips, of weight 2
+    t_q / h, F_low that of the low qubits' flips and d_top the 2^k entries
+    2 (e - c)/h of one top index. A block of w start columns is held as a
+    (2^{n-k}, w, 2^k) array, and product applies 2 S to it by one GEMM
+    with F_top and one batched matmul with the blocks F_low + diag(d_top).
+    The stored weights are (e - c)/h and t/h, each rounded, then doubled.
+    Each entry of a product sums n - k or k + 1 nonzero terms of one
+    factor and adds the two sums; the rest of a row is zero and adds
+    exactly (_site_form_series bounds the rounding).
+    """
+
+    def __init__(self, e, t, c, h):
+        n = t.size
+        self.low = n // 2
+        self.dim = e.size
+        top, low = 1 << (n - self.low), 1 << self.low
+        d = (e - c) / h
+        d *= 2.0
+        f = t / h
+        f *= 2.0
+        idx = np.arange(top)
+        self.top = np.zeros((top, top))
+        for q in range(n - self.low):
+            self.top[idx, idx ^ (1 << (n - self.low - 1 - q))] = f[q]
+        idx = np.arange(low)
+        self.blocks = np.zeros((top, low, low))
+        for q in range(n - self.low, n):
+            self.blocks[:, idx, idx ^ (1 << (n - 1 - q))] = f[q]
+        self.blocks[:, idx, idx] = d.reshape(top, low)
+
+    def product(self, X, out, tmp):
+        """out = 2 S X for a block X of shape (2^{n-k}, w, 2^k); tmp, of
+        the same shape, holds the blocks' part."""
+        top, w, low = X.shape
+        np.matmul(self.top, X.reshape(top, w * low), out=out.reshape(top, w * low))
+        np.matmul(X, self.blocks, out=tmp)
+        out += tmp
 
 
-def _chebyshev_series(S2, coef, X):
-    """sum_k coef[k] T_k(S) X, S2 = 2 S, on blocks of _CHEBYSHEV_BLOCK
-    columns of X (_chebyshev_block)."""
-    Y = np.empty_like(X)
-    for first in range(0, X.shape[1], _CHEBYSHEV_BLOCK):
-        block = slice(first, first + _CHEBYSHEV_BLOCK)
-        Y[:, block] = _chebyshev_block(S2, coef, np.ascontiguousarray(X[:, block]))
-    return Y
+def _clenshaw(S2, coef, rows, cols, values, width):
+    """Y = sum_k coef[k] T_k(S) X as a (dim, width) array, S2 = 2 S a
+    _SiteOperator, for the start block X of width columns whose nonzero
+    entries are X[rows, cols] = values, given in column order; no dim x
+    width X is formed.
 
-
-def _unit_series(S2, coef, rows_a, rows_b):
-    """(diag, YB) for Y = _chebyshev_series(S2, coef, X), X the unit
-    columns of rows_a then rows_b: diag[i] = Y[rows_a[i], i] and YB the
-    rows_b columns of Y, bit for bit. Each block of _CHEBYSHEV_BLOCK
-    columns starts from its own unit columns, so neither X nor the A
-    columns of Y is formed."""
-    dim = S2.shape[0]
-
-    def blocks(rows):
-        for first in range(0, rows.size, _CHEBYSHEV_BLOCK):
-            part = rows[first : first + _CHEBYSHEV_BLOCK]
-            at = (part, np.arange(part.size))
-            X = np.zeros((dim, part.size))
-            X[at] = 1.0
-            yield slice(first, first + part.size), _chebyshev_block(S2, coef, X), at
-
-    diag, YB = np.empty(rows_a.size), np.empty((dim, rows_b.size))
-    for block, Y, at in blocks(rows_a):
-        diag[block] = Y[at]
-    for block, Y, _ in blocks(rows_b):
-        YB[:, block] = Y
-    return diag, YB
+    Clenshaw's recurrence (Clenshaw, Math. Tables Aids Comput. 9, 118
+    (1955)) runs b_k = coef[k] X + 2 S b_{k+1} - b_{k+2} from b_{K+1} =
+    b_{K+2} = 0 down to k = 1, and Y = coef[0] X + S b_1 - b_2 (2 S b_1
+    halved), on blocks of _CHEBYSHEV_BLOCK columns. Each order costs one
+    product, one subtraction and a scatter of coef[k] values at the start
+    entries. The four block buffers are allocated once per call. A block
+    one column wide runs as two, the second all zero, since numpy's
+    vector product rounds differently from its matrix product; so each
+    column's bits are the same whatever the block it runs in.
+    """
+    top, low, K = S2.dim >> S2.low, 1 << S2.low, coef.size - 1
+    size = top * max(2, min(width, _CHEBYSHEV_BLOCK)) * low
+    buffers = [np.empty(size) for _ in range(4)]
+    Y = np.empty((width, S2.dim))
+    for first in range(0, width, _CHEBYSHEV_BLOCK):
+        w = min(_CHEBYSHEV_BLOCK, width - first)
+        held = max(w, 2)
+        part = slice(*np.searchsorted(cols, [first, first + w]))
+        r, v = rows[part], values[part]
+        at = (r >> S2.low) * (held * low) + (cols[part] - first) * low + (r & (low - 1))
+        b0, b1, b2, tmp = (buf[: top * held * low].reshape(top, held, low) for buf in buffers)
+        b1.fill(0.0)
+        b2.fill(0.0)
+        b1.reshape(-1)[at] = coef[K] * v
+        for k in range(K - 1, -1, -1):
+            S2.product(b1, b0, tmp)
+            if not k:
+                b0 *= 0.5
+            b0 -= b2
+            b0.reshape(-1)[at] += coef[k] * v
+            b0, b1, b2 = b2, b0, b1
+        Y[first : first + w] = b1[:, :w].transpose(1, 0, 2).reshape(w, S2.dim)
+    return Y.T
 
 
 def _site_form_series(e, t, beta, width):
     """The Chebyshev series of e^{-beta (R - lo)}, for the real form R =
     diag(e) + sum_q t_q X_q on n = len(t) qubits, with X_q the flip of
     qubit q (bit n-1-q of a basis index), set up for a start block of
-    width columns: (S2, coef, err, lo), with _chebyshev_series(S2, coef,
-    X) within err ||x|| of e^{-beta (R - lo)} x in the 2-norm for each
-    column x of X. err is known before any product runs. Returns None
-    when the K products, each touching (n + 1) width dim entries, would
-    come to more than the dim^3 of a dense eigensolve: then the solve is
-    the cheaper route.
+    width columns: (S2, coef, err, lo), with the columns of _clenshaw(S2,
+    coef, ...) within err ||x|| of e^{-beta (R - lo)} x in the 2-norm for
+    each start column x. err is known before any product runs. Returns
+    None when the K products, counted as (n + 1) width dim entries each
+    (the nonzeros of 2 S), would come to more than the dim^3 of a dense
+    eigensolve: then the solve is the cheaper route.
 
     Route (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)). Every
     row of R has the Gershgorin radius r = sum |t_q|, so the spectrum lies
@@ -352,12 +392,11 @@ def _site_form_series(e, t, beta, width):
 
     the Chebyshev series of e^{-z x} (generating function of I_k at s =
     -e^{i theta}), scaled by e^{-z}. It is cut at the order K of
-    _chebyshev_order, and v_k = T_k(S) x runs the three-term recurrence
-    v_{k+1} = 2 S v_k - v_{k-1} with 2 S stored in CSR form, m = n + 1
-    entries per row, on blocks of _CHEBYSHEV_BLOCK columns.
+    _chebyshev_order and summed by Clenshaw's recurrence (_clenshaw) with
+    2 S held as a _SiteOperator.
 
     Error bound, per start column x of norm 1 (it scales with ||x||), u
-    the unit roundoff and gamma_k = k u / (1 - k u):
+    the unit roundoff, gamma_k = k u / (1 - k u) and m = n + 1:
     - truncation: the tail of _chebyshev_order, since |T_k| <= 1 on
       [-1, 1];
     - coefficients: the ive values for one z are taken to be off by at
@@ -366,27 +405,33 @@ def _site_form_series(e, t, beta, width):
       of ive(k, z) = 1, a sum of |c~_k| that misses 1 by more than the
       tail, that error and the rounding of the sum voids the bound (err
       is then inf);
-    - recurrence: a stored entry of S is within gamma_2 of the exact one
-      (doubling it is exact), and a product row sums m terms, so fl(S v)
-      = S v + d with |d| <= gamma_{m+2} |S| |v|; the subtraction rounds
-      once, so the computed v_{k+1} = 2 S v_k - v_{k-1} + xi_k with |xi_k|
-      <= 2 gamma_{m+3} |S| |v_k| + u |v_{k-1}|. In the 2-norm ||xi_k|| <=
-      kappa (1 + eta), kappa = 2 gamma_{m+3} + u, as long as every
-      ||v_k|| <= 1 + eta. The error of v_k is sum_{j<k} U_{k-1-j}(S)
-      xi_j, U the Chebyshev polynomials of the second kind, with
-      ||U_l(S)|| <= l + 1; so ||v_k - T_k(S) x|| <= kappa (1 + eta) k (k +
-      1)/2, which fixes eta = q / (1 - q), q = kappa K (K + 1)/2, and
-      the recurrence errors reach the sum as at most kappa (1 + eta)
-      sum_{j<K} w_j, w_j = sum_{k>j} |c~_k| (k - j);
-    - summation: Y accumulates the K + 1 products c~_k v_k in turn, so it
-      is off by at most gamma_{K+1} (1 + eta) sum_k |c~_k|.
-    err is the sum of the four. The coefficients come from
-    _scaled_bessel, and scipy.sparse, the one scipy module the route
-    loads, is imported here, so importing the package loads no scipy
-    module.
+    - product: a stored entry of 2 S is within gamma_2 of the exact one
+      (doubling it is exact), and an entry of a product sums at most n -
+      k or k + 1 nonzero terms per factor, k = n // 2, then adds the two
+      sums; zero entries add exactly, so fl(2 S v) = 2 S v + d with |d|
+      <= gamma_{m+2} |2 S| |v|, as for m terms in one sum;
+    - recurrence: the subtraction and the scatter of c~_k x round once
+      each, so the computed b_k = c~_k x + 2 S b_{k+1} - b_{k+2} + xi_k
+      with |xi_k| <= gamma_{m+4} |2 S| |b_{k+1}| + gamma_2 (|b_{k+2}| +
+      |c~_k| |x|), and the last step's xi_0 obeys the same bound (halving
+      2 S b_1 is exact). The error e_k of b_k runs the recurrence with
+      sources xi_k, so e_k = sum_{j>=k} U_{j-k}(S) xi_j, U the Chebyshev
+      polynomials of the second kind, with ||U_l(S)|| <= l + 1; since S
+      U_{j-1} - U_{j-2} = T_j, the computed y is off by xi_0 + sum_{j>=1}
+      T_j(S) xi_j, with ||T_j(S)|| <= 1. The exact b_j = sum_{i>=j} c~_i
+      U_{i-j}(S) x has norm at most beta_j = sum_{i>=j} |c~_i| (i - j +
+      1), which does not grow with j and is at least beta_{j+2} + |c~_j|.
+      As |S| has row sums at most 1, ||xi_j|| <= kappa (1 + eta) beta_j,
+      kappa = 2 gamma_{m+4} + gamma_2, as long as every ||b~_i|| <= (1 +
+      eta) beta_i for i > j; then ||e_j|| <= kappa (1 + eta) beta_j (K +
+      1)(K + 2)/2, which fixes eta = q / (1 - q), q = kappa (K + 1)(K +
+      2)/2, by induction down from j = K. Summed over j, with beta_{j+1}
+      = w_j = sum_{i>j} |c~_i| (i - j), the rounding reaches y as at most
+      (1 + eta) (kappa sum_{j<K} w_j + gamma_2 sum_k |c~_k|).
+    err is the sum of the three. The coefficients come from
+    _scaled_bessel and the products from numpy, so the route loads no
+    scipy module.
     """
-    from scipy import sparse
-
     n, dim, u = t.size, e.size, UNIT_ROUNDOFF
     r = float(np.abs(t).sum())
     a, b = float(e.min()) - r, float(e.max()) + r
@@ -402,8 +447,8 @@ def _site_form_series(e, t, beta, width):
     coef[0] *= 0.5
     coef[1::2] *= -1.0
     size = np.abs(coef)
-    kappa = 2 * _gamma(n + 4) + u
-    q = kappa * K * (K + 1) / 2
+    kappa = 2 * _gamma(n + 5) + _gamma(2)
+    q = kappa * (K + 1) * (K + 2) / 2
     # w_j = sum_{k>j} |c_k| (k - j) from suffix sums of |c_k| and k |c_k|
     after = np.cumsum(size[::-1])[::-1][1:]
     weighted = np.cumsum((size * np.arange(K + 1))[::-1])[::-1][1:]
@@ -413,18 +458,8 @@ def _site_form_series(e, t, beta, width):
         err = math.inf
     else:
         growth = 1.0 + q / (1.0 - q)
-        err = tail + 2 * IVE_SUM_ERR + kappa * growth * w.sum() + _gamma(K + 1) * growth * total
-    idx = np.arange(dim)
-    flips = idx[:, None] ^ (1 << (n - 1 - np.arange(n)))[None, :]
-    data = np.empty((dim, n + 1))
-    data[:, 0] = (e - c) / h
-    data[:, 1:] = t / h
-    data *= 2.0
-    S2 = sparse.csr_array(
-        (data.ravel(), np.hstack([idx[:, None], flips]).ravel(), np.arange(0, dim * (n + 1) + 1, n + 1)),
-        shape=(dim, dim),
-    )
-    return S2, coef, float(err), c - h
+        err = tail + 2 * IVE_SUM_ERR + growth * (kappa * w.sum() + _gamma(2) * total)
+    return _SiteOperator(e, t, c, h), coef, float(err), c - h
 
 
 def _numerator_reach(S2, coef, err, t, rows_b):
@@ -445,12 +480,11 @@ def _numerator_reach(S2, coef, err, t, rows_b):
     was 3 to 3.6 times the numerator at beta 3 and 68 to 110 times at
     beta 10 and 30, where the numerator lies far below |B| err.
     """
-    n, dim, nb = t.size, S2.shape[0], rows_b.size
+    n, dim, nb = t.size, S2.dim, rows_b.size
     s = np.where(t > 0, -1.0, 1.0)
     bits = (rows_b[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1
-    x = np.zeros((dim, 1))
-    x[rows_b, 0] = np.where(bits == 1, s, 1.0).prod(axis=1)
-    y = float(np.linalg.norm(_chebyshev_series(S2, coef, x)))
+    signs = np.where(bits == 1, s, 1.0).prod(axis=1)
+    y = float(np.linalg.norm(_clenshaw(S2, coef, rows_b, np.zeros(nb, dtype=np.int64), signs, 1)))
     return math.sqrt(nb) * (y * (1 + _gamma(dim)) + math.sqrt(nb) * err)
 
 
@@ -466,11 +500,11 @@ def site_form_ratio(e, t, beta, rows_a, rows_b):
     can carry, is above RATIO_REL_TOL times that bound, no run of the
     label columns could certify it, and none is made.
 
-    With Y the columns of e^{-beta (R - lo)} on rows_a then rows_b, of
-    which _unit_series forms only the diagonal entries on A and the
-    rows_b columns, Z and the shift by lo cancel in Delta. The
-    denominator is the sum of the diagonal entries of Y on A, off by at
-    most |A| err plus gamma_|A| times the sum of their moduli. The numerator is the sum of the singular
+    With Y the columns of e^{-beta (R - lo)} on rows_a then rows_b, one
+    _clenshaw run from their unit columns, Z and the shift by lo cancel
+    in Delta. The denominator is the sum of the diagonal entries of Y on
+    A, off by at most |A| err plus gamma_|A| times the sum of their
+    moduli. The numerator is the sum of the singular
     values of the rows_b columns (e^{-beta R} is symmetric, so they are
     the rows of P_B e^{-beta R}), off by at most:
     - |B| err, since ||E||_1 <= sum of the column norms of E;
@@ -493,7 +527,9 @@ def site_form_ratio(e, t, beta, rows_a, rows_b):
     S2, coef, err, _ = series
     if nb * err > RATIO_REL_TOL * _numerator_reach(S2, coef, err, t, rows_b):
         return None
-    diag, YB = _unit_series(S2, coef, rows_a, rows_b)
+    rows = np.concatenate([rows_a, rows_b])
+    Y = _clenshaw(S2, coef, rows, np.arange(rows.size), np.ones(rows.size), rows.size)
+    diag, YB = Y[rows_a, np.arange(na)], Y[:, na:]
     den = float(diag.sum())
     den_err = na * err + _gamma(na) * float(np.abs(diag).sum())
     sv = np.linalg.svd(YB, compute_uv=False)

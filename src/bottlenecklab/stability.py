@@ -32,8 +32,9 @@ H and no complex matrix is built. The boundary floor gathers its block
 from e and t. Delta needs e^{-beta H} only on the label columns of the
 ball and its boundary shell, since Z cancels and the phases change
 neither piece, and numerics.site_form_ratio applies the Chebyshev
-series of e^{-beta R} to those columns with sparse products and a
-stated bound on its error. Where that bound certifies both pieces to
+series of e^{-beta R} to those columns, by Clenshaw's recurrence with
+numpy GEMMs over a Kronecker-sum form of R, with a stated bound on its
+error. Where that bound certifies both pieces to
 5e-10 relative, Delta is read from the columns with no eigensolve; where
 it does not (large beta, where the boundary weight is tiny next to the
 rounding bound, which a one-column probe mostly detects before the label

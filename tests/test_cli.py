@@ -171,6 +171,38 @@ def test_worker_count_does_not_change_bytes(tmp_path):
             assert (two / name).read_bytes() == ref, (subcommand, name)
 
 
+def test_worker_count_does_not_change_bytes_on_the_series_route(tmp_path, monkeypatch):
+    # GRID_CONFIGS' sweep points take the eigensolve; these n = 8 points
+    # at beta 3 certify on the Chebyshev series, whose GEMMs then run in
+    # the grid's worker threads
+    cfg = {
+        "model": "repetition",
+        "barrier": {"center": [0, 0], "inner": 1, "boundary": 2},
+        "betas": [3.0],
+        "gs": [0.01],
+        "ns": [8],
+        "seeds": [1, 2],
+    }
+    certified = []
+    real_ratio = stability.site_form_ratio
+
+    def spied(*args):
+        got = real_ratio(*args)
+        certified.append(got is not None)
+        return got
+
+    monkeypatch.setattr(stability, "site_form_ratio", spied)
+    outs = []
+    for jobs in (1, 2, 3):
+        code, out = run("stability-sweep", cfg, tmp_path, f"jobs{jobs}", jobs=jobs)
+        assert code == 0
+        outs.append(out)
+    assert certified == [True] * 6
+    for name in ("report.csv", "report.json", "failures.json", "fit.json"):
+        ref = (outs[0] / name).read_bytes()
+        assert all((out / name).read_bytes() == ref for out in outs[1:]), name
+
+
 def test_classical_rows_stay_under_bound(tmp_path):
     cfg = {
         "model": "ising_ring",
@@ -1384,10 +1416,10 @@ def test_tail_check_loads_no_scipy(tmp_path):
     assert json.loads((out / "failures.json").read_text()) == []
 
 
-def test_stability_sweep_loads_no_scipy_special(tmp_path):
+def test_stability_sweep_loads_no_scipy(tmp_path):
     # the n = 8 and 10 points at beta 3 take the certified series, whose
-    # products load scipy.sparse; its coefficients come from the package's
-    # own recurrence, so scipy.special stays unloaded
+    # products are numpy GEMMs and whose coefficients come from the
+    # package's own recurrence: a stability-sweep process loads no scipy
     cfg = {
         "model": "repetition",
         "barrier": {"center": [0, 0], "inner": 1, "boundary": 2},
@@ -1397,9 +1429,7 @@ def test_stability_sweep_loads_no_scipy_special(tmp_path):
         "seeds": [1],
     }
     spy, out = spy_run("stability-sweep", cfg, tmp_path)
-    assert spy["status"] == 0
-    assert "scipy.sparse" in spy["scipy"]
-    assert not [m for m in spy["scipy"] if m.startswith("scipy.special")]
+    assert spy == {"status": 0, "reads": 0, "scipy": []}
     assert json.loads((out / "failures.json").read_text()) == []
     assert len(read_rows(out)[1]) == 2
 

@@ -29,10 +29,12 @@ from conftest import (
     random_unitary,
 )
 from oracles import (
+    PauliString,
     _gauged,
     dense_perturbation,
     loop_fix_phases,
     orthonormal_column_basis,
+    pauli_matrix,
     validate_density,
 )
 
@@ -450,20 +452,63 @@ def test_chebyshev_order_at_the_smallest_arguments(z):
     assert got is None or math.isfinite(got)
 
 
-def test_unit_series_is_the_series_on_unit_columns(rng):
-    # the blocks of A and of B start apart from their own unit columns,
-    # yet every entry kept is bit for bit that of the series on X
+def unit_columns(S2, coef, rows):
+    # the series on the unit columns of rows, in one _clenshaw run
+    return numerics._clenshaw(S2, coef, rows, np.arange(rows.size), np.ones(rows.size), rows.size)
+
+
+def test_unit_series_is_the_series_on_unit_columns(rng, monkeypatch):
+    # the label run's blocks of 32 columns, the last one 14 or 1 wide,
+    # give every entry the bits of one block of all columns and of each
+    # column run alone
     n = 8
     dim = 1 << n
     e = rng.uniform(0.0, 8.0, dim)
     t = rng.uniform(-0.3, 0.3, n)
-    rows = rng.permutation(dim)[:110]
-    rows_a, rows_b = rows[:41], rows[41:]
-    S2, coef, err, lo = numerics._site_form_series(e, t, 2.0, rows.size)
-    diag, YB = numerics._unit_series(S2, coef, rows_a, rows_b)
-    Y = numerics._chebyshev_series(S2, coef, np.eye(dim)[:, rows])
-    assert np.array_equal(diag, Y[rows_a, np.arange(rows_a.size)])
-    assert np.array_equal(YB, Y[:, rows_a.size :])
+    for width, last in ((110, 14), (97, 1)):
+        assert width % numerics._CHEBYSHEV_BLOCK == last
+        rows = rng.permutation(dim)[:width]
+        S2, coef, err, lo = numerics._site_form_series(e, t, 2.0, rows.size)
+        Y = unit_columns(S2, coef, rows)
+        alone = np.column_stack([unit_columns(S2, coef, rows[i : i + 1]) for i in range(rows.size)])
+        with monkeypatch.context() as m:
+            m.setattr(numerics, "_CHEBYSHEV_BLOCK", rows.size)
+            assert np.array_equal(Y, unit_columns(S2, coef, rows))
+        assert np.array_equal(Y, alone)
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_site_operator_product_is_2s_within_its_rounding(rng, n):
+    # the split product against 2 S = 2 (R - c)/h assembled from e and t
+    # in extended precision: each entry within gamma_{n+3} (|2 S| |X|)
+    # of it, the bound _site_form_series takes for a product. Up to n = 8
+    # the assembled rows are checked against a dense 2 S from the dense
+    # Pauli flips; at n = 1 the low factor has no bits
+    dim, w = 1 << n, 5
+    e = rng.uniform(-3.0, 5.0, dim)
+    t = rng.uniform(-0.7, 0.7, n)
+    c, h = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(4.0, 9.0))
+    S2 = numerics._SiteOperator(e, t, c, h)
+    assert S2.low == n // 2 and S2.dim == dim
+    top, low = dim >> S2.low, 1 << S2.low
+    X = rng.standard_normal((top, w, low))
+    out, tmp = np.empty_like(X), np.empty_like(X)
+    S2.product(X, out, tmp)
+    got = out.transpose(0, 2, 1).reshape(dim, w)
+    x = X.transpose(0, 2, 1).reshape(dim, w).astype(np.longdouble)
+    d = 2 * (e.astype(np.longdouble) - c) / h
+    f = 2 * t.astype(np.longdouble) / h
+    idx = np.arange(dim)
+    want, size = d[:, None] * x, np.abs(d)[:, None] * np.abs(x)
+    for q in range(n):
+        flipped = x[idx ^ (1 << (n - 1 - q))]
+        want += f[q] * flipped
+        size += abs(f[q]) * np.abs(flipped)
+    if n <= 8:
+        flips = [pauli_matrix(PauliString.from_letters(n, {q: "X"})).real for q in range(n)]
+        dense = np.diag(d.astype(np.float64)) + sum(float(f[q]) * flips[q] for q in range(n))
+        assert np.allclose(dense @ x.astype(np.float64), want.astype(np.float64), rtol=0, atol=1e-12)
+    assert (np.abs(got - want) <= numerics._gamma(n + 3) * size).all()
 
 
 def test_site_form_ratio_at_beta_zero_is_the_block_size_ratio():
@@ -492,7 +537,7 @@ def test_site_form_columns_of_a_product_match_the_site_exponentials(rng):
     t = np.array([T[0, 1] for T in terms])
     cols = np.array([0, 5, 17, 63])
     S2, coef, err, lo = numerics._site_form_series(e, t, beta, cols.size)
-    Y = numerics._chebyshev_series(S2, coef, np.eye(1 << n)[:, cols])
+    Y = unit_columns(S2, coef, cols)
     full = np.ones((1, 1))
     for T in terms:
         w, U = np.linalg.eigh(T)

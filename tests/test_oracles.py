@@ -915,7 +915,7 @@ def test_site_form_columns_stay_within_their_bound(checks, g, seed, beta, picks)
     series = numerics._site_form_series(H.diagonal(), H.flips, beta, cols.size)
     assume(series is not None)
     S2, coef, err, lo = series
-    Y = numerics._chebyshev_series(S2, coef, np.eye(1 << n)[:, cols])
+    Y = numerics._clenshaw(S2, coef, cols, np.arange(cols.size), np.ones(cols.size), cols.size)
     want = eigen_columns(H, beta, cols, lo)
     assert err < 1e-12
     assert np.linalg.norm(Y - want, axis=0).max() <= err + (1 << n) * np.finfo(float).eps
@@ -997,23 +997,18 @@ def test_uncertified_point_takes_the_eigensolve_route(monkeypatch, n, beta, g, w
     H = perturb(H0, random_local_perturbation(n, g, 5))
     calls, ran = [], []
     real_ratio = stability.site_form_ratio
-    real_series, real_units = numerics._chebyshev_series, numerics._unit_series
+    real_clenshaw = numerics._clenshaw
 
     def spied(*args):
         calls.append(real_ratio(*args))
         return calls[-1]
 
-    def series(S2, coef, X):
-        ran.append(X.shape[1])
-        return real_series(S2, coef, X)
-
-    def units(S2, coef, rows_a, rows_b):
-        ran.append(rows_a.size + rows_b.size)
-        return real_units(S2, coef, rows_a, rows_b)
+    def clenshaw(S2, coef, rows, cols, values, width):
+        ran.append(width)
+        return real_clenshaw(S2, coef, rows, cols, values, width)
 
     monkeypatch.setattr(stability, "site_form_ratio", spied)
-    monkeypatch.setattr(numerics, "_chebyshev_series", series)
-    monkeypatch.setattr(numerics, "_unit_series", units)
+    monkeypatch.setattr(numerics, "_clenshaw", clenshaw)
     row = stability.sweep_point("repetition", n, beta, g, 5, H0, cert)
     assert calls == [None]
     assert ran == widths
