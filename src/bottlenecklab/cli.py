@@ -405,11 +405,10 @@ def _plan_verify_classical(vals, checks, label):
     B1 and B2 the next two shells of the given width: one flip moves the
     distance to the center by exactly one, so A's flips reach at most B1
     and C's at least B2, and the condition has no forbidden position.
-    Irreducibility rests on the acceptance of the largest uphill jump, at
-    most the most checks on one bit, being positive; where it may
-    underflow the point builds the chain (markov.GlauberTable) and its
-    class search. Stationarity rests on detailed balance, checked on every
-    edge the flow reads."""
+    Irreducibility rests on the exact acceptance of every flip being
+    positive at a finite beta, so every point runs the flow; a point whose
+    flow and bound underflow reads 0.0 <= 0.0. Stationarity rests on
+    detailed balance, checked on every edge the flow reads."""
     if not checks.is_classical:
         raise ConfigInvalid("verify-classical needs a classical (Z-only) model")
     laziness = vals.get("laziness", 0.0)
@@ -423,9 +422,7 @@ def _plan_verify_classical(vals, checks, label):
     energies = label_energies(checks)
     center = basis_state_subspace(checks.n, [spec["center"]])
     part = partition_from_radius(center, spec["width"], spec["inner"])
-    # one flip toggles only the checks on its bit
-    most = max(sum(q in check for check in checks.z_checks) for q in range(checks.n))
-    flow = GlauberFlow(energies, part.labels[1], most)
+    flow = GlauberFlow(energies, part.labels[1])
 
     def point(task):
         pi, _ = gibbs_weights(energies, task["beta"])

@@ -25,29 +25,23 @@ M with stationary law pi, the one-step drift of pi conditioned on A is
 y outside A of pi(x) M(y|x) (Levin-Peres-Wilmer, Markov Chains and
 Mixing Times, 2nd ed., section 7.2): a sum of nonnegative terms over A's
 out-entries, which loses nothing to cancellation however small the flow
-is next to pi_A (_flow_lhs). classical_bottleneck_report and
-GlauberTable.report read it from their chain's A columns; a GlauberFlow
-reads it from the acceptances of A's out-edges alone and builds no chain.
-conditioned_drift steps pi_A through a schedule, for the quantum label
-path.
+is next to pi_A (_flow_lhs). classical_bottleneck_report reads it from
+its chain's A columns; a GlauberFlow reads it from the acceptances of
+A's out-edges alone and builds no chain. conditioned_drift steps pi_A
+through a schedule, for the quantum label path.
 
 The stationary law is never solved for. A Metropolis chain satisfies
 detailed balance with respect to the Gibbs weights e^{-beta E}/Z
 (model.gibbs_weights), so the caller passes that law, and the bound
 certifies it. On a chain: the chain is irreducible, so its stationary
 law is unique, and pi is stationary within a residual of STATIONARY_TOL;
-the residual is one step, so it makes no temporary of the form's size. A
-chain whose every column moves with positive weight to each of its m
-single-bit flips holds every edge of the m-cube in both directions, so
-it is irreducible by construction (the hypercube walk), read from its
-masks and the signs of its flips' weights. Any other chain, such as one
-whose uphill moves underflow to 0 or a birth-death chain, gets a
-strong-connectivity search over its strictly positive entries. A
-GlauberFlow certifies the same two facts without the chain: every flip
-is positive when the acceptance of the largest uphill jump is, and
-detailed balance is checked on every edge the flow reads. Low
-temperatures, whose spectral gaps no eigensolver resolves, are covered
-as long as every move keeps a positive probability.
+the residual is one step, so it makes no temporary of the form's size.
+Irreducibility is a reachability fixpoint over the strictly positive
+entries, forward and backward from state 0 (_unreached). A GlauberFlow
+certifies the same two facts without the chain: the exact acceptance of
+every flip is positive at every finite beta, so the exact chain holds
+every edge of the m-cube both ways (the hypercube walk), and detailed
+balance is checked on every edge the flow reads.
 
 The structural condition mirrors the quantum one: with the state space
 split into disjoint sets A, B1, B2, C, single applications of M must not
@@ -56,17 +50,13 @@ connect A with B2 or C, nor C with A or B1. Builders place structural
 the forbidden blocks is exactly zero rather than small. The split is one
 block label per state (0 for A, 1 for B1, 2 for B2, 3 for C), the array
 that a subspace.HilbertPartition over the identity basis keeps
-(part.labels[1]). The check, the bound, a GlauberTable and a GlauberFlow
-take that array and refuse it unless it has one label 0..3 per state and
-A and C are non-empty; forbidden_entry and conditioned_drift, which reads
-pi(A), pi(B), pi(C) and the drift of pi conditioned on A, take it as it
-is, so the quantum label path, whose C may be empty, runs them too.
+(part.labels[1]). The check, the bound and a GlauberFlow take that array
+and refuse it unless it has one label 0..3 per state and A and C are
+non-empty; forbidden_entry and conditioned_drift, which reads pi(A),
+pi(B), pi(C) and the drift of pi conditioned on A, take it as it is, so
+the quantum label path, whose C may be empty, runs them too.
 
-scipy is imported only where it is used: forming
-``StochasticMatrix.mat`` on first read, and the connectivity search for
-a chain without the single-flip certificate. Importing the
-package, and a verify-classical run whose acceptances are all positive,
-load numpy alone.
+The module runs on numpy alone.
 """
 
 import functools
@@ -92,7 +82,6 @@ __all__ = [
     "classical_bottleneck_report",
     "conditioned_drift",
     "forbidden_entry",
-    "GlauberTable",
     "GlauberFlow",
 ]
 
@@ -104,11 +93,6 @@ __all__ = [
 # to 10 s. What is left is register-wide: the energies, the distance
 # search and the Gibbs weights.
 _GLAUBER_MAX_BITS = 22
-# The most bits a GlauberTable holds: a whole verify-classical run that
-# builds its chain at every beta took 4.8-7.4 s and 917-937 MiB at n=21
-# (its uphill jumps and one beta's weights are 336 and 352 MiB), so a
-# GlauberFlow past it refuses a point whose acceptances may underflow.
-_CHAIN_MAX_BITS = 21
 # The longest entry row StochasticMatrix.step reads by one flat bincount; past it (k, 1)
 # masks gather row by row. Best of 7 x 200 steps, in process, 2-core Intel Xeon, flat and
 # gathered: ising_ring Glauber chains (k = n + 1) n=10 38 and 53 us, n=11 154 and 75; two-entry
@@ -124,9 +108,7 @@ class StochasticMatrix:
     otherwise).
 
     Built from explicit rows by ``from_columns``; ``moves``, (k, 1) or
-    (k, dim), and ``weights`` are stored read-only. ``mat`` is the matrix
-    as a scipy CSC array, formed on first read; stored zeros of the form
-    stay stored, and the weights of a repeated target are added.
+    (k, dim), and ``weights`` are stored read-only.
     """
 
     @classmethod
@@ -171,19 +153,6 @@ class StochasticMatrix:
     def dim(self):
         return self.weights.shape[1]
 
-    @functools.cached_property
-    def mat(self):
-        """The chain as a scipy CSC array, formed on first read."""
-        from scipy import sparse
-
-        cols = np.broadcast_to(np.arange(self.dim), self.weights.shape)
-        coo = sparse.coo_array(
-            (self.weights.ravel(), ((cols ^ self.moves).ravel(), cols.ravel())),
-            shape=(self.dim, self.dim),
-        )
-        coo.sum_duplicates()
-        return coo.tocsc()
-
     def step(self, p, cols=None):
         """M @ p. When cols is given, p is zero outside those columns and
         only they are read; ascending cols give a whole step's bits, as
@@ -217,33 +186,6 @@ class StochasticMatrix:
     def residual(self, p):
         """||M p - p||_1: zero when p is a fixed point."""
         return float(np.abs(self.step(p) - p).sum())
-
-    def single_flip_certified(self):
-        """Whether the chain is a single-bit-flip chain with every flip
-        positive, read from the masks: dim is 2^m, each of the m + 1 entry
-        rows moves every column by one mask, the masks are 0 and each
-        1 << b exactly once, and every flip has positive weight. The chain
-        then holds every edge of the m-cube both ways and is irreducible."""
-        k, dim = self.weights.shape
-        masks = self.moves[:, 0]
-        return bool(
-            dim == 1 << (k - 1)
-            and (self.moves == masks[:, None]).all()
-            and np.array_equal(np.sort(masks), np.append(0, 1 << np.arange(k - 1)))
-            and (self.weights.min(axis=1) > 0)[masks != 0].all()
-        )
-
-    def communicating_classes(self):
-        """Strongly connected classes of the graph of strictly positive
-        entries, by scipy's graph search on ``mat``. Stored zeros are
-        dropped first, since the search counts every stored entry as an
-        edge."""
-        from scipy.sparse.csgraph import connected_components
-
-        graph = self.mat.copy()
-        graph.eliminate_zeros()
-        return connected_components(graph, directed=True, connection="strong")[0]
-
 
 @functools.lru_cache(maxsize=4)
 def _index(dim):
@@ -285,23 +227,42 @@ def _certify_stationary(sm, pi):
     as a float array.
 
     pi must be a probability vector (_probability). Uniqueness: the chain
-    must be irreducible, certified structurally for a single-bit-flip
-    chain with every flip positive and otherwise by a graph search over
-    the strictly positive entries, which must form one strongly connected
-    class. Stationarity: ||M pi - pi||_1 <= STATIONARY_TOL. Each failure
-    raises NonUniqueStationary.
+    must be irreducible, every state reached from state 0 and reaching
+    it along the strictly positive entries (_unreached). Stationarity:
+    ||M pi - pi||_1 <= STATIONARY_TOL. Each failure raises
+    NonUniqueStationary.
     """
     pi = _probability(pi)
-    if not sm.single_flip_certified():
-        classes = sm.communicating_classes()
-        if classes != 1:
-            raise NonUniqueStationary(
-                f"chain is not irreducible: {classes} communicating classes"
-            )
+    if (cut := _unreached(sm)) is not None:
+        state, forward = cut
+        source, target = (0, state) if forward else (state, 0)
+        raise NonUniqueStationary(
+            f"chain is not irreducible: state {target} is not reached from state {source}"
+        )
     resid = sm.residual(pi)
     if resid > tol.STATIONARY_TOL:
         raise NonUniqueStationary(f"pi is not stationary (residual {resid:.3e})")
     return pi
+
+
+def _unreached(sm):
+    """(the least state that state 0 does not reach, True), else (the least
+    state that does not reach state 0, False), along the chain's strictly
+    positive entries; None when the chain is irreducible. Each search is
+    a fixpoint: a round marks the targets of every entry out of a marked
+    state, by one numpy pass over the XOR layout, until it marks none."""
+    pos = sm.weights > 0
+    src = np.broadcast_to(_index(sm.dim), pos.shape)[pos]
+    dst = (_index(sm.dim) ^ sm.moves)[pos]
+    for a, b, forward in ((src, dst, True), (dst, src, False)):
+        seen, count = np.zeros(sm.dim, dtype=bool), 0
+        seen[0] = True
+        while (now := np.count_nonzero(seen)) > count:
+            count = now
+            seen[b[seen[a]]] = True
+        if count < sm.dim:
+            return int(np.argmin(seen)), forward
+    return None
 
 
 @dataclass
@@ -390,10 +351,11 @@ def classical_bottleneck_report(sm, label, pi):
     """Verify ||M pi_A - pi_A||_1 <= 2 pi(B)/pi(A) for a conditioned chain
     M, a StochasticMatrix, and one block label per state (_block_labels).
 
-    pi is the chain's stationary law in closed form, such as the Gibbs
-    weights of a detailed-balance chain; _certify_stationary checks it
-    before the bound is read. The lhs is the boundary flow 2 Q(A, A^c)/pi(A)
-    read from the chain's A columns (_flow_lhs). It equals the stepped
+    The condition is checked first (ConditionViolated). pi is the chain's
+    stationary law in closed form, such as the Gibbs weights of a
+    detailed-balance chain; _certify_stationary checks it before the
+    bound is read. The lhs is the boundary flow 2 Q(A, A^c)/pi(A) read
+    from the chain's A columns (_flow_lhs). It equals the stepped
     ||M pi_A - pi_A||_1 when pi is stationary, and for any pi the two lie
     within 2 ||M pi - pi||_1 / pi(A) of each other: inside A the stepped
     deviation is minus the flow into each state plus the residual there,
@@ -403,12 +365,8 @@ def classical_bottleneck_report(sm, label, pi):
     BoundViolated since it would falsify the implementation, not the
     theorem.
     """
-    return _bottleneck_report(sm, label, check_classical_condition(sm, label), pi)
-
-
-def _bottleneck_report(sm, label, cond, pi):
-    """classical_bottleneck_report of a chain whose condition report on
-    the block labels is given."""
+    label = _block_labels(label, sm.dim)
+    cond = check_classical_condition(sm, label)
     if not cond.passes:
         raise ConditionViolated(
             f"forbidden entry {cond.max_forbidden_entry:.3e} at {cond.offending}"
@@ -459,82 +417,14 @@ def _bound_slack(terms):
 
 
 def _accept(uphill, beta, scale):
-    """min(1, e^{-beta uphill}) * scale, by the operations of
-    GlauberTable.chain in their order, so each weight keeps its bits."""
+    """min(1, e^{-beta uphill}) * scale: multiply, exp, clamp and scale, in
+    the order in which the tests' chain oracle builds a whole Glauber
+    chain, so each weight has the bits of that chain's entry."""
     w = np.multiply(uphill, -beta)
     np.exp(w, out=w)
     np.minimum(w, 1.0, out=w)
     w *= scale
     return w
-
-
-class GlauberTable:
-    """What the single-bit-flip Metropolis chains of one energy vector
-    share at every beta: the (m + 1, 1) masks, 1 << b for b ascending and
-    0 for the stay entry, and the (m, 2^m) uphill jumps
-    max(E[j ^ (1 << b)] - E[j], 0), read-only. Given one block label per
-    state, the table also keeps the positions of its forbidden entries.
-
-    The forbidden positions are found once, here; ``chain`` then costs
-    one acceptance pass per beta and checks only the weights, and
-    ``report`` runs the classical bound on that chain with the kept
-    positions. Raises BadPartition unless there are 2^m energies with
-    1 <= m <= _CHAIN_MAX_BITS, or when the block labels are not one per
-    state of _block_labels.
-    """
-
-    def __init__(self, energies, label=None):
-        E = np.asarray(energies, dtype=np.float64)
-        dim = E.shape[0]
-        m = int(dim).bit_length() - 1
-        if 2**m != dim or not 1 <= m <= _CHAIN_MAX_BITS:
-            raise BadPartition(
-                f"need 2^m energies with 1 <= m <= {_CHAIN_MAX_BITS}, got {dim}"
-            )
-        self.m = m
-        self.moves = np.append(1 << np.arange(m), 0)[:, None]
-        self.moves.setflags(write=False)
-        self.label = self.forbidden = None
-        if label is not None:
-            # a read-only copy, so the kept positions always match it
-            self.label = np.array(_block_labels(label, dim))
-            self.label.setflags(write=False)
-            self.forbidden = _forbidden_positions(self.moves, self.label)
-        uphill = E[np.arange(dim) ^ self.moves[:m]]
-        uphill -= E
-        np.maximum(uphill, 0, out=uphill)
-        uphill.setflags(write=False)
-        self.uphill = uphill
-
-    def chain(self, beta, laziness=0.0):
-        """The chain at beta: proposals pick one of the m bits uniformly
-        (scaled by 1-laziness) and accept with min(1, e^{-beta dE}); the
-        rest of each column stays put."""
-        if not 0 <= laziness < 1:
-            raise ValueError(f"laziness {laziness} outside [0, 1)")
-        weights = np.empty((self.m + 1, self.uphill.shape[1]))
-        flips = weights[: self.m]
-        np.multiply(self.uphill, -beta, out=flips)
-        np.exp(flips, out=flips)
-        np.minimum(flips, 1.0, out=flips)
-        flips *= (1.0 - laziness) / self.m
-        # flips add in ascending bit order; all accepted, they sum to 1 + ulp,
-        # so the stay entry is clamped at 0 (the column-sum check applies)
-        np.maximum(1.0 - flips.sum(axis=0), 0.0, out=weights[self.m])
-        sm = StochasticMatrix._trusted(self.moves, weights)
-        sm._check_weights()
-        return sm
-
-    def report(self, beta, laziness, pi):
-        """classical_bottleneck_report of ``chain(beta, laziness)`` on the
-        table's block labels, with pi its Gibbs law: the stepped residual
-        certifies pi, and the lhs is the flow from the chain's A columns."""
-        if self.label is None:
-            raise BadPartition("the table was built without block labels")
-        sm = self.chain(beta, laziness)
-        top, offending = _forbidden_top(sm, self.forbidden)
-        cond = ClassicalConditionReport(top, offending is None, offending)
-        return _bottleneck_report(sm, self.label, cond, pi)
 
 
 class GlauberFlow:
@@ -543,24 +433,21 @@ class GlauberFlow:
     no chain over the register is built.
 
     Per beta, report forms the acceptance of every flip x -> x ^ (1 << b)
-    that leaves A, min(1, e^{-beta max(dE, 0)}) (1 - laziness)/m by the
-    operations of GlauberTable.chain, so each weight has the bits of that
-    chain's entry, and reads the lhs 2 Q(A, A^c)/pi(A) from them by
-    _flow_lhs, as classical_bottleneck_report reads it from the chain's A
-    columns: the same bits. pi(A), pi(B), pi(C) and the bound come from pi
-    as there.
+    that leaves A, min(1, e^{-beta max(dE, 0)}) (1 - laziness)/m by
+    _accept, and reads the lhs 2 Q(A, A^c)/pi(A) from them by _flow_lhs,
+    as classical_bottleneck_report reads it from a chain's A columns: the
+    bits of that report on the chain oracle's chain. pi(A), pi(B), pi(C)
+    and the bound come from pi as there.
 
     Certificates, per beta, with no chain:
-    - Irreducibility. max_jump bounds every uphill jump E[x ^ (1 << b)] -
-      E[x] of the register, such as the most checks on one bit for
-      energies that count violated checks (one flip toggles only the
-      checks on its bit). When the acceptance of max_jump is positive,
-      so is every flip's (each operation is monotone), and the chain
-      holds every edge of the m-cube both ways. Otherwise an acceptance
-      may underflow, and the point runs GlauberTable.report, the chain
-      with its single-flip certificate or class search and its stepped
-      residual; past _CHAIN_MAX_BITS that chain does not fit, and the
-      point raises NonUniqueStationary saying so.
+    - Irreducibility. The exact acceptance of every flip is positive when
+      the energies and beta are finite and 0 <= laziness < 1: __init__
+      checks the energies and report the rest (ValueError). So the exact
+      chain holds every edge of the m-cube both ways, and it is
+      irreducible. A rounded acceptance that underflows to 0 is that
+      chain's entry read as 0: the flow leaves it out, and a row whose
+      flow and bound both underflow reads 0.0 <= 0.0, which holds and says
+      nothing.
     - Stationarity. Metropolis acceptances satisfy detailed balance,
       pi(x) M(y|x) = pi(y) M(x|y), with respect to the Gibbs law, so a
       chain that holds it on every edge fixes pi. It is checked on every
@@ -578,16 +465,19 @@ class GlauberFlow:
       flips reach at most B1, and C's at least B2.
 
     Raises BadPartition unless there are 2^m energies with m >= 1 and the
-    block labels are one per state of _block_labels.
+    block labels are one per state of _block_labels, and ValueError
+    unless every energy is finite.
     """
 
-    def __init__(self, energies, label, max_jump):
+    def __init__(self, energies, label):
         E = np.asarray(energies, dtype=np.float64)
         dim = E.shape[0]
         m = int(dim).bit_length() - 1
         if 2**m != dim or m < 1:
             raise BadPartition(f"need 2^m energies with m >= 1, got {dim}")
-        self.E, self.m, self.max_jump = E, m, max_jump
+        if not np.isfinite(E).all():
+            raise ValueError("energies must be finite")
+        self.E, self.m = E, m
         self.flips = 1 << np.arange(m)
         self.label = np.array(_block_labels(label, dim))
         self.label.setflags(write=False)
@@ -637,28 +527,18 @@ class GlauberFlow:
 
     def _uphill(self, x, y):
         """The uphill jumps max(E[y] - E[x], 0) of the flips x -> y, and of
-        their reverses, as GlauberTable takes them."""
+        their reverses, as the chain oracle takes them."""
         dE = self.E[y] - self.E[x]
         return np.maximum(dE, 0), np.maximum(-dE, 0)
-
-    @functools.cached_property
-    def _table(self):
-        return GlauberTable(self.E, self.label)
 
     def report(self, beta, laziness, pi):
         """ClassicalBottleneckReport at beta, with pi the Gibbs law of the
         energies (model.gibbs_weights); see the class for its checks."""
+        if not np.isfinite(beta):
+            raise ValueError(f"beta {beta} is not finite")
         if not 0 <= laziness < 1:
             raise ValueError(f"laziness {laziness} outside [0, 1)")
         scale = (1.0 - laziness) / self.m
-        if not _accept(np.array([float(self.max_jump)]), beta, scale)[0] > 0:
-            if self.m > _CHAIN_MAX_BITS:
-                raise NonUniqueStationary(
-                    f"an uphill flip of up to {self.max_jump} may underflow at beta {beta!r}, "
-                    f"and the class search that would decide irreducibility runs on chains "
-                    f"of at most {_CHAIN_MAX_BITS} bits, not {self.m}"
-                )
-            return self._table.report(beta, laziness, pi)
         src, bit = self.forbidden
         vals = _accept(self._uphill(src, src ^ self.flips[bit])[0], beta, scale)
         if vals.size and (top := float(vals.max())) > 0.0:

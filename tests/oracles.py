@@ -127,15 +127,22 @@ a time, and only tests call it:
   the oracle for the Gibbs weights that verify-classical passes as the
   stationary law. It fails on chains whose spectral gap is below its
   1e-9 test, which the Gibbs route does not.
+- GlauberTable is the chain oracle: it keeps the uphill jumps of one
+  energy vector and builds the whole single-flip Metropolis chain at
+  each beta, in the operation order of markov._accept, and its report
+  runs markov.classical_bottleneck_report on that chain. It is the
+  stepped, register-wide oracle for markov.GlauberFlow, whose weights
+  have the bits of its chain's entries.
 - dense_glauber builds the Metropolis chain entry by entry. It is the
-  oracle for markov.GlauberTable.chain.
+  oracle for GlauberTable.chain.
 - per_beta_glauber builds one Glauber chain's masks and weights from the
-  energies on every call, as markov did before its GlauberTable, in the
-  entry order of the XOR layout (flips in ascending bit, then the stay
-  entry). It is the bit-for-bit oracle for GlauberTable.chain, which
-  reads the uphill jumps that the table keeps for every beta.
-  explicit_rows gives the (k, dim) rows j ^ moves[k, j] of any form in
-  that layout, for the same chain built by StochasticMatrix.from_columns.
+  energies on every call, in the entry order of the XOR layout (flips in
+  ascending bit, then the stay entry). It is the bit-for-bit oracle for
+  GlauberTable.chain, which reads the uphill jumps that the table keeps
+  for every beta. explicit_rows gives the (k, dim) rows j ^ moves[k, j]
+  of any form in that layout, for the same chain built by
+  StochasticMatrix.from_columns, and chain_matrix the matrix of any form
+  as a scipy CSC array.
 - dense_report reads the classical bound from a dense chain and a given
   law. It is the oracle for markov.classical_bottleneck_report.
 - glauber_flow reads the lhs 2 Q(A, A^c)/pi(A) of a Glauber chain one
@@ -147,9 +154,14 @@ a time, and only tests call it:
   classical family's Glauber chain by its definition, in fractions, at a
   rational e^{-beta}. It is the exact oracle for the classical lhs at
   low temperature, where the stepped form loses the flow to rounding.
+- exact_sweep_drift takes the drift ||M_{n-1} ... M_0 pi_A - pi_A||_1 of
+  one sweep of a classical family's bit-flip site channels, sites in
+  order, by its definition, in fractions, at a rational e^{-beta}. It is
+  the exact oracle for the lhs of bottleneck.verify_bottleneck_theorem
+  on the label path.
 - communicating_classes runs scipy's strong-connectivity search on a
   chain's CSC matrix with its stored zeros dropped. It is the oracle for
-  StochasticMatrix.single_flip_certified and communicating_classes.
+  the reachability check of markov._certify_stationary.
 - birth_death_chain builds the nearest-neighbour Metropolis walk on a
   path, entry by entry, as a dense matrix, and column_chain converts a
   dense chain to markov's column form, as StochasticMatrix did on
@@ -177,6 +189,7 @@ import numpy as np
 from bottlenecklab.bottleneck import bottleneck_ratio
 from bottlenecklab.channel import KrausChannel, _kraus_support, _trace_residual, _trusted_channel
 from bottlenecklab.errors import (
+    BadPartition,
     BottleneckLabError,
     DimensionMismatch,
     EmptyBoundary,
@@ -188,7 +201,7 @@ from bottlenecklab.errors import (
     ParametersInadmissible,
     RadiusExceedsN,
 )
-from bottlenecklab.markov import StochasticMatrix
+from bottlenecklab.markov import StochasticMatrix, _block_labels, classical_bottleneck_report
 from bottlenecklab.model import (
     BarrierCertificate,
     Hamiltonian,
@@ -941,7 +954,7 @@ def stationary_distribution(M):
     from scipy import sparse
 
     # a dense oracle chain may hold a -ulp stay entry, so it is taken as given
-    mat = M.mat if isinstance(M, StochasticMatrix) else sparse.csc_array(M)
+    mat = chain_matrix(M) if isinstance(M, StochasticMatrix) else sparse.csc_array(M)
     dim = mat.shape[0]
     if dim <= _EIG_DENSE_CUTOFF:
         w, V = np.linalg.eig(mat.toarray())
@@ -967,6 +980,76 @@ def stationary_distribution(M):
     if resid > 1e-10:
         raise NonUniqueStationary(f"stationary residual {resid:.3e} exceeds 1e-10")
     return pi
+
+
+class GlauberTable:
+    """What the single-bit-flip Metropolis chains of one energy vector
+    share at every beta: the (m + 1, 1) masks, 1 << b for b ascending and
+    0 for the stay entry, and the (m, 2^m) uphill jumps
+    max(E[j ^ (1 << b)] - E[j], 0), read-only, and, if given, one block
+    label per state (markov._block_labels), kept as a read-only copy.
+    Raises BadPartition unless there are 2^m energies with m >= 1."""
+
+    def __init__(self, energies, label=None):
+        E = np.asarray(energies, dtype=np.float64)
+        dim = E.shape[0]
+        m = int(dim).bit_length() - 1
+        if 2**m != dim or m < 1:
+            raise BadPartition(f"need 2^m energies with m >= 1, got {dim}")
+        self.m = m
+        self.moves = np.append(1 << np.arange(m), 0)[:, None]
+        self.moves.setflags(write=False)
+        self.label = None
+        if label is not None:
+            self.label = np.array(_block_labels(label, dim))
+            self.label.setflags(write=False)
+        uphill = E[np.arange(dim) ^ self.moves[:m]]
+        uphill -= E
+        np.maximum(uphill, 0, out=uphill)
+        uphill.setflags(write=False)
+        self.uphill = uphill
+
+    def chain(self, beta, laziness=0.0):
+        """The chain at beta: proposals pick one of the m bits uniformly
+        (scaled by 1-laziness) and accept with min(1, e^{-beta dE}); the
+        rest of each column stays put."""
+        if not 0 <= laziness < 1:
+            raise ValueError(f"laziness {laziness} outside [0, 1)")
+        weights = np.empty((self.m + 1, self.uphill.shape[1]))
+        flips = weights[: self.m]
+        np.multiply(self.uphill, -beta, out=flips)
+        np.exp(flips, out=flips)
+        np.minimum(flips, 1.0, out=flips)
+        flips *= (1.0 - laziness) / self.m
+        # flips add in ascending bit order; all accepted, they sum to 1 + ulp,
+        # so the stay entry is clamped at 0 (the column-sum check applies)
+        np.maximum(1.0 - flips.sum(axis=0), 0.0, out=weights[self.m])
+        sm = StochasticMatrix._trusted(self.moves, weights)
+        sm._check_weights()
+        return sm
+
+    def report(self, beta, laziness, pi):
+        """markov.classical_bottleneck_report of ``chain(beta, laziness)``
+        on the table's block labels, with pi its Gibbs law: the stepped
+        residual and the reachability check certify pi, and the lhs is the
+        flow from the chain's A columns."""
+        if self.label is None:
+            raise BadPartition("the table was built without block labels")
+        return classical_bottleneck_report(self.chain(beta, laziness), self.label, pi)
+
+
+def chain_matrix(sm):
+    """A StochasticMatrix as a scipy CSC array: the weights of a repeated
+    target added, and the stored zeros of the form kept stored."""
+    from scipy import sparse
+
+    cols = np.broadcast_to(np.arange(sm.dim), sm.weights.shape)
+    coo = sparse.coo_array(
+        (sm.weights.ravel(), ((cols ^ sm.moves).ravel(), cols.ravel())),
+        shape=(sm.dim, sm.dim),
+    )
+    coo.sum_duplicates()
+    return coo.tocsc()
 
 
 def dense_glauber(E, beta, laziness=0.0):
@@ -1069,13 +1152,37 @@ def exact_glauber_drift(checks, center, inner, q, laziness=0):
     return lhs
 
 
+def exact_sweep_drift(checks, center, radius, q, attempt=DEFAULT_ATTEMPT):
+    """||M_{n-1} ... M_0 pi_A - pi_A||_1 of one sweep of the bit-flip
+    Metropolis site channels of a classical check family, site s flipping
+    bit n - 1 - s with probability attempt * min(1, z^dE) at e^{-beta} =
+    z = 1/q, A the states within Hamming distance radius of center, in
+    exact rationals. pi_A is z^E over A's sum, so Z cancels; the blocks
+    past A do not enter the drift."""
+    n, masks = checks.n, [int(m) for m in checks.z_masks()]
+    z, attempt = Fraction(1, q), Fraction(attempt)
+    energy = [sum(bin(x & mask).count("1") & 1 for mask in masks) for x in range(1 << n)]
+    weight = {x: z ** energy[x] for x in range(1 << n) if bin(x ^ center).count("1") <= radius}
+    total = sum(weight.values())
+    pi_A = {x: w / total for x, w in weight.items()}
+    p = dict(pi_A)
+    for site in range(n):
+        bit, moved = 1 << (n - 1 - site), {}
+        for x, px in p.items():
+            flip = attempt * z ** max(energy[x ^ bit] - energy[x], 0)
+            moved[x ^ bit] = moved.get(x ^ bit, 0) + flip * px
+            moved[x] = moved.get(x, 0) + (1 - flip) * px
+        p = moved
+    return sum(abs(p.get(x, 0) - pi_A.get(x, 0)) for x in set(p) | set(pi_A))
+
+
 def communicating_classes(M):
     """Number of strongly connected classes of the graph of a chain's
     strictly positive entries, read from its CSC matrix."""
     from scipy import sparse
     from scipy.sparse.csgraph import connected_components
 
-    graph = sparse.csc_array(M.mat if isinstance(M, StochasticMatrix) else M, copy=True)
+    graph = sparse.csc_array(chain_matrix(M) if isinstance(M, StochasticMatrix) else M, copy=True)
     graph.eliminate_zeros()
     return connected_components(graph, directed=True, connection="strong")[0]
 

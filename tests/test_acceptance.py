@@ -33,10 +33,7 @@ from bottlenecklab.channel import (
     evolve_sequence,
     quasi_local_mixture,
 )
-from bottlenecklab.markov import (
-    GlauberTable,
-    classical_bottleneck_report,
-)
+from bottlenecklab.markov import classical_bottleneck_report
 from bottlenecklab.model import (
     REGISTRY,
     barrier_subspace,
@@ -67,6 +64,7 @@ from bottlenecklab.subspace import (
 )
 from conftest import random_density, random_pi, random_projector, random_unitary
 from oracles import (
+    GlauberTable,
     birth_death_chain,
     block_labels,
     column_chain,

@@ -37,7 +37,6 @@ from bottlenecklab.errors import (
     NotFixedPoint,
 )
 from bottlenecklab.markov import (
-    GlauberTable,
     _block_sets,
     _forbidden_positions,
     classical_bottleneck_report,
@@ -75,7 +74,7 @@ from bottlenecklab.subspace import (
 )
 
 from conftest import random_density, random_projector, random_state
-from oracles import dense_copy, dense_ratio, thermal_gibbs_state
+from oracles import GlauberTable, dense_copy, dense_ratio, thermal_gibbs_state
 
 RINGS = {n: build_hamiltonian(REGISTRY["ising_ring"](n)) for n in (4, 6, 7)}
 # the [[4, 2, 2]] code: its label columns are superpositions of basis states

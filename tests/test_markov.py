@@ -13,12 +13,11 @@ from bottlenecklab.errors import (
     NonUniqueStationary,
     NotStochastic,
 )
-from bottlenecklab import markov
 from bottlenecklab.markov import (
     _STEP_CHUNK,
     GlauberFlow,
-    GlauberTable,
     StochasticMatrix,
+    _unreached,
     check_classical_condition,
     classical_bottleneck_report,
     conditioned_drift,
@@ -28,9 +27,12 @@ from bottlenecklab.model import REGISTRY, build_hamiltonian, gibbs_weights, labe
 from bottlenecklab.sampler import css_metropolis_channel, metropolis_site_channel
 from bottlenecklab.subspace import hamming_ball_subspace, partition_from_radius
 from oracles import (
+    GlauberTable,
     birth_death_chain,
     block_labels,
+    chain_matrix,
     column_chain,
+    communicating_classes,
     dense_glauber,
     dense_report,
     explicit_rows,
@@ -44,6 +46,10 @@ def birth_death_metropolis(pi):
     """Tridiagonal Metropolis chain on a path with the given stationary law."""
     pi = np.asarray(pi, dtype=np.float64)
     return column_chain(birth_death_chain(pi.size, pi))
+
+
+def _no_chain(*args, **kwargs):
+    raise AssertionError("a chain over the register was built")
 
 
 class TestStochasticMatrix:
@@ -71,8 +77,8 @@ class TestStochasticMatrix:
         # columns of 1 to 5 entries, held op-major: entry k of column j
         # moves to rows[k, j] = j ^ moves[k, j], rows ascending down a
         # column, the short columns padded with zero weights on their last
-        # row; mat adds the padding into that row's entry, so only the
-        # nonzeros stay stored
+        # row; the matrix adds the padding into that row's entry, so only
+        # the nonzeros stay stored
         dim = 7
         M = np.zeros((dim, dim))
         for j in range(dim):
@@ -82,8 +88,8 @@ class TestStochasticMatrix:
         assert sm.moves.shape == (5, dim)
         assert (np.diff(explicit_rows(sm.moves, dim), axis=0) >= 0).all()
         assert np.array_equal(np.count_nonzero(sm.weights, axis=0), np.count_nonzero(M, axis=0))
-        assert np.array_equal(sm.mat.toarray(), M)
-        assert sm.mat.nnz == np.count_nonzero(M)
+        assert np.array_equal(chain_matrix(sm).toarray(), M)
+        assert chain_matrix(sm).nnz == np.count_nonzero(M)
         p = rng.dirichlet(np.ones(dim))
         assert np.abs(sm.step(p) - M @ p).max() <= 1e-15
         support = np.array([1, 4])
@@ -100,7 +106,7 @@ class TestStochasticMatrix:
         # the Glauber, site and random-mask chains gather through XOR views
         # past _STEP_CHUNK, whole and through all but three columns, and
         # take the flat bincount below it through the other cols),
-        # forbidden entry and single-flip certificate
+        # forbidden entry and reachability
         if case == "glauber":
             sm = GlauberTable(label_energies(REGISTRY["ising_ring"](11))).chain(1.0, 0.3)
         elif case == "site":
@@ -121,7 +127,8 @@ class TestStochasticMatrix:
         assert sm.moves.shape == (sm.weights.shape if case == "birth-death" else (k, 1))
         past = case in ("glauber", "site", "masks")
         assert dim - 3 > _STEP_CHUNK or not past
-        assert (sm.mat != rows.mat).nnz == 0 and sm.mat.nnz == rows.mat.nnz
+        mat, rows_mat = chain_matrix(sm), chain_matrix(rows)
+        assert (mat != rows_mat).nnz == 0 and mat.nnz == rows_mat.nnz
         p = rng.dirichlet(np.ones(dim))
         some, most = np.flatnonzero(rng.random(dim) < 0.3), np.flatnonzero(rng.permutation(dim) >= 3)
         for cols in (None, some, rng.permutation(dim)[: dim // 2], most):
@@ -129,16 +136,17 @@ class TestStochasticMatrix:
             assert sm.step(q, cols).tobytes() == rows.step(q, cols).tobytes()
         for label in (rng.integers(0, 4, dim), np.minimum(np.arange(dim) * 4 // dim, 3)):
             assert forbidden_entry(sm, label) == forbidden_entry(rows, label)
-        assert sm.single_flip_certified() == rows.single_flip_certified() == (case == "glauber")
+        assert _unreached(sm) == _unreached(rows)
+        assert (_unreached(sm) is None) == (communicating_classes(sm) == 1)
 
     def test_repeated_rows_add(self):
         # a Kraus form may send two operators' entries of one column to the
-        # same row: the chain adds their weights, and so does mat
+        # same row: the chain adds their weights, and so does its matrix
         rows = np.array([[1, 0, 2], [1, 1, 2]])
         weights = np.array([[0.25, 0.5, 1.0], [0.75, 0.5, 0.0]])
         sm = StochasticMatrix.from_columns(rows, weights)
         want = np.array([[0.0, 0.5, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, 1.0]])
-        assert np.array_equal(sm.mat.toarray(), want)
+        assert np.array_equal(chain_matrix(sm).toarray(), want)
         p = np.array([0.2, 0.3, 0.5])
         assert np.array_equal(sm.step(p), want @ p)
 
@@ -173,7 +181,7 @@ class TestBlockLabels:
         for call in (
             lambda: check_classical_condition(sm, label),
             lambda: classical_bottleneck_report(sm, label, np.full(4, 0.25)),
-            lambda: GlauberTable(np.zeros(4), label),
+            lambda: GlauberFlow(np.zeros(4), label),
         ):
             with pytest.raises(BadPartition, match=word):
                 call()
@@ -234,7 +242,7 @@ class TestClassicalCondition:
     def test_tiny_forbidden_entry_in_glauber_chain_caught(self, rng, to, frm):
         # A = {0}, B1 and B2 the weight-1 and weight-2 states, C the rest;
         # move 1e-13 of the stay mass of `frm` across one forbidden pair
-        M = GlauberTable(rng.uniform(0.0, 1.0, size=16)).chain(1.0).mat.toarray()
+        M = chain_matrix(GlauberTable(rng.uniform(0.0, 1.0, size=16)).chain(1.0)).toarray()
         part = hamming_shell_labels(4, 0, 0, 1)
         assert check_classical_condition(column_chain(M), part).passes
         M[to, frm] = 1e-13
@@ -308,7 +316,7 @@ class TestBottleneckReport:
         M[:2, :2] = [[0.5, 0.5], [0.5, 0.5]]
         M[2:, 2:] = [[0.5, 0.5], [0.5, 0.5]]
         part = block_labels((0,), (1,), (2,), (3,))
-        with pytest.raises(NonUniqueStationary, match="2 communicating classes"):
+        with pytest.raises(NonUniqueStationary, match="state 2 is not reached from state 0"):
             classical_bottleneck_report(column_chain(M), part, np.full(4, 0.25))
 
     def test_stored_zero_moves_are_not_edges(self):
@@ -319,10 +327,11 @@ class TestBottleneckReport:
 
         E = np.array([0.0, 1000.0, 1000.0, 0.0])
         sm = GlauberTable(E).chain(5.0)
-        assert connected_components(sm.mat, connection="strong")[0] == 1
+        assert connected_components(chain_matrix(sm), connection="strong")[0] == 1
+        assert communicating_classes(sm) == 4
         pi, _ = gibbs_weights(E, 5.0)
         part = block_labels((0,), (1,), (2,), (3,))
-        with pytest.raises(NonUniqueStationary, match="4 communicating classes"):
+        with pytest.raises(NonUniqueStationary, match="state 1 is not reached from state 0"):
             classical_bottleneck_report(sm, part, pi)
 
     def test_condition_violation_raises(self):
@@ -365,7 +374,7 @@ class TestBottleneckReport:
         start = 0.5 * np.abs(piA - pi).sum()
         state = piA
         for t in range(1, 30):
-            state = sm.mat @ state
+            state = sm.step(state)
             assert 0.5 * np.abs(state - pi).sum() >= start - t * rep.lhs - 1e-12
 
 
@@ -376,7 +385,7 @@ class TestGlauberChain:
         sm = GlauberTable(E).chain(beta, laziness=0.2)
         pi = np.exp(-beta * E)
         pi /= pi.sum()
-        F = sm.mat * pi[None, :]
+        F = chain_matrix(sm) * pi[None, :]
         assert np.abs(F - F.T).max() < 1e-14
 
     def test_laziness_bounds(self):
@@ -396,8 +405,8 @@ class TestGlauberChain:
     @pytest.mark.parametrize("m", range(2, 13))
     def test_every_flip_accepted_at_infinite_temperature(self, m):
         sm = GlauberTable(np.zeros(2**m)).chain(0.0)
-        assert sm.mat.data.min() >= 0.0
-        assert np.abs(sm.mat.sum(axis=0) - 1.0).max() <= 1e-12
+        assert chain_matrix(sm).data.min() >= 0.0
+        assert np.abs(chain_matrix(sm).sum(axis=0) - 1.0).max() <= 1e-12
         pi = stationary_distribution(sm)
         assert np.abs(pi - 2.0**-m).max() <= 1e-12
 
@@ -410,17 +419,15 @@ class TestGlauberChain:
             sm = GlauberTable(E).chain(400.0)
         with np.errstate(over="ignore"):
             ref = dense_glauber(E, 400.0)
-        assert np.array_equal(sm.mat.toarray(), ref)
+        assert np.array_equal(chain_matrix(sm).toarray(), ref)
 
     def test_stored_entries_per_column(self):
         for m in (1, 5, 16):
             sm = GlauberTable(np.arange(2**m) % 3).chain(1.0)
-            assert sm.mat.format == "csc"
-            assert sm.mat.nnz <= (m + 1) * 2**m
+            assert chain_matrix(sm).format == "csc"
+            assert chain_matrix(sm).nnz <= (m + 1) * 2**m
 
     def test_size_cap(self):
-        with pytest.raises(BadPartition):
-            GlauberTable(np.zeros(2**22))
         with pytest.raises(BadPartition):
             GlauberTable(np.zeros(1))
 
@@ -430,7 +437,7 @@ class TestGlauberChain:
         for beta in (0.0, 0.7, 3.0):
             for laziness in (0.0, 0.25):
                 sm = GlauberTable(E).chain(beta, laziness)
-                gap = np.abs(sm.mat.toarray() - dense_glauber(E, beta, laziness))
+                gap = np.abs(chain_matrix(sm).toarray() - dense_glauber(E, beta, laziness))
                 assert gap.max() <= 1e-15
 
     @pytest.mark.parametrize(
@@ -473,7 +480,7 @@ class TestGlauberTable:
     def test_forbidden_positions_belong_to_their_partition(self):
         # one energy vector, two partitions of its 16 states: one puts a
         # neighbour of A in C, the other is the Hamming split; each table
-        # checks the chain against its own blocks, whatever was built before
+        # checks its chain against its own blocks, whatever was built before
         E = label_energies(REGISTRY["ising_ring"](4))
         pi, _ = gibbs_weights(E, 1.0)
         clean = hamming_shell_labels(4, 0, 0, 1)
@@ -493,7 +500,7 @@ class TestGlauberTable:
 
     def test_kept_labels_are_a_read_only_copy(self):
         # a caller that changes its array afterwards leaves the table's
-        # labels, and so its forbidden positions, as they were
+        # labels, and so the blocks its reports check, as they were
         E = label_energies(REGISTRY["ising_ring"](4))
         pi, _ = gibbs_weights(E, 1.0)
         label = hamming_shell_labels(4, 0, 0, 1)
@@ -540,16 +547,17 @@ class TestGlauberFlow:
         # ising_ring n=16, inner 1: a flow and one report trace less than
         # five float vectors of the register (pi(C) is summed from a copy),
         # against the 33 of a table's uphill jumps and its chain's weights,
-        # and no table is built
+        # and no chain is built
         n = 16
         E = label_energies(REGISTRY["ising_ring"](n))
         label = hamming_shell_labels(n, 0, 1, 1)
         pi, _ = gibbs_weights(E, 1.0)
         want = GlauberTable(E, label).report(1.0, 0.0, pi)
-        monkeypatch.setattr(markov, "GlauberTable", None)
+        monkeypatch.setattr(StochasticMatrix, "_trusted", _no_chain)
+        monkeypatch.setattr(StochasticMatrix, "from_columns", _no_chain)
         tracemalloc.start()
         try:
-            rep = GlauberFlow(E, label, 2).report(1.0, 0.0, pi)
+            rep = GlauberFlow(E, label).report(1.0, 0.0, pi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -563,7 +571,7 @@ class TestGlauberFlow:
         pi, _ = gibbs_weights(E, 1.0)
         broken = hamming_shell_labels(4, 0, 0, 1)
         broken[1] = 3
-        for route in (GlauberTable(E, broken), GlauberFlow(E, broken, 2)):
+        for route in (GlauberTable(E, broken), GlauberFlow(E, broken)):
             with pytest.raises(ConditionViolated, match=r"2.500e-01 at \(0, 1\)"):
                 route.report(1.0, 0.0, pi)
 
@@ -571,33 +579,49 @@ class TestGlauberFlow:
         E = label_energies(REGISTRY["ising_ring"](8))
         label = hamming_shell_labels(8, 0, 1, 1)
         other, _ = gibbs_weights(E, 2.0)
-        flow = GlauberFlow(E, label, 2)
+        flow = GlauberFlow(E, label)
         with pytest.raises(NonUniqueStationary, match="detailed balance fails on the flip"):
             flow.report(1.0, 0.0, other)
         with pytest.raises(NonUniqueStationary, match="probability vector"):
             flow.report(1.0, 0.0, 3 * gibbs_weights(E, 1.0)[0])
 
-    def test_an_acceptance_that_may_underflow_runs_the_table(self):
-        # at beta 400 the largest jump's acceptance underflows: the point
-        # runs today's chain, whose class search finds it fallen apart; a
-        # jump bound too loose for beta 30 runs the table too, with its bits
+    def test_an_acceptance_that_underflows_reads_as_zero(self, monkeypatch):
+        # at beta 400 every uphill acceptance of the n=10 ring underflows:
+        # the rounded chain falls apart, but the exact one does not, and
+        # the flow reads those entries as 0. Its lhs and bound both
+        # underflow, so the row is 0.0 <= 0.0, vacuous in float64 (the two
+        # ground states split pi between A and C); at beta 30 the flow has
+        # the table's bits
         E = label_energies(REGISTRY["ising_ring"](10))
         label = hamming_shell_labels(10, 0, 1, 1)
         pi, _ = gibbs_weights(E, 400.0)
-        with pytest.raises(NonUniqueStationary, match="communicating classes"):
-            GlauberFlow(E, label, 2).report(400.0, 0.0, pi)
-        pi, _ = gibbs_weights(E, 30.0)
-        loose = GlauberFlow(E, label, 40).report(30.0, 0.0, pi)
-        assert loose == GlauberFlow(E, label, 2).report(30.0, 0.0, pi)
-        assert loose == GlauberTable(E, label).report(30.0, 0.0, pi)
+        table = GlauberTable(E, label)
+        with pytest.raises(NonUniqueStationary, match="state 1 is not reached from state 0"):
+            table.report(400.0, 0.0, pi)
+        flow = GlauberFlow(E, label)
+        want = table.report(30.0, 0.0, gibbs_weights(E, 30.0)[0])
+        monkeypatch.setattr(StochasticMatrix, "_trusted", _no_chain)
+        rep = flow.report(400.0, 0.0, pi)
+        assert (rep.lhs, rep.bound, rep.pi_A, rep.pi_C) == (0.0, 0.0, 0.5, 0.5)
+        assert flow.report(30.0, 0.0, gibbs_weights(E, 30.0)[0]) == want
 
     def test_energies_and_labels_are_checked(self):
+        label = hamming_shell_labels(4, 0, 0, 1)
         with pytest.raises(BadPartition):
-            GlauberFlow(np.zeros(6), np.zeros(6), 1)
+            GlauberFlow(np.zeros(6), np.zeros(6))
         with pytest.raises(BadPartition, match="the chain has 8 states"):
-            GlauberFlow(np.zeros(8), hamming_shell_labels(4, 0, 0, 1), 1)
+            GlauberFlow(np.zeros(8), label)
+        for bad in (np.inf, -np.inf, np.nan):
+            E = np.zeros(16)
+            E[5] = bad
+            with pytest.raises(ValueError, match="energies must be finite"):
+                GlauberFlow(E, label)
+        flow, pi = GlauberFlow(np.zeros(16), label), np.full(16, 1 / 16)
         with pytest.raises(ValueError, match="laziness"):
-            GlauberFlow(np.zeros(16), hamming_shell_labels(4, 0, 0, 1), 0).report(1.0, 1.0, np.full(16, 1 / 16))
+            flow.report(1.0, 1.0, pi)
+        for beta in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="not finite"):
+                flow.report(beta, 0.0, pi)
 
 
 # the least m whose Glauber chain's entry rows of 2^m are longer than
@@ -690,16 +714,16 @@ class TestResidual:
 
     def test_frozen_ring_falls_through_to_the_graph_search(self):
         # at beta 400 every uphill move of the n=10 ring underflows to 0,
-        # so the single-flip certificate fails, the search runs and finds
-        # the chain fallen apart
+        # so the rounded chain falls apart into classes, and the
+        # reachability check finds that the ground state reaches no other
         E = label_energies(REGISTRY["ising_ring"](10))
         pi, _ = gibbs_weights(E, 400.0)
         part = hamming_shell_labels(10, 0, 1, 1)
         table = GlauberTable(E, part)
-        assert not table.chain(400.0).single_flip_certified()
-        with pytest.raises(NonUniqueStationary, match="communicating classes"):
+        assert communicating_classes(table.chain(400.0)) > 1
+        with pytest.raises(NonUniqueStationary, match="state 1 is not reached from state 0"):
             table.report(400.0, 0.0, pi)
-        with pytest.raises(NonUniqueStationary, match="communicating classes"):
+        with pytest.raises(NonUniqueStationary, match="state 1 is not reached from state 0"):
             classical_bottleneck_report(GlauberTable(E).chain(400.0), part, pi)
 
 

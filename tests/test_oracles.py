@@ -17,6 +17,7 @@ repetition, curie_weiss or random_ldpc) at n from 3 to 10, so the
 stationary-law oracle stays on its dense eigensolve.
 """
 
+import collections
 import math
 from fractions import Fraction
 
@@ -42,10 +43,12 @@ from bottlenecklab.channel import (
 )
 from bottlenecklab.errors import EmptyA, EmptyBoundary, NonUniqueStationary, NotDiagonal
 from bottlenecklab.markov import (
+    ClassicalBottleneckReport,
     GlauberFlow,
-    GlauberTable,
     StochasticMatrix,
+    _accept,
     _certify_stationary,
+    _unreached,
     classical_bottleneck_report,
     conditioned_drift,
 )
@@ -100,10 +103,12 @@ from bottlenecklab.subspace import (
 )
 from conftest import flux_triangle, gauge_block_diagonal, random_pi
 from oracles import (
+    GlauberTable,
     _gauged,
     barrier_by_label_pairs,
     birth_death_chain,
     block_labels,
+    chain_matrix,
     column_chain,
     communicating_classes,
     dense_check_hamiltonian,
@@ -123,6 +128,7 @@ from oracles import (
     eigen_ratio,
     enumerated_blocks,
     exact_glauber_drift,
+    exact_sweep_drift,
     gauged_eigensystem,
     glauber_flow,
     hamming_shell_labels,
@@ -611,11 +617,11 @@ def test_gibbs_law_matches_the_solved_stationary_law(checks, beta, laziness):
         # the solved law is an eigenvector whose eigenvalue lies only sep
         # from the next (the spectrum of a reversible chain is real); a
         # backward-stable eigensolve leaves it off by about eps / sep
-        w = np.sort(np.linalg.eigvals(chain.mat.toarray()).real)
+        w = np.sort(np.linalg.eigvals(chain_matrix(chain).toarray()).real)
         assert gap <= pi.size * np.finfo(np.float64).eps / (1.0 - w[-2])
 
 
-# --- the single-flip certificate of irreducibility ---------------------------
+# --- irreducibility: the reachability check against scipy's class search ----
 
 
 def _all_flips_positive(M):
@@ -628,9 +634,12 @@ def _all_flips_positive(M):
 
 @pytest.mark.parametrize("family", ["ising_ring", "repetition", "curie_weiss", "random_ldpc"])
 def test_single_flip_certificate_agrees_with_the_search(family):
-    # uphill moves underflow to 0 at beta 400, where the certificate must
-    # decline and the search decide
-    declined = 0
+    # the reachability check of _certify_stationary finds a chain
+    # irreducible exactly when scipy's search finds one class; a chain
+    # with every flip positive holds the m-cube and is irreducible, and
+    # at beta 400, where uphill moves underflow to 0, the rounded chain
+    # falls apart
+    split = 0
     for n in range(3, 11):
         checks = random_ldpc(n, n, n) if family == "random_ldpc" else REGISTRY[family](n)
         E = label_energies(checks)
@@ -639,15 +648,11 @@ def test_single_flip_certificate_agrees_with_the_search(family):
                 chain = GlauberTable(E).chain(beta, laziness)
                 with np.errstate(over="ignore"):
                     positive = _all_flips_positive(dense_glauber(E, beta, laziness))
-                certified = chain.single_flip_certified()
-                assert certified == positive, (n, beta, laziness)
-                classes = communicating_classes(chain)
-                if certified:
-                    assert classes == 1, (n, beta, laziness)
-                else:
-                    declined += 1
-                    assert chain.communicating_classes() == classes, (n, beta, laziness)
-    assert declined > 0
+                irreducible = communicating_classes(chain) == 1
+                assert (_unreached(chain) is None) == irreducible, (n, beta, laziness)
+                assert irreducible or not positive, (n, beta, laziness)
+                split += not irreducible
+    assert split > 0
 
 
 @SETTINGS
@@ -658,14 +663,15 @@ def test_single_flip_certificate_agrees_with_the_search(family):
     seed=st.integers(0, 2**16),
 )
 def test_certificate_declines_a_chain_with_one_flip_removed(m, beta, laziness, seed):
-    # one flip's weight moved onto its column's stay entry: the chain is
-    # no longer certified, and the search decides. Past one bit the cube
+    # one flip's weight moved onto its column's stay entry: the
+    # reachability check agrees with scipy's search. Past one bit the cube
     # stays strongly connected through the other flips; at one bit the
-    # removed flip was the only way out of its state
+    # removed flip j -> j ^ 1 was the only way out of j, and the message
+    # names the state that j does not reach
     rng = np.random.default_rng(seed)
     E = rng.uniform(-1.0, 2.0, size=2**m)
     full = GlauberTable(E).chain(beta, laziness)
-    assert full.single_flip_certified()
+    assert _unreached(full) is None and communicating_classes(full) == 1
     j, b = int(rng.integers(2**m)), int(rng.integers(m))
     weights = full.weights.copy()
     flip = np.flatnonzero(full.moves[:, 0] == 1 << b)[0]
@@ -673,28 +679,27 @@ def test_certificate_declines_a_chain_with_one_flip_removed(m, beta, laziness, s
     weights[stay, j] += weights[flip, j]
     weights[flip, j] = 0.0
     chain = StochasticMatrix.from_columns(explicit_rows(full.moves, 2**m), weights)
-    assert not chain.single_flip_certified()
     classes = communicating_classes(chain)
-    assert chain.communicating_classes() == classes
+    assert (_unreached(chain) is None) == (classes == 1)
     assert (classes == 1) == (m > 1)
     if classes > 1:
         pi, _ = gibbs_weights(E, beta)
-        with pytest.raises(NonUniqueStationary, match=f"{classes} communicating classes"):
+        with pytest.raises(NonUniqueStationary, match=f"state {j ^ 1} is not reached from state {j}$"):
             _certify_stationary(chain, pi)
 
 
 def test_birth_death_chains_in_column_form_match_the_dense_report():
     # criterion 3's chains and laws: converted once to the op-major form
-    # by column_chain, certified by the search (a path is no cube), read
-    # like the dense chain
+    # by column_chain, found irreducible by the reachability check as by
+    # scipy's search, read like the dense chain
     for m in (8, 16):
         for seed in range(9):
             rng = np.random.default_rng(7000 + 10 * m + seed)
             pi = random_pi(rng, m)
             M = birth_death_chain(m, pi)
             chain = column_chain(M)
-            assert np.array_equal(chain.mat.toarray(), M)
-            assert not chain.single_flip_certified()
+            assert np.array_equal(chain_matrix(chain).toarray(), M)
+            assert _unreached(chain) is None and communicating_classes(chain) == 1
             part = block_labels((0, 1), (2,), (3,), range(4, m))
             rep = classical_bottleneck_report(chain, part, pi)
             ref = dense_report(M, part, pi)
@@ -727,18 +732,14 @@ def test_flow_route_matches_the_stepped_chain(family):
     for n in range(3, 13):
         checks = _classical_family(family, n)
         E = label_energies(checks)
-        most = _most_checks_on_one_bit(checks)
-        assert most >= GlauberTable(E).uphill.max()
         for center, inner in ((0, 0), (n // 2, n // 3)):
             if inner + 2 >= n:
                 continue
             label = hamming_shell_labels(n, center, inner, 1)
-            flow, table = GlauberFlow(E, label, most), GlauberTable(E, label)
+            flow, table = GlauberFlow(E, label), GlauberTable(E, label)
             for beta in (0.0, 0.5, 1.0, 3.0, 10.0, 30.0):
                 pi, _ = gibbs_weights(E, beta)
                 for laziness in (0.0, 0.3):
-                    # every flip's acceptance is positive: the flow route runs
-                    assert np.exp(-beta * most) * (1.0 - laziness) / n > 0
                     rep = flow.report(beta, laziness, pi)
                     chain = table.chain(beta, laziness)
                     resid = chain.residual(pi)
@@ -772,10 +773,85 @@ def test_flow_route_matches_the_exact_rational_drift_at_low_temperature(checks, 
     E = label_energies(checks)
     label = hamming_shell_labels(checks.n, 0, inner, 1)
     pi, _ = gibbs_weights(E, beta)
-    rep = GlauberFlow(E, label, _most_checks_on_one_bit(checks)).report(beta, 0.0, pi)
+    rep = GlauberFlow(E, label).report(beta, 0.0, pi)
     exact = exact_glauber_drift(checks, 0, inner, q)
     assert exact <= Fraction(rep.bound)
     assert abs(rep.lhs - float(exact)) <= 1e-12 * float(exact)
+
+
+@pytest.mark.parametrize("family", ["ising_ring", "repetition", "curie_weiss", "random_ldpc"])
+def test_flow_passes_every_point_the_chain_passes_with_its_report(family):
+    # n 4 to 12, A the radius-1 ball about 0 and about n // 2 with shells
+    # of width 1, 25 betas from 20 to 400: where the chain oracle's report
+    # passes, its stepped residual and reachability check included, the
+    # flow passes with the same report; anywhere else A is empty or the
+    # rounded chain has fallen apart, and the flow passes or finds A
+    # empty. No point
+    # violates the bound (BoundViolated would propagate). The points at
+    # which the largest uphill acceptance underflows are counted apart:
+    # only there may the rounded chain lose an edge
+    counts = collections.Counter()
+    for n in range(4, 13):
+        checks = _classical_family(family, n)
+        E = label_energies(checks)
+        most = _most_checks_on_one_bit(checks)
+        for center in (0, n // 2):
+            label = hamming_shell_labels(n, center, 1, 1)
+            flow, table = GlauberFlow(E, label), GlauberTable(E, label)
+            for beta in np.geomspace(20, 400, 25).tolist():
+                underflows = _accept(np.array([float(most)]), beta, 1.0 / n)[0] == 0.0
+                pi, _ = gibbs_weights(E, beta)
+                try:
+                    want = table.report(beta, 0.0, pi)
+                except (NonUniqueStationary, EmptyA) as exc:
+                    want = type(exc).__name__
+                try:
+                    got = flow.report(beta, 0.0, pi)
+                except EmptyA:
+                    got = "EmptyA"
+                if isinstance(want, ClassicalBottleneckReport):
+                    assert got == want, (n, center, beta)
+                else:  # the rounded chain falls apart only past the underflow
+                    assert want == "EmptyA" or underflows, (n, center, beta)
+                counts[underflows, isinstance(want, str), isinstance(got, str)] += 1
+    # past the underflow the chain still passes somewhere only on
+    # random_ldpc; on every family the flow passes where the chain fell apart
+    assert (counts[True, False, False] > 0) == (family == "random_ldpc")
+    assert counts[True, True, False] > 0
+
+
+# --- the label path's sweep drift against the exact rational drift ---------
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        1000,
+        pytest.param(
+            10**8,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 20: the stepped sweep drift loses its inside "
+                "half below one ulp; at q = 10^8 it reads 0.819 of the exact drift",
+            ),
+        ),
+    ],
+)
+def test_ring_sweep_drift_matches_the_exact_rational_drift(q):
+    # verify-quantum's point on the n=8 ring: one sweep of every site, the
+    # radius-1 label ball about 0, partition radius 3, e^{-beta} = 1/q.
+    # At q = 1000 the stepped drift lies 4.4e-11 relative from exact: the
+    # cancellation inside A already costs a few units of its scale 1
+    n = 8
+    checks = ising_ring(n)
+    H = build_hamiltonian(checks)
+    beta = math.log(q)
+    rho = gibbs_state(H, beta)[0]
+    part = partition_from_radius(hamming_ball_subspace(n, [0], 1), 3)
+    rep = verify_bottleneck_theorem(sweep_schedule(H, beta, range(n)), rho, part)
+    assert rep.path == "label"
+    exact = float(exact_sweep_drift(checks, 0, 1, q))
+    assert abs(rep.lhs - exact) <= 1e-10 * exact
 
 
 # --- one distance search: balls and shells against the closed forms --------

@@ -5,6 +5,7 @@ import ast
 import importlib
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -175,3 +176,32 @@ def test_every_size_bearing_model_key_is_bounded():
     for name, keys in model.MODEL_KEYS.items():
         for key, (_, most, _) in keys.items():
             assert key == "model_seed" or most is not None, (name, key)
+
+
+def _third_party_imports():
+    """Top-level names of the modules that the package's files import,
+    function bodies included, past the standard library and the package."""
+    names = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"bottlenecklab"}
+
+
+def _requirement_names(specs):
+    return {re.split(r"[<>=!~\[; ]", spec, maxsplit=1)[0] for spec in specs}
+
+
+def test_runtime_dependencies_are_the_imports_of_the_package():
+    # every third-party module the package imports is a runtime
+    # dependency and every runtime dependency is imported; scipy, which
+    # only the test oracles use, is a test dependency alone
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    runtime = _requirement_names(project["dependencies"])
+    assert _third_party_imports() == runtime == {"numpy"}
+    extras = {name: _requirement_names(specs) for name, specs in project["optional-dependencies"].items()}
+    assert [name for name, names in extras.items() if "scipy" in names] == ["test"]
