@@ -10,18 +10,20 @@ rest; the Kraus condition is still re-verified numerically rather than
 trusted.
 
 Every partition is a set of block labels over one label basis
-(subspace.HilbertPartition). verify_bottleneck_theorem has two paths.
-The label path runs when every channel is monomial over one label basis
-W (the sampler channels of an unperturbed model), rho carries labels
-over W (the Gibbs state of an unperturbed model, model.gibbs_state) and
-the partition is labeled over W. A monomial channel acting on a
-diagonal state is then a classical chain over the labels
-(MonomialKraus.chain), and the theorem's measures are markov's: the
-exact-zero condition check and conditioned_drift, run on the block
-label of every label. Anything else (perturbed states, general
+(subspace.HilbertPartition). Each trace-norm quantity has one reader,
+which runs on labels when rho carries labels (W, p) over the basis W of
+its blocks or channels (the Gibbs state of an unperturbed model,
+model.gibbs_state), and dense otherwise: _block_weights gives
+||P_B rho||_1 and tr(P_A rho) (sums of p), conditioned_state rho_A (the
+label state p 1_A / sum) and _drift ||C_k ... C_1 sigma - sigma||_1 (an
+l1 norm of chain steps, MonomialKraus.chain, when every channel is
+monomial over W). verify_bottleneck_theorem's label path runs when, in
+addition, the partition is labeled over the channels' W: its measures
+are then markov's exact-zero condition check and conditioned_drift on
+the block label of every label. Anything else (perturbed states, general
 channels, CSS channels against a partition over the identity basis)
-runs the dense path on the blocks' dense bases, which computes the same
-quantities and serves as the test oracle for the label path.
+runs the dense path, with the Kraus condition on the blocks' dense
+bases, which serves as the test oracle for the label path.
 
 Everything here asserts the inequalities it reports. A violation raises
 BoundViolated carrying the numbers, since it would mean a broken
@@ -64,6 +66,7 @@ __all__ = [
     "FreeEnergyReport",
     "QuasiLocalReport",
     "bottleneck_ratio",
+    "conditioned_state",
     "verify_bottleneck_theorem",
     "diagonal_bound",
     "mixing_time_lower_bound",
@@ -119,10 +122,12 @@ def _basis_of(P):
     return np.asarray(P, dtype=np.complex128)
 
 
-def bottleneck_ratio(rho, P_A, P_B):
-    """Delta = ||P_B rho||_1 / tr(P_A rho), with its two pieces.
+def _block_weights(rho, P_A, P_B):
+    """(||P_B rho||_1, tr(P_A rho)) for Subspaces or projector arrays P.
 
-    P_A and P_B are Subspaces or projector arrays. Both pieces are read
+    When rho carries labels p over the basis W of two Subspaces, rho =
+    W diag(p) W^dag and P = W diag(mask) W^dag, so the pieces are the
+    sums of |p| on B's labels and of p on A's. Otherwise both are read
     through X with X X^dag = P: the orthonormal basis of a Subspace, or
     the projector itself (X = P). Then tr(P rho) = Re tr(X^dag rho X),
     and ||P rho||_1 is the sum of the singular values of the k x dim
@@ -140,6 +145,10 @@ def bottleneck_ratio(rho, P_A, P_B):
     a real SVD after a real solve. A ThermalState with eigenvectors takes
     no other P: BadPartition.
     """
+    if isinstance(P_A, Subspace) and isinstance(P_B, Subspace) and P_A.labels[0].same_as(P_B.labels[0]):
+        p = label_weights(rho, P_A.labels[0])
+        if p is not None:
+            return float(np.abs(p[P_B.labels[1]]).sum()), float(p[P_A.labels[1]].sum())
     if isinstance(rho, ThermalState):
         ya, yb = _eigen_rows(P_A, rho), _eigen_rows(P_B, rho)
         sq = ya**2 if np.isrealobj(ya) else ya.real**2 + ya.imag**2
@@ -150,14 +159,20 @@ def bottleneck_ratio(rho, P_A, P_B):
         mat = matrix_of(rho)
         denominator = float(np.real(np.sum((xa.conj().T @ mat) * xa.T)))
         block = _basis_of(P_B).conj().T @ mat
+    return float(np.linalg.svd(block, compute_uv=False).sum()), denominator
+
+
+def bottleneck_ratio(rho, P_A, P_B):
+    """Delta = ||P_B rho||_1 / tr(P_A rho), with its two pieces, read by
+    _block_weights; tr(P_A rho) at or below EMPTY_WEIGHT_TOL raises EmptyA."""
+    numerator, denominator = _block_weights(rho, P_A, P_B)
     if denominator <= tol.EMPTY_WEIGHT_TOL:
         raise EmptyA(f"tr(P_A rho) = {denominator:.3e}")
-    numerator = float(np.linalg.svd(block, compute_uv=False).sum())
     return numerator / denominator, numerator, denominator
 
 
 def _eigen_rows(P, state):
-    """X^dag D U of bottleneck_ratio, up to a unitary diagonal left factor:
+    """X^dag D U of _block_weights, up to a unitary diagonal left factor:
     X^dag when U is None, and U[mask] for a block over the identity basis."""
     if state.U is None:
         return _basis_of(P).conj().T
@@ -166,11 +181,50 @@ def _eigen_rows(P, state):
     return state.U[P.labels[1]]
 
 
-def _conditioned(rho, basis):
-    """rho restricted to a subspace and renormalized, as a full-space state."""
-    block = basis.conj().T @ rho @ basis
+def conditioned_state(rho, A):
+    """rho restricted to the Subspace A and renormalized, P_A rho P_A /
+    tr(P_A rho), as a DensityMatrix: the label state p 1_A / sum when rho
+    carries labels p over the basis of A, with no matrix formed, and the
+    dense block through A.basis otherwise."""
+    W, in_A = A.labels
+    p = label_weights(rho, W)
+    if p is not None:
+        return DensityMatrix.from_labels(W, np.where(in_A, p, 0.0) / p[in_A].sum())
+    block = A.basis.conj().T @ matrix_of(rho) @ A.basis
     block /= np.real(np.trace(block))
-    return basis @ block @ basis.conj().T
+    return DensityMatrix(A.basis @ block @ A.basis.conj().T, A.n)
+
+
+def _drift(channels, sigma):
+    """||C_k ... C_1 sigma - sigma||_1 for channels in order. When every
+    channel is monomial over the basis W that sigma carries labels p over,
+    sigma stays diagonal in W and each channel acts as its chain, so this
+    is the l1 norm of the stepped p less p (chain.residual for one
+    channel); otherwise apply_channel steps the dense state and one trace
+    norm is taken."""
+    forms = _monomial_forms(channels)
+    p = None if forms is None else label_weights(sigma, forms[0].basis)
+    if p is None:
+        state = sigma
+        for chan in channels:
+            state = apply_channel(chan, state)
+        return trace_norm(state.mat - matrix_of(sigma))
+    if len(forms) == 1:
+        return forms[0].chain.residual(p)
+    q = p
+    for form in forms:
+        q = form.chain.step(q)
+    return float(np.abs(q - p).sum())
+
+
+def _local_hypotheses(channels, rho, part):
+    """The dense hypotheses of the local theorem on a partition: the worst
+    Kraus-condition residual of the channels (ConditionViolated at
+    DENSE_CONDITION_TOL or more) and bottleneck_ratio on its A and B."""
+    worst = max(check_partition_condition(chan, part).residual for chan in channels)
+    if worst >= tol.DENSE_CONDITION_TOL:
+        raise ConditionViolated(f"Kraus condition residual {worst:.3e}")
+    return worst, bottleneck_ratio(rho, part.A, part.B)
 
 
 def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
@@ -184,36 +238,24 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
     label vector of rho itself is not stepped again), and the bound
     scales with the step count.
 
-    The label path runs when three things hold: every channel has a
-    monomial form over one label basis W, rho carries labels (W, p) over
-    W (a DensityMatrix.from_labels, as gibbs_state builds for a check
-    Hamiltonian), and the partition's block labels are over W. States
-    are then label probability vectors, and each channel acts as its
-    chain: residuals and the drift are l1 norms, Delta and the block
-    weights are sums, and the Kraus condition
-    demands that every forbidden chain entry is exactly zero (the dense
-    path accepts a block norm below DENSE_CONDITION_TOL). Any other input
-    runs the dense path. report.path says which ran. A DensityMatrix on the
-    channels' register is used as it is: its construction checked it,
-    and it cannot have changed since; any other rho is checked as one
-    here. The label path never reads the dense matrix of a state.
+    The label path runs when every channel is monomial over one label
+    basis W, rho carries labels (W, p) (as gibbs_state builds for a check
+    Hamiltonian) and the partition's block labels are over W: residuals
+    and the drift are then l1 norms of chain steps, Delta and the block
+    weights sums, and the Kraus condition demands that every forbidden
+    chain entry is exactly zero (the dense path accepts a block norm
+    below DENSE_CONDITION_TOL). report.path says which path ran. rho is
+    read through _density; the label path never reads its dense matrix.
     """
     channels = list(C) if isinstance(C, (list, tuple)) else [C]
-    n = channels[0].n
-    if isinstance(rho, DensityMatrix) and rho.n == n:
-        state = rho
-    else:
-        state = DensityMatrix(matrix_of(rho), n)
+    state = _density(rho, channels[0].n)
     forms = _monomial_forms(channels)
     basis = None if forms is None else forms[0].basis
     p = None if basis is None else label_weights(state, basis)
     for chan in channels:
         if p is not None and chan.fixes is p and not p.flags.writeable:
             continue
-        if p is not None:
-            resid = chan.monomial.chain.residual(p)
-        else:
-            resid = trace_norm(apply_channel(chan, state).mat - state.mat)
+        resid = _drift([chan], state)
         if resid > tol.CHANNEL_FIXED_POINT_TOL:
             raise NotFixedPoint(f"steady-state residual {resid:.3e}")
     if isinstance(spec, HilbertPartition):
@@ -227,41 +269,37 @@ def verify_bottleneck_theorem(C, rho, spec, mix_eps=DEFAULT_MIX_EPS):
         part = partition_from_radius(V, r)
         mode = f"local(r={r})"
     if p is None or _label_blocks(basis, part) is None:
-        path = "dense"
-        worst, delta, numerator, denominator, lhs, prob_B, prob_C = _dense_measures(
-            channels, state.mat, part
-        )
+        path, measures = "dense", _dense_measures(channels, state, part)
     else:
-        path = "label"
-        worst, delta, numerator, denominator, lhs, prob_B, prob_C = _label_measures(
-            [chan.monomial.chain for chan in channels], p, part
-        )
+        path, measures = "label", _label_measures([chan.monomial.chain for chan in channels], p, part)
+    worst, delta, numerator, denominator, lhs, prob_B, prob_C = measures
     bound = 10.0 * delta * len(channels)
     if lhs > bound + THEOREM_SLACK:
         raise BoundViolated(
-            f"drift {lhs!r} exceeds 10*Delta bound {bound!r}",
-            lhs=lhs,
-            bound=bound,
-            delta=delta,
+            f"drift {lhs!r} exceeds 10*Delta bound {bound!r}", lhs=lhs, bound=bound, delta=delta
         )
-    if delta > 0:
-        tmix = (1.0 - denominator) / (5.0 * delta) - mix_eps
-    else:
-        tmix = math.inf
-    return BottleneckReport(
+    report = BottleneckReport(
         delta=delta,
         numerator=numerator,
         denominator=denominator,
         lhs=lhs,
         bound=bound,
         condition_residual=worst,
-        tmix_lower=tmix,
+        tmix_lower=math.inf,
         mode=mode,
         prob_B=prob_B,
         prob_C=prob_C,
         steps=len(channels),
         path=path,
     )
+    report.tmix_lower = mixing_time_lower_bound(report, mix_eps)[0]
+    return report
+
+
+def _density(rho, n):
+    """rho itself if a DensityMatrix on n qubits (checked when built, and
+    frozen since), else rho's matrix checked as one."""
+    return rho if isinstance(rho, DensityMatrix) and rho.n == n else DensityMatrix(matrix_of(rho), n)
 
 
 def _label_blocks(basis, part):
@@ -290,35 +328,20 @@ def _kept_sets(part):
     return _block_sets(part.labels[1])
 
 
-def _dense_measures(channels, mat, part):
-    """The same quantities from dense projectors, Kraus matrices and trace norms."""
-    worst = 0.0
-    for chan in channels:
-        rep = check_partition_condition(chan, part)
-        worst = max(worst, rep.residual)
-    if worst >= tol.DENSE_CONDITION_TOL:
-        raise ConditionViolated(f"Kraus condition residual {worst:.3e}")
-    n = channels[0].n
-    delta, numerator, denominator = bottleneck_ratio(
-        DensityMatrix(mat, n), part.A.projector(), part.b_projector()
-    )
-    rho_A = _conditioned(mat, part.A.basis)
-    evolved = rho_A
-    for chan in channels:
-        evolved = apply_channel(chan, DensityMatrix(evolved, chan.n)).mat
-    lhs = trace_norm(evolved - rho_A)
-    prob_C = float(np.real(np.trace(part.C.projector() @ mat)))
-    prob_B = float(np.real(np.trace(part.b_projector() @ mat)))
+def _dense_measures(channels, state, part):
+    """The same quantities from the dense hypotheses, _drift and _block_weights."""
+    worst, (delta, numerator, denominator) = _local_hypotheses(channels, state, part)
+    lhs = _drift(channels, conditioned_state(state, part.A))
+    prob_B, prob_C = (_block_weights(state, S, S)[1] for S in (part.B, part.C))
     return worst, delta, numerator, denominator, lhs, prob_B, prob_C
 
 
 def diagonal_bound(rho, P):
-    """||rho P||_1 against sqrt(tr(rho P)) for a projector array P; the
-    inequality is asserted."""
-    mat = matrix_of(rho)
-    proj = np.asarray(P, dtype=np.complex128)
-    lhs = trace_norm(mat @ proj)
-    rhs = math.sqrt(max(0.0, float(np.real(np.trace(mat @ proj)))))
+    """||rho P||_1 against sqrt(tr(rho P)) for a Subspace or a projector
+    array P, read by _block_weights as ||P rho||_1 (the adjoint of rho P)
+    and tr(P rho); the inequality is asserted."""
+    lhs, weight = _block_weights(rho, P, P)
+    rhs = math.sqrt(max(0.0, weight))
     if lhs > rhs + tol.DIAGONAL_BOUND_SLACK:
         raise BoundViolated(
             f"||rho P||_1 = {lhs!r} exceeds sqrt(tr) = {rhs!r}", lhs=lhs, rhs=rhs
@@ -358,17 +381,8 @@ def product_drift(channels, sigma):
     channels = list(channels)
     if not channels:
         raise EmptyA("empty channel list")
-    mat = matrix_of(sigma)
-    n = channels[0].n
-    single = [
-        trace_norm(apply_channel(chan, DensityMatrix(mat, n)).mat - mat)
-        for chan in channels
-    ]
-    state = mat
-    for chan in channels:
-        state = apply_channel(chan, DensityMatrix(state, n)).mat
-    delta_t = trace_norm(state - mat)
-    step_sum = float(sum(single))
+    delta_t = _drift(channels, sigma)
+    step_sum = float(sum(_drift([chan], sigma) for chan in channels))
     if delta_t > step_sum + tol.PRODUCT_DRIFT_SLACK:
         raise BoundViolated(
             f"composed drift {delta_t!r} exceeds summed step drifts {step_sum!r}",
@@ -391,18 +405,15 @@ def _log_projected_weight(w, U, basis):
 def _collar_weights(rho, V, shell):
     """(tr(P_V rho), ||[rho, P_shell]||) for a DensityMatrix or dense rho,
     with the shell labeled over the basis W of V (boundary keeps it).
-
-    When rho carries labels (W, p) over W, tr(P_V rho) is the sum of p on
-    V's labels and the commutator is exactly 0: rho = W diag(p) W^dag and
-    P_shell = W diag(mask) W^dag are both diagonal in W. Otherwise both
-    come from dense projectors.
+    tr(P_V rho) is read by _block_weights. When rho carries labels over W,
+    the commutator is exactly 0: rho = W diag(p) W^dag and P_shell = W
+    diag(mask) W^dag are both diagonal in W. Otherwise it is formed from
+    the dense shell projector.
     """
-    W, mask = V.labels
-    p = label_weights(rho, W)
-    if p is not None:
-        return float(p[mask].sum()), 0.0
+    prob_V = _block_weights(rho, V, V)[1]
+    if label_weights(rho, V.labels[0]) is not None:
+        return prob_V, 0.0
     mat = matrix_of(rho)
-    prob_V = float(np.real(np.trace(V.projector() @ mat)))
     P_shell = shell.projector()
     return prob_V, operator_norm(mat @ P_shell - P_shell @ mat)
 
@@ -475,12 +486,10 @@ def quasi_local_bound(C, rho, V):
     """
     if not C.quasi_local_certificate:
         raise LocalityInsufficient("channel carries no quasi-local certificate")
-    mat = matrix_of(rho)
-    state = DensityMatrix(mat, C.n)
-    resid = trace_norm(apply_channel(C, state).mat - state.mat)
+    state = _density(rho, C.n)
+    resid = _drift([C], state)
     if resid > tol.CHANNEL_FIXED_POINT_TOL:
         raise NotFixedPoint(f"steady-state residual {resid:.3e}")
-    rho_A = None
     terms = {}
     best = (math.inf, None)
     for s in sorted(C.quasi_local_certificate):
@@ -488,25 +497,16 @@ def quasi_local_bound(C, rho, V):
         loc = channel_locality(surrogate)
         if loc > s:
             raise LocalityInsufficient(f"surrogate for radius {s} detected as {loc}-local")
-        part = partition_from_radius(V, s)
-        rep = check_partition_condition(surrogate, part)
-        if rep.residual >= tol.DENSE_CONDITION_TOL:
-            raise ConditionViolated(f"surrogate Kraus condition residual {rep.residual:.3e}")
-        delta, _, _ = bottleneck_ratio(state, part.A.projector(), part.b_projector())
-        if rho_A is None:
-            rho_A = _conditioned(mat, V.basis)
+        _, (delta, _, _) = _local_hypotheses([surrogate], state, partition_from_radius(V, s))
         total = 10.0 * delta + f_s
         terms[s] = (delta, f_s, total)
         if total < best[0]:
             best = (total, s)
-    evolved = apply_channel(C, DensityMatrix(rho_A, C.n)).mat
-    lhs = trace_norm(evolved - rho_A)
+    lhs = _drift([C], conditioned_state(state, V))
     combined, best_s = best
     if lhs > combined + THEOREM_SLACK:
         raise BoundViolated(
-            f"drift {lhs!r} exceeds quasi-local bound {combined!r}",
-            lhs=lhs,
-            bound=combined,
+            f"drift {lhs!r} exceeds quasi-local bound {combined!r}", lhs=lhs, bound=combined
         )
     return QuasiLocalReport(lhs=lhs, combined_bound=combined, best_radius=best_s, terms=terms)
 

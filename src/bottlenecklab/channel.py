@@ -313,11 +313,7 @@ def _label_distances(forms, p, q, T):
 def _distances(channels, state, ref, T):
     yield trace_norm(state - ref)
     for t in range(1, T + 1):
-        C = channels[(t - 1) % len(channels)]
-        nxt = np.zeros_like(state)
-        for K in C.kraus:
-            nxt += K @ state @ K.conj().T
-        state = nxt
+        state = apply_channel(channels[(t - 1) % len(channels)], state).mat
         yield trace_norm(state - ref)
 
 

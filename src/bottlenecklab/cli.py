@@ -33,6 +33,7 @@ import numpy as np
 from . import numerics as tol
 from .bottleneck import (
     DEFAULT_MIX_EPS,
+    conditioned_state,
     mixing_time_lower_bound,
     verify_bottleneck_theorem,
 )
@@ -62,7 +63,6 @@ from .model import (
     perturb,
     random_local_perturbation,
 )
-from .numerics import DensityMatrix, label_weights
 from .pauli import gf2_null_space_masks
 from .sampler import DEFAULT_ATTEMPT, sweep_schedule
 from .stability import (
@@ -495,7 +495,7 @@ def _plan_quantum(vals, checks, label):
         if horizon is None:
             return row
         strong, weak = mixing_time_lower_bound(rep, eps)
-        start = _conditioned_start(rho, part.A)
+        start = conditioned_state(rho, part.A)
         observed = math.inf
         for t, dist in enumerate(evolve_sequence(sched, start, rho, T=horizon)):
             if dist / 2 <= eps:
@@ -591,15 +591,6 @@ def _plan_stability_sweep(vals):
         return {**row._asdict(), "lambda": row.lambda_kappa}
 
     return sweep_grid(name, vals["betas"], vals["gs"], vals["ns"], vals["seeds"]), point
-
-
-def _conditioned_start(rho, A):
-    """rho conditioned on A, P_A rho P_A / tr(P_A rho): rho carries labels
-    p over the basis W of A, so that is the label state p 1_A / sum, with
-    no matrix formed."""
-    W, in_A = A.labels
-    p = label_weights(rho, W)
-    return DensityMatrix.from_labels(W, np.where(in_A, p, 0.0) / p[in_A].sum())
 
 
 def _plan_model_info(vals, checks, label):

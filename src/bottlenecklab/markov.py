@@ -417,9 +417,9 @@ def _bound_slack(terms):
 
 
 def _accept(uphill, beta, scale):
-    """min(1, e^{-beta uphill}) * scale: multiply, exp, clamp and scale, in
-    the order in which the tests' chain oracle builds a whole Glauber
-    chain, so each weight has the bits of that chain's entry."""
+    """min(1, e^{-beta uphill}) * scale, the one acceptance of GlauberFlow
+    and both samplers: multiply, exp, clamp and scale, in the order in
+    which the tests' chain oracle builds a whole Glauber chain."""
     w = np.multiply(uphill, -beta)
     np.exp(w, out=w)
     np.minimum(w, 1.0, out=w)

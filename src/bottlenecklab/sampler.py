@@ -6,12 +6,12 @@ channel.MonomialKraus and model.label_basis). The diagonal variant flips
 one bit of the computational basis with an acceptance amplitude read off
 the energy vector. The CSS variant flips one Pauli on the CSS eigenstates
 |x, z>: the flip moves each label to one label (with a phase), and the
-energy jump omega it causes is read off the syndromes of the adjacent
-checks. None of that depends on beta, so it is one move table per
+energy jump omega it causes is the label energy of the image less its
+own. None of that depends on beta, so it is one move table per
 family, site and flavor, kept on the label basis (flips: per site list,
 on H); a beta only adds the amplitudes sqrt(q min(1, e^{-beta omega}))
 of the jump operators sigma P_omega, filled column by column without any
-dense product. In markov's XOR layout both keep (k, 1) masks: a flip's
+dense product, both samplers' acceptances from markov._accept. In markov's XOR layout both keep (k, 1) masks: a flip's
 bit, or a CSS move's label shift per jump, then 0 to stay. Both build
 through channel._trusted_channel, and one check (_checked) passes every
 channel before it is returned: its column sums are 1, so it is trace
@@ -28,8 +28,8 @@ import numpy as np
 from . import numerics as tol
 from .channel import _trusted_channel
 from .errors import EmptySchedule, NotCommuting, NotDiagonal, NotFixedPoint, NotTracePreserving
-from .model import label_basis
-from .pauli import mask_from_indices, popcount
+from .markov import _accept
+from .model import label_basis, label_energies
 from .subspace import identity_basis
 
 __all__ = [
@@ -64,7 +64,7 @@ def _site_channels(H, beta, sites, attempt_prob):
         if not 0 <= site < H.n:
             raise ValueError(f"site {site} outside register of {H.n}")
     moves, jump = H.kept(_site_moves, tuple(sites))
-    coef = attempt_prob * np.minimum(1.0, np.exp(-beta * jump))  # the acceptance
+    coef = _accept(jump, beta, attempt_prob)
     coef = np.stack([coef, 1.0 - coef], axis=1)
     np.sqrt(coef, out=coef)
     # detailed balance makes the diagonal Gibbs vector exactly stationary
@@ -126,7 +126,7 @@ def css_metropolis_channel(H0, beta, site, flavor, attempt_prob=DEFAULT_ATTEMPT)
     if H0.labels is None or not H0.labels[0].same_as(W):
         raise NotDiagonal("H0 carries no syndrome energies over the label basis of its checks")
     moves, phase, omega, cls = W.kept(_move_table, fam, site, flavor)
-    accept = attempt_prob * np.minimum(1.0, np.exp(-beta * np.maximum(omega, 0)))
+    accept = _accept(np.maximum(omega, 0), beta, attempt_prob)
     coef = np.zeros((len(moves), W.dim), dtype=np.complex128)
     coef[cls, np.arange(W.dim)] = np.sqrt(accept)[cls] * phase
     coef[-1] = np.sqrt(1.0 - accept)[cls]
@@ -140,24 +140,16 @@ def _move_table(W, fam, site, flavor):
     (k, 1) Kraus masks (sigma's label shift once per distinct jump, then 0
     to stay; W.index is linear in the bits, so one shift moves every label,
     else NotCommuting), the image's phases, the distinct jumps omega
-    ascending, and every label's class in omega. Kept on W (LabelBasis.kept)."""
-    n = fam.n
-    bit = 1 << (n - 1 - site)
-    if flavor == "X":
-        col, phase = W.pauli_image(bit, 0)
-        opposing, labels = fam.z_checks, W.x
-    else:
-        col, phase = W.pauli_image(0, bit)
-        opposing, labels = fam.x_checks, W.z
+    ascending, and every label's class in omega. A label's jump is the
+    energy of its image less its own, label_energies(fam)[col] - E. Kept on
+    W (LabelBasis.kept)."""
+    bit = 1 << (fam.n - 1 - site)
+    col, phase = W.pauli_image(bit, 0) if flavor == "X" else W.pauli_image(0, bit)
     shift = col ^ np.arange(W.dim)
     if (shift != shift[0]).any():
         raise NotCommuting(f"the {flavor} flip at site {site} moves the labels by no one XOR mask")
-    jump = np.zeros(W.dim, dtype=np.int64)
-    for supp in opposing:
-        if site in supp:
-            mask = np.uint64(mask_from_indices(n, supp))
-            jump += 1 - 2 * (popcount(labels & mask) & 1)
-    omega, cls = np.unique(jump, return_inverse=True)
+    E = label_energies(fam)
+    omega, cls = np.unique(E[col] - E, return_inverse=True)
     moves = np.append(np.full(omega.size, shift[0]), 0)[:, None]
     return moves, phase, omega, cls
 

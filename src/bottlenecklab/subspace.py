@@ -177,17 +177,19 @@ class LabelBasis:
 
 @functools.lru_cache(maxsize=32)
 def identity_basis(n):
-    """The computational basis of n qubits as a LabelBasis, one per n."""
+    """The computational basis of n qubits as a LabelBasis, one per n:
+    order, x and x_class are views of one arange, and blocks, z and
+    z_class broadcast constants, so it holds 8 bytes per state."""
     dim = 1 << n
     idx = np.arange(dim, dtype=np.int64)
     return LabelBasis(
         n,
         order=idx,
-        blocks=np.ones((dim, 1, 1), dtype=np.complex128),
-        x=idx.astype(np.uint64),
-        z=np.zeros(dim, dtype=np.uint64),
-        x_class=idx.copy(),
-        z_class=np.zeros(dim, dtype=np.int64),
+        blocks=np.broadcast_to(np.complex128(1.0), (dim, 1, 1)),
+        x=idx.view(np.uint64),
+        z=np.broadcast_to(np.uint64(0), (dim,)),
+        x_class=idx[:],
+        z_class=np.broadcast_to(np.int64(0), (dim,)),
         identity=True,
     )
 
@@ -271,9 +273,10 @@ def basis_state_subspace(n, indices):
     return ball(identity_basis(n), indices, 0)
 
 
-def _block_subspace(k):
-    """The Subspace of block k of a HilbertPartition, built on first read."""
-    return functools.cached_property(lambda part: Subspace(part.labels[0], part.labels[1] == k))
+def _block_subspace(*blocks):
+    """The Subspace of the labels of a HilbertPartition in these blocks,
+    built on first read."""
+    return functools.cached_property(lambda part: Subspace(part.labels[0], np.isin(part.labels[1], blocks)))
 
 
 class HilbertPartition:
@@ -284,7 +287,8 @@ class HilbertPartition:
     thus lies in exactly one block, and any block may be empty. A, B1,
     B2 and C are the Subspaces of the four masks of block, built on first
     read. A block array of any other shape than (W.dim,), or with a
-    value outside 0..3, raises BadPartition.
+    value outside 0..3, raises BadPartition. B is the buffer B1 + B2, the
+    Subspace of blocks 1 and 2.
     """
 
     def __init__(self, W, block):
@@ -298,11 +302,8 @@ class HilbertPartition:
         self.labels, self._kept = (W, block), {}
 
     A, B1, B2, C = map(_block_subspace, range(4))
+    B = _block_subspace(1, 2)
     kept = LabelBasis.kept  # what the label path reads of the blocks alone
-
-    def b_projector(self):
-        """Projector on the combined buffer B1 + B2."""
-        return self.B1.projector() + self.B2.projector()
 
 
 def partition_from_radius(V, r, inner=0):

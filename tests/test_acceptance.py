@@ -19,6 +19,7 @@ import pytest
 from bottlenecklab import cli
 from bottlenecklab.bottleneck import (
     bottleneck_ratio,
+    conditioned_state,
     diagonal_bound,
     free_energy_report,
     mixing_time_lower_bound,
@@ -104,12 +105,6 @@ def flip_masks(n, width):
     return [(1 << i) | (1 << ((i + 1) % n)) for i in range(n)]
 
 
-def conditioned(rho, sub):
-    P = sub.projector()
-    blk = P @ rho.mat @ P
-    return DensityMatrix(blk / float(np.real(np.trace(blk))), sub.n)
-
-
 # --- criterion 1: general theorem suite ------------------------------------
 
 
@@ -131,7 +126,7 @@ def test_criterion_01_general_theorem_suite():
                 assert rep.condition_residual < 1e-9
                 assert rep.lhs <= 10.0 * rep.delta + 1e-8
                 diagonal_bound(rho, part.A.projector())
-                diagonal_bound(rho, part.b_projector())
+                diagonal_bound(rho, part.B.projector())
                 worst_resid = max(worst_resid, rep.condition_residual)
                 worst_gap = max(worst_gap, rep.lhs - 10.0 * rep.delta)
                 engineered += 1
@@ -176,6 +171,7 @@ def test_criterion_02_local_theorem_suite():
     start = time.monotonic()
     ring_runs = 0
     css_runs = 0
+    dense_checks = 0
     worst_resid = 0.0
 
     # the label shells coincide with the Pauli-neighborhood split for a
@@ -218,10 +214,24 @@ def test_criterion_02_local_theorem_suite():
                 assert rep.condition_residual < 1e-9
                 assert rep.lhs <= 10.0 * rep.delta * rep.steps + 1e-8
                 worst_resid = max(worst_resid, rep.condition_residual)
-                product_drift(sched, conditioned(rho, part.A))
+                sigma = conditioned_state(rho, part.A)
+                drift = product_drift(sched, sigma)
+                if n == 6:
+                    # the label forms against the dense forms, on rho's
+                    # matrix without its labels
+                    dense = DensityMatrix(rho.mat, n)
+                    sigma_dense = conditioned_state(dense, part.A)
+                    assert sigma.labels is not None and sigma_dense.labels is None
+                    assert np.abs(sigma.mat - sigma_dense.mat).max() <= 1e-12
+                    got = product_drift(sched, sigma_dense)
+                    assert np.abs(np.subtract(got, drift)).max() <= 1e-12
+                    for block in (part.A, part.B):
+                        got = diagonal_bound(dense, block.projector())
+                        assert np.abs(np.subtract(got, diagonal_bound(rho, block))).max() <= 1e-12
+                        dense_checks += 1
                 ring_runs += 1
-            diagonal_bound(rho, part.A.projector())
-            diagonal_bound(rho, part.b_projector())
+            diagonal_bound(rho, part.A)
+            diagonal_bound(rho, part.B)
 
     css_localities = {}
     for label in ("steane7", "toric"):
@@ -244,17 +254,18 @@ def test_criterion_02_local_theorem_suite():
                     assert rep.lhs <= 10.0 * rep.delta + 1e-8
                     worst_resid = max(worst_resid, rep.condition_residual)
                     css_runs += 1
-            diagonal_bound(rho, part.A.projector())
+            diagonal_bound(rho, part.A)
         css_localities[label] = sorted(locs)
 
     elapsed = time.monotonic() - start
+    assert dense_checks == 2 * len(BETAS)
     assert elapsed < 600.0
     _pass(
         2,
         f"{ring_runs} ring runs (n=4..10, r=3=channel locality) and "
         f"{css_runs} CSS channel runs (Kraus support sizes "
         f"{css_localities}), worst condition residual {worst_resid:.1e}, "
-        f"{elapsed:.1f}s",
+        f"label forms equal to the dense forms at n=6, {elapsed:.1f}s",
     )
 
 
@@ -436,11 +447,14 @@ def test_criterion_06_mixing_bound_consistency():
     strong, weak = mixing_time_lower_bound(rep, eps=0.25)
     p_A = float(np.real(np.trace(P_A @ rho.mat)))
     assert strong == pytest.approx((1.0 - p_A) / (5.0 * rep.delta) - 0.25, rel=1e-12)
-    product_drift(sched, conditioned(rho, part.A))
+    start_state = conditioned_state(rho, part.A)
+    assert start_state.labels is not None
+    assert np.abs(start_state.mat - P_A @ rho.mat @ P_A / p_A).max() <= 1e-12
+    product_drift(sched, start_state)
 
     horizon = 500 * len(sched)
     crossings = []
-    for probe in (conditioned(rho, part.A), maximally_mixed(6)):
+    for probe in (start_state, maximally_mixed(6)):
         distances = evolve_sequence(sched, probe, rho, T=horizon)
         hit = next(
             (
@@ -571,13 +585,14 @@ def test_criterion_09_product_drift_on_schedules():
     start = time.monotonic()
     runs = 0
     homogeneous = 0
+    dense_checks = 0
     worst = -math.inf
     for n in range(4, 9):
         H = build_hamiltonian(REGISTRY["ising_ring"](n))
         part = partition_from_radius(hamming_ball_subspace(n, [0], 1), 3)
         for beta in BETAS:
             rho, _, _ = gibbs_state(H, beta)
-            sigma = conditioned(rho, part.A)
+            sigma = conditioned_state(rho, part.A)
             sched = sweep_schedule(H, beta, range(n))
             delta_t, step_sum = product_drift(sched, sigma)
             assert delta_t <= step_sum + 1e-9
@@ -587,7 +602,14 @@ def test_criterion_09_product_drift_on_schedules():
             # telescoped sum collapses to t times the minimum step drift
             # and that stronger form can be asserted directly
             chan = sched[0]
-            single = trace_norm(apply_channel(chan, sigma).mat - sigma.mat)
+            single, _ = product_drift([chan], sigma)
+            if n <= 6:
+                # the label drifts against dense steps of sigma's matrix
+                dense = DensityMatrix(sigma.mat, n)
+                got = product_drift(sched, dense)
+                assert np.abs(np.subtract(got, (delta_t, step_sum))).max() <= 1e-12
+                assert abs(trace_norm(apply_channel(chan, dense).mat - dense.mat) - single) <= 1e-12
+                dense_checks += 1
             delta_t, step_sum = product_drift([chan] * 6, sigma)
             assert step_sum == pytest.approx(6 * single, abs=1e-12)
             assert delta_t <= 6 * single + 1e-9
@@ -600,12 +622,13 @@ def test_criterion_09_product_drift_on_schedules():
             rho, _, _ = gibbs_state(H, beta)
             for flavor in ("X", "Z"):
                 sched = sweep_schedule(H, beta, range(checks.n), flavors=[flavor])
-                delta_t, step_sum = product_drift(sched, conditioned(rho, cert.V))
+                delta_t, step_sum = product_drift(sched, conditioned_state(rho, cert.V))
                 assert delta_t <= step_sum + 1e-9
                 worst = max(worst, delta_t - step_sum)
                 runs += 1
     elapsed = time.monotonic() - start
     assert runs >= 28
+    assert dense_checks == 3 * len(BETAS)
     _pass(
         9,
         f"{runs} sweep schedules (rings n=4..8 and CSS flavors) under the "

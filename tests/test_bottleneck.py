@@ -11,6 +11,7 @@ from bottlenecklab.bottleneck import (
     THEOREM_SLACK,
     BottleneckReport,
     bottleneck_ratio,
+    conditioned_state,
     diagonal_bound,
     free_energy_report,
     mixing_time_lower_bound,
@@ -65,6 +66,7 @@ from bottlenecklab.numerics import (
 from bottlenecklab.sampler import css_metropolis_channel, metropolis_site_channel, sweep_schedule
 from bottlenecklab.subspace import (
     HilbertPartition,
+    LabelBasis,
     Subspace,
     basis_state_subspace,
     boundary,
@@ -795,3 +797,66 @@ def test_label_channels_against_basis_state_blocks_take_the_dense_path():
     assert rep.path == ref.path == "dense"
     for name in REPORT_FIELDS:
         assert getattr(rep, name) == getattr(ref, name), name
+
+
+# --- label forms of the lemma helpers ---------------------------------------
+
+
+def _label_case(model, n, beta):
+    """(rho, schedule, partition) of a label Gibbs state: a ring about the
+    radius-1 Hamming ball at partition radius 1, or steane7 about its
+    code-space label at radius 1 with an X and Z sweep."""
+    checks = REGISTRY[model](n) if model == "ising_ring" else REGISTRY[model]()
+    H = build_hamiltonian(checks)
+    rho, _, _ = gibbs_state(H, beta)
+    if model == "ising_ring":
+        V, flavors = hamming_ball_subspace(n, [0], 1), None
+    else:
+        V, flavors = barrier_subspace(checks, (0, 0), 0, 1, H).V, ["X", "Z"]
+    return rho, sweep_schedule(H, beta, range(checks.n), flavors=flavors), partition_from_radius(V, 1)
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0])
+@pytest.mark.parametrize("model,n", [("ising_ring", 4), ("ising_ring", 6), ("steane7", 7)])
+def test_label_forms_of_the_lemma_helpers_match_the_dense_forms(model, n, beta):
+    # each helper on a label Gibbs state against the same helper on its
+    # matrix with no labels, with projector arrays where it takes them
+    rho, sched, part = _label_case(model, n, beta)
+    dense = DensityMatrix(rho.mat, n)
+    assert rho.labels is not None and dense.labels is None
+    sigma, sigma_dense = conditioned_state(rho, part.A), conditioned_state(dense, part.A)
+    assert sigma.labels is not None and sigma_dense.labels is None
+    assert np.abs(sigma.mat - sigma_dense.mat).max() <= 1e-12
+    for got, want in (
+        (product_drift(sched, sigma), product_drift(sched, sigma_dense)),
+        (product_drift(sched[:1], sigma), product_drift(sched[:1], sigma_dense)),
+        (diagonal_bound(rho, part.A), diagonal_bound(dense, part.A.projector())),
+        (diagonal_bound(rho, part.B), diagonal_bound(dense, part.B.projector())),
+        (bottleneck_ratio(rho, part.A, part.B), bottleneck_ratio(dense, part.A.projector(), part.B.projector())),
+    ):
+        assert np.abs(np.subtract(got, want)).max() <= 1e-12
+    # B is the union of B1 and B2
+    assert np.abs(part.B.projector() - part.B1.projector() - part.B2.projector()).max() <= 1e-12
+
+
+def test_lemma_helpers_form_no_matrix_of_a_label_state(monkeypatch):
+    # on the n = 10 ring, every helper reads the labels alone
+    H = build_hamiltonian(REGISTRY["ising_ring"](10))
+    rho, _, _ = gibbs_state(H, 1.0)
+    part = partition_from_radius(hamming_ball_subspace(10, [0], 1), 3)
+    sched = sweep_schedule(H, 1.0, range(10))
+
+    def refused(*args):
+        raise AssertionError("a dense matrix was formed")
+
+    monkeypatch.setattr(LabelBasis, "outer", refused)
+    monkeypatch.setattr(Subspace, "projector", refused)
+    sigma = conditioned_state(rho, part.A)
+    assert sigma.labels is not None
+    delta_t, step_sum = product_drift(sched, sigma)
+    assert 0.0 < delta_t <= step_sum
+    for block in (part.A, part.B, part.C):
+        lhs, rhs = diagonal_bound(rho, block)
+        assert lhs <= rhs
+    delta, numerator, denominator = bottleneck_ratio(rho, part.A, part.B)
+    assert delta == numerator / denominator > 0

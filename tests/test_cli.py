@@ -14,7 +14,7 @@ import pytest
 import bottlenecklab
 from bottlenecklab import bottleneck, channel, cli, numerics, sampler, stability, subspace
 from bottlenecklab.channel import MonomialKraus
-from bottlenecklab.bottleneck import verify_bottleneck_theorem
+from bottlenecklab.bottleneck import conditioned_state, verify_bottleneck_theorem
 from bottlenecklab.cli import QUANTUM_COLUMNS, main
 from bottlenecklab.errors import BoundViolated
 from bottlenecklab.markov import (
@@ -1483,7 +1483,7 @@ def test_conditioned_start_matches_the_dense_product(model):
     rho, _, _ = gibbs_state(H, 3.0)
     W = H.labels[0]
     part = subspace.partition_from_radius(subspace.ball(W, [W.index(0, 0)], 1), 1)
-    start = cli._conditioned_start(rho, part.A)
+    start = conditioned_state(rho, part.A)
     assert start.labels is not None and start.labels[0] is W
     P_A = part.A.projector()
     dense = P_A @ rho.mat @ P_A
@@ -1497,13 +1497,13 @@ def test_css_mixing_compare_starts_on_labels_and_matches_the_library(tmp_path, m
     # A share the CSS basis, so the start state carries labels, and the
     # row's Delta and tr(P_A rho) are the library's on that split
     starts = []
-    real = cli._conditioned_start
+    real = cli.conditioned_state
 
     def spy(rho, A):
         starts.append(real(rho, A))
         return starts[-1]
 
-    monkeypatch.setattr(cli, "_conditioned_start", spy)
+    monkeypatch.setattr(cli, "conditioned_state", spy)
     code, out = run("mixing-compare", MC_STEANE, tmp_path)
     assert code == 0
     W = label_basis(REGISTRY["steane7"]())

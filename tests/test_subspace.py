@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -314,3 +316,23 @@ def test_partition_keeps_the_block_of_every_label():
     part = sub.HilbertPartition(sub.identity_basis(2), given)
     given[0] = 3
     assert part.labels[1].tolist() == [0, 1, 1, 3]
+
+
+def test_identity_basis_holds_one_table():
+    # order, x and x_class share one arange, and blocks, z and z_class are
+    # broadcast constants: 8 bytes per state, 8 MiB at n = 20
+    tracemalloc.start()
+    try:
+        W = sub.identity_basis.__wrapped__(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 << 20
+    assert W.identity and W.blocks.shape == (1 << 20, 1, 1)
+    for name in ("order", "x", "x_class", "z", "z_class", "blocks"):
+        assert not getattr(W, name).flags.writeable, name
+    small = sub.identity_basis.__wrapped__(3)
+    assert np.array_equal(small.x, np.arange(8)) and small.x.dtype == np.uint64
+    assert np.array_equal(small.x_class, np.arange(8)) and not small.z.any() and not small.z_class.any()
+    assert np.array_equal(small.dense(), np.eye(8))
+    assert np.array_equal(small.index(small.x, small.z), np.arange(8))
